@@ -6,7 +6,7 @@ GO ?= go
 # per-package default or hang a -race smoke until the job is killed.
 SMOKE_DEADLINE ?= 600
 
-.PHONY: all fmt fmt-check vet build test race bench bench-smoke benchdiff baseline bench-wallclock bench-wallclock-scaling baseline-wallclock tables load-smoke load-scale-smoke shard-smoke loaded-smoke docs-check
+.PHONY: all fmt fmt-check vet build test race bench bench-smoke bench-check benchdiff baseline bench-wallclock bench-wallclock-scaling baseline-wallclock tables load-smoke load-scale-smoke shard-smoke loaded-smoke docs-check
 
 all: build test
 
@@ -42,6 +42,13 @@ bench:
 ## bench-smoke: one iteration of every benchmark (deterministic metrics)
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -timeout 300s .
+
+## bench-check: build and test the benchmark harness (what CI runs).
+## bench/ is its own module, so the root ./... never compiles it: an API
+## drift in what it calls (lab.Cluster, the workload generators) would
+## otherwise surface only when the benchmark itself is run.
+bench-check:
+	$(GO) test -C bench -timeout 300s ./...
 
 ## benchdiff: compare the smoke run's paper metrics against the baseline
 benchdiff:
@@ -97,11 +104,13 @@ load-scale-smoke:
 		-fabric fattree -stream on -stagger 5500 -json > /dev/null
 
 ## shard-smoke: a 1024-host fat-tree fan-in split across 4 shards under
-## the race detector (what CI runs). The shard workers really do run
-## concurrently, so this exercises every cross-shard path — staged cell
-## injection, barrier control transfers, VC setup across cuts — with
-## the race detector watching, and the run's digest still matches the
-## serial golden (the sharded golden tests pin that separately).
+## the race detector (what CI runs). Rounds that release several shards
+## run their windows concurrently, on workers and the coordinator, and a
+## shard's window moves between the two from round to round, so this
+## exercises every cross-shard path — staged cell injection, barrier
+## control transfers, VC setup across cuts — with the race detector
+## watching, and the run's digest still matches the serial golden (the
+## sharded golden tests pin that separately).
 shard-smoke:
 	timeout $(SMOKE_DEADLINE) $(GO) run -race ./cmd/load -workload fanin -hosts 1024 -reqs 1 -hashpcb \
 		-fabric fattree -stream on -stagger 5500 -shards 4 -json > /dev/null

@@ -313,10 +313,12 @@ func parseBench(in io.Reader) (map[string]float64, error) {
 // meta/sweep_workers (the sweep pair's custom "workers" metric), and
 // meta/peak_heap_mb (the fan-in scale benchmark's peak-heap-MB metric —
 // live heap is a property of the whole process, so it is recorded for
-// the record rather than gated). The sharded fan-in's "rounds" metric —
-// barrier rounds per run, a deterministic property of the simulation —
-// is gated like an allocation count: it moves only when the horizon
-// algorithm changes. They are written into baselines and compared only
+// the record rather than gated). The sharded fan-in's "rounds" and
+// "handoffs" metrics — barrier rounds per run and the windows among
+// them handed to a worker goroutine, both deterministic properties of
+// the simulation — are gated like allocation counts: they move only
+// when the horizon algorithm or the barrier's execution model changes.
+// The meta keys are written into baselines and compared only
 // informationally, so a baseline recorded on one machine is never
 // silently treated as equivalent on another. Per-GOMAXPROCS ns/op
 // samples of the sweep pair and the sharded fan-in pair are returned
@@ -356,7 +358,7 @@ func parseWallclock(in io.Reader) (map[string]float64, []sweepSample, []sweepSam
 				continue
 			}
 			switch unit {
-			case "ns/op", "B/op", "allocs/op", "allocs/rtt", "rounds":
+			case "ns/op", "B/op", "allocs/op", "allocs/rtt", "rounds", "handoffs":
 			default:
 				continue
 			}

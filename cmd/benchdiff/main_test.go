@@ -202,8 +202,8 @@ func TestScalingOversubscribedIsNoteNotWarning(t *testing.T) {
 const sampleShardScaling = `goos: linux
 BenchmarkWallclockFanIn10k     	       1	2400000000 ns/op	       108.0 peak-heap-MB	370000000 B/op	 2000000 allocs/op
 BenchmarkWallclockFanIn10k-2   	       1	2400000000 ns/op	       108.0 peak-heap-MB	370000000 B/op	 2000000 allocs/op
-BenchmarkWallclockFanIn10kSharded     	       1	3900000000 ns/op	       108.0 peak-heap-MB	    879574 rounds	470000000 B/op	 3800000 allocs/op
-BenchmarkWallclockFanIn10kSharded-2   	       1	1560000000 ns/op	       108.0 peak-heap-MB	    879574 rounds	470000000 B/op	 3800000 allocs/op
+BenchmarkWallclockFanIn10kSharded     	       1	3900000000 ns/op	       108.0 peak-heap-MB	      5549 handoffs	    879574 rounds	470000000 B/op	 3800000 allocs/op
+BenchmarkWallclockFanIn10kSharded-2   	       1	1560000000 ns/op	       108.0 peak-heap-MB	      5549 handoffs	    879574 rounds	470000000 B/op	 3800000 allocs/op
 PASS
 `
 
@@ -259,6 +259,9 @@ func TestShardedRoundsMetricGated(t *testing.T) {
 	}
 	if got["BenchmarkWallclockFanIn10kSharded/rounds"] != 879574 {
 		t.Fatalf("rounds not parsed as a gated metric: %v", got)
+	}
+	if got["BenchmarkWallclockFanIn10kSharded/handoffs"] != 5549 {
+		t.Fatalf("handoffs not parsed as a gated metric: %v", got)
 	}
 	if len(shards) != 4 {
 		t.Fatalf("shard samples = %+v, want 4", shards)

@@ -1,16 +1,20 @@
 // Sharded execution: conservative-lookahead parallel discrete-event
 // simulation of one big scenario. A Cluster partitions a topology's
-// hosts across shards, each driving its own sim.Env event loop on its
-// own goroutine, and synchronizes them in barrier rounds: every round
-// the coordinator reads each shard's earliest pending event, gives each
-// shard its own safe horizon (see horizonFor), and lets every shard
-// execute its events with timestamps strictly below its horizon in
-// parallel. The horizons derive from the lookahead — the minimum
-// latency a cell needs to cross a cut fiber (first-cell serialization
-// plus propagation, plus the switch latency when only trunks are cut) —
-// so nothing a shard does inside a round can affect another shard
-// within that same round — the classic conservative-PDES argument, with
-// the cut links of the ATM fabric as the only channels.
+// hosts across shards, each with its own sim.Env event loop, and
+// synchronizes them in barrier rounds: every round the coordinator reads
+// each shard's earliest pending event, gives each shard its own safe
+// horizon (see horizonFor), and releases every shard holding an event
+// below its horizon to execute up to it. The coordinator runs one
+// released shard's window itself and hands any others to worker
+// goroutines, so a round that releases a single shard — all but a
+// handful of a staggered fan-in's, see docs/PERFORMANCE.md §11 — costs a
+// function call, and only rounds with work in several shards at once
+// pay for goroutine hand-offs. The horizons derive from the lookahead —
+// the minimum latency a cell needs to cross a cut fiber (first-cell
+// serialization plus propagation, plus the switch latency when only
+// trunks are cut) — so nothing a shard does inside a round can affect
+// another shard within that same round — the classic conservative-PDES
+// argument, with the cut links of the ATM fabric as the only channels.
 //
 // The contract is bit-identity, not approximate equivalence: a sharded
 // run must be event-for-event and byte-for-byte identical to the serial
@@ -31,6 +35,7 @@ package lab
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/atm"
 	"repro/internal/cost"
@@ -57,6 +62,67 @@ type stagedCell struct {
 	cell       atm.Cell
 }
 
+// inbox holds one shard's injected cells between the barrier that
+// scheduled their arrival events and the events firing: each arrival
+// parks in a slot and its event carries only the slot index, through a
+// callback bound once per shard, so injecting allocates nothing once the
+// slab has grown to the shard's peak of cells in flight. The coordinator
+// parks at the barrier and the owning shard delivers inside its window;
+// the two never overlap, so neither side locks.
+type inbox struct {
+	slots []inboxSlot
+	free  []uint32     // vacant slot indices
+	fire  func(uint64) // (*inbox).deliver, bound at construction
+}
+
+type inboxSlot struct {
+	to   atm.CellDest
+	cell atm.Cell
+}
+
+// park stores an arrival and returns its slot, the event argument.
+func (b *inbox) park(to atm.CellDest, cell atm.Cell) uint64 {
+	if n := len(b.free); n > 0 {
+		i := b.free[n-1]
+		b.free = b.free[:n-1]
+		b.slots[i] = inboxSlot{to, cell}
+		return uint64(i)
+	}
+	b.slots = append(b.slots, inboxSlot{to, cell})
+	return uint64(len(b.slots) - 1)
+}
+
+// deliver is the "xshard.cellin" event: vacate the slot, then hand the
+// cell to its destination on the far side of the cut.
+func (b *inbox) deliver(slot uint64) {
+	m := b.slots[slot]
+	b.free = append(b.free, uint32(slot))
+	m.to.InjectCell(m.cell)
+}
+
+// RoundStats counts what the barrier loop did, accumulated over the
+// cluster's lifetime by the coordinator alone (plain increments, no
+// atomics). It answers "what does a round cost here" before anyone opens
+// a profile: a run whose rounds almost all release one shard has no
+// cross-shard parallelism to win, however many cores it is given.
+type RoundStats struct {
+	// Rounds is the number of barrier rounds — what Rounds() returns.
+	Rounds int64
+	// Released[k] is the number of rounds that released k shards, with
+	// Released[3] standing for three or more. Released[0] stays zero:
+	// every round retires at least one event (see horizonFor).
+	Released [4]int64
+	// Inline counts windows the coordinator ran itself (one per round),
+	// Handoffs those it handed to a worker goroutine — each a channel
+	// send, two goroutine switches, and a channel receive.
+	Inline   int64
+	Handoffs int64
+	// CellsStaged and CtlStaged count the cells and the control mutations
+	// (cross-cut VC installs) that crossed a shard boundary.
+	CellsStaged int64
+	CtlStaged   int64
+}
+
 // Cluster is a sharded testbed: one Lab whose hosts are spread across
 // per-shard event loops. Build one with NewCluster, drive it with Run
 // (or RunEcho for the paper's benchmark), and rewind it between trials
@@ -74,23 +140,29 @@ type Cluster struct {
 	boomerang sim.Time
 	hostShard []int
 
-	// rounds counts barrier rounds across the cluster's lifetime — the
+	// stats counts barrier rounds across the cluster's lifetime — the
 	// number of coordinator wake-ups, the cost per-shard horizons drive
-	// down.
-	rounds int64
+	// down — and what each released.
+	stats RoundStats
 
-	// outbox and ctl are the per-source-shard staging areas written by
-	// shard goroutines during a round and drained by the coordinator at
-	// the barrier. pending holds drained cells per DESTINATION shard in
-	// canonical order until the round whose horizon needs them: deferring
-	// injection is what lets equal-time arrivals staged in different
-	// rounds meet in one buffer and sort canonically (see applyStaged).
+	// outbox and ctl are the per-source-shard staging areas written from
+	// inside each shard's window during a round and drained by the
+	// coordinator at the barrier. pending holds drained cells per
+	// DESTINATION shard in canonical order until the round whose horizon
+	// needs them: deferring injection is what lets equal-time arrivals
+	// staged in different rounds meet in one buffer and sort canonically
+	// (see applyStaged).
 	outbox  [][]stagedCell
 	ctl     [][]func()
 	pending [][]stagedCell
 	// pendStart is applyStaged's per-destination scratch: the pending
 	// length before this round's appends, i.e. where re-sorting starts.
 	pendStart []int
+	// inbox is the per-destination slab injected cells wait in until
+	// their arrival events fire; next is Run's per-shard scratch (see
+	// nextTimes).
+	inbox []inbox
+	next  []sim.Time
 }
 
 // NewCluster builds a testbed of nHosts ATM workstations partitioned
@@ -184,6 +256,11 @@ func NewCluster(cfg Config, nHosts, shards int) (*Cluster, error) {
 		ctl:       make([][]func(), eff),
 		pending:   make([][]stagedCell, eff),
 		pendStart: make([]int, eff),
+		inbox:     make([]inbox, eff),
+		next:      make([]sim.Time, eff),
+	}
+	for s := range c.inbox {
+		c.inbox[s].fire = c.inbox[s].deliver
 	}
 	drvs := make([]*atm.Driver, nHosts)
 	for i, h := range l.Hosts {
@@ -274,7 +351,11 @@ func (c *Cluster) NumShards() int { return len(c.Shards) }
 func (c *Cluster) Lookahead() sim.Time { return c.lookahead }
 
 // Rounds returns how many barrier rounds this cluster has executed.
-func (c *Cluster) Rounds() int64 { return c.rounds }
+func (c *Cluster) Rounds() int64 { return c.stats.Rounds }
+
+// RoundStats returns the barrier loop's counters so far. Call it between
+// runs, not from inside a shard's events.
+func (c *Cluster) RoundStats() RoundStats { return c.stats }
 
 // HostShard returns the shard index of host i.
 func (c *Cluster) HostShard(i int) int { return c.hostShard[i] }
@@ -284,9 +365,9 @@ func (c *Cluster) HostShard(i int) int { return c.hostShard[i] }
 // code reading p.Env() sees the clock the host lives on.
 func (c *Cluster) EnvOf(i int) *sim.Env { return c.Shards[c.hostShard[i]].Env }
 
-// stageCell implements atm.ShardPlan.StageCell: the sending shard's
-// goroutine parks the crossing cell in its own outbox (no other
-// goroutine touches that slice until the barrier).
+// stageCell implements atm.ShardPlan.StageCell: whichever goroutine is
+// running the sending shard's window parks the crossing cell in that
+// shard's outbox (nothing else touches that slice until the barrier).
 func (c *Cluster) stageCell(srcShard, dstShard int, scheduleAt, at sim.Time, to atm.CellDest, cell atm.Cell) {
 	// Dynamic horizon tightening (see horizonFor): this emission can
 	// draw a causal response back into this shard no earlier than one
@@ -325,6 +406,7 @@ func (c *Cluster) stageCtl(srcShard int, apply func()) {
 // here, so it may touch any shard's switches and event heap freely.
 func (c *Cluster) applyStaged() {
 	for s := range c.ctl {
+		c.stats.CtlStaged += int64(len(c.ctl[s]))
 		for _, fn := range c.ctl[s] {
 			fn()
 		}
@@ -334,6 +416,7 @@ func (c *Cluster) applyStaged() {
 		c.pendStart[d] = len(c.pending[d])
 	}
 	for s := range c.outbox {
+		c.stats.CellsStaged += int64(len(c.outbox[s]))
 		for _, m := range c.outbox[s] {
 			c.pending[m.dstShard] = append(c.pending[m.dstShard], m)
 		}
@@ -376,14 +459,16 @@ func insertStaged(p []stagedCell, from int) {
 // injectPending schedules shard s's pending arrivals strictly below
 // horizon h into its heap, in canonical order, and retains the rest for
 // a later round (the shard executes strictly below h, so nothing at or
-// beyond h can be missed this window).
+// beyond h can be missed this window). Each arrival moves from the
+// reused pending buffer into the shard's inbox, which outlives it.
 func (c *Cluster) injectPending(s int, h sim.Time) {
 	pend := c.pending[s]
 	env := c.Shards[s].Env
+	in := &c.inbox[s]
 	k := 0
 	for k < len(pend) && pend[k].at < h {
-		m := pend[k] // copy: the closure outlives the reused buffer
-		env.At(m.at, "xshard.cellin", func() { m.to.InjectCell(m.cell) })
+		m := &pend[k]
+		env.AtArg(m.at, "xshard.cellin", in.fire, in.park(m.to, m.cell))
 		k++
 	}
 	if k > 0 {
@@ -391,15 +476,17 @@ func (c *Cluster) injectPending(s int, h sim.Time) {
 	}
 }
 
-// nextTimes fills ts with each shard's earliest future action — the
+// nextTimes fills c.next with each shard's earliest future action — the
 // head of its event heap or of its pending-arrival buffer, whichever is
-// sooner (sim.MaxTime when both are empty) — and reports whether any
-// shard has work at all. Counting un-injected arrivals is what keeps
-// the horizon math sound under deferred injection: a peer's horizon is
-// derived from this shard's earliest possible action, and a pending
-// arrival is exactly such an action.
-func (c *Cluster) nextTimes(ts []sim.Time) bool {
-	any := false
+// sooner (sim.MaxTime when both are empty). Counting un-injected
+// arrivals is what keeps the horizon math sound under deferred
+// injection: a peer's horizon is derived from this shard's earliest
+// possible action, and a pending arrival is exactly such an action. It
+// returns the round's earliest action lo (sim.MaxTime when no shard has
+// work at all), the shard loAt holding it, and lo2, the earliest among
+// the other shards — all horizonFor needs, from one pass.
+func (c *Cluster) nextTimes() (lo sim.Time, loAt int, lo2 sim.Time) {
+	lo, lo2 = sim.MaxTime, sim.MaxTime
 	for i, sh := range c.Shards {
 		t, ok := sh.Env.NextEventAt()
 		if !ok {
@@ -408,17 +495,20 @@ func (c *Cluster) nextTimes(ts []sim.Time) bool {
 		if p := c.pending[i]; len(p) > 0 && p[0].at < t {
 			t = p[0].at
 		}
-		if t != sim.MaxTime {
-			any = true
+		c.next[i] = t
+		if t < lo {
+			lo, loAt, lo2 = t, i, lo
+		} else if t < lo2 {
+			lo2 = t
 		}
-		ts[i] = t
 	}
-	return any
+	return lo, loAt, lo2
 }
 
 // horizonFor returns shard i's static safe-execution bound for the
-// round: the earliest event any OTHER shard holds at the barrier, plus
-// the minimum cross-shard latency. Shard i's own events never bound it —
+// round: the earliest event any OTHER shard holds at the barrier — lo,
+// or lo2 for the shard that holds lo itself (see nextTimes) — plus the
+// minimum cross-shard latency. Shard i's own events never bound it —
 // everything it emits to itself is already in its heap in order. This
 // per-shard horizon (rather than one global min+L window) is what lets
 // a busy shard stream through long stretches of local work in a single
@@ -437,12 +527,10 @@ func (c *Cluster) nextTimes(ts []sim.Time) bool {
 // static horizon. Progress is preserved under both terms — each exceeds
 // the globally earliest event time, so every round retires at least one
 // event.
-func (c *Cluster) horizonFor(i int, ts []sim.Time) sim.Time {
-	minOther := sim.MaxTime
-	for k, t := range ts {
-		if k != i && t < minOther {
-			minOther = t
-		}
+func (c *Cluster) horizonFor(i int, lo sim.Time, loAt int, lo2 sim.Time) sim.Time {
+	minOther := lo
+	if i == loAt {
+		minOther = lo2
 	}
 	if minOther == sim.MaxTime {
 		return sim.MaxTime
@@ -450,34 +538,67 @@ func (c *Cluster) horizonFor(i int, ts []sim.Time) sim.Time {
 	return minOther + c.lookahead
 }
 
+// workers are the goroutines a round's extra windows run on when it
+// releases more than one shard: one per shard, started by that shard's
+// first hand-off, so a run that never has work in two shards at once
+// starts none. All cross-goroutine visibility flows through the start
+// and done channels, which is the happens-before chain the race
+// detector checks — a shard's window may run on its worker in one round
+// and on the coordinator in the next.
+type workers struct {
+	start []chan struct{} // per shard; nil until its first hand-off
+	done  chan struct{}
+	wg    sync.WaitGroup
+}
+
+func newWorkers(nShards int) *workers {
+	return &workers{
+		start: make([]chan struct{}, nShards),
+		done:  make(chan struct{}, nShards), // sized to the sends of one round
+	}
+}
+
+// run hands shard s's window to its worker; the caller collects one
+// receive from done per hand-off before the next barrier.
+func (w *workers) run(s int, env *sim.Env) {
+	ch := w.start[s]
+	if ch == nil {
+		ch = make(chan struct{}, 1)
+		w.start[s] = ch
+		w.wg.Add(1)
+		go func() {
+			defer w.wg.Done()
+			for range ch {
+				env.RunWindow()
+				w.done <- struct{}{}
+			}
+		}()
+	}
+	ch <- struct{}{}
+}
+
+// stop ends every worker and waits for it to exit.
+func (w *workers) stop() {
+	for _, ch := range w.start {
+		if ch != nil {
+			close(ch)
+		}
+	}
+	w.wg.Wait()
+}
+
 // Run drives every shard's event loop to completion, round by round.
-// One worker goroutine per shard lives for the duration of the call —
-// O(shards) goroutines, which the footprint tests pin — and the
-// coordinator (the calling goroutine) owns every barrier: it applies
-// staged control, injects staged cells, computes the horizon, and only
-// then releases the workers for the next window. All cross-goroutine
-// visibility flows through the start/done channels, so the race
-// detector sees a clean happens-before chain.
+// The coordinator (the calling goroutine) owns every barrier: it applies
+// staged control, injects staged cells, computes the horizons, and then
+// runs the round — the last shard it releases on its own stack, any
+// others on worker goroutines (see workers), at most O(shards) of them,
+// which the footprint tests pin, all gone before Run returns.
 func (c *Cluster) Run() {
 	if len(c.Shards) == 1 {
 		c.Lab.Env.Run()
 		return
 	}
-	nShards := len(c.Shards)
-	start := make([]chan struct{}, nShards)
-	done := make(chan struct{}, nShards)
-	for s := range start {
-		start[s] = make(chan struct{}, 1)
-		env := c.Shards[s].Env
-		ch := start[s]
-		go func() {
-			for range ch {
-				env.RunWindow()
-				done <- struct{}{}
-			}
-		}()
-	}
-	next := make([]sim.Time, nShards)
+	var w *workers
 	for {
 		c.applyStaged()
 		if c.Lab.wd != nil && c.Lab.wd.Fired() {
@@ -487,7 +608,8 @@ func (c *Cluster) Run() {
 			// hang the watchdog exists to prevent.
 			break
 		}
-		if !c.nextTimes(next) {
+		lo, loAt, lo2 := c.nextTimes()
+		if lo == sim.MaxTime {
 			break // every heap empty, nothing staged: the run is done
 		}
 		// Why a per-shard horizon is safe: shard i only processes events
@@ -497,27 +619,40 @@ func (c *Cluster) Run() {
 		// shard i — never inside a window a peer is executing, so the
 		// barrier always injects it into the peer's future.
 		// Release only shards holding an event below their horizon: an
-		// idle shard's RunWindow would return without executing anything,
-		// so waking it buys nothing and costs two goroutine switches —
-		// most of a round's overhead when one flow ping-pongs between two
-		// shards while the rest sit at far-future timestamps.
-		c.rounds++
-		released := 0
+		// idle shard's RunWindow would return without executing anything.
+		// The coordinator keeps the last released shard for itself, so the
+		// common round — one flow ping-ponging between two shards while
+		// the rest sit at far-future timestamps — hands nothing off.
+		c.stats.Rounds++
+		released, mine := 0, -1
 		for s, sh := range c.Shards {
-			h := c.horizonFor(s, next)
+			h := c.horizonFor(s, lo, loAt, lo2)
 			c.injectPending(s, h)
 			sh.Env.SetHorizon(h)
-			if next[s] < h {
-				released++
-				start[s] <- struct{}{}
+			if c.next[s] >= h {
+				continue
 			}
+			if mine >= 0 {
+				if w == nil {
+					w = newWorkers(len(c.Shards))
+				}
+				w.run(mine, c.Shards[mine].Env)
+			}
+			mine = s
+			released++
 		}
-		for i := 0; i < released; i++ {
-			<-done
+		// The shard holding lo is always released (its horizon is lo2 + L,
+		// past lo), so mine is a shard here.
+		c.Shards[mine].Env.RunWindow()
+		for i := 1; i < released; i++ {
+			<-w.done
 		}
+		c.stats.Inline++
+		c.stats.Handoffs += int64(released - 1)
+		c.stats.Released[min(released, len(c.stats.Released)-1)]++
 	}
-	for s := range start {
-		close(start[s])
+	if w != nil {
+		w.stop()
 	}
 	for _, sh := range c.Shards {
 		sh.Env.SetHorizon(sim.MaxTime)

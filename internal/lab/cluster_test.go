@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/atm"
 	"repro/internal/sim"
 )
 
@@ -144,9 +145,9 @@ func TestLabResetRejectsShardedOwner(t *testing.T) {
 }
 
 // TestClusterGoroutineFootprint pins worker cost at O(shards): a run
-// holds one goroutine per shard while shards execute and releases them
-// all before Run returns — no per-host or per-connection goroutines, and
-// no leak across runs.
+// holds at most one worker goroutine per shard and has stopped them all
+// when Run returns — no per-host or per-connection goroutines, and no
+// leak across runs.
 func TestClusterGoroutineFootprint(t *testing.T) {
 	before := runtime.NumGoroutine()
 	c := mustCluster(t, Config{Link: LinkATM, Seed: 1}, 9, 4)
@@ -174,5 +175,146 @@ func TestClusterGoroutineFootprint(t *testing.T) {
 	}
 	if after > before+2 {
 		t.Errorf("goroutines after run: %d, want <= %d — workers leaked", after, before+2)
+	}
+}
+
+// settledCluster builds a hub cluster and runs it once, retiring the
+// service processes' spawn events — which sit at time zero in every
+// shard, so that first run does hand windows off — and waits for its
+// workers to leave the goroutine count.
+func settledCluster(t *testing.T, nHosts, shards int) (c *Cluster, goroutines int) {
+	t.Helper()
+	goroutines = runtime.NumGoroutine()
+	c = mustCluster(t, Config{Link: LinkATM, Seed: 1}, nHosts, shards)
+	if c.NumShards() != shards {
+		t.Fatalf("cluster has %d shards, want %d", c.NumShards(), shards)
+	}
+	c.Run()
+	for i := 0; i < 100 && runtime.NumGoroutine() > goroutines; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n != goroutines {
+		t.Fatalf("%d goroutines after the warm-up run, %d before it", n, goroutines)
+	}
+	return c, goroutines
+}
+
+// latestNow is the furthest any shard's clock has advanced.
+func latestNow(c *Cluster) sim.Time {
+	var at sim.Time
+	for _, sh := range c.Shards {
+		if t := sh.Env.Now(); t > at {
+			at = t
+		}
+	}
+	return at
+}
+
+// TestClusterSingleReleaseRunsInline pins the cheap side of Run's
+// released-count selection: events alternating between two shards, two
+// lookaheads apart, release exactly one shard a round, and the
+// coordinator runs every such window itself — no hand-off, and not one
+// goroutine more than before Run was called.
+func TestClusterSingleReleaseRunsInline(t *testing.T) {
+	c, goroutines := settledCluster(t, 3, 2)
+	const n = 200
+	extra := 0
+	sample := func() {
+		if g := runtime.NumGoroutine(); g != goroutines {
+			extra++
+		}
+	}
+	at := latestNow(c)
+	for i := 0; i < n; i++ {
+		at += 2 * c.Lookahead()
+		c.Shards[i%2].Env.At(at, "pingpong", sample)
+	}
+	before := c.RoundStats()
+	c.Run()
+	got := c.RoundStats()
+
+	if d := got.Rounds - before.Rounds; d != n {
+		t.Errorf("%d rounds for %d alternating events, want one each", d, n)
+	}
+	if d := got.Released[1] - before.Released[1]; d != n {
+		t.Errorf("%d rounds released one shard, want %d", d, n)
+	}
+	if d := got.Inline - before.Inline; d != n {
+		t.Errorf("coordinator ran %d windows, want %d", d, n)
+	}
+	if d := got.Handoffs - before.Handoffs; d != 0 {
+		t.Errorf("%d hand-offs in a run that never released two shards, want 0", d)
+	}
+	if extra != 0 {
+		t.Errorf("%d of %d events saw extra goroutines during Run", extra, n)
+	}
+}
+
+// TestClusterMultiReleaseHandsOff pins the other side: simultaneous
+// events in two non-server shards release both every round, so one
+// window goes to a worker and one stays with the coordinator — and the
+// idle server shard is never woken.
+func TestClusterMultiReleaseHandsOff(t *testing.T) {
+	c, _ := settledCluster(t, 3, 3)
+	const n = 50
+	ran := [3]int{}
+	at := latestNow(c)
+	for i := 0; i < n; i++ {
+		at += 2 * c.Lookahead()
+		for _, s := range []int{1, 2} {
+			s := s
+			c.Shards[s].Env.At(at, "both", func() { ran[s]++ })
+		}
+	}
+	before := c.RoundStats()
+	c.Run()
+	got := c.RoundStats()
+
+	if ran != [3]int{0, n, n} {
+		t.Fatalf("events run per shard: %v, want [0 %d %d]", ran, n, n)
+	}
+	if d := got.Released[2] - before.Released[2]; d != n {
+		t.Errorf("%d rounds released two shards, want %d", d, n)
+	}
+	if d := got.Handoffs - before.Handoffs; d != n {
+		t.Errorf("%d hand-offs, want %d (one of each round's two windows)", d, n)
+	}
+	if d := got.Inline - before.Inline; d != n {
+		t.Errorf("coordinator ran %d windows, want %d", d, n)
+	}
+}
+
+// countingDest is a cell destination that only counts deliveries.
+type countingDest struct{ cells int }
+
+func (d *countingDest) InjectCell(atm.Cell) { d.cells++ }
+
+// TestClusterInjectPathAllocatesNothing pins the steady-state cost of a
+// crossing cell — stage, barrier, inject, fire, slot freed — at zero
+// allocations: the arrival event carries an inbox slot index through a
+// callback bound once per shard, not a closure per cell.
+func TestClusterInjectPathAllocatesNothing(t *testing.T) {
+	c, _ := settledCluster(t, 3, 2)
+	dest := &countingDest{}
+	at := latestNow(c)
+	cross := func() {
+		at += 2 * c.Lookahead()
+		c.stageCell(0, 1, at-c.Lookahead(), at, dest, atm.Cell{})
+		c.Run()
+	}
+	cross() // grow the buffers once
+	if allocs := testing.AllocsPerRun(100, cross); allocs != 0 {
+		t.Errorf("%.1f allocations per crossing cell, want 0", allocs)
+	}
+	if dest.cells != 102 { // the warm-up, AllocsPerRun's own, and its 100
+		t.Errorf("%d cells delivered, want 102", dest.cells)
+	}
+	in := &c.inbox[1]
+	if len(in.slots) != 1 || len(in.free) != 1 {
+		t.Errorf("inbox after the run: %d slots, %d free, want the one slot reused and free",
+			len(in.slots), len(in.free))
+	}
+	if st := c.RoundStats(); st.CellsStaged != 102 {
+		t.Errorf("CellsStaged = %d, want the 102 staged here", st.CellsStaged)
 	}
 }

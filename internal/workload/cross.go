@@ -110,9 +110,9 @@ func (ct CrossTraffic) spawnSink(l *lab.Lab, fail func(error)) error {
 	}
 	l.Env.Spawn("server.cross", &acceptLoopFrame{
 		ln: ln, n: c.Flows * c.Transfers,
-		accepted: func(i int, op *tcp.AcceptOp) bool {
+		accepted: func(al *acceptLoopFrame, i int, op *tcp.AcceptOp) bool {
 			l.Env.Spawn(fmt.Sprintf("server.cross.conn%d", i),
-				&crossSinkFrame{so: op.So, fail: fail})
+				&crossSinkFrame{so: op.So, al: al, fail: fail})
 			return true
 		},
 	})
@@ -145,6 +145,7 @@ func (ct CrossTraffic) spawn(l *lab.Lab, fail func(error)) error {
 // crossSinkFrame drains one background connection to EOF and closes.
 type crossSinkFrame struct {
 	so   *sock.Socket
+	al   *acceptLoopFrame // lends the read buffer
 	fail func(error)
 
 	pc   int
@@ -158,12 +159,16 @@ func (f *crossSinkFrame) Step(p *sim.Proc) {
 		switch f.pc {
 		case 0: // read the next chunk
 			if f.buf == nil {
-				f.buf = make([]byte, 16384)
+				f.buf = f.al.getBuf()
 			}
 			f.pc = 1
 			f.recv = f.so.Recv(p, f.buf)
 			return
 		case 1: // discard it, or close at EOF
+			if f.recv.Err != nil || f.recv.N == 0 {
+				f.al.putBuf(f.buf)
+				f.buf = nil
+			}
 			if f.recv.Err != nil {
 				f.fail(f.recv.Err)
 				p.Return()

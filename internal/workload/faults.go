@@ -124,15 +124,7 @@ func (g FaultRecovery) Run(l *lab.Lab) (*Result, error) {
 			if err != nil {
 				return err
 			}
-			l.Env.Spawn("server.faults", &acceptLoopFrame{
-				ln: ln, n: faultAcceptMax,
-				accepted: func(i int, op *tcp.AcceptOp) bool {
-					op.C.SetNoDelay(true)
-					l.Env.Spawn(fmt.Sprintf("server.faults.conn%d", i),
-						&serveEchoFrame{so: op.So})
-					return true
-				},
-			})
+			spawnEchoServer(l.Env, "server.faults", ln, faultAcceptMax)
 			return nil
 		}
 		if err := listen(); err != nil {

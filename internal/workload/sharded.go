@@ -203,15 +203,7 @@ func runFanInSharded(g FanIn, c *lab.Cluster) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		l.Env.Spawn("server.fanin", &acceptLoopFrame{
-			ln: ln, n: clients,
-			accepted: func(i int, op *tcp.AcceptOp) bool {
-				op.C.SetNoDelay(true)
-				l.Env.Spawn(fmt.Sprintf("server.fanin.conn%d", i),
-					&serveEchoFrame{so: op.So})
-				return true
-			},
-		})
+		spawnEchoServer(l.Env, "server.fanin", ln, clients)
 	}
 	var crossParts []*shardParticipant
 	if g.Cross != nil {
@@ -283,15 +275,7 @@ func runChurnSharded(g Churn, c *lab.Cluster) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.Env.Spawn("server.churn", &acceptLoopFrame{
-		ln: ln, n: clients * conns,
-		accepted: func(i int, op *tcp.AcceptOp) bool {
-			op.C.SetNoDelay(true)
-			l.Env.Spawn(fmt.Sprintf("server.churn.conn%d", i),
-				&serveEchoFrame{so: op.So})
-			return true
-		},
-	})
+	spawnEchoServer(l.Env, "server.churn", ln, clients*conns)
 
 	parts := make([]*shardParticipant, clients)
 	for ci := 0; ci < clients; ci++ {
@@ -346,7 +330,7 @@ func runBulkSharded(g Bulk, c *lab.Cluster) (*Result, error) {
 	}
 	l.Env.Spawn("server.bulk", &acceptLoopFrame{
 		ln: ln, n: clients,
-		accepted: func(_ int, op *tcp.AcceptOp) bool {
+		accepted: func(al *acceptLoopFrame, _ int, op *tcp.AcceptOp) bool {
 			i := int(op.C.Key().RemoteAddr - lab.HostAddr(1))
 			if i < 0 || i >= clients {
 				serverFail(fmt.Errorf("workload: bulk connection from unexpected address %#x",
@@ -354,7 +338,7 @@ func runBulkSharded(g Bulk, c *lab.Cluster) (*Result, error) {
 				return false
 			}
 			l.Env.Spawn(fmt.Sprintf("server.bulk.conn%d", i),
-				&bulkConnFrame{so: op.So, i: i, dones: dones,
+				&bulkConnFrame{so: op.So, al: al, i: i, dones: dones,
 					received: received, fail: serverFail, wd: wd})
 			return true
 		},

@@ -331,15 +331,7 @@ func (g FanIn) Run(l *lab.Lab) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		l.Env.Spawn("server.fanin", &acceptLoopFrame{
-			ln: ln, n: clients,
-			accepted: func(i int, op *tcp.AcceptOp) bool {
-				op.C.SetNoDelay(true)
-				l.Env.Spawn(fmt.Sprintf("server.fanin.conn%d", i),
-					&serveEchoFrame{so: op.So})
-				return true
-			},
-		})
+		spawnEchoServer(l.Env, "server.fanin", ln, clients)
 	}
 	if g.Cross != nil {
 		if err := g.Cross.spawn(l, fail); err != nil {
@@ -417,15 +409,7 @@ func (g Churn) Run(l *lab.Lab) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.Env.Spawn("server.churn", &acceptLoopFrame{
-		ln: ln, n: clients * conns,
-		accepted: func(i int, op *tcp.AcceptOp) bool {
-			op.C.SetNoDelay(true)
-			l.Env.Spawn(fmt.Sprintf("server.churn.conn%d", i),
-				&serveEchoFrame{so: op.So})
-			return true
-		},
-	})
+	spawnEchoServer(l.Env, "server.churn", ln, clients*conns)
 
 	sink := newLatSink(clients, g.Stats)
 	sink.wd = wd
@@ -493,7 +477,7 @@ func (g Bulk) Run(l *lab.Lab) (*Result, error) {
 	// remote address — not the accept order — identifies the transfer.
 	l.Env.Spawn("server.bulk", &acceptLoopFrame{
 		ln: ln, n: clients,
-		accepted: func(_ int, op *tcp.AcceptOp) bool {
+		accepted: func(al *acceptLoopFrame, _ int, op *tcp.AcceptOp) bool {
 			i := int(op.C.Key().RemoteAddr - lab.HostAddr(1))
 			if i < 0 || i >= clients {
 				fail(fmt.Errorf("workload: bulk connection from unexpected address %#x",
@@ -501,7 +485,7 @@ func (g Bulk) Run(l *lab.Lab) (*Result, error) {
 				return false
 			}
 			l.Env.Spawn(fmt.Sprintf("server.bulk.conn%d", i),
-				&bulkConnFrame{so: op.So, i: i, dones: dones,
+				&bulkConnFrame{so: op.So, al: al, i: i, dones: dones,
 					received: received, fail: fail, wd: wd})
 			return true
 		},
@@ -547,11 +531,51 @@ func (g Bulk) Run(l *lab.Lab) (*Result, error) {
 type acceptLoopFrame struct {
 	ln       *tcp.Listener
 	n        int
-	accepted func(i int, op *tcp.AcceptOp) bool
+	accepted func(al *acceptLoopFrame, i int, op *tcp.AcceptOp) bool
 
 	pc int
 	i  int
 	op *tcp.AcceptOp
+
+	// bufs recycles the read buffers of the handlers this loop spawned: a
+	// handler borrows one for the life of its connection and hands it
+	// back at EOF, so a server allocates as many as it ever had
+	// connections open at once, not one per connection accepted. The loop
+	// and its handlers all run on the server host's event loop, serial or
+	// sharded, so the list needs no lock.
+	bufs [][]byte
+}
+
+// serverBufLen is the read size of every per-connection server handler.
+const serverBufLen = 16384
+
+// getBuf lends a handler a read buffer of serverBufLen bytes.
+func (f *acceptLoopFrame) getBuf() []byte {
+	if n := len(f.bufs); n > 0 {
+		b := f.bufs[n-1]
+		f.bufs = f.bufs[:n-1]
+		return b
+	}
+	return make([]byte, serverBufLen)
+}
+
+// putBuf takes back a buffer no socket operation references any more.
+func (f *acceptLoopFrame) putBuf(b []byte) { f.bufs = append(f.bufs, b) }
+
+// spawnEchoServer starts the TCP echo server shared by the fan-in, churn
+// and fault workloads on env, the server host's event loop: an accept
+// loop for n connections on ln, each served by its own serveEchoFrame
+// process named after the loop.
+func spawnEchoServer(env *sim.Env, name string, ln *tcp.Listener, n int) {
+	connName := name + ".conn%d"
+	env.Spawn(name, &acceptLoopFrame{
+		ln: ln, n: n,
+		accepted: func(al *acceptLoopFrame, i int, op *tcp.AcceptOp) bool {
+			op.C.SetNoDelay(true)
+			env.Spawn(fmt.Sprintf(connName, i), &serveEchoFrame{so: op.So, al: al})
+			return true
+		},
+	})
 }
 
 // Step drives the accept loop.
@@ -573,7 +597,7 @@ func (f *acceptLoopFrame) Step(p *sim.Proc) {
 				p.Return()
 				return
 			}
-			if !f.accepted(f.i, op) {
+			if !f.accepted(f, f.i, op) {
 				p.Return()
 				return
 			}
@@ -587,6 +611,7 @@ func (f *acceptLoopFrame) Step(p *sim.Proc) {
 // churn servers: write back whatever arrives, until EOF, then close.
 type serveEchoFrame struct {
 	so *sock.Socket
+	al *acceptLoopFrame // lends the read buffer
 
 	pc   int
 	buf  []byte
@@ -601,13 +626,15 @@ func (f *serveEchoFrame) Step(p *sim.Proc) {
 		switch f.pc {
 		case 0: // read the next chunk
 			if f.buf == nil {
-				f.buf = make([]byte, 16384)
+				f.buf = f.al.getBuf()
 			}
 			f.pc = 1
 			f.recv = f.so.Recv(p, f.buf)
 			return
 		case 1: // echo it back, or close on EOF/error
 			if f.recv.Err != nil || f.recv.N == 0 {
+				f.al.putBuf(f.buf)
+				f.buf = nil
 				f.pc = 3
 				f.so.Close(p)
 				return
@@ -619,6 +646,8 @@ func (f *serveEchoFrame) Step(p *sim.Proc) {
 			return
 		case 2: // next chunk, unless the write failed
 			if f.send.Err != nil {
+				f.al.putBuf(f.buf)
+				f.buf = nil
 				p.Return()
 				return
 			}
@@ -862,6 +891,7 @@ func (f *churnClientFrame) Step(p *sim.Proc) {
 // EOF, stamping the completion time.
 type bulkConnFrame struct {
 	so       *sock.Socket
+	al       *acceptLoopFrame // lends the read buffer
 	i        int
 	dones    []sim.Time
 	received []int
@@ -879,12 +909,16 @@ func (f *bulkConnFrame) Step(p *sim.Proc) {
 		switch f.pc {
 		case 0: // read the next chunk
 			if f.buf == nil {
-				f.buf = make([]byte, 16384)
+				f.buf = f.al.getBuf()
 			}
 			f.pc = 1
 			f.recv = f.so.Recv(p, f.buf)
 			return
 		case 1: // account for it, or finish at EOF
+			if f.recv.Err != nil || f.recv.N == 0 {
+				f.al.putBuf(f.buf)
+				f.buf = nil
+			}
 			if f.recv.Err != nil {
 				f.fail(f.recv.Err)
 				p.Return()

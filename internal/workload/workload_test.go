@@ -5,6 +5,8 @@ import (
 
 	"repro/internal/lab"
 	"repro/internal/sim"
+	"repro/internal/stats"
+	"repro/internal/tcp"
 )
 
 func TestFanInATMSwitch(t *testing.T) {
@@ -188,5 +190,73 @@ func TestFanInHashBeatsListAtHighPopulation(t *testing.T) {
 	t.Logf("16-client fan-in: list %.0f µs, hash %.0f µs", list, hash)
 	if hash >= list {
 		t.Fatalf("hash PCBs (%.0f µs) did not beat the list (%.0f µs) under live fan-in", hash, list)
+	}
+}
+
+// TestEchoServerRecyclesReadBuffers pins the accept loop's buffer
+// free-list on the 10k benchmark's shape, a staggered fan-in: handlers
+// borrow their 16 KB read buffer and hand it back at EOF, so the server
+// ends up holding no more buffers than it ever had connections open at
+// once — counted here independently, from the handler processes — rather
+// than one per connection accepted.
+func TestEchoServerRecyclesReadBuffers(t *testing.T) {
+	const clients = 12
+	l := lab.NewTopology(lab.Config{Link: lab.LinkATM, Seed: 5}, clients+1)
+	ln, err := l.Hosts[0].TCP.Listen(Port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var handlers []*sim.Proc
+	peak := 0
+	server := &acceptLoopFrame{
+		ln: ln, n: clients,
+		accepted: func(al *acceptLoopFrame, i int, op *tcp.AcceptOp) bool {
+			op.C.SetNoDelay(true)
+			handlers = append(handlers, l.Env.Spawn("handler", &serveEchoFrame{so: op.So, al: al}))
+			open := 0
+			for _, h := range handlers {
+				if !h.Done() {
+					open++
+				}
+			}
+			if open > peak {
+				peak = open
+			}
+			return true
+		},
+	}
+	l.Env.Spawn("server", server)
+
+	sink := newLatSink(clients, stats.Config{})
+	r := &Result{}
+	var last sim.Time
+	fail := func(err error) { t.Error(err) }
+	for ci := 0; ci < clients; ci++ {
+		l.Env.Spawn("client", &fanInClientFrame{
+			host: l.Hosts[ci+1], ci: ci, si: ci, size: 200, reqs: 1,
+			startAt: sim.Time(ci) * 5000 * sim.Microsecond,
+			sink:    sink, last: &last, r: r, fail: fail,
+		})
+	}
+	l.Env.Run()
+	if err := sink.finish(r, 1, "requests"); err != nil {
+		t.Fatal(err)
+	}
+	if r.Errors != 0 {
+		t.Fatalf("%d corrupt exchanges", r.Errors)
+	}
+
+	if len(handlers) != clients || peak == 0 || peak >= clients {
+		t.Fatalf("%d handlers, peak %d open at once: the stagger should keep the peak well under %d",
+			len(handlers), peak, clients)
+	}
+	if n := len(server.bufs); n == 0 || n > peak {
+		t.Errorf("free-list holds %d buffers after %d connections, want 1..%d (the peak open at once)",
+			n, clients, peak)
+	}
+	for _, b := range server.bufs {
+		if len(b) != serverBufLen {
+			t.Errorf("recycled buffer has length %d, want %d", len(b), serverBufLen)
+		}
 	}
 }

@@ -110,10 +110,18 @@ load-scale-smoke:
 ## exercises every cross-shard path — staged cell injection, barrier
 ## control transfers, VC setup across cuts — with the race detector
 ## watching, and the run's digest still matches the serial golden (the
-## sharded golden tests pin that separately).
+## sharded golden tests pin that separately). Then the other generators
+## and the other transport on a small fat tree at 4 shards: every
+## generator records into one set of slot-indexed arrays that several
+## shards write at once, and the race detector is what proves each slot
+## has one writer.
+SHARD_SMOKE_SMALL = $(GO) run -race ./cmd/load -hosts 33 -fabric fattree -leafports 4 -shards 4 -json
 shard-smoke:
 	timeout $(SMOKE_DEADLINE) $(GO) run -race ./cmd/load -workload fanin -hosts 1024 -reqs 1 -hashpcb \
 		-fabric fattree -stream on -stagger 5500 -shards 4 -json > /dev/null
+	timeout $(SMOKE_DEADLINE) $(SHARD_SMOKE_SMALL) -workload churn -conns 3 > /dev/null
+	timeout $(SMOKE_DEADLINE) $(SHARD_SMOKE_SMALL) -workload bulk -bytes 16384 > /dev/null
+	timeout $(SMOKE_DEADLINE) $(SHARD_SMOKE_SMALL) -workload fanin -reqs 4 -transport rudp > /dev/null
 
 ## loaded-smoke: the congested-regime tier end to end under the race
 ## detector (what CI runs): both transports (TCP and reliable UDP)

@@ -99,36 +99,7 @@ func BenchmarkWallclockFanInLoaded(b *testing.B) {
 // live heap after the run — which benchdiff carries into the baseline's
 // metadata: the number that blows up if per-pair VC state or per-request
 // latency retention ever creeps back in.
-func BenchmarkWallclockFanIn10k(b *testing.B) {
-	b.ReportAllocs()
-	gen := workload.FanIn{
-		Size:     200,
-		Requests: 1,
-		Warmup:   0,
-		Stagger:  5000 * sim.Microsecond,
-		Stats:    stats.Config{Streaming: true},
-	}
-	cfg := lab.Config{Link: lab.LinkATM, Fabric: lab.FabricFatTree, Seed: 1994, HashPCBs: true}
-	var peak uint64
-	for i := 0; i < b.N; i++ {
-		l := lab.NewTopology(cfg, 10001)
-		res, err := gen.Run(l)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Requests != 10000 {
-			b.Fatalf("completed %d of 10000 requests", res.Requests)
-		}
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		if m.HeapAlloc > peak {
-			peak = m.HeapAlloc
-		}
-		runtime.KeepAlive(l)
-	}
-	b.ReportMetric(float64(peak)/(1<<20), "peak-heap-MB")
-}
+func BenchmarkWallclockFanIn10k(b *testing.B) { benchFanIn10k(b, 1) }
 
 // BenchmarkWallclockFanIn10kSharded is the 10,000-client fan-in driven
 // through the 4-shard cluster executor: identical simulated results
@@ -140,7 +111,11 @@ func BenchmarkWallclockFanIn10k(b *testing.B) {
 // any -cpu. "rounds" and "handoffs" (windows given to a worker
 // goroutine rather than run by the coordinator) are deterministic and
 // say so on every run; see docs/PERFORMANCE.md §11.
-func BenchmarkWallclockFanIn10kSharded(b *testing.B) {
+func BenchmarkWallclockFanIn10kSharded(b *testing.B) { benchFanIn10k(b, 4) }
+
+// benchFanIn10k is the one body of both 10k benchmarks: the serial run is
+// the one-shard cluster.
+func benchFanIn10k(b *testing.B, shards int) {
 	b.ReportAllocs()
 	gen := workload.FanIn{
 		Size:     200,
@@ -152,7 +127,7 @@ func BenchmarkWallclockFanIn10kSharded(b *testing.B) {
 	cfg := lab.Config{Link: lab.LinkATM, Fabric: lab.FabricFatTree, Seed: 1994, HashPCBs: true}
 	var peak uint64
 	for i := 0; i < b.N; i++ {
-		c, err := lab.NewCluster(cfg, 10001, 4)
+		c, err := lab.NewCluster(cfg, 10001, shards)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -169,9 +144,10 @@ func BenchmarkWallclockFanIn10kSharded(b *testing.B) {
 		if m.HeapAlloc > peak {
 			peak = m.HeapAlloc
 		}
-		st := c.RoundStats()
-		b.ReportMetric(float64(st.Rounds), "rounds")
-		b.ReportMetric(float64(st.Handoffs), "handoffs")
+		if st := c.RoundStats(); st.Rounds > 0 { // one shard has no barrier
+			b.ReportMetric(float64(st.Rounds), "rounds")
+			b.ReportMetric(float64(st.Handoffs), "handoffs")
+		}
 		runtime.KeepAlive(c)
 	}
 	b.ReportMetric(float64(peak)/(1<<20), "peak-heap-MB")

@@ -114,17 +114,11 @@ func RunLoadedStudy(o LoadedOptions) (*LoadedResult, error) {
 				if o.CrossFlows > 0 {
 					g.Cross = &workload.CrossTraffic{Flows: o.CrossFlows}
 				}
-				var r *workload.Result
-				var err error
-				if o.Shards > 1 {
-					c, cerr := tb.Cluster(cfg, o.Hosts, o.Shards)
-					if cerr != nil {
-						return nil, cerr
-					}
-					r, err = workload.RunSharded(g, c)
-				} else {
-					r, err = g.Run(tb.Lab(cfg, o.Hosts))
+				c, err := tb.Cluster(cfg, o.Hosts, o.Shards)
+				if err != nil {
+					return nil, err
 				}
+				r, err := workload.RunSharded(g, c)
 				if err != nil {
 					return nil, err
 				}

@@ -123,11 +123,15 @@ type RoundStats struct {
 	CtlStaged   int64
 }
 
-// Cluster is a sharded testbed: one Lab whose hosts are spread across
-// per-shard event loops. Build one with NewCluster, drive it with Run
-// (or RunEcho for the paper's benchmark), and rewind it between trials
-// with Cluster.Reset — the owned Lab rejects a direct Lab.Reset, which
-// would rewind only shard 0.
+// Cluster is a testbed's executor: one Lab whose hosts are spread across
+// per-shard event loops. A serial lab is the one-shard cluster — every
+// Lab has one (Lab.Cluster), and everything that drives a topology is
+// written against it once: EnvOf names the loop a host's processes run
+// on, Run drains every loop, ScheduleFaults and ArmWatchdog reach every
+// loop. Build a sharded one with NewCluster, drive it with Run (or
+// RunEcho for the paper's benchmark), and rewind it between trials with
+// Cluster.Reset — a lab owned by several shards rejects a direct
+// Lab.Reset, which would rewind only shard 0.
 type Cluster struct {
 	Lab    *Lab
 	Shards []*Shard
@@ -175,32 +179,23 @@ type Cluster struct {
 // and a clamp to one shard (including the two-host switchless fiber,
 // which has no cuttable boundary) degenerates to a plain serial lab.
 //
-// Sharded execution refuses configurations whose behaviour depends on a
-// globally ordered RNG stream or on one host mutating another's state
-// directly: Ethernet (one broadcast domain), cell loss or corruption
-// injection, and the PCB-population knobs. Payload fills also draw from
-// per-shard RNGs — that diverges from the serial stream, but payload
-// bytes are behaviorally inert (checksum costs are data-independent and
-// echo comparison is against the sender's own message), so bit-identity
-// of every event, result, and trace is unaffected.
+// Asking for more than one shard refuses configurations whose behaviour
+// depends on a globally ordered RNG stream or on one host mutating
+// another's state directly: Ethernet (one broadcast domain), cell loss or
+// corruption injection, and the PCB-population knobs. One shard accepts
+// everything NewTopology does. Payload fills also draw from per-shard
+// RNGs — that diverges from the serial stream, but payload bytes are
+// behaviorally inert (checksum costs are data-independent and echo
+// comparison is against the sender's own message), so bit-identity of
+// every event, result, and trace is unaffected.
 func NewCluster(cfg Config, nHosts, shards int) (*Cluster, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("lab: cluster needs at least 1 shard, got %d", shards)
 	}
-	if cfg.Link != LinkATM {
-		return nil, fmt.Errorf("lab: sharded execution requires ATM; %v is one broadcast domain with no cuttable link", cfg.Link)
-	}
-	if cfg.CellLossRate != 0 || cfg.CellCorruptRate != 0 || cfg.HostCorruptRate != 0 {
-		return nil, fmt.Errorf("lab: sharded execution cannot inject faults (loss %g, corrupt %g, host-corrupt %g): fault draws consume the serial RNG stream, which shards do not share",
-			cfg.CellLossRate, cfg.CellCorruptRate, cfg.HostCorruptRate)
-	}
-	if cfg.impaired() {
-		return nil, fmt.Errorf("lab: sharded execution cannot impair links (burst loss %+v, reorder %g): fault studies compare serial runs only",
-			cfg.BurstLoss, cfg.ReorderRate)
-	}
-	if cfg.ExtraPCBs != 0 || cfg.LivePCBs != 0 {
-		return nil, fmt.Errorf("lab: sharded execution cannot populate PCBs (extra %d, live %d): population mutates the peer host's tables directly",
-			cfg.ExtraPCBs, cfg.LivePCBs)
+	if shards > 1 {
+		if err := cfg.shardable(); err != nil {
+			return nil, err
+		}
 	}
 	leafPorts := cfg.LeafPorts
 	if leafPorts <= 0 {
@@ -218,16 +213,7 @@ func NewCluster(cfg Config, nHosts, shards int) (*Cluster, error) {
 		eff = units
 	}
 	if eff == 1 {
-		l := NewTopology(cfg, nHosts)
-		sh := &Shard{Env: l.Env}
-		for i := range l.Hosts {
-			sh.Hosts = append(sh.Hosts, i)
-		}
-		return &Cluster{
-			Lab:       l,
-			Shards:    []*Shard{sh},
-			hostShard: make([]int, nHosts),
-		}, nil
+		return NewTopology(cfg, nHosts).Cluster(), nil
 	}
 
 	model := cfg.Cost
@@ -243,7 +229,7 @@ func NewCluster(cfg Config, nHosts, shards int) (*Cluster, error) {
 	}
 	hostShard := partitionHosts(cfg.Fabric, nHosts, leafPorts, units, eff)
 
-	l := &Lab{Env: envs[0], Config: cfg, ownerShards: eff}
+	l := &Lab{Env: envs[0], Config: cfg}
 	for i := 0; i < nHosts; i++ {
 		l.Hosts = append(l.Hosts, buildHost(envs[hostShard[i]], model, cfg, hostName(i), HostAddr(i)))
 	}
@@ -259,6 +245,7 @@ func NewCluster(cfg Config, nHosts, shards int) (*Cluster, error) {
 		inbox:     make([]inbox, eff),
 		next:      make([]sim.Time, eff),
 	}
+	l.cluster = c
 	for s := range c.inbox {
 		c.inbox[s].fire = c.inbox[s].deliver
 	}
@@ -312,6 +299,49 @@ func NewCluster(cfg Config, nHosts, shards int) (*Cluster, error) {
 	// traffic as well as direct responses.
 	c.boomerang = 2*model.ATMPropagation + l.Switch.Latency + cell
 	return c, nil
+}
+
+// shardable reports why the configuration cannot run on more than one
+// shard, or nil when it can.
+func (cfg Config) shardable() error {
+	if cfg.Link != LinkATM {
+		return fmt.Errorf("lab: sharded execution requires ATM; %v is one broadcast domain with no cuttable link", cfg.Link)
+	}
+	if cfg.CellLossRate != 0 || cfg.CellCorruptRate != 0 || cfg.HostCorruptRate != 0 {
+		return fmt.Errorf("lab: sharded execution cannot inject faults (loss %g, corrupt %g, host-corrupt %g): fault draws consume the serial RNG stream, which shards do not share",
+			cfg.CellLossRate, cfg.CellCorruptRate, cfg.HostCorruptRate)
+	}
+	if cfg.impaired() {
+		return fmt.Errorf("lab: sharded execution cannot impair links (burst loss %+v, reorder %g): fault studies compare serial runs only",
+			cfg.BurstLoss, cfg.ReorderRate)
+	}
+	if cfg.ExtraPCBs != 0 || cfg.LivePCBs != 0 {
+		return fmt.Errorf("lab: sharded execution cannot populate PCBs (extra %d, live %d): population mutates the peer host's tables directly",
+			cfg.ExtraPCBs, cfg.LivePCBs)
+	}
+	return nil
+}
+
+// Cluster returns the executor this lab runs under: the cluster that
+// built it, or — for a lab from NewTopology — its one-shard view, built
+// on first use and kept for the lab's life.
+func (l *Lab) Cluster() *Cluster {
+	if l.cluster == nil {
+		sh := &Shard{Env: l.Env, Hosts: make([]int, len(l.Hosts))}
+		for i := range sh.Hosts {
+			sh.Hosts[i] = i
+		}
+		l.cluster = &Cluster{Lab: l, Shards: []*Shard{sh}, hostShard: make([]int, len(l.Hosts))}
+	}
+	return l.cluster
+}
+
+// shards is the number of event loops the lab's hosts live on.
+func (l *Lab) shards() int {
+	if l.cluster == nil {
+		return 1
+	}
+	return len(l.cluster.Shards)
 }
 
 // partitionHosts assigns each host a shard: unit 0 is shard 0 alone,
@@ -659,19 +689,18 @@ func (c *Cluster) Run() {
 	}
 }
 
-// RunEcho runs the paper's echo benchmark on the sharded testbed (see
-// Lab.RunEcho): the client lives in shard 0, the server in whatever
-// shard owns host 1. The serial benchmark flips every host's trace
-// recorder on at the client's warmup boundary; the sharded client
-// cannot reach other shards' recorders mid-round, so hosts outside its
+// RunEcho runs the paper's benchmark (§1.2): the client (host 0)
+// connects, then repeatedly sends size bytes and waits to receive size
+// bytes back from the server (host 1), for warmup unmeasured iterations
+// followed by iterations measured ones. Tracing is enabled only for the
+// measured iterations: the client flips every host's recorder on at its
+// warmup boundary. When the server lives in another shard the client
+// cannot reach that shard's recorders mid-round, so hosts outside its
 // shard record from time zero instead and PacketEvents drops everything
 // before the flip instant — the same stream, filtered after the fact
 // rather than gated at the source.
 func (c *Cluster) RunEcho(size, iterations, warmup int) (*EchoResult, error) {
 	l := c.Lab
-	if len(c.Shards) == 1 {
-		return l.RunEcho(size, iterations, warmup)
-	}
 	res := &EchoResult{Size: size, Iterations: iterations}
 	var runErr error
 
@@ -679,36 +708,40 @@ func (c *Cluster) RunEcho(size, iterations, warmup int) (*EchoResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Config.LivePCBs is rejected at cluster construction, so the
-	// discard-port listener is never needed here.
-	c.Shards[c.hostShard[1]].Env.Spawn("server.echo", &echoServerFrame{l: l, ln: ln, size: size})
+	if l.Config.LivePCBs > 0 {
+		if _, err := l.Server.TCP.Listen(livePort); err != nil {
+			return nil, err
+		}
+	}
+	c.EnvOf(1).Spawn("server.echo", &echoServerFrame{l: l, ln: ln, size: size})
 	l.Env.Spawn("client.echo", &echoClientFrame{
 		l: l, size: size, iterations: iterations, warmup: warmup,
 		res: res, runErr: &runErr,
 	})
 
-	clientShard := c.hostShard[0]
-	for i, h := range l.Hosts {
-		if c.hostShard[i] != clientShard {
-			h.Kern.Trace.Enable()
-		}
-	}
-	l.flipLocal = func(on bool) {
+	if clientShard := c.hostShard[0]; clientShard != c.hostShard[1] {
 		for i, h := range l.Hosts {
 			if c.hostShard[i] != clientShard {
-				continue
-			}
-			if on {
 				h.Kern.Trace.Enable()
-			} else {
-				h.Kern.Trace.Disable()
 			}
 		}
-		if on && l.eventsSince == 0 {
-			l.eventsSince = l.Env.Now()
+		l.flipLocal = func(on bool) {
+			for i, h := range l.Hosts {
+				if c.hostShard[i] != clientShard {
+					continue
+				}
+				if on {
+					h.Kern.Trace.Enable()
+				} else {
+					h.Kern.Trace.Disable()
+				}
+			}
+			if on && l.eventsSince == 0 {
+				l.eventsSince = l.Env.Now()
+			}
 		}
+		defer func() { l.flipLocal = nil }()
 	}
-	defer func() { l.flipLocal = nil }()
 
 	c.Run()
 	if runErr != nil {
@@ -742,9 +775,8 @@ func (c *Cluster) Reset(cfg Config, seed uint64) error {
 		return fmt.Errorf("lab: cannot reset %v fabric (leaf ports %d) to %v (leaf ports %d)",
 			l.Config.Fabric, l.Config.LeafPorts, cfg.Fabric, cfg.LeafPorts)
 	}
-	if cfg.CellLossRate != 0 || cfg.CellCorruptRate != 0 || cfg.HostCorruptRate != 0 ||
-		cfg.impaired() || cfg.ExtraPCBs != 0 || cfg.LivePCBs != 0 {
-		return fmt.Errorf("lab: cannot reset a sharded cluster to a fault-injection or PCB-population configuration")
+	if err := cfg.shardable(); err != nil {
+		return err
 	}
 	for s, sh := range c.Shards {
 		if n := sh.Env.Pending(); n != 0 {

@@ -63,8 +63,8 @@ func (l *Lab) OnHostRestart(i int, fn func()) {
 // every fault kind; a sharded cluster's hosts live on other event
 // loops, so a cluster schedules through Cluster.ScheduleFaults instead.
 func (l *Lab) ScheduleFaults(s sim.FaultSchedule) error {
-	if l.ownerShards > 1 {
-		return fmt.Errorf("lab: testbed is sharded %d ways; schedule faults through Cluster.ScheduleFaults", l.ownerShards)
+	if n := l.shards(); n > 1 {
+		return fmt.Errorf("lab: testbed is sharded %d ways; schedule faults through Cluster.ScheduleFaults", n)
 	}
 	if err := s.Validate(len(l.Hosts)); err != nil {
 		return err

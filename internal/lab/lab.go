@@ -10,6 +10,7 @@
 package lab
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -178,9 +179,10 @@ type Lab struct {
 	// Ethernet and the two-host fiber.
 	Fabric *atm.Fabric
 
-	// ownerShards is nonzero when this lab's hosts are spread across the
-	// event loops of a multi-shard Cluster, which then owns resetting it.
-	ownerShards int
+	// cluster is the executor this lab runs under (see Cluster): the
+	// multi-shard cluster that built it, which then owns resetting it, or
+	// the one-shard view built on first use.
+	cluster *Cluster
 	// flipLocal, when set (by Cluster.RunEcho), replaces setTracing's
 	// all-host sweep: a sharded echo client may only flip recorders in
 	// its own shard mid-round.
@@ -312,10 +314,10 @@ func NewTopology(cfg Config, nHosts int) *Lab {
 // pages, failing loudly rather than letting a leaked chain ride into
 // later trials.
 func (l *Lab) Reset(cfg Config, seed uint64) error {
-	if l.ownerShards > 1 {
+	if n := l.shards(); n > 1 {
 		// Resetting only shard 0's event loop would leave the other
 		// shards' clocks and RNGs mid-trial — silently divergent state.
-		return fmt.Errorf("lab: testbed is sharded %d ways; reset it through Cluster.Reset", l.ownerShards)
+		return fmt.Errorf("lab: testbed is sharded %d ways; reset it through Cluster.Reset", n)
 	}
 	if seed != 0 {
 		cfg.Seed = seed
@@ -743,7 +745,7 @@ func (f *echoClientFrame) Step(p *sim.Proc) {
 			if f.i >= f.warmup {
 				f.res.RTTs = append(f.res.RTTs, f.w.ReadReturn-f.w.WriteStart)
 				f.res.Windows = append(f.res.Windows, f.w)
-				if !bytesEqual(f.buf, f.msg) {
+				if !bytes.Equal(f.buf, f.msg) {
 					f.res.CorruptEchoes++
 				}
 			}
@@ -768,37 +770,10 @@ func (f *echoClientFrame) Step(p *sim.Proc) {
 	}
 }
 
-// RunEcho runs the paper's benchmark (§1.2): the client connects, then
-// repeatedly sends size bytes and waits to receive size bytes back, for
-// warmup unmeasured iterations followed by iterations measured ones.
-// Tracing is enabled only for the measured iterations.
+// RunEcho runs the paper's benchmark (§1.2) on the lab's cluster (see
+// Cluster.RunEcho, the one echo driver).
 func (l *Lab) RunEcho(size, iterations, warmup int) (*EchoResult, error) {
-	res := &EchoResult{Size: size, Iterations: iterations}
-	var runErr error
-
-	ln, err := l.Server.TCP.Listen(echoPort)
-	if err != nil {
-		return nil, err
-	}
-	if l.Config.LivePCBs > 0 {
-		if _, err := l.Server.TCP.Listen(livePort); err != nil {
-			return nil, err
-		}
-	}
-	l.Env.Spawn("server.echo", &echoServerFrame{l: l, ln: ln, size: size})
-	l.Env.Spawn("client.echo", &echoClientFrame{
-		l: l, size: size, iterations: iterations, warmup: warmup,
-		res: res, runErr: &runErr,
-	})
-
-	l.Env.Run()
-	if runErr != nil {
-		return nil, runErr
-	}
-	if len(res.RTTs) != iterations {
-		return nil, fmt.Errorf("lab: measured %d of %d iterations", len(res.RTTs), iterations)
-	}
-	return res, nil
+	return l.Cluster().RunEcho(size, iterations, warmup)
 }
 
 // udpEchoServerFrame bounces rounds datagrams back to their senders.
@@ -887,7 +862,7 @@ func (f *udpEchoClientFrame) Step(p *sim.Proc) {
 			if f.i >= f.warmup {
 				f.res.RTTs = append(f.res.RTTs, f.w.ReadReturn-f.w.WriteStart)
 				f.res.Windows = append(f.res.Windows, f.w)
-				if !bytesEqual(f.recv.D.Data, f.msg) {
+				if !bytes.Equal(f.recv.D.Data, f.msg) {
 					f.res.CorruptEchoes++
 				}
 			}
@@ -923,18 +898,6 @@ func (l *Lab) RunUDPEcho(size, iterations, warmup int) (*EchoResult, error) {
 			len(res.RTTs), iterations)
 	}
 	return res, nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func (l *Lab) tracing() bool { return l.Client.Kern.Trace.Enabled() }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/lab"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -75,6 +76,11 @@ func TestShardedBitIdentityMatrix(t *testing.T) {
 		// recovery included, and must not perturb bit identity.
 		workload.FanIn{Requests: 4,
 			Faults: sim.LinkFlaps(1994, []int{1, 2, 3}, 2, 20*sim.Millisecond, 500*sim.Microsecond)},
+		// The rival transport through the same client and server frames.
+		workload.FanIn{Requests: 4, Transport: workload.TransportRUDP},
+		// Streaming statistics: folded in place at one shard, retained
+		// and replayed in completion order at more.
+		workload.FanIn{Requests: 4, Stats: stats.Config{Streaming: true}},
 	}
 	for _, fab := range fabrics {
 		for _, gen := range gens {

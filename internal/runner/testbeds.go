@@ -7,143 +7,110 @@ import (
 )
 
 // topoKey is the shape of a testbed: the parts of a trial configuration
-// that name physical machines and wiring rather than trial knobs. Labs
-// of the same shape are interchangeable through lab.Lab.Reset; labs of
-// different shapes never are.
+// that name physical machines and wiring rather than trial knobs — the
+// requested shard count among them, since a 4-shard cluster and a serial
+// lab of the same wiring are different machines (hosts live on different
+// event loops) and must never satisfy each other's acquisitions.
+// Testbeds of the same shape are interchangeable through
+// lab.Cluster.Reset; testbeds of different shapes never are.
 type topoKey struct {
 	link      lab.LinkKind
 	hosts     int
 	fabric    lab.FabricKind
 	leafPorts int
+	shards    int
 }
 
-// maxWarmLabs bounds how many warm labs one worker keeps. Real sweeps
-// use one to three shapes (two-host ATM, two-host Ethernet, one fan-in
-// mesh); the bound only matters for a pathological grid that varies
-// host count per cell, which simply stops caching past the bound.
+// maxWarmLabs bounds how many warm testbeds one worker keeps. Real
+// sweeps use one to three shapes (two-host ATM, two-host Ethernet, one
+// fan-in mesh); the bound only matters for a pathological grid that
+// varies host count per cell, which simply stops caching past the bound.
 const maxWarmLabs = 4
 
-// Testbeds is one worker's cache of warm labs, the worker-affine half of
-// testbed reuse: every worker owns its Testbeds outright (labs are
-// single-threaded simulations), runs its share of the grid through
-// them, and resets a warm lab to each new trial's configuration instead
+// Testbeds is one worker's cache of warm testbeds, the worker-affine
+// half of testbed reuse: every worker owns its Testbeds outright (a
+// testbed is one simulation), runs its share of the grid through them,
+// and resets a warm testbed to each new trial's configuration instead
 // of rebuilding kernels, pools, and event heaps from scratch.
 //
-// Reuse cannot perturb results: lab.Reset rewinds every piece of
-// per-trial state to what a fresh construction would hold (the
-// bit-identity contract its tests pin against the golden outputs), and
-// each trial's seed still derives from its grid position alone — so the
-// outcome of a cell is independent of which worker ran it and of
-// whatever that worker's labs ran before.
+// Reuse cannot perturb results: the reset rewinds every piece of
+// per-trial state — every shard's event loop, RNG and host state — to
+// what a fresh construction would hold (the bit-identity contract the
+// lab's tests pin against the golden outputs), and each trial's seed
+// still derives from its grid position alone — so the outcome of a cell
+// is independent of which worker ran it and of whatever that worker's
+// testbeds ran before.
 //
 // The reset happens on acquisition, not on release: after a job
 // finishes, its lab still holds that trial's trace records and counters,
 // which study code reads after the run returns. The records stay valid
 // until the worker starts its next trial of the same shape.
 type Testbeds struct {
-	labs map[topoKey]*lab.Lab
-
-	// clusters caches sharded testbeds separately, keyed by shape AND
-	// shard count: a 4-shard cluster and a serial lab of the same shape
-	// are different machines (hosts live on different event loops), so
-	// they must never satisfy each other's acquisitions. lab.Lab.Reset
-	// backstops this — it rejects any lab owned by a multi-shard cluster.
-	clusters map[clusterKey]*lab.Cluster
+	warm map[topoKey]*lab.Cluster
 
 	// Built and Reused count cache misses and hits, for the reuse tests.
 	Built  int
 	Reused int
 }
 
-// clusterKey is a sharded testbed's shape: the serial shape plus the
-// requested shard count.
-type clusterKey struct {
-	topoKey
-	shards int
-}
-
-// Lab returns a testbed for cfg with nHosts hosts (values below 2 are
-// raised to 2, the lab minimum): a warm lab reset to cfg when the
-// worker holds one of the right shape, otherwise a freshly built lab
-// that joins the cache. A nil *Testbeds always builds fresh, so code
-// paths that opt out of reuse need no second call form.
+// Lab returns a serial testbed for cfg: the one-shard Cluster's lab. One
+// shard accepts every configuration, so there is no error to return.
 func (tb *Testbeds) Lab(cfg lab.Config, nHosts int) *lab.Lab {
-	if nHosts < 2 {
-		nHosts = 2
+	c, err := tb.Cluster(cfg, nHosts, 1)
+	if err != nil {
+		panic(err)
 	}
-	if tb == nil {
-		return lab.NewTopology(cfg, nHosts)
-	}
-	key := topoKey{link: cfg.Link, hosts: nHosts, fabric: cfg.Fabric, leafPorts: cfg.LeafPorts}
-	if l := tb.labs[key]; l != nil {
-		err := l.Reset(cfg, 0)
-		if err == nil {
-			tb.Reused++
-			return l
-		}
-		if errors.Is(err, lab.ErrPoolLeak) {
-			// The CheckLeaks gate tripped: the previous trial on this
-			// worker leaked mbuf chains. That is a stack bug the gate
-			// exists to surface — fail the trial loudly (runOne converts
-			// the panic into a labeled job error) instead of quietly
-			// building a fresh lab over it.
-			panic(err)
-		}
-		// Any other failed reset (an undrained event loop from an
-		// errored trial) just makes the warm lab unusable; drop it and
-		// fall through to a fresh build.
-		delete(tb.labs, key)
-	}
-	l := lab.NewTopology(cfg, nHosts)
-	tb.Built++
-	if tb.labs == nil {
-		tb.labs = make(map[topoKey]*lab.Lab, maxWarmLabs)
-	}
-	if len(tb.labs) < maxWarmLabs {
-		tb.labs[key] = l
-	}
-	return l
+	return c.Lab
 }
 
-// Cluster returns a sharded testbed for cfg, reusing a warm cluster of
-// the same shape and shard count when the worker holds one. The reuse
-// contract matches Lab: Cluster.Reset rewinds every shard's event loop,
-// RNG, and host state to what a fresh NewCluster would hold, and its own
-// tests pin fresh-vs-reused bit-identity. Construction and reset errors
-// propagate — the caller fails the trial rather than silently degrading
-// to serial.
+// Cluster returns a testbed for cfg with nHosts hosts (values below 2
+// are raised to 2, the lab minimum) on the requested number of shards
+// (values below 1 are raised to 1, serial): a warm one reset to cfg when
+// the worker holds one of the right shape, otherwise a freshly built one
+// that joins the cache. A nil *Testbeds always builds fresh, so code
+// paths that opt out of reuse need no second call form. Construction
+// errors propagate — the caller fails the trial rather than silently
+// degrading to serial.
 func (tb *Testbeds) Cluster(cfg lab.Config, nHosts, shards int) (*lab.Cluster, error) {
 	if nHosts < 2 {
 		nHosts = 2
 	}
+	if shards < 1 {
+		shards = 1
+	}
 	if tb == nil {
 		return lab.NewCluster(cfg, nHosts, shards)
 	}
-	key := clusterKey{
-		topoKey: topoKey{link: cfg.Link, hosts: nHosts, fabric: cfg.Fabric, leafPorts: cfg.LeafPorts},
-		shards:  shards,
-	}
-	if c := tb.clusters[key]; c != nil {
+	key := topoKey{link: cfg.Link, hosts: nHosts, fabric: cfg.Fabric, leafPorts: cfg.LeafPorts, shards: shards}
+	if c := tb.warm[key]; c != nil {
 		err := c.Reset(cfg, 0)
 		if err == nil {
 			tb.Reused++
 			return c, nil
 		}
 		if errors.Is(err, lab.ErrPoolLeak) {
+			// The CheckLeaks gate tripped: the previous trial on this
+			// worker leaked mbuf chains. That is a stack bug the gate
+			// exists to surface — fail the trial loudly (runOne converts
+			// the panic into a labeled job error) instead of quietly
+			// building a fresh testbed over it.
 			panic(err)
 		}
-		delete(tb.clusters, key)
+		// Any other failed reset (an undrained event loop from an
+		// errored trial) just makes the warm testbed unusable; drop it
+		// and fall through to a fresh build.
+		delete(tb.warm, key)
 	}
 	c, err := lab.NewCluster(cfg, nHosts, shards)
 	if err != nil {
 		return nil, err
 	}
 	tb.Built++
-	if tb.clusters == nil {
-		tb.clusters = make(map[clusterKey]*lab.Cluster, maxWarmLabs)
+	if tb.warm == nil {
+		tb.warm = make(map[topoKey]*lab.Cluster, maxWarmLabs)
 	}
-	if len(tb.clusters) < maxWarmLabs {
-		tb.clusters[key] = c
+	if len(tb.warm) < maxWarmLabs {
+		tb.warm[key] = c
 	}
 	return c, nil
 }

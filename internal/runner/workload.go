@@ -98,22 +98,15 @@ func (t WorkloadTrial) hosts() int {
 	return t.Hosts
 }
 
-// runWorkloadTrial acquires the trial's topology — warm from the
-// worker's cache when the shape matches — and runs the generator,
-// sharded across a cluster's event loops when the trial asks for it.
+// runWorkloadTrial acquires the trial's testbed — warm from the worker's
+// cache when the shape matches — and runs the generator on it, across
+// as many event loops as the trial asks for.
 func runWorkloadTrial(tb *Testbeds, t WorkloadTrial, seed uint64) (any, error) {
-	var r *workload.Result
-	var err error
-	if t.Shards > 1 {
-		var c *lab.Cluster
-		c, err = tb.Cluster(ApplySeed(t.Cfg, seed), t.hosts(), t.Shards)
-		if err != nil {
-			return nil, err
-		}
-		r, err = workload.RunSharded(t.Gen, c)
-	} else {
-		r, err = t.Gen.Run(tb.Lab(ApplySeed(t.Cfg, seed), t.hosts()))
+	c, err := tb.Cluster(ApplySeed(t.Cfg, seed), t.hosts(), t.Shards)
+	if err != nil {
+		return nil, err
 	}
+	r, err := workload.RunSharded(t.Gen, c)
 	if err != nil {
 		return nil, err
 	}

@@ -9,8 +9,8 @@
 // size is a pure function of (Seed, flow, transfer) through a splitmix
 // hash — no draw touches any environment RNG stream — and each flow
 // runs a fixed number of transfers, so cross traffic neither perturbs
-// the measured workload's random draws nor needs a stop flag a sharded
-// run couldn't share.
+// the measured workload's random draws nor needs a stop flag shards
+// couldn't share.
 package workload
 
 import (
@@ -100,53 +100,50 @@ func (ct CrossTraffic) SizeOf(f, k int) int {
 // flowHost maps flow f to the client host index it originates on.
 func (ct CrossTraffic) flowHost(f, clients int) int { return 1 + f%clients }
 
-// spawnSink starts the cross-traffic sink on host 0: a listener on
-// CrossPort whose accept loop drains every background connection to EOF.
-func (ct CrossTraffic) spawnSink(l *lab.Lab, fail func(error)) error {
+// flows is the number of background flows the configuration adds to a
+// run; a nil configuration adds none.
+func (ct *CrossTraffic) flows() int {
+	if ct == nil {
+		return 0
+	}
+	return ct.withDefaults().Flows
+}
+
+// spawn arms the background load on r's cluster: the sink — a listener on
+// host 0's CrossPort whose accept loop drains every background connection
+// to EOF — on the server's loop, reporting to the server's slot, and each
+// flow on the loop that owns its originating host, with a slot of its
+// own.
+func (ct CrossTraffic) spawn(r *run) error {
 	c := ct.withDefaults()
-	ln, err := l.Hosts[0].TCP.Listen(CrossPort)
+	l := r.c.Lab
+	ln, err := listenTCP(l.Hosts[0], CrossPort, false)
 	if err != nil {
 		return err
 	}
-	l.Env.Spawn("server.cross", &acceptLoopFrame{
+	env := r.c.EnvOf(0)
+	env.Spawn("server.cross", &acceptLoopFrame{
 		ln: ln, n: c.Flows * c.Transfers,
-		accepted: func(al *acceptLoopFrame, i int, op *tcp.AcceptOp) bool {
-			l.Env.Spawn(fmt.Sprintf("server.cross.conn%d", i),
-				&crossSinkFrame{so: op.So, al: al, fail: fail})
+		accepted: func(al *acceptLoopFrame, i int, cn conn) bool {
+			env.Spawn(fmt.Sprintf("server.cross.conn%d", i),
+				&crossSinkFrame{so: cn.(*tcpConn).so, al: al, me: r.server()})
 			return true
 		},
 	})
-	return nil
-}
-
-// spawnFlow starts background flow f on env (the owning shard's loop in
-// a sharded run, the lab's only loop serially).
-func (ct CrossTraffic) spawnFlow(env *sim.Env, host *lab.Host, f int, fail func(error)) {
-	c := ct.withDefaults()
-	env.Spawn(fmt.Sprintf("cross.flow%d", f), &crossFlowFrame{
-		host: host, ct: c, f: f, fail: fail,
-	})
-}
-
-// spawn arms the whole background load on a serial lab: the sink plus
-// every flow, all on the lab's event loop.
-func (ct CrossTraffic) spawn(l *lab.Lab, fail func(error)) error {
-	if err := ct.spawnSink(l, fail); err != nil {
-		return err
-	}
-	c := ct.withDefaults()
-	clients := len(l.Hosts) - 1
 	for f := 0; f < c.Flows; f++ {
-		ct.spawnFlow(l.Env, l.Hosts[c.flowHost(f, clients)], f, fail)
+		hi := c.flowHost(f, len(r.clients))
+		r.c.EnvOf(hi).Spawn(fmt.Sprintf("cross.flow%d", f), &crossFlowFrame{
+			host: l.Hosts[hi], ct: c, f: f, me: &r.parts[1+f],
+		})
 	}
 	return nil
 }
 
 // crossSinkFrame drains one background connection to EOF and closes.
 type crossSinkFrame struct {
-	so   *sock.Socket
-	al   *acceptLoopFrame // lends the read buffer
-	fail func(error)
+	so *sock.Socket
+	al *acceptLoopFrame // lends the read buffer
+	me *participant
 
 	pc   int
 	buf  []byte
@@ -170,7 +167,7 @@ func (f *crossSinkFrame) Step(p *sim.Proc) {
 				f.buf = nil
 			}
 			if f.recv.Err != nil {
-				f.fail(f.recv.Err)
+				f.me.fail(p.Env(), f.recv.Err)
 				p.Return()
 				return
 			}
@@ -197,7 +194,7 @@ type crossFlowFrame struct {
 	host *lab.Host
 	ct   CrossTraffic
 	f    int
-	fail func(error)
+	me   *participant
 
 	pc    int
 	k     int
@@ -229,7 +226,7 @@ func (f *crossFlowFrame) Step(p *sim.Proc) {
 			return
 		case 2: // connected; prepare this transfer
 			if f.conn.Err != nil {
-				f.fail(fmt.Errorf("cross flow %d transfer %d: %w", f.f, f.k, f.conn.Err))
+				f.me.fail(p.Env(), fmt.Errorf("cross flow %d transfer %d: %w", f.f, f.k, f.conn.Err))
 				p.Return()
 				return
 			}
@@ -257,7 +254,7 @@ func (f *crossFlowFrame) Step(p *sim.Proc) {
 			return
 		case 4: // fold in one write's result
 			if f.send.Err != nil {
-				f.fail(fmt.Errorf("cross flow %d transfer %d: %w", f.f, f.k, f.send.Err))
+				f.me.fail(p.Env(), fmt.Errorf("cross flow %d transfer %d: %w", f.f, f.k, f.send.Err))
 				p.Return()
 				return
 			}

@@ -1,9 +1,6 @@
-// Reliable-UDP transport for the fan-in workload: the same
-// request/response pattern as the TCP path, carried by internal/rudp's
-// message stream instead of a TCP byte stream. The frames mirror their
-// TCP counterparts one for one — accept loop, per-connection echo
-// server, client exchange loop — so a TCP-vs-rUDP comparison at equal
-// load isolates the transports, not the harness.
+// The reliable-UDP transport: the workload contract (transport.go) over
+// internal/rudp's message streams, so that a TCP-versus-rudp comparison
+// at equal load runs the same harness frames over either stack.
 package workload
 
 import (
@@ -14,209 +11,129 @@ import (
 	"repro/internal/sim"
 )
 
-// TransportTCP and TransportRUDP name FanIn.Transport values.
-const (
-	TransportTCP  = "tcp"
-	TransportRUDP = "rudp"
-)
+type rudpTransport struct{}
 
-// checkTransport validates a FanIn transport selection against the
-// message-size cap (one rudp message rides one datagram).
-func checkTransport(transport string, size int) error {
-	switch transport {
-	case "", TransportTCP:
-		return nil
-	case TransportRUDP:
-		if size > rudp.MaxMessage {
-			return fmt.Errorf("workload: rudp transport caps messages at %d bytes, got %d",
-				rudp.MaxMessage, size)
-		}
-		return nil
+func (rudpTransport) listen(h *lab.Host, port uint16) (listener, error) {
+	e, err := rudp.Listen(h.Kern, h.UDP, port)
+	if err != nil {
+		return nil, err
 	}
-	return fmt.Errorf("workload: unknown transport %q (tcp, rudp)", transport)
+	return &rudpListener{e: e}, nil
 }
 
-// rudpAcceptLoopFrame accepts n rudp connections, spawning an echo
-// server for each.
-type rudpAcceptLoopFrame struct {
-	e   *rudp.Endpoint
-	env *sim.Env
-	n   int
+func (rudpTransport) client(h *lab.Host) conn { return &rudpConn{host: h} }
 
-	pc int
-	i  int
+type rudpListener struct {
+	e  *rudp.Endpoint
 	op *rudp.AcceptOp
 }
 
-// Step drives the accept loop.
-func (f *rudpAcceptLoopFrame) Step(p *sim.Proc) {
-	for {
-		switch f.pc {
-		case 0: // accept the next connection
-			if f.i >= f.n {
-				p.Return()
-				return
-			}
-			f.pc = 1
-			f.op = f.e.Accept(p)
-			return
-		case 1: // spawn its echo server
-			if f.op.Err != nil {
-				// The endpoint died under the accept (host crash); the
-				// restart supervisor spawns the successor loop.
-				p.Return()
-				return
-			}
-			c := f.op.C
-			f.op = nil
-			f.env.Spawn(fmt.Sprintf("server.fanin.rconn%d", f.i),
-				&rudpServeEchoFrame{c: c})
-			f.i++
-			f.pc = 0
-		}
+func (l *rudpListener) accept(p *sim.Proc) { l.op = l.e.Accept(p) }
+
+func (l *rudpListener) accepted() (conn, error) {
+	op := l.op
+	l.op = nil
+	if op.Err != nil {
+		return nil, op.Err
 	}
+	return &rudpConn{c: op.C}, nil
 }
 
-// rudpServeEchoFrame echoes each message back until the client's fin.
-type rudpServeEchoFrame struct {
-	c *rudp.Conn
+// crash kills the endpoint: it is workload-owned state the lab's crash
+// handling (which resets the TCP stack) cannot see.
+func (l *rudpListener) crash() { l.e.Crash() }
 
-	pc   int
-	buf  []byte
-	n    int
-	recv *rudp.RecvOp
-	send *rudp.SendOp
-}
+// rudpConn is one end of an rudp message stream. It is its own exchange
+// frame.
+type rudpConn struct {
+	host *lab.Host // the dialing host; nil on an accepted end
+	c    *rudp.Conn
 
-// Step drives the echo handler.
-func (f *rudpServeEchoFrame) Step(p *sim.Proc) {
-	for {
-		switch f.pc {
-		case 0: // read the next message
-			if f.buf == nil {
-				f.buf = make([]byte, rudp.MaxMessage)
-			}
-			f.pc = 1
-			f.recv = f.c.Recv(p, f.buf)
-			return
-		case 1: // echo it back, or close at end of stream
-			if f.recv.Err != nil || f.recv.N == 0 {
-				f.pc = 3
-				f.c.Close(p)
-				return
-			}
-			f.n = f.recv.N
-			f.recv = nil
-			f.pc = 2
-			f.send = f.c.Send(p, f.buf[:f.n])
-			return
-		case 2: // next message, unless the send failed
-			if f.send.Err != nil {
-				p.Return()
-				return
-			}
-			f.send = nil
-			f.pc = 0
-		case 3: // closed; done
-			p.Return()
-			return
-		}
-	}
-}
+	// op is the stream operation in flight or just completed: a
+	// *rudp.RecvOp or *rudp.SendOp; nil after a dial or an exchange, whose
+	// outcome is err.
+	op  any
+	err error
 
-// rudpFanInClientFrame is one fan-in client on the rudp transport:
-// stagger, dial, warm+reqs message exchanges, close. Shard-agnostic
-// like its TCP twin — all state flows through p.Env() and per-client
-// accumulators.
-type rudpFanInClientFrame struct {
-	host             *lab.Host
-	ci, si           int
-	size, warm, reqs int
-	startAt          sim.Time
-	sink             *latSink
-	last             *sim.Time
-	r                *Result
-	fail             func(error)
-
-	pc       int
-	c        *rudp.Conn
+	// Exchange state.
 	msg, buf []byte
-	i        int
-	start    sim.Time
-	send     *rudp.SendOp
-	recv     *rudp.RecvOp
+	pc       int
 }
 
-// Step drives the client.
-func (f *rudpFanInClientFrame) Step(p *sim.Proc) {
+// blocks is false: there is no handshake, the first data packet carries
+// the connection setup.
+func (r *rudpConn) blocks() bool { return false }
+
+func (r *rudpConn) dial(*sim.Proc) {
+	r.op = nil
+	r.c, r.err = rudp.Dial(r.host.Kern, r.host.UDP, lab.HostAddr(0), Port)
+}
+
+func (r *rudpConn) recv(p *sim.Proc, buf []byte) { r.op = r.c.Recv(p, buf) }
+
+func (r *rudpConn) send(p *sim.Proc, b []byte) { r.op = r.c.Send(p, b) }
+
+func (r *rudpConn) close(p *sim.Proc) { r.c.Close(p) }
+
+func (r *rudpConn) done() (int, error) {
+	switch op := r.op.(type) {
+	case *rudp.RecvOp:
+		return op.N, op.Err
+	case *rudp.SendOp:
+		return 0, op.Err
+	}
+	return 0, r.err
+}
+
+func (r *rudpConn) abort() {
+	if r.c != nil {
+		r.c.Abort()
+	}
+}
+
+// reap aborts the stream (idempotent if a deadline already did) and drops
+// it, so the next dial starts a fresh one.
+func (r *rudpConn) reap() {
+	r.c.Abort()
+	r.c = nil
+}
+
+func (r *rudpConn) exchange(p *sim.Proc, msg, buf []byte) {
+	r.msg, r.buf, r.pc = msg, buf, 0
+	p.Call(r)
+}
+
+// Step drives one exchange: send the request message, receive the one
+// response message. An aborted stream surfaces as end-of-stream, a
+// zero-length response.
+func (r *rudpConn) Step(p *sim.Proc) {
 	for {
-		switch f.pc {
-		case 0: // wait for the stagger slot
-			f.pc = 1
-			if f.startAt > 0 && !p.SleepUntil(f.startAt) {
-				return
-			}
-		case 1: // dial and prepare buffers
-			c, err := rudp.Dial(f.host.Kern, f.host.UDP, lab.HostAddr(0), Port)
-			if err != nil {
-				f.fail(err)
-				p.Return()
-				return
-			}
-			f.c = c
-			f.msg = make([]byte, f.size)
-			p.Env().RNG().Fill(f.msg)
-			f.buf = make([]byte, rudp.MaxMessage)
-			f.pc = 2
-		case 2: // request loop head: send
-			if f.i >= f.warm+f.reqs {
-				f.pc = 5
-				f.c.Close(p)
-				return
-			}
-			f.start = p.Env().Now()
-			f.pc = 3
-			f.send = f.c.Send(p, f.msg)
+		switch r.pc {
+		case 0: // send the request
+			r.pc = 1
+			r.send(p, r.msg)
 			return
-		case 3: // sent; read the response message
-			if f.send.Err != nil {
-				f.fail(fmt.Errorf("client %d request %d: %w", f.ci, f.i, f.send.Err))
-				p.Return()
+		case 1: // sent; read the response message
+			if _, err := r.done(); err != nil {
+				r.finish(p, err)
 				return
 			}
-			f.send = nil
-			f.pc = 4
-			f.recv = f.c.Recv(p, f.buf)
+			r.pc = 2
+			r.recv(p, r.buf)
 			return
-		case 4: // fold in one exchange's result
-			if f.recv.Err != nil {
-				f.fail(fmt.Errorf("client %d request %d: %w", f.ci, f.i, f.recv.Err))
-				p.Return()
-				return
+		case 2: // fold in the response
+			n, err := r.done()
+			if err == nil && n != len(r.buf) {
+				err = fmt.Errorf("%d-byte response, want %d", n, len(r.buf))
 			}
-			if f.recv.N != f.size {
-				f.fail(fmt.Errorf("client %d request %d: %d-byte response, want %d",
-					f.ci, f.i, f.recv.N, f.size))
-				p.Return()
-				return
-			}
-			f.recv = nil
-			if f.i >= f.warm {
-				now := p.Env().Now()
-				lat := now - f.start
-				f.sink.record(f.si, lat, now)
-				if now > *f.last {
-					*f.last = now
-				}
-				if !bytesEqual(f.buf[:f.size], f.msg) {
-					f.r.Errors++
-				}
-			}
-			f.i++
-			f.pc = 2
-		case 5: // closed; done
-			p.Return()
+			r.finish(p, err)
 			return
 		}
 	}
+}
+
+// finish ends the exchange with its outcome.
+func (r *rudpConn) finish(p *sim.Proc, err error) {
+	r.op, r.err = nil, err
+	p.Return()
 }

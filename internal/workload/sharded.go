@@ -1,30 +1,11 @@
-// Sharded workload execution: the same generators, run across a
-// lab.Cluster's per-shard event loops instead of one serial loop.
-//
-// The contract is the cluster's — bit-identity with the serial run — so
-// this file changes only WHERE processes run and HOW their observations
-// merge, never what they do:
-//
-//   - Each client's frame is spawned on the event loop that owns its
-//     host (Cluster.EnvOf), so every clock read inside the frame is the
-//     host's own shard clock. The frames themselves are shard-agnostic:
-//     they read p.Env(), which under serial execution is the same loop
-//     Lab.Env names.
-//   - Shared accumulators become per-client: each client gets its own
-//     single-slot latSink, last-completion stamp, Result scratch (for
-//     the payload-mismatch Errors counter) and fail closure. Nothing is
-//     written cross-shard during the run; the coordinator merges after
-//     every loop has drained.
-//   - Merging is canonical. Exact-mode latencies concatenate
-//     client-major — precisely the serial emission order. Streaming
-//     aggregates replay the flattened (completion time, client) stream
-//     in sorted order, reproducing the serial fold. Elapsed is the max
-//     completion stamp; Errors sum; the first error is the one a serial
-//     run would have hit first (earliest virtual time, server before
-//     clients on ties).
-//
-// Server-side processes (accept loop, per-connection echo/sink frames)
-// stay on shard 0, which owns host 0 by construction.
+// One run, any shard count. Every generator spawns its processes on the
+// event loops of a lab.Cluster (each on the loop that owns its host, so
+// every clock a frame reads is its host's own) and records into one set
+// of slot-indexed arrays, a slot per participant. Each slot has exactly
+// one writing shard, so nothing needs a lock at any shard count, and the
+// coordinator folds the slots in canonical order after every loop has
+// drained. A serial lab is the one-shard cluster: the same code, one
+// loop.
 package workload
 
 import (
@@ -32,349 +13,188 @@ import (
 	"sort"
 
 	"repro/internal/lab"
-	"repro/internal/rudp"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/tcp"
 )
 
 // RunSharded runs a generator across the cluster's shards and returns a
-// result byte-identical (through JSON encoding) to g.Run on a serial lab
-// with the same configuration and seed. A single-shard cluster delegates
-// to the serial path outright.
-func RunSharded(g Generator, c *lab.Cluster) (*Result, error) {
-	if c.NumShards() == 1 {
-		return g.Run(c.Lab)
-	}
-	switch gen := g.(type) {
-	case Echo:
-		return runEchoSharded(gen, c)
-	case *Echo:
-		return runEchoSharded(*gen, c)
-	case FanIn:
-		return runFanInSharded(gen, c)
-	case *FanIn:
-		return runFanInSharded(*gen, c)
-	case Churn:
-		return runChurnSharded(gen, c)
-	case *Churn:
-		return runChurnSharded(*gen, c)
-	case Bulk:
-		return runBulkSharded(gen, c)
-	case *Bulk:
-		return runBulkSharded(*gen, c)
-	default:
-		return nil, fmt.Errorf("workload: generator %q does not support sharded execution", g.Name())
+// result byte-identical (through JSON encoding) to the same run at any
+// other shard count with the same configuration and seed.
+func RunSharded(g Generator, c *lab.Cluster) (*Result, error) { return g.Run(c.Lab) }
+
+// participant is one process group's slot: the server's processes, one
+// cross flow, or one client. Only the shard that owns the group's host
+// writes it while the loops run.
+type participant struct {
+	err   error    // first failure
+	errAt sim.Time // and its virtual time
+	last  sim.Time // latest measured completion
+	ops   int      // measured operations
+	bad   int      // payload mismatches among them
+}
+
+// fail records the participant's first failure, stamped with the clock of
+// env, the loop its processes run on.
+func (pt *participant) fail(env *sim.Env, err error) {
+	if pt.err == nil {
+		pt.err, pt.errAt = err, env.Now()
 	}
 }
 
-// shardParticipant is one process group's private accumulator set: a
-// client (or the server) records failures and measurements here, and
-// only the owning shard's goroutine ever touches it while shards run.
-type shardParticipant struct {
-	sink  *latSink
-	last  sim.Time
-	res   Result
-	err   error
-	errAt sim.Time
-}
-
-// failFn builds the participant's failure callback, stamping the owning
-// shard's clock so the coordinator can reconstruct which failure a
-// serial run would have reported (its runErr keeps the first in event
-// order).
-func (sp *shardParticipant) failFn(env *sim.Env) func(error) {
-	return func(err error) {
-		if sp.err == nil {
-			sp.err = err
-			sp.errAt = env.Now()
+// firstError is the failure a run reports: the earliest in virtual time,
+// and among failures at one instant the first in participant order — the
+// server, then cross flows, then clients, each in spawn order. Exact ties
+// between different participants resolve by that rule at every shard
+// count, one shard included: it does not depend on how an event loop
+// happened to order the instant.
+func firstError(parts []participant) error {
+	var first *participant
+	for i := range parts {
+		if pt := &parts[i]; pt.err != nil && (first == nil || pt.errAt < first.errAt) {
+			first = pt
 		}
 	}
-}
-
-// firstError returns the failure a serial run would have recorded:
-// earliest virtual time wins, and the server's processes (which a serial
-// loop schedules ahead of client frames spawned later) win exact ties.
-func firstError(server *shardParticipant, clients []*shardParticipant) error {
-	best, bestAt := server.err, server.errAt
-	for _, sp := range clients {
-		if sp.err != nil && (best == nil || sp.errAt < bestAt) {
-			best, bestAt = sp.err, sp.errAt
-		}
-	}
-	return best
-}
-
-// mergeShardSinks folds the per-client sinks into the result exactly as
-// the serial shared sink would have: validate counts, then either
-// concatenate client-major (exact mode — the serial emission order) or
-// replay the completion-ordered stream into a fresh streaming aggregate.
-func mergeShardSinks(r *Result, clients []*shardParticipant, want int, unit string, cfg stats.Config) error {
-	for ci, sp := range clients {
-		if n := sp.sink.counts[0]; n != want {
-			return fmt.Errorf("workload: client %d measured %d of %d %s",
-				ci, n, want, unit)
-		}
-	}
-	if cfg.Streaming {
-		type rec struct {
-			at, lat sim.Time
-			ci      int
-		}
-		var recs []rec
-		for ci, sp := range clients {
-			lats, ats := sp.sink.perClient[0], sp.sink.times[0]
-			for k := range lats {
-				recs = append(recs, rec{at: ats[k], ci: ci, lat: lats[k]})
-			}
-		}
-		sort.SliceStable(recs, func(i, j int) bool {
-			if recs[i].at != recs[j].at {
-				return recs[i].at < recs[j].at
-			}
-			return recs[i].ci < recs[j].ci
-		})
-		agg := stats.NewSample(cfg)
-		for _, rc := range recs {
-			agg.Add(rc.lat.Micros())
-		}
-		r.agg = agg
-		r.Requests = agg.N()
+	if first == nil {
 		return nil
 	}
-	for _, sp := range clients {
-		r.Latencies = append(r.Latencies, sp.sink.perClient[0]...)
+	return first.err
+}
+
+// run is one generator run's bookkeeping.
+type run struct {
+	c  *lab.Cluster
+	wd *sim.Watchdog
+
+	// parts holds every participant in canonical order: the server, the
+	// cross flows, the clients. clients is its tail, indexed by client.
+	parts   []participant
+	clients []participant
+
+	// The latency sink, want slots per client, client-major — exactly
+	// Result.Latencies' order, so exact mode hands the array over as it is.
+	// Streaming statistics fold each latency into agg as it completes when
+	// one loop runs everything (completion order is then the event order,
+	// and nothing per operation is retained); with several shards
+	// completions interleave nondeterministically in wall time, so the
+	// sink retains each latency with its completion stamp in ats and
+	// replays the stream in virtual-time order afterwards. The shard count
+	// decides, not a knob: c.NumShards() is all this looks at.
+	want int
+	cfg  stats.Config
+	agg  *stats.Sample
+	lats []sim.Time
+	ats  []sim.Time
+}
+
+// newRun prepares a run on c with cross background flows, each client
+// measuring want operations under the stats config. It arms the
+// no-progress watchdog on every loop — unless the caller armed one
+// already (a test choosing a short horizon) — so a run that stops
+// completing operations aborts with a diagnostic naming the stuck
+// connections instead of spinning forever, and turns tracing on when the
+// topology was built with it: generators trace from the first handshake,
+// so timelines show the whole connection life. Neither schedules an
+// event or draws randomness.
+func newRun(c *lab.Cluster, cross, want int, cfg stats.Config) *run {
+	clients := len(c.Lab.Hosts) - 1
+	r := &run{c: c, wd: c.Lab.Watchdog(), want: want, cfg: cfg,
+		parts: make([]participant, 1+cross+clients)}
+	r.clients = r.parts[1+cross:]
+	if r.wd == nil {
+		r.wd = c.ArmWatchdog(0)
 	}
-	r.Requests = len(r.Latencies)
+	if cfg.Streaming && c.NumShards() == 1 {
+		r.agg = stats.NewSample(cfg)
+	} else {
+		r.lats = make([]sim.Time, clients*want)
+		if cfg.Streaming {
+			r.ats = make([]sim.Time, clients*want)
+		}
+	}
+	if c.Lab.Config.PacketTrace {
+		c.Lab.EnableTracing()
+	}
+	return r
+}
+
+// server is the server-side participant.
+func (r *run) server() *participant { return &r.parts[0] }
+
+// record folds in client ci's next measured operation, of latency lat,
+// completing at now. It also reports progress to the watchdog, which is
+// how that tells a run that is merely slow from one that has stopped
+// completing work.
+func (r *run) record(ci int, lat, now sim.Time) {
+	r.wd.Progress()
+	pt := &r.clients[ci]
+	slot := ci*r.want + pt.ops
+	pt.ops++
+	pt.last = now
+	if r.agg != nil {
+		r.agg.Add(lat.Micros())
+		return
+	}
+	r.lats[slot] = lat
+	if r.ats != nil {
+		r.ats[slot] = now
+	}
+}
+
+// wait runs every loop to completion and returns the run's failure, if
+// any: a participant's, else the watchdog's.
+func (r *run) wait() error {
+	r.c.Run()
+	if err := firstError(r.parts); err != nil {
+		return err
+	}
+	return r.wd.Err()
+}
+
+// finish waits for the run and folds the clients' slots into res: every
+// client must have measured want operations (unit names them in the
+// error); Errors sums the mismatches, Elapsed is the latest completion,
+// and the latencies arrive client-major or as the streaming aggregate.
+func (r *run) finish(res *Result, unit string) error {
+	if err := r.wait(); err != nil {
+		return err
+	}
+	for ci := range r.clients {
+		pt := &r.clients[ci]
+		if pt.ops != r.want {
+			return fmt.Errorf("workload: client %d measured %d of %d %s",
+				ci, pt.ops, r.want, unit)
+		}
+		res.Errors += pt.bad
+		if pt.last > res.Elapsed {
+			res.Elapsed = pt.last
+		}
+	}
+	if r.ats != nil {
+		r.agg = r.replay()
+	}
+	if r.agg != nil {
+		res.agg = r.agg
+		res.Requests = r.agg.N()
+	} else {
+		res.Latencies = r.lats
+		res.Requests = len(r.lats)
+	}
+	collectTrace(r.c.Lab, res)
 	return nil
 }
 
-// mergeShardScalars folds Errors and Elapsed across participants.
-func mergeShardScalars(r *Result, clients []*shardParticipant) {
-	for _, sp := range clients {
-		r.Errors += sp.res.Errors
-		if sp.last > r.Elapsed {
-			r.Elapsed = sp.last
-		}
+// replay folds the retained latencies into a streaming aggregate in
+// completion order — ascending stamp, ties by client then operation —
+// which is the order one loop would have folded them in.
+func (r *run) replay() *stats.Sample {
+	order := make([]int, len(r.lats))
+	for k := range order {
+		order[k] = k
 	}
-}
-
-// runEchoSharded delegates to the cluster's echo driver (which manages
-// the warmup tracing flip across shards) and shapes the result.
-func runEchoSharded(g Echo, c *lab.Cluster) (*Result, error) {
-	size, iters, warm := defInt(g.Size, 4), defInt(g.Iterations, 100), defInt(g.Warmup, 8)
-	res, err := c.RunEcho(size, iters, warm)
-	if err != nil {
-		return nil, err
+	sort.SliceStable(order, func(i, j int) bool { return r.ats[order[i]] < r.ats[order[j]] })
+	agg := stats.NewSample(r.cfg)
+	for _, k := range order {
+		agg.Add(r.lats[k].Micros())
 	}
-	return echoResult(c.Lab, size, res), nil
-}
-
-// runFanInSharded mirrors FanIn.Run with per-client participants; cross
-// flows become participants of their own (each runs on the shard owning
-// its originating host, with a private fail slot), and the sink's
-// processes stay on shard 0 with the server's.
-func runFanInSharded(g FanIn, c *lab.Cluster) (*Result, error) {
-	l := c.Lab
-	size, reqs, warm := defInt(g.Size, 200), defInt(g.Requests, 20), defInt(g.Warmup, 2)
-	if err := checkTransport(g.Transport, size); err != nil {
-		return nil, err
-	}
-	clients := len(l.Hosts) - 1
-	r := &Result{Workload: "fanin"}
-	server := &shardParticipant{}
-
-	if len(g.Faults) > 0 {
-		if err := c.ScheduleFaults(g.Faults); err != nil {
-			return nil, err
-		}
-	}
-	wd := armClusterWatchdog(c)
-	startTrace(l)
-	if g.Transport == TransportRUDP {
-		e, err := rudp.Listen(l.Hosts[0].Kern, l.Hosts[0].UDP, Port)
-		if err != nil {
-			return nil, err
-		}
-		l.Env.Spawn("server.fanin",
-			&rudpAcceptLoopFrame{e: e, env: l.Env, n: clients})
-	} else {
-		ln, err := l.Hosts[0].TCP.Listen(Port)
-		if err != nil {
-			return nil, err
-		}
-		spawnEchoServer(l.Env, "server.fanin", ln, clients)
-	}
-	var crossParts []*shardParticipant
-	if g.Cross != nil {
-		if err := g.Cross.spawnSink(l, server.failFn(l.Env)); err != nil {
-			return nil, err
-		}
-		ctc := g.Cross.withDefaults()
-		crossParts = make([]*shardParticipant, ctc.Flows)
-		for f := 0; f < ctc.Flows; f++ {
-			hi := ctc.flowHost(f, clients)
-			env := c.EnvOf(hi)
-			sp := &shardParticipant{}
-			crossParts[f] = sp
-			g.Cross.spawnFlow(env, l.Hosts[hi], f, sp.failFn(env))
-		}
-	}
-
-	parts := make([]*shardParticipant, clients)
-	for ci := 0; ci < clients; ci++ {
-		env := c.EnvOf(ci + 1)
-		sp := &shardParticipant{sink: newShardSink(g.Stats.Streaming)}
-		sp.sink.wd = wd
-		parts[ci] = sp
-		if g.Transport == TransportRUDP {
-			env.Spawn(fmt.Sprintf("client%d.fanin", ci), &rudpFanInClientFrame{
-				host: l.Hosts[ci+1], ci: ci, si: 0, size: size, warm: warm, reqs: reqs,
-				startAt: sim.Time(ci) * g.Stagger,
-				sink:    sp.sink, last: &sp.last, r: &sp.res, fail: sp.failFn(env),
-			})
-			continue
-		}
-		env.Spawn(fmt.Sprintf("client%d.fanin", ci), &fanInClientFrame{
-			host: l.Hosts[ci+1], ci: ci, si: 0, size: size, warm: warm, reqs: reqs,
-			startAt: sim.Time(ci) * g.Stagger,
-			sink:    sp.sink, last: &sp.last, r: &sp.res, fail: sp.failFn(env),
-		})
-	}
-
-	c.Run()
-	if err := firstError(server, parts); err != nil {
-		return nil, err
-	}
-	if err := firstError(server, crossParts); err != nil {
-		return nil, err
-	}
-	if err := wd.Err(); err != nil {
-		return nil, err
-	}
-	if err := mergeShardSinks(r, parts, reqs, "requests", g.Stats); err != nil {
-		return nil, err
-	}
-	r.Bytes = int64(r.Requests) * int64(size) * 2
-	mergeShardScalars(r, parts)
-	collectTrace(l, r)
-	return r, nil
-}
-
-// runChurnSharded mirrors Churn.Run with per-client participants.
-func runChurnSharded(g Churn, c *lab.Cluster) (*Result, error) {
-	l := c.Lab
-	conns, size := defInt(g.Conns, 10), defInt(g.Size, 64)
-	clients := len(l.Hosts) - 1
-	r := &Result{Workload: "churn"}
-	server := &shardParticipant{}
-
-	wd := armClusterWatchdog(c)
-	startTrace(l)
-	ln, err := l.Hosts[0].TCP.Listen(Port)
-	if err != nil {
-		return nil, err
-	}
-	spawnEchoServer(l.Env, "server.churn", ln, clients*conns)
-
-	parts := make([]*shardParticipant, clients)
-	for ci := 0; ci < clients; ci++ {
-		env := c.EnvOf(ci + 1)
-		sp := &shardParticipant{sink: newShardSink(g.Stats.Streaming)}
-		sp.sink.wd = wd
-		parts[ci] = sp
-		env.Spawn(fmt.Sprintf("client%d.churn", ci), &churnClientFrame{
-			host: l.Hosts[ci+1], ci: ci, si: 0, size: size, conns: conns,
-			sink: sp.sink, last: &sp.last, r: &sp.res, fail: sp.failFn(env),
-		})
-	}
-
-	c.Run()
-	if err := firstError(server, parts); err != nil {
-		return nil, err
-	}
-	if err := wd.Err(); err != nil {
-		return nil, err
-	}
-	if err := mergeShardSinks(r, parts, conns, "cycles", g.Stats); err != nil {
-		return nil, err
-	}
-	r.Bytes = int64(r.Requests) * int64(size) * 2
-	mergeShardScalars(r, parts)
-	collectTrace(l, r)
-	return r, nil
-}
-
-// runBulkSharded mirrors Bulk.Run. The shared starts/dones/received
-// arrays survive sharding as-is: starts[ci] is written only by client
-// ci's shard, dones[ci] and received[ci] only by the server's (the
-// per-connection sink frames run on shard 0), and the postamble reads
-// them after every loop has drained.
-func runBulkSharded(g Bulk, c *lab.Cluster) (*Result, error) {
-	l := c.Lab
-	total, chunk := defInt(g.Bytes, 65536), defInt(g.Chunk, 8192)
-	clients := len(l.Hosts) - 1
-	r := &Result{Workload: "bulk"}
-	server := &shardParticipant{}
-	serverFail := server.failFn(l.Env)
-
-	starts := make([]sim.Time, clients)
-	dones := make([]sim.Time, clients)
-	received := make([]int, clients)
-
-	wd := armClusterWatchdog(c)
-	startTrace(l)
-	ln, err := l.Hosts[0].TCP.Listen(Port)
-	if err != nil {
-		return nil, err
-	}
-	l.Env.Spawn("server.bulk", &acceptLoopFrame{
-		ln: ln, n: clients,
-		accepted: func(al *acceptLoopFrame, _ int, op *tcp.AcceptOp) bool {
-			i := int(op.C.Key().RemoteAddr - lab.HostAddr(1))
-			if i < 0 || i >= clients {
-				serverFail(fmt.Errorf("workload: bulk connection from unexpected address %#x",
-					op.C.Key().RemoteAddr))
-				return false
-			}
-			l.Env.Spawn(fmt.Sprintf("server.bulk.conn%d", i),
-				&bulkConnFrame{so: op.So, al: al, i: i, dones: dones,
-					received: received, fail: serverFail, wd: wd})
-			return true
-		},
-	})
-
-	parts := make([]*shardParticipant, clients)
-	for ci := 0; ci < clients; ci++ {
-		env := c.EnvOf(ci + 1)
-		sp := &shardParticipant{}
-		parts[ci] = sp
-		env.Spawn(fmt.Sprintf("client%d.bulk", ci), &bulkClientFrame{
-			host: l.Hosts[ci+1], ci: ci, total: total, chunk: chunk,
-			starts: starts, fail: sp.failFn(env),
-		})
-	}
-
-	c.Run()
-	if err := firstError(server, parts); err != nil {
-		return nil, err
-	}
-	if err := wd.Err(); err != nil {
-		return nil, err
-	}
-	var last sim.Time
-	for ci := 0; ci < clients; ci++ {
-		if received[ci] != total {
-			r.Errors++
-		}
-		r.Latencies = append(r.Latencies, dones[ci]-starts[ci])
-		r.Bytes += int64(received[ci])
-		if dones[ci] > last {
-			last = dones[ci]
-		}
-	}
-	r.Requests = clients
-	r.Elapsed = last
-	collectTrace(l, r)
-	return r, nil
+	return agg
 }

@@ -19,13 +19,15 @@ func fuzzTrial(fabric, leafPorts, hosts, wl uint8, seed uint16) (workload.Genera
 		cfg.LeafPorts = 1 + int(leafPorts%4)
 	}
 	var g workload.Generator
-	switch wl % 4 {
+	switch wl % 5 {
 	case 0:
 		g = workload.Echo{Iterations: 4, Warmup: 1}
 	case 1:
 		g = workload.FanIn{Requests: 3, Size: 64}
 	case 2:
 		g = workload.Churn{Conns: 2, Size: 48}
+	case 4:
+		g = workload.FanIn{Requests: 3, Size: 64, Transport: workload.TransportRUDP}
 	default:
 		// Sub-MSS chunks included: they exercise the sbcompress path in
 		// the socket buffer (the ROADMAP 3b livelock fix) on top of the
@@ -40,7 +42,7 @@ func fuzzTrial(fabric, leafPorts, hosts, wl uint8, seed uint16) (workload.Genera
 // one to reproduce its serial run byte-for-byte — the metamorphic matrix
 // test with the corners chosen adversarially instead of by hand.
 func FuzzShardedBitIdentity(f *testing.F) {
-	// Seed corpus: one per workload, both fabrics, awkward shard counts
+	// Seed corpus: each workload and transport on both fabrics, awkward shard counts
 	// (1 = degenerate, clamped, prime, and power-of-two splits).
 	f.Add(uint8(0), uint8(0), uint8(6), uint8(0), uint8(2), uint16(1994))
 	f.Add(uint8(1), uint8(0), uint8(0), uint8(0), uint8(3), uint16(7))
@@ -50,6 +52,8 @@ func FuzzShardedBitIdentity(f *testing.F) {
 	f.Add(uint8(1), uint8(2), uint8(5), uint8(2), uint8(1), uint16(9))
 	f.Add(uint8(0), uint8(0), uint8(2), uint8(3), uint8(8), uint16(40))
 	f.Add(uint8(1), uint8(3), uint8(6), uint8(3), uint8(2), uint16(5))
+	f.Add(uint8(0), uint8(0), uint8(5), uint8(4), uint8(3), uint16(11))
+	f.Add(uint8(1), uint8(1), uint8(6), uint8(4), uint8(4), uint16(8))
 
 	f.Fuzz(func(t *testing.T, fabric, leafPorts, hosts, wl, shards uint8, seed uint16) {
 		g, cfg, n := fuzzTrial(fabric, leafPorts, hosts, wl, seed)

@@ -1,0 +1,220 @@
+// The transport seam: what a request/response workload needs from a
+// transport stack, stated once. The frames in this package — the accept
+// loop, the echo handler, the fan-in, churn and fault-recovery clients —
+// are written against these three interfaces and never name a stack; a
+// transport is one file implementing them (tcp.go over internal/tcp and
+// internal/sock, rudp.go over internal/rudp), chosen once from the
+// generator's Transport field by pickTransport. What genuinely differs
+// between stacks — a connect that blocks versus a dial that is local, a
+// byte stream read in a loop versus one message per receive, socket
+// buffers to reap after an abort — lives behind the contract.
+//
+// An operation that takes a *sim.Proc is call-like, in the sim.Frame
+// sense: the calling frame invokes it as its last action before Step
+// returns and is re-entered once the operation has completed, when done
+// reports the outcome. A conn has at most one operation in flight.
+package workload
+
+import (
+	"fmt"
+
+	"repro/internal/lab"
+	"repro/internal/rudp"
+	"repro/internal/sim"
+)
+
+// TransportTCP and TransportRUDP name FanIn.Transport values.
+const (
+	TransportTCP  = "tcp"
+	TransportRUDP = "rudp"
+)
+
+// transport opens both ends of the workload service on a stack.
+type transport interface {
+	// listen binds port on the server host h.
+	listen(h *lab.Host, port uint16) (listener, error)
+	// client returns host h's end of a connection to the server's Port,
+	// not yet dialed. A client may dial, close and dial again.
+	client(h *lab.Host) conn
+}
+
+// listener is the server's bound port.
+type listener interface {
+	// accept waits for the next connection (call-like); accepted then
+	// returns it, or the error that ended the listener (its host crashed).
+	accept(p *sim.Proc)
+	accepted() (conn, error)
+	// crash tears down whatever listener state the lab's own host-crash
+	// handling cannot see.
+	crash()
+}
+
+// conn is one end of a connection.
+type conn interface {
+	// blocks reports whether dial waits on the network, so that a caller
+	// bounding its operations by a deadline must bound the dial too.
+	blocks() bool
+	// dial connects to the server (call-like).
+	dial(p *sim.Proc)
+	// exchange sends msg and receives the len(buf)-byte response into buf
+	// (call-like); a short or failed response is an error.
+	exchange(p *sim.Proc, msg, buf []byte)
+	// recv reads what has arrived, at most len(buf) bytes (call-like);
+	// done reports how many, zero at the end of the stream.
+	recv(p *sim.Proc, buf []byte)
+	// send writes b (call-like).
+	send(p *sim.Proc, b []byte)
+	// close ends the stream in order (call-like).
+	close(p *sim.Proc)
+	// done reports the completed operation's outcome: the byte count of a
+	// recv, and the error of any.
+	done() (n int, err error)
+	// abort fails the operation in flight and kills the connection; it is
+	// what a deadline timer calls, from event context.
+	abort()
+	// reap releases a connection a failed exchange left dead, so that the
+	// next dial starts clean.
+	reap()
+}
+
+// pickTransport resolves a generator's Transport field for messages of
+// size bytes.
+func pickTransport(name string, size int) (transport, error) {
+	switch name {
+	case "", TransportTCP:
+		return tcpTransport{}, nil
+	case TransportRUDP:
+		// One rudp message rides one datagram.
+		if size > rudp.MaxMessage {
+			return nil, fmt.Errorf("workload: rudp transport caps messages at %d bytes, got %d",
+				rudp.MaxMessage, size)
+		}
+		return rudpTransport{}, nil
+	}
+	return nil, fmt.Errorf("workload: unknown transport %q (tcp, rudp)", name)
+}
+
+// acceptLoopFrame accepts n connections, invoking the accepted callback
+// (which typically spawns a per-connection server process) for each.
+// The callback returns false to abandon the loop after recording an
+// error. A failed accept — the listener died under it when its host
+// crashed — ends the loop; a restart supervisor spawns the successor.
+type acceptLoopFrame struct {
+	ln       listener
+	n        int
+	accepted func(al *acceptLoopFrame, i int, c conn) bool
+
+	pc int
+	i  int
+
+	// bufs recycles the read buffers of the handlers this loop spawned: a
+	// handler borrows one for the life of its connection and hands it
+	// back at EOF, so a server allocates as many as it ever had
+	// connections open at once, not one per connection accepted. The loop
+	// and its handlers all run on the server host's event loop, so the
+	// list needs no lock.
+	bufs [][]byte
+}
+
+// serverBufLen is the read size of every per-connection server handler.
+const serverBufLen = 16384
+
+// getBuf lends a handler a read buffer of serverBufLen bytes.
+func (f *acceptLoopFrame) getBuf() []byte {
+	if n := len(f.bufs); n > 0 {
+		b := f.bufs[n-1]
+		f.bufs = f.bufs[:n-1]
+		return b
+	}
+	return make([]byte, serverBufLen)
+}
+
+// putBuf takes back a buffer no operation references any more.
+func (f *acceptLoopFrame) putBuf(b []byte) { f.bufs = append(f.bufs, b) }
+
+// Step drives the accept loop.
+func (f *acceptLoopFrame) Step(p *sim.Proc) {
+	for {
+		switch f.pc {
+		case 0: // accept the next connection
+			if f.i >= f.n {
+				p.Return()
+				return
+			}
+			f.pc = 1
+			f.ln.accept(p)
+			return
+		case 1: // hand it to the callback
+			c, err := f.ln.accepted()
+			if err != nil || !f.accepted(f, f.i, c) {
+				p.Return()
+				return
+			}
+			f.i++
+			f.pc = 0
+		}
+	}
+}
+
+// spawnEchoServer starts the echo server shared by the fan-in, churn and
+// fault workloads on env, the server host's event loop: an accept loop
+// for n connections on ln, each served by its own serveEchoFrame process
+// named after the loop.
+func spawnEchoServer(env *sim.Env, name string, ln listener, n int) {
+	connName := name + ".conn%d"
+	env.Spawn(name, &acceptLoopFrame{
+		ln: ln, n: n,
+		accepted: func(al *acceptLoopFrame, i int, c conn) bool {
+			env.Spawn(fmt.Sprintf(connName, i), &serveEchoFrame{c: c, al: al})
+			return true
+		},
+	})
+}
+
+// serveEchoFrame is the echo handler: write back whatever arrives, until
+// the end of the stream, then close.
+type serveEchoFrame struct {
+	c  conn
+	al *acceptLoopFrame // lends the read buffer
+
+	pc  int
+	buf []byte
+}
+
+// Step drives the echo handler.
+func (f *serveEchoFrame) Step(p *sim.Proc) {
+	for {
+		switch f.pc {
+		case 0: // read the next chunk
+			if f.buf == nil {
+				f.buf = f.al.getBuf()
+			}
+			f.pc = 1
+			f.c.recv(p, f.buf)
+			return
+		case 1: // echo it back, or close at the end of the stream
+			n, err := f.c.done()
+			if err != nil || n == 0 {
+				f.al.putBuf(f.buf)
+				f.buf = nil
+				f.pc = 3
+				f.c.close(p)
+				return
+			}
+			f.pc = 2
+			f.c.send(p, f.buf[:n])
+			return
+		case 2: // next chunk, unless the write failed
+			if _, err := f.c.done(); err != nil {
+				f.al.putBuf(f.buf)
+				f.buf = nil
+				p.Return()
+				return
+			}
+			f.pc = 0
+		case 3: // closed; done
+			p.Return()
+			return
+		}
+	}
+}

@@ -5,9 +5,12 @@
 // and delete under live populations). A Generator is pure configuration;
 // Run spawns its processes on a freshly built (or freshly reset —
 // lab.Lab.Reset restores bit-identical initial state) Lab and consumes
-// that lab's event loop, so each run needs its own pristine topology —
+// that lab's event loops, so each run needs its own pristine topology —
 // exactly the shape the sweep engine (internal/runner) parallelizes
-// over and its worker-affine testbed cache recycles.
+// over and its worker-affine testbed cache recycles. Every generator has
+// one run body, written against the lab's cluster (sharded.go): a serial
+// lab is the one-shard case. Every request/response frame is written
+// once, against the transport contract (transport.go).
 //
 // Every generator participates in per-packet tracing: when the lab was
 // built with lab.Config.PacketTrace, Run returns the merged event
@@ -17,10 +20,10 @@
 package workload
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/lab"
-	"repro/internal/rudp"
 	"repro/internal/sim"
 	"repro/internal/sock"
 	"repro/internal/stats"
@@ -83,8 +86,10 @@ func (r *Result) Sample() *stats.Sample {
 }
 
 // Generator produces traffic on an assembled topology. Host 0 is the
-// server; every other host is a client. Run consumes the lab's event
-// loop and must be called once per freshly built Lab.
+// server; every other host is a client. Run consumes the event loops of
+// the lab's cluster — one loop for a lab from lab.NewTopology, one per
+// shard for a lab.Cluster's — and must be called once per freshly built
+// (or reset) Lab.
 type Generator interface {
 	Name() string
 	Run(l *lab.Lab) (*Result, error)
@@ -102,20 +107,15 @@ type Echo struct {
 // Name implements Generator.
 func (Echo) Name() string { return "echo" }
 
-// Run implements Generator.
+// Run implements Generator. The echo benchmark does not start tracing
+// itself: lab.RunEcho flips it on at the measured iterations, preserving
+// the paper's warmup exclusion.
 func (g Echo) Run(l *lab.Lab) (*Result, error) {
 	size, iters, warm := defInt(g.Size, 4), defInt(g.Iterations, 100), defInt(g.Warmup, 8)
 	res, err := l.RunEcho(size, iters, warm)
 	if err != nil {
 		return nil, err
 	}
-	return echoResult(l, size, res), nil
-}
-
-// echoResult folds a lab echo run into the workload result shape. Shared
-// by the serial path above and the sharded path (Cluster.RunEcho returns
-// the same lab.EchoResult).
-func echoResult(l *lab.Lab, size int, res *lab.EchoResult) *Result {
 	r := &Result{
 		Workload:  "echo",
 		Requests:  len(res.RTTs),
@@ -129,7 +129,7 @@ func echoResult(l *lab.Lab, size int, res *lab.EchoResult) *Result {
 		r.Elapsed = res.Windows[len(res.Windows)-1].ReadReturn
 	}
 	collectTrace(l, r)
-	return r
+	return r, nil
 }
 
 // collectTrace attaches the merged packet-event stream to a result when
@@ -138,124 +138,6 @@ func collectTrace(l *lab.Lab, r *Result) {
 	if l.Config.PacketTrace {
 		r.Events = l.PacketEvents()
 	}
-}
-
-// startTrace turns recording on at the head of a traced run. The echo
-// generator does not use it — lab.RunEcho flips tracing at its measured
-// iterations, preserving the paper's warmup exclusion — but the other
-// generators trace from the first handshake so timelines show the whole
-// connection life.
-func startTrace(l *lab.Lab) {
-	if l.Config.PacketTrace {
-		l.EnableTracing()
-	}
-}
-
-// armWatchdog arms the lab's no-progress watchdog for a generator run —
-// unless the caller armed one already (a test choosing a short horizon).
-// Every multi-client generator arms it by default: a run that stops
-// completing operations aborts with a diagnostic naming the stuck
-// connections instead of spinning its event loop forever. A disarmed
-// healthy run and an armed one produce identical results — the watchdog
-// schedules no events and draws no randomness.
-func armWatchdog(l *lab.Lab) *sim.Watchdog {
-	if w := l.Watchdog(); w != nil {
-		return w
-	}
-	return l.ArmWatchdog(0)
-}
-
-// armClusterWatchdog is armWatchdog for the sharded path: one shared
-// watchdog spanning every shard's event loop.
-func armClusterWatchdog(c *lab.Cluster) *sim.Watchdog {
-	if w := c.Lab.Watchdog(); w != nil {
-		return w
-	}
-	return c.ArmWatchdog(0)
-}
-
-// latSink collects per-operation latencies for the multi-client
-// generators. In exact mode (the zero stats.Config) it retains every
-// latency per client, exactly as the generators always have, and emits
-// them client-major into Result.Latencies. With stats.Config.Streaming
-// it folds each latency into a constant-memory aggregate in completion
-// order instead — deterministic (the event loop is), but unordered
-// per client, which only the reservoir's contents can observe; the
-// per-client counts are still tracked so short-changed clients fail
-// loudly either way.
-type latSink struct {
-	counts    []int
-	perClient [][]sim.Time
-	// times retains each operation's completion time alongside perClient.
-	// Only sharded streaming runs arm it: they must buffer per client and
-	// replay the stream into the aggregate in canonical completion order
-	// afterwards, since shards complete operations concurrently.
-	times [][]sim.Time
-	agg   *stats.Sample
-	// wd, when armed, receives a progress report per recorded operation,
-	// so the no-progress watchdog distinguishes a run that is merely slow
-	// from one that has stopped completing work.
-	wd *sim.Watchdog
-}
-
-// newLatSink sizes a sink for the client count per the stats config.
-func newLatSink(clients int, cfg stats.Config) *latSink {
-	s := &latSink{counts: make([]int, clients)}
-	if cfg.Streaming {
-		s.agg = stats.NewSample(cfg)
-	} else {
-		s.perClient = make([][]sim.Time, clients)
-	}
-	return s
-}
-
-// newShardSink builds a single-slot sink for one client of a sharded
-// run: always per-client retention (an order-independent collection the
-// merge step folds canonically), with completion times kept when a
-// streaming aggregate will be replayed afterwards.
-func newShardSink(retainTimes bool) *latSink {
-	s := &latSink{counts: make([]int, 1), perClient: make([][]sim.Time, 1)}
-	if retainTimes {
-		s.times = make([][]sim.Time, 1)
-	}
-	return s
-}
-
-// record folds in one measured operation for client ci completing at at.
-func (s *latSink) record(ci int, lat, at sim.Time) {
-	if s.wd != nil {
-		s.wd.Progress()
-	}
-	s.counts[ci]++
-	if s.agg != nil {
-		s.agg.Add(lat.Micros())
-		return
-	}
-	s.perClient[ci] = append(s.perClient[ci], lat)
-	if s.times != nil {
-		s.times[ci] = append(s.times[ci], at)
-	}
-}
-
-// finish validates that every client measured want operations and moves
-// the collected latencies into the result.
-func (s *latSink) finish(r *Result, want int, unit string) error {
-	for ci, n := range s.counts {
-		if n != want {
-			return fmt.Errorf("workload: client %d measured %d of %d %s",
-				ci, n, want, unit)
-		}
-	}
-	if s.agg != nil {
-		r.agg = s.agg
-		r.Requests = s.agg.N()
-		return nil
-	}
-	for _, lats := range s.perClient {
-		r.Latencies = append(r.Latencies, lats...)
-	}
-	r.Requests = len(r.Latencies)
-	return nil
 }
 
 // FanIn is the hub workload: every client host opens one connection to
@@ -289,8 +171,8 @@ type FanIn struct {
 	Transport string
 	// Faults schedules deterministic fault events against the topology
 	// before traffic starts (see sim.FaultSchedule): link flaps stall
-	// clients behind retransmission backoff without failing them. The
-	// sharded path accepts only the shard-safe kinds (link flips).
+	// clients behind retransmission backoff without failing them. A lab
+	// sharded several ways accepts only the shard-safe kinds (link flips).
 	Faults sim.FaultSchedule
 }
 
@@ -300,79 +182,40 @@ func (FanIn) Name() string { return "fanin" }
 // Run implements Generator.
 func (g FanIn) Run(l *lab.Lab) (*Result, error) {
 	size, reqs, warm := defInt(g.Size, 200), defInt(g.Requests, 20), defInt(g.Warmup, 2)
-	if err := checkTransport(g.Transport, size); err != nil {
+	tr, err := pickTransport(g.Transport, size)
+	if err != nil {
 		return nil, err
 	}
-	clients := len(l.Hosts) - 1
-	r := &Result{Workload: "fanin"}
-	var runErr error
-	fail := func(err error) {
-		if runErr == nil {
-			runErr = err
-		}
-	}
-
+	c := l.Cluster()
 	if len(g.Faults) > 0 {
-		if err := l.ScheduleFaults(g.Faults); err != nil {
+		if err := c.ScheduleFaults(g.Faults); err != nil {
 			return nil, err
 		}
 	}
-	wd := armWatchdog(l)
-	startTrace(l)
-	if g.Transport == TransportRUDP {
-		e, err := rudp.Listen(l.Hosts[0].Kern, l.Hosts[0].UDP, Port)
-		if err != nil {
-			return nil, err
-		}
-		l.Env.Spawn("server.fanin",
-			&rudpAcceptLoopFrame{e: e, env: l.Env, n: clients})
-	} else {
-		ln, err := l.Hosts[0].TCP.Listen(Port)
-		if err != nil {
-			return nil, err
-		}
-		spawnEchoServer(l.Env, "server.fanin", ln, clients)
+	r := newRun(c, g.Cross.flows(), reqs, g.Stats)
+	ln, err := tr.listen(l.Hosts[0], Port)
+	if err != nil {
+		return nil, err
 	}
+	spawnEchoServer(c.EnvOf(0), "server.fanin", ln, len(r.clients))
 	if g.Cross != nil {
-		if err := g.Cross.spawn(l, fail); err != nil {
+		if err := g.Cross.spawn(r); err != nil {
 			return nil, err
 		}
 	}
-
-	sink := newLatSink(clients, g.Stats)
-	sink.wd = wd
-	var last sim.Time
-	for ci := 0; ci < clients; ci++ {
-		host := l.Hosts[ci+1]
-		if g.Transport == TransportRUDP {
-			l.Env.Spawn(fmt.Sprintf("client%d.fanin", ci), &rudpFanInClientFrame{
-				host: host, ci: ci, si: ci, size: size, warm: warm, reqs: reqs,
-				startAt: sim.Time(ci) * g.Stagger,
-				sink:    sink, last: &last, r: r, fail: fail,
-			})
-			continue
-		}
-		l.Env.Spawn(fmt.Sprintf("client%d.fanin", ci), &fanInClientFrame{
-			host: host, ci: ci, si: ci, size: size, warm: warm, reqs: reqs,
-			startAt: sim.Time(ci) * g.Stagger,
-			sink:    sink, last: &last, r: r, fail: fail,
+	for ci := range r.clients {
+		c.EnvOf(ci+1).Spawn(fmt.Sprintf("client%d.fanin", ci), &fanInClientFrame{
+			r: r, ci: ci, c: tr.client(l.Hosts[ci+1]),
+			size: size, warm: warm, reqs: reqs, startAt: sim.Time(ci) * g.Stagger,
 		})
 	}
 
-	l.Env.Run()
-	if runErr != nil {
-		return nil, runErr
-	}
-	if err := wd.Err(); err != nil {
+	res := &Result{Workload: "fanin"}
+	if err := r.finish(res, "requests"); err != nil {
 		return nil, err
 	}
-	if err := sink.finish(r, reqs, "requests"); err != nil {
-		return nil, err
-	}
-	r.Bytes = int64(r.Requests) * int64(size) * 2
-	r.Elapsed = last
-	collectTrace(l, r)
-	return r, nil
+	res.Bytes = int64(res.Requests) * int64(size) * 2
+	return res, nil
 }
 
 // Churn is the open/close storm: every client host repeatedly opens a
@@ -394,54 +237,32 @@ func (Churn) Name() string { return "churn" }
 // Run implements Generator.
 func (g Churn) Run(l *lab.Lab) (*Result, error) {
 	conns, size := defInt(g.Conns, 10), defInt(g.Size, 64)
-	clients := len(l.Hosts) - 1
-	r := &Result{Workload: "churn"}
-	var runErr error
-	fail := func(err error) {
-		if runErr == nil {
-			runErr = err
-		}
-	}
-
-	wd := armWatchdog(l)
-	startTrace(l)
-	ln, err := l.Hosts[0].TCP.Listen(Port)
+	c, tr := l.Cluster(), tcpTransport{}
+	r := newRun(c, 0, conns, g.Stats)
+	ln, err := tr.listen(l.Hosts[0], Port)
 	if err != nil {
 		return nil, err
 	}
-	spawnEchoServer(l.Env, "server.churn", ln, clients*conns)
-
-	sink := newLatSink(clients, g.Stats)
-	sink.wd = wd
-	var last sim.Time
-	for ci := 0; ci < clients; ci++ {
-		host := l.Hosts[ci+1]
-		l.Env.Spawn(fmt.Sprintf("client%d.churn", ci), &churnClientFrame{
-			host: host, ci: ci, si: ci, size: size, conns: conns,
-			sink: sink, last: &last, r: r, fail: fail,
+	spawnEchoServer(c.EnvOf(0), "server.churn", ln, len(r.clients)*conns)
+	for ci := range r.clients {
+		c.EnvOf(ci+1).Spawn(fmt.Sprintf("client%d.churn", ci), &churnClientFrame{
+			r: r, ci: ci, c: tr.client(l.Hosts[ci+1]), size: size, conns: conns,
 		})
 	}
 
-	l.Env.Run()
-	if runErr != nil {
-		return nil, runErr
-	}
-	if err := wd.Err(); err != nil {
+	res := &Result{Workload: "churn"}
+	if err := r.finish(res, "cycles"); err != nil {
 		return nil, err
 	}
-	if err := sink.finish(r, conns, "cycles"); err != nil {
-		return nil, err
-	}
-	r.Bytes = int64(r.Requests) * int64(size) * 2
-	r.Elapsed = last
-	collectTrace(l, r)
-	return r, nil
+	res.Bytes = int64(res.Requests) * int64(size) * 2
+	return res, nil
 }
 
 // Bulk is the one-way throughput workload: every client streams Bytes to
 // the server and closes; the measured latency of one operation is the
 // time from the client's first write to the server consuming the final
-// byte (EOF), so it includes delivery, not just buffering.
+// byte (EOF), so it includes delivery, not just buffering. It rides TCP
+// only, Nagle on, and talks to the stack directly.
 type Bulk struct {
 	Bytes int // payload per client (default 65536)
 	Chunk int // client write size (default 8192)
@@ -453,298 +274,87 @@ func (Bulk) Name() string { return "bulk" }
 // Run implements Generator.
 func (g Bulk) Run(l *lab.Lab) (*Result, error) {
 	total, chunk := defInt(g.Bytes, 65536), defInt(g.Chunk, 8192)
-	clients := len(l.Hosts) - 1
-	r := &Result{Workload: "bulk"}
-	var runErr error
-	fail := func(err error) {
-		if runErr == nil {
-			runErr = err
-		}
-	}
+	c := l.Cluster()
+	r := newRun(c, 0, 0, stats.Config{})
+	clients := len(r.clients)
 
+	// Per-transfer stamps, a slot per client like the run's own arrays:
+	// starts[ci] is written only by client ci's loop, dones[ci] and
+	// received[ci] only by the server's.
 	starts := make([]sim.Time, clients)
 	dones := make([]sim.Time, clients)
 	received := make([]int, clients)
 
-	wd := armWatchdog(l)
-	startTrace(l)
-	ln, err := l.Hosts[0].TCP.Listen(Port)
+	ln, err := listenTCP(l.Hosts[0], Port, false)
 	if err != nil {
 		return nil, err
 	}
 	// Connections may be accepted in any order (loss can delay one
 	// client's handshake past another's), so the accepted connection's
 	// remote address — not the accept order — identifies the transfer.
-	l.Env.Spawn("server.bulk", &acceptLoopFrame{
+	env := c.EnvOf(0)
+	env.Spawn("server.bulk", &acceptLoopFrame{
 		ln: ln, n: clients,
-		accepted: func(al *acceptLoopFrame, _ int, op *tcp.AcceptOp) bool {
-			i := int(op.C.Key().RemoteAddr - lab.HostAddr(1))
+		accepted: func(al *acceptLoopFrame, _ int, cn conn) bool {
+			tc := cn.(*tcpConn) // what a tcpListener accepts
+			i := int(tc.c.Key().RemoteAddr - lab.HostAddr(1))
 			if i < 0 || i >= clients {
-				fail(fmt.Errorf("workload: bulk connection from unexpected address %#x",
-					op.C.Key().RemoteAddr))
+				r.server().fail(env, fmt.Errorf("workload: bulk connection from unexpected address %#x",
+					tc.c.Key().RemoteAddr))
 				return false
 			}
-			l.Env.Spawn(fmt.Sprintf("server.bulk.conn%d", i),
-				&bulkConnFrame{so: op.So, al: al, i: i, dones: dones,
-					received: received, fail: fail, wd: wd})
+			env.Spawn(fmt.Sprintf("server.bulk.conn%d", i),
+				&bulkConnFrame{so: tc.so, al: al, i: i, dones: dones, received: received, r: r})
 			return true
 		},
 	})
-
-	for ci := 0; ci < clients; ci++ {
-		host := l.Hosts[ci+1]
-		l.Env.Spawn(fmt.Sprintf("client%d.bulk", ci), &bulkClientFrame{
-			host: host, ci: ci, total: total, chunk: chunk,
-			starts: starts, fail: fail,
+	for ci := range r.clients {
+		c.EnvOf(ci+1).Spawn(fmt.Sprintf("client%d.bulk", ci), &bulkClientFrame{
+			host: l.Hosts[ci+1], ci: ci, total: total, chunk: chunk,
+			starts: starts, me: &r.clients[ci],
 		})
 	}
 
-	l.Env.Run()
-	if runErr != nil {
-		return nil, runErr
-	}
-	if err := wd.Err(); err != nil {
+	if err := r.wait(); err != nil {
 		return nil, err
 	}
-	var last sim.Time
+	res := &Result{Workload: "bulk", Requests: clients}
 	for ci := 0; ci < clients; ci++ {
 		if received[ci] != total {
-			r.Errors++
+			res.Errors++
 		}
-		r.Latencies = append(r.Latencies, dones[ci]-starts[ci])
-		r.Bytes += int64(received[ci])
-		if dones[ci] > last {
-			last = dones[ci]
-		}
-	}
-	r.Requests = clients
-	r.Elapsed = last
-	collectTrace(l, r)
-	return r, nil
-}
-
-// acceptLoopFrame accepts n connections, invoking the accepted callback
-// (which typically spawns a per-connection server process) for each.
-// The callback returns false to abandon the loop after recording an
-// error. A failed accept — the listener died under it when its host
-// crashed — ends the loop; a restart supervisor spawns the successor.
-type acceptLoopFrame struct {
-	ln       *tcp.Listener
-	n        int
-	accepted func(al *acceptLoopFrame, i int, op *tcp.AcceptOp) bool
-
-	pc int
-	i  int
-	op *tcp.AcceptOp
-
-	// bufs recycles the read buffers of the handlers this loop spawned: a
-	// handler borrows one for the life of its connection and hands it
-	// back at EOF, so a server allocates as many as it ever had
-	// connections open at once, not one per connection accepted. The loop
-	// and its handlers all run on the server host's event loop, serial or
-	// sharded, so the list needs no lock.
-	bufs [][]byte
-}
-
-// serverBufLen is the read size of every per-connection server handler.
-const serverBufLen = 16384
-
-// getBuf lends a handler a read buffer of serverBufLen bytes.
-func (f *acceptLoopFrame) getBuf() []byte {
-	if n := len(f.bufs); n > 0 {
-		b := f.bufs[n-1]
-		f.bufs = f.bufs[:n-1]
-		return b
-	}
-	return make([]byte, serverBufLen)
-}
-
-// putBuf takes back a buffer no socket operation references any more.
-func (f *acceptLoopFrame) putBuf(b []byte) { f.bufs = append(f.bufs, b) }
-
-// spawnEchoServer starts the TCP echo server shared by the fan-in, churn
-// and fault workloads on env, the server host's event loop: an accept
-// loop for n connections on ln, each served by its own serveEchoFrame
-// process named after the loop.
-func spawnEchoServer(env *sim.Env, name string, ln *tcp.Listener, n int) {
-	connName := name + ".conn%d"
-	env.Spawn(name, &acceptLoopFrame{
-		ln: ln, n: n,
-		accepted: func(al *acceptLoopFrame, i int, op *tcp.AcceptOp) bool {
-			op.C.SetNoDelay(true)
-			env.Spawn(fmt.Sprintf(connName, i), &serveEchoFrame{so: op.So, al: al})
-			return true
-		},
-	})
-}
-
-// Step drives the accept loop.
-func (f *acceptLoopFrame) Step(p *sim.Proc) {
-	for {
-		switch f.pc {
-		case 0: // accept the next connection
-			if f.i >= f.n {
-				p.Return()
-				return
-			}
-			f.pc = 1
-			f.op = f.ln.Accept(p)
-			return
-		case 1: // hand it to the callback
-			op := f.op
-			f.op = nil
-			if op.Err != nil {
-				p.Return()
-				return
-			}
-			if !f.accepted(f, f.i, op) {
-				p.Return()
-				return
-			}
-			f.i++
-			f.pc = 0
+		res.Latencies = append(res.Latencies, dones[ci]-starts[ci])
+		res.Bytes += int64(received[ci])
+		if dones[ci] > res.Elapsed {
+			res.Elapsed = dones[ci]
 		}
 	}
-}
-
-// serveEchoFrame is the streaming echo handler shared by the fan-in and
-// churn servers: write back whatever arrives, until EOF, then close.
-type serveEchoFrame struct {
-	so *sock.Socket
-	al *acceptLoopFrame // lends the read buffer
-
-	pc   int
-	buf  []byte
-	n    int
-	recv *sock.RecvOp
-	send *sock.SendOp
-}
-
-// Step drives the echo handler.
-func (f *serveEchoFrame) Step(p *sim.Proc) {
-	for {
-		switch f.pc {
-		case 0: // read the next chunk
-			if f.buf == nil {
-				f.buf = f.al.getBuf()
-			}
-			f.pc = 1
-			f.recv = f.so.Recv(p, f.buf)
-			return
-		case 1: // echo it back, or close on EOF/error
-			if f.recv.Err != nil || f.recv.N == 0 {
-				f.al.putBuf(f.buf)
-				f.buf = nil
-				f.pc = 3
-				f.so.Close(p)
-				return
-			}
-			f.n = f.recv.N
-			f.recv = nil
-			f.pc = 2
-			f.send = f.so.Send(p, f.buf[:f.n])
-			return
-		case 2: // next chunk, unless the write failed
-			if f.send.Err != nil {
-				f.al.putBuf(f.buf)
-				f.buf = nil
-				p.Return()
-				return
-			}
-			f.send = nil
-			f.pc = 0
-		case 3: // closed; done
-			p.Return()
-			return
-		}
-	}
-}
-
-// exchangeFrame sends msg and receives exactly len(buf) bytes back; Err
-// carries the failure, if any, once the frame returns.
-type exchangeFrame struct {
-	so       *sock.Socket
-	msg, buf []byte
-
-	pc    int
-	total int
-	recv  *sock.RecvOp
-	send  *sock.SendOp
-
-	Err error
-}
-
-// Step drives the request/response exchange.
-func (f *exchangeFrame) Step(p *sim.Proc) {
-	for {
-		switch f.pc {
-		case 0: // write the request
-			f.pc = 1
-			f.send = f.so.Send(p, f.msg)
-			return
-		case 1: // request written; read the response
-			if f.send.Err != nil {
-				f.Err = f.send.Err
-				p.Return()
-				return
-			}
-			f.send = nil
-			f.total = 0
-			f.pc = 2
-		case 2: // read loop head
-			if f.total >= len(f.buf) {
-				p.Return()
-				return
-			}
-			f.pc = 3
-			f.recv = f.so.Recv(p, f.buf[f.total:])
-			return
-		case 3: // fold in one read's result
-			if f.recv.Err != nil {
-				f.Err = f.recv.Err
-				p.Return()
-				return
-			}
-			if f.recv.N == 0 {
-				f.Err = fmt.Errorf("workload: unexpected EOF after %d of %d bytes",
-					f.total, len(f.buf))
-				p.Return()
-				return
-			}
-			f.total += f.recv.N
-			f.recv = nil
-			f.pc = 2
-		}
-	}
+	collectTrace(l, res)
+	return res, nil
 }
 
 // fanInClientFrame is one fan-in client: wait out its stagger slot,
 // connect once, then run warm+reqs request/response exchanges, measuring
-// the post-warmup ones. All simulation state flows through p.Env() —
-// the client's own shard in a sharded run, the lab's only env serially
-// — and all shared accumulators (sink slot si, last, r, fail) are
-// per-client in sharded runs, so the frame itself is shard-agnostic.
+// the post-warmup ones. All simulation state flows through p.Env() — the
+// loop that owns the client's host — and everything it records goes to
+// the client's own slots, so the frame runs unchanged at any shard count
+// and over any transport.
 type fanInClientFrame struct {
-	host             *lab.Host
-	ci, si           int
+	r                *run
+	ci               int
+	c                conn
 	size, warm, reqs int
 	startAt          sim.Time
-	sink             *latSink
-	last             *sim.Time
-	r                *Result
-	fail             func(error)
 
 	pc       int
-	conn     *tcp.ConnectOp
-	so       *sock.Socket
 	msg, buf []byte
 	i        int
 	start    sim.Time
-	ex       *exchangeFrame
 }
 
 // Step drives the fan-in client.
 func (f *fanInClientFrame) Step(p *sim.Proc) {
+	me := &f.r.clients[f.ci]
 	for {
 		switch f.pc {
 		case 0: // wait for the stagger slot (a no-op at the default 0)
@@ -754,17 +364,14 @@ func (f *fanInClientFrame) Step(p *sim.Proc) {
 			}
 		case 1: // connect to the server
 			f.pc = 2
-			f.conn = f.host.TCP.Connect(p, lab.HostAddr(0), Port)
+			f.c.dial(p)
 			return
-		case 2: // configure and prepare buffers
-			if f.conn.Err != nil {
-				f.fail(f.conn.Err)
+		case 2: // prepare buffers
+			if _, err := f.c.done(); err != nil {
+				me.fail(p.Env(), err)
 				p.Return()
 				return
 			}
-			f.so = f.conn.So
-			f.conn.C.SetNoDelay(true)
-			f.conn = nil
 			f.msg = make([]byte, f.size)
 			p.Env().RNG().Fill(f.msg)
 			f.buf = make([]byte, f.size)
@@ -772,30 +379,24 @@ func (f *fanInClientFrame) Step(p *sim.Proc) {
 		case 3: // request loop head
 			if f.i >= f.warm+f.reqs {
 				f.pc = 5
-				f.so.Close(p)
+				f.c.close(p)
 				return
 			}
 			f.start = p.Env().Now()
-			f.ex = &exchangeFrame{so: f.so, msg: f.msg, buf: f.buf}
 			f.pc = 4
-			p.Call(f.ex)
+			f.c.exchange(p, f.msg, f.buf)
 			return
 		case 4: // fold in one exchange's result
-			if f.ex.Err != nil {
-				f.fail(fmt.Errorf("client %d request %d: %w", f.ci, f.i, f.ex.Err))
+			if _, err := f.c.done(); err != nil {
+				me.fail(p.Env(), fmt.Errorf("client %d request %d: %w", f.ci, f.i, err))
 				p.Return()
 				return
 			}
-			f.ex = nil
 			if f.i >= f.warm {
 				now := p.Env().Now()
-				lat := now - f.start
-				f.sink.record(f.si, lat, now)
-				if now > *f.last {
-					*f.last = now
-				}
-				if !bytesEqual(f.buf, f.msg) {
-					f.r.Errors++
+				f.r.record(f.ci, now-f.start, now)
+				if !bytes.Equal(f.buf, f.msg) {
+					me.bad++
 				}
 			}
 			f.i++
@@ -809,28 +410,22 @@ func (f *fanInClientFrame) Step(p *sim.Proc) {
 
 // churnClientFrame is one churn client: each cycle connects, exchanges
 // once, and closes; the whole cycle is the measured operation. Like the
-// fan-in client it is shard-agnostic: p.Env() and per-client
-// accumulators are all it touches.
+// fan-in client it touches only p.Env() and its own slots.
 type churnClientFrame struct {
-	host        *lab.Host
-	ci, si      int
+	r           *run
+	ci          int
+	c           conn
 	size, conns int
-	sink        *latSink
-	last        *sim.Time
-	r           *Result
-	fail        func(error)
 
 	pc       int
-	conn     *tcp.ConnectOp
-	so       *sock.Socket
 	msg, buf []byte
 	k        int
 	start    sim.Time
-	ex       *exchangeFrame
 }
 
 // Step drives the churn client.
 func (f *churnClientFrame) Step(p *sim.Proc) {
+	me := &f.r.clients[f.ci]
 	for {
 		switch f.pc {
 		case 0: // prepare buffers
@@ -845,42 +440,32 @@ func (f *churnClientFrame) Step(p *sim.Proc) {
 			}
 			f.start = p.Env().Now()
 			f.pc = 2
-			f.conn = f.host.TCP.Connect(p, lab.HostAddr(0), Port)
+			f.c.dial(p)
 			return
 		case 2: // connected; run the exchange
-			if f.conn.Err != nil {
-				f.fail(fmt.Errorf("client %d cycle %d: %w", f.ci, f.k, f.conn.Err))
+			if _, err := f.c.done(); err != nil {
+				me.fail(p.Env(), fmt.Errorf("client %d cycle %d: %w", f.ci, f.k, err))
 				p.Return()
 				return
 			}
-			f.so = f.conn.So
-			f.conn.C.SetNoDelay(true)
-			f.conn = nil
-			f.ex = &exchangeFrame{so: f.so, msg: f.msg, buf: f.buf}
 			f.pc = 3
-			p.Call(f.ex)
+			f.c.exchange(p, f.msg, f.buf)
 			return
 		case 3: // record the cycle and close
-			if f.ex.Err != nil {
-				f.fail(fmt.Errorf("client %d cycle %d: %w", f.ci, f.k, f.ex.Err))
+			if _, err := f.c.done(); err != nil {
+				me.fail(p.Env(), fmt.Errorf("client %d cycle %d: %w", f.ci, f.k, err))
 				p.Return()
 				return
 			}
-			f.ex = nil
 			now := p.Env().Now()
-			lat := now - f.start
-			f.sink.record(f.si, lat, now)
-			if now > *f.last {
-				*f.last = now
-			}
-			if !bytesEqual(f.buf, f.msg) {
-				f.r.Errors++
+			f.r.record(f.ci, now-f.start, now)
+			if !bytes.Equal(f.buf, f.msg) {
+				me.bad++
 			}
 			f.pc = 4
-			f.so.Close(p)
+			f.c.close(p)
 			return
 		case 4: // next cycle
-			f.so = nil
 			f.k++
 			f.pc = 1
 		}
@@ -895,8 +480,7 @@ type bulkConnFrame struct {
 	i        int
 	dones    []sim.Time
 	received []int
-	fail     func(error)
-	wd       *sim.Watchdog
+	r        *run
 
 	pc   int
 	buf  []byte
@@ -920,7 +504,7 @@ func (f *bulkConnFrame) Step(p *sim.Proc) {
 				f.buf = nil
 			}
 			if f.recv.Err != nil {
-				f.fail(f.recv.Err)
+				f.r.server().fail(p.Env(), f.recv.Err)
 				p.Return()
 				return
 			}
@@ -932,9 +516,7 @@ func (f *bulkConnFrame) Step(p *sim.Proc) {
 				return
 			}
 			f.received[f.i] += f.recv.N
-			if f.wd != nil {
-				f.wd.Progress()
-			}
+			f.r.wd.Progress()
 			f.recv = nil
 			f.pc = 0
 		case 2: // closed; done
@@ -951,7 +533,7 @@ type bulkClientFrame struct {
 	ci           int
 	total, chunk int
 	starts       []sim.Time
-	fail         func(error)
+	me           *participant
 
 	pc   int
 	conn *tcp.ConnectOp
@@ -972,7 +554,7 @@ func (f *bulkClientFrame) Step(p *sim.Proc) {
 			return
 		case 1: // prepare the payload and start the clock
 			if f.conn.Err != nil {
-				f.fail(f.conn.Err)
+				f.me.fail(p.Env(), f.conn.Err)
 				p.Return()
 				return
 			}
@@ -998,7 +580,7 @@ func (f *bulkClientFrame) Step(p *sim.Proc) {
 			return
 		case 3: // fold in one write's result
 			if f.send.Err != nil {
-				f.fail(f.send.Err)
+				f.me.fail(p.Env(), f.send.Err)
 				p.Return()
 				return
 			}
@@ -1017,16 +599,4 @@ func defInt(v, d int) int {
 		return d
 	}
 	return v
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

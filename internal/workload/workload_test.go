@@ -6,7 +6,6 @@ import (
 	"repro/internal/lab"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/tcp"
 )
 
 func TestFanInATMSwitch(t *testing.T) {
@@ -202,7 +201,8 @@ func TestFanInHashBeatsListAtHighPopulation(t *testing.T) {
 func TestEchoServerRecyclesReadBuffers(t *testing.T) {
 	const clients = 12
 	l := lab.NewTopology(lab.Config{Link: lab.LinkATM, Seed: 5}, clients+1)
-	ln, err := l.Hosts[0].TCP.Listen(Port)
+	tr := tcpTransport{}
+	ln, err := tr.listen(l.Hosts[0], Port)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,9 +210,8 @@ func TestEchoServerRecyclesReadBuffers(t *testing.T) {
 	peak := 0
 	server := &acceptLoopFrame{
 		ln: ln, n: clients,
-		accepted: func(al *acceptLoopFrame, i int, op *tcp.AcceptOp) bool {
-			op.C.SetNoDelay(true)
-			handlers = append(handlers, l.Env.Spawn("handler", &serveEchoFrame{so: op.So, al: al}))
+		accepted: func(al *acceptLoopFrame, i int, c conn) bool {
+			handlers = append(handlers, l.Env.Spawn("handler", &serveEchoFrame{c: c, al: al}))
 			open := 0
 			for _, h := range handlers {
 				if !h.Done() {
@@ -227,23 +226,19 @@ func TestEchoServerRecyclesReadBuffers(t *testing.T) {
 	}
 	l.Env.Spawn("server", server)
 
-	sink := newLatSink(clients, stats.Config{})
-	r := &Result{}
-	var last sim.Time
-	fail := func(err error) { t.Error(err) }
+	r := newRun(l.Cluster(), 0, 1, stats.Config{})
 	for ci := 0; ci < clients; ci++ {
 		l.Env.Spawn("client", &fanInClientFrame{
-			host: l.Hosts[ci+1], ci: ci, si: ci, size: 200, reqs: 1,
+			r: r, ci: ci, c: tr.client(l.Hosts[ci+1]), size: 200, reqs: 1,
 			startAt: sim.Time(ci) * 5000 * sim.Microsecond,
-			sink:    sink, last: &last, r: r, fail: fail,
 		})
 	}
-	l.Env.Run()
-	if err := sink.finish(r, 1, "requests"); err != nil {
+	res := &Result{}
+	if err := r.finish(res, "requests"); err != nil {
 		t.Fatal(err)
 	}
-	if r.Errors != 0 {
-		t.Fatalf("%d corrupt exchanges", r.Errors)
+	if res.Errors != 0 {
+		t.Fatalf("%d corrupt exchanges", res.Errors)
 	}
 
 	if len(handlers) != clients || peak == 0 || peak >= clients {

@@ -6,7 +6,7 @@ GO ?= go
 # per-package default or hang a -race smoke until the job is killed.
 SMOKE_DEADLINE ?= 600
 
-.PHONY: all fmt fmt-check vet build test race bench bench-smoke bench-check benchdiff baseline bench-wallclock bench-wallclock-scaling baseline-wallclock tables load-smoke load-scale-smoke shard-smoke loaded-smoke docs-check
+.PHONY: all fmt fmt-check vet loc build test race bench bench-smoke bench-check benchdiff baseline bench-wallclock bench-wallclock-scaling baseline-wallclock tables load-smoke load-scale-smoke shard-smoke loaded-smoke docs-check
 
 all: build test
 
@@ -22,6 +22,12 @@ fmt-check:
 ## vet: static analysis
 vet:
 	$(GO) vet ./...
+
+## loc: non-test Go lines per package outside bench/, repo total last —
+## the counts a simplicity PR quotes
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs wc -l | \
+		awk '{ d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1 } END { for (d in n) print n[d], d }' | sort -k2
 
 ## build: compile every package
 build:
@@ -114,7 +120,8 @@ load-scale-smoke:
 ## and the other transport on a small fat tree at 4 shards: every
 ## generator records into one set of slot-indexed arrays that several
 ## shards write at once, and the race detector is what proves each slot
-## has one writer.
+## has one writer. The last run adds RED: fat tree + qdisc + shards is
+## the one regime whose lookahead depends on the trial configuration.
 SHARD_SMOKE_SMALL = $(GO) run -race ./cmd/load -hosts 33 -fabric fattree -leafports 4 -shards 4 -json
 shard-smoke:
 	timeout $(SMOKE_DEADLINE) $(GO) run -race ./cmd/load -workload fanin -hosts 1024 -reqs 1 -hashpcb \
@@ -122,6 +129,7 @@ shard-smoke:
 	timeout $(SMOKE_DEADLINE) $(SHARD_SMOKE_SMALL) -workload churn -conns 3 > /dev/null
 	timeout $(SMOKE_DEADLINE) $(SHARD_SMOKE_SMALL) -workload bulk -bytes 16384 > /dev/null
 	timeout $(SMOKE_DEADLINE) $(SHARD_SMOKE_SMALL) -workload fanin -reqs 4 -transport rudp > /dev/null
+	timeout $(SMOKE_DEADLINE) $(SHARD_SMOKE_SMALL) -workload fanin -reqs 4 -qdisc red > /dev/null
 
 ## loaded-smoke: the congested-regime tier end to end under the race
 ## detector (what CI runs): both transports (TCP and reliable UDP)

@@ -101,241 +101,20 @@ type Fabric struct {
 	leafUp   []int
 	coreDown []int
 
-	// routes remembers every installed flow path. It survives testbed
-	// Reset — routing is topology once installed — which makes setup
-	// idempotent: a driver whose on-demand transmit state was dropped by
-	// Reset re-requests the path and gets the existing one back, with no
-	// switch-table or VCI-allocator churn.
-	routes map[flowKey]*route
+	// plan is the shard wiring the fabric was built across (one env for a
+	// serial fabric). routes remembers every installed flow path,
+	// partitioned by the *source* host's shard so that concurrent shards
+	// never touch one map. It survives testbed Reset — routing is topology
+	// once installed — which makes setup idempotent: a driver whose
+	// on-demand transmit state was dropped by Reset re-requests the path
+	// and gets the existing one back, with no switch-table or VCI-allocator
+	// churn.
+	plan   *ShardPlan
+	routes []map[flowKey]*route
 
-	// plan and shardRoutes are set by NewShardedFabric: the shard wiring,
-	// and the route memory partitioned by the *source* host's shard so
-	// that concurrent shards never touch one map. setUps counts path
-	// installs per shard for the same reason.
-	plan        *ShardPlan
-	shardRoutes []map[flowKey]*route
-	setUps      []int64
-
-	// VCsSetUp and VCsTornDown count path installs and reclaims.
-	// (Serial fabrics only; sharded fabrics count installs in setUps.)
-	VCsSetUp    int64
+	// VCsTornDown counts path reclaims over the route memory's life (which
+	// spans Resets); they only happen on one-env fabrics, see oneEnv.
 	VCsTornDown int64
-}
-
-// NewFabric builds the switches for kind, attaches every driver's
-// adapter, and wires the drivers' on-demand VC hooks. leafPorts only
-// matters for FabricFatTree; zero means DefaultLeafPorts. The model
-// prices the trunk links (host links are priced by each adapter's own
-// cost model, as always).
-func NewFabric(env *sim.Env, kind FabricKind, model *cost.Model, leafPorts int, drvs []*Driver) *Fabric {
-	f := &Fabric{
-		Kind:   kind,
-		hosts:  make([]fabricHost, len(drvs)),
-		byAddr: make(map[uint32]int, len(drvs)),
-		routes: make(map[flowKey]*route),
-	}
-	switch kind {
-	case FabricHub:
-		f.Core = NewSwitch(env)
-		for i, d := range drvs {
-			port := f.Core.AttachPort(d.Adapter)
-			f.hosts[i] = fabricHost{drv: d, sw: f.Core, leaf: -1, port: port}
-		}
-	case FabricFatTree:
-		if leafPorts <= 0 {
-			leafPorts = DefaultLeafPorts
-		}
-		f.Core = NewSwitch(env)
-		nLeaves := (len(drvs) + leafPorts - 1) / leafPorts
-		f.Leaves = make([]*Switch, nLeaves)
-		f.leafUp = make([]int, nLeaves)
-		f.coreDown = make([]int, nLeaves)
-		for li := range f.Leaves {
-			leaf := NewSwitch(env)
-			f.Leaves[li] = leaf
-			for i := li * leafPorts; i < (li+1)*leafPorts && i < len(drvs); i++ {
-				port := leaf.AttachPort(drvs[i].Adapter)
-				f.hosts[i] = fabricHost{drv: drvs[i], sw: leaf, leaf: li, port: port}
-			}
-			f.leafUp[li], f.coreDown[li] = ConnectTrunk(leaf, f.Core, model)
-		}
-	default:
-		panic(fmt.Sprintf("atm: unknown fabric kind %d", int(kind)))
-	}
-	for i, d := range drvs {
-		i := i // pre-1.22 loop-variable capture
-		f.byAddr[d.IP.Addr] = i
-		d.SetupVC = func(dst uint32) (uint16, bool) { return f.setup(i, dst) }
-		d.TeardownVC = func(dst uint32) { f.teardown(i, dst) }
-	}
-	return f
-}
-
-// NumHosts returns how many hosts the fabric serves.
-func (f *Fabric) NumHosts() int { return len(f.hosts) }
-
-// NumRoutes returns how many flow paths are currently installed — the
-// fabric-wide measure of active communication pairs.
-func (f *Fabric) NumRoutes() int {
-	if f.plan != nil {
-		n := 0
-		for _, rm := range f.shardRoutes {
-			n += len(rm)
-		}
-		return n
-	}
-	return len(f.routes)
-}
-
-// TotalVCs sums the VC table entries across every switch in the fabric.
-func (f *Fabric) TotalVCs() int {
-	n := f.Core.NumVCs()
-	for _, leaf := range f.Leaves {
-		n += leaf.NumVCs()
-	}
-	return n
-}
-
-// Reset rewinds every switch for testbed reuse. Installed routes
-// survive (see the routes field).
-func (f *Fabric) Reset() {
-	f.Core.Reset()
-	for _, leaf := range f.Leaves {
-		leaf.Reset()
-	}
-	f.VCsSetUp, f.VCsTornDown = 0, 0
-	for s := range f.setUps {
-		f.setUps[s] = 0
-	}
-}
-
-// setup installs (or finds) the VC path from host src to the host owning
-// dstAddr and returns the VCI src transmits on. Host-facing links keep
-// the legacy source-naming convention — src transmits on DefaultVCI+dst,
-// the destination receives on DefaultVCI+src — so a hub fabric's wire
-// bytes are byte-identical to the old eager mesh. Trunk hops use
-// per-link allocated VCIs, invisible to hosts.
-func (f *Fabric) setup(src int, dstAddr uint32) (uint16, bool) {
-	dst, ok := f.byAddr[dstAddr]
-	if !ok || dst == src {
-		return 0, false
-	}
-	key := flowKey{src, dst}
-	if rt, ok := f.routes[key]; ok {
-		return rt.txVCI, true
-	}
-	hs, hd := &f.hosts[src], &f.hosts[dst]
-	rt := &route{
-		txVCI: DefaultVCI + uint16(dst),
-		rxVCI: DefaultVCI + uint16(src),
-	}
-	if hs.sw == hd.sw {
-		// Same switch (hub, or two hosts on one leaf): a single entry.
-		hs.sw.AddVC(hs.port, rt.txVCI, hd.port, rt.rxVCI)
-		rt.hops = []hop{{sw: hs.sw, port: hs.port, vci: rt.txVCI}}
-	} else {
-		// Cross-leaf: leaf(src) → spine → leaf(dst), one allocated VCI
-		// per trunk hop (the reassembler demultiplexes on VCI alone, so
-		// flows sharing a trunk cannot share one).
-		up, down := f.leafUp[hs.leaf], f.coreDown[hd.leaf]
-		upAlloc := hs.sw.ports[up].vci
-		downAlloc := f.Core.ports[down].vci
-		v1 := upAlloc.get()
-		v2 := downAlloc.get()
-		hs.sw.AddVC(hs.port, rt.txVCI, up, v1)
-		f.Core.AddVC(f.coreDown[hs.leaf], v1, down, v2)
-		hd.sw.AddVC(f.leafUp[hd.leaf], v2, hd.port, rt.rxVCI)
-		rt.hops = []hop{
-			{sw: hs.sw, port: hs.port, vci: rt.txVCI},
-			{sw: f.Core, port: f.coreDown[hs.leaf], vci: v1, alloc: upAlloc},
-			{sw: hd.sw, port: f.leafUp[hd.leaf], vci: v2, alloc: downAlloc},
-		}
-	}
-	f.routes[key] = rt
-	f.VCsSetUp++
-	return rt.txVCI, true
-}
-
-// teardown removes the flow path from host src to the host owning
-// dstAddr: every switch entry goes away, trunk VCIs return to their
-// links' pools, and the destination's reassembly context is reclaimed
-// (unless a datagram is mid-flight on it, in which case the context
-// stays until the channel is next reclaimed). Cells still crossing the
-// fabric on the torn-down path are discarded as unrouted — reclamation
-// under TxVCLimit is deliberately the behaviour of a real switched
-// network reprovisioning a channel, and transports recover by
-// retransmitting (which re-installs the path).
-func (f *Fabric) teardown(src int, dstAddr uint32) {
-	dst, ok := f.byAddr[dstAddr]
-	if !ok {
-		return
-	}
-	key := flowKey{src, dst}
-	rt, ok := f.routes[key]
-	if !ok {
-		return
-	}
-	f.removeRoute(key, rt)
-}
-
-// removeRoute is teardown's working half, shared with port-failure
-// reclamation: remove every switch entry, refund trunk VCIs, reclaim the
-// destination's reassembly context, forget the route.
-func (f *Fabric) removeRoute(key flowKey, rt *route) {
-	for _, h := range rt.hops {
-		h.sw.RemoveVC(h.port, h.vci)
-		if h.alloc != nil {
-			h.alloc.put(h.vci)
-		}
-	}
-	f.hosts[key.dst].drv.DropRx(rt.rxVCI)
-	delete(f.routes, key)
-	f.VCsTornDown++
-}
-
-// HostPort returns host i's access port on its switch (the hub core or
-// its fat-tree leaf).
-func (f *Fabric) HostPort(i int) *Port {
-	h := &f.hosts[i]
-	return h.sw.ports[h.port]
-}
-
-// FailHostPort fails host i's switch access port (fault injection): the
-// port goes down, and every installed VC path with i as source or
-// destination is torn down — switch entries removed, trunk VCIs
-// refunded — exactly as idle-VC reclamation would. Peers recover through
-// the same on-demand machinery: their next retransmission re-requests
-// the path via SetupVC and gets a fresh install once the port is
-// restored. Serial fabrics only; sharded runs reject non-shard-safe
-// fault kinds at scheduling.
-func (f *Fabric) FailHostPort(i int) {
-	if f.plan != nil {
-		panic(fmt.Sprintf("atm: FailHostPort(%d) on a sharded fabric", i))
-	}
-	f.HostPort(i).SetDown(true)
-	keys := make([]flowKey, 0, 8)
-	for k := range f.routes {
-		if k.src == i || k.dst == i {
-			keys = append(keys, k)
-		}
-	}
-	// Map iteration order is random; reclaim in canonical order so VCI
-	// pool refunds (and thus later allocations) stay deterministic.
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].src != keys[b].src {
-			return keys[a].src < keys[b].src
-		}
-		return keys[a].dst < keys[b].dst
-	})
-	for _, k := range keys {
-		f.removeRoute(k, f.routes[k])
-	}
-}
-
-// RestoreHostPort brings a failed access port back; torn-down paths
-// reinstall on demand when traffic next flows.
-func (f *Fabric) RestoreHostPort(i int) {
-	f.HostPort(i).SetDown(false)
 }
 
 // CellDest is a shard-boundary delivery target — the far end of a cut
@@ -343,11 +122,14 @@ func (f *Fabric) RestoreHostPort(i int) {
 // destination shard through it at the staged arrival time.
 type CellDest interface{ InjectCell(c Cell) }
 
-// ShardPlan wires a fabric across shard boundaries for deterministic
-// parallel execution (lab.Cluster). Fibers whose two ends land in
-// different shards are cut: the sending side stages each cell with the
-// coordinator instead of delivering it, and VC-table installs that touch
-// switches outside the calling host's shard are staged as control
+// ShardPlan says which event loop every piece of a fabric runs on. A
+// serial fabric is the plan with one env and an all-zero HostShard:
+// nothing is cut, so the stage hooks are never called and may stay nil.
+// With more envs the plan wires the fabric across shard boundaries for
+// deterministic parallel execution (lab.Cluster). Fibers whose two ends
+// land in different shards are cut: the sending side stages each cell with
+// the coordinator instead of delivering it, and VC-table installs that
+// touch switches outside the calling host's shard are staged as control
 // mutations the coordinator applies at the next round barrier — before
 // any staged cell, and strictly before the first data cell of the flow
 // can cross the cut (the cut itself delays that cell by at least the
@@ -369,24 +151,24 @@ type ShardPlan struct {
 	StageCtl func(srcShard int, apply func())
 }
 
-// NewShardedFabric builds the same switches and routing view as
-// NewFabric, but spread across the plan's per-shard environments: the
-// core (hub or spine) lives in shard 0's environment, each fat-tree leaf
-// in its hosts' shard, and every fiber crossing a shard boundary is cut
-// (see ShardPlan). With one shard it degenerates to NewFabric exactly —
-// same switches, same wiring, no cuts.
-func NewShardedFabric(plan *ShardPlan, kind FabricKind, model *cost.Model, leafPorts int, drvs []*Driver) *Fabric {
+// NewFabric builds the switches for kind across the plan's event loops,
+// attaches every driver's adapter, and wires the drivers' on-demand VC
+// hooks: the core (hub or spine) lives in shard 0's environment, each
+// fat-tree leaf in its hosts' shard, and every fiber crossing a shard
+// boundary is cut (see ShardPlan). leafPorts only matters for
+// FabricFatTree; zero means DefaultLeafPorts. The model prices every
+// link, as Reset does again for the next trial's model.
+func NewFabric(plan *ShardPlan, kind FabricKind, model *cost.Model, leafPorts int, drvs []*Driver) *Fabric {
 	f := &Fabric{
 		Kind:   kind,
 		hosts:  make([]fabricHost, len(drvs)),
 		byAddr: make(map[uint32]int, len(drvs)),
 		plan:   plan,
+		routes: make([]map[flowKey]*route, len(plan.Envs)),
 	}
-	f.shardRoutes = make([]map[flowKey]*route, len(plan.Envs))
-	for s := range f.shardRoutes {
-		f.shardRoutes[s] = make(map[flowKey]*route)
+	for s := range f.routes {
+		f.routes[s] = make(map[flowKey]*route)
 	}
-	f.setUps = make([]int64, len(plan.Envs))
 	switch kind {
 	case FabricHub:
 		f.Core = NewSwitch(plan.Envs[0])
@@ -394,7 +176,7 @@ func NewShardedFabric(plan *ShardPlan, kind FabricKind, model *cost.Model, leafP
 			port := f.Core.AttachPort(d.Adapter)
 			f.hosts[i] = fabricHost{drv: d, sw: f.Core, leaf: -1, port: port}
 			if s := plan.HostShard[i]; s != 0 {
-				cutHostLink(plan, s, d.Adapter, f.Core.ports[port])
+				cutFiber(plan, s, d.Adapter, f.Core.ports[port])
 			}
 		}
 	case FabricFatTree:
@@ -420,7 +202,7 @@ func NewShardedFabric(plan *ShardPlan, kind FabricKind, model *cost.Model, leafP
 			}
 			f.leafUp[li], f.coreDown[li] = ConnectTrunk(leaf, f.Core, model)
 			if ls != 0 {
-				cutTrunk(plan, ls, leaf.ports[f.leafUp[li]], f.Core.ports[f.coreDown[li]])
+				cutFiber(plan, ls, leaf.ports[f.leafUp[li]], f.Core.ports[f.coreDown[li]])
 			}
 		}
 	default:
@@ -429,54 +211,96 @@ func NewShardedFabric(plan *ShardPlan, kind FabricKind, model *cost.Model, leafP
 	for i, d := range drvs {
 		i := i // pre-1.22 loop-variable capture
 		f.byAddr[d.IP.Addr] = i
-		d.SetupVC = func(dst uint32) (uint16, bool) { return f.setupSharded(i, dst) }
-		d.TeardownVC = func(dst uint32) { f.teardownSharded(i, dst) }
+		d.SetupVC = func(dst uint32) (uint16, bool) { return f.setup(i, dst) }
+		d.TeardownVC = func(dst uint32) { f.teardown(i, dst) }
 	}
 	return f
 }
 
-// cutHostLink cuts the fiber between a host adapter (in shard s) and its
-// switch port (in shard 0) in both directions.
-func cutHostLink(plan *ShardPlan, s int, a *Adapter, p *Port) {
-	a.SetCut(func(scheduleAt, at sim.Time, c Cell) {
-		plan.StageCell(s, 0, scheduleAt, at, p, c)
+// cutEnd is one end of a fiber that can cross a shard boundary — a host
+// adapter or a switch port: it stages its egress and takes injected
+// arrivals.
+type cutEnd interface {
+	CellDest
+	SetCut(stage func(scheduleAt, at sim.Time, c Cell))
+}
+
+// cutFiber cuts the fiber between near (in shard s) and far (in shard 0,
+// with the core) in both directions.
+func cutFiber(plan *ShardPlan, s int, near, far cutEnd) {
+	near.SetCut(func(scheduleAt, at sim.Time, c Cell) {
+		plan.StageCell(s, 0, scheduleAt, at, far, c)
 	})
-	p.SetCut(func(scheduleAt, at sim.Time, c Cell) {
-		plan.StageCell(0, s, scheduleAt, at, a, c)
+	far.SetCut(func(scheduleAt, at sim.Time, c Cell) {
+		plan.StageCell(0, s, scheduleAt, at, near, c)
 	})
 }
 
-// cutTrunk cuts the inter-switch fiber between a leaf's up port (in
-// shard s) and the spine's down port (in shard 0) in both directions.
-func cutTrunk(plan *ShardPlan, s int, up, down *Port) {
-	up.SetCut(func(scheduleAt, at sim.Time, c Cell) {
-		plan.StageCell(s, 0, scheduleAt, at, down, c)
-	})
-	down.SetCut(func(scheduleAt, at sim.Time, c Cell) {
-		plan.StageCell(0, s, scheduleAt, at, up, c)
-	})
+// NumHosts returns how many hosts the fabric serves.
+func (f *Fabric) NumHosts() int { return len(f.hosts) }
+
+// NumRoutes returns how many flow paths are currently installed — the
+// fabric-wide measure of active communication pairs.
+func (f *Fabric) NumRoutes() int {
+	n := 0
+	for _, rm := range f.routes {
+		n += len(rm)
+	}
+	return n
 }
 
-// setupSharded is setup for a sharded fabric: the route memory is
-// partitioned by source shard, hops on switches inside the caller's
-// shard install immediately (exactly as serial setup would), and the
+// VCsSetUp returns how many flow paths have ever been installed: those
+// standing plus those torn down.
+func (f *Fabric) VCsSetUp() int64 { return int64(f.NumRoutes()) + f.VCsTornDown }
+
+// TotalVCs sums the VC table entries across every switch in the fabric.
+func (f *Fabric) TotalVCs() int {
+	n := f.Core.NumVCs()
+	for _, leaf := range f.Leaves {
+		n += leaf.NumVCs()
+	}
+	return n
+}
+
+// Reset rewinds every switch for testbed reuse and prices every link —
+// host ports and trunks alike — from the next trial's model, as NewFabric
+// priced them from the first. Installed routes survive (see the routes
+// field).
+func (f *Fabric) Reset(model *cost.Model) {
+	f.Core.Reset()
+	f.Core.price(model)
+	for _, leaf := range f.Leaves {
+		leaf.Reset()
+		leaf.price(model)
+	}
+}
+
+// setup installs (or finds) the VC path from host src to the host owning
+// dstAddr and returns the VCI src transmits on. Host-facing links keep
+// the legacy source-naming convention — src transmits on DefaultVCI+dst,
+// the destination receives on DefaultVCI+src — so a hub fabric's wire
+// bytes are byte-identical to the old eager mesh. Trunk hops use
+// per-link allocated VCIs, invisible to hosts.
+//
+// Hops on switches inside the caller's shard install immediately; the
 // remainder of the path is staged for the coordinator to install at the
 // next round barrier. The staged install always lands before the flow's
 // first data cell can reach those switches: that cell must itself cross
-// a cut, which delays it past the barrier.
+// a cut, which delays it past the barrier. On a one-env plan every
+// switch is in the caller's shard, so nothing is ever staged.
 //
 // Trunk VCIs allocated by the coordinator are deterministic — barrier
 // apply order is (shard, staging order), a pure function of the
 // simulation — but not necessarily the numbers a serial run would pick.
 // That is invisible: VCI values appear in no result, trace, or counter;
 // only the path shape and timing do, and those are identical.
-func (f *Fabric) setupSharded(src int, dstAddr uint32) (uint16, bool) {
+func (f *Fabric) setup(src int, dstAddr uint32) (uint16, bool) {
 	dst, ok := f.byAddr[dstAddr]
 	if !ok || dst == src {
 		return 0, false
 	}
 	s := f.plan.HostShard[src]
-	rm := f.shardRoutes[s]
+	rm := f.routes[s]
 	key := flowKey{src, dst}
 	if rt, ok := rm[key]; ok {
 		return rt.txVCI, true
@@ -498,22 +322,25 @@ func (f *Fabric) setupSharded(src int, dstAddr uint32) (uint16, bool) {
 		}
 		rt.hops = []hop{{sw: hs.sw, port: hs.port, vci: rt.txVCI}}
 	} else {
-		// Cross-leaf. The source leaf always lives in the caller's shard
-		// (leaf-aligned partition), so the first hop — and the up-trunk
-		// VCI the first data cell must carry — installs immediately.
+		// Cross-leaf: leaf(src) → spine → leaf(dst), one allocated VCI
+		// per trunk hop (the reassembler demultiplexes on VCI alone, so
+		// flows sharing a trunk cannot share one). The source leaf always
+		// lives in the caller's shard (leaf-aligned partition), so the
+		// first hop — and the up-trunk VCI the first data cell must carry
+		// — installs immediately. hops is allocated once at its final
+		// length: the staged installs below append without growing it.
 		up, down := f.leafUp[hs.leaf], f.coreDown[hd.leaf]
 		upAlloc := hs.sw.ports[up].vci
 		downAlloc := f.Core.ports[down].vci
 		v1 := upAlloc.get()
 		hs.sw.AddVC(hs.port, rt.txVCI, up, v1)
-		rt.hops = []hop{{sw: hs.sw, port: hs.port, vci: rt.txVCI}}
+		rt.hops = append(make([]hop, 0, 3), hop{sw: hs.sw, port: hs.port, vci: rt.txVCI})
 		coreIn, leafIn := f.coreDown[hs.leaf], f.leafUp[hd.leaf]
 		// A hop may wait for the barrier only when its switch sits behind
 		// a cut from the caller — then the flow's first data cell, which
 		// must cross that same cut, cannot beat the install. A hop inside
 		// the caller's shard is reachable within the current window, so it
-		// must install now, exactly as serial setup would; deferring it
-		// drops the first cells as unrouted and diverges from serial.
+		// must install now; deferring it drops the first cells as unrouted.
 		if f.Core.env == env {
 			// Shard-0 source: the spine is in this shard, install it now.
 			v2 := downAlloc.get()
@@ -546,14 +373,95 @@ func (f *Fabric) setupSharded(src int, dstAddr uint32) (uint16, bool) {
 		}
 	}
 	rm[key] = rt
-	f.setUps[s]++
 	return rt.txVCI, true
 }
 
-// teardownSharded rejects VC reclamation in sharded runs. Teardown only
-// fires under Driver.TxVCLimit, which no sharded workload sets: tearing
-// a path down at a barrier boundary would unroute cells the serial run
-// delivered, breaking bit-identity, so it fails loudly instead.
-func (f *Fabric) teardownSharded(src int, dstAddr uint32) {
-	panic(fmt.Sprintf("atm: host %d tore down its VC to %08x in a sharded run; TxVCLimit must stay 0 under sharding", src, dstAddr))
+// oneEnv guards the operations that remove routes: tearing a path down
+// at a barrier boundary would unroute cells the serial run delivered,
+// breaking bit-identity, so above one env they fail loudly instead.
+// (Teardown only fires under Driver.TxVCLimit, which no sharded workload
+// sets, and sharded runs reject port-failure faults at scheduling.)
+func (f *Fabric) oneEnv(op string, host int) map[flowKey]*route {
+	if n := len(f.plan.Envs); n > 1 {
+		panic(fmt.Sprintf("atm: %s for host %d on a fabric sharded %d ways; routes are only removed on one event loop (TxVCLimit must stay 0 and port failures are refused under sharding)", op, host, n))
+	}
+	return f.routes[0]
+}
+
+// teardown removes the flow path from host src to the host owning
+// dstAddr: every switch entry goes away, trunk VCIs return to their
+// links' pools, and the destination's reassembly context is reclaimed
+// (unless a datagram is mid-flight on it, in which case the context
+// stays until the channel is next reclaimed). Cells still crossing the
+// fabric on the torn-down path are discarded as unrouted — reclamation
+// under TxVCLimit is deliberately the behaviour of a real switched
+// network reprovisioning a channel, and transports recover by
+// retransmitting (which re-installs the path).
+func (f *Fabric) teardown(src int, dstAddr uint32) {
+	rm := f.oneEnv("VC teardown", src)
+	dst, ok := f.byAddr[dstAddr]
+	if !ok {
+		return
+	}
+	key := flowKey{src, dst}
+	if rt, ok := rm[key]; ok {
+		f.removeRoute(rm, key, rt)
+	}
+}
+
+// removeRoute is teardown's working half, shared with port-failure
+// reclamation: remove every switch entry, refund trunk VCIs, reclaim the
+// destination's reassembly context, forget the route.
+func (f *Fabric) removeRoute(rm map[flowKey]*route, key flowKey, rt *route) {
+	for _, h := range rt.hops {
+		h.sw.RemoveVC(h.port, h.vci)
+		if h.alloc != nil {
+			h.alloc.put(h.vci)
+		}
+	}
+	f.hosts[key.dst].drv.DropRx(rt.rxVCI)
+	delete(rm, key)
+	f.VCsTornDown++
+}
+
+// HostPort returns host i's access port on its switch (the hub core or
+// its fat-tree leaf).
+func (f *Fabric) HostPort(i int) *Port {
+	h := &f.hosts[i]
+	return h.sw.ports[h.port]
+}
+
+// FailHostPort fails host i's switch access port (fault injection): the
+// port goes down, and every installed VC path with i as source or
+// destination is torn down — switch entries removed, trunk VCIs
+// refunded — exactly as idle-VC reclamation would. Peers recover through
+// the same on-demand machinery: their next retransmission re-requests
+// the path via SetupVC and gets a fresh install once the port is
+// restored.
+func (f *Fabric) FailHostPort(i int) {
+	rm := f.oneEnv("FailHostPort", i)
+	f.HostPort(i).SetDown(true)
+	keys := make([]flowKey, 0, 8)
+	for k := range rm {
+		if k.src == i || k.dst == i {
+			keys = append(keys, k)
+		}
+	}
+	// Map iteration order is random; reclaim in canonical order so VCI
+	// pool refunds (and thus later allocations) stay deterministic.
+	sort.Slice(keys, func(a, b int) bool {
+		if keys[a].src != keys[b].src {
+			return keys[a].src < keys[b].src
+		}
+		return keys[a].dst < keys[b].dst
+	})
+	for _, k := range keys {
+		f.removeRoute(rm, k, rm[k])
+	}
+}
+
+// RestoreHostPort brings a failed access port back; torn-down paths
+// reinstall on demand when traffic next flows.
+func (f *Fabric) RestoreHostPort(i int) {
+	f.HostPort(i).SetDown(false)
 }

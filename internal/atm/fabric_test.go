@@ -12,15 +12,25 @@ import (
 )
 
 // buildFabric assembles n hosts on a routed fabric with on-demand VC
-// setup — the sparse counterpart of buildStar's eager mesh.
+// setup — the sparse counterpart of buildStar's eager mesh — through the
+// one constructor on a one-env plan, the code sharded runs use.
 func buildFabric(t *testing.T, env *sim.Env, kind FabricKind, leafPorts, n int) (*Fabric, []*kern.Kernel, []*ip.Stack, []*Driver, []*swSink) {
 	t.Helper()
+	return buildFabricOn(t, &ShardPlan{Envs: []*sim.Env{env}, HostShard: make([]int, n)}, kind, leafPorts)
+}
+
+// buildFabricOn is buildFabric across a plan's event loops: host i lives
+// on the loop of plan.HostShard[i].
+func buildFabricOn(t *testing.T, plan *ShardPlan, kind FabricKind, leafPorts int) (*Fabric, []*kern.Kernel, []*ip.Stack, []*Driver, []*swSink) {
+	t.Helper()
+	n := len(plan.HostShard)
 	model := cost.DECstation5000()
 	kerns := make([]*kern.Kernel, n)
 	ips := make([]*ip.Stack, n)
 	drvs := make([]*Driver, n)
 	sinks := make([]*swSink, n)
 	for i := 0; i < n; i++ {
+		env := plan.Envs[plan.HostShard[i]]
 		kerns[i] = kern.New(env, model, fmt.Sprintf("h%d", i))
 		ips[i] = ip.NewStack(kerns[i], uint32(i+1))
 		a := NewAdapter(kerns[i])
@@ -28,7 +38,7 @@ func buildFabric(t *testing.T, env *sim.Env, kind FabricKind, leafPorts, n int) 
 		sinks[i] = &swSink{env: env}
 		ips[i].Register(99, sinks[i])
 	}
-	f := NewFabric(env, kind, model, leafPorts, drvs)
+	f := NewFabric(plan, kind, model, leafPorts, drvs)
 	return f, kerns, ips, drvs, sinks
 }
 
@@ -183,7 +193,7 @@ func TestFabricTeardownRecyclesTrunkVCIs(t *testing.T) {
 	if vci != DefaultVCI+3 {
 		t.Fatalf("host-link tx VCI = %d, want %d", vci, DefaultVCI+3)
 	}
-	first := f.routes[flowKey{0, 3}]
+	first := f.routes[0][flowKey{0, 3}]
 	if len(first.hops) != 3 {
 		t.Fatalf("cross-leaf route has %d hops, want 3", len(first.hops))
 	}
@@ -203,10 +213,42 @@ func TestFabricTeardownRecyclesTrunkVCIs(t *testing.T) {
 	if _, ok := f.setup(0, 4); !ok {
 		t.Fatal("re-setup failed")
 	}
-	second := f.routes[flowKey{0, 3}]
+	second := f.routes[0][flowKey{0, 3}]
 	if second.hops[1].vci != trunk1 || second.hops[2].vci != trunk2 {
 		t.Fatalf("trunk VCIs not recycled: first (%d,%d), second (%d,%d)",
 			trunk1, trunk2, second.hops[1].vci, second.hops[2].vci)
+	}
+}
+
+// TestFabricRouteRemovalNeedsOneEnv pins the guard on the two operations
+// that remove routes: on a plan with more than one event loop, VC
+// teardown and FailHostPort must panic rather than unroute cells the
+// serial run would have delivered.
+func TestFabricRouteRemovalNeedsOneEnv(t *testing.T) {
+	plan := &ShardPlan{
+		Envs:      []*sim.Env{sim.NewEnv(), sim.NewEnv()},
+		HostShard: []int{0, 1, 1},
+		StageCtl:  func(int, func()) {},
+	}
+	f, _, _, _, _ := buildFabricOn(t, plan, FabricHub, 0)
+	if _, ok := f.setup(1, 3); !ok { // host 1 -> host 2, staged to the hub in shard 0
+		t.Fatal("setup failed on a two-env plan")
+	}
+	for name, op := range map[string]func(){
+		"teardown":     func() { f.teardown(1, 3) },
+		"FailHostPort": func() { f.FailHostPort(1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic on a two-env plan", name)
+				}
+			}()
+			op()
+		}()
+	}
+	if f.NumRoutes() != 1 || f.HostPort(1).Down() {
+		t.Errorf("a refused removal still changed the fabric: %d routes, port down %v", f.NumRoutes(), f.HostPort(1).Down())
 	}
 }
 

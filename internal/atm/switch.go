@@ -95,6 +95,15 @@ func (sw *Switch) Reset() {
 	sw.CellsSwitched, sw.CellsUnrouted, sw.CellsDropped, sw.HECErrors = 0, 0, 0, 0
 }
 
+// price sets every port's link rate and propagation delay from model —
+// the rewind-time counterpart of AttachPort and ConnectTrunk, for a
+// testbed whose next trial runs under a different cost model.
+func (sw *Switch) price(model *cost.Model) {
+	for _, p := range sw.ports {
+		p.bits, p.prop = model.ATMLinkBitsPS, model.ATMPropagation
+	}
+}
+
 // Port is one switch port: the fiber to a single far end — an attached
 // host adapter or a peer switch's trunk port — plus the egress queue
 // pacing state and, for trunk ports, the egress link's VCI allocator.

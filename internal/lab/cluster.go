@@ -39,6 +39,7 @@ import (
 
 	"repro/internal/atm"
 	"repro/internal/cost"
+	"repro/internal/ether"
 	"repro/internal/sim"
 )
 
@@ -130,8 +131,7 @@ type RoundStats struct {
 // on, Run drains every loop, ScheduleFaults and ArmWatchdog reach every
 // loop. Build a sharded one with NewCluster, drive it with Run (or
 // RunEcho for the paper's benchmark), and rewind it between trials with
-// Cluster.Reset — a lab owned by several shards rejects a direct
-// Lab.Reset, which would rewind only shard 0.
+// Reset (Lab.Reset is the same call).
 type Cluster struct {
 	Lab    *Lab
 	Shards []*Shard
@@ -139,7 +139,9 @@ type Cluster struct {
 	// lookahead is the conservative safe-time window: the minimum time a
 	// cell needs to cross any cut fiber. boomerang is the minimum time a
 	// causal consequence of a staged cell needs to cross back INTO the
-	// emitting shard (see stageCell).
+	// emitting shard (see stageCell). Both derive from the trial
+	// configuration (configure sets them); zero on one shard, which has no
+	// cut to cross.
 	lookahead sim.Time
 	boomerang sim.Time
 	hostShard []int
@@ -177,7 +179,7 @@ type Cluster struct {
 // shard 0 alone with the core switch, so the fan-in hot spot gets a
 // dedicated event loop. The shard count is clamped to the unit count,
 // and a clamp to one shard (including the two-host switchless fiber,
-// which has no cuttable boundary) degenerates to a plain serial lab.
+// which has no cuttable boundary) is a plain serial lab.
 //
 // Asking for more than one shard refuses configurations whose behaviour
 // depends on a globally ordered RNG stream or on one host mutating
@@ -208,69 +210,142 @@ func NewCluster(cfg Config, nHosts, shards int) (*Cluster, error) {
 	if nHosts == 2 {
 		units = 1 // switchless fiber: no switch, nothing to cut
 	}
-	eff := shards
-	if eff > units {
-		eff = units
+	if shards > units {
+		shards = units
 	}
-	if eff == 1 {
+	if shards == 1 {
 		return NewTopology(cfg, nHosts).Cluster(), nil
 	}
+	return build(cfg, partitionHosts(cfg.Fabric, nHosts, leafPorts, units, shards), shards), nil
+}
 
-	model := cfg.Cost
-	if model == nil {
-		model = cost.DECstation5000()
+// build is the one builder: every testbed — New, NewTopology, NewCluster
+// — is wired here once and afterwards only re-configured (Reset). Host i
+// is allocated on shard hostShard[i]'s event loop; the link wiring is the
+// two-host fiber, a routed fabric laid across the shards' loops (cutting
+// whatever fiber crosses between two), or one Ethernet segment. It ends
+// with the same configure step Reset ends with, so nothing derived from
+// the configuration is computed here.
+func build(cfg Config, hostShard []int, shards int) *Cluster {
+	nHosts := len(hostShard)
+	if nHosts < 2 {
+		panic(fmt.Sprintf("lab: topology needs at least 2 hosts, got %d", nHosts))
 	}
-	envs := make([]*sim.Env, eff)
+	l := &Lab{Hosts: make([]*Host, nHosts)}
+	c := &Cluster{
+		Lab:       l,
+		Shards:    make([]*Shard, shards),
+		hostShard: hostShard,
+		outbox:    make([][]stagedCell, shards),
+		ctl:       make([][]func(), shards),
+		pending:   make([][]stagedCell, shards),
+		pendStart: make([]int, shards),
+		inbox:     make([]inbox, shards),
+		next:      make([]sim.Time, shards),
+	}
+	l.cluster = c
+	envs := make([]*sim.Env, shards)
 	for s := range envs {
 		envs[s] = sim.NewEnv()
-		if cfg.Seed != 0 {
-			envs[s].Seed(cfg.Seed)
-		}
+		c.Shards[s] = &Shard{Env: envs[s]}
+		c.inbox[s].fire = c.inbox[s].deliver
 	}
-	hostShard := partitionHosts(cfg.Fabric, nHosts, leafPorts, units, eff)
-
-	l := &Lab{Env: envs[0], Config: cfg}
-	for i := 0; i < nHosts; i++ {
-		l.Hosts = append(l.Hosts, buildHost(envs[hostShard[i]], model, cfg, hostName(i), HostAddr(i)))
+	l.Env = envs[0]
+	model := cfg.model()
+	for i, s := range hostShard {
+		l.Hosts[i] = buildHost(envs[s], model, cfg.Link, i)
+		c.Shards[s].Hosts = append(c.Shards[s].Hosts, i)
 	}
 	l.Client, l.Server = l.Hosts[0], l.Hosts[1]
 
-	c := &Cluster{
-		Lab:       l,
-		hostShard: hostShard,
-		outbox:    make([][]stagedCell, eff),
-		ctl:       make([][]func(), eff),
-		pending:   make([][]stagedCell, eff),
-		pendStart: make([]int, eff),
-		inbox:     make([]inbox, eff),
-		next:      make([]sim.Time, eff),
+	switch cfg.Link {
+	case LinkATM:
+		if nHosts == 2 {
+			atm.Connect(l.Client.ATMAdapter, l.Server.ATMAdapter)
+			break
+		}
+		drvs := make([]*atm.Driver, nHosts)
+		for i, h := range l.Hosts {
+			drvs[i] = h.ATMDriver
+		}
+		l.Fabric = atm.NewFabric(&atm.ShardPlan{
+			Envs:      envs,
+			HostShard: hostShard,
+			StageCell: c.stageCell,
+			StageCtl:  c.stageCtl,
+		}, cfg.Fabric, model, cfg.LeafPorts, drvs)
+		l.Switch = l.Fabric.Core
+	case LinkEther:
+		l.Segment = ether.NewSegment()
+		for i, h := range l.Hosts {
+			l.Segment.Attach(h.EthAdapter)
+			l.Segment.BindIP(HostAddr(i), h.EthAdapter)
+		}
 	}
-	l.cluster = c
-	for s := range c.inbox {
-		c.inbox[s].fire = c.inbox[s].deliver
-	}
-	drvs := make([]*atm.Driver, nHosts)
-	for i, h := range l.Hosts {
-		drvs[i] = h.ATMDriver
-	}
-	plan := &atm.ShardPlan{
-		Envs:      envs,
-		HostShard: hostShard,
-		StageCell: c.stageCell,
-		StageCtl:  c.stageCtl,
-	}
-	l.Fabric = atm.NewShardedFabric(plan, cfg.Fabric, model, cfg.LeafPorts, drvs)
-	l.Switch = l.Fabric.Core
-	// Same per-port seed derivation as the serial build, so a sharded
-	// run's RED lotteries replay the serial run's draw for draw.
-	applyQdisc(l.Fabric, cfg)
+	c.configure(cfg)
+	return c
+}
 
-	c.Shards = make([]*Shard, eff)
-	for s := range c.Shards {
-		c.Shards[s] = &Shard{Env: envs[s]}
+// model returns the cost model the configuration runs under (nil
+// Config.Cost means DECstation 5000/200).
+func (cfg Config) model() *cost.Model {
+	if cfg.Cost != nil {
+		return cfg.Cost
 	}
-	for i, s := range hostShard {
-		c.Shards[s].Hosts = append(c.Shards[s].Hosts, i)
+	return cost.DECstation5000()
+}
+
+// configure applies a trial configuration to a wired testbed: the last
+// step of build and of Reset, and the only place anything is derived
+// from a Config — RNG seeds, every per-host knob, the adapters' fault
+// rates and impairment chains, the switch ports' queue disciplines, and
+// (above one shard) the cluster's lookahead and boomerang bounds. A
+// quantity computed here cannot go stale across a Reset.
+func (c *Cluster) configure(cfg Config) {
+	l := c.Lab
+	l.Config = cfg
+	mtu := cfg.MTU
+	if mtu < MinMTU {
+		mtu = 0
+	}
+	if cfg.Seed != 0 {
+		for _, sh := range c.Shards {
+			sh.Env.Seed(cfg.Seed)
+		}
+	}
+	for i, h := range l.Hosts {
+		if cfg.PacketTrace {
+			h.Kern.Trace.EnablePackets()
+		} else {
+			h.Kern.Trace.DisablePackets()
+		}
+		// Each host's impairment layer — the Gilbert–Elliott burst-loss
+		// chain and (ATM only) bounded cell reordering — draws a private
+		// stream derived from Config.Seed. Adapters clear impairment state
+		// on Reset; a zero BurstLoss and zero ReorderRate leave the receive
+		// path byte-identical to an unimpaired adapter.
+		seed := deriveSeed(cfg.Seed, 0x1000_0000+uint64(i))
+		if h.ATMAdapter != nil {
+			h.ATMDriver.Mode = cfg.Mode
+			h.ATMDriver.MTUOverride = mtu
+			h.ATMDriver.HostCorruptRate = cfg.HostCorruptRate
+			h.ATMAdapter.LossRate = cfg.CellLossRate
+			h.ATMAdapter.CorruptRate = cfg.CellCorruptRate
+			h.ATMAdapter.SetImpairments(cfg.BurstLoss, cfg.ReorderRate, cfg.ReorderDepth, seed)
+		}
+		if h.EthAdapter != nil {
+			h.EthDriver.MTUOverride = mtu
+			h.EthAdapter.SetImpairments(cfg.BurstLoss, seed)
+		}
+		h.TCP.SockBuf = cfg.SockBuf
+		h.TCP.Mode = cfg.Mode
+		h.TCP.PredictionEnabled = !cfg.DisablePrediction
+		h.TCP.Table.UseHash = cfg.HashPCBs
+		h.UDP.ChecksumOff = cfg.Mode == cost.ChecksumNone
+	}
+	applyQdisc(l.Fabric, cfg)
+	if len(c.Shards) == 1 {
+		return
 	}
 
 	// Lookahead: the latency floor of a cut fiber. On a hub the cuts are
@@ -278,6 +353,7 @@ func NewCluster(cfg Config, nHosts, shards int) (*Cluster, error) {
 	// time of serialization plus propagation. On a fat tree only trunk
 	// fibers are cut, and every trunk crossing first pays the switch's
 	// forwarding latency.
+	model := cfg.model()
 	cell := cost.WireTime(atm.CellSize, model.ATMLinkBitsPS)
 	c.lookahead = cell + model.ATMPropagation
 	if cfg.Fabric == FabricFatTree && !cfg.Qdisc.Enabled() {
@@ -298,7 +374,6 @@ func NewCluster(cfg Config, nHosts, shards int) (*Cluster, error) {
 	// earlier than the arrival itself, so this floor holds for perturbed
 	// traffic as well as direct responses.
 	c.boomerang = 2*model.ATMPropagation + l.Switch.Latency + cell
-	return c, nil
 }
 
 // shardable reports why the configuration cannot run on more than one
@@ -322,27 +397,9 @@ func (cfg Config) shardable() error {
 	return nil
 }
 
-// Cluster returns the executor this lab runs under: the cluster that
-// built it, or — for a lab from NewTopology — its one-shard view, built
-// on first use and kept for the lab's life.
-func (l *Lab) Cluster() *Cluster {
-	if l.cluster == nil {
-		sh := &Shard{Env: l.Env, Hosts: make([]int, len(l.Hosts))}
-		for i := range sh.Hosts {
-			sh.Hosts[i] = i
-		}
-		l.cluster = &Cluster{Lab: l, Shards: []*Shard{sh}, hostShard: make([]int, len(l.Hosts))}
-	}
-	return l.cluster
-}
-
-// shards is the number of event loops the lab's hosts live on.
-func (l *Lab) shards() int {
-	if l.cluster == nil {
-		return 1
-	}
-	return len(l.cluster.Shards)
-}
+// Cluster returns the executor this lab runs under — the cluster that
+// built it, with one shard for a lab from New or NewTopology.
+func (l *Lab) Cluster() *Cluster { return l.cluster }
 
 // partitionHosts assigns each host a shard: unit 0 is shard 0 alone,
 // and the remaining units split contiguously and near-evenly across
@@ -753,17 +810,33 @@ func (c *Cluster) RunEcho(size, iterations, warmup int) (*EchoResult, error) {
 	return res, nil
 }
 
-// Reset rewinds the sharded testbed for its next trial, mirroring
-// Lab.Reset shard by shard: every shard's event loop, every host, and
-// the fabric rewind to just-built state under the new configuration.
-// The shard count is part of the topology shape — like the link kind
-// and host count, it was fixed at construction — so a caller wanting a
-// different shard count builds a new cluster; Testbeds keys its cache
-// accordingly.
+// Reset rebinds the assembled testbed to a new trial configuration
+// instead of reallocating it: the event heaps' backing stores, the mbuf
+// pools' free-lists, every wait queue with its parked service process,
+// the adapters, the switch VC tables, and the Ethernet segment bindings
+// all survive; every piece of per-trial state — clocks, RNGs, PCB tables,
+// listeners, port/ISS counters, trace records, FIFO contents, statistics,
+// staged cells — rewinds to what a freshly built testbed would hold, on
+// every shard. A nonzero seed overrides cfg.Seed (the runner.ApplySeed
+// convention).
+//
+// The contract is bit-identity: a reset testbed must produce
+// byte-identical results to a fresh build of the same shape at every
+// seed, which the reuse-determinism tests assert against the golden
+// outputs. Reset only rebinds within a shape — the link kind, host count,
+// switch arrangement, and shard count are the machines and wiring on the
+// bench, not knobs — so asking for a different link or fabric is an error
+// and the caller builds a new testbed instead (Testbeds keys its cache
+// accordingly). Every quantity lab derives from the configuration lives
+// in configure, which build and Reset both end with; the layers below
+// re-derive theirs from the model their own Reset takes. Nothing is
+// computed from cfg at construction only, so nothing can go stale here.
+//
+// When the finished trial ran with Config.CheckLeaks, Reset first
+// verifies every host's mbuf pool has zero live headers and cluster
+// pages, failing loudly rather than letting a leaked chain ride into
+// later trials.
 func (c *Cluster) Reset(cfg Config, seed uint64) error {
-	if len(c.Shards) == 1 {
-		return c.Lab.Reset(cfg, seed)
-	}
 	if seed != 0 {
 		cfg.Seed = seed
 	}
@@ -771,15 +844,19 @@ func (c *Cluster) Reset(cfg Config, seed uint64) error {
 	if cfg.Link != l.Config.Link {
 		return fmt.Errorf("lab: cannot reset %v topology to %v", l.Config.Link, cfg.Link)
 	}
-	if cfg.Fabric != l.Config.Fabric || cfg.LeafPorts != l.Config.LeafPorts {
+	if l.Fabric != nil && (cfg.Fabric != l.Config.Fabric || cfg.LeafPorts != l.Config.LeafPorts) {
 		return fmt.Errorf("lab: cannot reset %v fabric (leaf ports %d) to %v (leaf ports %d)",
 			l.Config.Fabric, l.Config.LeafPorts, cfg.Fabric, cfg.LeafPorts)
 	}
-	if err := cfg.shardable(); err != nil {
-		return err
+	if len(c.Shards) > 1 {
+		if err := cfg.shardable(); err != nil {
+			return err
+		}
 	}
 	for s, sh := range c.Shards {
 		if n := sh.Env.Pending(); n != 0 {
+			// The previous trial never drained its event loop (it errored or
+			// was abandoned mid-run); resetting would strand scheduled work.
 			return fmt.Errorf("lab: cannot reset with %d events pending in shard %d", n, s)
 		}
 	}
@@ -789,29 +866,27 @@ func (c *Cluster) Reset(cfg Config, seed uint64) error {
 				hdrs, pages, ErrPoolLeak)
 		}
 	}
+	model := cfg.model()
 	for _, sh := range c.Shards {
 		sh.Env.Reset()
-		if cfg.Seed != 0 {
-			sh.Env.Seed(cfg.Seed)
-		}
-	}
-	model := cfg.Cost
-	if model == nil {
-		model = cost.DECstation5000()
 	}
 	for _, h := range l.Hosts {
-		resetHost(h, model, cfg)
+		rewindHost(h, model)
 	}
-	l.Fabric.Reset()
-	applyQdisc(l.Fabric, cfg)
+	if l.Fabric != nil {
+		l.Fabric.Reset(model)
+	}
+	if l.Segment != nil {
+		l.Segment.Reset()
+	}
 	for s := range c.ctl {
 		c.ctl[s] = c.ctl[s][:0]
 		c.outbox[s] = c.outbox[s][:0]
 		c.pending[s] = c.pending[s][:0]
 	}
 	l.eventsSince = 0
-	l.faultState = nil
+	l.faultState = nil // outage refcounts and hooks are per-trial
 	l.wd = nil
-	l.Config = cfg
+	c.configure(cfg)
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/atm"
+	"repro/internal/cost"
 	"repro/internal/sim"
 )
 
@@ -104,43 +105,94 @@ func TestClusterEchoBitIdentity(t *testing.T) {
 
 // TestClusterResetBitIdentity is the sharded testbed-reuse contract: a
 // cluster warmed on a different trial and Reset to a new configuration
-// must reproduce a freshly built cluster byte-for-byte — same RTTs, same
-// trace — just like lab.Lab.Reset pins for serial labs.
+// must reproduce a freshly built cluster AND the serial lab byte for byte
+// — same RTTs, same trace — just like TestResetBitIdentical pins for
+// serial labs. The fat-tree cells are the regime whose lookahead depends
+// on the configuration (a qdisc moves the switch latency ahead of the
+// stage point; the cost model sets the cell time and propagation): a
+// Reset that kept the warm trial's lookahead runs a shard past a cell
+// still in flight toward it.
 func TestClusterResetBitIdentity(t *testing.T) {
-	warmCfg := Config{Link: LinkATM, PacketTrace: true, SockBuf: 4096, Seed: 3}
-	cfg := Config{Link: LinkATM, PacketTrace: true, Seed: 7}
-
-	fresh := clusterEcho(t, mustCluster(t, cfg, 4, 3), 1400)
-
-	c := mustCluster(t, warmCfg, 4, 3)
-	clusterEcho(t, c, 200)
-	if err := c.Reset(cfg, 0); err != nil {
-		t.Fatalf("Cluster.Reset: %v", err)
+	slowFiber := *cost.DECstation5000()
+	slowFiber.ATMPropagation *= 3
+	slowFiber.ATMLinkBitsPS /= 2
+	fatTree := func(q QdiscKind, m *cost.Model, seed uint64) Config {
+		// Echo uses hosts 0 and 1 only; one port per leaf puts them on
+		// different leaves, so every round trip crosses a cut trunk.
+		return Config{Link: LinkATM, PacketTrace: true, Fabric: FabricFatTree, LeafPorts: 1,
+			Qdisc: QdiscConfig{Kind: q}, Cost: m, Seed: seed}
 	}
-	reused := clusterEcho(t, c, 1400)
-	if !reflect.DeepEqual(reused, fresh) {
-		t.Error("reused cluster diverged from fresh cluster")
+	cases := []struct {
+		name          string
+		warmCfg, cfg  Config
+		hosts, shards int
+	}{
+		{"hub", Config{Link: LinkATM, PacketTrace: true, SockBuf: 4096, Seed: 3},
+			Config{Link: LinkATM, PacketTrace: true, Seed: 7}, 4, 3},
+		{"fattree-to-droptail", fatTree(QdiscNone, nil, 3), fatTree(QdiscDropTail, nil, 7), 9, 4},
+		{"fattree-to-red", fatTree(QdiscNone, nil, 3), fatTree(QdiscRED, nil, 7), 9, 4},
+		{"fattree-to-drr", fatTree(QdiscNone, nil, 3), fatTree(QdiscDRR, nil, 7), 9, 4},
+		{"fattree-from-droptail", fatTree(QdiscDropTail, nil, 3), fatTree(QdiscNone, nil, 7), 9, 4},
+		{"fattree-to-slow-fiber", fatTree(QdiscNone, nil, 3), fatTree(QdiscNone, &slowFiber, 7), 9, 4},
+		{"fattree-from-slow-fiber", fatTree(QdiscNone, &slowFiber, 3), fatTree(QdiscNone, nil, 7), 9, 4},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			serialLab := NewTopology(tc.cfg, tc.hosts)
+			serial := runEchoOn(t, serialLab, 1400)
+			serialEvents := serialLab.PacketEvents()
+
+			freshC := mustCluster(t, tc.cfg, tc.hosts, tc.shards)
+			if freshC.NumShards() != tc.shards {
+				t.Fatalf("fresh cluster has %d shards, want %d", freshC.NumShards(), tc.shards)
+			}
+			if fresh := clusterEcho(t, freshC, 1400); !reflect.DeepEqual(fresh, serial) {
+				t.Error("fresh cluster diverged from the serial lab")
+			}
+
+			c := mustCluster(t, tc.warmCfg, tc.hosts, tc.shards)
+			clusterEcho(t, c, 200)
+			if err := c.Reset(tc.cfg, 0); err != nil {
+				t.Fatalf("Cluster.Reset: %v", err)
+			}
+			if got, want := c.Lookahead(), freshC.Lookahead(); got != want {
+				t.Errorf("reset cluster's lookahead is %v, a fresh build's %v", got, want)
+			}
+			if reused := clusterEcho(t, c, 1400); !reflect.DeepEqual(reused, serial) {
+				t.Error("reused cluster diverged from the fresh cluster and the serial lab")
+			}
+			if ev := c.Lab.PacketEvents(); !reflect.DeepEqual(ev, serialEvents) {
+				t.Errorf("reused cluster's packet events diverged from serial (%d vs %d events)",
+					len(ev), len(serialEvents))
+			}
+		})
 	}
 }
 
-// TestLabResetRejectsShardedOwner pins the guard against resetting one
-// shard of a sharded testbed as if it were a whole serial lab: shard 0's
-// Lab must refuse, directing callers through Cluster.Reset.
-func TestLabResetRejectsShardedOwner(t *testing.T) {
-	c := mustCluster(t, Config{Link: LinkATM, Seed: 5}, 4, 2)
+// TestLabResetRewindsEveryShard pins Lab.Reset as the cluster's Reset: a
+// 2-shard testbed reset through its Lab rewinds both event loops, not
+// only shard 0's, and so reproduces a freshly built cluster — same RTTs,
+// same trace. (It used to refuse, pointing callers at Cluster.Reset.)
+func TestLabResetRewindsEveryShard(t *testing.T) {
+	cfg := Config{Link: LinkATM, PacketTrace: true, Seed: 9}
+	freshC := mustCluster(t, cfg, 4, 2)
+	fresh := clusterEcho(t, freshC, 1400)
+
+	c := mustCluster(t, Config{Link: LinkATM, SockBuf: 4096, Seed: 5}, 4, 2)
 	clusterEcho(t, c, 200)
-	if err := c.Lab.Reset(Config{Link: LinkATM, Seed: 9}, 0); err == nil {
-		t.Fatal("Lab.Reset accepted a lab owned by a 2-shard cluster")
+	if err := c.Lab.Reset(cfg, 0); err != nil {
+		t.Fatalf("Lab.Reset on a 2-shard cluster's lab: %v", err)
 	}
-	if err := c.Reset(Config{Link: LinkATM, Seed: 9}, 0); err != nil {
-		t.Fatalf("Cluster.Reset rejected a matching shape: %v", err)
+	for s, sh := range c.Shards {
+		if now := sh.Env.Now(); now != 0 {
+			t.Errorf("shard %d's clock reads %v after Lab.Reset, want 0", s, now)
+		}
 	}
-	// A single-shard cluster's lab is an ordinary serial lab; the guard
-	// must not apply.
-	c1 := mustCluster(t, Config{Link: LinkATM, Seed: 5}, 2, 1)
-	clusterEcho(t, c1, 200)
-	if err := c1.Lab.Reset(Config{Link: LinkATM, Seed: 9}, 0); err != nil {
-		t.Fatalf("Lab.Reset rejected a single-shard cluster's lab: %v", err)
+	if reused := clusterEcho(t, c, 1400); !reflect.DeepEqual(reused, fresh) {
+		t.Error("cluster reset through Lab.Reset diverged from a fresh cluster")
+	}
+	if !reflect.DeepEqual(c.Lab.PacketEvents(), freshC.Lab.PacketEvents()) {
+		t.Error("packet events diverged from a fresh cluster after Lab.Reset")
 	}
 }
 

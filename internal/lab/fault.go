@@ -58,24 +58,9 @@ func (l *Lab) OnHostRestart(i int, fn func()) {
 	fs.restart[i] = append(fs.restart[i], fn)
 }
 
-// ScheduleFaults validates the schedule against the topology and
-// schedules every event on the lab's event loop. Serial labs accept
-// every fault kind; a sharded cluster's hosts live on other event
-// loops, so a cluster schedules through Cluster.ScheduleFaults instead.
-func (l *Lab) ScheduleFaults(s sim.FaultSchedule) error {
-	if n := l.shards(); n > 1 {
-		return fmt.Errorf("lab: testbed is sharded %d ways; schedule faults through Cluster.ScheduleFaults", n)
-	}
-	if err := s.Validate(len(l.Hosts)); err != nil {
-		return err
-	}
-	l.faults() // allocate the refcounts before the run
-	for _, ev := range s {
-		ev := ev
-		l.Env.At(ev.At, "fault."+ev.Kind.String(), func() { l.applyFault(ev) })
-	}
-	return nil
-}
+// ScheduleFaults installs a fault schedule on the testbed
+// (Cluster.ScheduleFaults on the cluster the lab runs under).
+func (l *Lab) ScheduleFaults(s sim.FaultSchedule) error { return l.cluster.ScheduleFaults(s) }
 
 // applyFault executes one fault event against the live topology.
 func (l *Lab) applyFault(ev sim.FaultEvent) {
@@ -205,7 +190,7 @@ func (l *Lab) watchdogDiag(e *sim.Env) string {
 			listed++
 			k := ent.Key
 			fmt.Fprintf(&b, "\n  %s %d:%d->%d.%d.%d.%d:%d %v rexmt-shift %d",
-				hostName(i), k.LocalAddr&0xff, k.LocalPort,
+				HostName(i), k.LocalAddr&0xff, k.LocalPort,
 				k.RemoteAddr>>24, (k.RemoteAddr>>16)&0xff, (k.RemoteAddr>>8)&0xff, k.RemoteAddr&0xff,
 				k.RemotePort, c.State(), c.RexmtShift())
 		}
@@ -222,31 +207,35 @@ func (l *Lab) watchdogDiag(e *sim.Env) string {
 // Watchdog returns the armed watchdog, or nil.
 func (l *Lab) Watchdog() *sim.Watchdog { return l.wd }
 
-// ScheduleFaults installs a fault schedule on a sharded cluster. Only
-// the shard-safe kinds (link flips) are accepted: port failures and
-// host crashes mutate routed-fabric and stack state across shard
-// boundaries. Each host's adapter flip is scheduled on the loop that
-// owns the host; the matching switch-port flip on the loop that owns
-// the port (the core's shard for a hub, the host's own shard for a
-// fat-tree leaf), so every mutation happens on the goroutine that
-// already owns the entity.
+// ScheduleFaults validates the schedule against the topology and
+// schedules every event. One shard accepts every fault kind, each event
+// applied whole on the one loop. Above one shard only the shard-safe
+// kinds (link flips) are accepted — port failures and host crashes
+// mutate routed-fabric and stack state across shard boundaries — and
+// each flip is split between the loops that own its two ends: the host's
+// adapter on the host's loop, the matching switch port on the port's
+// (the core's shard for a hub, the host's own shard for a fat-tree
+// leaf), so every mutation happens on the goroutine that already owns
+// the entity.
 func (c *Cluster) ScheduleFaults(s sim.FaultSchedule) error {
-	if len(c.Shards) == 1 {
-		return c.Lab.ScheduleFaults(s)
-	}
-	if !s.ShardSafe() {
+	l := c.Lab
+	sharded := len(c.Shards) > 1
+	if sharded && !s.ShardSafe() {
 		return fmt.Errorf("lab: sharded execution accepts only link-flip faults; port failures and host crashes mutate cross-shard state")
 	}
-	l := c.Lab
 	if err := s.Validate(len(l.Hosts)); err != nil {
 		return err
 	}
-	l.faults()
+	l.faults() // allocate the refcounts before the run
 	for _, ev := range s {
 		ev := ev
+		name := "fault." + ev.Kind.String()
+		if !sharded {
+			l.Env.At(ev.At, name, func() { l.applyFault(ev) })
+			continue
+		}
 		down := ev.Kind == sim.FaultLinkDown
-		c.EnvOf(ev.Host).At(ev.At, "fault."+ev.Kind.String(),
-			func() { l.flipAdapter(ev.Host, down) })
+		c.EnvOf(ev.Host).At(ev.At, name, func() { l.flipAdapter(ev.Host, down) })
 		c.portEnv(ev.Host).At(ev.At, "fault.port."+ev.Kind.String(),
 			func() { l.flipPort(ev.Host, down) })
 	}

@@ -4,9 +4,12 @@
 // reproduces the configuration of §1.1 exactly — a private switchless
 // ATM fiber or a private Ethernet segment — plus the round-trip echo
 // benchmark of §1.2. NewTopology generalizes it: any number of hosts on
-// a shared Ethernet Segment or attached to an output-queued ATM Switch
-// with a full mesh of virtual channels, the substrate for fan-in and
-// connection-churn workloads (internal/workload).
+// a shared Ethernet Segment or attached to a routed fabric of
+// output-queued ATM switches whose virtual channels are installed on
+// demand, the substrate for fan-in and connection-churn workloads
+// (internal/workload). Every testbed is wired once by one builder and
+// re-configured between trials by one Reset (see Cluster): a serial lab
+// is the cluster with one shard.
 package lab
 
 import (
@@ -179,9 +182,8 @@ type Lab struct {
 	// Ethernet and the two-host fiber.
 	Fabric *atm.Fabric
 
-	// cluster is the executor this lab runs under (see Cluster): the
-	// multi-shard cluster that built it, which then owns resetting it, or
-	// the one-shard view built on first use.
+	// cluster is the executor that built this lab and that it runs under
+	// (see Cluster); a serial lab's has one shard.
 	cluster *Cluster
 	// flipLocal, when set (by Cluster.RunEcho), replaces setTracing's
 	// all-host sweep: a sharded echo client may only flip recorders in
@@ -238,143 +240,22 @@ func MaxMTU(l LinkKind) int {
 func New(cfg Config) *Lab { return NewTopology(cfg, 2) }
 
 // NewTopology builds a testbed of nHosts workstations on one link
-// substrate. Two ATM hosts share the paper's switchless fiber; more
-// attach to a routed fabric of output-queued switches (Config.Fabric:
-// one hub by default, or a two-level fat tree), with each flow's virtual
-// channels installed on demand by the first datagram — the VC from host
-// i to host j is rewritten at the last switch so that the VCI arriving
-// at j identifies the source, giving each flow its own reassembly
-// context. Ethernet hosts of any number share a Segment with static IP
-// bindings. Host i answers at HostAddr(i).
+// substrate and one event loop (see build, the one builder). Two ATM
+// hosts share the paper's switchless fiber; more attach to a routed
+// fabric of output-queued switches (Config.Fabric: one hub by default, or
+// a two-level fat tree), with each flow's virtual channels installed on
+// demand by the first datagram — the VC from host i to host j is
+// rewritten at the last switch so that the VCI arriving at j identifies
+// the source, giving each flow its own reassembly context. Ethernet hosts
+// of any number share a Segment with static IP bindings. Host i answers
+// at HostAddr(i).
 func NewTopology(cfg Config, nHosts int) *Lab {
-	if nHosts < 2 {
-		panic(fmt.Sprintf("lab: topology needs at least 2 hosts, got %d", nHosts))
-	}
-	env := sim.NewEnv()
-	if cfg.Seed != 0 {
-		env.Seed(cfg.Seed)
-	}
-	model := cfg.Cost
-	if model == nil {
-		model = cost.DECstation5000()
-	}
-	l := &Lab{Env: env, Config: cfg}
-	for i := 0; i < nHosts; i++ {
-		l.Hosts = append(l.Hosts, buildHost(env, model, cfg, hostName(i), HostAddr(i)))
-	}
-	l.Client, l.Server = l.Hosts[0], l.Hosts[1]
-
-	switch cfg.Link {
-	case LinkATM:
-		if nHosts == 2 {
-			atm.Connect(l.Client.ATMAdapter, l.Server.ATMAdapter)
-		} else {
-			drvs := make([]*atm.Driver, nHosts)
-			for i, h := range l.Hosts {
-				drvs[i] = h.ATMDriver
-			}
-			l.Fabric = atm.NewFabric(env, cfg.Fabric, model, cfg.LeafPorts, drvs)
-			l.Switch = l.Fabric.Core
-		}
-		for _, h := range l.Hosts {
-			h.ATMAdapter.LossRate = cfg.CellLossRate
-			h.ATMAdapter.CorruptRate = cfg.CellCorruptRate
-			h.ATMDriver.HostCorruptRate = cfg.HostCorruptRate
-		}
-		applyQdisc(l.Fabric, cfg)
-	case LinkEther:
-		l.Segment = ether.NewSegment()
-		for i, h := range l.Hosts {
-			l.Segment.Attach(h.EthAdapter)
-			l.Segment.BindIP(HostAddr(i), h.EthAdapter)
-		}
-	}
-	applyImpairments(l, cfg)
-	return l
+	return build(cfg, make([]int, nHosts), 1).Lab
 }
 
-// Reset rebinds the assembled topology to a new trial configuration
-// instead of reallocating it: the event heap's backing store, the mbuf
-// pools' free-lists, every wait queue with its parked service process,
-// the adapters, the switch VC tables, and the Ethernet segment bindings
-// all survive; every piece of per-trial state — clock, RNG, PCB tables,
-// listeners, port/ISS counters, trace records, FIFO contents, statistics
-// — rewinds to what a freshly constructed lab would hold. A nonzero seed
-// overrides cfg.Seed (the runner.ApplySeed convention).
-//
-// The contract is bit-identity: a reset lab must produce byte-identical
-// results to lab.NewTopology(cfg, len(l.Hosts)) at every seed, which the
-// reuse-determinism tests assert against the golden outputs. Reset only
-// rebinds within a topology shape — the link kind and host count are the
-// machines on the bench, not knobs — so asking for a different link is
-// an error and the caller builds a new lab instead.
-//
-// When the finished trial ran with Config.CheckLeaks, Reset first
-// verifies every host's mbuf pool has zero live headers and cluster
-// pages, failing loudly rather than letting a leaked chain ride into
-// later trials.
-func (l *Lab) Reset(cfg Config, seed uint64) error {
-	if n := l.shards(); n > 1 {
-		// Resetting only shard 0's event loop would leave the other
-		// shards' clocks and RNGs mid-trial — silently divergent state.
-		return fmt.Errorf("lab: testbed is sharded %d ways; reset it through Cluster.Reset", n)
-	}
-	if seed != 0 {
-		cfg.Seed = seed
-	}
-	if cfg.Link != l.Config.Link {
-		return fmt.Errorf("lab: cannot reset %v topology to %v", l.Config.Link, cfg.Link)
-	}
-	if cfg.Link == LinkATM && l.Fabric != nil &&
-		(cfg.Fabric != l.Config.Fabric || cfg.LeafPorts != l.Config.LeafPorts) {
-		// The switch arrangement is wiring on the bench, like the link
-		// kind and host count — a different fabric shape is a new lab.
-		return fmt.Errorf("lab: cannot reset %v fabric (leaf ports %d) to %v (leaf ports %d)",
-			l.Config.Fabric, l.Config.LeafPorts, cfg.Fabric, cfg.LeafPorts)
-	}
-	if n := l.Env.Pending(); n != 0 {
-		// The previous trial never drained its event loop (it errored or
-		// was abandoned mid-run); resetting would strand scheduled work.
-		return fmt.Errorf("lab: cannot reset with %d events pending", n)
-	}
-	if l.Config.CheckLeaks {
-		if hdrs, pages := l.PoolLive(); hdrs != 0 || pages != 0 {
-			return fmt.Errorf("lab: trial leaked %d mbuf headers and %d cluster pages: %w",
-				hdrs, pages, ErrPoolLeak)
-		}
-	}
-	l.Env.Reset()
-	if cfg.Seed != 0 {
-		l.Env.Seed(cfg.Seed)
-	}
-	model := cfg.Cost
-	if model == nil {
-		model = cost.DECstation5000()
-	}
-	for _, h := range l.Hosts {
-		resetHost(h, model, cfg)
-	}
-	switch cfg.Link {
-	case LinkATM:
-		if l.Fabric != nil {
-			l.Fabric.Reset()
-		}
-		for _, h := range l.Hosts {
-			h.ATMAdapter.LossRate = cfg.CellLossRate
-			h.ATMAdapter.CorruptRate = cfg.CellCorruptRate
-			h.ATMDriver.HostCorruptRate = cfg.HostCorruptRate
-		}
-		applyQdisc(l.Fabric, cfg)
-	case LinkEther:
-		l.Segment.Reset()
-	}
-	applyImpairments(l, cfg)
-	l.eventsSince = 0
-	l.faultState = nil // outage refcounts and hooks are per-trial
-	l.wd = nil
-	l.Config = cfg
-	return nil
-}
+// Reset rewinds the testbed for its next trial: Cluster.Reset on the
+// cluster the lab runs under, which rewinds every shard.
+func (l *Lab) Reset(cfg Config, seed uint64) error { return l.cluster.Reset(cfg, seed) }
 
 // ErrPoolLeak marks a Reset refused by the Config.CheckLeaks gate: the
 // finished trial left live mbuf chains behind. Callers that fall back
@@ -393,38 +274,22 @@ func (l *Lab) PoolLive() (hdrs, pages int64) {
 	return hdrs, pages
 }
 
-// resetHost rewinds one workstation to its just-built state, applying
-// the new trial's configuration exactly as buildHost applies it to a
-// fresh host (same knobs, same order).
-func resetHost(h *Host, model *cost.Model, cfg Config) {
-	if cfg.MTU != 0 && cfg.MTU < MinMTU {
-		cfg.MTU = 0
-	}
+// rewindHost returns one workstation's per-trial state — CPU, pools,
+// trace records, PCB tables, FIFO contents — to what buildHost left, under
+// the next trial's cost model. The trial's knobs are configure's to set.
+func rewindHost(h *Host, model *cost.Model) {
 	h.Kern.Reset(model)
-	if cfg.PacketTrace {
-		h.Kern.Trace.EnablePackets()
-	} else {
-		h.Kern.Trace.DisablePackets()
-	}
 	h.IP.Reset()
 	if h.ATMAdapter != nil {
 		h.ATMAdapter.Reset()
 		h.ATMDriver.Reset()
-		h.ATMDriver.Mode = cfg.Mode
-		h.ATMDriver.MTUOverride = cfg.MTU
 	}
 	if h.EthAdapter != nil {
 		h.EthAdapter.Reset()
 		h.EthDriver.Reset()
-		h.EthDriver.MTUOverride = cfg.MTU
 	}
 	h.TCP.Reset()
-	h.TCP.SockBuf = cfg.SockBuf
-	h.TCP.Mode = cfg.Mode
-	h.TCP.PredictionEnabled = !cfg.DisablePrediction
-	h.TCP.Table.UseHash = cfg.HashPCBs
 	h.UDP.Reset()
-	h.UDP.ChecksumOff = cfg.Mode == cost.ChecksumNone
 }
 
 // HostName returns the trace host name of host i — the key
@@ -432,11 +297,7 @@ func resetHost(h *Host, model *cost.Model, cfg Config) {
 // names: host 0 is "client", host 1 is "server", the rest are numbered.
 // Note the workload engine puts its SERVER on host 0, so a fan-in
 // server's trace events carry the name "client".
-func HostName(i int) string { return hostName(i) }
-
-// hostName keeps the paper's names for the measurement pair and numbers
-// the rest.
-func hostName(i int) string {
+func HostName(i int) string {
 	switch i {
 	case 0:
 		return "client"
@@ -446,41 +307,27 @@ func hostName(i int) string {
 	return fmt.Sprintf("host%d", i)
 }
 
-// vciFor is the mesh VCI identifying host i on any fiber it shares.
-func vciFor(i int) uint16 { return atm.DefaultVCI + uint16(i) }
-
-// buildHost assembles one workstation.
-func buildHost(env *sim.Env, model *cost.Model, cfg Config, name string, addr uint32) *Host {
-	if cfg.MTU != 0 && cfg.MTU < MinMTU {
-		cfg.MTU = 0
-	}
-	k := kern.New(env, model, name)
-	if cfg.PacketTrace {
-		k.Trace.EnablePackets()
-	}
+// buildHost allocates host i on env: the kernel, the stacks, and the
+// link's adapter and driver. It applies no trial knob — configure does,
+// for a fresh host and a rewound one alike.
+func buildHost(env *sim.Env, model *cost.Model, link LinkKind, i int) *Host {
+	k := kern.New(env, model, HostName(i))
+	addr := HostAddr(i)
 	h := &Host{Kern: k}
 	h.IP = ip.NewStack(k, addr)
-	switch cfg.Link {
+	switch link {
 	case LinkATM:
 		h.ATMAdapter = atm.NewAdapter(k)
 		h.ATMDriver = atm.NewDriver(k, h.ATMAdapter, h.IP)
-		h.ATMDriver.Mode = cfg.Mode
-		h.ATMDriver.MTUOverride = cfg.MTU
 	case LinkEther:
 		// Locally administered MAC carrying the host's IP address, so
 		// every station on a shared segment is unique.
 		station := [6]byte{2, 0, byte(addr >> 24), byte(addr >> 16), byte(addr >> 8), byte(addr)}
 		h.EthAdapter = ether.NewAdapter(k, station)
 		h.EthDriver = ether.NewDriver(k, h.EthAdapter, h.IP)
-		h.EthDriver.MTUOverride = cfg.MTU
 	}
 	h.TCP = tcp.NewStack(k, h.IP)
-	h.TCP.SockBuf = cfg.SockBuf
-	h.TCP.Mode = cfg.Mode
-	h.TCP.PredictionEnabled = !cfg.DisablePrediction
-	h.TCP.Table.UseHash = cfg.HashPCBs
 	h.UDP = udp.NewStack(k, h.IP)
-	h.UDP.ChecksumOff = cfg.Mode == cost.ChecksumNone
 	return h
 }
 

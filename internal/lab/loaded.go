@@ -127,25 +127,6 @@ func applyQdisc(f *atm.Fabric, cfg Config) {
 	}
 }
 
-// applyImpairments configures each host's link-level impairment layer —
-// the Gilbert–Elliott burst-loss chain and (ATM only) bounded cell
-// reordering — with per-host seeds derived from Config.Seed. Adapters
-// clear impairment state on Reset, so the lab re-applies on every build
-// and reset; a zero BurstLoss and zero ReorderRate leave the receive
-// path byte-identical to an unimpaired adapter.
-func applyImpairments(l *Lab, cfg Config) {
-	for i, h := range l.Hosts {
-		seed := deriveSeed(cfg.Seed, 0x1000_0000+uint64(i))
-		if h.ATMAdapter != nil {
-			h.ATMAdapter.SetImpairments(cfg.BurstLoss, cfg.ReorderRate,
-				cfg.ReorderDepth, seed)
-		}
-		if h.EthAdapter != nil {
-			h.EthAdapter.SetImpairments(cfg.BurstLoss, seed)
-		}
-	}
-}
-
 // impaired reports whether the configuration enables any stochastic
 // link impairment beyond the legacy fault knobs — the gate sharded
 // execution checks (burst loss and reordering draw per-host streams,

@@ -161,6 +161,31 @@ func TestShardedTestbedReuse(t *testing.T) {
 	if tb.Built != 3 {
 		t.Fatalf("serial trial reused a sharded cluster (built=%d)", tb.Built)
 	}
+
+	// A qdisc is a trial knob, not shape — the key rightly ignores it —
+	// yet a fat-tree cluster's lookahead depends on it: a cluster warmed
+	// without one and reused under RED must run on the RED lookahead, or
+	// a shard overruns a cell still in flight toward it.
+	red := WorkloadTrial{Hosts: 33, Gen: workload.FanIn{Requests: 4}, Shards: 4,
+		Cfg: lab.Config{Link: lab.LinkATM, PacketTrace: true, Seed: 21, Fabric: lab.FabricFatTree,
+			LeafPorts: 4, Qdisc: lab.QdiscConfig{Kind: lab.QdiscRED}}}
+	plain := red
+	plain.Cfg.Qdisc = lab.QdiscConfig{}
+	plain.Cfg.Seed = 99
+	if _, err := runWorkloadTrial(tb, plain, 0); err != nil {
+		t.Fatal(err)
+	}
+	reused := tb.Reused
+	out, err = runWorkloadTrial(tb, red, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tb.Reused != reused+1 {
+		t.Fatalf("RED trial did not reuse the warm fat-tree cluster (reused=%d)", tb.Reused)
+	}
+	if b, _ := json.Marshal(out); string(b) != string(trialJSON(t, red)) {
+		t.Error("fat-tree cluster reused under a new qdisc diverged from fresh build")
+	}
 }
 
 // TestShardedSweepDeterminism runs a small sharded sweep through the

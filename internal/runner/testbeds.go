@@ -88,18 +88,19 @@ func (tb *Testbeds) Cluster(cfg lab.Config, nHosts, shards int) (*lab.Cluster, e
 			tb.Reused++
 			return c, nil
 		}
+		// A failed reset makes the warm testbed unusable whatever the
+		// cause — an undrained event loop from an errored trial, or a
+		// leak that every later reset of it would trip over again — so
+		// drop it; the next acquisition of this shape builds fresh.
+		delete(tb.warm, key)
 		if errors.Is(err, lab.ErrPoolLeak) {
 			// The CheckLeaks gate tripped: the previous trial on this
 			// worker leaked mbuf chains. That is a stack bug the gate
-			// exists to surface — fail the trial loudly (runOne converts
+			// exists to surface — fail this trial loudly (runOne converts
 			// the panic into a labeled job error) instead of quietly
 			// building a fresh testbed over it.
 			panic(err)
 		}
-		// Any other failed reset (an undrained event loop from an
-		// errored trial) just makes the warm testbed unusable; drop it
-		// and fall through to a fresh build.
-		delete(tb.warm, key)
 	}
 	c, err := lab.NewCluster(cfg, nHosts, shards)
 	if err != nil {

@@ -60,7 +60,10 @@ func TestTestbedsReuse(t *testing.T) {
 // TestTestbedsLeakGateFailsLoudly pins the CheckLeaks contract on the
 // reuse path: a leaked mbuf chain must fail the next same-shape
 // acquisition (a panic runOne converts into a labeled job error), not
-// silently degrade into a cache miss.
+// silently degrade into a cache miss — and must fail only that one: the
+// leaked testbed is evicted, so the acquisition after it builds fresh
+// instead of tripping over the same leak for the rest of the worker's
+// life.
 func TestTestbedsLeakGateFailsLoudly(t *testing.T) {
 	tb := &Testbeds{}
 	cfg := lab.Config{Link: lab.LinkATM, CheckLeaks: true, Seed: 1}
@@ -70,12 +73,20 @@ func TestTestbedsLeakGateFailsLoudly(t *testing.T) {
 	}
 	// Manufacture the leak the gate exists to catch.
 	l.Hosts[0].Kern.Pool.Alloc()
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("leaked chain did not fail the next acquisition")
-		}
+	func() {
+		defer func() {
+			if r := recover(); r == nil {
+				t.Fatal("leaked chain did not fail the next acquisition")
+			}
+		}()
+		tb.Lab(cfg, 2)
 	}()
-	tb.Lab(cfg, 2)
+	if next := tb.Lab(cfg, 2); next == l {
+		t.Error("the acquisition after the leak got the leaked testbed back")
+	}
+	if tb.Built != 2 {
+		t.Errorf("built=%d after the leak was evicted, want 2 (the original and its replacement)", tb.Built)
+	}
 }
 
 // TestEchoTrialReuseByteIdentical is the sweep-level reuse-determinism

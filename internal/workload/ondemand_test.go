@@ -43,10 +43,10 @@ func TestOnDemandVCsEventIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if onDemand.Fabric.VCsSetUp == 0 {
+	if onDemand.Fabric.VCsSetUp() == 0 {
 		t.Fatal("on-demand lab installed no VCs — the test compared two pre-meshed runs")
 	}
-	if preMeshed.Fabric.VCsSetUp != 0 {
+	if preMeshed.Fabric.VCsSetUp() != 0 {
 		t.Fatal("pre-meshed lab still set up VCs on demand")
 	}
 	if !reflect.DeepEqual(got.Latencies, want.Latencies) {

@@ -16,6 +16,7 @@ package repro_test
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/lab"
@@ -156,7 +157,6 @@ func benchFanIn10k(b *testing.B, shards int) {
 // echoMallocs runs one 1400-byte echo lab to completion and returns the
 // number of heap allocations it performed.
 func echoMallocs(b *testing.B, iters int) uint64 {
-	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	l := lab.New(lab.Config{Link: lab.LinkATM, Seed: 1994})
@@ -172,11 +172,20 @@ func echoMallocs(b *testing.B, iters int) uint64 {
 // 8-iteration run, divided by the 100 extra round trips, so topology
 // setup and warmup cancel out exactly. The "allocs/rtt" metric is the
 // one the mbuf pool and event-loop overhaul drive toward zero; ns/op
-// times the 108-iteration run.
+// times the 108-iteration run. The collector is held off across the two
+// counted runs, after one uncounted run: every GC cycle empties the
+// sync.Pools (fmt's printers among them), refilling one is three
+// allocations, and at ~11 allocations per 100 round trips a cycle landing
+// before or inside either run would swing the gated number by a third.
+// With the pools warm and no cycle the count repeats exactly.
 func BenchmarkWallclockEchoSteady(b *testing.B) {
 	b.ReportAllocs()
+	runtime.GC()
+	gcPercent := debug.SetGCPercent(-1)
+	echoMallocs(b, 8)
 	short := echoMallocs(b, 8)
 	long := echoMallocs(b, 108)
+	debug.SetGCPercent(gcPercent)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l := lab.New(lab.Config{Link: lab.LinkATM, Seed: 1994})

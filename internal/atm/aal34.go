@@ -1,6 +1,10 @@
 package atm
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"slices"
+)
 
 // AAL3/4 segmentation and reassembly, the adaptation layer the paper's
 // driver and adapter implement ("the ATM driver and adapter implement the
@@ -32,16 +36,23 @@ const cpcsOverhead = 8
 // TCA-100's MTU is just over 9 KB ("also close to our ATM MTU of 9K").
 const MaxDatagram = 9188
 
-// crc10Table drives the byte-at-a-time CRC-10: entry v is the bitwise
-// CRC of the single byte v. It is filled once at init from the bitwise
+// crc10Tables drives the slicing-by-8 CRC-10: entry [k][v] is the bitwise
+// CRC of the byte v followed by k zero bytes, so the CRC of an 8-byte
+// block is eight independent lookups XORed together instead of eight
+// dependent ones. [0] alone is the classic byte-at-a-time table, which
+// the tail uses. All eight are filled once at init from the bitwise
 // reference (crc10Bitwise), which the tests also compare against — the
-// table form computes identical values, it only removes the 8-iteration
-// inner loop from the twice-per-cell hot path.
-var crc10Table [256]uint16
+// sliced form computes identical values, it only takes the per-bit and
+// per-byte dependency chains out of the twice-per-cell hot path.
+var crc10Tables [8][256]uint16
 
 func init() {
-	for v := 0; v < 256; v++ {
-		crc10Table[v] = crc10Bitwise(0, []byte{byte(v)})
+	var msg [8]byte
+	for k := range crc10Tables {
+		for v := 0; v < 256; v++ {
+			msg[0] = byte(v)
+			crc10Tables[k][v] = crc10Bitwise(0, msg[:k+1])
+		}
 	}
 }
 
@@ -62,11 +73,27 @@ func crc10Bitwise(crc uint16, b []byte) uint16 {
 	return crc
 }
 
-// crc10 computes the AAL3/4 CRC-10 over b, table-driven.
+// crc10Word advances crc over the eight bytes of the big-endian word w.
+// The CRC is linear, so continuing from a state is the same as starting
+// from zero with the state XORed into the message's first ten bits — the
+// first byte and the top two bits of the second.
+func crc10Word(crc uint16, w uint64) uint16 {
+	w ^= uint64(crc) << 54
+	return crc10Tables[7][w>>56] ^ crc10Tables[6][w>>48&0xff] ^
+		crc10Tables[5][w>>40&0xff] ^ crc10Tables[4][w>>32&0xff] ^
+		crc10Tables[3][w>>24&0xff] ^ crc10Tables[2][w>>16&0xff] ^
+		crc10Tables[1][w>>8&0xff] ^ crc10Tables[0][w&0xff]
+}
+
+// crc10 computes the AAL3/4 CRC-10 over b: eight bytes a step, then a
+// byte-at-a-time tail. A 48-byte SAR-PDU is six steps and no tail.
 func crc10(b []byte) uint16 {
 	var crc uint16
+	for ; len(b) >= 8; b = b[8:] {
+		crc = crc10Word(crc, binary.BigEndian.Uint64(b))
+	}
 	for _, v := range b {
-		crc = (crc&0x3)<<8 ^ crc10Table[(crc>>2)^uint16(v)]
+		crc = (crc&0x3)<<8 ^ crc10Tables[0][(crc>>2)^uint16(v)]
 	}
 	return crc
 }
@@ -150,10 +177,12 @@ func (s *Segmenter) SegmentAppend(dst []Cell, data []byte) []Cell {
 
 	n := (len(pdu) + SARPayload - 1) / SARPayload
 	base := len(dst)
-	for i := 0; i < n; i++ {
-		dst = append(dst, Cell{})
-	}
+	// Every byte of every cell is written below, so the new cells need no
+	// zeroing, and all of them carry the same header.
+	dst = slices.Grow(dst, n)[:base+n]
 	cells := dst[base:]
+	var hdr Cell
+	CellHeader{VCI: s.VCI, PT: 0}.Marshal(&hdr)
 	for i := 0; i < n; i++ {
 		st := byte(segCOM)
 		switch {
@@ -172,7 +201,7 @@ func (s *Segmenter) SegmentAppend(dst []Cell, data []byte) []Cell {
 			chunk = chunk[:SARPayload]
 		}
 		c := &cells[i]
-		CellHeader{VCI: s.VCI, PT: 0}.Marshal(c)
+		copy(c[:], hdr[:CellSize-PayloadSize])
 		p := c.Payload()
 		// SAR header: ST(2) SN(4) MID(10).
 		p[0] = st<<6 | (s.sn&0xf)<<2 | byte(s.MID>>8)
@@ -240,13 +269,16 @@ func (r *Reassembler) Idle() bool { return !r.active }
 func (r *Reassembler) Push(c *Cell) ([]byte, error) {
 	p := c.Payload()
 	// Validate the CRC-10: recompute over the payload with the CRC bits
-	// zeroed and compare against the stored value.
+	// zeroed — the last word's low ten bits masked in a register, the
+	// cell itself untouched — and compare against the stored value.
+	//
+	// The usual shortcut, "run the CRC over all 48 bytes and expect a
+	// zero residue", does not apply to this codec: its CRC is
+	// M(x)·x¹⁰ mod G over a payload M that already contains the zeroed
+	// ten-bit field, so the stored CRC sits inside M rather than after
+	// it and a valid cell does not divide evenly.
 	stored := uint16(p[46]&0x3)<<8 | uint16(p[47])
-	var tmp [PayloadSize]byte
-	copy(tmp[:], p)
-	tmp[46] &^= 0x3
-	tmp[47] = 0
-	if crc10(tmp[:]) != stored {
+	if crc10Word(crc10(p[:40]), binary.BigEndian.Uint64(p[40:])&^0x3ff) != stored {
 		r.drop()
 		return nil, &ReassemblyError{Reason: "CRC-10 mismatch"}
 	}

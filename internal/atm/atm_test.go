@@ -532,9 +532,16 @@ func TestSegmentAppendMatchesSegment(t *testing.T) {
 		if len(want) != len(scratch) {
 			t.Fatalf("size %d: %d cells vs %d", size, len(scratch), len(want))
 		}
+		// The header is marshalled once a datagram and copied into each
+		// cell; every copy must be what Marshal writes, HEC included.
+		var hdr Cell
+		CellHeader{VCI: 32}.Marshal(&hdr)
 		for i := range want {
 			if want[i] != scratch[i] {
 				t.Fatalf("size %d: cell %d differs between Segment and SegmentAppend", size, i)
+			}
+			if !bytes.Equal(want[i][:5], hdr[:5]) {
+				t.Fatalf("size %d: cell %d header % x, Marshal writes % x", size, i, want[i][:5], hdr[:5])
 			}
 		}
 	}

@@ -1,0 +1,120 @@
+package atm
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// TestCRC10SlicedMatchesBitwise walks every length that crosses the
+// 8-byte block boundaries (0…130: no block, one block, many blocks, every
+// tail length) at every start alignment within a word, and requires the
+// sliced CRC-10 to equal the bit-at-a-time reference.
+func TestCRC10SlicedMatchesBitwise(t *testing.T) {
+	rng := sim.NewRNG(15)
+	buf := make([]byte, 130+8)
+	for round := 0; round < 8; round++ {
+		rng.Fill(buf)
+		if round == 0 {
+			for i := range buf {
+				buf[i] = 0xff
+			}
+		}
+		for align := 0; align < 8; align++ {
+			for n := 0; n <= 130; n++ {
+				b := buf[align : align+n]
+				if got, want := crc10(b), crc10Bitwise(0, b); got != want {
+					t.Fatalf("round %d align %d: crc10(%d bytes) = %#x, bitwise reference %#x",
+						round, align, n, got, want)
+				}
+			}
+		}
+	}
+}
+
+// validCell returns the first cell of a multi-cell datagram of random
+// bytes: a BOM whose payload, length indicator and CRC-10 are all valid.
+func validCell(seed uint64) Cell {
+	data := make([]byte, 200)
+	sim.NewRNG(seed).Fill(data)
+	seg := Segmenter{VCI: DefaultVCI}
+	return seg.Segment(data)[0]
+}
+
+// crcVerdictBitwise is Push's CRC check restated on the reference: the
+// stored CRC equals the bitwise CRC of the payload with the field zeroed.
+func crcVerdictBitwise(c *Cell) bool {
+	p := c.Payload()
+	stored := uint16(p[46]&0x3)<<8 | uint16(p[47])
+	var tmp [PayloadSize]byte
+	copy(tmp[:], p)
+	tmp[46] &^= 0x3
+	tmp[47] = 0
+	return crc10Bitwise(0, tmp[:]) == stored
+}
+
+// pushRejectsCRC pushes c into a fresh reassembler and reports whether
+// it was discarded for its CRC. Push verifies in place, without a scratch
+// copy of the payload, so it must also leave the cell as it found it.
+func pushRejectsCRC(t *testing.T, c *Cell) bool {
+	t.Helper()
+	before := *c
+	var r Reassembler
+	_, err := r.Push(c)
+	if *c != before {
+		t.Fatal("Push modified the cell it verified")
+	}
+	var re *ReassemblyError
+	return errors.As(err, &re) && re.Reason == "CRC-10 mismatch"
+}
+
+// TestPushRejectsEverySingleBitCorruption: CRC-10 detects every
+// single-bit error, wherever in the 48 payload bytes it lands — SAR
+// header, data, length indicator, or the CRC field itself.
+func TestPushRejectsEverySingleBitCorruption(t *testing.T) {
+	c := validCell(16)
+	if pushRejectsCRC(t, &c) {
+		t.Fatal("uncorrupted cell rejected")
+	}
+	for bit := 0; bit < PayloadSize*8; bit++ {
+		bad := c
+		bad.Payload()[bit/8] ^= 0x80 >> (bit % 8)
+		if !pushRejectsCRC(t, &bad) {
+			t.Fatalf("flip of payload byte %d bit %d accepted", bit/8, bit%8)
+		}
+	}
+}
+
+// FuzzCRC10Sliced holds the sliced CRC-10 to the bitwise reference on
+// arbitrary bytes at two alignments, and holds Push's in-place CRC
+// verdict on the first 48 of them to the same reference.
+func FuzzCRC10Sliced(f *testing.F) {
+	valid := validCell(17)
+	f.Add(valid.Payload())
+	for _, bit := range []int{46*8 + 6, 46*8 + 7, 47 * 8, 47*8 + 7} { // the CRC field's edges
+		flipped := valid
+		flipped.Payload()[bit/8] ^= 0x80 >> (bit % 8)
+		f.Add(flipped.Payload())
+	}
+	f.Add(bytes.Repeat([]byte{0xff}, PayloadSize))
+	f.Add(bytes.Repeat([]byte{0xff}, 131))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		for off := 0; off <= 1 && off <= len(b); off++ {
+			if got, want := crc10(b[off:]), crc10Bitwise(0, b[off:]); got != want {
+				t.Fatalf("crc10(%d bytes at +%d) = %#x, bitwise reference %#x", len(b)-off, off, got, want)
+			}
+		}
+		if len(b) < PayloadSize {
+			return
+		}
+		var c Cell
+		copy(c.Payload(), b)
+		if got, want := pushRejectsCRC(t, &c), !crcVerdictBitwise(&c); got != want {
+			t.Fatalf("Push rejected for CRC = %v, bitwise reference says %v", got, want)
+		}
+	})
+}

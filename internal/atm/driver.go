@@ -54,14 +54,14 @@ type Driver struct {
 	// (ties broken by lowest destination address, so eviction order is
 	// deterministic) and tears its path down. Zero means unlimited.
 	TxVCLimit int
-	// reasms holds one reassembler per incoming VCI. Cells from
+	// rx holds one receive context per incoming VCI. Cells from
 	// different sources arrive interleaved on distinct VCIs in switched
-	// topologies; reassembly state must be per VC.
-	reasms map[uint16]*Reassembler
-	// rxStart notes, per VCI, when the driver popped the first cell of
-	// the datagram currently reassembling — the start of that
-	// datagram's driver-receive span in the packet trace.
-	rxStart map[uint16]sim.Time
+	// topologies; reassembly state must be per VC. lastRx remembers the
+	// context the previous cell used: a datagram's cells arrive mostly
+	// back to back, so continuation cells find theirs without a map
+	// lookup. Whatever removes a context from rx must clear lastRx.
+	rx     map[uint16]*rxVC
+	lastRx *rxVC
 
 	// MTUOverride, when positive, lowers the MTU the driver advertises to
 	// IP below the AAL3/4 maximum. TCP derives its MSS from it, so it is
@@ -145,10 +145,11 @@ func (d *Driver) Reset() {
 		vc.seg.Reset()
 		vc.lastUse = 0
 	}
-	for _, r := range d.reasms {
-		r.Reset()
+	for _, vc := range d.rx {
+		vc.reasm.Reset()
+		vc.open = false
 	}
-	clear(d.rxStart)
+	d.lastRx = nil
 	d.FramesIn, d.FramesOut = 0, 0
 	d.ReassemblyErrors, d.HECErrors, d.HostCorruptions = 0, 0, 0
 }
@@ -182,7 +183,7 @@ func (d *Driver) NumTxVCs() int { return len(d.vcs) }
 
 // NumReassemblers returns how many receive-side reassembly contexts
 // exist — O(peers that have sent to this host).
-func (d *Driver) NumReassemblers() int { return len(d.reasms) }
+func (d *Driver) NumReassemblers() int { return len(d.rx) }
 
 // segFor picks the segmenter for a datagram's destination address,
 // installing the VC on demand when a routed fabric is attached. The miss
@@ -244,29 +245,46 @@ func (d *Driver) evictIdleVC(keep uint32) {
 // DropRx reclaims the reassembly context for an incoming VCI, returning
 // false (and keeping it) if a datagram is mid-reassembly on that channel.
 func (d *Driver) DropRx(vci uint16) bool {
-	r, ok := d.reasms[vci]
+	vc, ok := d.rx[vci]
 	if !ok {
 		return true
 	}
-	if !r.Idle() {
+	if !vc.reasm.Idle() {
 		return false
 	}
-	delete(d.reasms, vci)
-	delete(d.rxStart, vci)
+	delete(d.rx, vci)
+	if d.lastRx == vc {
+		d.lastRx = nil
+	}
 	return true
 }
 
-// reasmFor picks (lazily creating) the reassembler for an incoming VCI.
-func (d *Driver) reasmFor(vci uint16) *Reassembler {
-	if d.reasms == nil {
-		d.reasms = make(map[uint16]*Reassembler)
+// rxVC is the receive side of one virtual channel: its reassembler and,
+// while open, when the driver popped the first cell of the datagram
+// currently reassembling — the start of that datagram's driver-receive
+// span in the packet trace.
+type rxVC struct {
+	vci   uint16
+	reasm Reassembler
+	start sim.Time
+	open  bool
+}
+
+// rxFor picks (lazily creating) the receive context for an incoming VCI.
+func (d *Driver) rxFor(vci uint16) *rxVC {
+	if vc := d.lastRx; vc != nil && vc.vci == vci {
+		return vc
 	}
-	r, ok := d.reasms[vci]
+	vc, ok := d.rx[vci]
 	if !ok {
-		r = &Reassembler{}
-		d.reasms[vci] = r
+		if d.rx == nil {
+			d.rx = make(map[uint16]*rxVC)
+		}
+		vc = &rxVC{vci: vci}
+		d.rx[vci] = vc
 	}
-	return r
+	d.lastRx = vc
+	return vc
 }
 
 // Name implements ip.NetIf.
@@ -480,29 +498,25 @@ func (f *rxprocFrame) Step(p *sim.Proc) {
 				f.pc = 1
 				continue
 			}
-			if d.rxStart == nil {
-				d.rxStart = make(map[uint16]sim.Time)
-			}
+			vc := d.rxFor(h.VCI)
 			// A beginning cell always restarts the VCI's receive span:
 			// the reassembler silently abandons a partial datagram when
 			// a fresh BOM arrives mid-message (a loss pattern the
 			// sequence numbers cannot catch), and that path reports no
 			// error, so the open span would otherwise leak into the
 			// next datagram's driver.rx duration.
-			if st := f.c.Payload()[0] >> 6; st == segBOM || st == segSSM {
-				d.rxStart[h.VCI] = f.popAt
-			} else if _, open := d.rxStart[h.VCI]; !open {
-				d.rxStart[h.VCI] = f.popAt
+			if st := f.c.Payload()[0] >> 6; st == segBOM || st == segSSM || !vc.open {
+				vc.start, vc.open = f.popAt, true
 			}
 			f.frameEnd = IsFrameEnd(&f.c)
 			f.arrivedAt = 0
 			if f.frameEnd {
 				f.arrivedAt = d.Adapter.ConsumeFrameEnd()
 			}
-			dg, err := d.reasmFor(h.VCI).Push(&f.c)
+			dg, err := vc.reasm.Push(&f.c)
 			if err != nil {
 				d.ReassemblyErrors++
-				delete(d.rxStart, h.VCI)
+				vc.open = false
 				f.pc = 9
 				continue
 			}
@@ -511,8 +525,8 @@ func (f *rxprocFrame) Step(p *sim.Proc) {
 				continue
 			}
 			f.dg = dg
-			f.start = d.rxStart[h.VCI]
-			delete(d.rxStart, h.VCI)
+			f.start = vc.start
+			vc.open = false
 			f.pc = 4
 		case 4: // deliver: stamp the on-wire identity, charge per-frame RX
 			if len(f.dg) < ip.HeaderLen {

@@ -164,7 +164,7 @@ func TestFabricFatTreeCrossLeaf(t *testing.T) {
 		t.Fatalf("uninvolved leaf grew %d VC entries", f.Leaves[1].NumVCs())
 	}
 	// The last hop restores the source-naming convention.
-	if _, ok := drvs[5].reasms[DefaultVCI+0]; !ok {
+	if _, ok := drvs[5].rx[DefaultVCI+0]; !ok {
 		t.Fatalf("destination reassembles on VCIs %v, want DefaultVCI+src (%d)",
 			reasmVCIs(drvs[5]), DefaultVCI)
 	}
@@ -172,7 +172,7 @@ func TestFabricFatTreeCrossLeaf(t *testing.T) {
 
 func reasmVCIs(d *Driver) []uint16 {
 	var out []uint16
-	for vci := range d.reasms {
+	for vci := range d.rx {
 		out = append(out, vci)
 	}
 	return out
@@ -200,7 +200,7 @@ func TestFabricTeardownRecyclesTrunkVCIs(t *testing.T) {
 	trunk1, trunk2 := first.hops[1].vci, first.hops[2].vci
 
 	// Simulate receive-side state so teardown has something to drop.
-	drvs[3].reasmFor(first.rxVCI)
+	drvs[3].rxFor(first.rxVCI)
 
 	f.teardown(0, 4)
 	if f.NumRoutes() != 0 || f.TotalVCs() != 0 {
@@ -289,29 +289,69 @@ func TestDriverTxVCLimitEvictsLRU(t *testing.T) {
 }
 
 // TestDropRxKeepsActiveReassembly: reclamation must refuse to discard a
-// datagram mid-reassembly.
+// datagram mid-reassembly, and evicting a channel must not leave the
+// driver's remembered last-used context pointing at it. Two VCIs
+// interleave around the eviction: the evicted VCI, reused, must start from
+// a fresh context (the old one's sequence expectation would reject its
+// first cell), and the surviving VCI must keep its partial datagram.
 func TestDropRxKeepsActiveReassembly(t *testing.T) {
 	d := &Driver{}
-	r := d.reasmFor(40)
-
-	var seg Segmenter
-	seg.VCI = 40
-	cells := seg.Segment(make([]byte, 200)) // multi-cell datagram
-	if _, err := r.Push(&cells[0]); err != nil {
-		t.Fatal(err)
+	segA, segB := Segmenter{VCI: 40}, Segmenter{VCI: 41}
+	a := segA.Segment(make([]byte, 200)) // multi-cell datagrams
+	b := segB.Segment(make([]byte, 200))
+	push := func(vci uint16, c *Cell) []byte {
+		t.Helper()
+		dg, err := d.rxFor(vci).reasm.Push(c)
+		if err != nil {
+			t.Fatalf("VCI %d: %v", vci, err)
+		}
+		return dg
 	}
+
+	push(40, &a[0])
 	if d.DropRx(40) {
 		t.Fatal("DropRx discarded a mid-reassembly channel")
 	}
-	for i := 1; i < len(cells); i++ {
-		if _, err := r.Push(&cells[i]); err != nil {
-			t.Fatal(err)
-		}
+	push(41, &b[0]) // 41 mid-datagram across 40's eviction
+	for i := 1; i < len(a); i++ {
+		push(40, &a[i]) // 40 is the remembered context again
 	}
 	if !d.DropRx(40) {
 		t.Fatal("DropRx refused an idle channel")
 	}
-	if d.NumReassemblers() != 0 {
-		t.Fatal("reassembler survived DropRx")
+	if d.NumReassemblers() != 1 {
+		t.Fatalf("%d contexts after evicting one of two", d.NumReassemblers())
+	}
+	if d.lastRx != nil {
+		t.Fatal("evicted context is still the remembered one")
+	}
+
+	// A new peer reusing VCI 40 starts at sequence number 0; the evicted
+	// context expected the old stream's next number.
+	segA = Segmenter{VCI: 40}
+	again := segA.Segment(make([]byte, 200))
+	var got []byte
+	for i := range again {
+		got = push(40, &again[i])
+	}
+	if len(got) != 200 {
+		t.Fatalf("reused VCI reassembled %d bytes, want 200", len(got))
+	}
+	for i := 1; i < len(b); i++ {
+		got = push(41, &b[i])
+	}
+	if len(got) != 200 {
+		t.Fatalf("surviving VCI reassembled %d bytes, want 200", len(got))
+	}
+
+	// Evicting a context that is not the remembered one leaves the
+	// remembered one in place; Reset forgets it.
+	push(40, &segA.Segment(make([]byte, 200))[0])
+	if !d.DropRx(41) || d.lastRx == nil || d.lastRx.vci != 40 {
+		t.Fatal("evicting another VCI disturbed the remembered context")
+	}
+	d.Reset()
+	if d.lastRx != nil {
+		t.Fatal("Reset kept the remembered context")
 	}
 }

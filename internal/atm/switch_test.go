@@ -107,8 +107,8 @@ func TestSwitchVCIRewriteNamesSource(t *testing.T) {
 			t.Fatalf("datagram %d from host %d corrupted by interleaved reassembly", k, src-1)
 		}
 	}
-	if len(drvs[0].reasms) != 2 {
-		t.Fatalf("host 0 used %d reassembly contexts, want one per source VCI", len(drvs[0].reasms))
+	if len(drvs[0].rx) != 2 {
+		t.Fatalf("host 0 used %d reassembly contexts, want one per source VCI", len(drvs[0].rx))
 	}
 }
 

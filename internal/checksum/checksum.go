@@ -8,13 +8,27 @@
 //   - CopyAndSum: the integrated copy-and-checksum that touches each byte
 //     once, the basis of the paper's combined kernel path (§4.1.1).
 //
-// All three produce identical sums; they differ only in memory access
-// pattern, which is what the cost model prices differently. The package
-// also provides Partial, the incremental partial-sum type the combined
-// kernel path needs: the socket layer checksums each chunk as it is copied
-// into an mbuf and TCP later folds the per-mbuf partial sums into a
-// segment checksum (the paper stores partial checksums in the mbuf header).
+// All three produce identical sums. What the paper compares — their
+// memory access patterns on the DECstation — is what cost.Model prices;
+// simulated time never depends on how fast this package runs on the
+// host. Host-side, SumOptimized, CopyAndSum and Partial.Add therefore
+// share one core (sumWide, eight bytes an add): they are on every
+// simulated packet's path and only their result matters. SumULTRIX stays
+// the literal halfword loop: it is the paper's baseline, what Table 5's
+// validation runs beside the others, and the independent reference the
+// tests hold the wide core to.
+//
+// The package also provides Partial, the incremental partial-sum type the
+// combined kernel path needs: the socket layer checksums each chunk as it
+// is copied into an mbuf and TCP later folds the per-mbuf partial sums
+// into a segment checksum (the paper stores partial checksums in the mbuf
+// header).
 package checksum
+
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Fold reduces a 32-bit intermediate sum to 16 bits by repeatedly adding
 // the carries back in, per RFC 1071.
@@ -41,71 +55,65 @@ func SumULTRIX(b []byte) uint16 {
 	return Fold(sum)
 }
 
-// SumOptimized computes the same one's-complement sum with an unrolled,
-// word-accumulating loop (the optimization of §4.1). The result is always
-// identical to SumULTRIX; only the access pattern differs.
-func SumOptimized(b []byte) uint16 {
-	var sum uint64
-	i := 0
-	// Unrolled by 16 bytes: eight halfword adds per iteration, no
-	// per-halfword loop overhead. A uint64 accumulator absorbs carries.
-	for ; i+16 <= len(b); i += 16 {
-		sum += uint64(b[i])<<8 | uint64(b[i+1])
-		sum += uint64(b[i+2])<<8 | uint64(b[i+3])
-		sum += uint64(b[i+4])<<8 | uint64(b[i+5])
-		sum += uint64(b[i+6])<<8 | uint64(b[i+7])
-		sum += uint64(b[i+8])<<8 | uint64(b[i+9])
-		sum += uint64(b[i+10])<<8 | uint64(b[i+11])
-		sum += uint64(b[i+12])<<8 | uint64(b[i+13])
-		sum += uint64(b[i+14])<<8 | uint64(b[i+15])
+// sumWide is the one host-side core behind SumOptimized, CopyAndSum and
+// Partial.Add: the one's-complement sum of b (not complemented, an odd
+// trailing byte padded with a zero low byte), eight bytes an add.
+//
+// One's-complement addition is associative and 2^16 ≡ 1 (mod 0xffff), so
+// a big-endian 64-bit word is four halfwords already lined up in their
+// lanes: summing words with end-around carry and folding 64 → 16 bits at
+// the end gives bit for bit the halfword loop's result, zero included (an
+// end-around add of non-zero words is never zero). Within a block the
+// carry is threaded through bits.Add64, which the compiler lowers to an
+// add-with-carry chain; each block's carry-out is counted aside instead of
+// being fed to the next block, which keeps the flag out of the loop-carried
+// dependency, and the count is wrapped back in once after the loops.
+func sumWide(b []byte) uint16 {
+	var s, c, carries uint64
+	for len(b) >= 32 {
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(b), 0)
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(b[8:]), c)
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(b[16:]), c)
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(b[24:]), c)
+		carries += c
+		b = b[32:]
 	}
-	for ; i+1 < len(b); i += 2 {
-		sum += uint64(b[i])<<8 | uint64(b[i+1])
+	for len(b) >= 8 {
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(b), 0)
+		carries += c
+		b = b[8:]
 	}
-	if i < len(b) {
-		sum += uint64(b[i]) << 8
+	if len(b) > 0 {
+		// The last 1..7 bytes, left-justified in a zero-padded word: the
+		// blocks above consumed a multiple of 8, so the lanes still line up.
+		var w uint64
+		for i, v := range b {
+			w |= uint64(v) << (56 - 8*uint(i))
+		}
+		s, c = bits.Add64(s, w, 0)
+		carries += c
 	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + (sum >> 16)
-	}
-	return uint16(sum)
+	s, c = bits.Add64(s, carries, 0)
+	s += c
+	s = s>>32 + s&0xffffffff // at most 2^33-2
+	s = s>>32 + s&0xffffffff // fits 32 bits
+	return Fold(uint32(s))
 }
 
+// SumOptimized computes the same one's-complement sum with the unrolled,
+// word-accumulating loop (the optimization of §4.1). The result is always
+// identical to SumULTRIX; only the access pattern differs.
+func SumOptimized(b []byte) uint16 { return sumWide(b) }
+
 // CopyAndSum copies src into dst and returns the one's-complement sum of
-// the bytes in a single pass, touching each byte once. dst must be at
-// least as long as src.
+// the bytes, the paper's integrated copy-and-checksum (§4.1.1). dst must
+// be at least as long as src.
 func CopyAndSum(dst, src []byte) uint16 {
 	if len(dst) < len(src) {
 		panic("checksum: CopyAndSum destination too short")
 	}
-	var sum uint64
-	i := 0
-	for ; i+8 <= len(src); i += 8 {
-		dst[i] = src[i]
-		dst[i+1] = src[i+1]
-		dst[i+2] = src[i+2]
-		dst[i+3] = src[i+3]
-		dst[i+4] = src[i+4]
-		dst[i+5] = src[i+5]
-		dst[i+6] = src[i+6]
-		dst[i+7] = src[i+7]
-		sum += uint64(src[i])<<8 | uint64(src[i+1])
-		sum += uint64(src[i+2])<<8 | uint64(src[i+3])
-		sum += uint64(src[i+4])<<8 | uint64(src[i+5])
-		sum += uint64(src[i+6])<<8 | uint64(src[i+7])
-	}
-	for ; i+1 < len(src); i += 2 {
-		dst[i], dst[i+1] = src[i], src[i+1]
-		sum += uint64(src[i])<<8 | uint64(src[i+1])
-	}
-	if i < len(src) {
-		dst[i] = src[i]
-		sum += uint64(src[i]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + (sum >> 16)
-	}
-	return uint16(sum)
+	copy(dst, src)
+	return sumWide(src)
 }
 
 // Checksum returns the Internet checksum of b: the one's complement of the
@@ -135,11 +143,10 @@ func (p *Partial) Add(b []byte) {
 		i = 1
 		p.odd = false
 	}
-	for ; i+1 < len(b); i += 2 {
-		p.sum += uint32(b[i])<<8 | uint32(b[i+1])
-	}
-	if i < len(b) {
-		p.sum += uint32(b[i]) << 8
+	// From here b[i:] starts at even parity: its sum is the one-shot sum,
+	// and an odd length leaves its last byte dangling as a high byte.
+	p.sum += uint32(sumWide(b[i:]))
+	if (len(b)-i)%2 == 1 {
 		p.odd = true
 	}
 	// Keep the accumulator from ever overflowing 32 bits.

@@ -109,13 +109,17 @@ func TestPartialMatchesWhole(t *testing.T) {
 			total += int(c) % 257
 		}
 		b := randBytes(r, total)
-		var p Partial
+		var p, viaCombine Partial
 		off := 0
 		for _, s := range sizes {
 			p.Add(b[off : off+s])
+			var q Partial
+			q.Add(b[off : off+s])
+			viaCombine.Combine(q)
 			off += s
 		}
-		return p.Sum16() == refSum(b) && p.Odd() == (total%2 == 1)
+		return p.Sum16() == refSum(b) && p.Odd() == (total%2 == 1) &&
+			viaCombine.Sum16() == refSum(b) && viaCombine.Odd() == p.Odd()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -228,4 +232,98 @@ func TestFold(t *testing.T) {
 	if got := Fold(0); got != 0 {
 		t.Fatalf("Fold(0) = %#x", got)
 	}
+}
+
+// TestWideSumsMatchULTRIX walks every length that crosses the wide core's
+// block boundaries (0…130: the 32-byte unrolled loop, the 8-byte loop and
+// every tail length) at every start alignment within a word, and requires
+// SumOptimized and CopyAndSum to equal the halfword loop they replace.
+// Round 0 is all 0xff, the input on which every add carries.
+func TestWideSumsMatchULTRIX(t *testing.T) {
+	r := sim.NewRNG(15)
+	buf := make([]byte, 130+8)
+	dst := make([]byte, 130)
+	for round := 0; round < 8; round++ {
+		r.Fill(buf)
+		if round == 0 {
+			for i := range buf {
+				buf[i] = 0xff
+			}
+		}
+		for align := 0; align < 8; align++ {
+			for n := 0; n <= 130; n++ {
+				b := buf[align : align+n]
+				want := SumULTRIX(b)
+				if got := SumOptimized(b); got != want {
+					t.Fatalf("round %d align %d n %d: SumOptimized = %#x, SumULTRIX = %#x", round, align, n, got, want)
+				}
+				if got := CopyAndSum(dst, b); got != want || !bytes.Equal(dst[:n], b) {
+					t.Fatalf("round %d align %d n %d: CopyAndSum = %#x (copied ok: %v), SumULTRIX = %#x",
+						round, align, n, got, bytes.Equal(dst[:n], b), want)
+				}
+			}
+		}
+	}
+}
+
+// splitSums returns the sum of b split at i and j, once by feeding the
+// three chunks to one Partial and once by summing each chunk on its own
+// and combining.
+func splitSums(b []byte, i, j int) (viaAdd, viaCombine uint16) {
+	var p, c Partial
+	for _, chunk := range [][]byte{b[:i], b[i:j], b[j:]} {
+		p.Add(chunk)
+		var q Partial
+		q.Add(chunk)
+		c.Combine(q)
+	}
+	return p.Sum16(), c.Sum16()
+}
+
+// TestPartialEverySplit cuts a buffer at every pair of offsets — empty,
+// odd and even chunks in every order, so every combination of the
+// odd-parity prefix byte and the dangling suffix byte occurs — and
+// requires both ways of accumulating to equal the one-shot sum.
+func TestPartialEverySplit(t *testing.T) {
+	r := sim.NewRNG(16)
+	for _, b := range [][]byte{randBytes(r, 75), bytes.Repeat([]byte{0xff}, 75)} {
+		want := SumULTRIX(b)
+		for i := 0; i <= len(b); i++ {
+			for j := i; j <= len(b); j++ {
+				if viaAdd, viaCombine := splitSums(b, i, j); viaAdd != want || viaCombine != want {
+					t.Fatalf("split at %d,%d: Add %#x, Combine %#x, one-shot %#x", i, j, viaAdd, viaCombine, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzChecksumWide holds everything built on the wide core — both
+// one-shot sums and Partial across an arbitrary split — to SumULTRIX.
+func FuzzChecksumWide(f *testing.F) {
+	f.Add([]byte{}, uint16(0), uint16(0))
+	f.Add([]byte{0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7}, uint16(3), uint16(5))
+	// All 0xff: every add carries, through the unrolled loop, the word
+	// loop, the tail and the end-around wrap.
+	for _, n := range []int{1, 31, 32, 33, 71, 8000} {
+		f.Add(bytes.Repeat([]byte{0xff}, n), uint16(n/3), uint16(n/2))
+	}
+
+	f.Fuzz(func(t *testing.T, b []byte, i, j uint16) {
+		want := SumULTRIX(b)
+		if got := SumOptimized(b); got != want {
+			t.Fatalf("SumOptimized = %#x, SumULTRIX = %#x", got, want)
+		}
+		dst := make([]byte, len(b))
+		if got := CopyAndSum(dst, b); got != want || !bytes.Equal(dst, b) {
+			t.Fatalf("CopyAndSum = %#x (copied ok: %v), SumULTRIX = %#x", got, bytes.Equal(dst, b), want)
+		}
+		lo, hi := int(i)%(len(b)+1), int(j)%(len(b)+1)
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		if viaAdd, viaCombine := splitSums(b, lo, hi); viaAdd != want || viaCombine != want {
+			t.Fatalf("split at %d,%d: Add %#x, Combine %#x, one-shot %#x", lo, hi, viaAdd, viaCombine, want)
+		}
+	})
 }

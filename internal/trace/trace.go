@@ -127,12 +127,25 @@ func (r *Recorder) Reset() {
 
 // Span records an interval attributed to a layer. Inverted intervals panic:
 // they indicate a broken cost charge, not a measurement.
+//
+// A span that starts exactly where the previous one ended, on the same
+// layer, extends it instead of being appended: the drivers charge the CPU
+// once per cell, back to back, and a large datagram would otherwise leave
+// hundreds of abutting records. Breakdown and WindowSpans clip each span
+// to the window and add, so the merged span contributes exactly what its
+// pieces would have, whatever the window cuts through.
 func (r *Recorder) Span(layer Layer, start, end sim.Time) {
 	if !r.Enabled() {
 		return
 	}
 	if end < start {
 		panic("trace: span ends before it starts")
+	}
+	if n := len(r.spans); n > 0 {
+		if last := &r.spans[n-1]; last.Layer == layer && last.End == start {
+			last.End = end
+			return
+		}
 	}
 	r.spans = append(r.spans, Span{Layer: layer, Start: start, End: end})
 }

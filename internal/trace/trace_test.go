@@ -76,6 +76,65 @@ func TestBreakdownSumsMultipleSpans(t *testing.T) {
 	}
 }
 
+// TestAbuttingSpansMergeExactly: a span that starts where the previous
+// one ended on the same layer extends it, and no window can tell — for
+// every window, including ones that cut through a merged span, Breakdown
+// and WindowSpans account for exactly what the pieces would have.
+func TestAbuttingSpansMergeExactly(t *testing.T) {
+	pieces := []Span{
+		{LayerATMRx, 0, 10}, {LayerATMRx, 10, 20}, {LayerATMRx, 20, 30}, // one run
+		{LayerIPRx, 30, 40},  // abuts, other layer: its own span
+		{LayerATMRx, 40, 50}, // abuts IPRx, not the ATMRx run
+		{LayerATMRx, 55, 60}, // same layer after a gap: its own span
+		{LayerATMRx, 60, 60}, // zero-length, abutting
+		{LayerATMRx, 60, 70},
+		{LayerIPRx, 35, 45}, // overlaps earlier time, as another CPU's charge may
+	}
+	var r Recorder
+	r.Enable()
+	for _, p := range pieces {
+		r.Span(p.Layer, p.Start, p.End)
+	}
+	want := []Span{
+		{LayerATMRx, 0, 30}, {LayerIPRx, 30, 40}, {LayerATMRx, 40, 50},
+		{LayerATMRx, 55, 70}, {LayerIPRx, 35, 45},
+	}
+	got := r.Spans()
+	if len(got) != len(want) {
+		t.Fatalf("recorded %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("span %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+	for start := sim.Time(-5); start <= 75; start++ {
+		for end := start; end <= 75; end++ {
+			unmerged := make(map[Layer]sim.Time)
+			for _, p := range pieces {
+				lo, hi := max(p.Start, start), min(p.End, end)
+				if hi > lo {
+					unmerged[p.Layer] += hi - lo
+				}
+			}
+			b := r.Breakdown(start, end)
+			if len(b) != len(unmerged) {
+				t.Fatalf("window [%d,%d]: breakdown %v, unmerged %v", start, end, b, unmerged)
+			}
+			clipped := make(map[Layer]sim.Time)
+			for _, s := range r.WindowSpans(start, end) {
+				clipped[s.Layer] += s.Duration()
+			}
+			for l, d := range unmerged {
+				if b[l] != d || clipped[l] != d {
+					t.Fatalf("window [%d,%d] %s: breakdown %d, window spans %d, unmerged %d",
+						start, end, l, b[l], clipped[l], d)
+				}
+			}
+		}
+	}
+}
+
 func TestLastMark(t *testing.T) {
 	var r Recorder
 	r.Enable()

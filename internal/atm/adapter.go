@@ -66,22 +66,25 @@ type Adapter struct {
 	K    *kern.Kernel
 	link cellSink
 
-	txCount       int      // cells currently in the transmit FIFO
-	wireBusy      sim.Time // when the transmit engine finishes its current cell
-	rxFIFO        cellQueue
-	framesPending int        // frame-ending cells in the FIFO not yet consumed
-	arrivals      []sim.Time // wire-arrival time of each pending frame end
+	txCount  int      // cells currently in the transmit FIFO
+	wireBusy sim.Time // when the transmit engine finishes its current cell
+	rxFIFO   cellQueue
+	// arrivals[arrHead:] holds the wire-arrival time of each frame-ending
+	// cell in the FIFO not yet consumed, oldest first (the head index
+	// keeps the pop from shifting the slice, as in cellQueue).
+	arrivals []sim.Time
+	arrHead  int
 
 	// txFIFO holds the cells awaiting the transmit engine and flight the
-	// cells crossing the fiber. Together with cellOutFn/cellInFn — bound
-	// once at construction — they let PushTx schedule both wire events
-	// without allocating a closure per cell: the engine and the fiber
-	// each drain their queue in FIFO order, which matches event order
-	// because cell completion times are monotonic per adapter.
-	txFIFO    cellQueue
-	flight    cellQueue
-	cellOutFn func()
-	cellInFn  func()
+	// cells crossing the fiber; outLane and inLane carry their wire
+	// events (engine completion, far-end arrival). Cell completion times
+	// are monotonic per adapter, so the engine and the fiber each drain
+	// their queue in event order, and however many cells the FIFO holds
+	// the adapter keeps one heap entry per lane.
+	txFIFO  cellQueue
+	flight  cellQueue
+	outLane sim.Lane
+	inLane  sim.Lane
 
 	// cut, when set, marks the far end of this host's fiber — its switch
 	// port — as living in another shard: PushTx stages each cell with the
@@ -120,9 +123,10 @@ type Adapter struct {
 	impRNG       sim.RNG
 	held         Cell // cell held back for reordering
 	heldValid    bool
-	heldLeft     int    // deliveries remaining before the held cell is released
-	heldGen      uint64 // hold generation, so a stale flush timer no-ops
-	heldFlushFn  func(uint64)
+	heldLeft     int // deliveries remaining before the held cell is released
+	// heldFlush releases a held cell the wire went quiet on. SetImpairments
+	// makes it, so only links that reorder carry a timer.
+	heldFlush *sim.Timer
 
 	// down marks the host's access link failed (fault injection): every
 	// arriving cell is dropped at the adapter until the link recovers.
@@ -148,10 +152,8 @@ func NewAdapter(k *kern.Kernel) *Adapter {
 		SpaceAvail: k.Env.NewWaitQueue(k.Name + ".atm.space"),
 		RxReady:    k.Env.NewWaitQueue(k.Name + ".atm.rx"),
 	}
-	// Bound once so the per-cell wire events reuse them (see PushTx).
-	a.cellOutFn = a.cellOut
-	a.cellInFn = a.cellIn
-	a.heldFlushFn = a.heldFlush
+	a.outLane.Bind(a.cellOut)
+	a.inLane.Bind(a.cellIn)
 	return a
 }
 
@@ -167,8 +169,7 @@ func (a *Adapter) Reset() {
 	a.rxFIFO.reset()
 	a.txFIFO.reset()
 	a.flight.reset()
-	a.framesPending = 0
-	a.arrivals = a.arrivals[:0]
+	a.arrivals, a.arrHead = a.arrivals[:0], 0
 	a.LossRate, a.DropNext, a.CorruptRate = 0, false, 0
 	a.ge = sim.GEChain{}
 	a.reorderRate, a.reorderDepth = 0, 0
@@ -196,6 +197,10 @@ func (a *Adapter) Down() bool { return a.down }
 func (a *Adapter) SetImpairments(p sim.GEParams, rate float64, depth int, seed uint64) {
 	a.ge.Init(p, seed)
 	a.reorderRate = rate
+	if rate > 0 && a.heldFlush == nil {
+		a.heldFlush = new(sim.Timer)
+		a.heldFlush.Bind(a.flushHeld)
+	}
 	if depth <= 0 {
 		depth = 1
 	}
@@ -216,7 +221,7 @@ func (a *Adapter) cellOut() {
 		return
 	}
 	a.flight.push(a.txFIFO.pop())
-	a.K.Env.After(a.K.Cost.ATMPropagation, "atm.cellin", a.cellInFn)
+	a.inLane.At(a.K.Env, a.K.Env.Now()+a.K.Cost.ATMPropagation, "atm.cellin")
 }
 
 // SetCut diverts this adapter's transmit fiber across a shard boundary
@@ -259,8 +264,8 @@ func (a *Adapter) TxSpace() int { return TxFIFOCells - a.txCount }
 // PushTx places one cell in the transmit FIFO. The caller (the driver)
 // must have verified TxSpace; pushing into a full FIFO panics because on
 // the real hardware it would corrupt the frame. The cell's two wire
-// events (engine completion, far-end arrival) reuse the adapter's bound
-// callbacks and FIFO queues, so transmission allocates nothing per cell.
+// events (engine completion, far-end arrival) ride the adapter's lanes
+// and FIFO queues, so transmission allocates nothing per cell.
 func (a *Adapter) PushTx(c Cell) {
 	if a.txCount >= TxFIFOCells {
 		panic("atm: transmit FIFO overflow")
@@ -281,7 +286,7 @@ func (a *Adapter) PushTx(c Cell) {
 	} else {
 		a.txFIFO.push(c)
 	}
-	env.At(end, "atm.cellout", a.cellOutFn)
+	a.outLane.At(env, end, "atm.cellout")
 }
 
 // receive handles a cell arriving from the wire: the impairment layer
@@ -315,28 +320,27 @@ func (a *Adapter) receive(c Cell) {
 			a.held = c
 			a.heldValid = true
 			a.heldLeft = a.reorderDepth
-			a.heldGen++
 			a.CellsReordered++
 			// Backstop against stranding: if the held cell is the link's
 			// last traffic, no later arrival will ever decrement the
 			// countdown, so a timer releases it once the wire has been
 			// quiet longer than a full back-to-back countdown would take.
 			// Arrivals that complete the countdown first leave the timer
-			// to no-op on a stale generation.
+			// to no-op.
 			wait := sim.Time(a.reorderDepth+1) * a.CellTime()
-			a.K.Env.AfterArg(wait, "atm.reorder.flush", a.heldFlushFn, a.heldGen)
+			a.heldFlush.Set(a.K.Env, a.K.Env.Now()+wait, "atm.reorder.flush")
 			return
 		}
 	}
 	a.accept(c)
 }
 
-// heldFlush fires when a held cell's release timer elapses: if the hold
-// is still pending (same generation, not released by later arrivals),
-// deliver the cell rather than strand it as silent uncounted loss.
-func (a *Adapter) heldFlush(gen uint64) {
-	if !a.heldValid || gen != a.heldGen {
-		return
+// flushHeld fires when a held cell's release timer elapses: if the hold
+// is still pending, deliver the cell rather than strand it as silent
+// uncounted loss.
+func (a *Adapter) flushHeld() {
+	if !a.heldValid {
+		return // later arrivals completed the countdown first
 	}
 	a.heldValid = false
 	a.accept(a.held)
@@ -370,9 +374,8 @@ func (a *Adapter) accept(c Cell) {
 		// Frame-ending cell: record the paper's receive-measurement
 		// origin ("the arrival of the last group of ATM cells
 		// comprising the last TCP segment") and raise the interrupt.
-		// The arrival time queues alongside framesPending so the driver
-		// can stamp the completed datagram's wire-arrival event.
-		a.framesPending++
+		// The arrival time queues so the driver can stamp the completed
+		// datagram's wire-arrival event.
 		a.arrivals = append(a.arrivals, a.K.Env.Now())
 		a.K.Trace.Mark(trace.MarkFrameArrival, a.K.Env.Now())
 		a.RxReady.Wake()
@@ -391,20 +394,25 @@ func IsFrameEnd(c *Cell) bool {
 
 // FramesPending returns the number of complete frames whose cells are
 // waiting in the receive FIFO.
-func (a *Adapter) FramesPending() int { return a.framesPending }
+func (a *Adapter) FramesPending() int { return len(a.arrivals) - a.arrHead }
 
 // ConsumeFrameEnd is called by the driver when it pops a frame-ending
 // cell, balancing the count incremented on arrival. It returns the
 // virtual time that cell arrived from the wire — the receive-side
 // measurement origin for the frame it terminates.
 func (a *Adapter) ConsumeFrameEnd() sim.Time {
-	a.framesPending--
-	if a.framesPending < 0 {
+	if a.arrHead == len(a.arrivals) {
 		panic("atm: frame-pending underflow")
 	}
-	at := a.arrivals[0]
-	copy(a.arrivals, a.arrivals[1:])
-	a.arrivals = a.arrivals[:len(a.arrivals)-1]
+	at := a.arrivals[a.arrHead]
+	a.arrHead++
+	switch {
+	case a.arrHead == len(a.arrivals):
+		a.arrivals, a.arrHead = a.arrivals[:0], 0
+	case a.arrHead >= 128 && a.arrHead*2 >= len(a.arrivals):
+		n := copy(a.arrivals, a.arrivals[a.arrHead:])
+		a.arrivals, a.arrHead = a.arrivals[:n], 0
+	}
 	return at
 }
 

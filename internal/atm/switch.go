@@ -84,8 +84,10 @@ func (sw *Switch) Reset() {
 		p.queued = 0
 		p.egress.reset()
 		p.flight.reset()
-		p.pre.reset()
-		p.qdServing = false
+		if p.qdp != nil {
+			p.qdp.pre.reset()
+			p.qdp.serving = false
+		}
 		if p.qd != nil {
 			p.qd.Reset()
 		}
@@ -127,36 +129,33 @@ type Port struct {
 	vci *vciAlloc
 
 	// egress holds cells committed to the port's output pacing and
-	// flight the cells crossing the fiber; outFn/inFn are bound once so
-	// forwarding a cell schedules its two wire events without closure
-	// allocations (egress completion times are monotonic per port, so
-	// FIFO order matches event order).
-	egress cellQueue
-	flight cellQueue
-	outFn  func()
-	inFn   func()
+	// flight the cells crossing the fiber; outLane and inLane carry
+	// their two wire events (egress completion times are monotonic per
+	// port, so FIFO order matches event order), one heap entry each
+	// however deep the queue.
+	egress  cellQueue
+	flight  cellQueue
+	outLane sim.Lane
+	inLane  sim.Lane
 
 	// cut, when set, marks the far end of this fiber as living in another
 	// shard: instead of queueing the cell locally and scheduling its
 	// arrival, forward hands it to the cluster coordinator with the two
 	// wire times serial execution would have used (scheduleAt = egress
 	// engine completion, at = far-end arrival), and the local cellout
-	// event — cutFn, bound by SetCut — only releases the queue slot.
-	cut   func(scheduleAt, at sim.Time, c Cell)
-	cutFn func()
+	// event — cutLane, made by SetCut — only releases the queue slot.
+	cut     func(scheduleAt, at sim.Time, c Cell)
+	cutLane *sim.Lane
 
 	// qd, when installed, replaces the built-in drop-tail depth with a
-	// pluggable queue discipline. The qdisc path separates the fabric
-	// pipeline (fixed Latency, modeled by the pre queue and qdInFn event)
-	// from link service (one cell at a time, picked by qd.Dequeue), so
-	// disciplines that reorder — DRR — actually control transmission
-	// order, which the legacy precomputed-busy-time path cannot allow.
-	// A nil qd leaves the legacy path byte-identical.
-	qd        Qdisc
-	pre       cellQueue // cells crossing the fabric toward the qdisc
-	qdServing bool      // link currently clocking a cell out
-	qdInFn    func()
-	qdOutFn   func()
+	// pluggable queue discipline. The qdisc path (qdp, made by the first
+	// SetQdisc) separates the fabric pipeline (fixed Latency) from link
+	// service (one cell at a time, picked by qd.Dequeue), so disciplines
+	// that reorder — DRR — actually control transmission order, which
+	// the legacy precomputed-busy-time path cannot allow. A nil qd
+	// leaves the legacy path byte-identical.
+	qd  Qdisc
+	qdp *qdPath
 
 	// down marks the port failed (fault injection): cells arriving over
 	// its fiber are dropped before the VC lookup until recovery. Cells
@@ -167,6 +166,15 @@ type Port struct {
 
 	// DownDrops counts cells the down-state discarded.
 	DownDrops int64
+}
+
+// qdPath is the state only a qdisc-managed port needs, kept off the
+// Port so that a large fabric's thousands of plain ports do not carry it.
+type qdPath struct {
+	pre     cellQueue // cells crossing the fabric toward the qdisc
+	in      sim.Lane  // their arrival at the discipline
+	serving bool      // link currently clocking a cell out
+	out     sim.Lane  // its completion
 }
 
 // Index returns the port's number on the switch.
@@ -184,9 +192,10 @@ func (p *Port) Down() bool { return p.down }
 // restores the legacy path.
 func (p *Port) SetQdisc(q Qdisc) {
 	p.qd = q
-	if q != nil && p.qdInFn == nil {
-		p.qdInFn = p.qdIn
-		p.qdOutFn = p.qdCellOut
+	if q != nil && p.qdp == nil {
+		p.qdp = new(qdPath)
+		p.qdp.in.Bind(p.qdIn)
+		p.qdp.out.Bind(p.qdCellOut)
 	}
 }
 
@@ -201,7 +210,7 @@ func (sw *Switch) Port(i int) *Port { return sw.ports[i] }
 // qdisc-managed egress port: offer it to the discipline and start link
 // service if the link is idle.
 func (p *Port) qdIn() {
-	c := p.pre.pop()
+	c := p.qdp.pre.pop()
 	h, err := ParseHeader(&c)
 	if err != nil {
 		p.sw.HECErrors++
@@ -223,14 +232,14 @@ func (p *Port) qdIn() {
 // floor, so deferring the stage to transmission completion (as the
 // local path may) would under-run the conservative horizon.
 func (p *Port) qdKick() {
-	if p.qdServing {
+	if p.qdp.serving {
 		return
 	}
 	c, ok := p.qd.Dequeue()
 	if !ok {
 		return
 	}
-	p.qdServing = true
+	p.qdp.serving = true
 	env := p.sw.env
 	start := env.Now()
 	if p.busy > start {
@@ -243,19 +252,19 @@ func (p *Port) qdKick() {
 	} else {
 		p.egress.push(c)
 	}
-	env.At(end, "atmsw.cellout", p.qdOutFn)
+	p.qdp.out.At(env, end, "atmsw.cellout")
 }
 
 // qdCellOut fires when the link finishes clocking a qdisc-scheduled cell
 // onto the fiber: release the slot, deliver (cut ports already staged at
 // commit time), and start the next cell.
 func (p *Port) qdCellOut() {
-	p.qdServing = false
+	p.qdp.serving = false
 	p.queued--
 	if p.cut == nil {
 		c := p.egress.pop()
 		p.flight.push(c)
-		p.sw.env.After(p.prop, "atmsw.cellin", p.inFn)
+		p.inLane.At(p.sw.env, p.sw.env.Now()+p.prop, "atmsw.cellin")
 	}
 	p.qdKick()
 }
@@ -263,8 +272,8 @@ func (p *Port) qdCellOut() {
 // newPort wires one port's queues and bound callbacks.
 func (sw *Switch) newPort(out cellSink, bits float64, prop sim.Time) *Port {
 	p := &Port{sw: sw, index: len(sw.ports), out: out, bits: bits, prop: prop}
-	p.outFn = p.cellOut
-	p.inFn = p.cellIn
+	p.outLane.Bind(p.cellOut)
+	p.inLane.Bind(p.cellIn)
 	sw.ports = append(sw.ports, p)
 	return p
 }
@@ -296,7 +305,8 @@ func ConnectTrunk(a, b *Switch, model *cost.Model) (aPort, bPort int) {
 // have scheduled.
 func (p *Port) SetCut(stage func(scheduleAt, at sim.Time, c Cell)) {
 	p.cut = stage
-	p.cutFn = func() { p.queued-- }
+	p.cutLane = new(sim.Lane)
+	p.cutLane.Bind(func() { p.queued-- })
 }
 
 // InjectCell delivers a cell that crossed a shard boundary into this
@@ -310,7 +320,7 @@ func (p *Port) InjectCell(c Cell) { p.sw.forward(p, c) }
 func (p *Port) cellOut() {
 	p.queued--
 	p.flight.push(p.egress.pop())
-	p.sw.env.After(p.prop, "atmsw.cellin", p.inFn)
+	p.inLane.At(p.sw.env, p.sw.env.Now()+p.prop, "atmsw.cellin")
 }
 
 // cellIn fires when the cell reaches the far end of the fiber.
@@ -376,8 +386,8 @@ func (sw *Switch) forward(from *Port, c Cell) {
 		// in the discipline's service order.
 		h.VCI = route.vci
 		h.Marshal(&c)
-		out.pre.push(c)
-		sw.env.After(sw.Latency, "atmsw.qdin", out.qdInFn)
+		out.qdp.pre.push(c)
+		out.qdp.in.At(sw.env, sw.env.Now()+sw.Latency, "atmsw.qdin")
 		return
 	}
 	if out.queued >= sw.PortQueueCells {
@@ -400,11 +410,11 @@ func (sw *Switch) forward(from *Port, c Cell) {
 		// Far end lives in another shard: stage the delivery with the
 		// coordinator and keep only the queue-slot release local.
 		out.cut(end, end+out.prop, c)
-		env.At(end, "atmsw.cellout", out.cutFn)
+		out.cutLane.At(env, end, "atmsw.cellout")
 		return
 	}
 	out.egress.push(c)
-	env.At(end, "atmsw.cellout", out.outFn)
+	out.outLane.At(env, end, "atmsw.cellout")
 }
 
 // vciAlloc hands out per-flow VCIs on one egress direction of a trunk

@@ -204,14 +204,13 @@ type Adapter struct {
 	RxReady *sim.WaitQueue
 
 	// txPend holds frames committed to the transmitter and flight the
-	// frames crossing the wire; frameOutFn/frameInFn are bound once so
-	// Transmit schedules both wire events without allocating a closure
-	// per frame (wire completion times are monotonic per adapter, so
-	// FIFO order matches event order).
-	txPend     []Frame
-	flight     []Frame
-	frameOutFn func()
-	frameInFn  func()
+	// frames crossing the wire; outLane and inLane carry their two wire
+	// events (wire completion times are monotonic per adapter, so FIFO
+	// order matches event order).
+	txPend  []Frame
+	flight  []Frame
+	outLane sim.Lane
+	inLane  sim.Lane
 
 	FramesSent int64
 	FramesRecv int64
@@ -243,8 +242,8 @@ func (a *Adapter) SetImpairments(p sim.GEParams, seed uint64) {
 // NewAdapter returns an adapter with the given station address.
 func NewAdapter(k *kern.Kernel, addr [6]byte) *Adapter {
 	a := &Adapter{K: k, Addr: addr, RxReady: k.Env.NewWaitQueue(k.Name + ".le.rx")}
-	a.frameOutFn = a.frameOut
-	a.frameInFn = a.frameIn
+	a.outLane.Bind(a.frameOut)
+	a.inLane.Bind(a.frameIn)
 	return a
 }
 
@@ -295,7 +294,7 @@ func popFrame(q *[]Frame) Frame {
 // propagation toward the segment.
 func (a *Adapter) frameOut() {
 	a.flight = append(a.flight, popFrame(&a.txPend))
-	a.K.Env.After(a.K.Cost.EtherPropagation, "ether.framein", a.frameInFn)
+	a.inLane.At(a.K.Env, a.K.Env.Now()+a.K.Cost.EtherPropagation, "ether.framein")
 }
 
 // frameIn fires when the frame reaches the far end: hand it to the
@@ -342,7 +341,7 @@ func (a *Adapter) Transmit(f Frame) sim.Time {
 	a.wireBusy = end + a.K.Cost.EtherIFG
 	a.FramesSent++
 	a.txPend = append(a.txPend, f)
-	env.At(end, "ether.frameout", a.frameOutFn)
+	a.outLane.At(env, end, "ether.frameout")
 	return end
 }
 

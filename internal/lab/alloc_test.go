@@ -3,6 +3,8 @@ package lab
 import (
 	"runtime"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // echoAllocs runs one 1400-byte ATM echo lab to completion and returns
@@ -43,5 +45,47 @@ func TestEchoSteadyStateAllocs(t *testing.T) {
 	t.Logf("steady-state echo: %.1f allocs per round trip", perRTT)
 	if perRTT > 176 {
 		t.Fatalf("steady-state echo allocates %.1f per round trip, want <= 176", perRTT)
+	}
+}
+
+// TestEchoQueueStaysShallow is the depth tripwire for the event queue:
+// across 250 steady 8000-byte ATM echoes — ~180 cells each way, a
+// retransmit timer re-armed per segment and a delayed-ACK timer per
+// arrival — a probe samples the queue every simulated millisecond, and
+// nothing it sees may exceed 64 pending events. With one event per cell
+// and a dead event per timer re-arm the same run averages ~390 and
+// peaks far higher, which is what made the heap the simulator's largest
+// cost; a pile-up reintroduced anywhere fails here, not only in the
+// benchmark.
+func TestEchoQueueStaysShallow(t *testing.T) {
+	l := New(Config{Link: LinkATM, Seed: 1994})
+	env := l.Env
+	peak, samples := 0, 0
+	var probe func()
+	probe = func() {
+		n := env.Pending()
+		if n == 0 {
+			return // drained: stop probing so the run can end
+		}
+		samples++
+		if n > peak {
+			peak = n
+		}
+		env.After(sim.Millisecond, "test.probe", probe)
+	}
+	env.After(sim.Millisecond, "test.probe", probe)
+	res, err := l.RunEcho(8000, 250, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CorruptEchoes != 0 {
+		t.Fatalf("echo corrupted %d times", res.CorruptEchoes)
+	}
+	t.Logf("peak %d pending events over %d samples", peak, samples)
+	if samples < 1000 {
+		t.Fatalf("only %d samples: the probe stopped before the echoes did", samples)
+	}
+	if peak > 64 {
+		t.Fatalf("peak queue depth %d, want <= 64", peak)
 	}
 }

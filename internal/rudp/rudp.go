@@ -128,7 +128,7 @@ func (e *Endpoint) conn(key connKey) *Conn {
 		sndWq: e.K.Env.NewWaitQueue(fmt.Sprintf("%s.rudp.snd", e.K.Name)),
 		rcvWq: e.K.Env.NewWaitQueue(fmt.Sprintf("%s.rudp.rcv", e.K.Name)),
 	}
-	c.rexmtCb = c.rexmtTimer
+	c.rexmt.Bind(c.rexmtTimer)
 	e.conns[key] = c
 	return c
 }
@@ -267,8 +267,7 @@ type Conn struct {
 	rtSeq        uint16
 	rtStart      sim.Time
 	rexmtShift   uint
-	rexmtGen     int
-	rexmtCb      func(uint64)
+	rexmt        sim.Timer
 	sndWq        *sim.WaitQueue
 	closed       bool
 
@@ -325,20 +324,15 @@ func (c *Conn) rttUpdate(sample sim.Time) {
 
 // setRexmt (re)arms the retransmission timer.
 func (c *Conn) setRexmt() {
-	c.rexmtGen++
-	c.e.K.Env.AfterArg(c.rto(), "rudp.rexmt", c.rexmtCb, uint64(c.rexmtGen))
+	env := c.e.K.Env
+	c.rexmt.Set(env, env.Now()+c.rto(), "rudp.rexmt")
 }
 
-// clearRexmt cancels any pending timer (stale generations no-op).
-func (c *Conn) clearRexmt() { c.rexmtGen++ }
+// clearRexmt cancels any pending timer.
+func (c *Conn) clearRexmt() { c.rexmt.Stop() }
 
-// rexmtTimer fires when an armed deadline elapses.
-func (c *Conn) rexmtTimer(gen uint64) {
-	if gen != uint64(c.rexmtGen) {
-		return
-	}
-	c.e.dispatch(c.rexmtFire)
-}
+// rexmtTimer fires when the armed deadline elapses.
+func (c *Conn) rexmtTimer() { c.e.dispatch(c.rexmtFire) }
 
 // rexmtFire handles a retransmission timeout: back off, mark the timed
 // sample dead (Karn), and resend every unacked message with refreshed

@@ -20,7 +20,7 @@ func testConn(t *testing.T) *Conn {
 		sndWq: env.NewWaitQueue("t.snd"),
 		rcvWq: env.NewWaitQueue("t.rcv"),
 	}
-	c.rexmtCb = func(uint64) {}
+	c.rexmt.Bind(func() {})
 	return c
 }
 
@@ -210,7 +210,7 @@ func TestRexmtGiveUp(t *testing.T) {
 	c := testConn(t)
 	c.unacked = append(c.unacked, &sndEntry{seq: 0, payload: []byte("x")})
 	c.rexmtShift = maxRexmtShift
-	gen := c.rexmtGen
+	c.setRexmt()
 	c.rexmtFire(nil)
 	if !c.closed {
 		t.Error("stream not closed after give-up")
@@ -221,7 +221,7 @@ func TestRexmtGiveUp(t *testing.T) {
 	if len(c.unacked) != 0 {
 		t.Errorf("%d entries still unacked after give-up", len(c.unacked))
 	}
-	if c.rexmtGen == gen {
+	if c.rexmt.Armed() {
 		t.Error("retransmit timer not cancelled by give-up")
 	}
 }

@@ -9,21 +9,27 @@ import (
 	"strings"
 )
 
+// Named function types for the two plain callback shapes, so an event's
+// one interface word can tell them apart by type. Func values are
+// pointer-shaped: boxing one allocates nothing.
+type (
+	thunk   func()
+	argFunc func(uint64)
+)
+
 // event is a scheduled callback. Events with equal timestamps fire in the
 // order they were scheduled (seq breaks ties), which keeps runs
 // deterministic. Stored by value in the heap slice — never individually
-// heap-allocated. A callback is either fn, or argFn applied to arg: the
-// arg-carrying form lets repeat schedulers (TCP's retransmit and
-// delayed-ACK timers) use one bound method per connection plus a
-// generation number in the event, instead of allocating a fresh closure
-// per arming.
+// heap-allocated. do is what fires: a thunk, an argFunc applied to arg
+// (one bound method reused across schedulings, the context word riding
+// in the event — no closure per call), the head of a *Lane, or the heap
+// entry of a *Timer. Step dispatches on its dynamic type.
 type event struct {
-	at    Time
-	seq   uint64
-	arg   uint64
-	name  string
-	fn    func()
-	argFn func(uint64)
+	at   Time
+	seq  uint64
+	arg  uint64
+	name string
+	do   any
 }
 
 // eventHeap is a 4-ary min-heap of events ordered by (at, seq), stored by
@@ -34,6 +40,11 @@ type event struct {
 // the vacated tail slot (releasing the closure for GC) and push reuses
 // it, so a simulation allocates queue memory only while growing beyond
 // its high-water mark.
+//
+// The queue's work is kept on pointer-receiver methods of eventHeap and
+// on Env's schedule… methods, queue.go's lane and timer steps included:
+// those are the symbols the benchmark's profile counts as queue time
+// (sim.heap_share), so what the gauge shows falling really fell.
 type eventHeap []event
 
 // before reports whether a fires before b: earlier timestamp, or equal
@@ -62,42 +73,53 @@ func (h *eventHeap) push(ev event) {
 	*h = q
 }
 
-// pop removes and returns the minimum event.
-func (h *eventHeap) pop() event {
+// pop removes the minimum event.
+func (h *eventHeap) pop() {
 	q := *h
-	top := q[0]
 	n := len(q) - 1
 	last := q[n]
-	q[n] = event{} // release the closure and name for GC
-	q = q[:n]
-	*h = q
+	q[n] = event{} // release the callback and name for GC
+	*h = q[:n]
 	if n > 0 {
-		// Sift the displaced last element down from the root.
-		i := 0
-		for {
-			first := 4*i + 1
-			if first >= n {
-				break
-			}
-			min := first
-			end := first + 4
-			if end > n {
-				end = n
-			}
-			for j := first + 1; j < end; j++ {
-				if q[j].before(&q[min]) {
-					min = j
-				}
-			}
-			if !q[min].before(&last) {
-				break
-			}
-			q[i] = q[min]
-			i = min
-		}
-		q[i] = last
+		h.sink(&last)
 	}
-	return top
+}
+
+// rekey moves the root to (at, seq) — at or after its current key — and
+// restores heap order: one sift-down in place of a pop and a push.
+func (h *eventHeap) rekey(at Time, seq uint64) {
+	ev := (*h)[0]
+	ev.at, ev.seq = at, seq
+	h.sink(&ev)
+}
+
+// sink overwrites the root with ev, sifting it down to its heap position.
+func (h *eventHeap) sink(ev *event) {
+	q := *h
+	n := len(q)
+	i := 0
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		min := first
+		end := first + 4
+		if end > n {
+			end = n
+		}
+		for j := first + 1; j < end; j++ {
+			if q[j].before(&q[min]) {
+				min = j
+			}
+		}
+		if !q[min].before(ev) {
+			break
+		}
+		q[i] = q[min]
+		i = min
+	}
+	q[i] = *ev
 }
 
 // Env is a discrete-event simulation environment. The zero value is not
@@ -106,8 +128,9 @@ type Env struct {
 	now     Time
 	seq     uint64
 	events  eventHeap
-	current *Proc // the proc currently executing, if any
-	procs   int   // live (unfinished) procs
+	backlog backlog // lane records queued behind their lane's heap entry
+	current *Proc   // the proc currently executing, if any
+	procs   int     // live (unfinished) procs
 	rng     *RNG
 
 	// horizon bounds how far this environment may advance on its own:
@@ -147,8 +170,8 @@ func (e *Env) Now() Time { return e.now }
 // pending panics: it would strand scheduled work and silently corrupt the
 // next run's measurements.
 func (e *Env) Reset() {
-	if len(e.events) != 0 {
-		panic(fmt.Sprintf("sim: Reset with %d events pending", len(e.events)))
+	if n := e.Pending(); n != 0 {
+		panic(fmt.Sprintf("sim: Reset with %d events pending", n))
 	}
 	e.now = 0
 	e.seq = 0
@@ -168,19 +191,18 @@ func (e *Env) Seed(s uint64) { e.rng = NewRNG(s) }
 // into: it stamps the event with the next sequence number (the
 // deterministic tie-break for equal timestamps) and inserts it into the
 // heap. Scheduling in the past panics: it would violate causality and
-// silently corrupt measurements. The callback is either fn, or argFn
-// applied to arg — exactly one must be set; see the event comment.
-func (e *Env) schedule(t Time, name string, fn func(), argFn func(uint64), arg uint64) {
+// silently corrupt measurements. See the event comment for what do holds.
+func (e *Env) schedule(t Time, name string, do any, arg uint64) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling %q at %v, before now %v", name, t, e.now))
 	}
 	e.seq++
-	e.events.push(event{at: t, seq: e.seq, name: name, fn: fn, argFn: argFn, arg: arg})
+	e.events.push(event{at: t, seq: e.seq, name: name, do: do, arg: arg})
 }
 
 // At schedules fn to run at absolute virtual time t.
 func (e *Env) At(t Time, name string, fn func()) {
-	e.schedule(t, name, fn, nil, 0)
+	e.schedule(t, name, thunk(fn), 0)
 }
 
 // After schedules fn to run d after the current time. A negative delay
@@ -189,15 +211,15 @@ func (e *Env) After(d Time, name string, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v for %q", d, name))
 	}
-	e.schedule(e.now+d, name, fn, nil, 0)
+	e.schedule(e.now+d, name, thunk(fn), 0)
 }
 
 // AtArg schedules fn(arg) at absolute virtual time t. It is At for
 // callbacks that need one word of context: the function can be bound
-// once and reused across schedulings, with arg (typically a generation
-// counter) riding in the event itself — no closure allocation per call.
+// once and reused across schedulings, with arg (an index, a parked
+// message) riding in the event itself — no closure allocation per call.
 func (e *Env) AtArg(t Time, name string, fn func(uint64), arg uint64) {
-	e.schedule(t, name, nil, fn, arg)
+	e.schedule(t, name, argFunc(fn), arg)
 }
 
 // AfterArg schedules fn(arg) to run d after the current time. A negative
@@ -206,7 +228,7 @@ func (e *Env) AfterArg(d Time, name string, fn func(uint64), arg uint64) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v for %q", d, name))
 	}
-	e.schedule(e.now+d, name, nil, fn, arg)
+	e.schedule(e.now+d, name, argFunc(fn), arg)
 }
 
 // Step runs the next pending event, advancing the clock to its timestamp.
@@ -224,12 +246,25 @@ func (e *Env) Step() bool {
 		}
 		e.wdNext = e.events[0].at + e.wd.pollEvery()
 	}
-	ev := e.events.pop()
-	e.now = ev.at
-	if ev.fn != nil {
-		ev.fn()
-	} else {
-		ev.argFn(ev.arg)
+	root := &e.events[0]
+	e.now = root.at
+	switch do := root.do.(type) {
+	case thunk:
+		e.events.pop()
+		do()
+	case argFunc:
+		arg := root.arg
+		e.events.pop()
+		do(arg)
+	case *Lane:
+		// Step the lane before its callback runs: the callback may
+		// schedule on this same lane.
+		e.events.advance(do, &e.backlog)
+		do.fn()
+	case *Timer:
+		if e.events.expire(do, root.seq) {
+			do.fn()
+		}
 	}
 	return true
 }
@@ -253,8 +288,11 @@ func (e *Env) RunUntil(deadline Time) {
 	}
 }
 
-// Pending returns the number of scheduled events not yet run.
-func (e *Env) Pending() int { return len(e.events) }
+// Pending returns the number of scheduled events not yet run: heap
+// entries plus the records lanes hold behind theirs. A stopped or
+// superseded timer's entry counts until it expires, exactly as the dead
+// event it replaces did.
+func (e *Env) Pending() int { return len(e.events) + e.backlog.n }
 
 // SetHorizon sets the safe-time bound for windowed execution: RunWindow
 // stops before the first event at or past t, and SleepUntil's in-place
@@ -307,12 +345,27 @@ func (e *Env) WatchdogErr() error {
 
 // PendingSummary returns a histogram of pending event names — at most
 // max entries, most frequent first — for watchdog diagnostics: a
-// livelocked run's heap is typically thousands of copies of the same few
-// timer events, and naming them identifies the spinning subsystem.
+// livelocked run's queue is typically thousands of copies of the same few
+// events, and naming them identifies the spinning subsystem. A lane
+// counts its whole backlog under its entry's name; an armed timer counts
+// once however often it was re-armed, and entries that will only expire
+// (a stopped timer, a superseded deadline) are set apart as "(dead)".
 func (e *Env) PendingSummary(max int) string {
 	counts := make(map[string]int)
 	for i := range e.events {
-		counts[e.events[i].name]++
+		ev := &e.events[i]
+		switch do := ev.do.(type) {
+		case *Lane:
+			counts[ev.name] += int(do.n)
+		case *Timer:
+			if do.armed && ev.seq == do.heapSeq {
+				counts[ev.name]++
+			} else {
+				counts[ev.name+"(dead)"]++
+			}
+		default:
+			counts[ev.name]++
+		}
 	}
 	type entry struct {
 		name string

@@ -231,18 +231,18 @@ func (e *Env) Current() *Proc { return e.current }
 // the event queue at the current time; WakeAll drains the queue.
 type WaitQueue struct {
 	env      *Env
-	name     string
 	wakeName string // "wakeq:"+name, precomputed off the wake hot path
 	procs    []*Proc
+	head     int // longest waiter; popping neither shifts nor allocates
 }
 
 // NewWaitQueue returns an empty wait queue.
 func (e *Env) NewWaitQueue(name string) *WaitQueue {
-	return &WaitQueue{env: e, name: name, wakeName: "wakeq:" + name}
+	return &WaitQueue{env: e, wakeName: "wakeq:" + name}
 }
 
 // Len returns the number of processes blocked on the queue.
-func (w *WaitQueue) Len() int { return len(w.procs) }
+func (w *WaitQueue) Len() int { return len(w.procs) - w.head }
 
 // Wait parks p until another part of the simulation calls Wake or
 // WakeAll. The calling frame must return from Step immediately; its Step
@@ -255,14 +255,21 @@ func (w *WaitQueue) Wait(p *Proc) {
 // wake dequeues the longest-waiting process, if any, and schedules its
 // resumption at absolute time t. It reports whether a process was woken.
 func (w *WaitQueue) wake(t Time) bool {
-	if len(w.procs) == 0 {
+	if w.head == len(w.procs) {
 		return false
 	}
-	p := w.procs[0]
-	copy(w.procs, w.procs[1:])
-	n := len(w.procs) - 1
-	w.procs[n] = nil // release for GC
-	w.procs = w.procs[:n]
+	p := w.procs[w.head]
+	w.procs[w.head] = nil // release for GC
+	w.head++
+	switch {
+	case w.head == len(w.procs):
+		w.procs, w.head = w.procs[:0], 0
+	case w.head >= 128 && w.head*2 >= len(w.procs):
+		// Never quite drained: compact once the dead prefix dominates.
+		n := copy(w.procs, w.procs[w.head:])
+		clear(w.procs[n:])
+		w.procs, w.head = w.procs[:n], 0
+	}
 	w.env.At(t, w.wakeName, p.stepFn)
 	return true
 }

@@ -1,0 +1,687 @@
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+)
+
+// The order-equivalence oracle. refQueue is the event engine as it stood
+// before lanes and timers: a plain 4-ary heap, one event per lane record,
+// a generation-stamped event per timer re-arm whose stale copies pop as
+// no-ops. A script of scheduling and run operations drives it and the
+// real Env side by side; the two must log the identical sequence of
+// (clock, callback) firings and stop at the identical clock.
+
+type refEvent struct {
+	at  Time
+	seq uint64
+	fn  func()
+}
+
+type refQueue struct {
+	now     Time
+	seq     uint64
+	heap    []refEvent
+	horizon Time
+	inProc  bool
+	gens    [scriptTimers]int
+}
+
+func (a *refEvent) before(b *refEvent) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+func (r *refQueue) at(t Time, fn func()) {
+	if t < r.now {
+		panic(fmt.Sprintf("ref: scheduling at %v, before now %v", t, r.now))
+	}
+	r.seq++
+	ev := refEvent{t, r.seq, fn}
+	q := append(r.heap, ev)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !ev.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = ev
+	r.heap = q
+}
+
+func (r *refQueue) step() {
+	q := r.heap
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q = q[:n]
+	r.heap = q
+	if n > 0 {
+		i := 0
+		for {
+			first := 4*i + 1
+			if first >= n {
+				break
+			}
+			min := first
+			for j := first + 1; j < first+4 && j < n; j++ {
+				if q[j].before(&q[min]) {
+					min = j
+				}
+			}
+			if !q[min].before(&last) {
+				break
+			}
+			q[i] = q[min]
+			i = min
+		}
+		q[i] = last
+	}
+	r.now = top.at
+	top.fn()
+}
+
+func (r *refQueue) runUntil(deadline Time) {
+	for len(r.heap) > 0 && r.heap[0].at <= deadline {
+		r.step()
+	}
+	if r.now < deadline {
+		r.now = deadline
+	}
+}
+
+func (r *refQueue) runWindow() {
+	for len(r.heap) > 0 && r.heap[0].at < r.horizon {
+		r.step()
+	}
+}
+
+// sleepUntil is Proc.SleepUntil: advance in place when nothing can fire
+// first, else park behind a wake event that runs resume.
+func (r *refQueue) sleepUntil(t Time, resume func()) bool {
+	if t <= r.now {
+		return true
+	}
+	if r.inProc && t < r.horizon && (len(r.heap) == 0 || r.heap[0].at > t) {
+		r.now = t
+		return true
+	}
+	r.at(t, func() {
+		r.inProc = true
+		resume()
+		r.inProc = false
+	})
+	return false
+}
+
+// The script. Every operation is three bytes — kind, target, delay — so
+// a fuzzer's mutations stay meaningful. The top level consumes
+// operations in order; every callback that fires, and every step of a
+// sleeping process, consumes the next one as its reaction, which is how
+// a timer comes to be re-armed from its own callback or a lane appended
+// to from its own. Both implementations draw from the one cursor, so
+// they stay in step exactly as long as they fire in the same order.
+const (
+	opAt = iota
+	opAtArg
+	opLane
+	opTimerSet
+	opTimerStop
+	opSpawn
+	opRunUntil
+	opRunWindow
+	opKinds
+
+	scriptLanes  = 3
+	scriptTimers = 3
+	scriptProcs  = 2
+)
+
+// Callback identities in the log.
+const (
+	idPlain = 100 // + target
+	idArg   = 200 // + target
+	idLane  = 300 // + lane
+	idTimer = 400 // + timer
+	idProc  = 500 // + proc
+)
+
+type scriptOp struct {
+	kind, who int
+	delay     Time
+}
+
+// target is the queue a script is applied to: the real Env or refQueue.
+type target interface {
+	clock() Time
+	plain(t Time, id int)
+	arg(t Time, id int)
+	lane(i int, t Time)
+	timerSet(i int, t Time)
+	timerStop(i int)
+	spawn(i int, t Time)
+	runUntil(t Time)
+	runWindow(h Time)
+	drain()
+}
+
+type driver struct {
+	ops     []byte
+	cur     int
+	q       target
+	log     []string
+	base    Time // the top level's clock: the last run bound
+	spawned [scriptProcs]bool
+}
+
+func (d *driver) next() (scriptOp, bool) {
+	if d.cur+3 > len(d.ops) {
+		return scriptOp{}, false
+	}
+	b := d.ops[d.cur : d.cur+3]
+	d.cur += 3
+	return scriptOp{kind: int(b[0]) % opKinds, who: int(b[1]), delay: Time(b[2] % 32)}, true
+}
+
+// fired logs one callback firing and applies its reaction.
+func (d *driver) fired(id int) {
+	d.log = append(d.log, fmt.Sprintf("%d@%d", id, d.q.clock()))
+	if op, ok := d.next(); ok {
+		d.schedule(op, d.q.clock())
+	}
+}
+
+// schedule applies a scheduling operation relative to now; run
+// operations are the top level's alone and do nothing here.
+func (d *driver) schedule(op scriptOp, now Time) {
+	t := now + op.delay
+	switch op.kind {
+	case opAt:
+		d.q.plain(t, idPlain+op.who%4)
+	case opAtArg:
+		d.q.arg(t, idArg+op.who%4)
+	case opLane:
+		d.q.lane(op.who%scriptLanes, t)
+	case opTimerSet:
+		d.q.timerSet(op.who%scriptTimers, t)
+	case opTimerStop:
+		d.q.timerStop(op.who % scriptTimers)
+	}
+}
+
+func (d *driver) run() {
+	for {
+		op, ok := d.next()
+		if !ok {
+			break
+		}
+		switch op.kind {
+		case opSpawn:
+			if i := op.who % scriptProcs; !d.spawned[i] {
+				// Spawned from an event at the top level's clock: Spawn
+				// starts a process "now", and after a window the two
+				// queues' own clocks may differ (see opRunWindow).
+				d.spawned[i] = true
+				d.q.spawn(i, d.base)
+			}
+		case opRunUntil:
+			// Both run forms bound the horizon: a process that slept in
+			// place past the bound would run ahead of the top level's next
+			// operation in whichever queue let it, and dead events decide
+			// that — the cluster's reason for the horizon, too.
+			d.base += op.delay
+			d.q.runUntil(d.base)
+		case opRunWindow:
+			// After a window the two clocks may legitimately differ (a
+			// dead event the reference popped, the real queue never
+			// held), so the top level schedules from the horizon.
+			d.base += op.delay
+			d.q.runWindow(d.base)
+		default:
+			d.schedule(op, d.base)
+		}
+	}
+	d.q.drain()
+	d.log = append(d.log, fmt.Sprintf("end@%d", d.q.clock()))
+}
+
+// realTarget drives the Env under test.
+type realTarget struct {
+	d      *driver
+	e      *Env
+	lanes  [scriptLanes]Lane
+	timers [scriptTimers]Timer
+	argFn  func(uint64)
+}
+
+func newRealTarget(d *driver) *realTarget {
+	r := &realTarget{d: d, e: NewEnv()}
+	for i := range r.lanes {
+		i := i
+		r.lanes[i].Bind(func() { d.fired(idLane + i) })
+	}
+	for i := range r.timers {
+		i := i
+		r.timers[i].Bind(func() { d.fired(idTimer + i) })
+	}
+	r.argFn = func(id uint64) { d.fired(int(id)) }
+	return r
+}
+
+func (r *realTarget) clock() Time          { return r.e.Now() }
+func (r *realTarget) plain(t Time, id int) { r.e.At(t, "plain", func() { r.d.fired(id) }) }
+func (r *realTarget) arg(t Time, id int) {
+	r.e.AfterArg(t-r.e.Now(), "arg", r.argFn, uint64(id))
+}
+func (r *realTarget) lane(i int, t Time)     { r.lanes[i].At(r.e, t, "lane") }
+func (r *realTarget) timerSet(i int, t Time) { r.timers[i].Set(r.e, t, "timer") }
+func (r *realTarget) timerStop(i int)        { r.timers[i].Stop() }
+func (r *realTarget) spawn(i int, t Time) {
+	r.e.At(t, "spawner", func() { r.e.Spawn("sleeper", &realSleeper{d: r.d, id: idProc + i}) })
+}
+func (r *realTarget) runUntil(t Time)  { r.e.SetHorizon(t + 1); r.e.RunUntil(t) }
+func (r *realTarget) runWindow(h Time) { r.e.SetHorizon(h); r.e.RunWindow() }
+func (r *realTarget) drain()           { r.e.SetHorizon(MaxTime); r.e.Run() }
+
+// realSleeper logs, reacts, and sleeps the reaction's delay, until the
+// script runs out.
+type realSleeper struct {
+	d  *driver
+	id int
+}
+
+func (s *realSleeper) Step(p *Proc) {
+	for {
+		now := p.Env().Now()
+		s.d.log = append(s.d.log, fmt.Sprintf("%d@%d", s.id, now))
+		op, ok := s.d.next()
+		if !ok {
+			p.Return()
+			return
+		}
+		s.d.schedule(op, now)
+		if !p.SleepUntil(now + op.delay) {
+			return
+		}
+	}
+}
+
+// refTarget drives the reference queue.
+type refTarget struct {
+	d *driver
+	r refQueue
+}
+
+func (r *refTarget) clock() Time          { return r.r.now }
+func (r *refTarget) plain(t Time, id int) { r.r.at(t, func() { r.d.fired(id) }) }
+func (r *refTarget) arg(t Time, id int)   { r.r.at(t, func() { r.d.fired(id) }) }
+func (r *refTarget) lane(i int, t Time)   { r.r.at(t, func() { r.d.fired(idLane + i) }) }
+func (r *refTarget) timerSet(i int, t Time) {
+	r.r.gens[i]++
+	gen := r.r.gens[i]
+	r.r.at(t, func() {
+		if gen == r.r.gens[i] {
+			r.d.fired(idTimer + i)
+		}
+	})
+}
+func (r *refTarget) timerStop(i int) { r.r.gens[i]++ }
+func (r *refTarget) spawn(i int, t Time) {
+	r.r.at(t, func() {
+		r.r.at(r.r.now, func() {
+			r.r.inProc = true
+			r.sleeper(idProc + i)
+			r.r.inProc = false
+		})
+	})
+}
+func (r *refTarget) sleeper(id int) {
+	for {
+		now := r.r.now
+		r.d.log = append(r.d.log, fmt.Sprintf("%d@%d", id, now))
+		op, ok := r.d.next()
+		if !ok {
+			return
+		}
+		r.d.schedule(op, now)
+		if !r.r.sleepUntil(now+op.delay, func() { r.sleeper(id) }) {
+			return
+		}
+	}
+}
+func (r *refTarget) runUntil(t Time)  { r.r.horizon = t + 1; r.r.runUntil(t) }
+func (r *refTarget) runWindow(h Time) { r.r.horizon = h; r.r.runWindow() }
+func (r *refTarget) drain() {
+	r.r.horizon = MaxTime
+	for len(r.r.heap) > 0 {
+		r.r.step()
+	}
+}
+
+// checkQueueOrder runs script on both queues and reports the first
+// divergence in what fired, when.
+func checkQueueOrder(t testing.TB, script []byte) {
+	t.Helper()
+	ref := &driver{ops: script}
+	ref.q = &refTarget{d: ref, r: refQueue{horizon: MaxTime}}
+	ref.run()
+
+	real := &driver{ops: script}
+	rt := newRealTarget(real)
+	real.q = rt
+	real.run()
+
+	for i := 0; i < len(ref.log) || i < len(real.log); i++ {
+		var want, got string
+		if i < len(ref.log) {
+			want = ref.log[i]
+		}
+		if i < len(real.log) {
+			got = real.log[i]
+		}
+		if want != got {
+			t.Fatalf("script %v: firing %d is %q, reference fired %q\n real: %s\n  ref: %s",
+				script, i, got, want, strings.Join(real.log, " "), strings.Join(ref.log, " "))
+		}
+	}
+	if n := rt.e.Pending(); n != 0 {
+		t.Fatalf("script %v: %d events pending after the drain", script, n)
+	}
+	for i := range rt.timers {
+		if rt.timers[i].Armed() {
+			t.Fatalf("script %v: timer %d still armed after the drain", script, i)
+		}
+	}
+	rt.e.Reset() // panics on anything left in a lane or the heap
+}
+
+// Hand-written scripts for the cases the design turns on; they seed the
+// fuzzer and run in the property test.
+var queueOrderSeeds = [][]byte{
+	// Deadline moved earlier, then later: set +20, set +5, set +30, drain.
+	{opTimerSet, 0, 20, opTimerSet, 0, 5, opTimerSet, 0, 30},
+	// Later, then earlier but past the walking entry (+10, +30, +20): the
+	// +30 deadline must still pop, or the drained clocks differ.
+	{opTimerSet, 0, 10, opTimerSet, 0, 30, opTimerSet, 0, 20, opTimerStop, 0, 0},
+	// Stop, then drain: the stopped deadline still sets the final clock.
+	{opTimerSet, 1, 25, opAt, 0, 3, opTimerStop, 1, 0},
+	// Re-arm from inside the timer's own callback: the reaction to timer
+	// 0 firing is the next operation, a Set on timer 0 — twice over.
+	{opTimerSet, 0, 4, opRunUntil, 0, 10, opTimerSet, 0, 6, opTimerSet, 0, 0, opAt, 1, 1},
+	// Lane append from inside the lane's callback, then an out-of-order
+	// time (+2 after +9) that must fall back to a plain event.
+	{opLane, 0, 5, opLane, 0, 9, opLane, 0, 2, opRunUntil, 0, 5, opLane, 0, 1, opLane, 0, 0},
+	// Equal times everywhere: ties break by scheduling order alone.
+	{opLane, 1, 7, opAt, 0, 7, opTimerSet, 2, 7, opAtArg, 1, 7, opLane, 1, 7, opTimerSet, 2, 7},
+	// A sleeper whose fast path a dead timer event would have blocked,
+	// inside a window bounded by a horizon.
+	{opTimerSet, 0, 3, opTimerSet, 0, 31, opSpawn, 0, 0, opRunWindow, 0, 12, opAt, 0, 9, opLane, 2, 4,
+		opRunWindow, 0, 8, opTimerSet, 0, 1, opRunUntil, 0, 20},
+}
+
+// TestQueueOrderMatchesReference is the property test: the seeds, then
+// random scripts dense in ties (delays are 0–31 ticks) and long enough
+// for lanes to queue and timers to be re-armed dozens of times.
+func TestQueueOrderMatchesReference(t *testing.T) {
+	for _, s := range queueOrderSeeds {
+		checkQueueOrder(t, s)
+	}
+	rng := rand.New(rand.NewSource(1994))
+	for i := 0; i < 3000; i++ {
+		script := make([]byte, 3*(1+rng.Intn(120)))
+		rng.Read(script)
+		checkQueueOrder(t, script)
+	}
+}
+
+// FuzzQueueOrder lets the fuzzer hunt for a script that separates the
+// queue from its reference.
+func FuzzQueueOrder(f *testing.F) {
+	for _, s := range queueOrderSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > 3*400 {
+			script = script[:3*400]
+		}
+		checkQueueOrder(t, script)
+	})
+}
+
+// TestTimerOwnsOneHeapEntry pins the point of Timer: re-arming later,
+// however often, leaves one entry in the heap, and the timer fires once,
+// at the last deadline.
+func TestTimerOwnsOneHeapEntry(t *testing.T) {
+	e := NewEnv()
+	var tm Timer
+	var fired []Time
+	tm.Bind(func() { fired = append(fired, e.Now()) })
+	for i := 0; i < 100; i++ {
+		tm.Set(e, Time(1000+i), "t")
+	}
+	if len(e.events) != 1 || e.Pending() != 1 {
+		t.Fatalf("100 re-arms left %d heap entries (Pending %d), want 1", len(e.events), e.Pending())
+	}
+	e.Run()
+	if len(fired) != 1 || fired[0] != 1099 {
+		t.Fatalf("fired at %v, want once at 1099", fired)
+	}
+	if tm.Armed() {
+		t.Fatal("timer still armed after firing")
+	}
+}
+
+// TestLaneBacklogIsPendingAndNamed pins what the queue readers report
+// once work lives outside the heap slice: Pending counts a lane's
+// backlog, PendingSummary names it, a timer shows once while armed and
+// as dead once stopped, and Reset refuses while a lane holds records.
+func TestLaneBacklogIsPendingAndNamed(t *testing.T) {
+	e := NewEnv()
+	var l Lane
+	l.Bind(func() {})
+	for i := 0; i < 5; i++ {
+		l.At(e, Time(10+i), "wire.out")
+	}
+	var tm Timer
+	tm.Bind(func() {})
+	for i := 0; i < 8; i++ {
+		tm.Set(e, Time(100+i), "proto.rexmt")
+	}
+	if len(e.events) != 2 {
+		t.Fatalf("heap holds %d entries, want 2 (one lane head, one timer)", len(e.events))
+	}
+	if e.Pending() != 6 {
+		t.Fatalf("Pending = %d, want 6 (5 lane records + 1 timer)", e.Pending())
+	}
+	if got, want := e.PendingSummary(4), "wire.out×5 proto.rexmt×1"; got != want {
+		t.Fatalf("PendingSummary = %q, want %q", got, want)
+	}
+	tm.Stop()
+	if got, want := e.PendingSummary(4), "wire.out×5 proto.rexmt(dead)×1"; got != want {
+		t.Fatalf("PendingSummary after Stop = %q, want %q", got, want)
+	}
+
+	e.RunUntil(10) // the lane's head fires; four records still wait
+	if e.Pending() != 5 {
+		t.Fatalf("Pending = %d after one lane record fired, want 5", e.Pending())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Reset with a lane backlog did not panic")
+			}
+		}()
+		e.Reset()
+	}()
+	e.Run()
+	if e.Now() != 107 {
+		t.Fatalf("drained clock = %v, want 107: a stopped timer's entry still expires at its deadline", e.Now())
+	}
+	e.Reset()
+}
+
+// TestLaneAndTimerCarryNothingAcrossReset pins reuse: a lane's newest
+// time and a timer's heap key from one run must not leak into the next,
+// which starts its clock and sequence numbers over. A stale lane time
+// would silently turn every record into an ordinary event until the
+// clock caught up; a stale timer key would lose or misplace a deadline.
+func TestLaneAndTimerCarryNothingAcrossReset(t *testing.T) {
+	e := NewEnv()
+	var l Lane
+	var tm Timer
+	var log []string
+	l.Bind(func() { log = append(log, fmt.Sprintf("lane@%d", e.Now())) })
+	tm.Bind(func() { log = append(log, fmt.Sprintf("timer@%d", e.Now())) })
+
+	for i := 0; i < 4; i++ {
+		l.At(e, Time(5000+i), "lane")
+	}
+	tm.Set(e, 9000, "timer")
+	tm.Set(e, 7000, "timer") // leaves a dead entry at 9000
+	e.Run()
+	e.Reset()
+	log = log[:0]
+
+	l.At(e, 5, "lane")
+	l.At(e, 6, "lane")
+	tm.Set(e, 8, "timer")
+	tm.Set(e, 9, "timer")
+	if len(e.events) != 2 || e.Pending() != 3 {
+		t.Fatalf("after Reset: %d heap entries, Pending %d; want 2 and 3 — stale lane or timer state",
+			len(e.events), e.Pending())
+	}
+	e.Run()
+	if got, want := strings.Join(log, " "), "lane@5 lane@6 timer@9"; got != want {
+		t.Fatalf("after Reset fired %q, want %q", got, want)
+	}
+}
+
+// TestWaitQueueFIFOAcrossCompaction wakes several hundred waiters while
+// more keep arriving, so the queue's head index passes its compaction
+// threshold without the queue ever draining: order must stay FIFO.
+func TestWaitQueueFIFOAcrossCompaction(t *testing.T) {
+	e := NewEnv()
+	w := e.NewWaitQueue("q")
+	var woke []int
+	const n = 600
+	procs := make([]*Proc, n)
+	for i := range procs {
+		procs[i] = e.Spawn("w", &waiter{w: w, id: i, woke: &woke})
+	}
+	e.Run() // all parked
+	if w.Len() != n {
+		t.Fatalf("Len = %d, want %d", w.Len(), n)
+	}
+	for i := 0; i < n-1; i++ {
+		w.Wake()
+		if w.Len() != n-1-i {
+			t.Fatalf("Len = %d after %d wakes, want %d", w.Len(), i+1, n-1-i)
+		}
+	}
+	w.WakeAll()
+	if w.Wake() {
+		t.Fatal("Wake on an emptied queue reported a waiter")
+	}
+	e.Run()
+	for i, id := range woke {
+		if id != i {
+			t.Fatalf("waiter %d woke in position %d", id, i)
+		}
+	}
+	if len(woke) != n {
+		t.Fatalf("%d waiters woke, want %d", len(woke), n)
+	}
+}
+
+type waiter struct {
+	w      *WaitQueue
+	id     int
+	parked bool
+	woke   *[]int
+}
+
+func (f *waiter) Step(p *Proc) {
+	if !f.parked {
+		f.parked = true
+		f.w.Wait(p)
+		return
+	}
+	*f.woke = append(*f.woke, f.id)
+	p.Return()
+}
+
+// The two shapes' layer benchmarks, beside a plain-event burst of the
+// same size. After the first pass has grown the heap slice and the
+// backlog slab neither allocates; the test asserts it so a regression
+// fails go test, not only a benchmark someone has to read.
+
+func timerRearm(e *Env, tm *Timer) {
+	for i := 0; i < 8; i++ {
+		tm.Set(e, e.Now()+Time(100+i), "bench.timer")
+	}
+	e.Run()
+}
+
+func laneBurst36(e *Env, l *Lane) {
+	for i := 0; i < 36; i++ {
+		l.At(e, e.Now()+Time(1+i), "bench.lane")
+	}
+	e.Run()
+}
+
+func plainBurst36(e *Env, fn func()) {
+	for i := 0; i < 36; i++ {
+		e.At(e.Now()+Time(1+i), "bench.plain", fn)
+	}
+	e.Run()
+}
+
+func TestQueueShapesAllocateNothing(t *testing.T) {
+	e := NewEnv()
+	var tm Timer
+	var l Lane
+	tm.Bind(func() {})
+	l.Bind(func() {})
+	if n := testing.AllocsPerRun(100, func() { timerRearm(e, &tm) }); n != 0 {
+		t.Errorf("Timer: Set×8 then fire allocates %v times a pass, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { laneBurst36(e, &l) }); n != 0 {
+		t.Errorf("Lane: queue 36 then drain allocates %v times a pass, want 0", n)
+	}
+}
+
+func BenchmarkTimerRearm(b *testing.B) {
+	e := NewEnv()
+	var tm Timer
+	tm.Bind(func() {})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		timerRearm(e, &tm)
+	}
+}
+
+func BenchmarkLaneBurst36(b *testing.B) {
+	e := NewEnv()
+	var l Lane
+	l.Bind(func() {})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		laneBurst36(e, &l)
+	}
+}
+
+func BenchmarkPlainBurst36(b *testing.B) {
+	e := NewEnv()
+	fn := func() {}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		plainBurst36(e, fn)
+	}
+}

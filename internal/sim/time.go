@@ -16,7 +16,8 @@
 // through it (see docs/PERFORMANCE.md). Events are stored BY VALUE in a
 // 4-ary min-heap (env.go): scheduling appends into the heap's backing
 // slice and popping moves values within it, so the steady-state event
-// loop performs no per-event allocation and no interface boxing, and the
+// loop performs no per-event allocation (the one interface word an event
+// carries holds only pointer-shaped values, which box for free), and the
 // slice's reusable storage is the event free-list. Processes additionally
 // cache their wake-up closure and event name (proc.go), making the
 // sleep/wake cycle — the single hottest path in the simulator —
@@ -24,20 +25,46 @@
 // process's wake time, SleepUntil advances the clock in place instead of
 // parking the goroutine at all (two goroutine switches saved per CPU
 // charge, with the total order provably unchanged — see the method
-// comment). Repeat schedulers can carry one word of context in the
-// event itself (AtArg/AfterArg) instead of allocating a closure per
-// scheduling, which is how TCP's timers re-arm allocation-free. An
-// environment is also reusable: Env.Reset rewinds the clock, sequence
-// counter, and RNG while keeping the heap's backing storage and any
-// processes parked on wait queues, the foundation of testbed reuse
-// (lab.Lab.Reset).
+// comment). An environment is also reusable: Env.Reset rewinds the
+// clock, sequence counter, and RNG while keeping the heap's backing
+// storage and any processes parked on wait queues, the foundation of
+// testbed reuse (lab.Lab.Reset).
 //
-// None of this affects simulated time: events fire in exactly the order
+// # Three ways to schedule
+//
+// The heap should hold live work only: its depth is paid under every
+// push and pop. Pick the shape that matches the caller:
+//
+//   - A plain event — At/After, or AtArg/AfterArg when one bound
+//     callback needs a word of context (no closure per call) — for
+//     anything that happens once at a time of its own: a process wake,
+//     a fault, a cross-shard arrival.
+//   - A Lane for one callback scheduled over and over at times that
+//     never decrease — a link's cells, a transmitter's frames. However
+//     many are in flight the lane keeps one heap entry; the rest queue
+//     outside the heap and take that entry over as it fires.
+//   - A Timer for a deadline that is re-armed or cancelled far more
+//     often than it fires — a retransmission timeout, a delayed ACK.
+//     While the deadline only moves later the timer keeps one heap
+//     entry, which walks to the live deadline instead of leaving a dead
+//     event behind at every superseded one.
+//
+// None of this affects simulated time. Events fire in exactly the order
 // defined by (timestamp, scheduling sequence number), a total order, so
-// any correct priority queue produces the identical simulation. That
-// contract is what lets the wall-clock overhaul promise byte-identical
-// paper tables (enforced by the golden-output tests in cmd/tables,
-// cmd/load, and cmd/pkttrace).
+// any correct priority queue produces the identical simulation; and
+// Lane.At and Timer.Set take the next sequence number at the moment of
+// the call, just as At does, so every callback keeps the key — and the
+// place in that order — an event per call would have had. A lane only
+// defers *inserting* keys that are already in order among themselves; a
+// timer only drops entries that would have popped as no-ops, and still
+// lets its last deadline pop so a drained clock stops where it did.
+// What can differ is which no-ops a sleeping process sees ahead of it,
+// and skipping or adding a wake shifts later sequence numbers uniformly
+// (see Proc.SleepUntil). That contract is what lets the wall-clock work
+// promise byte-identical paper tables (enforced by the golden-output
+// tests in cmd/tables, cmd/load, and cmd/pkttrace) and is checked
+// against a plain-heap reference by the property test and fuzzer in
+// queue_test.go.
 package sim
 
 import "fmt"

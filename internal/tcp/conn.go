@@ -133,8 +133,11 @@ type Conn struct {
 	rtSeq        Seq
 	rtStart      sim.Time
 	rexmtShift   uint
-	rexmtGen     int // invalidates outstanding retransmit timer events
-	delackGen    int
+
+	// The protocol timers. Each owns at most one heap entry however often
+	// it is re-armed — setRexmt runs once per transmitted data segment
+	// and scheduleDelack once per received one, squarely on the hot path.
+	rexmt, delack sim.Timer
 
 	reass []reassSeg
 
@@ -158,14 +161,6 @@ type Conn struct {
 	// possible through nesting) falls back to a fresh allocation.
 	outOp *outputOp
 	inOp  *connInputOp
-
-	// rexmtCb and delackCb are the timer callbacks, bound once at
-	// construction so (re)arming a timer schedules an arg-carrying event
-	// (the generation number rides in the event) instead of allocating a
-	// closure per arming — setRexmt runs once per transmitted data
-	// segment, squarely on the hot path.
-	rexmtCb  func(uint64)
-	delackCb func(uint64)
 }
 
 // Socket returns the connection's socket.
@@ -207,7 +202,7 @@ func (c *Conn) abortWith(err error) {
 		return
 	}
 	c.flagDelAck = false
-	c.delackGen++
+	c.delack.Stop()
 	// The reassembly queue is connection-internal — no parked operation
 	// holds cursors into it the way socket buffers are held mid-copy —
 	// so its segments free immediately. The socket buffers themselves
@@ -252,7 +247,7 @@ func (c *Conn) Close(p *sim.Proc) {
 // drop tears the connection down, optionally with an error.
 func (c *Conn) drop(err error) {
 	c.state = StateClosed
-	c.rexmtGen++
+	c.rexmt.Stop()
 	c.S.Table.Remove(c.pcbEntry)
 	if err != nil {
 		c.so.SetError(err)
@@ -302,21 +297,14 @@ func (c *Conn) rttUpdate(sample sim.Time) {
 
 // setRexmt (re)arms the retransmission timer.
 func (c *Conn) setRexmt() {
-	c.rexmtGen++
-	c.K.Env.AfterArg(c.rto(), "tcp.rexmt", c.rexmtCb, uint64(c.rexmtGen))
+	c.rexmt.Set(c.K.Env, c.K.Env.Now()+c.rto(), "tcp.rexmt")
 }
 
-// rexmtTimer fires when an armed retransmission deadline elapses; a
-// stale generation means the timer was re-armed or cancelled since.
-func (c *Conn) rexmtTimer(gen uint64) {
-	if gen != uint64(c.rexmtGen) {
-		return
-	}
-	c.S.dispatch(c.rexmtFire)
-}
+// rexmtTimer fires when the armed retransmission deadline elapses.
+func (c *Conn) rexmtTimer() { c.S.dispatch(c.rexmtFire) }
 
 // clearRexmt cancels any pending retransmission timer.
-func (c *Conn) clearRexmt() { c.rexmtGen++ }
+func (c *Conn) clearRexmt() { c.rexmt.Stop() }
 
 // rexmtFire handles a retransmission timeout: back off, collapse the
 // congestion window (Tahoe), rewind snd_nxt, and resend.
@@ -352,17 +340,15 @@ func (c *Conn) rexmtFire(p *sim.Proc) {
 
 // scheduleDelack arms the 200 ms delayed-ACK timer.
 func (c *Conn) scheduleDelack() {
-	c.delackGen++
-	c.K.Env.AfterArg(delackTimeout, "tcp.delack", c.delackCb, uint64(c.delackGen))
+	c.delack.Set(c.K.Env, c.K.Env.Now()+delackTimeout, "tcp.delack")
 }
 
-// delackTimer fires when the delayed-ACK deadline elapses; a stale
-// generation or an already-sent ACK makes it a no-op.
-func (c *Conn) delackTimer(gen uint64) {
-	if gen != uint64(c.delackGen) || !c.flagDelAck {
-		return
+// delackTimer fires when the delayed-ACK deadline elapses; an
+// already-sent ACK makes it a no-op.
+func (c *Conn) delackTimer() {
+	if c.flagDelAck {
+		c.S.dispatch(c.delackFire)
 	}
-	c.S.dispatch(c.delackFire)
 }
 
 // delackFire sends the delayed ACK from the stack's service process.

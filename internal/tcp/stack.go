@@ -225,8 +225,8 @@ func (s *Stack) newConn() *Conn {
 		wantCksumOff: s.Mode == cost.ChecksumNone,
 		outWait:      s.K.Env.NewWaitQueue(s.K.Name + ".tcp.outlock"),
 	}
-	c.rexmtCb = c.rexmtTimer
-	c.delackCb = c.delackTimer
+	c.rexmt.Bind(c.rexmtTimer)
+	c.delack.Bind(c.delackTimer)
 	so.Proto = c
 	return c
 }

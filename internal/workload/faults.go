@@ -137,26 +137,17 @@ type faultClientFrame struct {
 
 	pc       int
 	env      *sim.Env
-	gen      uint64 // deadline generation; a bump disarms pending timers
-	attempts int    // consecutive failed connect attempts
+	deadline sim.Timer // on the operation in progress; fires c.abort
+	attempts int       // consecutive failed connect attempts
 	down     sim.Time
 	msg, buf []byte
 	i        int
 	start    sim.Time
 }
 
-// deadline fires when an armed operation deadline elapses; a stale
-// generation means the operation completed and disarmed it since.
-func (f *faultClientFrame) deadline(gen uint64) {
-	if gen == f.gen {
-		f.c.abort()
-	}
-}
-
-// arm schedules the operation deadline under a fresh generation.
+// arm starts the deadline on the operation about to block.
 func (f *faultClientFrame) arm() {
-	f.gen++
-	f.env.AfterArg(f.g.Deadline, "faults.deadline", f.deadline, f.gen)
+	f.deadline.Set(f.env, f.env.Now()+f.g.Deadline, "faults.deadline")
 }
 
 // Step drives the client.
@@ -166,6 +157,7 @@ func (f *faultClientFrame) Step(p *sim.Proc) {
 		switch f.pc {
 		case 0: // prepare buffers
 			f.env = p.Env()
+			f.deadline.Bind(f.c.abort)
 			f.msg = make([]byte, f.g.Size)
 			f.env.RNG().Fill(f.msg)
 			f.buf = make([]byte, f.g.Size)
@@ -178,7 +170,7 @@ func (f *faultClientFrame) Step(p *sim.Proc) {
 			f.c.dial(p)
 			return
 		case 2: // connect result
-			f.gen++ // disarm
+			f.deadline.Stop()
 			if _, err := f.c.done(); err != nil {
 				f.attempts++
 				if f.attempts > f.g.Retries {
@@ -214,7 +206,7 @@ func (f *faultClientFrame) Step(p *sim.Proc) {
 			f.c.exchange(p, f.msg, f.buf)
 			return
 		case 5: // exchange result
-			f.gen++ // disarm
+			f.deadline.Stop()
 			if _, err := f.c.done(); err != nil {
 				// Outage detected: stamp its start (first detection only),
 				// reap the dead connection, back off, reconnect, and retry

@@ -28,25 +28,24 @@ type cellSink interface {
 	deliverCell(c Cell)
 }
 
-// cellQueue is a FIFO of cells with a head index, so popping neither
-// shifts the backing array nor allocates: the array empties back to
-// index zero whenever the queue drains, and compacts when the dead
-// prefix dominates. It backs the adapter's FIFOs and in-flight queues.
-type cellQueue struct {
-	buf  []Cell
+// fifo is a queue with a head index, so popping neither shifts the
+// backing array nor allocates: the array empties back to index zero
+// whenever the queue drains, and compacts when the dead prefix dominates.
+// It holds plain values: a popped slot retains nothing.
+type fifo[T any] struct {
+	buf  []T
 	head int
 }
 
-func (q *cellQueue) push(c Cell) { q.buf = append(q.buf, c) }
+func (q *fifo[T]) push(v T) { q.buf = append(q.buf, v) }
 
-// reset empties the queue, retaining the backing array (cells are plain
-// value arrays, so the dead tail holds no pointers).
-func (q *cellQueue) reset() { q.buf, q.head = q.buf[:0], 0 }
+// reset empties the queue, retaining the backing array.
+func (q *fifo[T]) reset() { q.buf, q.head = q.buf[:0], 0 }
 
-func (q *cellQueue) len() int { return len(q.buf) - q.head }
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
 
-func (q *cellQueue) pop() Cell {
-	c := q.buf[q.head]
+func (q *fifo[T]) pop() T {
+	v := q.buf[q.head]
 	q.head++
 	switch {
 	case q.head == len(q.buf):
@@ -55,8 +54,104 @@ func (q *cellQueue) pop() Cell {
 		n := copy(q.buf, q.buf[q.head:])
 		q.buf, q.head = q.buf[:n], 0
 	}
+	return v
+}
+
+// txRec is a cell committed to a transmitter and the instant its last
+// bit leaves for the fibre.
+type txRec struct {
+	end sim.Time
+	c   Cell
+}
+
+// transmitter is a FIFO transmit engine and the fibre behind it: the
+// adapter's TX FIFO, a switch port's egress. Like the kernel's CPU it is
+// a busy-until cursor. A cell's completion time is fixed when it is
+// committed, so the one event it costs is its arrival at the far end, on
+// inLane (completions never decrease, so neither do arrivals), and
+// "transmit complete" is not an event: how many cells the engine still
+// holds is read off the queue's completion times by a forward-only cursor.
+type transmitter struct {
+	busy sim.Time // when the engine finishes the last cell committed
+	// q[head:] holds every committed cell still short of the far end,
+	// oldest first; the first left of them had left the engine at the
+	// last probe.
+	q      []txRec
+	head   int
+	left   int
+	inLane sim.Lane
+
+	// cut, when set, marks the far end of the fibre as living in another
+	// shard: commit stages the cell with the cluster coordinator (see
+	// Port.SetCut) instead of scheduling its arrival here.
+	cut func(scheduleAt, at sim.Time, c Cell)
+}
+
+// occupied returns how many cells the engine holds at now. A slot is
+// free from the instant its cell's last bit leaves, inclusive.
+func (t *transmitter) occupied(now sim.Time) int {
+	n := len(t.q) - t.head
+	for t.left < n && t.q[t.head+t.left].end <= now {
+		t.left++
+	}
+	return n - t.left
+}
+
+// freeAt returns when the oldest cell occupied counted leaves the engine.
+func (t *transmitter) freeAt() sim.Time { return t.q[t.head+t.left].end }
+
+// reserve books the engine for one cell, behind what it is already
+// sending and no earlier than ready, and returns when its last bit leaves.
+func (t *transmitter) reserve(ready, cellTime sim.Time) sim.Time {
+	if t.busy > ready {
+		ready = t.busy
+	}
+	t.busy = ready + cellTime
+	return t.busy
+}
+
+// commit reserves the engine for c and books its arrival prop after its
+// last bit.
+func (t *transmitter) commit(env *sim.Env, c Cell, ready, cellTime, prop sim.Time, name string) {
+	end := t.reserve(ready, cellTime)
+	if t.cut != nil {
+		// No arrival fires here to pop the record: it stays only while it
+		// occupies the engine.
+		for t.left > 0 {
+			t.pop()
+		}
+		t.cut(env.Now(), end+prop, c)
+	} else {
+		t.inLane.At(env, end+prop, name)
+	}
+	if t.q == nil {
+		// Room for eight at once: most transmitters of a large fabric hold
+		// a few cells, once, and doubling up from one is four allocations.
+		t.q = make([]txRec, 0, 8)
+	}
+	t.q = append(t.q, txRec{end, c})
+}
+
+// pop removes the oldest cell, whose arrival is firing; the head index
+// works as fifo's.
+func (t *transmitter) pop() Cell {
+	c := t.q[t.head].c
+	t.head++
+	if t.left > 0 {
+		t.left--
+	}
+	switch {
+	case t.head == len(t.q):
+		t.q, t.head = t.q[:0], 0
+	case t.head >= 128 && t.head*2 >= len(t.q):
+		n := copy(t.q, t.q[t.head:])
+		t.q, t.head = t.q[:n], 0
+	}
 	return c
 }
+
+// reset rewinds the engine to idle at time zero with nothing queued.
+func (t *transmitter) reset() { t.busy, t.q, t.head, t.left = 0, t.q[:0], 0, 0 }
 
 // Adapter models one TCA-100: the transmit FIFO feeding the wire and the
 // receive FIFO filled from the wire. The transmit engine "starts reading
@@ -66,36 +161,12 @@ type Adapter struct {
 	K    *kern.Kernel
 	link cellSink
 
-	txCount  int      // cells currently in the transmit FIFO
-	wireBusy sim.Time // when the transmit engine finishes its current cell
-	rxFIFO   cellQueue
-	// arrivals[arrHead:] holds the wire-arrival time of each frame-ending
-	// cell in the FIFO not yet consumed, oldest first (the head index
-	// keeps the pop from shifting the slice, as in cellQueue).
-	arrivals []sim.Time
-	arrHead  int
+	tx     transmitter // the transmit FIFO, its engine and the fiber
+	rxFIFO fifo[Cell]
+	// arrivals holds the wire-arrival time of each frame-ending cell in
+	// the FIFO not yet consumed, oldest first.
+	arrivals fifo[sim.Time]
 
-	// txFIFO holds the cells awaiting the transmit engine and flight the
-	// cells crossing the fiber; outLane and inLane carry their wire
-	// events (engine completion, far-end arrival). Cell completion times
-	// are monotonic per adapter, so the engine and the fiber each drain
-	// their queue in event order, and however many cells the FIFO holds
-	// the adapter keeps one heap entry per lane.
-	txFIFO  cellQueue
-	flight  cellQueue
-	outLane sim.Lane
-	inLane  sim.Lane
-
-	// cut, when set, marks the far end of this host's fiber — its switch
-	// port — as living in another shard: PushTx stages each cell with the
-	// cluster coordinator (scheduleAt = engine completion, at = far-end
-	// arrival) instead of queueing it for local delivery, and cellOut
-	// keeps only the FIFO accounting. See Port.SetCut.
-	cut func(scheduleAt, at sim.Time, c Cell)
-
-	// SpaceAvail is woken each time the transmit engine drains a cell,
-	// unblocking a driver waiting for FIFO space.
-	SpaceAvail *sim.WaitQueue
 	// RxReady is woken when a frame-ending cell lands in the receive
 	// FIFO: the adapter's receive interrupt.
 	RxReady *sim.WaitQueue
@@ -147,13 +218,8 @@ type Adapter struct {
 
 // NewAdapter returns an adapter attached to the given host kernel.
 func NewAdapter(k *kern.Kernel) *Adapter {
-	a := &Adapter{
-		K:          k,
-		SpaceAvail: k.Env.NewWaitQueue(k.Name + ".atm.space"),
-		RxReady:    k.Env.NewWaitQueue(k.Name + ".atm.rx"),
-	}
-	a.outLane.Bind(a.cellOut)
-	a.inLane.Bind(a.cellIn)
+	a := &Adapter{K: k, RxReady: k.Env.NewWaitQueue(k.Name + ".atm.rx")}
+	a.tx.inLane.Bind(a.cellIn)
 	return a
 }
 
@@ -164,12 +230,9 @@ func NewAdapter(k *kern.Kernel) *Adapter {
 // driver's service process still parked on RxReady — part of the
 // topology, not the trial.
 func (a *Adapter) Reset() {
-	a.txCount = 0
-	a.wireBusy = 0
+	a.tx.reset()
 	a.rxFIFO.reset()
-	a.txFIFO.reset()
-	a.flight.reset()
-	a.arrivals, a.arrHead = a.arrivals[:0], 0
+	a.arrivals.reset()
 	a.LossRate, a.DropNext, a.CorruptRate = 0, false, 0
 	a.ge = sim.GEChain{}
 	a.reorderRate, a.reorderDepth = 0, 0
@@ -209,27 +272,9 @@ func (a *Adapter) SetImpairments(p sim.GEParams, rate float64, depth int, seed u
 	a.heldValid, a.heldLeft = false, 0
 }
 
-// cellOut fires when the transmit engine finishes clocking one cell into
-// the wire: free the FIFO slot, wake any driver blocked on space, and
-// start the cell's propagation across the fiber. When the fiber is cut
-// at a shard boundary the cell was already staged by PushTx, so only the
-// FIFO accounting remains.
-func (a *Adapter) cellOut() {
-	a.txCount--
-	a.SpaceAvail.WakeAll()
-	if a.cut != nil {
-		return
-	}
-	a.flight.push(a.txFIFO.pop())
-	a.inLane.At(a.K.Env, a.K.Env.Now()+a.K.Cost.ATMPropagation, "atm.cellin")
-}
-
 // SetCut diverts this adapter's transmit fiber across a shard boundary
-// (see Port.SetCut): staged times are exactly the wire events a serial
-// run would schedule, so the cut is invisible to simulated time.
-func (a *Adapter) SetCut(stage func(scheduleAt, at sim.Time, c Cell)) {
-	a.cut = stage
-}
+// (see Port.SetCut).
+func (a *Adapter) SetCut(stage func(scheduleAt, at sim.Time, c Cell)) { a.tx.cut = stage }
 
 // InjectCell delivers a cell that crossed a shard boundary into this
 // adapter as if it had just arrived over the fiber.
@@ -237,9 +282,7 @@ func (a *Adapter) InjectCell(c Cell) { a.receive(c) }
 
 // cellIn fires when a cell's propagation delay elapses: deliver it to
 // the far end of the fiber.
-func (a *Adapter) cellIn() {
-	a.link.deliverCell(a.flight.pop())
-}
+func (a *Adapter) cellIn() { a.link.deliverCell(a.tx.pop()) }
 
 // Connect joins two adapters with a duplex fiber — the switchless
 // configuration of the paper's lab. Topologies with more than two hosts
@@ -258,35 +301,25 @@ func (a *Adapter) CellTime() sim.Time {
 	return cost.WireTime(CellSize, a.K.Cost.ATMLinkBitsPS)
 }
 
-// TxSpace returns the free cell slots in the transmit FIFO.
-func (a *Adapter) TxSpace() int { return TxFIFOCells - a.txCount }
+// TxSpace returns the free cell slots in the transmit FIFO: a slot frees
+// the instant the engine clocks its cell's last bit out.
+func (a *Adapter) TxSpace() int { return TxFIFOCells - a.tx.occupied(a.K.Env.Now()) }
+
+// TxFreeAt returns when the next slot frees, for a driver that found
+// TxSpace zero: a known instant, so the stall is a sleep, not a wait.
+func (a *Adapter) TxFreeAt() sim.Time { return a.tx.freeAt() }
 
 // PushTx places one cell in the transmit FIFO. The caller (the driver)
 // must have verified TxSpace; pushing into a full FIFO panics because on
-// the real hardware it would corrupt the frame. The cell's two wire
-// events (engine completion, far-end arrival) ride the adapter's lanes
-// and FIFO queues, so transmission allocates nothing per cell.
+// the real hardware it would corrupt the frame. The cell's one event, its
+// far-end arrival, rides the adapter's lane: transmission allocates
+// nothing per cell.
 func (a *Adapter) PushTx(c Cell) {
-	if a.txCount >= TxFIFOCells {
+	if a.TxSpace() <= 0 {
 		panic("atm: transmit FIFO overflow")
 	}
-	a.txCount++
-	env := a.K.Env
-	start := env.Now()
-	if a.wireBusy > start {
-		start = a.wireBusy
-	}
-	end := start + a.CellTime()
-	a.wireBusy = end
 	a.CellsSent++
-	if a.cut != nil {
-		// Far end lives in another shard: stage the delivery now with
-		// the serial run's wire times; cellOut keeps the accounting.
-		a.cut(end, end+a.K.Cost.ATMPropagation, c)
-	} else {
-		a.txFIFO.push(c)
-	}
-	a.outLane.At(env, end, "atm.cellout")
+	a.tx.commit(a.K.Env, c, a.K.Env.Now(), a.CellTime(), a.K.Cost.ATMPropagation, "atm.cellin")
 }
 
 // receive handles a cell arriving from the wire: the impairment layer
@@ -376,7 +409,7 @@ func (a *Adapter) accept(c Cell) {
 		// comprising the last TCP segment") and raise the interrupt.
 		// The arrival time queues so the driver can stamp the completed
 		// datagram's wire-arrival event.
-		a.arrivals = append(a.arrivals, a.K.Env.Now())
+		a.arrivals.push(a.K.Env.Now())
 		a.K.Trace.Mark(trace.MarkFrameArrival, a.K.Env.Now())
 		a.RxReady.Wake()
 	} else if a.rxFIFO.len() >= RxDrainThreshold {
@@ -394,32 +427,23 @@ func IsFrameEnd(c *Cell) bool {
 
 // FramesPending returns the number of complete frames whose cells are
 // waiting in the receive FIFO.
-func (a *Adapter) FramesPending() int { return len(a.arrivals) - a.arrHead }
+func (a *Adapter) FramesPending() int { return a.arrivals.len() }
 
 // ConsumeFrameEnd is called by the driver when it pops a frame-ending
 // cell, balancing the count incremented on arrival. It returns the
 // virtual time that cell arrived from the wire — the receive-side
 // measurement origin for the frame it terminates.
 func (a *Adapter) ConsumeFrameEnd() sim.Time {
-	if a.arrHead == len(a.arrivals) {
+	if a.arrivals.len() == 0 {
 		panic("atm: frame-pending underflow")
 	}
-	at := a.arrivals[a.arrHead]
-	a.arrHead++
-	switch {
-	case a.arrHead == len(a.arrivals):
-		a.arrivals, a.arrHead = a.arrivals[:0], 0
-	case a.arrHead >= 128 && a.arrHead*2 >= len(a.arrivals):
-		n := copy(a.arrivals, a.arrivals[a.arrHead:])
-		a.arrivals, a.arrHead = a.arrivals[:n], 0
-	}
-	return at
+	return a.arrivals.pop()
 }
 
 // TxIdleAt returns the time the transmit engine finishes clocking out
 // everything pushed so far — after the final cell of a frame is pushed,
 // the instant that frame's last bit leaves for the wire.
-func (a *Adapter) TxIdleAt() sim.Time { return a.wireBusy }
+func (a *Adapter) TxIdleAt() sim.Time { return a.tx.busy }
 
 // RxAvail returns the number of cells waiting in the receive FIFO.
 func (a *Adapter) RxAvail() int { return a.rxFIFO.len() }

@@ -464,7 +464,7 @@ func TestHECErrorOnFrameEndConsumesPending(t *testing.T) {
 	if got := ab.FramesPending(); got != 0 {
 		t.Fatalf("FramesPending = %d after HEC-discarded frame end", got)
 	}
-	if got := len(ab.arrivals); got != 0 {
+	if got := len(ab.arrivals.buf); got != 0 {
 		t.Fatalf("arrivals queue holds %d stale entries", got)
 	}
 

@@ -361,14 +361,16 @@ func (f *outputOp) Step(p *sim.Proc) {
 			if d.Adapter.TxSpace() == 0 {
 				f.waitStart = k.Now()
 				f.pc = 3
-				d.Adapter.SpaceAvail.Wait(p)
-				return
+				if !p.SleepUntil(d.Adapter.TxFreeAt()) {
+					return
+				}
+				continue
 			}
 			f.pc = 4
 			if !k.Use(p, trace.LayerATMTx, k.Cost.ATMTxPerCell) {
 				return
 			}
-		case 3: // woken from a FIFO stall: the driver spins on the status
+		case 3: // a slot has freed: the driver spun on the status
 			// register, which is time in the ATM row.
 			k.Attribute(p, trace.LayerATMTx, f.waitStart, k.Now())
 			f.pc = 2

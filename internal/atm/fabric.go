@@ -141,10 +141,10 @@ type ShardPlan struct {
 	// HostShard[i] is the shard of host i. For a fat tree the partition
 	// must be leaf-aligned: every host of one leaf in one shard.
 	HostShard []int
-	// StageCell stages one cell crossing from srcShard to dstShard.
-	// scheduleAt is when the serial run would have created the arrival
-	// event (egress engine completion) — the coordinator's canonical
-	// ordering key — and at is the far-end arrival time.
+	// StageCell stages one cell crossing from srcShard to dstShard. at is
+	// the far-end arrival time, and scheduleAt is when the serial run
+	// would have created the arrival event — the coordinator's tie-break
+	// among equal arrivals (see Port.SetCut).
 	StageCell func(srcShard, dstShard int, scheduleAt, at sim.Time, to CellDest, c Cell)
 	// StageCtl stages a control mutation for the coordinator to apply at
 	// the next round barrier, before any staged cell is injected.

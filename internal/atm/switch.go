@@ -80,10 +80,7 @@ func NewSwitch(env *sim.Env) *Switch {
 // keeping them is invisible to simulated behaviour.
 func (sw *Switch) Reset() {
 	for _, p := range sw.ports {
-		p.busy = 0
-		p.queued = 0
-		p.egress.reset()
-		p.flight.reset()
+		p.tx.reset()
 		if p.qdp != nil {
 			p.qdp.pre.reset()
 			p.qdp.serving = false
@@ -107,8 +104,8 @@ func (sw *Switch) price(model *cost.Model) {
 }
 
 // Port is one switch port: the fiber to a single far end — an attached
-// host adapter or a peer switch's trunk port — plus the egress queue
-// pacing state and, for trunk ports, the egress link's VCI allocator.
+// host adapter or a peer switch's trunk port — plus the egress
+// transmitter and, for trunk ports, the egress link's VCI allocator.
 type Port struct {
 	sw    *Switch
 	index int
@@ -120,32 +117,16 @@ type Port struct {
 	bits float64
 	prop sim.Time
 
-	busy   sim.Time // when the egress link finishes its current cell
-	queued int      // cells committed to the egress queue
-
 	// vci allocates per-flow VCIs on this egress link for routed
 	// fabrics; nil on host-facing ports, whose egress VCI is fixed by
 	// the source-naming convention (DefaultVCI + source host index).
 	vci *vciAlloc
 
-	// egress holds cells committed to the port's output pacing and
-	// flight the cells crossing the fiber; outLane and inLane carry
-	// their two wire events (egress completion times are monotonic per
-	// port, so FIFO order matches event order), one heap entry each
-	// however deep the queue.
-	egress  cellQueue
-	flight  cellQueue
-	outLane sim.Lane
-	inLane  sim.Lane
-
-	// cut, when set, marks the far end of this fiber as living in another
-	// shard: instead of queueing the cell locally and scheduling its
-	// arrival, forward hands it to the cluster coordinator with the two
-	// wire times serial execution would have used (scheduleAt = egress
-	// engine completion, at = far-end arrival), and the local cellout
-	// event — cutLane, made by SetCut — only releases the queue slot.
-	cut     func(scheduleAt, at sim.Time, c Cell)
-	cutLane *sim.Lane
+	// tx is the egress queue, its pacing and the fiber: forward commits a
+	// cell once and reads the drop-tail depth off it. A qdisc-managed port
+	// uses only its cursor and, for cells on the fiber, its queue and
+	// lane: the discipline, not the commit order, picks what goes next.
+	tx transmitter
 
 	// qd, when installed, replaces the built-in drop-tail depth with a
 	// pluggable queue discipline. The qdisc path (qdp, made by the first
@@ -171,10 +152,11 @@ type Port struct {
 // qdPath is the state only a qdisc-managed port needs, kept off the
 // Port so that a large fabric's thousands of plain ports do not carry it.
 type qdPath struct {
-	pre     cellQueue // cells crossing the fabric toward the qdisc
-	in      sim.Lane  // their arrival at the discipline
-	serving bool      // link currently clocking a cell out
-	out     sim.Lane  // its completion
+	pre     fifo[Cell] // cells crossing the fabric toward the qdisc
+	in      sim.Lane   // their arrival at the discipline
+	serving bool       // link currently clocking a cell out:
+	cur     Cell       // this one
+	out     sim.Lane   // its completion
 }
 
 // Index returns the port's number on the switch.
@@ -221,7 +203,6 @@ func (p *Port) qdIn() {
 		return
 	}
 	p.sw.CellsSwitched++
-	p.queued++
 	p.qdKick()
 }
 
@@ -241,39 +222,35 @@ func (p *Port) qdKick() {
 	}
 	p.qdp.serving = true
 	env := p.sw.env
-	start := env.Now()
-	if p.busy > start {
-		start = p.busy
-	}
-	end := start + cost.WireTime(CellSize, p.bits)
-	p.busy = end
-	if p.cut != nil {
-		p.cut(end, end+p.prop, c)
+	end := p.tx.reserve(env.Now(), cost.WireTime(CellSize, p.bits))
+	if p.tx.cut != nil {
+		p.tx.cut(end, end+p.prop, c)
 	} else {
-		p.egress.push(c)
+		p.qdp.cur = c
 	}
 	p.qdp.out.At(env, end, "atmsw.cellout")
 }
 
 // qdCellOut fires when the link finishes clocking a qdisc-scheduled cell
-// onto the fiber: release the slot, deliver (cut ports already staged at
-// commit time), and start the next cell.
+// onto the fiber — the one transmit-complete event left, because only
+// now can the discipline be asked for the next cell: start this one's
+// propagation (cut ports already staged at commit time), then kick.
 func (p *Port) qdCellOut() {
 	p.qdp.serving = false
-	p.queued--
-	if p.cut == nil {
-		c := p.egress.pop()
-		p.flight.push(c)
-		p.inLane.At(p.sw.env, p.sw.env.Now()+p.prop, "atmsw.cellin")
+	if p.tx.cut == nil {
+		// Queued for the fibre only now, so the queue drains between cells
+		// however long the link stays busy.
+		now := p.sw.env.Now()
+		p.tx.q = append(p.tx.q, txRec{now, p.qdp.cur})
+		p.tx.inLane.At(p.sw.env, now+p.prop, "atmsw.cellin")
 	}
 	p.qdKick()
 }
 
-// newPort wires one port's queues and bound callbacks.
+// newPort wires one port's arrival callback.
 func (sw *Switch) newPort(out cellSink, bits float64, prop sim.Time) *Port {
 	p := &Port{sw: sw, index: len(sw.ports), out: out, bits: bits, prop: prop}
-	p.outLane.Bind(p.cellOut)
-	p.inLane.Bind(p.cellIn)
+	p.tx.inLane.Bind(p.cellIn)
 	sw.ports = append(sw.ports, p)
 	return p
 }
@@ -299,15 +276,12 @@ func ConnectTrunk(a, b *Switch, model *cost.Model) (aPort, bPort int) {
 
 // SetCut diverts this port's egress across a shard boundary: every cell
 // forwarded out of it is staged with the cluster coordinator instead of
-// being delivered locally. The egress pacing, queue accounting, and
-// counters are untouched — only the delivery leg moves — so the staged
-// (scheduleAt, at) times are exactly the event times a serial run would
-// have scheduled.
-func (p *Port) SetCut(stage func(scheduleAt, at sim.Time, c Cell)) {
-	p.cut = stage
-	p.cutLane = new(sim.Lane)
-	p.cutLane.Bind(func() { p.queued-- })
-}
+// being delivered locally; pacing, queue depth and counters are
+// untouched. Staged with each cell are at, the far-end arrival a serial
+// run would schedule, and scheduleAt, the instant the serial run would
+// create that arrival's event, which orders arrivals tied on at: the
+// commit for a FIFO transmitter, service completion for a qdisc port.
+func (p *Port) SetCut(stage func(scheduleAt, at sim.Time, c Cell)) { p.tx.cut = stage }
 
 // InjectCell delivers a cell that crossed a shard boundary into this
 // port as if it had just arrived over the fiber. The cluster coordinator
@@ -315,18 +289,8 @@ func (p *Port) SetCut(stage func(scheduleAt, at sim.Time, c Cell)) {
 // arrival time, mirroring the peer's cellIn.
 func (p *Port) InjectCell(c Cell) { p.sw.forward(p, c) }
 
-// cellOut fires when the egress link finishes clocking one cell onto the
-// port's fiber: release the queue slot and start the propagation delay.
-func (p *Port) cellOut() {
-	p.queued--
-	p.flight.push(p.egress.pop())
-	p.inLane.At(p.sw.env, p.sw.env.Now()+p.prop, "atmsw.cellin")
-}
-
 // cellIn fires when the cell reaches the far end of the fiber.
-func (p *Port) cellIn() {
-	p.out.deliverCell(p.flight.pop())
-}
+func (p *Port) cellIn() { p.out.deliverCell(p.tx.pop()) }
 
 // NumPorts returns the number of attached ports.
 func (sw *Switch) NumPorts() int { return len(sw.ports) }
@@ -390,31 +354,15 @@ func (sw *Switch) forward(from *Port, c Cell) {
 		out.qdp.in.At(sw.env, sw.env.Now()+sw.Latency, "atmsw.qdin")
 		return
 	}
-	if out.queued >= sw.PortQueueCells {
+	now := sw.env.Now()
+	if out.tx.occupied(now) >= sw.PortQueueCells {
 		sw.CellsDropped++
 		return
 	}
 	h.VCI = route.vci
 	h.Marshal(&c) // rewrites the VCI and recomputes the HEC
-
-	env := sw.env
-	start := env.Now() + sw.Latency
-	if out.busy > start {
-		start = out.busy
-	}
-	end := start + cost.WireTime(CellSize, out.bits)
-	out.busy = end
-	out.queued++
 	sw.CellsSwitched++
-	if out.cut != nil {
-		// Far end lives in another shard: stage the delivery with the
-		// coordinator and keep only the queue-slot release local.
-		out.cut(end, end+out.prop, c)
-		out.cutLane.At(env, end, "atmsw.cellout")
-		return
-	}
-	out.egress.push(c)
-	out.outLane.At(env, end, "atmsw.cellout")
+	out.tx.commit(sw.env, c, now+sw.Latency, cost.WireTime(CellSize, out.bits), out.prop, "atmsw.cellin")
 }
 
 // vciAlloc hands out per-flow VCIs on one egress direction of a trunk

@@ -203,14 +203,12 @@ type Adapter struct {
 	// RxReady is the per-frame receive interrupt.
 	RxReady *sim.WaitQueue
 
-	// txPend holds frames committed to the transmitter and flight the
-	// frames crossing the wire; outLane and inLane carry their two wire
-	// events (wire completion times are monotonic per adapter, so FIFO
-	// order matches event order).
-	txPend  []Frame
-	flight  []Frame
-	outLane sim.Lane
-	inLane  sim.Lane
+	// flight[flightHead:] holds the frames Transmit has committed, oldest
+	// first, until each reaches the segment: that arrival, on inLane, is a
+	// frame's one wire event (Transmit knows when its last bit leaves).
+	flight     []Frame
+	flightHead int
+	inLane     sim.Lane
 
 	FramesSent int64
 	FramesRecv int64
@@ -242,7 +240,6 @@ func (a *Adapter) SetImpairments(p sim.GEParams, seed uint64) {
 // NewAdapter returns an adapter with the given station address.
 func NewAdapter(k *kern.Kernel, addr [6]byte) *Adapter {
 	a := &Adapter{K: k, Addr: addr, RxReady: k.Env.NewWaitQueue(k.Name + ".le.rx")}
-	a.outLane.Bind(a.frameOut)
 	a.inLane.Bind(a.frameIn)
 	return a
 }
@@ -258,14 +255,8 @@ func (a *Adapter) Reset() {
 		a.rxQ[i] = rxItem{}
 	}
 	a.rxQ = a.rxQ[:0]
-	for i := range a.txPend {
-		a.txPend[i] = nil
-	}
-	a.txPend = a.txPend[:0]
-	for i := range a.flight {
-		a.flight[i] = nil
-	}
-	a.flight = a.flight[:0]
+	clear(a.flight)
+	a.flight, a.flightHead = a.flight[:0], 0
 	a.LossRate = 0
 	a.ge = sim.GEChain{}
 	a.down = false
@@ -280,29 +271,22 @@ func (a *Adapter) SetDown(down bool) { a.down = down }
 // Down reports the station's fault state.
 func (a *Adapter) Down() bool { return a.down }
 
-// popFrame removes and returns the head of a frame queue, clearing the
-// vacated slot so the array does not retain the frame.
-func popFrame(q *[]Frame) Frame {
-	f := (*q)[0]
-	copy(*q, (*q)[1:])
-	(*q)[len(*q)-1] = nil
-	*q = (*q)[:len(*q)-1]
-	return f
-}
-
-// frameOut fires when a frame's last bit leaves the wire: begin its
-// propagation toward the segment.
-func (a *Adapter) frameOut() {
-	a.flight = append(a.flight, popFrame(&a.txPend))
-	a.inLane.At(a.K.Env, a.K.Env.Now()+a.K.Cost.EtherPropagation, "ether.framein")
-}
-
-// frameIn fires when the frame reaches the far end: hand it to the
+// frameIn fires when a frame reaches the far end: hand it to the
 // segment for destination filtering and delivery. A down station's
 // frames die here — the pacing machinery (and so every wire timestamp)
 // is untouched, only the delivery leg is lost.
 func (a *Adapter) frameIn() {
-	f := popFrame(&a.flight)
+	f := a.flight[a.flightHead]
+	a.flight[a.flightHead] = nil // do not retain the frame
+	a.flightHead++
+	switch {
+	case a.flightHead == len(a.flight):
+		a.flight, a.flightHead = a.flight[:0], 0
+	case a.flightHead >= 128 && a.flightHead*2 >= len(a.flight):
+		n := copy(a.flight, a.flight[a.flightHead:])
+		clear(a.flight[n:])
+		a.flight, a.flightHead = a.flight[:n], 0
+	}
 	if a.down {
 		a.DownDrops++
 		return
@@ -340,8 +324,8 @@ func (a *Adapter) Transmit(f Frame) sim.Time {
 	end := start + onWire
 	a.wireBusy = end + a.K.Cost.EtherIFG
 	a.FramesSent++
-	a.txPend = append(a.txPend, f)
-	a.outLane.At(env, end, "ether.frameout")
+	a.flight = append(a.flight, f)
+	a.inLane.At(env, end+a.K.Cost.EtherPropagation, "ether.framein")
 	return end
 }
 

@@ -89,3 +89,21 @@ func TestEchoQueueStaysShallow(t *testing.T) {
 		t.Fatalf("peak queue depth %d, want <= 64", peak)
 	}
 }
+
+// TestOneEventPerCellPerHop is the event-count tripwire beside the depth
+// one: 252 round trips of 8000 bytes on the switchless ATM pair are
+// ~47,000 cells each way, and a cell costs the event loop its far-end
+// arrival and nothing else — "transmit complete" is arithmetic on the
+// transmitter's cursor (atm's transmitter), not an event. With a
+// completion event per cell as well the same run fired 322,706.
+func TestOneEventPerCellPerHop(t *testing.T) {
+	l := New(Config{Link: LinkATM, Seed: 1994})
+	if _, err := l.RunEcho(8000, 250, 2); err != nil {
+		t.Fatal(err)
+	}
+	cells := l.Hosts[0].ATMAdapter.CellsSent + l.Hosts[1].ATMAdapter.CellsSent
+	t.Logf("%d events for %d cells", l.Env.Fired(), cells)
+	if n := l.Env.Fired(); n > 210000 {
+		t.Fatalf("%d events, want <= 210000", n)
+	}
+}

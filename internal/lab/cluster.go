@@ -19,11 +19,18 @@
 // The contract is bit-identity, not approximate equivalence: a sharded
 // run must be event-for-event and byte-for-byte identical to the serial
 // run at every shard count. Three mechanisms carry it. First, cut
-// fibers stage each crossing cell with the exact (schedule, arrival)
-// times the serial run would have used, and the coordinator injects
-// them between rounds in canonical order — ascending schedule time,
-// ties by source shard and emission order, the same order the serial
-// event queue would have assigned sequence numbers. Second, VC-table
+// fibers stage each crossing cell with the arrival time the serial run
+// would have used and the instant it would have created the arrival's
+// event, and the coordinator injects them between rounds in canonical
+// order — ascending arrival, ties by that instant, then source shard
+// and emission order: the order the serial event queue would have
+// assigned sequence numbers. A FIFO transmitter creates the arrival
+// event when it commits the cell, not at a transmit-complete event (it
+// has none), so its instant is the commit: cells that tie on arrival tie
+// on completion too (one propagation delay everywhere), and the serial
+// run fires first the one committed first — the one that queued behind a
+// backlog, not the one that found its link idle. Only a qdisc port still
+// creates the arrival at service completion. Second, VC-table
 // installs that touch switches outside the calling shard are staged as
 // control mutations applied at the next barrier, which is always before
 // the flow's first data cell can arrive there (that cell itself must
@@ -51,9 +58,9 @@ type Shard struct {
 }
 
 // stagedCell is one cell in flight across a shard boundary, with the
-// serial run's two wire times: scheduleAt is when the serial run would
-// have created the arrival event (the canonical ordering key) and at is
-// the arrival itself.
+// serial run's two times: scheduleAt is when the serial run would have
+// created the arrival event (the canonical tie-break) and at is the
+// arrival itself.
 type stagedCell struct {
 	srcShard   int
 	dstShard   int
@@ -138,8 +145,8 @@ type Cluster struct {
 
 	// lookahead is the conservative safe-time window: the minimum time a
 	// cell needs to cross any cut fiber. boomerang is the minimum time a
-	// causal consequence of a staged cell needs to cross back INTO the
-	// emitting shard (see stageCell). Both derive from the trial
+	// causal consequence of a staged cell's arrival needs to cross back
+	// INTO the emitting shard (see stageCell). Both derive from the trial
 	// configuration (configure sets them); zero on one shard, which has no
 	// cut to cross.
 	lookahead sim.Time
@@ -366,14 +373,14 @@ func (c *Cluster) configure(cfg Config) {
 		c.lookahead += l.Switch.Latency
 	}
 	// The earliest a staged cell's causal consequence can re-enter the
-	// emitting shard: propagation to the far side of the cut, then —
+	// emitting shard, counted from its arrival on the far side of the cut:
 	// because every egress pointed back at this shard is a switch forward
 	// (the hub's port toward a cut host link, the spine toward a cut
-	// trunk) — the switch's forwarding latency, one cell serialization,
+	// trunk), the switch's forwarding latency, one cell serialization,
 	// and propagation home. Anything the arrival influences acts no
 	// earlier than the arrival itself, so this floor holds for perturbed
 	// traffic as well as direct responses.
-	c.boomerang = 2*model.ATMPropagation + l.Switch.Latency + cell
+	c.boomerang = l.Switch.Latency + cell + model.ATMPropagation
 }
 
 // shardable reports why the configuration cannot run on more than one
@@ -457,12 +464,14 @@ func (c *Cluster) EnvOf(i int) *sim.Env { return c.Shards[c.hostShard[i]].Env }
 // shard's outbox (nothing else touches that slice until the barrier).
 func (c *Cluster) stageCell(srcShard, dstShard int, scheduleAt, at sim.Time, to atm.CellDest, cell atm.Cell) {
 	// Dynamic horizon tightening (see horizonFor): this emission can
-	// draw a causal response back into this shard no earlier than one
-	// round trip across the cut, so cap the window there. Emission times
-	// are not monotone across adapters (each has its own wire-busy
-	// backlog), so every stage checks, not just the first.
+	// draw a causal response back into this shard no earlier than its
+	// arrival plus the way back across the cut, so cap the window there —
+	// from at (completion plus propagation), not scheduleAt: a cell
+	// committed behind a backlog does nothing on the far side until it
+	// gets there. Arrivals are not monotone across transmitters (each has
+	// its own backlog), so every stage checks, not just the first.
 	env := c.Shards[srcShard].Env
-	if b := scheduleAt + c.boomerang; b < env.Horizon() {
+	if b := at + c.boomerang; b < env.Horizon() {
 		env.SetHorizon(b)
 	}
 	c.outbox[srcShard] = append(c.outbox[srcShard], stagedCell{
@@ -603,11 +612,11 @@ func (c *Cluster) nextTimes() (lo sim.Time, loAt int, lo2 sim.Time) {
 // shard holding events at all, that shard runs unbounded.
 //
 // The static bound alone is unsound: it ignores causal chains the shard
-// itself starts mid-round. A cell it stages at emission time t can wake
-// a far-future peer and draw a response back at t plus one cut round
-// trip — inside its own supposedly-safe window. stageCell closes that
+// itself starts mid-round. A cell it stages to arrive at t can wake a
+// far-future peer and draw a response back at t plus the way home across
+// the cut — inside its own supposedly-safe window. stageCell closes that
 // hole dynamically by tightening the emitting shard's horizon to
-// t + boomerang, the provable floor on that round trip. Chains through
+// t + boomerang, the provable floor on that return. Chains through
 // an intermediary are covered by the static term of the ORIGIN shard:
 // whatever shard k emits this round is emitted at or after k's first
 // event, so it lands in any third shard no earlier than that shard's

@@ -131,7 +131,13 @@ type Env struct {
 	backlog backlog // lane records queued behind their lane's heap entry
 	current *Proc   // the proc currently executing, if any
 	procs   int     // live (unfinished) procs
+	fired   uint64  // events run since Reset
 	rng     *RNG
+
+	// starts steps the processes SpawnAt queued in startQ (used as a
+	// plain FIFO: nothing wakes it).
+	starts Lane
+	startQ WaitQueue
 
 	// horizon bounds how far this environment may advance on its own:
 	// RunWindow executes only events strictly before it, and SleepUntil's
@@ -153,7 +159,9 @@ type Env struct {
 // NewEnv returns a fresh simulation environment with its clock at zero
 // and a deterministic default random seed.
 func NewEnv() *Env {
-	return &Env{rng: NewRNG(1), horizon: MaxTime}
+	e := &Env{rng: NewRNG(1), horizon: MaxTime}
+	e.starts.Bind(e.startNext)
+	return e
 }
 
 // Now returns the current virtual time.
@@ -175,6 +183,7 @@ func (e *Env) Reset() {
 	}
 	e.now = 0
 	e.seq = 0
+	e.fired = 0
 	e.rng = NewRNG(1)
 	e.horizon = MaxTime
 	e.wd = nil
@@ -222,15 +231,6 @@ func (e *Env) AtArg(t Time, name string, fn func(uint64), arg uint64) {
 	e.schedule(t, name, argFunc(fn), arg)
 }
 
-// AfterArg schedules fn(arg) to run d after the current time. A negative
-// delay panics.
-func (e *Env) AfterArg(d Time, name string, fn func(uint64), arg uint64) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v for %q", d, name))
-	}
-	e.schedule(e.now+d, name, argFunc(fn), arg)
-}
-
 // Step runs the next pending event, advancing the clock to its timestamp.
 // It reports whether an event was run. With a watchdog armed, Step
 // refuses to run further events once the watchdog fires, so every run
@@ -248,6 +248,7 @@ func (e *Env) Step() bool {
 	}
 	root := &e.events[0]
 	e.now = root.at
+	e.fired++
 	switch do := root.do.(type) {
 	case thunk:
 		e.events.pop()
@@ -287,6 +288,11 @@ func (e *Env) RunUntil(deadline Time) {
 		e.now = deadline
 	}
 }
+
+// Fired returns the number of events run since the environment was made
+// or last Reset — every Step that ran one, timer entries that only walk
+// or expire included.
+func (e *Env) Fired() uint64 { return e.fired }
 
 // Pending returns the number of scheduled events not yet run: heap
 // entries plus the records lanes hold behind theirs. A stopped or

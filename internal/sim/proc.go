@@ -77,7 +77,15 @@ func (p *Proc) Done() bool { return p.done }
 
 // Spawn creates a process with root as its initial frame and schedules it
 // to start at the current virtual time.
-func (e *Env) Spawn(name string, root Frame) *Proc {
+func (e *Env) Spawn(name string, root Frame) *Proc { return e.SpawnAt(e.now, name, root) }
+
+// SpawnAt creates a process whose first step runs at absolute time at
+// (now, if at has passed): where a spawn-now process that opens with
+// SleepUntil(at) would resume, without a wake parked in the heap
+// meanwhile. Starts requested in non-decreasing time order (a workload
+// staggering ten thousand clients) share one lane — one heap entry, the
+// processes waiting in startQ; an earlier one is an ordinary event.
+func (e *Env) SpawnAt(at Time, name string, root Frame) *Proc {
 	p := &Proc{
 		env:      e,
 		name:     name,
@@ -87,9 +95,21 @@ func (e *Env) Spawn(name string, root Frame) *Proc {
 	p.stack[0] = root
 	p.stepFn = p.step
 	e.procs++
-	e.After(0, "spawn:"+name, p.stepFn)
+	if at < e.now {
+		at = e.now
+	}
+	if e.starts.n > 0 && at < e.starts.last {
+		e.At(at, "spawn:"+name, p.stepFn)
+		return p
+	}
+	e.startQ.procs = append(e.startQ.procs, p)
+	e.starts.At(e, at, "spawn")
 	return p
 }
+
+// startNext is the starts lane's callback: step the longest-queued
+// process for the first time.
+func (e *Env) startNext() { e.startQ.pop().step() }
 
 // step is the trampoline: it drives the top frame until the process
 // parks or its stack empties. It runs in event context — spawn events,
@@ -258,6 +278,12 @@ func (w *WaitQueue) wake(t Time) bool {
 	if w.head == len(w.procs) {
 		return false
 	}
+	w.env.At(t, w.wakeName, w.pop().stepFn)
+	return true
+}
+
+// pop removes the longest-waiting process from a non-empty queue.
+func (w *WaitQueue) pop() *Proc {
 	p := w.procs[w.head]
 	w.procs[w.head] = nil // release for GC
 	w.head++
@@ -270,8 +296,7 @@ func (w *WaitQueue) wake(t Time) bool {
 		clear(w.procs[n:])
 		w.procs, w.head = w.procs[:n], 0
 	}
-	w.env.At(t, w.wakeName, p.stepFn)
-	return true
+	return p
 }
 
 // Wake schedules the longest-waiting process, if any, to resume at the

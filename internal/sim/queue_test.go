@@ -278,7 +278,7 @@ func newRealTarget(d *driver) *realTarget {
 func (r *realTarget) clock() Time          { return r.e.Now() }
 func (r *realTarget) plain(t Time, id int) { r.e.At(t, "plain", func() { r.d.fired(id) }) }
 func (r *realTarget) arg(t Time, id int) {
-	r.e.AfterArg(t-r.e.Now(), "arg", r.argFn, uint64(id))
+	r.e.AtArg(t, "arg", r.argFn, uint64(id))
 }
 func (r *realTarget) lane(i int, t Time)     { r.lanes[i].At(r.e, t, "lane") }
 func (r *realTarget) timerSet(i int, t Time) { r.timers[i].Set(r.e, t, "timer") }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -535,5 +537,70 @@ func TestEventHeapOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSpawnAtMatchesSpawnThenSleep pins SpawnAt to what it replaces: a
+// process spawned now that opens with SleepUntil(at). Starts in order,
+// out of order, tied, already past, and requested mid-run must produce
+// the same (clock, process) sequence either way — and the in-order ones
+// must share one heap entry while they wait, visible to Pending,
+// PendingSummary and Reset's panic.
+func TestSpawnAtMatchesSpawnThenSleep(t *testing.T) {
+	starts := []Time{0, 0, 40, 40, 90, 20, 90, 300, 10, 300, 1000}
+	late := []Time{5, 130, 130, 60, 400, 250} // requested at t=100: two already past
+	build := func(spawnAt bool) (*Env, *[]string) {
+		e, log := NewEnv(), new([]string)
+		spawn := func(id int, at Time) {
+			body := Steps(
+				func(p *Proc) {
+					*log = append(*log, fmt.Sprintf("%d starts@%d", id, e.Now()))
+					p.Sleep(Time(7 * (id%4 + 1)))
+				},
+				func(p *Proc) { *log = append(*log, fmt.Sprintf("%d ends@%d", id, e.Now())) },
+			)
+			if spawnAt {
+				e.SpawnAt(at, "p", body)
+			} else {
+				e.Spawn("p", Steps(func(p *Proc) { p.SleepUntil(at) }, func(p *Proc) { p.Call(body) }))
+			}
+		}
+		for i, at := range starts {
+			spawn(i, at)
+		}
+		e.At(100, "late", func() {
+			for i, at := range late {
+				spawn(100+i, at)
+			}
+		})
+		return e, log
+	}
+
+	// 0 0 40 40 90 | 20 | 90 300 | 10 | 300 1000: nine ride the lane.
+	e, got := build(true)
+	if len(e.events) != 1+2+1 || e.Pending() != len(starts)+1 {
+		t.Fatalf("%d heap entries, %d pending: want 4 (the lane, two early starts, the late spawner) and %d",
+			len(e.events), e.Pending(), len(starts)+1)
+	}
+	if s := e.PendingSummary(1); s != "spawn×9" {
+		t.Fatalf("PendingSummary = %q, want the queued starts under one name", s)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Reset with starts queued did not panic")
+			}
+		}()
+		e.Reset()
+	}()
+	e.Run()
+
+	ref, want := build(false)
+	ref.Run()
+	if len(*got) != 2*(len(starts)+len(late)) || !reflect.DeepEqual(*got, *want) {
+		t.Fatalf("SpawnAt:             %v\nSpawn+SleepUntil(at): %v", *got, *want)
+	}
+	if e.Now() != ref.Now() || e.Pending() != 0 || e.procs != 0 {
+		t.Fatalf("ends at %v with %d pending, %d procs live; reference at %v", e.Now(), e.Pending(), e.procs, ref.Now())
 	}
 }

@@ -30,19 +30,24 @@
 // storage and any processes parked on wait queues, the foundation of
 // testbed reuse (lab.Lab.Reset).
 //
-// # Three ways to schedule
+// # Ways to schedule, and one not to
 //
 // The heap should hold live work only: its depth is paid under every
-// push and pop. Pick the shape that matches the caller:
+// push and pop, and every event costs a pop. First rule: no event for
+// what a cursor can answer. Work whose finish time is known when it is
+// committed — a CPU charge, a cell clocked out of a FIFO — is a
+// busy-until cursor read by whoever asks next (kern.Kernel, atm's
+// transmitter), not a completion event. For the rest, pick the shape:
 //
-//   - A plain event — At/After, or AtArg/AfterArg when one bound
-//     callback needs a word of context (no closure per call) — for
-//     anything that happens once at a time of its own: a process wake,
-//     a fault, a cross-shard arrival.
+//   - A plain event — At/After, or AtArg when one bound callback needs a
+//     word of context (no closure per call) — for anything that happens
+//     once at a time of its own: a process wake, a fault, a cross-shard
+//     arrival.
 //   - A Lane for one callback scheduled over and over at times that
 //     never decrease — a link's cells, a transmitter's frames. However
 //     many are in flight the lane keeps one heap entry; the rest queue
-//     outside the heap and take that entry over as it fires.
+//     outside the heap and take that entry over as it fires. SpawnAt is
+//     one inside the Env: staggered process starts share an entry.
 //   - A Timer for a deadline that is re-armed or cancelled far more
 //     often than it fires — a retransmission timeout, a delayed ACK.
 //     While the deadline only moves later the timer keeps one heap

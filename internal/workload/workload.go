@@ -204,9 +204,10 @@ func (g FanIn) Run(l *lab.Lab) (*Result, error) {
 		}
 	}
 	for ci := range r.clients {
-		c.EnvOf(ci+1).Spawn(fmt.Sprintf("client%d.fanin", ci), &fanInClientFrame{
-			r: r, ci: ci, c: tr.client(l.Hosts[ci+1]),
-			size: size, warm: warm, reqs: reqs, startAt: sim.Time(ci) * g.Stagger,
+		// Stagger slots ascend, so each loop's share of the starts is one
+		// heap entry, not a wake parked per client until its slot.
+		c.EnvOf(ci+1).SpawnAt(sim.Time(ci)*g.Stagger, fmt.Sprintf("client%d.fanin", ci), &fanInClientFrame{
+			r: r, ci: ci, c: tr.client(l.Hosts[ci+1]), size: size, warm: warm, reqs: reqs,
 		})
 	}
 
@@ -333,7 +334,7 @@ func (g Bulk) Run(l *lab.Lab) (*Result, error) {
 	return res, nil
 }
 
-// fanInClientFrame is one fan-in client: wait out its stagger slot,
+// fanInClientFrame is one fan-in client, spawned at its stagger slot:
 // connect once, then run warm+reqs request/response exchanges, measuring
 // the post-warmup ones. All simulation state flows through p.Env() — the
 // loop that owns the client's host — and everything it records goes to
@@ -344,7 +345,6 @@ type fanInClientFrame struct {
 	ci               int
 	c                conn
 	size, warm, reqs int
-	startAt          sim.Time
 
 	pc       int
 	msg, buf []byte
@@ -357,12 +357,7 @@ func (f *fanInClientFrame) Step(p *sim.Proc) {
 	me := &f.r.clients[f.ci]
 	for {
 		switch f.pc {
-		case 0: // wait for the stagger slot (a no-op at the default 0)
-			f.pc = 1
-			if f.startAt > 0 && !p.SleepUntil(f.startAt) {
-				return
-			}
-		case 1: // connect to the server
+		case 0: // connect to the server
 			f.pc = 2
 			f.c.dial(p)
 			return

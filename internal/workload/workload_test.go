@@ -228,9 +228,8 @@ func TestEchoServerRecyclesReadBuffers(t *testing.T) {
 
 	r := newRun(l.Cluster(), 0, 1, stats.Config{})
 	for ci := 0; ci < clients; ci++ {
-		l.Env.Spawn("client", &fanInClientFrame{
+		l.Env.SpawnAt(sim.Time(ci)*5000*sim.Microsecond, "client", &fanInClientFrame{
 			r: r, ci: ci, c: tr.client(l.Hosts[ci+1]), size: 200, reqs: 1,
-			startAt: sim.Time(ci) * 5000 * sim.Microsecond,
 		})
 	}
 	res := &Result{}

@@ -67,7 +67,8 @@ baseline:
 		$(GO) run ./cmd/benchdiff -write BENCH_baseline.json
 
 ## bench-wallclock: run the wall-clock tier and gate ns/op + allocation
-## counts against BENCH_wallclock.json with a tolerance band. CI runs it
+## counts (and peak heap, upward only, on the B/op band) against
+## BENCH_wallclock.json with a tolerance band. CI runs it
 ## with WALLCLOCK_TOL_NS=1 (gate allocations only — runner hardware
 ## differs from the machine that wrote the ns/op baseline).
 WALLCLOCK_TOL_NS ?= 0.5

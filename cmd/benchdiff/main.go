@@ -142,7 +142,7 @@ func run(args []string, in io.Reader, w io.Writer) error {
 			switch {
 			case strings.HasSuffix(key, "/ns/op"):
 				return *tolNs
-			case strings.HasSuffix(key, "/B/op"):
+			case strings.HasSuffix(key, "/B/op"), key == peakHeapKey:
 				return *tolBytes
 			}
 			return *tolAlloc
@@ -256,12 +256,20 @@ func reportMetaMismatch(w io.Writer, base, got map[string]float64) {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		if g, ok := got[k]; ok && g != base[k] {
+		if g, ok := got[k]; ok && g != base[k] && k != peakHeapKey {
 			fmt.Fprintf(w, "note: baseline %s=%.0f but this run has %.0f — ns/op drift may reflect the machine, not the code\n",
 				k, base[k], g)
 		}
 	}
 }
+
+// peakHeapKey is the one meta/ entry that is gated, and only upward. It
+// is HeapAlloc after a forced GC with the 10k-host testbed alive: what
+// the program retains, which no runner's speed or core count changes. A
+// rise beyond the B/op band is therefore drift — per-host state creeping
+// back — while a fall stays a note, so that a baseline recorded before a
+// memory win does not fail the change that made it.
+const peakHeapKey = metaPrefix + "peak_heap_mb"
 
 // parseBench extracts the deterministic paper metrics from `go test
 // -bench` output: every "value unit" pair whose unit starts with
@@ -312,8 +320,7 @@ func parseBench(in io.Reader) (map[string]float64, error) {
 // meta/gomaxprocs (the -N suffix of the benchmark lines),
 // meta/sweep_workers (the sweep pair's custom "workers" metric), and
 // meta/peak_heap_mb (the fan-in scale benchmark's peak-heap-MB metric —
-// live heap is a property of the whole process, so it is recorded for
-// the record rather than gated). The sharded fan-in's "rounds" and
+// gated upward only, see peakHeapKey). The sharded fan-in's "rounds" and
 // "handoffs" metrics — barrier rounds per run and the windows among
 // them handed to a worker goroutine, both deterministic properties of
 // the simulation — are gated like allocation counts: they move only
@@ -417,7 +424,8 @@ func readBaseline(path string) (map[string]float64, error) {
 // its tolerance, letting the wall-clock mode band ns/op loosely and
 // allocation counts tightly. Machine-metadata keys (meta/) are excluded
 // on both sides: they describe hardware, not measurements, and are
-// reported separately by reportMetaMismatch.
+// reported separately by reportMetaMismatch — all but peakHeapKey, which
+// is gated one way.
 func compare(w io.Writer, base, got map[string]float64, tolFor func(string) float64) error {
 	keys := make([]string, 0, len(base))
 	for k := range base {
@@ -428,6 +436,17 @@ func compare(w io.Writer, base, got map[string]float64, tolFor func(string) floa
 	sort.Strings(keys)
 
 	failures := 0
+	if want, ok := base[peakHeapKey]; ok {
+		if v, ok := got[peakHeapKey]; ok && v != want {
+			if v > want && relDiff(v, want) > tolFor(peakHeapKey) {
+				fmt.Fprintf(w, "DRIFT   %s: %.4g vs baseline %.4g (%+.2f%%)\n", peakHeapKey, v, want, (v-want)/want*100)
+				failures++
+			} else {
+				fmt.Fprintf(w, "note: baseline %s=%.0f but this run has %.0f — within the band, or lower (re-record to lock a saving in)\n",
+					peakHeapKey, want, v)
+			}
+		}
+	}
 	for _, k := range keys {
 		want := base[k]
 		v, ok := got[k]

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+
+	"repro/internal/sim"
 )
 
 // AAL3/4 segmentation and reassembly, the adaptation layer the paper's
@@ -107,26 +109,33 @@ func CellsForDatagram(n int) int {
 	return (total + SARPayload - 1) / SARPayload
 }
 
-// Segmenter turns datagrams into cells on one virtual channel. It keeps
-// a private CPCS-PDU scratch buffer that is overwritten on every
-// segmentation, so steady-state transmission does not allocate.
+// Segmenter turns datagrams into cells on one virtual channel. The
+// CPCS-PDU it cuts cells from is the caller's: SegmentAppend builds it in
+// a private scratch buffer that is overwritten on every call, so
+// steady-state segmentation does not allocate; the driver, which holds a
+// PDU across the FIFO stalls of one Output, checks its own out of the
+// event loop's arena and drives frame and cell directly, so its
+// segmenters own no memory at all.
 type Segmenter struct {
 	VCI  uint16
 	MID  uint16
 	btag uint8
 	sn   uint8
 
-	// pdu is the CPCS-PDU scratch, reused across Segment calls. Its
-	// bytes never escape: each cell payload is copied out of it.
+	// hdr is the cell header every cell of the current PDU carries,
+	// marshaled (HEC included) once by frame.
+	hdr [CellSize - PayloadSize]byte
+
+	// pdu is SegmentAppend's CPCS-PDU scratch. Its bytes never escape:
+	// each cell payload is copied out of it.
 	pdu []byte
 }
 
 // Reset rewinds the segmenter's Btag and sequence counters to their
-// initial values for testbed reuse, retaining the PDU scratch buffer. A
-// reused channel must emit bit-identical cells to a fresh one: the Btag
-// and SAR sequence numbers are on the wire, and resetting them is what
-// keeps a recycled testbed's cell stream indistinguishable from a new
-// testbed's.
+// initial values for testbed reuse. A reused channel must emit
+// bit-identical cells to a fresh one: the Btag and SAR sequence numbers
+// are on the wire, and resetting them is what keeps a recycled testbed's
+// cell stream indistinguishable from a new testbed's.
 func (s *Segmenter) Reset() {
 	s.btag = 0
 	s.sn = 0
@@ -135,91 +144,114 @@ func (s *Segmenter) Reset() {
 // Segment encapsulates data in a CPCS-PDU and returns its cells in
 // transmission order, in freshly allocated storage the caller owns.
 // Every call uses a fresh Btag so that interleaved or lost frames cannot
-// be spliced together undetected. The transmit hot path uses
-// SegmentAppend instead, reusing the driver's cell scratch.
+// be spliced together undetected.
 func (s *Segmenter) Segment(data []byte) []Cell {
 	return s.SegmentAppend(nil, data)
 }
 
 // SegmentAppend appends the datagram's cells to dst and returns the
 // extended slice. Passing a recycled dst (length zero, retained
-// capacity) makes steady-state segmentation allocation-free; the ATM
-// driver holds one such scratch per interface, which is safe because
-// Output is serialized per driver.
+// capacity) makes steady-state segmentation allocation-free.
 func (s *Segmenter) SegmentAppend(dst []Cell, data []byte) []Cell {
-	if len(data) > MaxDatagram {
-		panic(fmt.Sprintf("atm: datagram of %d bytes exceeds AAL3/4 maximum %d", len(data), MaxDatagram))
-	}
-	s.btag++
-	padded := (len(data) + 3) &^ 3
-	need := padded + cpcsOverhead
+	need := pduLen(len(data))
 	if cap(s.pdu) < need {
 		s.pdu = make([]byte, need)
 	}
 	pdu := s.pdu[:need]
+	copy(pdu[cpcsHeader:], data)
+	n := s.frame(pdu, len(data))
+	base := len(dst)
+	// Every byte of every cell is written by cell, so the new cells need
+	// no zeroing.
+	dst = slices.Grow(dst, n)[:base+n]
+	for i := 0; i < n; i++ {
+		s.cell(&dst[base+i], pdu, i, n)
+	}
+	return dst
+}
+
+// cpcsHeader is the CPCS-PDU header length: the datagram starts here.
+const cpcsHeader = 4
+
+// maxPDU is the longest CPCS-PDU a conforming sender makes.
+const maxPDU = (MaxDatagram+3)&^3 + cpcsOverhead
+
+// pduLen returns the CPCS-PDU length for a datagram of n bytes: header,
+// the datagram padded to a 4-byte boundary, trailer.
+func pduLen(n int) int {
+	if n > MaxDatagram {
+		panic(fmt.Sprintf("atm: datagram of %d bytes exceeds AAL3/4 maximum %d", n, MaxDatagram))
+	}
+	return (n+3)&^3 + cpcsOverhead
+}
+
+// frame completes the CPCS-PDU around the n datagram bytes the caller
+// has placed at pdu[cpcsHeader:] — header, zeroed alignment pad, trailer,
+// under a fresh Btag — and returns how many cells it makes; len(pdu) must
+// be pduLen(n). The cells are then cut with cell, in order.
+func (s *Segmenter) frame(pdu []byte, n int) int {
+	s.btag++
+	padded := len(pdu) - cpcsOverhead
 	// CPCS header: CPI, Btag, BASize.
 	pdu[0] = 0
 	pdu[1] = s.btag
 	pdu[2] = byte(padded >> 8)
 	pdu[3] = byte(padded)
-	copy(pdu[4:], data)
-	// Zero the alignment padding explicitly: the scratch may hold bytes
-	// of an earlier datagram, and the pad must go out as zeros.
-	for i := 4 + len(data); i < len(pdu)-4; i++ {
+	// Zero the alignment padding explicitly: the buffer may hold bytes of
+	// an earlier datagram, and the pad must go out as zeros.
+	for i := cpcsHeader + n; i < len(pdu)-4; i++ {
 		pdu[i] = 0
 	}
 	// CPCS trailer: AL, Etag, Length.
 	t := pdu[len(pdu)-4:]
 	t[0] = 0
 	t[1] = s.btag
-	t[2] = byte(len(data) >> 8)
-	t[3] = byte(len(data))
+	t[2] = byte(n >> 8)
+	t[3] = byte(n)
 
-	n := (len(pdu) + SARPayload - 1) / SARPayload
-	base := len(dst)
-	// Every byte of every cell is written below, so the new cells need no
-	// zeroing, and all of them carry the same header.
-	dst = slices.Grow(dst, n)[:base+n]
-	cells := dst[base:]
 	var hdr Cell
 	CellHeader{VCI: s.VCI, PT: 0}.Marshal(&hdr)
-	for i := 0; i < n; i++ {
-		st := byte(segCOM)
-		switch {
-		case n == 1:
-			st = segSSM
-		case i == 0:
-			st = segBOM
-		case i == n-1:
-			st = segEOM
-		}
-		chunk := pdu[i*SARPayload:]
-		li := SARPayload
-		if len(chunk) < SARPayload {
-			li = len(chunk)
-		} else {
-			chunk = chunk[:SARPayload]
-		}
-		c := &cells[i]
-		copy(c[:], hdr[:CellSize-PayloadSize])
-		p := c.Payload()
-		// SAR header: ST(2) SN(4) MID(10).
-		p[0] = st<<6 | (s.sn&0xf)<<2 | byte(s.MID>>8)
-		p[1] = byte(s.MID)
-		s.sn = (s.sn + 1) & 0xf
-		copy(p[2:2+SARPayload], chunk)
-		for j := 2 + li; j < 2+SARPayload; j++ {
-			p[j] = 0
-		}
-		// SAR trailer: LI(6) CRC10(10), CRC computed over the payload
-		// with the CRC field zeroed.
-		p[46] = byte(li) << 2
-		p[47] = 0
-		crc := crc10(p)
-		p[46] |= byte(crc >> 8)
-		p[47] = byte(crc)
+	copy(s.hdr[:], hdr[:])
+	return (len(pdu) + SARPayload - 1) / SARPayload
+}
+
+// cell writes cell i of the n that frame counted for pdu into c, every
+// byte of it. Cells must be cut in order, each once: the SAR sequence
+// number advances per call.
+func (s *Segmenter) cell(c *Cell, pdu []byte, i, n int) {
+	st := byte(segCOM)
+	switch {
+	case n == 1:
+		st = segSSM
+	case i == 0:
+		st = segBOM
+	case i == n-1:
+		st = segEOM
 	}
-	return dst
+	chunk := pdu[i*SARPayload:]
+	li := SARPayload
+	if len(chunk) < SARPayload {
+		li = len(chunk)
+	} else {
+		chunk = chunk[:SARPayload]
+	}
+	copy(c[:], s.hdr[:])
+	p := c.Payload()
+	// SAR header: ST(2) SN(4) MID(10).
+	p[0] = st<<6 | (s.sn&0xf)<<2 | byte(s.MID>>8)
+	p[1] = byte(s.MID)
+	s.sn = (s.sn + 1) & 0xf
+	copy(p[2:2+SARPayload], chunk)
+	for j := 2 + li; j < 2+SARPayload; j++ {
+		p[j] = 0
+	}
+	// SAR trailer: LI(6) CRC10(10), CRC computed over the payload
+	// with the CRC field zeroed.
+	p[46] = byte(li) << 2
+	p[47] = 0
+	crc := crc10(p)
+	p[46] |= byte(crc >> 8)
+	p[47] = byte(crc)
 }
 
 // ReassemblyError describes why a frame was discarded.
@@ -230,9 +262,18 @@ func (e *ReassemblyError) Error() string { return "atm: reassembly: " + e.Reason
 // Reassembler rebuilds datagrams from cells on one virtual channel. Cells
 // from the adapter are pushed in arrival order; a completed datagram or a
 // reassembly error is returned when a frame ends.
+//
+// The buffer a frame reassembles into is checked out of an arena when
+// its first cell arrives — sized from the BASize that cell carries, so it
+// does not grow — and goes back the moment the frame is abandoned, for
+// whatever reason (see release's callers: every one is a way a frame can
+// end without being delivered). An idle channel holds no memory. The
+// driver's reassemblers use their event loop's arena; the zero
+// Reassembler makes a private one, which behaves as a scratch buffer of
+// its own.
 type Reassembler struct {
-	buf    []byte
-	out    []byte // completed-datagram scratch, reused across frames
+	arena  *sim.Arena
+	buf    []byte // the CPCS-PDU so far; checked out while non-nil
 	active bool
 	sn     uint8
 	haveSN bool
@@ -242,13 +283,30 @@ type Reassembler struct {
 }
 
 // Reset abandons any partial frame and rewinds the sequence expectation
-// and error count for testbed reuse, retaining both scratch buffers.
+// and error count for testbed reuse.
 func (r *Reassembler) Reset() {
-	r.buf = r.buf[:0]
+	r.release()
 	r.active = false
 	r.sn = 0
 	r.haveSN = false
 	r.Errors = 0
+}
+
+// release returns the buffer, if one is held, to the arena.
+func (r *Reassembler) release() {
+	if r.buf != nil {
+		r.arena.Return(r.buf)
+		r.buf = nil
+	}
+}
+
+// Detach hands the caller the buffer behind the datagram Push just
+// returned: the datagram then stays valid, whatever happens on the
+// channel, until the caller gives the buffer back to the arena (Return).
+func (r *Reassembler) Detach() []byte {
+	b := r.buf
+	r.buf = nil
+	return b
 }
 
 // Idle reports whether no datagram is partially reassembled, i.e. the
@@ -262,10 +320,12 @@ func (r *Reassembler) Idle() bool { return !r.active }
 // mismatches from spliced frames all surface here, exactly the failures
 // AAL3/4 exists to catch.
 //
-// The returned datagram is the reassembler's reusable scratch buffer:
-// it is valid until the next Push on this Reassembler. The driver copies
-// it into mbufs before touching the FIFO again; callers that need to
-// keep it longer must copy it.
+// The returned datagram lies in the reassembly buffer. It is valid until
+// released: until the next frame begins on this Reassembler (or Reset),
+// which reuses the buffer — or, once the caller has taken the buffer
+// over with Detach, until the caller returns it. The driver detaches, as
+// its copy into mbufs spans CPU charges during which the channel may be
+// reclaimed; a caller that consumes the datagram at once need not.
 func (r *Reassembler) Push(c *Cell) ([]byte, error) {
 	p := c.Payload()
 	// Validate the CRC-10: recompute over the payload with the CRC bits
@@ -301,13 +361,16 @@ func (r *Reassembler) Push(c *Cell) ([]byte, error) {
 		if r.active {
 			r.Errors++ // previous frame never finished
 		}
-		r.buf = r.buf[:0]
+		r.begin(p[2 : 2+li])
 		r.active = true
 	case segCOM, segEOM:
 		if !r.active {
 			r.drop()
 			return nil, &ReassemblyError{Reason: "continuation without beginning"}
 		}
+	}
+	if len(r.buf)+li > cap(r.buf) {
+		r.grow(li)
 	}
 	r.buf = append(r.buf, p[2:2+li]...)
 	if st == segEOM || st == segSSM {
@@ -317,21 +380,56 @@ func (r *Reassembler) Push(c *Cell) ([]byte, error) {
 	return nil, nil
 }
 
+// begin readies the buffer for a frame whose first cell carries first: a
+// buffer still held (an unfinished frame, or a delivered one nobody
+// detached) goes back, and one big enough for the whole PDU — the BASize
+// in the CPCS header says how big — is checked out.
+func (r *Reassembler) begin(first []byte) {
+	if r.arena == nil {
+		r.arena = new(sim.Arena)
+	}
+	r.release()
+	need := SARPayload
+	if len(first) >= cpcsHeader {
+		if n := (int(first[2])<<8 | int(first[3])) + cpcsOverhead; n <= maxPDU {
+			need = n
+		}
+	}
+	r.buf = r.arena.Checkout(need)
+}
+
+// grow moves the frame to a buffer with room for li more bytes. Only a
+// frame longer than its own BASize gets here (cells of two frames spliced
+// by a loss the sequence numbers wrapped around); finish will reject it,
+// but until then it reassembles as it always did.
+func (r *Reassembler) grow(li int) {
+	nb := r.arena.Checkout(2 * (len(r.buf) + li))
+	nb = append(nb, r.buf...)
+	r.arena.Return(r.buf)
+	r.buf = nb
+}
+
 // drop abandons any partial frame.
 func (r *Reassembler) drop() {
 	if r.active {
 		r.active = false
-		r.buf = r.buf[:0]
+		r.release()
 	}
 	r.Errors++
+}
+
+// reject abandons a completed frame that failed validation.
+func (r *Reassembler) reject(reason string) ([]byte, error) {
+	r.Errors++
+	r.release()
+	return nil, &ReassemblyError{Reason: reason}
 }
 
 // finish validates the completed CPCS-PDU and extracts the datagram.
 func (r *Reassembler) finish() ([]byte, error) {
 	pdu := r.buf
 	if len(pdu) < cpcsOverhead {
-		r.Errors++
-		return nil, &ReassemblyError{Reason: "short CPCS-PDU"}
+		return r.reject("short CPCS-PDU")
 	}
 	btag := pdu[1]
 	baSize := int(pdu[2])<<8 | int(pdu[3])
@@ -339,22 +437,13 @@ func (r *Reassembler) finish() ([]byte, error) {
 	etag := t[1]
 	length := int(t[2])<<8 | int(t[3])
 	if btag != etag {
-		r.Errors++
-		return nil, &ReassemblyError{Reason: "Btag/Etag mismatch"}
+		return r.reject("Btag/Etag mismatch")
 	}
 	if baSize != len(pdu)-cpcsOverhead {
-		r.Errors++
-		return nil, &ReassemblyError{Reason: "BASize mismatch"}
+		return r.reject("BASize mismatch")
 	}
 	if length > len(pdu)-cpcsOverhead {
-		r.Errors++
-		return nil, &ReassemblyError{Reason: "length exceeds PDU"}
+		return r.reject("length exceeds PDU")
 	}
-	if cap(r.out) < length {
-		r.out = make([]byte, length)
-	}
-	out := r.out[:length]
-	copy(out, pdu[4:4+length])
-	r.buf = r.buf[:0]
-	return out, nil
+	return pdu[cpcsHeader : cpcsHeader+length], nil
 }

@@ -1,6 +1,8 @@
 package atm
 
 import (
+	"encoding/binary"
+
 	"repro/internal/cost"
 	"repro/internal/kern"
 	"repro/internal/sim"
@@ -28,23 +30,25 @@ type cellSink interface {
 	deliverCell(c Cell)
 }
 
-// fifo is a queue with a head index, so popping neither shifts the
-// backing array nor allocates: the array empties back to index zero
+// fifo is a queue of cells with a head index, so popping neither shifts
+// the backing array nor allocates: the array empties back to index zero
 // whenever the queue drains, and compacts when the dead prefix dominates.
-// It holds plain values: a popped slot retains nothing.
-type fifo[T any] struct {
-	buf  []T
+// It keeps its array while empty, which suits the queue disciplines — a
+// few per fabric, busy for a whole trial; the per-host and per-port
+// queues are cellQueues, which do not.
+type fifo struct {
+	buf  []Cell
 	head int
 }
 
-func (q *fifo[T]) push(v T) { q.buf = append(q.buf, v) }
+func (q *fifo) push(v Cell) { q.buf = append(q.buf, v) }
 
 // reset empties the queue, retaining the backing array.
-func (q *fifo[T]) reset() { q.buf, q.head = q.buf[:0], 0 }
+func (q *fifo) reset() { q.buf, q.head = q.buf[:0], 0 }
 
-func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+func (q *fifo) len() int { return len(q.buf) - q.head }
 
-func (q *fifo[T]) pop() T {
+func (q *fifo) pop() Cell {
 	v := q.buf[q.head]
 	q.head++
 	switch {
@@ -57,11 +61,74 @@ func (q *fifo[T]) pop() T {
 	return v
 }
 
-// txRec is a cell committed to a transmitter and the instant its last
-// bit leaves for the fibre.
-type txRec struct {
-	end sim.Time
-	c   Cell
+// recSize is the stride of a cellQueue record: a time (little-endian,
+// eight bytes), the cell, and padding to a power of two.
+const recSize = 64
+
+// cellQueue is a FIFO of cells, each stamped with a time — when its last
+// bit leaves a transmitter, when it arrived in a receive FIFO. Unlike
+// fifo it owns no memory while empty: its records live in a buffer from
+// the event loop's arena, taken when the first cell is queued and given
+// back when the last one leaves, so the ten thousand adapters and ports
+// of a large fabric that carry a few cells, once, share a handful of
+// buffers instead of each keeping a ring. Cells are bytes; so is this.
+type cellQueue struct {
+	buf  []byte // records at buf[head:], oldest first; nil while empty
+	head int
+}
+
+func (q *cellQueue) len() int { return (len(q.buf) - q.head) / recSize }
+
+// timeAt returns the time stamped on the i-th oldest record.
+func (q *cellQueue) timeAt(i int) sim.Time {
+	return sim.Time(binary.LittleEndian.Uint64(q.buf[q.head+i*recSize:]))
+}
+
+func (q *cellQueue) push(a *sim.Arena, t sim.Time, c *Cell) {
+	n := len(q.buf)
+	if n+recSize > cap(q.buf) {
+		q.makeRoom(a)
+		n = len(q.buf)
+	}
+	q.buf = q.buf[:n+recSize]
+	r := (*[recSize]byte)(q.buf[n:])
+	binary.LittleEndian.PutUint64(r[:8], uint64(t))
+	*(*Cell)(r[8 : 8+CellSize]) = *c
+}
+
+// makeRoom is push's slow path: slide the records down over the dead
+// prefix when that frees at least half the buffer, else move them to one
+// twice the size.
+func (q *cellQueue) makeRoom(a *sim.Arena) {
+	live := q.buf[q.head:]
+	if q.head > 0 && q.head*2 >= cap(q.buf) {
+		q.buf = q.buf[:copy(q.buf, live)]
+	} else {
+		nb := append(a.Get(max(2*cap(q.buf), 8*recSize)), live...)
+		a.Put(q.buf)
+		q.buf = nb
+	}
+	q.head = 0
+}
+
+// front returns the oldest record's cell where it lies in the queue:
+// copy it out before the next push or drop.
+func (q *cellQueue) front() *Cell {
+	return (*Cell)(q.buf[q.head+8 : q.head+8+CellSize])
+}
+
+// drop removes the oldest record.
+func (q *cellQueue) drop(a *sim.Arena) {
+	q.head += recSize
+	if q.head == len(q.buf) {
+		q.reset(a)
+	}
+}
+
+// reset empties the queue, giving its buffer back.
+func (q *cellQueue) reset(a *sim.Arena) {
+	a.Put(q.buf)
+	q.buf, q.head = nil, 0
 }
 
 // transmitter is a FIFO transmit engine and the fibre behind it: the
@@ -73,11 +140,10 @@ type txRec struct {
 // holds is read off the queue's completion times by a forward-only cursor.
 type transmitter struct {
 	busy sim.Time // when the engine finishes the last cell committed
-	// q[head:] holds every committed cell still short of the far end,
-	// oldest first; the first left of them had left the engine at the
-	// last probe.
-	q      []txRec
-	head   int
+	// q holds every committed cell still short of the far end, oldest
+	// first, stamped with when its last bit leaves; the first left of them
+	// had left the engine at the last probe.
+	q      cellQueue
 	left   int
 	inLane sim.Lane
 
@@ -90,15 +156,15 @@ type transmitter struct {
 // occupied returns how many cells the engine holds at now. A slot is
 // free from the instant its cell's last bit leaves, inclusive.
 func (t *transmitter) occupied(now sim.Time) int {
-	n := len(t.q) - t.head
-	for t.left < n && t.q[t.head+t.left].end <= now {
+	n := t.q.len()
+	for t.left < n && t.q.timeAt(t.left) <= now {
 		t.left++
 	}
 	return n - t.left
 }
 
 // freeAt returns when the oldest cell occupied counted leaves the engine.
-func (t *transmitter) freeAt() sim.Time { return t.q[t.head+t.left].end }
+func (t *transmitter) freeAt() sim.Time { return t.q.timeAt(t.left) }
 
 // reserve books the engine for one cell, behind what it is already
 // sending and no earlier than ready, and returns when its last bit leaves.
@@ -112,46 +178,36 @@ func (t *transmitter) reserve(ready, cellTime sim.Time) sim.Time {
 
 // commit reserves the engine for c and books its arrival prop after its
 // last bit.
-func (t *transmitter) commit(env *sim.Env, c Cell, ready, cellTime, prop sim.Time, name string) {
+func (t *transmitter) commit(env *sim.Env, c *Cell, ready, cellTime, prop sim.Time, name string) {
 	end := t.reserve(ready, cellTime)
 	if t.cut != nil {
 		// No arrival fires here to pop the record: it stays only while it
 		// occupies the engine.
-		for t.left > 0 {
-			t.pop()
+		for ; t.left > 0; t.left-- {
+			t.q.drop(env.Arena())
 		}
-		t.cut(env.Now(), end+prop, c)
+		t.cut(env.Now(), end+prop, *c)
 	} else {
 		t.inLane.At(env, end+prop, name)
 	}
-	if t.q == nil {
-		// Room for eight at once: most transmitters of a large fabric hold
-		// a few cells, once, and doubling up from one is four allocations.
-		t.q = make([]txRec, 0, 8)
-	}
-	t.q = append(t.q, txRec{end, c})
+	t.q.push(env.Arena(), end, c)
 }
 
-// pop removes the oldest cell, whose arrival is firing; the head index
-// works as fifo's.
-func (t *transmitter) pop() Cell {
-	c := t.q[t.head].c
-	t.head++
+// pop removes the oldest cell, whose arrival is firing.
+func (t *transmitter) pop(env *sim.Env) Cell {
 	if t.left > 0 {
 		t.left--
 	}
-	switch {
-	case t.head == len(t.q):
-		t.q, t.head = t.q[:0], 0
-	case t.head >= 128 && t.head*2 >= len(t.q):
-		n := copy(t.q, t.q[t.head:])
-		t.q, t.head = t.q[:n], 0
-	}
+	c := *t.q.front()
+	t.q.drop(env.Arena())
 	return c
 }
 
 // reset rewinds the engine to idle at time zero with nothing queued.
-func (t *transmitter) reset() { t.busy, t.q, t.head, t.left = 0, t.q[:0], 0, 0 }
+func (t *transmitter) reset(env *sim.Env) {
+	t.q.reset(env.Arena())
+	t.busy, t.left = 0, 0
+}
 
 // Adapter models one TCA-100: the transmit FIFO feeding the wire and the
 // receive FIFO filled from the wire. The transmit engine "starts reading
@@ -161,15 +217,18 @@ type Adapter struct {
 	K    *kern.Kernel
 	link cellSink
 
-	tx     transmitter // the transmit FIFO, its engine and the fiber
-	rxFIFO fifo[Cell]
-	// arrivals holds the wire-arrival time of each frame-ending cell in
-	// the FIFO not yet consumed, oldest first.
-	arrivals fifo[sim.Time]
+	tx transmitter // the transmit FIFO, its engine and the fiber
+	// rxFIFO holds the received cells, each stamped with its wire-arrival
+	// time; frames counts the frame-ending cells among them, and frameAt
+	// is the stamp of the last cell popped — when that cell ends a frame,
+	// the frame's arrival.
+	rxFIFO  cellQueue
+	frames  int
+	frameAt sim.Time
 
 	// RxReady is woken when a frame-ending cell lands in the receive
 	// FIFO: the adapter's receive interrupt.
-	RxReady *sim.WaitQueue
+	RxReady sim.WaitQueue
 
 	// LossRate drops each wire cell with this probability (fault
 	// injection; the paper notes "the ATM network does not guarantee
@@ -218,21 +277,22 @@ type Adapter struct {
 
 // NewAdapter returns an adapter attached to the given host kernel.
 func NewAdapter(k *kern.Kernel) *Adapter {
-	a := &Adapter{K: k, RxReady: k.Env.NewWaitQueue(k.Name + ".atm.rx")}
+	a := &Adapter{K: k}
+	a.RxReady.Init("atm.rx")
 	a.tx.inLane.Bind(a.cellIn)
 	return a
 }
 
 // Reset returns the adapter to its just-constructed state for testbed
-// reuse: FIFOs and in-flight queues emptied (retaining their backing
-// arrays), the transmit engine idle at time zero, fault-injection knobs
-// back to default, counters cleared. The wait queues survive with the
-// driver's service process still parked on RxReady — part of the
+// reuse: FIFOs and in-flight queues emptied (their storage back in the
+// loop's arena), the transmit engine idle at time zero, fault-injection
+// knobs back to default, counters cleared. The wait queues survive with
+// the driver's service process still parked on RxReady — part of the
 // topology, not the trial.
 func (a *Adapter) Reset() {
-	a.tx.reset()
-	a.rxFIFO.reset()
-	a.arrivals.reset()
+	a.tx.reset(a.K.Env)
+	a.rxFIFO.reset(a.K.Env.Arena())
+	a.frames, a.frameAt = 0, 0
 	a.LossRate, a.DropNext, a.CorruptRate = 0, false, 0
 	a.ge = sim.GEChain{}
 	a.reorderRate, a.reorderDepth = 0, 0
@@ -282,7 +342,7 @@ func (a *Adapter) InjectCell(c Cell) { a.receive(c) }
 
 // cellIn fires when a cell's propagation delay elapses: deliver it to
 // the far end of the fiber.
-func (a *Adapter) cellIn() { a.link.deliverCell(a.tx.pop()) }
+func (a *Adapter) cellIn() { a.link.deliverCell(a.tx.pop(a.K.Env)) }
 
 // Connect joins two adapters with a duplex fiber — the switchless
 // configuration of the paper's lab. Topologies with more than two hosts
@@ -319,7 +379,7 @@ func (a *Adapter) PushTx(c Cell) {
 		panic("atm: transmit FIFO overflow")
 	}
 	a.CellsSent++
-	a.tx.commit(a.K.Env, c, a.K.Env.Now(), a.CellTime(), a.K.Cost.ATMPropagation, "atm.cellin")
+	a.tx.commit(a.K.Env, &c, a.K.Env.Now(), a.CellTime(), a.K.Cost.ATMPropagation, "atm.cellin")
 }
 
 // receive handles a cell arriving from the wire: the impairment layer
@@ -402,14 +462,14 @@ func (a *Adapter) accept(c Cell) {
 		a.CellsDropped++
 		return
 	}
-	a.rxFIFO.push(c)
+	a.rxFIFO.push(a.K.Env.Arena(), a.K.Env.Now(), &c)
 	if IsFrameEnd(&c) {
 		// Frame-ending cell: record the paper's receive-measurement
 		// origin ("the arrival of the last group of ATM cells
 		// comprising the last TCP segment") and raise the interrupt.
-		// The arrival time queues so the driver can stamp the completed
-		// datagram's wire-arrival event.
-		a.arrivals.push(a.K.Env.Now())
+		// The arrival time queued with the cell is what the driver stamps
+		// the completed datagram's wire-arrival event with.
+		a.frames++
 		a.K.Trace.Mark(trace.MarkFrameArrival, a.K.Env.Now())
 		a.RxReady.Wake()
 	} else if a.rxFIFO.len() >= RxDrainThreshold {
@@ -427,17 +487,18 @@ func IsFrameEnd(c *Cell) bool {
 
 // FramesPending returns the number of complete frames whose cells are
 // waiting in the receive FIFO.
-func (a *Adapter) FramesPending() int { return a.arrivals.len() }
+func (a *Adapter) FramesPending() int { return a.frames }
 
-// ConsumeFrameEnd is called by the driver when it pops a frame-ending
-// cell, balancing the count incremented on arrival. It returns the
-// virtual time that cell arrived from the wire — the receive-side
+// ConsumeFrameEnd is called by the driver when the cell it last popped
+// ends a frame, balancing the count incremented on arrival. It returns
+// the virtual time that cell arrived from the wire — the receive-side
 // measurement origin for the frame it terminates.
 func (a *Adapter) ConsumeFrameEnd() sim.Time {
-	if a.arrivals.len() == 0 {
+	if a.frames == 0 {
 		panic("atm: frame-pending underflow")
 	}
-	return a.arrivals.pop()
+	a.frames--
+	return a.frameAt
 }
 
 // TxIdleAt returns the time the transmit engine finishes clocking out
@@ -453,5 +514,8 @@ func (a *Adapter) PopRx() (Cell, bool) {
 	if a.rxFIFO.len() == 0 {
 		return Cell{}, false
 	}
-	return a.rxFIFO.pop(), true
+	a.frameAt = a.rxFIFO.timeAt(0)
+	c := *a.rxFIFO.front()
+	a.rxFIFO.drop(a.K.Env.Arena())
+	return c, true
 }

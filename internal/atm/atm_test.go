@@ -464,8 +464,8 @@ func TestHECErrorOnFrameEndConsumesPending(t *testing.T) {
 	if got := ab.FramesPending(); got != 0 {
 		t.Fatalf("FramesPending = %d after HEC-discarded frame end", got)
 	}
-	if got := len(ab.arrivals.buf); got != 0 {
-		t.Fatalf("arrivals queue holds %d stale entries", got)
+	if got := ab.RxAvail(); got != 0 || ab.rxFIFO.buf != nil {
+		t.Fatalf("receive FIFO holds %d cells (buffer held: %v) after the drain", got, ab.rxFIFO.buf != nil)
 	}
 
 	// Second frame: a clean datagram must carry its own arrival time,

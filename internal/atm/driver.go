@@ -32,12 +32,12 @@ type Driver struct {
 	Mode cost.ChecksumMode
 
 	// seg carries traffic on the default PVC (the single VC of the
-	// paper's switchless fiber); vcs maps destination IP addresses to
+	// paper's switchless fiber); tx maps destination IP addresses to
 	// per-VC transmit state, installed either eagerly by a test harness
 	// (AddVC) or on demand through SetupVC when the first datagram to a
 	// destination is segmented.
 	seg Segmenter
-	vcs map[uint32]*txVC
+	tx  txTable
 
 	// SetupVC, when set, is consulted on a transmit-side VC miss: the
 	// routed fabric installs the switch path for (this host → dst) and
@@ -58,9 +58,9 @@ type Driver struct {
 	// different sources arrive interleaved on distinct VCIs in switched
 	// topologies; reassembly state must be per VC. lastRx remembers the
 	// context the previous cell used: a datagram's cells arrive mostly
-	// back to back, so continuation cells find theirs without a map
+	// back to back, so continuation cells find theirs without a table
 	// lookup. Whatever removes a context from rx must clear lastRx.
-	rx     map[uint16]*rxVC
+	rx     rxTable
 	lastRx *rxVC
 
 	// MTUOverride, when positive, lowers the MTU the driver advertises to
@@ -79,18 +79,16 @@ type Driver struct {
 	// CPU charges yield to the event loop, so without the lock a user
 	// send and a protocol-timer send could interleave cell pushes.
 	txBusy bool
-	txWait *sim.WaitQueue
-
-	// lin and cells are the transmit path's scratch buffers (the
-	// linearized datagram and its cells), reused across Output calls —
-	// safe because txBusy serializes them.
-	lin   []byte
-	cells []Cell
+	txWait sim.WaitQueue
 
 	// outOp caches the transmit frame; txBusy serializes Output, so one
 	// cached frame covers the steady state (overlapping callers park on
-	// txWait with a fresh frame).
-	outOp *outputOp
+	// txWait with a fresh frame). outFrame and rxproc are that frame and
+	// the receive service process's root, held here so that a driver is
+	// one allocation.
+	outOp    *outputOp
+	outFrame outputOp
+	rxproc   rxprocFrame
 
 	// FramesIn and FramesOut count successfully reassembled and
 	// transmitted datagrams.
@@ -112,19 +110,135 @@ const DefaultVCI = 32
 // starts the receive service process.
 func NewDriver(k *kern.Kernel, a *Adapter, ipStack *ip.Stack) *Driver {
 	d := &Driver{K: k, Adapter: a, IP: ipStack}
-	d.txWait = k.Env.NewWaitQueue(k.Name + ".atm.txlock")
+	d.txWait.Init("atm.txlock")
 	d.seg.VCI = DefaultVCI
+	d.outFrame.d = d
+	d.outOp = &d.outFrame
 	ipStack.Attach(d)
-	k.Env.Spawn(k.Name+".atmintr", &rxprocFrame{d: d})
+	d.rxproc.d = d
+	k.Env.Spawn("", &d.rxproc)
 	return d
+}
+
+// txTable maps destination addresses to transmit channels and rxTable
+// incoming VCIs to receive channels, each with room for its first entry
+// in the table itself: a client of a fan-in has one peer, so one channel
+// each way, and its tables never allocate; a server's spill into a map.
+// Entries are handed out by pointer and stay where they are until
+// deleted. (Two concrete types, not one generic: a generic type's methods
+// carry their type arguments' import paths in their symbol names, which
+// the benchmark's profile buckets cannot place.)
+type txTable struct {
+	dst0 uint32
+	has0 bool
+	vc0  txVC
+	more map[uint32]*txVC
+}
+
+func (t *txTable) len() int {
+	if t.has0 {
+		return len(t.more) + 1
+	}
+	return len(t.more)
+}
+
+func (t *txTable) get(dst uint32) *txVC {
+	if t.has0 && t.dst0 == dst {
+		return &t.vc0
+	}
+	return t.more[dst]
+}
+
+// add installs vc for dst, which must not be present.
+func (t *txTable) add(dst uint32, vc txVC) *txVC {
+	if !t.has0 {
+		t.dst0, t.has0, t.vc0 = dst, true, vc
+		return &t.vc0
+	}
+	if t.more == nil {
+		t.more = make(map[uint32]*txVC)
+	}
+	t.more[dst] = &vc
+	return &vc
+}
+
+func (t *txTable) del(dst uint32) {
+	if t.has0 && t.dst0 == dst {
+		t.has0, t.vc0 = false, txVC{}
+		return
+	}
+	delete(t.more, dst)
+}
+
+// each calls fn for every entry, in no particular order; fn may delete
+// the entry it is handed.
+func (t *txTable) each(fn func(dst uint32, vc *txVC)) {
+	if t.has0 {
+		fn(t.dst0, &t.vc0)
+	}
+	for dst, vc := range t.more {
+		fn(dst, vc)
+	}
+}
+
+type rxTable struct {
+	has0 bool
+	vc0  rxVC
+	more map[uint16]*rxVC
+}
+
+func (t *rxTable) len() int {
+	if t.has0 {
+		return len(t.more) + 1
+	}
+	return len(t.more)
+}
+
+func (t *rxTable) get(vci uint16) *rxVC {
+	if t.has0 && t.vc0.vci == vci {
+		return &t.vc0
+	}
+	return t.more[vci]
+}
+
+// add installs vc, whose VCI must not be present.
+func (t *rxTable) add(vc rxVC) *rxVC {
+	if !t.has0 {
+		t.has0, t.vc0 = true, vc
+		return &t.vc0
+	}
+	if t.more == nil {
+		t.more = make(map[uint16]*rxVC)
+	}
+	t.more[vc.vci] = &vc
+	return &vc
+}
+
+func (t *rxTable) del(vci uint16) {
+	if t.has0 && t.vc0.vci == vci {
+		t.has0, t.vc0 = false, rxVC{}
+		return
+	}
+	delete(t.more, vci)
+}
+
+func (t *rxTable) each(fn func(vc *rxVC)) {
+	if t.has0 {
+		fn(&t.vc0)
+	}
+	for _, vc := range t.more {
+		fn(vc)
+	}
 }
 
 // Reset returns the driver to its just-constructed state for testbed
 // reuse: every virtual channel's segmenter and reassembler rewinds
-// (retaining scratch buffers and the VC table itself — routing is
-// topology, not trial state), open receive spans and the transmit lock
-// clear, configuration knobs return to defaults for the lab to re-apply,
-// and counters zero. The receive service process stays parked on the
+// (retaining the VC table itself — routing is topology, not trial state
+// — while a frame stranded mid-reassembly gives its buffer back to the
+// loop's arena, which is why the lab resets drivers before it rewinds the
+// environment), open receive spans and the transmit lock clear,
+// configuration knobs return to defaults for the lab to re-apply, and
+// counters zero. The receive service process stays parked on the
 // adapter's RxReady queue.
 func (d *Driver) Reset() {
 	d.Mode = cost.ChecksumStandard
@@ -132,23 +246,23 @@ func (d *Driver) Reset() {
 	d.HostCorruptRate = 0
 	d.txBusy = false
 	d.seg.Reset()
-	for dst, vc := range d.vcs {
+	d.tx.each(func(dst uint32, vc *txVC) {
 		if vc.demand {
 			// On-demand entries are trial state, not topology: dropping
 			// them restores the exact fresh-build contract (the next
 			// datagram re-installs through SetupVC, and the fabric
 			// returns the already-routed path, so the wire bytes and
 			// timing match a brand-new lab).
-			delete(d.vcs, dst)
-			continue
+			d.tx.del(dst)
+			return
 		}
 		vc.seg.Reset()
 		vc.lastUse = 0
-	}
-	for _, vc := range d.rx {
+	})
+	d.rx.each(func(vc *rxVC) {
 		vc.reasm.Reset()
 		vc.open = false
-	}
+	})
 	d.lastRx = nil
 	d.FramesIn, d.FramesOut = 0, 0
 	d.ReassemblyErrors, d.HECErrors, d.HostCorruptions = 0, 0, 0
@@ -170,30 +284,42 @@ type txVC struct {
 // two-host fiber behaviour. Routed fabrics do not call it — they install
 // VCs lazily through SetupVC.
 func (d *Driver) AddVC(dst uint32, vci uint16) {
-	if d.vcs == nil {
-		d.vcs = make(map[uint32]*txVC)
-	}
-	d.vcs[dst] = &txVC{seg: Segmenter{VCI: vci}}
+	d.tx.del(dst)
+	d.tx.add(dst, txVC{seg: Segmenter{VCI: vci}})
 }
 
 // NumTxVCs returns how many transmit VCs are installed — O(peers this
 // host has sent to) under on-demand setup, the quantity the
 // state-sparsity tests pin.
-func (d *Driver) NumTxVCs() int { return len(d.vcs) }
+func (d *Driver) NumTxVCs() int { return d.tx.len() }
 
 // NumReassemblers returns how many receive-side reassembly contexts
 // exist — O(peers that have sent to this host).
-func (d *Driver) NumReassemblers() int { return len(d.rx) }
+func (d *Driver) NumReassemblers() int { return d.rx.len() }
+
+// Reassembling returns how many receive channels are part-way through a
+// frame — each holds one buffer checked out of the loop's arena. On a
+// drained loop that is a frame whose end was lost (or cut off by a fault)
+// with nothing since on its channel to supersede it.
+func (d *Driver) Reassembling() int {
+	n := 0
+	d.rx.each(func(vc *rxVC) {
+		if !vc.reasm.Idle() {
+			n++
+		}
+	})
+	return n
+}
 
 // segFor picks the segmenter for a datagram's destination address,
 // installing the VC on demand when a routed fabric is attached. The miss
 // path charges no simulated time (signaling is instantaneous), so lazily
 // built topologies behave bit-identically to eagerly meshed ones.
 func (d *Driver) segFor(now sim.Time, dst uint32) *Segmenter {
-	if d.vcs == nil && d.SetupVC == nil {
+	if d.tx.len() == 0 && d.SetupVC == nil {
 		return &d.seg
 	}
-	if vc, ok := d.vcs[dst]; ok {
+	if vc := d.tx.get(dst); vc != nil {
 		vc.lastUse = now
 		return &vc.seg
 	}
@@ -204,12 +330,8 @@ func (d *Driver) segFor(now sim.Time, dst uint32) *Segmenter {
 	if !ok {
 		panic(fmt.Sprintf("atm: fabric has no route to destination %#x", dst))
 	}
-	if d.vcs == nil {
-		d.vcs = make(map[uint32]*txVC)
-	}
-	vc := &txVC{seg: Segmenter{VCI: vci}, lastUse: now, demand: true}
-	d.vcs[dst] = vc
-	if d.TxVCLimit > 0 && len(d.vcs) > d.TxVCLimit {
+	vc := d.tx.add(dst, txVC{seg: Segmenter{VCI: vci}, lastUse: now, demand: true})
+	if d.TxVCLimit > 0 && d.tx.len() > d.TxVCLimit {
 		d.evictIdleVC(dst)
 	}
 	return &vc.seg
@@ -225,18 +347,18 @@ func (d *Driver) evictIdleVC(keep uint32) {
 		oldest sim.Time
 		found  bool
 	)
-	for dst, vc := range d.vcs {
+	d.tx.each(func(dst uint32, vc *txVC) {
 		if dst == keep || !vc.demand {
-			continue
+			return
 		}
 		if !found || vc.lastUse < oldest || (vc.lastUse == oldest && dst < victim) {
 			victim, oldest, found = dst, vc.lastUse, true
 		}
-	}
+	})
 	if !found {
 		return
 	}
-	delete(d.vcs, victim)
+	d.tx.del(victim)
 	if d.TeardownVC != nil {
 		d.TeardownVC(victim)
 	}
@@ -245,14 +367,14 @@ func (d *Driver) evictIdleVC(keep uint32) {
 // DropRx reclaims the reassembly context for an incoming VCI, returning
 // false (and keeping it) if a datagram is mid-reassembly on that channel.
 func (d *Driver) DropRx(vci uint16) bool {
-	vc, ok := d.rx[vci]
-	if !ok {
+	vc := d.rx.get(vci)
+	if vc == nil {
 		return true
 	}
 	if !vc.reasm.Idle() {
 		return false
 	}
-	delete(d.rx, vci)
+	d.rx.del(vci)
 	if d.lastRx == vc {
 		d.lastRx = nil
 	}
@@ -275,20 +397,16 @@ func (d *Driver) rxFor(vci uint16) *rxVC {
 	if vc := d.lastRx; vc != nil && vc.vci == vci {
 		return vc
 	}
-	vc, ok := d.rx[vci]
-	if !ok {
-		if d.rx == nil {
-			d.rx = make(map[uint16]*rxVC)
-		}
-		vc = &rxVC{vci: vci}
-		d.rx[vci] = vc
+	vc := d.rx.get(vci)
+	if vc == nil {
+		vc = d.rx.add(rxVC{vci: vci, reasm: Reassembler{arena: d.K.Env.Arena()}})
 	}
 	d.lastRx = vc
 	return vc
 }
 
 // Name implements ip.NetIf.
-func (d *Driver) Name() string { return d.K.Name + ".atm0" }
+func (d *Driver) Name() string { return d.K.Name() + ".atm0" }
 
 // MTU implements ip.NetIf.
 func (d *Driver) MTU() int {
@@ -319,7 +437,10 @@ func (d *Driver) Output(p *sim.Proc, m *mbuf.Mbuf) {
 
 // outputOp is the frame behind Driver.Output: the transmit-lock wait, the
 // per-frame setup charge, the cell-push loop with its FIFO-full stalls,
-// and the chain release.
+// and the chain release. The datagram's CPCS-PDU is checked out of the
+// loop's arena for as long as cells are being cut from it — the one
+// buffer an Output holds; cells are cut one at a time as the FIFO takes
+// them, so there is no cell array.
 type outputOp struct {
 	d  *Driver
 	pc int
@@ -327,7 +448,10 @@ type outputOp struct {
 	m         *mbuf.Mbuf
 	txStart   sim.Time
 	waitStart sim.Time
-	i         int // next cell to push
+	seg       *Segmenter // the destination's channel
+	pdu       []byte     // its CPCS-PDU, from the arena
+	n         int        // datagram bytes in it
+	cells, i  int        // cells it makes; next cell to push
 }
 
 // Step drives the transmit state machine.
@@ -347,14 +471,17 @@ func (f *outputOp) Step(p *sim.Proc) {
 			if !k.Use(p, trace.LayerATMTx, k.Cost.ATMTxFrameFixed) {
 				return
 			}
-		case 1: // linearize and segment into the scratch buffers
-			data := mbuf.LinearizeInto(d.lin[:0], f.m)
-			d.lin = data
-			d.cells = d.segFor(k.Now(), ip.Dst(data)).SegmentAppend(d.cells[:0], data)
-			f.i = 0
+		case 1: // linearize straight into a CPCS-PDU and frame it
+			f.n = mbuf.ChainLen(f.m)
+			need := pduLen(f.n)
+			f.pdu = k.Env.Arena().Checkout(need)[:need]
+			data := f.pdu[cpcsHeader : cpcsHeader+f.n]
+			mbuf.CopyBytesTo(f.m, 0, f.n, data)
+			f.seg = d.segFor(k.Now(), ip.Dst(data))
+			f.cells, f.i = f.seg.frame(f.pdu, f.n), 0
 			f.pc = 2
 		case 2: // cell-loop head: stall on a full FIFO or charge the push
-			if f.i >= len(d.cells) {
+			if f.i >= f.cells {
 				f.pc = 5
 				continue
 			}
@@ -374,8 +501,10 @@ func (f *outputOp) Step(p *sim.Proc) {
 			// register, which is time in the ATM row.
 			k.Attribute(p, trace.LayerATMTx, f.waitStart, k.Now())
 			f.pc = 2
-		case 4: // push the charged cell
-			d.Adapter.PushTx(d.cells[f.i])
+		case 4: // cut and push the charged cell
+			var c Cell
+			f.seg.cell(&c, f.pdu, f.i, f.cells)
+			d.Adapter.PushTx(c)
 			f.i++
 			f.pc = 2
 		case 5: // trace events, then charge the chain free
@@ -383,15 +512,17 @@ func (f *outputOp) Step(p *sim.Proc) {
 				id := k.PacketContext(p)
 				k.Trace.Event(trace.Event{
 					Kind: trace.EvDriverTx, At: f.txStart, Dur: k.Now() - f.txStart,
-					ID: id, Len: len(d.lin),
+					ID: id, Len: f.n,
 				})
 				// The final cell is on its way to the wire; it clears
 				// the transmit engine at TxIdleAt.
 				k.Trace.Event(trace.Event{
 					Kind: trace.EvWireDepart, At: d.Adapter.TxIdleAt(),
-					ID: id, Len: len(d.lin),
+					ID: id, Len: f.n,
 				})
 			}
+			k.Env.Arena().Return(f.pdu)
+			f.pdu, f.seg = nil, nil
 			d.FramesOut++
 			f.pc = 6
 			if c := k.FreeChainCost(f.m); c > 0 {
@@ -431,14 +562,19 @@ type rxprocFrame struct {
 	frameEnd     bool
 	arrivedAt    sim.Time
 
-	// Deliver state (one datagram at a time).
-	dg          []byte
+	// Deliver state (one datagram at a time). dg lies in buf, the
+	// reassembly buffer detached from its channel, which goes back to the
+	// arena when the datagram has been copied into mbufs.
+	dg, buf     []byte
 	start       sim.Time
 	pktID       trace.PacketID
 	tagged      bool
 	rest        []byte
 	chain, tail *mbuf.Mbuf
 }
+
+// Name implements sim.Namer: the process is named when something asks.
+func (f *rxprocFrame) Name() string { return f.d.K.Name() + ".atmintr" }
 
 // Step drives the receive service loop. The TCA-100 model interrupts per
 // completed frame, so the driver sleeps until a frame-ending cell has
@@ -526,7 +662,7 @@ func (f *rxprocFrame) Step(p *sim.Proc) {
 				f.pc = 9
 				continue
 			}
-			f.dg = dg
+			f.dg, f.buf = dg, vc.reasm.Detach()
 			f.start = vc.start
 			vc.open = false
 			f.pc = 4
@@ -634,7 +770,10 @@ func (f *rxprocFrame) Step(p *sim.Proc) {
 				p.PopTag()
 				f.tagged = false
 			}
-			f.dg, f.rest = nil, nil
+			if f.buf != nil {
+				k.Env.Arena().Return(f.buf)
+			}
+			f.dg, f.buf, f.rest = nil, nil, nil
 			if f.frameEnd && f.framePending {
 				f.pc = 0
 			} else {

@@ -164,7 +164,7 @@ func TestFabricFatTreeCrossLeaf(t *testing.T) {
 		t.Fatalf("uninvolved leaf grew %d VC entries", f.Leaves[1].NumVCs())
 	}
 	// The last hop restores the source-naming convention.
-	if _, ok := drvs[5].rx[DefaultVCI+0]; !ok {
+	if drvs[5].rx.get(DefaultVCI+0) == nil {
 		t.Fatalf("destination reassembles on VCIs %v, want DefaultVCI+src (%d)",
 			reasmVCIs(drvs[5]), DefaultVCI)
 	}
@@ -172,9 +172,7 @@ func TestFabricFatTreeCrossLeaf(t *testing.T) {
 
 func reasmVCIs(d *Driver) []uint16 {
 	var out []uint16
-	for vci := range d.rx {
-		out = append(out, vci)
-	}
+	d.rx.each(func(vc *rxVC) { out = append(out, vc.vci) })
 	return out
 }
 
@@ -270,10 +268,10 @@ func TestDriverTxVCLimitEvictsLRU(t *testing.T) {
 	if got := d.NumTxVCs(); got != 2 {
 		t.Fatalf("driver holds %d tx VCs, want TxVCLimit=2", got)
 	}
-	if _, evicted := d.vcs[3]; evicted {
+	if d.tx.get(3) != nil {
 		t.Fatal("LRU entry (dst 3) survived eviction")
 	}
-	if _, kept := d.vcs[2]; !kept {
+	if d.tx.get(2) == nil {
 		t.Fatal("recently used entry (dst 2) was evicted")
 	}
 	// The fabric path went with it: routes for hosts 1 and 3 remain.
@@ -295,7 +293,7 @@ func TestDriverTxVCLimitEvictsLRU(t *testing.T) {
 // a fresh context (the old one's sequence expectation would reject its
 // first cell), and the surviving VCI must keep its partial datagram.
 func TestDropRxKeepsActiveReassembly(t *testing.T) {
-	d := &Driver{}
+	d := &Driver{K: kern.New(sim.NewEnv(), cost.DECstation5000(), "d")}
 	segA, segB := Segmenter{VCI: 40}, Segmenter{VCI: 41}
 	a := segA.Segment(make([]byte, 200)) // multi-cell datagrams
 	b := segB.Segment(make([]byte, 200))

@@ -37,7 +37,7 @@ type Qdisc interface {
 // baseline in qdisc comparisons.
 type DropTail struct {
 	limit int
-	q     fifo[Cell]
+	q     fifo
 }
 
 // NewDropTail returns a FIFO dropping arrivals beyond limit cells.
@@ -88,7 +88,7 @@ type RED struct {
 	rng   sim.RNG
 	avg   float64
 	count int // arrivals since the last early drop, for drop spreading
-	q     fifo[Cell]
+	q     fifo
 }
 
 // Default RED parameters: thresholds bracketing a fraction of the
@@ -197,7 +197,7 @@ type DRR struct {
 
 // drrFlow is one VCI's queue and deficit counter.
 type drrFlow struct {
-	q       fifo[Cell]
+	q       fifo
 	deficit int
 	active  bool
 }

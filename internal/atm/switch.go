@@ -17,18 +17,13 @@ const DefaultSwitchLatency = 5 * sim.Microsecond
 // the experiments only drop under deliberately oversubscribed fan-in.
 const DefaultPortQueueCells = 1024
 
-// vcKey identifies a virtual channel arriving at the switch: the ingress
-// port and the VCI the cell carries.
-type vcKey struct {
-	port int
-	vci  uint16
-}
-
 // vcRoute is the egress side of a VC table entry: the output port and
-// the VCI the cell leaves with (ATM switches rewrite VCIs per hop).
+// the VCI the cell leaves with (ATM switches rewrite VCIs per hop). The
+// zero value is an empty slot.
 type vcRoute struct {
-	port int
+	port int32
 	vci  uint16
+	set  bool
 }
 
 // Switch is a simple output-queued ATM cell switch: hosts attach through
@@ -41,7 +36,9 @@ type vcRoute struct {
 // The VC table starts empty and is populated on demand by a Fabric
 // (routed topologies install a flow's path when its first datagram is
 // segmented) or eagerly by a test harness via AddVC. Its size is
-// therefore O(active flows crossing this switch), never O(hosts²).
+// therefore O(active flows crossing this switch), never O(hosts²). It is
+// kept per ingress port, indexed by VCI (see Port.vc): the lookup on
+// every forwarded cell is a bounds check and a load, not a hash.
 type Switch struct {
 	env *sim.Env
 
@@ -52,7 +49,7 @@ type Switch struct {
 	PortQueueCells int
 
 	ports []*Port
-	vc    map[vcKey]vcRoute
+	nvc   int // installed VC table entries, over every port
 
 	// Counters.
 	CellsSwitched int64
@@ -67,20 +64,19 @@ func NewSwitch(env *sim.Env) *Switch {
 		env:            env,
 		Latency:        DefaultSwitchLatency,
 		PortQueueCells: DefaultPortQueueCells,
-		vc:             make(map[vcKey]vcRoute),
 	}
 }
 
 // Reset returns the switch to its just-constructed state for testbed
 // reuse: every port's egress pacing rewinds to idle at time zero with
-// its queues emptied (retaining backing arrays), and the counters clear.
+// its queues emptied, and the counters clear.
 // Port attachments and the VC table survive — attachments are the
 // topology, and VC entries (whether installed eagerly or on demand) name
 // the same routes a fresh lab would install for the same flows, so
 // keeping them is invisible to simulated behaviour.
 func (sw *Switch) Reset() {
 	for _, p := range sw.ports {
-		p.tx.reset()
+		p.tx.reset(sw.env)
 		if p.qdp != nil {
 			p.qdp.pre.reset()
 			p.qdp.serving = false
@@ -122,6 +118,14 @@ type Port struct {
 	// the source-naming convention (DefaultVCI + source host index).
 	vci *vciAlloc
 
+	// vc is this port's half of the switch's VC table: the route of a
+	// cell arriving here with VCI v is vc[v-DefaultVCI]. Every VCI in use
+	// is dense from DefaultVCI up — the fabric names host-link channels
+	// DefaultVCI+host and allocates trunk channels in order — so the slice
+	// is as long as the highest channel ever installed on the port: one
+	// entry on a client's access port, the host count on a server's.
+	vc []vcRoute
+
 	// tx is the egress queue, its pacing and the fiber: forward commits a
 	// cell once and reads the drop-tail depth off it. A qdisc-managed port
 	// uses only its cursor and, for cells on the fiber, its queue and
@@ -152,11 +156,11 @@ type Port struct {
 // qdPath is the state only a qdisc-managed port needs, kept off the
 // Port so that a large fabric's thousands of plain ports do not carry it.
 type qdPath struct {
-	pre     fifo[Cell] // cells crossing the fabric toward the qdisc
-	in      sim.Lane   // their arrival at the discipline
-	serving bool       // link currently clocking a cell out:
-	cur     Cell       // this one
-	out     sim.Lane   // its completion
+	pre     fifo     // cells crossing the fabric toward the qdisc
+	in      sim.Lane // their arrival at the discipline
+	serving bool     // link currently clocking a cell out:
+	cur     Cell     // this one
+	out     sim.Lane // its completion
 }
 
 // Index returns the port's number on the switch.
@@ -240,9 +244,9 @@ func (p *Port) qdCellOut() {
 	if p.tx.cut == nil {
 		// Queued for the fibre only now, so the queue drains between cells
 		// however long the link stays busy.
-		now := p.sw.env.Now()
-		p.tx.q = append(p.tx.q, txRec{now, p.qdp.cur})
-		p.tx.inLane.At(p.sw.env, now+p.prop, "atmsw.cellin")
+		env := p.sw.env
+		p.tx.q.push(env.Arena(), env.Now(), &p.qdp.cur)
+		p.tx.inLane.At(env, env.Now()+p.prop, "atmsw.cellin")
 	}
 	p.qdKick()
 }
@@ -290,29 +294,54 @@ func (p *Port) SetCut(stage func(scheduleAt, at sim.Time, c Cell)) { p.tx.cut = 
 func (p *Port) InjectCell(c Cell) { p.sw.forward(p, c) }
 
 // cellIn fires when the cell reaches the far end of the fiber.
-func (p *Port) cellIn() { p.out.deliverCell(p.tx.pop()) }
+func (p *Port) cellIn() { p.out.deliverCell(p.tx.pop(p.sw.env)) }
 
 // NumPorts returns the number of attached ports.
 func (sw *Switch) NumPorts() int { return len(sw.ports) }
 
 // NumVCs returns the number of installed VC table entries — O(active
 // flows) in routed fabrics, the quantity the state-sparsity tests pin.
-func (sw *Switch) NumVCs() int { return len(sw.vc) }
+func (sw *Switch) NumVCs() int { return sw.nvc }
 
 // AddVC installs a unidirectional VC table entry: cells arriving on
-// inPort with inVCI leave outPort carrying outVCI.
+// inPort with inVCI leave outPort carrying outVCI. VCIs below DefaultVCI
+// are reserved and cannot be routed.
 func (sw *Switch) AddVC(inPort int, inVCI uint16, outPort int, outVCI uint16) {
 	if inPort < 0 || inPort >= len(sw.ports) || outPort < 0 || outPort >= len(sw.ports) {
 		panic(fmt.Sprintf("atm: VC %d:%d -> %d:%d references a missing port",
 			inPort, inVCI, outPort, outVCI))
 	}
-	sw.vc[vcKey{inPort, inVCI}] = vcRoute{outPort, outVCI}
+	if inVCI < DefaultVCI {
+		panic(fmt.Sprintf("atm: VC %d:%d -> %d:%d arrives on a reserved VCI", inPort, inVCI, outPort, outVCI))
+	}
+	p := sw.ports[inPort]
+	i := int(inVCI - DefaultVCI)
+	if i >= len(p.vc) {
+		p.vc = append(p.vc, make([]vcRoute, i+1-len(p.vc))...)
+	}
+	if !p.vc[i].set {
+		sw.nvc++
+	}
+	p.vc[i] = vcRoute{port: int32(outPort), vci: outVCI, set: true}
 }
 
 // RemoveVC tears one VC table entry down (idle-VC reclamation); removing
 // a missing entry is a no-op.
 func (sw *Switch) RemoveVC(inPort int, inVCI uint16) {
-	delete(sw.vc, vcKey{inPort, inVCI})
+	if r := sw.ports[inPort].route(inVCI); r != nil {
+		*r = vcRoute{}
+		sw.nvc--
+	}
+}
+
+// route returns the installed table entry for a cell arriving on p with
+// the given VCI, or nil.
+func (p *Port) route(vci uint16) *vcRoute {
+	// A reserved VCI wraps to a huge index and misses like any other.
+	if i := int(vci - DefaultVCI); i < len(p.vc) && p.vc[i].set {
+		return &p.vc[i]
+	}
+	return nil
 }
 
 // deliverCell implements cellSink for a port: a cell arriving over the
@@ -337,8 +366,8 @@ func (sw *Switch) forward(from *Port, c Cell) {
 		sw.HECErrors++
 		return
 	}
-	route, ok := sw.vc[vcKey{from.index, h.VCI}]
-	if !ok {
+	route := from.route(h.VCI)
+	if route == nil {
 		sw.CellsUnrouted++
 		return
 	}
@@ -362,7 +391,7 @@ func (sw *Switch) forward(from *Port, c Cell) {
 	h.VCI = route.vci
 	h.Marshal(&c) // rewrites the VCI and recomputes the HEC
 	sw.CellsSwitched++
-	out.tx.commit(sw.env, c, now+sw.Latency, cost.WireTime(CellSize, out.bits), out.prop, "atmsw.cellin")
+	out.tx.commit(sw.env, &c, now+sw.Latency, cost.WireTime(CellSize, out.bits), out.prop, "atmsw.cellin")
 }
 
 // vciAlloc hands out per-flow VCIs on one egress direction of a trunk

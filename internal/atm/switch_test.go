@@ -107,8 +107,8 @@ func TestSwitchVCIRewriteNamesSource(t *testing.T) {
 			t.Fatalf("datagram %d from host %d corrupted by interleaved reassembly", k, src-1)
 		}
 	}
-	if len(drvs[0].rx) != 2 {
-		t.Fatalf("host 0 used %d reassembly contexts, want one per source VCI", len(drvs[0].rx))
+	if drvs[0].rx.len() != 2 {
+		t.Fatalf("host 0 used %d reassembly contexts, want one per source VCI", drvs[0].rx.len())
 	}
 }
 
@@ -181,4 +181,64 @@ func TestSwitchThreeHostDeterminism(t *testing.T) {
 			t.Fatalf("delivery %d differs between runs", i)
 		}
 	}
+}
+
+// TestSwitchVCTableIndexed pins the table behind forward: per ingress
+// port, indexed by VCI. A cell routes only on the port and VCI it was
+// installed for; a VCI past the end of the port's table, one inside it
+// that was never installed or has been removed, and a reserved one all
+// count as unrouted; and NumVCs is a count of entries, not of slots.
+func TestSwitchVCTableIndexed(t *testing.T) {
+	env := sim.NewEnv()
+	model := cost.DECstation5000()
+	sw := NewSwitch(env)
+	in := NewAdapter(kern.New(env, model, "in"))
+	out := NewAdapter(kern.New(env, model, "out"))
+	sw.AttachPort(in)
+	sw.AttachPort(out)
+	cell := func(vci uint16) Cell {
+		seg := Segmenter{VCI: vci}
+		return seg.Segment(make([]byte, 100))[0]
+	}
+	sw.AddVC(0, DefaultVCI+2, 1, DefaultVCI+9)
+	sw.AddVC(0, DefaultVCI+700, 1, DefaultVCI)
+	sw.AddVC(0, DefaultVCI+2, 1, DefaultVCI+7) // reinstalling replaces, it does not add
+	if got := sw.NumVCs(); got != 2 {
+		t.Fatalf("NumVCs = %d after installing two channels, want 2", got)
+	}
+	for _, vci := range []uint16{DefaultVCI + 2, DefaultVCI + 700} {
+		sw.Port(0).InjectCell(cell(vci))
+	}
+	for _, vci := range []uint16{DefaultVCI + 3, DefaultVCI + 701, 0xffff, 5} {
+		sw.Port(0).InjectCell(cell(vci)) // in range but empty; past the end; far past; reserved
+	}
+	sw.Port(1).InjectCell(cell(DefaultVCI + 2)) // right VCI, wrong ingress port
+	env.Run()
+	if sw.CellsSwitched != 2 || sw.CellsUnrouted != 5 {
+		t.Fatalf("switched %d, unrouted %d; want 2 and 5", sw.CellsSwitched, sw.CellsUnrouted)
+	}
+	c, _ := out.PopRx()
+	if h, err := ParseHeader(&c); err != nil || h.VCI != DefaultVCI+7 {
+		t.Fatalf("first cell left on VCI %d (%v), want the reinstalled %d", h.VCI, err, DefaultVCI+7)
+	}
+
+	sw.RemoveVC(0, DefaultVCI+2)
+	sw.RemoveVC(0, DefaultVCI+2) // a second removal, and one that was never there, are no-ops
+	sw.RemoveVC(0, 0xfff0)
+	if got := sw.NumVCs(); got != 1 {
+		t.Fatalf("NumVCs = %d after removing one of two, want 1", got)
+	}
+	sw.Port(0).InjectCell(cell(DefaultVCI + 2))
+	env.Run()
+	if sw.CellsUnrouted != 6 {
+		t.Fatalf("a cell on a removed channel was not counted unrouted (%d)", sw.CellsUnrouted)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("AddVC accepted a reserved ingress VCI")
+			}
+		}()
+		sw.AddVC(0, DefaultVCI-1, 1, DefaultVCI)
+	}()
 }

@@ -57,7 +57,7 @@ func RunTimelineStudy(cfg lab.Config, size, iterations, warmup int) (*TimelineSt
 	}
 	evs := l.PacketEvents()
 	set := trace.BuildTimelines(evs)
-	host := l.Client.Kern.Name
+	host := l.Client.Kern.Name()
 
 	tx := Breakdown{Size: size, Rows: map[trace.Layer]float64{}}
 	rx := Breakdown{Size: size, Rows: map[trace.Layer]float64{}}

@@ -201,7 +201,7 @@ type Adapter struct {
 	wireBusy sim.Time
 	rxQ      []rxItem
 	// RxReady is the per-frame receive interrupt.
-	RxReady *sim.WaitQueue
+	RxReady sim.WaitQueue
 
 	// flight[flightHead:] holds the frames Transmit has committed, oldest
 	// first, until each reaches the segment: that arrival, on inLane, is a
@@ -239,7 +239,8 @@ func (a *Adapter) SetImpairments(p sim.GEParams, seed uint64) {
 
 // NewAdapter returns an adapter with the given station address.
 func NewAdapter(k *kern.Kernel, addr [6]byte) *Adapter {
-	a := &Adapter{K: k, Addr: addr, RxReady: k.Env.NewWaitQueue(k.Name + ".le.rx")}
+	a := &Adapter{K: k, Addr: addr}
+	a.RxReady.Init("le.rx")
 	a.inLane.Bind(a.frameIn)
 	return a
 }
@@ -387,7 +388,7 @@ type Driver struct {
 
 	// txBusy serializes Output (the splimp-protected driver section).
 	txBusy bool
-	txWait *sim.WaitQueue
+	txWait sim.WaitQueue
 
 	// lin is the transmit path's linearization scratch, reused across
 	// Output calls under the txBusy serialization.
@@ -409,9 +410,9 @@ type Driver struct {
 // receive service process.
 func NewDriver(k *kern.Kernel, a *Adapter, ipStack *ip.Stack) *Driver {
 	d := &Driver{K: k, Adapter: a, IP: ipStack}
-	d.txWait = k.Env.NewWaitQueue(k.Name + ".le.txlock")
+	d.txWait.Init("le.txlock")
 	ipStack.Attach(d)
-	k.Env.Spawn(k.Name+".leintr", &rxprocFrame{d: d})
+	k.Env.Spawn("", &rxprocFrame{d: d})
 	return d
 }
 
@@ -426,7 +427,7 @@ func (d *Driver) Reset() {
 }
 
 // Name implements ip.NetIf.
-func (d *Driver) Name() string { return d.K.Name + ".le0" }
+func (d *Driver) Name() string { return d.K.Name() + ".le0" }
 
 // MTU implements ip.NetIf.
 func (d *Driver) MTU() int {
@@ -562,6 +563,9 @@ type rxprocFrame struct {
 	rest        []byte
 	chain, tail *mbuf.Mbuf
 }
+
+// Name implements sim.Namer: the process is named when something asks.
+func (f *rxprocFrame) Name() string { return f.d.K.Name() + ".leintr" }
 
 // Step drives the receive service loop.
 func (f *rxprocFrame) Step(p *sim.Proc) {

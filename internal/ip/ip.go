@@ -151,28 +151,37 @@ type Stack struct {
 	If   NetIf
 	Addr uint32
 
-	handlers map[uint8]Handler
+	// handlers is a fixed table, not a map: this stack speaks TCP and
+	// UDP, and the protocol lookup runs once per datagram.
+	handlers [2]registered
 	q        []queued
-	wq       *sim.WaitQueue
+	wq       sim.WaitQueue
 	nextID   uint16
 	out      *outOp // cached output frame (nil while in use)
+	outFrame outOp  // the frame out caches, so a stack is one allocation
 
 	// Drops counts datagrams discarded on input (bad header, no handler),
 	// for tests and fault-injection experiments.
 	Drops int64
+
+	netisr netisrFrame // the service process's root frame
+}
+
+// registered is one protocol's input handler.
+type registered struct {
+	proto uint8
+	h     Handler
 }
 
 // NewStack creates the IP layer for a host with the given address and
 // starts its software-interrupt service process (the netisr).
 func NewStack(k *kern.Kernel, addr uint32) *Stack {
-	s := &Stack{
-		K:        k,
-		Addr:     addr,
-		handlers: make(map[uint8]Handler),
-		wq:       k.Env.NewWaitQueue(k.Name + ".ipq"),
-	}
-	s.out = &outOp{s: s}
-	k.Env.Spawn(k.Name+".netisr", &netisrFrame{s: s})
+	s := &Stack{K: k, Addr: addr}
+	s.wq.Init("ipq")
+	s.outFrame.s = s
+	s.out = &s.outFrame
+	s.netisr.s = s
+	k.Env.Spawn("", &s.netisr)
 	return s
 }
 
@@ -194,7 +203,25 @@ func (s *Stack) Reset() {
 }
 
 // Register installs the handler for an IP protocol number.
-func (s *Stack) Register(proto uint8, h Handler) { s.handlers[proto] = h }
+func (s *Stack) Register(proto uint8, h Handler) {
+	for i := range s.handlers {
+		if r := &s.handlers[i]; r.h == nil || r.proto == proto {
+			r.proto, r.h = proto, h
+			return
+		}
+	}
+	panic(fmt.Sprintf("ip: no room to register protocol %d: the handler table holds %d", proto, len(s.handlers)))
+}
+
+// handler returns the input handler registered for proto, or nil.
+func (s *Stack) handler(proto uint8) Handler {
+	for i := range s.handlers {
+		if r := &s.handlers[i]; r.proto == proto {
+			return r.h
+		}
+	}
+	return nil
+}
 
 // Output encapsulates the transport payload m (e.g. a TCP segment) in an
 // IP datagram to dst and hands it to the interface. It charges the
@@ -287,6 +314,9 @@ type netisrFrame struct {
 	tagged bool
 }
 
+// Name implements sim.Namer: the process is named when something asks.
+func (f *netisrFrame) Name() string { return f.s.K.Name() + ".netisr" }
+
 func (f *netisrFrame) Step(p *sim.Proc) {
 	s := f.s
 	for {
@@ -356,10 +386,10 @@ func (f *netisrFrame) Step(p *sim.Proc) {
 			}
 			m = s.K.Pool.Drop(m, HeaderLen)
 			if excess > 0 {
-				m = trimTail(s.K.Pool, m, excess)
+				m = trimTail(&s.K.Pool, m, excess)
 			}
-			hd, ok := s.handlers[h.Proto]
-			if !ok {
+			hd := s.handler(h.Proto)
+			if hd == nil {
 				s.Drops++
 				s.K.Pool.Free(m)
 				f.pc = 3

@@ -21,19 +21,28 @@
 package kern
 
 import (
+	"strconv"
+
 	"repro/internal/cost"
 	"repro/internal/mbuf"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// Kernel is one host's operating system state.
+// Kernel is one host's operating system state: one allocation, with the
+// trace recorder and the mbuf pool held by value. The pool's accounting is
+// the host's own; its free-lists are the event loop's, shared with every
+// other kernel on env (see mbuf.Pool.Share).
 type Kernel struct {
 	Env   *sim.Env
 	Cost  *cost.Model
-	Trace *trace.Recorder
-	Pool  *mbuf.Pool
-	Name  string // host name, for diagnostics
+	Trace trace.Recorder
+	Pool  mbuf.Pool
+
+	// name is the host name given to New; a kernel from NewHost has none
+	// and is named, when something asks, after its index.
+	name string
+	host int
 
 	busyUntil sim.Time
 
@@ -42,26 +51,44 @@ type Kernel struct {
 	// own mbuf and TCP output pays mcopy's per-mbuf charge for each (the
 	// ROADMAP 3b livelock). Only the watchdog revert-guard tests set it.
 	NoSbCompress bool
-
-	// wakeFn charges the scheduler's wakeup path when a process sleeping
-	// via SleepOn resumes; bound once so arming it allocates nothing.
-	wakeFn func(*sim.Proc) bool
 }
 
 // New returns a kernel for one host, sharing the simulation environment
 // and using the given cost model.
 func New(env *sim.Env, model *cost.Model, name string) *Kernel {
-	k := &Kernel{
-		Env:   env,
-		Cost:  model,
-		Trace: &trace.Recorder{},
-		Pool:  &mbuf.Pool{},
-		Name:  name,
-	}
-	k.wakeFn = func(p *sim.Proc) bool {
-		return k.Use(p, trace.LayerWakeup, k.Cost.Wakeup)
-	}
+	k := &Kernel{Env: env, Cost: model, name: name}
+	k.Pool.Share(sim.Local[mbuf.FreeList](env))
 	return k
+}
+
+// NewHost is New for host i of a testbed, named HostName(i) — but only
+// when a diagnostic or a trace asks: a ten-thousand-host topology does
+// not format ten thousand names to build.
+func NewHost(env *sim.Env, model *cost.Model, i int) *Kernel {
+	k := New(env, model, "")
+	k.host = i
+	return k
+}
+
+// HostName returns the name of host i of a testbed. The paper's echo
+// pair fixed the first two: host 0 is "client", host 1 is "server"; the
+// rest are numbered.
+func HostName(i int) string {
+	switch i {
+	case 0:
+		return "client"
+	case 1:
+		return "server"
+	}
+	return "host" + strconv.Itoa(i)
+}
+
+// Name returns the host name, for diagnostics and trace labels.
+func (k *Kernel) Name() string {
+	if k.name == "" {
+		return HostName(k.host)
+	}
+	return k.name
 }
 
 // Reset returns the kernel to its just-constructed state for testbed
@@ -150,7 +177,13 @@ func (k *Kernel) PacketContext(p *sim.Proc) trace.PacketID {
 // it.
 func (k *Kernel) SleepOn(p *sim.Proc, wq *sim.WaitQueue) {
 	wq.Wait(p)
-	p.OnWake(k.wakeFn)
+	p.OnWake(k)
+}
+
+// Woken implements sim.WakeHook: the scheduler's wakeup path, charged to
+// a process SleepOn parked as it resumes.
+func (k *Kernel) Woken(p *sim.Proc) bool {
+	return k.Use(p, trace.LayerWakeup, k.Cost.Wakeup)
 }
 
 // FreeChainCost returns the CPU cost of freeing the chain m (per-mbuf

@@ -845,6 +845,15 @@ func (c *Cluster) RunEcho(size, iterations, warmup int) (*EchoResult, error) {
 // verifies every host's mbuf pool has zero live headers and cluster
 // pages, failing loudly rather than letting a leaked chain ride into
 // later trials.
+//
+// The loops' scratch arenas follow the same retain-what-is-warm rule,
+// moved from the host to the loop: buffers stay pooled across the rewind.
+// A trial that ended with a frame stuck mid-reassembly (its last cell
+// lost under burst loss, or cut off by a link fault) still has that
+// frame's buffer checked out, so the hosts are rewound first — the
+// driver's Reset hands it back — and only then is a loop that still
+// counts a checkout refused, the way one with events pending is: nothing
+// legitimate holds scratch across a rewind.
 func (c *Cluster) Reset(cfg Config, seed uint64) error {
 	if seed != 0 {
 		cfg.Seed = seed
@@ -876,9 +885,6 @@ func (c *Cluster) Reset(cfg Config, seed uint64) error {
 		}
 	}
 	model := cfg.model()
-	for _, sh := range c.Shards {
-		sh.Env.Reset()
-	}
 	for _, h := range l.Hosts {
 		rewindHost(h, model)
 	}
@@ -887,6 +893,12 @@ func (c *Cluster) Reset(cfg Config, seed uint64) error {
 	}
 	if l.Segment != nil {
 		l.Segment.Reset()
+	}
+	for s, sh := range c.Shards {
+		if n := sh.Env.Arena().Outstanding(); n != 0 {
+			return fmt.Errorf("lab: cannot reset with %d scratch buffers still checked out in shard %d", n, s)
+		}
+		sh.Env.Reset()
 	}
 	for s := range c.ctl {
 		c.ctl[s] = c.ctl[s][:0]

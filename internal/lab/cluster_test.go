@@ -210,13 +210,7 @@ func TestClusterGoroutineFootprint(t *testing.T) {
 		during = runtime.NumGoroutine()
 	})
 	clusterEcho(t, c, 1400)
-	// Run has returned but the released workers may still be tearing
-	// down; give the scheduler a moment before calling a leak.
-	after := runtime.NumGoroutine()
-	for i := 0; i < 100 && after > before+2; i++ {
-		time.Sleep(time.Millisecond)
-		after = runtime.NumGoroutine()
-	}
+	after := settledGoroutines(before + 2)
 
 	if during == 0 {
 		t.Fatal("mid-run sample never fired")
@@ -242,13 +236,28 @@ func settledCluster(t *testing.T, nHosts, shards int) (c *Cluster, goroutines in
 		t.Fatalf("cluster has %d shards, want %d", c.NumShards(), shards)
 	}
 	c.Run()
-	for i := 0; i < 100 && runtime.NumGoroutine() > goroutines; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n != goroutines {
+	if n := settledGoroutines(goroutines); n != goroutines {
 		t.Fatalf("%d goroutines after the warm-up run, %d before it", n, goroutines)
 	}
 	return c, goroutines
+}
+
+// settledGoroutines returns the goroutine count once it is at or below
+// limit, or whatever it still is after several seconds. Run waits for its
+// workers (workers.stop), but a goroutine that has signalled its
+// WaitGroup is counted until the scheduler has finished retiring it, and
+// on a loaded machine under the race detector that has been seen to take
+// longer than 100 ms. The first good reading returns at once, so a pass
+// costs nothing; a real leak never produces one and still fails, late.
+func settledGoroutines(limit int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= limit || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // latestNow is the furthest any shard's clock has advanced.

@@ -21,13 +21,14 @@ func idleHeapBytes(t *testing.T, nHosts int) (*Lab, uint64) {
 }
 
 // maxIdleHostBytes pins the per-host footprint of an idle topology. A
-// host is a kernel, an IP/TCP/UDP stack, an adapter, and a driver —
-// measured ~4 KiB before any traffic; the bound leaves ~4x headroom for
-// runtime variation. What it has no headroom for is the eager-mesh
-// regression this PR removed: a pre-installed full VC mesh costs
-// O(hosts) per host (at 1024 hosts, ~100 KiB each just in transmit
-// segmenters), which trips the bound by an order of magnitude.
-const maxIdleHostBytes = 16 << 10
+// host is a kernel, an IP/TCP/UDP stack, an adapter, a driver, a switch
+// port and three parked service processes — eleven allocations, measured
+// ~3.3 KiB before any traffic; the bound is that plus half. What it has
+// no headroom for is anything per pair or per peer: a pre-installed full
+// VC mesh costs O(hosts) per host (at 1024 hosts, ~100 KiB each just in
+// transmit segmenters), which trips the bound by an order of magnitude,
+// and a kilobyte of private scratch per host trips it too.
+const maxIdleHostBytes = 5 << 10
 
 // TestIdleHostFootprint is the tentpole's memory contract: per-host cost
 // of an idle topology is O(1) — no term that grows with the number of

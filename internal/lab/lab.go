@@ -159,7 +159,7 @@ type Host struct {
 }
 
 // Trace returns the host's span recorder.
-func (h *Host) Trace() *trace.Recorder { return h.Kern.Trace }
+func (h *Host) Trace() *trace.Recorder { return &h.Kern.Trace }
 
 // Lab is an assembled testbed of two or more hosts on one link substrate.
 type Lab struct {
@@ -297,21 +297,13 @@ func rewindHost(h *Host, model *cost.Model) {
 // names: host 0 is "client", host 1 is "server", the rest are numbered.
 // Note the workload engine puts its SERVER on host 0, so a fan-in
 // server's trace events carry the name "client".
-func HostName(i int) string {
-	switch i {
-	case 0:
-		return "client"
-	case 1:
-		return "server"
-	}
-	return fmt.Sprintf("host%d", i)
-}
+func HostName(i int) string { return kern.HostName(i) }
 
 // buildHost allocates host i on env: the kernel, the stacks, and the
 // link's adapter and driver. It applies no trial knob — configure does,
 // for a fresh host and a rewound one alike.
 func buildHost(env *sim.Env, model *cost.Model, link LinkKind, i int) *Host {
-	k := kern.New(env, model, HostName(i))
+	k := kern.NewHost(env, model, i)
 	addr := HostAddr(i)
 	h := &Host{Kern: k}
 	h.IP = ip.NewStack(k, addr)
@@ -779,8 +771,8 @@ func (l *Lab) PacketEvents() []trace.HostEvent {
 	names := make([]string, len(l.Hosts))
 	recs := make([]*trace.Recorder, len(l.Hosts))
 	for i, h := range l.Hosts {
-		names[i] = h.Kern.Name
-		recs[i] = h.Kern.Trace
+		names[i] = h.Kern.Name()
+		recs[i] = &h.Kern.Trace
 	}
 	evs := trace.MergeEvents(names, recs)
 	if l.eventsSince > 0 {

@@ -19,17 +19,27 @@
 // Pool recycles both mbuf headers and 4 KB cluster pages on free-lists,
 // so steady-state traffic — where every segment allocates a handful of
 // mbufs and frees them a round trip later — runs without touching the Go
-// heap (see docs/PERFORMANCE.md for the measured effect). The lifecycle:
+// heap (see docs/PERFORMANCE.md for the measured effect). The lists
+// themselves are a FreeList, which several pools may share (Pool.Share):
+// every host on one event loop does, because only one of them runs at a
+// time and an idle host then holds no recycled memory at all. What stays
+// per pool, exact, is the accounting — Stats, PoolStats, and the live
+// gauges the leak gate reads. The lifecycle:
 //
 //   - Alloc/AllocLeading/AllocCluster pop a recycled header (and, for
 //     clusters, a recycled page) when one is available and fall back to
-//     the Go allocator only to grow the pool's high-water mark.
+//     the Go allocator only to grow the lists' high-water mark.
 //   - Free pushes every header of the chain back onto the free-list; a
-//     cluster page follows when its reference count reaches zero.
+//     cluster page follows when its reference count reaches zero. From
+//     that moment the header and the page belong to whichever pool on
+//     the list allocates next.
 //   - A recycled header's data region is NOT zeroed: every caller in
 //     this stack writes before it reads (Append, Prepend, Marshal), and
 //     the reuse-aliasing tests in mbuf_test.go prove a recycled buffer
-//     never aliases bytes still reachable through a live chain.
+//     never aliases bytes still reachable through a live chain — on one
+//     pool or across two that share a list. The contract that makes
+//     sharing safe is the one that always made recycling safe: nothing
+//     may keep a reference to a chain it has freed.
 //
 // None of this is visible to the simulation: Stats still counts every
 // simulated allocator operation (the paper's mbuf-bookkeeping costs are
@@ -177,27 +187,52 @@ type PoolStats struct {
 	LivePages    int64 // cluster pages currently held by live chains
 }
 
-// Pool allocates mbufs and tracks Stats. The zero value is ready to use.
-// A Pool belongs to one simulated host and is not safe for concurrent
-// use — the same discipline as every other per-kernel structure.
+// FreeList holds recycled mbuf headers and cluster pages. The zero value
+// is empty and ready. It is not safe for concurrent use: the pools that
+// share one must run on one goroutine, as the hosts of an event loop do.
+type FreeList struct {
+	hdr  *Mbuf    // recycled headers, linked through next
+	page *cluster // recycled 4 KB pages, linked through nextFree
+}
+
+// Pool allocates mbufs and tracks Stats. The zero value is ready to use,
+// recycling on a free-list of its own. A Pool belongs to one simulated
+// host and is not safe for concurrent use — the same discipline as every
+// other per-kernel structure.
 type Pool struct {
 	Stats Stats
 	// PoolStats counts free-list recycling (host-side, not simulated).
+	// Under a shared list HeaderNews and PageNews count the times THIS
+	// pool found the list empty, so they sum over the sharers to the
+	// list's growth.
 	PoolStats PoolStats
 
-	freeHdr  *Mbuf    // recycled headers, linked through next
-	freePage *cluster // recycled 4 KB pages, linked through nextFree
+	shared *FreeList // set by Share; nil means own
+	own    FreeList
+}
+
+// Share makes the pool recycle on fl instead of a list of its own. Call
+// it before the first allocation.
+func (p *Pool) Share(fl *FreeList) { p.shared = fl }
+
+// list returns the free-list in use.
+func (p *Pool) list() *FreeList {
+	if p.shared != nil {
+		return p.shared
+	}
+	return &p.own
 }
 
 // get returns a blank header: recycled when possible, fresh otherwise.
 func (p *Pool) get() *Mbuf {
 	p.PoolStats.LiveHeaders++
-	m := p.freeHdr
+	fl := p.list()
+	m := fl.hdr
 	if m == nil {
 		p.PoolStats.HeaderNews++
 		return &Mbuf{}
 	}
-	p.freeHdr = m.next
+	fl.hdr = m.next
 	p.PoolStats.HeaderReuses++
 	m.next = nil
 	m.pooled = false
@@ -207,12 +242,13 @@ func (p *Pool) get() *Mbuf {
 // getPage returns a 4 KB cluster page with refs set to 1.
 func (p *Pool) getPage() *cluster {
 	p.PoolStats.LivePages++
-	c := p.freePage
+	fl := p.list()
+	c := fl.page
 	if c == nil {
 		p.PoolStats.PageNews++
 		return &cluster{buf: make([]byte, MCLBYTES), refs: 1}
 	}
-	p.freePage = c.nextFree
+	fl.page = c.nextFree
 	p.PoolStats.PageReuses++
 	c.nextFree = nil
 	c.refs = 1
@@ -275,6 +311,7 @@ func (p *Pool) AllocCluster() *Mbuf {
 // reference counts; a cluster page is recycled only when its last
 // reference drops. Freeing an already-pooled header panics.
 func (p *Pool) Free(m *Mbuf) {
+	fl := p.list()
 	for m != nil {
 		if m.pooled {
 			panic("mbuf: double free")
@@ -287,20 +324,18 @@ func (p *Pool) Free(m *Mbuf) {
 			if m.clust.refs == 0 {
 				p.Stats.ClusterFrees++
 				p.PoolStats.LivePages--
-				m.clust.nextFree = p.freePage
-				p.freePage = m.clust
+				m.clust.nextFree = fl.page
+				fl.page = m.clust
 			}
 			if m.clust.refs < 0 {
 				panic("mbuf: cluster refcount underflow")
 			}
 			m.clust = nil
 		}
-		m.data = nil
-		m.length = 0
-		m.CsumValid = false
+		m.data = nil // every way out of the list sets the rest
 		m.pooled = true
-		m.next = p.freeHdr
-		p.freeHdr = m
+		m.next = fl.hdr
+		fl.hdr = m
 		m = next
 	}
 }

@@ -131,3 +131,79 @@ func TestPoolAllocationFreeSteadyState(t *testing.T) {
 		t.Fatalf("steady-state segment cycle allocates %.1f times per run, want 0", n)
 	}
 }
+
+// TestSharedFreeListKeepsAccountingPerPool is the contract two hosts on
+// one event loop rely on: pools that Share a FreeList recycle each
+// other's headers and pages — what one frees the other's next allocation
+// gets, with nothing new from the Go heap — while every count stays with
+// the pool that did the operation, the live gauges above all: a chain
+// leaked on one host shows on that host and no other. A page one pool
+// still references never reaches the other, and a double free is caught
+// across the list exactly as within a pool.
+func TestSharedFreeListKeepsAccountingPerPool(t *testing.T) {
+	var fl FreeList
+	var a, b Pool
+	a.Share(&fl)
+	b.Share(&fl)
+
+	// Host A sends: a header and a cluster, with the retransmission copy
+	// still holding the page when the transmitted chain is freed.
+	hm := a.Alloc()
+	cl := a.AllocCluster()
+	fillPat(cl, 0xAA, 1400)
+	hm.SetNext(cl)
+	dup, _ := a.Copy(cl, 0, 1400)
+	a.Free(hm)
+	if a.PoolStats.LiveHeaders != 1 || a.PoolStats.LivePages != 1 {
+		t.Fatalf("A holds %d headers, %d pages live; want the retransmission copy's 1 and 1",
+			a.PoolStats.LiveHeaders, a.PoolStats.LivePages)
+	}
+
+	// Host B receives: its allocations come off the list A just fed, and
+	// the page A still references is not among them.
+	got := b.AllocCluster()
+	fillPat(got, 0x55, MCLBYTES)
+	if &got.data[0] == &dup.data[0] {
+		t.Fatal("B was handed a page A still references")
+	}
+	if b.PoolStats.HeaderReuses != 1 || b.PoolStats.HeaderNews != 0 {
+		t.Fatalf("B's header: %d reuses, %d new; want A's recycled one", b.PoolStats.HeaderReuses, b.PoolStats.HeaderNews)
+	}
+	if b.PoolStats.PageNews != 1 {
+		t.Fatalf("B's page: %d new; want 1 (the only page is A's, still live)", b.PoolStats.PageNews)
+	}
+	for _, v := range dup.Bytes() {
+		if v != 0xAA {
+			t.Fatal("A's live copy was overwritten through B")
+		}
+	}
+	if b.PoolStats.LiveHeaders != 1 || b.PoolStats.LivePages != 1 || b.Stats.MbufAllocs != 1 {
+		t.Fatalf("B's accounting: %+v %+v", b.PoolStats, b.Stats)
+	}
+
+	// Everything comes back; each pool's gauges return to zero on its own.
+	a.Free(dup)
+	b.Free(got)
+	for name, p := range map[string]*Pool{"A": &a, "B": &b} {
+		if p.PoolStats.LiveHeaders != 0 || p.PoolStats.LivePages != 0 {
+			t.Errorf("%s: %d headers, %d pages still live", name, p.PoolStats.LiveHeaders, p.PoolStats.LivePages)
+		}
+	}
+	// Reset keeps the shared list warm and each pool's counters its own.
+	a.Reset()
+	if a.Stats != (Stats{}) || b.Stats.MbufAllocs != 1 {
+		t.Errorf("Reset of A: A %+v, B %+v", a.Stats, b.Stats)
+	}
+	news := a.PoolStats.HeaderNews + a.PoolStats.PageNews
+	m := a.AllocCluster()
+	if a.PoolStats.HeaderNews+a.PoolStats.PageNews != news {
+		t.Error("A went to the Go heap with recycled memory on the shared list")
+	}
+	a.Free(m)
+	defer func() {
+		if recover() == nil {
+			t.Error("a header freed on A was freed again on B without a panic")
+		}
+	}()
+	b.Free(m)
+}

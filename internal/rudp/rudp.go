@@ -61,11 +61,11 @@ type Endpoint struct {
 	conns     map[connKey]*Conn
 	listening bool
 	backlog   []*Conn
-	acceptWq  *sim.WaitQueue
+	acceptWq  sim.WaitQueue
 	err       error // set when the endpoint dies (host crash); fails Accepts
 
 	due    []func(p *sim.Proc)
-	workWq *sim.WaitQueue
+	workWq sim.WaitQueue
 
 	// DisableGiveUp removes the maxRexmtShift abort, restoring the
 	// historical probe-forever behaviour for the watchdog revert-guard
@@ -91,12 +91,17 @@ func newEndpoint(k *kern.Kernel, u *udp.Stack, port uint16, listening bool) (*En
 		K: k, U: u, ep: ep,
 		conns:     make(map[connKey]*Conn),
 		listening: listening,
-		acceptWq:  k.Env.NewWaitQueue(fmt.Sprintf("%s.rudp:%d.accept", k.Name, ep.Port())),
-		workWq:    k.Env.NewWaitQueue(fmt.Sprintf("%s.rudp:%d.work", k.Name, ep.Port())),
 	}
-	k.Env.Spawn(fmt.Sprintf("%s.rudp:%d.pump", k.Name, ep.Port()), &pumpFrame{e: e})
-	k.Env.Spawn(fmt.Sprintf("%s.rudp:%d.timer", k.Name, ep.Port()), &workLoopFrame{e: e})
+	e.acceptWq.Init("rudp.accept")
+	e.workWq.Init("rudp.work")
+	k.Env.Spawn("", &pumpFrame{e: e})
+	k.Env.Spawn("", &workLoopFrame{e: e})
 	return e, nil
+}
+
+// procName names one of the endpoint's two service processes.
+func (e *Endpoint) procName(what string) string {
+	return fmt.Sprintf("%s.rudp:%d.%s", e.K.Name(), e.ep.Port(), what)
 }
 
 // Listen binds port and accepts a connection per peer that sends to it.
@@ -123,11 +128,11 @@ func (e *Endpoint) conn(key connKey) *Conn {
 	}
 	c := &Conn{
 		e: e, raddr: key.addr, rport: key.port,
-		seen:  make(map[uint16]struct{}),
-		oo:    make(map[uint16]ooSlot),
-		sndWq: e.K.Env.NewWaitQueue(fmt.Sprintf("%s.rudp.snd", e.K.Name)),
-		rcvWq: e.K.Env.NewWaitQueue(fmt.Sprintf("%s.rudp.rcv", e.K.Name)),
+		seen: make(map[uint16]struct{}),
+		oo:   make(map[uint16]ooSlot),
 	}
+	c.sndWq.Init("rudp.snd")
+	c.rcvWq.Init("rudp.rcv")
 	c.rexmt.Bind(c.rexmtTimer)
 	e.conns[key] = c
 	return c
@@ -163,7 +168,7 @@ func (f *AcceptOp) Step(p *sim.Proc) {
 				return
 			}
 			if len(f.e.backlog) == 0 {
-				f.e.K.SleepOn(p, f.e.acceptWq)
+				f.e.K.SleepOn(p, &f.e.acceptWq)
 				return
 			}
 			f.C = f.e.backlog[0]
@@ -222,6 +227,9 @@ type workLoopFrame struct {
 	e *Endpoint
 }
 
+// Name implements sim.Namer: the process is named when something asks.
+func (f *workLoopFrame) Name() string { return f.e.procName("timer") }
+
 // Step drives the timer service process.
 func (f *workLoopFrame) Step(p *sim.Proc) {
 	e := f.e
@@ -268,7 +276,7 @@ type Conn struct {
 	rtStart      sim.Time
 	rexmtShift   uint
 	rexmt        sim.Timer
-	sndWq        *sim.WaitQueue
+	sndWq        sim.WaitQueue
 	closed       bool
 
 	// Receive side: the latest-sequence/ack-bitfield record, the
@@ -281,7 +289,7 @@ type Conn struct {
 	oo        map[uint16]ooSlot
 	rdy       [][]byte
 	rcvFin    bool
-	rcvWq     *sim.WaitQueue
+	rcvWq     sim.WaitQueue
 }
 
 // SRTT exposes the smoothed RTT estimate.
@@ -520,6 +528,9 @@ type pumpFrame struct {
 	ackPkt []byte
 }
 
+// Name implements sim.Namer: the process is named when something asks.
+func (f *pumpFrame) Name() string { return f.e.procName("pump") }
+
 // Step drives the pump.
 func (f *pumpFrame) Step(p *sim.Proc) {
 	e := f.e
@@ -641,7 +652,7 @@ func (f *SendOp) Step(p *sim.Proc) {
 				return
 			}
 			if len(c.unacked) >= maxWindow {
-				c.e.K.SleepOn(p, c.sndWq)
+				c.e.K.SleepOn(p, &c.sndWq)
 				return
 			}
 			f.pc = 1
@@ -704,7 +715,7 @@ func (f *RecvOp) Step(p *sim.Proc) {
 					p.Return()
 					return
 				}
-				c.e.K.SleepOn(p, c.rcvWq)
+				c.e.K.SleepOn(p, &c.rcvWq)
 				return
 			}
 			msg := c.rdy[0]
@@ -750,7 +761,7 @@ func (f *CloseOp) Step(p *sim.Proc) {
 				return
 			}
 			if len(c.unacked) >= maxWindow {
-				c.e.K.SleepOn(p, c.sndWq)
+				c.e.K.SleepOn(p, &c.sndWq)
 				return
 			}
 			c.closed = true

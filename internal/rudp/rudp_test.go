@@ -14,11 +14,9 @@ func testConn(t *testing.T) *Conn {
 	t.Helper()
 	env := sim.NewEnv()
 	c := &Conn{
-		e:     &Endpoint{K: kern.New(env, cost.DECstation5000(), "t")},
-		seen:  make(map[uint16]struct{}),
-		oo:    make(map[uint16]ooSlot),
-		sndWq: env.NewWaitQueue("t.snd"),
-		rcvWq: env.NewWaitQueue("t.rcv"),
+		e:    &Endpoint{K: kern.New(env, cost.DECstation5000(), "t")},
+		seen: make(map[uint16]struct{}),
+		oo:   make(map[uint16]ooSlot),
 	}
 	c.rexmt.Bind(func() {})
 	return c

@@ -22,8 +22,9 @@ type (
 // deterministic. Stored by value in the heap slice — never individually
 // heap-allocated. do is what fires: a thunk, an argFunc applied to arg
 // (one bound method reused across schedulings, the context word riding
-// in the event — no closure per call), the head of a *Lane, or the heap
-// entry of a *Timer. Step dispatches on its dynamic type.
+// in the event — no closure per call), the head of a *Lane, the heap
+// entry of a *Timer, or a *Proc to resume (arg says why it was parked and
+// name on what, see wakeKind). Step dispatches on its dynamic type.
 type event struct {
 	at   Time
 	seq  uint64
@@ -129,6 +130,8 @@ type Env struct {
 	seq     uint64
 	events  eventHeap
 	backlog backlog // lane records queued behind their lane's heap entry
+	arena   Arena   // scratch for work in flight, see Arena
+	locals  []any   // what packages keep once per loop, see Local
 	current *Proc   // the proc currently executing, if any
 	procs   int     // live (unfinished) procs
 	fired   uint64  // events run since Reset
@@ -174,12 +177,18 @@ func (e *Env) Now() Time { return e.now }
 // untouched: a drained simulation leaves its persistent service loops
 // (netisr, driver interrupt handlers, protocol timers) parked exactly
 // where a fresh environment's would park after their spawn events run, so
-// reuse is invisible to simulated time. Resetting with events still
-// pending panics: it would strand scheduled work and silently corrupt the
-// next run's measurements.
+// reuse is invisible to simulated time. The arena keeps its warm buffers
+// the same way. Resetting with events still pending panics: it would
+// strand scheduled work and silently corrupt the next run's measurements.
+// So does resetting with arena buffers still checked out: whoever holds
+// one (a driver mid-reassembly) must be reset first, or the buffer is
+// lost to the loop for good.
 func (e *Env) Reset() {
 	if n := e.Pending(); n != 0 {
 		panic(fmt.Sprintf("sim: Reset with %d events pending", n))
+	}
+	if n := e.arena.out; n != 0 {
+		panic(fmt.Sprintf("sim: Reset with %d scratch buffers checked out", n))
 	}
 	e.now = 0
 	e.seq = 0
@@ -262,6 +271,9 @@ func (e *Env) Step() bool {
 		// schedule on this same lane.
 		e.events.advance(do, &e.backlog)
 		do.fn()
+	case *Proc:
+		e.events.pop()
+		do.step()
 	case *Timer:
 		if e.events.expire(do, root.seq) {
 			do.fn()
@@ -355,7 +367,10 @@ func (e *Env) WatchdogErr() error {
 // events, and naming them identifies the spinning subsystem. A lane
 // counts its whole backlog under its entry's name; an armed timer counts
 // once however often it was re-armed, and entries that will only expire
-// (a stopped timer, a superseded deadline) are set apart as "(dead)".
+// (a stopped timer, a superseded deadline) are set apart as "(dead)". A
+// process about to resume is named here, not when it parked: "wake:proc"
+// out of a sleep, "wakeq:queue:proc" off a wait queue, "spawn:proc" for a
+// first step.
 func (e *Env) PendingSummary(max int) string {
 	counts := make(map[string]int)
 	for i := range e.events {
@@ -369,6 +384,8 @@ func (e *Env) PendingSummary(max int) string {
 			} else {
 				counts[ev.name+"(dead)"]++
 			}
+		case *Proc:
+			counts[wakeKind(ev.arg).label(ev.name, do)]++
 		default:
 			counts[ev.name]++
 		}

@@ -29,25 +29,39 @@ import "fmt"
 type Proc struct {
 	env  *Env
 	name string
-	done bool
 	tags []any
 
-	stack []Frame
-	op    ctlOp
+	// stack starts out inside inline and moves to the heap only if the
+	// process ever nests deeper: a Proc is one allocation. inline[0] keeps
+	// the root frame for good — Name may ask it.
+	stack  []Frame
+	inline [procInline]Frame
 
 	// hook, when armed, runs before the next wake-up re-enters the frame
 	// stack; kern.SleepOn charges the scheduler's wakeup path there. It is
 	// one-shot: cleared before it runs, so a hook whose own charge parks
 	// resumes straight into the frame stack.
-	hook func(*Proc) bool
+	hook WakeHook
 
-	// stepFn and wakeName are bound once at Spawn so that the hot
-	// park/wake paths can schedule the process's resumption without
-	// allocating a fresh closure or concatenating an event name per
-	// wakeup — every CPU charge that waits for the CPU parks.
-	stepFn   func()
-	wakeName string
+	op   ctlOp
+	done bool
 }
+
+// procInline is the frame depth a process reaches without a second
+// allocation. The deepest path in the stack is the netisr answering a
+// segment: netisr, tcp input, connection input, tcp output, ip output,
+// driver output.
+const procInline = 6
+
+// Namer is something that can say what it is called when a diagnostic
+// asks — a root frame, for a process spawned without a name. Composing
+// "host4017.netisr" for each of ten thousand hosts up front costs more
+// than all the diagnostics that will ever print one.
+type Namer interface{ Name() string }
+
+// WakeHook is what OnWake arms: Woken runs in the process's context when
+// it next resumes and returns false if it parked the process again.
+type WakeHook interface{ Woken(p *Proc) bool }
 
 // Frame is one resumable activation record of a simulated process. See
 // the Proc comment for the Step protocol.
@@ -66,8 +80,16 @@ const (
 	ctlPark                // the proc blocked: leave the trampoline
 )
 
-// Name returns the process name given at Spawn time.
-func (p *Proc) Name() string { return p.name }
+// Name returns the process name given at Spawn time, or, when that was
+// empty, the name its root frame gives itself (see Namer).
+func (p *Proc) Name() string {
+	if p.name == "" {
+		if n, ok := p.inline[0].(Namer); ok {
+			return n.Name()
+		}
+	}
+	return p.name
+}
 
 // Env returns the environment the process runs in.
 func (p *Proc) Env() *Env { return p.env }
@@ -76,7 +98,8 @@ func (p *Proc) Env() *Env { return p.env }
 func (p *Proc) Done() bool { return p.done }
 
 // Spawn creates a process with root as its initial frame and schedules it
-// to start at the current virtual time.
+// to start at the current virtual time. An empty name leaves naming to
+// the root frame, if it is a Namer.
 func (e *Env) Spawn(name string, root Frame) *Proc { return e.SpawnAt(e.now, name, root) }
 
 // SpawnAt creates a process whose first step runs at absolute time at
@@ -86,23 +109,18 @@ func (e *Env) Spawn(name string, root Frame) *Proc { return e.SpawnAt(e.now, nam
 // staggering ten thousand clients) share one lane — one heap entry, the
 // processes waiting in startQ; an earlier one is an ordinary event.
 func (e *Env) SpawnAt(at Time, name string, root Frame) *Proc {
-	p := &Proc{
-		env:      e,
-		name:     name,
-		stack:    make([]Frame, 1, 8),
-		wakeName: "wake:" + name,
-	}
-	p.stack[0] = root
-	p.stepFn = p.step
+	p := &Proc{env: e, name: name}
+	p.inline[0] = root
+	p.stack = p.inline[:1]
 	e.procs++
 	if at < e.now {
 		at = e.now
 	}
 	if e.starts.n > 0 && at < e.starts.last {
-		e.At(at, "spawn:"+name, p.stepFn)
+		e.schedule(at, "", p, uint64(wakeSpawn))
 		return p
 	}
-	e.startQ.procs = append(e.startQ.procs, p)
+	e.startQ.push(p)
 	e.starts.At(e, at, "spawn")
 	return p
 }
@@ -111,19 +129,41 @@ func (e *Env) SpawnAt(at Time, name string, root Frame) *Proc {
 // process for the first time.
 func (e *Env) startNext() { e.startQ.pop().step() }
 
+// wakeKind rides in the arg word of an event whose do is a *Proc: why the
+// process was parked. With the event's name (the wait queue's, for
+// wakeQueue) and the process itself it is everything PendingSummary needs
+// to label the wake, so no label is composed until one is printed.
+type wakeKind uint64
+
+const (
+	wakeSleep wakeKind = iota // SleepUntil's deadline
+	wakeSpawn                 // a first step outside the starts lane
+	wakeQueue                 // WaitQueue.Wake
+)
+
+func (k wakeKind) label(queue string, p *Proc) string {
+	switch k {
+	case wakeSpawn:
+		return "spawn:" + p.Name()
+	case wakeQueue:
+		return "wakeq:" + queue + ":" + p.Name()
+	}
+	return "wake:" + p.Name()
+}
+
 // step is the trampoline: it drives the top frame until the process
 // parks or its stack empties. It runs in event context — spawn events,
-// wake events and wait-queue wakes all schedule this one bound method.
+// wake events and wait-queue wakes all carry the process itself.
 func (p *Proc) step() {
 	if p.done {
-		panic(fmt.Sprintf("sim: resuming finished proc %q", p.name))
+		panic(fmt.Sprintf("sim: resuming finished proc %q", p.Name()))
 	}
 	e := p.env
 	prev := e.current
 	e.current = p
 	if h := p.hook; h != nil {
 		p.hook = nil // one-shot: a parked hook resumes into the stack
-		if !h(p) {
+		if !h.Woken(p) {
 			e.current = prev
 			return
 		}
@@ -139,7 +179,9 @@ func (p *Proc) step() {
 		p.stack[n-1].Step(p)
 		switch p.op {
 		case ctlReturn:
-			p.stack[n-1] = nil
+			if n > 1 {
+				p.stack[n-1] = nil // the root stays, for Name
+			}
 			p.stack = p.stack[:n-1]
 		case ctlPark:
 			e.current = prev
@@ -167,10 +209,10 @@ func (p *Proc) Return() { p.op = ctlReturn }
 // resumption (a scheduled wake event or a WaitQueue entry).
 func (p *Proc) park() { p.op = ctlPark }
 
-// OnWake arms fn to run when the process next resumes, before its frame
+// OnWake arms h to run when the process next resumes, before its frame
 // stack re-enters. The hook returns false if it parked the process again
 // (its own CPU charge had to wait); it is cleared either way.
-func (p *Proc) OnWake(fn func(*Proc) bool) { p.hook = fn }
+func (p *Proc) OnWake(h WakeHook) { p.hook = h }
 
 // SleepUntil advances the process to virtual time t and reports whether
 // it completed without parking. Sleeping into the past is a no-op.
@@ -203,7 +245,7 @@ func (p *Proc) SleepUntil(t Time) bool {
 		e.now = t
 		return true
 	}
-	e.At(t, p.wakeName, p.stepFn)
+	e.schedule(t, "", p, uint64(wakeSleep))
 	p.park()
 	return false
 }
@@ -249,59 +291,107 @@ func (e *Env) Current() *Proc { return e.current }
 // WaitQueue is a FIFO queue of blocked processes, analogous to a kernel
 // sleep channel. Wake moves the process at the head of the queue back onto
 // the event queue at the current time; WakeAll drains the queue.
+//
+// The zero WaitQueue is ready to use and is meant to be embedded by value
+// in whatever owns it — a socket buffer has one, a connection several —
+// so it is four words: a name for diagnostics (Init), the longest waiter
+// inline (most queues never hold two), and the rest behind a pointer made
+// the first time two processes wait at once. It holds no environment: a
+// wake is scheduled on the loop of the process it wakes.
 type WaitQueue struct {
-	env      *Env
-	wakeName string // "wakeq:"+name, precomputed off the wake hot path
-	procs    []*Proc
-	head     int // longest waiter; popping neither shifts nor allocates
+	name  string
+	first *Proc    // the longest waiter
+	rest  *waiters // those behind it, oldest first
 }
 
-// NewWaitQueue returns an empty wait queue.
-func (e *Env) NewWaitQueue(name string) *WaitQueue {
-	return &WaitQueue{env: e, wakeName: "wakeq:" + name}
+// waiters is a wait queue's overflow: procs[head:] in arrival order.
+// Popping neither shifts nor allocates.
+type waiters struct {
+	procs []*Proc
+	head  int
 }
+
+// Init names the queue for diagnostics: a pending wake off it shows in
+// PendingSummary as "wakeq:name:process". Pass what the queue is
+// ("ipq", "so.rcv"), not whose — the process says that.
+func (w *WaitQueue) Init(name string) { w.name = name }
+
+// NewWaitQueue returns an empty, named wait queue on the heap, for
+// callers with nothing to embed one in.
+func (e *Env) NewWaitQueue(name string) *WaitQueue { return &WaitQueue{name: name} }
 
 // Len returns the number of processes blocked on the queue.
-func (w *WaitQueue) Len() int { return len(w.procs) - w.head }
+func (w *WaitQueue) Len() int {
+	n := 0
+	if w.first != nil {
+		n = 1
+	}
+	if w.rest != nil {
+		n += len(w.rest.procs) - w.rest.head
+	}
+	return n
+}
 
 // Wait parks p until another part of the simulation calls Wake or
 // WakeAll. The calling frame must return from Step immediately; its Step
 // re-enters — from the state it recorded — when the wake event fires.
 func (w *WaitQueue) Wait(p *Proc) {
-	w.procs = append(w.procs, p)
+	w.push(p)
 	p.park()
+}
+
+// push appends p behind every process already waiting.
+func (w *WaitQueue) push(p *Proc) {
+	if w.first == nil {
+		w.first = p // rest is empty whenever first is
+		return
+	}
+	if w.rest == nil {
+		w.rest = new(waiters)
+	}
+	w.rest.procs = append(w.rest.procs, p)
 }
 
 // wake dequeues the longest-waiting process, if any, and schedules its
 // resumption at absolute time t. It reports whether a process was woken.
 func (w *WaitQueue) wake(t Time) bool {
-	if w.head == len(w.procs) {
+	if w.first == nil {
 		return false
 	}
-	w.env.At(t, w.wakeName, w.pop().stepFn)
+	p := w.pop()
+	p.env.schedule(t, w.name, p, uint64(wakeQueue))
 	return true
 }
 
 // pop removes the longest-waiting process from a non-empty queue.
 func (w *WaitQueue) pop() *Proc {
-	p := w.procs[w.head]
-	w.procs[w.head] = nil // release for GC
-	w.head++
-	switch {
-	case w.head == len(w.procs):
-		w.procs, w.head = w.procs[:0], 0
-	case w.head >= 128 && w.head*2 >= len(w.procs):
-		// Never quite drained: compact once the dead prefix dominates.
-		n := copy(w.procs, w.procs[w.head:])
-		clear(w.procs[n:])
-		w.procs, w.head = w.procs[:n], 0
+	p := w.first
+	w.first = nil
+	if r := w.rest; r != nil && r.head < len(r.procs) {
+		w.first = r.procs[r.head]
+		r.procs[r.head] = nil // release for GC
+		r.head++
+		switch {
+		case r.head == len(r.procs):
+			r.procs, r.head = r.procs[:0], 0
+		case r.head >= 128 && r.head*2 >= len(r.procs):
+			// Never quite drained: compact once the dead prefix dominates.
+			n := copy(r.procs, r.procs[r.head:])
+			clear(r.procs[n:])
+			r.procs, r.head = r.procs[:n], 0
+		}
 	}
 	return p
 }
 
 // Wake schedules the longest-waiting process, if any, to resume at the
 // current virtual time. It reports whether a process was woken.
-func (w *WaitQueue) Wake() bool { return w.wake(w.env.now) }
+func (w *WaitQueue) Wake() bool {
+	if w.first == nil {
+		return false
+	}
+	return w.wake(w.first.env.now)
+}
 
 // WakeAll wakes every waiting process, preserving FIFO order.
 func (w *WaitQueue) WakeAll() {

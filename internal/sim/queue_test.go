@@ -27,6 +27,7 @@ type refQueue struct {
 	horizon Time
 	inProc  bool
 	gens    [scriptTimers]int
+	parked  []func() // processes waiting on the script's wait queue, oldest first
 }
 
 func (a *refEvent) before(b *refEvent) bool {
@@ -121,13 +122,30 @@ func (r *refQueue) sleepUntil(t Time, resume func()) bool {
 	return false
 }
 
+// wakeAt is WaitQueue.WakeAt: the longest waiter resumes at t.
+func (r *refQueue) wakeAt(t Time) {
+	if len(r.parked) == 0 {
+		return
+	}
+	resume := r.parked[0]
+	r.parked = r.parked[1:]
+	r.at(t, func() {
+		r.inProc = true
+		resume()
+		r.inProc = false
+	})
+}
+
 // The script. Every operation is three bytes — kind, target, delay — so
 // a fuzzer's mutations stay meaningful. The top level consumes
 // operations in order; every callback that fires, and every step of a
 // sleeping process, consumes the next one as its reaction, which is how
 // a timer comes to be re-armed from its own callback or a lane appended
-// to from its own. Both implementations draw from the one cursor, so
-// they stay in step exactly as long as they fire in the same order.
+// to from its own. A process whose reaction names a target of 128 or more
+// parks on the script's one wait queue instead of sleeping, and stays
+// there until an opWake reaches it. Both implementations draw from the
+// one cursor, so they stay in step exactly as long as they fire in the
+// same order.
 const (
 	opAt = iota
 	opAtArg
@@ -137,6 +155,7 @@ const (
 	opSpawn
 	opRunUntil
 	opRunWindow
+	opWake
 	opKinds
 
 	scriptLanes  = 3
@@ -167,6 +186,7 @@ type target interface {
 	timerSet(i int, t Time)
 	timerStop(i int)
 	spawn(i int, t Time)
+	wakeAt(t Time)
 	runUntil(t Time)
 	runWindow(h Time)
 	drain()
@@ -213,8 +233,14 @@ func (d *driver) schedule(op scriptOp, now Time) {
 		d.q.timerSet(op.who%scriptTimers, t)
 	case opTimerStop:
 		d.q.timerStop(op.who % scriptTimers)
+	case opWake:
+		d.q.wakeAt(t)
 	}
 }
+
+// parks says whether a process whose reaction was op waits to be woken
+// rather than sleeping op.delay.
+func (op scriptOp) parks() bool { return op.who >= 128 }
 
 func (d *driver) run() {
 	for {
@@ -259,6 +285,7 @@ type realTarget struct {
 	lanes  [scriptLanes]Lane
 	timers [scriptTimers]Timer
 	argFn  func(uint64)
+	wq     WaitQueue // the zero value, as an owner would embed it
 }
 
 func newRealTarget(d *driver) *realTarget {
@@ -284,17 +311,19 @@ func (r *realTarget) lane(i int, t Time)     { r.lanes[i].At(r.e, t, "lane") }
 func (r *realTarget) timerSet(i int, t Time) { r.timers[i].Set(r.e, t, "timer") }
 func (r *realTarget) timerStop(i int)        { r.timers[i].Stop() }
 func (r *realTarget) spawn(i int, t Time) {
-	r.e.At(t, "spawner", func() { r.e.Spawn("sleeper", &realSleeper{d: r.d, id: idProc + i}) })
+	r.e.At(t, "spawner", func() { r.e.Spawn("sleeper", &realSleeper{d: r.d, id: idProc + i, wq: &r.wq}) })
 }
+func (r *realTarget) wakeAt(t Time)    { r.wq.WakeAt(t) }
 func (r *realTarget) runUntil(t Time)  { r.e.SetHorizon(t + 1); r.e.RunUntil(t) }
 func (r *realTarget) runWindow(h Time) { r.e.SetHorizon(h); r.e.RunWindow() }
 func (r *realTarget) drain()           { r.e.SetHorizon(MaxTime); r.e.Run() }
 
-// realSleeper logs, reacts, and sleeps the reaction's delay, until the
-// script runs out.
+// realSleeper logs, reacts, and sleeps the reaction's delay — or parks on
+// the wait queue — until the script runs out.
 type realSleeper struct {
 	d  *driver
 	id int
+	wq *WaitQueue
 }
 
 func (s *realSleeper) Step(p *Proc) {
@@ -307,6 +336,10 @@ func (s *realSleeper) Step(p *Proc) {
 			return
 		}
 		s.d.schedule(op, now)
+		if op.parks() {
+			s.wq.Wait(p)
+			return
+		}
 		if !p.SleepUntil(now + op.delay) {
 			return
 		}
@@ -351,11 +384,16 @@ func (r *refTarget) sleeper(id int) {
 			return
 		}
 		r.d.schedule(op, now)
+		if op.parks() {
+			r.r.parked = append(r.r.parked, func() { r.sleeper(id) })
+			return
+		}
 		if !r.r.sleepUntil(now+op.delay, func() { r.sleeper(id) }) {
 			return
 		}
 	}
 }
+func (r *refTarget) wakeAt(t Time)    { r.r.wakeAt(t) }
 func (r *refTarget) runUntil(t Time)  { r.r.horizon = t + 1; r.r.runUntil(t) }
 func (r *refTarget) runWindow(h Time) { r.r.horizon = h; r.r.runWindow() }
 func (r *refTarget) drain() {
@@ -424,6 +462,11 @@ var queueOrderSeeds = [][]byte{
 	// inside a window bounded by a horizon.
 	{opTimerSet, 0, 3, opTimerSet, 0, 31, opSpawn, 0, 0, opRunWindow, 0, 12, opAt, 0, 9, opLane, 2, 4,
 		opRunWindow, 0, 8, opTimerSet, 0, 1, opRunUntil, 0, 20},
+	// Two processes park on the wait queue (reactions with targets of 128
+	// and up) and are woken in order, one at a time tied with a plain
+	// event, the other later: a wake is an event carrying the process.
+	{opSpawn, 0, 0, opSpawn, 1, 0, opRunUntil, 0, 1, opAt, 200, 2, opAt, 201, 2, opRunUntil, 0, 4,
+		opAt, 1, 3, opWake, 0, 3, opWake, 0, 9, opWake, 0, 9, opRunUntil, 0, 30},
 }
 
 // TestQueueOrderMatchesReference is the property test: the seeds, then
@@ -567,8 +610,12 @@ func TestLaneAndTimerCarryNothingAcrossReset(t *testing.T) {
 // more keep arriving, so the queue's head index passes its compaction
 // threshold without the queue ever draining: order must stay FIFO.
 func TestWaitQueueFIFOAcrossCompaction(t *testing.T) {
-	e := NewEnv()
-	w := e.NewWaitQueue("q")
+	var zero WaitQueue
+	t.Run("NewWaitQueue", func(t *testing.T) { e := NewEnv(); fifoAcrossCompaction(t, e, e.NewWaitQueue("q")) })
+	t.Run("zero value", func(t *testing.T) { fifoAcrossCompaction(t, NewEnv(), &zero) })
+}
+
+func fifoAcrossCompaction(t *testing.T, e *Env, w *WaitQueue) {
 	var woke []int
 	const n = 600
 	procs := make([]*Proc, n)
@@ -590,13 +637,29 @@ func TestWaitQueueFIFOAcrossCompaction(t *testing.T) {
 		t.Fatal("Wake on an emptied queue reported a waiter")
 	}
 	e.Run()
+	// Drained through the overflow and refilled: the first waiter sits
+	// inline again, the next two behind it, and WakeAt keeps the order.
+	for i := 0; i < 3; i++ {
+		procs[i] = e.Spawn("w", &waiter{w: w, id: n + i, woke: &woke})
+	}
+	e.Run()
+	if w.first != procs[0] || w.Len() != 3 {
+		t.Fatalf("refilled queue: first waiter inline %v, Len %d; want true, 3", w.first == procs[0], w.Len())
+	}
+	for i := 0; i < 3; i++ {
+		if !w.WakeAt(e.Now() + Time(10*(i+1))) {
+			t.Fatalf("WakeAt %d found no waiter", i)
+		}
+	}
+	e.Run()
+	const total = n + 3
 	for i, id := range woke {
 		if id != i {
 			t.Fatalf("waiter %d woke in position %d", id, i)
 		}
 	}
-	if len(woke) != n {
-		t.Fatalf("%d waiters woke, want %d", len(woke), n)
+	if len(woke) != total {
+		t.Fatalf("%d waiters woke, want %d", len(woke), total)
 	}
 }
 

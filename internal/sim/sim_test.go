@@ -262,10 +262,10 @@ func TestOnWakeHookRunsBeforeResume(t *testing.T) {
 	e.Spawn("sleeper", Steps(
 		func(p *Proc) {
 			wq.Wait(p)
-			p.OnWake(func(p *Proc) bool {
+			p.OnWake(hookFunc(func(p *Proc) bool {
 				order = append(order, "hook")
 				return true
-			})
+			}))
 		},
 		func(p *Proc) { order = append(order, "resumed") },
 	))
@@ -278,6 +278,11 @@ func TestOnWakeHookRunsBeforeResume(t *testing.T) {
 		t.Fatalf("order = %v, want [hook resumed]", order)
 	}
 }
+
+// hookFunc adapts a function to WakeHook.
+type hookFunc func(p *Proc) bool
+
+func (f hookFunc) Woken(p *Proc) bool { return f(p) }
 
 func TestWaitQueue(t *testing.T) {
 	e := NewEnv()

@@ -18,10 +18,12 @@
 // slice and popping moves values within it, so the steady-state event
 // loop performs no per-event allocation (the one interface word an event
 // carries holds only pointer-shaped values, which box for free), and the
-// slice's reusable storage is the event free-list. Processes additionally
-// cache their wake-up closure and event name (proc.go), making the
-// sleep/wake cycle — the single hottest path in the simulator —
-// allocation-free; when no queued event fires before a sleeping
+// slice's reusable storage is the event free-list. A process's wake-up is
+// an event that carries the process itself (proc.go) — no closure, no
+// label until a diagnostic prints one — making the sleep/wake cycle, the
+// single hottest path in the simulator, allocation-free; a process is one
+// allocation and a wait queue none (it embeds by value in its owner);
+// when no queued event fires before a sleeping
 // process's wake time, SleepUntil advances the clock in place instead of
 // parking the goroutine at all (two goroutine switches saved per CPU
 // charge, with the total order provably unchanged — see the method
@@ -29,6 +31,19 @@
 // clock, sequence counter, and RNG while keeping the heap's backing
 // storage and any processes parked on wait queues, the foundation of
 // testbed reuse (lab.Lab.Reset).
+//
+// # Who owns scratch memory
+//
+// Exactly one frame runs on a loop at a time, so memory that is needed
+// only while a unit of work is in flight belongs to the loop, not to the
+// host doing the work: each Env has one Arena (arena.go) of byte buffers
+// that are checked out for a datagram or held by a queue while it is
+// non-empty, and go back when the work drains. An idle host, channel or
+// port then holds none, however many of them a topology has. Local
+// extends the same ownership to typed per-loop state other packages keep
+// (the mbuf free-lists). Neither takes a lock: sharded execution gives
+// every shard its own Env, and nothing checked out of one loop's arena is
+// ever returned to another's.
 //
 // # Ways to schedule, and one not to
 //

@@ -179,3 +179,55 @@ func TestLinkFlapsDeterministic(t *testing.T) {
 		t.Fatal("Validate accepted a negative-time event")
 	}
 }
+
+// namedFrame is a root frame that names its own process (Namer) and
+// runs a fixed script of steps.
+type namedFrame struct {
+	name  string
+	steps Frame
+}
+
+func (f *namedFrame) Name() string { return f.name }
+func (f *namedFrame) Step(p *Proc) { f.steps.Step(p) }
+
+// TestPendingSummaryNamesLazyWakes pins what the watchdog's histogram
+// says about processes waiting to run now that no wake label is built
+// until one is printed: a sleeper's wake names the process, a wait-queue
+// wake names the queue and the process, a first step outside the starts
+// lane names the process — whether the process was named at Spawn or
+// names itself through its root frame.
+func TestPendingSummaryNamesLazyWakes(t *testing.T) {
+	e := NewEnv()
+	var ipq WaitQueue
+	ipq.Init("ipq")
+	heapq := e.NewWaitQueue("so.rcv")
+
+	e.At(1, "blocker", func() {}) // keeps the sleepers off the in-place fast path
+	e.Spawn("", &namedFrame{name: "host7.netisr", steps: Steps(func(p *Proc) { ipq.Wait(p) }, func(p *Proc) {})})
+	e.Spawn("client.fanin", Steps(func(p *Proc) { heapq.Wait(p) }, func(p *Proc) {}))
+	e.Spawn("", &namedFrame{name: "host7.tcptimer", steps: Steps(func(p *Proc) { p.SleepUntil(50) }, func(p *Proc) {})})
+	e.Spawn("sleeper", Steps(func(p *Proc) { p.SleepUntil(60) }, func(p *Proc) {}))
+	e.RunUntil(2) // everyone has parked
+	ipq.WakeAt(40)
+	heapq.WakeAt(41)
+	e.SpawnAt(90, "", &namedFrame{name: "client9.fanin", steps: Steps()})
+	e.SpawnAt(70, "early", Steps()) // before the lane's newest: an event of its own
+
+	got := e.PendingSummary(16)
+	for _, want := range []string{
+		"wakeq:ipq:host7.netisr×1", "wakeq:so.rcv:client.fanin×1",
+		"wake:host7.tcptimer×1", "wake:sleeper×1",
+		"spawn×1", "spawn:early×1",
+	} {
+		if !strings.Contains(" "+got+" ", " "+want+" ") {
+			t.Errorf("PendingSummary = %q, missing %q", got, want)
+		}
+	}
+	if e.Pending() != 6 {
+		t.Errorf("Pending = %d, want 6", e.Pending())
+	}
+	e.Run()
+	if e.procs != 0 {
+		t.Errorf("%d processes never finished", e.procs)
+	}
+}

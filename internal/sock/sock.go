@@ -53,14 +53,15 @@ type Buffer struct {
 	tail  *mbuf.Mbuf // last mbuf of the chain, so Append is O(appended)
 	cc    int
 	// WaitQ is where processes sleep for state changes (sbwait).
-	WaitQ *sim.WaitQueue
+	WaitQ sim.WaitQueue
 }
 
-// initBuffer prepares a buffer owned by kernel k.
+// initBuffer prepares a buffer owned by kernel k; name labels its wait
+// queue in diagnostics.
 func (b *Buffer) initBuffer(k *kern.Kernel, name string) {
 	b.K = k
 	b.Hiwat = DefaultHiwat
-	b.WaitQ = k.Env.NewWaitQueue(name)
+	b.WaitQ.Init(name)
 }
 
 // Len returns the bytes queued.
@@ -146,7 +147,7 @@ type Socket struct {
 	Connected bool
 
 	// StateQ is where processes wait for connection state changes.
-	StateQ *sim.WaitQueue
+	StateQ sim.WaitQueue
 
 	// sendOp and recvOp cache the socket's Send/Recv frames. A socket
 	// has at most one sender and one receiver in flight at a time in the
@@ -159,9 +160,10 @@ type Socket struct {
 // New returns a socket owned by kernel k. The protocol must be attached
 // by the transport before use.
 func New(k *kern.Kernel) *Socket {
-	so := &Socket{K: k, StateQ: k.Env.NewWaitQueue(k.Name + ".so.state")}
-	so.Snd.initBuffer(k, k.Name+".so.snd")
-	so.Rcv.initBuffer(k, k.Name+".so.rcv")
+	so := &Socket{K: k}
+	so.StateQ.Init("so.state")
+	so.Snd.initBuffer(k, "so.snd")
+	so.Rcv.initBuffer(k, "so.rcv")
 	return so
 }
 
@@ -233,7 +235,7 @@ func (f *SendOp) Step(p *sim.Proc) {
 				return
 			}
 			if so.Snd.Space() <= 0 {
-				k.SleepOn(p, so.Snd.WaitQ)
+				k.SleepOn(p, &so.Snd.WaitQ)
 				return
 			}
 			f.space = so.Snd.Space()
@@ -423,7 +425,7 @@ func (f *RecvOp) Step(p *sim.Proc) {
 					f.finish(p)
 					return
 				}
-				k.SleepOn(p, so.Rcv.WaitQ)
+				k.SleepOn(p, &so.Rcv.WaitQ)
 				return
 			}
 			f.pc = 1

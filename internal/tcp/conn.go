@@ -152,7 +152,7 @@ type Conn struct {
 	// serialization of tcp_output); outWait queues callers that found
 	// it busy.
 	outBusy bool
-	outWait *sim.WaitQueue
+	outWait sim.WaitQueue
 
 	// outOp and inOp are the connection's cached output and input frames.
 	// output and input are never re-entered on the same connection in the

@@ -66,20 +66,25 @@ type Stack struct {
 
 	Stats Stats
 
-	listeners map[uint16]*Listener
+	listeners map[uint16]*Listener // made by the first Listen: a client has none
 	nextPort  uint16
 	nextISS   Seq
 
 	// deferred protocol work (timer expirations) executed by the
 	// stack's service process, which can block on driver FIFOs.
 	due   []func(p *sim.Proc)
-	workQ *sim.WaitQueue
+	workQ sim.WaitQueue
 
 	// crashed holds the connections dropped by Crash until ReapCrashed
 	// can safely return their buffered mbuf chains to the pool.
 	crashed []*Conn
 
 	inOp *inputOp // cached input frame (nil while in use)
+
+	// inFrame is the frame inOp caches and timers the service process's
+	// root, held here so that a stack is one allocation.
+	inFrame inputOp
+	timers  workLoopFrame
 }
 
 // NewStack creates the TCP layer for a host, registers it with IP, and
@@ -89,14 +94,15 @@ func NewStack(k *kern.Kernel, ipStack *ip.Stack) *Stack {
 		K:                 k,
 		IP:                ipStack,
 		PredictionEnabled: true,
-		listeners:         make(map[uint16]*Listener),
 		nextPort:          1024,
 		nextISS:           1, // deterministic ISS: reproducibility over security
-		workQ:             k.Env.NewWaitQueue(k.Name + ".tcp.work"),
 	}
+	s.workQ.Init("tcp.work")
 	ipStack.Register(ip.ProtoTCP, s)
-	s.inOp = &inputOp{s: s}
-	k.Env.Spawn(k.Name+".tcptimer", &workLoopFrame{s: s})
+	s.inFrame.s = s
+	s.inOp = &s.inFrame
+	s.timers.s = s
+	k.Env.Spawn("", &s.timers)
 	return s
 }
 
@@ -189,6 +195,9 @@ type workLoopFrame struct {
 	s *Stack
 }
 
+// Name implements sim.Namer: the process is named when something asks.
+func (f *workLoopFrame) Name() string { return f.s.K.Name() + ".tcptimer" }
+
 func (f *workLoopFrame) Step(p *sim.Proc) {
 	s := f.s
 	if len(s.due) == 0 {
@@ -223,8 +232,8 @@ func (s *Stack) newConn() *Conn {
 		state:        StateClosed,
 		mss:          defaultMSS,
 		wantCksumOff: s.Mode == cost.ChecksumNone,
-		outWait:      s.K.Env.NewWaitQueue(s.K.Name + ".tcp.outlock"),
 	}
+	c.outWait.Init("tcp.outlock")
 	c.rexmt.Bind(c.rexmtTimer)
 	c.delack.Bind(c.delackTimer)
 	so.Proto = c
@@ -335,7 +344,7 @@ type Listener struct {
 	port    uint16
 	pcbEnt  *pcb.PCB
 	backlog []*Conn
-	wq      *sim.WaitQueue
+	wq      sim.WaitQueue
 	err     error // set when the listener dies (host crash); fails Accepts
 }
 
@@ -344,13 +353,13 @@ func (s *Stack) Listen(port uint16) (*Listener, error) {
 	if _, busy := s.listeners[port]; busy {
 		return nil, fmt.Errorf("tcp: port %d already listening", port)
 	}
-	l := &Listener{
-		s:    s,
-		port: port,
-		wq:   s.K.Env.NewWaitQueue(fmt.Sprintf("%s.tcp.accept:%d", s.K.Name, port)),
-	}
+	l := &Listener{s: s, port: port}
+	l.wq.Init("tcp.accept")
 	l.pcbEnt = &pcb.PCB{Key: pcb.Key{LocalPort: port}, Owner: l}
 	s.Table.Insert(l.pcbEnt)
+	if s.listeners == nil {
+		s.listeners = make(map[uint16]*Listener)
+	}
 	s.listeners[port] = l
 	return l, nil
 }

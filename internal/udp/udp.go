@@ -72,7 +72,7 @@ type Endpoint struct {
 	s    *Stack
 	port uint16
 	q    []Datagram
-	wq   *sim.WaitQueue
+	wq   sim.WaitQueue
 
 	// Cached frames for the endpoint's send and receive paths; one of
 	// each is in flight at a time in the steady state.
@@ -91,7 +91,7 @@ type Stack struct {
 	// verified (RFC 768 semantics).
 	ChecksumOff bool
 
-	ports    map[uint16]*Endpoint
+	ports    map[uint16]*Endpoint // made by the first Bind: a TCP-only host has none
 	nextPort uint16
 
 	// inOp caches the ip.Handler input frame (one datagram is processed
@@ -107,7 +107,7 @@ type Stack struct {
 
 // NewStack creates the UDP layer and registers it with IP.
 func NewStack(k *kern.Kernel, ipStack *ip.Stack) *Stack {
-	s := &Stack{K: k, IP: ipStack, ports: make(map[uint16]*Endpoint), nextPort: 2048}
+	s := &Stack{K: k, IP: ipStack, nextPort: 2048}
 	ipStack.Register(ProtoUDP, s)
 	return s
 }
@@ -132,10 +132,10 @@ func (s *Stack) Bind(port uint16) (*Endpoint, error) {
 	if _, busy := s.ports[port]; busy {
 		return nil, fmt.Errorf("udp: port %d in use", port)
 	}
-	e := &Endpoint{
-		s:    s,
-		port: port,
-		wq:   s.K.Env.NewWaitQueue(fmt.Sprintf("%s.udp:%d", s.K.Name, port)),
+	e := &Endpoint{s: s, port: port}
+	e.wq.Init("udp")
+	if s.ports == nil {
+		s.ports = make(map[uint16]*Endpoint)
 	}
 	s.ports[port] = e
 	return e, nil
@@ -335,7 +335,7 @@ func (f *RecvFromOp) Step(p *sim.Proc) {
 		switch f.pc {
 		case 0: // wait for a datagram
 			if len(e.q) == 0 {
-				k.SleepOn(p, e.wq)
+				k.SleepOn(p, &e.wq)
 				return
 			}
 			f.pc = 1

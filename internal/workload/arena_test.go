@@ -1,0 +1,143 @@
+package workload_test
+
+import (
+	"encoding/json"
+	"testing"
+
+	"repro/internal/lab"
+	"repro/internal/sim"
+	"repro/internal/stats"
+	"repro/internal/workload"
+)
+
+// arenaState sums the buffers checked out of every loop's arena and the
+// receive channels part-way through a frame — on a drained testbed the
+// only legitimate holders.
+func arenaState(l *lab.Lab) (out, reassembling int) {
+	for _, sh := range l.Cluster().Shards {
+		out += sh.Env.Arena().Outstanding()
+	}
+	for _, h := range l.Hosts {
+		if h.ATMDriver != nil {
+			reassembling += h.ATMDriver.Reassembling()
+		}
+	}
+	return out, reassembling
+}
+
+// scratchTrial is one run for the arena tests: a generator on a topology
+// at a shard count, with every loop's use-after-return tripwire armed or
+// not, returning the lab and the result as JSON.
+func scratchTrial(t *testing.T, g workload.Generator, cfg lab.Config, hosts, shards int, poison bool) (*lab.Lab, string) {
+	t.Helper()
+	c, err := lab.NewCluster(cfg, hosts, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if poison {
+		for _, sh := range c.Shards {
+			sh.Env.Arena().Poison = true
+		}
+	}
+	res, err := workload.RunSharded(g, c)
+	if err != nil {
+		t.Fatalf("%s on %d hosts, %d shards: %v", g.Name(), hosts, shards, err)
+	}
+	b, _ := json.Marshal(res)
+	return c.Lab, string(b)
+}
+
+// arenaTrials are the runs both tests below share: each generator and
+// transport on both fabrics, the 10k benchmark's staggered streaming
+// shape in miniature, then the congested tier and the fault tier.
+var arenaTrials = []struct {
+	name     string
+	g        workload.Generator
+	cfg      lab.Config
+	hosts    int
+	lossFree bool // and shardable
+}{
+	{"echo", workload.Echo{Size: 8000, Iterations: 6, Warmup: 1}, lab.Config{Link: lab.LinkATM}, 3, true},
+	{"fan-in, hub", workload.FanIn{Requests: 4, Size: 200}, lab.Config{Link: lab.LinkATM, PacketTrace: true}, 9, true},
+	{"fan-in, staggered fat tree", workload.FanIn{Requests: 1, Size: 207, Stagger: 5000 * sim.Microsecond, Stats: stats.Config{Streaming: true}},
+		lab.Config{Link: lab.LinkATM, Fabric: lab.FabricFatTree, LeafPorts: 4, HashPCBs: true}, 33, true},
+	{"fan-in, rudp", workload.FanIn{Requests: 4, Size: 200, Transport: workload.TransportRUDP},
+		lab.Config{Link: lab.LinkATM, Fabric: lab.FabricFatTree, LeafPorts: 2}, 7, true},
+	{"churn", workload.Churn{Conns: 3, Size: 64}, lab.Config{Link: lab.LinkATM, Fabric: lab.FabricFatTree, LeafPorts: 2}, 7, true},
+	{"bulk", workload.Bulk{Bytes: 65536}, lab.Config{Link: lab.LinkATM}, 2, true},
+	{"bulk, congested hub", workload.Bulk{Bytes: 32768}, lab.Config{Link: lab.LinkATM}, 5, true},
+	{"loaded fan-in", workload.FanIn{Requests: 5, Size: 200, Cross: &workload.CrossTraffic{Flows: 2, Transfers: 2, MaxBytes: 32768}},
+		loadedConfig(9), 5, false},
+	{"loaded fan-in, rudp, DRR", workload.FanIn{Requests: 4, Size: 200, Transport: workload.TransportRUDP},
+		lab.Config{Link: lab.LinkATM, Qdisc: lab.QdiscConfig{Kind: lab.QdiscDRR},
+			BurstLoss: sim.GEParams{PGoodBad: 0.005, PBadGood: 0.2, LossBad: 0.6}}, 4, false},
+	{"server crash and restart", workload.FaultRecovery{Requests: 8, Interval: 100 * sim.Millisecond,
+		CrashAt: 250 * sim.Millisecond, Downtime: sim.Second}, lab.Config{Link: lab.LinkATM, CheckLeaks: true}, 5, false},
+	{"server crash and restart, rudp", workload.FaultRecovery{Transport: workload.TransportRUDP, Requests: 8,
+		Interval: 100 * sim.Millisecond, CrashAt: 250 * sim.Millisecond, Downtime: sim.Second},
+		lab.Config{Link: lab.LinkATM, CheckLeaks: true}, 5, false},
+}
+
+// TestArenaDrainsToZero is the checkout rule over the workload
+// generators. Every loss-free run, serial and on four shards, ends with
+// no buffer checked out of any loop's arena. The congested and the fault
+// tier may end with frames stuck mid-reassembly — burst loss took a
+// frame's last cells, the crash cut one off — and then exactly those are
+// outstanding; in every case Lab.Reset succeeds and leaves zero, with
+// the mbuf leak gate armed where the trial arms it.
+func TestArenaDrainsToZero(t *testing.T) {
+	for _, tc := range arenaTrials {
+		for _, shards := range []int{1, 4} {
+			if shards > 1 && !tc.lossFree {
+				continue // the fault knobs run serial only
+			}
+			cfg := tc.cfg
+			cfg.Seed = 1994
+			l, _ := scratchTrial(t, tc.g, cfg, tc.hosts, shards, true)
+			out, open := arenaState(l)
+			if out != open {
+				t.Errorf("%s, %d shards: drained with %d buffers checked out but %d frames mid-reassembly", tc.name, shards, out, open)
+			}
+			if tc.lossFree && out != 0 {
+				t.Errorf("%s, %d shards: a loss-free run ended with %d buffers checked out", tc.name, shards, out)
+			}
+			if err := l.Reset(cfg, 0); err != nil {
+				t.Errorf("%s, %d shards: Reset: %v", tc.name, shards, err)
+				continue
+			}
+			if out, open := arenaState(l); out != 0 || open != 0 {
+				t.Errorf("%s, %d shards: after Reset %d buffers checked out, %d frames open", tc.name, shards, out, open)
+			}
+		}
+	}
+}
+
+// TestReleasedScratchIsPoisoned reruns every trial with each loop's
+// arena overwriting a buffer the moment it is given back, and requires
+// the result — every latency, counter and traced packet event — to match
+// the plain run byte for byte, serial and sharded. Anything that read a
+// reassembly buffer, a PDU or a queue's storage after returning it would
+// now read 0xDB: a payload mismatch, a checksum failure, a lost cell. The
+// sharded-identity fuzzer's seed corpus runs the same way.
+func TestReleasedScratchIsPoisoned(t *testing.T) {
+	for _, tc := range arenaTrials {
+		cfg := tc.cfg
+		cfg.Seed = 7
+		_, want := scratchTrial(t, tc.g, cfg, tc.hosts, 1, false)
+		for _, shards := range []int{1, 4} {
+			if shards > 1 && !tc.lossFree {
+				continue
+			}
+			if _, got := scratchTrial(t, tc.g, cfg, tc.hosts, shards, true); got != want {
+				t.Errorf("%s, %d shards: the poisoned run diverged\n plain:    %.300s\n poisoned: %.300s", tc.name, shards, want, got)
+			}
+		}
+	}
+	for _, s := range shardedFuzzSeeds {
+		g, cfg, n := fuzzTrial(s.fabric, s.leafPorts, s.hosts, s.wl, s.seed)
+		_, want := scratchTrial(t, g, cfg, n, 1, false)
+		if _, got := scratchTrial(t, g, cfg, n, 1+int(s.shards%8), true); got != want {
+			t.Errorf("fuzz seed %+v: the poisoned sharded run diverged from the plain serial one", s)
+		}
+	}
+}

@@ -125,14 +125,13 @@ func (ct CrossTraffic) spawn(r *run) error {
 	env.Spawn("server.cross", &acceptLoopFrame{
 		ln: ln, n: c.Flows * c.Transfers,
 		accepted: func(al *acceptLoopFrame, i int, cn conn) bool {
-			env.Spawn(fmt.Sprintf("server.cross.conn%d", i),
-				&crossSinkFrame{so: cn.(*tcpConn).so, al: al, me: r.server()})
+			env.Spawn("", &crossSinkFrame{so: cn.(*tcpConn).so, al: al, me: r.server(), i: i})
 			return true
 		},
 	})
 	for f := 0; f < c.Flows; f++ {
 		hi := c.flowHost(f, len(r.clients))
-		r.c.EnvOf(hi).Spawn(fmt.Sprintf("cross.flow%d", f), &crossFlowFrame{
+		r.c.EnvOf(hi).Spawn("", &crossFlowFrame{
 			host: l.Hosts[hi], ct: c, f: f, me: &r.parts[1+f],
 		})
 	}
@@ -144,11 +143,15 @@ type crossSinkFrame struct {
 	so *sock.Socket
 	al *acceptLoopFrame // lends the read buffer
 	me *participant
+	i  int // which of the sink's connections this is
 
 	pc   int
 	buf  []byte
 	recv *sock.RecvOp
 }
+
+// Name implements sim.Namer.
+func (f *crossSinkFrame) Name() string { return indexed("server.cross.conn", f.i, "") }
 
 // Step drives the sink.
 func (f *crossSinkFrame) Step(p *sim.Proc) {
@@ -206,6 +209,9 @@ type crossFlowFrame struct {
 	msg   []byte
 	send  *sock.SendOp
 }
+
+// Name implements sim.Namer.
+func (f *crossFlowFrame) Name() string { return indexed("cross.flow", f.f, "") }
 
 // Step drives the flow.
 func (f *crossFlowFrame) Step(p *sim.Proc) {

@@ -109,7 +109,7 @@ func (g FaultRecovery) Run(l *lab.Lab) (*Result, error) {
 
 	recov := make([][]sim.Time, len(r.clients))
 	for ci := range r.clients {
-		c.EnvOf(ci+1).Spawn(fmt.Sprintf("client%d.faults", ci), &faultClientFrame{
+		c.EnvOf(ci+1).Spawn("", &faultClientFrame{
 			r: r, ci: ci, c: tr.client(l.Hosts[ci+1]), g: g, recov: &recov[ci],
 		})
 	}
@@ -149,6 +149,9 @@ type faultClientFrame struct {
 func (f *faultClientFrame) arm() {
 	f.deadline.Set(f.env, f.env.Now()+f.g.Deadline, "faults.deadline")
 }
+
+// Name implements sim.Namer.
+func (f *faultClientFrame) Name() string { return indexed("client", f.ci, ".faults") }
 
 // Step drives the client.
 func (f *faultClientFrame) Step(p *sim.Proc) {

@@ -37,23 +37,34 @@ func fuzzTrial(fabric, leafPorts, hosts, wl uint8, seed uint16) (workload.Genera
 	return g, cfg, n
 }
 
+// shardedFuzzSeeds is the fuzzer's seed corpus: each workload and
+// transport on both fabrics, at awkward shard counts (1 = degenerate,
+// clamped, prime, and power-of-two splits). TestReleasedScratchIsPoisoned
+// runs it too.
+var shardedFuzzSeeds = []struct {
+	fabric, leafPorts, hosts, wl, shards uint8
+	seed                                 uint16
+}{
+	{0, 0, 6, 0, 2, 1994},
+	{1, 0, 0, 0, 3, 7},
+	{0, 0, 4, 1, 4, 21},
+	{1, 1, 6, 1, 7, 3},
+	{0, 0, 3, 2, 5, 12},
+	{1, 2, 5, 2, 1, 9},
+	{0, 0, 2, 3, 8, 40},
+	{1, 3, 6, 3, 2, 5},
+	{0, 0, 5, 4, 3, 11},
+	{1, 1, 6, 4, 4, 8},
+}
+
 // FuzzShardedBitIdentity throws randomized topology, workload, and
 // shard-count combinations at the sharded executor and requires every
 // one to reproduce its serial run byte-for-byte — the metamorphic matrix
 // test with the corners chosen adversarially instead of by hand.
 func FuzzShardedBitIdentity(f *testing.F) {
-	// Seed corpus: each workload and transport on both fabrics, awkward shard counts
-	// (1 = degenerate, clamped, prime, and power-of-two splits).
-	f.Add(uint8(0), uint8(0), uint8(6), uint8(0), uint8(2), uint16(1994))
-	f.Add(uint8(1), uint8(0), uint8(0), uint8(0), uint8(3), uint16(7))
-	f.Add(uint8(0), uint8(0), uint8(4), uint8(1), uint8(4), uint16(21))
-	f.Add(uint8(1), uint8(1), uint8(6), uint8(1), uint8(7), uint16(3))
-	f.Add(uint8(0), uint8(0), uint8(3), uint8(2), uint8(5), uint16(12))
-	f.Add(uint8(1), uint8(2), uint8(5), uint8(2), uint8(1), uint16(9))
-	f.Add(uint8(0), uint8(0), uint8(2), uint8(3), uint8(8), uint16(40))
-	f.Add(uint8(1), uint8(3), uint8(6), uint8(3), uint8(2), uint16(5))
-	f.Add(uint8(0), uint8(0), uint8(5), uint8(4), uint8(3), uint16(11))
-	f.Add(uint8(1), uint8(1), uint8(6), uint8(4), uint8(4), uint16(8))
+	for _, s := range shardedFuzzSeeds {
+		f.Add(s.fabric, s.leafPorts, s.hosts, s.wl, s.shards, s.seed)
+	}
 
 	f.Fuzz(func(t *testing.T, fabric, leafPorts, hosts, wl, shards uint8, seed uint16) {
 		g, cfg, n := fuzzTrial(fabric, leafPorts, hosts, wl, seed)

@@ -17,6 +17,7 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/lab"
 	"repro/internal/rudp"
@@ -161,25 +162,37 @@ func (f *acceptLoopFrame) Step(p *sim.Proc) {
 // for n connections on ln, each served by its own serveEchoFrame process
 // named after the loop.
 func spawnEchoServer(env *sim.Env, name string, ln listener, n int) {
-	connName := name + ".conn%d"
 	env.Spawn(name, &acceptLoopFrame{
 		ln: ln, n: n,
 		accepted: func(al *acceptLoopFrame, i int, c conn) bool {
-			env.Spawn(fmt.Sprintf(connName, i), &serveEchoFrame{c: c, al: al})
+			env.Spawn("", &serveEchoFrame{c: c, al: al, name: name, i: i})
 			return true
 		},
 	})
 }
 
+// indexed composes the name of the i-th of a family of processes
+// ("client", 7, ".fanin"). The workload frames call it from their Name
+// methods (sim.Namer): ten thousand clients are named when a diagnostic
+// prints one, not when they are spawned.
+func indexed(prefix string, i int, suffix string) string {
+	return prefix + strconv.Itoa(i) + suffix
+}
+
 // serveEchoFrame is the echo handler: write back whatever arrives, until
 // the end of the stream, then close.
 type serveEchoFrame struct {
-	c  conn
-	al *acceptLoopFrame // lends the read buffer
+	c    conn
+	al   *acceptLoopFrame // lends the read buffer
+	name string           // the accept loop's, and
+	i    int              // which of its connections this is
 
 	pc  int
 	buf []byte
 }
+
+// Name implements sim.Namer.
+func (f *serveEchoFrame) Name() string { return indexed(f.name+".conn", f.i, "") }
 
 // Step drives the echo handler.
 func (f *serveEchoFrame) Step(p *sim.Proc) {

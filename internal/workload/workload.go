@@ -206,7 +206,7 @@ func (g FanIn) Run(l *lab.Lab) (*Result, error) {
 	for ci := range r.clients {
 		// Stagger slots ascend, so each loop's share of the starts is one
 		// heap entry, not a wake parked per client until its slot.
-		c.EnvOf(ci+1).SpawnAt(sim.Time(ci)*g.Stagger, fmt.Sprintf("client%d.fanin", ci), &fanInClientFrame{
+		c.EnvOf(ci+1).SpawnAt(sim.Time(ci)*g.Stagger, "", &fanInClientFrame{
 			r: r, ci: ci, c: tr.client(l.Hosts[ci+1]), size: size, warm: warm, reqs: reqs,
 		})
 	}
@@ -246,7 +246,7 @@ func (g Churn) Run(l *lab.Lab) (*Result, error) {
 	}
 	spawnEchoServer(c.EnvOf(0), "server.churn", ln, len(r.clients)*conns)
 	for ci := range r.clients {
-		c.EnvOf(ci+1).Spawn(fmt.Sprintf("client%d.churn", ci), &churnClientFrame{
+		c.EnvOf(ci+1).Spawn("", &churnClientFrame{
 			r: r, ci: ci, c: tr.client(l.Hosts[ci+1]), size: size, conns: conns,
 		})
 	}
@@ -304,13 +304,13 @@ func (g Bulk) Run(l *lab.Lab) (*Result, error) {
 					tc.c.Key().RemoteAddr))
 				return false
 			}
-			env.Spawn(fmt.Sprintf("server.bulk.conn%d", i),
+			env.Spawn("",
 				&bulkConnFrame{so: tc.so, al: al, i: i, dones: dones, received: received, r: r})
 			return true
 		},
 	})
 	for ci := range r.clients {
-		c.EnvOf(ci+1).Spawn(fmt.Sprintf("client%d.bulk", ci), &bulkClientFrame{
+		c.EnvOf(ci+1).Spawn("", &bulkClientFrame{
 			host: l.Hosts[ci+1], ci: ci, total: total, chunk: chunk,
 			starts: starts, me: &r.clients[ci],
 		})
@@ -351,6 +351,9 @@ type fanInClientFrame struct {
 	i        int
 	start    sim.Time
 }
+
+// Name implements sim.Namer.
+func (f *fanInClientFrame) Name() string { return indexed("client", f.ci, ".fanin") }
 
 // Step drives the fan-in client.
 func (f *fanInClientFrame) Step(p *sim.Proc) {
@@ -418,6 +421,9 @@ type churnClientFrame struct {
 	start    sim.Time
 }
 
+// Name implements sim.Namer.
+func (f *churnClientFrame) Name() string { return indexed("client", f.ci, ".churn") }
+
 // Step drives the churn client.
 func (f *churnClientFrame) Step(p *sim.Proc) {
 	me := &f.r.clients[f.ci]
@@ -482,6 +488,9 @@ type bulkConnFrame struct {
 	recv *sock.RecvOp
 }
 
+// Name implements sim.Namer.
+func (f *bulkConnFrame) Name() string { return indexed("server.bulk.conn", f.i, "") }
+
 // Step drives the sink.
 func (f *bulkConnFrame) Step(p *sim.Proc) {
 	for {
@@ -538,6 +547,9 @@ type bulkClientFrame struct {
 	n    int
 	send *sock.SendOp
 }
+
+// Name implements sim.Namer.
+func (f *bulkClientFrame) Name() string { return indexed("client", f.ci, ".bulk") }
 
 // Step drives the source.
 func (f *bulkClientFrame) Step(p *sim.Proc) {

@@ -121,8 +121,10 @@ load-scale-smoke:
 ## and the other transport on a small fat tree at 4 shards: every
 ## generator records into one set of slot-indexed arrays that several
 ## shards write at once, and the race detector is what proves each slot
-## has one writer. The last run adds RED: fat tree + qdisc + shards is
-## the one regime whose lookahead depends on the trial configuration.
+## has one writer. The fifth run adds RED: fat tree + qdisc + shards is
+## the one regime whose lookahead depends on the trial configuration. The
+## last adds cross flows: their source runs on each flow's own shard and
+## their sinks on the server's, through the frames bulk shares.
 SHARD_SMOKE_SMALL = $(GO) run -race ./cmd/load -hosts 33 -fabric fattree -leafports 4 -shards 4 -json
 shard-smoke:
 	timeout $(SMOKE_DEADLINE) $(GO) run -race ./cmd/load -workload fanin -hosts 1024 -reqs 1 -hashpcb \
@@ -131,6 +133,7 @@ shard-smoke:
 	timeout $(SMOKE_DEADLINE) $(SHARD_SMOKE_SMALL) -workload bulk -bytes 16384 > /dev/null
 	timeout $(SMOKE_DEADLINE) $(SHARD_SMOKE_SMALL) -workload fanin -reqs 4 -transport rudp > /dev/null
 	timeout $(SMOKE_DEADLINE) $(SHARD_SMOKE_SMALL) -workload fanin -reqs 4 -qdisc red > /dev/null
+	timeout $(SMOKE_DEADLINE) $(SHARD_SMOKE_SMALL) -workload fanin -reqs 4 -crosstraffic 3 > /dev/null
 
 ## loaded-smoke: the congested-regime tier end to end under the race
 ## detector (what CI runs): both transports (TCP and reliable UDP)

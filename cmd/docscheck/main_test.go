@@ -43,8 +43,8 @@ func TestCommandArgsSmokeAndRedirects(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("smoke args = %q, want %q", got, want)
 	}
-	got = commandArgs("go run ./cmd/load -json > /dev/null", true)
-	want = []string{"go", "run", "./cmd/load", "-json", "-reqs", "2", "-conns", "2"}
+	got = commandArgs("go run ./cmd/pkttrace -size 1400 > /dev/null", true)
+	want = []string{"go", "run", "./cmd/pkttrace", "-size", "1400", "-iters", "2"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("redirect args = %q, want %q", got, want)
 	}

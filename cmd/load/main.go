@@ -67,10 +67,111 @@ func main() {
 	}
 }
 
+// Workload sets: one bit per -workload value.
+const (
+	wFanIn = 1 << iota
+	wChurn
+	wBulk
+	wEcho
+	wLoaded
+	wFaults
+	wSweep = wFanIn | wChurn | wBulk | wEcho // trials through the sweep engine
+	wAll   = wSweep | wLoaded | wFaults
+)
+
+var workloads = map[string]int{"fanin": wFanIn, "churn": wChurn, "bulk": wBulk,
+	"echo": wEcho, "loaded": wLoaded, "faults": wFaults}
+
+// flagRule says where one flag has an effect. A flag set on the command
+// line where it has none is rejected, naming the flag, never dropped.
+type flagRule struct {
+	on       int     // the workloads that read it
+	atm      bool    // configures ATM hardware: no effect with -link ether
+	switched bool    // configures a switch: no effect on the two-host fibre
+	serial   bool    // draws from the one serial RNG stream: not with -shards > 1
+	min      float64 // numeric flags: the least value accepted,
+	below    float64 // and, unless zero, the open upper bound
+}
+
+// flagRules has a row per flag, in the order run defines them. A flag
+// without a row applies to no workload.
+var flagRules = map[string]flagRule{
+	"workload":     {on: wAll},
+	"hosts":        {on: wAll, min: 2},
+	"conns":        {on: wChurn, min: 1},
+	"reqs":         {on: wFanIn | wEcho | wLoaded | wFaults, min: 1},
+	"size":         {on: wAll &^ wBulk},
+	"bytes":        {on: wBulk, min: 1},
+	"link":         {on: wSweep},
+	"loss":         {on: wSweep, atm: true, serial: true, below: 1},
+	"hashpcb":      {on: wSweep},
+	"compare":      {on: wSweep},
+	"trials":       {on: wSweep, min: 1},
+	"parallel":     {on: wAll},
+	"seed":         {on: wAll},
+	"json":         {on: wAll},
+	"stream":       {on: wFanIn | wChurn},
+	"stagger":      {on: wFanIn, min: -1},
+	"fabric":       {on: wSweep, atm: true, switched: true},
+	"leafports":    {on: wSweep, atm: true, switched: true},
+	"shards":       {on: wAll &^ wFaults, atm: true},
+	"transport":    {on: wFanIn},
+	"qdisc":        {on: wSweep | wLoaded, atm: true, switched: true},
+	"burstloss":    {on: wSweep | wLoaded, serial: true, below: 1},
+	"crosstraffic": {on: wFanIn | wLoaded},
+	"faults":       {on: wFanIn},
+	"crashat":      {on: wFaults},
+	"downtime":     {on: wFaults},
+}
+
+// checkFlags walks the flags set on the command line against flagRules
+// and returns the first rejection.
+func checkFlags(fs *flag.FlagSet, wl string, link lab.LinkKind, hosts, shards int) error {
+	on, ok := workloads[wl]
+	if !ok {
+		return fmt.Errorf("unknown -workload %q (want fanin, churn, bulk, echo, loaded, or faults)", wl)
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err != nil {
+			return
+		}
+		r := flagRules[f.Name]
+		var v float64
+		switch x := f.Value.(flag.Getter).Get().(type) {
+		case int:
+			v = float64(x)
+		case int64:
+			v = float64(x)
+		case float64:
+			v = x
+		default: // not numeric: any value is in range
+			v = r.min
+		}
+		switch {
+		case !(v >= r.min && (r.below == 0 || v < r.below)): // written so that NaN fails
+			if r.below == 0 {
+				err = fmt.Errorf("-%s %v out of range (want >= %v)", f.Name, v, r.min)
+			} else {
+				err = fmt.Errorf("-%s %v out of range [%v, %v)", f.Name, v, r.min, r.below)
+			}
+		case r.on&on == 0:
+			err = fmt.Errorf("-%s does not apply to -workload %s", f.Name, wl)
+		case r.atm && link != lab.LinkATM:
+			err = fmt.Errorf("-%s applies to the ATM link only", f.Name)
+		case r.switched && hosts == 2:
+			err = fmt.Errorf("-%s needs a switch, and -hosts 2 is the switchless fibre", f.Name)
+		case r.serial && shards > 1:
+			err = fmt.Errorf("-%s cannot run with -shards: its draws consume the serial RNG stream, which shards do not share", f.Name)
+		}
+	})
+	return err
+}
+
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("load", flag.ContinueOnError)
 	var (
-		wl       = fs.String("workload", "fanin", "workload: fanin, churn, bulk, or echo")
+		wl       = fs.String("workload", "fanin", "workload: fanin, churn, bulk, echo, loaded, or faults")
 		hosts    = fs.Int("hosts", 5, "topology size: one server plus hosts-1 clients")
 		conns    = fs.Int("conns", 10, "churn: connection cycles per client")
 		reqs     = fs.Int("reqs", 20, "fanin: requests per client; echo: iterations")
@@ -104,112 +205,45 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	if *hosts < 2 {
-		return fmt.Errorf("-hosts %d too small (need a server and at least one client)", *hosts)
+	lk, err := lab.ParseLinkKind(*link)
+	if err != nil {
+		return fmt.Errorf("-link: %w", err)
 	}
-	if *trials < 1 {
-		return fmt.Errorf("-trials must be >= 1")
-	}
-	if *loss < 0 || *loss >= 1 {
-		return fmt.Errorf("-loss %g out of range [0, 1)", *loss)
-	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards %d must be >= 0", *shards)
-	}
-	if *shards > 1 {
-		if *link != "atm" {
-			return fmt.Errorf("-shards applies to the ATM link only (ether is one broadcast domain with no cuttable link)")
-		}
-		if *loss > 0 {
-			return fmt.Errorf("-shards cannot run with -loss: fault draws consume the serial RNG stream, which shards do not share")
-		}
-		if *burst > 0 {
-			return fmt.Errorf("-shards cannot run with -burstloss: fault studies compare serial runs only")
-		}
-	}
-	if *burst < 0 || *burst >= 1 {
-		return fmt.Errorf("-burstloss %g out of range [0, 1)", *burst)
-	}
-	if *crossN < 0 {
-		return fmt.Errorf("-crosstraffic %d must be >= 0", *crossN)
-	}
-	if *faultsN < 0 {
-		return fmt.Errorf("-faults %d must be >= 0", *faultsN)
-	}
-	if *crashAt < 0 || *downtime < 0 {
-		return fmt.Errorf("-crashat/-downtime must be >= 0")
-	}
-	if (*crashAt > 0 || *downtime > 0) && *wl != "faults" {
-		return fmt.Errorf("-crashat/-downtime apply to -workload faults only")
+	if err := checkFlags(fs, *wl, lk, *hosts, *shards); err != nil {
+		return err
 	}
 	qk, err := lab.ParseQdiscKind(*qdisc)
 	if err != nil {
-		return err
+		return fmt.Errorf("-qdisc: %w", err)
 	}
 	if *transp != workload.TransportTCP && *transp != workload.TransportRUDP {
-		return fmt.Errorf("unknown transport %q (want tcp or rudp)", *transp)
+		return fmt.Errorf("unknown -transport %q (want tcp or rudp)", *transp)
 	}
-	cfg := lab.Config{HashPCBs: *hash, CellLossRate: *loss, LeafPorts: *leaf,
+	cfg := lab.Config{Link: lk, HashPCBs: *hash, CellLossRate: *loss, LeafPorts: *leaf,
 		Qdisc: lab.QdiscConfig{Kind: qk}, BurstLoss: burstGE(*burst)}
-	switch *link {
-	case "atm":
-		cfg.Link = lab.LinkATM
-	case "ether":
-		cfg.Link = lab.LinkEther
-		// Config.CellLossRate only drives ATM adapters; accepting it
-		// here would silently measure a loss-free segment.
-		if *loss > 0 {
-			return fmt.Errorf("-loss applies to the ATM link only")
-		}
-		// Queue disciplines hang off ATM switch egress ports; the
-		// Ethernet segment has no switch to install one on.
-		if qk != lab.QdiscNone {
-			return fmt.Errorf("-qdisc applies to the ATM link only")
-		}
-	default:
-		return fmt.Errorf("unknown link %q", *link)
-	}
 	switch *fabric {
 	case "hub":
-		cfg.Fabric = lab.FabricHub
 	case "fattree":
 		cfg.Fabric = lab.FabricFatTree
-		if cfg.Link != lab.LinkATM {
-			return fmt.Errorf("-fabric fattree applies to the ATM link only")
-		}
 	default:
-		return fmt.Errorf("unknown fabric %q (want hub or fattree)", *fabric)
+		return fmt.Errorf("unknown -fabric %q (want hub or fattree)", *fabric)
+	}
+	var stCfg stats.Config
+	switch *stream {
+	case "on":
+		stCfg.Streaming = true
+	case "off":
+	case "auto":
+		stCfg.Streaming = *hosts > scaleHosts
+	default:
+		return fmt.Errorf("unknown -stream %q (want on, off, or auto)", *stream)
 	}
 
-	if *wl == "loaded" {
-		// The loaded study is self-contained: fan-in under the load
-		// knobs, once per rival transport, rendered as a comparison.
-		// Knobs it does not consume are rejected rather than silently
-		// dropped, like the invalid combinations above.
-		if cfg.Link != lab.LinkATM || cfg.Fabric != lab.FabricHub {
-			return fmt.Errorf("-workload loaded runs on the hub ATM fabric")
-		}
-		if *transp != workload.TransportTCP {
-			return fmt.Errorf("-transport does not apply to -workload loaded (it always runs both transports)")
-		}
-		if *loss > 0 {
-			return fmt.Errorf("-loss does not apply to -workload loaded (use -burstloss)")
-		}
-		if *stream != "auto" {
-			return fmt.Errorf("-stream does not apply to -workload loaded")
-		}
-		if *stagger >= 0 {
-			return fmt.Errorf("-stagger does not apply to -workload loaded")
-		}
-		if *hash || *compare {
-			return fmt.Errorf("-hashpcb/-compare do not apply to -workload loaded")
-		}
-		if *trials != 1 {
-			return fmt.Errorf("-trials does not apply to -workload loaded")
-		}
-		if *faultsN > 0 {
-			return fmt.Errorf("-faults applies to the fanin workload only")
-		}
+	// The loaded and fault studies are self-contained: fan-in under the
+	// load knobs, or with a mid-run server crash, once per rival transport
+	// on the hub ATM fabric, rendered as a comparison.
+	switch *wl {
+	case "loaded":
 		res, err := core.RunLoadedStudy(core.LoadedOptions{
 			Hosts: *hosts, Requests: *reqs, Size: *size,
 			Qdisc:      cfg.Qdisc,
@@ -222,56 +256,8 @@ func run(args []string, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if *jsonOut {
-			b, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w, string(b))
-			return nil
-		}
-		fmt.Fprint(w, res.Render())
-		return nil
-	}
-
-	if *wl == "faults" {
-		// The fault study is self-contained like loaded: the paced
-		// fan-in with a mid-run server crash, once per rival transport,
-		// rendered as a recovery comparison. Knobs it does not consume
-		// are rejected rather than silently dropped.
-		if cfg.Link != lab.LinkATM || cfg.Fabric != lab.FabricHub {
-			return fmt.Errorf("-workload faults runs on the hub ATM fabric")
-		}
-		if *transp != workload.TransportTCP {
-			return fmt.Errorf("-transport does not apply to -workload faults (it always runs both transports)")
-		}
-		if *loss > 0 || *burst > 0 {
-			return fmt.Errorf("-loss/-burstloss do not apply to -workload faults (the fault schedule is the impairment)")
-		}
-		if qk != lab.QdiscNone {
-			return fmt.Errorf("-qdisc does not apply to -workload faults")
-		}
-		if *crossN > 0 {
-			return fmt.Errorf("-crosstraffic does not apply to -workload faults")
-		}
-		if *faultsN > 0 {
-			return fmt.Errorf("-faults applies to the fanin workload only (-workload faults schedules its own crash)")
-		}
-		if *stream != "auto" {
-			return fmt.Errorf("-stream does not apply to -workload faults")
-		}
-		if *stagger >= 0 {
-			return fmt.Errorf("-stagger does not apply to -workload faults")
-		}
-		if *hash || *compare {
-			return fmt.Errorf("-hashpcb/-compare do not apply to -workload faults")
-		}
-		if *trials != 1 {
-			return fmt.Errorf("-trials does not apply to -workload faults")
-		}
-		if *shards > 1 {
-			return fmt.Errorf("-shards does not apply to -workload faults (host crashes mutate cross-shard state; see docs/METHODOLOGY.md)")
-		}
+		return emit(w, *jsonOut, res, res.Render)
+	case "faults":
 		res, err := core.RunFaultStudy(core.FaultOptions{
 			Hosts: *hosts, Requests: *reqs, Size: *size,
 			CrashAt:  sim.Time(*crashAt) * sim.Millisecond,
@@ -282,28 +268,9 @@ func run(args []string, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if *jsonOut {
-			b, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w, string(b))
-			return nil
-		}
-		fmt.Fprint(w, res.Render())
-		return nil
+		return emit(w, *jsonOut, res, res.Render)
 	}
 
-	var stCfg stats.Config
-	switch *stream {
-	case "on":
-		stCfg.Streaming = true
-	case "off":
-	case "auto":
-		stCfg.Streaming = *hosts > scaleHosts
-	default:
-		return fmt.Errorf("unknown -stream %q (want on, off, or auto)", *stream)
-	}
 	stag := autoStaggerFor(*reqs)
 	switch {
 	case *stagger >= 0:
@@ -312,10 +279,31 @@ func run(args []string, w io.Writer) error {
 		stag = 0
 	}
 
-	gen, err := makeGenerator(*wl, *size, *reqs, *conns, *bytesN, stCfg, stag, *transp, *crossN,
-		*faultsN, *hosts, *seed)
-	if err != nil {
-		return err
+	var gen workload.Generator
+	switch *wl {
+	case "fanin":
+		g := workload.FanIn{Size: *size, Requests: *reqs, Warmup: fanInWarmup,
+			Stats: stCfg, Stagger: stag, Transport: *transp}
+		if *crossN > 0 {
+			g.Cross = &workload.CrossTraffic{Flows: *crossN}
+		}
+		if *faultsN > 0 {
+			// The flap schedule derives from the base seed and host
+			// indices alone (per-entity splitmix64 streams), so it is
+			// identical serially and at any -shards level.
+			clients := make([]int, 0, *hosts-1)
+			for i := 1; i < *hosts; i++ {
+				clients = append(clients, i)
+			}
+			g.Faults = sim.LinkFlaps(*seed, clients, *faultsN, flapWindow, flapDowntime)
+		}
+		gen = g
+	case "churn":
+		gen = workload.Churn{Conns: *conns, Size: *size, Stats: stCfg}
+	case "bulk":
+		gen = workload.Bulk{Bytes: *bytesN}
+	case "echo":
+		gen = workload.Echo{Size: *size, Iterations: *reqs}
 	}
 
 	orgs := []bool{*hash}
@@ -357,17 +345,23 @@ func run(args []string, w io.Writer) error {
 			return fmt.Errorf("trial %s: %s", o.Label, o.Error)
 		}
 	}
+	return emit(w, *jsonOut, outs, func() string {
+		title := fmt.Sprintf("Workload %s: %d host(s), %d trial(s)", *wl, *hosts, len(ts))
+		return runner.RenderWorkloadOutcomes(title, outs)
+	})
+}
 
-	if *jsonOut {
-		b, err := json.MarshalIndent(outs, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, string(b))
+// emit prints a result: v as indented JSON, or the rendered text.
+func emit(w io.Writer, asJSON bool, v any, render func() string) error {
+	if !asJSON {
+		fmt.Fprint(w, render())
 		return nil
 	}
-	title := fmt.Sprintf("Workload %s: %d host(s), %d trial(s)", *wl, *hosts, len(ts))
-	fmt.Fprint(w, runner.RenderWorkloadOutcomes(title, outs))
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, string(b))
 	return nil
 }
 
@@ -390,44 +384,3 @@ const (
 	flapWindow   = 20 * sim.Millisecond
 	flapDowntime = 500 * sim.Microsecond
 )
-
-// makeGenerator builds the named workload from the command-line knobs.
-func makeGenerator(name string, size, reqs, conns, bytes int, st stats.Config, stagger sim.Time, transport string, crossFlows, faults, hosts int, seed uint64) (workload.Generator, error) {
-	if name != "fanin" {
-		if transport == workload.TransportRUDP {
-			return nil, fmt.Errorf("-transport rudp applies to the fanin workload only")
-		}
-		if crossFlows > 0 {
-			return nil, fmt.Errorf("-crosstraffic applies to the fanin and loaded workloads only")
-		}
-		if faults > 0 {
-			return nil, fmt.Errorf("-faults applies to the fanin workload only")
-		}
-	}
-	switch name {
-	case "fanin":
-		g := workload.FanIn{Size: size, Requests: reqs, Warmup: fanInWarmup,
-			Stats: st, Stagger: stagger, Transport: transport}
-		if crossFlows > 0 {
-			g.Cross = &workload.CrossTraffic{Flows: crossFlows}
-		}
-		if faults > 0 {
-			// The flap schedule derives from the base seed and host
-			// indices alone (per-entity splitmix64 streams), so it is
-			// identical serially and at any -shards level.
-			clients := make([]int, 0, hosts-1)
-			for i := 1; i < hosts; i++ {
-				clients = append(clients, i)
-			}
-			g.Faults = sim.LinkFlaps(seed, clients, faults, flapWindow, flapDowntime)
-		}
-		return g, nil
-	case "churn":
-		return workload.Churn{Conns: conns, Size: size, Stats: st}, nil
-	case "bulk":
-		return workload.Bulk{Bytes: bytes}, nil
-	case "echo":
-		return workload.Echo{Size: size, Iterations: reqs}, nil
-	}
-	return nil, fmt.Errorf("unknown workload %q (want fanin, churn, bulk, echo, loaded, or faults)", name)
-}

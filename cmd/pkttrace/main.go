@@ -65,15 +65,11 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	cfg := lab.Config{PacketTrace: true, Seed: *seed}
-	switch *link {
-	case "atm":
-		cfg.Link = lab.LinkATM
-	case "ether":
-		cfg.Link = lab.LinkEther
-	default:
-		return fmt.Errorf("unknown link %q (want atm or ether)", *link)
+	lk, err := lab.ParseLinkKind(*link)
+	if err != nil {
+		return fmt.Errorf("-link: %w", err)
 	}
+	cfg := lab.Config{Link: lk, PacketTrace: true, Seed: *seed}
 	if *format != "spans" && *format != "chrome" {
 		return fmt.Errorf("unknown format %q (want spans or chrome)", *format)
 	}

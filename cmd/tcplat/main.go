@@ -91,8 +91,24 @@ func run(args []string, w io.Writer) error {
 	if *sockbuf < 0 {
 		return fmt.Errorf("-sockbuf must be >= 0")
 	}
+	if *size < 0 || *pcbs < 0 {
+		return fmt.Errorf("-size and -pcbs must be >= 0")
+	}
+	if !(*loss >= 0 && *loss < 1) {
+		return fmt.Errorf("-loss %g out of range [0, 1)", *loss)
+	}
+	lk, err := lab.ParseLinkKind(*link)
+	if err != nil {
+		return fmt.Errorf("-link: %w", err)
+	}
+	// Config.CellLossRate only drives ATM adapters; accepting it here would
+	// label a loss-free segment with a loss rate.
+	if *loss > 0 && lk != lab.LinkATM {
+		return fmt.Errorf("-loss applies to the ATM link only")
+	}
 
 	cfg := lab.Config{
+		Link:              lk,
 		DisablePrediction: *noPred,
 		HashPCBs:          *hash,
 		ExtraPCBs:         *pcbs,
@@ -100,14 +116,6 @@ func run(args []string, w io.Writer) error {
 		MTU:               *mtu,
 		SockBuf:           *sockbuf,
 		Seed:              *seed,
-	}
-	switch *link {
-	case "atm":
-		cfg.Link = lab.LinkATM
-	case "ether":
-		cfg.Link = lab.LinkEther
-	default:
-		return fmt.Errorf("unknown link %q", *link)
 	}
 	switch *mode {
 	case "standard":

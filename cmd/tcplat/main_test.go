@@ -60,6 +60,11 @@ func TestRunBadArgs(t *testing.T) {
 		{"-link", "tokenring"},
 		{"-mode", "double"},
 		{"-grid", "bogus"},
+		{"-loss", "1.5"},
+		{"-loss", "NaN"},
+		{"-link", "ether", "-loss", "0.5"},
+		{"-size", "-1"},
+		{"-pcbs", "-5"},
 	} {
 		if err := run(args, &bytes.Buffer{}); err == nil {
 			t.Errorf("args %v accepted", args)

@@ -17,108 +17,28 @@ import (
 	"log"
 
 	"repro/internal/lab"
-	"repro/internal/sim"
-	"repro/internal/sock"
-	"repro/internal/tcp"
+	"repro/internal/workload"
 )
-
-// sinkFrame drains the connection until total bytes have arrived, EOF,
-// or error — a hand-rolled run-to-completion frame, the shape every
-// simulated process takes under the continuation scheduler.
-type sinkFrame struct {
-	ln       *tcp.Listener
-	total    int
-	received *int
-
-	pc     int
-	so     *sock.Socket
-	buf    []byte
-	accept *tcp.AcceptOp
-	recv   *sock.RecvOp
-}
-
-func (f *sinkFrame) Step(p *sim.Proc) {
-	for {
-		switch f.pc {
-		case 0: // accept the one connection
-			f.pc = 1
-			f.accept = f.ln.Accept(p)
-			return
-		case 1: // read loop head
-			if f.so == nil {
-				f.so = f.accept.So
-				f.buf = make([]byte, 8192)
-			}
-			if *f.received >= f.total {
-				p.Return()
-				return
-			}
-			f.pc = 2
-			f.recv = f.so.Recv(p, f.buf)
-			return
-		case 2: // fold in one read
-			if f.recv.Err != nil || f.recv.N == 0 {
-				p.Return()
-				return
-			}
-			*f.received += f.recv.N
-			f.pc = 1
-		}
-	}
-}
 
 func main() {
 	const total = 500 * 1000 // half a megabyte, one direction
 
-	cfg := lab.Config{Link: lab.LinkATM}
-	l := lab.New(cfg)
-
-	ln, err := l.Server.TCP.Listen(9000)
+	// The workload engine's bulk generator is both ends: host 1 connects
+	// to host 0, streams total bytes in 8 KB writes and closes; host 0
+	// drains to end-of-stream, which stops the transfer's clock.
+	l := lab.New(lab.Config{Link: lab.LinkATM})
+	res, err := workload.Bulk{Bytes: total}.Run(l)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var received int
-	l.Env.Spawn("sink", &sinkFrame{ln: ln, total: total, received: &received})
-
-	// The source is straight-line: connect, one big send, close. Each
-	// step ends with its blocking call in tail position, so sim.Steps
-	// strings them together without a hand-rolled program counter.
-	var start, end sim.Time
-	var conn *tcp.ConnectOp
-	var send *sock.SendOp
-	var so *sock.Socket
-	l.Env.Spawn("source", sim.Steps(
-		func(p *sim.Proc) {
-			conn = l.Client.TCP.Connect(p, lab.ServerAddr, 9000)
-		},
-		func(p *sim.Proc) {
-			if conn.Err != nil {
-				log.Fatal(conn.Err)
-			}
-			so = conn.So
-			conn.C.SetNoDelay(true)
-			payload := make([]byte, total)
-			l.Env.RNG().Fill(payload)
-			start = l.Env.Now()
-			send = so.Send(p, payload)
-		},
-		func(p *sim.Proc) {
-			if send.Err != nil {
-				log.Fatal(send.Err)
-			}
-			end = l.Env.Now()
-			so.Close(p)
-		},
-	))
-	l.Env.Run()
-
-	if received != total {
-		log.Fatalf("received %d of %d bytes", received, total)
+	if res.Errors != 0 {
+		log.Fatalf("received %d of %d bytes", res.Bytes, total)
 	}
-	elapsed := end - start
+	elapsed := res.Latencies[0]
 	mbps := float64(total) * 8 / (float64(elapsed) / 1e9) / 1e6
 
-	cs, ss := l.Client.TCP.Stats, l.Server.TCP.Stats
+	receiver, sender := l.Hosts[0], l.Hosts[1]
+	cs, ss := sender.TCP.Stats, receiver.TCP.Stats
 	fmt.Printf("Transferred %d bytes in %.1f ms: %.1f Mb/s\n", total, elapsed.Millis(), mbps)
 	fmt.Println()
 	fmt.Println("Header prediction on unidirectional traffic:")
@@ -127,8 +47,8 @@ func main() {
 	fmt.Printf("  slow path (both hosts)    %6d segments\n", cs.SlowPath+ss.SlowPath)
 	fmt.Println()
 	fmt.Println("TCP-over-ATM cell loss at the receive FIFO:")
-	fmt.Printf("  cells dropped             %6d\n", l.Server.ATMAdapter.CellsDropped)
-	fmt.Printf("  AAL3/4 reassembly errors  %6d\n", l.Server.ATMDriver.ReassemblyErrors)
+	fmt.Printf("  cells dropped             %6d\n", receiver.ATMAdapter.CellsDropped)
+	fmt.Printf("  AAL3/4 reassembly errors  %6d\n", receiver.ATMDriver.ReassemblyErrors)
 	fmt.Printf("  TCP retransmissions       %6d (timer) + %d (fast retransmit)\n",
 		cs.Retransmits, cs.FastRetransmits)
 	fmt.Println()

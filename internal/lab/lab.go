@@ -47,6 +47,17 @@ func (l LinkKind) String() string {
 	return "ATM"
 }
 
+// ParseLinkKind maps a flag string to a LinkKind.
+func ParseLinkKind(s string) (LinkKind, error) {
+	switch s {
+	case "atm":
+		return LinkATM, nil
+	case "ether":
+		return LinkEther, nil
+	}
+	return LinkATM, fmt.Errorf("unknown link %q (atm, ether)", s)
+}
+
 // Config describes one experimental configuration: every knob the paper's
 // experiments turn.
 type Config struct {

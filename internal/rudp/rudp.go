@@ -292,6 +292,9 @@ type Conn struct {
 	rcvWq     sim.WaitQueue
 }
 
+// RemoteAddr returns the peer host's address.
+func (c *Conn) RemoteAddr() uint32 { return c.raddr }
+
 // SRTT exposes the smoothed RTT estimate.
 func (c *Conn) SRTT() sim.Time { return c.srtt }
 

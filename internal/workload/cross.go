@@ -17,10 +17,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/lab"
 	"repro/internal/sim"
-	"repro/internal/sock"
-	"repro/internal/tcp"
 )
 
 // CrossPort is the well-known port the cross-traffic sink listens on,
@@ -113,11 +110,11 @@ func (ct *CrossTraffic) flows() int {
 // host 0's CrossPort whose accept loop drains every background connection
 // to EOF — on the server's loop, reporting to the server's slot, and each
 // flow on the loop that owns its originating host, with a slot of its
-// own.
+// own. Cross traffic rides TCP, Nagle on, whatever the measured transport.
 func (ct CrossTraffic) spawn(r *run) error {
-	c := ct.withDefaults()
+	c, tr := ct.withDefaults(), tcpTransport{nagle: true}
 	l := r.c.Lab
-	ln, err := listenTCP(l.Hosts[0], CrossPort, false)
+	ln, err := tr.listen(l.Hosts[0], CrossPort)
 	if err != nil {
 		return err
 	}
@@ -125,96 +122,37 @@ func (ct CrossTraffic) spawn(r *run) error {
 	env.Spawn("server.cross", &acceptLoopFrame{
 		ln: ln, n: c.Flows * c.Transfers,
 		accepted: func(al *acceptLoopFrame, i int, cn conn) bool {
-			env.Spawn("", &crossSinkFrame{so: cn.(*tcpConn).so, al: al, me: r.server(), i: i})
+			env.Spawn("", &drainFrame{c: cn, al: al, me: r.server(), name: "server.cross", i: i})
 			return true
 		},
 	})
 	for f := 0; f < c.Flows; f++ {
 		hi := c.flowHost(f, len(r.clients))
-		r.c.EnvOf(hi).Spawn("", &crossFlowFrame{
-			host: l.Hosts[hi], ct: c, f: f, me: &r.parts[1+f],
+		r.c.EnvOf(hi).Spawn("", &crossLoopFrame{
+			ct: c, f: f, me: &r.parts[1+f],
+			src: streamFrame{c: tr.client(l.Hosts[hi], CrossPort), chunk: 8192},
 		})
 	}
 	return nil
 }
 
-// crossSinkFrame drains one background connection to EOF and closes.
-type crossSinkFrame struct {
-	so *sock.Socket
-	al *acceptLoopFrame // lends the read buffer
-	me *participant
-	i  int // which of the sink's connections this is
+// crossLoopFrame runs one background flow: Transfers times, call the
+// byte-stream source for the hash-drawn size, and idle for Gap. Flow f's
+// first transfer waits out f gaps so flows do not start in lockstep.
+type crossLoopFrame struct {
+	ct  CrossTraffic
+	f   int
+	me  *participant
+	src streamFrame
 
-	pc   int
-	buf  []byte
-	recv *sock.RecvOp
+	pc, k int
 }
 
 // Name implements sim.Namer.
-func (f *crossSinkFrame) Name() string { return indexed("server.cross.conn", f.i, "") }
-
-// Step drives the sink.
-func (f *crossSinkFrame) Step(p *sim.Proc) {
-	for {
-		switch f.pc {
-		case 0: // read the next chunk
-			if f.buf == nil {
-				f.buf = f.al.getBuf()
-			}
-			f.pc = 1
-			f.recv = f.so.Recv(p, f.buf)
-			return
-		case 1: // discard it, or close at EOF
-			if f.recv.Err != nil || f.recv.N == 0 {
-				f.al.putBuf(f.buf)
-				f.buf = nil
-			}
-			if f.recv.Err != nil {
-				f.me.fail(p.Env(), f.recv.Err)
-				p.Return()
-				return
-			}
-			if f.recv.N == 0 {
-				f.recv = nil
-				f.pc = 2
-				f.so.Close(p)
-				return
-			}
-			f.recv = nil
-			f.pc = 0
-		case 2: // closed; done
-			p.Return()
-			return
-		}
-	}
-}
-
-// crossFlowFrame runs one background flow: Transfers times, connect to
-// the sink, stream the hash-drawn size in chunked writes, close, and
-// idle for Gap. Flow f's first transfer waits out f gaps so flows do
-// not start in lockstep.
-type crossFlowFrame struct {
-	host *lab.Host
-	ct   CrossTraffic
-	f    int
-	me   *participant
-
-	pc    int
-	k     int
-	total int
-	sent  int
-	n     int
-	conn  *tcp.ConnectOp
-	so    *sock.Socket
-	msg   []byte
-	send  *sock.SendOp
-}
-
-// Name implements sim.Namer.
-func (f *crossFlowFrame) Name() string { return indexed("cross.flow", f.f, "") }
+func (f *crossLoopFrame) Name() string { return indexed("cross.flow", f.f, "") }
 
 // Step drives the flow.
-func (f *crossFlowFrame) Step(p *sim.Proc) {
+func (f *crossLoopFrame) Step(p *sim.Proc) {
 	for {
 		switch f.pc {
 		case 0: // desynchronize flow starts
@@ -222,53 +160,21 @@ func (f *crossFlowFrame) Step(p *sim.Proc) {
 			if at := sim.Time(f.f) * f.ct.Gap; at > 0 && !p.SleepUntil(at) {
 				return
 			}
-		case 1: // transfer loop head: connect
+		case 1: // transfer loop head: stream this transfer's bytes
 			if f.k >= f.ct.Transfers {
 				p.Return()
 				return
 			}
+			f.src.total = f.ct.SizeOf(f.f, f.k)
 			f.pc = 2
-			f.conn = f.host.TCP.Connect(p, lab.HostAddr(0), CrossPort)
+			p.Call(&f.src)
 			return
-		case 2: // connected; prepare this transfer
-			if f.conn.Err != nil {
-				f.me.fail(p.Env(), fmt.Errorf("cross flow %d transfer %d: %w", f.f, f.k, f.conn.Err))
+		case 2: // closed; idle out the gap, then next transfer
+			if f.src.err != nil {
+				f.me.fail(p.Env(), fmt.Errorf("cross flow %d transfer %d: %w", f.f, f.k, f.src.err))
 				p.Return()
 				return
 			}
-			f.so = f.conn.So
-			f.conn = nil
-			if f.msg == nil {
-				f.msg = make([]byte, 8192)
-				p.Env().RNG().Fill(f.msg)
-			}
-			f.total = f.ct.SizeOf(f.f, f.k)
-			f.sent = 0
-			f.pc = 3
-		case 3: // write loop head
-			if f.sent >= f.total {
-				f.pc = 5
-				f.so.Close(p)
-				return
-			}
-			f.n = len(f.msg)
-			if f.n > f.total-f.sent {
-				f.n = f.total - f.sent
-			}
-			f.pc = 4
-			f.send = f.so.Send(p, f.msg[:f.n])
-			return
-		case 4: // fold in one write's result
-			if f.send.Err != nil {
-				f.me.fail(p.Env(), fmt.Errorf("cross flow %d transfer %d: %w", f.f, f.k, f.send.Err))
-				p.Return()
-				return
-			}
-			f.send = nil
-			f.sent += f.n
-			f.pc = 3
-		case 5: // closed; idle out the gap, then next transfer
-			f.so = nil
 			f.k++
 			f.pc = 1
 			if !p.Sleep(f.ct.Gap) {

@@ -110,18 +110,17 @@ func (g FaultRecovery) Run(l *lab.Lab) (*Result, error) {
 	recov := make([][]sim.Time, len(r.clients))
 	for ci := range r.clients {
 		c.EnvOf(ci+1).Spawn("", &faultClientFrame{
-			r: r, ci: ci, c: tr.client(l.Hosts[ci+1]), g: g, recov: &recov[ci],
+			r: r, ci: ci, c: tr.client(l.Hosts[ci+1], Port), g: g, recov: &recov[ci],
 		})
 	}
 
-	res := &Result{Workload: "faults"}
-	if err := r.finish(res, "requests"); err != nil {
+	res, err := r.finish("faults", "requests", g.Size)
+	if err != nil {
 		return nil, err
 	}
 	for _, rs := range recov {
 		res.Recoveries = append(res.Recoveries, rs...)
 	}
-	res.Bytes = int64(res.Requests) * int64(g.Size) * 2
 	return res, nil
 }
 
@@ -229,10 +228,7 @@ func (f *faultClientFrame) Step(p *sim.Proc) {
 				*f.recov = append(*f.recov, now-f.down)
 				f.down = 0
 			}
-			f.r.record(f.ci, now-f.start, now)
-			if !bytes.Equal(f.buf, f.msg) {
-				me.bad++
-			}
+			f.r.record(f.ci, f.start, now, bytes.Equal(f.buf, f.msg))
 			f.i++
 			f.pc = 3
 		case 6: // closed; done

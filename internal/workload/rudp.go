@@ -21,7 +21,17 @@ func (rudpTransport) listen(h *lab.Host, port uint16) (listener, error) {
 	return &rudpListener{e: e}, nil
 }
 
-func (rudpTransport) client(h *lab.Host) conn { return &rudpConn{host: h} }
+func (rudpTransport) client(h *lab.Host, port uint16) conn { return &rudpConn{host: h, port: port} }
+
+// rudpFor is the transport for messages of size bytes, which must each
+// ride one datagram.
+func rudpFor(size int) (transport, error) {
+	if size > rudp.MaxMessage {
+		return nil, fmt.Errorf("workload: rudp transport caps messages at %d bytes, got %d",
+			rudp.MaxMessage, size)
+	}
+	return rudpTransport{}, nil
+}
 
 type rudpListener struct {
 	e  *rudp.Endpoint
@@ -47,6 +57,7 @@ func (l *rudpListener) crash() { l.e.Crash() }
 // frame.
 type rudpConn struct {
 	host *lab.Host // the dialing host; nil on an accepted end
+	port uint16    // and the server port it dials
 	c    *rudp.Conn
 
 	// op is the stream operation in flight or just completed: a
@@ -66,7 +77,7 @@ func (r *rudpConn) blocks() bool { return false }
 
 func (r *rudpConn) dial(*sim.Proc) {
 	r.op = nil
-	r.c, r.err = rudp.Dial(r.host.Kern, r.host.UDP, lab.HostAddr(0), Port)
+	r.c, r.err = rudp.Dial(r.host.Kern, r.host.UDP, lab.HostAddr(0), r.port)
 }
 
 func (r *rudpConn) recv(p *sim.Proc, buf []byte) { r.op = r.c.Recv(p, buf) }
@@ -97,6 +108,8 @@ func (r *rudpConn) reap() {
 	r.c.Abort()
 	r.c = nil
 }
+
+func (r *rudpConn) peer() uint32 { return r.c.RemoteAddr() }
 
 func (r *rudpConn) exchange(p *sim.Proc, msg, buf []byte) {
 	r.msg, r.buf, r.pc = msg, buf, 0

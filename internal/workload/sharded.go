@@ -120,21 +120,24 @@ func newRun(c *lab.Cluster, cross, want int, cfg stats.Config) *run {
 // server is the server-side participant.
 func (r *run) server() *participant { return &r.parts[0] }
 
-// record folds in client ci's next measured operation, of latency lat,
-// completing at now. It also reports progress to the watchdog, which is
-// how that tells a run that is merely slow from one that has stopped
-// completing work.
-func (r *run) record(ci int, lat, now sim.Time) {
+// record folds in client ci's next measured operation, begun at start and
+// completing now, its response intact or not. It also reports progress to
+// the watchdog, which is how that tells a run that is merely slow from one
+// that has stopped completing work.
+func (r *run) record(ci int, start, now sim.Time, intact bool) {
 	r.wd.Progress()
 	pt := &r.clients[ci]
 	slot := ci*r.want + pt.ops
 	pt.ops++
 	pt.last = now
+	if !intact {
+		pt.bad++
+	}
 	if r.agg != nil {
-		r.agg.Add(lat.Micros())
+		r.agg.Add((now - start).Micros())
 		return
 	}
-	r.lats[slot] = lat
+	r.lats[slot] = now - start
 	if r.ats != nil {
 		r.ats[slot] = now
 	}
@@ -150,18 +153,20 @@ func (r *run) wait() error {
 	return r.wd.Err()
 }
 
-// finish waits for the run and folds the clients' slots into res: every
-// client must have measured want operations (unit names them in the
-// error); Errors sums the mismatches, Elapsed is the latest completion,
-// and the latencies arrive client-major or as the streaming aggregate.
-func (r *run) finish(res *Result, unit string) error {
+// finish waits for the run and folds the clients' slots into the named
+// workload's result: every client must have measured want operations
+// (unit names them in the error), each of size bytes out and size back;
+// Errors sums the mismatches, Elapsed is the latest completion, and the
+// latencies arrive client-major or as the streaming aggregate.
+func (r *run) finish(workload, unit string, size int) (*Result, error) {
 	if err := r.wait(); err != nil {
-		return err
+		return nil, err
 	}
+	res := &Result{Workload: workload}
 	for ci := range r.clients {
 		pt := &r.clients[ci]
 		if pt.ops != r.want {
-			return fmt.Errorf("workload: client %d measured %d of %d %s",
+			return nil, fmt.Errorf("workload: client %d measured %d of %d %s",
 				ci, pt.ops, r.want, unit)
 		}
 		res.Errors += pt.bad
@@ -179,8 +184,9 @@ func (r *run) finish(res *Result, unit string) error {
 		res.Latencies = r.lats
 		res.Requests = len(r.lats)
 	}
+	res.Bytes = int64(res.Requests) * int64(size) * 2
 	collectTrace(r.c.Lab, res)
-	return nil
+	return res, nil
 }
 
 // replay folds the retained latencies into a streaming aggregate in

@@ -11,29 +11,27 @@ import (
 	"repro/internal/tcp"
 )
 
-type tcpTransport struct{}
+// tcpTransport is the TCP stack with Nagle's algorithm off on both ends
+// of every connection — the request/response setting — unless nagle
+// leaves it on, the setting of the one-way streams (bulk, cross traffic).
+type tcpTransport struct{ nagle bool }
 
-func (tcpTransport) listen(h *lab.Host, port uint16) (listener, error) {
-	return listenTCP(h, port, true)
-}
-
-func (tcpTransport) client(h *lab.Host) conn { return &tcpConn{stack: h.TCP} }
-
-// listenTCP binds a TCP port. noDelay turns Nagle off on every accepted
-// connection — the request/response setting; the one-way sinks (bulk,
-// cross traffic) leave it on.
-func listenTCP(h *lab.Host, port uint16, noDelay bool) (*tcpListener, error) {
+func (t tcpTransport) listen(h *lab.Host, port uint16) (listener, error) {
 	ln, err := h.TCP.Listen(port)
 	if err != nil {
 		return nil, err
 	}
-	return &tcpListener{ln: ln, noDelay: noDelay}, nil
+	return &tcpListener{ln: ln, nagle: t.nagle}, nil
+}
+
+func (t tcpTransport) client(h *lab.Host, port uint16) conn {
+	return &tcpConn{stack: h.TCP, port: port, nagle: t.nagle}
 }
 
 type tcpListener struct {
-	ln      *tcp.Listener
-	noDelay bool
-	op      *tcp.AcceptOp
+	ln    *tcp.Listener
+	nagle bool
+	op    *tcp.AcceptOp
 }
 
 func (l *tcpListener) accept(p *sim.Proc) { l.op = l.ln.Accept(p) }
@@ -44,7 +42,7 @@ func (l *tcpListener) accepted() (conn, error) {
 	if op.Err != nil {
 		return nil, op.Err
 	}
-	if l.noDelay {
+	if !l.nagle {
 		op.C.SetNoDelay(true)
 	}
 	return &tcpConn{so: op.So, c: op.C}, nil
@@ -56,6 +54,8 @@ func (l *tcpListener) crash() {}
 // tcpConn is one end of a TCP connection. It is its own exchange frame.
 type tcpConn struct {
 	stack *tcp.Stack // the dialing host's; nil on an accepted end
+	port  uint16     // and the server port it dials
+	nagle bool       // left on for a dialed connection
 	so    *sock.Socket
 	c     *tcp.Conn
 
@@ -73,7 +73,7 @@ type tcpConn struct {
 
 func (t *tcpConn) blocks() bool { return true }
 
-func (t *tcpConn) dial(p *sim.Proc) { t.op = t.stack.Connect(p, lab.HostAddr(0), Port) }
+func (t *tcpConn) dial(p *sim.Proc) { t.op = t.stack.Connect(p, lab.HostAddr(0), t.port) }
 
 func (t *tcpConn) recv(p *sim.Proc, buf []byte) { t.op = t.so.Recv(p, buf) }
 
@@ -87,7 +87,9 @@ func (t *tcpConn) done() (int, error) {
 		t.op = nil
 		if op.Err == nil {
 			t.so, t.c = op.So, op.C
-			t.c.SetNoDelay(true)
+			if !t.nagle {
+				t.c.SetNoDelay(true)
+			}
 		}
 		return 0, op.Err
 	case *sock.RecvOp:
@@ -115,6 +117,8 @@ func (t *tcpConn) reap() {
 	t.so.Rcv.Drop(t.so.Rcv.Len())
 	t.so, t.c = nil, nil
 }
+
+func (t *tcpConn) peer() uint32 { return t.c.Key().RemoteAddr }
 
 func (t *tcpConn) exchange(p *sim.Proc, msg, buf []byte) {
 	t.msg, t.buf, t.pc = msg, buf, 0

@@ -1,13 +1,14 @@
-// The transport seam: what a request/response workload needs from a
-// transport stack, stated once. The frames in this package — the accept
-// loop, the echo handler, the fan-in, churn and fault-recovery clients —
-// are written against these three interfaces and never name a stack; a
+// The transport seam: what a workload needs from a transport stack,
+// stated once. Every frame in this package that moves a byte — the accept
+// loop, the echo handler, the fan-in, churn and fault-recovery clients,
+// the byte-stream source and drain sink under Bulk and the cross flows —
+// is written against these three interfaces and never names a stack; a
 // transport is one file implementing them (tcp.go over internal/tcp and
-// internal/sock, rudp.go over internal/rudp), chosen once from the
-// generator's Transport field by pickTransport. What genuinely differs
-// between stacks — a connect that blocks versus a dial that is local, a
-// byte stream read in a loop versus one message per receive, socket
-// buffers to reap after an abort — lives behind the contract.
+// internal/sock, rudp.go over internal/rudp) and the only file importing
+// its stack. What genuinely differs between stacks — a connect that blocks
+// versus a dial that is local, a byte stream read in a loop versus one
+// message per receive, socket buffers to reap after an abort — lives
+// behind the contract.
 //
 // An operation that takes a *sim.Proc is call-like, in the sim.Frame
 // sense: the calling frame invokes it as its last action before Step
@@ -20,7 +21,6 @@ import (
 	"strconv"
 
 	"repro/internal/lab"
-	"repro/internal/rudp"
 	"repro/internal/sim"
 )
 
@@ -34,9 +34,9 @@ const (
 type transport interface {
 	// listen binds port on the server host h.
 	listen(h *lab.Host, port uint16) (listener, error)
-	// client returns host h's end of a connection to the server's Port,
+	// client returns host h's end of a connection to the server's port,
 	// not yet dialed. A client may dial, close and dial again.
-	client(h *lab.Host) conn
+	client(h *lab.Host, port uint16) conn
 }
 
 // listener is the server's bound port.
@@ -76,6 +76,8 @@ type conn interface {
 	// reap releases a connection a failed exchange left dead, so that the
 	// next dial starts clean.
 	reap()
+	// peer is the remote host's address, once connected.
+	peer() uint32
 }
 
 // pickTransport resolves a generator's Transport field for messages of
@@ -85,12 +87,7 @@ func pickTransport(name string, size int) (transport, error) {
 	case "", TransportTCP:
 		return tcpTransport{}, nil
 	case TransportRUDP:
-		// One rudp message rides one datagram.
-		if size > rudp.MaxMessage {
-			return nil, fmt.Errorf("workload: rudp transport caps messages at %d bytes, got %d",
-				rudp.MaxMessage, size)
-		}
-		return rudpTransport{}, nil
+		return rudpFor(size)
 	}
 	return nil, fmt.Errorf("workload: unknown transport %q (tcp, rudp)", name)
 }
@@ -226,6 +223,138 @@ func (f *serveEchoFrame) Step(p *sim.Proc) {
 			}
 			f.pc = 0
 		case 3: // closed; done
+			p.Return()
+			return
+		}
+	}
+}
+
+// streamFrame is the byte-stream source: dial, once the dial has succeeded
+// fill the payload (once: the fill draws from the loop's RNG stream, so
+// its position is part of every seeded result), write total bytes in
+// chunk-sized sends, close. Bulk runs it as client ci's process, failing
+// into me; a cross flow calls it once per transfer and reads err.
+type streamFrame struct {
+	c            conn
+	total, chunk int
+	me           *participant // nil when called
+	ci           int
+
+	pc      int
+	msg     []byte
+	sent    int
+	startAt sim.Time // the latest transfer's first write
+	err     error    // and its outcome
+}
+
+// Name implements sim.Namer.
+func (f *streamFrame) Name() string { return indexed("client", f.ci, ".bulk") }
+
+// Step drives the source.
+func (f *streamFrame) Step(p *sim.Proc) {
+	for {
+		switch f.pc {
+		case 0: // connect
+			f.pc = 1
+			f.c.dial(p)
+			return
+		case 1: // prepare the payload and start the clock
+			if _, err := f.c.done(); err != nil {
+				f.finish(p, err)
+				return
+			}
+			if f.msg == nil {
+				f.msg = make([]byte, f.chunk)
+				p.Env().RNG().Fill(f.msg)
+			}
+			f.startAt = p.Env().Now()
+			f.pc = 2
+		case 2: // write the next chunk, or close after the last
+			if f.sent >= f.total {
+				f.pc = 4
+				f.c.close(p)
+				return
+			}
+			n := min(f.chunk, f.total-f.sent)
+			f.sent += n
+			f.pc = 3
+			f.c.send(p, f.msg[:n])
+			return
+		case 3: // fold in one write's result
+			if _, err := f.c.done(); err != nil {
+				f.finish(p, err)
+				return
+			}
+			f.pc = 2
+		case 4: // closed; done
+			f.finish(p, nil)
+			return
+		}
+	}
+}
+
+// finish ends the transfer with its outcome, rewound for the next call.
+func (f *streamFrame) finish(p *sim.Proc, err error) {
+	f.pc, f.sent, f.err = 0, 0, err
+	if err != nil && f.me != nil {
+		f.me.fail(p.Env(), err)
+	}
+	p.Return()
+}
+
+// drainFrame is the sink for one accepted connection: read to the end of
+// the stream, counting, stamp the time the end arrived, and close.
+type drainFrame struct {
+	c    conn
+	al   *acceptLoopFrame // lends the read buffer
+	me   *participant     // the server's slot
+	wd   *sim.Watchdog    // when non-nil, every chunk read is progress
+	name string           // the accept loop's, and
+	i    int              // which of its connections this is
+
+	pc       int
+	buf      []byte
+	received int
+	doneAt   sim.Time
+}
+
+// Name implements sim.Namer.
+func (f *drainFrame) Name() string { return indexed(f.name+".conn", f.i, "") }
+
+// Step drives the sink.
+func (f *drainFrame) Step(p *sim.Proc) {
+	for {
+		switch f.pc {
+		case 0: // read the next chunk
+			if f.buf == nil {
+				f.buf = f.al.getBuf()
+			}
+			f.pc = 1
+			f.c.recv(p, f.buf)
+			return
+		case 1: // account for it, or finish at the end of the stream
+			n, err := f.c.done()
+			if err != nil || n == 0 {
+				f.al.putBuf(f.buf)
+				f.buf = nil
+			}
+			if err != nil {
+				f.me.fail(p.Env(), err)
+				p.Return()
+				return
+			}
+			if n == 0 {
+				f.doneAt = p.Env().Now()
+				f.pc = 2
+				f.c.close(p)
+				return
+			}
+			f.received += n
+			if f.wd != nil {
+				f.wd.Progress()
+			}
+			f.pc = 0
+		case 2: // closed; done
 			p.Return()
 			return
 		}

@@ -9,8 +9,9 @@
 // exactly the shape the sweep engine (internal/runner) parallelizes
 // over and its worker-affine testbed cache recycles. Every generator has
 // one run body, written against the lab's cluster (sharded.go): a serial
-// lab is the one-shard case. Every request/response frame is written
-// once, against the transport contract (transport.go).
+// lab is the one-shard case. Every frame that moves a byte — request and
+// response, bulk stream, cross flow — is written once, against the
+// transport contract (transport.go), and none of them names a stack.
 //
 // Every generator participates in per-packet tracing: when the lab was
 // built with lab.Config.PacketTrace, Run returns the merged event
@@ -25,9 +26,7 @@ import (
 
 	"repro/internal/lab"
 	"repro/internal/sim"
-	"repro/internal/sock"
 	"repro/internal/stats"
-	"repro/internal/tcp"
 	"repro/internal/trace"
 )
 
@@ -207,16 +206,10 @@ func (g FanIn) Run(l *lab.Lab) (*Result, error) {
 		// Stagger slots ascend, so each loop's share of the starts is one
 		// heap entry, not a wake parked per client until its slot.
 		c.EnvOf(ci+1).SpawnAt(sim.Time(ci)*g.Stagger, "", &fanInClientFrame{
-			r: r, ci: ci, c: tr.client(l.Hosts[ci+1]), size: size, warm: warm, reqs: reqs,
+			r: r, ci: ci, c: tr.client(l.Hosts[ci+1], Port), size: size, warm: warm, reqs: reqs,
 		})
 	}
-
-	res := &Result{Workload: "fanin"}
-	if err := r.finish(res, "requests"); err != nil {
-		return nil, err
-	}
-	res.Bytes = int64(res.Requests) * int64(size) * 2
-	return res, nil
+	return r.finish("fanin", "requests", size)
 }
 
 // Churn is the open/close storm: every client host repeatedly opens a
@@ -247,23 +240,17 @@ func (g Churn) Run(l *lab.Lab) (*Result, error) {
 	spawnEchoServer(c.EnvOf(0), "server.churn", ln, len(r.clients)*conns)
 	for ci := range r.clients {
 		c.EnvOf(ci+1).Spawn("", &churnClientFrame{
-			r: r, ci: ci, c: tr.client(l.Hosts[ci+1]), size: size, conns: conns,
+			r: r, ci: ci, c: tr.client(l.Hosts[ci+1], Port), size: size, conns: conns,
 		})
 	}
-
-	res := &Result{Workload: "churn"}
-	if err := r.finish(res, "cycles"); err != nil {
-		return nil, err
-	}
-	res.Bytes = int64(res.Requests) * int64(size) * 2
-	return res, nil
+	return r.finish("churn", "cycles", size)
 }
 
 // Bulk is the one-way throughput workload: every client streams Bytes to
 // the server and closes; the measured latency of one operation is the
 // time from the client's first write to the server consuming the final
 // byte (EOF), so it includes delivery, not just buffering. It rides TCP
-// only, Nagle on, and talks to the stack directly.
+// only, Nagle on.
 type Bulk struct {
 	Bytes int // payload per client (default 65536)
 	Chunk int // client write size (default 8192)
@@ -275,18 +262,16 @@ func (Bulk) Name() string { return "bulk" }
 // Run implements Generator.
 func (g Bulk) Run(l *lab.Lab) (*Result, error) {
 	total, chunk := defInt(g.Bytes, 65536), defInt(g.Chunk, 8192)
-	c := l.Cluster()
+	c, tr := l.Cluster(), tcpTransport{nagle: true}
 	r := newRun(c, 0, 0, stats.Config{})
-	clients := len(r.clients)
 
-	// Per-transfer stamps, a slot per client like the run's own arrays:
-	// starts[ci] is written only by client ci's loop, dones[ci] and
-	// received[ci] only by the server's.
-	starts := make([]sim.Time, clients)
-	dones := make([]sim.Time, clients)
-	received := make([]int, clients)
+	// A transfer's source and sink hold its stamps, a slot per client like
+	// the run's own arrays: srcs[ci] is written only by client ci's loop,
+	// sinks[ci] only by the server's.
+	srcs := make([]streamFrame, len(r.clients))
+	sinks := make([]drainFrame, len(r.clients))
 
-	ln, err := listenTCP(l.Hosts[0], Port, false)
+	ln, err := tr.listen(l.Hosts[0], Port)
 	if err != nil {
 		return nil, err
 	}
@@ -295,39 +280,37 @@ func (g Bulk) Run(l *lab.Lab) (*Result, error) {
 	// remote address — not the accept order — identifies the transfer.
 	env := c.EnvOf(0)
 	env.Spawn("server.bulk", &acceptLoopFrame{
-		ln: ln, n: clients,
+		ln: ln, n: len(sinks),
 		accepted: func(al *acceptLoopFrame, _ int, cn conn) bool {
-			tc := cn.(*tcpConn) // what a tcpListener accepts
-			i := int(tc.c.Key().RemoteAddr - lab.HostAddr(1))
-			if i < 0 || i >= clients {
-				r.server().fail(env, fmt.Errorf("workload: bulk connection from unexpected address %#x",
-					tc.c.Key().RemoteAddr))
+			i := int(cn.peer() - lab.HostAddr(1))
+			if i < 0 || i >= len(sinks) {
+				r.server().fail(env, fmt.Errorf("workload: bulk connection from unexpected address %#x", cn.peer()))
 				return false
 			}
-			env.Spawn("",
-				&bulkConnFrame{so: tc.so, al: al, i: i, dones: dones, received: received, r: r})
+			sinks[i] = drainFrame{c: cn, al: al, me: r.server(), wd: r.wd, name: "server.bulk", i: i}
+			env.Spawn("", &sinks[i])
 			return true
 		},
 	})
-	for ci := range r.clients {
-		c.EnvOf(ci+1).Spawn("", &bulkClientFrame{
-			host: l.Hosts[ci+1], ci: ci, total: total, chunk: chunk,
-			starts: starts, me: &r.clients[ci],
-		})
+	for ci := range srcs {
+		srcs[ci] = streamFrame{c: tr.client(l.Hosts[ci+1], Port), total: total, chunk: chunk,
+			me: &r.clients[ci], ci: ci}
+		c.EnvOf(ci+1).Spawn("", &srcs[ci])
 	}
 
 	if err := r.wait(); err != nil {
 		return nil, err
 	}
-	res := &Result{Workload: "bulk", Requests: clients}
-	for ci := 0; ci < clients; ci++ {
-		if received[ci] != total {
+	res := &Result{Workload: "bulk", Requests: len(srcs)}
+	for ci := range srcs {
+		done, received := sinks[ci].doneAt, sinks[ci].received
+		if received != total {
 			res.Errors++
 		}
-		res.Latencies = append(res.Latencies, dones[ci]-starts[ci])
-		res.Bytes += int64(received[ci])
-		if dones[ci] > res.Elapsed {
-			res.Elapsed = dones[ci]
+		res.Latencies = append(res.Latencies, done-srcs[ci].startAt)
+		res.Bytes += int64(received)
+		if done > res.Elapsed {
+			res.Elapsed = done
 		}
 	}
 	collectTrace(l, res)
@@ -391,11 +374,7 @@ func (f *fanInClientFrame) Step(p *sim.Proc) {
 				return
 			}
 			if f.i >= f.warm {
-				now := p.Env().Now()
-				f.r.record(f.ci, now-f.start, now)
-				if !bytes.Equal(f.buf, f.msg) {
-					me.bad++
-				}
+				f.r.record(f.ci, f.start, p.Env().Now(), bytes.Equal(f.buf, f.msg))
 			}
 			f.i++
 			f.pc = 3
@@ -458,145 +437,13 @@ func (f *churnClientFrame) Step(p *sim.Proc) {
 				p.Return()
 				return
 			}
-			now := p.Env().Now()
-			f.r.record(f.ci, now-f.start, now)
-			if !bytes.Equal(f.buf, f.msg) {
-				me.bad++
-			}
+			f.r.record(f.ci, f.start, p.Env().Now(), bytes.Equal(f.buf, f.msg))
 			f.pc = 4
 			f.c.close(p)
 			return
 		case 4: // next cycle
 			f.k++
 			f.pc = 1
-		}
-	}
-}
-
-// bulkConnFrame is the bulk server's per-connection sink: drain until
-// EOF, stamping the completion time.
-type bulkConnFrame struct {
-	so       *sock.Socket
-	al       *acceptLoopFrame // lends the read buffer
-	i        int
-	dones    []sim.Time
-	received []int
-	r        *run
-
-	pc   int
-	buf  []byte
-	recv *sock.RecvOp
-}
-
-// Name implements sim.Namer.
-func (f *bulkConnFrame) Name() string { return indexed("server.bulk.conn", f.i, "") }
-
-// Step drives the sink.
-func (f *bulkConnFrame) Step(p *sim.Proc) {
-	for {
-		switch f.pc {
-		case 0: // read the next chunk
-			if f.buf == nil {
-				f.buf = f.al.getBuf()
-			}
-			f.pc = 1
-			f.recv = f.so.Recv(p, f.buf)
-			return
-		case 1: // account for it, or finish at EOF
-			if f.recv.Err != nil || f.recv.N == 0 {
-				f.al.putBuf(f.buf)
-				f.buf = nil
-			}
-			if f.recv.Err != nil {
-				f.r.server().fail(p.Env(), f.recv.Err)
-				p.Return()
-				return
-			}
-			if f.recv.N == 0 {
-				f.dones[f.i] = p.Env().Now()
-				f.recv = nil
-				f.pc = 2
-				f.so.Close(p)
-				return
-			}
-			f.received[f.i] += f.recv.N
-			f.r.wd.Progress()
-			f.recv = nil
-			f.pc = 0
-		case 2: // closed; done
-			p.Return()
-			return
-		}
-	}
-}
-
-// bulkClientFrame streams total bytes to the server in chunk-sized
-// writes, then closes.
-type bulkClientFrame struct {
-	host         *lab.Host
-	ci           int
-	total, chunk int
-	starts       []sim.Time
-	me           *participant
-
-	pc   int
-	conn *tcp.ConnectOp
-	so   *sock.Socket
-	msg  []byte
-	sent int
-	n    int
-	send *sock.SendOp
-}
-
-// Name implements sim.Namer.
-func (f *bulkClientFrame) Name() string { return indexed("client", f.ci, ".bulk") }
-
-// Step drives the source.
-func (f *bulkClientFrame) Step(p *sim.Proc) {
-	for {
-		switch f.pc {
-		case 0: // connect
-			f.pc = 1
-			f.conn = f.host.TCP.Connect(p, lab.HostAddr(0), Port)
-			return
-		case 1: // prepare the payload and start the clock
-			if f.conn.Err != nil {
-				f.me.fail(p.Env(), f.conn.Err)
-				p.Return()
-				return
-			}
-			f.so = f.conn.So
-			f.conn = nil
-			f.msg = make([]byte, f.chunk)
-			p.Env().RNG().Fill(f.msg)
-			f.starts[f.ci] = p.Env().Now()
-			f.sent = 0
-			f.pc = 2
-		case 2: // write loop head
-			if f.sent >= f.total {
-				f.pc = 4
-				f.so.Close(p)
-				return
-			}
-			f.n = f.chunk
-			if f.n > f.total-f.sent {
-				f.n = f.total - f.sent
-			}
-			f.pc = 3
-			f.send = f.so.Send(p, f.msg[:f.n])
-			return
-		case 3: // fold in one write's result
-			if f.send.Err != nil {
-				f.me.fail(p.Env(), f.send.Err)
-				p.Return()
-				return
-			}
-			f.send = nil
-			f.sent += f.n
-			f.pc = 2
-		case 4: // closed; done
-			p.Return()
-			return
 		}
 	}
 }

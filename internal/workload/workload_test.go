@@ -229,11 +229,11 @@ func TestEchoServerRecyclesReadBuffers(t *testing.T) {
 	r := newRun(l.Cluster(), 0, 1, stats.Config{})
 	for ci := 0; ci < clients; ci++ {
 		l.Env.SpawnAt(sim.Time(ci)*5000*sim.Microsecond, "client", &fanInClientFrame{
-			r: r, ci: ci, c: tr.client(l.Hosts[ci+1]), size: 200, reqs: 1,
+			r: r, ci: ci, c: tr.client(l.Hosts[ci+1], Port), size: 200, reqs: 1,
 		})
 	}
-	res := &Result{}
-	if err := r.finish(res, "requests"); err != nil {
+	res, err := r.finish("fanin", "requests", 200)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Errors != 0 {

@@ -230,7 +230,7 @@ func TestClusterGoroutineFootprint(t *testing.T) {
 // workers to leave the goroutine count.
 func settledCluster(t *testing.T, nHosts, shards int) (c *Cluster, goroutines int) {
 	t.Helper()
-	goroutines = runtime.NumGoroutine()
+	goroutines = quietGoroutines()
 	c = mustCluster(t, Config{Link: LinkATM, Seed: 1}, nHosts, shards)
 	if c.NumShards() != shards {
 		t.Fatalf("cluster has %d shards, want %d", c.NumShards(), shards)
@@ -258,6 +258,24 @@ func settledGoroutines(limit int) int {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// quietGoroutines returns the goroutine count once it has held still for
+// 50 ms. A count read on entry may still include a worker of the test
+// before this one (see settledGoroutines); when it does, and the warm-up
+// run's own worker is as slow to retire, the warm-up reads "settled" one
+// too high and every exact comparison after it fails by one.
+func quietGoroutines() int {
+	n := runtime.NumGoroutine()
+	for still := 0; still < 50; {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		} else {
+			still++
+		}
+	}
+	return n
 }
 
 // latestNow is the furthest any shard's clock has advanced.

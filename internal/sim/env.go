@@ -43,10 +43,23 @@ type event struct {
 // its high-water mark.
 //
 // The queue's work is kept on pointer-receiver methods of eventHeap and
-// on Env's schedule… methods, queue.go's lane and timer steps included:
-// those are the symbols the benchmark's profile counts as queue time
-// (sim.heap_share), so what the gauge shows falling really fell.
+// on Env's schedule… methods, queue.go's lane and timer steps and the
+// choice between the two tiers included: those are the symbols the
+// benchmark's profile counts as queue time (sim.heap_share), so what the
+// gauge shows falling really fell.
 type eventHeap []event
+
+// farAfter splits the queue in two: an event due this far or more past
+// the clock when it is scheduled goes to the far tier, anything sooner to
+// the near one. A millisecond sits above every cell time, propagation
+// delay, switch latency and CPU charge in the cost model and below every
+// protocol timer, so the near tier holds the few events about to fire and
+// none of the thousands of retransmit, 2MSL and delayed-ACK entries that
+// will not for a simulated second — five levels of them under every push
+// and pop on a 10,000-client fan-in. It is not a knob: any partition
+// keeps the order (see sooner), and the measured gain is flat from 100 µs
+// to 100 ms (docs/PERFORMANCE.md §16).
+const farAfter = Millisecond
 
 // before reports whether a fires before b: earlier timestamp, or equal
 // timestamps in scheduling order.
@@ -94,6 +107,22 @@ func (h *eventHeap) rekey(at Time, seq uint64) {
 	h.sink(&ev)
 }
 
+// sooner returns whichever of the two tiers holds the next event to fire —
+// the root that is before the other's — or nil when both are empty. The
+// minimum of two heaps is the minimum of their union, and every key was
+// stamped when it was scheduled, whichever tier it then went to: the
+// queue's total order is that of one heap holding everything.
+func (h *eventHeap) sooner(far *eventHeap) *eventHeap {
+	n, f := *h, *far
+	if len(f) > 0 && (len(n) == 0 || f[0].before(&n[0])) {
+		return far
+	}
+	if len(n) == 0 {
+		return nil
+	}
+	return h
+}
+
 // sink overwrites the root with ev, sifting it down to its heap position.
 func (h *eventHeap) sink(ev *event) {
 	q := *h
@@ -126,9 +155,13 @@ func (h *eventHeap) sink(ev *event) {
 // Env is a discrete-event simulation environment. The zero value is not
 // usable; create one with NewEnv.
 type Env struct {
-	now     Time
-	seq     uint64
+	now Time
+	seq uint64
+	// The queue, in two tiers (see farAfter): events holds what was due
+	// soon when it was scheduled — the hot heap — and far the rest. An
+	// entry stays in the tier it was pushed to until it pops.
 	events  eventHeap
+	far     eventHeap
 	backlog backlog // lane records queued behind their lane's heap entry
 	arena   Arena   // scratch for work in flight, see Arena
 	locals  []any   // what packages keep once per loop, see Local
@@ -162,7 +195,13 @@ type Env struct {
 // NewEnv returns a fresh simulation environment with its clock at zero
 // and a deterministic default random seed.
 func NewEnv() *Env {
-	e := &Env{rng: NewRNG(1), horizon: MaxTime}
+	e := &Env{
+		rng: NewRNG(1), horizon: MaxTime,
+		// Room a two-host testbed never outgrows, made once: growing a
+		// heap from nothing is five allocations to get this far, and now
+		// there are two heaps.
+		events: make(eventHeap, 0, 16), far: make(eventHeap, 0, 16),
+	}
 	e.starts.Bind(e.startNext)
 	return e
 }
@@ -172,7 +211,7 @@ func (e *Env) Now() Time { return e.now }
 
 // Reset returns the environment to its just-constructed state — clock at
 // zero, sequence counter at zero, default RNG seed — while retaining the
-// event heap's backing storage, so a reused environment schedules without
+// event heaps' backing storage, so a reused environment schedules without
 // regrowing to its high-water mark. Processes blocked on WaitQueues are
 // untouched: a drained simulation leaves its persistent service loops
 // (netisr, driver interrupt handlers, protocol timers) parked exactly
@@ -207,15 +246,24 @@ func (e *Env) Seed(s uint64) { e.rng = NewRNG(s) }
 
 // schedule is the single scheduling primitive every public variant folds
 // into: it stamps the event with the next sequence number (the
-// deterministic tie-break for equal timestamps) and inserts it into the
-// heap. Scheduling in the past panics: it would violate causality and
+// deterministic tie-break for equal timestamps) and inserts it into its
+// tier. Scheduling in the past panics: it would violate causality and
 // silently corrupt measurements. See the event comment for what do holds.
 func (e *Env) schedule(t Time, name string, do any, arg uint64) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling %q at %v, before now %v", name, t, e.now))
 	}
 	e.seq++
-	e.events.push(event{at: t, seq: e.seq, name: name, do: do, arg: arg})
+	e.scheduleTier(t).push(event{at: t, seq: e.seq, name: name, do: do, arg: arg})
+}
+
+// scheduleTier returns the heap an entry due at t is pushed to. No caller
+// chooses a tier: every push in the package comes through here.
+func (e *Env) scheduleTier(t Time) *eventHeap {
+	if t-e.now >= farAfter {
+		return &e.far
+	}
+	return &e.events
 }
 
 // At schedules fn to run at absolute virtual time t.
@@ -246,36 +294,37 @@ func (e *Env) AtArg(t Time, name string, fn func(uint64), arg uint64) {
 // loop built on Step (Run, RunUntil, RunWindow) stops instead of
 // executing a livelocked simulation forever.
 func (e *Env) Step() bool {
-	if len(e.events) == 0 {
+	h := e.events.sooner(&e.far)
+	if h == nil {
 		return false
 	}
-	if e.wd != nil && e.events[0].at >= e.wdNext {
-		if e.wd.check(e, e.events[0].at) {
+	root := &(*h)[0]
+	if e.wd != nil && root.at >= e.wdNext {
+		if e.wd.check(e, root.at) {
 			return false
 		}
-		e.wdNext = e.events[0].at + e.wd.pollEvery()
+		e.wdNext = root.at + e.wd.pollEvery()
 	}
-	root := &e.events[0]
 	e.now = root.at
 	e.fired++
 	switch do := root.do.(type) {
 	case thunk:
-		e.events.pop()
+		h.pop()
 		do()
 	case argFunc:
 		arg := root.arg
-		e.events.pop()
+		h.pop()
 		do(arg)
 	case *Lane:
 		// Step the lane before its callback runs: the callback may
 		// schedule on this same lane.
-		e.events.advance(do, &e.backlog)
+		h.advance(do, &e.backlog)
 		do.fn()
 	case *Proc:
-		e.events.pop()
+		h.pop()
 		do.step()
 	case *Timer:
-		if e.events.expire(do, root.seq) {
+		if h.expire(do, root.seq) {
 			do.fn()
 		}
 	}
@@ -291,7 +340,7 @@ func (e *Env) Run() {
 // RunUntil processes events with timestamps at or before deadline and then
 // advances the clock to the deadline. Later events remain pending.
 func (e *Env) RunUntil(deadline Time) {
-	for len(e.events) > 0 && e.events[0].at <= deadline {
+	for at, ok := e.NextEventAt(); ok && at <= deadline; at, ok = e.NextEventAt() {
 		if !e.Step() {
 			return // watchdog fired: leave the clock where it stopped
 		}
@@ -306,11 +355,11 @@ func (e *Env) RunUntil(deadline Time) {
 // or expire included.
 func (e *Env) Fired() uint64 { return e.fired }
 
-// Pending returns the number of scheduled events not yet run: heap
-// entries plus the records lanes hold behind theirs. A stopped or
-// superseded timer's entry counts until it expires, exactly as the dead
-// event it replaces did.
-func (e *Env) Pending() int { return len(e.events) + e.backlog.n }
+// Pending returns the number of scheduled events not yet run: the
+// entries of both tiers plus the records lanes hold behind theirs. A
+// stopped or superseded timer's entry counts until it expires, exactly as
+// the dead event it replaces did.
+func (e *Env) Pending() int { return len(e.events) + len(e.far) + e.backlog.n }
 
 // SetHorizon sets the safe-time bound for windowed execution: RunWindow
 // stops before the first event at or past t, and SleepUntil's in-place
@@ -325,10 +374,11 @@ func (e *Env) Horizon() Time { return e.horizon }
 // whether one exists. Sharded execution uses it to compute each round's
 // global minimum next-event time without popping anything.
 func (e *Env) NextEventAt() (Time, bool) {
-	if len(e.events) == 0 {
+	h := e.events.sooner(&e.far)
+	if h == nil {
 		return 0, false
 	}
-	return e.events[0].at, true
+	return (*h)[0].at, true
 }
 
 // RunWindow processes every pending event with a timestamp strictly
@@ -337,7 +387,7 @@ func (e *Env) NextEventAt() (Time, bool) {
 // message may still arrive anywhere in [now, horizon), so the clock must
 // stay where the last executed event left it.
 func (e *Env) RunWindow() {
-	for len(e.events) > 0 && e.events[0].at < e.horizon {
+	for at, ok := e.NextEventAt(); ok && at < e.horizon; at, ok = e.NextEventAt() {
 		if !e.Step() {
 			return // watchdog fired: the coordinator surfaces the abort
 		}
@@ -373,21 +423,23 @@ func (e *Env) WatchdogErr() error {
 // first step.
 func (e *Env) PendingSummary(max int) string {
 	counts := make(map[string]int)
-	for i := range e.events {
-		ev := &e.events[i]
-		switch do := ev.do.(type) {
-		case *Lane:
-			counts[ev.name] += int(do.n)
-		case *Timer:
-			if do.armed && ev.seq == do.heapSeq {
+	for _, tier := range [...]eventHeap{e.events, e.far} {
+		for i := range tier {
+			ev := &tier[i]
+			switch do := ev.do.(type) {
+			case *Lane:
+				counts[ev.name] += int(do.n)
+			case *Timer:
+				if do.armed && ev.seq == do.heapSeq {
+					counts[ev.name]++
+				} else {
+					counts[ev.name+"(dead)"]++
+				}
+			case *Proc:
+				counts[wakeKind(ev.arg).label(ev.name, do)]++
+			default:
 				counts[ev.name]++
-			} else {
-				counts[ev.name+"(dead)"]++
 			}
-		case *Proc:
-			counts[wakeKind(ev.arg).label(ev.name, do)]++
-		default:
-			counts[ev.name]++
 		}
 	}
 	type entry struct {

@@ -241,9 +241,11 @@ func (p *Proc) SleepUntil(t Time) bool {
 	// the horizon in place could jump over an arrival. Parking instead
 	// adds one wake event, which shifts later sequence numbers uniformly —
 	// every tie-break, and therefore simulated time, is unchanged.
-	if e.current == p && t < e.horizon && (len(e.events) == 0 || e.events[0].at > t) {
-		e.now = t
-		return true
+	if e.current == p && t < e.horizon {
+		if at, ok := e.NextEventAt(); !ok || at > t {
+			e.now = t
+			return true
+		}
 	}
 	e.schedule(t, "", p, uint64(wakeSleep))
 	p.park()

@@ -156,14 +156,14 @@ func (e *Env) scheduleTimer(t *Timer, at Time, name string) {
 		// it stands), so it gets a dead entry of its own: the latest
 		// deadline ever set still pops, as it does when each is an event,
 		// and a drained clock stops where it did.
-		e.events.push(event{at: prevAt, seq: prevSeq, name: name, do: t})
+		e.scheduleTier(prevAt).push(event{at: prevAt, seq: prevSeq, name: name, do: t})
 	}
 	if t.heapSeq == 0 || at < t.heapAt {
 		// No entry, or one too late to fire this deadline (it will die at
 		// its own time): push one. Otherwise — the common case, a deadline
 		// moving later — the entry already in the heap walks here.
 		t.heapAt, t.heapSeq = at, e.seq
-		e.events.push(event{at: at, seq: e.seq, name: name, do: t})
+		e.scheduleTier(at).push(event{at: at, seq: e.seq, name: name, do: t})
 	}
 }
 

@@ -8,11 +8,12 @@ import (
 )
 
 // The order-equivalence oracle. refQueue is the event engine as it stood
-// before lanes and timers: a plain 4-ary heap, one event per lane record,
-// a generation-stamped event per timer re-arm whose stale copies pop as
-// no-ops. A script of scheduling and run operations drives it and the
-// real Env side by side; the two must log the identical sequence of
-// (clock, callback) firings and stop at the identical clock.
+// before lanes, timers and tiers: one plain 4-ary heap, one event per lane
+// record, a generation-stamped event per timer re-arm whose stale copies
+// pop as no-ops, a wake event per sleep that has to wait. A script of
+// scheduling and run operations drives it and the real Env side by side;
+// the two must log the identical sequence of (clock, callback) firings
+// and stop at the identical clock, whichever run loop drives the Env.
 
 type refEvent struct {
 	at  Time
@@ -136,6 +137,14 @@ func (r *refQueue) wakeAt(t Time) {
 	})
 }
 
+// lower is a callback tightening the window it runs in, as the cluster
+// does when a cell crosses a cut mid-window.
+func (r *refQueue) lower(t Time) {
+	if t < r.horizon {
+		r.horizon = t
+	}
+}
+
 // The script. Every operation is three bytes — kind, target, delay — so
 // a fuzzer's mutations stay meaningful. The top level consumes
 // operations in order; every callback that fires, and every step of a
@@ -146,6 +155,13 @@ func (r *refQueue) wakeAt(t Time) {
 // there until an opWake reaches it. Both implementations draw from the
 // one cursor, so they stay in step exactly as long as they fire in the
 // same order.
+//
+// The delay byte's low five bits are 0–31 ticks, which keeps scripts dense
+// in ties; its top three bits say ticks of what (see scriptDelay), so one
+// script mixes delays that stay in the near tier, delays that straddle
+// farAfter to the tick, and delays of milliseconds — a timer re-armed from
+// near to far and back, a lane whose later records are far, a sleeper
+// whose deadline lies beyond a window.
 const (
 	opAt = iota
 	opAtArg
@@ -156,6 +172,7 @@ const (
 	opRunUntil
 	opRunWindow
 	opWake
+	opLower
 	opKinds
 
 	scriptLanes  = 3
@@ -187,6 +204,7 @@ type target interface {
 	timerStop(i int)
 	spawn(i int, t Time)
 	wakeAt(t Time)
+	lower(t Time)
 	runUntil(t Time)
 	runWindow(h Time)
 	drain()
@@ -207,7 +225,28 @@ func (d *driver) next() (scriptOp, bool) {
 	}
 	b := d.ops[d.cur : d.cur+3]
 	d.cur += 3
-	return scriptOp{kind: int(b[0]) % opKinds, who: int(b[1]), delay: Time(b[2] % 32)}, true
+	return scriptOp{kind: int(b[0]) % opKinds, who: int(b[1]), delay: scriptDelay(b[2])}, true
+}
+
+// Delay bytes with the top bits set: ticks counted from just short of
+// the far threshold, from the threshold itself, and quarter-thresholds.
+const (
+	delayStraddle = 5 << 5
+	delayFar      = 6 << 5
+	delayQuarters = 7 << 5
+)
+
+func scriptDelay(b byte) Time {
+	ticks := Time(b % 32)
+	switch b &^ 31 {
+	case delayStraddle:
+		return farAfter - 16 + ticks
+	case delayFar:
+		return farAfter + ticks
+	case delayQuarters:
+		return ticks * farAfter / 4
+	}
+	return ticks
 }
 
 // fired logs one callback firing and applies its reaction.
@@ -235,6 +274,8 @@ func (d *driver) schedule(op scriptOp, now Time) {
 		d.q.timerStop(op.who % scriptTimers)
 	case opWake:
 		d.q.wakeAt(t)
+	case opLower:
+		d.q.lower(t)
 	}
 }
 
@@ -278,18 +319,30 @@ func (d *driver) run() {
 	d.log = append(d.log, fmt.Sprintf("end@%d", d.q.clock()))
 }
 
+// drive is which loop runs the Env under test where the script leaves a
+// choice: the windows and the final drain.
+type drive int
+
+const (
+	driveRun    drive = iota // RunWindow, then Run to the end
+	driveStep                // bare NextEventAt/Step loops throughout
+	driveWindow              // RunWindow, and windows to the end as well
+	drives
+)
+
 // realTarget drives the Env under test.
 type realTarget struct {
 	d      *driver
 	e      *Env
+	by     drive
 	lanes  [scriptLanes]Lane
 	timers [scriptTimers]Timer
 	argFn  func(uint64)
 	wq     WaitQueue // the zero value, as an owner would embed it
 }
 
-func newRealTarget(d *driver) *realTarget {
-	r := &realTarget{d: d, e: NewEnv()}
+func newRealTarget(d *driver, by drive) *realTarget {
+	r := &realTarget{d: d, e: NewEnv(), by: by}
 	for i := range r.lanes {
 		i := i
 		r.lanes[i].Bind(func() { d.fired(idLane + i) })
@@ -313,10 +366,40 @@ func (r *realTarget) timerStop(i int)        { r.timers[i].Stop() }
 func (r *realTarget) spawn(i int, t Time) {
 	r.e.At(t, "spawner", func() { r.e.Spawn("sleeper", &realSleeper{d: r.d, id: idProc + i, wq: &r.wq}) })
 }
-func (r *realTarget) wakeAt(t Time)    { r.wq.WakeAt(t) }
-func (r *realTarget) runUntil(t Time)  { r.e.SetHorizon(t + 1); r.e.RunUntil(t) }
-func (r *realTarget) runWindow(h Time) { r.e.SetHorizon(h); r.e.RunWindow() }
-func (r *realTarget) drain()           { r.e.SetHorizon(MaxTime); r.e.Run() }
+func (r *realTarget) wakeAt(t Time) { r.wq.WakeAt(t) }
+func (r *realTarget) lower(t Time) {
+	if t < r.e.Horizon() {
+		r.e.SetHorizon(t)
+	}
+}
+func (r *realTarget) runUntil(t Time) { r.e.SetHorizon(t + 1); r.e.RunUntil(t) }
+func (r *realTarget) runWindow(h Time) {
+	r.e.SetHorizon(h)
+	if r.by != driveStep {
+		r.e.RunWindow()
+		return
+	}
+	// The horizon is read every turn: a callback may have lowered it.
+	for at, ok := r.e.NextEventAt(); ok && at < r.e.Horizon() && r.e.Step(); at, ok = r.e.NextEventAt() {
+	}
+}
+func (r *realTarget) drain() {
+	r.e.SetHorizon(MaxTime)
+	switch r.by {
+	case driveRun:
+		r.e.Run()
+	case driveStep:
+		for r.e.Step() {
+		}
+	case driveWindow:
+		// A callback that lowers the horizon ends the window early; the
+		// next one starts unbounded again, as a cluster's next round would.
+		for r.e.Pending() > 0 {
+			r.e.SetHorizon(MaxTime)
+			r.e.RunWindow()
+		}
+	}
+}
 
 // realSleeper logs, reacts, and sleeps the reaction's delay — or parks on
 // the wait queue — until the script runs out.
@@ -394,6 +477,7 @@ func (r *refTarget) sleeper(id int) {
 	}
 }
 func (r *refTarget) wakeAt(t Time)    { r.r.wakeAt(t) }
+func (r *refTarget) lower(t Time)     { r.r.lower(t) }
 func (r *refTarget) runUntil(t Time)  { r.r.horizon = t + 1; r.r.runUntil(t) }
 func (r *refTarget) runWindow(h Time) { r.r.horizon = h; r.r.runWindow() }
 func (r *refTarget) drain() {
@@ -403,41 +487,43 @@ func (r *refTarget) drain() {
 	}
 }
 
-// checkQueueOrder runs script on both queues and reports the first
-// divergence in what fired, when.
+// checkQueueOrder runs script on the reference and, once per drive, on the
+// real queue, and reports the first divergence in what fired, when.
 func checkQueueOrder(t testing.TB, script []byte) {
 	t.Helper()
 	ref := &driver{ops: script}
 	ref.q = &refTarget{d: ref, r: refQueue{horizon: MaxTime}}
 	ref.run()
 
-	real := &driver{ops: script}
-	rt := newRealTarget(real)
-	real.q = rt
-	real.run()
+	for by := drive(0); by < drives; by++ {
+		real := &driver{ops: script}
+		rt := newRealTarget(real, by)
+		real.q = rt
+		real.run()
 
-	for i := 0; i < len(ref.log) || i < len(real.log); i++ {
-		var want, got string
-		if i < len(ref.log) {
-			want = ref.log[i]
+		for i := 0; i < len(ref.log) || i < len(real.log); i++ {
+			var want, got string
+			if i < len(ref.log) {
+				want = ref.log[i]
+			}
+			if i < len(real.log) {
+				got = real.log[i]
+			}
+			if want != got {
+				t.Fatalf("script %v, drive %d: firing %d is %q, reference fired %q\n real: %s\n  ref: %s",
+					script, by, i, got, want, strings.Join(real.log, " "), strings.Join(ref.log, " "))
+			}
 		}
-		if i < len(real.log) {
-			got = real.log[i]
+		if n := rt.e.Pending(); n != 0 {
+			t.Fatalf("script %v, drive %d: %d events pending after the drain", script, by, n)
 		}
-		if want != got {
-			t.Fatalf("script %v: firing %d is %q, reference fired %q\n real: %s\n  ref: %s",
-				script, i, got, want, strings.Join(real.log, " "), strings.Join(ref.log, " "))
+		for i := range rt.timers {
+			if rt.timers[i].Armed() {
+				t.Fatalf("script %v, drive %d: timer %d still armed after the drain", script, by, i)
+			}
 		}
+		rt.e.Reset() // panics on anything left in a lane or either tier
 	}
-	if n := rt.e.Pending(); n != 0 {
-		t.Fatalf("script %v: %d events pending after the drain", script, n)
-	}
-	for i := range rt.timers {
-		if rt.timers[i].Armed() {
-			t.Fatalf("script %v: timer %d still armed after the drain", script, i)
-		}
-	}
-	rt.e.Reset() // panics on anything left in a lane or the heap
 }
 
 // Hand-written scripts for the cases the design turns on; they seed the
@@ -470,8 +556,9 @@ var queueOrderSeeds = [][]byte{
 }
 
 // TestQueueOrderMatchesReference is the property test: the seeds, then
-// random scripts dense in ties (delays are 0–31 ticks) and long enough
-// for lanes to queue and timers to be re-armed dozens of times.
+// random scripts dense in ties (five delays in eight are 0–31 ticks, the
+// rest reach into the far tier) and long enough for lanes to queue and
+// timers to be re-armed dozens of times.
 func TestQueueOrderMatchesReference(t *testing.T) {
 	for _, s := range queueOrderSeeds {
 		checkQueueOrder(t, s)
@@ -746,5 +833,106 @@ func BenchmarkPlainBurst36(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		plainBurst36(e, fn)
+	}
+}
+
+// TestFarTimersStayOutOfTheHotHeap pins the point of the two tiers on the
+// staggered fan-in's shape: thousands of timers a simulated second away —
+// armed, stopped, superseded — sit under a handful of live entries, and
+// the heap the live ones churn through must not hold them. The near tier
+// never grows past 16 while a lane and two sleepers run at microsecond
+// spacing; the readers of the queue still see every far entry.
+func TestFarTimersStayOutOfTheHotHeap(t *testing.T) {
+	const resident, stopped, moved = 2000, 500, 100
+	e := NewEnv()
+	timers := make([]Timer, resident)
+	expired := 0
+	for i := range timers {
+		timers[i].Bind(func() { expired++ })
+		timers[i].Set(e, Second+Time(i), "proto.rexmt")
+	}
+	for i := 0; i < stopped; i++ {
+		timers[i].Stop()
+	}
+	for i := stopped; i < stopped+moved; i++ {
+		timers[i].Set(e, Second/2, "proto.rexmt") // earlier: an entry of its own, the old one dead
+	}
+	if len(e.events) != 0 || len(e.far) != resident+moved || e.Pending() != resident+moved {
+		t.Fatalf("near %d, far %d, Pending %d; want 0, %d, %d", len(e.events), len(e.far), e.Pending(), resident+moved, resident+moved)
+	}
+	want := fmt.Sprintf("proto.rexmt×%d proto.rexmt(dead)×%d", resident-stopped, stopped+moved)
+	if got := e.PendingSummary(4); got != want {
+		t.Fatalf("PendingSummary = %q, want %q", got, want)
+	}
+
+	peak, churned := 0, 0
+	look := func() {
+		churned++
+		if n := len(e.events); n > peak {
+			peak = n
+		}
+		if len(e.far) < resident {
+			t.Fatalf("far tier fell to %d entries at %v, with the timers a second off", len(e.far), e.Now())
+		}
+	}
+	const cells = 20000
+	var wire Lane
+	sent := 0
+	wire.Bind(func() {
+		look()
+		if sent++; sent <= cells-8 {
+			wire.At(e, e.Now()+8*Microsecond, "wire.out")
+		}
+	})
+	for i := 1; i <= 8; i++ {
+		wire.At(e, Time(i)*Microsecond, "wire.out")
+	}
+	for i := 0; i < 2; i++ {
+		charge := Time(3+2*i) * Microsecond
+		e.Spawn("cpu", LoopN(cells/4, func(p *Proc, _ int) {
+			look()
+			p.Sleep(charge)
+		}))
+	}
+	e.Run()
+	t.Logf("near tier peaked at %d entries over %d churn steps under %d far timers", peak, churned, resident)
+	if churned < cells {
+		t.Fatalf("only %d churn steps ran", churned)
+	}
+	if peak > 16 {
+		t.Errorf("near tier reached %d entries under %d far timers, want <= 16", peak, resident)
+	}
+	if expired != resident-stopped {
+		t.Errorf("%d timers fired, want %d", expired, resident-stopped)
+	}
+	if e.Now() != Second+resident-1 {
+		t.Errorf("drained clock = %v, want the last deadline, %v", e.Now(), Second+resident-1)
+	}
+	e.Reset()
+}
+
+// BenchmarkChurnUnderFarTimers is the tiers' layer benchmark: eight live
+// entries pushed and popped a few nanoseconds apart, alone and over 2,000
+// timers that never come due. The two should cost the same.
+func BenchmarkChurnUnderFarTimers(b *testing.B) {
+	for _, resident := range []int{0, 2000} {
+		b.Run(fmt.Sprintf("resident=%d", resident), func(b *testing.B) {
+			e := NewEnv()
+			timers := make([]Timer, resident)
+			for i := range timers {
+				timers[i].Bind(func() {})
+				timers[i].Set(e, MaxTime/2+Time(i), "bench.far")
+			}
+			fn := func() {}
+			for i := 0; i < 8; i++ {
+				e.At(Time(i), "bench.churn", fn)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.At(e.Now()+8, "bench.churn", fn)
+				e.Step()
+			}
+		})
 	}
 }

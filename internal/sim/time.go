@@ -2,19 +2,21 @@
 // a virtual clock, an event queue, coroutine-style simulated processes,
 // wait queues, and a seedable random number generator.
 //
-// The engine is single-threaded in the logical sense: although simulated
-// processes run on goroutines, exactly one of them executes at a time and
-// control is handed off synchronously, so every run with the same seed and
-// the same program produces the same event ordering and the same virtual
-// timestamps. This determinism is what lets the latency experiments in the
-// rest of the repository report exact, reproducible microsecond breakdowns.
+// The engine is single-threaded: a simulated process is a stack of
+// resumable frames (proc.go) that the event loop itself drives, on its own
+// goroutine, until the process blocks — there is no goroutine per process
+// and nothing to hand control to. Exactly one frame executes at a time, so
+// every run with the same seed and the same program produces the same
+// event ordering and the same virtual timestamps. This determinism is what
+// lets the latency experiments in the rest of the repository report exact,
+// reproducible microsecond breakdowns.
 //
 // # The event queue
 //
 // The queue is engineered for wall-clock speed, because every CPU charge,
 // timer, cell transmission, and process wakeup in the testbed passes
-// through it (see docs/PERFORMANCE.md). Events are stored BY VALUE in a
-// 4-ary min-heap (env.go): scheduling appends into the heap's backing
+// through it (see docs/PERFORMANCE.md). Events are stored BY VALUE in
+// 4-ary min-heaps (env.go): scheduling appends into a heap's backing
 // slice and popping moves values within it, so the steady-state event
 // loop performs no per-event allocation (the one interface word an event
 // carries holds only pointer-shaped values, which box for free), and the
@@ -22,15 +24,15 @@
 // an event that carries the process itself (proc.go) — no closure, no
 // label until a diagnostic prints one — making the sleep/wake cycle, the
 // single hottest path in the simulator, allocation-free; a process is one
-// allocation and a wait queue none (it embeds by value in its owner);
-// when no queued event fires before a sleeping
-// process's wake time, SleepUntil advances the clock in place instead of
-// parking the goroutine at all (two goroutine switches saved per CPU
-// charge, with the total order provably unchanged — see the method
-// comment). An environment is also reusable: Env.Reset rewinds the
-// clock, sequence counter, and RNG while keeping the heap's backing
-// storage and any processes parked on wait queues, the foundation of
-// testbed reuse (lab.Lab.Reset).
+// allocation and a wait queue none (it embeds by value in its owner).
+// When no queued event fires before a sleeping process's wake time,
+// SleepUntil advances the clock in place instead of parking the process
+// at all: the CPU charge was an ordinary function call, with neither a
+// push nor a pop (and the total order provably unchanged — see the method
+// comment). An environment is also reusable: Env.Reset rewinds the clock,
+// sequence counter, and RNG while keeping the heaps' backing storage and
+// any processes parked on wait queues, the foundation of testbed reuse
+// (lab.Lab.Reset).
 //
 // # Who owns scratch memory
 //
@@ -69,6 +71,18 @@
 //     entry, which walks to the live deadline instead of leaving a dead
 //     event behind at every superseded one.
 //
+// Behind all three the queue is two heaps, and a caller never chooses
+// between them: an entry due a millisecond or more past the clock when it
+// is scheduled (farAfter — above every cell time, propagation delay and
+// CPU charge in the cost model, below every protocol timer) goes to the
+// far tier, anything sooner to the near one, and it stays where it was
+// pushed until it pops — a timer that walks re-keys in its own tier. The
+// next event is whichever root is before the other. The live work of a
+// 10,000-client fan-in is about ten entries; the thousands of armed,
+// stopped and superseded protocol timers under them are a second away,
+// and with the tiers apart the pushes and pops of the live ten no longer
+// sift through them.
+//
 // None of this affects simulated time. Events fire in exactly the order
 // defined by (timestamp, scheduling sequence number), a total order, so
 // any correct priority queue produces the identical simulation; and
@@ -77,14 +91,17 @@
 // place in that order — an event per call would have had. A lane only
 // defers *inserting* keys that are already in order among themselves; a
 // timer only drops entries that would have popped as no-ops, and still
-// lets its last deadline pop so a drained clock stops where it did.
-// What can differ is which no-ops a sleeping process sees ahead of it,
-// and skipping or adding a wake shifts later sequence numbers uniformly
-// (see Proc.SleepUntil). That contract is what lets the wall-clock work
-// promise byte-identical paper tables (enforced by the golden-output
-// tests in cmd/tables, cmd/load, and cmd/pkttrace) and is checked
-// against a plain-heap reference by the property test and fuzzer in
-// queue_test.go.
+// lets its last deadline pop so a drained clock stops where it did. Any
+// partition of the entries keeps the order too: every key is stamped
+// before a tier is chosen, and the minimum of two heaps is the minimum of
+// their union. What can differ is which no-ops a sleeping process sees
+// ahead of it, and skipping or adding a wake shifts later sequence
+// numbers uniformly (see Proc.SleepUntil). That contract is what lets the
+// wall-clock work promise byte-identical paper tables (enforced by the
+// golden-output tests in cmd/tables, cmd/load, and cmd/pkttrace) and is
+// checked against a plain-heap reference — under Run, under a bare Step
+// loop and under windows whose horizon a callback lowers — by the
+// property test and fuzzer in queue_test.go.
 package sim
 
 import "fmt"

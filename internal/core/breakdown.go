@@ -71,11 +71,12 @@ func MeasureBreakdowns(cfg lab.Config, size, iterations, warmup int) (tx, rx Bre
 // acquires it, not when this one releases it.
 func MeasureBreakdownsOn(tb *runner.Testbeds, cfg lab.Config, size, iterations, warmup int) (tx, rx Breakdown, err error) {
 	l := tb.Lab(cfg, 2)
+	rec := l.Client.Trace()
+	rec.EnableSpans() // a testbed keeps none unless a reader asks
 	res, err := l.RunEcho(size, iterations, warmup)
 	if err != nil {
 		return tx, rx, err
 	}
-	rec := l.Client.Trace()
 
 	tx = Breakdown{Size: size, Rows: map[trace.Layer]float64{}}
 	rx = Breakdown{Size: size, Rows: map[trace.Layer]float64{}}

@@ -63,28 +63,47 @@ func fcsBitwise(b []byte) uint32 {
 	return ^crc
 }
 
-// Frame is a raw Ethernet frame (header + payload + FCS).
+// Frame is a raw Ethernet frame (header + payload + FCS). On the wire —
+// from Driver.Output until the receiving driver has copied it into mbufs
+// — a frame is a buffer checked out of the loop's arena with exactly one
+// owner, who either passes it on or gives it back.
 type Frame []byte
 
-// Encapsulate builds a frame around payload, padding to the minimum size
-// and appending a real FCS.
-func Encapsulate(dst, src [6]byte, etherType uint16, payload []byte) Frame {
-	n := len(payload)
+// frameLen is the length of the frame that carries an n-byte payload.
+func frameLen(n int) int {
 	if n < MinPayload {
 		n = MinPayload
 	}
-	f := make([]byte, HeaderLen+n+FCSLen)
+	return HeaderLen + n + FCSLen
+}
+
+// Encapsulate builds a frame around payload, padding to the minimum size
+// and appending a real FCS. The driver does not call it — it seals the
+// arena buffer its datagram was linearized into — but both are the one
+// seal over the same layout, so this is the codec the tests and the fuzz
+// target hold the wire bytes to.
+func Encapsulate(dst, src [6]byte, etherType uint16, payload []byte) Frame {
+	f := make(Frame, frameLen(len(payload)))
+	copy(f[HeaderLen:], payload)
+	f.seal(dst, src, etherType, len(payload))
+	return f
+}
+
+// seal finishes, in place, a frame of frameLen(n) bytes whose n payload
+// bytes already sit at HeaderLen: addresses, type, padding, FCS. Every
+// byte outside the payload is written — the buffer may be a recycled one.
+func (f Frame) seal(dst, src [6]byte, etherType uint16, n int) {
 	copy(f[0:6], dst[:])
 	copy(f[6:12], src[:])
 	f[12] = byte(etherType >> 8)
 	f[13] = byte(etherType)
-	copy(f[HeaderLen:], payload)
-	c := fcs(f[:HeaderLen+n])
-	f[HeaderLen+n] = byte(c >> 24)
-	f[HeaderLen+n+1] = byte(c >> 16)
-	f[HeaderLen+n+2] = byte(c >> 8)
-	f[HeaderLen+n+3] = byte(c)
-	return f
+	body := len(f) - FCSLen
+	clear(f[HeaderLen+n : body])
+	c := fcs(f[:body])
+	f[body] = byte(c >> 24)
+	f[body+1] = byte(c >> 16)
+	f[body+2] = byte(c >> 8)
+	f[body+3] = byte(c)
 }
 
 // Decapsulate verifies the FCS and returns the payload (possibly padded)
@@ -169,21 +188,26 @@ func (s *Segment) NumStations() int { return len(s.stations) }
 
 // deliver routes one frame after its wire time: to the addressed station
 // for unicast, to every other station for broadcast. Stations are walked
-// in attach order, which keeps multi-station runs deterministic.
+// in attach order, which keeps multi-station runs deterministic. A
+// unicast frame changes hands; a broadcast reaches each station as a
+// checkout of its own, since each will give its frame back separately.
 func (s *Segment) deliver(src *Adapter, f Frame) {
+	arena := src.K.Env.Arena()
 	var dst [6]byte
 	copy(dst[:], f[0:6])
 	if dst == Broadcast {
 		for _, st := range s.stations {
 			if st != src {
-				st.receive(f)
+				st.receive(append(arena.Checkout(len(f)), f...))
 			}
 		}
+		arena.Return(f)
 		return
 	}
 	st, ok := s.byMAC[dst]
 	if !ok || st == src {
 		s.UnknownUnicasts++
+		arena.Return(f)
 		return
 	}
 	st.receive(f)
@@ -199,16 +223,19 @@ type Adapter struct {
 	seg  *Segment
 
 	wireBusy sim.Time
-	rxQ      []rxItem
+	// rxQ holds received frames, each with its wire-arrival time, until
+	// the driver pops them.
+	rxQ frameFIFO
 	// RxReady is the per-frame receive interrupt.
 	RxReady sim.WaitQueue
 
-	// flight[flightHead:] holds the frames Transmit has committed, oldest
-	// first, until each reaches the segment: that arrival, on inLane, is a
-	// frame's one wire event (Transmit knows when its last bit leaves).
-	flight     []Frame
-	flightHead int
-	inLane     sim.Lane
+	// flight holds the frames Transmit has committed, oldest first, until
+	// each reaches the segment: that arrival, on inLane, is a frame's one
+	// wire event (Transmit knows when its last bit leaves). Both queues
+	// are one type, so this one carries each frame's arrival time too;
+	// only rxQ's is read.
+	flight frameFIFO
+	inLane sim.Lane
 
 	FramesSent int64
 	FramesRecv int64
@@ -216,6 +243,8 @@ type Adapter struct {
 	Filtered int64
 	// LossRate drops frames on the wire for fault injection.
 	LossRate float64
+	// LossDrops counts frames LossRate killed.
+	LossDrops int64
 	// ge is the Gilbert–Elliott burst-loss chain (SetImpairments) —
 	// the frame-level analogue of the ATM adapter's cell impairments,
 	// drawing from a per-link RNG rather than the environment's stream.
@@ -246,22 +275,20 @@ func NewAdapter(k *kern.Kernel, addr [6]byte) *Adapter {
 }
 
 // Reset returns the adapter to its just-constructed state for testbed
-// reuse: the transmitter idle at time zero, queues emptied with their
-// frame references released (frames are heap slices, unlike ATM's value
-// cells), fault injection off, counters cleared. The RxReady wait queue
-// survives with the driver's service process parked on it.
+// reuse: the transmitter idle at time zero, queues emptied with every
+// frame still in them given back to the loop's arena (which is why the
+// lab resets adapters before it rewinds the environment), fault injection
+// off, counters cleared. The RxReady wait queue survives with the
+// driver's service process parked on it.
 func (a *Adapter) Reset() {
 	a.wireBusy = 0
-	for i := range a.rxQ {
-		a.rxQ[i] = rxItem{}
-	}
-	a.rxQ = a.rxQ[:0]
-	clear(a.flight)
-	a.flight, a.flightHead = a.flight[:0], 0
+	a.flight.drain(a.K.Env.Arena())
+	a.rxQ.drain(a.K.Env.Arena())
 	a.LossRate = 0
 	a.ge = sim.GEChain{}
 	a.down = false
-	a.FramesSent, a.FramesRecv, a.Filtered, a.GEDrops, a.DownDrops = 0, 0, 0, 0, 0
+	a.FramesSent, a.FramesRecv, a.Filtered = 0, 0, 0
+	a.GEDrops, a.LossDrops, a.DownDrops = 0, 0, 0
 }
 
 // SetDown flips the station's fault state: while down, frames the
@@ -277,19 +304,10 @@ func (a *Adapter) Down() bool { return a.down }
 // frames die here — the pacing machinery (and so every wire timestamp)
 // is untouched, only the delivery leg is lost.
 func (a *Adapter) frameIn() {
-	f := a.flight[a.flightHead]
-	a.flight[a.flightHead] = nil // do not retain the frame
-	a.flightHead++
-	switch {
-	case a.flightHead == len(a.flight):
-		a.flight, a.flightHead = a.flight[:0], 0
-	case a.flightHead >= 128 && a.flightHead*2 >= len(a.flight):
-		n := copy(a.flight, a.flight[a.flightHead:])
-		clear(a.flight[n:])
-		a.flight, a.flightHead = a.flight[:n], 0
-	}
+	f, _ := a.flight.pop()
 	if a.down {
 		a.DownDrops++
+		a.K.Env.Arena().Return(f)
 		return
 	}
 	a.seg.deliver(a, f)
@@ -306,15 +324,55 @@ func Connect(a, b *Adapter) {
 	s.Attach(b)
 }
 
-// rxItem is one received frame with its wire-arrival time.
-type rxItem struct {
+// frameFIFO is a queue of frames, each with a timestamp, oldest at
+// q[head]. A popped slot is cleared at once, so the queue never keeps a
+// second reference to a buffer its new owner may give back.
+type frameFIFO struct {
+	q    []timedFrame
+	head int
+}
+
+type timedFrame struct {
 	f  Frame
 	at sim.Time
+}
+
+func (q *frameFIFO) len() int { return len(q.q) - q.head }
+
+func (q *frameFIFO) push(f Frame, at sim.Time) {
+	q.q = append(q.q, timedFrame{f: f, at: at})
+}
+
+// pop removes the oldest frame. A queue that empties rewinds; one that
+// stays busy slides down once the dead prefix is half of it.
+func (q *frameFIFO) pop() (Frame, sim.Time) {
+	it := q.q[q.head]
+	q.q[q.head] = timedFrame{}
+	q.head++
+	switch {
+	case q.head == len(q.q):
+		q.q, q.head = q.q[:0], 0
+	case q.head >= 128 && q.head*2 >= len(q.q):
+		n := copy(q.q, q.q[q.head:])
+		clear(q.q[n:])
+		q.q, q.head = q.q[:n], 0
+	}
+	return it.f, it.at
+}
+
+// drain empties the queue, giving every frame in it back to the arena.
+func (q *frameFIFO) drain(arena *sim.Arena) {
+	for q.len() > 0 {
+		f, _ := q.pop()
+		arena.Return(f)
+	}
 }
 
 // Transmit paces the frame onto the wire and hands it to the segment for
 // destination filtering and delivery. It returns the time the frame's
 // last bit leaves the wire — the packet trace's wire-departure instant.
+// f is a buffer checked out of the loop's arena, and Transmit takes it
+// over: it comes back from whichever station, or drop, ends its life.
 func (a *Adapter) Transmit(f Frame) sim.Time {
 	env := a.K.Env
 	start := env.Now()
@@ -325,54 +383,62 @@ func (a *Adapter) Transmit(f Frame) sim.Time {
 	end := start + onWire
 	a.wireBusy = end + a.K.Cost.EtherIFG
 	a.FramesSent++
-	a.flight = append(a.flight, f)
-	a.inLane.At(env, end+a.K.Cost.EtherPropagation, "ether.framein")
+	arrive := end + a.K.Cost.EtherPropagation
+	a.flight.push(f, arrive)
+	a.inLane.At(env, arrive, "ether.framein")
 	return end
 }
 
 // receive handles a frame arriving from the wire. The station filter
 // (own address or broadcast) mirrors the LANCE's hardware address match;
 // the segment normally routes frames so the filter only fires on
-// misdelivery.
+// misdelivery. The frame is the adapter's from here: queued for the
+// driver, or given back by whichever discard stops it.
 func (a *Adapter) receive(f Frame) {
-	if a.down {
-		a.DownDrops++
+	if drops := a.discard(f); drops != nil {
+		*drops++
+		a.K.Env.Arena().Return(f)
 		return
+	}
+	a.FramesRecv++
+	a.rxQ.push(f, a.K.Env.Now())
+	a.K.Trace.Mark(trace.MarkFrameArrival, a.K.Env.Now())
+	a.RxReady.Wake()
+}
+
+// discard decides an arriving frame's fate: nil to accept it, or the
+// counter of the one cause that drops it.
+func (a *Adapter) discard(f Frame) *int64 {
+	if a.down {
+		return &a.DownDrops
 	}
 	if len(f) >= 6 {
 		var dst [6]byte
 		copy(dst[:], f[0:6])
 		if dst != a.Addr && dst != Broadcast {
-			a.Filtered++
-			return
+			return &a.Filtered
 		}
 	}
 	if a.ge.Enabled() && a.ge.Drop() {
-		a.GEDrops++
-		return
+		return &a.GEDrops
 	}
 	if a.LossRate > 0 && a.K.Env.RNG().Bool(a.LossRate) {
-		return
+		return &a.LossDrops
 	}
-	a.FramesRecv++
-	a.rxQ = append(a.rxQ, rxItem{f: f, at: a.K.Env.Now()})
-	a.K.Trace.Mark(trace.MarkFrameArrival, a.K.Env.Now())
-	a.RxReady.Wake()
+	return nil
 }
 
 // RxAvail returns the number of received frames waiting.
-func (a *Adapter) RxAvail() int { return len(a.rxQ) }
+func (a *Adapter) RxAvail() int { return a.rxQ.len() }
 
 // PopRx removes and returns the oldest waiting frame along with its
-// wire-arrival time.
+// wire-arrival time. The frame is the caller's to give back.
 func (a *Adapter) PopRx() (Frame, sim.Time, bool) {
-	if len(a.rxQ) == 0 {
+	if a.rxQ.len() == 0 {
 		return nil, 0, false
 	}
-	it := a.rxQ[0]
-	copy(a.rxQ, a.rxQ[1:])
-	a.rxQ = a.rxQ[:len(a.rxQ)-1]
-	return it.f, it.at, true
+	f, at := a.rxQ.pop()
+	return f, at, true
 }
 
 // Driver is the Ethernet network driver (ip.NetIf plus the receive
@@ -389,10 +455,6 @@ type Driver struct {
 	// txBusy serializes Output (the splimp-protected driver section).
 	txBusy bool
 	txWait sim.WaitQueue
-
-	// lin is the transmit path's linearization scratch, reused across
-	// Output calls under the txBusy serialization.
-	lin []byte
 
 	// outOp caches the transmit frame; txBusy serializes Output, so one
 	// cached frame covers the steady state.
@@ -418,8 +480,9 @@ func NewDriver(k *kern.Kernel, a *Adapter, ipStack *ip.Stack) *Driver {
 
 // Reset returns the driver to its just-constructed state for testbed
 // reuse: the transmit lock clears, the MTU override returns to default
-// for the lab to re-apply, and counters zero. The linearization scratch
-// is retained; the receive service process stays parked on RxReady.
+// for the lab to re-apply, and counters zero. The driver keeps no buffer
+// of its own between frames; the receive service process stays parked on
+// RxReady.
 func (d *Driver) Reset() {
 	d.MTUOverride = 0
 	d.txBusy = false
@@ -437,15 +500,16 @@ func (d *Driver) MTU() int {
 	return MTU
 }
 
-// Output implements ip.NetIf: encapsulate and hand to the adapter,
-// charging the driver's per-frame output cost (the LANCE copy is part of
-// the per-byte term). The destination MAC comes from the segment's ARP
-// table, keyed by the datagram's IP destination. On a segment with no
-// bindings at all (raw Connect pairs assembled without a topology
-// builder) frames are flooded as broadcast, the old pairwise delivery;
-// once bindings exist, a destination that resolves to none of them is a
-// configuration error and the datagram is dropped and counted rather
-// than flooded into every other host's stack.
+// Output implements ip.NetIf: linearize the chain into a frame checked
+// out of the loop's arena — the one copy on this path — seal it in place
+// and hand it to the adapter, charging the driver's per-frame output cost
+// (the LANCE copy is part of the per-byte term). The destination MAC
+// comes from the segment's ARP table, keyed by the datagram's IP
+// destination. On a segment with no bindings at all (raw Connect pairs
+// assembled without a topology builder) frames are flooded as broadcast,
+// the old pairwise delivery; once bindings exist, a destination that
+// resolves to none of them is a configuration error and the datagram is
+// dropped and counted rather than flooded into every other host's stack.
 func (d *Driver) Output(p *sim.Proc, m *mbuf.Mbuf) {
 	f := d.outOp
 	if f != nil {
@@ -466,6 +530,8 @@ type outputOp struct {
 
 	m       *mbuf.Mbuf
 	txStart sim.Time
+	fr      Frame // the checked-out frame, datagram at HeaderLen
+	n       int   // datagram length
 }
 
 // Step drives the transmit state machine.
@@ -481,31 +547,34 @@ func (f *outputOp) Step(p *sim.Proc) {
 			}
 			d.txBusy = true
 			f.txStart = k.Now()
-			data := mbuf.LinearizeInto(d.lin[:0], f.m)
-			d.lin = data
+			f.n = mbuf.ChainLen(f.m)
+			size := frameLen(f.n)
+			f.fr = k.Env.Arena().Checkout(size)[:size]
+			mbuf.CopyBytesTo(f.m, 0, f.n, f.fr[HeaderLen:HeaderLen+f.n])
 			f.pc = 1
-			if !k.Use(p, trace.LayerEtherTx, k.Cost.EtherTx.Cost(len(data))) {
+			if !k.Use(p, trace.LayerEtherTx, k.Cost.EtherTx.Cost(f.n)) {
 				return
 			}
-		case 1: // hand to the adapter, then charge the chain free
-			data := d.lin
-			if dst, ok := d.resolve(data); ok {
-				fr := Encapsulate(dst, d.Adapter.Addr, EtherTypeIPv4, data)
-				wireEnd := d.Adapter.Transmit(fr)
+		case 1: // seal and hand to the adapter, then charge the chain free
+			if dst, ok := d.resolve(f.fr[HeaderLen : HeaderLen+f.n]); ok {
+				f.fr.seal(dst, d.Adapter.Addr, EtherTypeIPv4, f.n)
+				wireEnd := d.Adapter.Transmit(f.fr)
 				if k.Trace.PacketRecording() {
 					id := k.PacketContext(p)
 					k.Trace.Event(trace.Event{
 						Kind: trace.EvDriverTx, At: f.txStart, Dur: k.Now() - f.txStart,
-						ID: id, Len: len(data),
+						ID: id, Len: f.n,
 					})
 					k.Trace.Event(trace.Event{
-						Kind: trace.EvWireDepart, At: wireEnd, ID: id, Len: len(data),
+						Kind: trace.EvWireDepart, At: wireEnd, ID: id, Len: f.n,
 					})
 				}
 				d.FramesOut++
 			} else {
 				d.NoRoute++
+				k.Env.Arena().Return(f.fr)
 			}
+			f.fr = nil
 			f.pc = 2
 			if c := k.FreeChainCost(f.m); c > 0 {
 				if !k.Use(p, trace.LayerMbuf, c) {
@@ -554,7 +623,8 @@ type rxprocFrame struct {
 
 	rxStart   sim.Time
 	arrivedAt sim.Time
-	dg        []byte
+	fr        Frame  // held until the datagram is in mbufs, or rejected
+	dg        []byte // the datagram, inside fr
 	etherType uint16
 	ok        bool
 
@@ -579,9 +649,8 @@ func (f *rxprocFrame) Step(p *sim.Proc) {
 				return
 			}
 			f.rxStart = k.Now()
-			fr, arrivedAt, _ := d.Adapter.PopRx()
-			f.arrivedAt = arrivedAt
-			f.dg, f.etherType, f.ok = Decapsulate(fr)
+			f.fr, f.arrivedAt, _ = d.Adapter.PopRx()
+			f.dg, f.etherType, f.ok = Decapsulate(f.fr)
 			f.pc = 1
 			if !k.Use(p, trace.LayerEtherRx, k.Cost.EtherRx.Cost(len(f.dg))) {
 				return
@@ -589,7 +658,8 @@ func (f *rxprocFrame) Step(p *sim.Proc) {
 		case 1: // validate; stamp the on-wire identity; charge header mbuf
 			if !f.ok || f.etherType != EtherTypeIPv4 || len(f.dg) < ip.HeaderLen {
 				d.FCSErrors++
-				f.dg = nil
+				k.Env.Arena().Return(f.fr)
+				f.fr, f.dg = nil, nil
 				f.pc = 0
 				continue
 			}
@@ -652,7 +722,8 @@ func (f *rxprocFrame) Step(p *sim.Proc) {
 				p.PopTag()
 				f.tagged = false
 			}
-			f.dg, f.rest, f.chain, f.tail = nil, nil, nil, nil
+			k.Env.Arena().Return(f.fr)
+			f.fr, f.dg, f.rest, f.chain, f.tail = nil, nil, nil, nil, nil
 			f.pc = 0
 		}
 	}

@@ -11,27 +11,47 @@ import (
 	"repro/internal/sim"
 )
 
-// buildSegment assembles n stations on one shared segment with IP
-// bindings, each with a protocol-99 sink.
-func buildSegment(t *testing.T, env *sim.Env, n int) (*Segment, []*kern.Kernel, []*ip.Stack, []*Adapter, []*sink) {
+// stations is n hosts on one shared segment with IP bindings, each with a
+// protocol-99 sink.
+type stations struct {
+	env      *sim.Env
+	seg      *Segment
+	kerns    []*kern.Kernel
+	ips      []*ip.Stack
+	adapters []*Adapter
+	drivers  []*Driver
+	sinks    []*sink
+}
+
+func buildStations(t *testing.T, env *sim.Env, n int) *stations {
 	t.Helper()
 	model := cost.DECstation5000()
-	seg := NewSegment()
-	kerns := make([]*kern.Kernel, n)
-	ips := make([]*ip.Stack, n)
-	adapters := make([]*Adapter, n)
-	sinks := make([]*sink, n)
+	s := &stations{env: env, seg: NewSegment()}
 	for i := 0; i < n; i++ {
-		kerns[i] = kern.New(env, model, fmt.Sprintf("h%d", i))
-		ips[i] = ip.NewStack(kerns[i], uint32(i+1))
-		adapters[i] = NewAdapter(kerns[i], [6]byte{2, 0, 0, 0, 0, byte(i + 1)})
-		seg.Attach(adapters[i])
-		seg.BindIP(uint32(i+1), adapters[i])
-		NewDriver(kerns[i], adapters[i], ips[i])
-		sinks[i] = &sink{}
-		ips[i].Register(99, sinks[i])
+		k := kern.New(env, model, fmt.Sprintf("h%d", i))
+		ipStack := ip.NewStack(k, uint32(i+1))
+		a := NewAdapter(k, [6]byte{2, 0, 0, 0, 0, byte(i + 1)})
+		s.seg.Attach(a)
+		s.seg.BindIP(uint32(i+1), a)
+		sk := &sink{}
+		ipStack.Register(99, sk)
+		s.kerns, s.ips, s.adapters = append(s.kerns, k), append(s.ips, ipStack), append(s.adapters, a)
+		s.drivers, s.sinks = append(s.drivers, NewDriver(k, a, ipStack)), append(s.sinks, sk)
 	}
-	return seg, kerns, ips, adapters, sinks
+	return s
+}
+
+// buildSegment is buildStations unpacked.
+func buildSegment(t *testing.T, env *sim.Env, n int) (*Segment, []*kern.Kernel, []*ip.Stack, []*Adapter, []*sink) {
+	t.Helper()
+	s := buildStations(t, env, n)
+	return s.seg, s.kerns, s.ips, s.adapters, s.sinks
+}
+
+// onWire returns f as the wire carries frames: a copy checked out of the
+// loop's arena, which Transmit and receive take ownership of.
+func onWire(env *sim.Env, f Frame) Frame {
+	return append(env.Arena().Checkout(len(f)), f...)
 }
 
 func TestSegmentUnicastOnlyAddressedStation(t *testing.T) {
@@ -57,7 +77,7 @@ func TestSegmentBroadcastReachesAllStations(t *testing.T) {
 	env := sim.NewEnv()
 	_, _, _, adapters, _ := buildSegment(t, env, 4)
 	f := Encapsulate(Broadcast, adapters[0].Addr, EtherTypeIPv4, make([]byte, 100))
-	env.Spawn("tx", sim.Steps(func(p *sim.Proc) { adapters[0].Transmit(f) }))
+	env.Spawn("tx", sim.Steps(func(p *sim.Proc) { adapters[0].Transmit(onWire(env, f)) }))
 	env.Run()
 	for i, a := range adapters[1:] {
 		if a.FramesRecv != 1 {
@@ -74,7 +94,7 @@ func TestSegmentUnknownUnicastDropped(t *testing.T) {
 	seg, _, _, adapters, _ := buildSegment(t, env, 2)
 	ghost := [6]byte{2, 0, 0, 0, 0, 0x7f}
 	f := Encapsulate(ghost, adapters[0].Addr, EtherTypeIPv4, make([]byte, 80))
-	env.Spawn("tx", sim.Steps(func(p *sim.Proc) { adapters[0].Transmit(f) }))
+	env.Spawn("tx", sim.Steps(func(p *sim.Proc) { adapters[0].Transmit(onWire(env, f)) }))
 	env.Run()
 	if adapters[1].FramesRecv != 0 {
 		t.Fatal("frame for an unknown MAC was delivered")
@@ -112,7 +132,7 @@ func TestSegmentAdapterFiltersMisdelivery(t *testing.T) {
 	env := sim.NewEnv()
 	_, _, _, adapters, _ := buildSegment(t, env, 2)
 	f := Encapsulate(adapters[0].Addr, adapters[0].Addr, EtherTypeIPv4, make([]byte, 80))
-	adapters[1].receive(f)
+	adapters[1].receive(onWire(env, f))
 	if adapters[1].Filtered != 1 || adapters[1].FramesRecv != 0 {
 		t.Fatalf("filter missed: Filtered=%d FramesRecv=%d",
 			adapters[1].Filtered, adapters[1].FramesRecv)

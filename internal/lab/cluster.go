@@ -321,6 +321,10 @@ func (c *Cluster) configure(cfg Config) {
 		}
 	}
 	for i, h := range l.Hosts {
+		// Spans are kept for whoever reads a Breakdown, and a testbed has
+		// no such reader until one says so (core.MeasureBreakdownsOn arms
+		// the client's recorder); events are kept when the trial asks.
+		h.Kern.Trace.DisableSpans()
 		if cfg.PacketTrace {
 			h.Kern.Trace.EnablePackets()
 		} else {
@@ -767,7 +771,7 @@ func (c *Cluster) Run() {
 // rather than gated at the source.
 func (c *Cluster) RunEcho(size, iterations, warmup int) (*EchoResult, error) {
 	l := c.Lab
-	res := &EchoResult{Size: size, Iterations: iterations}
+	res := newEchoResult(size, iterations)
 	var runErr error
 
 	ln, err := l.Server.TCP.Listen(echoPort)

@@ -169,7 +169,7 @@ type Host struct {
 	EthDriver  *ether.Driver
 }
 
-// Trace returns the host's span recorder.
+// Trace returns the host's trace recorder.
 func (h *Host) Trace() *trace.Recorder { return &h.Kern.Trace }
 
 // Lab is an assembled testbed of two or more hosts on one link substrate.
@@ -358,6 +358,18 @@ type EchoResult struct {
 	// Windows give, for each measured iteration, the client-side
 	// timestamps the breakdown computations need.
 	Windows []IterWindow
+}
+
+// newEchoResult returns the result of a run that will measure iterations
+// round trips, with room for them: the records are appended one a round
+// trip, and growing them by doubling was a third of what a small-packet
+// sweep allocated.
+func newEchoResult(size, iterations int) *EchoResult {
+	n := max(iterations, 0)
+	return &EchoResult{
+		Size: size, Iterations: iterations,
+		RTTs: make([]sim.Time, 0, n), Windows: make([]IterWindow, 0, n),
+	}
 }
 
 // IterWindow delimits one measured round trip on the client.
@@ -727,7 +739,7 @@ func (f *udpEchoClientFrame) Step(p *sim.Proc) {
 // datagram baseline for the paper's "is TCP viable for RPC?" question.
 // Sizes above the link MTU are rejected (UDP here does not fragment).
 func (l *Lab) RunUDPEcho(size, iterations, warmup int) (*EchoResult, error) {
-	res := &EchoResult{Size: size, Iterations: iterations}
+	res := newEchoResult(size, iterations)
 	const port = 2049 // the NFS port, in the spirit of §4.2
 	srv, err := l.Server.UDP.Bind(port)
 	if err != nil {
@@ -766,8 +778,9 @@ func (l *Lab) setTracing(on bool) {
 	}
 }
 
-// EnableTracing turns span (and, when Config.PacketTrace armed it,
-// event) recording on for every host. The echo benchmark manages this
+// EnableTracing turns every host's recorder on: marks, events when
+// Config.PacketTrace armed them, spans on a recorder whose reader armed
+// those (configure leaves them off). The echo benchmark manages this
 // itself around its measured iterations; the other workload generators
 // call it at the start of a traced run so the trace covers connection
 // setup too.

@@ -5,7 +5,8 @@ import "math/bits"
 // Arena is an event loop's scratch memory: the byte buffers that work in
 // flight needs and idle state does not — the buffer a datagram
 // reassembles into, the CPCS-PDU a driver segments out of, the cells
-// queued behind a transmitter. Exactly one frame runs on a loop at a
+// queued behind a transmitter, an Ethernet frame from the sending driver
+// to the receiving one. Exactly one frame runs on a loop at a
 // time, so the loop, not the host, is the natural owner: ten thousand
 // hosts that each speak once run through the same few warm buffers
 // instead of each growing and keeping its own.
@@ -17,10 +18,10 @@ import "math/bits"
 // Two kinds of hold, one pool underneath:
 //
 //   - Checkout/Return is for a buffer that lives as long as one unit of
-//     work — a datagram being reassembled or transmitted — and is
-//     counted: a drained loop holds none (Outstanding is zero) unless a
-//     frame is genuinely stuck mid-reassembly, and Env.Reset refuses to
-//     rewind with any outstanding.
+//     work — a datagram being reassembled or transmitted, a frame on the
+//     wire — and is counted: a drained loop holds none (Outstanding is
+//     zero) unless a frame is genuinely stuck mid-reassembly, and
+//     Env.Reset refuses to rewind with any outstanding.
 //   - Get/Put is for storage a queue holds while it is non-empty and
 //     gives back when it drains. It is not counted: a queue may
 //     legitimately sit non-empty on a quiet loop (cells of a frame whose

@@ -24,10 +24,13 @@ import (
 // would.
 func (c *Conn) output(p *sim.Proc) {
 	f := c.outOp
-	if f != nil {
-		c.outOp = nil
-	} else {
-		f = &outputOp{c: c}
+	c.outOp = nil
+	if f == nil {
+		spare := sim.Local[spareOutput](c.K.Env)
+		if f, spare.f = spare.f, nil; f == nil {
+			f = new(outputOp)
+		}
+		f.c = c
 	}
 	f.pc = 0
 	p.Call(f)
@@ -38,7 +41,7 @@ func (c *Conn) output(p *sim.Proc) {
 // (including mcopy and the checksum) flattened into one frame. Each
 // connection caches one — per-connection outputs are serialized by the
 // outBusy lock, so steady state allocates nothing; an overlapping caller
-// parked on the lock falls back to a fresh frame.
+// parked on the lock borrows the loop's spare.
 type outputOp struct {
 	c  *Conn
 	pc int
@@ -349,12 +352,22 @@ func (f *outputOp) Step(p *sim.Proc) {
 			c.outWait.WakeAll()
 			if c.outOp == nil {
 				c.outOp = f
+			} else if spare := sim.Local[spareOutput](k.Env); spare.f == nil {
+				*f = outputOp{}
+				spare.f = f
 			}
 			p.Return()
 			return
 		}
 	}
 }
+
+// spareOutput is the one output frame an event loop keeps for whichever
+// connection next finds its own in use: the second of two overlapping
+// callers finishes with a frame the connection has no slot for, and the
+// next overlap, on any connection of the loop, takes that one rather than
+// a new one. It is parked zeroed, so it pins no connection while it waits.
+type spareOutput struct{ f *outputOp }
 
 // outputFlags returns the header flags implied by the connection state.
 func (c *Conn) outputFlags() uint8 {

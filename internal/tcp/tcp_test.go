@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -1061,5 +1062,27 @@ func TestRTOBackoffSaturates(t *testing.T) {
 	c.rexmtShift = maxRexmtShift
 	if d := c.rto(); d != maxRTO {
 		t.Fatalf("rto at max shift = %v, want %v", d, maxRTO)
+	}
+}
+
+// TestSpareOutputFrameDoesNotPinConn runs a transfer long enough for
+// tcp_output to be entered while it is already running (the user's send
+// and the ACK-driven input side overlap), which leaves the loop holding a
+// spare output frame. Parked, the spare must be all zeros: it names no
+// connection and no mbuf, so a connection that has closed is not kept
+// alive by a frame some other connection will borrow next.
+func TestSpareOutputFrameDoesNotPinConn(t *testing.T) {
+	p := newPair(t, cost.ChecksumStandard)
+	payload := make([]byte, 60000)
+	p.env.RNG().Fill(payload)
+	if got := transfer(t, p, payload, true); !bytes.Equal(got, payload) {
+		t.Fatal("corrupted transfer")
+	}
+	spare := sim.Local[spareOutput](p.env).f
+	if spare == nil {
+		t.Fatal("no output call overlapped another: the transfer no longer exercises the spare")
+	}
+	if !reflect.DeepEqual(*spare, outputOp{}) {
+		t.Fatalf("the parked spare still holds state: %+v", *spare)
 	}
 }

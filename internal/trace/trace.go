@@ -82,26 +82,32 @@ type Mark struct {
 	At   sim.Time
 }
 
-// Recorder accumulates spans and marks while enabled. The zero value is a
-// valid, disabled recorder; recording calls on a disabled recorder are
-// cheap no-ops, so the protocol code is always instrumented and the
-// experiment harness flips recording on only for measured iterations
-// (the paper likewise timed only the measured loop).
+// Recorder accumulates spans, marks and events while enabled. The zero
+// value is a valid, disabled recorder; recording calls on a disabled
+// recorder are cheap no-ops, so the protocol code is always instrumented
+// and the experiment harness flips recording on only for measured
+// iterations (the paper likewise timed only the measured loop).
+//
+// Marks are always kept while enabled. The two bulky records are kept for
+// a reader: events only once armed (EnablePackets), spans unless disarmed
+// (DisableSpans) — an 8000-byte echo trial charges tens of thousands of
+// spans a host, and a sweep that reads round-trip times reads none.
 type Recorder struct {
 	enabled bool
 	packets bool
+	noSpans bool
 	spans   []Span
 	marks   []Mark
 	events  []Event
 }
 
-// Enable turns recording on, pre-sizing the record buffers the first
-// time so the measured loop appends without growth reallocations (the
-// buffers are retained across Reset, so repeated measured windows reuse
-// one allocation).
+// Enable turns recording on, giving the record buffers a first size so a
+// short measured window appends without growing; a long one grows them,
+// and they are retained across Reset, so repeated windows reuse one
+// allocation either way.
 func (r *Recorder) Enable() {
 	r.enabled = true
-	if cap(r.spans) == 0 {
+	if !r.noSpans && cap(r.spans) == 0 {
 		r.spans = make([]Span, 0, 2048)
 	}
 	if cap(r.marks) == 0 {
@@ -114,6 +120,16 @@ func (r *Recorder) Enable() {
 
 // Disable turns recording off without discarding existing records.
 func (r *Recorder) Disable() { r.enabled = false }
+
+// DisableSpans makes Span a no-op even while the recorder is enabled,
+// for a run nobody will ask for a Breakdown: a testbed disarms every
+// host's recorder when it is configured. Marks and events are unaffected.
+func (r *Recorder) DisableSpans() { r.noSpans = true }
+
+// EnableSpans restores the zero value's behaviour — spans are kept while
+// the recorder is enabled. Whoever is going to read Spans, Breakdown or
+// WindowSpans of a testbed's recorder calls it before the run.
+func (r *Recorder) EnableSpans() { r.noSpans = false }
 
 // Enabled reports whether the recorder is accepting records.
 func (r *Recorder) Enabled() bool { return r != nil && r.enabled }
@@ -135,7 +151,7 @@ func (r *Recorder) Reset() {
 // to the window and add, so the merged span contributes exactly what its
 // pieces would have, whatever the window cuts through.
 func (r *Recorder) Span(layer Layer, start, end sim.Time) {
-	if !r.Enabled() {
+	if !r.Enabled() || r.noSpans {
 		return
 	}
 	if end < start {

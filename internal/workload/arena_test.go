@@ -25,6 +25,30 @@ func arenaState(l *lab.Lab) (out, reassembling int) {
 	return out, reassembling
 }
 
+// checkEtherLedger is Ethernet's conservation law on a drained lab (a
+// no-op on ATM): every frame sent was received or dropped for exactly one
+// counted cause, and every frame an adapter received its driver passed up
+// or rejected.
+func checkEtherLedger(t *testing.T, name string, l *lab.Lab) {
+	t.Helper()
+	if l.Segment == nil {
+		return
+	}
+	var sent, ended int64
+	for i, h := range l.Hosts {
+		a, d := h.EthAdapter, h.EthDriver
+		sent += a.FramesSent
+		ended += a.FramesRecv + a.Filtered + a.GEDrops + a.LossDrops + a.DownDrops
+		if d.FramesIn+d.FCSErrors != a.FramesRecv {
+			t.Errorf("%s, %s: adapter received %d frames, driver passed up %d and rejected %d",
+				name, lab.HostName(i), a.FramesRecv, d.FramesIn, d.FCSErrors)
+		}
+	}
+	if ended += l.Segment.UnknownUnicasts; sent != ended {
+		t.Errorf("%s: %d frames sent, %d received or dropped for a counted cause", name, sent, ended)
+	}
+}
+
 // scratchTrial is one run for the arena tests: a generator on a topology
 // at a shard count, with every loop's use-after-return tripwire armed or
 // not, returning the lab and the result as JSON.
@@ -49,13 +73,15 @@ func scratchTrial(t *testing.T, g workload.Generator, cfg lab.Config, hosts, sha
 
 // arenaTrials are the runs both tests below share: each generator and
 // transport on both fabrics, the 10k benchmark's staggered streaming
-// shape in miniature, then the congested tier and the fault tier.
+// shape in miniature, then the congested tier and the fault tier, then
+// the shared Ethernet segment, whose frames are checkouts too — clean,
+// under burst loss, and through a crash that downs the server's station.
 var arenaTrials = []struct {
 	name     string
 	g        workload.Generator
 	cfg      lab.Config
 	hosts    int
-	lossFree bool // and shardable
+	lossFree bool // and, on ATM, shardable
 }{
 	{"echo", workload.Echo{Size: 8000, Iterations: 6, Warmup: 1}, lab.Config{Link: lab.LinkATM}, 3, true},
 	{"fan-in, hub", workload.FanIn{Requests: 4, Size: 200}, lab.Config{Link: lab.LinkATM, PacketTrace: true}, 9, true},
@@ -76,6 +102,23 @@ var arenaTrials = []struct {
 	{"server crash and restart, rudp", workload.FaultRecovery{Transport: workload.TransportRUDP, Requests: 8,
 		Interval: 100 * sim.Millisecond, CrashAt: 250 * sim.Millisecond, Downtime: sim.Second},
 		lab.Config{Link: lab.LinkATM, CheckLeaks: true}, 5, false},
+	{"echo, ether", workload.Echo{Size: 8000, Iterations: 6, Warmup: 1}, lab.Config{Link: lab.LinkEther}, 3, true},
+	{"fan-in, ether segment", workload.FanIn{Requests: 4, Size: 200}, lab.Config{Link: lab.LinkEther, PacketTrace: true}, 5, true},
+	{"fan-in, rudp, ether", workload.FanIn{Requests: 4, Size: 200, Transport: workload.TransportRUDP}, lab.Config{Link: lab.LinkEther}, 4, true},
+	{"bulk, ether", workload.Bulk{Bytes: 65536}, lab.Config{Link: lab.LinkEther}, 2, true},
+	{"fan-in, ether, burst loss", workload.FanIn{Requests: 6, Size: 1400},
+		lab.Config{Link: lab.LinkEther, BurstLoss: sim.GEParams{PGoodBad: 0.03, PBadGood: 0.3, LossBad: 0.7}}, 4, false},
+	{"server crash and restart, ether", workload.FaultRecovery{Requests: 8, Interval: 100 * sim.Millisecond,
+		CrashAt: 250 * sim.Millisecond, Downtime: sim.Second}, lab.Config{Link: lab.LinkEther, CheckLeaks: true}, 5, false},
+}
+
+// shardCounts are the shard counts a trial runs at: the fault knobs run
+// serial only, and Ethernet is one broadcast domain.
+func shardCounts(cfg lab.Config, lossFree bool) []int {
+	if !lossFree || cfg.Link != lab.LinkATM {
+		return []int{1}
+	}
+	return []int{1, 4}
 }
 
 // TestArenaDrainsToZero is the checkout rule over the workload
@@ -87,13 +130,11 @@ var arenaTrials = []struct {
 // the mbuf leak gate armed where the trial arms it.
 func TestArenaDrainsToZero(t *testing.T) {
 	for _, tc := range arenaTrials {
-		for _, shards := range []int{1, 4} {
-			if shards > 1 && !tc.lossFree {
-				continue // the fault knobs run serial only
-			}
+		for _, shards := range shardCounts(tc.cfg, tc.lossFree) {
 			cfg := tc.cfg
 			cfg.Seed = 1994
 			l, _ := scratchTrial(t, tc.g, cfg, tc.hosts, shards, true)
+			checkEtherLedger(t, tc.name, l)
 			out, open := arenaState(l)
 			if out != open {
 				t.Errorf("%s, %d shards: drained with %d buffers checked out but %d frames mid-reassembly", tc.name, shards, out, open)
@@ -124,10 +165,7 @@ func TestReleasedScratchIsPoisoned(t *testing.T) {
 		cfg := tc.cfg
 		cfg.Seed = 7
 		_, want := scratchTrial(t, tc.g, cfg, tc.hosts, 1, false)
-		for _, shards := range []int{1, 4} {
-			if shards > 1 && !tc.lossFree {
-				continue
-			}
+		for _, shards := range shardCounts(tc.cfg, tc.lossFree) {
 			if _, got := scratchTrial(t, tc.g, cfg, tc.hosts, shards, true); got != want {
 				t.Errorf("%s, %d shards: the poisoned run diverged\n plain:    %.300s\n poisoned: %.300s", tc.name, shards, want, got)
 			}

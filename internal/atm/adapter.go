@@ -24,10 +24,21 @@ const (
 // interrupt on occupancy thresholds for exactly this reason.
 const RxDrainThreshold = 200
 
-// cellSink is the far end of an adapter's fiber: either the peer adapter
-// (the paper's switchless lab) or a switch port.
+// cellSink is the far end of a fiber: the peer adapter (the paper's
+// switchless lab), a switch port, or a peer switch's trunk port.
+//
+// The cell is the caller's and is valid until deliverCell returns: it is
+// the transmitter's own record of it, handed over where it lies and
+// dropped when the sink comes back. A sink may write it — a switch
+// rewrites the VCI and HEC there, link noise flips its bit there — and
+// must copy what it keeps: the receive FIFO, a cell held back for
+// reordering, a discipline's queue and an egress transmitter each take
+// their copy, which is the one copy a cell costs a hop. The one way to
+// break the rule is a sink committing into the very transmitter it is
+// being delivered from, which takes a trunk from a switch to itself;
+// ConnectTrunk refuses that.
 type cellSink interface {
-	deliverCell(c Cell)
+	deliverCell(c *Cell)
 }
 
 // fifo is a queue of cells with a head index, so popping neither shifts
@@ -35,21 +46,26 @@ type cellSink interface {
 // whenever the queue drains, and compacts when the dead prefix dominates.
 // It keeps its array while empty, which suits the queue disciplines — a
 // few per fabric, busy for a whole trial; the per-host and per-port
-// queues are cellQueues, which do not.
+// queues are cellQueues, which do not. It owns its cells: push copies the
+// caller's in, popInto copies the oldest out to where the caller wants it,
+// and front lends it only until the next push or drop.
 type fifo struct {
 	buf  []Cell
 	head int
 }
 
-func (q *fifo) push(v Cell) { q.buf = append(q.buf, v) }
+func (q *fifo) push(c *Cell) { q.buf = append(q.buf, *c) }
 
 // reset empties the queue, retaining the backing array.
 func (q *fifo) reset() { q.buf, q.head = q.buf[:0], 0 }
 
 func (q *fifo) len() int { return len(q.buf) - q.head }
 
-func (q *fifo) pop() Cell {
-	v := q.buf[q.head]
+// front returns the oldest cell where it lies in the queue.
+func (q *fifo) front() *Cell { return &q.buf[q.head] }
+
+// drop removes the oldest cell.
+func (q *fifo) drop() {
 	q.head++
 	switch {
 	case q.head == len(q.buf):
@@ -58,7 +74,12 @@ func (q *fifo) pop() Cell {
 		n := copy(q.buf, q.buf[q.head:])
 		q.buf, q.head = q.buf[:n], 0
 	}
-	return v
+}
+
+// popInto moves the oldest cell to dst.
+func (q *fifo) popInto(dst *Cell) {
+	*dst = *q.front()
+	q.drop()
 }
 
 // recSize is the stride of a cellQueue record: a time (little-endian,
@@ -84,7 +105,10 @@ func (q *cellQueue) timeAt(i int) sim.Time {
 	return sim.Time(binary.LittleEndian.Uint64(q.buf[q.head+i*recSize:]))
 }
 
-func (q *cellQueue) push(a *sim.Arena, t sim.Time, c *Cell) {
+// append adds a record stamped t and returns its cell, which holds
+// whatever the buffer held before: the caller writes every byte of it, at
+// once — the pointer is good until the next append or drop.
+func (q *cellQueue) append(a *sim.Arena, t sim.Time) *Cell {
 	n := len(q.buf)
 	if n+recSize > cap(q.buf) {
 		q.makeRoom(a)
@@ -93,8 +117,11 @@ func (q *cellQueue) push(a *sim.Arena, t sim.Time, c *Cell) {
 	q.buf = q.buf[:n+recSize]
 	r := (*[recSize]byte)(q.buf[n:])
 	binary.LittleEndian.PutUint64(r[:8], uint64(t))
-	*(*Cell)(r[8 : 8+CellSize]) = *c
+	return (*Cell)(r[8 : 8+CellSize])
 }
+
+// push appends a copy of c, stamped t.
+func (q *cellQueue) push(a *sim.Arena, t sim.Time, c *Cell) { *q.append(a, t) = *c }
 
 // makeRoom is push's slow path: slide the records down over the dead
 // prefix when that frees at least half the buffer, else move them to one
@@ -111,14 +138,24 @@ func (q *cellQueue) makeRoom(a *sim.Arena) {
 	q.head = 0
 }
 
-// front returns the oldest record's cell where it lies in the queue:
-// copy it out before the next push or drop.
+// front returns the oldest record's cell where it lies in the queue. The
+// record is the queue's until it is dropped; whoever is lent the pointer
+// (see cellSink) has it until then and no longer.
 func (q *cellQueue) front() *Cell {
 	return (*Cell)(q.buf[q.head+8 : q.head+8+CellSize])
 }
 
-// drop removes the oldest record.
+// drop removes the oldest record. Under the arena's Poison flag the bytes
+// it releases are overwritten at once, as a returned buffer's are, so that
+// a sink that kept the pointer it was lent reads 0xDB and not a cell that
+// happens to be still there.
 func (q *cellQueue) drop(a *sim.Arena) {
+	if a.Poison {
+		r := q.buf[q.head : q.head+recSize]
+		for i := range r {
+			r[i] = 0xDB
+		}
+	}
 	q.head += recSize
 	if q.head == len(q.buf) {
 		q.reset(a)
@@ -138,6 +175,13 @@ func (q *cellQueue) reset(a *sim.Arena) {
 // inLane (completions never decrease, so neither do arrivals), and
 // "transmit complete" is not an event: how many cells the engine still
 // holds is read off the queue's completion times by a forward-only cursor.
+//
+// A cell is committed in two steps, the same two on every fibre: slot
+// books the engine and returns the new record's cell for the committer to
+// write in place — the driver cuts it there, a switch copies the ingress
+// record there — and launch sends it on its way. From then the record is
+// the transmitter's alone, until its arrival fires and deliver lends it to
+// the far end for the length of one call and drops it.
 type transmitter struct {
 	busy sim.Time // when the engine finishes the last cell committed
 	// q holds every committed cell still short of the far end, oldest
@@ -148,8 +192,8 @@ type transmitter struct {
 	inLane sim.Lane
 
 	// cut, when set, marks the far end of the fibre as living in another
-	// shard: commit stages the cell with the cluster coordinator (see
-	// Port.SetCut) instead of scheduling its arrival here.
+	// shard: launch stages the cell with the cluster coordinator (see
+	// Port.SetCut), by value, instead of scheduling its arrival here.
 	cut func(scheduleAt, at sim.Time, c Cell)
 }
 
@@ -176,31 +220,39 @@ func (t *transmitter) reserve(ready, cellTime sim.Time) sim.Time {
 	return t.busy
 }
 
-// commit reserves the engine for c and books its arrival prop after its
-// last bit.
-func (t *transmitter) commit(env *sim.Env, c *Cell, ready, cellTime, prop sim.Time, name string) {
+// slot reserves the engine for one more cell, ready no earlier than ready,
+// and returns its record's cell, stamped with when its last bit leaves, for
+// the caller to write and then launch.
+func (t *transmitter) slot(env *sim.Env, ready, cellTime sim.Time) *Cell {
 	end := t.reserve(ready, cellTime)
 	if t.cut != nil {
-		// No arrival fires here to pop the record: it stays only while it
+		// No arrival fires here to drop a record: it stays only while it
 		// occupies the engine.
 		for ; t.left > 0; t.left-- {
 			t.q.drop(env.Arena())
 		}
-		t.cut(env.Now(), end+prop, *c)
-	} else {
-		t.inLane.At(env, end+prop, name)
 	}
-	t.q.push(env.Arena(), end, c)
+	return t.q.append(env.Arena(), end)
 }
 
-// pop removes the oldest cell, whose arrival is firing.
-func (t *transmitter) pop(env *sim.Env) Cell {
+// launch books the arrival of c, the cell slot just returned and the
+// caller has now written, prop after its last bit.
+func (t *transmitter) launch(env *sim.Env, c *Cell, prop sim.Time, name string) {
+	if t.cut != nil {
+		t.cut(env.Now(), t.busy+prop, *c)
+		return
+	}
+	t.inLane.At(env, t.busy+prop, name)
+}
+
+// deliver hands the far end the oldest cell, whose arrival is firing,
+// where it lies in the queue, and drops the record when the sink returns.
+func (t *transmitter) deliver(env *sim.Env, to cellSink) {
+	to.deliverCell(t.q.front())
 	if t.left > 0 {
 		t.left--
 	}
-	c := *t.q.front()
 	t.q.drop(env.Arena())
-	return c
 }
 
 // reset rewinds the engine to idle at time zero with nothing queued.
@@ -267,6 +319,7 @@ type Adapter struct {
 
 	// Counters.
 	CellsSent      int64
+	CellsRecv      int64 // admitted to the receive FIFO
 	CellsDropped   int64 // lost on the wire or to a full receive FIFO
 	CellsCorrupted int64
 	RxOverflows    int64
@@ -298,7 +351,7 @@ func (a *Adapter) Reset() {
 	a.reorderRate, a.reorderDepth = 0, 0
 	a.heldValid, a.heldLeft = false, 0
 	a.down = false
-	a.CellsSent, a.CellsDropped, a.CellsCorrupted, a.RxOverflows = 0, 0, 0, 0
+	a.CellsSent, a.CellsRecv, a.CellsDropped, a.CellsCorrupted, a.RxOverflows = 0, 0, 0, 0, 0
 	a.GEDrops, a.CellsReordered, a.DownDrops = 0, 0, 0
 }
 
@@ -337,12 +390,13 @@ func (a *Adapter) SetImpairments(p sim.GEParams, rate float64, depth int, seed u
 func (a *Adapter) SetCut(stage func(scheduleAt, at sim.Time, c Cell)) { a.tx.cut = stage }
 
 // InjectCell delivers a cell that crossed a shard boundary into this
-// adapter as if it had just arrived over the fiber.
-func (a *Adapter) InjectCell(c Cell) { a.receive(c) }
+// adapter as if it had just arrived over the fiber. What crosses a cut
+// crosses by value: the copy is this call's own.
+func (a *Adapter) InjectCell(c Cell) { a.receive(&c) }
 
 // cellIn fires when a cell's propagation delay elapses: deliver it to
 // the far end of the fiber.
-func (a *Adapter) cellIn() { a.link.deliverCell(a.tx.pop(a.K.Env)) }
+func (a *Adapter) cellIn() { a.tx.deliver(a.K.Env, a.link) }
 
 // Connect joins two adapters with a duplex fiber — the switchless
 // configuration of the paper's lab. Topologies with more than two hosts
@@ -353,7 +407,7 @@ func Connect(a, b *Adapter) {
 }
 
 // deliverCell implements cellSink: a cell arriving over the fiber.
-func (a *Adapter) deliverCell(c Cell) { a.receive(c) }
+func (a *Adapter) deliverCell(c *Cell) { a.receive(c) }
 
 // CellTime returns the wire occupancy of one cell at the model's TAXI
 // link rate.
@@ -369,24 +423,33 @@ func (a *Adapter) TxSpace() int { return TxFIFOCells - a.tx.occupied(a.K.Env.Now
 // TxSpace zero: a known instant, so the stall is a sleep, not a wait.
 func (a *Adapter) TxFreeAt() sim.Time { return a.tx.freeAt() }
 
-// PushTx places one cell in the transmit FIFO. The caller (the driver)
-// must have verified TxSpace; pushing into a full FIFO panics because on
-// the real hardware it would corrupt the frame. The cell's one event, its
-// far-end arrival, rides the adapter's lane: transmission allocates
-// nothing per cell.
-func (a *Adapter) PushTx(c Cell) {
+// TxCell takes the next slot of the transmit FIFO and returns its cell:
+// the FIFO is memory-mapped, and the caller (the driver) writes the cell
+// where the engine will read it — every byte, at once — then calls
+// LaunchTx. The caller must have verified TxSpace; taking a slot of a
+// full FIFO panics because on the real hardware it would corrupt the
+// frame.
+func (a *Adapter) TxCell() *Cell {
 	if a.TxSpace() <= 0 {
 		panic("atm: transmit FIFO overflow")
 	}
 	a.CellsSent++
-	a.tx.commit(a.K.Env, &c, a.K.Env.Now(), a.CellTime(), a.K.Cost.ATMPropagation, "atm.cellin")
+	return a.tx.slot(a.K.Env, a.K.Env.Now(), a.CellTime())
+}
+
+// LaunchTx sends c, the cell TxCell last returned, now written. Its one
+// event, the far-end arrival, rides the adapter's lane, and its bytes stay
+// where the driver put them until that arrival has been delivered:
+// transmission neither allocates nor copies per cell.
+func (a *Adapter) LaunchTx(c *Cell) {
+	a.tx.launch(a.K.Env, c, a.K.Cost.ATMPropagation, "atm.cellin")
 }
 
 // receive handles a cell arriving from the wire: the impairment layer
 // (burst loss, then bounded reordering) runs first, then accept hands
 // surviving cells to the FIFO. With no impairments configured the path
 // is a direct call to accept — byte-identical to an unimpaired adapter.
-func (a *Adapter) receive(c Cell) {
+func (a *Adapter) receive(c *Cell) {
 	if a.down {
 		a.CellsDropped++
 		a.DownDrops++
@@ -403,14 +466,13 @@ func (a *Adapter) receive(c Cell) {
 			// the held cell is released once its countdown expires.
 			a.heldLeft--
 			if a.heldLeft <= 0 {
-				held := a.held
 				a.heldValid = false
 				a.accept(c)
-				a.accept(held)
+				a.accept(&a.held)
 				return
 			}
 		} else if a.impRNG.Bool(a.reorderRate) {
-			a.held = c
+			a.held = *c
 			a.heldValid = true
 			a.heldLeft = a.reorderDepth
 			a.CellsReordered++
@@ -436,13 +498,13 @@ func (a *Adapter) flushHeld() {
 		return // later arrivals completed the countdown first
 	}
 	a.heldValid = false
-	a.accept(a.held)
+	a.accept(&a.held)
 }
 
 // accept runs the adapter's legacy receive path: the deterministic and
-// Bernoulli fault knobs, then FIFO admission and the frame-end
-// interrupt.
-func (a *Adapter) accept(c Cell) {
+// Bernoulli fault knobs, then FIFO admission — the receive FIFO's record
+// is the host's copy of the cell — and the frame-end interrupt.
+func (a *Adapter) accept(c *Cell) {
 	if a.DropNext {
 		a.DropNext = false
 		a.CellsDropped++
@@ -462,8 +524,9 @@ func (a *Adapter) accept(c Cell) {
 		a.CellsDropped++
 		return
 	}
-	a.rxFIFO.push(a.K.Env.Arena(), a.K.Env.Now(), &c)
-	if IsFrameEnd(&c) {
+	a.rxFIFO.push(a.K.Env.Arena(), a.K.Env.Now(), c)
+	a.CellsRecv++
+	if IsFrameEnd(c) {
 		// Frame-ending cell: record the paper's receive-measurement
 		// origin ("the arrival of the last group of ATM cells
 		// comprising the last TCP segment") and raise the interrupt.
@@ -509,13 +572,20 @@ func (a *Adapter) TxIdleAt() sim.Time { return a.tx.busy }
 // RxAvail returns the number of cells waiting in the receive FIFO.
 func (a *Adapter) RxAvail() int { return a.rxFIFO.len() }
 
-// PopRx removes and returns the oldest cell in the receive FIFO.
-func (a *Adapter) PopRx() (Cell, bool) {
+// PopRxInto moves the oldest cell of the receive FIFO to dst, reporting
+// false (dst untouched) when the FIFO is empty.
+func (a *Adapter) PopRxInto(dst *Cell) bool {
 	if a.rxFIFO.len() == 0 {
-		return Cell{}, false
+		return false
 	}
 	a.frameAt = a.rxFIFO.timeAt(0)
-	c := *a.rxFIFO.front()
+	*dst = *a.rxFIFO.front()
 	a.rxFIFO.drop(a.K.Env.Arena())
-	return c, true
+	return true
+}
+
+// PopRx is PopRxInto by value, for callers outside the cell path.
+func (a *Adapter) PopRx() (c Cell, ok bool) {
+	ok = a.PopRxInto(&c)
+	return c, ok
 }

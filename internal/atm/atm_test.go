@@ -190,6 +190,14 @@ func TestCRC10KnownProperties(t *testing.T) {
 	}
 }
 
+// pushTx commits a ready-made cell the way the driver commits the one it
+// cuts: take the transmit FIFO's next record, write it, launch it.
+func pushTx(a *Adapter, c Cell) {
+	slot := a.TxCell()
+	*slot = c
+	a.LaunchTx(slot)
+}
+
 // twoAdapters builds a connected adapter pair on one simulation.
 func twoAdapters(t *testing.T) (*sim.Env, *kern.Kernel, *kern.Kernel, *Adapter, *Adapter) {
 	t.Helper()
@@ -207,7 +215,7 @@ func TestAdapterWirePacing(t *testing.T) {
 	var seg Segmenter
 	cells := seg.Segment(make([]byte, 200))
 	for _, c := range cells {
-		a.PushTx(c)
+		pushTx(a, c)
 	}
 	env.Run()
 	if b.RxAvail() != len(cells) {
@@ -228,7 +236,7 @@ func TestAdapterTxFIFOLimit(t *testing.T) {
 	var c Cell
 	CellHeader{VCI: 32}.Marshal(&c)
 	for i := 0; i < TxFIFOCells; i++ {
-		a.PushTx(c)
+		pushTx(a, c)
 	}
 	if a.TxSpace() != 0 {
 		t.Fatalf("TxSpace = %d after filling", a.TxSpace())
@@ -238,7 +246,7 @@ func TestAdapterTxFIFOLimit(t *testing.T) {
 			t.Fatal("push into full FIFO did not panic")
 		}
 	}()
-	a.PushTx(c)
+	pushTx(a, c)
 }
 
 func TestAdapterRxOverflowDropsCells(t *testing.T) {
@@ -252,7 +260,7 @@ func TestAdapterRxOverflowDropsCells(t *testing.T) {
 			for a.TxSpace() == 0 {
 				env.Step()
 			}
-			a.PushTx(c)
+			pushTx(a, c)
 		}
 	}
 	env.Run()
@@ -273,7 +281,7 @@ func TestReorderHeldCellFlushed(t *testing.T) {
 	b.SetImpairments(sim.GEParams{}, 1.0, 4, 7) // hold every arrival
 	var c Cell
 	CellHeader{VCI: 32}.Marshal(&c)
-	a.PushTx(c) // the link's only traffic
+	pushTx(a, c) // the link's only traffic
 	env.Run()
 	if b.RxAvail() != 1 {
 		t.Fatalf("RxAvail = %d, want 1 (held cell flushed on idle link)", b.RxAvail())
@@ -288,8 +296,8 @@ func TestAdapterDropNext(t *testing.T) {
 	b.DropNext = true
 	var c Cell
 	CellHeader{VCI: 32}.Marshal(&c)
-	a.PushTx(c)
-	a.PushTx(c)
+	pushTx(a, c)
+	pushTx(a, c)
 	env.Run()
 	if b.RxAvail() != 1 {
 		t.Fatalf("RxAvail = %d, want 1 (first cell dropped)", b.RxAvail())
@@ -456,7 +464,7 @@ func TestHECErrorOnFrameEndConsumesPending(t *testing.T) {
 		t.Fatalf("expected one frame-end cell, got %d", len(cells))
 	}
 	cells[0][0] ^= 0x01 // header bit flip: caught by the HEC
-	ab.receive(cells[0])
+	ab.receive(&cells[0])
 	env.Run()
 	if db.HECErrors != 1 {
 		t.Fatalf("HECErrors = %d, want 1", db.HECErrors)

@@ -100,6 +100,9 @@ type Driver struct {
 	HECErrors int64
 	// HostCorruptions counts datagram bits flipped by HostCorruptRate.
 	HostCorruptions int64
+	// reassembled counts cells handed to a reassembler: with HECErrors,
+	// every cell the driver popped. The conservation tests read it.
+	reassembled int64
 }
 
 // DefaultVCI is the first non-reserved VCI, the single PVC of the
@@ -266,6 +269,7 @@ func (d *Driver) Reset() {
 	d.lastRx = nil
 	d.FramesIn, d.FramesOut = 0, 0
 	d.ReassemblyErrors, d.HECErrors, d.HostCorruptions = 0, 0, 0
+	d.reassembled = 0
 }
 
 // txVC is the transmit side of one virtual channel: its segmenter, the
@@ -440,7 +444,8 @@ func (d *Driver) Output(p *sim.Proc, m *mbuf.Mbuf) {
 // and the chain release. The datagram's CPCS-PDU is checked out of the
 // loop's arena for as long as cells are being cut from it — the one
 // buffer an Output holds; cells are cut one at a time as the FIFO takes
-// them, so there is no cell array.
+// them, each straight into the transmit FIFO's own record of it
+// (Adapter.TxCell), so a cell's bytes are written once on this host.
 type outputOp struct {
 	d  *Driver
 	pc int
@@ -501,10 +506,10 @@ func (f *outputOp) Step(p *sim.Proc) {
 			// register, which is time in the ATM row.
 			k.Attribute(p, trace.LayerATMTx, f.waitStart, k.Now())
 			f.pc = 2
-		case 4: // cut and push the charged cell
-			var c Cell
-			f.seg.cell(&c, f.pdu, f.i, f.cells)
-			d.Adapter.PushTx(c)
+		case 4: // cut the charged cell where the transmit engine reads it
+			c := d.Adapter.TxCell()
+			f.seg.cell(c, f.pdu, f.i, f.cells)
+			d.Adapter.LaunchTx(c)
 			f.i++
 			f.pc = 2
 		case 5: // trace events, then charge the chain free
@@ -601,12 +606,10 @@ func (f *rxprocFrame) Step(p *sim.Proc) {
 			f.pc = 1
 		case 1: // pop the next cell and charge its receive cost
 			f.popAt = k.Now()
-			c, ok := d.Adapter.PopRx()
-			if !ok {
+			if !d.Adapter.PopRxInto(&f.c) {
 				f.pc = 0
 				continue
 			}
-			f.c = c
 			f.pc = 2
 			if !k.Use(p, trace.LayerATMRx, k.Cost.ATMRxPerCell) {
 				return
@@ -651,6 +654,7 @@ func (f *rxprocFrame) Step(p *sim.Proc) {
 			if f.frameEnd {
 				f.arrivedAt = d.Adapter.ConsumeFrameEnd()
 			}
+			d.reassembled++
 			dg, err := vc.reasm.Push(&f.c)
 			if err != nil {
 				d.ReassemblyErrors++

@@ -20,11 +20,13 @@ import (
 type Qdisc interface {
 	// Enqueue offers a cell routed to this port; flow is the cell's
 	// egress VCI, the flow key of VC-switched traffic. It returns false
-	// to drop the cell.
-	Enqueue(c Cell, flow uint16) bool
-	// Dequeue returns the next cell to transmit, in the discipline's
-	// service order; ok is false when the queue is empty.
-	Dequeue() (c Cell, ok bool)
+	// to drop the cell. The cell is the caller's, good for the length of
+	// the call: a discipline that accepts it queues its own copy.
+	Enqueue(c *Cell, flow uint16) bool
+	// Dequeue moves the next cell to transmit, in the discipline's
+	// service order, out of the queue into dst, which is the caller's. It
+	// returns false, dst untouched, when the queue is empty.
+	Dequeue(dst *Cell) bool
 	// Len returns the cells currently queued.
 	Len() int
 	// Reset returns the discipline to its just-constructed state —
@@ -49,7 +51,7 @@ func NewDropTail(limit int) *DropTail {
 }
 
 // Enqueue implements Qdisc.
-func (d *DropTail) Enqueue(c Cell, _ uint16) bool {
+func (d *DropTail) Enqueue(c *Cell, _ uint16) bool {
 	if d.q.len() >= d.limit {
 		return false
 	}
@@ -58,11 +60,12 @@ func (d *DropTail) Enqueue(c Cell, _ uint16) bool {
 }
 
 // Dequeue implements Qdisc.
-func (d *DropTail) Dequeue() (Cell, bool) {
+func (d *DropTail) Dequeue(dst *Cell) bool {
 	if d.q.len() == 0 {
-		return Cell{}, false
+		return false
 	}
-	return d.q.pop(), true
+	d.q.popInto(dst)
+	return true
 }
 
 // Len implements Qdisc.
@@ -128,7 +131,7 @@ func NewRED(minTh, maxTh int, maxP, weight float64, limit int, seed uint64) *RED
 }
 
 // Enqueue implements Qdisc: update the average, then gate the arrival.
-func (r *RED) Enqueue(c Cell, _ uint16) bool {
+func (r *RED) Enqueue(c *Cell, _ uint16) bool {
 	r.avg = (1-r.Weight)*r.avg + r.Weight*float64(r.q.len())
 	switch {
 	case r.q.len() >= r.Limit || r.avg >= float64(r.MaxTh):
@@ -160,11 +163,12 @@ func (r *RED) Enqueue(c Cell, _ uint16) bool {
 }
 
 // Dequeue implements Qdisc.
-func (r *RED) Dequeue() (Cell, bool) {
+func (r *RED) Dequeue(dst *Cell) bool {
 	if r.q.len() == 0 {
-		return Cell{}, false
+		return false
 	}
-	return r.q.pop(), true
+	r.q.popInto(dst)
+	return true
 }
 
 // Len implements Qdisc.
@@ -219,7 +223,7 @@ func NewDRR(quantum, limit int) *DRR {
 // flow at the back of the round if it was idle. Arrivals beyond the
 // aggregate limit drop (drop-from-tail of the offered cell, the simplest
 // bound; per-flow accounting still isolates service order).
-func (d *DRR) Enqueue(c Cell, flow uint16) bool {
+func (d *DRR) Enqueue(c *Cell, flow uint16) bool {
 	if d.total >= d.Limit {
 		return false
 	}
@@ -241,7 +245,7 @@ func (d *DRR) Enqueue(c Cell, flow uint16) bool {
 // Dequeue implements Qdisc: serve the head of the active list, renewing
 // its deficit by one quantum when exhausted and rotating it to the back
 // of the round.
-func (d *DRR) Dequeue() (Cell, bool) {
+func (d *DRR) Dequeue(dst *Cell) bool {
 	for len(d.active) > 0 {
 		key := d.active[0]
 		f := d.flows[key]
@@ -252,16 +256,16 @@ func (d *DRR) Dequeue() (Cell, bool) {
 			continue
 		}
 		f.deficit -= CellSize
-		c := f.q.pop()
+		f.q.popInto(dst)
 		d.total--
 		if f.q.len() == 0 {
 			f.active = false
 			f.deficit = 0
 			d.active = d.active[1:]
 		}
-		return c, true
+		return true
 	}
-	return Cell{}, false
+	return false
 }
 
 // Len implements Qdisc.

@@ -12,13 +12,13 @@ func TestREDNeverDropsBelowMinTh(t *testing.T) {
 	r := NewRED(4, 12, 0.5, 0.5, 32, 99)
 	var c Cell
 	for i := 0; i < 10000; i++ {
-		if !r.Enqueue(c, 0) {
+		if !r.Enqueue(&c, 0) {
 			t.Fatalf("arrival %d dropped with avg %.3f < MinTh %d", i, r.AvgQueue(), r.MinTh)
 		}
 		if avg := r.AvgQueue(); avg >= float64(r.MinTh) {
 			t.Fatalf("EWMA %.3f crossed MinTh with an empty-ish queue", avg)
 		}
-		if _, ok := r.Dequeue(); !ok {
+		if !r.Dequeue(&c) {
 			t.Fatal("Dequeue empty after accepted Enqueue")
 		}
 	}
@@ -33,13 +33,13 @@ func TestREDAlwaysDropsAtMaxTh(t *testing.T) {
 	var c Cell
 	// Never dequeue: the standing queue grows until the average pins.
 	for i := 0; i < 200 && r.AvgQueue() < float64(r.MaxTh); i++ {
-		r.Enqueue(c, 0)
+		r.Enqueue(&c, 0)
 	}
 	if r.AvgQueue() < float64(r.MaxTh) {
 		t.Fatalf("EWMA %.3f never reached MaxTh %d under a standing queue", r.AvgQueue(), r.MaxTh)
 	}
 	for i := 0; i < 1000; i++ {
-		if r.Enqueue(c, 0) {
+		if r.Enqueue(&c, 0) {
 			t.Fatalf("arrival %d accepted with avg %.3f >= MaxTh %d", i, r.AvgQueue(), r.MaxTh)
 		}
 	}
@@ -52,11 +52,11 @@ func TestREDHardLimit(t *testing.T) {
 	r := NewRED(100, 200, 0.02, 0.001, 8, 3)
 	var c Cell
 	for i := 0; i < 8; i++ {
-		if !r.Enqueue(c, 0) {
+		if !r.Enqueue(&c, 0) {
 			t.Fatalf("arrival %d dropped below the physical limit", i)
 		}
 	}
-	if r.Enqueue(c, 0) {
+	if r.Enqueue(&c, 0) {
 		t.Error("arrival beyond Limit accepted")
 	}
 	if r.Len() != 8 {
@@ -73,7 +73,7 @@ func TestREDDeterministicLottery(t *testing.T) {
 		var c Cell
 		out := make([]byte, 0, 4000)
 		for i := 0; i < 4000; i++ {
-			if r.Enqueue(c, 0) {
+			if r.Enqueue(&c, 0) {
 				out = append(out, '1')
 			} else {
 				out = append(out, '0')
@@ -81,7 +81,7 @@ func TestREDDeterministicLottery(t *testing.T) {
 			// Drain slowly: 3 arrivals per departure keeps the average
 			// wandering through the early-drop band.
 			if i%3 == 0 {
-				r.Dequeue()
+				r.Dequeue(&c)
 			}
 		}
 		return string(out)
@@ -112,10 +112,10 @@ func TestDRRFairness(t *testing.T) {
 	d := NewDRR(4*CellSize, 2*perFlow)
 	// Tag each cell's payload with its flow so departures attribute
 	// themselves (cells are stored by value).
-	tagged := func(tag byte) Cell {
+	tagged := func(tag byte) *Cell {
 		var c Cell
 		c.Payload()[0] = tag
-		return c
+		return &c
 	}
 	for i := 0; i < perFlow; i++ {
 		if !d.Enqueue(tagged('a'), 100) {
@@ -131,8 +131,8 @@ func TestDRRFairness(t *testing.T) {
 	bound := d.Quantum + CellSize
 	for d.Len() > 0 {
 		before := d.Len()
-		c, ok := d.Dequeue()
-		if !ok || d.Len() != before-1 {
+		var c Cell
+		if !d.Dequeue(&c) || d.Len() != before-1 {
 			t.Fatal("Dequeue lost track of the backlog")
 		}
 		served[c.Payload()[0]]++
@@ -154,15 +154,15 @@ func TestDRRAggregateLimit(t *testing.T) {
 	d := NewDRR(CellSize, 10)
 	var c Cell
 	for i := 0; i < 10; i++ {
-		if !d.Enqueue(c, uint16(i%3)) {
+		if !d.Enqueue(&c, uint16(i%3)) {
 			t.Fatalf("arrival %d dropped below the aggregate limit", i)
 		}
 	}
-	if d.Enqueue(c, 0) {
+	if d.Enqueue(&c, 0) {
 		t.Error("arrival beyond the aggregate limit accepted")
 	}
-	d.Dequeue()
-	if !d.Enqueue(c, 0) {
+	d.Dequeue(&c)
+	if !d.Enqueue(&c, 0) {
 		t.Error("arrival refused after a departure freed a slot")
 	}
 }

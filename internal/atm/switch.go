@@ -159,7 +159,7 @@ type qdPath struct {
 	pre     fifo     // cells crossing the fabric toward the qdisc
 	in      sim.Lane // their arrival at the discipline
 	serving bool     // link currently clocking a cell out:
-	cur     Cell     // this one
+	cur     Cell     // this one, the path's copy out of the discipline
 	out     sim.Lane // its completion
 }
 
@@ -196,18 +196,19 @@ func (sw *Switch) Port(i int) *Port { return sw.ports[i] }
 // qdisc-managed egress port: offer it to the discipline and start link
 // service if the link is idle.
 func (p *Port) qdIn() {
-	c := p.qdp.pre.pop()
-	h, err := ParseHeader(&c)
-	if err != nil {
+	c := p.qdp.pre.front()
+	h, err := ParseHeader(c)
+	queued := err == nil && p.qd.Enqueue(c, h.VCI)
+	p.qdp.pre.drop()
+	switch {
+	case err != nil:
 		p.sw.HECErrors++
-		return
-	}
-	if !p.qd.Enqueue(c, h.VCI) {
+	case !queued:
 		p.sw.CellsDropped++
-		return
+	default:
+		p.sw.CellsSwitched++
+		p.qdKick()
 	}
-	p.sw.CellsSwitched++
-	p.qdKick()
 }
 
 // qdKick starts transmitting the discipline's next cell if the link is
@@ -220,17 +221,14 @@ func (p *Port) qdKick() {
 	if p.qdp.serving {
 		return
 	}
-	c, ok := p.qd.Dequeue()
-	if !ok {
+	if !p.qd.Dequeue(&p.qdp.cur) {
 		return
 	}
 	p.qdp.serving = true
 	env := p.sw.env
 	end := p.tx.reserve(env.Now(), cost.WireTime(CellSize, p.bits))
 	if p.tx.cut != nil {
-		p.tx.cut(end, end+p.prop, c)
-	} else {
-		p.qdp.cur = c
+		p.tx.cut(end, end+p.prop, p.qdp.cur)
 	}
 	p.qdp.out.At(env, end, "atmsw.cellout")
 }
@@ -270,7 +268,14 @@ func (sw *Switch) AttachPort(a *Adapter) int {
 // the model's link rate and returns the new port index on each. Trunk
 // ports carry many flows, so each side gets a VCI allocator for its
 // egress direction of the link.
+//
+// A switch cannot trunk to itself: a cell arriving over such a fiber would
+// be forwarded into the transmitter it is being delivered from, the one
+// thing cellSink's lending rule cannot allow.
 func ConnectTrunk(a, b *Switch, model *cost.Model) (aPort, bPort int) {
+	if a == b {
+		panic("atm: ConnectTrunk joins a switch to itself; a trunk needs two switches")
+	}
 	pa := a.newPort(nil, model.ATMLinkBitsPS, model.ATMPropagation)
 	pb := b.newPort(nil, model.ATMLinkBitsPS, model.ATMPropagation)
 	pa.out, pb.out = pb, pa
@@ -290,11 +295,12 @@ func (p *Port) SetCut(stage func(scheduleAt, at sim.Time, c Cell)) { p.tx.cut = 
 // InjectCell delivers a cell that crossed a shard boundary into this
 // port as if it had just arrived over the fiber. The cluster coordinator
 // schedules the injection in this switch's environment at the staged
-// arrival time, mirroring the peer's cellIn.
-func (p *Port) InjectCell(c Cell) { p.sw.forward(p, c) }
+// arrival time, mirroring the peer's cellIn. What crosses a cut crosses
+// by value: the copy is this call's own.
+func (p *Port) InjectCell(c Cell) { p.sw.forward(p, &c) }
 
 // cellIn fires when the cell reaches the far end of the fiber.
-func (p *Port) cellIn() { p.out.deliverCell(p.tx.pop(p.sw.env)) }
+func (p *Port) cellIn() { p.tx.deliver(p.sw.env, p.out) }
 
 // NumPorts returns the number of attached ports.
 func (sw *Switch) NumPorts() int { return len(sw.ports) }
@@ -346,12 +352,14 @@ func (p *Port) route(vci uint16) *vcRoute {
 
 // deliverCell implements cellSink for a port: a cell arriving over the
 // fiber — from an attached host or a peer switch — enters the fabric.
-func (p *Port) deliverCell(c Cell) { p.sw.forward(p, c) }
+func (p *Port) deliverCell(c *Cell) { p.sw.forward(p, c) }
 
 // forward looks the cell up in the VC table, rewrites the VCI, and
 // queues it on the egress port. The egress link paces cells back to back
-// at the link rate; the fabric adds its fixed latency up front.
-func (sw *Switch) forward(from *Port, c Cell) {
+// at the link rate; the fabric adds its fixed latency up front. The cell
+// is the ingress fiber's record of it (see cellSink): the rewrite happens
+// there, and the egress queue's copy is the one copy of the hop.
+func (sw *Switch) forward(from *Port, c *Cell) {
 	if from.down {
 		// Failed ingress: the fiber is dark, the cell never enters the
 		// fabric. (The egress direction of the same outage is dropped at
@@ -359,7 +367,7 @@ func (sw *Switch) forward(from *Port, c Cell) {
 		from.DownDrops++
 		return
 	}
-	h, err := ParseHeader(&c)
+	h, err := ParseHeader(c)
 	if err != nil {
 		// Header corruption on the ingress fiber: the switch's own HEC
 		// check discards the cell, surfacing later as a sequence gap.
@@ -378,7 +386,7 @@ func (sw *Switch) forward(from *Port, c Cell) {
 		// the drop decision — and waits for the egress link to pick it
 		// in the discipline's service order.
 		h.VCI = route.vci
-		h.Marshal(&c)
+		h.Marshal(c)
 		out.qdp.pre.push(c)
 		out.qdp.in.At(sw.env, sw.env.Now()+sw.Latency, "atmsw.qdin")
 		return
@@ -389,9 +397,11 @@ func (sw *Switch) forward(from *Port, c Cell) {
 		return
 	}
 	h.VCI = route.vci
-	h.Marshal(&c) // rewrites the VCI and recomputes the HEC
+	h.Marshal(c) // rewrites the VCI and recomputes the HEC
 	sw.CellsSwitched++
-	out.tx.commit(sw.env, &c, now+sw.Latency, cost.WireTime(CellSize, out.bits), out.prop, "atmsw.cellin")
+	dst := out.tx.slot(sw.env, now+sw.Latency, cost.WireTime(CellSize, out.bits))
+	*dst = *c
+	out.tx.launch(sw.env, dst, out.prop, "atmsw.cellin")
 }
 
 // vciAlloc hands out per-flow VCIs on one egress direction of a trunk

@@ -65,7 +65,7 @@ func (o *eventedTx) cellOut() {
 func (o *eventedTx) cellIn() {
 	c := o.flight[0]
 	o.flight, o.arrives = o.flight[1:], o.arrives[1:]
-	o.sink.deliverCell(c)
+	o.sink.deliverCell(&c)
 }
 
 func (o *eventedTx) reset() {
@@ -74,20 +74,43 @@ func (o *eventedTx) reset() {
 }
 
 // recSink is the far end of a fibre under test: it logs each arrival, or
-// counts it lost while the link is down.
+// counts it lost while the link is down. It reads the cell it is lent
+// before it returns, as cellSink requires — unless keep is set: then it
+// breaks the rule on purpose, holding on to the pointer and reading the
+// cell only when the segment's arrivals are compared.
 type recSink struct {
 	env   *sim.Env
 	down  bool
 	log   []string
 	drops int
+
+	keep bool
+	kept []keptCell
 }
 
-func (s *recSink) deliverCell(c Cell) {
-	if s.down {
+type keptCell struct {
+	at sim.Time
+	c  *Cell
+}
+
+func (s *recSink) deliverCell(c *Cell) {
+	switch {
+	case s.down:
 		s.drops++
-		return
+	case s.keep:
+		s.kept = append(s.kept, keptCell{s.env.Now(), c})
+	default:
+		s.log = append(s.log, fmt.Sprintf("%d:%d", s.env.Now(), cellID(c)))
 	}
-	s.log = append(s.log, fmt.Sprintf("%d:%d", s.env.Now(), cellID(&c)))
+}
+
+// arrivals returns the log, reading first whatever cells were kept.
+func (s *recSink) arrivals() []string {
+	for _, k := range s.kept {
+		s.log = append(s.log, fmt.Sprintf("%d:%d", k.at, cellID(k.c)))
+	}
+	s.kept = nil
+	return s.log
 }
 
 // numberedCell returns a routable cell carrying id in its payload.
@@ -119,9 +142,10 @@ type txPair struct {
 	ties, acts int
 }
 
-// newAdapterPair tests Adapter.PushTx/TxSpace/TxFreeAt.
+// newAdapterPair tests Adapter.TxCell/LaunchTx/TxSpace/TxFreeAt.
 func newAdapterPair() *txPair {
 	env := sim.NewEnv()
+	env.Arena().Poison = true
 	a := NewAdapter(kern.New(env, cost.DECstation5000(), "a"))
 	p := &txPair{env: env, real: &recSink{env: env}, slots: TxFIFOCells}
 	a.link = p.real
@@ -130,7 +154,7 @@ func newAdapterPair() *txPair {
 		if a.TxSpace() == 0 {
 			return false
 		}
-		a.PushTx(c)
+		pushTx(a, c)
 		return true
 	}
 	p.occupied = func() int { return TxFIFOCells - a.TxSpace() }
@@ -144,6 +168,7 @@ func newAdapterPair() *txPair {
 func newPortPair() *txPair {
 	const depth = 24
 	env := sim.NewEnv()
+	env.Arena().Poison = true
 	model := cost.DECstation5000()
 	sw := NewSwitch(env)
 	sw.PortQueueCells = depth
@@ -287,7 +312,7 @@ func (p *txPair) run(script []byte) error {
 			p.resetReal()
 			p.oracle.reset()
 		}
-		if err == nil && (!slices.Equal(p.real.log, p.oracle.sink.log) || p.real.drops != p.oracle.sink.drops) {
+		if err == nil && (!slices.Equal(p.real.arrivals(), p.oracle.sink.log) || p.real.drops != p.oracle.sink.drops) {
 			err = fmt.Errorf("arrivals diverge:\n real   %v (%d lost)\n oracle %v (%d lost)",
 				p.real.log, p.real.drops, p.oracle.sink.log, p.oracle.sink.drops)
 		}
@@ -327,9 +352,22 @@ func randomTxScript(seed uint64, n int) []byte {
 // adapter's TX FIFO and through a switch port's drop-tail egress: the
 // same cells must arrive at the same instants, every offered cell must
 // get the same verdict, and occupancy must agree at every probe that is
-// not an exact tie with a completion.
+// not an exact tie with a completion. The arena is poisoned, so a record
+// is overwritten the moment the transmitter drops it: the far end is lent
+// each cell where it lies, and what it reads must be the cell all the
+// same — while a sink that keeps the pointer past the call (the one thing
+// cellSink forbids) must read something else, and fail the comparison.
 func TestTransmitterMatchesEventedOracle(t *testing.T) {
 	for name, mk := range map[string]func() *txPair{"adapter": newAdapterPair, "port": newPortPair} {
+		t.Run(name+", a sink that keeps its pointer", func(t *testing.T) {
+			for i, s := range txScripts {
+				p := mk()
+				p.real.keep = true
+				if err := p.run(s); err == nil {
+					t.Errorf("script %d: a sink read %d cells after their records were dropped and nothing noticed", i, len(p.real.log))
+				}
+			}
+		})
 		ties, acts, cells := 0, 0, 0
 		scripts := append([][]byte(nil), txScripts...)
 		for seed := uint64(1); seed <= 200; seed++ {
@@ -349,13 +387,27 @@ func TestTransmitterMatchesEventedOracle(t *testing.T) {
 	}
 }
 
+// TestSelfTrunkIsRefused pins the one topology the lending rule cannot
+// serve: over a trunk from a switch to itself, forward would commit a cell
+// into the transmitter that is lending it — whose queue may move under the
+// pointer. ConnectTrunk refuses to build it.
+func TestSelfTrunkIsRefused(t *testing.T) {
+	sw := NewSwitch(sim.NewEnv())
+	defer func() {
+		if recover() == nil || sw.NumPorts() != 0 {
+			t.Fatalf("ConnectTrunk(sw, sw) built a trunk (%d ports) instead of refusing", sw.NumPorts())
+		}
+	}()
+	ConnectTrunk(sw, sw, cost.DECstation5000())
+}
+
 // TestTxSlotFreesAtCompletionInclusive pins the tie rule the oracle
 // comparison steps around: a slot is free from the instant its cell's
 // last bit leaves, inclusive — at end, not one nanosecond later.
 func TestTxSlotFreesAtCompletionInclusive(t *testing.T) {
 	env, _, _, a, _ := twoAdapters(t)
 	for i := 0; i < TxFIFOCells; i++ {
-		a.PushTx(numberedCell(i))
+		pushTx(a, numberedCell(i))
 	}
 	end := a.CellTime() // the first cell's last bit
 	if a.TxFreeAt() != end {

@@ -1,6 +1,7 @@
 package lab
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"testing"
 
@@ -56,6 +57,18 @@ func checkEtherLedger(t *testing.T, l *Lab) {
 	}
 }
 
+// flap is a link-flap schedule that keeps cutting host's access link for
+// 400 µs at a time, at instants that land mid-frame.
+func flap(host int) sim.FaultSchedule {
+	var s sim.FaultSchedule
+	for i := 0; i < 40; i++ {
+		at := sim.Time(i)*7*sim.Millisecond + 3*sim.Millisecond + sim.Time(i)*137*sim.Microsecond
+		s = append(s, sim.FaultEvent{At: at, Kind: sim.FaultLinkDown, Host: host},
+			sim.FaultEvent{At: at + 400*sim.Microsecond, Kind: sim.FaultLinkUp, Host: host})
+	}
+	return s
+}
+
 // poisonScratch arms every loop's use-after-return tripwire.
 func poisonScratch(l *Lab) {
 	for _, sh := range l.Cluster().Shards {
@@ -81,15 +94,6 @@ func poisonScratch(l *Lab) {
 // reason no drained lab has frames left in an adapter's queues for Reset
 // to hand back; ether's TestEveryFrameComesBack builds that case.)
 func TestArenaDrainsToZero(t *testing.T) {
-	flap := func(host int) sim.FaultSchedule {
-		var s sim.FaultSchedule
-		for i := 0; i < 40; i++ {
-			at := sim.Time(i)*7*sim.Millisecond + 3*sim.Millisecond + sim.Time(i)*137*sim.Microsecond
-			s = append(s, sim.FaultEvent{At: at, Kind: sim.FaultLinkDown, Host: host},
-				sim.FaultEvent{At: at + 400*sim.Microsecond, Kind: sim.FaultLinkUp, Host: host})
-		}
-		return s
-	}
 	cases := []struct {
 		name          string
 		cfg           Config
@@ -256,5 +260,101 @@ func TestReleasedScratchIsPoisoned(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// echoFingerprint reduces a finished echo run to everything the cell path
+// can move: every round-trip time, the corrupt-echo count, and every
+// counter the adapters, drivers and switches keep on the way.
+func echoFingerprint(l *Lab, res *EchoResult) string {
+	fp := fmt.Sprintf("%v:%d;", res.RTTs, res.CorruptEchoes)
+	for _, h := range l.Hosts {
+		a, d := h.ATMAdapter, h.ATMDriver
+		fp += fmt.Sprintf("a%d,%d,%d,%d,%d,%d,%d;d%d,%d,%d,%d;", a.CellsSent, a.CellsDropped, a.CellsCorrupted,
+			a.RxOverflows, a.GEDrops, a.CellsReordered, a.DownDrops, d.FramesIn, d.FramesOut, d.ReassemblyErrors, d.HECErrors)
+	}
+	if f := l.Fabric; f != nil {
+		for _, sw := range append([]*atm.Switch{f.Core}, f.Leaves...) {
+			fp += fmt.Sprintf("s%d,%d,%d,%d;", sw.CellsSwitched, sw.CellsUnrouted, sw.CellsDropped, sw.HECErrors)
+		}
+	}
+	return fp
+}
+
+// TestLentCellsAreNotKept is the poison tripwire on the runs in which
+// something holds a cell past the call that delivered it, now that a cell
+// is delivered as a pointer into the sender's transmit queue (whose record
+// is overwritten the moment the call returns, under Poison): a cell held
+// back for reordering and released by a later arrival, or by the flush
+// timer when none comes; a link-noise bit flip, which now lands in the
+// sender's record; a cell that arrives to find the link dark; a cell
+// staged across a cut. Each run, poisoned, must match the plain one — and
+// both must match the fingerprint the same run had at the commit before
+// cells moved by pointer, captured there with this same function: the
+// receiver's bytes are what they were.
+func TestLentCellsAreNotKept(t *testing.T) {
+	rows := []struct {
+		name          string
+		cfg           Config
+		hosts, shards int
+		faults        sim.FaultSchedule
+		reaches       func(l *Lab) int64 // the counter that says the row still gets there
+		parent        string             // SHA-256 of the fingerprint at the parent commit
+	}{
+		{name: "held one arrival", cfg: Config{ReorderRate: 0.004, ReorderDepth: 1}, hosts: 2, shards: 1,
+			reaches: func(l *Lab) int64 { return l.Server.ATMAdapter.CellsReordered },
+			parent:  "c10da3843d90a0b85a4b61327aac9f2493619974c497e7c98d1f58f648b84717"},
+		{name: "held five arrivals, or until the flush timer, behind a hub", cfg: Config{ReorderRate: 0.003, ReorderDepth: 5}, hosts: 3, shards: 1,
+			reaches: func(l *Lab) int64 { return l.Server.ATMAdapter.CellsReordered },
+			parent:  "20736695010200c944db74e176078185839b5b05ad0c8091cd55108a0d773457"},
+		{name: "bit flips on the pair", cfg: Config{CellCorruptRate: 0.002}, hosts: 2, shards: 1,
+			reaches: func(l *Lab) int64 { return l.Server.ATMAdapter.CellsCorrupted },
+			parent:  "b49057d1e59edd12427c04a776cafaefe28bb4c72627c5289b5168497ad06451"},
+		{name: "bit flips behind a hub", cfg: Config{CellCorruptRate: 0.002}, hosts: 3, shards: 1,
+			reaches: func(l *Lab) int64 { return l.Server.ATMAdapter.CellsCorrupted + l.Switch.HECErrors },
+			parent:  "36b76ee0f938091cd2f4a32a9e564e207d366afd5d5a168abb6fb3dbd961576e"},
+		{name: "link flaps", cfg: Config{}, hosts: 3, shards: 1, faults: flap(1),
+			reaches: func(l *Lab) int64 { return l.Server.ATMAdapter.DownDrops },
+			parent:  "43c1eabd87003259c73ef26849682f0d3507a7ca131b4017dbdc3668495e39a1"},
+		{name: "link flaps across a cut", cfg: Config{}, hosts: 3, shards: 3, faults: flap(1),
+			reaches: func(l *Lab) int64 { return l.Server.ATMAdapter.DownDrops },
+			parent:  "43c1eabd87003259c73ef26849682f0d3507a7ca131b4017dbdc3668495e39a1"},
+		{name: "fat tree cut four ways", cfg: Config{Fabric: FabricFatTree, LeafPorts: 1}, hosts: 4, shards: 4,
+			reaches: func(l *Lab) int64 { return l.Cluster().RoundStats().CellsStaged },
+			parent:  "e27f1b0a19f3840fdf32a558cc110dbbd12d085ff764b1fac22fca27556b5d52"},
+	}
+	for _, tc := range rows {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Link, tc.cfg.Seed = LinkATM, 1994
+			run := func(poison bool) string {
+				c, err := NewCluster(tc.cfg, tc.hosts, tc.shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if poison {
+					poisonScratch(c.Lab)
+				}
+				if tc.faults != nil {
+					if err := c.Lab.ScheduleFaults(tc.faults); err != nil {
+						t.Fatal(err)
+					}
+				}
+				res, err := c.Lab.RunEcho(8000, 30, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.reaches(c.Lab) == 0 {
+					t.Fatal("the run no longer reaches the case it was written for")
+				}
+				return echoFingerprint(c.Lab, res)
+			}
+			plain := run(false)
+			if got := run(true); got != plain {
+				t.Errorf("the poisoned run diverged\n got %s\nwant %s", got, plain)
+			}
+			if sum := fmt.Sprintf("%x", sha256.Sum256([]byte(plain))); sum != tc.parent {
+				t.Errorf("fingerprint %s, the parent commit's was %q", sum, tc.parent)
+			}
+		})
 	}
 }

@@ -76,46 +76,63 @@ func scratchTrial(t *testing.T, g workload.Generator, cfg lab.Config, hosts, sha
 // shape in miniature, then the congested tier and the fault tier, then
 // the shared Ethernet segment, whose frames are checkouts too — clean,
 // under burst loss, and through a crash that downs the server's station.
+// Last, the runs in which something keeps a cell past the call that
+// delivered it — a pointer into the sender's transmit queue, overwritten
+// under Poison the moment that call returns: cells held back for
+// reordering, link-noise bit flips (which land in the sender's record),
+// RED and DRR queues under overflow, serial and behind a cut, and links
+// that go dark mid-frame, serial and sharded.
 var arenaTrials = []struct {
 	name     string
 	g        workload.Generator
 	cfg      lab.Config
 	hosts    int
-	lossFree bool // and, on ATM, shardable
+	lossFree bool // and, on ATM, run on four shards as well
+	cut      bool // lossy, but shard-safe: run on four shards as well
 }{
-	{"echo", workload.Echo{Size: 8000, Iterations: 6, Warmup: 1}, lab.Config{Link: lab.LinkATM}, 3, true},
-	{"fan-in, hub", workload.FanIn{Requests: 4, Size: 200}, lab.Config{Link: lab.LinkATM, PacketTrace: true}, 9, true},
+	{"echo", workload.Echo{Size: 8000, Iterations: 6, Warmup: 1}, lab.Config{Link: lab.LinkATM}, 3, true, false},
+	{"fan-in, hub", workload.FanIn{Requests: 4, Size: 200}, lab.Config{Link: lab.LinkATM, PacketTrace: true}, 9, true, false},
 	{"fan-in, staggered fat tree", workload.FanIn{Requests: 1, Size: 207, Stagger: 5000 * sim.Microsecond, Stats: stats.Config{Streaming: true}},
-		lab.Config{Link: lab.LinkATM, Fabric: lab.FabricFatTree, LeafPorts: 4, HashPCBs: true}, 33, true},
+		lab.Config{Link: lab.LinkATM, Fabric: lab.FabricFatTree, LeafPorts: 4, HashPCBs: true}, 33, true, false},
 	{"fan-in, rudp", workload.FanIn{Requests: 4, Size: 200, Transport: workload.TransportRUDP},
-		lab.Config{Link: lab.LinkATM, Fabric: lab.FabricFatTree, LeafPorts: 2}, 7, true},
-	{"churn", workload.Churn{Conns: 3, Size: 64}, lab.Config{Link: lab.LinkATM, Fabric: lab.FabricFatTree, LeafPorts: 2}, 7, true},
-	{"bulk", workload.Bulk{Bytes: 65536}, lab.Config{Link: lab.LinkATM}, 2, true},
-	{"bulk, congested hub", workload.Bulk{Bytes: 32768}, lab.Config{Link: lab.LinkATM}, 5, true},
+		lab.Config{Link: lab.LinkATM, Fabric: lab.FabricFatTree, LeafPorts: 2}, 7, true, false},
+	{"churn", workload.Churn{Conns: 3, Size: 64}, lab.Config{Link: lab.LinkATM, Fabric: lab.FabricFatTree, LeafPorts: 2}, 7, true, false},
+	{"bulk", workload.Bulk{Bytes: 65536}, lab.Config{Link: lab.LinkATM}, 2, true, false},
+	{"bulk, congested hub", workload.Bulk{Bytes: 32768}, lab.Config{Link: lab.LinkATM}, 5, true, false},
 	{"loaded fan-in", workload.FanIn{Requests: 5, Size: 200, Cross: &workload.CrossTraffic{Flows: 2, Transfers: 2, MaxBytes: 32768}},
-		loadedConfig(9), 5, false},
+		loadedConfig(9), 5, false, false},
 	{"loaded fan-in, rudp, DRR", workload.FanIn{Requests: 4, Size: 200, Transport: workload.TransportRUDP},
 		lab.Config{Link: lab.LinkATM, Qdisc: lab.QdiscConfig{Kind: lab.QdiscDRR},
-			BurstLoss: sim.GEParams{PGoodBad: 0.005, PBadGood: 0.2, LossBad: 0.6}}, 4, false},
+			BurstLoss: sim.GEParams{PGoodBad: 0.005, PBadGood: 0.2, LossBad: 0.6}}, 4, false, false},
 	{"server crash and restart", workload.FaultRecovery{Requests: 8, Interval: 100 * sim.Millisecond,
-		CrashAt: 250 * sim.Millisecond, Downtime: sim.Second}, lab.Config{Link: lab.LinkATM, CheckLeaks: true}, 5, false},
+		CrashAt: 250 * sim.Millisecond, Downtime: sim.Second}, lab.Config{Link: lab.LinkATM, CheckLeaks: true}, 5, false, false},
 	{"server crash and restart, rudp", workload.FaultRecovery{Transport: workload.TransportRUDP, Requests: 8,
 		Interval: 100 * sim.Millisecond, CrashAt: 250 * sim.Millisecond, Downtime: sim.Second},
-		lab.Config{Link: lab.LinkATM, CheckLeaks: true}, 5, false},
-	{"echo, ether", workload.Echo{Size: 8000, Iterations: 6, Warmup: 1}, lab.Config{Link: lab.LinkEther}, 3, true},
-	{"fan-in, ether segment", workload.FanIn{Requests: 4, Size: 200}, lab.Config{Link: lab.LinkEther, PacketTrace: true}, 5, true},
-	{"fan-in, rudp, ether", workload.FanIn{Requests: 4, Size: 200, Transport: workload.TransportRUDP}, lab.Config{Link: lab.LinkEther}, 4, true},
-	{"bulk, ether", workload.Bulk{Bytes: 65536}, lab.Config{Link: lab.LinkEther}, 2, true},
+		lab.Config{Link: lab.LinkATM, CheckLeaks: true}, 5, false, false},
+	{"echo, ether", workload.Echo{Size: 8000, Iterations: 6, Warmup: 1}, lab.Config{Link: lab.LinkEther}, 3, true, false},
+	{"fan-in, ether segment", workload.FanIn{Requests: 4, Size: 200}, lab.Config{Link: lab.LinkEther, PacketTrace: true}, 5, true, false},
+	{"fan-in, rudp, ether", workload.FanIn{Requests: 4, Size: 200, Transport: workload.TransportRUDP}, lab.Config{Link: lab.LinkEther}, 4, true, false},
+	{"bulk, ether", workload.Bulk{Bytes: 65536}, lab.Config{Link: lab.LinkEther}, 2, true, false},
 	{"fan-in, ether, burst loss", workload.FanIn{Requests: 6, Size: 1400},
-		lab.Config{Link: lab.LinkEther, BurstLoss: sim.GEParams{PGoodBad: 0.03, PBadGood: 0.3, LossBad: 0.7}}, 4, false},
+		lab.Config{Link: lab.LinkEther, BurstLoss: sim.GEParams{PGoodBad: 0.03, PBadGood: 0.3, LossBad: 0.7}}, 4, false, false},
 	{"server crash and restart, ether", workload.FaultRecovery{Requests: 8, Interval: 100 * sim.Millisecond,
-		CrashAt: 250 * sim.Millisecond, Downtime: sim.Second}, lab.Config{Link: lab.LinkEther, CheckLeaks: true}, 5, false},
+		CrashAt: 250 * sim.Millisecond, Downtime: sim.Second}, lab.Config{Link: lab.LinkEther, CheckLeaks: true}, 5, false, false},
+	{name: "bulk, reordering", g: workload.Bulk{Bytes: 65536}, hosts: 3,
+		cfg: lab.Config{Link: lab.LinkATM, MTU: 1500, ReorderRate: 0.01, ReorderDepth: 4}},
+	{name: "bulk, cell corruption", g: workload.Bulk{Bytes: 65536}, hosts: 3,
+		cfg: lab.Config{Link: lab.LinkATM, MTU: 1500, CellCorruptRate: 0.006}},
+	{name: "bulk, RED hub under overflow", g: workload.Bulk{Bytes: 49152}, hosts: 5, cut: true,
+		cfg: lab.Config{Link: lab.LinkATM, Qdisc: lab.QdiscConfig{Kind: lab.QdiscRED, LimitCells: 96}}},
+	{name: "bulk, DRR hub under overflow", g: workload.Bulk{Bytes: 49152}, hosts: 5, cut: true,
+		cfg: lab.Config{Link: lab.LinkATM, Qdisc: lab.QdiscConfig{Kind: lab.QdiscDRR, LimitCells: 96}}},
+	{name: "fan-in, link flaps", hosts: 5, cut: true, cfg: lab.Config{Link: lab.LinkATM},
+		g: workload.FanIn{Requests: 20, Size: 1400, Faults: sim.LinkFlaps(7, []int{0, 2}, 8, 20*sim.Millisecond, 300*sim.Microsecond)}},
 }
 
 // shardCounts are the shard counts a trial runs at: the fault knobs run
 // serial only, and Ethernet is one broadcast domain.
-func shardCounts(cfg lab.Config, lossFree bool) []int {
-	if !lossFree || cfg.Link != lab.LinkATM {
+func shardCounts(cfg lab.Config, shardSafe bool) []int {
+	if !shardSafe || cfg.Link != lab.LinkATM {
 		return []int{1}
 	}
 	return []int{1, 4}
@@ -130,7 +147,7 @@ func shardCounts(cfg lab.Config, lossFree bool) []int {
 // the mbuf leak gate armed where the trial arms it.
 func TestArenaDrainsToZero(t *testing.T) {
 	for _, tc := range arenaTrials {
-		for _, shards := range shardCounts(tc.cfg, tc.lossFree) {
+		for _, shards := range shardCounts(tc.cfg, tc.lossFree || tc.cut) {
 			cfg := tc.cfg
 			cfg.Seed = 1994
 			l, _ := scratchTrial(t, tc.g, cfg, tc.hosts, shards, true)
@@ -165,7 +182,7 @@ func TestReleasedScratchIsPoisoned(t *testing.T) {
 		cfg := tc.cfg
 		cfg.Seed = 7
 		_, want := scratchTrial(t, tc.g, cfg, tc.hosts, 1, false)
-		for _, shards := range shardCounts(tc.cfg, tc.lossFree) {
+		for _, shards := range shardCounts(tc.cfg, tc.lossFree || tc.cut) {
 			if _, got := scratchTrial(t, tc.g, cfg, tc.hosts, shards, true); got != want {
 				t.Errorf("%s, %d shards: the poisoned run diverged\n plain:    %.300s\n poisoned: %.300s", tc.name, shards, want, got)
 			}

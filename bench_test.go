@@ -294,7 +294,7 @@ func BenchmarkAblation_PCBHashVsList(b *testing.B) {
 		cfg := lab.Config{
 			Link:              lab.LinkATM,
 			DisablePrediction: true,
-			ExtraPCBs:         500,
+			LivePCBs:          500,
 			HashPCBs:          hash,
 		}
 		rtt, err := core.MeasureRTT(cfg, 4, benchOpts)

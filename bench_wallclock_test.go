@@ -1,13 +1,15 @@
 // Wall-clock benchmarks of the simulator itself — the tier behind
 // BENCH_wallclock.json. Where bench_test.go reports *simulated*
 // microseconds (exact, machine-independent, gated by benchdiff's strict
-// tolerance), this file reports how fast and how allocation-hungry the
-// simulator is on the machine running it: ns/op and allocs/op for the
-// sweep engine, the fan-in topology, and the traced and untraced echo
-// paths. These numbers move when the event loop, the mbuf pool, or the
-// trace engine changes — and must NOT move any sim-µs metric, which is
-// exactly what `make benchdiff` plus `make bench-wallclock` together
-// enforce (see docs/PERFORMANCE.md).
+// tolerance), this file reports how allocation-hungry the simulator is:
+// allocs/op, B/op, allocs/rtt, barrier rounds and peak heap for the sweep
+// engine, the fan-in topology, and the traced and untraced echo paths.
+// Those are gated; the ns/op column `go test` prints beside them is for
+// reading while working, and wall-clock claims belong to bench/. The
+// gated numbers move when the event loop, the mbuf pool, or the trace
+// engine changes — and must NOT move any sim-µs metric, which is exactly
+// what `make benchdiff` plus `make bench-wallclock` together enforce (see
+// docs/PERFORMANCE.md).
 //
 // Run with:
 //
@@ -31,13 +33,6 @@ import (
 func BenchmarkWallclockSweepSerial(b *testing.B) {
 	b.ReportAllocs()
 	benchSweep(b, 1)
-}
-
-// BenchmarkWallclockSweepParallel is the same grid on GOMAXPROCS
-// workers; outputs stay bit-identical (TestSerialParallelIdentical).
-func BenchmarkWallclockSweepParallel(b *testing.B) {
-	b.ReportAllocs()
-	benchSweep(b, 0)
 }
 
 // BenchmarkWallclockFanIn16 builds the 17-host ATM topology and runs the

@@ -11,6 +11,10 @@
 // basic behaviour, not full-length output. Redirections and pipes in
 // quoted lines are stripped — stdout is discarded anyway.
 //
+// It also keeps the one table of standing numbers honest: a document
+// that quotes the trajectory table (trajectory.go) must quote what the
+// ledgers and BENCH_wallclock.json say today.
+//
 // `go test` lines get their own smoke treatment, sized for the
 // benchmark and profiling commands docs/PERFORMANCE.md quotes: a
 // command that selects benchmarks (-bench) is reduced to one iteration
@@ -93,6 +97,9 @@ func run(args []string, w io.Writer) error {
 				seen[c] = true
 				cmds = append(cmds, c)
 			}
+		}
+		if err := checkTrajectory(string(blob), "."); err != nil && !*list {
+			return fmt.Errorf("%s: %w", f, err)
 		}
 	}
 	if len(cmds) == 0 {

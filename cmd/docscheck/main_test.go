@@ -165,3 +165,49 @@ func TestDriftedTestNameFails(t *testing.T) {
 		t.Fatalf("real selection failed: %v", err)
 	}
 }
+
+// TestTrajectoryTable renders the table from a miniature repository: the
+// second column is the last ledger by name at the first one's seed, a
+// fresh quote passes, a stale one fails with the table it should be, and
+// a document without the marks is not the table's business.
+func TestTrajectoryTable(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"BENCHMARK.json":                   `{"workloads":[{"name":"w"}],"end_to_end":[{"name":"wall_s"}]}`,
+		"BENCH_wallclock.json":             `{"BenchmarkWallclockX/allocs/op": 7, "meta/peak_heap_mb": 41.5}`,
+		"bench/samples/ledger-first.json":  `{"meta":{"git_commit":"aaaaaaaaaa","seed":1},"workloads":{"w":{"samples":{"wall_s":[3,1,2]}}}}`,
+		"bench/samples/ledger-b.json":      `{"meta":{"git_commit":"bbbbbbbbbb","seed":1},"workloads":{"w":{"samples":{"wall_s":[1,1]}}}}`,
+		"bench/samples/ledger-seed7.json":  `{"meta":{"git_commit":"cccccccccc","seed":7},"workloads":{"w":{"samples":{"wall_s":[9]}}}}`,
+		"bench/samples/compare-first-b.md": "not a ledger",
+	}
+	for name, body := range files {
+		p := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	table, err := trajectoryTable(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"`ledger-first.json` (aaaaaaa)", "`ledger-b.json` (bbbbbbb)",
+		"| `w` | `wall_s` | 2 | 1 | 0.50 |", "| `X/allocs/op` | 7 |", "| `meta/peak_heap_mb` | 41.5 |"} {
+		if !strings.Contains(table, want) {
+			t.Errorf("table lacks %q:\n%s", want, table)
+		}
+	}
+	fresh := "intro\n" + trajectoryBegin + "\n" + table + trajectoryEnd + "\noutro\n"
+	if err := checkTrajectory(fresh, root); err != nil {
+		t.Errorf("fresh quote refused: %v", err)
+	}
+	stale := strings.Replace(fresh, "| 0.50 |", "| 0.75 |", 1)
+	if err := checkTrajectory(stale, root); err == nil || !strings.Contains(err.Error(), "| 0.50 |") {
+		t.Errorf("stale quote: %v, want a refusal quoting the table as it should read", err)
+	}
+	if err := checkTrajectory("no marks here", filepath.Join(root, "nowhere")); err != nil {
+		t.Errorf("a document without the marks: %v", err)
+	}
+}

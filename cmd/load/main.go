@@ -22,10 +22,12 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/lab"
@@ -82,15 +84,13 @@ const (
 var workloads = map[string]int{"fanin": wFanIn, "churn": wChurn, "bulk": wBulk,
 	"echo": wEcho, "loaded": wLoaded, "faults": wFaults}
 
-// flagRule says where one flag has an effect. A flag set on the command
-// line where it has none is rejected, naming the flag, never dropped.
+// flagRule says which workloads read one flag. A flag set on the command
+// line where it has no effect is rejected, naming the flag, never
+// dropped. What the flag's lab.Config field applies to — the link, a
+// switch, one shard — is lab.Config.Validate's to say (see cfgFlag).
 type flagRule struct {
-	on       int     // the workloads that read it
-	atm      bool    // configures ATM hardware: no effect with -link ether
-	switched bool    // configures a switch: no effect on the two-host fibre
-	serial   bool    // draws from the one serial RNG stream: not with -shards > 1
-	min      float64 // numeric flags: the least value accepted,
-	below    float64 // and, unless zero, the open upper bound
+	on  int     // the workloads that read it
+	min float64 // numeric flags: the least value accepted
 }
 
 // flagRules has a row per flag, in the order run defines them. A flag
@@ -103,7 +103,7 @@ var flagRules = map[string]flagRule{
 	"size":         {on: wAll &^ wBulk},
 	"bytes":        {on: wBulk, min: 1},
 	"link":         {on: wSweep},
-	"loss":         {on: wSweep, atm: true, serial: true, below: 1},
+	"loss":         {on: wSweep},
 	"hashpcb":      {on: wSweep},
 	"compare":      {on: wSweep},
 	"trials":       {on: wSweep, min: 1},
@@ -112,21 +112,31 @@ var flagRules = map[string]flagRule{
 	"json":         {on: wAll},
 	"stream":       {on: wFanIn | wChurn},
 	"stagger":      {on: wFanIn, min: -1},
-	"fabric":       {on: wSweep, atm: true, switched: true},
-	"leafports":    {on: wSweep, atm: true, switched: true},
-	"shards":       {on: wAll &^ wFaults, atm: true},
+	"fabric":       {on: wSweep},
+	"leafports":    {on: wSweep},
+	"shards":       {on: wAll &^ wFaults},
 	"transport":    {on: wFanIn},
-	"qdisc":        {on: wSweep | wLoaded, atm: true, switched: true},
-	"burstloss":    {on: wSweep | wLoaded, serial: true, below: 1},
+	"qdisc":        {on: wSweep | wLoaded},
+	"burstloss":    {on: wSweep | wLoaded},
 	"crosstraffic": {on: wFanIn | wLoaded},
 	"faults":       {on: wFanIn},
 	"crashat":      {on: wFaults},
 	"downtime":     {on: wFaults},
 }
 
+// cfgFlag names the flag that wrote the lab.Config field (or Validate
+// argument) a lab.ConfigError refuses, so the rejection names what the
+// user typed.
+func cfgFlag(field string) string {
+	group, _, _ := strings.Cut(field, ".") // "Qdisc.Kind" is -qdisc's
+	return map[string]string{"Link": "link", "HashPCBs": "hashpcb", "CellLossRate": "loss",
+		"BurstLoss": "burstloss", "Qdisc": "qdisc", "Fabric": "fabric", "LeafPorts": "leafports",
+		"nHosts": "hosts", "shards": "shards"}[group]
+}
+
 // checkFlags walks the flags set on the command line against flagRules
 // and returns the first rejection.
-func checkFlags(fs *flag.FlagSet, wl string, link lab.LinkKind, hosts, shards int) error {
+func checkFlags(fs *flag.FlagSet, wl string) error {
 	on, ok := workloads[wl]
 	if !ok {
 		return fmt.Errorf("unknown -workload %q (want fanin, churn, bulk, echo, loaded, or faults)", wl)
@@ -149,20 +159,10 @@ func checkFlags(fs *flag.FlagSet, wl string, link lab.LinkKind, hosts, shards in
 			v = r.min
 		}
 		switch {
-		case !(v >= r.min && (r.below == 0 || v < r.below)): // written so that NaN fails
-			if r.below == 0 {
-				err = fmt.Errorf("-%s %v out of range (want >= %v)", f.Name, v, r.min)
-			} else {
-				err = fmt.Errorf("-%s %v out of range [%v, %v)", f.Name, v, r.min, r.below)
-			}
+		case !(v >= r.min): // written so that NaN fails
+			err = fmt.Errorf("-%s %v out of range (want >= %v)", f.Name, v, r.min)
 		case r.on&on == 0:
 			err = fmt.Errorf("-%s does not apply to -workload %s", f.Name, wl)
-		case r.atm && link != lab.LinkATM:
-			err = fmt.Errorf("-%s applies to the ATM link only", f.Name)
-		case r.switched && hosts == 2:
-			err = fmt.Errorf("-%s needs a switch, and -hosts 2 is the switchless fibre", f.Name)
-		case r.serial && shards > 1:
-			err = fmt.Errorf("-%s cannot run with -shards: its draws consume the serial RNG stream, which shards do not share", f.Name)
 		}
 	})
 	return err
@@ -209,7 +209,7 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("-link: %w", err)
 	}
-	if err := checkFlags(fs, *wl, lk, *hosts, *shards); err != nil {
+	if err := checkFlags(fs, *wl); err != nil {
 		return err
 	}
 	qk, err := lab.ParseQdiscKind(*qdisc)
@@ -227,6 +227,13 @@ func run(args []string, w io.Writer) error {
 		cfg.Fabric = lab.FabricFatTree
 	default:
 		return fmt.Errorf("unknown -fabric %q (want hub or fattree)", *fabric)
+	}
+	if err := cfg.Validate(*hosts, max(*shards, 1)); err != nil {
+		var ce *lab.ConfigError
+		if errors.As(err, &ce) {
+			return fmt.Errorf("-%s: %w", cfgFlag(ce.Field), err)
+		}
+		return err
 	}
 	var stCfg stats.Config
 	switch *stream {

@@ -17,6 +17,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -36,6 +37,15 @@ func main() {
 	}
 }
 
+// cfgFlags maps each flag that writes a lab.Config field to the field:
+// what a -grid run refuses (it fixes the cell configuration itself), and
+// how a lab.ConfigError finds the flag to name. -seed is absent on
+// purpose: a grid reads it as the derivation base.
+var cfgFlags = map[string]string{
+	"link": "Link", "mode": "Mode", "nopred": "DisablePrediction", "hashpcb": "HashPCBs",
+	"pcbs": "LivePCBs", "loss": "CellLossRate", "mtu": "MTU", "sockbuf": "SockBuf",
+}
+
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("tcplat", flag.ContinueOnError)
 	var (
@@ -44,7 +54,7 @@ func run(args []string, w io.Writer) error {
 		mode     = fs.String("mode", "standard", "checksum mode: standard, integrated, or none")
 		noPred   = fs.Bool("nopred", false, "disable header prediction (PCB cache + fast path)")
 		hash     = fs.Bool("hashpcb", false, "use the hash-table PCB organization")
-		pcbs     = fs.Int("pcbs", 0, "extra idle PCBs inserted ahead of the benchmark connection")
+		pcbs     = fs.Int("pcbs", 0, "established connections opened ahead of the benchmark connection")
 		loss     = fs.Float64("loss", 0, "ATM cell loss probability")
 		mtu      = fs.Int("mtu", 0, "MTU override (0 = link default)")
 		sockbuf  = fs.Int("sockbuf", 0, "socket buffer high-water mark (0 = default)")
@@ -67,13 +77,8 @@ func run(args []string, w io.Writer) error {
 	// reject per-cell flags that would otherwise be silently ignored.
 	if *grid != "" {
 		var conflict []string
-		cellFlags := map[string]bool{
-			"size": true, "link": true, "mode": true, "nopred": true,
-			"hashpcb": true, "pcbs": true, "loss": true, "mtu": true,
-			"sockbuf": true, "sweep": true,
-		}
 		fs.Visit(func(f *flag.Flag) {
-			if cellFlags[f.Name] {
+			if cfgFlags[f.Name] != "" || f.Name == "size" || f.Name == "sweep" {
 				conflict = append(conflict, "-"+f.Name)
 			}
 		})
@@ -83,35 +88,18 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 
-	// The smallest useful MTU must hold the IP and TCP headers plus one
-	// data byte; below that the stack cannot form a segment.
-	if *mtu != 0 && *mtu < lab.MinMTU {
-		return fmt.Errorf("-mtu %d too small (need 0 or >= %d)", *mtu, lab.MinMTU)
-	}
-	if *sockbuf < 0 {
-		return fmt.Errorf("-sockbuf must be >= 0")
-	}
-	if *size < 0 || *pcbs < 0 {
-		return fmt.Errorf("-size and -pcbs must be >= 0")
-	}
-	if !(*loss >= 0 && *loss < 1) {
-		return fmt.Errorf("-loss %g out of range [0, 1)", *loss)
+	if *size < 0 {
+		return fmt.Errorf("-size must be >= 0")
 	}
 	lk, err := lab.ParseLinkKind(*link)
 	if err != nil {
 		return fmt.Errorf("-link: %w", err)
 	}
-	// Config.CellLossRate only drives ATM adapters; accepting it here would
-	// label a loss-free segment with a loss rate.
-	if *loss > 0 && lk != lab.LinkATM {
-		return fmt.Errorf("-loss applies to the ATM link only")
-	}
-
 	cfg := lab.Config{
 		Link:              lk,
 		DisablePrediction: *noPred,
 		HashPCBs:          *hash,
-		ExtraPCBs:         *pcbs,
+		LivePCBs:          *pcbs,
 		CellLossRate:      *loss,
 		MTU:               *mtu,
 		SockBuf:           *sockbuf,
@@ -127,11 +115,18 @@ func run(args []string, w io.Writer) error {
 	default:
 		return fmt.Errorf("unknown checksum mode %q", *mode)
 	}
-	// An override at or above the link's native MTU would be silently
-	// ignored by the driver while still appearing in the cell label.
-	if *mtu != 0 && *mtu >= lab.MaxMTU(cfg.Link) {
-		return fmt.Errorf("-mtu %d not below the %s native MTU %d (omit -mtu for the default)",
-			*mtu, cfg.Link, lab.MaxMTU(cfg.Link))
+	// lab.Config.Validate is the rulebook of what each knob applies to;
+	// its refusal names the field, and the flag that wrote it.
+	if err := cfg.Validate(2, 1); err != nil {
+		var ce *lab.ConfigError
+		if errors.As(err, &ce) {
+			for name, field := range cfgFlags {
+				if field == ce.Field {
+					return fmt.Errorf("-%s: %w", name, err)
+				}
+			}
+		}
+		return err
 	}
 
 	// Build the trial list: a predefined grid, the paper's size sweep of

@@ -5,8 +5,8 @@
 // demultiplex at the server walks the live connection population; the
 // hash organization looks up in constant time — so the gap between the
 // two columns widens as the fan-in grows, which is exactly the paper's
-// prediction, produced here by real concurrent traffic instead of the
-// synthetic ExtraPCBs knob.
+// prediction, produced here by real concurrent traffic instead of an
+// idle population opened ahead of one echo (lab.Config.LivePCBs).
 //
 // The study fans out through the sweep engine: the same grid runs
 // serially first to verify that per-trial seeds derived from grid

@@ -31,8 +31,12 @@ func TestPCBLiveMatchesSynthetic(t *testing.T) {
 	}
 }
 
+// TestPCBPopulationEffectLive is the small-population end of
+// TestPCBPopulationEffect: the populations are real established
+// connections (lab.Config.LivePCBs is the one population knob), and even
+// a hundred of them must show.
 func TestPCBPopulationEffectLive(t *testing.T) {
-	rtts, err := PCBPopulationEffectLive([]int{0, 100, 400}, fastOpts())
+	rtts, err := PCBPopulationEffect([]int{0, 100, 400}, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

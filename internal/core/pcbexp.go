@@ -44,64 +44,73 @@ type PCBResult struct {
 // driving real lookups through a populated table, exactly as the kernel
 // input path does: the cost charged is per entry traversed.
 func RunPCBExperiment() *PCBResult {
-	model := cost.DECstation5000()
 	res := &PCBResult{}
 	for _, n := range pcbLengths {
 		env := sim.NewEnv()
-		k := kern.New(env, model, "pcbhost")
-		k.Trace.Enable()
-
-		measure := func(useHash, cache bool) float64 {
-			var tb pcb.Table
-			tb.UseHash = useHash
-			tb.CacheDisabled = !cache
-			var target pcb.Key
-			for i := 0; i < n; i++ {
-				key := pcb.Key{LocalAddr: 1, RemoteAddr: uint32(i + 10), LocalPort: 80, RemotePort: uint16(i + 1)}
-				tb.Insert(&pcb.PCB{Key: key})
-				if i == 0 {
-					target = key // first inserted ends at the tail
-				}
+		k := kern.New(env, cost.DECstation5000(), "pcbhost")
+		var tb pcb.Table
+		var target pcb.Key
+		for i := 0; i < n; i++ {
+			key := pcb.Key{LocalAddr: 1, RemoteAddr: uint32(i + 10), LocalPort: 80, RemotePort: uint16(i + 1)}
+			tb.Insert(&pcb.PCB{Key: key})
+			if i == 0 {
+				target = key // first inserted ends at the tail
 			}
-			// Drive a real lookup; the searched-entry count it reports
-			// is the measured quantity, converted to DECstation time by
-			// the calibrated per-entry cost and charged to the simulated
-			// CPU as the input path would charge it.
-			var total sim.Time
-			env.Spawn("lookup", sim.Steps(func(p *sim.Proc) {
-				if cache {
-					tb.Lookup(target) // prime the cache
-				}
-				_, r := tb.Lookup(target)
-				var d sim.Time
-				switch {
-				case r.CacheHit:
-					d = model.PCBCacheHit
-				case useHash:
-					d = model.PCBHashLookup
-				default:
-					d = model.PCBLookupFixed + sim.Time(r.Searched)*model.PCBLookupPerEntry
-				}
-				total = d
-				k.Use(p, trace.LayerTCPSegmentRx, d)
-			}))
-			env.Run()
-			if total == 0 {
-				panic("core: pcb lookup never ran")
-			}
-			return total.Micros()
 		}
-
-		res.Rows = append(res.Rows, PCBRow{
-			Entries:     n,
-			ListMicros:  measure(false, false),
-			HashMicros:  measure(true, false),
-			CacheMicros: measure(false, true),
-		})
+		res.Rows = append(res.Rows, pcbRow(k, &tb, target, n))
 	}
-	first, last := res.Rows[0], res.Rows[len(res.Rows)-1]
-	res.PerEntryMicros = (last.ListMicros - first.ListMicros) / float64(last.Entries-first.Entries)
+	res.fitSlope()
 	return res
+}
+
+// pcbRow measures one population's row: a real lookup of target — the
+// entry deepest in the list — through tb under each organization. The
+// searched-entry count the lookup reports is the measured quantity,
+// converted to DECstation time by the calibrated per-entry cost and
+// charged to k's simulated CPU as the input path would charge it.
+func pcbRow(k *kern.Kernel, tb *pcb.Table, target pcb.Key, n int) PCBRow {
+	model := k.Cost
+	k.Trace.Enable()
+	measure := func(useHash, cache bool) float64 {
+		tb.UseHash = useHash
+		tb.CacheDisabled = !cache
+		var total sim.Time
+		k.Env.Spawn("lookup", sim.Steps(func(p *sim.Proc) {
+			if cache {
+				tb.Lookup(target) // prime the cache
+			}
+			ent, r := tb.Lookup(target)
+			if ent == nil {
+				panic("core: PCB lookup missed")
+			}
+			switch {
+			case r.CacheHit:
+				total = model.PCBCacheHit
+			case useHash:
+				total = model.PCBHashLookup
+			default:
+				total = model.PCBLookupFixed + sim.Time(r.Searched)*model.PCBLookupPerEntry
+			}
+			k.Use(p, trace.LayerTCPSegmentRx, total)
+		}))
+		k.Env.Run()
+		if total == 0 {
+			panic("core: pcb lookup never ran")
+		}
+		return total.Micros()
+	}
+	return PCBRow{
+		Entries:     n,
+		ListMicros:  measure(false, false),
+		HashMicros:  measure(true, false),
+		CacheMicros: measure(false, true),
+	}
+}
+
+// fitSlope fits the per-entry cost through the list column's endpoints.
+func (r *PCBResult) fitSlope() {
+	first, last := r.Rows[0], r.Rows[len(r.Rows)-1]
+	r.PerEntryMicros = (last.ListMicros - first.ListMicros) / float64(last.Entries-first.Entries)
 }
 
 // pcbLengths is the population axis shared by the synthetic and live
@@ -115,7 +124,6 @@ var pcbLengths = []int{20, 50, 100, 250, 500, 1000}
 // ends deepest in the BSD head-inserted list, exactly where the
 // synthetic study places its target.
 func RunPCBLiveExperiment() *PCBResult {
-	model := cost.DECstation5000()
 	res := &PCBResult{Live: true}
 	for _, n := range pcbLengths {
 		l := lab.New(lab.Config{Link: lab.LinkATM})
@@ -143,57 +151,15 @@ func RunPCBLiveExperiment() *PCBResult {
 
 		// The server-side key of the first connection: the mirror of the
 		// client's 4-tuple.
-		ck := first.Key()
 		target := pcb.Key{
 			LocalAddr:  lab.ServerAddr,
 			RemoteAddr: lab.ClientAddr,
 			LocalPort:  7,
-			RemotePort: ck.LocalPort,
+			RemotePort: first.Key().LocalPort,
 		}
-		tb := &l.Server.TCP.Table
-		k := l.Server.Kern
-		k.Trace.Enable()
-
-		measure := func(useHash, cache bool) float64 {
-			tb.UseHash = useHash
-			tb.CacheDisabled = !cache
-			var total sim.Time
-			l.Env.Spawn("lookup", sim.Steps(func(p *sim.Proc) {
-				if cache {
-					tb.Lookup(target) // prime the cache
-				}
-				ent, r := tb.Lookup(target)
-				if ent == nil {
-					panic("core: live PCB lookup missed")
-				}
-				var d sim.Time
-				switch {
-				case r.CacheHit:
-					d = model.PCBCacheHit
-				case useHash:
-					d = model.PCBHashLookup
-				default:
-					d = model.PCBLookupFixed + sim.Time(r.Searched)*model.PCBLookupPerEntry
-				}
-				total = d
-				k.Use(p, trace.LayerTCPSegmentRx, d)
-			}))
-			l.Env.Run()
-			if total == 0 {
-				panic("core: pcb lookup never ran")
-			}
-			return total.Micros()
-		}
-
-		res.Rows = append(res.Rows, PCBRow{
-			Entries:     n,
-			ListMicros:  measure(false, false),
-			HashMicros:  measure(true, false),
-			CacheMicros: measure(false, true),
-		})
+		res.Rows = append(res.Rows, pcbRow(l.Server.Kern, &l.Server.TCP.Table, target, n))
 	}
-	first, last := res.Rows[0], res.Rows[len(res.Rows)-1]
-	res.PerEntryMicros = (last.ListMicros - first.ListMicros) / float64(last.Entries-first.Entries)
+	res.fitSlope()
 	return res
 }
 
@@ -219,42 +185,18 @@ func (r *PCBResult) Render() string {
 // PCBPopulationEffect measures the end-to-end RTT effect of PCB list
 // population with prediction disabled — the situation the paper argues a
 // hash table would fix. It returns mean RTTs for a 4-byte echo with the
-// given numbers of extra PCBs inserted ahead of the benchmark connection.
-// The populations run concurrently through the sweep engine.
+// given numbers of established connections (lab.Config.LivePCBs) opened
+// ahead of the benchmark connection. The populations run concurrently
+// through the sweep engine.
 func PCBPopulationEffect(populations []int, o Options) (map[int]float64, error) {
-	return pcbPopulationEffect(populations, false, o)
-}
-
-// PCBPopulationEffectLive is the live-churn variant of
-// PCBPopulationEffect: the population ahead of the benchmark connection
-// is built from real established connections (lab.Config.LivePCBs)
-// instead of synthetic inserts. Demultiplexing walks the same number of
-// entries either way, so equal populations must cost the same per entry.
-func PCBPopulationEffectLive(populations []int, o Options) (map[int]float64, error) {
-	return pcbPopulationEffect(populations, true, o)
-}
-
-func pcbPopulationEffect(populations []int, live bool, o Options) (map[int]float64, error) {
 	o = o.normalize()
 	jobs := make([]runner.Job, 0, len(populations))
 	for _, n := range populations {
 		n := n
-		label := fmt.Sprintf("pcbs=%d", n)
-		if live {
-			label = fmt.Sprintf("livepcbs=%d", n)
-		}
 		jobs = append(jobs, runner.Job{
-			Label: label,
+			Label: fmt.Sprintf("livepcbs=%d", n),
 			RunOn: func(_ context.Context, tb *runner.Testbeds, seed uint64) (any, error) {
-				cfg := lab.Config{
-					Link:              lab.LinkATM,
-					DisablePrediction: true,
-				}
-				if live {
-					cfg.LivePCBs = n
-				} else {
-					cfg.ExtraPCBs = n
-				}
+				cfg := lab.Config{Link: lab.LinkATM, DisablePrediction: true, LivePCBs: n}
 				return MeasureRTTOn(tb, seeded(cfg, seed), 4, o)
 			},
 		})

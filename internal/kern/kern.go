@@ -45,12 +45,6 @@ type Kernel struct {
 	host int
 
 	busyUntil sim.Time
-
-	// NoSbCompress disables sock.Buffer's sbcompress coalescing,
-	// restoring the pre-fix behaviour where every sub-MSS write stays its
-	// own mbuf and TCP output pays mcopy's per-mbuf charge for each (the
-	// ROADMAP 3b livelock). Only the watchdog revert-guard tests set it.
-	NoSbCompress bool
 }
 
 // New returns a kernel for one host, sharing the simulation environment
@@ -101,7 +95,6 @@ func (k *Kernel) Name() string {
 func (k *Kernel) Reset(model *cost.Model) {
 	k.Cost = model
 	k.busyUntil = 0
-	k.NoSbCompress = false
 	k.Trace.Reset()
 	k.Trace.Disable()
 	k.Pool.Reset()

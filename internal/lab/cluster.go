@@ -188,42 +188,19 @@ type Cluster struct {
 // and a clamp to one shard (including the two-host switchless fiber,
 // which has no cuttable boundary) is a plain serial lab.
 //
-// Asking for more than one shard refuses configurations whose behaviour
-// depends on a globally ordered RNG stream or on one host mutating
-// another's state directly: Ethernet (one broadcast domain), cell loss or
-// corruption injection, and the PCB-population knobs. One shard accepts
-// everything NewTopology does. Payload fills also draw from per-shard
-// RNGs — that diverges from the serial stream, but payload bytes are
-// behaviorally inert (checksum costs are data-independent and echo
-// comparison is against the sender's own message), so bit-identity of
-// every event, result, and trace is unaffected.
+// Validate is the rulebook of what is refused: a field the testbed has
+// nothing to read, and above one shard whatever depends on a globally
+// ordered RNG stream or on one host mutating another's state directly.
+// Payload fills also draw from per-shard RNGs — that diverges from the
+// serial stream, but payload bytes are behaviorally inert (checksum costs
+// are data-independent and echo comparison is against the sender's own
+// message), so bit-identity of every event, result, and trace is
+// unaffected.
 func NewCluster(cfg Config, nHosts, shards int) (*Cluster, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("lab: cluster needs at least 1 shard, got %d", shards)
+	if err := cfg.Validate(nHosts, shards); err != nil {
+		return nil, err
 	}
-	if shards > 1 {
-		if err := cfg.shardable(); err != nil {
-			return nil, err
-		}
-	}
-	leafPorts := cfg.LeafPorts
-	if leafPorts <= 0 {
-		leafPorts = atm.DefaultLeafPorts
-	}
-	units := nHosts
-	if cfg.Fabric == FabricFatTree {
-		units = (nHosts + leafPorts - 1) / leafPorts
-	}
-	if nHosts == 2 {
-		units = 1 // switchless fiber: no switch, nothing to cut
-	}
-	if shards > units {
-		shards = units
-	}
-	if shards == 1 {
-		return NewTopology(cfg, nHosts).Cluster(), nil
-	}
-	return build(cfg, partitionHosts(cfg.Fabric, nHosts, leafPorts, units, shards), shards), nil
+	return build(cfg, cfg.Shape(nHosts, shards)), nil
 }
 
 // build is the one builder: every testbed — New, NewTopology, NewCluster
@@ -233,11 +210,9 @@ func NewCluster(cfg Config, nHosts, shards int) (*Cluster, error) {
 // whatever fiber crosses between two), or one Ethernet segment. It ends
 // with the same configure step Reset ends with, so nothing derived from
 // the configuration is computed here.
-func build(cfg Config, hostShard []int, shards int) *Cluster {
-	nHosts := len(hostShard)
-	if nHosts < 2 {
-		panic(fmt.Sprintf("lab: topology needs at least 2 hosts, got %d", nHosts))
-	}
+func build(cfg Config, shape Shape) *Cluster {
+	nHosts, shards := shape.Hosts, shape.Shards
+	hostShard := partitionHosts(nHosts, cfg.unitHosts(), shards)
 	l := &Lab{Hosts: make([]*Host, nHosts)}
 	c := &Cluster{
 		Lab:       l,
@@ -311,10 +286,6 @@ func (cfg Config) model() *cost.Model {
 func (c *Cluster) configure(cfg Config) {
 	l := c.Lab
 	l.Config = cfg
-	mtu := cfg.MTU
-	if mtu < MinMTU {
-		mtu = 0
-	}
 	if cfg.Seed != 0 {
 		for _, sh := range c.Shards {
 			sh.Env.Seed(cfg.Seed)
@@ -338,14 +309,14 @@ func (c *Cluster) configure(cfg Config) {
 		seed := deriveSeed(cfg.Seed, 0x1000_0000+uint64(i))
 		if h.ATMAdapter != nil {
 			h.ATMDriver.Mode = cfg.Mode
-			h.ATMDriver.MTUOverride = mtu
+			h.ATMDriver.MTUOverride = cfg.MTU
 			h.ATMDriver.HostCorruptRate = cfg.HostCorruptRate
 			h.ATMAdapter.LossRate = cfg.CellLossRate
 			h.ATMAdapter.CorruptRate = cfg.CellCorruptRate
 			h.ATMAdapter.SetImpairments(cfg.BurstLoss, cfg.ReorderRate, cfg.ReorderDepth, seed)
 		}
 		if h.EthAdapter != nil {
-			h.EthDriver.MTUOverride = mtu
+			h.EthDriver.MTUOverride = cfg.MTU
 			h.EthAdapter.SetImpairments(cfg.BurstLoss, seed)
 		}
 		h.TCP.SockBuf = cfg.SockBuf
@@ -387,27 +358,6 @@ func (c *Cluster) configure(cfg Config) {
 	c.boomerang = l.Switch.Latency + cell + model.ATMPropagation
 }
 
-// shardable reports why the configuration cannot run on more than one
-// shard, or nil when it can.
-func (cfg Config) shardable() error {
-	if cfg.Link != LinkATM {
-		return fmt.Errorf("lab: sharded execution requires ATM; %v is one broadcast domain with no cuttable link", cfg.Link)
-	}
-	if cfg.CellLossRate != 0 || cfg.CellCorruptRate != 0 || cfg.HostCorruptRate != 0 {
-		return fmt.Errorf("lab: sharded execution cannot inject faults (loss %g, corrupt %g, host-corrupt %g): fault draws consume the serial RNG stream, which shards do not share",
-			cfg.CellLossRate, cfg.CellCorruptRate, cfg.HostCorruptRate)
-	}
-	if cfg.impaired() {
-		return fmt.Errorf("lab: sharded execution cannot impair links (burst loss %+v, reorder %g): fault studies compare serial runs only",
-			cfg.BurstLoss, cfg.ReorderRate)
-	}
-	if cfg.ExtraPCBs != 0 || cfg.LivePCBs != 0 {
-		return fmt.Errorf("lab: sharded execution cannot populate PCBs (extra %d, live %d): population mutates the peer host's tables directly",
-			cfg.ExtraPCBs, cfg.LivePCBs)
-	}
-	return nil
-}
-
 // Cluster returns the executor this lab runs under — the cluster that
 // built it, with one shard for a lab from New or NewTopology.
 func (l *Lab) Cluster() *Cluster { return l.cluster }
@@ -415,10 +365,15 @@ func (l *Lab) Cluster() *Cluster { return l.cluster }
 // partitionHosts assigns each host a shard: unit 0 is shard 0 alone,
 // and the remaining units split contiguously and near-evenly across
 // shards 1..eff-1 (monotone, so same-shard hosts keep their relative
-// construction order — the tie-break order serial execution uses).
-func partitionHosts(kind FabricKind, nHosts, leafPorts, units, eff int) []int {
-	unitShard := make([]int, units)
-	rest, workers := units-1, eff-1
+// construction order — the tie-break order serial execution uses). One
+// shard holds every host.
+func partitionHosts(nHosts, unitHosts, eff int) []int {
+	hostShard := make([]int, nHosts)
+	if eff == 1 {
+		return hostShard
+	}
+	unitShard := make([]int, (nHosts+unitHosts-1)/unitHosts)
+	rest, workers := len(unitShard)-1, eff-1
 	base, rem := rest/workers, rest%workers
 	u := 1
 	for w := 0; w < workers; w++ {
@@ -431,13 +386,8 @@ func partitionHosts(kind FabricKind, nHosts, leafPorts, units, eff int) []int {
 			u++
 		}
 	}
-	hostShard := make([]int, nHosts)
 	for i := range hostShard {
-		if kind == FabricFatTree {
-			hostShard[i] = unitShard[i/leafPorts]
-		} else {
-			hostShard[i] = unitShard[i]
-		}
+		hostShard[i] = unitShard[i/unitHosts]
 	}
 	return hostShard
 }
@@ -863,17 +813,11 @@ func (c *Cluster) Reset(cfg Config, seed uint64) error {
 		cfg.Seed = seed
 	}
 	l := c.Lab
-	if cfg.Link != l.Config.Link {
-		return fmt.Errorf("lab: cannot reset %v topology to %v", l.Config.Link, cfg.Link)
+	if err := cfg.Validate(len(l.Hosts), len(c.Shards)); err != nil {
+		return err
 	}
-	if l.Fabric != nil && (cfg.Fabric != l.Config.Fabric || cfg.LeafPorts != l.Config.LeafPorts) {
-		return fmt.Errorf("lab: cannot reset %v fabric (leaf ports %d) to %v (leaf ports %d)",
-			l.Config.Fabric, l.Config.LeafPorts, cfg.Fabric, cfg.LeafPorts)
-	}
-	if len(c.Shards) > 1 {
-		if err := cfg.shardable(); err != nil {
-			return err
-		}
+	if is, to := l.Config.Shape(len(l.Hosts), len(c.Shards)), cfg.Shape(len(l.Hosts), len(c.Shards)); to != is {
+		return fmt.Errorf("lab: cannot reset a %+v testbed to %+v", is, to)
 	}
 	for s, sh := range c.Shards {
 		if n := sh.Env.Pending(); n != 0 {

@@ -42,7 +42,6 @@ func TestClusterGates(t *testing.T) {
 		{Link: LinkATM, CellLossRate: 0.01},
 		{Link: LinkATM, CellCorruptRate: 0.01},
 		{Link: LinkATM, HostCorruptRate: 0.01},
-		{Link: LinkATM, ExtraPCBs: 5},
 		{Link: LinkATM, LivePCBs: 5},
 	}
 	for i, cfg := range bad {

@@ -59,7 +59,9 @@ func ParseLinkKind(s string) (LinkKind, error) {
 }
 
 // Config describes one experimental configuration: every knob the paper's
-// experiments turn.
+// experiments turn. What each field applies to — its range, the hardware
+// it configures, whether it can run sharded — is Validate's to say; a
+// nonzero field on a testbed with nothing to read it is refused there.
 type Config struct {
 	// Link selects ATM or Ethernet.
 	Link LinkKind
@@ -70,15 +72,10 @@ type Config struct {
 	DisablePrediction bool
 	// HashPCBs uses the hash-table PCB organization instead of the list.
 	HashPCBs bool
-	// ExtraPCBs populates each host's PCB table with this many inactive
-	// connections before the benchmark connection is created, to exercise
-	// lookup cost.
-	ExtraPCBs int
 	// LivePCBs opens this many real TCP connections (client to server,
-	// established and left open) ahead of the benchmark connection — the
-	// live-population counterpart of the synthetic ExtraPCBs knob. Both
-	// ends' demultiplexing must walk past the same number of entries;
-	// only the provenance differs.
+	// established and left open) ahead of the echo benchmark's connection,
+	// so both ends' demultiplexing must walk past that many entries — the
+	// §3 PCB-population study's variable.
 	LivePCBs int
 	// CellLossRate injects random ATM cell loss.
 	CellLossRate float64
@@ -93,27 +90,23 @@ type Config struct {
 	// every host's receive path — correlated losses that kill several
 	// cells of one AAL frame at once, unlike the independent drops of
 	// CellLossRate. Each host's chain has a private RNG derived from
-	// Seed, so enabling it perturbs no other random draw. Serial only:
-	// sharded execution rejects it like the other fault knobs.
+	// Seed, so enabling it perturbs no other random draw.
 	BurstLoss sim.GEParams
 	// ReorderRate holds each arriving ATM cell back past the next
 	// ReorderDepth deliveries with this probability — bounded cell
 	// reordering, which AAL3/4 sequence checking converts into frame
-	// loss. Zero depth means 1. Serial only, like BurstLoss. Ignored on
-	// Ethernet (frames are not split into cells).
+	// loss. Zero depth means 1.
 	ReorderRate  float64
 	ReorderDepth int
 	// Qdisc installs a queue discipline on every switch egress port of a
 	// routed ATM fabric (3+ hosts): drop-tail, RED, or per-VCI deficit
-	// round robin. Ignored for Ethernet and the two-host switchless
-	// fiber, which have no switch ports. Disciplines draw only private
-	// per-port RNGs, so qdisc configurations stay shardable.
+	// round robin. Disciplines draw only private per-port RNGs, so qdisc
+	// configurations stay shardable.
 	Qdisc QdiscConfig
 	// MTU, when positive, lowers the MTU the link's driver advertises to
 	// IP (and so the MSS TCP negotiates) below the link default — a
-	// sweep dimension beyond the paper's grid. Values below MinMTU are
-	// ignored: an MTU that cannot hold the IP and TCP headers plus data
-	// would leave the stack unable to form a segment.
+	// sweep dimension beyond the paper's grid, within [MinMTU,
+	// MaxMTU(Link)].
 	MTU int
 	// SockBuf, when positive, overrides the socket-buffer high-water
 	// marks on both hosts (default sock.DefaultHiwat). Buffers smaller
@@ -137,8 +130,7 @@ type Config struct {
 	// Fabric selects the switch arrangement of a multi-host ATM topology:
 	// FabricHub (the default) is one switch with every host attached;
 	// FabricFatTree arranges hosts on leaf switches (LeafPorts per leaf)
-	// trunked to a spine. Ignored for Ethernet and for the two-host
-	// switchless fiber. VC paths are installed on demand in either
+	// trunked to a spine. VC paths are installed on demand in either
 	// arrangement, so topology memory is O(active flows), not O(hosts²).
 	Fabric FabricKind
 	// LeafPorts is the hosts-per-leaf of a fat-tree fabric; zero means
@@ -233,13 +225,11 @@ const (
 	ServerAddr = BaseAddr + 1 // 192.168.1.2
 )
 
-// MinMTU is the smallest MTU override the lab honors: room for the IP
-// and TCP headers plus data. Config.MTU values below it are ignored.
+// MinMTU is the smallest Config.MTU override: room for the IP and TCP
+// headers plus data, without which the stack cannot form a segment.
 const MinMTU = 64
 
-// MaxMTU returns the link's native MTU — the largest value a Config.MTU
-// override can usefully take; overrides at or above it are ignored by
-// the drivers.
+// MaxMTU returns the link's native MTU, the largest Config.MTU override.
 func MaxMTU(l LinkKind) int {
 	if l == LinkEther {
 		return ether.MTU
@@ -259,9 +249,14 @@ func New(cfg Config) *Lab { return NewTopology(cfg, 2) }
 // rewritten at the last switch so that the VCI arriving at j identifies
 // the source, giving each flow its own reassembly context. Ethernet hosts
 // of any number share a Segment with static IP bindings. Host i answers
-// at HostAddr(i).
+// at HostAddr(i). A configuration Validate refuses panics with its
+// *ConfigError (NewCluster returns it instead).
 func NewTopology(cfg Config, nHosts int) *Lab {
-	return build(cfg, make([]int, nHosts), 1).Lab
+	c, err := NewCluster(cfg, nHosts, 1)
+	if err != nil {
+		panic(err)
+	}
+	return c.Lab
 }
 
 // Reset rewinds the testbed for its next trial: Cluster.Reset on the
@@ -334,17 +329,6 @@ func buildHost(env *sim.Env, model *cost.Model, link LinkKind, i int) *Host {
 	return h
 }
 
-// populatePCBs inserts n synthetic idle connections. The harness calls it
-// after the benchmark connection is established, so the noise connections
-// sit ahead of it on the list (BSD inserts at the head) and every
-// cache-miss lookup must walk past them — the situation the §3 hash-table
-// discussion addresses.
-func populatePCBs(s *tcp.Stack, n int) {
-	for i := 0; i < n; i++ {
-		s.InsertIdlePCB(uint32(0x0a000000+i), uint16(20000+i%40000))
-	}
-}
-
 // EchoResult is the outcome of one echo benchmark run.
 type EchoResult struct {
 	Size       int
@@ -413,10 +397,11 @@ const echoPort = 7 // the echo service
 const livePort = 9 // the discard service
 
 // livePCBsFrame opens n real connections from the client to the
-// server's discard port and leaves them established. Like the synthetic
-// population, they insert at the head of both PCB lists, ahead of the
-// benchmark connection; unlike it, they are genuine connections created
-// by real handshakes.
+// server's discard port and leaves them established. The harness calls
+// it after the benchmark connection is established, so they sit ahead of
+// it on both PCB lists (BSD inserts at the head) and every cache-miss
+// lookup must walk past them — the situation the §3 hash-table
+// discussion addresses.
 type livePCBsFrame struct {
 	l  *Lab
 	n  int
@@ -553,8 +538,6 @@ func (f *echoClientFrame) Step(p *sim.Proc) {
 				f.conn.C.SetNoDelay(true)
 			}
 			f.conn = nil
-			populatePCBs(l.Client.TCP, l.Config.ExtraPCBs)
-			populatePCBs(l.Server.TCP, l.Config.ExtraPCBs)
 			if l.Config.LivePCBs > 0 {
 				f.live = &livePCBsFrame{l: l, n: l.Config.LivePCBs}
 				f.pc = 2

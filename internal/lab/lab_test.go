@@ -1,6 +1,7 @@
 package lab
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/cost"
@@ -204,7 +205,7 @@ func TestHashPCBConfig(t *testing.T) {
 	// End to end: with many PCBs and no prediction, the hash-table
 	// organization must erase the list-search penalty.
 	rtt := func(hash bool) float64 {
-		l := New(Config{Link: LinkATM, DisablePrediction: true, ExtraPCBs: 800, HashPCBs: hash})
+		l := New(Config{Link: LinkATM, DisablePrediction: true, LivePCBs: 800, HashPCBs: hash})
 		res, err := l.RunEcho(4, 10, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -292,9 +293,8 @@ func TestTopologyEtherSharedSegment(t *testing.T) {
 }
 
 func TestLivePCBPopulationSlowsLookup(t *testing.T) {
-	// The live-population knob must reproduce the synthetic one's
-	// end-to-end effect: more entries ahead of the benchmark connection,
-	// slower demultiplexing with prediction off.
+	// More entries ahead of the benchmark connection, slower
+	// demultiplexing with prediction off.
 	rtt := func(live int) float64 {
 		l := New(Config{Link: LinkATM, DisablePrediction: true, LivePCBs: live})
 		res, err := l.RunEcho(4, 8, 2)
@@ -310,12 +310,20 @@ func TestLivePCBPopulationSlowsLookup(t *testing.T) {
 	}
 }
 
-func TestMTUBelowFloorIgnored(t *testing.T) {
+func TestMTUBelowFloorRefused(t *testing.T) {
 	// Config.MTU below MinMTU cannot hold the protocol headers; the lab
-	// must fall back to the link default instead of building a stack
-	// whose MSS is zero or negative.
-	l := New(Config{Link: LinkATM, MTU: MinMTU - 1})
+	// must refuse it, naming the field, instead of building a stack whose
+	// MSS is zero or negative — on construction and on Reset alike. The
+	// floor itself runs.
+	var ce *ConfigError
+	if _, err := NewCluster(Config{Link: LinkATM, MTU: MinMTU - 1}, 2, 1); !errors.As(err, &ce) || ce.Field != "MTU" {
+		t.Fatalf("NewCluster with MTU %d: %v, want a ConfigError naming MTU", MinMTU-1, err)
+	}
+	l := New(Config{Link: LinkATM, MTU: MinMTU})
 	if _, err := l.RunEcho(200, 2, 0); err != nil {
 		t.Fatal(err)
+	}
+	if err := l.Reset(Config{Link: LinkATM, MTU: MinMTU - 1}, 0); !errors.As(err, &ce) || ce.Field != "MTU" {
+		t.Fatalf("Reset to MTU %d: %v, want a ConfigError naming MTU", MinMTU-1, err)
 	}
 }

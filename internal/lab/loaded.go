@@ -7,8 +7,7 @@ import (
 )
 
 // QdiscKind selects the queue discipline installed on switch egress
-// ports of a routed ATM fabric (Config.Qdisc). The two-host switchless
-// fiber and Ethernet have no switch ports, so the knob is ignored there.
+// ports of a routed ATM fabric (Config.Qdisc).
 type QdiscKind int
 
 // Available queue disciplines.
@@ -125,14 +124,4 @@ func applyQdisc(f *atm.Fabric, cfg Config) {
 			sw.Port(pi).SetQdisc(qd)
 		}
 	}
-}
-
-// impaired reports whether the configuration enables any stochastic
-// link impairment beyond the legacy fault knobs — the gate sharded
-// execution checks (burst loss and reordering draw per-host streams,
-// but the reorder hold-back interacts with cut staging, and fault
-// studies compare serial runs only, so shards reject them like the
-// other fault knobs).
-func (c Config) impaired() bool {
-	return c.BurstLoss.Enabled() || c.ReorderRate > 0
 }

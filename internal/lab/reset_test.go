@@ -86,7 +86,7 @@ func TestResetRepeatedReuse(t *testing.T) {
 	}{
 		{Config{Link: LinkATM, Seed: 1}, 4},
 		{Config{Link: LinkATM, Mode: cost.ChecksumIntegrated, Seed: 2}, 8000},
-		{Config{Link: LinkATM, DisablePrediction: true, ExtraPCBs: 50, Seed: 3}, 200},
+		{Config{Link: LinkATM, DisablePrediction: true, LivePCBs: 50, Seed: 3}, 200},
 		{Config{Link: LinkATM, SockBuf: 4096, Seed: 4}, 8000},
 		{Config{Link: LinkATM, MTU: 1500, Seed: 5}, 4000},
 		{Config{Link: LinkATM, CellLossRate: 0.001, Seed: 6}, 1400},

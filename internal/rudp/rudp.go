@@ -67,11 +67,6 @@ type Endpoint struct {
 	due    []func(p *sim.Proc)
 	workWq sim.WaitQueue
 
-	// DisableGiveUp removes the maxRexmtShift abort, restoring the
-	// historical probe-forever behaviour for the watchdog revert-guard
-	// tests (the TCP stack has the same knob).
-	DisableGiveUp bool
-
 	// Stats.
 	PacketsIn   int64
 	PacketsOut  int64
@@ -353,20 +348,15 @@ func (c *Conn) rexmtFire(p *sim.Proc) {
 		return
 	}
 	if c.rexmtShift >= maxRexmtShift {
-		if !c.e.DisableGiveUp {
-			// Give up, like TCP past TCP_MAXRXTSHIFT: the peer is
-			// unreachable or its endpoint is gone (datagrams to a
-			// vanished peer vanish silently), so abandoning the window
-			// is the only exit — retransmitting forever at maxRTO never
-			// drains.
-			c.abort()
-			return
-		}
-		// Revert-guard behaviour: probe forever at maxRTO; the shift
-		// stays pinned so rto() keeps saturating.
-	} else {
-		c.rexmtShift++
+		// Give up, like TCP past TCP_MAXRXTSHIFT: the peer is
+		// unreachable or its endpoint is gone (datagrams to a
+		// vanished peer vanish silently), so abandoning the window
+		// is the only exit — retransmitting forever at maxRTO never
+		// drains.
+		c.abort()
+		return
 	}
+	c.rexmtShift++
 	c.rtTiming = false
 	c.setRexmt()
 	p.Call(&rexmtAllFrame{c: c})

@@ -227,9 +227,6 @@ func TrialLabel(cfg lab.Config, size int) string {
 	if cfg.HashPCBs {
 		l += "/hashpcb"
 	}
-	if cfg.ExtraPCBs > 0 {
-		l += fmt.Sprintf("/pcbs=%d", cfg.ExtraPCBs)
-	}
 	if cfg.LivePCBs > 0 {
 		l += fmt.Sprintf("/livepcbs=%d", cfg.LivePCBs)
 	}

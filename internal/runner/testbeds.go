@@ -6,21 +6,6 @@ import (
 	"repro/internal/lab"
 )
 
-// topoKey is the shape of a testbed: the parts of a trial configuration
-// that name physical machines and wiring rather than trial knobs — the
-// requested shard count among them, since a 4-shard cluster and a serial
-// lab of the same wiring are different machines (hosts live on different
-// event loops) and must never satisfy each other's acquisitions.
-// Testbeds of the same shape are interchangeable through
-// lab.Cluster.Reset; testbeds of different shapes never are.
-type topoKey struct {
-	link      lab.LinkKind
-	hosts     int
-	fabric    lab.FabricKind
-	leafPorts int
-	shards    int
-}
-
 // maxWarmLabs bounds how many warm testbeds one worker keeps. Real
 // sweeps use one to three shapes (two-host ATM, two-host Ethernet, one
 // fan-in mesh); the bound only matters for a pathological grid that
@@ -46,15 +31,16 @@ const maxWarmLabs = 4
 // which study code reads after the run returns. The records stay valid
 // until the worker starts its next trial of the same shape.
 type Testbeds struct {
-	warm map[topoKey]*lab.Cluster
+	warm map[lab.Shape]*lab.Cluster
 
 	// Built and Reused count cache misses and hits, for the reuse tests.
 	Built  int
 	Reused int
 }
 
-// Lab returns a serial testbed for cfg: the one-shard Cluster's lab. One
-// shard accepts every configuration, so there is no error to return.
+// Lab returns a serial testbed for cfg: the one-shard Cluster's lab. A
+// configuration lab.Config.Validate refuses panics with its error, which
+// runOne turns into a labelled job error.
 func (tb *Testbeds) Lab(cfg lab.Config, nHosts int) *lab.Lab {
 	c, err := tb.Cluster(cfg, nHosts, 1)
 	if err != nil {
@@ -81,7 +67,13 @@ func (tb *Testbeds) Cluster(cfg lab.Config, nHosts, shards int) (*lab.Cluster, e
 	if tb == nil {
 		return lab.NewCluster(cfg, nHosts, shards)
 	}
-	key := topoKey{link: cfg.Link, hosts: nHosts, fabric: cfg.Fabric, leafPorts: cfg.LeafPorts, shards: shards}
+	// Validated against the shard count asked for, before the cache is
+	// consulted: the key carries the effective count, and what a warm
+	// testbed would accept must not differ from what a fresh build would.
+	if err := cfg.Validate(nHosts, shards); err != nil {
+		return nil, err
+	}
+	key := cfg.Shape(nHosts, shards)
 	if c := tb.warm[key]; c != nil {
 		err := c.Reset(cfg, 0)
 		if err == nil {
@@ -108,7 +100,7 @@ func (tb *Testbeds) Cluster(cfg lab.Config, nHosts, shards int) (*lab.Cluster, e
 	}
 	tb.Built++
 	if tb.warm == nil {
-		tb.warm = make(map[topoKey]*lab.Cluster, maxWarmLabs)
+		tb.warm = make(map[lab.Shape]*lab.Cluster, maxWarmLabs)
 	}
 	if len(tb.warm) < maxWarmLabs {
 		tb.warm[key] = c

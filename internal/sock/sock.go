@@ -85,7 +85,7 @@ func (b *Buffer) Chain() *mbuf.Mbuf { return b.mb }
 // time on top of the inflated simulated charges.
 func (b *Buffer) Append(m *mbuf.Mbuf) {
 	b.cc += mbuf.ChainLen(m)
-	for m != nil && !b.K.NoSbCompress && b.tail != nil && !b.tail.IsCluster() && !m.IsCluster() &&
+	for m != nil && b.tail != nil && !b.tail.IsCluster() && !m.IsCluster() &&
 		m.Len() <= b.tail.Cap() {
 		b.tail.Append(m.Bytes())
 		b.tail.CsumValid = false // stashed partial sum no longer covers the mbuf

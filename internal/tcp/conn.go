@@ -314,16 +314,10 @@ func (c *Conn) rexmtFire(p *sim.Proc) {
 	}
 	c.S.Stats.Retransmits++
 	if c.rexmtShift >= maxRexmtShift {
-		if !c.S.DisableGiveUp {
-			c.drop(ErrTimeout)
-			return
-		}
-		// Pre-give-up behaviour, kept for the revert-guard tests: probe
-		// at maxRTO forever and let the watchdog be the backstop. The
-		// shift stays pinned at maxRexmtShift so rto() keeps saturating.
-	} else {
-		c.rexmtShift++
+		c.drop(ErrTimeout)
+		return
 	}
+	c.rexmtShift++
 	flight := c.sndMax.Diff(c.sndUna)
 	half := min2(flight, c.sndWnd) / 2
 	if half < 2*c.mss {

@@ -57,13 +57,6 @@ type Stack struct {
 	// serialize large transfers behind window updates).
 	SockBuf int
 
-	// DisableGiveUp removes the maxRexmtShift drop, restoring the
-	// historical behaviour where a connection whose peer silently
-	// vanished retransmits forever. Only the watchdog revert-guard
-	// tests set it: they prove the no-progress watchdog converts that
-	// livelock into a failing run with a diagnostic.
-	DisableGiveUp bool
-
 	Stats Stats
 
 	listeners map[uint16]*Listener // made by the first Listen: a client has none
@@ -124,7 +117,6 @@ func (s *Stack) Reset() {
 	s.PredictionEnabled = true
 	s.Mode = cost.ChecksumStandard
 	s.SockBuf = 0
-	s.DisableGiveUp = false
 	for i := range s.due {
 		s.due[i] = nil
 	}
@@ -320,22 +312,6 @@ func (f *ConnectOp) Abort() {
 	if f.c != nil && !f.c.so.Connected && f.c.so.Err == nil {
 		f.c.abortWith(ErrAborted)
 	}
-}
-
-// InsertIdlePCB inserts a synthetic inactive connection into the
-// demultiplexing table. The §3 experiments use it to control the PCB list
-// length the lookup must search, standing in for the paper's population of
-// daemon connections.
-func (s *Stack) InsertIdlePCB(remoteAddr uint32, remotePort uint16) {
-	c := s.newConn()
-	key := pcb.Key{
-		LocalAddr:  s.IP.Addr,
-		RemoteAddr: remoteAddr,
-		LocalPort:  s.allocPort(),
-		RemotePort: remotePort,
-	}
-	c.pcbEntry = &pcb.PCB{Key: key, Owner: c}
-	s.Table.Insert(c.pcbEntry)
 }
 
 // Listener accepts incoming connections on a port.

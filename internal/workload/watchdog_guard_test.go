@@ -8,21 +8,24 @@ import (
 	"repro/internal/sim"
 )
 
-// These are the watchdog revert-guard tests: they re-create the two
-// configurations that historically hung the suite — by reverting the
-// fixes via the DisableGiveUp / NoSbCompress knobs — and assert the
-// no-progress watchdog converts each livelock into a failing run whose
-// diagnostic names the stuck connections, instead of a run that never
-// returns. If a future change reintroduces either livelock with the
-// fixes nominally in place, the same watchdog (armed by default in
-// every generator) fails the affected test with the same diagnostic.
+// These are the watchdog guard tests: they put the two traffic shapes
+// that historically hung the suite into a run that cannot make progress
+// — the server's access link goes down mid-run and never comes back —
+// and assert the no-progress watchdog converts the stall into a failing
+// run whose diagnostic names the stuck connections, long before the
+// transports' own give-up (minutes of backoff) would end it. The fixes
+// themselves are pinned where they live: TestGiveUpDrainsOrphanedTeardown
+// below and bulk_submss_test.go. If a future change reintroduces either
+// livelock, the same watchdog (armed by default in every generator)
+// fails the affected test with the same diagnostic.
 
-// disableGiveUp reverts every host to the historical
-// retransmit-forever behaviour.
-func disableGiveUp(l *lab.Lab) {
-	for _, h := range l.Hosts {
-		h.TCP.DisableGiveUp = true
-	}
+// guardHorizon is the short no-progress bound the guards arm: far above
+// a request's round trip, far below TCP's give-up.
+const guardHorizon = 5 * sim.Second
+
+// serverLinkDown severs host 0's access link at the given time, for good.
+func serverLinkDown(at sim.Time) sim.FaultSchedule {
+	return sim.FaultSchedule{{At: at, Kind: sim.FaultLinkDown, Host: 0}}
 }
 
 // assertWatchdogDiag checks the error is the watchdog abort with the
@@ -31,7 +34,7 @@ func disableGiveUp(l *lab.Lab) {
 func assertWatchdogDiag(t *testing.T, err error) {
 	t.Helper()
 	if err == nil {
-		t.Fatal("run completed; want the watchdog to abort the livelock")
+		t.Fatal("run completed; want the watchdog to abort the stall")
 	}
 	for _, want := range []string{
 		"watchdog", "no workload progress", "pending events", "rexmt-shift",
@@ -56,24 +59,23 @@ func orphanedTeardownCfg() lab.Config {
 	}
 }
 
-// TestWatchdogCatchesOrphanedTeardownLivelock reverts transport give-up
-// and runs the orphaned-teardown config: the watchdog must abort with a
-// diagnostic rather than hang. The measured requests all complete — the
-// livelock is pure post-completion teardown — so only the watchdog
-// stands between this configuration and an infinite run.
+// TestWatchdogCatchesOrphanedTeardownLivelock runs the orphaned-teardown
+// shape into a dead server link: every client is left retransmitting
+// into the void, and the watchdog must abort with a diagnostic rather
+// than let the run ride the backoff schedule.
 func TestWatchdogCatchesOrphanedTeardownLivelock(t *testing.T) {
 	l := lab.NewTopology(orphanedTeardownCfg(), 5)
-	disableGiveUp(l)
-	g := FanIn{Requests: 2, Warmup: 1, Cross: &CrossTraffic{Flows: 2}}
+	l.ArmWatchdog(guardHorizon)
+	g := FanIn{Requests: 2, Warmup: 1, Cross: &CrossTraffic{Flows: 2},
+		Faults: serverLinkDown(2 * sim.Millisecond)}
 	_, err := g.Run(l)
 	assertWatchdogDiag(t, err)
 }
 
 // TestGiveUpDrainsOrphanedTeardown is the control: the identical
-// configuration with give-up in place (the fix) drains the orphaned
-// teardown within the transport's bounded backoff, well inside the
-// default watchdog horizon — the run completes and the watchdog stays
-// quiet.
+// configuration with its links up drains the orphaned teardown within
+// the transport's bounded backoff, well inside the default watchdog
+// horizon — the run completes and the watchdog stays quiet.
 func TestGiveUpDrainsOrphanedTeardown(t *testing.T) {
 	l := lab.NewTopology(orphanedTeardownCfg(), 5)
 	g := FanIn{Requests: 2, Warmup: 1, Cross: &CrossTraffic{Flows: 2}}
@@ -86,22 +88,17 @@ func TestGiveUpDrainsOrphanedTeardown(t *testing.T) {
 	}
 }
 
-// TestWatchdogCatchesSubMSSBulkCollapse reverts both PR 9 fixes —
-// sbcompress (kern.NoSbCompress) and transport give-up — and runs the
-// sub-MSS bulk shape scaled to the cliff: sixteen clients streaming
-// one-byte writes. Without sbcompress every write stays its own mbuf
-// and each (re)transmission pays mcopy's per-mbuf charge, overloading
-// the server into the synchronized-RTO storm whose close phase then
-// wedges without give-up: the historical hang. The watchdog converts it
-// into a failing run naming the connections still spinning in teardown.
-// (The same shape at bulk_submss_test.go's sizes, with the fixes in
-// place, completes in seconds of simulated time.)
+// TestWatchdogCatchesSubMSSBulkCollapse runs the sub-MSS bulk shape
+// scaled to the cliff — sixteen clients streaming one-byte writes — into
+// the same dead link. Bulk completes one operation a client, at the end,
+// so the watchdog is all that tells this stall from a slow transfer; it
+// must name the senders still backing off.
 func TestWatchdogCatchesSubMSSBulkCollapse(t *testing.T) {
 	cfg := lab.Config{Link: lab.LinkATM, Seed: 1, PacketTrace: true}
 	l := lab.NewTopology(cfg, 17)
-	disableGiveUp(l)
-	for _, h := range l.Hosts {
-		h.Kern.NoSbCompress = true
+	l.ArmWatchdog(guardHorizon)
+	if err := l.ScheduleFaults(serverLinkDown(5 * sim.Millisecond)); err != nil {
+		t.Fatal(err)
 	}
 	g := Bulk{Bytes: 16384, Chunk: 1}
 	_, err := g.Run(l)

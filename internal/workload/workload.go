@@ -142,8 +142,8 @@ func collectTrace(l *lab.Lab, r *Result) {
 // FanIn is the hub workload: every client host opens one connection to
 // the server and issues request/response exchanges concurrently, so the
 // server demultiplexes interleaved segments across a live connection
-// population — the situation §3's PCB discussion is about, with real
-// connections instead of the synthetic ExtraPCBs knob.
+// population — the situation §3's PCB discussion is about, with every
+// connection carrying traffic.
 type FanIn struct {
 	Size     int // request and response payload bytes (default 200)
 	Requests int // measured requests per client (default 20)

@@ -6,7 +6,7 @@ GO ?= go
 # per-package default or hang a -race smoke until the job is killed.
 SMOKE_DEADLINE ?= 600
 
-.PHONY: all fmt fmt-check vet loc build test race bench bench-smoke bench-check benchdiff baseline bench-wallclock baseline-wallclock tables load-smoke load-scale-smoke shard-smoke loaded-smoke docs-check
+.PHONY: all fmt fmt-check vet loc build test race bench bench-smoke bench-check benchdiff baseline bench-wallclock baseline-wallclock alloc-census tables load-smoke load-scale-smoke shard-smoke loaded-smoke docs-check
 
 all: build test
 
@@ -81,6 +81,12 @@ bench-wallclock:
 baseline-wallclock:
 	$(GO) test -run='^$$' -bench=Wallclock -benchmem -benchtime=2x -timeout 600s . | \
 		$(GO) run ./cmd/benchdiff -wallclock -write BENCH_wallclock.json
+
+## alloc-census: where the served fan-in allocates, site by site, as heap
+## objects a request — the 1,001-host fat tree under -memprofilerate=1
+## (docs/PERFORMANCE.md "Capturing a profile")
+alloc-census:
+	$(GO) run ./cmd/alloccensus -hosts 1001
 
 ## tables: regenerate every table and figure of the paper's evaluation
 tables:

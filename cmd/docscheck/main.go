@@ -57,10 +57,11 @@ func main() {
 // cmd/load gets none: it rejects a flag its workload does not read, so no
 // one set fits every quoted line, and its quoted runs take a second or two.
 var smokeFlags = map[string][]string{
-	"./cmd/tables":    {"-iters", "2", "-parallel", "2"},
-	"./cmd/breakdown": {"-iters", "2", "-parallel", "2"},
-	"./cmd/tcplat":    {"-iters", "2", "-warmup", "1"},
-	"./cmd/pkttrace":  {"-iters", "2"},
+	"./cmd/tables":      {"-iters", "2", "-parallel", "2"},
+	"./cmd/breakdown":   {"-iters", "2", "-parallel", "2"},
+	"./cmd/tcplat":      {"-iters", "2", "-warmup", "1"},
+	"./cmd/pkttrace":    {"-iters", "2"},
+	"./cmd/alloccensus": {"-hosts", "65"},
 }
 
 func run(args []string, w io.Writer) error {

@@ -375,7 +375,7 @@ func (a *Adapter) SetImpairments(p sim.GEParams, rate float64, depth int, seed u
 	a.reorderRate = rate
 	if rate > 0 && a.heldFlush == nil {
 		a.heldFlush = new(sim.Timer)
-		a.heldFlush.Bind(a.flushHeld)
+		a.heldFlush.Bind(a)
 	}
 	if depth <= 0 {
 		depth = 1
@@ -490,10 +490,10 @@ func (a *Adapter) receive(c *Cell) {
 	a.accept(c)
 }
 
-// flushHeld fires when a held cell's release timer elapses: if the hold
-// is still pending, deliver the cell rather than strand it as silent
-// uncounted loss.
-func (a *Adapter) flushHeld() {
+// TimerFired implements sim.TimerOwner for heldFlush, the held cell's
+// release timer: if the hold is still pending, deliver the cell rather
+// than strand it as silent uncounted loss.
+func (a *Adapter) TimerFired(*sim.Timer) {
 	if !a.heldValid {
 		return // later arrivals completed the countdown first
 	}

@@ -46,8 +46,12 @@ func servedFatTree(t *testing.T, nHosts int) (l *lab.Lab, live, mallocs uint64) 
 // free-lists), so having served a request leaves a host barely heavier
 // than idle. With each host keeping its own warm copies the marginal
 // served host measured ~10 KiB and a request ~168 allocations, host and
-// connection construction included; the bounds sit between those and the
-// ~4.3 KiB and ~62 measured now.
+// connection construction included; the memory bound sits between that
+// and the ~4.1 KiB measured now. The allocation bound is the ~36.6
+// measured since a connection became one allocation an end
+// (docs/PERFORMANCE.md item 19; ~60 before) plus 15 %. A request opens a
+// connection with two ends, so three allocations an end coming back trip
+// it; tcp.TestConnIsOneAllocation catches the first.
 func TestServedHostFootprint(t *testing.T) {
 	const small, large = 64, 1024
 	ls, liveS, mallocsS := servedFatTree(t, small)
@@ -60,8 +64,12 @@ func TestServedHostFootprint(t *testing.T) {
 	if perHost > 7<<10 {
 		t.Errorf("a served host keeps %.0f bytes, want <= %d — in-flight scratch is staying with the host", perHost, 7<<10)
 	}
-	if perReq > 110 {
-		t.Errorf("a request costs %.1f allocations, want <= 110", perReq)
+	maxReq := 42.0
+	if raceEnabled {
+		maxReq = 49 // the race runtime's own allocations: ~42.6 measured
+	}
+	if perReq > maxReq {
+		t.Errorf("a request costs %.1f allocations, want <= %v", perReq, maxReq)
 	}
 	for _, l := range []*lab.Lab{ls, ll} {
 		if n := l.Env.Arena().Outstanding(); n != 0 {

@@ -70,6 +70,9 @@ type LookupResult struct {
 // Table is a demultiplexing table. The zero value is a BSD-style list with
 // the cache enabled; set UseHash for the hash-table organization and
 // CacheDisabled to model the paper's prediction-disabled kernel.
+//
+// A key names at most one PCB in the table, as a 4-tuple names at most
+// one connection.
 type Table struct {
 	head  *PCB
 	count int
@@ -81,7 +84,14 @@ type Table struct {
 	// UseHash selects the constant-time hash organization instead of the
 	// linear list for cache-miss lookups.
 	UseHash bool
-	hash    map[Key]*PCB
+
+	// hash maps each PCB's key to it while hashed, which a table becomes
+	// the first time a hash lookup finds it above hashAfter entries, and
+	// stays until Reset. Below that the list answers exact lookups just as
+	// well — a client host's table holds one PCB — and keeping a map for
+	// it would cost every such host two allocations.
+	hash   map[Key]*PCB
+	hashed bool
 
 	// Counters for tests and reporting.
 	Lookups       int64
@@ -105,8 +115,12 @@ func (t *Table) Reset() {
 	t.CacheDisabled = false
 	t.UseHash = false
 	clear(t.hash)
+	t.hashed = false
 	t.Lookups, t.CacheHits, t.TotalSearched = 0, 0, 0
 }
+
+// hashAfter is the population above which a hash table keeps its map.
+const hashAfter = 8
 
 // Insert adds a PCB at the head of the list, the BSD insertion policy that
 // makes recently created connections cheap to find (§3: "the insertion
@@ -115,10 +129,9 @@ func (t *Table) Insert(p *PCB) {
 	p.next = t.head
 	t.head = p
 	t.count++
-	if t.hash == nil {
-		t.hash = make(map[Key]*PCB)
+	if t.hashed {
+		t.hash[p.Key] = p
 	}
-	t.hash[p.Key] = p
 }
 
 // Remove deletes a PCB from the table. Removing a PCB that is not present
@@ -133,7 +146,9 @@ func (t *Table) Remove(p *PCB) {
 			}
 			cur.next = nil
 			t.count--
-			delete(t.hash, p.Key)
+			if t.hashed {
+				delete(t.hash, p.Key)
+			}
 			if t.cache == p {
 				t.cache = nil
 			}
@@ -145,9 +160,11 @@ func (t *Table) Remove(p *PCB) {
 // Rebind updates a PCB's key (e.g. when a listening socket's wildcard PCB
 // becomes fully specified on connection establishment).
 func (t *Table) Rebind(p *PCB, k Key) {
-	delete(t.hash, p.Key)
+	if t.hashed {
+		delete(t.hash, p.Key)
+		t.hash[k] = p
+	}
 	p.Key = k
-	t.hash[k] = p
 }
 
 // Lookup finds the PCB for an incoming packet's 4-tuple. It consults the
@@ -165,9 +182,7 @@ func (t *Table) Lookup(probe Key) (*PCB, LookupResult) {
 	var found *PCB
 	if t.UseHash {
 		res.Searched = 1
-		if p, ok := t.hash[probe]; ok {
-			found = p
-		}
+		found = t.exact(probe)
 	}
 	if found == nil {
 		// Linear scan, keeping the most specific wildcard match.
@@ -191,6 +206,30 @@ func (t *Table) Lookup(probe Key) (*PCB, LookupResult) {
 		t.cache = found
 	}
 	return found, res
+}
+
+// exact is the hash organization's probe: the PCB whose key is probe, or
+// nil. A table small enough to keep no map answers from the list, at the
+// same charge — a hash lookup is one probe however the answer was found.
+func (t *Table) exact(probe Key) *PCB {
+	if !t.hashed && t.count > hashAfter {
+		if t.hash == nil {
+			t.hash = make(map[Key]*PCB, t.count)
+		}
+		for p := t.head; p != nil; p = p.next {
+			t.hash[p.Key] = p
+		}
+		t.hashed = true
+	}
+	if t.hashed {
+		return t.hash[probe]
+	}
+	for p := t.head; p != nil; p = p.next {
+		if p.Key == probe {
+			return p
+		}
+	}
+	return nil
 }
 
 // Entries returns the PCBs in list order (head first), for tests.

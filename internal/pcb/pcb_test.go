@@ -225,3 +225,222 @@ func TestHashMatchesList(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// refTable is the table as it was before it kept its map lazily: every
+// Insert, Remove and Rebind writes the map, and a hash lookup reads it.
+// TestLazyHashMatchesReference holds Table to it.
+type refTable struct {
+	head                              *PCB
+	count                             int
+	cache                             *PCB
+	CacheDisabled, UseHash            bool
+	hash                              map[Key]*PCB
+	Lookups, CacheHits, TotalSearched int64
+}
+
+func (t *refTable) Reset() {
+	t.head, t.count, t.cache = nil, 0, nil
+	t.CacheDisabled, t.UseHash = false, false
+	clear(t.hash)
+	t.Lookups, t.CacheHits, t.TotalSearched = 0, 0, 0
+}
+
+func (t *refTable) Insert(p *PCB) {
+	p.next = t.head
+	t.head = p
+	t.count++
+	if t.hash == nil {
+		t.hash = make(map[Key]*PCB)
+	}
+	t.hash[p.Key] = p
+}
+
+func (t *refTable) Remove(p *PCB) {
+	for cur, prev := t.head, (*PCB)(nil); cur != nil; prev, cur = cur, cur.next {
+		if cur == p {
+			if prev == nil {
+				t.head = cur.next
+			} else {
+				prev.next = cur.next
+			}
+			cur.next = nil
+			t.count--
+			delete(t.hash, p.Key)
+			if t.cache == p {
+				t.cache = nil
+			}
+			return
+		}
+	}
+}
+
+func (t *refTable) Rebind(p *PCB, k Key) {
+	delete(t.hash, p.Key)
+	p.Key = k
+	t.hash[k] = p
+}
+
+func (t *refTable) Lookup(probe Key) (*PCB, LookupResult) {
+	t.Lookups++
+	if !t.CacheDisabled && t.cache != nil && t.cache.Key == probe {
+		t.CacheHits++
+		return t.cache, LookupResult{CacheHit: true}
+	}
+	var res LookupResult
+	var found *PCB
+	if t.UseHash {
+		res.Searched = 1
+		if p, ok := t.hash[probe]; ok {
+			found = p
+		}
+	}
+	if found == nil {
+		bestSpec := -1
+		searched := 0
+		for p := t.head; p != nil; p = p.next {
+			searched++
+			if ok, spec := wildMatch(p.Key, probe); ok {
+				if spec > bestSpec {
+					found, bestSpec = p, spec
+				}
+				if spec == 3 {
+					break
+				}
+			}
+		}
+		res.Searched += searched
+	}
+	t.TotalSearched += int64(res.Searched)
+	if found != nil && !t.CacheDisabled {
+		t.cache = found
+	}
+	return found, res
+}
+
+// TestLazyHashMatchesReference drives random scripts — inserts, removes
+// (of present and absent PCBs), rebinds, probes, and resets that may
+// switch organization and cache — through Table and refTable side by
+// side, under both organizations, with populations on both sides of
+// hashAfter. Every lookup must find the same PCB at the same LookupResult,
+// and the counters must agree after every step: keeping no map below
+// hashAfter is invisible to whoever charges the lookup.
+func TestLazyHashMatchesReference(t *testing.T) {
+	// Keys from a small universe, wildcards included (a zero remote
+	// address or port, as a listener binds), so probes hit, miss and
+	// match by wildcard.
+	var universe []Key
+	for la := uint32(0); la < 2; la++ {
+		for ra := uint32(0); ra < 4; ra++ {
+			for lp := uint16(80); lp < 82; lp++ {
+				for rp := uint16(0); rp < 4; rp++ {
+					universe = append(universe, Key{LocalAddr: la, RemoteAddr: ra, LocalPort: lp, RemotePort: rp})
+				}
+			}
+		}
+	}
+	r := sim.NewRNG(25)
+	pick := func(n int) int { return int(r.Uint64() % uint64(n)) }
+	var mapProbes, listProbes, resets int // hash probes each way; resets
+	for script := 0; script < 300; script++ {
+		var lazy Table
+		var ref refTable
+		var lazyPCBs, refPCBs []*PCB // the same PCB twice, once per table
+		inTable := map[Key]int{}     // key -> index of the PCB holding it
+		var present []int
+		configure := func() {
+			hash, noCache := pick(2) == 0, pick(4) == 0
+			lazy.UseHash, ref.UseHash = hash, hash
+			lazy.CacheDisabled, ref.CacheDisabled = noCache, noCache
+		}
+		configure()
+		grow := 1 + pick(4) // insert bias: some scripts stay small, most pass hashAfter
+		for step := 0; step < 200; step++ {
+			what := ""
+			switch op := pick(10 + grow); {
+			case op < 4+grow: // insert a key not in the table
+				k := universe[pick(len(universe))]
+				if _, dup := inTable[k]; dup {
+					continue
+				}
+				lazyPCBs = append(lazyPCBs, &PCB{Key: k})
+				refPCBs = append(refPCBs, &PCB{Key: k})
+				i := len(lazyPCBs) - 1
+				lazy.Insert(lazyPCBs[i])
+				ref.Insert(refPCBs[i])
+				inTable[k] = i
+				present = append(present, i)
+				what = "insert"
+			case op < 6+grow: // remove a present PCB, or one already gone
+				if len(lazyPCBs) == 0 {
+					continue
+				}
+				i := pick(len(lazyPCBs))
+				if len(present) > 0 && pick(4) != 0 {
+					i = present[pick(len(present))]
+				}
+				for j, p := range present {
+					if p == i {
+						present = append(present[:j], present[j+1:]...)
+						delete(inTable, lazyPCBs[i].Key)
+						break
+					}
+				}
+				lazy.Remove(lazyPCBs[i])
+				ref.Remove(refPCBs[i])
+				what = "remove"
+			case op < 7+grow: // rebind a present PCB to a free key
+				k := universe[pick(len(universe))]
+				if _, dup := inTable[k]; dup || len(present) == 0 {
+					continue
+				}
+				i := present[pick(len(present))]
+				delete(inTable, lazyPCBs[i].Key)
+				inTable[k] = i
+				lazy.Rebind(lazyPCBs[i], k)
+				ref.Rebind(refPCBs[i], k)
+				what = "rebind"
+			case op == 7+grow && pick(8) == 0: // reset, maybe reorganized
+				lazy.Reset()
+				ref.Reset()
+				resets++
+				lazyPCBs, refPCBs, present = nil, nil, nil
+				clear(inTable)
+				configure()
+				what = "reset"
+			default: // probe
+				probe := universe[pick(len(universe))]
+				lp, lres := lazy.Lookup(probe)
+				if lazy.hashed {
+					mapProbes++
+				} else if lazy.UseHash {
+					listProbes++
+				}
+				rp, rres := ref.Lookup(probe)
+				li, ri := -1, -1
+				for i := range lazyPCBs {
+					if lazyPCBs[i] == lp {
+						li = i
+					}
+					if refPCBs[i] == rp {
+						ri = i
+					}
+				}
+				if li != ri || lres != rres {
+					t.Fatalf("script %d step %d: Lookup(%+v) with %d entries (hash %v) = PCB %d %+v, reference PCB %d %+v",
+						script, step, probe, lazy.Len(), lazy.UseHash, li, lres, ri, rres)
+				}
+				what = "probe"
+			}
+			if lazy.Len() != ref.count || lazy.Lookups != ref.Lookups ||
+				lazy.CacheHits != ref.CacheHits || lazy.TotalSearched != ref.TotalSearched {
+				t.Fatalf("script %d step %d (%s): len/lookups/hits/searched %d/%d/%d/%d, reference %d/%d/%d/%d",
+					script, step, what, lazy.Len(), lazy.Lookups, lazy.CacheHits, lazy.TotalSearched,
+					ref.count, ref.Lookups, ref.CacheHits, ref.TotalSearched)
+			}
+		}
+	}
+	if mapProbes < 1000 || listProbes < 1000 || resets < 50 {
+		t.Errorf("%d probes through the map, %d hash probes answered by the list, %d resets: the scripts no longer cover both sides of hashAfter",
+			mapProbes, listProbes, resets)
+	}
+}

@@ -64,7 +64,7 @@ type Endpoint struct {
 	acceptWq  sim.WaitQueue
 	err       error // set when the endpoint dies (host crash); fails Accepts
 
-	due    []func(p *sim.Proc)
+	due    []*Conn // connections whose retransmission timer expired
 	workWq sim.WaitQueue
 
 	// Stats.
@@ -128,7 +128,7 @@ func (e *Endpoint) conn(key connKey) *Conn {
 	}
 	c.sndWq.Init("rudp.snd")
 	c.rcvWq.Init("rudp.rcv")
-	c.rexmt.Bind(c.rexmtTimer)
+	c.rexmt.Bind(c)
 	e.conns[key] = c
 	return c
 }
@@ -203,21 +203,19 @@ func (e *Endpoint) Crash() {
 	e.backlog = nil
 	e.err = ErrCrashed
 	e.acceptWq.WakeAll()
-	for i := range e.due {
-		e.due[i] = nil
-	}
+	clear(e.due)
 	e.due = e.due[:0]
 	e.ep.Close()
 }
 
-// dispatch queues deferred work (a timer's retransmission) for the work
-// loop, exactly like the TCP stack's timer service.
-func (e *Endpoint) dispatch(fn func(p *sim.Proc)) {
-	e.due = append(e.due, fn)
+// dispatch queues a connection's retransmission for the work loop,
+// exactly like the TCP stack's timer service.
+func (e *Endpoint) dispatch(c *Conn) {
+	e.due = append(e.due, c)
 	e.workWq.Wake()
 }
 
-// workLoopFrame pops and runs one deferred function per Step.
+// workLoopFrame pops and runs one retransmission per Step.
 type workLoopFrame struct {
 	e *Endpoint
 }
@@ -232,11 +230,11 @@ func (f *workLoopFrame) Step(p *sim.Proc) {
 		e.workWq.Wait(p)
 		return
 	}
-	fn := e.due[0]
+	c := e.due[0]
 	copy(e.due, e.due[1:])
 	e.due[len(e.due)-1] = nil
 	e.due = e.due[:len(e.due)-1]
-	fn(p)
+	c.rexmtFire(p)
 }
 
 // sndEntry is one unacknowledged message.
@@ -337,8 +335,9 @@ func (c *Conn) setRexmt() {
 // clearRexmt cancels any pending timer.
 func (c *Conn) clearRexmt() { c.rexmt.Stop() }
 
-// rexmtTimer fires when the armed deadline elapses.
-func (c *Conn) rexmtTimer() { c.e.dispatch(c.rexmtFire) }
+// TimerFired implements sim.TimerOwner: the armed retransmission deadline
+// elapsed.
+func (c *Conn) TimerFired(*sim.Timer) { c.e.dispatch(c) }
 
 // rexmtFire handles a retransmission timeout: back off, mark the timed
 // sample dead (Karn), and resend every unacked message with refreshed

@@ -18,7 +18,7 @@ func testConn(t *testing.T) *Conn {
 		seen: make(map[uint16]struct{}),
 		oo:   make(map[uint16]ooSlot),
 	}
-	c.rexmt.Bind(func() {})
+	c.rexmt.Bind(c)
 	return c
 }
 

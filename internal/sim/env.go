@@ -325,7 +325,7 @@ func (e *Env) Step() bool {
 		do.step()
 	case *Timer:
 		if h.expire(do, root.seq) {
-			do.fn()
+			do.owner.TimerFired(do)
 		}
 	}
 	return true

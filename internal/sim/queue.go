@@ -120,7 +120,7 @@ func (h *eventHeap) advance(l *Lane, b *backlog) {
 // The zero Timer is stopped; Bind it once. Like a Lane it is meant to be
 // embedded by value and holds no environment.
 type Timer struct {
-	fn      func()
+	owner   TimerOwner
 	at      Time   // the live deadline: the latest Set
 	seq     uint64 // and the sequence number stamped on it
 	heapAt  Time   // key of the heap entry that walks to the deadline;
@@ -128,8 +128,15 @@ type Timer struct {
 	armed   bool
 }
 
-// Bind sets the timer's callback.
-func (t *Timer) Bind(fn func()) { t.fn = fn }
+// TimerOwner is what a Timer fires: the owner it was bound to, told which
+// of its timers expired. An owner embeds its timers by value and tells
+// them apart by address, so binding one stores a pointer the owner
+// already is — where a method value bound per timer was an allocation
+// per timer.
+type TimerOwner interface{ TimerFired(t *Timer) }
+
+// Bind sets the owner the timer fires.
+func (t *Timer) Bind(owner TimerOwner) { t.owner = owner }
 
 // Armed reports whether the timer will fire unless stopped or re-set.
 func (t *Timer) Armed() bool { return t.armed }

@@ -348,12 +348,27 @@ func newRealTarget(d *driver, by drive) *realTarget {
 		r.lanes[i].Bind(func() { d.fired(idLane + i) })
 	}
 	for i := range r.timers {
-		i := i
-		r.timers[i].Bind(func() { d.fired(idTimer + i) })
+		r.timers[i].Bind(r)
 	}
 	r.argFn = func(id uint64) { d.fired(int(id)) }
 	return r
 }
+
+// TimerFired implements TimerOwner as a production owner does: one
+// method for all its timers, told apart by address.
+func (r *realTarget) TimerFired(t *Timer) {
+	for i := range r.timers {
+		if t == &r.timers[i] {
+			r.d.fired(idTimer + i)
+		}
+	}
+}
+
+// timerFunc is a TimerOwner for tests whose timer only needs to run a
+// closure.
+type timerFunc func()
+
+func (f timerFunc) TimerFired(*Timer) { f() }
 
 func (r *realTarget) clock() Time          { return r.e.Now() }
 func (r *realTarget) plain(t Time, id int) { r.e.At(t, "plain", func() { r.d.fired(id) }) }
@@ -592,7 +607,7 @@ func TestTimerOwnsOneHeapEntry(t *testing.T) {
 	e := NewEnv()
 	var tm Timer
 	var fired []Time
-	tm.Bind(func() { fired = append(fired, e.Now()) })
+	tm.Bind(timerFunc(func() { fired = append(fired, e.Now()) }))
 	for i := 0; i < 100; i++ {
 		tm.Set(e, Time(1000+i), "t")
 	}
@@ -620,7 +635,7 @@ func TestLaneBacklogIsPendingAndNamed(t *testing.T) {
 		l.At(e, Time(10+i), "wire.out")
 	}
 	var tm Timer
-	tm.Bind(func() {})
+	tm.Bind(timerFunc(func() {}))
 	for i := 0; i < 8; i++ {
 		tm.Set(e, Time(100+i), "proto.rexmt")
 	}
@@ -668,7 +683,7 @@ func TestLaneAndTimerCarryNothingAcrossReset(t *testing.T) {
 	var tm Timer
 	var log []string
 	l.Bind(func() { log = append(log, fmt.Sprintf("lane@%d", e.Now())) })
-	tm.Bind(func() { log = append(log, fmt.Sprintf("timer@%d", e.Now())) })
+	tm.Bind(timerFunc(func() { log = append(log, fmt.Sprintf("timer@%d", e.Now())) }))
 
 	for i := 0; i < 4; i++ {
 		l.At(e, Time(5000+i), "lane")
@@ -797,7 +812,7 @@ func TestQueueShapesAllocateNothing(t *testing.T) {
 	e := NewEnv()
 	var tm Timer
 	var l Lane
-	tm.Bind(func() {})
+	tm.Bind(timerFunc(func() {}))
 	l.Bind(func() {})
 	if n := testing.AllocsPerRun(100, func() { timerRearm(e, &tm) }); n != 0 {
 		t.Errorf("Timer: Set×8 then fire allocates %v times a pass, want 0", n)
@@ -810,7 +825,7 @@ func TestQueueShapesAllocateNothing(t *testing.T) {
 func BenchmarkTimerRearm(b *testing.B) {
 	e := NewEnv()
 	var tm Timer
-	tm.Bind(func() {})
+	tm.Bind(timerFunc(func() {}))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		timerRearm(e, &tm)
@@ -848,7 +863,7 @@ func TestFarTimersStayOutOfTheHotHeap(t *testing.T) {
 	timers := make([]Timer, resident)
 	expired := 0
 	for i := range timers {
-		timers[i].Bind(func() { expired++ })
+		timers[i].Bind(timerFunc(func() { expired++ }))
 		timers[i].Set(e, Second+Time(i), "proto.rexmt")
 	}
 	for i := 0; i < stopped; i++ {
@@ -920,7 +935,7 @@ func BenchmarkChurnUnderFarTimers(b *testing.B) {
 			e := NewEnv()
 			timers := make([]Timer, resident)
 			for i := range timers {
-				timers[i].Bind(func() {})
+				timers[i].Bind(timerFunc(func() {}))
 				timers[i].Set(e, MaxTime/2+Time(i), "bench.far")
 			}
 			fn := func() {}

@@ -138,10 +138,10 @@ type Socket struct {
 	// events record unattributed.
 	TraceID trace.PacketID
 
-	// Eof is set when the peer's FIN has been consumed.
-	Eof bool
 	// Err terminates operations with an error state (connection reset).
 	Err error
+	// Eof is set when the peer's FIN has been consumed.
+	Eof bool
 	// Connected reflects protocol state; Recv/Send require it unless
 	// data is already buffered.
 	Connected bool
@@ -149,22 +149,24 @@ type Socket struct {
 	// StateQ is where processes wait for connection state changes.
 	StateQ sim.WaitQueue
 
-	// sendOp and recvOp cache the socket's Send/Recv frames. A socket
-	// has at most one sender and one receiver in flight at a time in the
-	// steady state, so the cached frame makes both paths allocation-free;
-	// overlap falls back to a fresh allocation.
-	sendOp *SendOp
-	recvOp *RecvOp
+	// send and recv are the frames behind Send and Recv, held by value so
+	// that a socket embedded in its connection adds no allocation of its
+	// own. A socket has one sender and one receiver at a time; a second
+	// caller of either panics.
+	send SendOp
+	recv RecvOp
 }
 
-// New returns a socket owned by kernel k. The protocol must be attached
-// by the transport before use.
-func New(k *kern.Kernel) *Socket {
-	so := &Socket{K: k}
+// Init prepares a zero socket, usually one embedded in its transport's
+// connection, for kernel k. The protocol must be attached by the
+// transport before use.
+func (so *Socket) Init(k *kern.Kernel) {
+	so.K = k
 	so.StateQ.Init("so.state")
 	so.Snd.initBuffer(k, "so.snd")
 	so.Rcv.initBuffer(k, "so.rcv")
-	return so
+	so.send.so = so
+	so.recv.so = so
 }
 
 // chunkPolicy decides the mbuf type for a write of resid bytes, per the
@@ -179,12 +181,11 @@ func chunkPolicy(resid int) bool { return resid > mbuf.ClusterThreshold }
 // results: N is the number of bytes accepted (len(data) unless the
 // connection fails) and Err the socket error, if any.
 func (so *Socket) Send(p *sim.Proc, data []byte) *SendOp {
-	f := so.sendOp
-	if f != nil {
-		so.sendOp = nil
-	} else {
-		f = &SendOp{so: so}
+	f := &so.send
+	if f.busy {
+		panic("sock: Send while another Send is in progress on the socket")
 	}
+	f.busy = true
 	f.pc = 0
 	f.data = data
 	f.sent = 0
@@ -212,6 +213,7 @@ type SendOp struct {
 	curM        *mbuf.Mbuf
 	curN        int
 	useClusters bool
+	busy        bool // between Send and the frame's return
 
 	// Results, valid once the frame returns to its caller.
 	N   int
@@ -331,16 +333,14 @@ func (f *SendOp) Step(p *sim.Proc) {
 	}
 }
 
-// finish publishes the results, returns the frame to the socket's cache,
-// and pops it. The caller is re-stepped synchronously by the trampoline,
-// so it reads the results before any later Send can reuse the frame.
+// finish publishes the results, frees the frame for the next Send, and
+// pops it. The caller is re-stepped synchronously by the trampoline, so
+// it reads the results before any later Send can reuse the frame.
 func (f *SendOp) finish(p *sim.Proc) {
 	f.N, f.Err = f.sent, f.so.Err
 	f.data = nil
 	f.chain, f.tail, f.curM = nil, nil, nil
-	if f.so.sendOp == nil {
-		f.so.sendOp = f
-	}
+	f.busy = false
 	p.Return()
 }
 
@@ -376,12 +376,11 @@ func (so *Socket) copyinAct(m *mbuf.Mbuf, data []byte) {
 // position; once the caller re-enters, the returned op's N is the byte
 // count (0 at EOF) and Err the socket error, if any.
 func (so *Socket) Recv(p *sim.Proc, buf []byte) *RecvOp {
-	f := so.recvOp
-	if f != nil {
-		so.recvOp = nil
-	} else {
-		f = &RecvOp{so: so}
+	f := &so.recv
+	if f.busy {
+		panic("sock: Recv while another Recv is in progress on the socket")
 	}
+	f.busy = true
 	f.pc = 0
 	f.buf = buf
 	f.N, f.Err = 0, nil
@@ -393,8 +392,9 @@ func (so *Socket) Recv(p *sim.Proc, buf []byte) *RecvOp {
 // entry charge, the per-mbuf copyout charges, the mbuf release, and the
 // window-update kick.
 type RecvOp struct {
-	so *Socket
-	pc int
+	so   *Socket
+	busy bool // between Recv and the frame's return
+	pc   int
 
 	buf    []byte
 	n      int
@@ -493,14 +493,12 @@ func (f *RecvOp) Step(p *sim.Proc) {
 	}
 }
 
-// finish returns the frame to the socket's cache and pops it; results
-// were published by the terminating state.
+// finish frees the frame for the next Recv and pops it; results were
+// published by the terminating state.
 func (f *RecvOp) finish(p *sim.Proc) {
 	f.buf = nil
 	f.m = nil
-	if f.so.recvOp == nil {
-		f.so.recvOp = f
-	}
+	f.busy = false
 	p.Return()
 }
 

@@ -12,6 +12,14 @@ import (
 	"repro/internal/trace"
 )
 
+// newSocket returns a stand-alone socket; in the stack every socket is
+// embedded in its connection.
+func newSocket(k *kern.Kernel) *Socket {
+	so := new(Socket)
+	so.Init(k)
+	return so
+}
+
 // loopProto is a loopback protocol: Send moves the send buffer's contents
 // straight into the receive buffer of a peer socket.
 type loopProto struct {
@@ -40,7 +48,7 @@ func (lp *loopProto) Close(p *sim.Proc) { lp.closes++; lp.peer.SetEof() }
 
 func newLoopPair(env *sim.Env) (*Socket, *Socket, *loopProto) {
 	k := kern.New(env, cost.DECstation5000(), "h")
-	a, b := New(k), New(k)
+	a, b := newSocket(k), newSocket(k)
 	pa := &loopProto{self: a, peer: b}
 	pb := &loopProto{self: b, peer: a}
 	a.Proto, b.Proto = pa, pb
@@ -124,7 +132,7 @@ func TestSendUsesClustersAboveThreshold(t *testing.T) {
 	// Small writes use normal mbufs only.
 	env2 := sim.NewEnv()
 	k2 := kern.New(env2, cost.DECstation5000(), "h2")
-	a2 := New(k2)
+	a2 := newSocket(k2)
 	a2.Proto = &funcProto{}
 	a2.Connected = true
 	env2.Spawn("tx", sim.Steps(func(p *sim.Proc) {
@@ -144,7 +152,7 @@ func TestSendUsesClustersAboveThreshold(t *testing.T) {
 func TestSendBlocksOnFullBuffer(t *testing.T) {
 	env := sim.NewEnv()
 	k := kern.New(env, cost.DECstation5000(), "h")
-	so := New(k)
+	so := newSocket(k)
 	drained := false
 	// A protocol that never drains until poked.
 	so.Proto = &funcProto{
@@ -242,7 +250,7 @@ func TestRecvError(t *testing.T) {
 func TestSendErrorInterrupts(t *testing.T) {
 	env := sim.NewEnv()
 	k := kern.New(env, cost.DECstation5000(), "h")
-	so := New(k)
+	so := newSocket(k)
 	so.Proto = &funcProto{}
 	so.Connected = true
 	boom := errors.New("reset")
@@ -266,7 +274,7 @@ func TestSendErrorInterrupts(t *testing.T) {
 func TestIntegratedModeStashesChecksums(t *testing.T) {
 	env := sim.NewEnv()
 	k := kern.New(env, cost.DECstation5000(), "h")
-	so := New(k)
+	so := newSocket(k)
 	so.Mode = cost.ChecksumIntegrated
 	var captured *mbuf.Mbuf
 	so.Proto = &funcProto{send: func(p *sim.Proc) {
@@ -290,7 +298,7 @@ func TestIntegratedModeStashesChecksums(t *testing.T) {
 func TestStandardModeNoStash(t *testing.T) {
 	env := sim.NewEnv()
 	k := kern.New(env, cost.DECstation5000(), "h")
-	so := New(k)
+	so := newSocket(k)
 	var captured *mbuf.Mbuf
 	so.Proto = &funcProto{send: func(p *sim.Proc) { captured = so.Snd.Chain() }}
 	so.Connected = true

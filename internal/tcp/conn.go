@@ -90,12 +90,15 @@ type reassSeg struct {
 	m   *mbuf.Mbuf
 }
 
-// Conn is one TCP connection (the tcpcb).
+// Conn is one TCP connection (the tcpcb) and everything it owns, held by
+// value so that a connection is one allocation: its socket (whose Proto
+// points back here), its PCB (whose Owner does), its three timers, and
+// the frames of the operations it runs. A *sock.Socket handed out by
+// Socket, ConnectOp or AcceptOp is an interior pointer that keeps its
+// Conn alive.
 type Conn struct {
 	S        *Stack
 	K        *kern.Kernel
-	so       *sock.Socket
-	pcbEntry *pcb.PCB
 	listener *Listener // non-nil on passively opened connections
 	state    State
 
@@ -127,6 +130,14 @@ type Conn struct {
 	flagAckNow bool
 	flagDelAck bool
 
+	// finSent tracks whether our FIN occupies sequence space yet.
+	finSent bool
+
+	// outBusy marks an output invocation in progress (the splnet
+	// serialization of tcp_output); outWait, below, queues callers that
+	// found it busy.
+	outBusy bool
+
 	// Jacobson RTT estimation.
 	srtt, rttvar sim.Time
 	rtTiming     bool
@@ -134,10 +145,11 @@ type Conn struct {
 	rtStart      sim.Time
 	rexmtShift   uint
 
-	// The protocol timers. Each owns at most one heap entry however often
-	// it is re-armed — setRexmt runs once per transmitted data segment
-	// and scheduleDelack once per received one, squarely on the hot path.
-	rexmt, delack sim.Timer
+	// The protocol timers, bound to the connection (TimerFired). Each
+	// owns at most one heap entry however often it is re-armed — setRexmt
+	// runs once per transmitted data segment and scheduleDelack once per
+	// received one, squarely on the hot path; twoMSL releases TIME_WAIT.
+	rexmt, delack, twoMSL sim.Timer
 
 	reass []reassSeg
 
@@ -145,32 +157,23 @@ type Conn struct {
 	// (BSD's tcprexmtthresh is 3).
 	dupAcks int
 
-	// finSent tracks whether our FIN occupies sequence space yet.
-	finSent bool
-
-	// outBusy marks an output invocation in progress (the splnet
-	// serialization of tcp_output); outWait queues callers that found
-	// it busy.
-	outBusy bool
 	outWait sim.WaitQueue
 
-	// outOp and inOp are the connection's cached output and input frames.
-	// output and input are never re-entered on the same connection in the
-	// steady state, so a single cached frame of each kind makes the hot
-	// path allocation-free; an overlapping invocation (theoretically
-	// possible through nesting) falls back to a fresh allocation.
-	outOp *outputOp
-	inOp  *connInputOp
+	so      sock.Socket
+	pcbEnt  pcb.PCB
+	connect ConnectOp   // the active open's frame (Stack.Connect)
+	out     outputOp    // tcp_output's frame; an overlapping caller borrows the loop's spare
+	in      connInputOp // tcp_input's: segments reach a connection one at a time
 }
 
 // Socket returns the connection's socket.
-func (c *Conn) Socket() *sock.Socket { return c.so }
+func (c *Conn) Socket() *sock.Socket { return &c.so }
 
 // State returns the connection state, for tests and diagnostics.
 func (c *Conn) State() State { return c.state }
 
 // Key returns the connection's demultiplexing 4-tuple.
-func (c *Conn) Key() pcb.Key { return c.pcbEntry.Key }
+func (c *Conn) Key() pcb.Key { return c.pcbEnt.Key }
 
 // MSS returns the negotiated maximum segment size.
 func (c *Conn) MSS() int { return c.mss }
@@ -217,7 +220,7 @@ func (c *Conn) abortWith(err error) {
 // SetNoDelay disables the Nagle algorithm, as TCP_NODELAY does.
 func (c *Conn) SetNoDelay(v bool) { c.noDelay = v }
 
-func (c *Conn) remoteAddr() uint32 { return c.pcbEntry.Key.RemoteAddr }
+func (c *Conn) remoteAddr() uint32 { return c.pcbEnt.Key.RemoteAddr }
 
 // --- sock.Protocol ---
 
@@ -248,7 +251,7 @@ func (c *Conn) Close(p *sim.Proc) {
 func (c *Conn) drop(err error) {
 	c.state = StateClosed
 	c.rexmt.Stop()
-	c.S.Table.Remove(c.pcbEntry)
+	c.S.Table.Remove(&c.pcbEnt)
 	if err != nil {
 		c.so.SetError(err)
 	} else {
@@ -300,9 +303,6 @@ func (c *Conn) setRexmt() {
 	c.rexmt.Set(c.K.Env, c.K.Env.Now()+c.rto(), "tcp.rexmt")
 }
 
-// rexmtTimer fires when the armed retransmission deadline elapses.
-func (c *Conn) rexmtTimer() { c.S.dispatch(c.rexmtFire) }
-
 // clearRexmt cancels any pending retransmission timer.
 func (c *Conn) clearRexmt() { c.rexmt.Stop() }
 
@@ -337,11 +337,23 @@ func (c *Conn) scheduleDelack() {
 	c.delack.Set(c.K.Env, c.K.Env.Now()+delackTimeout, "tcp.delack")
 }
 
-// delackTimer fires when the delayed-ACK deadline elapses; an
-// already-sent ACK makes it a no-op.
-func (c *Conn) delackTimer() {
-	if c.flagDelAck {
-		c.S.dispatch(c.delackFire)
+// TimerFired implements sim.TimerOwner for the connection's three timers.
+// It runs in event context, which cannot block on FIFO space, so the
+// work is queued for the stack's service process: the retransmission
+// always, the delayed ACK unless one was sent meanwhile, the TIME_WAIT
+// release unless the connection has left TIME_WAIT.
+func (c *Conn) TimerFired(t *sim.Timer) {
+	switch t {
+	case &c.rexmt:
+		c.S.dispatch(c, workRexmt)
+	case &c.delack:
+		if c.flagDelAck {
+			c.S.dispatch(c, workDelack)
+		}
+	case &c.twoMSL:
+		if c.state == StateTimeWait {
+			c.S.dispatch(c, workRelease)
+		}
 	}
 }
 

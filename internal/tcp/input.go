@@ -12,19 +12,18 @@ import (
 // frame is pushed onto p, so input must be the caller's last action
 // before its Step returns.
 func (c *Conn) input(p *sim.Proc, th Header, m *mbuf.Mbuf) {
-	f := c.inOp
-	if f != nil {
-		c.inOp = nil
-	} else {
-		f = &connInputOp{c: c}
+	f := &c.in
+	if f.busy {
+		panic("tcp: segment input re-entered on one connection")
 	}
+	f.busy = true
 	f.pc, f.th, f.m = 0, th, m
 	p.Call(f)
 }
 
 // connInputOp is the resumable state of one segment's tcp_input
 // processing on an established connection: header prediction, then the
-// full slow path. Each connection caches one — segments arrive from the
+// full slow path. Each connection holds one — segments arrive from the
 // netisr one at a time.
 type connInputOp struct {
 	c     *Conn
@@ -32,7 +31,8 @@ type connInputOp struct {
 	th    Header // mutated by duplicate-data trimming
 	m     *mbuf.Mbuf
 	dlen  int
-	saved Seq // snd_nxt snapshot across the fast-retransmit output
+	saved Seq  // snd_nxt snapshot across the fast-retransmit output
+	busy  bool // between input and the frame's return
 }
 
 func (f *connInputOp) Step(p *sim.Proc) {
@@ -141,11 +141,9 @@ func (f *connInputOp) Step(p *sim.Proc) {
 			f.finishSlow(p)
 			return
 
-		case 7: // finish: recycle the frame
+		case 7: // finish: free the frame for the next segment
 			f.m = nil
-			if c.inOp == nil {
-				c.inOp = f
-			}
+			f.busy = false
 			p.Return()
 			return
 		}
@@ -407,21 +405,15 @@ func (f *connInputOp) finishSlow(p *sim.Proc) {
 	}
 }
 
-// enterTimeWait moves the connection into TIME_WAIT and schedules the
-// 2MSL release.
+// enterTimeWait moves the connection into TIME_WAIT and arms the 2MSL
+// release (TimerFired). A connection enters TIME_WAIT once, so the timer
+// is set once, on a fresh entry: the (time, sequence) point an event
+// scheduled 2MSL ahead would take.
 func (c *Conn) enterTimeWait() {
 	c.state = StateTimeWait
 	c.flagAckNow = true
 	c.clearRexmt()
-	c.K.Env.After(2*msl, "tcp.2msl", func() {
-		if c.state == StateTimeWait {
-			c.S.dispatch(func(p *sim.Proc) {
-				if c.state == StateTimeWait {
-					c.drop(nil)
-				}
-			})
-		}
-	})
+	c.twoMSL.Set(c.K.Env, c.K.Env.Now()+2*msl, "tcp.2msl")
 }
 
 // insertReass adds an out-of-order segment to the reassembly queue,

@@ -23,15 +23,15 @@ import (
 // current state, as a uniprocessor kernel blocking on the spl level
 // would.
 func (c *Conn) output(p *sim.Proc) {
-	f := c.outOp
-	c.outOp = nil
-	if f == nil {
+	f := &c.out
+	if f.busy {
 		spare := sim.Local[spareOutput](c.K.Env)
 		if f, spare.f = spare.f, nil; f == nil {
 			f = new(outputOp)
 		}
 		f.c = c
 	}
+	f.busy = true
 	f.pc = 0
 	p.Call(f)
 }
@@ -39,12 +39,13 @@ func (c *Conn) output(p *sim.Proc) {
 // outputOp is the resumable state of one output invocation: the splnet
 // lock, the outputOnce send-decision loop, and the segment build
 // (including mcopy and the checksum) flattened into one frame. Each
-// connection caches one — per-connection outputs are serialized by the
+// connection holds one — per-connection outputs are serialized by the
 // outBusy lock, so steady state allocates nothing; an overlapping caller
 // parked on the lock borrows the loop's spare.
 type outputOp struct {
-	c  *Conn
-	pc int
+	c    *Conn
+	pc   int
+	busy bool // between output and the frame's return
 
 	// One pass of the send decision, captured across parks.
 	flags              uint8
@@ -139,7 +140,7 @@ func (f *outputOp) Step(p *sim.Proc) {
 
 			// Segment build. The header is assembled before any charge so
 			// the decision's snapshot is what goes on the wire.
-			key := c.pcbEntry.Key
+			key := c.pcbEnt.Key
 			th := Header{
 				SrcPort: key.LocalPort,
 				DstPort: key.RemotePort,
@@ -255,7 +256,7 @@ func (f *outputOp) Step(p *sim.Proc) {
 			// fold them with a freshly summed header (§4.1.1). Invalidated
 			// stashes (segment boundaries that split an mbuf) fall back to
 			// summing that mbuf's bytes.
-			key := c.pcbEntry.Key
+			key := c.pcbEnt.Key
 			f.ps = checksum.TCPPseudo(key.LocalAddr, key.RemoteAddr, f.hdrLen+f.length)
 			f.ps.Add(f.hm.Bytes())
 			f.csM = f.hm.Next()
@@ -293,7 +294,7 @@ func (f *outputOp) Step(p *sim.Proc) {
 			f.pc = 6
 
 		case 8: // standard mode: one charged pass over the real bytes
-			key := c.pcbEntry.Key
+			key := c.pcbEnt.Key
 			ps := checksum.TCPPseudo(key.LocalAddr, key.RemoteAddr, f.hdrLen+f.length)
 			for m := f.hm; m != nil; m = m.Next() {
 				ps.Add(m.Bytes())
@@ -347,11 +348,11 @@ func (f *outputOp) Step(p *sim.Proc) {
 			}
 			f.pc = 11
 
-		case 11: // release the splnet lock and finish
+		case 11: // release the splnet lock; the frame goes back to its owner
 			c.outBusy = false
 			c.outWait.WakeAll()
-			if c.outOp == nil {
-				c.outOp = f
+			if f == &c.out {
+				f.busy = false
 			} else if spare := sim.Local[spareOutput](k.Env); spare.f == nil {
 				*f = outputOp{}
 				spare.f = f
@@ -364,9 +365,10 @@ func (f *outputOp) Step(p *sim.Proc) {
 
 // spareOutput is the one output frame an event loop keeps for whichever
 // connection next finds its own in use: the second of two overlapping
-// callers finishes with a frame the connection has no slot for, and the
-// next overlap, on any connection of the loop, takes that one rather than
-// a new one. It is parked zeroed, so it pins no connection while it waits.
+// callers runs on a borrowed frame, which goes back to the loop — the
+// connection's own goes back to the connection — so the next overlap, on
+// any connection of the loop, takes that one rather than a new one. It is
+// parked zeroed, so it pins no connection while it waits.
 type spareOutput struct{ f *outputOp }
 
 // outputFlags returns the header flags implied by the connection state.

@@ -64,17 +64,17 @@ type Stack struct {
 	nextISS   Seq
 
 	// deferred protocol work (timer expirations) executed by the
-	// stack's service process, which can block on driver FIFOs.
-	due   []func(p *sim.Proc)
-	workQ sim.WaitQueue
+	// stack's service process, which can block on driver FIFOs. due starts
+	// in dueInline: a client host rarely has two items queued at once.
+	due       []work
+	dueInline [1]work
+	workQ     sim.WaitQueue
 
 	// crashed holds the connections dropped by Crash until ReapCrashed
 	// can safely return their buffered mbuf chains to the pool.
 	crashed []*Conn
 
-	inOp *inputOp // cached input frame (nil while in use)
-
-	// inFrame is the frame inOp caches and timers the service process's
+	// inFrame is the frame Input runs in and timers the service process's
 	// root, held here so that a stack is one allocation.
 	inFrame inputOp
 	timers  workLoopFrame
@@ -90,10 +90,10 @@ func NewStack(k *kern.Kernel, ipStack *ip.Stack) *Stack {
 		nextPort:          1024,
 		nextISS:           1, // deterministic ISS: reproducibility over security
 	}
+	s.due = s.dueInline[:0]
 	s.workQ.Init("tcp.work")
 	ipStack.Register(ip.ProtoTCP, s)
 	s.inFrame.s = s
-	s.inOp = &s.inFrame
 	s.timers.s = s
 	k.Env.Spawn("", &s.timers)
 	return s
@@ -117,9 +117,7 @@ func (s *Stack) Reset() {
 	s.PredictionEnabled = true
 	s.Mode = cost.ChecksumStandard
 	s.SockBuf = 0
-	for i := range s.due {
-		s.due[i] = nil
-	}
+	clear(s.due)
 	s.due = s.due[:0]
 	s.ReapCrashed()
 }
@@ -150,9 +148,7 @@ func (s *Stack) Crash() {
 		}
 	}
 	clear(s.listeners)
-	for i := range s.due {
-		s.due[i] = nil
-	}
+	clear(s.due)
 	s.due = s.due[:0]
 }
 
@@ -163,7 +159,7 @@ func (s *Stack) Crash() {
 // crashed socket has unwound — at host restart, or at stack Reset.
 func (s *Stack) ReapCrashed() {
 	for i, c := range s.crashed {
-		so := c.so
+		so := &c.so
 		so.Snd.Drop(so.Snd.Len())
 		so.Rcv.Drop(so.Rcv.Len())
 		s.crashed[i] = nil
@@ -171,18 +167,32 @@ func (s *Stack) ReapCrashed() {
 	s.crashed = s.crashed[:0]
 }
 
+// work is one expired timer's deferred processing: which connection,
+// and which of its timers.
+type work struct {
+	c    *Conn
+	kind workKind
+}
+
+type workKind uint8
+
+const (
+	workRexmt   workKind = iota // rexmtFire
+	workDelack                  // delackFire
+	workRelease                 // the 2MSL release out of TIME_WAIT
+)
+
 // dispatch queues protocol work for the service process. Timer events use
 // it because event callbacks cannot block on FIFO space.
-func (s *Stack) dispatch(fn func(p *sim.Proc)) {
-	s.due = append(s.due, fn)
+func (s *Stack) dispatch(c *Conn, kind workKind) {
+	s.due = append(s.due, work{c, kind})
 	s.workQ.Wake()
 }
 
 // workLoopFrame is the timer service process: each Step either parks on
-// the work queue or pops and runs one deferred function. A function that
-// needs to transmit pushes the connection's output frame as its last
-// action; the loop resumes — and drains the next item — when that frame
-// pops.
+// the work queue or pops and runs one deferred item. An item that needs
+// to transmit pushes the connection's output frame as its last action;
+// the loop resumes — and drains the next item — when that frame pops.
 type workLoopFrame struct {
 	s *Stack
 }
@@ -196,11 +206,20 @@ func (f *workLoopFrame) Step(p *sim.Proc) {
 		s.workQ.Wait(p)
 		return
 	}
-	fn := s.due[0]
+	w := s.due[0]
 	copy(s.due, s.due[1:])
-	s.due[len(s.due)-1] = nil
+	s.due[len(s.due)-1] = work{}
 	s.due = s.due[:len(s.due)-1]
-	fn(p)
+	switch c := w.c; w.kind {
+	case workRexmt:
+		c.rexmtFire(p)
+	case workDelack:
+		c.delackFire(p)
+	case workRelease:
+		if c.state == StateTimeWait {
+			c.drop(nil)
+		}
+	}
 }
 
 // allocPort returns a fresh ephemeral port.
@@ -209,26 +228,32 @@ func (s *Stack) allocPort() uint16 {
 	return s.nextPort
 }
 
-// newConn builds a connection bound to a fresh socket.
+// newConn builds a closed connection — the one allocation a connection
+// is — and wires what it holds by value back to it.
 func (s *Stack) newConn() *Conn {
-	so := sock.New(s.K)
+	c := &Conn{
+		S:            s,
+		K:            s.K,
+		state:        StateClosed,
+		mss:          defaultMSS,
+		wantCksumOff: s.Mode == cost.ChecksumNone,
+	}
+	so := &c.so
+	so.Init(s.K)
 	so.Mode = s.Mode
 	if s.SockBuf > 0 {
 		so.Snd.Hiwat = s.SockBuf
 		so.Rcv.Hiwat = s.SockBuf
 	}
-	c := &Conn{
-		S:            s,
-		K:            s.K,
-		so:           so,
-		state:        StateClosed,
-		mss:          defaultMSS,
-		wantCksumOff: s.Mode == cost.ChecksumNone,
-	}
-	c.outWait.Init("tcp.outlock")
-	c.rexmt.Bind(c.rexmtTimer)
-	c.delack.Bind(c.delackTimer)
 	so.Proto = c
+	c.pcbEnt.Owner = c
+	c.outWait.Init("tcp.outlock")
+	c.rexmt.Bind(c)
+	c.delack.Bind(c)
+	c.twoMSL.Bind(c)
+	c.connect.c = c
+	c.out.c = c
+	c.in.c = c
 	return c
 }
 
@@ -238,25 +263,24 @@ func (s *Stack) mtuMSS() int {
 }
 
 // Connect opens a connection to dst:port. It is a frame call: the
-// returned op is pushed onto p and must be Connect's caller's last
-// action before its Step returns; the op's So/C/Err fields are valid
-// when the caller's Step next resumes.
+// returned op — the new connection's own — is pushed onto p and must be
+// Connect's caller's last action before its Step returns; the op's
+// So/C/Err fields are valid when the caller's Step next resumes.
 func (s *Stack) Connect(p *sim.Proc, dst uint32, port uint16) *ConnectOp {
-	f := &ConnectOp{s: s, dst: dst, port: port}
+	f := &s.newConn().connect
+	f.dst, f.port = dst, port
 	p.Call(f)
 	return f
 }
 
 // ConnectOp is the resumable state of one Connect call: send the SYN,
 // then park on the socket's state queue until establishment completes
-// (or fails). Connection setup is a cold path, so the frame is allocated
-// per call.
+// (or fails). It lives in the connection it opens.
 type ConnectOp struct {
-	s    *Stack
+	c    *Conn
 	pc   int
 	dst  uint32
 	port uint16
-	c    *Conn
 
 	// Results, valid once the op returns.
 	So  *sock.Socket
@@ -265,19 +289,19 @@ type ConnectOp struct {
 }
 
 func (f *ConnectOp) Step(p *sim.Proc) {
-	s := f.s
+	c := f.c
+	s := c.S
 	switch f.pc {
 	case 0:
-		c := s.newConn()
 		key := pcb.Key{
 			LocalAddr:  s.IP.Addr,
 			RemoteAddr: f.dst,
 			LocalPort:  s.allocPort(),
 			RemotePort: f.port,
 		}
-		c.pcbEntry = &pcb.PCB{Key: key, Owner: c}
+		c.pcbEnt.Key = key
 		c.so.TraceID = connTraceID(key)
-		s.Table.Insert(c.pcbEntry)
+		s.Table.Insert(&c.pcbEnt)
 		s.nextISS += 64000
 		c.iss = s.nextISS
 		c.sndUna, c.sndNxt, c.sndMax = c.iss, c.iss, c.iss
@@ -285,11 +309,9 @@ func (f *ConnectOp) Step(p *sim.Proc) {
 		c.cwnd = c.mss
 		c.ssthresh = 65535
 		c.state = StateSynSent
-		f.c = c
 		f.pc = 1
 		c.output(p)
 	case 1:
-		c := f.c
 		if !c.so.Connected && c.so.Err == nil {
 			c.so.StateQ.Wait(p)
 			return
@@ -297,7 +319,7 @@ func (f *ConnectOp) Step(p *sim.Proc) {
 		if c.so.Err != nil {
 			f.Err = c.so.Err
 		} else {
-			f.So, f.C = c.so, c
+			f.So, f.C = &c.so, c
 		}
 		p.Return()
 	}
@@ -305,12 +327,13 @@ func (f *ConnectOp) Step(p *sim.Proc) {
 
 // Abort cancels an in-flight connect: the half-open connection is torn
 // down and the op completes with ErrAborted. A no-op before the op
-// starts or once establishment has completed either way. It is how a
-// client bounds connection setup with its own deadline — the SYN
-// retransmission schedule alone takes minutes to give up.
+// starts (the connection is still closed) or once establishment has
+// completed either way. It is how a client bounds connection setup with
+// its own deadline — the SYN retransmission schedule alone takes minutes
+// to give up.
 func (f *ConnectOp) Abort() {
-	if f.c != nil && !f.c.so.Connected && f.c.so.Err == nil {
-		f.c.abortWith(ErrAborted)
+	if c := f.c; !c.so.Connected && c.so.Err == nil {
+		c.abortWith(ErrAborted)
 	}
 }
 
@@ -318,10 +341,11 @@ func (f *ConnectOp) Abort() {
 type Listener struct {
 	s       *Stack
 	port    uint16
-	pcbEnt  *pcb.PCB
 	backlog []*Conn
 	wq      sim.WaitQueue
 	err     error // set when the listener dies (host crash); fails Accepts
+	pcbEnt  pcb.PCB
+	accept  AcceptOp
 }
 
 // Listen starts accepting connections on port.
@@ -331,8 +355,9 @@ func (s *Stack) Listen(port uint16) (*Listener, error) {
 	}
 	l := &Listener{s: s, port: port}
 	l.wq.Init("tcp.accept")
-	l.pcbEnt = &pcb.PCB{Key: pcb.Key{LocalPort: port}, Owner: l}
-	s.Table.Insert(l.pcbEnt)
+	l.pcbEnt = pcb.PCB{Key: pcb.Key{LocalPort: port}, Owner: l}
+	l.accept.l = l
+	s.Table.Insert(&l.pcbEnt)
 	if s.listeners == nil {
 		s.listeners = make(map[uint16]*Listener)
 	}
@@ -345,13 +370,15 @@ func (s *Stack) Listen(port uint16) (*Listener, error) {
 // be Accept's caller's last action before its Step returns; the op's
 // So/C fields are valid when the caller's Step next resumes.
 func (l *Listener) Accept(p *sim.Proc) *AcceptOp {
-	f := &AcceptOp{l: l}
-	p.Call(f)
-	return f
+	p.Call(&l.accept)
+	return &l.accept
 }
 
-// AcceptOp is the resumable state of one Accept call. Accepting is a
-// cold path, so the frame is allocated per call.
+// AcceptOp is the frame behind Accept, one per listener. It keeps no
+// state across a park — each run re-reads the listener and writes every
+// result as it returns — so processes accepting on one listener at once
+// share it: each reads the results as it resumes, before anything else
+// runs, and a later Accept's return overwrites them.
 type AcceptOp struct {
 	l *Listener
 
@@ -365,7 +392,7 @@ type AcceptOp struct {
 func (f *AcceptOp) Step(p *sim.Proc) {
 	l := f.l
 	if l.err != nil {
-		f.Err = l.err
+		f.So, f.C, f.Err = nil, nil, l.err
 		p.Return()
 		return
 	}
@@ -377,7 +404,7 @@ func (f *AcceptOp) Step(p *sim.Proc) {
 	copy(l.backlog, l.backlog[1:])
 	l.backlog[len(l.backlog)-1] = nil
 	l.backlog = l.backlog[:len(l.backlog)-1]
-	f.So, f.C = c.so, c
+	f.So, f.C, f.Err = &c.so, c, nil
 	p.Return()
 }
 
@@ -387,19 +414,18 @@ func (f *AcceptOp) Step(p *sim.Proc) {
 // frame call: the input frame is pushed onto p, so Input must be the
 // caller's last action before its Step returns.
 func (s *Stack) Input(p *sim.Proc, h ip.Header, m *mbuf.Mbuf) {
-	f := s.inOp
-	if f != nil {
-		s.inOp = nil
-	} else {
-		f = &inputOp{s: s}
+	f := &s.inFrame
+	if f.busy {
+		panic("tcp: segment input re-entered on one stack")
 	}
+	f.busy = true
 	f.pc, f.h, f.m, f.tagged = 0, h, m, false
 	p.Call(f)
 }
 
 // inputOp is the resumable state of one segment's input processing:
 // parse, PCB lookup, checksum verification, and dispatch to the owning
-// connection or listener. The stack caches one — input runs from the
+// connection or listener. The stack holds one — input runs from the
 // netisr, which processes one datagram at a time.
 type inputOp struct {
 	s      *Stack
@@ -411,6 +437,7 @@ type inputOp struct {
 	segLen int
 	pktID  trace.PacketID
 	tagged bool
+	busy   bool // between Input and the frame's return
 	ent    *pcb.PCB
 	ps     checksum.Partial
 	csM    *mbuf.Mbuf // integrated-verification chain cursor
@@ -619,9 +646,9 @@ func (f *inputOp) Step(p *sim.Proc) {
 				LocalPort:  l.port,
 				RemotePort: th.SrcPort,
 			}
-			c.pcbEntry = &pcb.PCB{Key: key, Owner: c}
+			c.pcbEnt.Key = key
 			c.so.TraceID = connTraceID(key)
-			s.Table.Insert(c.pcbEntry)
+			s.Table.Insert(&c.pcbEnt)
 			c.listener = l
 			s.nextISS += 64000
 			c.iss = s.nextISS
@@ -649,9 +676,7 @@ func (f *inputOp) Step(p *sim.Proc) {
 				p.PopTag()
 			}
 			f.m, f.ent, f.csM = nil, nil, nil
-			if s.inOp == nil {
-				s.inOp = f
-			}
+			f.busy = false
 			p.Return()
 			return
 		}

@@ -2,6 +2,8 @@ package tcp
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -670,6 +672,14 @@ func TestCloseHandshakeStates(t *testing.T) {
 	if client.State() != StateClosed {
 		t.Fatalf("client state %v, want CLOSED after TIME_WAIT", client.State())
 	}
+	// Event identity (see workload.TestEventIdentity): the events fired,
+	// the drained clock and both stacks' counters, captured before the
+	// 2MSL release became a timer on the connection.
+	stats := fmt.Sprintf("%+v %+v", p.sa.Stats, p.sb.Stats)
+	sum := sha256.Sum256([]byte(stats))
+	if got, want := fmt.Sprintf("%d %d %x", p.env.Fired(), p.env.Now(), sum[:8]), "86 3000586580 dbe4468e8dd74928"; got != want {
+		t.Errorf("fired, clock, stats digest = %s, want %s (%s)", got, want, stats)
+	}
 }
 
 func TestRTTEstimatorConverges(t *testing.T) {
@@ -1084,5 +1094,163 @@ func TestSpareOutputFrameDoesNotPinConn(t *testing.T) {
 	}
 	if !reflect.DeepEqual(*spare, outputOp{}) {
 		t.Fatalf("the parked spare still holds state: %+v", *spare)
+	}
+}
+
+// cycleServer accepts connections for good: each one gets a 200-byte
+// request echoed back, then is closed once the client has closed.
+type cycleServer struct {
+	ln  *Listener
+	buf []byte
+
+	pc     int
+	accept *AcceptOp
+	so     *sock.Socket
+	total  int
+	recv   *sock.RecvOp
+	err    error
+}
+
+func (f *cycleServer) Step(p *sim.Proc) {
+	for {
+		switch f.pc {
+		case 0:
+			f.pc = 1
+			f.accept = f.ln.Accept(p)
+			return
+		case 1: // read the request
+			f.so, f.total = f.accept.So, 0
+			f.pc = 2
+		case 2:
+			if f.total == len(f.buf) {
+				f.pc = 4
+				f.so.Send(p, f.buf)
+				return
+			}
+			f.pc = 3
+			f.recv = f.so.Recv(p, f.buf[f.total:])
+			return
+		case 3:
+			if f.recv.Err != nil || f.recv.N == 0 {
+				f.err = fmt.Errorf("server read %d of %d bytes: %v", f.total, len(f.buf), f.recv.Err)
+				p.Return()
+				return
+			}
+			f.total += f.recv.N
+			f.pc = 2
+		case 4: // echoed; wait for the client's FIN, then close
+			f.pc = 5
+			f.recv = f.so.Recv(p, f.buf)
+			return
+		case 5:
+			if f.recv.N != 0 {
+				f.pc = 4
+				continue
+			}
+			f.pc = 0
+			f.so.Close(p)
+			return
+		}
+	}
+}
+
+// cycleClient makes one connection each time start wakes it: connect,
+// write a 200-byte request, read the echo, close.
+type cycleClient struct {
+	s      *Stack
+	start  *sim.WaitQueue
+	msg    []byte
+	buf    []byte
+	cycles int
+
+	pc    int
+	op    *ConnectOp
+	so    *sock.Socket
+	total int
+	recv  *sock.RecvOp
+	err   error
+}
+
+func (f *cycleClient) Step(p *sim.Proc) {
+	for {
+		switch f.pc {
+		case 0:
+			f.pc = 1
+			f.start.Wait(p)
+			return
+		case 1:
+			f.pc = 2
+			f.op = f.s.Connect(p, 2, 80)
+			return
+		case 2:
+			if f.op.Err != nil {
+				f.err = f.op.Err
+				p.Return()
+				return
+			}
+			f.so, f.total = f.op.So, 0
+			f.pc = 3
+			f.so.Send(p, f.msg)
+			return
+		case 3:
+			if f.total == len(f.buf) {
+				f.cycles++
+				f.pc = 0
+				f.so.Close(p)
+				return
+			}
+			f.pc = 4
+			f.recv = f.so.Recv(p, f.buf[f.total:])
+			return
+		case 4:
+			if f.recv.Err != nil || f.recv.N == 0 {
+				f.err = fmt.Errorf("client read %d of %d bytes: %v", f.total, len(f.buf), f.recv.Err)
+				p.Return()
+				return
+			}
+			f.total += f.recv.N
+			f.pc = 3
+		}
+	}
+}
+
+// TestConnIsOneAllocation holds a connection to one allocation an end:
+// the Conn, which carries its socket, PCB, timers and operation frames
+// by value. Each counted cycle is a whole connection — connect, a
+// 200-byte exchange, close, and the 2MSL drain out of TIME_WAIT — between
+// two processes that live across cycles, after a warm-up connection has
+// grown the loop's free lists and queues to their high-water marks.
+// Before, an end was about eleven allocations: the Conn and the two
+// method values bound into its timers, the socket and its two first
+// frames, the two protocol frames, the PCB, the connect or accept op,
+// and TIME_WAIT's two closures.
+func TestConnIsOneAllocation(t *testing.T) {
+	p := newPair(t, cost.ChecksumStandard)
+	ln, err := p.sb.Listen(80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var start sim.WaitQueue
+	srv := &cycleServer{ln: ln, buf: make([]byte, 200)}
+	cli := &cycleClient{s: p.sa, start: &start, msg: make([]byte, 200), buf: make([]byte, 200)}
+	p.env.Spawn("server", srv)
+	p.env.Spawn("client", cli)
+	p.env.Run()
+	cycle := func() {
+		start.Wake()
+		p.env.Run()
+	}
+	cycle() // the warm-up connection
+	const runs = 20
+	allocs := testing.AllocsPerRun(runs, cycle)
+	if srv.err != nil || cli.err != nil {
+		t.Fatalf("server: %v; client: %v", srv.err, cli.err)
+	}
+	if cli.cycles != runs+2 || p.sa.Table.Len() != 0 || p.sb.Table.Len() != 1 {
+		t.Fatalf("%d connections made, want %d; %d and %d PCBs left, want 0 and the listener's",
+			cli.cycles, runs+2, p.sa.Table.Len(), p.sb.Table.Len())
+	}
+	if allocs != 2 {
+		t.Errorf("a connection costs %v allocations, want 2: one Conn an end", allocs)
 	}
 }

@@ -136,7 +136,7 @@ type faultClientFrame struct {
 
 	pc       int
 	env      *sim.Env
-	deadline sim.Timer // on the operation in progress; fires c.abort
+	deadline sim.Timer // on the operation in progress; aborts it
 	attempts int       // consecutive failed connect attempts
 	down     sim.Time
 	msg, buf []byte
@@ -149,6 +149,10 @@ func (f *faultClientFrame) arm() {
 	f.deadline.Set(f.env, f.env.Now()+f.g.Deadline, "faults.deadline")
 }
 
+// TimerFired implements sim.TimerOwner: the deadline passed, so the
+// operation in progress is aborted.
+func (f *faultClientFrame) TimerFired(*sim.Timer) { f.c.abort() }
+
 // Name implements sim.Namer.
 func (f *faultClientFrame) Name() string { return indexed("client", f.ci, ".faults") }
 
@@ -159,7 +163,7 @@ func (f *faultClientFrame) Step(p *sim.Proc) {
 		switch f.pc {
 		case 0: // prepare buffers
 			f.env = p.Env()
-			f.deadline.Bind(f.c.abort)
+			f.deadline.Bind(f)
 			f.msg = make([]byte, f.g.Size)
 			f.env.RNG().Fill(f.msg)
 			f.buf = make([]byte, f.g.Size)

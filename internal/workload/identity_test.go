@@ -1,0 +1,92 @@
+package workload
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"testing"
+
+	"repro/internal/lab"
+	"repro/internal/sim"
+	"repro/internal/stats"
+)
+
+// TestEventIdentity pins what host-side bookkeeping must never move: the
+// events a run fires, the clock it drains at and the digest of its
+// result. The constants were captured at the commit before a connection
+// became one allocation (docs/PERFORMANCE.md item 19) — before the 2MSL
+// release became a sim.Timer and the stacks' deferred work typed items —
+// so a change that shifts one (at, seq) fails here by name. The loaded
+// runs are there for the timers: under burst loss, reordering and cross
+// traffic they retransmit, delay ACKs and pass connections through
+// TIME_WAIT, and each checks that it still does.
+func TestEventIdentity(t *testing.T) {
+	loaded := lab.Config{Link: lab.LinkATM, Seed: 1994,
+		Qdisc:       lab.QdiscConfig{Kind: lab.QdiscRED, REDMinCells: 2, REDMaxCells: 256, REDMaxP: 0.5},
+		BurstLoss:   sim.GEParams{PGoodBad: 0.002, PBadGood: 0.2, LossBad: 0.5},
+		ReorderRate: 0.0005, ReorderDepth: 2,
+	}
+	loadedGen := func(transport string) FanIn {
+		return FanIn{Size: 200, Requests: 32, Warmup: 1, Transport: transport,
+			Cross: &CrossTraffic{Flows: 2, MinBytes: 32768}}
+	}
+	runs := []struct {
+		name   string
+		hosts  int
+		cfg    lab.Config
+		gen    FanIn
+		timers bool // the run must retransmit and delay ACKs
+		fired  uint64
+		clock  sim.Time
+		digest string
+	}{
+		{
+			name:  "fattree-fanin-1k",
+			hosts: 1001,
+			cfg:   lab.Config{Link: lab.LinkATM, Fabric: lab.FabricFatTree, Seed: 1994, HashPCBs: true},
+			gen:   FanIn{Size: 200, Requests: 1, Stagger: 5000 * sim.Microsecond, Stats: stats.Config{Streaming: true}},
+			fired: 478759, clock: 7995685864,
+			digest: "7b4c3ffd71a447de70e645c190c385dddc0216d7296b069d341ea53c3857a9c4",
+		},
+		{
+			name: "loaded-grid-tcp-red", hosts: 33, cfg: loaded, gen: loadedGen(TransportTCP), timers: true,
+			fired: 265684, clock: 41191567965,
+			digest: "6812b67060950b34b15e40a69874d68af54a9ca999dd3586216a27936c772b49",
+		},
+		{
+			name: "loaded-grid-rudp-red", hosts: 33, cfg: loaded, gen: loadedGen(TransportRUDP),
+			fired: 345979, clock: 47212318258,
+			digest: "dfcbd586211d8b17c7a454b7bedf73c916fb9d9438c5d5cb767d7e738bfd65f0",
+		},
+	}
+	for _, r := range runs {
+		t.Run(r.name, func(t *testing.T) {
+			l := lab.NewTopology(r.cfg, r.hosts)
+			res, err := r.gen.Run(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(b)
+			digest := hex.EncodeToString(sum[:])
+			if l.Env.Fired() != r.fired || l.Env.Now() != r.clock || digest != r.digest {
+				t.Errorf("fired %d, clock %d, digest %s; want %d, %d, %s",
+					l.Env.Fired(), l.Env.Now(), digest, r.fired, r.clock, r.digest)
+			}
+			if !r.timers {
+				return
+			}
+			var rexmt, delack int64
+			for _, h := range l.Hosts {
+				rexmt += h.TCP.Stats.Retransmits
+				delack += h.TCP.Stats.DelayedAcks
+			}
+			if rexmt == 0 || delack == 0 {
+				t.Errorf("%d retransmissions, %d delayed ACKs: the run no longer exercises the timers", rexmt, delack)
+			}
+		})
+	}
+}

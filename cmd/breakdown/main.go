@@ -1,7 +1,8 @@
 // Command breakdown regenerates the paper's per-layer latency
 // decompositions: Table 2 (transmit side) and Table 3 (receive side),
-// with the published values printed alongside for comparison. The
-// per-size measurements shard across a worker pool (-parallel); -seed
+// with the published values printed alongside for comparison. Each size's
+// echo yields both tables; the per-size measurements shard across a
+// worker pool (-parallel); -side picks what to print; -seed
 // derives deterministic per-trial seeds and -json emits the structured
 // results.
 package main
@@ -48,20 +49,17 @@ func run(args []string, w io.Writer) error {
 		BaseSeed:   *seed,
 	}
 
-	var results []*core.BreakdownResult
-	if *side == "tx" || *side == "both" {
-		r, err := core.RunTable2(opts)
-		if err != nil {
-			return err
-		}
-		results = append(results, r)
+	// One measurement yields both tables; -side chooses what to print.
+	tx, rx, err := core.RunBreakdowns(opts)
+	if err != nil {
+		return err
 	}
-	if *side == "rx" || *side == "both" {
-		r, err := core.RunTable3(opts)
-		if err != nil {
-			return err
-		}
-		results = append(results, r)
+	var results []*core.BreakdownResult
+	if *side != "rx" {
+		results = append(results, tx)
+	}
+	if *side != "tx" {
+		results = append(results, rx)
 	}
 
 	if *jsonOut {

@@ -11,7 +11,6 @@ import (
 	"sort"
 
 	"repro/internal/lab"
-	"repro/internal/runner"
 	"repro/internal/trace"
 )
 
@@ -61,25 +60,16 @@ var RxLayers = []trace.Layer{
 //     returning — the paper's rule that only processing after the last
 //     arrival contributes to latency (§2.2's receive measurement).
 func MeasureBreakdowns(cfg lab.Config, size, iterations, warmup int) (tx, rx Breakdown, err error) {
-	return MeasureBreakdownsOn(nil, cfg, size, iterations, warmup)
+	m, err := cell{echo{cfg: cfg, size: size}, true}.run(nil, 0,
+		Options{Iterations: iterations, Warmup: warmup})
+	return m.tx, m.rx, err
 }
 
-// MeasureBreakdownsOn is MeasureBreakdowns on the testbed-reuse path:
-// the lab comes from the worker's warm cache when tb holds one of the
-// right shape. The trace records read below belong to the trial just
-// run; they stay valid because a warm lab is reset when the NEXT trial
-// acquires it, not when this one releases it.
-func MeasureBreakdownsOn(tb *runner.Testbeds, cfg lab.Config, size, iterations, warmup int) (tx, rx Breakdown, err error) {
-	l := tb.Lab(cfg, 2)
-	rec := l.Client.Trace()
-	rec.EnableSpans() // a testbed keeps none unless a reader asks
-	res, err := l.RunEcho(size, iterations, warmup)
-	if err != nil {
-		return tx, rx, err
-	}
-
-	tx = Breakdown{Size: size, Rows: map[trace.Layer]float64{}}
-	rx = Breakdown{Size: size, Rows: map[trace.Layer]float64{}}
+// breakdowns extracts both decompositions from the client recorder rec of
+// the echo run that produced res, its spans armed before the run.
+func breakdowns(rec *trace.Recorder, res *lab.EchoResult) (tx, rx Breakdown, err error) {
+	tx = Breakdown{Size: res.Size, Rows: map[trace.Layer]float64{}}
+	rx = Breakdown{Size: res.Size, Rows: map[trace.Layer]float64{}}
 	n := float64(len(res.Windows))
 	for _, w := range res.Windows {
 		// Transmit side.

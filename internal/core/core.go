@@ -50,24 +50,11 @@ func seeded(cfg lab.Config, seed uint64) lab.Config {
 	return runner.ApplySeed(cfg, seed)
 }
 
-// MeasureRTT runs the echo benchmark under one configuration and returns
-// the mean round-trip time in microseconds.
+// MeasureRTT runs the echo benchmark under one configuration on a fresh
+// testbed and returns the mean round-trip time in microseconds.
 func MeasureRTT(cfg lab.Config, size int, o Options) (float64, error) {
-	return MeasureRTTOn(nil, cfg, size, o)
-}
-
-// MeasureRTTOn is MeasureRTT on the testbed-reuse path: the lab comes
-// from the worker's warm cache (or is built fresh when tb is nil or
-// holds no lab of the right shape). Reuse is invisible to the result —
-// lab.Reset restores bit-identical initial state.
-func MeasureRTTOn(tb *runner.Testbeds, cfg lab.Config, size int, o Options) (float64, error) {
-	o = o.normalize()
-	l := tb.Lab(cfg, 2)
-	res, err := l.RunEcho(size, o.Iterations, o.Warmup)
-	if err != nil {
-		return 0, err
-	}
-	return res.MeanRTTMicros(), nil
+	m, err := cell{echo: echo{cfg: cfg, size: size}}.run(nil, 0, o.normalize())
+	return m.rtt, err
 }
 
 // Sizes is the transfer-size set shared by every round-trip experiment

@@ -403,6 +403,59 @@ func TestParallelBitIdentical(t *testing.T) {
 	}
 }
 
+// TestPaperGridMeasuredOnce pins the evaluation as one grid: its union is
+// 47 distinct echoes — baseline, Ethernet, no-prediction, integrated and
+// no-checksum at every size, UDP at the seven it carries — the baseline
+// column of Tables 1, 4, 6 and 7 and the transport comparison's TCP column
+// read one number per size, and every table run alone is its view of the
+// whole report.
+func TestPaperGridMeasuredOnce(t *testing.T) {
+	if n := len(distinct(paperGrid())); n != 47 {
+		t.Fatalf("the paper grid has %d distinct echoes, want 47", n)
+	}
+	o := Options{Iterations: 4, Warmup: 1, BaseSeed: 7}
+	all, err := RunAll(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, size := range Sizes {
+		base := all.Table1.Rows[i].B
+		cols := map[string]float64{
+			"Table 4": all.Table4.Rows[i].B, "Table 6": all.Table6.Rows[i].A, "Table 7": all.Table7.Rows[i].A,
+		}
+		if i < len(all.Transport.Rows) {
+			cols["transport TCP"] = all.Transport.Rows[i].TCPMicros
+		}
+		for name, v := range cols {
+			if v != base {
+				t.Errorf("%dB: %s reads %v, Table 1 %v: the baseline echo measured twice", size, name, v, base)
+			}
+		}
+	}
+
+	for _, v := range []struct {
+		name  string
+		run   func() (any, error)
+		inAll any
+	}{
+		{"Table 1", func() (any, error) { return RunTable1(o) }, all.Table1},
+		{"Table 2", func() (any, error) { return RunTable2(o) }, all.Table2},
+		{"Table 3", func() (any, error) { return RunTable3(o) }, all.Table3},
+		{"Table 4", func() (any, error) { return RunTable4(o) }, all.Table4},
+		{"Table 6", func() (any, error) { return RunTable6(o) }, all.Table6},
+		{"Table 7", func() (any, error) { return RunTable7(o) }, all.Table7},
+		{"transport", func() (any, error) { return RunTransportComparison(cost.ChecksumStandard, o) }, all.Transport},
+	} {
+		alone, err := v.run()
+		if err != nil {
+			t.Fatalf("%s: %v", v.name, err)
+		}
+		if !reflect.DeepEqual(alone, v.inAll) {
+			t.Errorf("%s run alone differs from RunAll's view of it", v.name)
+		}
+	}
+}
+
 // TestExtendedSweepShape sanity-checks the beyond-paper grid: every cell
 // completes, and the MTU and socket-buffer dimensions visibly shift the
 // large-transfer cells.

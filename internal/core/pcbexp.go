@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -10,7 +9,6 @@ import (
 	"repro/internal/lab"
 	"repro/internal/paperdata"
 	"repro/internal/pcb"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/tcp"
@@ -186,31 +184,23 @@ func (r *PCBResult) Render() string {
 // population with prediction disabled — the situation the paper argues a
 // hash table would fix. It returns mean RTTs for a 4-byte echo with the
 // given numbers of established connections (lab.Config.LivePCBs) opened
-// ahead of the benchmark connection. The populations run concurrently
-// through the sweep engine.
+// ahead of the benchmark connection, each population one echo of a grid
+// measurement.
 func PCBPopulationEffect(populations []int, o Options) (map[int]float64, error) {
-	o = o.normalize()
-	jobs := make([]runner.Job, 0, len(populations))
-	for _, n := range populations {
-		n := n
-		jobs = append(jobs, runner.Job{
-			Label: fmt.Sprintf("livepcbs=%d", n),
-			RunOn: func(_ context.Context, tb *runner.Testbeds, seed uint64) (any, error) {
-				cfg := lab.Config{Link: lab.LinkATM, DisablePrediction: true, LivePCBs: n}
-				return MeasureRTTOn(tb, seeded(cfg, seed), 4, o)
-			},
-		})
+	population := func(n int) echo {
+		return echo{cfg: lab.Config{Link: lab.LinkATM, DisablePrediction: true, LivePCBs: n}, size: 4}
 	}
-	outs, err := runner.Run(context.Background(), jobs, o.runnerOpts())
+	cells := make([]cell, len(populations))
+	for i, n := range populations {
+		cells[i] = cell{echo: population(n)}
+	}
+	m, err := measure(cells, o)
 	if err != nil {
 		return nil, err
 	}
-	if err := runner.FirstError(outs); err != nil {
-		return nil, err
-	}
 	out := map[int]float64{}
-	for i, n := range populations {
-		out[n] = outs[i].Value.(float64)
+	for _, n := range populations {
+		out[n] = m[population(n)].rtt
 	}
 	return out, nil
 }

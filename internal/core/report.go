@@ -53,39 +53,30 @@ func RunExtendedSweep(o Options) ([]runner.EchoOutcome, error) {
 }
 
 // RunAll regenerates every table and figure in the paper's evaluation.
+// The round-trip tables — 1 to 4, 6, 7 and the transport comparison — are
+// views of one grid measurement, in which each echo they read runs once.
 func RunAll(o Options) (*Report, error) {
 	o = o.normalize()
-	r := &Report{}
-	var err error
-	if r.Table1, err = RunTable1(o); err != nil {
-		return nil, fmt.Errorf("table 1: %w", err)
+	grid, err := measure(paperGrid(), o)
+	if err != nil {
+		return nil, fmt.Errorf("paper grid: %w", err)
 	}
-	if r.Table2, err = RunTable2(o); err != nil {
-		return nil, fmt.Errorf("table 2: %w", err)
+	r := &Report{
+		Table1:    table1().result(grid),
+		Table4:    table4().result(grid),
+		Table6:    table6().result(grid),
+		Table7:    table7().result(grid),
+		Transport: transportResult(cost.ChecksumStandard, grid),
 	}
-	if r.Table3, err = RunTable3(o); err != nil {
-		return nil, fmt.Errorf("table 3: %w", err)
-	}
-	if r.Table4, err = RunTable4(o); err != nil {
-		return nil, fmt.Errorf("table 4: %w", err)
-	}
+	r.Table2, r.Table3 = breakdownTables(grid)
 	if r.Table5, err = RunTable5(); err != nil {
 		return nil, fmt.Errorf("table 5: %w", err)
-	}
-	if r.Table6, err = RunTable6(o); err != nil {
-		return nil, fmt.Errorf("table 6: %w", err)
-	}
-	if r.Table7, err = RunTable7(o); err != nil {
-		return nil, fmt.Errorf("table 7: %w", err)
 	}
 	r.PCB = RunPCBExperiment()
 	r.PCBLive = RunPCBLiveExperiment()
 	r.Sun3 = RunSun3Comparison()
 	if r.Errors, err = RunErrorStudy(150, o); err != nil {
 		return nil, fmt.Errorf("error study: %w", err)
-	}
-	if r.Transport, err = RunTransportComparison(cost.ChecksumStandard, o); err != nil {
-		return nil, fmt.Errorf("transport comparison: %w", err)
 	}
 	if r.FanIn, err = RunFanInStudy(FanInClientCounts, 12, o); err != nil {
 		return nil, fmt.Errorf("fan-in study: %w", err)

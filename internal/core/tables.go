@@ -1,14 +1,12 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/cost"
 	"repro/internal/lab"
 	"repro/internal/paperdata"
-	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -43,59 +41,117 @@ func (r *CompareResult) Render() string {
 	return t.String()
 }
 
-// runCompare measures two configurations across all sizes, fanning the
-// 2×len(Sizes) independent trials out over the sweep engine. The grid
-// order (size-major, then series A/B) fixes each trial's index and so its
-// derived seed: the rows are bit-identical at any worker count.
-func runCompare(cfgA, cfgB lab.Config, o Options) ([]CompareRow, error) {
-	o = o.normalize()
-	jobs := make([]runner.Job, 0, 2*len(Sizes))
+// compareView is a two-series round-trip table: the echo under
+// configurations a and b at every size.
+type compareView struct {
+	title, aLabel, bLabel string
+	a, b                  lab.Config
+	paperA, paperB        map[int]float64
+}
+
+// cells requests both series at every size.
+func (v compareView) cells() []cell {
+	out := make([]cell, 0, 2*len(Sizes))
 	for _, size := range Sizes {
-		for si, cfg := range [2]lab.Config{cfgA, cfgB} {
-			size, cfg := size, cfg
-			jobs = append(jobs, runner.Job{
-				Label: fmt.Sprintf("size %d (%c)", size, 'A'+si),
-				RunOn: func(_ context.Context, tb *runner.Testbeds, seed uint64) (any, error) {
-					return MeasureRTTOn(tb, seeded(cfg, seed), size, o)
-				},
-			})
-		}
+		out = append(out, cell{echo: echo{cfg: v.a, size: size}}, cell{echo: echo{cfg: v.b, size: size}})
 	}
-	outs, err := runner.Run(context.Background(), jobs, o.runnerOpts())
-	if err != nil {
-		return nil, err
+	return out
+}
+
+// result reads the table out of a grid measurement.
+func (v compareView) result(m map[echo]measurement) *CompareResult {
+	r := &CompareResult{
+		Title: v.title, ALabel: v.aLabel, BLabel: v.bLabel,
+		PaperA: v.paperA, PaperB: v.paperB,
 	}
-	if err := runner.FirstError(outs); err != nil {
-		return nil, err
-	}
-	rows := make([]CompareRow, 0, len(Sizes))
-	for i, size := range Sizes {
-		a := outs[2*i].Value.(float64)
-		b := outs[2*i+1].Value.(float64)
-		rows = append(rows, CompareRow{
+	for _, size := range Sizes {
+		a, b := m[echo{cfg: v.a, size: size}].rtt, m[echo{cfg: v.b, size: size}].rtt
+		r.Rows = append(r.Rows, CompareRow{
 			Size: size, A: a, B: b,
 			DecreasePercent: stats.PercentDecrease(a, b),
 		})
 	}
-	return rows, nil
+	return r
 }
 
-// RunTable1 regenerates Table 1: ATM versus Ethernet round-trip latency.
-func RunTable1(o Options) (*CompareResult, error) {
-	eth := baseConfig()
-	eth.Link = lab.LinkEther
-	rows, err := runCompare(eth, baseConfig(), o)
+// run measures the view's own cells and reads the table out of them.
+func (v compareView) run(o Options) (*CompareResult, error) {
+	m, err := measure(v.cells(), o)
 	if err != nil {
 		return nil, err
 	}
-	return &CompareResult{
-		Title:  "Table 1: ATM versus Ethernet round-trip latency (µs)",
-		ALabel: "Ethernet", BLabel: "ATM",
-		Rows:   rows,
-		PaperA: paperdata.Table1.Ethernet,
-		PaperB: paperdata.Table1.ATM,
-	}, nil
+	return v.result(m), nil
 }
+
+// compareViews are Tables 1, 4, 6 and 7, in that order.
+func compareViews() []compareView {
+	return []compareView{table1(), table4(), table6(), table7()}
+}
+
+// table1 is ATM versus Ethernet.
+func table1() compareView {
+	eth := baseConfig()
+	eth.Link = lab.LinkEther
+	return compareView{
+		title:  "Table 1: ATM versus Ethernet round-trip latency (µs)",
+		aLabel: "Ethernet", bLabel: "ATM",
+		a: eth, b: baseConfig(),
+		paperA: paperdata.Table1.Ethernet, paperB: paperdata.Table1.ATM,
+	}
+}
+
+// table4 is header prediction disabled versus enabled (and Figure 1's
+// series).
+func table4() compareView {
+	noPred := baseConfig()
+	noPred.DisablePrediction = true
+	return compareView{
+		title:  "Table 4 / Figure 1: Effects of Header Prediction (µs)",
+		aLabel: "NoPred", bLabel: "Pred",
+		a: noPred, b: baseConfig(),
+		paperA: paperdata.Table4.NoPrediction, paperB: paperdata.Table4.Prediction,
+	}
+}
+
+// table6 is the standard checksum versus the combined copy-and-checksum
+// kernel.
+func table6() compareView {
+	comb := baseConfig()
+	comb.Mode = cost.ChecksumIntegrated
+	return compareView{
+		title:  "Table 6: Standard checksum versus combined copy+checksum (µs)",
+		aLabel: "Standard", bLabel: "Combined",
+		a: baseConfig(), b: comb,
+		paperA: paperdata.Table6.Standard, paperB: paperdata.Table6.Combined,
+	}
+}
+
+// table7 is round trips with and without the TCP checksum.
+func table7() compareView {
+	none := baseConfig()
+	none.Mode = cost.ChecksumNone
+	return compareView{
+		title:  "Table 7: Round trips with and without the TCP checksum (µs)",
+		aLabel: "Checksum", bLabel: "NoChecksum",
+		a: baseConfig(), b: none,
+		paperA: paperdata.Table7.Checksum, paperB: paperdata.Table7.NoChecksum,
+	}
+}
+
+// RunTable1 regenerates Table 1: ATM versus Ethernet round-trip latency.
+func RunTable1(o Options) (*CompareResult, error) { return table1().run(o) }
+
+// RunTable4 regenerates Table 4 (and Figure 1's series): round trips with
+// header prediction disabled versus enabled.
+func RunTable4(o Options) (*CompareResult, error) { return table4().run(o) }
+
+// RunTable6 regenerates Table 6: the standard checksum versus the
+// combined copy-and-checksum kernel.
+func RunTable6(o Options) (*CompareResult, error) { return table6().run(o) }
+
+// RunTable7 regenerates Table 7: round trips with and without the TCP
+// checksum.
+func RunTable7(o Options) (*CompareResult, error) { return table7().run(o) }
 
 // BreakdownResult is a regenerated Table 2 or Table 3.
 type BreakdownResult struct {
@@ -138,117 +194,61 @@ func (r *BreakdownResult) Render() string {
 	return b.String()
 }
 
+// breakdownCells requests the baseline echo at every size with both
+// breakdowns: one run yields a column of Table 2 and of Table 3.
+func breakdownCells() []cell {
+	out := make([]cell, len(Sizes))
+	for i, size := range Sizes {
+		out[i] = cell{echo{cfg: baseConfig(), size: size}, true}
+	}
+	return out
+}
+
+// breakdownTables reads Tables 2 and 3 out of a grid measurement.
+func breakdownTables(m map[echo]measurement) (tx, rx *BreakdownResult) {
+	tx = &BreakdownResult{
+		Title:   "Table 2: Breakdown of Transmit Side Latency (µs, paper in parens)",
+		Side:    "transmit",
+		Layers:  TxLayers,
+		Labels:  []string{"User", "TCP.checksum", "TCP.mcopy", "TCP.segment", "IP", "ATM"},
+		PerSize: map[int]Breakdown{},
+		Paper:   paperdata.Table2,
+	}
+	rx = &BreakdownResult{
+		Title:   "Table 3: Breakdown of Receive Side Latency (µs, paper in parens)",
+		Side:    "receive",
+		Layers:  RxLayers,
+		Labels:  []string{"ATM", "IPQ", "IP", "TCP.checksum", "TCP.segment", "Wakeup", "User"},
+		PerSize: map[int]Breakdown{},
+		Paper:   paperdata.Table3,
+	}
+	for _, size := range Sizes {
+		got := m[echo{cfg: baseConfig(), size: size}]
+		tx.PerSize[size], rx.PerSize[size] = got.tx, got.rx
+	}
+	return tx, rx
+}
+
+// RunBreakdowns regenerates Tables 2 and 3, the transmit- and
+// receive-side latency breakdowns, from one measurement: each size's echo
+// yields both.
+func RunBreakdowns(o Options) (tx, rx *BreakdownResult, err error) {
+	m, err := measure(breakdownCells(), o)
+	if err != nil {
+		return nil, nil, err
+	}
+	tx, rx = breakdownTables(m)
+	return tx, rx, nil
+}
+
 // RunTable2 regenerates Table 2: the transmit-side latency breakdown.
 func RunTable2(o Options) (*BreakdownResult, error) {
-	return runBreakdown(o, "transmit")
+	tx, _, err := RunBreakdowns(o)
+	return tx, err
 }
 
 // RunTable3 regenerates Table 3: the receive-side latency breakdown.
 func RunTable3(o Options) (*BreakdownResult, error) {
-	return runBreakdown(o, "receive")
-}
-
-func runBreakdown(o Options, side string) (*BreakdownResult, error) {
-	o = o.normalize()
-	res := &BreakdownResult{
-		Side:    side,
-		PerSize: map[int]Breakdown{},
-	}
-	if side == "transmit" {
-		res.Title = "Table 2: Breakdown of Transmit Side Latency (µs, paper in parens)"
-		res.Layers = TxLayers
-		res.Labels = []string{"User", "TCP.checksum", "TCP.mcopy", "TCP.segment", "IP", "ATM"}
-		res.Paper = paperdata.Table2
-	} else {
-		res.Title = "Table 3: Breakdown of Receive Side Latency (µs, paper in parens)"
-		res.Layers = RxLayers
-		res.Labels = []string{"ATM", "IPQ", "IP", "TCP.checksum", "TCP.segment", "Wakeup", "User"}
-		res.Paper = paperdata.Table3
-	}
-	type pair struct{ tx, rx Breakdown }
-	jobs := make([]runner.Job, 0, len(Sizes))
-	for _, size := range Sizes {
-		size := size
-		jobs = append(jobs, runner.Job{
-			Label: fmt.Sprintf("breakdown size %d", size),
-			RunOn: func(_ context.Context, tb *runner.Testbeds, seed uint64) (any, error) {
-				tx, rx, err := MeasureBreakdownsOn(tb, seeded(baseConfig(), seed),
-					size, o.Iterations, o.Warmup)
-				if err != nil {
-					return nil, err
-				}
-				return pair{tx, rx}, nil
-			},
-		})
-	}
-	outs, err := runner.Run(context.Background(), jobs, o.runnerOpts())
-	if err != nil {
-		return nil, err
-	}
-	if err := runner.FirstError(outs); err != nil {
-		return nil, err
-	}
-	for i, size := range Sizes {
-		p := outs[i].Value.(pair)
-		if side == "transmit" {
-			res.PerSize[size] = p.tx
-		} else {
-			res.PerSize[size] = p.rx
-		}
-	}
-	return res, nil
-}
-
-// RunTable4 regenerates Table 4 (and Figure 1's series): round trips with
-// header prediction disabled versus enabled.
-func RunTable4(o Options) (*CompareResult, error) {
-	noPred := baseConfig()
-	noPred.DisablePrediction = true
-	rows, err := runCompare(noPred, baseConfig(), o)
-	if err != nil {
-		return nil, err
-	}
-	return &CompareResult{
-		Title:  "Table 4 / Figure 1: Effects of Header Prediction (µs)",
-		ALabel: "NoPred", BLabel: "Pred",
-		Rows:   rows,
-		PaperA: paperdata.Table4.NoPrediction,
-		PaperB: paperdata.Table4.Prediction,
-	}, nil
-}
-
-// RunTable6 regenerates Table 6: the standard checksum versus the
-// combined copy-and-checksum kernel.
-func RunTable6(o Options) (*CompareResult, error) {
-	comb := baseConfig()
-	comb.Mode = cost.ChecksumIntegrated
-	rows, err := runCompare(baseConfig(), comb, o)
-	if err != nil {
-		return nil, err
-	}
-	return &CompareResult{
-		Title:  "Table 6: Standard checksum versus combined copy+checksum (µs)",
-		ALabel: "Standard", BLabel: "Combined",
-		Rows:   rows,
-		PaperA: paperdata.Table6.Standard,
-		PaperB: paperdata.Table6.Combined,
-	}, nil
-}
-
-// RunTable7 regenerates Table 7: round trips with and without the TCP
-// checksum.
-func RunTable7(o Options) (*CompareResult, error) {
-	none := baseConfig()
-	none.Mode = cost.ChecksumNone
-	rows, err := runCompare(baseConfig(), none, o)
-	if err != nil {
-		return nil, err
-	}
-	return &CompareResult{
-		Title:  "Table 7: Round trips with and without the TCP checksum (µs)",
-		ALabel: "Checksum", BLabel: "NoChecksum",
-		Rows:   rows,
-		PaperA: paperdata.Table7.Checksum,
-		PaperB: paperdata.Table7.NoChecksum,
-	}, nil
+	_, rx, err := RunBreakdowns(o)
+	return rx, err
 }

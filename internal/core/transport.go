@@ -1,13 +1,11 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/cost"
 	"repro/internal/lab"
-	"repro/internal/runner"
 	"repro/internal/stats"
 )
 
@@ -35,49 +33,44 @@ type TransportResult struct {
 // ~4 KB are omitted: this UDP does not fragment, and such RPCs would use
 // TCP anyway.
 func RunTransportComparison(mode cost.ChecksumMode, o Options) (*TransportResult, error) {
-	o = o.normalize()
-	res := &TransportResult{Mode: mode}
+	m, err := measure(transportCells(mode), o)
+	if err != nil {
+		return nil, err
+	}
+	return transportResult(mode, m), nil
+}
+
+// transportEcho is the comparison's echo over ATM under mode at size.
+func transportEcho(mode cost.ChecksumMode, size int, udp bool) echo {
+	return echo{cfg: lab.Config{Link: lab.LinkATM, Mode: mode}, size: size, udp: udp}
+}
+
+// transportSizes are the sizes a datagram carries unfragmented.
+func transportSizes() []int {
 	var sizes []int
 	for _, size := range Sizes {
 		if size <= 4000 {
 			sizes = append(sizes, size)
 		}
 	}
-	var jobs []runner.Job
-	for _, size := range sizes {
-		for _, udp := range [2]bool{false, true} {
-			size, udp := size, udp
-			proto := "tcp"
-			if udp {
-				proto = "udp"
-			}
-			jobs = append(jobs, runner.Job{
-				Label: fmt.Sprintf("%s size %d", proto, size),
-				RunOn: func(_ context.Context, tb *runner.Testbeds, seed uint64) (any, error) {
-					cfg := seeded(lab.Config{Link: lab.LinkATM, Mode: mode}, seed)
-					if !udp {
-						return MeasureRTTOn(tb, cfg, size, o)
-					}
-					l := tb.Lab(cfg, 2)
-					echo, err := l.RunUDPEcho(size, o.Iterations, o.Warmup)
-					if err != nil {
-						return nil, err
-					}
-					return echo.MeanRTTMicros(), nil
-				},
-			})
-		}
+	return sizes
+}
+
+// transportCells requests the TCP and the UDP echo at every size.
+func transportCells(mode cost.ChecksumMode) []cell {
+	var out []cell
+	for _, size := range transportSizes() {
+		out = append(out, cell{echo: transportEcho(mode, size, false)}, cell{echo: transportEcho(mode, size, true)})
 	}
-	outs, err := runner.Run(context.Background(), jobs, o.runnerOpts())
-	if err != nil {
-		return nil, err
-	}
-	if err := runner.FirstError(outs); err != nil {
-		return nil, err
-	}
-	for i, size := range sizes {
-		tcpRTT := outs[2*i].Value.(float64)
-		udpRTT := outs[2*i+1].Value.(float64)
+	return out
+}
+
+// transportResult reads the comparison out of a grid measurement.
+func transportResult(mode cost.ChecksumMode, m map[echo]measurement) *TransportResult {
+	res := &TransportResult{Mode: mode}
+	for _, size := range transportSizes() {
+		tcpRTT := m[transportEcho(mode, size, false)].rtt
+		udpRTT := m[transportEcho(mode, size, true)].rtt
 		res.Rows = append(res.Rows, TransportRow{
 			Size:           size,
 			TCPMicros:      tcpRTT,
@@ -85,7 +78,7 @@ func RunTransportComparison(mode cost.ChecksumMode, o Options) (*TransportResult
 			TCPOverheadPct: (tcpRTT - udpRTT) / udpRTT * 100,
 		})
 	}
-	return res, nil
+	return res
 }
 
 // Render formats the comparison.

@@ -6,31 +6,6 @@ import (
 	"testing"
 )
 
-// TestPCBLiveMatchesSynthetic is the satellite assertion: populations of
-// equal size report the same per-entry search cost whether the entries
-// are synthetic inserts or live established connections.
-func TestPCBLiveMatchesSynthetic(t *testing.T) {
-	syn := RunPCBExperiment()
-	live := RunPCBLiveExperiment()
-	t.Log("\n" + live.Render())
-	if !live.Live {
-		t.Fatal("live result not marked live")
-	}
-	if len(syn.Rows) != len(live.Rows) {
-		t.Fatalf("row counts differ: %d vs %d", len(syn.Rows), len(live.Rows))
-	}
-	for i, s := range syn.Rows {
-		l := live.Rows[i]
-		if s != l {
-			t.Errorf("entries %d: synthetic %+v vs live %+v", s.Entries, s, l)
-		}
-	}
-	if syn.PerEntryMicros != live.PerEntryMicros {
-		t.Errorf("per-entry slope differs: synthetic %.3f vs live %.3f",
-			syn.PerEntryMicros, live.PerEntryMicros)
-	}
-}
-
 // TestPCBPopulationEffectLive is the small-population end of
 // TestPCBPopulationEffect: the populations are real established
 // connections (lab.Config.LivePCBs is the one population knob), and even

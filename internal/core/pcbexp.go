@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cost"
 	"repro/internal/kern"
 	"repro/internal/lab"
 	"repro/internal/paperdata"
@@ -30,34 +29,53 @@ type PCBRow struct {
 type PCBResult struct {
 	Rows           []PCBRow
 	PerEntryMicros float64 // fitted slope
-	// Live marks a study whose table populations are real established
-	// connections (built by live handshakes) instead of synthetic
-	// inserts. The per-entry search cost must be identical either way —
-	// the list does not care how its entries were born — which
-	// TestPCBLiveMatchesSynthetic asserts.
-	Live bool
 }
 
-// RunPCBExperiment measures PCB lookup cost on the simulated CPU by
-// driving real lookups through a populated table, exactly as the kernel
-// input path does: the cost charged is per entry traversed.
+// RunPCBExperiment measures PCB lookup cost on the simulated CPU against
+// populations of real connections: for each list length it establishes
+// that many TCP connections on a two-host testbed and drives real lookups
+// through the server's demultiplexing table, exactly as the kernel input
+// path does — the cost charged is per entry traversed. The first
+// connection opened ends deepest in the BSD head-inserted list, so it is
+// the lookup's target.
 func RunPCBExperiment() *PCBResult {
 	res := &PCBResult{}
 	for _, n := range pcbLengths {
-		env := sim.NewEnv()
-		k := kern.New(env, cost.DECstation5000(), "pcbhost")
-		var tb pcb.Table
-		var target pcb.Key
-		for i := 0; i < n; i++ {
-			key := pcb.Key{LocalAddr: 1, RemoteAddr: uint32(i + 10), LocalPort: 80, RemotePort: uint16(i + 1)}
-			tb.Insert(&pcb.PCB{Key: key})
-			if i == 0 {
-				target = key // first inserted ends at the tail
-			}
+		l := lab.New(lab.Config{Link: lab.LinkATM})
+		if _, err := l.Server.TCP.Listen(7); err != nil {
+			panic(err)
 		}
-		res.Rows = append(res.Rows, pcbRow(k, &tb, target, n))
+		var first *tcp.Conn
+		var op *tcp.ConnectOp
+		// Iteration i folds in connect i-1's result before launching
+		// connect i; the extra trailing iteration folds in the last.
+		l.Env.Spawn("populate", sim.LoopN(n+1, func(p *sim.Proc, i int) {
+			if op != nil {
+				if op.Err != nil {
+					panic(fmt.Sprintf("core: live PCB %d: %v", i-1, op.Err))
+				}
+				if i == 1 {
+					first = op.C
+				}
+			}
+			if i < n {
+				op = l.Client.TCP.Connect(p, lab.ServerAddr, 7)
+			}
+		}))
+		l.Env.Run()
+
+		// The server-side key of the first connection: the mirror of the
+		// client's 4-tuple.
+		target := pcb.Key{
+			LocalAddr:  lab.ServerAddr,
+			RemoteAddr: lab.ClientAddr,
+			LocalPort:  7,
+			RemotePort: first.Key().LocalPort,
+		}
+		res.Rows = append(res.Rows, pcbRow(l.Server.Kern, &l.Server.TCP.Table, target, n))
 	}
-	res.fitSlope()
+	first, last := res.Rows[0], res.Rows[len(res.Rows)-1]
+	res.PerEntryMicros = (last.ListMicros - first.ListMicros) / float64(last.Entries-first.Entries)
 	return res
 }
 
@@ -105,69 +123,12 @@ func pcbRow(k *kern.Kernel, tb *pcb.Table, target pcb.Key, n int) PCBRow {
 	}
 }
 
-// fitSlope fits the per-entry cost through the list column's endpoints.
-func (r *PCBResult) fitSlope() {
-	first, last := r.Rows[0], r.Rows[len(r.Rows)-1]
-	r.PerEntryMicros = (last.ListMicros - first.ListMicros) / float64(last.Entries-first.Entries)
-}
-
-// pcbLengths is the population axis shared by the synthetic and live
-// variants of the §3 study.
+// pcbLengths is the study's population axis.
 var pcbLengths = []int{20, 50, 100, 250, 500, 1000}
-
-// RunPCBLiveExperiment is the live-population variant of the §3 study:
-// instead of synthetically inserting PCBs, it establishes real TCP
-// connections on a two-host testbed and measures lookup cost against the
-// server's resulting demultiplexing table. The first connection opened
-// ends deepest in the BSD head-inserted list, exactly where the
-// synthetic study places its target.
-func RunPCBLiveExperiment() *PCBResult {
-	res := &PCBResult{Live: true}
-	for _, n := range pcbLengths {
-		l := lab.New(lab.Config{Link: lab.LinkATM})
-		if _, err := l.Server.TCP.Listen(7); err != nil {
-			panic(err)
-		}
-		var first *tcp.Conn
-		var op *tcp.ConnectOp
-		// Iteration i folds in connect i-1's result before launching
-		// connect i; the extra trailing iteration folds in the last.
-		l.Env.Spawn("populate", sim.LoopN(n+1, func(p *sim.Proc, i int) {
-			if op != nil {
-				if op.Err != nil {
-					panic(fmt.Sprintf("core: live PCB %d: %v", i-1, op.Err))
-				}
-				if i == 1 {
-					first = op.C
-				}
-			}
-			if i < n {
-				op = l.Client.TCP.Connect(p, lab.ServerAddr, 7)
-			}
-		}))
-		l.Env.Run()
-
-		// The server-side key of the first connection: the mirror of the
-		// client's 4-tuple.
-		target := pcb.Key{
-			LocalAddr:  lab.ServerAddr,
-			RemoteAddr: lab.ClientAddr,
-			LocalPort:  7,
-			RemotePort: first.Key().LocalPort,
-		}
-		res.Rows = append(res.Rows, pcbRow(l.Server.Kern, &l.Server.TCP.Table, target, n))
-	}
-	res.fitSlope()
-	return res
-}
 
 // Render formats the §3 experiment with the paper's endpoints.
 func (r *PCBResult) Render() string {
-	title := "§3: PCB lookup cost versus table organization (µs)"
-	if r.Live {
-		title = "§3 (live variant): PCB lookup cost, populations of real connections (µs)"
-	}
-	t := stats.NewTable(title,
+	t := stats.NewTable("§3: PCB lookup cost versus table organization (µs)",
 		"Entries", "List", "Hash", "Cache hit")
 	for _, row := range r.Rows {
 		t.AddRow(row.Entries, row.ListMicros, row.HashMicros, row.CacheMicros)

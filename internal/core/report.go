@@ -11,18 +11,14 @@ import (
 
 // Report holds every regenerated experiment.
 type Report struct {
-	Table1 *CompareResult
-	Table2 *BreakdownResult
-	Table3 *BreakdownResult
-	Table4 *CompareResult
-	Table5 *CksumResult
-	Table6 *CompareResult
-	Table7 *CompareResult
-	PCB    *PCBResult
-	// PCBLive is the §3 study measured against live connection
-	// populations instead of synthetic inserts; its rows must match PCB
-	// exactly.
-	PCBLive   *PCBResult
+	Table1    *CompareResult
+	Table2    *BreakdownResult
+	Table3    *BreakdownResult
+	Table4    *CompareResult
+	Table5    *CksumResult
+	Table6    *CompareResult
+	Table7    *CompareResult
+	PCB       *PCBResult
 	Sun3      Sun3Result
 	Errors    *ErrorStudyResult
 	Transport *TransportResult
@@ -73,7 +69,6 @@ func RunAll(o Options) (*Report, error) {
 		return nil, fmt.Errorf("table 5: %w", err)
 	}
 	r.PCB = RunPCBExperiment()
-	r.PCBLive = RunPCBLiveExperiment()
 	r.Sun3 = RunSun3Comparison()
 	if r.Errors, err = RunErrorStudy(150, o); err != nil {
 		return nil, fmt.Errorf("error study: %w", err)
@@ -96,7 +91,6 @@ func (r *Report) Render() string {
 		r.Table3.Render(),
 		r.Table4.Render(),
 		r.PCB.Render(),
-		r.PCBLive.Render(),
 		r.Table5.Render(),
 		r.Table6.Render(),
 		r.Table7.Render(),

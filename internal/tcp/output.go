@@ -164,6 +164,32 @@ func (f *outputOp) Step(p *sim.Proc) {
 			}
 			f.th = th
 
+			// The send sequence advances with the decision. 4.4BSD advances
+			// it before ip_output, with all of tcp_output at splnet; here
+			// input runs at every charge below, so the advance cannot wait
+			// for any of them. Input that runs meanwhile — an ACK of the SYN
+			// taken in while a retransmitted SYN-ACK is still being built or
+			// is in the driver — finds snd_nxt and snd_max already past the
+			// segment and cannot have it counted twice.
+			seqLen := length
+			if flags&FlagSYN != 0 {
+				seqLen++
+			}
+			if flags&FlagFIN != 0 {
+				seqLen++
+				c.finSent = true
+			}
+			c.sndNxt = c.sndNxt.Add(seqLen)
+			if c.sndNxt.Gt(c.sndMax) {
+				c.sndMax = c.sndNxt
+				// Time this transmission for RTT if nothing is being timed.
+				if !c.rtTiming && seqLen > 0 {
+					c.rtTiming = true
+					c.rtSeq = th.Seq
+					c.rtStart = k.Now()
+				}
+			}
+
 			// Tag the process with this segment's on-wire identity for the
 			// rest of the transmit path: every CPU charge from here down —
 			// mcopy, output processing, checksum, ip_output, the driver —
@@ -308,25 +334,7 @@ func (f *outputOp) Step(p *sim.Proc) {
 			c.S.IP.Output(p, c.remoteAddr(), ip.ProtoTCP, f.hm)
 			return
 
-		case 10: // advance send state, then loop if outputOnce said to
-			seqLen := f.length
-			if f.flags&FlagSYN != 0 {
-				seqLen++
-			}
-			if f.flags&FlagFIN != 0 {
-				seqLen++
-				c.finSent = true
-			}
-			c.sndNxt = c.sndNxt.Add(seqLen)
-			if c.sndNxt.Gt(c.sndMax) {
-				c.sndMax = c.sndNxt
-				// Time this transmission for RTT if nothing is being timed.
-				if !c.rtTiming && seqLen > 0 {
-					c.rtTiming = true
-					c.rtSeq = f.th.Seq
-					c.rtStart = k.Now()
-				}
-			}
+		case 10: // arm the timer, note what was sent, loop if the pass said to
 			if c.sndUna != c.sndMax {
 				c.setRexmt()
 			}

@@ -1254,3 +1254,75 @@ func TestConnIsOneAllocation(t *testing.T) {
 		t.Errorf("a connection costs %v allocations, want 2: one Conn an end", allocs)
 	}
 }
+
+// TestSynAckRetransmittedWhileItsAckIsInFlight forces the server's
+// retransmission timer at every microsecond of a handshake. Where it
+// fires after the client has sent its ACK of the SYN-ACK but before the
+// server has taken it in, that ACK is processed while the retransmitted
+// SYN-ACK is still being built or is inside ip_output. tcp_output must
+// have advanced snd_nxt and snd_max past the SYN when it decided to send:
+// advanced later, from an snd_nxt the ACK has already moved past the SYN,
+// it counts the SYN a second time, and the idle connection retransmits a
+// sequence byte that does not exist until it gives up. Whatever the
+// instant, the handshake must end with every send variable at iss+1 and
+// an idle connection that sends nothing more.
+func TestSynAckRetransmittedWhileItsAckIsInFlight(t *testing.T) {
+	run := func(at sim.Time) (p *pair, client, server *Conn, raced bool) {
+		p = newPair(t, cost.ChecksumStandard)
+		ln, err := p.sb.Listen(80)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var accept *AcceptOp
+		p.env.Spawn("server", sim.Steps(
+			func(pr *sim.Proc) { accept = ln.Accept(pr) },
+			func(pr *sim.Proc) { server = accept.C },
+		))
+		var op *ConnectOp
+		p.env.Spawn("client", sim.Steps(
+			func(pr *sim.Proc) { op = p.sa.Connect(pr, 2, 80) },
+			func(pr *sim.Proc) { client = op.C },
+		))
+		p.env.At(at, "force-rexmt", func() {
+			for _, e := range p.sb.Table.Entries() {
+				if c, ok := e.Owner.(*Conn); ok && c.state == StateSynRcvd {
+					raced = op.c.state == StateEstablished
+					c.TimerFired(&c.rexmt)
+				}
+			}
+		})
+		p.env.RunUntil(at + 600*sim.Second)
+		return p, client, server, raced
+	}
+
+	races := 0
+	for at := sim.Time(0); at < 2*sim.Millisecond; at += sim.Microsecond {
+		p, client, server, raced := run(at)
+		if client == nil || server == nil {
+			t.Fatalf("at %v: handshake incomplete", at)
+		}
+		if raced {
+			races++
+		}
+		for name, c := range map[string]*Conn{"client": client, "server": server} {
+			una, nxt, top := c.sndUna.Diff(c.iss), c.sndNxt.Diff(c.iss), c.sndMax.Diff(c.iss)
+			if una > nxt || nxt > top {
+				t.Errorf("at %v, %s: snd_una %d, snd_nxt %d, snd_max %d past iss: out of order", at, name, una, nxt, top)
+			}
+			if una != 1 || nxt != 1 || top != 1 {
+				t.Errorf("at %v, %s: snd_una %d, snd_nxt %d, snd_max %d past iss, want 1 each", at, name, una, nxt, top)
+			}
+		}
+		if n := p.sb.Stats.Retransmits; n > 1 || p.sa.Stats.Retransmits != 0 {
+			t.Errorf("at %v: the idle connection retransmitted %d times after the forced one", at,
+				n-1+p.sa.Stats.Retransmits)
+		}
+		if t.Failed() {
+			return
+		}
+	}
+	if races == 0 {
+		t.Fatal("no instant found the client's ACK in flight: the scan misses the race")
+	}
+	t.Logf("%d instants with the ACK in flight", races)
+}

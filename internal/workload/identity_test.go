@@ -19,7 +19,11 @@ import (
 // so a change that shifts one (at, seq) fails here by name. The loaded
 // runs are there for the timers: under burst loss, reordering and cross
 // traffic they retransmit, delay ACKs and pass connections through
-// TIME_WAIT, and each checks that it still does.
+// TIME_WAIT, and each checks that it still does. Their fired count and
+// drained clock were re-captured once, when tcp_output began advancing
+// the send sequence with its send decision: the RTT sample starts there,
+// which moves the timers left running after the last request. Their
+// digests did not move.
 func TestEventIdentity(t *testing.T) {
 	loaded := lab.Config{Link: lab.LinkATM, Seed: 1994,
 		Qdisc:       lab.QdiscConfig{Kind: lab.QdiscRED, REDMinCells: 2, REDMaxCells: 256, REDMaxP: 0.5},
@@ -50,12 +54,12 @@ func TestEventIdentity(t *testing.T) {
 		},
 		{
 			name: "loaded-grid-tcp-red", hosts: 33, cfg: loaded, gen: loadedGen(TransportTCP), timers: true,
-			fired: 265684, clock: 41191567965,
+			fired: 265684, clock: 41235804273,
 			digest: "6812b67060950b34b15e40a69874d68af54a9ca999dd3586216a27936c772b49",
 		},
 		{
 			name: "loaded-grid-rudp-red", hosts: 33, cfg: loaded, gen: loadedGen(TransportRUDP),
-			fired: 345979, clock: 47212318258,
+			fired: 345962, clock: 47257311562,
 			digest: "dfcbd586211d8b17c7a454b7bedf73c916fb9d9438c5d5cb767d7e738bfd65f0",
 		},
 	}

@@ -288,9 +288,9 @@ func fuzzConfig(b []byte) (cfg Config, hosts, shards int) {
 
 // FuzzConfigValidate is the robustness contract end to end: Validate
 // never panics, and a configuration it accepts builds, runs a two-round
-// echo under a watchdog to a result or a diagnosed error — never a hang
-// or a panic — and resets to a second accepted configuration of its
-// shape.
+// echo under a watchdog — to a result, or to a diagnosed error when the
+// links lose, corrupt or reorder, never to a hang or a panic — and
+// resets to a second accepted configuration of its shape.
 func FuzzConfigValidate(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 4, 0, 0, 0, 1})                                      // 4 hosts, 4 shards, hashed
@@ -298,9 +298,10 @@ func FuzzConfigValidate(f *testing.F) {
 	f.Add([]byte{3, 1, 0, 0, 0, 0, 8, 20, 10, 10, 0, 0, 0, 0, 5, 16, 2}) // hub, loss, reorder, RED
 	f.Add([]byte{7, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 37, 8, 0, 0, 1, 16, 7})
 	// What the target found first: twelve population connections under 14 %
-	// cell loss. A SYN-ACK retransmitted while its ACK is on the way in
-	// leaves the server one phantom sequence byte to retransmit, so the
-	// echo's result arrives only when the watchdog ends the run.
+	// cell loss. A SYN-ACK retransmitted while its ACK was on the way in
+	// left the server one phantom sequence byte to retransmit, so the
+	// echo's result arrived only when the watchdog ended the run
+	// (tcp.TestSynAckRetransmittedWhileItsAckIsInFlight owns the fix).
 	f.Add([]byte("010000aYx\b0000000000"))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		half := len(b) / 2
@@ -319,6 +320,13 @@ func FuzzConfigValidate(f *testing.F) {
 		}
 		wd := c.ArmWatchdog(0)
 		if _, err := c.RunEcho(64, 2, 0); err != nil || wd.Fired() {
+			// A configuration that loses, corrupts and reorders nothing has
+			// no excuse: its echo completes and its connections go quiet.
+			if cfg.CellLossRate == 0 && cfg.CellCorruptRate == 0 && cfg.HostCorruptRate == 0 &&
+				!cfg.BurstLoss.Enabled() && cfg.ReorderRate == 0 {
+				t.Fatalf("loss-free %+v (%d hosts, %d shards): echo error %v, watchdog fired %v",
+					cfg, hosts, shards, err, wd.Fired())
+			}
 			// Diagnosed, not hung: loss can starve a two-round echo, or
 			// leave a connection backing off after it until the watchdog
 			// ends the run. Either way the loop still holds the dead run's

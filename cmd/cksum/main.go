@@ -45,14 +45,14 @@ func run(args []string, w io.Writer) error {
 	// The three studies are independent; run them through the sweep
 	// engine so -parallel applies here too.
 	jobs := []runner.Job{
-		{Label: "table5", Run: func(context.Context, uint64) (any, error) {
+		{Label: "table5", RunOn: func(context.Context, *runner.Testbeds, uint64) (any, error) {
 			return core.RunTable5Seeded(*seed)
 		}},
 	}
 	if *pcb {
 		jobs = append(jobs, runner.Job{
 			Label: "pcb",
-			Run: func(context.Context, uint64) (any, error) {
+			RunOn: func(context.Context, *runner.Testbeds, uint64) (any, error) {
 				return core.RunPCBExperiment(), nil
 			},
 		})
@@ -60,7 +60,7 @@ func run(args []string, w io.Writer) error {
 	if *sun {
 		jobs = append(jobs, runner.Job{
 			Label: "sun3",
-			Run: func(context.Context, uint64) (any, error) {
+			RunOn: func(context.Context, *runner.Testbeds, uint64) (any, error) {
 				return core.RunSun3Comparison(), nil
 			},
 		})

@@ -8,7 +8,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/lab"
 	"repro/internal/trace"
@@ -108,14 +107,4 @@ func unattributed(b Breakdown, layers []trace.Layer) float64 {
 		rest = 0
 	}
 	return rest
-}
-
-// sortedLayers returns the layers present in a breakdown, for debugging.
-func sortedLayers(b Breakdown) []trace.Layer {
-	out := make([]trace.Layer, 0, len(b.Rows))
-	for l := range b.Rows {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -24,10 +24,6 @@ type Options struct {
 	BaseSeed uint64
 }
 
-// DefaultOptions returns the iteration counts the experiment suite uses
-// by default.
-func DefaultOptions() Options { return Options{Iterations: 100, Warmup: 8} }
-
 // normalize applies defaults to zero fields.
 func (o Options) normalize() Options {
 	if o.Iterations <= 0 {

@@ -59,7 +59,7 @@ func TestGoroutineFootprintDuringSweep(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = Job{
 			Label: fmt.Sprintf("fanin%d", i),
-			Run: func(context.Context, uint64) (any, error) {
+			RunOn: func(context.Context, *Testbeds, uint64) (any, error) {
 				l := lab.NewTopology(lab.Config{Link: lab.LinkATM, Seed: 9}, 17)
 				_, err := (workload.FanIn{Size: 64, Requests: 4, Warmup: 1}).Run(l)
 				sample()

@@ -15,9 +15,9 @@
 //     grid order regardless of completion order.
 //
 // Execution is worker-affine: every worker owns a Testbeds cache of warm
-// labs keyed by topology shape, and jobs that set Job.RunOn acquire
-// their lab through it — a trial rebinds an already-assembled topology
-// (lab.Lab.Reset) instead of reconstructing kernels, mbuf pools, and
+// labs keyed by topology shape, and jobs acquire their lab through it —
+// a trial rebinds an already-assembled topology (lab.Lab.Reset) instead
+// of reconstructing kernels, mbuf pools, and
 // event heaps per grid cell, which is where most of a sweep's wall-clock
 // time and allocation volume used to go (see docs/PERFORMANCE.md). The
 // reset restores bit-identical initial state, so reuse is invisible to
@@ -56,23 +56,20 @@ func SeedFor(base uint64, index int) uint64 {
 	return z
 }
 
-// Job is one independent unit of sweep work. Run receives the context
-// (observe it for cancellation in long jobs) and the seed derived for the
-// job's grid index — zero when the sweep did not request derived seeds,
-// in which case the job keeps whatever seeding its configuration carries.
+// Job is one independent unit of sweep work. RunOn receives the context
+// (observe it for cancellation in long jobs), the executing worker's
+// warm-testbed cache, and the seed derived for the job's grid index —
+// zero when the sweep did not request derived seeds, in which case the
+// job keeps whatever seeding its configuration carries.
 //
-// RunOn, when non-nil, takes precedence over Run and additionally
-// receives the executing worker's warm-testbed cache (Testbeds): jobs
-// that build a lab should acquire it through tb.Lab so consecutive
-// trials on one worker reuse an assembled topology instead of
-// reconstructing it. Because every reused lab is reset to bit-identical
-// initial state and every seed derives from grid position alone, RunOn
-// jobs keep the sweep's contract: outcomes are byte-identical at any
-// worker count, and identical whether a trial ran on a cold or warm
-// testbed.
+// Jobs that build a lab acquire it through tb.Lab, so consecutive trials
+// on one worker reuse an assembled topology instead of reconstructing it.
+// Because every reused lab is reset to bit-identical initial state and
+// every seed derives from grid position alone, outcomes are
+// byte-identical at any worker count, and identical whether a trial ran
+// on a cold or warm testbed.
 type Job struct {
 	Label string
-	Run   func(ctx context.Context, seed uint64) (any, error)
 	RunOn func(ctx context.Context, tb *Testbeds, seed uint64) (any, error)
 }
 
@@ -182,10 +179,7 @@ func runOne(ctx context.Context, j Job, tb *Testbeds, seed uint64) (v any, err e
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if j.RunOn != nil {
-		return j.RunOn(ctx, tb, seed)
-	}
-	return j.Run(ctx, seed)
+	return j.RunOn(ctx, tb, seed)
 }
 
 // FirstError returns the first job error in grid order, or nil.

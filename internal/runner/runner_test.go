@@ -98,7 +98,7 @@ func TestRunCancellation(t *testing.T) {
 		i := i
 		jobs[i] = Job{
 			Label: fmt.Sprintf("job%d", i),
-			Run: func(context.Context, uint64) (any, error) {
+			RunOn: func(context.Context, *Testbeds, uint64) (any, error) {
 				ran++
 				if i == 1 {
 					cancel()
@@ -124,8 +124,8 @@ func TestRunCancellation(t *testing.T) {
 
 func TestRunPanicBecomesError(t *testing.T) {
 	jobs := []Job{
-		{Label: "ok", Run: func(context.Context, uint64) (any, error) { return 1, nil }},
-		{Label: "boom", Run: func(context.Context, uint64) (any, error) { panic("kaboom") }},
+		{Label: "ok", RunOn: func(context.Context, *Testbeds, uint64) (any, error) { return 1, nil }},
+		{Label: "boom", RunOn: func(context.Context, *Testbeds, uint64) (any, error) { panic("kaboom") }},
 	}
 	outs, err := Run(context.Background(), jobs, Options{Workers: 2})
 	if err != nil {
@@ -146,7 +146,7 @@ func TestProgressReporting(t *testing.T) {
 	var calls []int
 	jobs := make([]Job, 5)
 	for i := range jobs {
-		jobs[i] = Job{Run: func(context.Context, uint64) (any, error) { return nil, nil }}
+		jobs[i] = Job{RunOn: func(context.Context, *Testbeds, uint64) (any, error) { return nil, nil }}
 	}
 	_, err := Run(context.Background(), jobs, Options{
 		Workers:  3,

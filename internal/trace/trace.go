@@ -127,8 +127,8 @@ func (r *Recorder) Disable() { r.enabled = false }
 func (r *Recorder) DisableSpans() { r.noSpans = true }
 
 // EnableSpans restores the zero value's behaviour — spans are kept while
-// the recorder is enabled. Whoever is going to read Spans, Breakdown or
-// WindowSpans of a testbed's recorder calls it before the run.
+// the recorder is enabled. Whoever is going to read Spans or Breakdown of
+// a testbed's recorder calls it before the run.
 func (r *Recorder) EnableSpans() { r.noSpans = false }
 
 // Enabled reports whether the recorder is accepting records.
@@ -147,9 +147,9 @@ func (r *Recorder) Reset() {
 // A span that starts exactly where the previous one ended, on the same
 // layer, extends it instead of being appended: the drivers charge the CPU
 // once per cell, back to back, and a large datagram would otherwise leave
-// hundreds of abutting records. Breakdown and WindowSpans clip each span
-// to the window and add, so the merged span contributes exactly what its
-// pieces would have, whatever the window cuts through.
+// hundreds of abutting records. Breakdown clips each span to the window
+// and adds, so the merged span contributes exactly what its pieces would
+// have, whatever the window cuts through.
 func (r *Recorder) Span(layer Layer, start, end sim.Time) {
 	if !r.Enabled() || r.noSpans {
 		return
@@ -177,9 +177,6 @@ func (r *Recorder) Mark(name string, at sim.Time) {
 // Spans returns the recorded spans in insertion order.
 func (r *Recorder) Spans() []Span { return r.spans }
 
-// Marks returns the recorded marks in insertion order.
-func (r *Recorder) Marks() []Mark { return r.marks }
-
 // LastMark returns the time of the latest mark with the given name at or
 // before limit, and whether one exists.
 func (r *Recorder) LastMark(name string, limit sim.Time) (sim.Time, bool) {
@@ -187,20 +184,6 @@ func (r *Recorder) LastMark(name string, limit sim.Time) (sim.Time, bool) {
 	found := false
 	for _, m := range r.marks {
 		if m.Name == name && m.At <= limit && (!found || m.At > best) {
-			best = m.At
-			found = true
-		}
-	}
-	return best, found
-}
-
-// FirstMarkAfter returns the time of the earliest mark with the given name
-// at or after from, and whether one exists.
-func (r *Recorder) FirstMarkAfter(name string, from sim.Time) (sim.Time, bool) {
-	var best sim.Time
-	found := false
-	for _, m := range r.marks {
-		if m.Name == name && m.At >= from && (!found || m.At < best) {
 			best = m.At
 			found = true
 		}
@@ -225,24 +208,6 @@ func (r *Recorder) Breakdown(start, end sim.Time) map[Layer]sim.Time {
 		}
 		if hi > lo {
 			out[s.Layer] += hi - lo
-		}
-	}
-	return out
-}
-
-// WindowSpans returns the spans overlapping [start, end], clipped to it.
-func (r *Recorder) WindowSpans(start, end sim.Time) []Span {
-	var out []Span
-	for _, s := range r.spans {
-		lo, hi := s.Start, s.End
-		if lo < start {
-			lo = start
-		}
-		if hi > end {
-			hi = end
-		}
-		if hi > lo {
-			out = append(out, Span{Layer: s.Layer, Start: lo, End: hi})
 		}
 	}
 	return out

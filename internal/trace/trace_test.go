@@ -10,7 +10,7 @@ func TestDisabledRecorderIsNoop(t *testing.T) {
 	var r Recorder
 	r.Span(LayerUserTx, 0, 100)
 	r.Mark("m", 50)
-	if len(r.Spans()) != 0 || len(r.Marks()) != 0 {
+	if len(r.Spans()) != 0 || len(r.marks) != 0 {
 		t.Fatal("disabled recorder stored records")
 	}
 	if r.Enabled() {
@@ -79,7 +79,7 @@ func TestBreakdownSumsMultipleSpans(t *testing.T) {
 // TestAbuttingSpansMergeExactly: a span that starts where the previous
 // one ended on the same layer extends it, and no window can tell — for
 // every window, including ones that cut through a merged span, Breakdown
-// and WindowSpans account for exactly what the pieces would have.
+// accounts for exactly what the pieces would have.
 func TestAbuttingSpansMergeExactly(t *testing.T) {
 	pieces := []Span{
 		{LayerATMRx, 0, 10}, {LayerATMRx, 10, 20}, {LayerATMRx, 20, 30}, // one run
@@ -121,14 +121,9 @@ func TestAbuttingSpansMergeExactly(t *testing.T) {
 			if len(b) != len(unmerged) {
 				t.Fatalf("window [%d,%d]: breakdown %v, unmerged %v", start, end, b, unmerged)
 			}
-			clipped := make(map[Layer]sim.Time)
-			for _, s := range r.WindowSpans(start, end) {
-				clipped[s.Layer] += s.Duration()
-			}
 			for l, d := range unmerged {
-				if b[l] != d || clipped[l] != d {
-					t.Fatalf("window [%d,%d] %s: breakdown %d, window spans %d, unmerged %d",
-						start, end, l, b[l], clipped[l], d)
+				if b[l] != d {
+					t.Fatalf("window [%d,%d] %s: breakdown %d, unmerged %d", start, end, l, b[l], d)
 				}
 			}
 		}
@@ -153,39 +148,6 @@ func TestLastMark(t *testing.T) {
 	}
 	if _, ok := r.LastMark("absent", 1000); ok {
 		t.Fatal("found a mark that was never recorded")
-	}
-}
-
-func TestFirstMarkAfter(t *testing.T) {
-	var r Recorder
-	r.Enable()
-	r.Mark("x", 100)
-	r.Mark("x", 300)
-	if at, ok := r.FirstMarkAfter("x", 150); !ok || at != 300 {
-		t.Fatalf("FirstMarkAfter = %v,%v", at, ok)
-	}
-	if at, ok := r.FirstMarkAfter("x", 100); !ok || at != 100 {
-		t.Fatalf("FirstMarkAfter inclusive = %v,%v", at, ok)
-	}
-	if _, ok := r.FirstMarkAfter("x", 301); ok {
-		t.Fatal("found mark after the last")
-	}
-}
-
-func TestWindowSpans(t *testing.T) {
-	var r Recorder
-	r.Enable()
-	r.Span(LayerUserRx, 0, 100)
-	r.Span(LayerIPRx, 200, 300)
-	got := r.WindowSpans(50, 250)
-	if len(got) != 2 {
-		t.Fatalf("WindowSpans = %v", got)
-	}
-	if got[0].Start != 50 || got[0].End != 100 {
-		t.Fatalf("first clipped to [%v,%v]", got[0].Start, got[0].End)
-	}
-	if got[1].Start != 200 || got[1].End != 250 {
-		t.Fatalf("second clipped to [%v,%v]", got[1].Start, got[1].End)
 	}
 }
 

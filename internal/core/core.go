@@ -40,12 +40,6 @@ func (o Options) runnerOpts() runner.Options {
 	return runner.Options{Workers: o.Parallel, BaseSeed: o.BaseSeed}
 }
 
-// seeded applies a derived trial seed to a configuration (see
-// runner.ApplySeed).
-func seeded(cfg lab.Config, seed uint64) lab.Config {
-	return runner.ApplySeed(cfg, seed)
-}
-
 // MeasureRTT runs the echo benchmark under one configuration on a fresh
 // testbed and returns the mean round-trip time in microseconds.
 func MeasureRTT(cfg lab.Config, size int, o Options) (float64, error) {

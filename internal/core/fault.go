@@ -98,7 +98,7 @@ func RunFaultStudy(o FaultOptions) (*FaultResult, error) {
 				// CheckLeaks holds the crash machinery to the same
 				// standard as a healthy run: a trial that strands mbuf
 				// chains fails its testbed's next acquisition loudly.
-				cfg := seeded(lab.Config{Link: lab.LinkATM, CheckLeaks: true}, seed)
+				cfg := runner.ApplySeed(lab.Config{Link: lab.LinkATM, CheckLeaks: true}, seed)
 				g := workload.FaultRecovery{
 					Transport: tr, Requests: o.Requests, Size: o.Size,
 					CrashAt: o.CrashAt, Downtime: o.Downtime,

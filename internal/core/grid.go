@@ -9,13 +9,11 @@ import (
 )
 
 // echo is one cell of the paper's evaluation grid: the §1.2 echo benchmark
-// under one testbed configuration at one transfer size, over TCP or — for
-// the transport comparison — UDP. Every round-trip table is a view of such
-// cells, and the views overlap: the baseline system (TCP over ATM, standard
-// checksum, header prediction on) is a column of Tables 1, 4, 6 and 7 and
-// of the transport comparison, and the run behind Tables 2 and 3.
-// lab.Config is comparable, so an echo is its own map key, and a cell is
-// measured once however many views read it.
+// under one configuration at one size, over TCP or UDP. Every round-trip
+// table is a view of such cells, and the views overlap — the baseline
+// system is a column of Tables 1, 4, 6 and 7 and of the transport
+// comparison, and the run behind Tables 2 and 3 — so an echo (lab.Config
+// is comparable) is a map key, and each is measured once.
 type echo struct {
 	cfg  lab.Config
 	size int
@@ -23,40 +21,39 @@ type echo struct {
 }
 
 // cell is a view's request for an echo; breakdowns asks for the client's
-// transmit and receive breakdowns from the same run.
+// two breakdowns from the same run.
 type cell struct {
 	echo
 	breakdowns bool
 }
 
-// measurement is one echo's result: the mean round trip in microseconds,
-// and both breakdowns when a request asked for them.
+// measurement is one echo's mean round trip (µs) and, when asked for,
+// its breakdowns.
 type measurement struct {
 	rtt    float64
 	tx, rx Breakdown
 }
 
 // distinct folds the requests for each echo into one, in first-request
-// order — which fixes the echo's grid index and so its derived seed — with
-// the breakdowns armed when any request asks for them.
+// order (which fixes its grid index and so its derived seed), with the
+// breakdowns armed when any request asks for them.
 func distinct(cells []cell) []cell {
-	at := make(map[echo]int, len(cells))
+	at := map[echo]int{}
 	var out []cell
 	for _, c := range cells {
-		i, seen := at[c.echo]
-		if !seen {
-			at[c.echo] = len(out)
-			out = append(out, c)
+		if i, seen := at[c.echo]; seen {
+			out[i].breakdowns = out[i].breakdowns || c.breakdowns
 			continue
 		}
-		out[i].breakdowns = out[i].breakdowns || c.breakdowns
+		at[c.echo] = len(out)
+		out = append(out, c)
 	}
 	return out
 }
 
-// measure runs each distinct echo the cells name once, fanned out over the
-// sweep engine, and returns every echo's measurement. The results are
-// bit-identical at any worker count.
+// measure runs each distinct echo the cells name once through the sweep
+// engine and returns every echo's measurement, bit-identical at any
+// worker count.
 func measure(cells []cell, o Options) (map[echo]measurement, error) {
 	o = o.normalize()
 	cells = distinct(cells)
@@ -67,18 +64,15 @@ func measure(cells []cell, o Options) (map[echo]measurement, error) {
 		if c.udp {
 			label += "/udp"
 		}
-		jobs[i] = runner.Job{
-			Label: label,
-			RunOn: func(_ context.Context, tb *runner.Testbeds, seed uint64) (any, error) {
-				return c.run(tb, seed, o)
-			},
-		}
+		jobs[i] = runner.Job{Label: label, RunOn: func(_ context.Context, tb *runner.Testbeds, seed uint64) (any, error) {
+			return c.run(tb, seed, o)
+		}}
 	}
 	outs, err := runner.Run(context.Background(), jobs, o.runnerOpts())
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = runner.FirstError(outs)
 	}
-	if err := runner.FirstError(outs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	m := make(map[echo]measurement, len(cells))
@@ -88,23 +82,18 @@ func measure(cells []cell, o Options) (map[echo]measurement, error) {
 	return m, nil
 }
 
-// run measures the cell on a testbed from the worker's warm cache (or a
-// fresh one when tb is nil). Arming the client's spans for the breakdowns
+// run measures the cell on a testbed from the worker's warm cache, or a
+// fresh one when tb is nil. Arming the client's spans for the breakdowns
 // leaves the round trip unchanged to the bit.
 func (c cell) run(tb *runner.Testbeds, seed uint64, o Options) (measurement, error) {
-	l := tb.Lab(seeded(c.cfg, seed), 2)
+	l := tb.Lab(runner.ApplySeed(c.cfg, seed), 2)
+	run, rec := l.RunEcho, l.Client.Trace()
 	if c.udp {
-		res, err := l.RunUDPEcho(c.size, o.Iterations, o.Warmup)
-		if err != nil {
-			return measurement{}, err
-		}
-		return measurement{rtt: res.MeanRTTMicros()}, nil
-	}
-	rec := l.Client.Trace()
-	if c.breakdowns {
+		run = l.RunUDPEcho
+	} else if c.breakdowns {
 		rec.EnableSpans() // a testbed keeps none unless a reader asks
 	}
-	res, err := l.RunEcho(c.size, o.Iterations, o.Warmup)
+	res, err := run(c.size, o.Iterations, o.Warmup)
 	if err != nil {
 		return measurement{}, err
 	}
@@ -115,14 +104,14 @@ func (c cell) run(tb *runner.Testbeds, seed uint64, o Options) (measurement, err
 	return m, err
 }
 
-// paperGrid is every cell the paper's round-trip tables read: the union
-// RunAll measures once. Distinct, it is the baseline, Ethernet,
-// no-prediction, integrated-checksum and no-checksum echoes at every size
-// and the UDP echo at every size the transport comparison reads.
+// paperGrid is every cell the paper's round-trip tables read, the union
+// RunAll measures once: distinct, the baseline, Ethernet, no-prediction,
+// integrated and no-checksum echoes at every size and UDP at the seven
+// sizes the transport comparison reads.
 func paperGrid() []cell {
 	cells := breakdownCells()
-	for _, v := range compareViews() {
-		cells = append(cells, v.cells()...)
+	for _, n := range []int{1, 4, 6, 7} {
+		cells = append(cells, compareTable(n).cells()...)
 	}
 	return append(cells, transportCells(cost.ChecksumStandard)...)
 }

@@ -101,7 +101,7 @@ func RunLoadedStudy(o LoadedOptions) (*LoadedResult, error) {
 		jobs = append(jobs, runner.Job{
 			Label: "loaded/" + tr,
 			RunOn: func(_ context.Context, tb *runner.Testbeds, seed uint64) (any, error) {
-				cfg := seeded(lab.Config{
+				cfg := runner.ApplySeed(lab.Config{
 					Link: lab.LinkATM, PacketTrace: true,
 					Qdisc:        o.Qdisc,
 					BurstLoss:    o.BurstLoss,

@@ -64,14 +64,8 @@ func RunPCBExperiment() *PCBResult {
 		}))
 		l.Env.Run()
 
-		// The server-side key of the first connection: the mirror of the
-		// client's 4-tuple.
-		target := pcb.Key{
-			LocalAddr:  lab.ServerAddr,
-			RemoteAddr: lab.ClientAddr,
-			LocalPort:  7,
-			RemotePort: first.Key().LocalPort,
-		}
+		// The server's key of the first connection mirrors the client's.
+		target := pcb.Key{LocalAddr: lab.ServerAddr, RemoteAddr: lab.ClientAddr, LocalPort: 7, RemotePort: first.Key().LocalPort}
 		res.Rows = append(res.Rows, pcbRow(l.Server.Kern, &l.Server.TCP.Table, target, n))
 	}
 	first, last := res.Rows[0], res.Rows[len(res.Rows)-1]

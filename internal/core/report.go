@@ -58,10 +58,10 @@ func RunAll(o Options) (*Report, error) {
 		return nil, fmt.Errorf("paper grid: %w", err)
 	}
 	r := &Report{
-		Table1:    table1().result(grid),
-		Table4:    table4().result(grid),
-		Table6:    table6().result(grid),
-		Table7:    table7().result(grid),
+		Table1:    compareTable(1).read(grid),
+		Table4:    compareTable(4).read(grid),
+		Table6:    compareTable(6).read(grid),
+		Table7:    compareTable(7).read(grid),
 		Transport: transportResult(cost.ChecksumStandard, grid),
 	}
 	r.Table2, r.Table3 = breakdownTables(grid)

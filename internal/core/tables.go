@@ -19,7 +19,8 @@ type CompareRow struct {
 	DecreasePercent float64 // relative change the paper reports
 }
 
-// CompareResult is a regenerated two-series round-trip table.
+// CompareResult is a regenerated two-series round-trip table: the echo
+// under configurations a and b at every size.
 type CompareResult struct {
 	Title  string
 	ALabel string
@@ -27,6 +28,8 @@ type CompareResult struct {
 	Rows   []CompareRow
 	PaperA map[int]float64
 	PaperB map[int]float64
+
+	a, b lab.Config
 }
 
 // Render formats the table with paper values alongside measured ones.
@@ -41,117 +44,74 @@ func (r *CompareResult) Render() string {
 	return t.String()
 }
 
-// compareView is a two-series round-trip table: the echo under
-// configurations a and b at every size.
-type compareView struct {
-	title, aLabel, bLabel string
-	a, b                  lab.Config
-	paperA, paperB        map[int]float64
-}
-
-// cells requests both series at every size.
-func (v compareView) cells() []cell {
-	out := make([]cell, 0, 2*len(Sizes))
-	for _, size := range Sizes {
-		out = append(out, cell{echo: echo{cfg: v.a, size: size}}, cell{echo: echo{cfg: v.b, size: size}})
-	}
-	return out
-}
-
-// result reads the table out of a grid measurement.
-func (v compareView) result(m map[echo]measurement) *CompareResult {
-	r := &CompareResult{
-		Title: v.title, ALabel: v.aLabel, BLabel: v.bLabel,
-		PaperA: v.paperA, PaperB: v.paperB,
-	}
-	for _, size := range Sizes {
-		a, b := m[echo{cfg: v.a, size: size}].rtt, m[echo{cfg: v.b, size: size}].rtt
-		r.Rows = append(r.Rows, CompareRow{
-			Size: size, A: a, B: b,
-			DecreasePercent: stats.PercentDecrease(a, b),
-		})
+// compareTable returns Table n — 1, 4, 6 or 7, the baseline system
+// against one variation of it — with its rows still to be read.
+func compareTable(n int) *CompareResult {
+	r := &CompareResult{a: baseConfig(), b: baseConfig()}
+	switch n {
+	case 1:
+		r.Title, r.ALabel, r.BLabel = "Table 1: ATM versus Ethernet round-trip latency (µs)", "Ethernet", "ATM"
+		r.PaperA, r.PaperB = paperdata.Table1.Ethernet, paperdata.Table1.ATM
+		r.a.Link = lab.LinkEther
+	case 4: // and Figure 1's series
+		r.Title, r.ALabel, r.BLabel = "Table 4 / Figure 1: Effects of Header Prediction (µs)", "NoPred", "Pred"
+		r.PaperA, r.PaperB = paperdata.Table4.NoPrediction, paperdata.Table4.Prediction
+		r.a.DisablePrediction = true
+	case 6:
+		r.Title, r.ALabel, r.BLabel = "Table 6: Standard checksum versus combined copy+checksum (µs)", "Standard", "Combined"
+		r.PaperA, r.PaperB = paperdata.Table6.Standard, paperdata.Table6.Combined
+		r.b.Mode = cost.ChecksumIntegrated
+	case 7:
+		r.Title, r.ALabel, r.BLabel = "Table 7: Round trips with and without the TCP checksum (µs)", "Checksum", "NoChecksum"
+		r.PaperA, r.PaperB = paperdata.Table7.Checksum, paperdata.Table7.NoChecksum
+		r.b.Mode = cost.ChecksumNone
 	}
 	return r
 }
 
-// run measures the view's own cells and reads the table out of them.
-func (v compareView) run(o Options) (*CompareResult, error) {
-	m, err := measure(v.cells(), o)
+// cells requests both series at every size, A then B.
+func (r *CompareResult) cells() []cell {
+	var out []cell
+	for _, size := range Sizes {
+		out = append(out, cell{echo: echo{r.a, size, false}}, cell{echo: echo{r.b, size, false}})
+	}
+	return out
+}
+
+// read fills the rows in from a grid measurement.
+func (r *CompareResult) read(m map[echo]measurement) *CompareResult {
+	cells := r.cells()
+	for i := 0; i < len(cells); i += 2 {
+		a, b := m[cells[i].echo].rtt, m[cells[i+1].echo].rtt
+		r.Rows = append(r.Rows, CompareRow{Size: cells[i].size, A: a, B: b, DecreasePercent: stats.PercentDecrease(a, b)})
+	}
+	return r
+}
+
+// runCompare measures Table n's own cells and reads it out of them.
+func runCompare(n int, o Options) (*CompareResult, error) {
+	r := compareTable(n)
+	m, err := measure(r.cells(), o)
 	if err != nil {
 		return nil, err
 	}
-	return v.result(m), nil
-}
-
-// compareViews are Tables 1, 4, 6 and 7, in that order.
-func compareViews() []compareView {
-	return []compareView{table1(), table4(), table6(), table7()}
-}
-
-// table1 is ATM versus Ethernet.
-func table1() compareView {
-	eth := baseConfig()
-	eth.Link = lab.LinkEther
-	return compareView{
-		title:  "Table 1: ATM versus Ethernet round-trip latency (µs)",
-		aLabel: "Ethernet", bLabel: "ATM",
-		a: eth, b: baseConfig(),
-		paperA: paperdata.Table1.Ethernet, paperB: paperdata.Table1.ATM,
-	}
-}
-
-// table4 is header prediction disabled versus enabled (and Figure 1's
-// series).
-func table4() compareView {
-	noPred := baseConfig()
-	noPred.DisablePrediction = true
-	return compareView{
-		title:  "Table 4 / Figure 1: Effects of Header Prediction (µs)",
-		aLabel: "NoPred", bLabel: "Pred",
-		a: noPred, b: baseConfig(),
-		paperA: paperdata.Table4.NoPrediction, paperB: paperdata.Table4.Prediction,
-	}
-}
-
-// table6 is the standard checksum versus the combined copy-and-checksum
-// kernel.
-func table6() compareView {
-	comb := baseConfig()
-	comb.Mode = cost.ChecksumIntegrated
-	return compareView{
-		title:  "Table 6: Standard checksum versus combined copy+checksum (µs)",
-		aLabel: "Standard", bLabel: "Combined",
-		a: baseConfig(), b: comb,
-		paperA: paperdata.Table6.Standard, paperB: paperdata.Table6.Combined,
-	}
-}
-
-// table7 is round trips with and without the TCP checksum.
-func table7() compareView {
-	none := baseConfig()
-	none.Mode = cost.ChecksumNone
-	return compareView{
-		title:  "Table 7: Round trips with and without the TCP checksum (µs)",
-		aLabel: "Checksum", bLabel: "NoChecksum",
-		a: baseConfig(), b: none,
-		paperA: paperdata.Table7.Checksum, paperB: paperdata.Table7.NoChecksum,
-	}
+	return r.read(m), nil
 }
 
 // RunTable1 regenerates Table 1: ATM versus Ethernet round-trip latency.
-func RunTable1(o Options) (*CompareResult, error) { return table1().run(o) }
+func RunTable1(o Options) (*CompareResult, error) { return runCompare(1, o) }
 
 // RunTable4 regenerates Table 4 (and Figure 1's series): round trips with
 // header prediction disabled versus enabled.
-func RunTable4(o Options) (*CompareResult, error) { return table4().run(o) }
+func RunTable4(o Options) (*CompareResult, error) { return runCompare(4, o) }
 
 // RunTable6 regenerates Table 6: the standard checksum versus the
 // combined copy-and-checksum kernel.
-func RunTable6(o Options) (*CompareResult, error) { return table6().run(o) }
+func RunTable6(o Options) (*CompareResult, error) { return runCompare(6, o) }
 
 // RunTable7 regenerates Table 7: round trips with and without the TCP
 // checksum.
-func RunTable7(o Options) (*CompareResult, error) { return table7().run(o) }
+func RunTable7(o Options) (*CompareResult, error) { return runCompare(7, o) }
 
 // BreakdownResult is a regenerated Table 2 or Table 3.
 type BreakdownResult struct {
@@ -206,25 +166,14 @@ func breakdownCells() []cell {
 
 // breakdownTables reads Tables 2 and 3 out of a grid measurement.
 func breakdownTables(m map[echo]measurement) (tx, rx *BreakdownResult) {
-	tx = &BreakdownResult{
-		Title:   "Table 2: Breakdown of Transmit Side Latency (µs, paper in parens)",
-		Side:    "transmit",
-		Layers:  TxLayers,
-		Labels:  []string{"User", "TCP.checksum", "TCP.mcopy", "TCP.segment", "IP", "ATM"},
-		PerSize: map[int]Breakdown{},
-		Paper:   paperdata.Table2,
-	}
-	rx = &BreakdownResult{
-		Title:   "Table 3: Breakdown of Receive Side Latency (µs, paper in parens)",
-		Side:    "receive",
-		Layers:  RxLayers,
-		Labels:  []string{"ATM", "IPQ", "IP", "TCP.checksum", "TCP.segment", "Wakeup", "User"},
-		PerSize: map[int]Breakdown{},
-		Paper:   paperdata.Table3,
-	}
-	for _, size := range Sizes {
-		got := m[echo{cfg: baseConfig(), size: size}]
-		tx.PerSize[size], rx.PerSize[size] = got.tx, got.rx
+	tx = &BreakdownResult{Title: "Table 2: Breakdown of Transmit Side Latency (µs, paper in parens)",
+		Side: "transmit", Layers: TxLayers, PerSize: map[int]Breakdown{}, Paper: paperdata.Table2,
+		Labels: []string{"User", "TCP.checksum", "TCP.mcopy", "TCP.segment", "IP", "ATM"}}
+	rx = &BreakdownResult{Title: "Table 3: Breakdown of Receive Side Latency (µs, paper in parens)",
+		Side: "receive", Layers: RxLayers, PerSize: map[int]Breakdown{}, Paper: paperdata.Table3,
+		Labels: []string{"ATM", "IPQ", "IP", "TCP.checksum", "TCP.segment", "Wakeup", "User"}}
+	for _, c := range breakdownCells() {
+		tx.PerSize[c.size], rx.PerSize[c.size] = m[c.echo].tx, m[c.echo].rx
 	}
 	return tx, rx
 }

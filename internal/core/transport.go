@@ -40,27 +40,15 @@ func RunTransportComparison(mode cost.ChecksumMode, o Options) (*TransportResult
 	return transportResult(mode, m), nil
 }
 
-// transportEcho is the comparison's echo over ATM under mode at size.
-func transportEcho(mode cost.ChecksumMode, size int, udp bool) echo {
-	return echo{cfg: lab.Config{Link: lab.LinkATM, Mode: mode}, size: size, udp: udp}
-}
-
-// transportSizes are the sizes a datagram carries unfragmented.
-func transportSizes() []int {
-	var sizes []int
+// transportCells requests the TCP and the UDP echo over ATM at every
+// size a datagram carries unfragmented.
+func transportCells(mode cost.ChecksumMode) []cell {
+	cfg := lab.Config{Link: lab.LinkATM, Mode: mode}
+	var out []cell
 	for _, size := range Sizes {
 		if size <= 4000 {
-			sizes = append(sizes, size)
+			out = append(out, cell{echo: echo{cfg, size, false}}, cell{echo: echo{cfg, size, true}})
 		}
-	}
-	return sizes
-}
-
-// transportCells requests the TCP and the UDP echo at every size.
-func transportCells(mode cost.ChecksumMode) []cell {
-	var out []cell
-	for _, size := range transportSizes() {
-		out = append(out, cell{echo: transportEcho(mode, size, false)}, cell{echo: transportEcho(mode, size, true)})
 	}
 	return out
 }
@@ -68,15 +56,11 @@ func transportCells(mode cost.ChecksumMode) []cell {
 // transportResult reads the comparison out of a grid measurement.
 func transportResult(mode cost.ChecksumMode, m map[echo]measurement) *TransportResult {
 	res := &TransportResult{Mode: mode}
-	for _, size := range transportSizes() {
-		tcpRTT := m[transportEcho(mode, size, false)].rtt
-		udpRTT := m[transportEcho(mode, size, true)].rtt
-		res.Rows = append(res.Rows, TransportRow{
-			Size:           size,
-			TCPMicros:      tcpRTT,
-			UDPMicros:      udpRTT,
-			TCPOverheadPct: (tcpRTT - udpRTT) / udpRTT * 100,
-		})
+	cells := transportCells(mode)
+	for i := 0; i < len(cells); i += 2 {
+		tcpRTT, udpRTT := m[cells[i].echo].rtt, m[cells[i+1].echo].rtt
+		res.Rows = append(res.Rows, TransportRow{Size: cells[i].size, TCPMicros: tcpRTT, UDPMicros: udpRTT,
+			TCPOverheadPct: (tcpRTT - udpRTT) / udpRTT * 100})
 	}
 	return res
 }

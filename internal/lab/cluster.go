@@ -293,7 +293,7 @@ func (c *Cluster) configure(cfg Config) {
 	}
 	for i, h := range l.Hosts {
 		// Spans are kept for whoever reads a Breakdown, and a testbed has
-		// no such reader until one says so (core.MeasureBreakdownsOn arms
+		// no such reader until one says so (core's grid measurement arms
 		// the client's recorder); events are kept when the trial asks.
 		h.Kern.Trace.DisableSpans()
 		if cfg.PacketTrace {

@@ -259,6 +259,20 @@ type ReassemblyError struct{ Reason string }
 
 func (e *ReassemblyError) Error() string { return "atm: reassembly: " + e.Reason }
 
+// The reasons Push rejects a cell or a frame, one value each: a lossy
+// link rejects a cell a frame, so a fresh error per reject would be an
+// allocation per lost cell. Callers compare Reason, never the pointer.
+var (
+	errCRC10         = &ReassemblyError{Reason: "CRC-10 mismatch"}
+	errBadLI         = &ReassemblyError{Reason: "bad length indicator"}
+	errSeqGap        = &ReassemblyError{Reason: "sequence gap (lost cell)"}
+	errNoBeginning   = &ReassemblyError{Reason: "continuation without beginning"}
+	errShortPDU      = &ReassemblyError{Reason: "short CPCS-PDU"}
+	errTagMismatch   = &ReassemblyError{Reason: "Btag/Etag mismatch"}
+	errBASize        = &ReassemblyError{Reason: "BASize mismatch"}
+	errLengthTooLong = &ReassemblyError{Reason: "length exceeds PDU"}
+)
+
 // Reassembler rebuilds datagrams from cells on one virtual channel. Cells
 // from the adapter are pushed in arrival order; a completed datagram or a
 // reassembly error is returned when a frame ends.
@@ -340,19 +354,19 @@ func (r *Reassembler) Push(c *Cell) ([]byte, error) {
 	stored := uint16(p[46]&0x3)<<8 | uint16(p[47])
 	if crc10Word(crc10(p[:40]), binary.BigEndian.Uint64(p[40:])&^0x3ff) != stored {
 		r.drop()
-		return nil, &ReassemblyError{Reason: "CRC-10 mismatch"}
+		return nil, errCRC10
 	}
 	st := p[0] >> 6
 	sn := p[0] >> 2 & 0xf
 	li := int(p[46] >> 2)
 	if li > SARPayload {
 		r.drop()
-		return nil, &ReassemblyError{Reason: "bad length indicator"}
+		return nil, errBadLI
 	}
 	if r.haveSN && sn != (r.sn+1)&0xf {
 		r.drop()
 		r.sn, r.haveSN = sn, true
-		return nil, &ReassemblyError{Reason: "sequence gap (lost cell)"}
+		return nil, errSeqGap
 	}
 	r.sn, r.haveSN = sn, true
 
@@ -366,7 +380,7 @@ func (r *Reassembler) Push(c *Cell) ([]byte, error) {
 	case segCOM, segEOM:
 		if !r.active {
 			r.drop()
-			return nil, &ReassemblyError{Reason: "continuation without beginning"}
+			return nil, errNoBeginning
 		}
 	}
 	if len(r.buf)+li > cap(r.buf) {
@@ -419,17 +433,17 @@ func (r *Reassembler) drop() {
 }
 
 // reject abandons a completed frame that failed validation.
-func (r *Reassembler) reject(reason string) ([]byte, error) {
+func (r *Reassembler) reject(err *ReassemblyError) ([]byte, error) {
 	r.Errors++
 	r.release()
-	return nil, &ReassemblyError{Reason: reason}
+	return nil, err
 }
 
 // finish validates the completed CPCS-PDU and extracts the datagram.
 func (r *Reassembler) finish() ([]byte, error) {
 	pdu := r.buf
 	if len(pdu) < cpcsOverhead {
-		return r.reject("short CPCS-PDU")
+		return r.reject(errShortPDU)
 	}
 	btag := pdu[1]
 	baSize := int(pdu[2])<<8 | int(pdu[3])
@@ -437,13 +451,13 @@ func (r *Reassembler) finish() ([]byte, error) {
 	etag := t[1]
 	length := int(t[2])<<8 | int(t[3])
 	if btag != etag {
-		return r.reject("Btag/Etag mismatch")
+		return r.reject(errTagMismatch)
 	}
 	if baSize != len(pdu)-cpcsOverhead {
-		return r.reject("BASize mismatch")
+		return r.reject(errBASize)
 	}
 	if length > len(pdu)-cpcsOverhead {
-		return r.reject("length exceeds PDU")
+		return r.reject(errLengthTooLong)
 	}
 	return pdu[cpcsHeader : cpcsHeader+length], nil
 }

@@ -118,3 +118,36 @@ func FuzzCRC10Sliced(f *testing.F) {
 		}
 	})
 }
+
+// TestPushRejectsWithoutAllocating pushes cells a lossy or corrupting
+// link delivers — a continuation whose frame's first cell was lost, a
+// cell with a flipped bit — and requires each reject to name its reason
+// and allocate nothing: a lossy link rejects a cell for every one lost.
+func TestPushRejectsWithoutAllocating(t *testing.T) {
+	data := make([]byte, 200)
+	seg := Segmenter{VCI: DefaultVCI}
+	cells := seg.Segment(data)
+	flipped := cells[0]
+	flipped.Payload()[10] ^= 0x04
+	for _, tc := range []struct {
+		c      *Cell
+		reason string
+	}{
+		{&cells[1], "continuation without beginning"},
+		{&flipped, "CRC-10 mismatch"},
+	} {
+		var r Reassembler
+		var err error
+		allocs := testing.AllocsPerRun(100, func() {
+			r.Reset()
+			_, err = r.Push(tc.c)
+		})
+		var re *ReassemblyError
+		if !errors.As(err, &re) || re.Reason != tc.reason {
+			t.Errorf("Push returned %v, want a %q reject", err, tc.reason)
+		}
+		if allocs != 0 {
+			t.Errorf("a %q reject allocates %v times, want 0", tc.reason, allocs)
+		}
+	}
+}

@@ -194,8 +194,13 @@ type DRR struct {
 	Quantum int // bytes of credit per flow per round (>= CellSize)
 	Limit   int // aggregate bound across all flow queues (cells)
 
-	flows  map[uint16]*drrFlow
-	active []uint16 // backlogged flows in round-robin order
+	flows map[uint16]*drrFlow
+	// active[head:] are the backlogged flows in round-robin order. A
+	// rotation appends the head flow and advances head, so the slice is
+	// compacted to the front, in place, when it runs out of room: a
+	// dequeue allocates nothing and looks nothing up.
+	active []*drrFlow
+	head   int
 	total  int
 }
 
@@ -235,24 +240,35 @@ func (d *DRR) Enqueue(c *Cell, flow uint16) bool {
 	if !f.active {
 		f.active = true
 		f.deficit = 0
-		d.active = append(d.active, flow)
+		d.activate(f)
 	}
 	f.q.push(c)
 	d.total++
 	return true
 }
 
+// activate puts f at the back of the round, first moving the live flows
+// to the front of the slice when there is no room behind them.
+func (d *DRR) activate(f *drrFlow) {
+	if len(d.active) == cap(d.active) && d.head > 0 {
+		n := copy(d.active, d.active[d.head:])
+		clear(d.active[n:])
+		d.active, d.head = d.active[:n], 0
+	}
+	d.active = append(d.active, f)
+}
+
 // Dequeue implements Qdisc: serve the head of the active list, renewing
 // its deficit by one quantum when exhausted and rotating it to the back
 // of the round.
 func (d *DRR) Dequeue(dst *Cell) bool {
-	for len(d.active) > 0 {
-		key := d.active[0]
-		f := d.flows[key]
+	for d.head < len(d.active) {
+		f := d.active[d.head]
 		if f.deficit < CellSize {
 			// New round for this flow: grant the quantum and rotate.
 			f.deficit += d.Quantum
-			d.active = append(d.active[1:], key)
+			d.popHead()
+			d.activate(f)
 			continue
 		}
 		f.deficit -= CellSize
@@ -261,11 +277,20 @@ func (d *DRR) Dequeue(dst *Cell) bool {
 		if f.q.len() == 0 {
 			f.active = false
 			f.deficit = 0
-			d.active = d.active[1:]
+			d.popHead()
 		}
 		return true
 	}
 	return false
+}
+
+// popHead removes the flow at the head of the round.
+func (d *DRR) popHead() {
+	d.active[d.head] = nil
+	d.head++
+	if d.head == len(d.active) {
+		d.active, d.head = d.active[:0], 0
+	}
 }
 
 // Len implements Qdisc.
@@ -273,9 +298,8 @@ func (d *DRR) Len() int { return d.total }
 
 // Reset implements Qdisc.
 func (d *DRR) Reset() {
-	for k := range d.flows {
-		delete(d.flows, k)
-	}
-	d.active = d.active[:0]
+	clear(d.flows)
+	clear(d.active)
+	d.active, d.head = d.active[:0], 0
 	d.total = 0
 }

@@ -2,6 +2,8 @@ package atm
 
 import (
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // TestREDNeverDropsBelowMinTh holds the instantaneous queue at zero or
@@ -164,5 +166,94 @@ func TestDRRAggregateLimit(t *testing.T) {
 	d.Dequeue(&c)
 	if !d.Enqueue(&c, 0) {
 		t.Error("arrival refused after a departure freed a slot")
+	}
+}
+
+// keyedDRR is DRR as it was first written: the round a slice of flow keys
+// rotated by re-slicing and appending, each turn a map lookup. It is the
+// reference TestDRRMatchesKeyedRotation holds DRR's service order to.
+type keyedDRR struct {
+	quantum int
+	flows   map[uint16]*drrFlow
+	active  []uint16
+}
+
+func (d *keyedDRR) enqueue(c *Cell, flow uint16) {
+	f := d.flows[flow]
+	if f == nil {
+		f = &drrFlow{}
+		d.flows[flow] = f
+	}
+	if !f.active {
+		f.active = true
+		f.deficit = 0
+		d.active = append(d.active, flow)
+	}
+	f.q.push(c)
+}
+
+func (d *keyedDRR) dequeue(dst *Cell) bool {
+	for len(d.active) > 0 {
+		key := d.active[0]
+		f := d.flows[key]
+		if f.deficit < CellSize {
+			f.deficit += d.quantum
+			d.active = append(d.active[1:], key)
+			continue
+		}
+		f.deficit -= CellSize
+		f.q.popInto(dst)
+		if f.q.len() == 0 {
+			f.active = false
+			f.deficit = 0
+			d.active = d.active[1:]
+		}
+		return true
+	}
+	return false
+}
+
+// TestDRRMatchesKeyedRotation interleaves arrivals on up to nine flows
+// with departures, drawn from a fixed stream, and requires DRR to serve
+// exactly the cells keyedDRR serves, in the same order.
+func TestDRRMatchesKeyedRotation(t *testing.T) {
+	for _, quantum := range []int{CellSize, 2 * CellSize, 5*CellSize - 7} {
+		d := NewDRR(quantum, 1<<20)
+		ref := &keyedDRR{quantum: d.Quantum, flows: map[uint16]*drrFlow{}}
+		rng := sim.NewRNG(uint64(quantum))
+		var in, got, want Cell
+		for i := 0; i < 20000; i++ {
+			if rng.Intn(100) < 52 {
+				flow := uint16(rng.Intn(1 + i/2000))
+				in.Payload()[0], in.Payload()[1] = byte(i), byte(i>>8)
+				d.Enqueue(&in, flow)
+				ref.enqueue(&in, flow)
+				continue
+			}
+			ok, refOK := d.Dequeue(&got), ref.dequeue(&want)
+			if ok != refOK || got != want {
+				t.Fatalf("quantum %d, step %d: served %v %x, reference %v %x",
+					quantum, i, ok, got.Payload()[:2], refOK, want.Payload()[:2])
+			}
+		}
+	}
+}
+
+// TestDRRRotationAllocatesNothing keeps four flows backlogged, so that
+// every few departures rotate the round, and requires a warm DRR to
+// enqueue and dequeue without allocating.
+func TestDRRRotationAllocatesNothing(t *testing.T) {
+	d := NewDRR(0, 0)
+	var c Cell
+	cycle := func() {
+		for v := uint16(0); v < 16; v++ {
+			d.Enqueue(&c, v%4)
+		}
+		for d.Dequeue(&c) {
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("a warm DRR allocates %v times a 16-cell burst, want 0", n)
 	}
 }

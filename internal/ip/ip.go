@@ -157,8 +157,8 @@ type Stack struct {
 	q        []queued
 	wq       sim.WaitQueue
 	nextID   uint16
-	out      *outOp // cached output frame (nil while in use)
-	outFrame outOp  // the frame out caches, so a stack is one allocation
+	out      *outOp // free output frames, linked through next
+	outFrame outOp  // the first of them, so a stack is one allocation
 
 	// Drops counts datagrams discarded on input (bad header, no handler),
 	// for tests and fault-injection experiments.
@@ -232,7 +232,7 @@ func (s *Stack) handler(proto uint8) Handler {
 func (s *Stack) Output(p *sim.Proc, dst uint32, proto uint8, m *mbuf.Mbuf) {
 	f := s.out
 	if f != nil {
-		s.out = nil
+		s.out, f.next = f.next, nil
 	} else {
 		f = &outOp{s: s}
 	}
@@ -240,15 +240,19 @@ func (s *Stack) Output(p *sim.Proc, dst uint32, proto uint8, m *mbuf.Mbuf) {
 	p.Call(f)
 }
 
-// outOp is the resumable state of one Output call. The stack caches one:
-// outputs on a host are serialized in practice (one CPU), so steady state
-// allocates nothing; a rare overlap falls back to a fresh frame.
+// outOp is the resumable state of one Output call. Outputs overlap
+// whenever two processes on a host transmit at once — a TCP sender and
+// its connection's ACKs, rudp's receive pump and a sender — since each
+// parks on the CPU charge and in the driver. The stack keeps a free list
+// of frames, which grows to the most outputs ever in flight at once and
+// then allocates nothing.
 type outOp struct {
 	s     *Stack
 	pc    int
 	dst   uint32
 	proto uint8
 	m     *mbuf.Mbuf
+	next  *outOp // on the free list
 }
 
 func (f *outOp) Step(p *sim.Proc) {
@@ -278,9 +282,7 @@ func (f *outOp) Step(p *sim.Proc) {
 		s.If.Output(p, head)
 	case 2:
 		f.m = nil
-		if s.out == nil {
-			s.out = f
-		}
+		f.next, s.out = s.out, f
 		p.Return()
 	}
 }

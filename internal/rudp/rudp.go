@@ -22,10 +22,6 @@ const (
 	// 32-bit ack bitfield always covers the whole outstanding span, so
 	// one surviving ack repairs every earlier loss.
 	maxWindow = 32
-	// seenSpan is how far behind the latest received sequence the
-	// receiver remembers arrivals (for duplicate detection and bitfield
-	// construction); it comfortably exceeds ack coverage + window.
-	seenSpan = 128
 	// maxRexmtShift is the retransmission give-up threshold, TCP's
 	// TCP_MAXRXTSHIFT: after this many consecutive backed-off timeouts
 	// the stream is aborted rather than probed forever. It matches the
@@ -121,11 +117,7 @@ func (e *Endpoint) conn(key connKey) *Conn {
 	if c := e.conns[key]; c != nil {
 		return c
 	}
-	c := &Conn{
-		e: e, raddr: key.addr, rport: key.port,
-		seen: make(map[uint16]struct{}),
-		oo:   make(map[uint16]ooSlot),
-	}
+	c := &Conn{e: e, raddr: key.addr, rport: key.port}
 	c.sndWq.Init("rudp.snd")
 	c.rcvWq.Init("rudp.rcv")
 	c.rexmt.Bind(c)
@@ -237,23 +229,28 @@ func (f *workLoopFrame) Step(p *sim.Proc) {
 	c.rexmtFire(p)
 }
 
-// sndEntry is one unacknowledged message.
+// sndEntry is one unacknowledged message. buf is the message behind
+// MaxHeaderBytes of headroom: each (re)transmission marshals its header
+// into the headroom, right against the payload, and sends the packet from
+// there.
 type sndEntry struct {
 	seq     uint16
-	payload []byte
 	fin     bool
-	sentAt  sim.Time
 	rexmted bool
 	acked   bool
+	buf     []byte
 }
 
 // ooSlot buffers one out-of-order arrival until the sequence gap fills.
 type ooSlot struct {
-	payload []byte
+	seq     uint16
 	fin     bool
+	payload []byte
 }
 
-// Conn is one reliable message stream to a peer.
+// Conn is one reliable message stream to a peer, and the frames of the
+// operations it runs, held by value so that a message allocates only its
+// retained copy: one Send, one Recv and one Close at a time.
 type Conn struct {
 	e     *Endpoint
 	raddr uint32
@@ -261,8 +258,10 @@ type Conn struct {
 
 	// Send side: a sliding window of unacked entries, the shared
 	// Jacobson/Karn estimator state, and the retransmission timer.
+	// Retired entries are copied out of the front of unacked, so the
+	// slice keeps its capacity.
 	sndNxt       uint16
-	unacked      []*sndEntry
+	unacked      []sndEntry
 	srtt, rttvar sim.Time
 	rtTiming     bool
 	rtSeq        uint16
@@ -271,18 +270,27 @@ type Conn struct {
 	rexmt        sim.Timer
 	sndWq        sim.WaitQueue
 	closed       bool
+	// sending counts transmissions of entries whose SendTo is still
+	// copying the packet out; while one is, a transmission marshals into
+	// a fresh buffer instead of rewriting an entry's headroom.
+	sending int
 
 	// Receive side: the latest-sequence/ack-bitfield record, the
 	// in-order delivery cursor with its out-of-order buffer, and the
 	// queue of delivered-but-unread messages.
 	rcvLatest uint16
 	rcvAny    bool
-	seen      map[uint16]struct{}
+	seen      uint64 // bit i: rcvLatest-1-i was received
 	rcvNxt    uint16
-	oo        map[uint16]ooSlot
+	oo        []ooSlot // ahead of rcvNxt, nearest first
 	rdy       [][]byte
 	rcvFin    bool
 	rcvWq     sim.WaitQueue
+
+	send     SendOp
+	recv     RecvOp
+	close    CloseOp
+	rexmtAll rexmtAllFrame
 }
 
 // RemoteAddr returns the peer host's address.
@@ -358,7 +366,8 @@ func (c *Conn) rexmtFire(p *sim.Proc) {
 	c.rexmtShift++
 	c.rtTiming = false
 	c.setRexmt()
-	p.Call(&rexmtAllFrame{c: c})
+	c.rexmtAll = rexmtAllFrame{c: c}
+	p.Call(&c.rexmtAll)
 }
 
 // Abort abandons the stream immediately and locally, as an application
@@ -370,6 +379,7 @@ func (c *Conn) Abort() { c.abort() }
 // window is discarded, the timer cancelled, and both directions wake —
 // blocked senders find a closed stream, blocked receivers end-of-stream.
 func (c *Conn) abort() {
+	clear(c.unacked)
 	c.unacked = c.unacked[:0]
 	c.clearRexmt()
 	c.closed = true
@@ -390,38 +400,42 @@ func (c *Conn) header() Header {
 	return Header{Seq: c.sndNxt, Ack: c.rcvLatest, AckBits: c.ackBits()}
 }
 
-// ackBits builds the 32-bit bitfield behind rcvLatest from the seen set.
-func (c *Conn) ackBits() uint32 {
-	if !c.rcvAny {
-		return 0
-	}
-	var bits uint32
-	for i := 0; i < 32; i++ {
-		if _, ok := c.seen[c.rcvLatest-1-uint16(i)]; ok {
-			bits |= 1 << i
-		}
-	}
-	return bits
-}
+// ackBits is the 32-bit bitfield behind rcvLatest: the nearest half of
+// the seen register.
+func (c *Conn) ackBits() uint32 { return uint32(c.seen) }
 
-// packet encodes one entry's (re)transmission with current ack state.
-func (c *Conn) packet(ent *sndEntry) []byte {
+// transmit sends one entry with the current ack state, as a tail call.
+// The calling frame calls sent when it resumes: until then SendTo may
+// still be copying the packet out of the entry's buffer.
+func (c *Conn) transmit(p *sim.Proc, ent *sndEntry) {
 	h := c.header()
 	h.Seq = ent.seq
 	h.Data = !ent.fin
 	h.Fin = ent.fin
-	buf := make([]byte, MaxHeaderBytes+len(ent.payload))
-	n := h.Marshal(buf)
+	var hdr [MaxHeaderBytes]byte
+	n := h.Marshal(hdr[:])
 	c.e.HeaderBytes += int64(n)
-	copy(buf[n:], ent.payload)
-	return buf[:n+len(ent.payload)]
+	var pkt []byte
+	if c.sending == 0 {
+		pkt = ent.buf[MaxHeaderBytes-n:]
+	} else {
+		// Another transmission may be copying this entry's headroom:
+		// it is rare (a retransmission timeout during a send), so copy.
+		pkt = make([]byte, n+len(ent.buf)-MaxHeaderBytes)
+		copy(pkt[n:], ent.buf[MaxHeaderBytes:])
+	}
+	copy(pkt, hdr[:n])
+	c.sending++
+	c.e.PacketsOut++
+	c.e.ep.SendTo(p, c.raddr, c.rport, pkt)
 }
 
-// ackPacket encodes a pure acknowledgement.
-func (c *Conn) ackPacket() []byte {
-	h := c.header()
-	buf := make([]byte, MaxHeaderBytes)
-	n := h.Marshal(buf)
+// sent ends a transmission transmit began.
+func (c *Conn) sent() { c.sending-- }
+
+// ackPacket encodes a pure acknowledgement into buf.
+func (c *Conn) ackPacket(buf *[MaxHeaderBytes]byte) []byte {
+	n := c.header().Marshal(buf[:])
 	c.e.HeaderBytes += int64(n)
 	return buf[:n]
 }
@@ -433,7 +447,8 @@ func (c *Conn) processAck(h Header) bool {
 		return false // peer has received nothing; no sequence is covered
 	}
 	retired := false
-	for _, ent := range c.unacked {
+	for i := range c.unacked {
+		ent := &c.unacked[i]
 		if ent.acked {
 			continue
 		}
@@ -452,9 +467,13 @@ func (c *Conn) processAck(h Header) bool {
 	if !retired {
 		return false
 	}
-	for len(c.unacked) > 0 && c.unacked[0].acked {
-		c.unacked = c.unacked[1:]
+	k := 0
+	for k < len(c.unacked) && c.unacked[k].acked {
+		k++
 	}
+	n := copy(c.unacked, c.unacked[k:])
+	clear(c.unacked[n:])
+	c.unacked = c.unacked[:n]
 	c.rexmtShift = 0
 	if len(c.unacked) == 0 {
 		c.clearRexmt()
@@ -466,58 +485,88 @@ func (c *Conn) processAck(h Header) bool {
 }
 
 // recordArrival folds a consumed sequence into the receiver's ack state.
+// The seen register remembers 64 sequences behind rcvLatest, twice what
+// the ack bitfield reports; a sequence never re-enters that span once it
+// has left it, because rcvLatest only advances.
 func (c *Conn) recordArrival(seq uint16) {
-	c.seen[seq] = struct{}{}
-	if !c.rcvAny || seqLT(c.rcvLatest, seq) {
+	switch {
+	case !c.rcvAny:
+		c.rcvLatest, c.rcvAny = seq, true
+	case seqLT(c.rcvLatest, seq):
+		// The old latest moves d places back; shifts of 64 or more
+		// leave nothing.
+		d := seq - c.rcvLatest
+		c.seen = c.seen<<d | 1<<(d-1)
 		c.rcvLatest = seq
-		c.rcvAny = true
-	}
-	// Trim the seen set so it cannot grow with the stream.
-	for s := range c.seen {
-		if uint16(c.rcvLatest-s) > seenSpan {
-			delete(c.seen, s)
+	default:
+		if d := c.rcvLatest - seq; d != 0 {
+			c.seen |= 1 << (d - 1)
 		}
 	}
 }
 
-// deliver buffers a data/fin packet and drains the in-order prefix into
-// the ready queue, waking readers.
+// deliver takes over payload — a datagram's own storage, which udp
+// shares with no one — buffers a data/fin packet, drains the in-order
+// prefix into the ready queue, and wakes readers.
 func (c *Conn) deliver(h Header, payload []byte) {
 	if seqLT(h.Seq, c.rcvNxt) {
 		return // duplicate of something already delivered
 	}
-	if _, dup := c.oo[h.Seq]; dup {
-		return
-	}
-	buf := make([]byte, len(payload))
-	copy(buf, payload)
-	c.oo[h.Seq] = ooSlot{payload: buf, fin: h.Fin}
-	for {
-		slot, ok := c.oo[c.rcvNxt]
-		if !ok {
-			break
+	if h.Seq != c.rcvNxt {
+		if !c.hold(h, payload) {
+			return // duplicate of an arrival already held
 		}
-		delete(c.oo, c.rcvNxt)
-		c.rcvNxt++
-		if slot.fin {
-			c.rcvFin = true
-		} else {
-			c.rdy = append(c.rdy, slot.payload)
+	} else {
+		c.accept(h.Fin, payload)
+		n := 0
+		for n < len(c.oo) && c.oo[n].seq == c.rcvNxt {
+			c.accept(c.oo[n].fin, c.oo[n].payload)
+			n++
 		}
+		k := copy(c.oo, c.oo[n:])
+		clear(c.oo[k:])
+		c.oo = c.oo[:k]
 	}
 	c.rcvWq.WakeAll()
 }
 
+// accept delivers the arrival at rcvNxt.
+func (c *Conn) accept(fin bool, payload []byte) {
+	c.rcvNxt++
+	if fin {
+		c.rcvFin = true
+	} else {
+		c.rdy = append(c.rdy, payload)
+	}
+}
+
+// hold buffers an arrival ahead of rcvNxt in distance order, reporting
+// false if it is already held. Every held sequence lies ahead of rcvNxt,
+// which advances only through held sequences, so the order is stable.
+func (c *Conn) hold(h Header, payload []byte) bool {
+	d := h.Seq - c.rcvNxt
+	i := 0
+	for i < len(c.oo) && c.oo[i].seq-c.rcvNxt < d {
+		i++
+	}
+	if i < len(c.oo) && c.oo[i].seq == h.Seq {
+		return false
+	}
+	c.oo = append(c.oo, ooSlot{})
+	copy(c.oo[i+1:], c.oo[i:])
+	c.oo[i] = ooSlot{seq: h.Seq, fin: h.Fin, payload: payload}
+	return true
+}
+
 // pumpFrame is the endpoint's receive service process: one datagram per
 // cycle — parse, demultiplex, retire acks, deliver data, and answer
-// consumed sequences with an immediate ack.
+// consumed sequences with an immediate ack, marshaled into ack.
 type pumpFrame struct {
 	e *Endpoint
 
-	pc     int
-	recv   *udp.RecvFromOp
-	ackTo  *Conn
-	ackPkt []byte
+	pc   int
+	recv *udp.RecvFromOp
+	ack  [MaxHeaderBytes]byte
 }
 
 // Name implements sim.Namer: the process is named when something asks.
@@ -560,15 +609,10 @@ func (f *pumpFrame) Step(p *sim.Proc) {
 			c.deliver(h, d.Data[n:])
 			// Ack immediately: latency beats bandwidth for a
 			// request/response rival, so there is no delayed-ack timer.
-			f.ackTo = c
-			f.ackPkt = c.ackPacket()
-			f.pc = 2
+			// SendTo has copied the ack out before the pump resumes.
 			e.PacketsOut++
-			e.ep.SendTo(p, c.raddr, c.rport, f.ackPkt)
+			e.ep.SendTo(p, c.raddr, c.rport, c.ackPacket(&f.ack))
 			return
-		case 2: // ack sent; next datagram
-			f.ackTo, f.ackPkt = nil, nil
-			f.pc = 0
 		}
 	}
 }
@@ -584,26 +628,33 @@ type rexmtAllFrame struct {
 // Step drives the retransmission burst.
 func (f *rexmtAllFrame) Step(p *sim.Proc) {
 	c := f.c
-	for {
-		switch f.pc {
-		case 0: // send the next unacked entry
-			for f.i < len(c.unacked) && c.unacked[f.i].acked {
-				f.i++
-			}
-			if f.i >= len(c.unacked) {
-				p.Return()
-				return
-			}
-			ent := c.unacked[f.i]
-			ent.rexmted = true
-			f.i++
-			c.e.Retransmits++
-			c.e.PacketsOut++
-			f.pc = 0
-			c.e.ep.SendTo(p, c.raddr, c.rport, c.packet(ent))
-			return
-		}
+	if f.pc == 1 {
+		c.sent()
 	}
+	for f.i < len(c.unacked) && c.unacked[f.i].acked {
+		f.i++
+	}
+	if f.i >= len(c.unacked) {
+		p.Return()
+		return
+	}
+	ent := &c.unacked[f.i]
+	ent.rexmted = true
+	f.i++
+	c.e.Retransmits++
+	f.pc = 1
+	c.transmit(p, ent)
+}
+
+// queue appends the next sequence to the send window, arming the timer
+// if the window was empty, and returns its entry.
+func (c *Conn) queue(fin bool, buf []byte) *sndEntry {
+	c.unacked = append(c.unacked, sndEntry{seq: c.sndNxt, fin: fin, buf: buf})
+	c.sndNxt++
+	if len(c.unacked) == 1 {
+		c.setRexmt()
+	}
+	return &c.unacked[len(c.unacked)-1]
 }
 
 // Send transmits one message reliably (as a frame call). Messages keep
@@ -612,8 +663,7 @@ type SendOp struct {
 	c   *Conn
 	msg []byte
 
-	pc  int
-	ent *sndEntry
+	pc int
 
 	// Err reports a rejected send (oversized message, closed stream),
 	// valid once the frame returns.
@@ -621,10 +671,11 @@ type SendOp struct {
 }
 
 // Send queues msg and transmits it, blocking while the window is full.
+// The returned frame is the Conn's, valid until the next Send.
 func (c *Conn) Send(p *sim.Proc, msg []byte) *SendOp {
-	op := &SendOp{c: c, msg: msg}
-	p.Call(op)
-	return op
+	c.send = SendOp{c: c, msg: msg}
+	p.Call(&c.send)
+	return &c.send
 }
 
 // Step drives the send.
@@ -635,12 +686,12 @@ func (f *SendOp) Step(p *sim.Proc) {
 		case 0: // validate, then wait for window space
 			if len(f.msg) > MaxMessage {
 				f.Err = fmt.Errorf("rudp: message %d exceeds %d bytes", len(f.msg), MaxMessage)
-				p.Return()
+				f.finish(p)
 				return
 			}
 			if c.closed {
 				f.Err = fmt.Errorf("rudp: send on closed stream")
-				p.Return()
+				f.finish(p)
 				return
 			}
 			if len(c.unacked) >= maxWindow {
@@ -649,29 +700,30 @@ func (f *SendOp) Step(p *sim.Proc) {
 			}
 			f.pc = 1
 		case 1: // assign a sequence and transmit
-			payload := make([]byte, len(f.msg))
-			copy(payload, f.msg)
-			f.ent = &sndEntry{seq: c.sndNxt, payload: payload, sentAt: c.e.K.Env.Now()}
-			c.sndNxt++
-			c.unacked = append(c.unacked, f.ent)
+			buf := make([]byte, MaxHeaderBytes+len(f.msg))
+			copy(buf[MaxHeaderBytes:], f.msg)
+			ent := c.queue(false, buf)
 			if !c.rtTiming {
 				c.rtTiming = true
-				c.rtSeq = f.ent.seq
-				c.rtStart = f.ent.sentAt
-			}
-			if len(c.unacked) == 1 {
-				c.setRexmt()
+				c.rtSeq = ent.seq
+				c.rtStart = c.e.K.Env.Now()
 			}
 			f.pc = 2
-			c.e.PacketsOut++
-			c.e.ep.SendTo(p, c.raddr, c.rport, c.packet(f.ent))
+			c.transmit(p, ent)
 			return
 		case 2: // done
-			f.ent = nil
-			p.Return()
+			c.sent()
+			f.finish(p)
 			return
 		}
 	}
+}
+
+// finish returns from the frame, which the Conn keeps: it lets go of the
+// caller's message.
+func (f *SendOp) finish(p *sim.Proc) {
+	f.msg = nil
+	p.Return()
 }
 
 // RecvOp is the frame behind Recv.
@@ -688,11 +740,12 @@ type RecvOp struct {
 }
 
 // Recv blocks until one whole message (or the peer's fin) arrives, then
-// copies it into buf.
+// copies it into buf. The returned frame is the Conn's, valid until the
+// next Recv.
 func (c *Conn) Recv(p *sim.Proc, buf []byte) *RecvOp {
-	op := &RecvOp{c: c, buf: buf}
-	p.Call(op)
-	return op
+	c.recv = RecvOp{c: c, buf: buf}
+	p.Call(&c.recv)
+	return &c.recv
 }
 
 // Step drives the receive.
@@ -704,7 +757,7 @@ func (f *RecvOp) Step(p *sim.Proc) {
 			if len(c.rdy) == 0 {
 				if c.rcvFin {
 					f.N = 0
-					p.Return()
+					f.finish(p)
 					return
 				}
 				c.e.K.SleepOn(p, &c.rcvWq)
@@ -716,16 +769,23 @@ func (f *RecvOp) Step(p *sim.Proc) {
 			c.rdy = c.rdy[:len(c.rdy)-1]
 			if len(msg) > len(f.buf) {
 				f.Err = fmt.Errorf("rudp: %d-byte message exceeds %d-byte buffer", len(msg), len(f.buf))
-				p.Return()
+				f.finish(p)
 				return
 			}
 			f.N = copy(f.buf, msg)
 			f.pc = 1
 		case 1: // done
-			p.Return()
+			f.finish(p)
 			return
 		}
 	}
+}
+
+// finish returns from the frame, which the Conn keeps: it lets go of the
+// caller's buffer.
+func (f *RecvOp) finish(p *sim.Proc) {
+	f.buf = nil
+	p.Return()
 }
 
 // CloseOp is the frame behind Close.
@@ -738,8 +798,8 @@ type CloseOp struct {
 // zero-length message (retransmitted until acknowledged), so the peer's
 // Recv sees end-of-stream exactly after the last message.
 func (c *Conn) Close(p *sim.Proc) {
-	op := &CloseOp{c: c}
-	p.Call(op)
+	c.close = CloseOp{c: c}
+	p.Call(&c.close)
 }
 
 // Step drives the close.
@@ -757,17 +817,11 @@ func (f *CloseOp) Step(p *sim.Proc) {
 				return
 			}
 			c.closed = true
-			ent := &sndEntry{seq: c.sndNxt, fin: true, sentAt: c.e.K.Env.Now()}
-			c.sndNxt++
-			c.unacked = append(c.unacked, ent)
-			if len(c.unacked) == 1 {
-				c.setRexmt()
-			}
 			f.pc = 1
-			c.e.PacketsOut++
-			c.e.ep.SendTo(p, c.raddr, c.rport, c.packet(ent))
+			c.transmit(p, c.queue(true, make([]byte, MaxHeaderBytes)))
 			return
 		case 1: // done (the pump retires the fin's ack)
+			c.sent()
 			p.Return()
 			return
 		}

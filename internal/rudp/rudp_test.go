@@ -13,11 +13,7 @@ import (
 func testConn(t *testing.T) *Conn {
 	t.Helper()
 	env := sim.NewEnv()
-	c := &Conn{
-		e:    &Endpoint{K: kern.New(env, cost.DECstation5000(), "t")},
-		seen: make(map[uint16]struct{}),
-		oo:   make(map[uint16]ooSlot),
-	}
+	c := &Conn{e: &Endpoint{K: kern.New(env, cost.DECstation5000(), "t")}}
 	c.rexmt.Bind(c)
 	return c
 }
@@ -61,7 +57,7 @@ func TestAckBitsTracking(t *testing.T) {
 func TestProcessAck(t *testing.T) {
 	c := testConn(t)
 	for seq := uint16(0); seq < 5; seq++ {
-		c.unacked = append(c.unacked, &sndEntry{seq: seq})
+		c.unacked = append(c.unacked, sndEntry{seq: seq})
 	}
 	// Peer acks latest=3 with bits for 2 and 0 (not 1): retires 0, 2, 3.
 	h := Header{Ack: 3, AckBits: 1<<0 | 1<<2}
@@ -102,7 +98,7 @@ func TestProcessAck(t *testing.T) {
 // retransmit it, and the client would park in Recv forever.
 func TestAckNoneDoesNotRetire(t *testing.T) {
 	server := testConn(t)
-	server.unacked = append(server.unacked, &sndEntry{seq: 0, payload: []byte("echo")})
+	server.unacked = append(server.unacked, sndEntry{seq: 0, buf: make([]byte, MaxHeaderBytes+4)})
 	client := testConn(t)
 	h := client.header()
 	if !h.AckNone {
@@ -206,7 +202,7 @@ func TestSeqWraparound(t *testing.T) {
 // an un-bounded timer would keep the event loop alive eternally).
 func TestRexmtGiveUp(t *testing.T) {
 	c := testConn(t)
-	c.unacked = append(c.unacked, &sndEntry{seq: 0, payload: []byte("x")})
+	c.unacked = append(c.unacked, sndEntry{seq: 0, buf: make([]byte, MaxHeaderBytes+1)})
 	c.rexmtShift = maxRexmtShift
 	c.setRexmt()
 	c.rexmtFire(nil)

@@ -60,7 +60,9 @@ func ParseHeader(b []byte) (Header, error) {
 	return h, nil
 }
 
-// Datagram is one received datagram.
+// Datagram is one received datagram. Data is storage of its own, copied
+// out of the mbuf chain on input and referenced by nothing else in the
+// stack: the receiver owns it and may keep it.
 type Datagram struct {
 	Src     uint32
 	SrcPort uint16
@@ -74,8 +76,12 @@ type Endpoint struct {
 	q    []Datagram
 	wq   sim.WaitQueue
 
-	// Cached frames for the endpoint's send and receive paths; one of
-	// each is in flight at a time in the steady state.
+	// Free frames for the endpoint's send and receive paths. Receives are
+	// one at a time, so one frame is cached. Sends overlap whenever two
+	// processes share the port — rudp's receive pump acks while a sender
+	// or its retransmission timer transmits — so the send frames form a
+	// free list, linked through next, that grows to the most sends ever in
+	// flight at once and then allocates nothing.
 	sendOp *SendToOp
 	recvOp *RecvFromOp
 }
@@ -162,7 +168,7 @@ func (e *Endpoint) Close() {
 func (e *Endpoint) SendTo(p *sim.Proc, dst uint32, dstPort uint16, data []byte) {
 	f := e.sendOp
 	if f != nil {
-		e.sendOp = nil
+		e.sendOp, f.next = f.next, nil
 	} else {
 		f = &SendToOp{e: e}
 	}
@@ -189,6 +195,8 @@ type SendToOp struct {
 	curM, hm    *mbuf.Mbuf
 	curN        int
 	length      int // header + payload
+
+	next *SendToOp // on the endpoint's free list
 }
 
 // allocCost returns the charge for the next payload mbuf.
@@ -293,9 +301,7 @@ func (f *SendToOp) Step(p *sim.Proc) {
 		case 8: // done
 			f.data, f.rest = nil, nil
 			f.chain, f.tail, f.curM, f.hm = nil, nil, nil, nil
-			if e.sendOp == nil {
-				e.sendOp = f
-			}
+			f.next, e.sendOp = e.sendOp, f
 			p.Return()
 			return
 		}

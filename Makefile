@@ -82,11 +82,13 @@ baseline-wallclock:
 	$(GO) test -run='^$$' -bench=Wallclock -benchmem -benchtime=2x -timeout 600s . | \
 		$(GO) run ./cmd/benchdiff -wallclock -write BENCH_wallclock.json
 
-## alloc-census: where the served fan-in allocates, site by site, as heap
-## objects a request — the 1,001-host fat tree under -memprofilerate=1
-## (docs/PERFORMANCE.md "Capturing a profile")
+## alloc-census: where the served fan-in and the loaded grid allocate, site
+## by site, as heap objects a request — the 1,001-host fat tree, then one
+## replica of loaded-grid's six transport x qdisc trials, every allocation
+## sampled (docs/PERFORMANCE.md "Capturing a profile")
 alloc-census:
 	$(GO) run ./cmd/alloccensus -hosts 1001
+	$(GO) run ./cmd/alloccensus -shape loaded
 
 ## tables: regenerate every table and figure of the paper's evaluation
 tables:

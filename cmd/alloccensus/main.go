@@ -1,15 +1,23 @@
-// Command alloccensus says where the served fan-in allocates: it runs
-// BenchmarkWallclockFanIn10k's configuration — a fat tree, one staggered
-// 200-byte request per client, streaming statistics, construction
-// included — on -hosts hosts with every allocation sampled
-// (runtime.MemProfileRate = 1), and prints each allocating site (the
-// first frame outside the runtime, inlined frames expanded, as pprof's
-// flat column names it) as heap objects per request, most first. It is
-// the census behind docs/PERFORMANCE.md items 17 and 19; `make
-// alloc-census` runs it at 1,001 hosts.
+// Command alloccensus says where a workload allocates: it runs one of
+// two shapes with every allocation sampled (runtime.MemProfileRate = 1)
+// and prints each allocating site (the first frame outside the runtime,
+// inlined frames expanded, as pprof's flat column names it) as heap
+// objects per request, most first.
+//
+//   - -shape fanin is BenchmarkWallclockFanIn10k's configuration — a fat
+//     tree, one staggered 200-byte request per client, streaming
+//     statistics, construction included — on -hosts hosts (default 1,001).
+//   - -shape loaded is one replica of the loaded-grid benchmark's trials:
+//     tcp and rudp, each under drop-tail, RED and DRR, on a -hosts-host
+//     hub (default 33) with burst loss, reordering and two cross flows,
+//     run one after another on one testbed as the benchmark runs them.
+//
+// It is the census behind docs/PERFORMANCE.md items 17, 19 and 20; `make
+// alloc-census` prints both shapes.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -19,6 +27,7 @@ import (
 	"strings"
 
 	"repro/internal/lab"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -34,12 +43,28 @@ func main() {
 
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("alloccensus", flag.ContinueOnError)
-	hosts := fs.Int("hosts", 1001, "hosts on the fat tree: host 0 serves, every other makes one request")
+	shape := fs.String("shape", "fanin", "fanin: the served fan-in; loaded: one replica of loaded-grid's transport x qdisc trials")
+	hosts := fs.Int("hosts", 0, "hosts: host 0 serves, every other makes requests (0: 1001 for fanin, 33 for loaded)")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return nil
 		}
 		return err
+	}
+	var census func(hosts int) (int, string, error)
+	switch *shape {
+	case "fanin":
+		census = fanIn
+		if *hosts == 0 {
+			*hosts = 1001
+		}
+	case "loaded":
+		census = loaded
+		if *hosts == 0 {
+			*hosts = 33
+		}
+	default:
+		return fmt.Errorf("unknown -shape %q (fanin, loaded)", *shape)
 	}
 	if *hosts < 2 {
 		return fmt.Errorf("-hosts must be at least 2, have %d", *hosts)
@@ -49,21 +74,11 @@ func run(args []string, w io.Writer) error {
 	}
 
 	before := objectsByStack()
-	gen := workload.FanIn{Size: 200, Requests: 1, Stagger: 5000 * sim.Microsecond, Stats: stats.Config{Streaming: true}}
-	cfg := lab.Config{Link: lab.LinkATM, Fabric: lab.FabricFatTree, Seed: 1994, HashPCBs: true}
-	c, err := lab.NewCluster(cfg, *hosts, 1)
+	requests, what, err := census(*hosts)
 	if err != nil {
 		return err
-	}
-	res, err := workload.RunSharded(gen, c)
-	if err != nil {
-		return err
-	}
-	if res.Requests != *hosts-1 || res.Errors != 0 {
-		return fmt.Errorf("%d of %d requests, %d errors", res.Requests, *hosts-1, res.Errors)
 	}
 	after := objectsByStack()
-	runtime.KeepAlive(c)
 
 	bySite := map[string]int64{}
 	var total int64
@@ -90,13 +105,66 @@ func run(args []string, w io.Writer) error {
 		}
 		return rows[i].name < rows[j].name
 	})
-	reqs := float64(res.Requests)
-	fmt.Fprintf(w, "%d requests on a %d-host fat tree: %.2f allocations a request at %d sites\n",
-		res.Requests, *hosts, float64(total)/reqs, len(bySite))
+	reqs := float64(requests)
+	fmt.Fprintf(w, "%d requests %s: %.2f allocations a request at %d sites\n",
+		requests, what, float64(total)/reqs, len(bySite))
 	for _, r := range rows {
 		fmt.Fprintf(w, "%8.2f  %s\n", float64(r.n)/reqs, r.name)
 	}
 	return nil
+}
+
+// fanIn runs the served fan-in on hosts hosts and returns its requests.
+func fanIn(hosts int) (int, string, error) {
+	gen := workload.FanIn{Size: 200, Requests: 1, Stagger: 5000 * sim.Microsecond, Stats: stats.Config{Streaming: true}}
+	cfg := lab.Config{Link: lab.LinkATM, Fabric: lab.FabricFatTree, Seed: 1994, HashPCBs: true}
+	c, err := lab.NewCluster(cfg, hosts, 1)
+	if err != nil {
+		return 0, "", err
+	}
+	res, err := workload.RunSharded(gen, c)
+	if err != nil {
+		return 0, "", err
+	}
+	if res.Requests != hosts-1 || res.Errors != 0 {
+		return 0, "", fmt.Errorf("%d of %d requests, %d errors", res.Requests, hosts-1, res.Errors)
+	}
+	return res.Requests, fmt.Sprintf("on a %d-host fat tree", hosts), nil
+}
+
+// loaded runs one replica of the loaded grid on a hosts-host hub and
+// returns its requests. The traffic constants are the benchmark's.
+func loaded(hosts int) (int, string, error) {
+	const requests = 32
+	var trials []runner.WorkloadTrial
+	for _, tr := range []string{workload.TransportTCP, workload.TransportRUDP} {
+		for _, kind := range []lab.QdiscKind{lab.QdiscDropTail, lab.QdiscRED, lab.QdiscDRR} {
+			cross := workload.CrossTraffic{Flows: 2, MinBytes: 32768}
+			trials = append(trials, runner.WorkloadTrial{
+				Label: tr + "/" + kind.String(),
+				Hosts: hosts,
+				Cfg: lab.Config{
+					Link:        lab.LinkATM,
+					Qdisc:       lab.QdiscConfig{Kind: kind, REDMinCells: 2, REDMaxCells: 256, REDMaxP: 0.5},
+					BurstLoss:   sim.GEParams{PGoodBad: 0.002, PBadGood: 0.2, LossBad: 0.5},
+					ReorderRate: 0.0005, ReorderDepth: 2,
+				},
+				Gen: workload.FanIn{Size: 200, Requests: requests, Warmup: 1, Transport: tr, Cross: &cross},
+			})
+		}
+	}
+	outs, err := runner.RunWorkloadSweep(context.Background(), trials, runner.Options{Workers: 1, BaseSeed: 1994})
+	if err != nil {
+		return 0, "", err
+	}
+	total := 0
+	for _, o := range outs {
+		if want := (hosts - 1) * requests; o.Error != "" || o.Requests != want || o.Errors != 0 {
+			return 0, "", fmt.Errorf("%s: %d of %d requests, %d errors %s", o.Label, o.Requests, want, o.Errors, o.Error)
+		}
+		total += o.Requests
+	}
+	return total, fmt.Sprintf("in %d loaded trials on a %d-host hub", len(trials), hosts), nil
 }
 
 // objectsByStack returns the heap objects allocated so far per call

@@ -7,44 +7,86 @@ import (
 	"testing"
 )
 
-// TestCensusNamesConnectionSites runs the census on a small fat tree and
-// checks what it exists to show: the total a request, and a connection
-// as one allocation an end — tcp.(*Stack).newConn at exactly two a
-// request, and every other connection or socket site far below one (the
-// loop's spare output frame is made once per overlap it cannot serve).
-func TestCensusNamesConnectionSites(t *testing.T) {
+// census runs the command with args and returns its header line, the
+// total a request the header states, and every site's objects a request.
+func census(t *testing.T, args ...string) (string, float64, map[string]float64) {
+	t.Helper()
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
 	var out strings.Builder
-	if err := run([]string{"-hosts", "33"}, &out); err != nil {
+	if err := run(args, &out); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if !strings.HasPrefix(lines[0], "32 requests on a 33-host fat tree: ") {
-		t.Fatalf("header %q", lines[0])
+	f := strings.Fields(lines[0][strings.LastIndex(lines[0], ":")+1:])
+	if len(f) != 7 {
+		t.Fatalf("malformed header %q", lines[0])
 	}
-	newConn := false
+	total, err := strconv.ParseFloat(f[0], 64)
+	if err != nil {
+		t.Fatalf("malformed header %q", lines[0])
+	}
+	sites := map[string]float64{}
 	for _, l := range lines[1:] {
 		f := strings.Fields(l)
 		var perReq float64
-		var err error
 		if len(f) == 2 {
 			perReq, err = strconv.ParseFloat(f[0], 64)
 		}
 		if len(f) != 2 || err != nil {
 			t.Fatalf("malformed line %q", l)
 		}
-		switch site := f[1]; {
-		case site == "tcp.(*Stack).newConn":
-			newConn = true
-			if perReq != 2 {
-				t.Errorf("newConn allocates %v a request, want 2: one Conn an end", perReq)
-			}
-		case (strings.HasPrefix(site, "tcp.(*Conn)") || strings.HasPrefix(site, "sock.")) && perReq >= 0.25:
-			t.Errorf("%s allocates %v a request: connection state outside the Conn", site, perReq)
+		sites[f[1]] = perReq
+	}
+	return lines[0], total, sites
+}
+
+// TestCensusNamesConnectionSites runs the census on a small fat tree and
+// checks what it exists to show: the total a request, and a connection
+// as one allocation an end — tcp.(*Stack).newConn at exactly two a
+// request, and every other connection or socket site far below one (the
+// loop's spare output frame is made once per overlap it cannot serve).
+func TestCensusNamesConnectionSites(t *testing.T) {
+	header, _, sites := census(t, "-hosts", "33")
+	if !strings.HasPrefix(header, "32 requests on a 33-host fat tree: ") {
+		t.Fatalf("header %q", header)
+	}
+	if n, ok := sites["tcp.(*Stack).newConn"]; !ok || n != 2 {
+		t.Errorf("newConn allocates %v a request (listed: %v), want 2: one Conn an end", n, ok)
+	}
+	for site, n := range sites {
+		if (strings.HasPrefix(site, "tcp.(*Conn)") || strings.HasPrefix(site, "sock.")) && n >= 0.25 {
+			t.Errorf("%s allocates %v a request: connection state outside the Conn", site, n)
 		}
 	}
-	if !newConn {
-		t.Errorf("no newConn line in the census:\n%s", out.String())
+}
+
+// TestLoadedCensus runs the loaded shape on a 9-host hub and checks that
+// a loaded request costs what its messages must: udp's datagrams (two
+// messages and two acks an rudp request, so about two a request over a
+// grid that is half rudp; the census misses some of the acks, which the
+// runtime packs into shared 16-byte blocks except under -race) and rudp's
+// retained copy of each message. No other site reaches a quarter of an
+// allocation a request — not a cell the reassembler rejects, a DRR
+// rotation, an rudp frame or ack, or an overlapping udp or ip output.
+func TestLoadedCensus(t *testing.T) {
+	header, total, sites := census(t, "-shape", "loaded", "-hosts", "9")
+	if !strings.HasPrefix(header, "1536 requests in 6 loaded trials on a 9-host hub: ") {
+		t.Fatalf("header %q", header)
+	}
+	if total > 6 {
+		t.Errorf("%v allocations a loaded request, want at most 6", total)
+	}
+	for site, n := range sites {
+		switch site {
+		case "udp.(*inputOp).Step", "rudp.(*SendOp).Step":
+			if n > 2.5 {
+				t.Errorf("%s allocates %v a request, want at most 2.5", site, n)
+			}
+		default:
+			if n >= 0.25 {
+				t.Errorf("%s allocates %v a request, want less than 0.25", site, n)
+			}
+		}
 	}
 }

@@ -241,9 +241,9 @@ func (s *Stack) Output(p *sim.Proc, dst uint32, proto uint8, m *mbuf.Mbuf) {
 }
 
 // outOp is the resumable state of one Output call. Outputs overlap
-// whenever two processes on a host transmit at once — a TCP sender and
-// its connection's ACKs, rudp's receive pump and a sender — since each
-// parks on the CPU charge and in the driver. The stack keeps a free list
+// whenever two processes on a host transmit at once — two connections'
+// segments on a busy server, rudp's receive pump and a sender — since
+// each parks on the CPU charge and in the driver. The stack keeps a free list
 // of frames, which grows to the most outputs ever in flight at once and
 // then allocates nothing.
 type outOp struct {

@@ -405,8 +405,8 @@ func (c *Conn) header() Header {
 func (c *Conn) ackBits() uint32 { return uint32(c.seen) }
 
 // transmit sends one entry with the current ack state, as a tail call.
-// The calling frame calls sent when it resumes: until then SendTo may
-// still be copying the packet out of the entry's buffer.
+// The calling frame decrements sending when it resumes: until then
+// SendTo may still be copying the packet out of the entry's buffer.
 func (c *Conn) transmit(p *sim.Proc, ent *sndEntry) {
 	h := c.header()
 	h.Seq = ent.seq
@@ -429,9 +429,6 @@ func (c *Conn) transmit(p *sim.Proc, ent *sndEntry) {
 	c.e.PacketsOut++
 	c.e.ep.SendTo(p, c.raddr, c.rport, pkt)
 }
-
-// sent ends a transmission transmit began.
-func (c *Conn) sent() { c.sending-- }
 
 // ackPacket encodes a pure acknowledgement into buf.
 func (c *Conn) ackPacket(buf *[MaxHeaderBytes]byte) []byte {
@@ -629,7 +626,7 @@ type rexmtAllFrame struct {
 func (f *rexmtAllFrame) Step(p *sim.Proc) {
 	c := f.c
 	if f.pc == 1 {
-		c.sent()
+		c.sending--
 	}
 	for f.i < len(c.unacked) && c.unacked[f.i].acked {
 		f.i++
@@ -712,7 +709,7 @@ func (f *SendOp) Step(p *sim.Proc) {
 			c.transmit(p, ent)
 			return
 		case 2: // done
-			c.sent()
+			c.sending--
 			f.finish(p)
 			return
 		}
@@ -821,7 +818,7 @@ func (f *CloseOp) Step(p *sim.Proc) {
 			c.transmit(p, c.queue(true, make([]byte, MaxHeaderBytes)))
 			return
 		case 1: // done (the pump retires the fin's ack)
-			c.sent()
+			c.sending--
 			p.Return()
 			return
 		}

@@ -82,13 +82,15 @@ baseline-wallclock:
 	$(GO) test -run='^$$' -bench=Wallclock -benchmem -benchtime=2x -timeout 600s . | \
 		$(GO) run ./cmd/benchdiff -wallclock -write BENCH_wallclock.json
 
-## alloc-census: where the served fan-in and the loaded grid allocate, site
-## by site, as heap objects a request — the 1,001-host fat tree, then one
-## replica of loaded-grid's six transport x qdisc trials, every allocation
-## sampled (docs/PERFORMANCE.md "Capturing a profile")
+## alloc-census: where the served fan-in, the loaded grid and the small
+## echoes allocate, site by site, as heap objects a request — the 1,001-host
+## fat tree, one replica of loaded-grid's six transport x qdisc trials, then
+## two replicas of echo-small's 20-cell grid, every allocation sampled
+## (docs/PERFORMANCE.md "Capturing a profile")
 alloc-census:
 	$(GO) run ./cmd/alloccensus -hosts 1001
 	$(GO) run ./cmd/alloccensus -shape loaded
+	$(GO) run ./cmd/alloccensus -shape echo
 
 ## tables: regenerate every table and figure of the paper's evaluation
 tables:

@@ -1,5 +1,5 @@
 // Command alloccensus says where a workload allocates: it runs one of
-// two shapes with every allocation sampled (runtime.MemProfileRate = 1)
+// three shapes with every allocation sampled (runtime.MemProfileRate = 1)
 // and prints each allocating site (the first frame outside the runtime,
 // inlined frames expanded, as pprof's flat column names it) as heap
 // objects per request, most first.
@@ -11,9 +11,13 @@
 //     tcp and rudp, each under drop-tail, RED and DRR, on a -hosts-host
 //     hub (default 33) with burst loss, reordering and two cross flows,
 //     run one after another on one testbed as the benchmark runs them.
+//   - -shape echo is two replicas of the echo-small benchmark's grid: TCP
+//     on both links with header prediction on and off, and UDP over ATM,
+//     at the paper's four smallest sizes, 250 round trips a cell on the
+//     two-host pair; a request is a round trip.
 //
-// It is the census behind docs/PERFORMANCE.md items 17, 19 and 20; `make
-// alloc-census` prints both shapes.
+// It is the census behind docs/PERFORMANCE.md items 17, 19, 20 and 21;
+// `make alloc-census` prints all three shapes.
 package main
 
 import (
@@ -43,8 +47,8 @@ func main() {
 
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("alloccensus", flag.ContinueOnError)
-	shape := fs.String("shape", "fanin", "fanin: the served fan-in; loaded: one replica of loaded-grid's transport x qdisc trials")
-	hosts := fs.Int("hosts", 0, "hosts: host 0 serves, every other makes requests (0: 1001 for fanin, 33 for loaded)")
+	shape := fs.String("shape", "fanin", "fanin: the served fan-in; loaded: one replica of loaded-grid's transport x qdisc trials; echo: two replicas of echo-small's grid")
+	hosts := fs.Int("hosts", 0, "fanin and loaded: host 0 serves, every other makes requests (0: 1001 for fanin, 33 for loaded)")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return nil
@@ -63,8 +67,14 @@ func run(args []string, w io.Writer) error {
 		if *hosts == 0 {
 			*hosts = 33
 		}
+	case "echo":
+		if *hosts != 0 {
+			return fmt.Errorf("-hosts does not apply to -shape echo: its testbed is the two-host pair")
+		}
+		census = echo
+		*hosts = 2
 	default:
-		return fmt.Errorf("unknown -shape %q (fanin, loaded)", *shape)
+		return fmt.Errorf("unknown -shape %q (fanin, loaded, echo)", *shape)
 	}
 	if *hosts < 2 {
 		return fmt.Errorf("-hosts must be at least 2, have %d", *hosts)
@@ -85,7 +95,9 @@ func run(args []string, w io.Writer) error {
 	for stk, n := range after {
 		n -= before[stk]
 		name := site(stk)
-		if n <= 0 || strings.HasPrefix(name, "main.") { // the census's own bookkeeping
+		// The census's own bookkeeping: package main in the command, its
+		// import path under go test.
+		if n <= 0 || strings.HasPrefix(name, "main.") || strings.HasPrefix(name, "repro/cmd/alloccensus.") {
 			continue
 		}
 		bySite[name] += n
@@ -165,6 +177,47 @@ func loaded(hosts int) (int, string, error) {
 		total += o.Requests
 	}
 	return total, fmt.Sprintf("in %d loaded trials on a %d-host hub", len(trials), hosts), nil
+}
+
+// echo runs two replicas of echo-small's grid on the two-host pair and
+// returns its round trips. The grid is the benchmark's at seed 1994:
+// replica 0 at the paper's sizes, replica 1 a seed-derived 0-3 bytes
+// larger.
+func echo(int) (int, string, error) {
+	const reps, iters, seed = 2, 250, 1994
+	var trials []runner.EchoTrial
+	for r := 0; r < reps; r++ {
+		d := 0
+		if r > 0 {
+			d = int(runner.SeedFor(seed, 1<<20+r) % 4)
+		}
+		sizes := []int{4 + d, 20 + d, 80 + d, 200 + d}
+		g := runner.Grid{
+			Links:  []lab.LinkKind{lab.LinkATM, lab.LinkEther},
+			NoPred: []bool{false, true},
+			Sizes:  sizes, Iterations: iters, Warmup: 8,
+		}
+		trials = append(trials, g.Trials()...)
+		for _, s := range sizes {
+			trials = append(trials, runner.EchoTrial{Label: fmt.Sprintf("atm/udp/%dB", s),
+				Cfg: lab.Config{Link: lab.LinkATM}, Size: s, Iterations: iters, Warmup: 8, UDP: true})
+		}
+	}
+	for i := range trials {
+		trials[i].Cfg.CheckLeaks = true
+	}
+	outs, err := runner.RunEchoSweep(context.Background(), trials, runner.Options{Workers: 1, BaseSeed: seed})
+	if err != nil {
+		return 0, "", err
+	}
+	total := 0
+	for _, o := range outs {
+		if o.Error != "" || o.N != iters || o.CorruptEchoes != 0 {
+			return 0, "", fmt.Errorf("%s: %d of %d round trips, %d corrupt %s", o.Label, o.N, iters, o.CorruptEchoes, o.Error)
+		}
+		total += o.N
+	}
+	return total, fmt.Sprintf("in %d echo trials (%d replicas of echo-small's grid)", len(trials), reps), nil
 }
 
 // objectsByStack returns the heap objects allocated so far per call

@@ -235,6 +235,13 @@ func run(args []string, w io.Writer) error {
 		}
 		return err
 	}
+	// A reliable-UDP message rides one datagram: the loaded and fault
+	// studies run rudp beside tcp, a fan-in when -transport says so.
+	if *wl == "loaded" || *wl == "faults" || *transp == workload.TransportRUDP {
+		if limit := workload.RUDPMaxMessage(lab.MaxMTU(lk)); *size > limit {
+			return fmt.Errorf("-size %d: rudp carries at most %d bytes a message on %v", *size, limit, lk)
+		}
+	}
 	var stCfg stats.Config
 	switch *stream {
 	case "on":

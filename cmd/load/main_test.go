@@ -7,8 +7,12 @@ import (
 	"encoding/json"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/lab"
+	"repro/internal/workload"
 )
 
 func TestRunFanInText(t *testing.T) {
@@ -459,6 +463,32 @@ func TestEveryFlagRunsOrIsRejectedByName(t *testing.T) {
 		b, bv := pick()
 		if a != b {
 			check(wls[rng.Intn(len(wls))], a, av, b, bv)
+		}
+	}
+	// A flag that is fine alone can be wrong beside another: an rudp
+	// message rides one datagram, and 4000 bytes fit ATM's MTU but not
+	// Ethernet's. The run panicked in ip_output before -size was checked.
+	check("fanin", "transport", "rudp", "link", "ether", "size", "4000")
+	if err := run([]string{"-workload", "fanin", "-transport", "rudp", "-link", "ether", "-size", "4000"}, &bytes.Buffer{}); err == nil {
+		t.Error("a 4000-byte rudp message on Ethernet ran")
+	}
+}
+
+// TestRUDPSizeLimitPerLink: on each link the largest rudp message one
+// datagram carries runs, and one byte more is refused naming -size.
+func TestRUDPSizeLimitPerLink(t *testing.T) {
+	for _, flagValue := range []string{"atm", "ether"} {
+		link, _ := lab.ParseLinkKind(flagValue)
+		limit := workload.RUDPMaxMessage(lab.MaxMTU(link))
+		args := func(size int) []string {
+			return []string{"-workload", "fanin", "-transport", "rudp", "-hosts", "2", "-reqs", "1",
+				"-link", flagValue, "-size", strconv.Itoa(size)}
+		}
+		if err := run(args(limit), &bytes.Buffer{}); err != nil {
+			t.Errorf("%v: a %d-byte message: %v", link, limit, err)
+		}
+		if err := run(args(limit+1), &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "-size") {
+			t.Errorf("%v: a %d-byte message: %v, want a refusal naming -size", link, limit+1, err)
 		}
 	}
 }

@@ -144,6 +144,7 @@ func RunLoadedStudy(o LoadedOptions) (*LoadedResult, error) {
 // loadedRowFrom reduces one workload result to a study row.
 func loadedRowFrom(transport string, r *workload.Result) LoadedRow {
 	var s stats.Sample
+	s.Grow(len(r.Latencies))
 	for _, lat := range r.Latencies {
 		s.Add(float64(lat) / float64(sim.Microsecond))
 	}

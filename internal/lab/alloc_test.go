@@ -2,51 +2,77 @@ package lab
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/sim"
 )
 
-// echoAllocs runs one 1400-byte ATM echo lab to completion and returns
-// how many Go heap allocations it performed.
-func echoAllocs(t *testing.T, iters int) uint64 {
+// echoAllocs runs one 1400-byte ATM echo lab, over TCP or UDP, to
+// completion and returns how many Go heap allocations it performed.
+func echoAllocs(t *testing.T, udp bool, iters int) uint64 {
 	t.Helper()
-	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	l := New(Config{Link: LinkATM, Seed: 1994})
-	res, err := l.RunEcho(1400, iters, 2)
+	run := l.RunEcho
+	if udp {
+		run = l.RunUDPEcho
+	}
+	res, err := run(1400, iters, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.CorruptEchoes != 0 {
-		// A recycled mbuf or cluster aliasing an in-flight segment would
-		// corrupt echoed payloads end to end; zero proves the pool never
-		// hands live storage to a new writer under real traffic.
+		// A recycled mbuf, cluster or arena buffer aliasing an in-flight
+		// datagram would corrupt echoed payloads end to end; zero proves
+		// the pools never hand live storage to a new writer under real
+		// traffic.
 		t.Fatalf("echo corrupted %d times — pool aliasing?", res.CorruptEchoes)
 	}
 	runtime.ReadMemStats(&m1)
 	return m1.Mallocs - m0.Mallocs
 }
 
+// steadyStateAllocs is the marginal allocation count of one echo round
+// trip: the allocations of a 108-iteration run less those of an
+// 8-iteration one, over the 100 extra round trips, so that topology setup
+// and warmup cancel exactly. As BenchmarkWallclockEchoSteady does, it
+// holds the collector off across the two counted runs, after one
+// uncounted run: a GC cycle empties the sync.Pools, and refilling one
+// inside either run would be the whole number.
+func steadyStateAllocs(t *testing.T, udp bool) float64 {
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	echoAllocs(t, udp, 8)
+	short := echoAllocs(t, udp, 8)
+	long := echoAllocs(t, udp, 108)
+	// Signed: a stray allocation during the short run must read as
+	// -0.01, not as 2^64/100.
+	return (float64(long) - float64(short)) / 100
+}
+
 // TestEchoSteadyStateAllocs pins the hot-path overhaul's allocation
-// contract end to end: the marginal cost of an extra steady-state echo
-// round trip — event scheduling, mbuf traffic, cell segmentation and
-// reassembly, trace spans — must stay two orders of magnitude below the
-// pre-overhaul ~880 allocations per round trip. The bound (176, an 80%
-// drop) is deliberately loose against the measured ~12 so unrelated
-// runtime changes do not flake it; a reintroduced per-event or
-// per-packet allocation moves the number by hundreds and trips it
-// immediately.
+// contract end to end: an extra steady-state TCP echo round trip — event
+// scheduling, mbuf traffic, cell segmentation and reassembly, socket
+// buffers, trace spans — allocates nothing (880 before the overhaul).
 func TestEchoSteadyStateAllocs(t *testing.T) {
-	short := echoAllocs(t, 8)
-	long := echoAllocs(t, 108)
-	// Signed: the marginal cost is now zero, and a background allocation
-	// during the short run must read as -0.01, not as 2^64/100.
-	perRTT := (float64(long) - float64(short)) / 100
-	t.Logf("steady-state echo: %.1f allocs per round trip", perRTT)
-	if perRTT > 176 {
-		t.Fatalf("steady-state echo allocates %.1f per round trip, want <= 176", perRTT)
+	perRTT := steadyStateAllocs(t, false)
+	t.Logf("steady-state TCP echo: %.2f allocs per round trip", perRTT)
+	if perRTT > 0 {
+		t.Fatalf("steady-state TCP echo allocates %.2f per round trip, want 0", perRTT)
+	}
+}
+
+// TestUDPEchoSteadyStateAllocs is its UDP twin: a datagram waits on the
+// endpoint's queue as its mbuf chain and is copied out at recvfrom into
+// an arena checkout the receiver releases, so a round trip allocates
+// nothing (2 when udp_input copied each datagram into a fresh slice).
+func TestUDPEchoSteadyStateAllocs(t *testing.T) {
+	perRTT := steadyStateAllocs(t, true)
+	t.Logf("steady-state UDP echo: %.2f allocs per round trip", perRTT)
+	if perRTT > 0 {
+		t.Fatalf("steady-state UDP echo allocates %.2f per round trip, want 0", perRTT)
 	}
 }
 

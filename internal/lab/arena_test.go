@@ -92,7 +92,9 @@ func poisonScratch(l *Lab) {
 // pending interrupt — so those rows must drain to zero however many
 // frames the run lost, and their ledger must balance. (For the same
 // reason no drained lab has frames left in an adapter's queues for Reset
-// to hand back; ether's TestEveryFrameComesBack builds that case.)
+// to hand back; ether's TestEveryFrameComesBack builds that case.) So is
+// a datagram udp hands a receiver, until the receiver releases it: the
+// loss-free serial rows echo over UDP as well.
 func TestArenaDrainsToZero(t *testing.T) {
 	cases := []struct {
 		name          string
@@ -147,6 +149,14 @@ func TestArenaDrainsToZero(t *testing.T) {
 			}
 			if res.CorruptEchoes != 0 && tc.cfg.HostCorruptRate == 0 {
 				t.Errorf("%d corrupt echoes", res.CorruptEchoes)
+			}
+			if tc.lossFree && tc.shards == 1 {
+				// A received datagram is a checkout until its receiver
+				// releases it; the UDP echo has no retransmission, so it
+				// runs only where nothing is lost.
+				if res, err := l.RunUDPEcho(min(8000, l.MTU()-28), 30, 2); err != nil || res.CorruptEchoes != 0 {
+					t.Fatalf("UDP echo: %v, %+v", err, res)
+				}
 			}
 			if !tc.lossFree {
 				var hurt int64
@@ -221,13 +231,18 @@ func TestResetHandsBackStrandedFrames(t *testing.T) {
 // across shards, in every checksum mode — a driver, reassembler or
 // transmit queue that read a buffer after returning it would echo 0xDB.
 // The Ethernet rows hold its frames to the same: an adapter queue or a
-// receive process that kept reading a frame it had given back.
+// receive process that kept reading a frame it had given back. On one
+// loop each size that fits a datagram is echoed over UDP too, whose
+// received datagrams are checkouts: an echo server or client that read
+// one after releasing it would send or compare 0xDB.
 func TestReleasedScratchIsPoisoned(t *testing.T) {
 	for _, link := range []LinkKind{LinkATM, LinkEther} {
 		for _, hosts := range []int{2, 3} {
 			for mode := 0; mode < 3; mode++ {
 				cfg := Config{Link: link, Seed: 1994, Mode: cost.ChecksumMode(mode), PacketTrace: true}
-				run := func(poison bool, shards int) string {
+				// run returns the TCP echoes' fingerprint and, serial only,
+				// the UDP echoes'.
+				run := func(poison bool, shards int) (tcp, udp string) {
 					c, err := NewCluster(cfg, hosts, shards)
 					if err != nil {
 						t.Fatal(err)
@@ -235,27 +250,36 @@ func TestReleasedScratchIsPoisoned(t *testing.T) {
 					if poison {
 						poisonScratch(c.Lab)
 					}
-					var fp string
 					for _, size := range []int{4, 200, 1400, 8000} {
 						res, err := c.Lab.RunEcho(size, 6, 2)
 						if err != nil {
 							t.Fatal(err)
 						}
-						fp += fmt.Sprintf("%d:%v:%d:%d;", size, res.RTTs, res.CorruptEchoes, len(c.Lab.PacketEvents()))
+						tcp += fmt.Sprintf("%d:%v:%d:%d;", size, res.RTTs, res.CorruptEchoes, len(c.Lab.PacketEvents()))
+						if err := c.Lab.Reset(cfg, 0); err != nil {
+							t.Fatal(err)
+						}
+						if shards > 1 || size > c.Lab.MTU()-28 {
+							continue // the UDP echo runs on one loop, in one datagram
+						}
+						if res, err = c.Lab.RunUDPEcho(size, 6, 2); err != nil {
+							t.Fatal(err)
+						}
+						udp += fmt.Sprintf("%d:%v:%d;", size, res.RTTs, res.CorruptEchoes)
 						if err := c.Lab.Reset(cfg, 0); err != nil {
 							t.Fatal(err)
 						}
 					}
-					return fp
+					return tcp, udp
 				}
-				want := run(false, 1)
-				if got := run(true, 1); got != want {
-					t.Errorf("%v, %d hosts, mode %d: poisoned run diverged\n got %s\nwant %s", link, hosts, mode, got, want)
+				want, wantUDP := run(false, 1)
+				if got, gotUDP := run(true, 1); got != want || gotUDP != wantUDP {
+					t.Errorf("%v, %d hosts, mode %d: poisoned run diverged\n got %s %s\nwant %s %s", link, hosts, mode, got, gotUDP, want, wantUDP)
 				}
 				if link != LinkATM || hosts == 2 {
 					continue // one broadcast domain, or one pair: nothing to cut
 				}
-				if got := run(true, hosts); got != want {
+				if got, _ := run(true, hosts); got != want {
 					t.Errorf("%d hosts, mode %d: poisoned sharded run diverged\n got %s\nwant %s", hosts, mode, got, want)
 				}
 			}

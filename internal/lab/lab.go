@@ -384,6 +384,7 @@ func (r *EchoResult) MeanRTTMicros() float64 { return r.MeanRTT().Micros() }
 // stalls; the median shows the loss-free common case.
 func (r *EchoResult) MedianRTTMicros() float64 {
 	var s stats.Sample
+	s.Grow(len(r.RTTs))
 	for _, v := range r.RTTs {
 		s.Add(v.Micros())
 	}
@@ -629,6 +630,7 @@ type udpEchoServerFrame struct {
 	pc   int
 	i    int
 	recv *udp.RecvFromOp
+	d    udp.Datagram // the request being echoed, released once sent
 }
 
 // Step drives the UDP echo server loop.
@@ -644,12 +646,15 @@ func (f *udpEchoServerFrame) Step(p *sim.Proc) {
 			f.recv = f.srv.RecvFrom(p)
 			return
 		case 1: // bounce it back
-			d := f.recv.D
+			f.d = f.recv.D
 			f.recv = nil
 			f.i++
-			f.pc = 0
-			f.srv.SendTo(p, d.Src, d.SrcPort, d.Data)
+			f.pc = 2
+			f.srv.SendTo(p, f.d.Src, f.d.SrcPort, f.d.Data)
 			return
+		case 2: // sent: SendTo has copied the payload out
+			f.srv.Release(&f.d)
+			f.pc = 0
 		}
 	}
 }
@@ -711,6 +716,7 @@ func (f *udpEchoClientFrame) Step(p *sim.Proc) {
 					f.res.CorruptEchoes++
 				}
 			}
+			f.cli.Release(&f.recv.D)
 			f.recv = nil
 			f.i++
 			f.pc = 1
@@ -718,10 +724,22 @@ func (f *udpEchoClientFrame) Step(p *sim.Proc) {
 	}
 }
 
+// ErrDatagramTooLarge refuses a UDP echo whose datagram would not fit the
+// interface MTU: IP here does not fragment.
+var ErrDatagramTooLarge = errors.New("lab: UDP datagram exceeds the interface MTU")
+
+// MTU returns the datagram size every host's interface advertises to IP:
+// the link's, or Config.MTU below it.
+func (l *Lab) MTU() int { return l.Server.IP.If.MTU() }
+
 // RunUDPEcho runs the same request/response benchmark over UDP: the
 // datagram baseline for the paper's "is TCP viable for RPC?" question.
-// Sizes above the link MTU are rejected (UDP here does not fragment).
+// A payload that one datagram cannot carry — more than the MTU less the
+// IP and UDP headers — is refused with ErrDatagramTooLarge.
 func (l *Lab) RunUDPEcho(size, iterations, warmup int) (*EchoResult, error) {
+	if limit := l.MTU() - ip.HeaderLen - udp.HeaderLen; size > limit {
+		return nil, fmt.Errorf("%w: %d-byte payload, at most %d on %v", ErrDatagramTooLarge, size, limit, l.Config.Link)
+	}
 	res := newEchoResult(size, iterations)
 	const port = 2049 // the NFS port, in the spirit of §4.2
 	srv, err := l.Server.UDP.Bind(port)

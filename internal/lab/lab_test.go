@@ -151,6 +151,27 @@ func TestUDPEcho(t *testing.T) {
 	}
 }
 
+// TestUDPEchoSizeLimit: on each link the largest payload one datagram
+// carries echoes, and one byte more is refused with ErrDatagramTooLarge
+// instead of reaching ip_output, which panics on a datagram over the MTU
+// (a 1480-byte echo on Ethernet did).
+func TestUDPEchoSizeLimit(t *testing.T) {
+	for _, link := range []LinkKind{LinkATM, LinkEther} {
+		l := New(Config{Link: link})
+		limit := l.MTU() - 28 // IP and UDP headers
+		if link == LinkEther && limit != 1472 {
+			t.Fatalf("Ethernet carries %d-byte UDP payloads, want 1472", limit)
+		}
+		if _, err := l.RunUDPEcho(limit+1, 4, 1); !errors.Is(err, ErrDatagramTooLarge) {
+			t.Errorf("%v: a %d-byte echo: %v, want ErrDatagramTooLarge", link, limit+1, err)
+		}
+		res, err := l.RunUDPEcho(limit, 4, 1)
+		if err != nil || res.CorruptEchoes != 0 {
+			t.Errorf("%v: a %d-byte echo: %v, %+v", link, limit, err, res)
+		}
+	}
+}
+
 func TestEchoVerifiesPayload(t *testing.T) {
 	// Host-side corruption with the checksum eliminated must be counted
 	// by the harness (and only then). The rate stays below 1.0 because

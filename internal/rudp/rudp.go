@@ -250,7 +250,8 @@ type ooSlot struct {
 
 // Conn is one reliable message stream to a peer, and the frames of the
 // operations it runs, held by value so that a message allocates only its
-// retained copy: one Send, one Recv and one Close at a time.
+// two copies — the sender's retained one and the receiver's delivered
+// one: one Send, one Recv and one Close at a time.
 type Conn struct {
 	e     *Endpoint
 	raddr uint32
@@ -502,9 +503,9 @@ func (c *Conn) recordArrival(seq uint16) {
 	}
 }
 
-// deliver takes over payload — a datagram's own storage, which udp
-// shares with no one — buffers a data/fin packet, drains the in-order
-// prefix into the ready queue, and wakes readers.
+// deliver buffers a data/fin packet, drains the in-order prefix into the
+// ready queue, and wakes readers. payload is the pump's datagram, which
+// goes back to udp once deliver returns: what is kept is a copy.
 func (c *Conn) deliver(h Header, payload []byte) {
 	if seqLT(h.Seq, c.rcvNxt) {
 		return // duplicate of something already delivered
@@ -514,7 +515,7 @@ func (c *Conn) deliver(h Header, payload []byte) {
 			return // duplicate of an arrival already held
 		}
 	} else {
-		c.accept(h.Fin, payload)
+		c.accept(h.Fin, keep(h, payload))
 		n := 0
 		for n < len(c.oo) && c.oo[n].seq == c.rcvNxt {
 			c.accept(c.oo[n].fin, c.oo[n].payload)
@@ -525,6 +526,17 @@ func (c *Conn) deliver(h Header, payload []byte) {
 		c.oo = c.oo[:k]
 	}
 	c.rcvWq.WakeAll()
+}
+
+// keep copies the payload of a data packet the receiver retains; a fin
+// carries none.
+func keep(h Header, payload []byte) []byte {
+	if h.Fin {
+		return nil
+	}
+	b := make([]byte, len(payload))
+	copy(b, payload)
+	return b
 }
 
 // accept delivers the arrival at rcvNxt.
@@ -551,13 +563,14 @@ func (c *Conn) hold(h Header, payload []byte) bool {
 	}
 	c.oo = append(c.oo, ooSlot{})
 	copy(c.oo[i+1:], c.oo[i:])
-	c.oo[i] = ooSlot{seq: h.Seq, fin: h.Fin, payload: payload}
+	c.oo[i] = ooSlot{seq: h.Seq, fin: h.Fin, payload: keep(h, payload)}
 	return true
 }
 
 // pumpFrame is the endpoint's receive service process: one datagram per
-// cycle — parse, demultiplex, retire acks, deliver data, and answer
-// consumed sequences with an immediate ack, marshaled into ack.
+// cycle — parse, demultiplex, retire acks, deliver data, hand the
+// datagram back to udp, and answer consumed sequences with an immediate
+// ack, marshaled into ack.
 type pumpFrame struct {
 	e *Endpoint
 
@@ -578,32 +591,14 @@ func (f *pumpFrame) Step(p *sim.Proc) {
 			f.pc = 1
 			f.recv = e.ep.RecvFrom(p)
 			return
-		case 1: // parse and process it
-			d := f.recv.D
+		case 1: // process it, release it, and ack what it consumed
+			c := e.input(&f.recv.D)
+			e.ep.Release(&f.recv.D)
 			f.recv = nil
 			f.pc = 0
-			h, n, err := ParseHeader(d.Data)
-			if err != nil {
-				e.BadHeaders++
-				continue
-			}
-			e.PacketsIn++
-			key := connKey{addr: d.Src, port: d.SrcPort}
-			c := e.conns[key]
 			if c == nil {
-				if !e.listening {
-					continue // stray datagram to a client port
-				}
-				c = e.conn(key)
-				e.backlog = append(e.backlog, c)
-				e.acceptWq.WakeAll()
-			}
-			c.processAck(h)
-			if !h.Data && !h.Fin {
 				continue
 			}
-			c.recordArrival(h.Seq)
-			c.deliver(h, d.Data[n:])
 			// Ack immediately: latency beats bandwidth for a
 			// request/response rival, so there is no delayed-ack timer.
 			// SendTo has copied the ack out before the pump resumes.
@@ -612,6 +607,35 @@ func (f *pumpFrame) Step(p *sim.Proc) {
 			return
 		}
 	}
+}
+
+// input parses one datagram, demultiplexes it, retires what its ack state
+// covers and delivers its data or fin. It returns the connection that
+// consumed a sequence, which owes the peer an ack, or nil.
+func (e *Endpoint) input(d *udp.Datagram) *Conn {
+	h, n, err := ParseHeader(d.Data)
+	if err != nil {
+		e.BadHeaders++
+		return nil
+	}
+	e.PacketsIn++
+	key := connKey{addr: d.Src, port: d.SrcPort}
+	c := e.conns[key]
+	if c == nil {
+		if !e.listening {
+			return nil // stray datagram to a client port
+		}
+		c = e.conn(key)
+		e.backlog = append(e.backlog, c)
+		e.acceptWq.WakeAll()
+	}
+	c.processAck(h)
+	if !h.Data && !h.Fin {
+		return nil
+	}
+	c.recordArrival(h.Seq)
+	c.deliver(h, d.Data[n:])
+	return c
 }
 
 // rexmtAllFrame resends every unacked entry, one datagram per Step.

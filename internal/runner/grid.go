@@ -111,6 +111,7 @@ func runEchoTrial(tb *Testbeds, t EchoTrial, seed uint64) (any, error) {
 		return nil, err
 	}
 	var s stats.Sample
+	s.Grow(len(res.RTTs))
 	for _, rtt := range res.RTTs {
 		s.Add(rtt.Micros())
 	}

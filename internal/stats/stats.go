@@ -29,6 +29,17 @@ func (s *Sample) Add(v float64) {
 	s.values = append(s.values, v)
 }
 
+// Grow makes room for n more observations, so that a caller who knows
+// how many are coming sizes the exact sample once instead of growing it
+// by doubling. A streaming sample holds constant state: Grow is a no-op.
+func (s *Sample) Grow(n int) {
+	if s.stream == nil && cap(s.values)-len(s.values) < n {
+		v := make([]float64, len(s.values), len(s.values)+n)
+		copy(v, s.values)
+		s.values = v
+	}
+}
+
 // N returns the number of observations.
 func (s *Sample) N() int {
 	if s.stream != nil {

@@ -30,6 +30,35 @@ func TestSampleBasics(t *testing.T) {
 	}
 }
 
+// TestGrowSizesOnce: an exact sample grown for n observations takes them
+// in one allocation, where filling it by appends takes one a doubling;
+// a streaming sample ignores Grow.
+func TestGrowSizesOnce(t *testing.T) {
+	var s Sample // outside the run, so that only its storage is counted
+	fill := func(grow bool) float64 {
+		return testing.AllocsPerRun(20, func() {
+			s = Sample{}
+			if grow {
+				s.Grow(250)
+			}
+			for i := 0; i < 250; i++ {
+				s.Add(float64(i))
+			}
+		})
+	}
+	if n := fill(true); n != 1 {
+		t.Errorf("a grown sample allocates %v times for 250 observations, want 1", n)
+	}
+	if n := fill(false); n < 5 {
+		t.Errorf("an appended sample allocates %v times for 250 observations: the comparison is vacuous", n)
+	}
+	st := NewSample(Config{Streaming: true})
+	st.Grow(1 << 20)
+	if st.values != nil {
+		t.Error("Grow gave a streaming sample exact storage")
+	}
+}
+
 func TestPercentile(t *testing.T) {
 	var s Sample
 	for i := 1; i <= 100; i++ {

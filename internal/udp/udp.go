@@ -10,6 +10,13 @@
 // option for a transport layer for RPC?" — by providing the datagram
 // baseline an RPC system would otherwise use; the extension experiment in
 // internal/core compares echo latency over both transports.
+//
+// The receive path is 4.3BSD's: udp_input appends the datagram's mbuf
+// chain to the bound endpoint's queue (sbappendaddr) and recvfrom copies
+// the payload out, at the step where the model charges that copy. The
+// copy lands in a checkout from the receiving host's event-loop arena
+// (sim.Arena), so a receiver owns the bytes of each datagram it is handed
+// until it gives them back with Endpoint.Release.
 package udp
 
 import (
@@ -60,21 +67,38 @@ func ParseHeader(b []byte) (Header, error) {
 	return h, nil
 }
 
-// Datagram is one received datagram. Data is storage of its own, copied
-// out of the mbuf chain on input and referenced by nothing else in the
-// stack: the receiver owns it and may keep it.
+// Datagram is one received datagram. Data is a checkout from the
+// receiving host's event-loop arena, copied out of the queued chain by
+// RecvFrom and referenced by nothing else in the stack: the receiver owns
+// it until it hands it back with Endpoint.Release, and must not read it
+// after that. A receiver that keeps the bytes copies them first.
 type Datagram struct {
 	Src     uint32
 	SrcPort uint16
 	Data    []byte
 }
 
+// queued is one datagram on an endpoint's receive queue: its chain as
+// udp_input received it, UDP header first, the payload length, and its
+// source.
+type queued struct {
+	m       *mbuf.Mbuf
+	n       int
+	src     uint32
+	srcPort uint16
+}
+
 // Endpoint is a bound UDP port: a receive queue plus send capability.
 type Endpoint struct {
 	s    *Stack
 	port uint16
-	q    []Datagram
+	q    []queued
 	wq   sim.WaitQueue
+
+	// first is where q starts: a request/response endpoint never holds
+	// more, so only a port that queues deeper — a busy server — grows q,
+	// once, to its high-water mark.
+	first [2]queued
 
 	// Free frames for the endpoint's send and receive paths. Receives are
 	// one at a time, so one frame is cached. Sends overlap whenever two
@@ -96,19 +120,25 @@ type Stack struct {
 	// a zero checksum field is accepted unverified, a nonzero one is
 	// verified (RFC 768 semantics).
 	ChecksumOff bool
-
-	ports    map[uint16]*Endpoint // made by the first Bind: a TCP-only host has none
+	// nextPort shares ChecksumOff's word: a Stack is 80 bytes, the size
+	// class every host pays for.
 	nextPort uint16
+
+	ports map[uint16]*Endpoint // made by the first Bind: a TCP-only host has none
 
 	// inOp caches the ip.Handler input frame (one datagram is processed
 	// at a time per host).
 	inOp *inputOp
 
-	// Stats.
+	// Stats. Every datagram IP hands up ends in exactly one of
+	// DatagramsIn (queued on a bound port), ChecksumErrors, NoPortDrops
+	// and BadHeaders (shorter than a header, or a Length field that
+	// disagrees with the datagram).
 	DatagramsIn    int64
 	DatagramsOut   int64
 	ChecksumErrors int64
 	NoPortDrops    int64
+	BadHeaders     int64
 }
 
 // NewStack creates the UDP layer and registers it with IP.
@@ -119,14 +149,18 @@ func NewStack(k *kern.Kernel, ipStack *ip.Stack) *Stack {
 }
 
 // Reset returns the stack to its just-constructed state for testbed
-// reuse: bound ports released, the ephemeral port counter rewound, the
-// checksum policy back to default, statistics cleared. The IP
-// registration survives — it is part of the topology.
+// reuse: bound ports released with their queued datagrams freed, the
+// ephemeral port counter rewound, the checksum policy back to default,
+// statistics cleared. The IP registration survives — it is part of the
+// topology.
 func (s *Stack) Reset() {
+	for _, e := range s.ports {
+		e.drop()
+	}
 	clear(s.ports)
 	s.nextPort = 2048
 	s.ChecksumOff = false
-	s.DatagramsIn, s.DatagramsOut, s.ChecksumErrors, s.NoPortDrops = 0, 0, 0, 0
+	s.DatagramsIn, s.DatagramsOut, s.ChecksumErrors, s.NoPortDrops, s.BadHeaders = 0, 0, 0, 0, 0
 }
 
 // Bind claims a port (0 means an ephemeral one) and returns its endpoint.
@@ -139,6 +173,7 @@ func (s *Stack) Bind(port uint16) (*Endpoint, error) {
 		return nil, fmt.Errorf("udp: port %d in use", port)
 	}
 	e := &Endpoint{s: s, port: port}
+	e.q = e.first[:0]
 	e.wq.Init("udp")
 	if s.ports == nil {
 		s.ports = make(map[uint16]*Endpoint)
@@ -150,14 +185,33 @@ func (s *Stack) Bind(port uint16) (*Endpoint, error) {
 // Port returns the endpoint's bound port.
 func (e *Endpoint) Port() uint16 { return e.port }
 
-// Close releases the endpoint's port binding and discards queued
-// datagrams, so the port can be bound again (a crashed server's restart
-// re-Listens on the same port). Parked receivers are not woken — a
-// closed endpoint's service process simply never runs again — and later
-// arrivals for the port drop like any unbound port's.
+// Close releases the endpoint's port binding and frees queued datagrams,
+// so the port can be bound again (a crashed server's restart re-Listens
+// on the same port). Parked receivers are not woken — a closed endpoint's
+// service process simply never runs again — and later arrivals for the
+// port drop like any unbound port's. A datagram already handed to a
+// receiver is the receiver's to Release.
 func (e *Endpoint) Close() {
 	delete(e.s.ports, e.port)
-	e.q = nil
+	e.drop()
+}
+
+// drop frees the queued datagrams' chains.
+func (e *Endpoint) drop() {
+	for i := range e.q {
+		e.s.K.Pool.Free(e.q[i].m)
+		e.q[i] = queued{}
+	}
+	e.q = e.q[:0]
+}
+
+// Release hands a received datagram's storage back to the arena it was
+// checked out of and clears d.Data, so a second Release is a no-op.
+func (e *Endpoint) Release(d *Datagram) {
+	if d.Data != nil {
+		e.s.K.Env.Arena().Return(d.Data)
+		d.Data = nil
+	}
 }
 
 // SendTo transmits one datagram as a frame call (tail position). The
@@ -310,7 +364,7 @@ func (f *SendToOp) Step(p *sim.Proc) {
 
 // RecvFrom blocks until a datagram arrives. The call must be in tail
 // position; once the caller re-enters, the returned op's D field holds
-// the datagram.
+// the datagram, whose Data the caller must hand back with Release.
 func (e *Endpoint) RecvFrom(p *sim.Proc) *RecvFromOp {
 	f := e.recvOp
 	if f != nil {
@@ -348,10 +402,15 @@ func (f *RecvFromOp) Step(p *sim.Proc) {
 			if !k.Use(p, trace.LayerUserRx, k.Cost.ReadSyscall) {
 				return
 			}
-		case 1: // dequeue and charge the copyout
-			f.D = e.q[0]
-			copy(e.q, e.q[1:])
-			e.q = e.q[:len(e.q)-1]
+		case 1: // dequeue, copy out into a checkout, charge the copyout
+			dg := e.q[0]
+			n := copy(e.q, e.q[1:])
+			e.q[n] = queued{}
+			e.q = e.q[:n]
+			data := k.Env.Arena().Checkout(dg.n)[:dg.n]
+			mbuf.CopyBytesTo(dg.m, HeaderLen, dg.n, data)
+			k.Pool.Free(dg.m)
+			f.D = Datagram{Src: dg.src, SrcPort: dg.srcPort, Data: data}
 			f.pc = 2
 			if !k.Use(p, trace.LayerUserRx,
 				k.Cost.CopyoutFixed+sim.Time(k.Cost.CopyoutPerByte*float64(len(f.D.Data)))) {
@@ -385,8 +444,8 @@ func (s *Stack) Input(p *sim.Proc, h ip.Header, m *mbuf.Mbuf) {
 
 // inputOp is the frame behind Stack.Input: parse checks (free of charge,
 // as in the original), the protocol-processing charge, the optional
-// checksum verification, and delivery to the bound port. The datagram
-// chain is freed on every exit path.
+// checksum verification, and delivery to the bound port. A delivered
+// chain moves to the port's queue; every other exit frees it.
 type inputOp struct {
 	s  *Stack
 	pc int
@@ -405,11 +464,13 @@ func (f *inputOp) Step(p *sim.Proc) {
 		case 0: // parse and sanity-check, then charge protocol processing
 			var raw [HeaderLen]byte
 			if mbuf.CopyBytesTo(f.m, 0, HeaderLen, raw[:]) != HeaderLen {
+				s.BadHeaders++
 				f.pc = 4
 				continue
 			}
-			uh, err := ParseHeader(raw[:])
-			if err != nil || uh.Length != mbuf.ChainLen(f.m) {
+			uh, _ := ParseHeader(raw[:]) // raw is a whole header: it cannot fail
+			if uh.Length != mbuf.ChainLen(f.m) {
+				s.BadHeaders++
 				f.pc = 4
 				continue
 			}
@@ -447,13 +508,12 @@ func (f *inputOp) Step(p *sim.Proc) {
 				f.pc = 4
 				continue
 			}
-			data := make([]byte, f.uh.Length-HeaderLen)
-			mbuf.CopyBytesTo(f.m, HeaderLen, len(data), data)
 			s.DatagramsIn++
-			ep.q = append(ep.q, Datagram{Src: f.h.Src, SrcPort: f.uh.SrcPort, Data: data})
+			ep.q = append(ep.q, queued{m: f.m, n: f.uh.Length - HeaderLen, src: f.h.Src, srcPort: f.uh.SrcPort})
+			f.m = nil
 			ep.wq.WakeAll()
 			f.pc = 4
-		case 4: // free the chain and pop
+		case 4: // free an undelivered chain and pop
 			k.Pool.Free(f.m)
 			f.m = nil
 			if s.inOp == nil {

@@ -69,7 +69,7 @@ func (g FaultRecovery) withDefaults() FaultRecovery {
 // Run implements Generator.
 func (g FaultRecovery) Run(l *lab.Lab) (*Result, error) {
 	g = g.withDefaults()
-	tr, err := pickTransport(g.Transport, g.Size)
+	tr, err := pickTransport(g.Transport, g.Size, l)
 	if err != nil {
 		return nil, err
 	}

@@ -45,6 +45,28 @@ func TestFanInRUDPClean(t *testing.T) {
 	}
 }
 
+// TestRUDPMessageFitsOneDatagram: an rudp message rides one datagram, so
+// on each link — and under a lowered MTU — the largest message that fits
+// the interface MTU with the IP, UDP and rudp headers completes, and one
+// byte more is refused before anything runs; a 4031-byte datagram on
+// Ethernet used to panic in ip_output.
+func TestRUDPMessageFitsOneDatagram(t *testing.T) {
+	for _, cfg := range []lab.Config{{Link: lab.LinkATM}, {Link: lab.LinkEther}, {Link: lab.LinkATM, MTU: 1000}} {
+		l := lab.NewTopology(cfg, 3)
+		limit := workload.RUDPMaxMessage(l.MTU())
+		if want := min(4096, l.MTU()-20-8-9); limit != want {
+			t.Fatalf("%v MTU %d: limit %d, want %d", cfg.Link, l.MTU(), limit, want)
+		}
+		if _, err := (workload.FanIn{Transport: workload.TransportRUDP, Requests: 2, Size: limit + 1}).Run(l); err == nil {
+			t.Errorf("%v MTU %d: a %d-byte message ran", cfg.Link, l.MTU(), limit+1)
+		}
+		r, err := workload.FanIn{Transport: workload.TransportRUDP, Requests: 2, Size: limit}.Run(l)
+		if err != nil || r.Errors != 0 || r.Requests != 4 {
+			t.Errorf("%v MTU %d: %d-byte messages: %v, %+v", cfg.Link, l.MTU(), limit, err, r)
+		}
+	}
+}
+
 // TestFanInRUDPUnderLoss runs the rudp transport through the
 // Gilbert–Elliott burst-loss chain: retransmission must recover every
 // request (latencies may include RTO waits, hence the loose bound).

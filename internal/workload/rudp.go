@@ -6,9 +6,11 @@ package workload
 import (
 	"fmt"
 
+	"repro/internal/ip"
 	"repro/internal/lab"
 	"repro/internal/rudp"
 	"repro/internal/sim"
+	"repro/internal/udp"
 )
 
 type rudpTransport struct{}
@@ -23,12 +25,20 @@ func (rudpTransport) listen(h *lab.Host, port uint16) (listener, error) {
 
 func (rudpTransport) client(h *lab.Host, port uint16) conn { return &rudpConn{host: h, port: port} }
 
-// rudpFor is the transport for messages of size bytes, which must each
-// ride one datagram.
-func rudpFor(size int) (transport, error) {
-	if size > rudp.MaxMessage {
-		return nil, fmt.Errorf("workload: rudp transport caps messages at %d bytes, got %d",
-			rudp.MaxMessage, size)
+// RUDPMaxMessage returns the largest message the rudp transport carries
+// over interfaces of the given MTU. A message rides one datagram, so it
+// is the MTU less the IP, UDP and worst-case rudp headers, and never more
+// than rudp.MaxMessage.
+func RUDPMaxMessage(mtu int) int {
+	return min(rudp.MaxMessage, mtu-ip.HeaderLen-udp.HeaderLen-rudp.MaxHeaderBytes)
+}
+
+// rudpFor is the transport for messages of size bytes over interfaces of
+// the given MTU.
+func rudpFor(size, mtu int) (transport, error) {
+	if limit := RUDPMaxMessage(mtu); size > limit {
+		return nil, fmt.Errorf("workload: rudp carries one message a datagram, at most %d bytes on a %d-byte MTU; got %d",
+			limit, mtu, size)
 	}
 	return rudpTransport{}, nil
 }

@@ -81,13 +81,13 @@ type conn interface {
 }
 
 // pickTransport resolves a generator's Transport field for messages of
-// size bytes.
-func pickTransport(name string, size int) (transport, error) {
+// size bytes on l's interfaces.
+func pickTransport(name string, size int, l *lab.Lab) (transport, error) {
 	switch name {
 	case "", TransportTCP:
 		return tcpTransport{}, nil
 	case TransportRUDP:
-		return rudpFor(size)
+		return rudpFor(size, l.MTU())
 	}
 	return nil, fmt.Errorf("workload: unknown transport %q (tcp, rudp)", name)
 }

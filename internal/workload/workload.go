@@ -78,6 +78,7 @@ func (r *Result) Sample() *stats.Sample {
 		return r.agg
 	}
 	var s stats.Sample
+	s.Grow(len(r.Latencies))
 	for _, v := range r.Latencies {
 		s.Add(v.Micros())
 	}
@@ -181,7 +182,7 @@ func (FanIn) Name() string { return "fanin" }
 // Run implements Generator.
 func (g FanIn) Run(l *lab.Lab) (*Result, error) {
 	size, reqs, warm := defInt(g.Size, 200), defInt(g.Requests, 20), defInt(g.Warmup, 2)
-	tr, err := pickTransport(g.Transport, size)
+	tr, err := pickTransport(g.Transport, size, l)
 	if err != nil {
 		return nil, err
 	}

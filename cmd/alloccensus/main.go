@@ -48,7 +48,7 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("alloccensus", flag.ContinueOnError)
 	shape := fs.String("shape", "fanin", "fanin: the served fan-in; loaded: one replica of loaded-grid's transport x qdisc trials; echo: two replicas of echo-small's grid")
-	hosts := fs.Int("hosts", 0, "fanin and loaded: host 0 serves, every other makes requests (0: 1001 for fanin, 33 for loaded)")
+	hosts := fs.Int("hosts", 0, "fanin and loaded: host 0 serves, every other makes requests (0: 1001 for fanin, 33 for loaded); echo runs on the two-host pair")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return nil
@@ -68,9 +68,6 @@ func run(args []string, w io.Writer) error {
 			*hosts = 33
 		}
 	case "echo":
-		if *hosts != 0 {
-			return fmt.Errorf("-hosts does not apply to -shape echo: its testbed is the two-host pair")
-		}
 		census = echo
 		*hosts = 2
 	default:

@@ -85,12 +85,14 @@ baseline-wallclock:
 ## alloc-census: where the served fan-in, the loaded grid and the small
 ## echoes allocate, site by site, as heap objects a request — the 1,001-host
 ## fat tree, one replica of loaded-grid's six transport x qdisc trials, then
-## two replicas of echo-small's 20-cell grid, every allocation sampled
+## two replicas of echo-small's 20-cell grid — and what the fat tree costs
+## to build idle, a host at a time, every allocation sampled
 ## (docs/PERFORMANCE.md "Capturing a profile")
 alloc-census:
 	$(GO) run ./cmd/alloccensus -hosts 1001
 	$(GO) run ./cmd/alloccensus -shape loaded
 	$(GO) run ./cmd/alloccensus -shape echo
+	$(GO) run ./cmd/alloccensus -shape idle
 
 ## tables: regenerate every table and figure of the paper's evaluation
 tables:

@@ -1,8 +1,8 @@
 // Command alloccensus says where a workload allocates: it runs one of
-// three shapes with every allocation sampled (runtime.MemProfileRate = 1)
+// four shapes with every allocation sampled (runtime.MemProfileRate = 1)
 // and prints each allocating site (the first frame outside the runtime,
 // inlined frames expanded, as pprof's flat column names it) as heap
-// objects per request, most first.
+// objects per request — per host, for the idle shape — most first.
 //
 //   - -shape fanin is BenchmarkWallclockFanIn10k's configuration — a fat
 //     tree, one staggered 200-byte request per client, streaming
@@ -15,9 +15,12 @@
 //     on both links with header prediction on and off, and UDP over ATM,
 //     at the paper's four smallest sizes, 250 round trips a cell on the
 //     two-host pair; a request is a round trip.
+//   - -shape idle builds the fan-in's -hosts-host fat tree (default
+//     1,001) and runs its loop until every service process has parked, with
+//     no traffic: what a topology costs to exist, a host at a time.
 //
-// It is the census behind docs/PERFORMANCE.md items 17, 19, 20 and 21;
-// `make alloc-census` prints all three shapes.
+// It is the census behind docs/PERFORMANCE.md items 17, 19, 20, 21 and
+// 22; `make alloc-census` prints all four shapes.
 package main
 
 import (
@@ -47,8 +50,8 @@ func main() {
 
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("alloccensus", flag.ContinueOnError)
-	shape := fs.String("shape", "fanin", "fanin: the served fan-in; loaded: one replica of loaded-grid's transport x qdisc trials; echo: two replicas of echo-small's grid")
-	hosts := fs.Int("hosts", 0, "fanin and loaded: host 0 serves, every other makes requests (0: 1001 for fanin, 33 for loaded); echo runs on the two-host pair")
+	shape := fs.String("shape", "fanin", "fanin: the served fan-in; loaded: one replica of loaded-grid's transport x qdisc trials; echo: two replicas of echo-small's grid; idle: the fan-in's fat tree, built and left idle")
+	hosts := fs.Int("hosts", 0, "fanin and loaded: host 0 serves, every other makes requests (0: 1001 for fanin and idle, 33 for loaded); echo runs on the two-host pair")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return nil
@@ -56,9 +59,13 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	var census func(hosts int) (int, string, error)
+	unit := "request"
 	switch *shape {
-	case "fanin":
+	case "fanin", "idle":
 		census = fanIn
+		if *shape == "idle" {
+			census, unit = idle, "host" // what a topology costs to exist
+		}
 		if *hosts == 0 {
 			*hosts = 1001
 		}
@@ -71,7 +78,7 @@ func run(args []string, w io.Writer) error {
 		census = echo
 		*hosts = 2
 	default:
-		return fmt.Errorf("unknown -shape %q (fanin, loaded, echo)", *shape)
+		return fmt.Errorf("unknown -shape %q (fanin, loaded, echo, idle)", *shape)
 	}
 	if *hosts < 2 {
 		return fmt.Errorf("-hosts must be at least 2, have %d", *hosts)
@@ -115,19 +122,21 @@ func run(args []string, w io.Writer) error {
 		return rows[i].name < rows[j].name
 	})
 	reqs := float64(requests)
-	fmt.Fprintf(w, "%d requests %s: %.2f allocations a request at %d sites\n",
-		requests, what, float64(total)/reqs, len(bySite))
+	fmt.Fprintf(w, "%d %ss %s: %.2f allocations a %s at %d sites\n",
+		requests, unit, what, float64(total)/reqs, unit, len(bySite))
 	for _, r := range rows {
 		fmt.Fprintf(w, "%8.2f  %s\n", float64(r.n)/reqs, r.name)
 	}
 	return nil
 }
 
+// faninConfig is the fan-in's testbed, BenchmarkWallclockFanIn10k's.
+var faninConfig = lab.Config{Link: lab.LinkATM, Fabric: lab.FabricFatTree, Seed: 1994, HashPCBs: true}
+
 // fanIn runs the served fan-in on hosts hosts and returns its requests.
 func fanIn(hosts int) (int, string, error) {
 	gen := workload.FanIn{Size: 200, Requests: 1, Stagger: 5000 * sim.Microsecond, Stats: stats.Config{Streaming: true}}
-	cfg := lab.Config{Link: lab.LinkATM, Fabric: lab.FabricFatTree, Seed: 1994, HashPCBs: true}
-	c, err := lab.NewCluster(cfg, hosts, 1)
+	c, err := lab.NewCluster(faninConfig, hosts, 1)
 	if err != nil {
 		return 0, "", err
 	}
@@ -139,6 +148,17 @@ func fanIn(hosts int) (int, string, error) {
 		return 0, "", fmt.Errorf("%d of %d requests, %d errors", res.Requests, hosts-1, res.Errors)
 	}
 	return res.Requests, fmt.Sprintf("on a %d-host fat tree", hosts), nil
+}
+
+// idle builds the fan-in's topology on hosts hosts and runs its loop until
+// every service process has parked, and returns its hosts.
+func idle(hosts int) (int, string, error) {
+	c, err := lab.NewCluster(faninConfig, hosts, 1)
+	if err != nil {
+		return 0, "", err
+	}
+	c.Lab.Env.Run()
+	return hosts, fmt.Sprintf("of an idle %d-host fat tree", hosts), nil
 }
 
 // loaded runs one replica of the loaded grid on a hosts-host hub and

@@ -61,6 +61,41 @@ func TestCensusNamesConnectionSites(t *testing.T) {
 	}
 }
 
+// TestIdleCensus runs the idle shape on the fan-in's 1,001-host fat tree
+// and checks what a topology costs to exist: a host is two allocations
+// (lab.buildHost: the Host, with its kernel, stacks and their service
+// processes, and its link block) and a switch port, and nothing a host
+// builds allocates on its own account — no stack or driver constructor,
+// no process start, no closure per driver. What remains is the fabric's
+// per-leaf state — the switch, its port list, the two trunk ports and
+// their VCI allocators, about a tenth of a host at 64 hosts a leaf — and
+// the build's own slices. Sixteen a host before hosts were built in place.
+func TestIdleCensus(t *testing.T) {
+	header, total, sites := census(t, "-shape", "idle")
+	if !strings.HasPrefix(header, "1001 hosts of an idle 1001-host fat tree: ") {
+		t.Fatalf("header %q", header)
+	}
+	if total > 3.25 {
+		t.Errorf("%v allocations an idle host, want at most 3.25", total)
+	}
+	if n := sites["lab.buildHost"]; n != 2 {
+		t.Errorf("lab.buildHost allocates %v a host, want 2: the Host and its link block", n)
+	}
+	if n := sites["atm.(*Switch).newPort"]; n < 1 || n > 1.05 {
+		t.Errorf("newPort allocates %v a host, want 1: the port, and a trunk's two a leaf", n)
+	}
+	if n := sites["atm.NewFabric"]; n > 0.05 {
+		t.Errorf("NewFabric allocates %v a host, want its own few tables only", n)
+	}
+	for site, n := range sites {
+		for _, p := range []string{"kern.", "ip.", "tcp.", "udp.", "atm.NewAdapter", "atm.NewDriver", "atm.(*Driver)", "atm.(*Adapter)", "sim.(*Env).Spawn"} {
+			if strings.HasPrefix(site, p) && n >= 0.01 {
+				t.Errorf("%s allocates %v an idle host: host state outside the host's two blocks", site, n)
+			}
+		}
+	}
+}
+
 // TestLoadedCensus runs the loaded shape on a 9-host hub and checks that
 // a loaded request costs what its messages must: rudp's two copies of
 // each message, the sender's retained one and the receiver's delivered

@@ -329,10 +329,14 @@ type Adapter struct {
 }
 
 // NewAdapter returns an adapter attached to the given host kernel.
-func NewAdapter(k *kern.Kernel) *Adapter {
-	a := &Adapter{K: k}
+func NewAdapter(k *kern.Kernel) *Adapter { return new(Adapter).Init(k) }
+
+// Init readies a zero Adapter in place, as NewAdapter does, and returns
+// it.
+func (a *Adapter) Init(k *kern.Kernel) *Adapter {
+	a.K = k
 	a.RxReady.Init("atm.rx")
-	a.tx.inLane.Bind(a.cellIn)
+	a.tx.inLane.Bind(a)
 	return a
 }
 
@@ -394,9 +398,10 @@ func (a *Adapter) SetCut(stage func(scheduleAt, at sim.Time, c Cell)) { a.tx.cut
 // crosses by value: the copy is this call's own.
 func (a *Adapter) InjectCell(c Cell) { a.receive(&c) }
 
-// cellIn fires when a cell's propagation delay elapses: deliver it to
-// the far end of the fiber.
-func (a *Adapter) cellIn() { a.tx.deliver(a.K.Env, a.link) }
+// LaneFired implements sim.LaneOwner for the adapter's one lane, the
+// transmit fiber's: a cell's propagation delay has elapsed, so deliver it
+// to the far end.
+func (a *Adapter) LaneFired(*sim.Lane) { a.tx.deliver(a.K.Env, a.link) }
 
 // Connect joins two adapters with a duplex fiber — the switchless
 // configuration of the paper's lab. Topologies with more than two hosts

@@ -34,20 +34,20 @@ type Driver struct {
 	// seg carries traffic on the default PVC (the single VC of the
 	// paper's switchless fiber); tx maps destination IP addresses to
 	// per-VC transmit state, installed either eagerly by a test harness
-	// (AddVC) or on demand through SetupVC when the first datagram to a
+	// (AddVC) or on demand through the fabric when the first datagram to a
 	// destination is segmented.
 	seg Segmenter
 	tx  txTable
 
-	// SetupVC, when set, is consulted on a transmit-side VC miss: the
-	// routed fabric installs the switch path for (this host → dst) and
-	// returns the VCI the host transmits on. Signaling is modeled as
-	// instantaneous — it charges no simulated time — so an on-demand
-	// topology is timing-identical to one with every VC pre-installed.
-	// TeardownVC is the inverse, called when the driver reclaims an idle
-	// VC under TxVCLimit.
-	SetupVC    func(dst uint32) (vci uint16, ok bool)
-	TeardownVC func(dst uint32)
+	// fabric, when set, is the routed fabric this driver is host number
+	// host of (NewFabric sets both). A transmit-side VC miss asks it to
+	// install the switch path for (this host → dst) and to name the VCI
+	// the host transmits on; reclaiming an idle VC under TxVCLimit asks it
+	// to tear the path down. Signaling is modeled as instantaneous — it
+	// charges no simulated time — so an on-demand topology is
+	// timing-identical to one with every VC pre-installed.
+	fabric *Fabric
+	host   int
 
 	// TxVCLimit, when positive, bounds the transmit VC cache: installing
 	// a VC beyond the limit evicts the least-recently-used other entry
@@ -83,11 +83,12 @@ type Driver struct {
 
 	// outOp caches the transmit frame; txBusy serializes Output, so one
 	// cached frame covers the steady state (overlapping callers park on
-	// txWait with a fresh frame). outFrame and rxproc are that frame and
-	// the receive service process's root, held here so that a driver is
-	// one allocation.
+	// txWait with a fresh frame). outFrame is that frame, and proc the
+	// receive service process with rxproc its root, held here so that a
+	// driver is one allocation.
 	outOp    *outputOp
 	outFrame outputOp
+	proc     sim.Proc
 	rxproc   rxprocFrame
 
 	// FramesIn and FramesOut count successfully reassembled and
@@ -112,14 +113,19 @@ const DefaultVCI = 32
 // NewDriver creates the driver, wires it to the adapter and IP stack, and
 // starts the receive service process.
 func NewDriver(k *kern.Kernel, a *Adapter, ipStack *ip.Stack) *Driver {
-	d := &Driver{K: k, Adapter: a, IP: ipStack}
+	return new(Driver).Init(k, a, ipStack)
+}
+
+// Init readies a zero Driver in place, as NewDriver does, and returns it.
+func (d *Driver) Init(k *kern.Kernel, a *Adapter, ipStack *ip.Stack) *Driver {
+	d.K, d.Adapter, d.IP = k, a, ipStack
 	d.txWait.Init("atm.txlock")
 	d.seg.VCI = DefaultVCI
 	d.outFrame.d = d
 	d.outOp = &d.outFrame
 	ipStack.Attach(d)
 	d.rxproc.d = d
-	k.Env.Spawn("", &d.rxproc)
+	k.Env.SpawnIn(&d.proc, k.Env.Now(), "", &d.rxproc)
 	return d
 }
 
@@ -152,7 +158,8 @@ func (t *txTable) get(dst uint32) *txVC {
 	return t.more[dst]
 }
 
-// add installs vc for dst, which must not be present.
+// add installs vc for dst, which must not be present. Only an entry that
+// spills into the map is a box of its own: vc itself stays the caller's.
 func (t *txTable) add(dst uint32, vc txVC) *txVC {
 	if !t.has0 {
 		t.dst0, t.has0, t.vc0 = dst, true, vc
@@ -161,8 +168,10 @@ func (t *txTable) add(dst uint32, vc txVC) *txVC {
 	if t.more == nil {
 		t.more = make(map[uint32]*txVC)
 	}
-	t.more[dst] = &vc
-	return &vc
+	p := new(txVC)
+	*p = vc
+	t.more[dst] = p
+	return p
 }
 
 func (t *txTable) del(dst uint32) {
@@ -204,7 +213,8 @@ func (t *rxTable) get(vci uint16) *rxVC {
 	return t.more[vci]
 }
 
-// add installs vc, whose VCI must not be present.
+// add installs vc, whose VCI must not be present, boxing it only when it
+// spills into the map.
 func (t *rxTable) add(vc rxVC) *rxVC {
 	if !t.has0 {
 		t.has0, t.vc0 = true, vc
@@ -213,8 +223,10 @@ func (t *rxTable) add(vc rxVC) *rxVC {
 	if t.more == nil {
 		t.more = make(map[uint16]*rxVC)
 	}
-	t.more[vc.vci] = &vc
-	return &vc
+	p := new(rxVC)
+	*p = vc
+	t.more[vc.vci] = p
+	return p
 }
 
 func (t *rxTable) del(vci uint16) {
@@ -253,9 +265,9 @@ func (d *Driver) Reset() {
 		if vc.demand {
 			// On-demand entries are trial state, not topology: dropping
 			// them restores the exact fresh-build contract (the next
-			// datagram re-installs through SetupVC, and the fabric
-			// returns the already-routed path, so the wire bytes and
-			// timing match a brand-new lab).
+			// datagram re-installs through the fabric, which returns
+			// the already-routed path, so the wire bytes and timing
+			// match a brand-new lab).
 			d.tx.del(dst)
 			return
 		}
@@ -284,9 +296,9 @@ type txVC struct {
 // AddVC installs a transmit-side virtual channel eagerly: datagrams
 // addressed to dst leave on their own segmenter carrying vci. Test
 // harnesses call it per reachable host; without any VCs and without a
-// SetupVC hook every datagram rides the default PVC, preserving the
-// two-host fiber behaviour. Routed fabrics do not call it — they install
-// VCs lazily through SetupVC.
+// fabric every datagram rides the default PVC, preserving the two-host
+// fiber behaviour. Routed fabrics do not call it — they install VCs
+// lazily, from segFor.
 func (d *Driver) AddVC(dst uint32, vci uint16) {
 	d.tx.del(dst)
 	d.tx.add(dst, txVC{seg: Segmenter{VCI: vci}})
@@ -320,17 +332,17 @@ func (d *Driver) Reassembling() int {
 // path charges no simulated time (signaling is instantaneous), so lazily
 // built topologies behave bit-identically to eagerly meshed ones.
 func (d *Driver) segFor(now sim.Time, dst uint32) *Segmenter {
-	if d.tx.len() == 0 && d.SetupVC == nil {
+	if d.tx.len() == 0 && d.fabric == nil {
 		return &d.seg
 	}
 	if vc := d.tx.get(dst); vc != nil {
 		vc.lastUse = now
 		return &vc.seg
 	}
-	if d.SetupVC == nil {
+	if d.fabric == nil {
 		panic(fmt.Sprintf("atm: no VC to destination %#x", dst))
 	}
-	vci, ok := d.SetupVC(dst)
+	vci, ok := d.fabric.setup(d.host, dst)
 	if !ok {
 		panic(fmt.Sprintf("atm: fabric has no route to destination %#x", dst))
 	}
@@ -363,8 +375,8 @@ func (d *Driver) evictIdleVC(keep uint32) {
 		return
 	}
 	d.tx.del(victim)
-	if d.TeardownVC != nil {
-		d.TeardownVC(victim)
+	if d.fabric != nil {
+		d.fabric.teardown(d.host, victim)
 	}
 }
 

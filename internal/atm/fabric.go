@@ -16,8 +16,9 @@ import (
 // exhaust memory before simulating a single cell. A Fabric instead keeps
 // only a routing view of the topology (which switch and port each host
 // sits on) and installs a flow's VC path through the switches the first
-// time a datagram heads to that destination, via the driver's SetupVC
-// hook. Signaling is modeled as instantaneous, so the lazily built
+// time a datagram heads to that destination, asked by the driver, which
+// keeps a pointer back to its fabric and its host number there.
+// Signaling is modeled as instantaneous, so the lazily built
 // fabric is event-for-event identical to an eagerly meshed one; what
 // changes is that memory follows *active* communication pairs.
 
@@ -60,18 +61,26 @@ type flowKey struct{ src, dst int }
 // refund when the path is torn down (nil for fixed host-link VCIs).
 type hop struct {
 	sw    *Switch
-	port  int
-	vci   uint16
 	alloc *vciAlloc
+	port  int32
+	vci   uint16
 }
 
 // route is an installed flow path: the VCI the source host transmits on,
 // the VCI the destination host receives on (naming the source, as the
-// legacy mesh did), and the switch entries in path order.
+// legacy mesh did), and the switch entries in path order — one on a
+// single switch, three across a fat tree — in hops[:n], so that a route
+// is one allocation.
 type route struct {
-	txVCI uint16
-	rxVCI uint16
-	hops  []hop
+	hops         [3]hop
+	n            uint8
+	txVCI, rxVCI uint16
+}
+
+// add appends h to the path.
+func (rt *route) add(h hop) {
+	rt.hops[rt.n] = h
+	rt.n++
 }
 
 // fabricHost locates one host in the fabric.
@@ -83,9 +92,10 @@ type fabricHost struct {
 }
 
 // Fabric is a routed multi-switch topology over a set of host drivers.
-// It owns the switches, knows where every host attaches, and serves the
-// drivers' SetupVC/TeardownVC hooks: VC paths through the switches exist
-// only for flows that have actually carried traffic.
+// It owns the switches, knows where every host attaches, and serves its
+// drivers' VC misses and idle-VC reclaims (setup, teardown): VC paths
+// through the switches exist only for flows that have actually carried
+// traffic.
 type Fabric struct {
 	Kind FabricKind
 	// Core is the single switch of a hub fabric or the spine of a
@@ -152,10 +162,10 @@ type ShardPlan struct {
 }
 
 // NewFabric builds the switches for kind across the plan's event loops,
-// attaches every driver's adapter, and wires the drivers' on-demand VC
-// hooks: the core (hub or spine) lives in shard 0's environment, each
-// fat-tree leaf in its hosts' shard, and every fiber crossing a shard
-// boundary is cut (see ShardPlan). leafPorts only matters for
+// attaches every driver's adapter, and points each driver back at the
+// fabric for its on-demand VCs: the core (hub or spine) lives in shard
+// 0's environment, each fat-tree leaf in its hosts' shard, and every
+// fiber crossing a shard boundary is cut (see ShardPlan). leafPorts only matters for
 // FabricFatTree; zero means DefaultLeafPorts. The model prices every
 // link, as Reset does again for the next trial's model.
 func NewFabric(plan *ShardPlan, kind FabricKind, model *cost.Model, leafPorts int, drvs []*Driver) *Fabric {
@@ -171,7 +181,7 @@ func NewFabric(plan *ShardPlan, kind FabricKind, model *cost.Model, leafPorts in
 	}
 	switch kind {
 	case FabricHub:
-		f.Core = NewSwitch(plan.Envs[0])
+		f.Core = newSwitch(plan.Envs[0], len(drvs))
 		for i, d := range drvs {
 			port := f.Core.AttachPort(d.Adapter)
 			f.hosts[i] = fabricHost{drv: d, sw: f.Core, leaf: -1, port: port}
@@ -183,14 +193,15 @@ func NewFabric(plan *ShardPlan, kind FabricKind, model *cost.Model, leafPorts in
 		if leafPorts <= 0 {
 			leafPorts = DefaultLeafPorts
 		}
-		f.Core = NewSwitch(plan.Envs[0])
 		nLeaves := (len(drvs) + leafPorts - 1) / leafPorts
+		f.Core = newSwitch(plan.Envs[0], nLeaves)
 		f.Leaves = make([]*Switch, nLeaves)
 		f.leafUp = make([]int, nLeaves)
 		f.coreDown = make([]int, nLeaves)
 		for li := range f.Leaves {
 			ls := plan.HostShard[li*leafPorts]
-			leaf := NewSwitch(plan.Envs[ls])
+			hosts := min(leafPorts, len(drvs)-li*leafPorts)
+			leaf := newSwitch(plan.Envs[ls], hosts+1) // and the trunk
 			f.Leaves[li] = leaf
 			for i := li * leafPorts; i < (li+1)*leafPorts && i < len(drvs); i++ {
 				if plan.HostShard[i] != ls {
@@ -209,10 +220,8 @@ func NewFabric(plan *ShardPlan, kind FabricKind, model *cost.Model, leafPorts in
 		panic(fmt.Sprintf("atm: unknown fabric kind %d", int(kind)))
 	}
 	for i, d := range drvs {
-		i := i // pre-1.22 loop-variable capture
 		f.byAddr[d.IP.Addr] = i
-		d.SetupVC = func(dst uint32) (uint16, bool) { return f.setup(i, dst) }
-		d.TeardownVC = func(dst uint32) { f.teardown(i, dst) }
+		d.fabric, d.host = f, i
 	}
 	return f
 }
@@ -320,21 +329,21 @@ func (f *Fabric) setup(src int, dstAddr uint32) (uint16, bool) {
 			sw, in, inVCI, out, outVCI := hs.sw, hs.port, rt.txVCI, hd.port, rt.rxVCI
 			f.plan.StageCtl(s, func() { sw.AddVC(in, inVCI, out, outVCI) })
 		}
-		rt.hops = []hop{{sw: hs.sw, port: hs.port, vci: rt.txVCI}}
+		rt.add(hop{sw: hs.sw, port: int32(hs.port), vci: rt.txVCI})
 	} else {
 		// Cross-leaf: leaf(src) → spine → leaf(dst), one allocated VCI
 		// per trunk hop (the reassembler demultiplexes on VCI alone, so
 		// flows sharing a trunk cannot share one). The source leaf always
 		// lives in the caller's shard (leaf-aligned partition), so the
 		// first hop — and the up-trunk VCI the first data cell must carry
-		// — installs immediately. hops is allocated once at its final
-		// length: the staged installs below append without growing it.
+		// — installs immediately; the staged installs below add theirs to
+		// the route's array at the barrier.
 		up, down := f.leafUp[hs.leaf], f.coreDown[hd.leaf]
 		upAlloc := hs.sw.ports[up].vci
 		downAlloc := f.Core.ports[down].vci
 		v1 := upAlloc.get()
 		hs.sw.AddVC(hs.port, rt.txVCI, up, v1)
-		rt.hops = append(make([]hop, 0, 3), hop{sw: hs.sw, port: hs.port, vci: rt.txVCI})
+		rt.add(hop{sw: hs.sw, port: int32(hs.port), vci: rt.txVCI})
 		coreIn, leafIn := f.coreDown[hs.leaf], f.leafUp[hd.leaf]
 		// A hop may wait for the barrier only when its switch sits behind
 		// a cut from the caller — then the flow's first data cell, which
@@ -345,15 +354,15 @@ func (f *Fabric) setup(src int, dstAddr uint32) (uint16, bool) {
 			// Shard-0 source: the spine is in this shard, install it now.
 			v2 := downAlloc.get()
 			f.Core.AddVC(coreIn, v1, down, v2)
-			rt.hops = append(rt.hops, hop{sw: f.Core, port: coreIn, vci: v1, alloc: upAlloc})
+			rt.add(hop{sw: f.Core, port: int32(coreIn), vci: v1, alloc: upAlloc})
 			if hd.sw.env == env {
 				hd.sw.AddVC(leafIn, v2, hd.port, rt.rxVCI)
-				rt.hops = append(rt.hops, hop{sw: hd.sw, port: leafIn, vci: v2, alloc: downAlloc})
+				rt.add(hop{sw: hd.sw, port: int32(leafIn), vci: v2, alloc: downAlloc})
 			} else {
 				dleaf, dport, rx := hd.sw, hd.port, rt.rxVCI
 				f.plan.StageCtl(s, func() {
 					dleaf.AddVC(leafIn, v2, dport, rx)
-					rt.hops = append(rt.hops, hop{sw: dleaf, port: leafIn, vci: v2, alloc: downAlloc})
+					rt.add(hop{sw: dleaf, port: int32(leafIn), vci: v2, alloc: downAlloc})
 				})
 			}
 		} else {
@@ -366,9 +375,8 @@ func (f *Fabric) setup(src int, dstAddr uint32) (uint16, bool) {
 				v2 := downAlloc.get()
 				core.AddVC(coreIn, v1, down, v2)
 				dleaf.AddVC(leafIn, v2, dport, rx)
-				rt.hops = append(rt.hops,
-					hop{sw: core, port: coreIn, vci: v1, alloc: upAlloc},
-					hop{sw: dleaf, port: leafIn, vci: v2, alloc: downAlloc})
+				rt.add(hop{sw: core, port: int32(coreIn), vci: v1, alloc: upAlloc})
+				rt.add(hop{sw: dleaf, port: int32(leafIn), vci: v2, alloc: downAlloc})
 			})
 		}
 	}
@@ -413,8 +421,8 @@ func (f *Fabric) teardown(src int, dstAddr uint32) {
 // reclamation: remove every switch entry, refund trunk VCIs, reclaim the
 // destination's reassembly context, forget the route.
 func (f *Fabric) removeRoute(rm map[flowKey]*route, key flowKey, rt *route) {
-	for _, h := range rt.hops {
-		h.sw.RemoveVC(h.port, h.vci)
+	for _, h := range rt.hops[:rt.n] {
+		h.sw.RemoveVC(int(h.port), h.vci)
 		if h.alloc != nil {
 			h.alloc.put(h.vci)
 		}
@@ -436,7 +444,7 @@ func (f *Fabric) HostPort(i int) *Port {
 // destination is torn down — switch entries removed, trunk VCIs
 // refunded — exactly as idle-VC reclamation would. Peers recover through
 // the same on-demand machinery: their next retransmission re-requests
-// the path via SetupVC and gets a fresh install once the port is
+// the path on a VC miss and gets a fresh install once the port is
 // restored.
 func (f *Fabric) FailHostPort(i int) {
 	rm := f.oneEnv("FailHostPort", i)

@@ -192,8 +192,8 @@ func TestFabricTeardownRecyclesTrunkVCIs(t *testing.T) {
 		t.Fatalf("host-link tx VCI = %d, want %d", vci, DefaultVCI+3)
 	}
 	first := f.routes[0][flowKey{0, 3}]
-	if len(first.hops) != 3 {
-		t.Fatalf("cross-leaf route has %d hops, want 3", len(first.hops))
+	if first.n != 3 {
+		t.Fatalf("cross-leaf route has %d hops, want 3", first.n)
 	}
 	trunk1, trunk2 := first.hops[1].vci, first.hops[2].vci
 

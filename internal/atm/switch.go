@@ -59,11 +59,16 @@ type Switch struct {
 }
 
 // NewSwitch returns an empty switch scheduling on env.
-func NewSwitch(env *sim.Env) *Switch {
+func NewSwitch(env *sim.Env) *Switch { return newSwitch(env, 0) }
+
+// newSwitch is NewSwitch with room for ports ports, for a fabric that
+// knows how many it will attach: the port list is made once.
+func newSwitch(env *sim.Env, ports int) *Switch {
 	return &Switch{
 		env:            env,
 		Latency:        DefaultSwitchLatency,
 		PortQueueCells: DefaultPortQueueCells,
+		ports:          make([]*Port, 0, ports),
 	}
 }
 
@@ -180,8 +185,22 @@ func (p *Port) SetQdisc(q Qdisc) {
 	p.qd = q
 	if q != nil && p.qdp == nil {
 		p.qdp = new(qdPath)
-		p.qdp.in.Bind(p.qdIn)
-		p.qdp.out.Bind(p.qdCellOut)
+		p.qdp.in.Bind(p)
+		p.qdp.out.Bind(p)
+	}
+}
+
+// LaneFired implements sim.LaneOwner for the port's lanes, told apart by
+// address: the fiber's arrivals, and on a qdisc-managed port the cells
+// reaching the discipline and the link finishing one.
+func (p *Port) LaneFired(l *sim.Lane) {
+	switch {
+	case l == &p.tx.inLane:
+		p.cellIn()
+	case l == &p.qdp.in:
+		p.qdIn()
+	default:
+		p.qdCellOut()
 	}
 }
 
@@ -249,10 +268,10 @@ func (p *Port) qdCellOut() {
 	p.qdKick()
 }
 
-// newPort wires one port's arrival callback.
+// newPort adds one port, its fiber's lane bound to it.
 func (sw *Switch) newPort(out cellSink, bits float64, prop sim.Time) *Port {
 	p := &Port{sw: sw, index: len(sw.ports), out: out, bits: bits, prop: prop}
-	p.tx.inLane.Bind(p.cellIn)
+	p.tx.inLane.Bind(p)
 	sw.ports = append(sw.ports, p)
 	return p
 }

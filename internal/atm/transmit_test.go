@@ -35,9 +35,19 @@ type eventedTx struct {
 
 func newEventedTx(env *sim.Env, slots int, lead, cellTime, prop sim.Time, sink *recSink) *eventedTx {
 	o := &eventedTx{env: env, cap: slots, lead: lead, cellTime: cellTime, prop: prop, sink: sink}
-	o.outLane.Bind(o.cellOut)
-	o.inLane.Bind(o.cellIn)
+	o.outLane.Bind(o)
+	o.inLane.Bind(o)
 	return o
+}
+
+// LaneFired implements sim.LaneOwner: the engine finishing a cell, or
+// one reaching the far end.
+func (o *eventedTx) LaneFired(l *sim.Lane) {
+	if l == &o.outLane {
+		o.cellOut()
+	} else {
+		o.cellIn()
+	}
 }
 
 func (o *eventedTx) offer(c Cell) bool {

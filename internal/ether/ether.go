@@ -267,10 +267,14 @@ func (a *Adapter) SetImpairments(p sim.GEParams, seed uint64) {
 }
 
 // NewAdapter returns an adapter with the given station address.
-func NewAdapter(k *kern.Kernel, addr [6]byte) *Adapter {
-	a := &Adapter{K: k, Addr: addr}
+func NewAdapter(k *kern.Kernel, addr [6]byte) *Adapter { return new(Adapter).Init(k, addr) }
+
+// Init readies a zero Adapter in place, as NewAdapter does, and returns
+// it.
+func (a *Adapter) Init(k *kern.Kernel, addr [6]byte) *Adapter {
+	a.K, a.Addr = k, addr
 	a.RxReady.Init("le.rx")
-	a.inLane.Bind(a.frameIn)
+	a.inLane.Bind(a)
 	return a
 }
 
@@ -299,11 +303,12 @@ func (a *Adapter) SetDown(down bool) { a.down = down }
 // Down reports the station's fault state.
 func (a *Adapter) Down() bool { return a.down }
 
-// frameIn fires when a frame reaches the far end: hand it to the
-// segment for destination filtering and delivery. A down station's
-// frames die here — the pacing machinery (and so every wire timestamp)
-// is untouched, only the delivery leg is lost.
-func (a *Adapter) frameIn() {
+// LaneFired implements sim.LaneOwner for inLane, the adapter's one lane:
+// a frame has reached the far end, so hand it to the segment for
+// destination filtering and delivery. A down station's frames die here —
+// the pacing machinery (and so every wire timestamp) is untouched, only
+// the delivery leg is lost.
+func (a *Adapter) LaneFired(*sim.Lane) {
 	f, _ := a.flight.pop()
 	if a.down {
 		a.DownDrops++
@@ -457,8 +462,13 @@ type Driver struct {
 	txWait sim.WaitQueue
 
 	// outOp caches the transmit frame; txBusy serializes Output, so one
-	// cached frame covers the steady state.
-	outOp *outputOp
+	// cached frame covers the steady state. outFrame is that frame, and
+	// proc the receive service process with rxproc its root, held here so
+	// that a driver is one allocation.
+	outOp    *outputOp
+	outFrame outputOp
+	proc     sim.Proc
+	rxproc   rxprocFrame
 
 	FramesIn  int64
 	FramesOut int64
@@ -471,10 +481,18 @@ type Driver struct {
 // NewDriver wires a driver to its adapter and IP stack and starts the
 // receive service process.
 func NewDriver(k *kern.Kernel, a *Adapter, ipStack *ip.Stack) *Driver {
-	d := &Driver{K: k, Adapter: a, IP: ipStack}
+	return new(Driver).Init(k, a, ipStack)
+}
+
+// Init readies a zero Driver in place, as NewDriver does, and returns it.
+func (d *Driver) Init(k *kern.Kernel, a *Adapter, ipStack *ip.Stack) *Driver {
+	d.K, d.Adapter, d.IP = k, a, ipStack
 	d.txWait.Init("le.txlock")
+	d.outFrame.d = d
+	d.outOp = &d.outFrame
 	ipStack.Attach(d)
-	k.Env.Spawn("", &rxprocFrame{d: d})
+	d.rxproc.d = d
+	k.Env.SpawnIn(&d.proc, k.Env.Now(), "", &d.rxproc)
 	return d
 }
 

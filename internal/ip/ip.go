@@ -164,7 +164,10 @@ type Stack struct {
 	// for tests and fault-injection experiments.
 	Drops int64
 
-	netisr netisrFrame // the service process's root frame
+	// The netisr: the service process and its root frame, held here so
+	// that starting it allocates nothing.
+	proc   sim.Proc
+	netisr netisrFrame
 }
 
 // registered is one protocol's input handler.
@@ -175,13 +178,16 @@ type registered struct {
 
 // NewStack creates the IP layer for a host with the given address and
 // starts its software-interrupt service process (the netisr).
-func NewStack(k *kern.Kernel, addr uint32) *Stack {
-	s := &Stack{K: k, Addr: addr}
+func NewStack(k *kern.Kernel, addr uint32) *Stack { return new(Stack).Init(k, addr) }
+
+// Init readies a zero Stack in place, as NewStack does, and returns it.
+func (s *Stack) Init(k *kern.Kernel, addr uint32) *Stack {
+	s.K, s.Addr = k, addr
 	s.wq.Init("ipq")
 	s.outFrame.s = s
 	s.out = &s.outFrame
 	s.netisr.s = s
-	k.Env.Spawn("", &s.netisr)
+	k.Env.SpawnIn(&s.proc, k.Env.Now(), "", &s.netisr)
 	return s
 }
 

@@ -29,8 +29,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Kernel is one host's operating system state: one allocation, with the
-// trace recorder and the mbuf pool held by value. The pool's accounting is
+// Kernel is one host's operating system state, with the trace recorder
+// and the mbuf pool held by value: one allocation from New, none from Init
+// in its host's own storage. The pool's accounting is
 // the host's own; its free-lists are the event loop's, shared with every
 // other kernel on env (see mbuf.Pool.Share).
 type Kernel struct {
@@ -50,7 +51,13 @@ type Kernel struct {
 // New returns a kernel for one host, sharing the simulation environment
 // and using the given cost model.
 func New(env *sim.Env, model *cost.Model, name string) *Kernel {
-	k := &Kernel{Env: env, Cost: model, name: name}
+	return new(Kernel).Init(env, model, name)
+}
+
+// Init readies a zero Kernel in place, as New does, and returns it: a
+// testbed host holds its kernel by value.
+func (k *Kernel) Init(env *sim.Env, model *cost.Model, name string) *Kernel {
+	k.Env, k.Cost, k.name = env, model, name
 	k.Pool.Share(sim.Local[mbuf.FreeList](env))
 	return k
 }
@@ -59,7 +66,12 @@ func New(env *sim.Env, model *cost.Model, name string) *Kernel {
 // when a diagnostic or a trace asks: a ten-thousand-host topology does
 // not format ten thousand names to build.
 func NewHost(env *sim.Env, model *cost.Model, i int) *Kernel {
-	k := New(env, model, "")
+	return new(Kernel).InitHost(env, model, i)
+}
+
+// InitHost is Init for host i of a testbed, named as NewHost names it.
+func (k *Kernel) InitHost(env *sim.Env, model *cost.Model, i int) *Kernel {
+	k.Init(env, model, "")
 	k.host = i
 	return k
 }

@@ -2,7 +2,12 @@ package lab
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
+
+	"repro/internal/atm"
+	"repro/internal/cost"
+	"repro/internal/sim"
 )
 
 // idleHeapBytes builds an idle nHosts fat-tree topology and returns the
@@ -22,8 +27,10 @@ func idleHeapBytes(t *testing.T, nHosts int) (*Lab, uint64) {
 
 // maxIdleHostBytes pins the per-host footprint of an idle topology. A
 // host is a kernel, an IP/TCP/UDP stack, an adapter, a driver, a switch
-// port and three parked service processes — eleven allocations, measured
-// ~3.3 KiB before any traffic; the bound is that plus half. What it has
+// port and three parked service processes — three allocations (the host
+// with its kernel, stacks and their processes; the link's adapter and
+// driver with theirs; the port; TestHostAllocations), measured ~3.3 KiB
+// before any traffic; the bound is that plus half. What it has
 // no headroom for is anything per pair or per peer: a pre-installed full
 // VC mesh costs O(hosts) per host (at 1024 hosts, ~100 KiB each just in
 // transmit segmenters), which trips the bound by an order of magnitude,
@@ -65,6 +72,43 @@ func TestIdleHostFootprint(t *testing.T) {
 	}
 	runtime.KeepAlive(small)
 	runtime.KeepAlive(large)
+}
+
+// TestHostAllocations pins what building a host costs the heap: an ATM
+// host is its Host block (the kernel and the IP, TCP and UDP stacks, each
+// holding its service process), its link block (the adapter and the
+// driver with its receive process) and its switch port; an Ethernet host
+// is the first two — thirteen and twelve before they were built in place.
+// Hosts are built many to a loop and the loop is run
+// until every service process has parked, so the only other allocations
+// are the growth of what every host appends to — the switch's port list,
+// the loop's start queue — a few hundredths a host.
+func TestHostAllocations(t *testing.T) {
+	const n = 1024
+	model := cost.DECstation5000()
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, tc := range []struct {
+		link LinkKind
+		want float64
+	}{{LinkATM, 3}, {LinkEther, 2}} {
+		env := sim.NewEnv()
+		sw := atm.NewSwitch(env)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < n; i++ {
+			if h := buildHost(env, model, tc.link, i); h.ATMAdapter != nil {
+				sw.AttachPort(h.ATMAdapter)
+			}
+		}
+		env.Run()
+		runtime.ReadMemStats(&m1)
+		perHost := float64(m1.Mallocs-m0.Mallocs) / n
+		t.Logf("%v: %.3f allocations a host", tc.link, perHost)
+		if perHost < tc.want || perHost >= tc.want+0.1 {
+			t.Errorf("%v host costs %.3f allocations, want %v (and under a tenth of growth)", tc.link, perHost, tc.want)
+		}
+	}
 }
 
 // TestFabricShapeGuardOnReset pins the testbed-reuse contract for routed

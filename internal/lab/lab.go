@@ -148,7 +148,11 @@ type Config struct {
 	Nagle bool
 }
 
-// Host is one assembled workstation.
+// Host is one assembled workstation. It is two allocations (buildHost):
+// this struct, which holds the kernel and the IP, TCP and UDP stacks by
+// value, and its link's adapter and driver in a second block — so an ATM
+// host carries no Ethernet state and the other way round. The exported
+// pointers point into the two blocks; a Host is never copied.
 type Host struct {
 	Kern *kern.Kernel
 	IP   *ip.Stack
@@ -159,7 +163,25 @@ type Host struct {
 	ATMDriver  *atm.Driver
 	EthAdapter *ether.Adapter
 	EthDriver  *ether.Driver
+
+	kern kern.Kernel
+	ip   ip.Stack
+	tcp  tcp.Stack
+	udp  udp.Stack
 }
+
+// atmLink and etherLink are a host's second block: its link's adapter and
+// driver.
+type (
+	atmLink struct {
+		adapter atm.Adapter
+		driver  atm.Driver
+	}
+	etherLink struct {
+		adapter ether.Adapter
+		driver  ether.Driver
+	}
+)
 
 // Trace returns the host's trace recorder.
 func (h *Host) Trace() *trace.Recorder { return &h.Kern.Trace }
@@ -305,27 +327,33 @@ func rewindHost(h *Host, model *cost.Model) {
 // server's trace events carry the name "client".
 func HostName(i int) string { return kern.HostName(i) }
 
-// buildHost allocates host i on env: the kernel, the stacks, and the
-// link's adapter and driver. It applies no trial knob — configure does,
-// for a fresh host and a rewound one alike.
+// buildHost allocates host i on env — the Host with the kernel and the
+// stacks in it, and the link's adapter and driver — and initializes each
+// in place, in the order that starts the service processes as separate
+// constructors did: the netisr, the driver's receive process, the TCP
+// timers. It applies no trial knob — configure does, for a fresh host and
+// a rewound one alike.
 func buildHost(env *sim.Env, model *cost.Model, link LinkKind, i int) *Host {
-	k := kern.NewHost(env, model, i)
+	h := new(Host)
 	addr := HostAddr(i)
-	h := &Host{Kern: k}
-	h.IP = ip.NewStack(k, addr)
+	k := h.kern.InitHost(env, model, i)
+	h.Kern = k
+	h.IP = h.ip.Init(k, addr)
 	switch link {
 	case LinkATM:
-		h.ATMAdapter = atm.NewAdapter(k)
-		h.ATMDriver = atm.NewDriver(k, h.ATMAdapter, h.IP)
+		ln := new(atmLink)
+		h.ATMAdapter = ln.adapter.Init(k)
+		h.ATMDriver = ln.driver.Init(k, h.ATMAdapter, h.IP)
 	case LinkEther:
 		// Locally administered MAC carrying the host's IP address, so
 		// every station on a shared segment is unique.
 		station := [6]byte{2, 0, byte(addr >> 24), byte(addr >> 16), byte(addr >> 8), byte(addr)}
-		h.EthAdapter = ether.NewAdapter(k, station)
-		h.EthDriver = ether.NewDriver(k, h.EthAdapter, h.IP)
+		ln := new(etherLink)
+		h.EthAdapter = ln.adapter.Init(k, station)
+		h.EthDriver = ln.driver.Init(k, h.EthAdapter, h.IP)
 	}
-	h.TCP = tcp.NewStack(k, h.IP)
-	h.UDP = udp.NewStack(k, h.IP)
+	h.TCP = h.tcp.Init(k, h.IP)
+	h.UDP = h.udp.Init(k, h.IP)
 	return h
 }
 

@@ -22,9 +22,10 @@ type (
 // deterministic. Stored by value in the heap slice — never individually
 // heap-allocated. do is what fires: a thunk, an argFunc applied to arg
 // (one bound method reused across schedulings, the context word riding
-// in the event — no closure per call), the head of a *Lane, the heap
-// entry of a *Timer, or a *Proc to resume (arg says why it was parked and
-// name on what, see wakeKind). Step dispatches on its dynamic type.
+// in the event — no closure per call), a *Lane (its head, or a one-shot
+// when arg is laneOneShot), the heap entry of a *Timer, or a *Proc to
+// resume (arg says why it was parked and name on what, see wakeKind).
+// Step dispatches on its dynamic type.
 type event struct {
 	at   Time
 	seq  uint64
@@ -170,7 +171,7 @@ type Env struct {
 	fired   uint64  // events run since Reset
 	rng     *RNG
 
-	// starts steps the processes SpawnAt queued in startQ (used as a
+	// starts steps the processes SpawnIn queued in startQ (used as a
 	// plain FIFO: nothing wakes it).
 	starts Lane
 	startQ WaitQueue
@@ -202,7 +203,7 @@ func NewEnv() *Env {
 		// there are two heaps.
 		events: make(eventHeap, 0, 16), far: make(eventHeap, 0, 16),
 	}
-	e.starts.Bind(e.startNext)
+	e.starts.Bind(e)
 	return e
 }
 
@@ -316,10 +317,14 @@ func (e *Env) Step() bool {
 		h.pop()
 		do(arg)
 	case *Lane:
-		// Step the lane before its callback runs: the callback may
-		// schedule on this same lane.
-		h.advance(do, &e.backlog)
-		do.fn()
+		// Step the lane before its owner runs: the owner may schedule on
+		// this same lane. A one-shot is no record of the lane's.
+		if root.arg == laneOneShot {
+			h.pop()
+		} else {
+			h.advance(do, &e.backlog)
+		}
+		do.owner.LaneFired(do)
 	case *Proc:
 		h.pop()
 		do.step()
@@ -428,7 +433,11 @@ func (e *Env) PendingSummary(max int) string {
 			ev := &tier[i]
 			switch do := ev.do.(type) {
 			case *Lane:
-				counts[ev.name] += int(do.n)
+				if ev.arg == laneOneShot {
+					counts[ev.name]++
+				} else {
+					counts[ev.name] += int(do.n)
+				}
 			case *Timer:
 				if do.armed && ev.seq == do.heapSeq {
 					counts[ev.name]++

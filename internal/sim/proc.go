@@ -103,13 +103,27 @@ func (p *Proc) Done() bool { return p.done }
 func (e *Env) Spawn(name string, root Frame) *Proc { return e.SpawnAt(e.now, name, root) }
 
 // SpawnAt creates a process whose first step runs at absolute time at
-// (now, if at has passed): where a spawn-now process that opens with
-// SleepUntil(at) would resume, without a wake parked in the heap
-// meanwhile. Starts requested in non-decreasing time order (a workload
-// staggering ten thousand clients) share one lane — one heap entry, the
-// processes waiting in startQ; an earlier one is an ordinary event.
+// (now, if at has passed): SpawnIn on a Proc of its own.
 func (e *Env) SpawnAt(at Time, name string, root Frame) *Proc {
-	p := &Proc{env: e, name: name}
+	p := new(Proc)
+	e.SpawnIn(p, at, name, root)
+	return p
+}
+
+// SpawnIn starts p, a zero or finished Proc the caller holds — by value in
+// whatever the process serves, a stack or the root frame itself, so that
+// starting it allocates nothing — with root as its initial frame, first
+// stepped at absolute time at (now, if at has passed): where a spawn-now
+// process that opens with SleepUntil(at) would resume, without a wake
+// parked in the heap meanwhile. Starts requested in non-decreasing time
+// order (a workload staggering ten thousand clients) share one lane — one
+// heap entry, the processes waiting in startQ; an earlier one is an
+// ordinary event.
+func (e *Env) SpawnIn(p *Proc, at Time, name string, root Frame) {
+	if p.env != nil && !p.done {
+		panic(fmt.Sprintf("sim: spawning %q into a live proc", name))
+	}
+	*p = Proc{env: e, name: name}
 	p.inline[0] = root
 	p.stack = p.inline[:1]
 	e.procs++
@@ -118,16 +132,15 @@ func (e *Env) SpawnAt(at Time, name string, root Frame) *Proc {
 	}
 	if e.starts.n > 0 && at < e.starts.last {
 		e.schedule(at, "", p, uint64(wakeSpawn))
-		return p
+		return
 	}
 	e.startQ.push(p)
 	e.starts.At(e, at, "spawn")
-	return p
 }
 
-// startNext is the starts lane's callback: step the longest-queued
-// process for the first time.
-func (e *Env) startNext() { e.startQ.pop().step() }
+// LaneFired implements LaneOwner for the starts lane, the environment's
+// one: step the longest-queued process for the first time.
+func (e *Env) LaneFired(*Lane) { e.startQ.pop().step() }
 
 // wakeKind rides in the arg word of an event whose do is a *Proc: why the
 // process was parked. With the event's name (the wait queue's, for

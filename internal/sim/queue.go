@@ -5,25 +5,37 @@ package sim
 
 import "fmt"
 
-// Lane schedules one bound callback at times that never decrease — the
-// cells leaving a transmit engine, the frames crossing a fibre. Only the
-// lane's earliest record sits in the heap; the rest wait in FIFO order
-// outside it and take the heap entry over, in place, as it fires. Each
-// record is stamped with the environment's next sequence number when At
-// is called, exactly as Env.At would stamp it, so the callback runs at
-// the same points of the total order as one event per record would.
+// Lane fires its bound owner at times that never decrease — the cells
+// leaving a transmit engine, the frames crossing a fibre. Only the lane's
+// earliest record sits in the heap; the rest wait in FIFO order outside
+// it and take the heap entry over, in place, as it fires. Each record is
+// stamped with the environment's next sequence number when At is called,
+// exactly as Env.At would stamp it, so the owner runs at the same points
+// of the total order as one event per record would.
 //
 // The zero Lane is idle; Bind it once. A lane is meant to be embedded by
-// value — a fabric has several per port — so it is three words: no
+// value — a fabric has several per port — so it is four words: no
 // environment, and no storage of its own (queued records live in the
 // environment's backlog). A drained lane carries nothing into the next
 // run: last is read only while n > 0.
 type Lane struct {
-	fn   func()
-	last Time  // time of the newest pending record
-	tail int32 // that record in Env.backlog; 0 when only the heap entry is pending
-	n    int32 // pending records, the one in the heap included
+	owner LaneOwner
+	last  Time  // time of the newest pending record
+	tail  int32 // that record in Env.backlog; 0 when only the heap entry is pending
+	n     int32 // pending records, the one in the heap included
 }
+
+// LaneOwner is what a Lane fires: the owner it was bound to, told which of
+// its lanes a record is due on. As with TimerOwner, an owner embeds its
+// lanes by value and tells them apart by address, so binding one stores a
+// pointer the owner already is — where a method value bound per lane was
+// an allocation per lane.
+type LaneOwner interface{ LaneFired(l *Lane) }
+
+// laneOneShot rides in the arg word of an event whose do is a *Lane and
+// marks it as an out-of-order At (see Lane.At), which fires once and is
+// no part of the lane's records; the lane's own heap entry carries zero.
+const laneOneShot = 1
 
 // backlog stores every lane's queued records in one slab per
 // environment, each lane's as a circular list through next (the newest
@@ -44,12 +56,13 @@ type laneRec struct {
 	next int32
 }
 
-// Bind sets the lane's callback.
-func (l *Lane) Bind(fn func()) { l.fn = fn }
+// Bind sets the owner the lane fires.
+func (l *Lane) Bind(owner LaneOwner) { l.owner = owner }
 
-// At schedules the lane's callback at absolute time t; name labels the
-// lane's heap entry. A t below the lane's newest pending time is legal:
-// that one call becomes an ordinary event, so order holds regardless.
+// At schedules a firing of the lane's owner at absolute time t; name
+// labels the lane's heap entry. A t below the lane's newest pending time
+// is legal: that one call becomes an ordinary one-shot event carrying the
+// lane, so order holds regardless.
 func (l *Lane) At(e *Env, t Time, name string) { e.scheduleLane(l, t, name) }
 
 func (e *Env) scheduleLane(l *Lane, t Time, name string) {
@@ -59,7 +72,7 @@ func (e *Env) scheduleLane(l *Lane, t Time, name string) {
 		return
 	}
 	if t < l.last {
-		e.schedule(t, name, thunk(l.fn), 0)
+		e.schedule(t, name, l, laneOneShot)
 		return
 	}
 	// t ≥ last ≥ the heap entry's time ≥ now: never in the past.

@@ -344,8 +344,7 @@ type realTarget struct {
 func newRealTarget(d *driver, by drive) *realTarget {
 	r := &realTarget{d: d, e: NewEnv(), by: by}
 	for i := range r.lanes {
-		i := i
-		r.lanes[i].Bind(func() { d.fired(idLane + i) })
+		r.lanes[i].Bind(r)
 	}
 	for i := range r.timers {
 		r.timers[i].Bind(r)
@@ -354,8 +353,17 @@ func newRealTarget(d *driver, by drive) *realTarget {
 	return r
 }
 
-// TimerFired implements TimerOwner as a production owner does: one
-// method for all its timers, told apart by address.
+// LaneFired implements LaneOwner as a production owner does: one method
+// for all its lanes, told apart by address.
+func (r *realTarget) LaneFired(l *Lane) {
+	for i := range r.lanes {
+		if l == &r.lanes[i] {
+			r.d.fired(idLane + i)
+		}
+	}
+}
+
+// TimerFired implements TimerOwner the same way.
 func (r *realTarget) TimerFired(t *Timer) {
 	for i := range r.timers {
 		if t == &r.timers[i] {
@@ -365,10 +373,14 @@ func (r *realTarget) TimerFired(t *Timer) {
 }
 
 // timerFunc is a TimerOwner for tests whose timer only needs to run a
-// closure.
-type timerFunc func()
+// closure, and laneFunc the same for a lane.
+type (
+	timerFunc func()
+	laneFunc  func()
+)
 
 func (f timerFunc) TimerFired(*Timer) { f() }
+func (f laneFunc) LaneFired(*Lane)    { f() }
 
 func (r *realTarget) clock() Time          { return r.e.Now() }
 func (r *realTarget) plain(t Time, id int) { r.e.At(t, "plain", func() { r.d.fired(id) }) }
@@ -630,7 +642,7 @@ func TestTimerOwnsOneHeapEntry(t *testing.T) {
 func TestLaneBacklogIsPendingAndNamed(t *testing.T) {
 	e := NewEnv()
 	var l Lane
-	l.Bind(func() {})
+	l.Bind(laneFunc(func() {}))
 	for i := 0; i < 5; i++ {
 		l.At(e, Time(10+i), "wire.out")
 	}
@@ -682,7 +694,7 @@ func TestLaneAndTimerCarryNothingAcrossReset(t *testing.T) {
 	var l Lane
 	var tm Timer
 	var log []string
-	l.Bind(func() { log = append(log, fmt.Sprintf("lane@%d", e.Now())) })
+	l.Bind(laneFunc(func() { log = append(log, fmt.Sprintf("lane@%d", e.Now())) }))
 	tm.Bind(timerFunc(func() { log = append(log, fmt.Sprintf("timer@%d", e.Now())) }))
 
 	for i := 0; i < 4; i++ {
@@ -813,7 +825,7 @@ func TestQueueShapesAllocateNothing(t *testing.T) {
 	var tm Timer
 	var l Lane
 	tm.Bind(timerFunc(func() {}))
-	l.Bind(func() {})
+	l.Bind(laneFunc(func() {}))
 	if n := testing.AllocsPerRun(100, func() { timerRearm(e, &tm) }); n != 0 {
 		t.Errorf("Timer: Set×8 then fire allocates %v times a pass, want 0", n)
 	}
@@ -835,7 +847,7 @@ func BenchmarkTimerRearm(b *testing.B) {
 func BenchmarkLaneBurst36(b *testing.B) {
 	e := NewEnv()
 	var l Lane
-	l.Bind(func() {})
+	l.Bind(laneFunc(func() {}))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		laneBurst36(e, &l)
@@ -893,12 +905,12 @@ func TestFarTimersStayOutOfTheHotHeap(t *testing.T) {
 	const cells = 20000
 	var wire Lane
 	sent := 0
-	wire.Bind(func() {
+	wire.Bind(laneFunc(func() {
 		look()
 		if sent++; sent <= cells-8 {
 			wire.At(e, e.Now()+8*Microsecond, "wire.out")
 		}
-	})
+	}))
 	for i := 1; i <= 8; i++ {
 		wire.At(e, Time(i)*Microsecond, "wire.out")
 	}

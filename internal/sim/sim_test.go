@@ -609,3 +609,44 @@ func TestSpawnAtMatchesSpawnThenSleep(t *testing.T) {
 		t.Fatalf("ends at %v with %d pending, %d procs live; reference at %v", e.Now(), e.Pending(), e.procs, ref.Now())
 	}
 }
+
+// selfHosted is a root frame that holds its own process, as a service
+// loop's owner or a workload client does.
+type selfHosted struct {
+	proc  Proc
+	steps int
+}
+
+func (f *selfHosted) Name() string { return "self" }
+
+func (f *selfHosted) Step(p *Proc) {
+	f.steps++
+	p.Return()
+}
+
+// TestSpawnInAllocatesNothing pins SpawnIn's point: a process started in
+// storage its owner already has costs the heap nothing once the start
+// queue has grown, runs like any other, answers Name from its root, and
+// its Proc may start again once finished — but never while it is live.
+func TestSpawnInAllocatesNothing(t *testing.T) {
+	e := NewEnv()
+	var f selfHosted
+	n := testing.AllocsPerRun(100, func() {
+		e.SpawnIn(&f.proc, e.Now()+5, "", &f)
+		e.Run()
+	})
+	if n != 0 {
+		t.Errorf("SpawnIn and a run to completion allocate %v times, want 0", n)
+	}
+	if f.steps != 101 || !f.proc.Done() || f.proc.Name() != "self" || f.proc.Env() != e {
+		t.Fatalf("%d steps, done %v, named %q: want 101 steps of a finished proc named by its root",
+			f.steps, f.proc.Done(), f.proc.Name())
+	}
+	e.SpawnIn(&f.proc, e.Now(), "", &f)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SpawnIn into a live proc did not panic")
+		}
+	}()
+	e.SpawnIn(&f.proc, e.Now(), "", &f)
+}

@@ -24,7 +24,8 @@
 // an event that carries the process itself (proc.go) — no closure, no
 // label until a diagnostic prints one — making the sleep/wake cycle, the
 // single hottest path in the simulator, allocation-free; a process is one
-// allocation and a wait queue none (it embeds by value in its owner).
+// allocation, or none when SpawnIn starts it in its owner's storage, and a
+// wait queue none (it embeds by value in its owner).
 // When no queued event fires before a sleeping process's wake time,
 // SleepUntil advances the clock in place instead of parking the process
 // at all: the CPU charge was an ordinary function call, with neither a
@@ -60,10 +61,10 @@
 //     word of context (no closure per call) — for anything that happens
 //     once at a time of its own: a process wake, a fault, a cross-shard
 //     arrival.
-//   - A Lane for one callback scheduled over and over at times that
+//   - A Lane for one owner fired over and over at times that
 //     never decrease — a link's cells, a transmitter's frames. However
 //     many are in flight the lane keeps one heap entry; the rest queue
-//     outside the heap and take that entry over as it fires. SpawnAt is
+//     outside the heap and take that entry over as it fires. SpawnIn has
 //     one inside the Env: staggered process starts share an entry.
 //   - A Timer for a deadline that is re-armed or cancelled far more
 //     often than it fires — a retransmission timeout, a delayed ACK.

@@ -74,28 +74,30 @@ type Stack struct {
 	// can safely return their buffered mbuf chains to the pool.
 	crashed []*Conn
 
-	// inFrame is the frame Input runs in and timers the service process's
-	// root, held here so that a stack is one allocation.
+	// inFrame is the frame Input runs in, and proc the timer service
+	// process with timers its root, held here so that a stack is one
+	// allocation.
 	inFrame inputOp
+	proc    sim.Proc
 	timers  workLoopFrame
 }
 
 // NewStack creates the TCP layer for a host, registers it with IP, and
 // starts its timer service process.
-func NewStack(k *kern.Kernel, ipStack *ip.Stack) *Stack {
-	s := &Stack{
-		K:                 k,
-		IP:                ipStack,
-		PredictionEnabled: true,
-		nextPort:          1024,
-		nextISS:           1, // deterministic ISS: reproducibility over security
-	}
+func NewStack(k *kern.Kernel, ipStack *ip.Stack) *Stack { return new(Stack).Init(k, ipStack) }
+
+// Init readies a zero Stack in place, as NewStack does, and returns it.
+func (s *Stack) Init(k *kern.Kernel, ipStack *ip.Stack) *Stack {
+	s.K, s.IP = k, ipStack
+	s.PredictionEnabled = true
+	s.nextPort = 1024
+	s.nextISS = 1 // deterministic ISS: reproducibility over security
 	s.due = s.dueInline[:0]
 	s.workQ.Init("tcp.work")
 	ipStack.Register(ip.ProtoTCP, s)
 	s.inFrame.s = s
 	s.timers.s = s
-	k.Env.Spawn("", &s.timers)
+	k.Env.SpawnIn(&s.proc, k.Env.Now(), "", &s.timers)
 	return s
 }
 

@@ -120,8 +120,8 @@ type Stack struct {
 	// a zero checksum field is accepted unverified, a nonzero one is
 	// verified (RFC 768 semantics).
 	ChecksumOff bool
-	// nextPort shares ChecksumOff's word: a Stack is 80 bytes, the size
-	// class every host pays for.
+	// nextPort shares ChecksumOff's word: a Stack is 80 bytes of every
+	// host's block.
 	nextPort uint16
 
 	ports map[uint16]*Endpoint // made by the first Bind: a TCP-only host has none
@@ -142,8 +142,11 @@ type Stack struct {
 }
 
 // NewStack creates the UDP layer and registers it with IP.
-func NewStack(k *kern.Kernel, ipStack *ip.Stack) *Stack {
-	s := &Stack{K: k, IP: ipStack, nextPort: 2048}
+func NewStack(k *kern.Kernel, ipStack *ip.Stack) *Stack { return new(Stack).Init(k, ipStack) }
+
+// Init readies a zero Stack in place, as NewStack does, and returns it.
+func (s *Stack) Init(k *kern.Kernel, ipStack *ip.Stack) *Stack {
+	s.K, s.IP, s.nextPort = k, ipStack, 2048
 	ipStack.Register(ProtoUDP, s)
 	return s
 }

@@ -109,9 +109,9 @@ func (g FaultRecovery) Run(l *lab.Lab) (*Result, error) {
 
 	recov := make([][]sim.Time, len(r.clients))
 	for ci := range r.clients {
-		c.EnvOf(ci+1).Spawn("", &faultClientFrame{
-			r: r, ci: ci, c: tr.client(l.Hosts[ci+1], Port), g: g, recov: &recov[ci],
-		})
+		f := &faultClientFrame{r: r, ci: ci, c: tr.client(l.Hosts[ci+1], Port), g: g, recov: &recov[ci]}
+		env := c.EnvOf(ci + 1)
+		env.SpawnIn(&f.proc, env.Now(), "", f)
 	}
 
 	res, err := r.finish("faults", "requests", g.Size)
@@ -126,8 +126,10 @@ func (g FaultRecovery) Run(l *lab.Lab) (*Result, error) {
 
 // faultClientFrame is one client of the fault workload: paced requests,
 // a deadline on every connect that can block and on every exchange,
-// bounded-retry reconnects, one recovery sample per survived outage.
+// bounded-retry reconnects, one recovery sample per survived outage. It
+// holds its process, as the fan-in client does.
 type faultClientFrame struct {
+	proc  sim.Proc
 	r     *run
 	ci    int
 	c     conn

@@ -162,7 +162,8 @@ func spawnEchoServer(env *sim.Env, name string, ln listener, n int) {
 	env.Spawn(name, &acceptLoopFrame{
 		ln: ln, n: n,
 		accepted: func(al *acceptLoopFrame, i int, c conn) bool {
-			env.Spawn("", &serveEchoFrame{c: c, al: al, name: name, i: i})
+			f := &serveEchoFrame{c: c, al: al, name: name, i: i}
+			env.SpawnIn(&f.proc, env.Now(), "", f)
 			return true
 		},
 	})
@@ -177,8 +178,10 @@ func indexed(prefix string, i int, suffix string) string {
 }
 
 // serveEchoFrame is the echo handler: write back whatever arrives, until
-// the end of the stream, then close.
+// the end of the stream, then close. It holds the process it is the root
+// of, so a handler is one allocation.
 type serveEchoFrame struct {
+	proc sim.Proc
 	c    conn
 	al   *acceptLoopFrame // lends the read buffer
 	name string           // the accept loop's, and

@@ -206,9 +206,10 @@ func (g FanIn) Run(l *lab.Lab) (*Result, error) {
 	for ci := range r.clients {
 		// Stagger slots ascend, so each loop's share of the starts is one
 		// heap entry, not a wake parked per client until its slot.
-		c.EnvOf(ci+1).SpawnAt(sim.Time(ci)*g.Stagger, "", &fanInClientFrame{
+		f := &fanInClientFrame{
 			r: r, ci: ci, c: tr.client(l.Hosts[ci+1], Port), size: size, warm: warm, reqs: reqs,
-		})
+		}
+		c.EnvOf(ci+1).SpawnIn(&f.proc, sim.Time(ci)*g.Stagger, "", f)
 	}
 	return r.finish("fanin", "requests", size)
 }
@@ -240,9 +241,9 @@ func (g Churn) Run(l *lab.Lab) (*Result, error) {
 	}
 	spawnEchoServer(c.EnvOf(0), "server.churn", ln, len(r.clients)*conns)
 	for ci := range r.clients {
-		c.EnvOf(ci+1).Spawn("", &churnClientFrame{
-			r: r, ci: ci, c: tr.client(l.Hosts[ci+1], Port), size: size, conns: conns,
-		})
+		f := &churnClientFrame{r: r, ci: ci, c: tr.client(l.Hosts[ci+1], Port), size: size, conns: conns}
+		env := c.EnvOf(ci + 1)
+		env.SpawnIn(&f.proc, env.Now(), "", f)
 	}
 	return r.finish("churn", "cycles", size)
 }
@@ -323,8 +324,10 @@ func (g Bulk) Run(l *lab.Lab) (*Result, error) {
 // the post-warmup ones. All simulation state flows through p.Env() — the
 // loop that owns the client's host — and everything it records goes to
 // the client's own slots, so the frame runs unchanged at any shard count
-// and over any transport.
+// and over any transport. It holds the process it is the root of, so a
+// client is one allocation.
 type fanInClientFrame struct {
+	proc             sim.Proc
 	r                *run
 	ci               int
 	c                conn
@@ -388,8 +391,10 @@ func (f *fanInClientFrame) Step(p *sim.Proc) {
 
 // churnClientFrame is one churn client: each cycle connects, exchanges
 // once, and closes; the whole cycle is the measured operation. Like the
-// fan-in client it touches only p.Env() and its own slots.
+// fan-in client it touches only p.Env() and its own slots, and holds its
+// process.
 type churnClientFrame struct {
+	proc        sim.Proc
 	r           *run
 	ci          int
 	c           conn

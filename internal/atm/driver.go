@@ -81,9 +81,10 @@ type Driver struct {
 	txBusy bool
 	txWait sim.WaitQueue
 
-	// outOp caches the transmit frame; txBusy serializes Output, so one
-	// cached frame covers the steady state (overlapping callers park on
-	// txWait with a fresh frame). outFrame is that frame, and proc the
+	// outOp is the free list of transmit frames, linked through next, as
+	// ip.Stack keeps its output frames: txBusy serializes Output, so the
+	// first, outFrame, covers the steady state, and callers that overlap
+	// it park on txWait in frames the list keeps once made. proc is the
 	// receive service process with rxproc its root, held here so that a
 	// driver is one allocation.
 	outOp    *outputOp
@@ -132,45 +133,84 @@ func (d *Driver) Init(k *kern.Kernel, a *Adapter, ipStack *ip.Stack) *Driver {
 // txTable maps destination addresses to transmit channels and rxTable
 // incoming VCIs to receive channels, each with room for its first entry
 // in the table itself: a client of a fan-in has one peer, so one channel
-// each way, and its tables never allocate; a server's spill into a map.
-// Entries are handed out by pointer and stay where they are until
-// deleted. (Two concrete types, not one generic: a generic type's methods
-// carry their type arguments' import paths in their symbol names, which
-// the benchmark's profile buckets cannot place.)
+// each way, and its tables never allocate. A server's further entries
+// spill into a map over a slab (txSpill, rxSpill), where a deleted
+// entry's slot goes to the next add. Entries are handed out by pointer
+// and stay where they are until deleted: an Output parked on a full FIFO
+// holds its segmenter, and lastRx the previous cell's receive channel.
+// (Two concrete types, not one generic: a generic type's methods carry
+// their type arguments' import paths in their symbol names, which the
+// benchmark's profile buckets cannot place.)
 type txTable struct {
 	dst0 uint32
 	has0 bool
 	vc0  txVC
-	more map[uint32]*txVC
+	more *txSpill // made by the first spill
 }
 
+// txSpill holds a table's entries past the first: the map, the slab its
+// entries live in (see slabChunk), and the slots of deleted entries,
+// zeroed. It sits behind a pointer so that a table that never spills
+// costs a word for it.
+type txSpill struct {
+	m    map[uint32]*txVC
+	slab []txVC
+	free []*txVC
+}
+
+// slabChunk is the length of a slab's next chunk when the current one,
+// of length n, is full. A slab hands out pointers to its entries, so it
+// is never grown by append, which would copy them to a new array while
+// those pointers still name the old: a full chunk is replaced by a fresh
+// one, and lives on as long as an entry in it does.
+// Chunks double from 4 so that a table with a few entries stays small,
+// up to 256 so that a huge one wastes at most one chunk.
+func slabChunk(n int) int { return min(max(2*n, 4), 256) }
+
 func (t *txTable) len() int {
+	n := 0
 	if t.has0 {
-		return len(t.more) + 1
+		n++
 	}
-	return len(t.more)
+	if t.more != nil {
+		n += len(t.more.m)
+	}
+	return n
 }
 
 func (t *txTable) get(dst uint32) *txVC {
 	if t.has0 && t.dst0 == dst {
 		return &t.vc0
 	}
-	return t.more[dst]
+	if t.more == nil {
+		return nil
+	}
+	return t.more.m[dst]
 }
 
-// add installs vc for dst, which must not be present. Only an entry that
-// spills into the map is a box of its own: vc itself stays the caller's.
+// add installs vc for dst, which must not be present, and returns where
+// it lives.
 func (t *txTable) add(dst uint32, vc txVC) *txVC {
 	if !t.has0 {
 		t.dst0, t.has0, t.vc0 = dst, true, vc
 		return &t.vc0
 	}
 	if t.more == nil {
-		t.more = make(map[uint32]*txVC)
+		t.more = &txSpill{m: make(map[uint32]*txVC)}
 	}
-	p := new(txVC)
+	s := t.more
+	var p *txVC
+	if n := len(s.free); n > 0 {
+		p, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		if len(s.slab) == cap(s.slab) {
+			s.slab = make([]txVC, 0, slabChunk(cap(s.slab)))
+		}
+		s.slab = s.slab[:len(s.slab)+1]
+		p = &s.slab[len(s.slab)-1]
+	}
 	*p = vc
-	t.more[dst] = p
+	s.m[dst] = p
 	return p
 }
 
@@ -179,7 +219,13 @@ func (t *txTable) del(dst uint32) {
 		t.has0, t.vc0 = false, txVC{}
 		return
 	}
-	delete(t.more, dst)
+	if s := t.more; s != nil {
+		if p := s.m[dst]; p != nil {
+			delete(s.m, dst)
+			*p = txVC{}
+			s.free = append(s.free, p)
+		}
+	}
 }
 
 // each calls fn for every entry, in no particular order; fn may delete
@@ -188,44 +234,70 @@ func (t *txTable) each(fn func(dst uint32, vc *txVC)) {
 	if t.has0 {
 		fn(t.dst0, &t.vc0)
 	}
-	for dst, vc := range t.more {
-		fn(dst, vc)
+	if t.more != nil {
+		for dst, vc := range t.more.m {
+			fn(dst, vc)
+		}
 	}
 }
 
 type rxTable struct {
 	has0 bool
 	vc0  rxVC
-	more map[uint16]*rxVC
+	more *rxSpill
+}
+
+// rxSpill is txSpill for receive channels.
+type rxSpill struct {
+	m    map[uint16]*rxVC
+	slab []rxVC
+	free []*rxVC
 }
 
 func (t *rxTable) len() int {
+	n := 0
 	if t.has0 {
-		return len(t.more) + 1
+		n++
 	}
-	return len(t.more)
+	if t.more != nil {
+		n += len(t.more.m)
+	}
+	return n
 }
 
 func (t *rxTable) get(vci uint16) *rxVC {
 	if t.has0 && t.vc0.vci == vci {
 		return &t.vc0
 	}
-	return t.more[vci]
+	if t.more == nil {
+		return nil
+	}
+	return t.more.m[vci]
 }
 
-// add installs vc, whose VCI must not be present, boxing it only when it
-// spills into the map.
+// add installs vc, whose VCI must not be present, and returns where it
+// lives.
 func (t *rxTable) add(vc rxVC) *rxVC {
 	if !t.has0 {
 		t.has0, t.vc0 = true, vc
 		return &t.vc0
 	}
 	if t.more == nil {
-		t.more = make(map[uint16]*rxVC)
+		t.more = &rxSpill{m: make(map[uint16]*rxVC)}
 	}
-	p := new(rxVC)
+	s := t.more
+	var p *rxVC
+	if n := len(s.free); n > 0 {
+		p, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		if len(s.slab) == cap(s.slab) {
+			s.slab = make([]rxVC, 0, slabChunk(cap(s.slab)))
+		}
+		s.slab = s.slab[:len(s.slab)+1]
+		p = &s.slab[len(s.slab)-1]
+	}
 	*p = vc
-	t.more[vc.vci] = p
+	s.m[vc.vci] = p
 	return p
 }
 
@@ -234,15 +306,23 @@ func (t *rxTable) del(vci uint16) {
 		t.has0, t.vc0 = false, rxVC{}
 		return
 	}
-	delete(t.more, vci)
+	if s := t.more; s != nil {
+		if p := s.m[vci]; p != nil {
+			delete(s.m, vci)
+			*p = rxVC{}
+			s.free = append(s.free, p)
+		}
+	}
 }
 
 func (t *rxTable) each(fn func(vc *rxVC)) {
 	if t.has0 {
 		fn(&t.vc0)
 	}
-	for _, vc := range t.more {
-		fn(vc)
+	if t.more != nil {
+		for _, vc := range t.more.m {
+			fn(vc)
+		}
 	}
 }
 
@@ -442,7 +522,7 @@ func (d *Driver) MTU() int {
 func (d *Driver) Output(p *sim.Proc, m *mbuf.Mbuf) {
 	f := d.outOp
 	if f != nil {
-		d.outOp = nil
+		d.outOp, f.next = f.next, nil
 	} else {
 		f = &outputOp{d: d}
 	}
@@ -459,8 +539,9 @@ func (d *Driver) Output(p *sim.Proc, m *mbuf.Mbuf) {
 // them, each straight into the transmit FIFO's own record of it
 // (Adapter.TxCell), so a cell's bytes are written once on this host.
 type outputOp struct {
-	d  *Driver
-	pc int
+	d    *Driver
+	pc   int
+	next *outputOp // on the free list
 
 	m         *mbuf.Mbuf
 	txStart   sim.Time
@@ -554,9 +635,7 @@ func (f *outputOp) Step(p *sim.Proc) {
 			}
 			d.txBusy = false
 			d.txWait.WakeAll()
-			if d.outOp == nil {
-				d.outOp = f
-			}
+			f.next, d.outOp = d.outOp, f
 			p.Return()
 			return
 		}

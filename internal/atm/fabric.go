@@ -83,6 +83,40 @@ func (rt *route) add(h hop) {
 	rt.n++
 }
 
+// routeTable is one shard's installed flow paths: the flow map, and the
+// routes it points to in a slab, where a removed route's slot goes to the
+// next install. A route never moves while installed — a staged install
+// holds its *route until the barrier applies it — so a full slab is
+// replaced, not grown (see slabChunk).
+type routeTable struct {
+	m    map[flowKey]*route
+	slab []route
+	free []*route // removed routes, zeroed
+}
+
+// add makes the route for key, which must not be installed.
+func (t *routeTable) add(key flowKey) *route {
+	var rt *route
+	if n := len(t.free); n > 0 {
+		rt, t.free = t.free[n-1], t.free[:n-1]
+	} else {
+		if len(t.slab) == cap(t.slab) {
+			t.slab = make([]route, 0, slabChunk(cap(t.slab)))
+		}
+		t.slab = t.slab[:len(t.slab)+1]
+		rt = &t.slab[len(t.slab)-1]
+	}
+	t.m[key] = rt
+	return rt
+}
+
+// del forgets key's route rt and frees its slot.
+func (t *routeTable) del(key flowKey, rt *route) {
+	delete(t.m, key)
+	*rt = route{}
+	t.free = append(t.free, rt)
+}
+
 // fabricHost locates one host in the fabric.
 type fabricHost struct {
 	drv  *Driver
@@ -120,7 +154,7 @@ type Fabric struct {
 	// and gets the existing one back, with no switch-table or VCI-allocator
 	// churn.
 	plan   *ShardPlan
-	routes []map[flowKey]*route
+	routes []routeTable
 
 	// VCsTornDown counts path reclaims over the route memory's life (which
 	// spans Resets); they only happen on one-env fabrics, see oneEnv.
@@ -174,10 +208,10 @@ func NewFabric(plan *ShardPlan, kind FabricKind, model *cost.Model, leafPorts in
 		hosts:  make([]fabricHost, len(drvs)),
 		byAddr: make(map[uint32]int, len(drvs)),
 		plan:   plan,
-		routes: make([]map[flowKey]*route, len(plan.Envs)),
+		routes: make([]routeTable, len(plan.Envs)),
 	}
 	for s := range f.routes {
-		f.routes[s] = make(map[flowKey]*route)
+		f.routes[s].m = make(map[flowKey]*route)
 	}
 	switch kind {
 	case FabricHub:
@@ -252,8 +286,8 @@ func (f *Fabric) NumHosts() int { return len(f.hosts) }
 // fabric-wide measure of active communication pairs.
 func (f *Fabric) NumRoutes() int {
 	n := 0
-	for _, rm := range f.routes {
-		n += len(rm)
+	for s := range f.routes {
+		n += len(f.routes[s].m)
 	}
 	return n
 }
@@ -309,16 +343,14 @@ func (f *Fabric) setup(src int, dstAddr uint32) (uint16, bool) {
 		return 0, false
 	}
 	s := f.plan.HostShard[src]
-	rm := f.routes[s]
+	rm := &f.routes[s]
 	key := flowKey{src, dst}
-	if rt, ok := rm[key]; ok {
+	if rt, ok := rm.m[key]; ok {
 		return rt.txVCI, true
 	}
 	hs, hd := &f.hosts[src], &f.hosts[dst]
-	rt := &route{
-		txVCI: DefaultVCI + uint16(dst),
-		rxVCI: DefaultVCI + uint16(src),
-	}
+	rt := rm.add(key)
+	rt.txVCI, rt.rxVCI = DefaultVCI+uint16(dst), DefaultVCI+uint16(src)
 	env := f.plan.Envs[s]
 	if hs.sw == hd.sw {
 		// Same switch (hub, or two hosts on one leaf): a single entry,
@@ -380,7 +412,6 @@ func (f *Fabric) setup(src int, dstAddr uint32) (uint16, bool) {
 			})
 		}
 	}
-	rm[key] = rt
 	return rt.txVCI, true
 }
 
@@ -389,11 +420,11 @@ func (f *Fabric) setup(src int, dstAddr uint32) (uint16, bool) {
 // breaking bit-identity, so above one env they fail loudly instead.
 // (Teardown only fires under Driver.TxVCLimit, which no sharded workload
 // sets, and sharded runs reject port-failure faults at scheduling.)
-func (f *Fabric) oneEnv(op string, host int) map[flowKey]*route {
+func (f *Fabric) oneEnv(op string, host int) *routeTable {
 	if n := len(f.plan.Envs); n > 1 {
 		panic(fmt.Sprintf("atm: %s for host %d on a fabric sharded %d ways; routes are only removed on one event loop (TxVCLimit must stay 0 and port failures are refused under sharding)", op, host, n))
 	}
-	return f.routes[0]
+	return &f.routes[0]
 }
 
 // teardown removes the flow path from host src to the host owning
@@ -412,7 +443,7 @@ func (f *Fabric) teardown(src int, dstAddr uint32) {
 		return
 	}
 	key := flowKey{src, dst}
-	if rt, ok := rm[key]; ok {
+	if rt, ok := rm.m[key]; ok {
 		f.removeRoute(rm, key, rt)
 	}
 }
@@ -420,7 +451,7 @@ func (f *Fabric) teardown(src int, dstAddr uint32) {
 // removeRoute is teardown's working half, shared with port-failure
 // reclamation: remove every switch entry, refund trunk VCIs, reclaim the
 // destination's reassembly context, forget the route.
-func (f *Fabric) removeRoute(rm map[flowKey]*route, key flowKey, rt *route) {
+func (f *Fabric) removeRoute(rm *routeTable, key flowKey, rt *route) {
 	for _, h := range rt.hops[:rt.n] {
 		h.sw.RemoveVC(int(h.port), h.vci)
 		if h.alloc != nil {
@@ -428,7 +459,7 @@ func (f *Fabric) removeRoute(rm map[flowKey]*route, key flowKey, rt *route) {
 		}
 	}
 	f.hosts[key.dst].drv.DropRx(rt.rxVCI)
-	delete(rm, key)
+	rm.del(key, rt)
 	f.VCsTornDown++
 }
 
@@ -450,7 +481,7 @@ func (f *Fabric) FailHostPort(i int) {
 	rm := f.oneEnv("FailHostPort", i)
 	f.HostPort(i).SetDown(true)
 	keys := make([]flowKey, 0, 8)
-	for k := range rm {
+	for k := range rm.m {
 		if k.src == i || k.dst == i {
 			keys = append(keys, k)
 		}
@@ -464,7 +495,7 @@ func (f *Fabric) FailHostPort(i int) {
 		return keys[a].dst < keys[b].dst
 	})
 	for _, k := range keys {
-		f.removeRoute(rm, k, rm[k])
+		f.removeRoute(rm, k, rm.m[k])
 	}
 }
 

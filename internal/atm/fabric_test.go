@@ -191,7 +191,7 @@ func TestFabricTeardownRecyclesTrunkVCIs(t *testing.T) {
 	if vci != DefaultVCI+3 {
 		t.Fatalf("host-link tx VCI = %d, want %d", vci, DefaultVCI+3)
 	}
-	first := f.routes[0][flowKey{0, 3}]
+	first := f.routes[0].m[flowKey{0, 3}]
 	if first.n != 3 {
 		t.Fatalf("cross-leaf route has %d hops, want 3", first.n)
 	}
@@ -211,7 +211,7 @@ func TestFabricTeardownRecyclesTrunkVCIs(t *testing.T) {
 	if _, ok := f.setup(0, 4); !ok {
 		t.Fatal("re-setup failed")
 	}
-	second := f.routes[0][flowKey{0, 3}]
+	second := f.routes[0].m[flowKey{0, 3}]
 	if second.hops[1].vci != trunk1 || second.hops[2].vci != trunk2 {
 		t.Fatalf("trunk VCIs not recycled: first (%d,%d), second (%d,%d)",
 			trunk1, trunk2, second.hops[1].vci, second.hops[2].vci)

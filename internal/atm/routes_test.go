@@ -2,6 +2,7 @@ package atm
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/sim"
@@ -192,9 +193,10 @@ func runRoutes(t *testing.T, fatTree bool, script []byte) {
 
 // TestVCInstallAllocations pins what installing a driver's VC state costs
 // the heap: a transmit or receive channel in its table's first slot
-// nothing — a client's only channel each way — and one that spills into
-// the map one box (the argument was boxed on every call while the map
-// case kept its address).
+// nothing — a client's only channel each way — one past it a share of a
+// slab chunk and of the map's growth, not a box of its own, and one that
+// takes a deleted entry's slot nothing (a server's on-demand transmit
+// channels are deleted and reinstalled at every testbed reset).
 func TestVCInstallAllocations(t *testing.T) {
 	var tx txTable
 	var rx rxTable
@@ -206,15 +208,24 @@ func TestVCInstallAllocations(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("first-slot installs allocate %v, want 0", n)
 	}
-	tx.add(8, txVC{})
-	rx.add(rxVC{vci: DefaultVCI + 1})
+	const spills = 1024
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 1; i <= spills; i++ {
+		tx.add(uint32(7+i), txVC{})
+		rx.add(rxVC{vci: DefaultVCI + uint16(i)})
+	}
+	runtime.ReadMemStats(&m1)
+	if n := float64(m1.Mallocs-m0.Mallocs) / (2 * spills); n > 0.05 {
+		t.Errorf("spilled installs allocate %.3f an entry, want a share of a chunk (at most 0.05)", n)
+	}
 	if n := testing.AllocsPerRun(100, func() {
 		tx.del(8)
 		tx.add(8, txVC{})
 		rx.del(DefaultVCI + 1)
 		rx.add(rxVC{vci: DefaultVCI + 1})
-	}); n != 2 {
-		t.Errorf("spilled installs allocate %v, want 2: one box each", n)
+	}); n != 0 {
+		t.Errorf("reinstalling a deleted spilled entry allocates %v, want 0: it takes the freed slot", n)
 	}
 }
 

@@ -48,7 +48,13 @@ type Switch struct {
 	// queue are dropped (and counted in CellsDropped).
 	PortQueueCells int
 
+	// ports indexes the ports, which live in slab: a fabric sizes it to
+	// the ports it attaches (newSwitch), so a port is no allocation of its
+	// own. Ports never move — adapters, peer trunks, lanes and cut stages
+	// hold them by pointer — so a full slab is replaced, not grown (see
+	// slabChunk).
 	ports []*Port
+	slab  []Port
 	nvc   int // installed VC table entries, over every port
 
 	// Counters.
@@ -62,13 +68,14 @@ type Switch struct {
 func NewSwitch(env *sim.Env) *Switch { return newSwitch(env, 0) }
 
 // newSwitch is NewSwitch with room for ports ports, for a fabric that
-// knows how many it will attach: the port list is made once.
+// knows how many it will attach: the ports and their index are made once.
 func newSwitch(env *sim.Env, ports int) *Switch {
 	return &Switch{
 		env:            env,
 		Latency:        DefaultSwitchLatency,
 		PortQueueCells: DefaultPortQueueCells,
 		ports:          make([]*Port, 0, ports),
+		slab:           make([]Port, 0, ports),
 	}
 }
 
@@ -270,7 +277,12 @@ func (p *Port) qdCellOut() {
 
 // newPort adds one port, its fiber's lane bound to it.
 func (sw *Switch) newPort(out cellSink, bits float64, prop sim.Time) *Port {
-	p := &Port{sw: sw, index: len(sw.ports), out: out, bits: bits, prop: prop}
+	if len(sw.slab) == cap(sw.slab) {
+		sw.slab = make([]Port, 0, slabChunk(cap(sw.slab)))
+	}
+	sw.slab = sw.slab[:len(sw.slab)+1]
+	p := &sw.slab[len(sw.slab)-1]
+	*p = Port{sw: sw, index: len(sw.ports), out: out, bits: bits, prop: prop}
 	p.tx.inLane.Bind(p)
 	sw.ports = append(sw.ports, p)
 	return p

@@ -154,7 +154,14 @@ type Stack struct {
 	// handlers is a fixed table, not a map: this stack speaks TCP and
 	// UDP, and the protocol lookup runs once per datagram.
 	handlers [2]registered
+
+	// The input queue is a ring: n datagrams in q from index head on,
+	// wrapping. q starts as slot, in the stack itself, so that a host's
+	// first datagram needs no allocation (most hosts of a fan-in never
+	// hold two); a full ring is copied into one twice its size.
 	q        []queued
+	head, n  int32
+	slot     [1]queued
 	wq       sim.WaitQueue
 	nextID   uint16
 	out      *outOp // free output frames, linked through next
@@ -183,6 +190,7 @@ func NewStack(k *kern.Kernel, addr uint32) *Stack { return new(Stack).Init(k, ad
 // Init readies a zero Stack in place, as NewStack does, and returns it.
 func (s *Stack) Init(k *kern.Kernel, addr uint32) *Stack {
 	s.K, s.Addr = k, addr
+	s.q = s.slot[:]
 	s.wq.Init("ipq")
 	s.outFrame.s = s
 	s.out = &s.outFrame
@@ -200,10 +208,8 @@ func (s *Stack) Attach(nif NetIf) { s.If = nif }
 // the netisr service process (parked on the input queue's wait queue)
 // all survive — they are the topology, not the trial.
 func (s *Stack) Reset() {
-	for i := range s.q {
-		s.q[i] = queued{}
-	}
-	s.q = s.q[:0]
+	clear(s.q)
+	s.head, s.n = 0, 0
 	s.nextID = 0
 	s.Drops = 0
 }
@@ -300,15 +306,34 @@ func (f *outOp) Step(p *sim.Proc) {
 // datagram so the dequeue attributes the wait to the right packet.
 func (s *Stack) Enqueue(m *mbuf.Mbuf) {
 	id := s.K.PacketContext(s.K.Env.Current())
-	s.q = append(s.q, queued{m: m, at: s.K.Now(), id: id})
+	if int(s.n) == len(s.q) {
+		q := make([]queued, max(2*len(s.q), 1))
+		copy(q, s.q[s.head:])
+		copy(q[len(s.q)-int(s.head):], s.q[:s.head])
+		s.q, s.head = q, 0
+	}
+	s.q[(int(s.head)+int(s.n))%len(s.q)] = queued{m: m, at: s.K.Now(), id: id}
+	s.n++
 	s.K.Trace.Event(trace.Event{
-		Kind: trace.EvIPEnqueue, At: s.K.Now(), ID: id, Aux: int64(len(s.q)),
+		Kind: trace.EvIPEnqueue, At: s.K.Now(), ID: id, Aux: int64(s.n),
 	})
 	s.wq.Wake()
 }
 
+// front returns the datagram at the head of a non-empty input queue.
+func (s *Stack) front() *queued { return &s.q[s.head] }
+
+// dequeue removes the datagram at the head of a non-empty input queue.
+func (s *Stack) dequeue() {
+	s.q[s.head] = queued{}
+	if s.head++; int(s.head) == len(s.q) {
+		s.head = 0
+	}
+	s.n--
+}
+
 // QueueLen returns the number of datagrams waiting on the input queue.
-func (s *Stack) QueueLen() int { return len(s.q) }
+func (s *Stack) QueueLen() int { return int(s.n) }
 
 // netisrFrame is the IP software-interrupt service loop: the stack's one
 // persistent process. Each pass dequeues one datagram, runs ip_input on
@@ -318,7 +343,7 @@ func (s *Stack) QueueLen() int { return len(s.q) }
 type netisrFrame struct {
 	s      *Stack
 	pc     int
-	head   queued
+	m      *mbuf.Mbuf // the datagram dequeued, until it is handed up
 	tagged bool
 }
 
@@ -330,7 +355,7 @@ func (f *netisrFrame) Step(p *sim.Proc) {
 	for {
 		switch f.pc {
 		case 0:
-			if len(s.q) == 0 {
+			if s.n == 0 {
 				s.wq.Wait(p)
 				return
 			}
@@ -340,24 +365,25 @@ func (f *netisrFrame) Step(p *sim.Proc) {
 			// occupying the CPU (typically the driver copying a later
 			// segment's cells) already owns those spans. The head datagram's
 			// identity tags the process before the charge so the dispatch
-			// cost attributes to the packet being dequeued.
-			f.head = s.q[0]
+			// cost attributes to the packet being dequeued. Only this loop
+			// dequeues, so the head is still that datagram after the charge.
 			// The tag exists only for trace attribution; untraced runs skip
 			// the push (it boxes the identity, one allocation per datagram).
 			f.tagged = s.K.Trace.PacketsEnabled()
 			if f.tagged {
-				p.PushTag(f.head.id)
+				p.PushTag(s.front().id)
 			}
 			f.pc = 1
 			if !s.K.Use(p, trace.LayerIPQ, s.K.Cost.SoftintDispatch) {
 				return
 			}
 		case 1:
-			copy(s.q, s.q[1:])
-			s.q = s.q[:len(s.q)-1]
+			head := *s.front()
+			s.dequeue()
+			f.m = head.m
 			s.K.Trace.Event(trace.Event{
-				Kind: trace.EvIPDequeue, At: f.head.at, Dur: s.K.Now() - f.head.at,
-				ID: f.head.id, Aux: int64(len(s.q)),
+				Kind: trace.EvIPDequeue, At: head.at, Dur: s.K.Now() - head.at,
+				ID: head.id, Aux: int64(s.n),
 			})
 			// ip_input: charge processing, then parse, verify and deliver.
 			f.pc = 2
@@ -365,7 +391,7 @@ func (f *netisrFrame) Step(p *sim.Proc) {
 				return
 			}
 		case 2:
-			m := f.head.m
+			m := f.m
 			// Header scratch on the stack: Parse copies what it keeps, so
 			// this must not escape (the per-datagram path allocates nothing).
 			var raw [HeaderLen]byte
@@ -414,7 +440,7 @@ func (f *netisrFrame) Step(p *sim.Proc) {
 			if f.tagged {
 				p.PopTag()
 			}
-			f.head = queued{}
+			f.m = nil
 			f.pc = 0
 		}
 	}

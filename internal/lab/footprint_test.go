@@ -27,9 +27,10 @@ func idleHeapBytes(t *testing.T, nHosts int) (*Lab, uint64) {
 
 // maxIdleHostBytes pins the per-host footprint of an idle topology. A
 // host is a kernel, an IP/TCP/UDP stack, an adapter, a driver, a switch
-// port and three parked service processes — three allocations (the host
+// port and three parked service processes — two allocations (the host
 // with its kernel, stacks and their processes; the link's adapter and
-// driver with theirs; the port; TestHostAllocations), measured ~3.3 KiB
+// driver with theirs; the port sits in its switch's slab;
+// TestHostAllocations), measured ~3.3 KiB
 // before any traffic; the bound is that plus half. What it has
 // no headroom for is anything per pair or per peer: a pre-installed full
 // VC mesh costs O(hosts) per host (at 1024 hosts, ~100 KiB each just in
@@ -74,15 +75,15 @@ func TestIdleHostFootprint(t *testing.T) {
 	runtime.KeepAlive(large)
 }
 
-// TestHostAllocations pins what building a host costs the heap: an ATM
-// host is its Host block (the kernel and the IP, TCP and UDP stacks, each
-// holding its service process), its link block (the adapter and the
-// driver with its receive process) and its switch port; an Ethernet host
-// is the first two — thirteen and twelve before they were built in place.
-// Hosts are built many to a loop and the loop is run
-// until every service process has parked, so the only other allocations
-// are the growth of what every host appends to — the switch's port list,
-// the loop's start queue — a few hundredths a host.
+// TestHostAllocations pins what building a host costs the heap: its Host
+// block (the kernel and the IP, TCP and UDP stacks, each holding its
+// service process) and its link block (the adapter and the driver with
+// its receive process) — thirteen and twelve before they were built in
+// place, and three on ATM until a switch kept its ports in a slab. Hosts
+// are built many to a loop and the loop is run until every service
+// process has parked, so the only other allocations are the growth of
+// what every host appends to — the switch's port slab and index, the
+// loop's start queue — a few hundredths a host.
 func TestHostAllocations(t *testing.T) {
 	const n = 1024
 	model := cost.DECstation5000()
@@ -91,7 +92,7 @@ func TestHostAllocations(t *testing.T) {
 	for _, tc := range []struct {
 		link LinkKind
 		want float64
-	}{{LinkATM, 3}, {LinkEther, 2}} {
+	}{{LinkATM, 2}, {LinkEther, 2}} {
 		env := sim.NewEnv()
 		sw := atm.NewSwitch(env)
 		var m0, m1 runtime.MemStats

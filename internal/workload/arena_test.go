@@ -196,3 +196,49 @@ func TestReleasedScratchIsPoisoned(t *testing.T) {
 		}
 	}
 }
+
+// TestParkedHoldersDoNotBlockReset runs, on one reused testbed, a server
+// crash mid-run and then a loaded trial whose cross flow stalls behind a
+// lost window update (the stack has no persist timer; this seed strands
+// chains in the flow's send buffer), and resets the lab after each, as
+// the sweep runner reuses a testbed. The stalled flow's source and the
+// server's sink for it stay parked for good, each holding a workload
+// buffer. Those are the loop arena's uncounted Get/Put, so the reset
+// goes through; taken as counted checkouts, they make it refuse to rewind
+// the loop.
+func TestParkedHoldersDoNotBlockReset(t *testing.T) {
+	const hosts = 9
+	crash := lab.Config{Link: lab.LinkATM, Seed: 1994}
+	l := lab.NewTopology(crash, hosts)
+	g := workload.FaultRecovery{Requests: 8, Interval: 100 * sim.Millisecond, CrashAt: 250 * sim.Millisecond, Downtime: sim.Second}
+	res, err := g.Run(l)
+	if err != nil {
+		t.Fatalf("crash trial: %v", err)
+	}
+	if len(res.Recoveries) == 0 {
+		t.Fatal("crash trial: no client saw the outage")
+	}
+	if err := l.Reset(crash, 0); err != nil {
+		t.Fatalf("Reset after the crash trial: %v", err)
+	}
+
+	stall := loadedConfig(1)
+	stall.PacketTrace = false
+	stall.Qdisc.REDMinCells, stall.Qdisc.REDMaxCells, stall.Qdisc.REDMaxP = 2, 256, 0.5
+	if err := l.Reset(stall, 0); err != nil {
+		t.Fatalf("Reset to the loaded trial: %v", err)
+	}
+	fan := workload.FanIn{Size: 200, Requests: 8, Warmup: 1, Cross: &workload.CrossTraffic{Flows: 2, MinBytes: 32768}}
+	if _, err := fan.Run(l); err != nil {
+		t.Fatalf("loaded trial: %v", err)
+	}
+	if hdrs, pages := l.PoolLive(); hdrs == 0 && pages == 0 {
+		t.Fatal("loaded trial: no cross flow stalled; the test needs a seed that strands one")
+	}
+	if err := l.Reset(stall, 0); err != nil {
+		t.Fatalf("Reset after the stalled trial: %v", err)
+	}
+	if out, open := arenaState(l); out != 0 || open != 0 {
+		t.Errorf("after the resets %d buffers checked out, %d frames open", out, open)
+	}
+}

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/lab"
 	"repro/internal/sim"
 )
 
@@ -126,11 +127,15 @@ func (ct CrossTraffic) spawn(r *run) error {
 			return true
 		},
 	})
-	for f := 0; f < c.Flows; f++ {
-		hi := c.flowHost(f, len(r.clients))
-		r.c.EnvOf(hi).Spawn("", &crossLoopFrame{
+	hs := make([]*lab.Host, c.Flows)
+	for f := range hs {
+		hs[f] = l.Hosts[c.flowHost(f, len(r.clients))]
+	}
+	cs := tr.clients(hs, CrossPort)
+	for f := range hs {
+		r.c.EnvOf(c.flowHost(f, len(r.clients))).Spawn("", &crossLoopFrame{
 			ct: c, f: f, me: &r.parts[1+f],
-			src: streamFrame{c: tr.client(l.Hosts[hi], CrossPort), chunk: 8192},
+			src: streamFrame{c: cs[f], chunk: 8192},
 		})
 	}
 	return nil
@@ -138,7 +143,9 @@ func (ct CrossTraffic) spawn(r *run) error {
 
 // crossLoopFrame runs one background flow: Transfers times, call the
 // byte-stream source for the hash-drawn size, and idle for Gap. Flow f's
-// first transfer waits out f gaps so flows do not start in lockstep.
+// first transfer waits out f gaps so flows do not start in lockstep. The
+// source keeps its payload from one transfer to the next; the flow gives
+// it back when it ends.
 type crossLoopFrame struct {
 	ct  CrossTraffic
 	f   int
@@ -162,7 +169,7 @@ func (f *crossLoopFrame) Step(p *sim.Proc) {
 			}
 		case 1: // transfer loop head: stream this transfer's bytes
 			if f.k >= f.ct.Transfers {
-				p.Return()
+				f.finish(p)
 				return
 			}
 			f.src.total = f.ct.SizeOf(f.f, f.k)
@@ -172,7 +179,7 @@ func (f *crossLoopFrame) Step(p *sim.Proc) {
 		case 2: // closed; idle out the gap, then next transfer
 			if f.src.err != nil {
 				f.me.fail(p.Env(), fmt.Errorf("cross flow %d transfer %d: %w", f.f, f.k, f.src.err))
-				p.Return()
+				f.finish(p)
 				return
 			}
 			f.k++
@@ -182,4 +189,11 @@ func (f *crossLoopFrame) Step(p *sim.Proc) {
 			}
 		}
 	}
+}
+
+// finish gives the source's payload back and ends the flow.
+func (f *crossLoopFrame) finish(p *sim.Proc) {
+	p.Env().Arena().Put(f.src.msg)
+	f.src.msg = nil
+	p.Return()
 }

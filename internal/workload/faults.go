@@ -108,8 +108,10 @@ func (g FaultRecovery) Run(l *lab.Lab) (*Result, error) {
 	})
 
 	recov := make([][]sim.Time, len(r.clients))
-	for ci := range r.clients {
-		f := &faultClientFrame{r: r, ci: ci, c: tr.client(l.Hosts[ci+1], Port), g: g, recov: &recov[ci]}
+	cs, frames := tr.clients(l.Hosts[1:], Port), make([]faultClientFrame, len(r.clients))
+	for ci := range frames {
+		f := &frames[ci]
+		*f = faultClientFrame{r: r, ci: ci, c: cs[ci], g: g, recov: &recov[ci]}
 		env := c.EnvOf(ci + 1)
 		env.SpawnIn(&f.proc, env.Now(), "", f)
 	}
@@ -127,7 +129,7 @@ func (g FaultRecovery) Run(l *lab.Lab) (*Result, error) {
 // faultClientFrame is one client of the fault workload: paced requests,
 // a deadline on every connect that can block and on every exchange,
 // bounded-retry reconnects, one recovery sample per survived outage. It
-// holds its process, as the fan-in client does.
+// holds its process and takes its buffers as the fan-in client does.
 type faultClientFrame struct {
 	proc  sim.Proc
 	r     *run
@@ -141,7 +143,7 @@ type faultClientFrame struct {
 	deadline sim.Timer // on the operation in progress; aborts it
 	attempts int       // consecutive failed connect attempts
 	down     sim.Time
-	msg, buf []byte
+	bufs     exchangeBufs
 	i        int
 	start    sim.Time
 }
@@ -166,9 +168,7 @@ func (f *faultClientFrame) Step(p *sim.Proc) {
 		case 0: // prepare buffers
 			f.env = p.Env()
 			f.deadline.Bind(f)
-			f.msg = make([]byte, f.g.Size)
-			f.env.RNG().Fill(f.msg)
-			f.buf = make([]byte, f.g.Size)
+			f.bufs.take(f.env, f.g.Size)
 			f.pc = 1
 		case 1: // connect attempt, under the deadline if it can block
 			if f.c.blocks() {
@@ -184,6 +184,7 @@ func (f *faultClientFrame) Step(p *sim.Proc) {
 				if f.attempts > f.g.Retries {
 					me.fail(f.env, fmt.Errorf("client %d: gave up after %d reconnect attempts: %w",
 						f.ci, f.attempts, err))
+					f.bufs.put(f.env)
 					p.Return()
 					return
 				}
@@ -211,7 +212,7 @@ func (f *faultClientFrame) Step(p *sim.Proc) {
 			f.start = f.env.Now()
 			f.arm()
 			f.pc = 5
-			f.c.exchange(p, f.msg, f.buf)
+			f.c.exchange(p, f.bufs.msg, f.bufs.buf)
 			return
 		case 5: // exchange result
 			f.deadline.Stop()
@@ -234,10 +235,11 @@ func (f *faultClientFrame) Step(p *sim.Proc) {
 				*f.recov = append(*f.recov, now-f.down)
 				f.down = 0
 			}
-			f.r.record(f.ci, f.start, now, bytes.Equal(f.buf, f.msg))
+			f.r.record(f.ci, f.start, now, bytes.Equal(f.bufs.buf, f.bufs.msg))
 			f.i++
 			f.pc = 3
 		case 6: // closed; done
+			f.bufs.put(f.env)
 			p.Return()
 			return
 		}

@@ -23,7 +23,14 @@ func (rudpTransport) listen(h *lab.Host, port uint16) (listener, error) {
 	return &rudpListener{e: e}, nil
 }
 
-func (rudpTransport) client(h *lab.Host, port uint16) conn { return &rudpConn{host: h, port: port} }
+func (rudpTransport) clients(hs []*lab.Host, port uint16) []conn {
+	ends, cs := make([]rudpConn, len(hs)), make([]conn, len(hs))
+	for i, h := range hs {
+		ends[i] = rudpConn{host: h, port: port}
+		cs[i] = &ends[i]
+	}
+	return cs
+}
 
 // RUDPMaxMessage returns the largest message the rudp transport carries
 // over interfaces of the given MTU. A message rides one datagram, so it
@@ -50,13 +57,18 @@ type rudpListener struct {
 
 func (l *rudpListener) accept(p *sim.Proc) { l.op = l.e.Accept(p) }
 
-func (l *rudpListener) accepted() (conn, error) {
+func (l *rudpListener) accepted(reuse conn) (conn, error) {
 	op := l.op
 	l.op = nil
 	if op.Err != nil {
 		return nil, op.Err
 	}
-	return &rudpConn{c: op.C}, nil
+	r, _ := reuse.(*rudpConn)
+	if r == nil {
+		r = new(rudpConn)
+	}
+	*r = rudpConn{c: op.C}
+	return r, nil
 }
 
 // crash kills the endpoint: it is workload-owned state the lab's crash

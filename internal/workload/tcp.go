@@ -24,8 +24,13 @@ func (t tcpTransport) listen(h *lab.Host, port uint16) (listener, error) {
 	return &tcpListener{ln: ln, nagle: t.nagle}, nil
 }
 
-func (t tcpTransport) client(h *lab.Host, port uint16) conn {
-	return &tcpConn{stack: h.TCP, port: port, nagle: t.nagle}
+func (t tcpTransport) clients(hs []*lab.Host, port uint16) []conn {
+	ends, cs := make([]tcpConn, len(hs)), make([]conn, len(hs))
+	for i, h := range hs {
+		ends[i] = tcpConn{stack: h.TCP, port: port, nagle: t.nagle}
+		cs[i] = &ends[i]
+	}
+	return cs
 }
 
 type tcpListener struct {
@@ -36,7 +41,7 @@ type tcpListener struct {
 
 func (l *tcpListener) accept(p *sim.Proc) { l.op = l.ln.Accept(p) }
 
-func (l *tcpListener) accepted() (conn, error) {
+func (l *tcpListener) accepted(reuse conn) (conn, error) {
 	op := l.op
 	l.op = nil
 	if op.Err != nil {
@@ -45,7 +50,12 @@ func (l *tcpListener) accepted() (conn, error) {
 	if !l.nagle {
 		op.C.SetNoDelay(true)
 	}
-	return &tcpConn{so: op.So, c: op.C}, nil
+	t, _ := reuse.(*tcpConn)
+	if t == nil {
+		t = new(tcpConn)
+	}
+	*t = tcpConn{so: op.So, c: op.C}
+	return t, nil
 }
 
 // crash has nothing to do: the lab resets the host's TCP stack itself.

@@ -34,17 +34,21 @@ const (
 type transport interface {
 	// listen binds port on the server host h.
 	listen(h *lab.Host, port uint16) (listener, error)
-	// client returns host h's end of a connection to the server's port,
-	// not yet dialed. A client may dial, close and dial again.
-	client(h *lab.Host, port uint16) conn
+	// clients returns each host of hs its end of a connection to the
+	// server's port, not yet dialed, all in one allocation. A client may
+	// dial, close and dial again.
+	clients(hs []*lab.Host, port uint16) []conn
 }
 
 // listener is the server's bound port.
 type listener interface {
 	// accept waits for the next connection (call-like); accepted then
 	// returns it, or the error that ended the listener (its host crashed).
+	// When reuse is non-nil — a conn this listener returned before, whose
+	// handler has finished with it — the new connection is built in its
+	// storage.
 	accept(p *sim.Proc)
-	accepted() (conn, error)
+	accepted(reuse conn) (conn, error)
 	// crash tears down whatever listener state the lab's own host-crash
 	// handling cannot see.
 	crash()
@@ -105,13 +109,29 @@ type acceptLoopFrame struct {
 	pc int
 	i  int
 
-	// bufs recycles the read buffers of the handlers this loop spawned: a
-	// handler borrows one for the life of its connection and hands it
-	// back at EOF, so a server allocates as many as it ever had
-	// connections open at once, not one per connection accepted. The loop
-	// and its handlers all run on the server host's event loop, so the
-	// list needs no lock.
+	// bufs recycles the read buffers of the handlers this loop spawned,
+	// and idle the echo handlers themselves, the latest last. A handler
+	// borrows a buffer for the life of its connection and hands it back at
+	// EOF; once finished, it serves a later connection, built in its conn
+	// (see handler). So a server has as many of each as it ever had
+	// connections open at once, not one per connection accepted, and
+	// drops them with the run: kept in the loop's arena instead, the
+	// loaded grid's thirty-odd 16 KB read buffers would stay warm on the
+	// testbed. The loop and its handlers all run on the server host's
+	// event loop, so the lists need no lock.
 	bufs [][]byte
+	idle []*serveEchoFrame
+}
+
+// handler returns the echo handler for the connection just accepted: the
+// finished one whose conn it was built in, or a new one.
+func (f *acceptLoopFrame) handler() *serveEchoFrame {
+	if n := len(f.idle); n > 0 {
+		h := f.idle[n-1]
+		f.idle = f.idle[:n-1]
+		return h
+	}
+	return new(serveEchoFrame)
 }
 
 // serverBufLen is the read size of every per-connection server handler.
@@ -130,6 +150,15 @@ func (f *acceptLoopFrame) getBuf() []byte {
 // putBuf takes back a buffer no operation references any more.
 func (f *acceptLoopFrame) putBuf(b []byte) { f.bufs = append(f.bufs, b) }
 
+// takeBuf takes an n-byte buffer from the loop's arena; Arena.Put gives
+// it back. What a workload's sending side holds — a client's request and
+// response, a stream's payload — is held this way, with the arena's
+// uncounted Get/Put rather than a counted Checkout: a process can park
+// for good holding one — killed by a host crash, or a stream stalled
+// behind a lost window update — and the testbed must still reset under
+// it.
+func takeBuf(env *sim.Env, n int) []byte { return env.Arena().Get(n)[:n] }
+
 // Step drives the accept loop.
 func (f *acceptLoopFrame) Step(p *sim.Proc) {
 	for {
@@ -143,7 +172,11 @@ func (f *acceptLoopFrame) Step(p *sim.Proc) {
 			f.ln.accept(p)
 			return
 		case 1: // hand it to the callback
-			c, err := f.ln.accepted()
+			var reuse conn
+			if n := len(f.idle); n > 0 {
+				reuse = f.idle[n-1].c
+			}
+			c, err := f.ln.accepted(reuse)
 			if err != nil || !f.accepted(f, f.i, c) {
 				p.Return()
 				return
@@ -157,12 +190,13 @@ func (f *acceptLoopFrame) Step(p *sim.Proc) {
 // spawnEchoServer starts the echo server shared by the fan-in, churn and
 // fault workloads on env, the server host's event loop: an accept loop
 // for n connections on ln, each served by its own serveEchoFrame process
-// named after the loop.
+// named after the loop, a finished handler serving a later connection.
 func spawnEchoServer(env *sim.Env, name string, ln listener, n int) {
 	env.Spawn(name, &acceptLoopFrame{
 		ln: ln, n: n,
 		accepted: func(al *acceptLoopFrame, i int, c conn) bool {
-			f := &serveEchoFrame{c: c, al: al, name: name, i: i}
+			f := al.handler()
+			*f = serveEchoFrame{c: c, al: al, name: name, i: i}
 			env.SpawnIn(&f.proc, env.Now(), "", f)
 			return true
 		},
@@ -178,12 +212,13 @@ func indexed(prefix string, i int, suffix string) string {
 }
 
 // serveEchoFrame is the echo handler: write back whatever arrives, until
-// the end of the stream, then close. It holds the process it is the root
-// of, so a handler is one allocation.
+// the end of the stream, then close, and go back to the accept loop. It
+// holds the process it is the root of, so a handler is one allocation,
+// made once for all the connections it serves.
 type serveEchoFrame struct {
 	proc sim.Proc
 	c    conn
-	al   *acceptLoopFrame // lends the read buffer
+	al   *acceptLoopFrame // lends the read buffer, takes the handler back
 	name string           // the accept loop's, and
 	i    int              // which of its connections this is
 
@@ -221,15 +256,23 @@ func (f *serveEchoFrame) Step(p *sim.Proc) {
 			if _, err := f.c.done(); err != nil {
 				f.al.putBuf(f.buf)
 				f.buf = nil
-				p.Return()
+				f.finish(p)
 				return
 			}
 			f.pc = 0
 		case 3: // closed; done
-			p.Return()
+			f.finish(p)
 			return
 		}
 	}
+}
+
+// finish gives the handler back to its accept loop and ends the process:
+// nothing runs the handler again until the loop respawns it for a later
+// connection.
+func (f *serveEchoFrame) finish(p *sim.Proc) {
+	f.al.idle = append(f.al.idle, f)
+	p.Return()
 }
 
 // streamFrame is the byte-stream source: dial, once the dial has succeeded
@@ -267,7 +310,7 @@ func (f *streamFrame) Step(p *sim.Proc) {
 				return
 			}
 			if f.msg == nil {
-				f.msg = make([]byte, f.chunk)
+				f.msg = takeBuf(p.Env(), f.chunk)
 				p.Env().RNG().Fill(f.msg)
 			}
 			f.startAt = p.Env().Now()
@@ -296,11 +339,17 @@ func (f *streamFrame) Step(p *sim.Proc) {
 	}
 }
 
-// finish ends the transfer with its outcome, rewound for the next call.
+// finish ends the transfer with its outcome, rewound for the next call. A
+// source run as its own process gives its payload back; a called one keeps
+// it for its caller's next transfer, and the caller gives it back.
 func (f *streamFrame) finish(p *sim.Proc, err error) {
 	f.pc, f.sent, f.err = 0, 0, err
-	if err != nil && f.me != nil {
-		f.me.fail(p.Env(), err)
+	if f.me != nil {
+		if err != nil {
+			f.me.fail(p.Env(), err)
+		}
+		p.Env().Arena().Put(f.msg)
+		f.msg = nil
 	}
 	p.Return()
 }

@@ -203,12 +203,12 @@ func (g FanIn) Run(l *lab.Lab) (*Result, error) {
 			return nil, err
 		}
 	}
-	for ci := range r.clients {
+	cs, frames := tr.clients(l.Hosts[1:], Port), make([]fanInClientFrame, len(r.clients))
+	for ci := range frames {
 		// Stagger slots ascend, so each loop's share of the starts is one
 		// heap entry, not a wake parked per client until its slot.
-		f := &fanInClientFrame{
-			r: r, ci: ci, c: tr.client(l.Hosts[ci+1], Port), size: size, warm: warm, reqs: reqs,
-		}
+		f := &frames[ci]
+		*f = fanInClientFrame{r: r, ci: ci, c: cs[ci], size: size, warm: warm, reqs: reqs}
 		c.EnvOf(ci+1).SpawnIn(&f.proc, sim.Time(ci)*g.Stagger, "", f)
 	}
 	return r.finish("fanin", "requests", size)
@@ -240,8 +240,10 @@ func (g Churn) Run(l *lab.Lab) (*Result, error) {
 		return nil, err
 	}
 	spawnEchoServer(c.EnvOf(0), "server.churn", ln, len(r.clients)*conns)
-	for ci := range r.clients {
-		f := &churnClientFrame{r: r, ci: ci, c: tr.client(l.Hosts[ci+1], Port), size: size, conns: conns}
+	cs, frames := tr.clients(l.Hosts[1:], Port), make([]churnClientFrame, len(r.clients))
+	for ci := range frames {
+		f := &frames[ci]
+		*f = churnClientFrame{r: r, ci: ci, c: cs[ci], size: size, conns: conns}
 		env := c.EnvOf(ci + 1)
 		env.SpawnIn(&f.proc, env.Now(), "", f)
 	}
@@ -294,9 +296,9 @@ func (g Bulk) Run(l *lab.Lab) (*Result, error) {
 			return true
 		},
 	})
+	cs := tr.clients(l.Hosts[1:], Port)
 	for ci := range srcs {
-		srcs[ci] = streamFrame{c: tr.client(l.Hosts[ci+1], Port), total: total, chunk: chunk,
-			me: &r.clients[ci], ci: ci}
+		srcs[ci] = streamFrame{c: cs[ci], total: total, chunk: chunk, me: &r.clients[ci], ci: ci}
 		c.EnvOf(ci+1).Spawn("", &srcs[ci])
 	}
 
@@ -319,13 +321,33 @@ func (g Bulk) Run(l *lab.Lab) (*Result, error) {
 	return res, nil
 }
 
+// exchangeBufs is a client's request and response buffers, taken from
+// its loop's arena once the client has something to exchange and given
+// back when it ends (see takeBuf for why the hold is uncounted).
+type exchangeBufs struct{ msg, buf []byte }
+
+// take takes both buffers and fills the request from the loop's RNG — a
+// draw every seeded result depends on.
+func (b *exchangeBufs) take(env *sim.Env, size int) {
+	b.msg = takeBuf(env, size)
+	env.RNG().Fill(b.msg)
+	b.buf = takeBuf(env, size)
+}
+
+// put gives back whatever take took.
+func (b *exchangeBufs) put(env *sim.Env) {
+	env.Arena().Put(b.msg)
+	env.Arena().Put(b.buf)
+	b.msg, b.buf = nil, nil
+}
+
 // fanInClientFrame is one fan-in client, spawned at its stagger slot:
 // connect once, then run warm+reqs request/response exchanges, measuring
 // the post-warmup ones. All simulation state flows through p.Env() — the
 // loop that owns the client's host — and everything it records goes to
 // the client's own slots, so the frame runs unchanged at any shard count
-// and over any transport. It holds the process it is the root of, so a
-// client is one allocation.
+// and over any transport. A run's clients are one slab, each holding the
+// process it is the root of.
 type fanInClientFrame struct {
 	proc             sim.Proc
 	r                *run
@@ -333,10 +355,10 @@ type fanInClientFrame struct {
 	c                conn
 	size, warm, reqs int
 
-	pc       int
-	msg, buf []byte
-	i        int
-	start    sim.Time
+	pc    int
+	bufs  exchangeBufs
+	i     int
+	start sim.Time
 }
 
 // Name implements sim.Namer.
@@ -357,9 +379,7 @@ func (f *fanInClientFrame) Step(p *sim.Proc) {
 				p.Return()
 				return
 			}
-			f.msg = make([]byte, f.size)
-			p.Env().RNG().Fill(f.msg)
-			f.buf = make([]byte, f.size)
+			f.bufs.take(p.Env(), f.size)
 			f.pc = 3
 		case 3: // request loop head
 			if f.i >= f.warm+f.reqs {
@@ -369,20 +389,22 @@ func (f *fanInClientFrame) Step(p *sim.Proc) {
 			}
 			f.start = p.Env().Now()
 			f.pc = 4
-			f.c.exchange(p, f.msg, f.buf)
+			f.c.exchange(p, f.bufs.msg, f.bufs.buf)
 			return
 		case 4: // fold in one exchange's result
 			if _, err := f.c.done(); err != nil {
 				me.fail(p.Env(), fmt.Errorf("client %d request %d: %w", f.ci, f.i, err))
+				f.bufs.put(p.Env())
 				p.Return()
 				return
 			}
 			if f.i >= f.warm {
-				f.r.record(f.ci, f.start, p.Env().Now(), bytes.Equal(f.buf, f.msg))
+				f.r.record(f.ci, f.start, p.Env().Now(), bytes.Equal(f.bufs.buf, f.bufs.msg))
 			}
 			f.i++
 			f.pc = 3
 		case 5: // closed; done
+			f.bufs.put(p.Env())
 			p.Return()
 			return
 		}
@@ -391,8 +413,8 @@ func (f *fanInClientFrame) Step(p *sim.Proc) {
 
 // churnClientFrame is one churn client: each cycle connects, exchanges
 // once, and closes; the whole cycle is the measured operation. Like the
-// fan-in client it touches only p.Env() and its own slots, and holds its
-// process.
+// fan-in client it touches only p.Env() and its own slots, holds its
+// process, and takes its buffers from the loop's arena.
 type churnClientFrame struct {
 	proc        sim.Proc
 	r           *run
@@ -400,10 +422,10 @@ type churnClientFrame struct {
 	c           conn
 	size, conns int
 
-	pc       int
-	msg, buf []byte
-	k        int
-	start    sim.Time
+	pc    int
+	bufs  exchangeBufs
+	k     int
+	start sim.Time
 }
 
 // Name implements sim.Namer.
@@ -415,12 +437,11 @@ func (f *churnClientFrame) Step(p *sim.Proc) {
 	for {
 		switch f.pc {
 		case 0: // prepare buffers
-			f.msg = make([]byte, f.size)
-			p.Env().RNG().Fill(f.msg)
-			f.buf = make([]byte, f.size)
+			f.bufs.take(p.Env(), f.size)
 			f.pc = 1
 		case 1: // cycle head: connect
 			if f.k >= f.conns {
+				f.bufs.put(p.Env())
 				p.Return()
 				return
 			}
@@ -431,19 +452,21 @@ func (f *churnClientFrame) Step(p *sim.Proc) {
 		case 2: // connected; run the exchange
 			if _, err := f.c.done(); err != nil {
 				me.fail(p.Env(), fmt.Errorf("client %d cycle %d: %w", f.ci, f.k, err))
+				f.bufs.put(p.Env())
 				p.Return()
 				return
 			}
 			f.pc = 3
-			f.c.exchange(p, f.msg, f.buf)
+			f.c.exchange(p, f.bufs.msg, f.bufs.buf)
 			return
 		case 3: // record the cycle and close
 			if _, err := f.c.done(); err != nil {
 				me.fail(p.Env(), fmt.Errorf("client %d cycle %d: %w", f.ci, f.k, err))
+				f.bufs.put(p.Env())
 				p.Return()
 				return
 			}
-			f.r.record(f.ci, f.start, p.Env().Now(), bytes.Equal(f.buf, f.msg))
+			f.r.record(f.ci, f.start, p.Env().Now(), bytes.Equal(f.bufs.buf, f.bufs.msg))
 			f.pc = 4
 			f.c.close(p)
 			return

@@ -192,10 +192,12 @@ func TestFanInHashBeatsListAtHighPopulation(t *testing.T) {
 	}
 }
 
-// TestEchoServerRecyclesReadBuffers pins the accept loop's buffer
-// free-list on the 10k benchmark's shape, a staggered fan-in: handlers
-// borrow their 16 KB read buffer and hand it back at EOF, so the server
-// ends up holding no more buffers than it ever had connections open at
+// TestEchoServerRecyclesReadBuffers pins the echo server's recycling on
+// the 10k benchmark's shape, a staggered fan-in. A handler borrows its 16
+// KB read buffer from the accept loop and hands it back at EOF, then goes
+// back to the loop itself, which serves a later connection with it and
+// builds that connection in its conn. So the server ends up with as many
+// handlers, conns and read buffers as it ever had connections open at
 // once — counted here independently, from the handler processes — rather
 // than one per connection accepted.
 func TestEchoServerRecyclesReadBuffers(t *testing.T) {
@@ -206,30 +208,32 @@ func TestEchoServerRecyclesReadBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var handlers []*sim.Proc
+	handlers, conns := map[*serveEchoFrame]bool{}, map[conn]bool{}
 	peak := 0
 	server := &acceptLoopFrame{
 		ln: ln, n: clients,
 		accepted: func(al *acceptLoopFrame, i int, c conn) bool {
-			handlers = append(handlers, l.Env.Spawn("handler", &serveEchoFrame{c: c, al: al}))
+			f := al.handler()
+			*f = serveEchoFrame{c: c, al: al, name: "server", i: i}
+			l.Env.SpawnIn(&f.proc, l.Env.Now(), "", f)
+			handlers[f], conns[c] = true, true
 			open := 0
-			for _, h := range handlers {
-				if !h.Done() {
+			for h := range handlers {
+				if !h.proc.Done() {
 					open++
 				}
 			}
-			if open > peak {
-				peak = open
-			}
+			peak = max(peak, open)
 			return true
 		},
 	}
 	l.Env.Spawn("server", server)
 
 	r := newRun(l.Cluster(), 0, 1, stats.Config{})
+	cs := tr.clients(l.Hosts[1:], Port)
 	for ci := 0; ci < clients; ci++ {
 		l.Env.SpawnAt(sim.Time(ci)*5000*sim.Microsecond, "client", &fanInClientFrame{
-			r: r, ci: ci, c: tr.client(l.Hosts[ci+1], Port), size: 200, reqs: 1,
+			r: r, ci: ci, c: cs[ci], size: 200, reqs: 1,
 		})
 	}
 	res, err := r.finish("fanin", "requests", 200)
@@ -240,9 +244,15 @@ func TestEchoServerRecyclesReadBuffers(t *testing.T) {
 		t.Fatalf("%d corrupt exchanges", res.Errors)
 	}
 
-	if len(handlers) != clients || peak == 0 || peak >= clients {
-		t.Fatalf("%d handlers, peak %d open at once: the stagger should keep the peak well under %d",
-			len(handlers), peak, clients)
+	if peak == 0 || peak >= clients {
+		t.Fatalf("peak of %d connections open at once: the stagger should keep it well under %d", peak, clients)
+	}
+	if len(handlers) != peak || len(conns) != peak {
+		t.Errorf("%d handlers and %d conns served %d connections, want %d of each (the peak open at once)",
+			len(handlers), len(conns), clients, peak)
+	}
+	if len(server.idle) != len(handlers) {
+		t.Errorf("%d of %d handlers are back on the accept loop, want all", len(server.idle), len(handlers))
 	}
 	if n := len(server.bufs); n == 0 || n > peak {
 		t.Errorf("free-list holds %d buffers after %d connections, want 1..%d (the peak open at once)",

@@ -154,13 +154,11 @@ type Stack struct {
 	// handlers is a fixed table, not a map: this stack speaks TCP and
 	// UDP, and the protocol lookup runs once per datagram.
 	handlers [2]registered
-
-	// The input queue is a ring: n datagrams in q from index head on,
-	// wrapping. q starts as slot, in the stack itself, so that a host's
-	// first datagram needs no allocation (most hosts of a fan-in never
-	// hold two); a full ring is copied into one twice its size.
+	// The input queue starts in slot, in the stack itself, so that a
+	// host's first datagram needs no allocation: most hosts of a fan-in
+	// never hold two. Dequeue shifts the rest down, keeping q on slot
+	// until a second datagram arrives while one waits.
 	q        []queued
-	head, n  int32
 	slot     [1]queued
 	wq       sim.WaitQueue
 	nextID   uint16
@@ -190,7 +188,7 @@ func NewStack(k *kern.Kernel, addr uint32) *Stack { return new(Stack).Init(k, ad
 // Init readies a zero Stack in place, as NewStack does, and returns it.
 func (s *Stack) Init(k *kern.Kernel, addr uint32) *Stack {
 	s.K, s.Addr = k, addr
-	s.q = s.slot[:]
+	s.q = s.slot[:0]
 	s.wq.Init("ipq")
 	s.outFrame.s = s
 	s.out = &s.outFrame
@@ -208,8 +206,10 @@ func (s *Stack) Attach(nif NetIf) { s.If = nif }
 // the netisr service process (parked on the input queue's wait queue)
 // all survive — they are the topology, not the trial.
 func (s *Stack) Reset() {
-	clear(s.q)
-	s.head, s.n = 0, 0
+	for i := range s.q {
+		s.q[i] = queued{}
+	}
+	s.q = s.q[:0]
 	s.nextID = 0
 	s.Drops = 0
 }
@@ -306,34 +306,15 @@ func (f *outOp) Step(p *sim.Proc) {
 // datagram so the dequeue attributes the wait to the right packet.
 func (s *Stack) Enqueue(m *mbuf.Mbuf) {
 	id := s.K.PacketContext(s.K.Env.Current())
-	if int(s.n) == len(s.q) {
-		q := make([]queued, max(2*len(s.q), 1))
-		copy(q, s.q[s.head:])
-		copy(q[len(s.q)-int(s.head):], s.q[:s.head])
-		s.q, s.head = q, 0
-	}
-	s.q[(int(s.head)+int(s.n))%len(s.q)] = queued{m: m, at: s.K.Now(), id: id}
-	s.n++
+	s.q = append(s.q, queued{m: m, at: s.K.Now(), id: id})
 	s.K.Trace.Event(trace.Event{
-		Kind: trace.EvIPEnqueue, At: s.K.Now(), ID: id, Aux: int64(s.n),
+		Kind: trace.EvIPEnqueue, At: s.K.Now(), ID: id, Aux: int64(len(s.q)),
 	})
 	s.wq.Wake()
 }
 
-// front returns the datagram at the head of a non-empty input queue.
-func (s *Stack) front() *queued { return &s.q[s.head] }
-
-// dequeue removes the datagram at the head of a non-empty input queue.
-func (s *Stack) dequeue() {
-	s.q[s.head] = queued{}
-	if s.head++; int(s.head) == len(s.q) {
-		s.head = 0
-	}
-	s.n--
-}
-
 // QueueLen returns the number of datagrams waiting on the input queue.
-func (s *Stack) QueueLen() int { return int(s.n) }
+func (s *Stack) QueueLen() int { return len(s.q) }
 
 // netisrFrame is the IP software-interrupt service loop: the stack's one
 // persistent process. Each pass dequeues one datagram, runs ip_input on
@@ -341,9 +322,12 @@ func (s *Stack) QueueLen() int { return int(s.n) }
 // input queue's wait queue. As the root frame of a persistent process it
 // never returns, so the service loop allocates no frames in steady state.
 type netisrFrame struct {
-	s      *Stack
-	pc     int
-	m      *mbuf.Mbuf // the datagram dequeued, until it is handed up
+	s  *Stack
+	pc int
+	// m is the datagram dequeued, until it is handed up: the frame keeps
+	// the mbuf alone, not its queued record, which holds lab.Host in its
+	// 1,536 B size class with the input queue's slot in the stack.
+	m      *mbuf.Mbuf
 	tagged bool
 }
 
@@ -355,7 +339,7 @@ func (f *netisrFrame) Step(p *sim.Proc) {
 	for {
 		switch f.pc {
 		case 0:
-			if s.n == 0 {
+			if len(s.q) == 0 {
 				s.wq.Wait(p)
 				return
 			}
@@ -371,19 +355,20 @@ func (f *netisrFrame) Step(p *sim.Proc) {
 			// the push (it boxes the identity, one allocation per datagram).
 			f.tagged = s.K.Trace.PacketsEnabled()
 			if f.tagged {
-				p.PushTag(s.front().id)
+				p.PushTag(s.q[0].id)
 			}
 			f.pc = 1
 			if !s.K.Use(p, trace.LayerIPQ, s.K.Cost.SoftintDispatch) {
 				return
 			}
 		case 1:
-			head := *s.front()
-			s.dequeue()
+			head := s.q[0]
 			f.m = head.m
+			copy(s.q, s.q[1:])
+			s.q = s.q[:len(s.q)-1]
 			s.K.Trace.Event(trace.Event{
 				Kind: trace.EvIPDequeue, At: head.at, Dur: s.K.Now() - head.at,
-				ID: head.id, Aux: int64(s.n),
+				ID: head.id, Aux: int64(len(s.q)),
 			})
 			// ip_input: charge processing, then parse, verify and deliver.
 			f.pc = 2

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/lab"
 	"repro/internal/sim"
 )
 
@@ -122,20 +121,23 @@ func (ct CrossTraffic) spawn(r *run) error {
 	env := r.c.EnvOf(0)
 	env.Spawn("server.cross", &acceptLoopFrame{
 		ln: ln, n: c.Flows * c.Transfers,
-		accepted: func(al *acceptLoopFrame, i int, cn conn) bool {
+		accepted: func(al *acceptLoopFrame, i int, cn conn, _ *serveEchoFrame) bool {
 			env.Spawn("", &drainFrame{c: cn, al: al, me: r.server(), name: "server.cross", i: i})
 			return true
 		},
 	})
-	hs := make([]*lab.Host, c.Flows)
-	for f := range hs {
-		hs[f] = l.Hosts[c.flowHost(f, len(r.clients))]
-	}
-	cs := tr.clients(hs, CrossPort)
-	for f := range hs {
-		r.c.EnvOf(c.flowHost(f, len(r.clients))).Spawn("", &crossLoopFrame{
+	// Flows take the client hosts in turn (flowHost), so each round of
+	// them has its conns from one clients call on a run of hosts.
+	n := len(r.clients)
+	var cs []conn
+	for f := 0; f < c.Flows; f++ {
+		if f%n == 0 {
+			cs = tr.clients(l.Hosts[1:1+min(n, c.Flows-f)], CrossPort)
+		}
+		hi := c.flowHost(f, n)
+		r.c.EnvOf(hi).Spawn("", &crossLoopFrame{
 			ct: c, f: f, me: &r.parts[1+f],
-			src: streamFrame{c: cs[f], chunk: 8192},
+			src: streamFrame{c: cs[hi-1], chunk: 8192},
 		})
 	}
 	return nil

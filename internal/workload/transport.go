@@ -102,9 +102,12 @@ func pickTransport(name string, size int, l *lab.Lab) (transport, error) {
 // error. A failed accept — the listener died under it when its host
 // crashed — ends the loop; a restart supervisor spawns the successor.
 type acceptLoopFrame struct {
-	ln       listener
-	n        int
-	accepted func(al *acceptLoopFrame, i int, c conn) bool
+	ln listener
+	n  int
+	// accepted is handed each connection; h is the finished echo handler
+	// whose conn c was built in, for the callback to serve c with, or nil
+	// when none was idle.
+	accepted func(al *acceptLoopFrame, i int, c conn, h *serveEchoFrame) bool
 
 	pc int
 	i  int
@@ -112,26 +115,15 @@ type acceptLoopFrame struct {
 	// bufs recycles the read buffers of the handlers this loop spawned,
 	// and idle the echo handlers themselves, the latest last. A handler
 	// borrows a buffer for the life of its connection and hands it back at
-	// EOF; once finished, it serves a later connection, built in its conn
-	// (see handler). So a server has as many of each as it ever had
-	// connections open at once, not one per connection accepted, and
-	// drops them with the run: kept in the loop's arena instead, the
-	// loaded grid's thirty-odd 16 KB read buffers would stay warm on the
-	// testbed. The loop and its handlers all run on the server host's
-	// event loop, so the lists need no lock.
+	// EOF; once finished, it serves a later connection, built in its conn.
+	// So a server has as many of each as it ever had connections open at
+	// once, not one per connection accepted, and drops them with the run:
+	// kept in the loop's arena instead, the loaded grid's thirty-odd 16 KB
+	// read buffers would stay warm on the testbed. The loop and its
+	// handlers all run on the server host's event loop, so the lists need
+	// no lock.
 	bufs [][]byte
 	idle []*serveEchoFrame
-}
-
-// handler returns the echo handler for the connection just accepted: the
-// finished one whose conn it was built in, or a new one.
-func (f *acceptLoopFrame) handler() *serveEchoFrame {
-	if n := len(f.idle); n > 0 {
-		h := f.idle[n-1]
-		f.idle = f.idle[:n-1]
-		return h
-	}
-	return new(serveEchoFrame)
 }
 
 // serverBufLen is the read size of every per-connection server handler.
@@ -172,12 +164,17 @@ func (f *acceptLoopFrame) Step(p *sim.Proc) {
 			f.ln.accept(p)
 			return
 		case 1: // hand it to the callback
+			// An idle handler leaves the list in the same step that builds
+			// the connection in its conn, so no idle handler's conn is live.
+			// Should the accept fail, the loop ends and drops it.
+			var h *serveEchoFrame
 			var reuse conn
 			if n := len(f.idle); n > 0 {
-				reuse = f.idle[n-1].c
+				h, f.idle = f.idle[n-1], f.idle[:n-1]
+				reuse = h.c
 			}
 			c, err := f.ln.accepted(reuse)
-			if err != nil || !f.accepted(f, f.i, c) {
+			if err != nil || !f.accepted(f, f.i, c, h) {
 				p.Return()
 				return
 			}
@@ -194,10 +191,12 @@ func (f *acceptLoopFrame) Step(p *sim.Proc) {
 func spawnEchoServer(env *sim.Env, name string, ln listener, n int) {
 	env.Spawn(name, &acceptLoopFrame{
 		ln: ln, n: n,
-		accepted: func(al *acceptLoopFrame, i int, c conn) bool {
-			f := al.handler()
-			*f = serveEchoFrame{c: c, al: al, name: name, i: i}
-			env.SpawnIn(&f.proc, env.Now(), "", f)
+		accepted: func(al *acceptLoopFrame, i int, c conn, h *serveEchoFrame) bool {
+			if h == nil {
+				h = new(serveEchoFrame)
+			}
+			*h = serveEchoFrame{c: c, al: al, name: name, i: i}
+			env.SpawnIn(&h.proc, env.Now(), "", h)
 			return true
 		},
 	})

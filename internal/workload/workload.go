@@ -285,7 +285,7 @@ func (g Bulk) Run(l *lab.Lab) (*Result, error) {
 	env := c.EnvOf(0)
 	env.Spawn("server.bulk", &acceptLoopFrame{
 		ln: ln, n: len(sinks),
-		accepted: func(al *acceptLoopFrame, _ int, cn conn) bool {
+		accepted: func(al *acceptLoopFrame, _ int, cn conn, _ *serveEchoFrame) bool {
 			i := int(cn.peer() - lab.HostAddr(1))
 			if i < 0 || i >= len(sinks) {
 				r.server().fail(env, fmt.Errorf("workload: bulk connection from unexpected address %#x", cn.peer()))

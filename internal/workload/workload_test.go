@@ -212,8 +212,12 @@ func TestEchoServerRecyclesReadBuffers(t *testing.T) {
 	peak := 0
 	server := &acceptLoopFrame{
 		ln: ln, n: clients,
-		accepted: func(al *acceptLoopFrame, i int, c conn) bool {
-			f := al.handler()
+		accepted: func(al *acceptLoopFrame, i int, c conn, f *serveEchoFrame) bool {
+			if f == nil {
+				f = new(serveEchoFrame)
+			} else if f.c != c {
+				t.Errorf("connection %d was not built in its handler's conn", i)
+			}
 			*f = serveEchoFrame{c: c, al: al, name: "server", i: i}
 			l.Env.SpawnIn(&f.proc, l.Env.Now(), "", f)
 			handlers[f], conns[c] = true, true

@@ -67,10 +67,11 @@ baseline:
 		$(GO) run ./cmd/benchdiff -write BENCH_baseline.json
 
 ## bench-wallclock: run the wall-clock tier and gate its allocation
-## tripwires — allocs/op, B/op, allocs/rtt, barrier rounds and hand-offs,
-## and peak heap (upward only, on the B/op band) — against
-## BENCH_wallclock.json. ns/op is printed, not gated: wall-clock claims
-## are bench/'s (what CI runs).
+## tripwires — B/op, allocs/rtt, allocs/run (the benchmarks no census
+## golden runs), barrier rounds and hand-offs, and peak heap (upward only,
+## on the B/op band) — against BENCH_wallclock.json. ns/op and allocs/op
+## are printed, not gated: wall-clock claims are bench/'s, allocation
+## sites cmd/alloccensus's goldens' (what CI runs).
 WALLCLOCK_TOL_BYTES ?= 0.35
 bench-wallclock:
 	$(GO) test -run='^$$' -bench=Wallclock -benchmem -benchtime=2x -timeout 600s . | \
@@ -83,11 +84,12 @@ baseline-wallclock:
 		$(GO) run ./cmd/benchdiff -wallclock -write BENCH_wallclock.json
 
 ## alloc-census: where the served fan-in, the loaded grid and the small
-## echoes allocate, site by site, as heap objects a request — the 1,001-host
+## echoes allocate, site by site, in heap objects and bytes — the 1,001-host
 ## fat tree, one replica of loaded-grid's six transport x qdisc trials, then
 ## two replicas of echo-small's 20-cell grid — and what the fat tree costs
-## to build idle, a host at a time, every allocation sampled
-## (docs/PERFORMANCE.md "Capturing a profile")
+## to build idle, every allocation sampled (docs/PERFORMANCE.md "Capturing
+## a profile"). cmd/alloccensus/testdata/<shape>.golden pins each; `go test
+## ./cmd/alloccensus -update` rewrites them after a deliberate change
 alloc-census:
 	$(GO) run ./cmd/alloccensus -hosts 1001
 	$(GO) run ./cmd/alloccensus -shape loaded

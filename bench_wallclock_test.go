@@ -2,10 +2,12 @@
 // BENCH_wallclock.json. Where bench_test.go reports *simulated*
 // microseconds (exact, machine-independent, gated by benchdiff's strict
 // tolerance), this file reports how allocation-hungry the simulator is:
-// allocs/op, B/op, allocs/rtt, barrier rounds and peak heap for the sweep
-// engine, the fan-in topology, and the traced and untraced echo paths.
-// Those are gated; the ns/op column `go test` prints beside them is for
-// reading while working, and wall-clock claims belong to bench/. The
+// B/op, allocs/rtt, barrier rounds and peak heap for the sweep engine,
+// the fan-in topology, and the traced and untraced echo paths, and
+// allocs/run where no cmd/alloccensus golden runs the configuration.
+// Those are gated; the ns/op and allocs/op columns `go test` prints
+// beside them are for reading while working — where a workload allocates
+// is the census goldens' to pin, and wall-clock claims are bench/'s. The
 // gated numbers move when the event loop, the mbuf pool, or the trace
 // engine changes — and must NOT move any sim-µs metric, which is exactly
 // what `make benchdiff` plus `make bench-wallclock` together enforce (see
@@ -32,6 +34,7 @@ import (
 // number the ISSUE-4 hot-path overhaul is measured against.
 func BenchmarkWallclockSweepSerial(b *testing.B) {
 	b.ReportAllocs()
+	defer reportAllocsPerRun(b, mallocs())
 	benchSweep(b, 1)
 }
 
@@ -53,6 +56,7 @@ func BenchmarkWallclockFanIn16(b *testing.B) {
 // charges no simulated time; TestPacketTraceDoesNotPerturbTiming).
 func BenchmarkWallclockEchoTraced(b *testing.B) {
 	b.ReportAllocs()
+	defer reportAllocsPerRun(b, mallocs())
 	for i := 0; i < b.N; i++ {
 		l := lab.New(lab.Config{Link: lab.LinkATM, Seed: 1994, PacketTrace: true})
 		if _, err := l.RunEcho(1400, 16, 2); err != nil {
@@ -113,6 +117,9 @@ func BenchmarkWallclockFanIn10kSharded(b *testing.B) { benchFanIn10k(b, 4) }
 // the one-shard cluster.
 func benchFanIn10k(b *testing.B, shards int) {
 	b.ReportAllocs()
+	if shards > 1 { // the serial run is the fanin golden's configuration
+		defer reportAllocsPerRun(b, mallocs())
+	}
 	gen := workload.FanIn{
 		Size:     200,
 		Requests: 1,
@@ -149,17 +156,30 @@ func benchFanIn10k(b *testing.B, shards int) {
 	b.ReportMetric(float64(peak)/(1<<20), "peak-heap-MB")
 }
 
+// mallocs returns the heap allocations the process has made.
+func mallocs() uint64 {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.Mallocs
+}
+
+// reportAllocsPerRun reports as "allocs/run" the heap allocations made
+// since mallocs() read m0, a loop iteration at a time: the allocation
+// count benchdiff gates for a configuration no cmd/alloccensus golden
+// runs.
+func reportAllocsPerRun(b *testing.B, m0 uint64) {
+	b.ReportMetric(float64(mallocs()-m0)/float64(b.N), "allocs/run")
+}
+
 // echoMallocs runs one 1400-byte echo lab to completion and returns the
 // number of heap allocations it performed.
 func echoMallocs(b *testing.B, iters int) uint64 {
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
+	m0 := mallocs()
 	l := lab.New(lab.Config{Link: lab.LinkATM, Seed: 1994})
 	if _, err := l.RunEcho(1400, iters, 2); err != nil {
 		b.Fatal(err)
 	}
-	runtime.ReadMemStats(&m1)
-	return m1.Mallocs - m0.Mallocs
+	return mallocs() - m0
 }
 
 // BenchmarkWallclockEchoSteady measures the steady-state echo round

@@ -1,8 +1,8 @@
 // Command alloccensus says where a workload allocates: it runs one of
 // four shapes with every allocation sampled (runtime.MemProfileRate = 1)
 // and prints each allocating site (the first frame outside the runtime,
-// inlined frames expanded, as pprof's flat column names it) as heap
-// objects per request — per host, for the idle shape — most first.
+// inlined frames expanded, as pprof's flat column names it) with the heap
+// objects and bytes it allocated, under the run's MemStats.Mallocs total.
 //
 //   - -shape fanin is BenchmarkWallclockFanIn10k's configuration — a fat
 //     tree, one staggered 200-byte request per client, streaming
@@ -17,10 +17,13 @@
 //     two-host pair; a request is a round trip.
 //   - -shape idle builds the fan-in's -hosts-host fat tree (default
 //     1,001) and runs its loop until every service process has parked, with
-//     no traffic: what a topology costs to exist, a host at a time.
+//     no traffic: what a topology costs to exist.
 //
-// It is the census behind docs/PERFORMANCE.md items 17, 19, 20, 21 and
-// 22; `make alloc-census` prints all four shapes.
+// The profile misses tiny (≤ 16 B, pointer-free) allocations the runtime
+// packs into a shared block; the Mallocs total counts them. At the
+// default -hosts, testdata/<shape>.golden pins each shape's census
+// (TestCensusGoldens); `go test ./cmd/alloccensus -update` rewrites the
+// goldens. `make alloc-census` prints all four.
 package main
 
 import (
@@ -30,6 +33,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 
@@ -41,7 +45,6 @@ import (
 )
 
 func main() {
-	runtime.MemProfileRate = 1
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "alloccensus:", err)
 		os.Exit(1)
@@ -51,119 +54,154 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("alloccensus", flag.ContinueOnError)
 	shape := fs.String("shape", "fanin", "fanin: the served fan-in; loaded: one replica of loaded-grid's transport x qdisc trials; echo: two replicas of echo-small's grid; idle: the fan-in's fat tree, built and left idle")
-	hosts := fs.Int("hosts", 0, "fanin and loaded: host 0 serves, every other makes requests (0: 1001 for fanin and idle, 33 for loaded); echo runs on the two-host pair")
+	hosts := fs.Int("hosts", 0, "fanin, loaded and idle: host 0 serves, every other makes requests (0: 1001 for fanin and idle, 33 for loaded); echo runs on the two-host pair")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return nil
 		}
 		return err
 	}
-	var census func(hosts int) (int, string, error)
-	unit := "request"
-	switch *shape {
-	case "fanin", "idle":
-		census = fanIn
-		if *shape == "idle" {
-			census, unit = idle, "host" // what a topology costs to exist
-		}
-		if *hosts == 0 {
-			*hosts = 1001
-		}
-	case "loaded":
-		census = loaded
-		if *hosts == 0 {
-			*hosts = 33
-		}
-	case "echo":
-		census = echo
-		*hosts = 2
-	default:
-		return fmt.Errorf("unknown -shape %q (fanin, loaded, echo, idle)", *shape)
-	}
-	if *hosts < 2 {
-		return fmt.Errorf("-hosts must be at least 2, have %d", *hosts)
-	}
-	if runtime.MemProfileRate != 1 {
-		return fmt.Errorf("the census needs runtime.MemProfileRate = 1, have %d", runtime.MemProfileRate)
-	}
-
-	before := objectsByStack()
-	requests, what, err := census(*hosts)
+	c, err := take(*shape, *hosts)
 	if err != nil {
 		return err
 	}
-	after := objectsByStack()
+	_, err = io.WriteString(w, c.String())
+	return err
+}
 
-	bySite := map[string]int64{}
-	var total int64
+// census is one shape's allocations: what ran, the run's MemStats.Mallocs
+// delta, and the objects and bytes each site allocated.
+type census struct {
+	what    string
+	mallocs int64
+	sites   map[string]count
+}
+
+type count struct{ objects, bytes int64 }
+
+// shapes are the workloads the census runs. Each returns its requests
+// (round trips for echo, hosts for idle); what formats them and the hosts.
+var shapes = map[string]struct {
+	run   func(hosts int) (int, error)
+	hosts int // the default -hosts; echo always runs on the two-host pair
+	what  string
+}{
+	"fanin":  {fanIn, 1001, "%d requests on a %d-host fat tree"},
+	"idle":   {idle, 1001, "%d hosts of an idle %d-host fat tree"},
+	"loaded": {loaded, 33, "%d requests in 6 loaded trials on a %d-host hub"},
+	"echo":   {echo, 2, "%d round trips in 40 echo trials on the %d-host pair (2 replicas of echo-small's grid)"},
+}
+
+// take runs shape on hosts hosts (0: the shape's default) and returns its
+// census.
+func take(shape string, hosts int) (census, error) {
+	s, ok := shapes[shape]
+	if !ok {
+		return census{}, fmt.Errorf("unknown -shape %q (fanin, loaded, echo, idle)", shape)
+	}
+	if hosts == 0 || shape == "echo" {
+		hosts = s.hosts
+	}
+	if hosts < 2 {
+		return census{}, fmt.Errorf("-hosts must be at least 2, have %d", hosts)
+	}
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+
+	// A first run is not counted: what a process allocates once (a lazily
+	// built table, a pool's first fill) is not the shape's. The counted run
+	// has one P and no collection, so the runtime's per-P caches (the tiny
+	// allocator's block, sudogs, free goroutines) start alike every run.
+	if _, err := s.run(hosts); err != nil {
+		return census{}, err
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	before := profile()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	n, err := s.run(hosts)
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		return census{}, err
+	}
+	after := profile()
+
+	c := census{what: shape + ": " + fmt.Sprintf(s.what, n, hosts), mallocs: int64(m1.Mallocs - m0.Mallocs), sites: map[string]count{}}
 	for stk, n := range after {
-		n -= before[stk]
+		n.objects -= before[stk].objects
+		n.bytes -= before[stk].bytes
 		name := site(stk)
 		// The census's own bookkeeping: package main in the command, its
 		// import path under go test.
-		if n <= 0 || strings.HasPrefix(name, "main.") || strings.HasPrefix(name, "repro/cmd/alloccensus.") {
+		if n.objects <= 0 || name == "" || strings.HasPrefix(name, "main.") || strings.HasPrefix(name, "repro/cmd/alloccensus.") {
 			continue
 		}
-		bySite[name] += n
-		total += n
+		s := c.sites[name]
+		c.sites[name] = count{s.objects + n.objects, s.bytes + n.bytes}
 	}
-	type row struct {
-		name string
-		n    int64
+	return c, nil
+}
+
+// String renders the census: its shape line, the Mallocs total, and a
+// line a site — objects, bytes, name.
+func (c census) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s\nmallocs %d\n", c.what, c.mallocs)
+	for _, name := range c.names() {
+		fmt.Fprintf(&b, "%8d %10d  %s\n", c.sites[name].objects, c.sites[name].bytes, name)
 	}
-	rows := make([]row, 0, len(bySite))
-	for name, n := range bySite {
-		rows = append(rows, row{name, n})
+	return b.String()
+}
+
+// names returns the census's sites in order, so that a golden's diff
+// moves only the lines whose counts moved.
+func (c census) names() []string {
+	names := make([]string, 0, len(c.sites))
+	for name := range c.sites {
+		names = append(names, name)
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].n != rows[j].n {
-			return rows[i].n > rows[j].n
-		}
-		return rows[i].name < rows[j].name
-	})
-	reqs := float64(requests)
-	fmt.Fprintf(w, "%d %ss %s: %.2f allocations a %s at %d sites\n",
-		requests, unit, what, float64(total)/reqs, unit, len(bySite))
-	for _, r := range rows {
-		fmt.Fprintf(w, "%8.2f  %s\n", float64(r.n)/reqs, r.name)
-	}
-	return nil
+	sort.Strings(names)
+	return names
 }
 
 // faninConfig is the fan-in's testbed, BenchmarkWallclockFanIn10k's.
 var faninConfig = lab.Config{Link: lab.LinkATM, Fabric: lab.FabricFatTree, Seed: 1994, HashPCBs: true}
 
-// fanIn runs the served fan-in on hosts hosts and returns its requests.
-func fanIn(hosts int) (int, string, error) {
+// fanIn runs the served fan-in on hosts hosts.
+func fanIn(hosts int) (int, error) {
 	gen := workload.FanIn{Size: 200, Requests: 1, Stagger: 5000 * sim.Microsecond, Stats: stats.Config{Streaming: true}}
 	c, err := lab.NewCluster(faninConfig, hosts, 1)
 	if err != nil {
-		return 0, "", err
+		return 0, err
 	}
 	res, err := workload.RunSharded(gen, c)
 	if err != nil {
-		return 0, "", err
+		return 0, err
 	}
 	if res.Requests != hosts-1 || res.Errors != 0 {
-		return 0, "", fmt.Errorf("%d of %d requests, %d errors", res.Requests, hosts-1, res.Errors)
+		return 0, fmt.Errorf("%d of %d requests, %d errors", res.Requests, hosts-1, res.Errors)
 	}
-	return res.Requests, fmt.Sprintf("on a %d-host fat tree", hosts), nil
+	if n := c.Lab.Env.Arena().Outstanding(); n != 0 {
+		return 0, fmt.Errorf("the served fan-in left %d arena buffers checked out", n)
+	}
+	return res.Requests, nil
 }
 
 // idle builds the fan-in's topology on hosts hosts and runs its loop until
-// every service process has parked, and returns its hosts.
-func idle(hosts int) (int, string, error) {
+// every service process has parked.
+func idle(hosts int) (int, error) {
 	c, err := lab.NewCluster(faninConfig, hosts, 1)
 	if err != nil {
-		return 0, "", err
+		return 0, err
 	}
 	c.Lab.Env.Run()
-	return hosts, fmt.Sprintf("of an idle %d-host fat tree", hosts), nil
+	return hosts, nil
 }
 
-// loaded runs one replica of the loaded grid on a hosts-host hub and
-// returns its requests. The traffic constants are the benchmark's.
-func loaded(hosts int) (int, string, error) {
+// loaded runs one replica of the loaded grid on a hosts-host hub. The
+// traffic constants are the benchmark's.
+func loaded(hosts int) (int, error) {
 	const requests = 32
 	var trials []runner.WorkloadTrial
 	for _, tr := range []string{workload.TransportTCP, workload.TransportRUDP} {
@@ -184,23 +222,22 @@ func loaded(hosts int) (int, string, error) {
 	}
 	outs, err := runner.RunWorkloadSweep(context.Background(), trials, runner.Options{Workers: 1, BaseSeed: 1994})
 	if err != nil {
-		return 0, "", err
+		return 0, err
 	}
 	total := 0
 	for _, o := range outs {
 		if want := (hosts - 1) * requests; o.Error != "" || o.Requests != want || o.Errors != 0 {
-			return 0, "", fmt.Errorf("%s: %d of %d requests, %d errors %s", o.Label, o.Requests, want, o.Errors, o.Error)
+			return 0, fmt.Errorf("%s: %d of %d requests, %d errors %s", o.Label, o.Requests, want, o.Errors, o.Error)
 		}
 		total += o.Requests
 	}
-	return total, fmt.Sprintf("in %d loaded trials on a %d-host hub", len(trials), hosts), nil
+	return total, nil
 }
 
-// echo runs two replicas of echo-small's grid on the two-host pair and
-// returns its round trips. The grid is the benchmark's at seed 1994:
-// replica 0 at the paper's sizes, replica 1 a seed-derived 0-3 bytes
-// larger.
-func echo(int) (int, string, error) {
+// echo runs two replicas of echo-small's grid on the two-host pair. The
+// grid is the benchmark's at seed 1994: replica 0 at the paper's sizes,
+// replica 1 a seed-derived 0-3 bytes larger.
+func echo(int) (int, error) {
 	const reps, iters, seed = 2, 250, 1994
 	var trials []runner.EchoTrial
 	for r := 0; r < reps; r++ {
@@ -225,22 +262,22 @@ func echo(int) (int, string, error) {
 	}
 	outs, err := runner.RunEchoSweep(context.Background(), trials, runner.Options{Workers: 1, BaseSeed: seed})
 	if err != nil {
-		return 0, "", err
+		return 0, err
 	}
 	total := 0
 	for _, o := range outs {
 		if o.Error != "" || o.N != iters || o.CorruptEchoes != 0 {
-			return 0, "", fmt.Errorf("%s: %d of %d round trips, %d corrupt %s", o.Label, o.N, iters, o.CorruptEchoes, o.Error)
+			return 0, fmt.Errorf("%s: %d of %d round trips, %d corrupt %s", o.Label, o.N, iters, o.CorruptEchoes, o.Error)
 		}
 		total += o.N
 	}
-	return total, fmt.Sprintf("in %d echo trials (%d replicas of echo-small's grid)", len(trials), reps), nil
+	return total, nil
 }
 
-// objectsByStack returns the heap objects allocated so far per call
+// profile returns the heap objects and bytes allocated so far per call
 // stack. The runtime publishes a cycle's allocations to the profile only
 // once a collection has completed after them, hence the two.
-func objectsByStack() map[[32]uintptr]int64 {
+func profile() map[[32]uintptr]count {
 	runtime.GC()
 	runtime.GC()
 	var recs []runtime.MemProfileRecord
@@ -252,33 +289,42 @@ func objectsByStack() map[[32]uintptr]int64 {
 		}
 		recs = make([]runtime.MemProfileRecord, n+64)
 	}
-	out := make(map[[32]uintptr]int64, len(recs))
+	out := make(map[[32]uintptr]count, len(recs))
 	for i := range recs {
-		out[recs[i].Stack0] += recs[i].AllocObjects
+		c := out[recs[i].Stack0]
+		out[recs[i].Stack0] = count{c.objects + recs[i].AllocObjects, c.bytes + recs[i].AllocBytes}
 	}
 	return out
 }
 
 // site names the function that allocated: the innermost frame outside
 // the runtime and its internal packages (a map grows inside
-// internal/runtime/maps), with the module's package prefix dropped.
+// internal/runtime/maps), with the module's package prefix dropped — or
+// "" when the runtime allocated on its own account, as it does for
+// goroutines, timers and profiling (no frame outside it) and for what
+// runtimeOwned names: allocations that come and go from run to run.
 func site(stk [32]uintptr) string {
 	n := 0
 	for n < len(stk) && stk[n] != 0 {
 		n++
 	}
 	frames := runtime.CallersFrames(stk[:n])
-	leaf := ""
 	for {
 		f, more := frames.Next()
-		if leaf == "" {
-			leaf = f.Function
+		if runtimeOwned[f.Function] {
+			return ""
 		}
 		if !strings.HasPrefix(f.Function, "runtime.") && !strings.HasPrefix(f.Function, "internal/") {
 			return strings.TrimPrefix(f.Function, "repro/internal/")
 		}
 		if !more {
-			return leaf
+			return ""
 		}
 	}
 }
+
+// runtimeOwned are the runtime functions that allocate for the runtime's
+// own bookkeeping whatever called them — a blocked goroutine's wait
+// record, a type switch's or assertion's cache. How many a run makes
+// depends on per-P caches and a random draw, not on the workload.
+var runtimeOwned = map[string]bool{"runtime.acquireSudog": true, "runtime.typeAssert": true, "runtime.interfaceSwitch": true}

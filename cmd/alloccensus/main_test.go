@@ -1,208 +1,202 @@
 package main
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// census runs the command with args and returns its header line, the
-// total a request the header states, and every site's objects a request.
-func census(t *testing.T, args ...string) (string, float64, map[string]float64) {
+var update = flag.Bool("update", false, "rewrite testdata/<shape>.golden from this run, keeping each line's stated bound")
+
+// takeCensus takes shape's census at its default size.
+func takeCensus(t *testing.T, shape string) census {
 	t.Helper()
-	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
-	runtime.MemProfileRate = 1
-	var out strings.Builder
-	if err := run(args, &out); err != nil {
+	c, err := take(shape, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	f := strings.Fields(lines[0][strings.LastIndex(lines[0], ":")+1:])
-	if len(f) != 7 {
-		t.Fatalf("malformed header %q", lines[0])
+	return c
+}
+
+// release is the Go release a census is recorded with: inlining, escape
+// analysis and map growth differ between releases, patch releases aside.
+func release() string {
+	v := runtime.Version()
+	if i := strings.Index(v, "."); i >= 0 {
+		if j := strings.Index(v[i+1:], "."); j >= 0 {
+			return v[:i+1+j]
+		}
 	}
-	total, err := strconv.ParseFloat(f[0], 64)
+	return v
+}
+
+// raceBuild reports whether the test binary runs under the race
+// detector, whose compiler keeps temporaries a plain build does not
+// allocate (Switch.AddVC's append(s, make(…)…) among them).
+func raceBuild() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// TestCensusGoldens is the allocation ledger: every shape's census — the
+// objects and bytes each site allocates, and the run's Mallocs total —
+// must equal testdata/<shape>.golden, within the bound a golden line
+// states where a count does not repeat from run to run. A difference
+// fails naming the site, its golden count and its count now; a site that
+// appears or vanishes is a difference. After a deliberate change,
+// `go test ./cmd/alloccensus -update` rewrites the goldens and the diff
+// is the review.
+func TestCensusGoldens(t *testing.T) {
+	for _, shape := range []string{"fanin", "idle", "loaded", "echo"} {
+		t.Run(shape, func(t *testing.T) {
+			path := filepath.Join("testdata", shape+".golden")
+			want, rel, bound, err := readGolden(path)
+			if err != nil && !*update {
+				t.Fatal(err)
+			}
+			if *update {
+				if err := os.WriteFile(path, []byte(golden(takeCensus(t, shape), bound)), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			if rel != release() {
+				t.Skipf("%s was recorded with %s; this is %s", path, rel, release())
+			}
+			if raceBuild() {
+				t.Skip("the race detector's build allocates temporaries a plain build does not")
+			}
+			for _, d := range diff(want, takeCensus(t, shape), bound) {
+				t.Error(d)
+			}
+		})
+	}
+}
+
+// diff lists where now leaves the golden want, given each line's bound.
+func diff(want, now census, bound map[string]count) []string {
+	var out []string
+	if now.what != want.what {
+		out = append(out, fmt.Sprintf("ran %q, golden %q", now.what, want.what))
+	}
+	if b := bound["mallocs"]; abs(now.mallocs-want.mallocs) > b.objects {
+		out = append(out, fmt.Sprintf("mallocs: golden %d%s, now %d", want.mallocs, b, now.mallocs))
+	}
+	sites := now.names()
+	for _, name := range want.names() {
+		if _, ok := now.sites[name]; !ok {
+			sites = append(sites, name)
+		}
+	}
+	for _, name := range sites {
+		w, n, b := want.sites[name], now.sites[name], bound[name]
+		if abs(n.objects-w.objects) > b.objects || abs(n.bytes-w.bytes) > b.bytes {
+			out = append(out, fmt.Sprintf("%s: golden %d objects %d B%s, now %d objects %d B",
+				name, w.objects, w.bytes, b, n.objects, n.bytes))
+		}
+	}
+	return out
+}
+
+func abs(n int64) int64 {
+	if n < 0 {
+		return -n
+	}
+	return n
+}
+
+// golden renders c as its golden file holds it: the Go release, then the
+// census as census.String renders it, each bounded line ending in its
+// bound.
+func golden(c census, bound map[string]count) string {
+	lines := strings.Split(c.String(), "\n") // what, mallocs, a line a site
+	lines[1] += bound["mallocs"].String()
+	for i, name := range c.names() {
+		lines[2+i] += bound[name].String()
+	}
+	return release() + "\n" + strings.Join(lines, "\n")
+}
+
+// String renders a bound as a golden line ends it: " ±objects", then
+// " ±bytes" if bytes may move too; nothing for an exact count.
+func (n count) String() string {
+	switch {
+	case n.bytes != 0:
+		return fmt.Sprintf(" ±%d ±%d", n.objects, n.bytes)
+	case n.objects != 0:
+		return fmt.Sprintf(" ±%d", n.objects)
+	}
+	return ""
+}
+
+// readGolden parses a golden file as golden renders it.
+func readGolden(path string) (c census, release string, bound map[string]count, err error) {
+	b, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("malformed header %q", lines[0])
+		return c, "", nil, err
 	}
-	sites := map[string]float64{}
-	for _, l := range lines[1:] {
-		f := strings.Fields(l)
-		var perReq float64
-		if len(f) == 2 {
-			perReq, err = strconv.ParseFloat(f[0], 64)
-		}
-		if len(f) != 2 || err != nil {
-			t.Fatalf("malformed line %q", l)
-		}
-		sites[f[1]] = perReq
+	lines := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+	if len(lines) < 3 || !strings.HasPrefix(lines[2], "mallocs ") {
+		return c, "", nil, fmt.Errorf("%s: want a release, a shape line and a mallocs line", path)
 	}
-	return lines[0], total, sites
-}
-
-// TestCensusNamesConnectionSites runs the census on a small fat tree and
-// checks what it exists to show: the total a request, and a connection
-// as one allocation an end — tcp.(*Stack).newConn at exactly two a
-// request, and every other connection or socket site far below one (the
-// loop's spare output frame is made once per overlap it cannot serve).
-func TestCensusNamesConnectionSites(t *testing.T) {
-	header, _, sites := census(t, "-hosts", "33")
-	if !strings.HasPrefix(header, "32 requests on a 33-host fat tree: ") {
-		t.Fatalf("header %q", header)
-	}
-	if n, ok := sites["tcp.(*Stack).newConn"]; !ok || n != 2 {
-		t.Errorf("newConn allocates %v a request (listed: %v), want 2: one Conn an end", n, ok)
-	}
-	for site, n := range sites {
-		if (strings.HasPrefix(site, "tcp.(*Conn)") || strings.HasPrefix(site, "sock.")) && n >= 0.25 {
-			t.Errorf("%s allocates %v a request: connection state outside the Conn", site, n)
-		}
-	}
-}
-
-// TestIdleCensus runs the idle shape on the fan-in's 1,001-host fat tree
-// and checks what a topology costs to exist: a host is two allocations
-// (lab.buildHost: the Host, with its kernel, stacks and their service
-// processes, and its link block), and nothing a host builds allocates on
-// its own account — no stack or driver constructor, no process start, no
-// closure per driver, no switch port (ports live in their switch's slab).
-// What remains is the fabric's per-leaf state — the switch with its port
-// slab and index, the two trunks' VCI allocators, about a tenth of a host
-// at 64 hosts a leaf — and the build's own slices. Sixteen a host before
-// hosts were built in place, and three before switches kept their ports in
-// a slab.
-func TestIdleCensus(t *testing.T) {
-	header, total, sites := census(t, "-shape", "idle")
-	if !strings.HasPrefix(header, "1001 hosts of an idle 1001-host fat tree: ") {
-		t.Fatalf("header %q", header)
-	}
-	if total > 2.25 {
-		t.Errorf("%v allocations an idle host, want at most 2.25", total)
-	}
-	if n := sites["lab.buildHost"]; n != 2 {
-		t.Errorf("lab.buildHost allocates %v a host, want 2: the Host and its link block", n)
-	}
-	if n, ok := sites["atm.(*Switch).newPort"]; ok {
-		t.Errorf("newPort allocates %v a host, want nothing: a port lives in its switch's slab", n)
-	}
-	if n := sites["atm.NewFabric"]; n > 0.05 {
-		t.Errorf("NewFabric allocates %v a host, want its own few tables only", n)
-	}
-	for site, n := range sites {
-		for _, p := range []string{"kern.", "ip.", "tcp.", "udp.", "atm.NewAdapter", "atm.NewDriver", "atm.(*Driver)", "atm.(*Adapter)", "sim.(*Env).Spawn"} {
-			if strings.HasPrefix(site, p) && n >= 0.01 {
-				t.Errorf("%s allocates %v an idle host: host state outside the host's two blocks", site, n)
+	release, c.what, c.sites, bound = lines[0], lines[1], map[string]count{}, map[string]count{}
+	for i, l := range lines[2:] {
+		f := strings.Fields(strings.TrimPrefix(l, "mallocs "))
+		var nums []int64
+		for len(f) > 0 && len(nums) < 2 {
+			n, err := strconv.ParseInt(f[0], 10, 64)
+			if err != nil {
+				break
 			}
+			nums, f = append(nums, n), f[1:]
 		}
-	}
-}
-
-// TestFanInCensus holds the served 1,001-host fan-in to what a request
-// cannot do without: the two blocks of the client host it runs on
-// (lab.buildHost), its two connection ends (tcp.(*Stack).newConn, a Conn
-// each) and its share of the switches' VC table growth
-// (atm.(*Switch).AddVC). Every other site either builds the fabric — the
-// idle census of the same tree shows it too: per-leaf switch state and
-// the run's own slices, below 0.2 together — or warms up what the run
-// keeps: a chunk of a route or VC-table slab, a map's growth, the loop's
-// event heap, arena and mbuf free lists. Those are shared by many
-// requests, so each stays below 0.05; a site a request paid for would
-// read near 1. Before routes, VC entries, ports, client frames and conns
-// lived in slabs, handlers were reused, client buffers came from the
-// arena and IP's input queue had a slot in the stack, a request cost 17.6.
-func TestFanInCensus(t *testing.T) {
-	header, total, sites := census(t, "-hosts", "1001")
-	if !strings.HasPrefix(header, "1000 requests on a 1001-host fat tree: ") {
-		t.Fatalf("header %q", header)
-	}
-	_, _, idle := census(t, "-shape", "idle")
-	pinned := map[string]float64{"lab.buildHost": 2, "tcp.(*Stack).newConn": 2}
-	for site, want := range pinned {
-		if n := sites[site]; n != want {
-			t.Errorf("%s allocates %v a request, want %v", site, n, want)
+		var bnd count
+		for k := len(f) - 1; k >= 0 && strings.HasPrefix(f[k], "±"); k-- {
+			n, err := strconv.ParseInt(strings.TrimPrefix(f[k], "±"), 10, 64)
+			if err != nil {
+				return c, "", nil, fmt.Errorf("%s:%d: bad bound %q", path, i+3, f[k])
+			}
+			bnd = count{n, bnd.objects}
+			f = f[:k]
 		}
-	}
-	if n := sites["atm.(*Switch).AddVC"]; n > 0.8 && !raceEnabled {
-		t.Errorf("Switch.AddVC allocates %v a request, want at most 0.8: its tables' growth", n)
-	}
-	build, rest := 0.0, 0.0
-	for site, n := range sites {
-		if _, ok := pinned[site]; ok || site == "atm.(*Switch).AddVC" {
-			continue
-		}
-		if _, ok := idle[site]; ok {
-			build += n
-			continue
-		}
-		if n >= 0.05 {
-			t.Errorf("%s allocates %v a request, want below 0.05: only the Conns, the host and AddVC's growth are a request's", site, n)
-		}
-		rest += n
-	}
-	if build >= 0.2 {
-		t.Errorf("building the fabric allocates %.3f a request beyond the hosts, want below 0.2", build)
-	}
-	t.Logf("%.2f a request: %.2f building the fabric, %.2f warming the run's tables and scratch", total, build, rest)
-}
-
-// TestLoadedCensus runs the loaded shape on a 9-host hub and checks that
-// a loaded request costs what its messages must: rudp's two copies of
-// each message, the sender's retained one and the receiver's delivered
-// one — two messages an rudp request, so about one of each a request
-// over a grid that is half rudp. udp allocates nothing: its datagrams,
-// acks included, are arena checkouts. No other site reaches a quarter of
-// an allocation a request — not a cell the reassembler rejects, a DRR
-// rotation, an rudp frame or ack, or an overlapping udp or ip output.
-func TestLoadedCensus(t *testing.T) {
-	header, total, sites := census(t, "-shape", "loaded", "-hosts", "9")
-	if !strings.HasPrefix(header, "1536 requests in 6 loaded trials on a 9-host hub: ") {
-		t.Fatalf("header %q", header)
-	}
-	if total > 4.5 {
-		t.Errorf("%v allocations a loaded request, want at most 4.5", total)
-	}
-	for site, n := range sites {
 		switch {
-		// The retained copy, and the delivered one (keep is inlined into
-		// deliver except under -race).
-		case site == "rudp.(*SendOp).Step", site == "rudp.(*Conn).deliver", site == "rudp.keep":
-			if n > 1.25 {
-				t.Errorf("%s allocates %v a request, want at most 1.25", site, n)
-			}
-		case strings.HasPrefix(site, "udp."):
-			if n >= 0.1 {
-				t.Errorf("%s allocates %v a request, want less than 0.1", site, n)
+		case i == 0 && len(nums) == 1 && len(f) == 0:
+			c.mallocs = nums[0]
+			bound["mallocs"] = bnd
+		case i > 0 && len(nums) == 2 && len(f) > 0:
+			name := strings.Join(f, " ")
+			c.sites[name] = count{nums[0], nums[1]}
+			if bnd != (count{}) {
+				bound[name] = bnd
 			}
 		default:
-			if n >= 0.25 {
-				t.Errorf("%s allocates %v a request, want less than 0.25", site, n)
-			}
+			return c, "", nil, fmt.Errorf("%s:%d: malformed line %q", path, i+3, l)
 		}
 	}
-	// udp_input grows a busy server port's queue to its high-water mark
-	// once a testbed; a copy a datagram would read about two.
-	if n := sites["udp.(*inputOp).Step"]; n >= 0.01 {
-		t.Errorf("udp_input allocates %v a request: it should queue the chain, not copy it", n)
-	}
+	return c, release, bound, nil
 }
 
-// TestEchoCensus runs the echo shape — two replicas of echo-small's
-// grid, whose UDP cells are a fifth of the round trips — and bounds
-// every udp site below 0.01 a round trip: a datagram is copied out into
-// an arena checkout the receiver releases, so no udp site allocates per
-// datagram.
-func TestEchoCensus(t *testing.T) {
-	header, total, sites := census(t, "-shape", "echo")
-	if !strings.HasPrefix(header, "10000 requests in 40 echo trials (2 replicas of echo-small's grid): ") {
-		t.Fatalf("header %q", header)
-	}
-	if total > 0.15 {
-		t.Errorf("%v allocations an echo round trip, want at most 0.15", total)
-	}
-	for site, n := range sites {
-		if strings.HasPrefix(site, "udp.") && n >= 0.01 {
-			t.Errorf("%s allocates %v a round trip, want less than 0.01", site, n)
-		}
+// TestCensusRepeats takes one shape's census twice in one process: every
+// row must repeat, as the goldens assume. Runtime-only stacks, present in
+// some runs and not others, are not sites.
+func TestCensusRepeats(t *testing.T) {
+	first, second := takeCensus(t, "idle"), takeCensus(t, "idle")
+	second.mallocs = first.mallocs // the total counts the runtime's own objects too
+	for _, d := range diff(first, second, nil) {
+		t.Error(d)
 	}
 }

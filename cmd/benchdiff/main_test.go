@@ -99,7 +99,7 @@ func TestEmptyInputRejected(t *testing.T) {
 const sampleWallclock = `goos: linux
 goarch: amd64
 pkg: repro
-BenchmarkWallclockSweepSerial-8   	       2	 288152656 ns/op	        40.00 cells	         1.000 workers	33812764 B/op	   28784 allocs/op
+BenchmarkWallclockSweepSerial-8   	       2	 288152656 ns/op	     28791 allocs/run	        40.00 cells	         1.000 workers	33812764 B/op	   28784 allocs/op
 BenchmarkWallclockEchoSteady-8    	       2	  20063557 ns/op	        12.21 allocs/rtt	 2755016 B/op	    1696 allocs/op
 BenchmarkSweepSerial-8            	       2	 289856962 ns/op	        40.00 cells	   28787 allocs/op
 PASS
@@ -111,13 +111,13 @@ func TestParseWallclock(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Only the Wallclock tier counts, B/op is gated alongside the
-	// allocation counts, and ns/op is bench/'s to claim, not read here.
+	// allocation counts, ns/op is bench/'s to claim and allocs/op the
+	// census goldens': neither is read here.
 	want := map[string]float64{
-		"BenchmarkWallclockSweepSerial/B/op":      33812764,
-		"BenchmarkWallclockSweepSerial/allocs/op": 28784,
-		"BenchmarkWallclockEchoSteady/allocs/rtt": 12.21,
-		"BenchmarkWallclockEchoSteady/B/op":       2755016,
-		"BenchmarkWallclockEchoSteady/allocs/op":  1696,
+		"BenchmarkWallclockSweepSerial/B/op":       33812764,
+		"BenchmarkWallclockSweepSerial/allocs/run": 28791,
+		"BenchmarkWallclockEchoSteady/allocs/rtt":  12.21,
+		"BenchmarkWallclockEchoSteady/B/op":        2755016,
 	}
 	if len(got) != len(want) {
 		t.Fatalf("parsed %d metrics (%v), want %d", len(got), got, len(want))
@@ -129,11 +129,15 @@ func TestParseWallclock(t *testing.T) {
 	}
 }
 
+// echoSteadyLine is the allocs/rtt every baseline the tier writes must
+// carry.
+const echoSteadyLine = "BenchmarkWallclockEchoSteady-2   	       2	  20063557 ns/op	         0 allocs/rtt	   53544 B/op	      87 allocs/op\n"
+
 // sampleSharded is the 10k fan-in pair's output shape.
 const sampleSharded = `goos: linux
 BenchmarkWallclockFanIn10k-2   	       1	2400000000 ns/op	       108.0 peak-heap-MB	370000000 B/op	 2000000 allocs/op
-BenchmarkWallclockFanIn10kSharded-2   	       1	1560000000 ns/op	       108.0 peak-heap-MB	      5549 handoffs	    879574 rounds	470000000 B/op	 3800000 allocs/op
-PASS
+BenchmarkWallclockFanIn10kSharded-2   	       1	1560000000 ns/op	   3800012 allocs/run	       108.0 peak-heap-MB	      5549 handoffs	    879574 rounds	470000000 B/op	 3800000 allocs/op
+` + echoSteadyLine + `PASS
 `
 
 func TestShardedRoundsMetricGated(t *testing.T) {
@@ -210,31 +214,43 @@ func TestWallclockToleranceBands(t *testing.T) {
 		strings.NewReader(slower), &out); err != nil {
 		t.Fatalf("an ns/op swing should pass: %v\n%s", err, out.String())
 	}
-	// A 30% allocation regression breaks the tight allocation band.
-	leaky := strings.Replace(sampleWallclock, "   28784 allocs/op", "   37419 allocs/op", 1)
+	// So is one in allocs/op: where the tier allocates is the census
+	// goldens' to pin.
+	out.Reset()
+	if err := run([]string{"-wallclock", "-baseline", path},
+		strings.NewReader(strings.Replace(sampleWallclock, "   28784 allocs/op", "   37419 allocs/op", 1)), &out); err != nil {
+		t.Fatalf("an allocs/op swing should pass: %v\n%s", err, out.String())
+	}
+	// A 30% allocs/run regression breaks the tight allocation band.
+	leaky := strings.Replace(sampleWallclock, "28791 allocs/run", "37428 allocs/run", 1)
 	out.Reset()
 	err := run([]string{"-wallclock", "-baseline", path}, strings.NewReader(leaky), &out)
 	if err == nil {
 		t.Fatalf("allocation regression not detected:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "DRIFT") ||
-		!strings.Contains(out.String(), "allocs/op") {
+		!strings.Contains(out.String(), "allocs/run") {
 		t.Fatalf("drift report missing:\n%s", out.String())
 	}
 }
 
 func TestWallclockWriteRejectsMissingAllocs(t *testing.T) {
-	// Forgetting -benchmem yields input without allocation counts; writing
-	// that as a baseline would disable the gate, so it must refuse.
-	noAllocs := "BenchmarkWallclockFanIn10kSharded-8   2   288152656 ns/op   5549 handoffs\nPASS\n"
-	path := filepath.Join(t.TempDir(), "wall.json")
-	err := run([]string{"-wallclock", "-write", path},
-		strings.NewReader(noAllocs), &bytes.Buffer{})
-	if err == nil || !strings.Contains(err.Error(), "-benchmem") {
-		t.Fatalf("ns/op-only wallclock baseline accepted: %v", err)
-	}
-	if _, statErr := os.Stat(path); statErr == nil {
-		t.Fatal("baseline file written despite rejection")
+	// Input without allocs/rtt — part of the tier run, or none of it —
+	// would write a baseline that disables the steady-state gate, so it
+	// must refuse, allocs/op or not.
+	for _, in := range []string{
+		"BenchmarkWallclockFanIn10kSharded-8   2   288152656 ns/op   5549 handoffs\nPASS\n",
+		"BenchmarkWallclockFanIn16-8   2   8000000 ns/op   495168 B/op   474 allocs/op\nPASS\n",
+	} {
+		path := filepath.Join(t.TempDir(), "wall.json")
+		err := run([]string{"-wallclock", "-write", path},
+			strings.NewReader(in), &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), "allocs/rtt") {
+			t.Fatalf("wallclock baseline without allocs/rtt accepted: %v", err)
+		}
+		if _, statErr := os.Stat(path); statErr == nil {
+			t.Fatal("baseline file written despite rejection")
+		}
 	}
 }
 
@@ -243,7 +259,7 @@ func TestWallclockWriteRejectsMissingAllocs(t *testing.T) {
 // baseline as machine metadata.
 const sampleScale = `goos: linux
 BenchmarkWallclockFanIn10k-2   	       1	31000000000 ns/op	        62.00 peak-heap-MB	 9800000000 B/op	  61000000 allocs/op
-PASS
+` + echoSteadyLine + `PASS
 `
 
 func TestWallclockBytesBandAndPeakHeapMeta(t *testing.T) {

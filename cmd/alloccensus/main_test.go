@@ -200,3 +200,127 @@ func TestCensusRepeats(t *testing.T) {
 		t.Error(d)
 	}
 }
+
+// The goldens record what each site allocates now, and -update rewrites
+// them. The tests below state what a census must show whatever a golden
+// records, in allocations a request, so that rewriting a golden cannot
+// accept a connection, a host or a request's state growing a block.
+
+// perReq is what site allocated for each of n requests (hosts for idle).
+func perReq(c census, site string, n int) float64 {
+	return float64(c.sites[site].objects) / float64(n)
+}
+
+// TestCensusNamesConnectionSites runs the census on a small fat tree and
+// checks what it exists to show: a connection as one allocation an end —
+// tcp.(*Stack).newConn at exactly two a request, and every other
+// connection or socket site far below one (the loop's spare output frame
+// is made once per overlap it cannot serve).
+func TestCensusNamesConnectionSites(t *testing.T) {
+	c, err := take("fanin", 33)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const requests = 32
+	if c.what != "fanin: 32 requests on a 33-host fat tree" {
+		t.Fatalf("census of %q", c.what)
+	}
+	if n := c.sites["tcp.(*Stack).newConn"].objects; n != 2*requests {
+		t.Errorf("newConn allocates %d for %d requests, want %d: one Conn an end", n, requests, 2*requests)
+	}
+	for site := range c.sites {
+		if n := perReq(c, site, requests); (strings.HasPrefix(site, "tcp.(*Conn)") || strings.HasPrefix(site, "sock.")) && n >= 0.25 {
+			t.Errorf("%s allocates %v a request: connection state outside the Conn", site, n)
+		}
+	}
+}
+
+// TestIdleCensus runs the idle shape on the fan-in's 1,001-host fat tree
+// and checks what a topology costs to exist: a host is two allocations
+// (lab.buildHost: the Host, with its kernel, stacks and their service
+// processes, and its link block), and nothing a host builds allocates on
+// its own account — no stack or driver constructor, no process start, no
+// closure per driver, no switch port (ports live in their switch's slab).
+// What remains is the fabric's per-leaf state — the switch with its port
+// slab and index, the two trunks' VCI allocators, about a tenth of a host
+// at 64 hosts a leaf — and the build's own slices. Sixteen a host before
+// hosts were built in place, and three before switches kept their ports in
+// a slab.
+func TestIdleCensus(t *testing.T) {
+	c := takeCensus(t, "idle")
+	const hosts = 1001
+	if c.what != "idle: 1001 hosts of an idle 1001-host fat tree" {
+		t.Fatalf("census of %q", c.what)
+	}
+	var total int64
+	for _, n := range c.sites {
+		total += n.objects
+	}
+	if n := float64(total) / hosts; n > 2.25 {
+		t.Errorf("%v allocations an idle host, want at most 2.25", n)
+	}
+	if n := c.sites["lab.buildHost"].objects; n != 2*hosts {
+		t.Errorf("lab.buildHost allocates %d for %d hosts, want two a host: the Host and its link block", n, hosts)
+	}
+	if n, ok := c.sites["atm.(*Switch).newPort"]; ok {
+		t.Errorf("newPort allocates %d, want nothing: a port lives in its switch's slab", n.objects)
+	}
+	if n := perReq(c, "atm.NewFabric", hosts); n > 0.05 {
+		t.Errorf("NewFabric allocates %v a host, want its own few tables only", n)
+	}
+	for site := range c.sites {
+		for _, p := range []string{"kern.", "ip.", "tcp.", "udp.", "atm.NewAdapter", "atm.NewDriver", "atm.(*Driver)", "atm.(*Adapter)", "sim.(*Env).Spawn"} {
+			if n := perReq(c, site, hosts); strings.HasPrefix(site, p) && n >= 0.01 {
+				t.Errorf("%s allocates %v an idle host: host state outside the host's two blocks", site, n)
+			}
+		}
+	}
+}
+
+// TestFanInCensus holds the served 1,001-host fan-in to what a request
+// cannot do without: the two blocks of the client host it runs on
+// (lab.buildHost), its two connection ends (tcp.(*Stack).newConn, a Conn
+// each) and its share of the switches' VC table growth
+// (atm.(*Switch).AddVC). Every other site either builds the fabric — the
+// idle census of the same tree shows it too: per-leaf switch state and
+// the run's own slices, below 0.2 together — or warms up what the run
+// keeps: a chunk of a route or VC-table slab, a map's growth, the loop's
+// event heap, arena and mbuf free lists. Those are shared by many
+// requests, so each stays below 0.05; a site a request paid for would
+// read near 1. Under the race detector AddVC's append keeps a temporary
+// (about 7 a request), so its bound holds in a plain build only.
+func TestFanInCensus(t *testing.T) {
+	c, idle := takeCensus(t, "fanin"), takeCensus(t, "idle")
+	const hosts, requests = 1001, 1000
+	if c.what != "fanin: 1000 requests on a 1001-host fat tree" {
+		t.Fatalf("census of %q", c.what)
+	}
+	if n := c.sites["lab.buildHost"].objects; n != 2*hosts {
+		t.Errorf("lab.buildHost allocates %d for %d hosts, want two a host", n, hosts)
+	}
+	if n := c.sites["tcp.(*Stack).newConn"].objects; n != 2*requests {
+		t.Errorf("newConn allocates %d for %d requests, want two a request", n, requests)
+	}
+	if n := perReq(c, "atm.(*Switch).AddVC", requests); n > 0.8 && !raceBuild() {
+		t.Errorf("Switch.AddVC allocates %v a request, want at most 0.8: its tables' growth", n)
+	}
+	build, rest := 0.0, 0.0
+	for site := range c.sites {
+		if site == "lab.buildHost" || site == "tcp.(*Stack).newConn" || site == "atm.(*Switch).AddVC" {
+			continue
+		}
+		n := perReq(c, site, requests)
+		if _, ok := idle.sites[site]; ok {
+			build += n
+			continue
+		}
+		if n >= 0.05 {
+			t.Errorf("%s allocates %v a request, want below 0.05: only the Conns, the host and AddVC's growth are a request's", site, n)
+		}
+		rest += n
+	}
+	if build >= 0.2 {
+		t.Errorf("building the fabric allocates %.3f a request beyond the hosts, want below 0.2", build)
+	}
+	t.Logf("%.3f a request building the fabric, %.3f warming the run's tables and scratch", build, rest)
+}

@@ -2,6 +2,7 @@ package atm
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/sim"
@@ -187,6 +188,44 @@ func runRoutes(t *testing.T, fatTree bool, script []byte) {
 	r.check(t, len(script)/3, f, drvs)
 	if f.TotalVCs() != 0 || f.NumRoutes() != 0 {
 		t.Fatalf("a full teardown left %d VC entries, %d routes", f.TotalVCs(), f.NumRoutes())
+	}
+}
+
+// TestVCInstallAllocations pins what installing a driver's VC state costs
+// the heap: a transmit or receive channel in its table's first slot
+// nothing — a client's only channel each way — one past it a share of a
+// slab chunk and of the map's growth, not a box of its own, and one that
+// takes a deleted entry's slot nothing (a server's on-demand transmit
+// channels are deleted and reinstalled at every testbed reset).
+func TestVCInstallAllocations(t *testing.T) {
+	var tx txTable
+	var rx rxTable
+	if n := testing.AllocsPerRun(100, func() {
+		tx.del(7)
+		tx.add(7, txVC{seg: Segmenter{VCI: DefaultVCI}})
+		rx.del(DefaultVCI)
+		rx.add(rxVC{vci: DefaultVCI})
+	}); n != 0 {
+		t.Errorf("first-slot installs allocate %v, want 0", n)
+	}
+	const spills = 1024
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 1; i <= spills; i++ {
+		tx.add(uint32(7+i), txVC{})
+		rx.add(rxVC{vci: DefaultVCI + uint16(i)})
+	}
+	runtime.ReadMemStats(&m1)
+	if n := float64(m1.Mallocs-m0.Mallocs) / (2 * spills); n > 0.05 {
+		t.Errorf("spilled installs allocate %.3f an entry, want a share of a chunk (at most 0.05)", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		tx.del(8)
+		tx.add(8, txVC{})
+		rx.del(DefaultVCI + 1)
+		rx.add(rxVC{vci: DefaultVCI + 1})
+	}); n != 0 {
+		t.Errorf("reinstalling a deleted spilled entry allocates %v, want 0: it takes the freed slot", n)
 	}
 }
 

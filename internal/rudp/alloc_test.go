@@ -114,9 +114,8 @@ func newStream(t *testing.T) (*sim.Env, *Endpoint, *Conn) {
 // the sender's retained copy and the receiver's delivered copy — two
 // allocations, every other buffer and frame reused. The datagrams the
 // pump reads, the message's and its ack's, are arena checkouts it hands
-// back before acking, so none is outstanding between exchanges. The TCP
-// counterpart, a connection as one allocation an end, is the
-// tcp.(*Stack).newConn row of cmd/alloccensus's goldens.
+// back before acking, so none is outstanding between exchanges. It is
+// TestConnIsOneAllocation's counterpart for the rival transport.
 func TestRUDPMessageAllocations(t *testing.T) {
 	env, e, c := newStream(t)
 	var start sim.WaitQueue

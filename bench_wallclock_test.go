@@ -134,7 +134,7 @@ func benchFanIn10k(b *testing.B, shards int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := workload.RunSharded(gen, c)
+		res, err := gen.Run(c.Lab)
 		if err != nil {
 			b.Fatal(err)
 		}

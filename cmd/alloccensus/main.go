@@ -175,7 +175,7 @@ func fanIn(hosts int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	res, err := workload.RunSharded(gen, c)
+	res, err := gen.Run(c.Lab)
 	if err != nil {
 		return 0, err
 	}

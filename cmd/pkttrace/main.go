@@ -65,6 +65,20 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
+	// The generators read a count below 1 (a size below 0) as "use my
+	// default", so such a value would silently run something else.
+	for _, c := range []struct {
+		flag string
+		v    int
+	}{{"iters", *iters}, {"warmup", *warmup}, {"conns", *conns}, {"bytes", *bytesN}} {
+		if c.v < 1 {
+			return fmt.Errorf("-%s %d: must be at least 1", c.flag, c.v)
+		}
+	}
+	if *size < 0 {
+		return fmt.Errorf("-size %d: must not be negative (0 = workload default)", *size)
+	}
+
 	lk, err := lab.ParseLinkKind(*link)
 	if err != nil {
 		return fmt.Errorf("-link: %w", err)

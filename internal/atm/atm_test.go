@@ -354,8 +354,10 @@ func TestDriverChargesATMLayer(t *testing.T) {
 	model := cost.DECstation5000()
 	ka := kern.New(env, model, "a")
 	kb := kern.New(env, model, "b")
-	ka.Trace.Enable()
-	kb.Trace.Enable()
+	for _, k := range []*kern.Kernel{ka, kb} {
+		k.Trace.EnablePackets()
+		k.Trace.Enable()
+	}
 	ipa := ip.NewStack(ka, 1)
 	ipb := ip.NewStack(kb, 2)
 	aa, ab := NewAdapter(ka), NewAdapter(kb)
@@ -372,9 +374,9 @@ func TestDriverChargesATMLayer(t *testing.T) {
 	env.Run()
 
 	txSum := sim.Time(0)
-	for _, s := range ka.Trace.Spans() {
-		if s.Layer == trace.LayerATMTx {
-			txSum += s.Duration()
+	for _, e := range ka.Trace.Events() {
+		if e.Kind == trace.EvCPU && e.Layer == trace.LayerATMTx {
+			txSum += e.Dur
 		}
 	}
 	// 70-byte datagram: 2 cells. Expect frame fixed + 2 per-cell.
@@ -383,9 +385,9 @@ func TestDriverChargesATMLayer(t *testing.T) {
 		t.Fatalf("ATM tx charge %v, want %v", txSum, want)
 	}
 	rxSum := sim.Time(0)
-	for _, s := range kb.Trace.Spans() {
-		if s.Layer == trace.LayerATMRx {
-			rxSum += s.Duration()
+	for _, e := range kb.Trace.Events() {
+		if e.Kind == trace.EvCPU && e.Layer == trace.LayerATMRx {
+			rxSum += e.Dur
 		}
 	}
 	// Frame fixed + 2 per-cell + 2 mbuf allocations (header mbuf and
@@ -476,18 +478,23 @@ func TestHECErrorOnFrameEndConsumesPending(t *testing.T) {
 		t.Fatalf("receive FIFO holds %d cells (buffer held: %v) after the drain", got, ab.rxFIFO.buf != nil)
 	}
 
-	// Second frame: a clean datagram must carry its own arrival time,
-	// not the corrupted frame's.
+	// Second frame: a clean datagram, its cells injected at a known
+	// time, must carry its own arrival time, not the corrupted frame's.
 	payload := make([]byte, 200)
 	env.RNG().Fill(payload)
-	env.Spawn("sender", sim.Steps(func(p *sim.Proc) {
-		m := ka.Pool.AllocCluster()
-		m.Append(payload)
-		ipa.Output(p, 2, 99, m)
-	}))
+	dgram := make([]byte, ip.HeaderLen+len(payload))
+	(&ip.Header{TotalLen: len(dgram), TTL: 4, Proto: 99, Src: 1, Dst: 2}).Marshal(dgram)
+	copy(dgram[ip.HeaderLen:], payload)
+	clean := seg.Segment(dgram)
+	const arrival = sim.Millisecond
+	env.At(arrival, "inject", func() {
+		for i := range clean {
+			ab.receive(&clean[i])
+		}
+	})
 	env.Run()
-	if len(sink.got) != 1 {
-		t.Fatalf("delivered %d datagrams, want 1", len(sink.got))
+	if len(sink.got) != 1 || !bytes.Equal(sink.got[0], payload) {
+		t.Fatalf("delivered %d datagrams, want the clean one", len(sink.got))
 	}
 	var arrive []trace.Event
 	for _, e := range kb.Trace.Events() {
@@ -498,8 +505,8 @@ func TestHECErrorOnFrameEndConsumesPending(t *testing.T) {
 	if len(arrive) != 1 {
 		t.Fatalf("EvWireArrive events = %d, want 1", len(arrive))
 	}
-	if mark, ok := kb.Trace.LastMark(trace.MarkFrameArrival, sim.MaxTime); !ok || arrive[0].At != mark {
-		t.Fatalf("wire-arrival stamped %v, want the frame's own arrival %v", arrive[0].At, mark)
+	if arrive[0].At != arrival {
+		t.Fatalf("wire-arrival stamped %v, want the frame's own arrival %v", arrive[0].At, arrival)
 	}
 }
 

@@ -148,7 +148,7 @@ func TestCellsAreConserved(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			// A run the transport gave up on has still drained its loops.
-			if _, err := workload.RunSharded(tp.g, c); err != nil && !tp.mayFail {
+			if _, err := tp.g.Run(c.Lab); err != nil && !tp.mayFail {
 				t.Fatalf("%s: %v", name, err)
 			}
 			g := ledgerOf(c.Lab)

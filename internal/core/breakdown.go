@@ -50,12 +50,12 @@ var RxLayers = []trace.Layer{
 // MeasureBreakdowns runs the echo benchmark and produces the paper's two
 // decompositions for one size:
 //
-//   - transmit: the client's spans between entering write(2) and write
-//     returning — by construction everything up to the last byte being
-//     handed to the adapter, since the whole output path runs in process
-//     context (§2.2's transmit measurement).
-//   - receive: the client's spans between the arrival of the final cell
-//     group of the last segment of the echoed response and the read
+//   - transmit: the client's CPU charges between entering write(2) and
+//     write returning — by construction everything up to the last byte
+//     being handed to the adapter, since the whole output path runs in
+//     process context (§2.2's transmit measurement).
+//   - receive: the client's CPU charges between the arrival of the final
+//     cell group of the last segment of the echoed response and the read
 //     returning — the paper's rule that only processing after the last
 //     arrival contributes to latency (§2.2's receive measurement).
 func MeasureBreakdowns(cfg lab.Config, size, iterations, warmup int) (tx, rx Breakdown, err error) {
@@ -64,28 +64,28 @@ func MeasureBreakdowns(cfg lab.Config, size, iterations, warmup int) (tx, rx Bre
 	return m.tx, m.rx, err
 }
 
-// breakdowns extracts both decompositions from the client recorder rec of
-// the echo run that produced res, its spans armed before the run.
-func breakdowns(rec *trace.Recorder, res *lab.EchoResult) (tx, rx Breakdown, err error) {
+// breakdowns extracts both decompositions from the client's events evs,
+// recorded in the echo run that produced res.
+func breakdowns(evs []trace.Event, res *lab.EchoResult) (tx, rx Breakdown, err error) {
 	tx = Breakdown{Size: res.Size, Rows: map[trace.Layer]float64{}}
 	rx = Breakdown{Size: res.Size, Rows: map[trace.Layer]float64{}}
 	n := float64(len(res.Windows))
 	for _, w := range res.Windows {
 		// Transmit side.
-		txRows := rec.Breakdown(w.WriteStart, w.WriteEnd)
+		txRows := trace.BreakdownFromEvents(evs, w.WriteStart, w.WriteEnd)
 		for layer, d := range txRows {
 			tx.Rows[layer] += d.Micros() / n
 		}
 		tx.Total += (w.WriteEnd - w.WriteStart).Micros() / n
 
-		// Receive side: origin is the last frame arrival before the
-		// read returned.
-		origin, ok := rec.LastMark(trace.MarkFrameArrival, w.ReadReturn)
+		// Receive side: origin is the last wire arrival before the read
+		// returned.
+		origin, ok := trace.LastArrival(evs, w.ReadReturn)
 		if !ok || origin < w.WriteEnd {
-			// No response frame marked (should not happen).
-			return tx, rx, fmt.Errorf("core: no frame-arrival mark for iteration")
+			// No response frame recorded (should not happen).
+			return tx, rx, fmt.Errorf("core: no wire-arrival event for iteration")
 		}
-		rxRows := rec.Breakdown(origin, w.ReadReturn)
+		rxRows := trace.BreakdownFromEvents(evs, origin, w.ReadReturn)
 		for layer, d := range rxRows {
 			rx.Rows[layer] += d.Micros() / n
 		}

@@ -252,21 +252,25 @@ func TestSun3Comparison(t *testing.T) {
 }
 
 func TestMeasureBreakdownsConsistency(t *testing.T) {
-	tx, rx, err := MeasureBreakdowns(lab.Config{Link: lab.LinkATM}, 200, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tx.Total <= 0 || rx.Total <= 0 {
-		t.Fatal("empty breakdown windows")
-	}
-	// Attributed rows must not exceed the window (no double counting
-	// beyond the documented overlap classes).
-	sumTx := 0.0
-	for _, l := range TxLayers {
-		sumTx += tx.Rows[l]
-	}
-	if sumTx > tx.Total*1.05 {
-		t.Errorf("transmit rows (%.0f) exceed window (%.0f)", sumTx, tx.Total)
+	// Both links: each driver stamps its own wire-arrival events, the
+	// receive window's origin.
+	for _, link := range []lab.LinkKind{lab.LinkATM, lab.LinkEther} {
+		tx, rx, err := MeasureBreakdowns(lab.Config{Link: link}, 200, 4, 1)
+		if err != nil {
+			t.Fatalf("%v: %v", link, err)
+		}
+		if tx.Total <= 0 || rx.Total <= 0 {
+			t.Fatalf("%v: empty breakdown windows", link)
+		}
+		// Attributed rows must not exceed the window (no double counting
+		// beyond the documented overlap classes).
+		sumTx := 0.0
+		for _, l := range TxLayers {
+			sumTx += tx.Rows[l]
+		}
+		if sumTx > tx.Total*1.05 {
+			t.Errorf("%v: transmit rows (%.0f) exceed window (%.0f)", link, sumTx, tx.Total)
+		}
 	}
 }
 

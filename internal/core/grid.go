@@ -83,15 +83,15 @@ func measure(cells []cell, o Options) (map[echo]measurement, error) {
 }
 
 // run measures the cell on a testbed from the worker's warm cache, or a
-// fresh one when tb is nil. Arming the client's spans for the breakdowns
-// leaves the round trip unchanged to the bit.
+// fresh one when tb is nil. Arming the client's recorder for the
+// breakdowns leaves the round trip unchanged to the bit.
 func (c cell) run(tb *runner.Testbeds, seed uint64, o Options) (measurement, error) {
 	l := tb.Lab(runner.ApplySeed(c.cfg, seed), 2)
-	run, rec := l.RunEcho, l.Client.Trace()
+	run := l.RunEcho
 	if c.udp {
 		run = l.RunUDPEcho
 	} else if c.breakdowns {
-		rec.EnableSpans() // a testbed keeps none unless a reader asks
+		l.Client.Trace().EnablePackets() // the next Reset disarms it
 	}
 	res, err := run(c.size, o.Iterations, o.Warmup)
 	if err != nil {
@@ -99,7 +99,7 @@ func (c cell) run(tb *runner.Testbeds, seed uint64, o Options) (measurement, err
 	}
 	m := measurement{rtt: res.MeanRTTMicros()}
 	if c.breakdowns {
-		m.tx, m.rx, err = breakdowns(rec, res)
+		m.tx, m.rx, err = breakdowns(l.Client.Trace().Events(), res)
 	}
 	return m, err
 }

@@ -118,11 +118,11 @@ func RunLoadedStudy(o LoadedOptions) (*LoadedResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				r, err := workload.RunSharded(g, c)
+				r, err := g.Run(c.Lab)
 				if err != nil {
 					return nil, err
 				}
-				return loadedRowFrom(tr, r), nil
+				return loadedRowFrom(tr, r, c.Lab.Hosts[0].Trace().Events()), nil
 			},
 		})
 	}
@@ -141,16 +141,15 @@ func RunLoadedStudy(o LoadedOptions) (*LoadedResult, error) {
 	return res, nil
 }
 
-// loadedRowFrom reduces one workload result to a study row.
-func loadedRowFrom(transport string, r *workload.Result) LoadedRow {
+// loadedRowFrom reduces one workload result, and the events the server's
+// host recorded, to a study row.
+func loadedRowFrom(transport string, r *workload.Result, server []trace.Event) LoadedRow {
 	var s stats.Sample
 	s.Grow(len(r.Latencies))
 	for _, lat := range r.Latencies {
 		s.Add(float64(lat) / float64(sim.Microsecond))
 	}
-	// The workload engine's server is host 0, which the trace layer
-	// names "client" (the paper's echo pair fixed the names).
-	cpu := trace.BreakdownFromEvents(r.Events, lab.HostName(0), 0, r.Elapsed)
+	cpu := trace.BreakdownFromEvents(server, 0, r.Elapsed)
 	row := LoadedRow{
 		Transport:     transport,
 		Requests:      r.Requests,

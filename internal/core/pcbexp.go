@@ -80,7 +80,6 @@ func RunPCBExperiment() *PCBResult {
 // charged to k's simulated CPU as the input path would charge it.
 func pcbRow(k *kern.Kernel, tb *pcb.Table, target pcb.Key, n int) PCBRow {
 	model := k.Cost
-	k.Trace.Enable()
 	measure := func(useHash, cache bool) float64 {
 		tb.UseHash = useHash
 		tb.CacheDisabled = !cache

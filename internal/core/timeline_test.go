@@ -9,50 +9,6 @@ import (
 	"repro/internal/trace"
 )
 
-// TestTimelineStudyMatchesBreakdownTables is the acceptance gate for the
-// per-packet attribution engine: at fixed seeds, re-deriving the
-// breakdown tables from the measured per-packet event stream reproduces
-// the span-based (cost-model-charged) tables exactly — every row and
-// both totals, at small and multi-segment transfer sizes.
-func TestTimelineStudyMatchesBreakdownTables(t *testing.T) {
-	for _, size := range []int{4, 1400, 8000} {
-		cfg := baseConfig()
-		cfg.Seed = 1994
-		r, err := RunTimelineStudy(cfg, size, 12, 4)
-		if err != nil {
-			t.Fatalf("size %d: %v", size, err)
-		}
-		if r.MaxDeltaMicros != 0 {
-			t.Errorf("size %d: packet-derived tables diverge from span-derived by %g µs\n%s",
-				size, r.MaxDeltaMicros, r.Render())
-		}
-		if r.Packets == 0 || r.EventCount == 0 {
-			t.Fatalf("size %d: empty trace (%d packets, %d events)",
-				size, r.Packets, r.EventCount)
-		}
-		if r.Tx.Total <= 0 || r.Rx.Total <= 0 {
-			t.Fatalf("size %d: degenerate totals tx=%g rx=%g",
-				size, r.Tx.Total, r.Rx.Total)
-		}
-	}
-}
-
-// TestTimelineStudyEthernet runs the same agreement check on the
-// comparison link, whose driver and wire events come from the LANCE
-// model instead of the TCA-100.
-func TestTimelineStudyEthernet(t *testing.T) {
-	cfg := baseConfig()
-	cfg.Link = lab.LinkEther
-	cfg.Seed = 7
-	r, err := RunTimelineStudy(cfg, 1400, 8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.MaxDeltaMicros != 0 {
-		t.Fatalf("Ethernet divergence %g µs\n%s", r.MaxDeltaMicros, r.Render())
-	}
-}
-
 // TestTracedEchoDeterministic asserts the packet trace itself is a pure
 // function of the configuration and seed: two independently built and
 // traced labs produce byte-identical timeline JSON.

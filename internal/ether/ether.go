@@ -407,7 +407,6 @@ func (a *Adapter) receive(f Frame) {
 	}
 	a.FramesRecv++
 	a.rxQ.push(f, a.K.Env.Now())
-	a.K.Trace.Mark(trace.MarkFrameArrival, a.K.Env.Now())
 	a.RxReady.Wake()
 }
 

@@ -193,8 +193,10 @@ func TestFrameLossDrops(t *testing.T) {
 
 func TestEtherChargesLayer(t *testing.T) {
 	env, ka, kb, ipa, ipb, _, _ := buildPair(t)
-	ka.Trace.Enable()
-	kb.Trace.Enable()
+	for _, k := range []*kern.Kernel{ka, kb} {
+		k.Trace.EnablePackets()
+		k.Trace.Enable()
+	}
 	ipb.Register(99, &sink{})
 	env.Spawn("tx", sim.Steps(func(p *sim.Proc) {
 		m := ka.Pool.Alloc()
@@ -203,14 +205,14 @@ func TestEtherChargesLayer(t *testing.T) {
 	}))
 	env.Run()
 	var tx, rx sim.Time
-	for _, s := range ka.Trace.Spans() {
-		if s.Layer == trace.LayerEtherTx {
-			tx += s.Duration()
+	for _, e := range ka.Trace.Events() {
+		if e.Kind == trace.EvCPU && e.Layer == trace.LayerEtherTx {
+			tx += e.Dur
 		}
 	}
-	for _, s := range kb.Trace.Spans() {
-		if s.Layer == trace.LayerEtherRx {
-			rx += s.Duration()
+	for _, e := range kb.Trace.Events() {
+		if e.Kind == trace.EvCPU && e.Layer == trace.LayerEtherRx {
+			rx += e.Dur
 		}
 	}
 	if tx == 0 || rx == 0 {

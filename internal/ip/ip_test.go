@@ -210,6 +210,7 @@ func TestInputTrimsPadding(t *testing.T) {
 
 func TestIPQLatencyCharged(t *testing.T) {
 	env, ka, sa, sb, _ := newTwoStacks(t)
+	sb.K.Trace.EnablePackets()
 	sb.K.Trace.Enable()
 	env.Spawn("tx", sim.Steps(func(p *sim.Proc) {
 		m := ka.Pool.Alloc()
@@ -218,9 +219,9 @@ func TestIPQLatencyCharged(t *testing.T) {
 	}))
 	env.Run()
 	var ipq sim.Time
-	for _, s := range sb.K.Trace.Spans() {
-		if s.Layer == trace.LayerIPQ {
-			ipq += s.Duration()
+	for _, e := range sb.K.Trace.Events() {
+		if e.Kind == trace.EvCPU && e.Layer == trace.LayerIPQ {
+			ipq += e.Dur
 		}
 	}
 	if ipq != sb.K.Cost.SoftintDispatch {

@@ -11,13 +11,12 @@
 // structure behind the paper's IPQ and Wakeup rows and behind the
 // receive-side overlap effects at large transfer sizes.
 //
-// Every charge flows through Attribute, which records it twice when
-// per-packet tracing is armed: as an aggregate span (the raw material of
-// Tables 2 and 3) and as a typed EvCPU event carrying the identity of
-// the packet the charging process is working on (its sim.Proc tag
-// stack). That dual recording is what lets core.RunTimelineStudy prove
-// the per-packet timelines and the breakdown tables are the same
-// measurement; see docs/ARCHITECTURE.md for the full trace pipeline.
+// Every charge flows through Attribute, which records it, when the
+// recorder is armed, as a typed EvCPU event carrying the identity of the
+// packet the charging process is working on (its sim.Proc tag stack).
+// That one record is both the raw material of Tables 2 and 3 and a leaf
+// of the per-packet timelines; see docs/ARCHITECTURE.md for the full
+// trace pipeline.
 package kern
 
 import (
@@ -140,15 +139,14 @@ func (k *Kernel) Use(p *sim.Proc, layer trace.Layer, d sim.Time) bool {
 	return p.SleepUntil(end)
 }
 
-// Attribute records the interval [start, end] of CPU time against layer:
-// always as an aggregate span (the Tables 2/3 raw material), and — when
-// packet tracing is on — as a typed EvCPU event carrying the packet
-// identity tagged on p, so the same charge joins the per-packet
-// timeline. Charges made while p carries no packet tag (user copies
-// before segmentation, scheduler wakeups) record with a zero identity
-// and surface as unattributed in timeline reconstructions.
+// Attribute records the interval [start, end] of CPU time against layer,
+// when packet tracing is on, as a typed EvCPU event carrying the packet
+// identity tagged on p: the Tables 2/3 raw material and the charge's
+// place in the per-packet timeline. Charges made while p carries no
+// packet tag (user copies before segmentation, scheduler wakeups) record
+// with a zero identity and surface as unattributed in timeline
+// reconstructions.
 func (k *Kernel) Attribute(p *sim.Proc, layer trace.Layer, start, end sim.Time) {
-	k.Trace.Span(layer, start, end)
 	if k.Trace.PacketRecording() {
 		k.Trace.Event(trace.Event{
 			Kind:  trace.EvCPU,

@@ -11,7 +11,19 @@ import (
 func newKernel() (*sim.Env, *Kernel) {
 	env := sim.NewEnv()
 	k := New(env, cost.DECstation5000(), "host")
+	k.Trace.EnablePackets() // charges are kept once a test enables the recorder
 	return env, k
+}
+
+// charges returns the EvCPU events k recorded.
+func charges(k *Kernel) []trace.Event {
+	var out []trace.Event
+	for _, e := range k.Trace.Events() {
+		if e.Kind == trace.EvCPU {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 func TestUseAdvancesBusyCursor(t *testing.T) {
@@ -28,16 +40,16 @@ func TestUseAdvancesBusyCursor(t *testing.T) {
 		}
 	}))
 	env.Run()
-	// Back-to-back charges to one layer are recorded as one span (the
-	// recorder extends the previous span when the next abuts it).
-	spans := k.Trace.Spans()
-	if len(spans) != 1 {
-		t.Fatalf("spans = %v", spans)
+	// Back-to-back charges to one layer are recorded as one event (the
+	// recorder extends the previous charge when the next abuts it).
+	cpu := charges(k)
+	if len(cpu) != 1 {
+		t.Fatalf("charges = %v", cpu)
 	}
-	if spans[0].Start != 0 || spans[0].End != 150*sim.Microsecond {
-		t.Fatalf("charges cover [%v,%v], want [0,150us]", spans[0].Start, spans[0].End)
+	if cpu[0].At != 0 || cpu[0].End() != 150*sim.Microsecond {
+		t.Fatalf("charges cover [%v,%v], want [0,150us]", cpu[0].At, cpu[0].End())
 	}
-	if k.BusyUntil() != spans[0].End {
+	if k.BusyUntil() != cpu[0].End() {
 		t.Fatalf("BusyUntil = %v", k.BusyUntil())
 	}
 }
@@ -54,12 +66,12 @@ func TestUseSerializesAcrossProcs(t *testing.T) {
 	env.Run()
 	// b spawned second at t=0: its charge must start when a's ends.
 	var endA, startB sim.Time = -1, -1
-	for _, s := range k.Trace.Spans() {
-		switch s.Layer {
+	for _, e := range charges(k) {
+		switch e.Layer {
 		case trace.LayerIPTx:
-			endA = s.End
+			endA = e.End()
 		case trace.LayerIPRx:
-			startB = s.Start
+			startB = e.At
 		}
 	}
 	if startB != endA {
@@ -99,13 +111,13 @@ func TestSleepOnChargesWakeup(t *testing.T) {
 		t.Fatalf("resumed at %v, want %v", resumed, want)
 	}
 	found := false
-	for _, s := range k.Trace.Spans() {
-		if s.Layer == trace.LayerWakeup && s.Duration() == k.Cost.Wakeup {
+	for _, e := range charges(k) {
+		if e.Layer == trace.LayerWakeup && e.Dur == k.Cost.Wakeup {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatal("Wakeup span not recorded")
+		t.Fatal("Wakeup charge not recorded")
 	}
 }
 

@@ -292,10 +292,8 @@ func (c *Cluster) configure(cfg Config) {
 		}
 	}
 	for i, h := range l.Hosts {
-		// Spans are kept for whoever reads a Breakdown, and a testbed has
-		// no such reader until one says so (core's grid measurement arms
-		// the client's recorder); events are kept when the trial asks.
-		h.Kern.Trace.DisableSpans()
+		// Events are kept when the trial asks; core's grid measurement
+		// arms the client's recorder itself for a breakdown.
 		if cfg.PacketTrace {
 			h.Kern.Trace.EnablePackets()
 		} else {

@@ -320,11 +320,11 @@ func rewindHost(h *Host, model *cost.Model) {
 	h.UDP.Reset()
 }
 
-// HostName returns the trace host name of host i — the key
-// trace.BreakdownFromEvents wants. The paper's echo pair fixed the
-// names: host 0 is "client", host 1 is "server", the rest are numbered.
-// Note the workload engine puts its SERVER on host 0, so a fan-in
-// server's trace events carry the name "client".
+// HostName returns the trace host name of host i — the name its events
+// carry in a merged stream (PacketEvents). The paper's echo pair fixed
+// the names: host 0 is "client", host 1 is "server", the rest are
+// numbered. Note the workload engine puts its SERVER on host 0, so a
+// fan-in server's trace events carry the name "client".
 func HostName(i int) string { return kern.HostName(i) }
 
 // buildHost allocates host i on env — the Host with the kernel and the
@@ -807,12 +807,11 @@ func (l *Lab) setTracing(on bool) {
 	}
 }
 
-// EnableTracing turns every host's recorder on: marks, events when
-// Config.PacketTrace armed them, spans on a recorder whose reader armed
-// those (configure leaves them off). The echo benchmark manages this
-// itself around its measured iterations; the other workload generators
-// call it at the start of a traced run so the trace covers connection
-// setup too.
+// EnableTracing turns every host's recorder on: events are kept on a
+// recorder Config.PacketTrace armed, or whose reader armed it. The echo
+// benchmark manages this itself around its measured iterations; the
+// other workload generators call it at the start of a traced run so the
+// trace covers connection setup too.
 func (l *Lab) EnableTracing() { l.setTracing(true) }
 
 // PacketEvents merges every host's recorded packet events into one

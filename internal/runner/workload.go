@@ -106,7 +106,7 @@ func runWorkloadTrial(tb *Testbeds, t WorkloadTrial, seed uint64) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := workload.RunSharded(t.Gen, c)
+	r, err := t.Gen.Run(c.Lab)
 	if err != nil {
 		return nil, err
 	}

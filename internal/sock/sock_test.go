@@ -325,6 +325,7 @@ func TestBufferDropPanicsBeyondContent(t *testing.T) {
 func TestUserLayerCharged(t *testing.T) {
 	env := sim.NewEnv()
 	a, b, _ := newLoopPair(env)
+	a.K.Trace.EnablePackets()
 	a.K.Trace.Enable()
 	env.Spawn("rx", sim.Steps(func(p *sim.Proc) {
 		b.Recv(p, make([]byte, 64))
@@ -332,12 +333,15 @@ func TestUserLayerCharged(t *testing.T) {
 	env.Spawn("tx", sim.Steps(func(p *sim.Proc) { a.Send(p, make([]byte, 64)) }))
 	env.Run()
 	var tx, rx sim.Time
-	for _, s := range a.K.Trace.Spans() {
-		switch s.Layer {
+	for _, e := range a.K.Trace.Events() {
+		if e.Kind != trace.EvCPU {
+			continue
+		}
+		switch e.Layer {
 		case trace.LayerUserTx:
-			tx += s.Duration()
+			tx += e.Dur
 		case trace.LayerUserRx:
-			rx += s.Duration()
+			rx += e.Dur
 		}
 	}
 	if tx == 0 || rx == 0 {

@@ -54,8 +54,8 @@ const (
 	// to a breakdown row (Event.Layer) and — when the processing belongs
 	// to an identifiable segment — to that packet. EvCPU events are the
 	// raw material of the paper's Tables 2 and 3: summing their durations
-	// per layer inside a measurement window reproduces the breakdown
-	// exactly (see core.RunTimelineStudy).
+	// per layer inside a measurement window is the breakdown
+	// (BreakdownFromEvents).
 	EvCPU EventKind = "cpu"
 
 	// EvSockEnqueue marks sosend appending user bytes to the send socket
@@ -108,8 +108,9 @@ const (
 	EvWireDepart EventKind = "wire.depart"
 	// EvWireArrive marks the instant the datagram's final cell (ATM) or
 	// the frame itself (Ethernet) reaches the receiving adapter — the
-	// origin of the paper's receive-side measurements, the event form of
-	// MarkFrameArrival.
+	// origin of the paper's receive-side measurements ("the arrival of
+	// the last group of ATM cells comprising the last TCP segment"; see
+	// LastArrival).
 	EvWireArrive EventKind = "wire.arrive"
 )
 
@@ -139,10 +140,11 @@ func (e Event) End() sim.Time { return e.At + e.Dur }
 // bit-identical in timing to an untraced one.
 func (r *Recorder) EnablePackets() { r.packets = true }
 
-// DisablePackets disarms per-packet event recording. Testbed reuse needs
-// it: a lab whose previous trial traced packets must behave exactly like
-// a freshly built untraced one when its next trial does not.
-func (r *Recorder) DisablePackets() { r.packets = false }
+// DisablePackets disarms per-packet event recording and lets go of the
+// event buffer. Testbed reuse needs it: a lab whose previous trial traced
+// packets must behave exactly like a freshly built untraced one, and hold
+// no trace memory, when its next trial does not.
+func (r *Recorder) DisablePackets() { r.packets, r.events = false, nil }
 
 // PacketsEnabled reports whether the recorder is armed for per-packet
 // events (regardless of whether recording is currently on).
@@ -154,13 +156,29 @@ func (r *Recorder) PacketsEnabled() bool { return r != nil && r.packets }
 func (r *Recorder) PacketRecording() bool { return r.Enabled() && r.packets }
 
 // Event appends a typed event. Calls while packet recording is off are
-// cheap no-ops, mirroring Span and Mark.
+// cheap no-ops. A negative duration panics: it indicates a broken cost
+// charge, not a measurement.
+//
+// An EvCPU event that starts exactly where the previous recorded event
+// ends, when that event is also EvCPU with the same layer and packet,
+// extends it instead of being appended: the drivers charge the CPU once
+// per cell, back to back, and an 8000-byte echo would otherwise keep
+// about seven times the records. BreakdownFromEvents clips each event to
+// the window and adds, so the merged event contributes exactly what its
+// pieces would have, whatever the window cuts through.
 func (r *Recorder) Event(e Event) {
 	if !r.PacketRecording() {
 		return
 	}
 	if e.Dur < 0 {
 		panic("trace: event ends before it starts")
+	}
+	if n := len(r.events); n > 0 && e.Kind == EvCPU {
+		if last := &r.events[n-1]; last.Kind == EvCPU && last.Layer == e.Layer &&
+			last.ID == e.ID && last.End() == e.At {
+			last.Dur += e.Dur
+			return
+		}
 	}
 	r.events = append(r.events, e)
 }

@@ -160,43 +160,35 @@ func leafName(e Event) string {
 	return string(e.Kind)
 }
 
-// BreakdownFromEvents re-derives a per-layer breakdown — a Tables 2/3
-// row set — from the event stream: the durations of one host's EvCPU
-// events, clipped to the window [start, end], summed per layer. It is
-// the event-stream analogue of Recorder.Breakdown and must agree with it
-// exactly, since both record the same CPU charges; core.RunTimelineStudy
-// asserts that equality at fixed seeds.
-func BreakdownFromEvents(evs []HostEvent, host string, start, end sim.Time) map[Layer]sim.Time {
+// BreakdownFromEvents derives a per-layer breakdown — a Tables 2/3 row
+// set — from one host's event stream (its Recorder.Events): the
+// durations of its EvCPU events, clipped to the window [start, end],
+// summed per layer. This is how the paper turns raw timestamps into
+// table rows: a charge contributes only the part of it that lies inside
+// the measured window (§2.2: "we only measure the portion of the receive
+// processing that actually contributes to the overall latency").
+func BreakdownFromEvents(evs []Event, start, end sim.Time) map[Layer]sim.Time {
 	out := make(map[Layer]sim.Time)
-	for _, e := range evs {
-		if e.Host != host || e.Kind != EvCPU {
+	for i := range evs {
+		e := &evs[i]
+		if e.Kind != EvCPU {
 			continue
 		}
-		lo, hi := e.At, e.End()
-		if lo < start {
-			lo = start
-		}
-		if hi > end {
-			hi = end
-		}
-		if hi > lo {
+		if lo, hi := max(e.At, start), min(e.At+e.Dur, end); hi > lo {
 			out[e.Layer] += hi - lo
 		}
 	}
 	return out
 }
 
-// LastArrival returns the latest EvWireArrive on the given host at or
-// before limit — the event-stream analogue of
-// Recorder.LastMark(MarkFrameArrival, limit), and the origin of the
-// receive-side measurement window.
-func LastArrival(evs []HostEvent, host string, limit sim.Time) (sim.Time, bool) {
+// LastArrival returns the latest EvWireArrive in one host's event stream
+// at or before limit — the origin of the receive-side measurement window.
+func LastArrival(evs []Event, limit sim.Time) (sim.Time, bool) {
 	var best sim.Time
 	found := false
-	for _, e := range evs {
-		if e.Host == host && e.Kind == EvWireArrive && e.At <= limit && (!found || e.At > best) {
-			best = e.At
-			found = true
+	for i := range evs {
+		if e := &evs[i]; e.Kind == EvWireArrive && e.At <= limit && (!found || e.At > best) {
+			best, found = e.At, true
 		}
 	}
 	return best, found

@@ -34,7 +34,7 @@ func TestEventsRequireBothEnables(t *testing.T) {
 	ev := Event{Kind: EvTCPOutput, At: 10, ID: testID(1)}
 	r.Event(ev) // disabled entirely
 	r.Enable()
-	r.Event(ev) // spans on, packets not armed
+	r.Event(ev) // recording on, packets not armed
 	if len(r.Events()) != 0 {
 		t.Fatalf("events recorded without EnablePackets: %d", len(r.Events()))
 	}
@@ -51,15 +51,6 @@ func TestEventsRequireBothEnables(t *testing.T) {
 	r.Reset()
 	if len(r.Events()) != 0 {
 		t.Fatal("Reset kept events")
-	}
-}
-
-func TestSpanEmitsNoEventWithoutPackets(t *testing.T) {
-	var r Recorder
-	r.Enable()
-	r.Span(LayerIPTx, 0, 10)
-	if len(r.Events()) != 0 {
-		t.Fatal("Span alone produced events")
 	}
 }
 
@@ -152,11 +143,12 @@ func TestBuildTimelinesGroupsByIdentity(t *testing.T) {
 	}
 }
 
+// TestBreakdownFromEventsMatchesRecorderBreakdown: the breakdown of one
+// host's slice of a merged multi-host stream is the breakdown of that
+// host's own recorder, and both are the charges made to it, each clipped
+// to the window — merging hosts adds and loses nothing.
 func TestBreakdownFromEventsMatchesRecorderBreakdown(t *testing.T) {
-	var r Recorder
-	r.Enable()
-	r.EnablePackets()
-	spans := []struct {
+	charges := []struct {
 		layer      Layer
 		start, end sim.Time
 	}{
@@ -165,45 +157,84 @@ func TestBreakdownFromEventsMatchesRecorderBreakdown(t *testing.T) {
 		{LayerATMTx, 140, 200},
 		{LayerWakeup, 300, 400},
 	}
-	for _, s := range spans {
-		r.Span(s.layer, s.start, s.end)
-		r.Event(Event{Kind: EvCPU, Layer: s.layer, At: s.start, Dur: s.end - s.start})
-	}
-	// A non-CPU event must not contribute to the breakdown.
-	r.Event(Event{Kind: EvWireArrive, At: 70, ID: testID(1)})
-	evs := MergeEvents([]string{"h"}, []*Recorder{&r})
-	want := r.Breakdown(50, 150)
-	got := BreakdownFromEvents(evs, "h", 50, 150)
-	if len(got) != len(want) {
-		t.Fatalf("rows = %v, want %v", got, want)
-	}
-	for layer, d := range want {
-		if got[layer] != d {
-			t.Fatalf("layer %s = %v, want %v", layer, got[layer], d)
+	h, other := recording(), recording()
+	want := make(map[Layer]sim.Time)
+	for _, c := range charges {
+		h.Event(cpu(c.layer, 0, c.start, c.end))
+		other.Event(cpu(c.layer, 0, c.start, c.end))
+		if lo, hi := max(c.start, 50), min(c.end, 150); hi > lo {
+			want[c.layer] += hi - lo
 		}
 	}
-	if _, ok := got[LayerWakeup]; ok {
-		t.Fatal("outside span included")
+	// A non-CPU event must not contribute to the breakdown.
+	h.Event(Event{Kind: EvWireArrive, At: 70, ID: testID(1)})
+	var hostEvs []Event
+	for _, e := range MergeEvents([]string{"h", "other"}, []*Recorder{h, other}) {
+		if e.Host == "h" {
+			hostEvs = append(hostEvs, e.Event)
+		}
 	}
-	// Wrong host: nothing.
-	if rows := BreakdownFromEvents(evs, "other", 0, 1000); len(rows) != 0 {
-		t.Fatalf("foreign host rows = %v", rows)
+	for name, got := range map[string]map[Layer]sim.Time{
+		"recorder": BreakdownFromEvents(h.Events(), 50, 150),
+		"merged":   BreakdownFromEvents(hostEvs, 50, 150),
+	} {
+		if len(got) != len(want) {
+			t.Fatalf("%s rows = %v, want %v", name, got, want)
+		}
+		for layer, d := range want {
+			if got[layer] != d {
+				t.Fatalf("%s layer %s = %v, want %v", name, layer, got[layer], d)
+			}
+		}
+		if _, ok := got[LayerWakeup]; ok {
+			t.Fatalf("%s: outside charge included", name)
+		}
+	}
+}
+
+// TestLastMark: the receive-window origin is the latest frame arrival at
+// or before the limit; other event kinds are not arrivals, and a stream
+// with none before the limit has no origin.
+func TestLastMark(t *testing.T) {
+	evs := []Event{
+		{Kind: EvWireArrive, At: 100, ID: testID(1)},
+		{Kind: EvWireArrive, At: 300, ID: testID(2)},
+		{Kind: EvDriverTx, At: 400, Dur: 10, ID: testID(3)},
+		{Kind: EvWireArrive, At: 500, ID: testID(3)},
+	}
+	if at, ok := LastArrival(evs, 450); !ok || at != 300 {
+		t.Fatalf("LastArrival = %v,%v", at, ok)
+	}
+	if at, ok := LastArrival(evs, 600); !ok || at != 500 {
+		t.Fatalf("LastArrival = %v,%v", at, ok)
+	}
+	if _, ok := LastArrival(evs, 50); ok {
+		t.Fatal("found an arrival before any exist")
+	}
+	if _, ok := LastArrival(evs[2:3], 1000); ok {
+		t.Fatal("found an arrival in a stream that has none")
 	}
 }
 
 func TestLastArrival(t *testing.T) {
-	evs := []HostEvent{
-		{Host: "client", Event: Event{Kind: EvWireArrive, At: 100, ID: testID(1)}},
-		{Host: "server", Event: Event{Kind: EvWireArrive, At: 150, ID: testID(1)}},
-		{Host: "client", Event: Event{Kind: EvWireArrive, At: 300, ID: testID(2)}},
+	evs := []Event{
+		{Kind: EvWireArrive, At: 100, ID: testID(1)},
+		{Kind: EvWireArrive, At: 300, ID: testID(2)},
+		{Kind: EvWireDepart, At: 350, ID: testID(3)},
+		{Kind: EvWireArrive, At: 500, ID: testID(3)},
+		{Kind: EvIPDequeue, At: 250, Dur: 10, ID: testID(3)}, // backdated: streams are not time-ordered
 	}
-	if at, ok := LastArrival(evs, "client", 250); !ok || at != 100 {
+	if at, ok := LastArrival(evs, 250); !ok || at != 100 {
 		t.Fatalf("LastArrival = %v,%v, want 100,true", at, ok)
 	}
-	if at, ok := LastArrival(evs, "client", 400); !ok || at != 300 {
+	// Only arrivals count: the departure at 350 is not an origin.
+	if at, ok := LastArrival(evs, 450); !ok || at != 300 {
 		t.Fatalf("LastArrival = %v,%v, want 300,true", at, ok)
 	}
-	if _, ok := LastArrival(evs, "client", 50); ok {
+	if at, ok := LastArrival(evs, 600); !ok || at != 500 {
+		t.Fatalf("LastArrival = %v,%v, want 500,true", at, ok)
+	}
+	if _, ok := LastArrival(evs, 50); ok {
 		t.Fatal("found arrival before any exist")
 	}
 }

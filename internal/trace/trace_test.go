@@ -6,118 +6,158 @@ import (
 	"repro/internal/sim"
 )
 
+// recording returns a recorder that keeps events.
+func recording() *Recorder {
+	r := &Recorder{}
+	r.EnablePackets()
+	r.Enable()
+	return r
+}
+
+// cpu is an EvCPU event on layer for packet seq (0: no packet) over
+// [start, end].
+func cpu(layer Layer, seq uint32, start, end sim.Time) Event {
+	e := Event{Kind: EvCPU, Layer: layer, At: start, Dur: end - start}
+	if seq != 0 {
+		e.ID = testID(seq)
+	}
+	return e
+}
+
 func TestDisabledRecorderIsNoop(t *testing.T) {
 	var r Recorder
-	r.Span(LayerUserTx, 0, 100)
-	r.Mark("m", 50)
-	if len(r.Spans()) != 0 || len(r.marks) != 0 {
+	r.EnablePackets()
+	r.Event(cpu(LayerUserTx, 0, 0, 100))
+	if len(r.Events()) != 0 {
 		t.Fatal("disabled recorder stored records")
 	}
 	if r.Enabled() {
 		t.Fatal("zero value enabled")
 	}
 	var nilR *Recorder
-	if nilR.Enabled() {
+	if nilR.Enabled() || nilR.PacketRecording() {
 		t.Fatal("nil recorder enabled")
 	}
 }
 
+// TestEnableDisableReset: Enable gives an armed recorder a first buffer,
+// Disable drops later events, Reset empties the buffer but keeps its
+// storage for the next window, and DisablePackets lets it go.
 func TestEnableDisableReset(t *testing.T) {
-	var r Recorder
-	r.Enable()
-	r.Span(LayerIPTx, 10, 20)
+	r := recording()
+	r.Event(cpu(LayerIPTx, 0, 10, 20))
 	r.Disable()
-	r.Span(LayerIPTx, 20, 30) // dropped
-	if len(r.Spans()) != 1 {
-		t.Fatalf("spans = %d", len(r.Spans()))
+	r.Event(cpu(LayerIPTx, 0, 30, 40)) // dropped
+	if len(r.Events()) != 1 {
+		t.Fatalf("events = %d", len(r.Events()))
 	}
+	kept := cap(r.Events())
 	r.Reset()
-	if len(r.Spans()) != 0 {
-		t.Fatal("Reset kept spans")
+	if len(r.Events()) != 0 {
+		t.Fatal("Reset kept events")
+	}
+	if r.Enable(); cap(r.Events()) != kept {
+		t.Fatalf("buffer capacity %d after Reset, want %d", cap(r.Events()), kept)
+	}
+	if r.DisablePackets(); cap(r.Events()) != 0 {
+		t.Fatalf("disarmed recorder holds a %d-event buffer", cap(r.Events()))
 	}
 }
 
+// TestInvertedSpanPanics: a CPU charge that ends before it starts is a
+// broken cost charge, refused even where it would merge into the
+// previous event.
 func TestInvertedSpanPanics(t *testing.T) {
-	var r Recorder
-	r.Enable()
+	r := recording()
+	r.Event(cpu(LayerIPTx, 0, 0, 100))
 	defer func() {
 		if recover() == nil {
-			t.Fatal("inverted span accepted")
+			t.Fatal("inverted charge accepted")
 		}
 	}()
-	r.Span(LayerIPTx, 100, 50)
+	r.Event(Event{Kind: EvCPU, Layer: LayerIPTx, At: 100, Dur: -50})
 }
 
 func TestBreakdownClipsToWindow(t *testing.T) {
-	var r Recorder
-	r.Enable()
-	r.Span(LayerUserTx, 0, 100)   // 50 inside
-	r.Span(LayerIPTx, 60, 80)     // fully inside
-	r.Span(LayerATMTx, 140, 200)  // 10 inside
-	r.Span(LayerWakeup, 300, 400) // outside
-	b := r.Breakdown(50, 150)
-	if b[LayerUserTx] != 50 || b[LayerIPTx] != 20 || b[LayerATMTx] != 10 {
-		t.Fatalf("breakdown %v", b)
+	r := recording()
+	r.Event(cpu(LayerUserTx, 0, 0, 100))   // 50 inside
+	r.Event(cpu(LayerIPTx, 0, 60, 80))     // fully inside
+	r.Event(cpu(LayerATMTx, 0, 140, 200))  // 10 inside
+	r.Event(cpu(LayerWakeup, 0, 300, 400)) // outside
+	// A non-CPU event contributes nothing, even inside the window.
+	r.Event(Event{Kind: EvDriverTx, At: 70, Dur: 20, ID: testID(1)})
+	b := BreakdownFromEvents(r.Events(), 50, 150)
+	want := map[Layer]sim.Time{LayerUserTx: 50, LayerIPTx: 20, LayerATMTx: 10}
+	if len(b) != len(want) {
+		t.Fatalf("breakdown %v, want %v", b, want)
 	}
-	if _, ok := b[LayerWakeup]; ok {
-		t.Fatal("outside span included")
+	for l, d := range want {
+		if b[l] != d {
+			t.Fatalf("breakdown %v, want %v", b, want)
+		}
 	}
 }
 
 func TestBreakdownSumsMultipleSpans(t *testing.T) {
-	var r Recorder
-	r.Enable()
+	r := recording()
 	for i := sim.Time(0); i < 5; i++ {
-		r.Span(LayerIPQ, i*100, i*100+10)
+		r.Event(cpu(LayerIPQ, 0, i*100, i*100+10))
 	}
-	b := r.Breakdown(0, 1000)
+	b := BreakdownFromEvents(r.Events(), 0, 1000)
 	if b[LayerIPQ] != 50 {
 		t.Fatalf("IPQ sum = %v", b[LayerIPQ])
 	}
 }
 
-// TestAbuttingSpansMergeExactly: a span that starts where the previous
-// one ended on the same layer extends it, and no window can tell — for
-// every window, including ones that cut through a merged span, Breakdown
-// accounts for exactly what the pieces would have.
+// TestAbuttingSpansMergeExactly: an EvCPU event that starts where the
+// previous recorded event ended extends it when that event is EvCPU on
+// the same layer for the same packet; a gap, another layer, another
+// packet or an intervening non-CPU event keeps the records apart. No
+// window can tell: for every window, including ones that cut through a
+// merged event, BreakdownFromEvents accounts for exactly what the pieces
+// would have.
 func TestAbuttingSpansMergeExactly(t *testing.T) {
-	pieces := []Span{
-		{LayerATMRx, 0, 10}, {LayerATMRx, 10, 20}, {LayerATMRx, 20, 30}, // one run
-		{LayerIPRx, 30, 40},  // abuts, other layer: its own span
-		{LayerATMRx, 40, 50}, // abuts IPRx, not the ATMRx run
-		{LayerATMRx, 55, 60}, // same layer after a gap: its own span
-		{LayerATMRx, 60, 60}, // zero-length, abutting
-		{LayerATMRx, 60, 70},
-		{LayerIPRx, 35, 45}, // overlaps earlier time, as another CPU's charge may
+	pieces := []Event{
+		cpu(LayerATMRx, 1, 0, 10), cpu(LayerATMRx, 1, 10, 20), cpu(LayerATMRx, 1, 20, 30), // one run
+		cpu(LayerIPRx, 1, 30, 40),  // abuts, other layer: its own event
+		cpu(LayerATMRx, 1, 40, 50), // abuts IPRx, not the ATMRx run
+		cpu(LayerATMRx, 1, 55, 60), // same layer after a gap: its own event
+		cpu(LayerATMRx, 1, 60, 60), // zero-length, abutting
+		cpu(LayerATMRx, 1, 60, 70),
+		cpu(LayerATMRx, 2, 70, 75), // abuts, other packet
+		{Kind: EvIPEnqueue, At: 75, ID: testID(2)},
+		cpu(LayerATMRx, 2, 75, 80), // abuts across a non-CPU event
+		cpu(LayerIPRx, 0, 35, 45),  // overlaps earlier time, as another CPU's charge may
 	}
-	var r Recorder
-	r.Enable()
+	r := recording()
 	for _, p := range pieces {
-		r.Span(p.Layer, p.Start, p.End)
+		r.Event(p)
 	}
-	want := []Span{
-		{LayerATMRx, 0, 30}, {LayerIPRx, 30, 40}, {LayerATMRx, 40, 50},
-		{LayerATMRx, 55, 70}, {LayerIPRx, 35, 45},
+	want := []Event{
+		cpu(LayerATMRx, 1, 0, 30), cpu(LayerIPRx, 1, 30, 40), cpu(LayerATMRx, 1, 40, 50),
+		cpu(LayerATMRx, 1, 55, 70), cpu(LayerATMRx, 2, 70, 75),
+		{Kind: EvIPEnqueue, At: 75, ID: testID(2)},
+		cpu(LayerATMRx, 2, 75, 80), cpu(LayerIPRx, 0, 35, 45),
 	}
-	got := r.Spans()
+	got := r.Events()
 	if len(got) != len(want) {
 		t.Fatalf("recorded %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("span %d = %v, want %v", i, got[i], want[i])
+			t.Fatalf("event %d = %v, want %v", i, got[i], want[i])
 		}
 	}
-	for start := sim.Time(-5); start <= 75; start++ {
-		for end := start; end <= 75; end++ {
+	for start := sim.Time(-5); start <= 85; start++ {
+		for end := start; end <= 85; end++ {
 			unmerged := make(map[Layer]sim.Time)
 			for _, p := range pieces {
-				lo, hi := max(p.Start, start), min(p.End, end)
-				if hi > lo {
+				lo, hi := max(p.At, start), min(p.End(), end)
+				if p.Kind == EvCPU && hi > lo {
 					unmerged[p.Layer] += hi - lo
 				}
 			}
-			b := r.Breakdown(start, end)
+			b := BreakdownFromEvents(got, start, end)
 			if len(b) != len(unmerged) {
 				t.Fatalf("window [%d,%d]: breakdown %v, unmerged %v", start, end, b, unmerged)
 			}
@@ -130,30 +170,73 @@ func TestAbuttingSpansMergeExactly(t *testing.T) {
 	}
 }
 
-func TestLastMark(t *testing.T) {
-	var r Recorder
-	r.Enable()
-	r.Mark(MarkFrameArrival, 100)
-	r.Mark(MarkFrameArrival, 300)
-	r.Mark("other", 400)
-	r.Mark(MarkFrameArrival, 500)
-	if at, ok := r.LastMark(MarkFrameArrival, 450); !ok || at != 300 {
-		t.Fatalf("LastMark = %v,%v", at, ok)
+func TestSpanDuration(t *testing.T) {
+	e := cpu(LayerIPTx, 0, 10, 35)
+	if e.End() != 35 {
+		t.Fatalf("End = %v", e.End())
 	}
-	if at, ok := r.LastMark(MarkFrameArrival, 600); !ok || at != 500 {
-		t.Fatalf("LastMark = %v,%v", at, ok)
-	}
-	if _, ok := r.LastMark(MarkFrameArrival, 50); ok {
-		t.Fatal("found a mark before any exist")
-	}
-	if _, ok := r.LastMark("absent", 1000); ok {
-		t.Fatal("found a mark that was never recorded")
+	if i := (Event{Kind: EvWireArrive, At: 10}); i.End() != 10 {
+		t.Fatalf("instant event ends at %v", i.End())
 	}
 }
 
-func TestSpanDuration(t *testing.T) {
-	s := Span{Layer: LayerIPTx, Start: 10, End: 35}
-	if s.Duration() != 25 {
-		t.Fatalf("Duration = %v", s.Duration())
-	}
+// FuzzCPUEventMerge records arbitrary charges through Recorder.Event and
+// requires BreakdownFromEvents over the merged stream to equal a plain
+// clip-and-sum over the raw charges, for the fuzzed window. Each 3-byte
+// record is one charge: the first byte picks the layer (of three, or a
+// non-CPU event in the fourth case), the packet (none or one of two) and
+// whether the charge starts where the previous record ended — the case
+// that merges — or at the second byte's offset; the third byte is the
+// duration. No two consecutive records left in the stream may meet the
+// merge rule: merging stops only where the rule says it must.
+func FuzzCPUEventMerge(f *testing.F) {
+	f.Add(int16(0), int16(100), []byte{0x10, 0, 10, 0x10, 0, 10, 0x11, 0, 10, 0x03, 0, 0, 0x10, 0, 5})
+	f.Add(int16(15), int16(25), []byte{0x14, 0, 10, 0x18, 0, 10, 0x10, 0, 0, 0x10, 0, 10})
+	f.Add(int16(-20), int16(300), []byte{0x00, 200, 30, 0x10, 0, 30, 0x01, 10, 255, 0x12, 0, 1})
+	layers := [...]Layer{LayerATMRx, LayerIPRx, LayerATMTx}
+	f.Fuzz(func(t *testing.T, start, end int16, data []byte) {
+		r := recording()
+		var raw []Event
+		var prevEnd sim.Time
+		for ; len(data) >= 3; data = data[3:] {
+			e := Event{At: sim.Time(data[1]) - 64, Dur: sim.Time(data[2])}
+			if data[0]&0x10 != 0 {
+				e.At = prevEnd
+			}
+			if seq := uint32(data[0]>>2&3) % 3; seq != 0 {
+				e.ID = testID(seq)
+			}
+			if l := data[0] & 3; l < 3 {
+				e.Kind, e.Layer = EvCPU, layers[l]
+			} else {
+				e.Kind, e.Dur = EvIPEnqueue, 0
+			}
+			r.Event(e)
+			raw = append(raw, e)
+			prevEnd = e.End()
+		}
+		lo, hi := sim.Time(start), sim.Time(end)
+		want := make(map[Layer]sim.Time)
+		for _, e := range raw {
+			if a, b := max(e.At, lo), min(e.End(), hi); e.Kind == EvCPU && b > a {
+				want[e.Layer] += b - a
+			}
+		}
+		got := BreakdownFromEvents(r.Events(), lo, hi)
+		if len(got) != len(want) {
+			t.Fatalf("window [%d,%d]: merged %v, raw %v", lo, hi, got, want)
+		}
+		for l, d := range want {
+			if got[l] != d {
+				t.Fatalf("window [%d,%d] %s: merged %d, raw %d", lo, hi, l, got[l], d)
+			}
+		}
+		evs := r.Events()
+		for i := 1; i < len(evs); i++ {
+			a, b := evs[i-1], evs[i]
+			if a.Kind == EvCPU && b.Kind == EvCPU && a.Layer == b.Layer && a.ID == b.ID && a.End() == b.At {
+				t.Fatalf("events %d and %d abut and were not merged: %v, %v", i-1, i, a, b)
+			}
+		}
+	})
 }

@@ -63,7 +63,7 @@ func scratchTrial(t *testing.T, g workload.Generator, cfg lab.Config, hosts, sha
 			sh.Env.Arena().Poison = true
 		}
 	}
-	res, err := workload.RunSharded(g, c)
+	res, err := g.Run(c.Lab)
 	if err != nil {
 		t.Fatalf("%s on %d hosts, %d shards: %v", g.Name(), hosts, shards, err)
 	}

@@ -186,7 +186,7 @@ func TestShardedRejectsBurstLoss(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
-	if _, err := workload.RunSharded(workload.FanIn{Requests: 2, Size: 64}, c); err != nil {
+	if _, err := (workload.FanIn{Requests: 2, Size: 64}).Run(c.Lab); err != nil {
 		t.Fatalf("sharded fan-in: %v", err)
 	}
 	bad := lab.Config{
@@ -221,7 +221,7 @@ func TestShardedLoadedBitIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewCluster(%d): %v", shards, err)
 			}
-			got, err := workload.RunSharded(g, c)
+			got, err := g.Run(c.Lab)
 			if err != nil {
 				t.Fatalf("%s sharded(%d): %v", transport, shards, err)
 			}

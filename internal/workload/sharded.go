@@ -17,9 +17,10 @@ import (
 	"repro/internal/stats"
 )
 
-// RunSharded runs a generator across the cluster's shards and returns a
-// result byte-identical (through JSON encoding) to the same run at any
-// other shard count with the same configuration and seed.
+// RunSharded is g.Run(c.Lab): every generator runs across the cluster's
+// shards, byte-identical (through JSON encoding) to the same run at any
+// other shard count with the same configuration and seed. It is kept for
+// the benchmark harness under bench/, its last caller.
 func RunSharded(g Generator, c *lab.Cluster) (*Result, error) { return g.Run(c.Lab) }
 
 // participant is one process group's slot: the server's processes, one

@@ -81,7 +81,7 @@ func FuzzShardedBitIdentity(f *testing.F) {
 		if err != nil {
 			t.Fatalf("NewCluster(%+v, %d, %d): %v", cfg, n, nShards, err)
 		}
-		got, err := workload.RunSharded(g, c)
+		got, err := g.Run(c.Lab)
 		if err != nil {
 			t.Fatalf("sharded run failed: %v", err)
 		}

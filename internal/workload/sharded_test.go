@@ -53,9 +53,9 @@ func TestFaultRecoveryRefusedWhenSharded(t *testing.T) {
 	if c.NumShards() != 2 {
 		t.Fatalf("cluster has %d shards, want 2", c.NumShards())
 	}
-	_, err = RunSharded(FaultRecovery{Requests: 2}, c)
+	_, err = FaultRecovery{Requests: 2}.Run(c.Lab)
 	if err == nil || !strings.Contains(err.Error(), "sharded execution accepts only link-flip faults") {
-		t.Fatalf("RunSharded(FaultRecovery, 2 shards) = %v, want the lab's shard-safety refusal", err)
+		t.Fatalf("FaultRecovery.Run on 2 shards = %v, want the lab's shard-safety refusal", err)
 	}
 }
 

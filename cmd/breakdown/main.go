@@ -42,6 +42,12 @@ func run(args []string, w io.Writer) error {
 	if *side != "tx" && *side != "rx" && *side != "both" {
 		return fmt.Errorf("unknown -side %q (want tx, rx, or both)", *side)
 	}
+	if *iters < 1 {
+		return fmt.Errorf("-iters %d: must be at least 1", *iters)
+	}
+	if *parallel < 0 {
+		return fmt.Errorf("-parallel %d: must not be negative (0 = GOMAXPROCS)", *parallel)
+	}
 	opts := core.Options{
 		Iterations: *iters,
 		Warmup:     8,

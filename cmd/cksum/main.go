@@ -41,6 +41,9 @@ func run(args []string, w io.Writer) error {
 		}
 		return err
 	}
+	if *parallel < 0 {
+		return fmt.Errorf("-parallel %d: must not be negative (0 = GOMAXPROCS)", *parallel)
+	}
 
 	// The three studies are independent; run them through the sweep
 	// engine so -parallel applies here too.

@@ -54,3 +54,26 @@ func TestRunJSON(t *testing.T) {
 		t.Fatalf("JSON payload empty: %+v", payload)
 	}
 }
+
+// TestCountFlagsRefused: a count the command would silently replace —
+// a negative -parallel, read as GOMAXPROCS — is refused, naming its flag.
+func TestCountFlagsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string // named in the refusal; "" = accepted
+	}{
+		{[]string{"-parallel", "-1"}, "-parallel"},
+		{[]string{"-parallel", "0", "-pcb=false", "-sun3=false"}, ""},
+	} {
+		var buf bytes.Buffer
+		err := run(tc.args, &buf)
+		switch {
+		case tc.flag == "" && err != nil:
+			t.Errorf("args %v refused: %v", tc.args, err)
+		case tc.flag != "" && err == nil:
+			t.Errorf("args %v accepted", tc.args)
+		case tc.flag != "" && !strings.HasPrefix(err.Error(), tc.flag+" "):
+			t.Errorf("args %v: error %q does not name %s", tc.args, err, tc.flag)
+		}
+	}
+}

@@ -212,6 +212,9 @@ func run(args []string, w io.Writer) error {
 	if err := checkFlags(fs, *wl); err != nil {
 		return err
 	}
+	if *parallel < 0 {
+		return fmt.Errorf("-parallel %d: must not be negative (0 = GOMAXPROCS)", *parallel)
+	}
 	qk, err := lab.ParseQdiscKind(*qdisc)
 	if err != nil {
 		return fmt.Errorf("-qdisc: %w", err)

@@ -492,3 +492,26 @@ func TestRUDPSizeLimitPerLink(t *testing.T) {
 		}
 	}
 }
+
+// TestCountFlagsRefused: a count the command would silently replace —
+// a negative -parallel, read as GOMAXPROCS — is refused, naming its flag.
+func TestCountFlagsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string // named in the refusal; "" = accepted
+	}{
+		{[]string{"-workload", "fanin", "-hosts", "3", "-reqs", "1", "-parallel", "-1"}, "-parallel"},
+		{[]string{"-workload", "fanin", "-hosts", "3", "-reqs", "1", "-parallel", "0"}, ""},
+	} {
+		var buf bytes.Buffer
+		err := run(tc.args, &buf)
+		switch {
+		case tc.flag == "" && err != nil:
+			t.Errorf("args %v refused: %v", tc.args, err)
+		case tc.flag != "" && err == nil:
+			t.Errorf("args %v accepted", tc.args)
+		case tc.flag != "" && !strings.HasPrefix(err.Error(), tc.flag+" "):
+			t.Errorf("args %v: error %q does not name %s", tc.args, err, tc.flag)
+		}
+	}
+}

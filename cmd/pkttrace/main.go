@@ -50,7 +50,7 @@ func run(args []string, w io.Writer) error {
 		hosts  = fs.Int("hosts", 0, "topology size (0 = 2 for echo, 5 otherwise)")
 		size   = fs.Int("size", 0, "payload bytes per operation (0 = workload default)")
 		iters  = fs.Int("iters", 4, "echo: measured iterations; fanin: requests per client")
-		warmup = fs.Int("warmup", 2, "echo: untraced warm-up iterations")
+		warmup = fs.Int("warmup", 2, "echo: warm-up iterations, left out of the reported window")
 		conns  = fs.Int("conns", 3, "churn: connection cycles per client")
 		bytesN = fs.Int("bytes", 32768, "bulk: bytes streamed per client")
 		link   = fs.String("link", "atm", "link type: atm or ether")

@@ -42,6 +42,12 @@ func run(args []string, w io.Writer) error {
 		}
 		return err
 	}
+	if *iters < 1 {
+		return fmt.Errorf("-iters %d: must be at least 1", *iters)
+	}
+	if *parallel < 0 {
+		return fmt.Errorf("-parallel %d: must not be negative (0 = GOMAXPROCS)", *parallel)
+	}
 
 	opts := core.Options{
 		Iterations: *iters,

@@ -77,3 +77,28 @@ func TestGoldenJSONByteIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestCountFlagsRefused: a count the command would silently replace —
+// -iters below 1 (read as the default 100) or a negative -parallel
+// (read as GOMAXPROCS) — is refused, naming its flag.
+func TestCountFlagsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string // named in the refusal; "" = accepted
+	}{
+		{[]string{"-iters", "0"}, "-iters"},
+		{[]string{"-iters", "-3"}, "-iters"},
+		{[]string{"-parallel", "-1"}, "-parallel"},
+	} {
+		var buf bytes.Buffer
+		err := run(tc.args, &buf)
+		switch {
+		case tc.flag == "" && err != nil:
+			t.Errorf("args %v refused: %v", tc.args, err)
+		case tc.flag != "" && err == nil:
+			t.Errorf("args %v accepted", tc.args)
+		case tc.flag != "" && !strings.HasPrefix(err.Error(), tc.flag+" "):
+			t.Errorf("args %v: error %q does not name %s", tc.args, err, tc.flag)
+		}
+	}
+}

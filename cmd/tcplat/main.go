@@ -91,6 +91,15 @@ func run(args []string, w io.Writer) error {
 	if *size < 0 {
 		return fmt.Errorf("-size must be >= 0")
 	}
+	if *iters < 1 {
+		return fmt.Errorf("-iters %d: must be at least 1", *iters)
+	}
+	if *warmup < 0 {
+		return fmt.Errorf("-warmup %d: must not be negative", *warmup)
+	}
+	if *parallel < 0 {
+		return fmt.Errorf("-parallel %d: must not be negative (0 = GOMAXPROCS)", *parallel)
+	}
 	lk, err := lab.ParseLinkKind(*link)
 	if err != nil {
 		return fmt.Errorf("-link: %w", err)

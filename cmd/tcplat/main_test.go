@@ -71,3 +71,30 @@ func TestRunBadArgs(t *testing.T) {
 		}
 	}
 }
+
+// TestCountFlagsRefused: a count the command would silently replace —
+// -iters below 1 (read as the default 100), a negative -warmup
+// (run as 0) or a negative -parallel (read as GOMAXPROCS) — is refused, naming its flag.
+func TestCountFlagsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string // named in the refusal; "" = accepted
+	}{
+		{[]string{"-iters", "0"}, "-iters"},
+		{[]string{"-iters", "-1"}, "-iters"},
+		{[]string{"-warmup", "-1"}, "-warmup"},
+		{[]string{"-parallel", "-1"}, "-parallel"},
+		{[]string{"-size", "4", "-iters", "1", "-warmup", "0", "-parallel", "0"}, ""},
+	} {
+		var buf bytes.Buffer
+		err := run(tc.args, &buf)
+		switch {
+		case tc.flag == "" && err != nil:
+			t.Errorf("args %v refused: %v", tc.args, err)
+		case tc.flag != "" && err == nil:
+			t.Errorf("args %v accepted", tc.args)
+		case tc.flag != "" && !strings.HasPrefix(err.Error(), tc.flag+" "):
+			t.Errorf("args %v: error %q does not name %s", tc.args, err, tc.flag)
+		}
+	}
+}

@@ -356,7 +356,6 @@ func TestDriverChargesATMLayer(t *testing.T) {
 	kb := kern.New(env, model, "b")
 	for _, k := range []*kern.Kernel{ka, kb} {
 		k.Trace.EnablePackets()
-		k.Trace.Enable()
 	}
 	ipa := ip.NewStack(ka, 1)
 	ipb := ip.NewStack(kb, 2)
@@ -445,7 +444,6 @@ func TestHECErrorOnFrameEndConsumesPending(t *testing.T) {
 	ka := kern.New(env, model, "a")
 	kb := kern.New(env, model, "b")
 	kb.Trace.EnablePackets()
-	kb.Trace.Enable()
 	ipa := ip.NewStack(ka, 1)
 	ipb := ip.NewStack(kb, 2)
 	aa, ab := NewAdapter(ka), NewAdapter(kb)

@@ -606,7 +606,7 @@ func (f *outputOp) Step(p *sim.Proc) {
 			f.i++
 			f.pc = 2
 		case 5: // trace events, then charge the chain free
-			if k.Trace.PacketRecording() {
+			if k.Trace.PacketsEnabled() {
 				id := k.PacketContext(p)
 				k.Trace.Event(trace.Event{
 					Kind: trace.EvDriverTx, At: f.txStart, Dur: k.Now() - f.txStart,

@@ -576,7 +576,7 @@ func (f *outputOp) Step(p *sim.Proc) {
 			if dst, ok := d.resolve(f.fr[HeaderLen : HeaderLen+f.n]); ok {
 				f.fr.seal(dst, d.Adapter.Addr, EtherTypeIPv4, f.n)
 				wireEnd := d.Adapter.Transmit(f.fr)
-				if k.Trace.PacketRecording() {
+				if k.Trace.PacketsEnabled() {
 					id := k.PacketContext(p)
 					k.Trace.Event(trace.Event{
 						Kind: trace.EvDriverTx, At: f.txStart, Dur: k.Now() - f.txStart,

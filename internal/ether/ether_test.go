@@ -195,7 +195,6 @@ func TestEtherChargesLayer(t *testing.T) {
 	env, ka, kb, ipa, ipb, _, _ := buildPair(t)
 	for _, k := range []*kern.Kernel{ka, kb} {
 		k.Trace.EnablePackets()
-		k.Trace.Enable()
 	}
 	ipb.Register(99, &sink{})
 	env.Spawn("tx", sim.Steps(func(p *sim.Proc) {

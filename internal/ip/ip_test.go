@@ -211,7 +211,6 @@ func TestInputTrimsPadding(t *testing.T) {
 func TestIPQLatencyCharged(t *testing.T) {
 	env, ka, sa, sb, _ := newTwoStacks(t)
 	sb.K.Trace.EnablePackets()
-	sb.K.Trace.Enable()
 	env.Spawn("tx", sim.Steps(func(p *sim.Proc) {
 		m := ka.Pool.Alloc()
 		m.Append(make([]byte, 30))

@@ -98,7 +98,8 @@ func (k *Kernel) Name() string {
 
 // Reset returns the kernel to its just-constructed state for testbed
 // reuse: the CPU cursor rewinds to zero (the environment's clock has
-// been reset), the trace recorder is cleared and disabled, and the mbuf
+// been reset), the trace recorder is cleared (its buffer and arming kept:
+// the testbed's configure re-arms or disarms it), and the mbuf
 // pool's counters are zeroed while its free-lists — the recycled headers
 // and cluster pages the next trial's steady state will run on — are
 // retained. The cost model is re-bound so a reused host can run a trial
@@ -107,7 +108,6 @@ func (k *Kernel) Reset(model *cost.Model) {
 	k.Cost = model
 	k.busyUntil = 0
 	k.Trace.Reset()
-	k.Trace.Disable()
 	k.Pool.Reset()
 }
 
@@ -140,14 +140,14 @@ func (k *Kernel) Use(p *sim.Proc, layer trace.Layer, d sim.Time) bool {
 }
 
 // Attribute records the interval [start, end] of CPU time against layer,
-// when packet tracing is on, as a typed EvCPU event carrying the packet
+// when the recorder is armed, as a typed EvCPU event carrying the packet
 // identity tagged on p: the Tables 2/3 raw material and the charge's
 // place in the per-packet timeline. Charges made while p carries no
 // packet tag (user copies before segmentation, scheduler wakeups) record
 // with a zero identity and surface as unattributed in timeline
 // reconstructions.
 func (k *Kernel) Attribute(p *sim.Proc, layer trace.Layer, start, end sim.Time) {
-	if k.Trace.PacketRecording() {
+	if k.Trace.PacketsEnabled() {
 		k.Trace.Event(trace.Event{
 			Kind:  trace.EvCPU,
 			Layer: layer,

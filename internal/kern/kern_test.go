@@ -11,7 +11,7 @@ import (
 func newKernel() (*sim.Env, *Kernel) {
 	env := sim.NewEnv()
 	k := New(env, cost.DECstation5000(), "host")
-	k.Trace.EnablePackets() // charges are kept once a test enables the recorder
+	k.Trace.EnablePackets() // an armed recorder keeps every charge
 	return env, k
 }
 
@@ -28,7 +28,6 @@ func charges(k *Kernel) []trace.Event {
 
 func TestUseAdvancesBusyCursor(t *testing.T) {
 	env, k := newKernel()
-	k.Trace.Enable()
 	env.Spawn("p", sim.Steps(func(p *sim.Proc) {
 		// With nothing else queued both charges complete inline: the CPU
 		// charge is an ordinary function call, no park, no wake event.
@@ -56,7 +55,6 @@ func TestUseAdvancesBusyCursor(t *testing.T) {
 
 func TestUseSerializesAcrossProcs(t *testing.T) {
 	env, k := newKernel()
-	k.Trace.Enable()
 	env.Spawn("a", sim.Steps(func(p *sim.Proc) {
 		k.Use(p, trace.LayerIPTx, 200*sim.Microsecond)
 	}))
@@ -94,7 +92,6 @@ func TestNegativeChargePanics(t *testing.T) {
 
 func TestSleepOnChargesWakeup(t *testing.T) {
 	env, k := newKernel()
-	k.Trace.Enable()
 	wq := env.NewWaitQueue("w")
 	var resumed sim.Time
 	env.Spawn("sleeper", sim.Steps(
@@ -125,7 +122,6 @@ func TestAllocChargeAndFreeChainCost(t *testing.T) {
 	// The allocation idiom after the run-to-completion redesign: charge
 	// the CPU with Use, then perform the pool operation inline.
 	env, k := newKernel()
-	k.Trace.Enable()
 	env.Spawn("p", sim.Steps(func(p *sim.Proc) {
 		k.Use(p, trace.LayerUserTx, k.Cost.MbufAlloc)
 		m := k.Pool.Alloc()

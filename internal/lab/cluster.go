@@ -137,8 +137,8 @@ type RoundStats struct {
 // written against it once: EnvOf names the loop a host's processes run
 // on, Run drains every loop, ScheduleFaults and ArmWatchdog reach every
 // loop. Build a sharded one with NewCluster, drive it with Run (or
-// RunEcho for the paper's benchmark), and rewind it between trials with
-// Reset (Lab.Reset is the same call).
+// Lab.RunEcho for the paper's benchmark), and rewind it between trials
+// with Reset (Lab.Reset is the same call).
 type Cluster struct {
 	Lab    *Lab
 	Shards []*Shard
@@ -705,70 +705,6 @@ func (c *Cluster) Run() {
 	for _, sh := range c.Shards {
 		sh.Env.SetHorizon(sim.MaxTime)
 	}
-}
-
-// RunEcho runs the paper's benchmark (§1.2): the client (host 0)
-// connects, then repeatedly sends size bytes and waits to receive size
-// bytes back from the server (host 1), for warmup unmeasured iterations
-// followed by iterations measured ones. Tracing is enabled only for the
-// measured iterations: the client flips every host's recorder on at its
-// warmup boundary. When the server lives in another shard the client
-// cannot reach that shard's recorders mid-round, so hosts outside its
-// shard record from time zero instead and PacketEvents drops everything
-// before the flip instant — the same stream, filtered after the fact
-// rather than gated at the source.
-func (c *Cluster) RunEcho(size, iterations, warmup int) (*EchoResult, error) {
-	l := c.Lab
-	res := newEchoResult(size, iterations)
-	var runErr error
-
-	ln, err := l.Server.TCP.Listen(echoPort)
-	if err != nil {
-		return nil, err
-	}
-	if l.Config.LivePCBs > 0 {
-		if _, err := l.Server.TCP.Listen(livePort); err != nil {
-			return nil, err
-		}
-	}
-	c.EnvOf(1).Spawn("server.echo", &echoServerFrame{l: l, ln: ln, size: size})
-	l.Env.Spawn("client.echo", &echoClientFrame{
-		l: l, size: size, iterations: iterations, warmup: warmup,
-		res: res, runErr: &runErr,
-	})
-
-	if clientShard := c.hostShard[0]; clientShard != c.hostShard[1] {
-		for i, h := range l.Hosts {
-			if c.hostShard[i] != clientShard {
-				h.Kern.Trace.Enable()
-			}
-		}
-		l.flipLocal = func(on bool) {
-			for i, h := range l.Hosts {
-				if c.hostShard[i] != clientShard {
-					continue
-				}
-				if on {
-					h.Kern.Trace.Enable()
-				} else {
-					h.Kern.Trace.Disable()
-				}
-			}
-			if on && l.eventsSince == 0 {
-				l.eventsSince = l.Env.Now()
-			}
-		}
-		defer func() { l.flipLocal = nil }()
-	}
-
-	c.Run()
-	if runErr != nil {
-		return nil, runErr
-	}
-	if len(res.RTTs) != iterations {
-		return nil, fmt.Errorf("lab: measured %d of %d iterations", len(res.RTTs), iterations)
-	}
-	return res, nil
 }
 
 // Reset rebinds the assembled testbed to a new trial configuration

@@ -25,7 +25,7 @@ func mustCluster(t *testing.T, cfg Config, nHosts, shards int) *Cluster {
 // result; any error fails the test.
 func clusterEcho(t *testing.T, c *Cluster, size int) *EchoResult {
 	t.Helper()
-	res, err := c.RunEcho(size, 12, 2)
+	res, err := c.Lab.RunEcho(size, 12, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,6 +98,43 @@ func TestClusterEchoBitIdentity(t *testing.T) {
 		if ev := c.Lab.PacketEvents(); !reflect.DeepEqual(ev, serialEvents) {
 			t.Errorf("shards=%d: packet events diverged from serial (%d vs %d events)",
 				shards, len(ev), len(serialEvents))
+		}
+	}
+}
+
+// TestClusterUDPEchoBitIdentity: the UDP echo runs on the cluster like
+// the TCP one — the server on its own host's loop, every loop driven by
+// the barrier — so a sharded run reproduces the serial one, trace
+// included, and leaves the cluster ready to Reset.
+func TestClusterUDPEchoBitIdentity(t *testing.T) {
+	cfg := Config{Link: LinkATM, PacketTrace: true, Seed: 1}
+	serialLab := NewTopology(cfg, 3)
+	serial, err := serialLab.RunUDPEcho(200, 5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serialEvents := serialLab.PacketEvents()
+	if len(serialEvents) == 0 {
+		t.Fatal("traced UDP echo reported no events")
+	}
+	for _, shards := range []int{2, 3} {
+		c := mustCluster(t, cfg, 3, shards)
+		if c.NumShards() < 2 {
+			t.Fatalf("shards=%d degenerated to serial", shards)
+		}
+		got, err := c.Lab.RunUDPEcho(200, 5, 1)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if !reflect.DeepEqual(got, serial) {
+			t.Errorf("shards=%d: UDP echo result diverged from serial", shards)
+		}
+		if ev := c.Lab.PacketEvents(); !reflect.DeepEqual(ev, serialEvents) {
+			t.Errorf("shards=%d: packet events diverged from serial (%d vs %d events)",
+				shards, len(ev), len(serialEvents))
+		}
+		if err := c.Reset(cfg, 0); err != nil {
+			t.Errorf("shards=%d: Reset after a UDP echo: %v", shards, err)
 		}
 	}
 }

@@ -112,13 +112,13 @@ type Config struct {
 	// marks on both hosts (default sock.DefaultHiwat). Buffers smaller
 	// than the transfer size serialize segments behind window updates.
 	SockBuf int
-	// PacketTrace arms per-packet event recording on every host's
-	// recorder (trace.Recorder.EnablePackets). Events are recorded
-	// whenever span tracing is on — for the echo benchmark, the measured
-	// iterations; for the other workloads, the whole run — and are
-	// collected with Lab.PacketEvents. Tracing charges no simulated
-	// time, so a traced run is bit-identical in timing to an untraced
-	// one at the same seed.
+	// PacketTrace arms every host's recorder for the run
+	// (trace.Recorder.EnablePackets): each keeps all of the run's events,
+	// and Lab.PacketEvents collects them windowed by time — for the echo
+	// benchmark, from the first measured write on; for the other
+	// workloads, the whole run. Tracing charges no simulated time, so a
+	// traced run is bit-identical in timing to an untraced one at the
+	// same seed.
 	PacketTrace bool
 	// CheckLeaks arms the pool-leak gate for testbed reuse: when the lab
 	// is Reset for its next trial, the reset fails if any host's mbuf
@@ -210,13 +210,9 @@ type Lab struct {
 	// cluster is the executor that built this lab and that it runs under
 	// (see Cluster); a serial lab's has one shard.
 	cluster *Cluster
-	// flipLocal, when set (by Cluster.RunEcho), replaces setTracing's
-	// all-host sweep: a sharded echo client may only flip recorders in
-	// its own shard mid-round.
-	flipLocal func(on bool)
-	// eventsSince, when nonzero, filters PacketEvents to events at or
-	// after it — the sharded echo run's substitute for flipping remote
-	// recorders on exactly at the warmup boundary.
+	// eventsSince is the start of the measured window: the echo client
+	// stamps its first measured write here, and PacketEvents reports the
+	// events from it on. Zero (every other run) reports the whole run.
 	eventsSince sim.Time
 
 	// faultState is the fault tier's outage bookkeeping (fault.go),
@@ -593,10 +589,10 @@ func (f *echoClientFrame) Step(p *sim.Proc) {
 				f.so.Close(p)
 				return
 			}
-			if f.i >= f.warmup && !l.tracing() {
-				l.setTracing(true)
-			}
 			f.w = IterWindow{WriteStart: l.Env.Now()}
+			if f.i == f.warmup {
+				l.eventsSince = f.w.WriteStart
+			}
 			f.pc = 5
 			f.send = f.so.Send(p, f.msg)
 			return
@@ -644,10 +640,41 @@ func (f *echoClientFrame) Step(p *sim.Proc) {
 	}
 }
 
-// RunEcho runs the paper's benchmark (§1.2) on the lab's cluster (see
-// Cluster.RunEcho, the one echo driver).
+// RunEcho runs the paper's benchmark (§1.2): the client (host 0)
+// connects, then repeatedly sends size bytes and waits to receive size
+// bytes back from the server (host 1), for warmup unmeasured iterations
+// followed by iterations measured ones. It is the one echo driver, serial
+// or sharded: the server runs on its own host's loop and the cluster's Run
+// drives every loop. A recorder armed for the run keeps all of it,
+// handshake and warmup included; the client stamps its first measured
+// write, and PacketEvents cuts the stream there by time.
 func (l *Lab) RunEcho(size, iterations, warmup int) (*EchoResult, error) {
-	return l.Cluster().RunEcho(size, iterations, warmup)
+	c := l.Cluster()
+	res := newEchoResult(size, iterations)
+	var runErr error
+
+	ln, err := l.Server.TCP.Listen(echoPort)
+	if err != nil {
+		return nil, err
+	}
+	if l.Config.LivePCBs > 0 {
+		if _, err := l.Server.TCP.Listen(livePort); err != nil {
+			return nil, err
+		}
+	}
+	c.EnvOf(1).Spawn("server.echo", &echoServerFrame{l: l, ln: ln, size: size})
+	l.Env.Spawn("client.echo", &echoClientFrame{
+		l: l, size: size, iterations: iterations, warmup: warmup,
+		res: res, runErr: &runErr,
+	})
+	c.Run()
+	if runErr != nil {
+		return nil, runErr
+	}
+	if len(res.RTTs) != iterations {
+		return nil, fmt.Errorf("lab: measured %d of %d iterations", len(res.RTTs), iterations)
+	}
+	return res, nil
 }
 
 // udpEchoServerFrame bounces rounds datagrams back to their senders.
@@ -727,6 +754,9 @@ func (f *udpEchoClientFrame) Step(p *sim.Proc) {
 				return
 			}
 			f.w = IterWindow{WriteStart: l.Env.Now()}
+			if f.i == f.warmup {
+				l.eventsSince = f.w.WriteStart
+			}
 			f.pc = 2
 			f.cli.SendTo(p, ServerAddr, f.port, f.msg)
 			return
@@ -762,6 +792,8 @@ func (l *Lab) MTU() int { return l.Server.IP.If.MTU() }
 
 // RunUDPEcho runs the same request/response benchmark over UDP: the
 // datagram baseline for the paper's "is TCP viable for RPC?" question.
+// It runs on the lab's cluster and stamps its measured window as RunEcho
+// does.
 // A payload that one datagram cannot carry — more than the MTU less the
 // IP and UDP headers — is refused with ErrDatagramTooLarge.
 func (l *Lab) RunUDPEcho(size, iterations, warmup int) (*EchoResult, error) {
@@ -775,12 +807,13 @@ func (l *Lab) RunUDPEcho(size, iterations, warmup int) (*EchoResult, error) {
 		return nil, err
 	}
 	var runErr error
-	l.Env.Spawn("server.udpecho", &udpEchoServerFrame{srv: srv, rounds: warmup + iterations})
+	c := l.Cluster()
+	c.EnvOf(1).Spawn("server.udpecho", &udpEchoServerFrame{srv: srv, rounds: warmup + iterations})
 	l.Env.Spawn("client.udpecho", &udpEchoClientFrame{
 		l: l, size: size, warmup: warmup, rounds: warmup + iterations,
 		port: port, res: res, runErr: &runErr,
 	})
-	l.Env.Run()
+	c.Run()
 	if runErr != nil {
 		return nil, runErr
 	}
@@ -791,34 +824,14 @@ func (l *Lab) RunUDPEcho(size, iterations, warmup int) (*EchoResult, error) {
 	return res, nil
 }
 
-func (l *Lab) tracing() bool { return l.Client.Kern.Trace.Enabled() }
-
-func (l *Lab) setTracing(on bool) {
-	if l.flipLocal != nil {
-		l.flipLocal(on)
-		return
-	}
-	for _, h := range l.Hosts {
-		if on {
-			h.Kern.Trace.Enable()
-		} else {
-			h.Kern.Trace.Disable()
-		}
-	}
-}
-
-// EnableTracing turns every host's recorder on: events are kept on a
-// recorder Config.PacketTrace armed, or whose reader armed it. The echo
-// benchmark manages this itself around its measured iterations; the
-// other workload generators call it at the start of a traced run so the
-// trace covers connection setup too.
-func (l *Lab) EnableTracing() { l.setTracing(true) }
-
 // PacketEvents merges every host's recorded packet events into one
-// deterministic stream, ordered by virtual time with ties broken by
-// host order (client, server, host2, …) and emission order. The result
-// is a pure function of the simulation: the same configuration and seed
-// produce byte-identical JSON at any sweep worker count.
+// deterministic stream (trace.EventsFrom), ordered by virtual time with
+// ties broken by host order (client, server, host2, …) and emission
+// order. An echo run reports its measured window — the events from the
+// client's first measured write on, a CPU charge that straddles that
+// instant clipped to it — and any other run all of it. The result is a
+// pure function of the simulation: the same configuration and seed
+// produce byte-identical JSON at any sweep worker count or shard count.
 func (l *Lab) PacketEvents() []trace.HostEvent {
 	names := make([]string, len(l.Hosts))
 	recs := make([]*trace.Recorder, len(l.Hosts))
@@ -826,19 +839,5 @@ func (l *Lab) PacketEvents() []trace.HostEvent {
 		names[i] = h.Kern.Name()
 		recs[i] = &h.Kern.Trace
 	}
-	evs := trace.MergeEvents(names, recs)
-	if l.eventsSince > 0 {
-		// Sharded echo run: hosts outside the client's shard recorded
-		// from time zero (they cannot be flipped mid-round); drop what
-		// the serial benchmark would never have recorded.
-		k := 0
-		for _, ev := range evs {
-			if ev.At >= l.eventsSince {
-				evs[k] = ev
-				k++
-			}
-		}
-		evs = evs[:k]
-	}
-	return evs
+	return trace.EventsFrom(names, recs, l.eventsSince)
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func TestEchoATMBasic(t *testing.T) {
@@ -155,6 +156,53 @@ func TestUDPEcho(t *testing.T) {
 // carries echoes, and one byte more is refused with ErrDatagramTooLarge
 // instead of reaching ip_output, which panics on a datagram over the MTU
 // (a 1480-byte echo on Ethernet did).
+// TestPacketEventsAreTheMeasuredWindow: a traced echo reports the
+// measured window as a span of time, cut the way Tables 2–3 cut theirs.
+// No reported event starts before the first measured write, and each
+// host's CPU time per layer is what BreakdownFromEvents finds in that
+// host's own recorder from that instant to the end of the run — so a
+// charge the server's busy CPU queued before the window opened counts
+// for the part inside it, and a warmup segment's arrival is not reported.
+// An 8000-byte ATM echo is the case where both happen.
+func TestPacketEventsAreTheMeasuredWindow(t *testing.T) {
+	l := New(Config{Link: LinkATM, PacketTrace: true})
+	res, err := l.RunEcho(8000, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := res.Windows[0].WriteStart
+	type row struct {
+		host  string
+		layer trace.Layer
+	}
+	got := make(map[row]sim.Time)
+	for _, e := range l.PacketEvents() {
+		if e.At < start {
+			t.Fatalf("%s %s on %s at %d ns, before the first measured write at %d ns",
+				e.Kind, e.Layer, e.Host, e.At, start)
+		}
+		if e.Kind == trace.EvCPU && e.Dur > 0 {
+			got[row{e.Host, e.Layer}] += e.Dur
+		}
+	}
+	want := make(map[row]sim.Time)
+	for _, h := range l.Hosts {
+		for layer, d := range trace.BreakdownFromEvents(h.Trace().Events(), start, sim.MaxTime) {
+			want[row{h.Kern.Name(), layer}] = d
+		}
+	}
+	for r, d := range want {
+		if got[r] != d {
+			t.Errorf("%s %s: %d ns in PacketEvents, %d ns in its recorder's window", r.host, r.layer, got[r], d)
+		}
+	}
+	for r, d := range got {
+		if _, ok := want[r]; !ok {
+			t.Errorf("%s %s: %d ns in PacketEvents, none in its recorder's window", r.host, r.layer, d)
+		}
+	}
+}
+
 func TestUDPEchoSizeLimit(t *testing.T) {
 	for _, link := range []LinkKind{LinkATM, LinkEther} {
 		l := New(Config{Link: link})

@@ -319,7 +319,7 @@ func FuzzConfigValidate(f *testing.F) {
 			t.Fatalf("Validate accepted %+v (%d hosts, %d shards), NewCluster refused: %v", cfg, hosts, shards, err)
 		}
 		wd := c.ArmWatchdog(0)
-		if _, err := c.RunEcho(64, 2, 0); err != nil || wd.Fired() {
+		if _, err := c.Lab.RunEcho(64, 2, 0); err != nil || wd.Fired() {
 			// A configuration that loses, corrupts and reorders nothing has
 			// no excuse: its echo completes and its connections go quiet.
 			if cfg.CellLossRate == 0 && cfg.CellCorruptRate == 0 && cfg.HostCorruptRate == 0 &&

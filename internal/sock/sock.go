@@ -308,7 +308,7 @@ func (f *SendOp) Step(p *sim.Proc) {
 				}
 			}
 		case 6: // append to the send buffer; charge the protocol dispatch
-			recording := k.Trace.PacketRecording()
+			recording := k.Trace.PacketsEnabled()
 			var chainLen int
 			if recording {
 				chainLen = mbuf.ChainLen(f.chain)

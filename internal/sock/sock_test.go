@@ -326,7 +326,6 @@ func TestUserLayerCharged(t *testing.T) {
 	env := sim.NewEnv()
 	a, b, _ := newLoopPair(env)
 	a.K.Trace.EnablePackets()
-	a.K.Trace.Enable()
 	env.Spawn("rx", sim.Steps(func(p *sim.Proc) {
 		b.Recv(p, make([]byte, 64))
 	}))

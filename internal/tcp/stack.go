@@ -502,7 +502,7 @@ func (f *inputOp) Step(p *sim.Proc) {
 			s.Table.CacheDisabled = !s.PredictionEnabled
 			ent, res := s.Table.Lookup(probe)
 			f.ent = ent
-			if k.Trace.PacketRecording() {
+			if k.Trace.PacketsEnabled() {
 				searched := int64(res.Searched)
 				if res.CacheHit {
 					searched = -1

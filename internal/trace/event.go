@@ -132,13 +132,18 @@ type Event struct {
 // End returns the event's end time (At for instantaneous events).
 func (e Event) End() sim.Time { return e.At + e.Dur }
 
-// EnablePackets arms per-packet event recording on the recorder. Events
-// are recorded only while the recorder is also Enabled, so the
-// experiment harness keeps its existing warmup/measured toggle and
-// packet tracing rides along with it. Packet tracing records host-memory
-// data only — it charges no simulated time — so a traced run is
-// bit-identical in timing to an untraced one.
-func (r *Recorder) EnablePackets() { r.packets = true }
+// EnablePackets arms per-packet event recording on the recorder and
+// gives its event buffer a first size, so a short run appends without
+// growing; a long one grows it, and it is retained across Reset, so
+// repeated runs reuse one allocation either way. Packet tracing records
+// host-memory data only — it charges no simulated time — so a traced run
+// is bit-identical in timing to an untraced one.
+func (r *Recorder) EnablePackets() {
+	r.packets = true
+	if cap(r.events) == 0 {
+		r.events = make([]Event, 0, 2048)
+	}
+}
 
 // DisablePackets disarms per-packet event recording and lets go of the
 // event buffer. Testbed reuse needs it: a lab whose previous trial traced
@@ -146,28 +151,23 @@ func (r *Recorder) EnablePackets() { r.packets = true }
 // no trace memory, when its next trial does not.
 func (r *Recorder) DisablePackets() { r.packets, r.events = false, nil }
 
-// PacketsEnabled reports whether the recorder is armed for per-packet
-// events (regardless of whether recording is currently on).
+// PacketsEnabled reports whether the recorder is armed. Instrumentation
+// sites use it to skip identity parsing when nothing would be kept.
 func (r *Recorder) PacketsEnabled() bool { return r != nil && r.packets }
 
-// PacketRecording reports whether per-packet events are being recorded
-// right now. Instrumentation sites use it to skip identity parsing when
-// tracing is off.
-func (r *Recorder) PacketRecording() bool { return r.Enabled() && r.packets }
-
-// Event appends a typed event. Calls while packet recording is off are
-// cheap no-ops. A negative duration panics: it indicates a broken cost
+// Event appends a typed event. Calls on a disarmed recorder are cheap
+// no-ops. A negative duration panics: it indicates a broken cost
 // charge, not a measurement.
 //
 // An EvCPU event that starts exactly where the previous recorded event
 // ends, when that event is also EvCPU with the same layer and packet,
 // extends it instead of being appended: the drivers charge the CPU once
 // per cell, back to back, and an 8000-byte echo would otherwise keep
-// about seven times the records. BreakdownFromEvents clips each event to
-// the window and adds, so the merged event contributes exactly what its
-// pieces would have, whatever the window cuts through.
+// about seven times the records. BreakdownFromEvents and EventsFrom clip
+// each event to the window, so the merged event contributes exactly what
+// its pieces would have, whatever the window cuts through.
 func (r *Recorder) Event(e Event) {
-	if !r.PacketRecording() {
+	if !r.PacketsEnabled() {
 		return
 	}
 	if e.Dur < 0 {

@@ -14,14 +14,18 @@ type HostEvent struct {
 	Event
 }
 
-// MergeEvents joins per-host event streams into one stream ordered by
-// time. hosts and recs are parallel slices in a caller-fixed order
-// (lab.Lab uses host-address order); ties in At resolve by that order
-// and then by emission order, so the merged stream is a pure function of
-// the simulation — never of scheduling, worker count, or map iteration.
-func MergeEvents(hosts []string, recs []*Recorder) []HostEvent {
+// EventsFrom joins per-host event streams into one stream ordered by
+// time, keeping what happened at or after start: an event with At >=
+// start, and the part of an EvCPU charge that straddles start, clipped
+// to it by the rule BreakdownFromEvents applies (clip). Any other event
+// that began before start is dropped, spans included. hosts and recs are
+// parallel slices in a caller-fixed order (lab.Lab uses host-address
+// order); ties in At resolve by that order and then by emission order,
+// so the merged stream is a pure function of the simulation — never of
+// scheduling, worker count, or map iteration.
+func EventsFrom(hosts []string, recs []*Recorder, start sim.Time) []HostEvent {
 	if len(hosts) != len(recs) {
-		panic("trace: MergeEvents host/recorder length mismatch")
+		panic("trace: EventsFrom host/recorder length mismatch")
 	}
 	var out []HostEvent
 	for i, r := range recs {
@@ -29,6 +33,13 @@ func MergeEvents(hosts []string, recs []*Recorder) []HostEvent {
 			continue
 		}
 		for _, e := range r.Events() {
+			if e.At < start {
+				lo, hi := e.clip(start, sim.MaxTime)
+				if e.Kind != EvCPU || hi <= lo {
+					continue
+				}
+				e.At, e.Dur = lo, hi-lo
+			}
 			out = append(out, HostEvent{Host: hosts[i], Event: e})
 		}
 	}
@@ -86,7 +97,7 @@ type TimelineSet struct {
 
 // BuildTimelines groups a merged event stream by packet identity and
 // reconstructs each packet's span tree. The input must already be merged
-// (MergeEvents); the output is deterministic for a deterministic input.
+// (EventsFrom); the output is deterministic for a deterministic input.
 func BuildTimelines(evs []HostEvent) *TimelineSet {
 	set := &TimelineSet{}
 	byID := make(map[PacketID]*PacketTimeline)
@@ -160,6 +171,15 @@ func leafName(e Event) string {
 	return string(e.Kind)
 }
 
+// clip returns the part of e's interval [At, End] that lies inside the
+// window [start, end]; it is empty when hi <= lo. It is the one window
+// rule: BreakdownFromEvents sums CPU charges by it and EventsFrom cuts a
+// stream by it, so the tables and the trace export agree on what a
+// window holds.
+func (e *Event) clip(start, end sim.Time) (lo, hi sim.Time) {
+	return max(e.At, start), min(e.End(), end)
+}
+
 // BreakdownFromEvents derives a per-layer breakdown — a Tables 2/3 row
 // set — from one host's event stream (its Recorder.Events): the
 // durations of its EvCPU events, clipped to the window [start, end],
@@ -174,7 +194,7 @@ func BreakdownFromEvents(evs []Event, start, end sim.Time) map[Layer]sim.Time {
 		if e.Kind != EvCPU {
 			continue
 		}
-		if lo, hi := max(e.At, start), min(e.At+e.Dur, end); hi > lo {
+		if lo, hi := e.clip(start, end); hi > lo {
 			out[e.Layer] += hi - lo
 		}
 	}

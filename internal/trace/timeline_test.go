@@ -29,28 +29,40 @@ func TestPacketIDString(t *testing.T) {
 	}
 }
 
+// TestEventsRequireBothEnables: arming is the recorder's one gate. A
+// recorder keeps nothing before EnablePackets, every event of every kind
+// after it, and nothing again once DisablePackets disarms it.
 func TestEventsRequireBothEnables(t *testing.T) {
 	var r Recorder
-	ev := Event{Kind: EvTCPOutput, At: 10, ID: testID(1)}
-	r.Event(ev) // disabled entirely
-	r.Enable()
-	r.Event(ev) // recording on, packets not armed
+	evs := []Event{
+		{Kind: EvTCPOutput, At: 10, ID: testID(1)},
+		{Kind: EvIPDequeue, At: 5, Dur: 7, ID: testID(1)},
+		cpu(LayerIPTx, 1, 12, 20),
+		{Kind: EvWireArrive, At: 30},
+	}
+	record := func() {
+		for _, e := range evs {
+			r.Event(e)
+		}
+	}
+	record()
 	if len(r.Events()) != 0 {
 		t.Fatalf("events recorded without EnablePackets: %d", len(r.Events()))
 	}
 	r.EnablePackets()
-	r.Event(ev)
-	if len(r.Events()) != 1 {
-		t.Fatalf("events = %d, want 1", len(r.Events()))
+	record()
+	if got := r.Events(); len(got) != len(evs) {
+		t.Fatalf("armed recorder kept %d of %d events", len(got), len(evs))
 	}
-	r.Disable()
-	r.Event(ev) // packets armed but recording off
-	if len(r.Events()) != 1 {
-		t.Fatal("event recorded while disabled")
+	for i, e := range r.Events() {
+		if e != evs[i] {
+			t.Fatalf("event %d = %v, want %v", i, e, evs[i])
+		}
 	}
-	r.Reset()
+	r.DisablePackets()
+	record()
 	if len(r.Events()) != 0 {
-		t.Fatal("Reset kept events")
+		t.Fatalf("disarmed recorder kept %d events", len(r.Events()))
 	}
 }
 
@@ -63,10 +75,8 @@ func TestEventsRequireBothEnables(t *testing.T) {
 func TestMergeEventsClockTies(t *testing.T) {
 	mk := func() (*Recorder, *Recorder) {
 		a, b := &Recorder{}, &Recorder{}
-		for _, r := range []*Recorder{a, b} {
-			r.Enable()
-			r.EnablePackets()
-		}
+		a.EnablePackets()
+		b.EnablePackets()
 		// Same instant on both hosts, multiple events each.
 		a.Event(Event{Kind: EvTCPOutput, At: 100, ID: testID(1)})
 		a.Event(Event{Kind: EvIPSend, At: 100, ID: testID(1)})
@@ -76,7 +86,7 @@ func TestMergeEventsClockTies(t *testing.T) {
 		return a, b
 	}
 	a, b := mk()
-	got := MergeEvents([]string{"client", "server"}, []*Recorder{a, b})
+	got := EventsFrom([]string{"client", "server"}, []*Recorder{a, b}, 0)
 	wantKinds := []EventKind{EvIPDequeue, EvTCPOutput, EvIPSend, EvWireArrive}
 	wantHosts := []string{"server", "client", "client", "server"}
 	if len(got) != len(wantKinds) {
@@ -91,7 +101,7 @@ func TestMergeEventsClockTies(t *testing.T) {
 	// Deterministic: merging fresh but identical recorders yields
 	// byte-identical JSON.
 	a2, b2 := mk()
-	again := MergeEvents([]string{"client", "server"}, []*Recorder{a2, b2})
+	again := EventsFrom([]string{"client", "server"}, []*Recorder{a2, b2}, 0)
 	j1, _ := json.Marshal(got)
 	j2, _ := json.Marshal(again)
 	if !bytes.Equal(j1, j2) {
@@ -169,7 +179,7 @@ func TestBreakdownFromEventsMatchesRecorderBreakdown(t *testing.T) {
 	// A non-CPU event must not contribute to the breakdown.
 	h.Event(Event{Kind: EvWireArrive, At: 70, ID: testID(1)})
 	var hostEvs []Event
-	for _, e := range MergeEvents([]string{"h", "other"}, []*Recorder{h, other}) {
+	for _, e := range EventsFrom([]string{"h", "other"}, []*Recorder{h, other}, 0) {
 		if e.Host == "h" {
 			hostEvs = append(hostEvs, e.Event)
 		}
@@ -284,7 +294,6 @@ func TestChromeTraceShape(t *testing.T) {
 
 func TestEventNegativeDurationPanics(t *testing.T) {
 	var r Recorder
-	r.Enable()
 	r.EnablePackets()
 	defer func() {
 		if recover() == nil {

@@ -9,13 +9,15 @@
 // enqueue/dequeue, tcp_output/tcp_input, PCB lookups, IP
 // send/queue/deliver, driver TX/RX, and wire departure/arrival — each
 // keyed by a PacketID derived from the bytes on the wire (connection
-// 4-tuple plus sequence number). BreakdownFromEvents sums one host's CPU
-// charges per layer over a window, which is how Tables 2 and 3 are
-// built; LastArrival finds the receive-side window's origin, the last
-// wire arrival. MergeEvents joins the per-host streams
-// deterministically, BuildTimelines reconstructs each packet's life as a
-// span tree, and ChromeTrace exports the stream in Chrome trace_event
-// format for flamegraph-style inspection.
+// 4-tuple plus sequence number). A recorder is armed for the whole run
+// and windowed by time: BreakdownFromEvents sums one host's CPU charges
+// per layer over a window, which is how Tables 2 and 3 are built;
+// LastArrival finds the receive-side window's origin, the last wire
+// arrival. EventsFrom joins the per-host streams deterministically from
+// a window's start on, clipping a CPU charge that straddles it by the
+// same rule, BuildTimelines reconstructs each packet's life as a span
+// tree, and ChromeTrace exports the stream in Chrome trace_event format
+// for flamegraph-style inspection.
 //
 // The measurement methodology — which window each table uses, why the
 // receive origin is the last wire arrival, and the fixed-seed
@@ -51,35 +53,18 @@ const (
 	LayerIdle         Layer = "Idle"             // CPU idle inside a measured window
 )
 
-// Recorder accumulates events while enabled. The zero value is a valid,
-// disabled recorder; recording calls on a disabled recorder are cheap
-// no-ops, so the protocol code is always instrumented and the experiment
-// harness flips recording on only for measured iterations (the paper
-// likewise timed only the measured loop). Events are kept only once the
-// recorder is also armed (EnablePackets): a sweep that reads round-trip
-// times reads none.
+// Recorder keeps the typed events of one host. The zero value is a valid,
+// disarmed recorder; recording calls on a disarmed recorder are cheap
+// no-ops, so the protocol code is always instrumented and keeps nothing
+// unless a reader asked for events. Arming (EnablePackets) is the only
+// state: a recorder is armed before its run and keeps every event of it,
+// handshake and warmup included. The measured window is a time, not a
+// state — readers cut the stream by time (BreakdownFromEvents,
+// EventsFrom), as the paper timed its measured loop by reading a clock.
 type Recorder struct {
-	enabled bool
 	packets bool
 	events  []Event
 }
 
-// Enable turns recording on, giving an armed recorder's event buffer a
-// first size so a short measured window appends without growing; a long
-// one grows it, and it is retained across Reset, so repeated windows
-// reuse one allocation either way.
-func (r *Recorder) Enable() {
-	r.enabled = true
-	if r.packets && cap(r.events) == 0 {
-		r.events = make([]Event, 0, 2048)
-	}
-}
-
-// Disable turns recording off without discarding existing records.
-func (r *Recorder) Disable() { r.enabled = false }
-
-// Enabled reports whether the recorder is accepting records.
-func (r *Recorder) Enabled() bool { return r != nil && r.enabled }
-
-// Reset discards all events.
+// Reset discards all events, keeping the buffer for the next run.
 func (r *Recorder) Reset() { r.events = r.events[:0] }

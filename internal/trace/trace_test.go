@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/sim"
@@ -10,7 +11,6 @@ import (
 func recording() *Recorder {
 	r := &Recorder{}
 	r.EnablePackets()
-	r.Enable()
 	return r
 }
 
@@ -24,40 +24,46 @@ func cpu(layer Layer, seq uint32, start, end sim.Time) Event {
 	return e
 }
 
+// TestDisabledRecorderIsNoop: a disarmed recorder, zero or nil, keeps
+// nothing and holds no buffer.
 func TestDisabledRecorderIsNoop(t *testing.T) {
 	var r Recorder
-	r.EnablePackets()
 	r.Event(cpu(LayerUserTx, 0, 0, 100))
-	if len(r.Events()) != 0 {
-		t.Fatal("disabled recorder stored records")
-	}
-	if r.Enabled() {
-		t.Fatal("zero value enabled")
+	r.Event(Event{Kind: EvWireArrive, At: 100, ID: testID(1)})
+	if r.PacketsEnabled() || len(r.Events()) != 0 || cap(r.Events()) != 0 {
+		t.Fatalf("zero recorder armed %v, kept %d events in a %d-event buffer",
+			r.PacketsEnabled(), len(r.Events()), cap(r.Events()))
 	}
 	var nilR *Recorder
-	if nilR.Enabled() || nilR.PacketRecording() {
-		t.Fatal("nil recorder enabled")
+	if nilR.PacketsEnabled() {
+		t.Fatal("nil recorder armed")
 	}
 }
 
-// TestEnableDisableReset: Enable gives an armed recorder a first buffer,
-// Disable drops later events, Reset empties the buffer but keeps its
-// storage for the next window, and DisablePackets lets it go.
+// TestEnableDisableReset: EnablePackets gives the recorder a first
+// buffer, Reset empties it but keeps its storage for the next run (and
+// the recorder armed), and DisablePackets lets it go.
 func TestEnableDisableReset(t *testing.T) {
 	r := recording()
-	r.Event(cpu(LayerIPTx, 0, 10, 20))
-	r.Disable()
-	r.Event(cpu(LayerIPTx, 0, 30, 40)) // dropped
-	if len(r.Events()) != 1 {
-		t.Fatalf("events = %d", len(r.Events()))
+	if cap(r.Events()) == 0 {
+		t.Fatal("armed recorder has no buffer")
+	}
+	for i := sim.Time(0); i < 3000; i++ { // past the first size
+		r.Event(cpu(LayerIPTx, uint32(i%2)+1, 10*i, 10*i+5))
 	}
 	kept := cap(r.Events())
 	r.Reset()
 	if len(r.Events()) != 0 {
 		t.Fatal("Reset kept events")
 	}
-	if r.Enable(); cap(r.Events()) != kept {
+	if cap(r.Events()) != kept {
 		t.Fatalf("buffer capacity %d after Reset, want %d", cap(r.Events()), kept)
+	}
+	if r.EnablePackets(); cap(r.Events()) != kept {
+		t.Fatalf("re-arming replaced the %d-event buffer with %d", kept, cap(r.Events()))
+	}
+	if r.Event(cpu(LayerIPTx, 0, 0, 1)); len(r.Events()) != 1 {
+		t.Fatal("recorder disarmed by Reset")
 	}
 	if r.DisablePackets(); cap(r.Events()) != 0 {
 		t.Fatalf("disarmed recorder holds a %d-event buffer", cap(r.Events()))
@@ -236,6 +242,119 @@ func FuzzCPUEventMerge(f *testing.F) {
 			a, b := evs[i-1], evs[i]
 			if a.Kind == EvCPU && b.Kind == EvCPU && a.Layer == b.Layer && a.ID == b.ID && a.End() == b.At {
 				t.Fatalf("events %d and %d abut and were not merged: %v, %v", i-1, i, a, b)
+			}
+		}
+	})
+}
+
+// FuzzEventsFrom records arbitrary per-host streams through
+// Recorder.Event and cuts them at a fuzzed start with EventsFrom, against
+// a reference model: each host's recorded stream cut by hand (an event
+// kept as it is when At >= start, an EvCPU charge that straddles start
+// kept from start on, anything else dropped), concatenated in host order
+// and stably sorted by time. Independently of the model, no output event
+// starts before start, non-CPU events are kept exactly when At >= start
+// (in time order),
+// and each (host, layer) CPU sum equals BreakdownFromEvents over
+// [start, ∞) of the raw charges. Each 3-byte record is one event: the
+// first byte picks the host (of three), the layer (of three) or a non-CPU
+// event — a span or an instant, by the top bit — the packet (none or one
+// of two), and whether the event starts where the host's previous record
+// ended (the case that merges) or at the second byte's offset; the third
+// byte is the duration.
+func FuzzEventsFrom(f *testing.F) {
+	f.Add(int16(15), []byte{0x10, 0, 10, 0x30, 0, 10, 0x11, 0, 10, 0x83, 0, 9, 0x50, 0, 5, 0x03, 90, 0})
+	f.Add(int16(-20), []byte{0x00, 10, 30, 0x10, 0, 30, 0x21, 10, 255, 0x83, 70, 40, 0x12, 0, 1})
+	f.Add(int16(64), []byte{0x14, 0, 10, 0x18, 0, 10, 0x30, 0, 0, 0x10, 0, 10, 0x43, 64, 0})
+	layers := [...]Layer{LayerATMRx, LayerIPRx, LayerATMTx}
+	hosts := []string{"h0", "h1", "h2"}
+	f.Fuzz(func(t *testing.T, start16 int16, data []byte) {
+		start := sim.Time(start16)
+		recs := []*Recorder{recording(), recording(), recording()}
+		raw := make([][]Event, len(recs))
+		var prevEnd [3]sim.Time
+		for ; len(data) >= 3; data = data[3:] {
+			h := int(data[0]>>5&3) % 3
+			e := Event{At: sim.Time(data[1]) - 64, Dur: sim.Time(data[2])}
+			if data[0]&0x10 != 0 {
+				e.At = prevEnd[h]
+			}
+			if seq := uint32(data[0]>>2&3) % 3; seq != 0 {
+				e.ID = testID(seq)
+			}
+			switch l := data[0] & 3; {
+			case l < 3:
+				e.Kind, e.Layer = EvCPU, layers[l]
+			case data[0]&0x80 != 0:
+				e.Kind = EvIPDequeue // a span
+			default:
+				e.Kind, e.Dur = EvWireArrive, 0
+			}
+			recs[h].Event(e)
+			raw[h] = append(raw[h], e)
+			prevEnd[h] = e.End()
+		}
+		got := EventsFrom(hosts, recs, start)
+
+		var want []HostEvent
+		for h, r := range recs {
+			for _, e := range r.Events() {
+				switch {
+				case e.At >= start:
+				case e.Kind == EvCPU && e.End() > start:
+					e.At, e.Dur = start, e.End()-start
+				default:
+					continue
+				}
+				want = append(want, HostEvent{Host: hosts[h], Event: e})
+			}
+		}
+		sort.SliceStable(want, func(i, j int) bool { return want[i].At < want[j].At })
+		if len(got) != len(want) {
+			t.Fatalf("start %d: %d events, the model %d", start, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("start %d: event %d = %+v, the model %+v", start, i, got[i], want[i])
+			}
+		}
+
+		for h := range recs {
+			var nonCPU []Event
+			for _, e := range raw[h] {
+				if e.Kind != EvCPU && e.At >= start {
+					nonCPU = append(nonCPU, e)
+				}
+			}
+			sort.SliceStable(nonCPU, func(i, j int) bool { return nonCPU[i].At < nonCPU[j].At })
+			sums := make(map[Layer]sim.Time)
+			k := 0
+			for _, e := range got {
+				switch {
+				case e.At < start:
+					t.Fatalf("start %d: %v on %s starts before it", start, e.Event, e.Host)
+				case e.Host != hosts[h]:
+				case e.Kind == EvCPU:
+					sums[e.Layer] += e.Dur
+				case k >= len(nonCPU) || e.Event != nonCPU[k]:
+					t.Fatalf("start %d: %s kept %v, want the raw non-CPU events from start %v", start, e.Host, e.Event, nonCPU)
+				default:
+					k++
+				}
+			}
+			if k != len(nonCPU) {
+				t.Fatalf("start %d: %s kept %d of its %d non-CPU events from start", start, hosts[h], k, len(nonCPU))
+			}
+			for l, d := range BreakdownFromEvents(raw[h], start, sim.MaxTime) {
+				if sums[l] != d {
+					t.Fatalf("start %d: %s %s = %d, raw charges %d", start, hosts[h], l, sums[l], d)
+				}
+				delete(sums, l)
+			}
+			for l, d := range sums {
+				if d != 0 {
+					t.Fatalf("start %d: %s %s = %d, raw charges none", start, hosts[h], l, d)
+				}
 			}
 		}
 	})

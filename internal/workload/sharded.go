@@ -92,10 +92,10 @@ type run struct {
 // no-progress watchdog on every loop — unless the caller armed one
 // already (a test choosing a short horizon) — so a run that stops
 // completing operations aborts with a diagnostic naming the stuck
-// connections instead of spinning forever, and turns tracing on when the
-// topology was built with it: generators trace from the first handshake,
-// so timelines show the whole connection life. Neither schedules an
-// event or draws randomness.
+// connections instead of spinning forever. It schedules no event and
+// draws no randomness. A topology built with Config.PacketTrace has its
+// recorders armed for the whole run, so timelines show the whole
+// connection life from the first handshake.
 func newRun(c *lab.Cluster, cross, want int, cfg stats.Config) *run {
 	clients := len(c.Lab.Hosts) - 1
 	r := &run{c: c, wd: c.Lab.Watchdog(), want: want, cfg: cfg,
@@ -111,9 +111,6 @@ func newRun(c *lab.Cluster, cross, want int, cfg stats.Config) *run {
 		if cfg.Streaming {
 			r.ats = make([]sim.Time, clients*want)
 		}
-	}
-	if c.Lab.Config.PacketTrace {
-		c.Lab.EnableTracing()
 	}
 	return r
 }

@@ -15,9 +15,10 @@
 //
 // Every generator participates in per-packet tracing: when the lab was
 // built with lab.Config.PacketTrace, Run returns the merged event
-// stream in Result.Events. The echo generator traces exactly the
-// paper's measured iterations; the others trace the whole run so
-// timelines include connection setup. See docs/METHODOLOGY.md.
+// stream in Result.Events. The echo generator reports exactly the
+// paper's measured window, cut by time at its first measured write; the
+// others report the whole run so timelines include connection setup. See
+// docs/METHODOLOGY.md.
 package workload
 
 import (
@@ -107,9 +108,10 @@ type Echo struct {
 // Name implements Generator.
 func (Echo) Name() string { return "echo" }
 
-// Run implements Generator. The echo benchmark does not start tracing
-// itself: lab.RunEcho flips it on at the measured iterations, preserving
-// the paper's warmup exclusion.
+// Run implements Generator. A traced echo reports its measured window
+// only: lab.RunEcho stamps the first measured write and Lab.PacketEvents
+// cuts the run's events there by time, preserving the paper's warmup
+// exclusion.
 func (g Echo) Run(l *lab.Lab) (*Result, error) {
 	size, iters, warm := defInt(g.Size, 4), defInt(g.Iterations, 100), defInt(g.Warmup, 8)
 	res, err := l.RunEcho(size, iters, warm)

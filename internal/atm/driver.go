@@ -42,18 +42,12 @@ type Driver struct {
 	// fabric, when set, is the routed fabric this driver is host number
 	// host of (NewFabric sets both). A transmit-side VC miss asks it to
 	// install the switch path for (this host → dst) and to name the VCI
-	// the host transmits on; reclaiming an idle VC under TxVCLimit asks it
-	// to tear the path down. Signaling is modeled as instantaneous — it
+	// the host transmits on. Signaling is modeled as instantaneous — it
 	// charges no simulated time — so an on-demand topology is
 	// timing-identical to one with every VC pre-installed.
 	fabric *Fabric
 	host   int
 
-	// TxVCLimit, when positive, bounds the transmit VC cache: installing
-	// a VC beyond the limit evicts the least-recently-used other entry
-	// (ties broken by lowest destination address, so eviction order is
-	// deterministic) and tears its path down. Zero means unlimited.
-	TxVCLimit int
 	// rx holds one receive context per incoming VCI. Cells from
 	// different sources arrive interleaved on distinct VCIs in switched
 	// topologies; reassembly state must be per VC. lastRx remembers the
@@ -102,6 +96,9 @@ type Driver struct {
 	HECErrors int64
 	// HostCorruptions counts datagram bits flipped by HostCorruptRate.
 	HostCorruptions int64
+	// NoRoute counts datagrams dropped because their IP destination is
+	// no other host on the driver's fabric.
+	NoRoute int64
 	// reassembled counts cells handed to a reassembler: with HECErrors,
 	// every cell the driver popped. The conservation tests read it.
 	reassembled int64
@@ -352,7 +349,6 @@ func (d *Driver) Reset() {
 			return
 		}
 		vc.seg.Reset()
-		vc.lastUse = 0
 	})
 	d.rx.each(func(vc *rxVC) {
 		vc.reasm.Reset()
@@ -360,17 +356,15 @@ func (d *Driver) Reset() {
 	})
 	d.lastRx = nil
 	d.FramesIn, d.FramesOut = 0, 0
-	d.ReassemblyErrors, d.HECErrors, d.HostCorruptions = 0, 0, 0
+	d.ReassemblyErrors, d.HECErrors, d.HostCorruptions, d.NoRoute = 0, 0, 0, 0
 	d.reassembled = 0
 }
 
-// txVC is the transmit side of one virtual channel: its segmenter, the
-// last time a datagram used it (for LRU reclamation), and whether it was
-// installed on demand (trial state) or eagerly (topology).
+// txVC is the transmit side of one virtual channel: its segmenter, and
+// whether it was installed on demand (trial state) or eagerly (topology).
 type txVC struct {
-	seg     Segmenter
-	lastUse sim.Time
-	demand  bool
+	seg    Segmenter
+	demand bool
 }
 
 // AddVC installs a transmit-side virtual channel eagerly: datagrams
@@ -408,15 +402,16 @@ func (d *Driver) Reassembling() int {
 }
 
 // segFor picks the segmenter for a datagram's destination address,
-// installing the VC on demand when a routed fabric is attached. The miss
-// path charges no simulated time (signaling is instantaneous), so lazily
-// built topologies behave bit-identically to eagerly meshed ones.
-func (d *Driver) segFor(now sim.Time, dst uint32) *Segmenter {
+// installing the VC on demand when a routed fabric is attached, and
+// returns nil when that fabric has no route to dst: no other host owns the
+// address. The miss path charges no simulated time (signaling is
+// instantaneous), so lazily built topologies behave bit-identically to
+// eagerly meshed ones.
+func (d *Driver) segFor(dst uint32) *Segmenter {
 	if d.tx.len() == 0 && d.fabric == nil {
 		return &d.seg
 	}
 	if vc := d.tx.get(dst); vc != nil {
-		vc.lastUse = now
 		return &vc.seg
 	}
 	if d.fabric == nil {
@@ -424,40 +419,9 @@ func (d *Driver) segFor(now sim.Time, dst uint32) *Segmenter {
 	}
 	vci, ok := d.fabric.setup(d.host, dst)
 	if !ok {
-		panic(fmt.Sprintf("atm: fabric has no route to destination %#x", dst))
+		return nil
 	}
-	vc := d.tx.add(dst, txVC{seg: Segmenter{VCI: vci}, lastUse: now, demand: true})
-	if d.TxVCLimit > 0 && d.tx.len() > d.TxVCLimit {
-		d.evictIdleVC(dst)
-	}
-	return &vc.seg
-}
-
-// evictIdleVC tears down the least-recently-used on-demand VC other than
-// keep. The scan is O(installed VCs), which TxVCLimit itself bounds; ties
-// on lastUse break toward the lowest destination address so that eviction
-// is a pure function of simulated history.
-func (d *Driver) evictIdleVC(keep uint32) {
-	var (
-		victim uint32
-		oldest sim.Time
-		found  bool
-	)
-	d.tx.each(func(dst uint32, vc *txVC) {
-		if dst == keep || !vc.demand {
-			return
-		}
-		if !found || vc.lastUse < oldest || (vc.lastUse == oldest && dst < victim) {
-			victim, oldest, found = dst, vc.lastUse, true
-		}
-	})
-	if !found {
-		return
-	}
-	d.tx.del(victim)
-	if d.fabric != nil {
-		d.fabric.teardown(d.host, victim)
-	}
+	return &d.tx.add(dst, txVC{seg: Segmenter{VCI: vci}, demand: true}).seg
 }
 
 // DropRx reclaims the reassembly context for an incoming VCI, returning
@@ -546,7 +510,7 @@ type outputOp struct {
 	m         *mbuf.Mbuf
 	txStart   sim.Time
 	waitStart sim.Time
-	seg       *Segmenter // the destination's channel
+	seg       *Segmenter // the destination's channel; nil: no route
 	pdu       []byte     // its CPCS-PDU, from the arena
 	n         int        // datagram bytes in it
 	cells, i  int        // cells it makes; next cell to push
@@ -575,7 +539,10 @@ func (f *outputOp) Step(p *sim.Proc) {
 			f.pdu = k.Env.Arena().Checkout(need)[:need]
 			data := f.pdu[cpcsHeader : cpcsHeader+f.n]
 			mbuf.CopyBytesTo(f.m, 0, f.n, data)
-			f.seg = d.segFor(k.Now(), ip.Dst(data))
+			if f.seg = d.segFor(ip.Dst(data)); f.seg == nil {
+				f.pc = 5 // no route: drop it
+				continue
+			}
 			f.cells, f.i = f.seg.frame(f.pdu, f.n), 0
 			f.pc = 2
 		case 2: // cell-loop head: stall on a full FIFO or charge the push
@@ -605,23 +572,27 @@ func (f *outputOp) Step(p *sim.Proc) {
 			d.Adapter.LaunchTx(c)
 			f.i++
 			f.pc = 2
-		case 5: // trace events, then charge the chain free
-			if k.Trace.PacketsEnabled() {
-				id := k.PacketContext(p)
-				k.Trace.Event(trace.Event{
-					Kind: trace.EvDriverTx, At: f.txStart, Dur: k.Now() - f.txStart,
-					ID: id, Len: f.n,
-				})
-				// The final cell is on its way to the wire; it clears
-				// the transmit engine at TxIdleAt.
-				k.Trace.Event(trace.Event{
-					Kind: trace.EvWireDepart, At: d.Adapter.TxIdleAt(),
-					ID: id, Len: f.n,
-				})
+		case 5: // count the frame and trace it (or count the drop), then charge the chain free
+			if f.seg == nil {
+				d.NoRoute++
+			} else {
+				d.FramesOut++
+				if k.Trace.PacketsEnabled() {
+					id := k.PacketContext(p)
+					k.Trace.Event(trace.Event{
+						Kind: trace.EvDriverTx, At: f.txStart, Dur: k.Now() - f.txStart,
+						ID: id, Len: f.n,
+					})
+					// The final cell is on its way to the wire; it clears
+					// the transmit engine at TxIdleAt.
+					k.Trace.Event(trace.Event{
+						Kind: trace.EvWireDepart, At: d.Adapter.TxIdleAt(),
+						ID: id, Len: f.n,
+					})
+				}
 			}
 			k.Env.Arena().Return(f.pdu)
 			f.pdu, f.seg = nil, nil
-			d.FramesOut++
 			f.pc = 6
 			if c := k.FreeChainCost(f.m); c > 0 {
 				if !k.Use(p, trace.LayerMbuf, c) {

@@ -57,8 +57,9 @@ const DefaultLeafPorts = 64
 // flowKey identifies a unidirectional host-to-host flow by host index.
 type flowKey struct{ src, dst int }
 
-// hop is one switch VC entry on a flow's path, with the allocator to
-// refund when the path is torn down (nil for fixed host-link VCIs).
+// hop is one switch VC entry on a flow's path — its ingress port and VCI —
+// with the allocator to refund that VCI to when the path is removed (nil
+// for fixed host-link VCIs).
 type hop struct {
 	sw    *Switch
 	alloc *vciAlloc
@@ -85,13 +86,25 @@ func (rt *route) add(h hop) {
 
 // routeTable is one shard's installed flow paths: the flow map, and the
 // routes it points to in a slab, where a removed route's slot goes to the
-// next install. A route never moves while installed — a staged install
-// holds its *route until the barrier applies it — so a full slab is
-// replaced, not grown (see slabChunk).
+// next install. A route never moves while installed — a queued route is
+// held by pointer until the barrier finishes it — so a full slab is
+// replaced, not grown (see slabChunk). Only the shard that owns the table
+// writes it inside a round; the coordinator drains queued at the barrier.
 type routeTable struct {
 	m    map[flowKey]*route
 	slab []route
 	free []*route // removed routes, zeroed
+	// queued holds the routes whose walk stopped at a switch behind a
+	// cut, in install order, for FinishRoutes.
+	queued []queuedRoute
+}
+
+// queuedRoute is a route part-way installed: hops rt.hops[:rt.n] are in
+// place, and the flow enters hop rt.n on vci.
+type queuedRoute struct {
+	key flowKey
+	rt  *route
+	vci uint16
 }
 
 // add makes the route for key, which must not be installed.
@@ -127,9 +140,9 @@ type fabricHost struct {
 
 // Fabric is a routed multi-switch topology over a set of host drivers.
 // It owns the switches, knows where every host attaches, and serves its
-// drivers' VC misses and idle-VC reclaims (setup, teardown): VC paths
-// through the switches exist only for flows that have actually carried
-// traffic.
+// drivers' VC misses (setup): VC paths through the switches exist only
+// for flows that have actually carried traffic. A path, once installed,
+// stands until a fault fails one of its hosts' ports (FailHostPort).
 type Fabric struct {
 	Kind FabricKind
 	// Core is the single switch of a hub fabric or the spine of a
@@ -146,18 +159,18 @@ type Fabric struct {
 	coreDown []int
 
 	// plan is the shard wiring the fabric was built across (one env for a
-	// serial fabric). routes remembers every installed flow path,
-	// partitioned by the *source* host's shard so that concurrent shards
-	// never touch one map. It survives testbed Reset — routing is topology
-	// once installed — which makes setup idempotent: a driver whose
-	// on-demand transmit state was dropped by Reset re-requests the path
-	// and gets the existing one back, with no switch-table or VCI-allocator
-	// churn.
+	// serial fabric). routes remembers every installed flow path, and
+	// queues those waiting for the barrier, partitioned by the *source*
+	// host's shard so that concurrent shards never touch one table. It
+	// survives testbed Reset — routing is topology once installed — which
+	// makes setup idempotent: a driver whose on-demand transmit state was
+	// dropped by Reset re-requests the path and gets the existing one
+	// back, with no switch-table or VCI-allocator churn.
 	plan   *ShardPlan
 	routes []routeTable
 
-	// VCsTornDown counts path reclaims over the route memory's life (which
-	// spans Resets); they only happen on one-env fabrics, see oneEnv.
+	// VCsTornDown counts paths removed by FailHostPort over the route
+	// memory's life (which spans Resets).
 	VCsTornDown int64
 }
 
@@ -168,16 +181,16 @@ type CellDest interface{ InjectCell(c Cell) }
 
 // ShardPlan says which event loop every piece of a fabric runs on. A
 // serial fabric is the plan with one env and an all-zero HostShard:
-// nothing is cut, so the stage hooks are never called and may stay nil.
-// With more envs the plan wires the fabric across shard boundaries for
+// nothing is cut, so StageCell is never called and may stay nil. With
+// more envs the plan wires the fabric across shard boundaries for
 // deterministic parallel execution (lab.Cluster). Fibers whose two ends
-// land in different shards are cut: the sending side stages each cell with
-// the coordinator instead of delivering it, and VC-table installs that
-// touch switches outside the calling host's shard are staged as control
-// mutations the coordinator applies at the next round barrier — before
-// any staged cell, and strictly before the first data cell of the flow
-// can cross the cut (the cut itself delays that cell by at least the
-// lookahead, so the install is always in place first).
+// land in different shards are cut: the sending side stages each cell
+// with the coordinator instead of delivering it. A route whose path
+// reaches a switch outside the calling host's shard waits in that shard's
+// route table for the coordinator to finish it at the next round barrier
+// (FinishRoutes) — before any staged cell is injected, and so strictly
+// before the first data cell of the flow can cross the cut (the cut
+// itself delays that cell by at least the lookahead).
 type ShardPlan struct {
 	// Envs[s] is shard s's event loop. Shard 0 also hosts the core
 	// switch (hub or spine).
@@ -190,9 +203,6 @@ type ShardPlan struct {
 	// would have created the arrival event — the coordinator's tie-break
 	// among equal arrivals (see Port.SetCut).
 	StageCell func(srcShard, dstShard int, scheduleAt, at sim.Time, to CellDest, c Cell)
-	// StageCtl stages a control mutation for the coordinator to apply at
-	// the next round barrier, before any staged cell is injected.
-	StageCtl func(srcShard int, apply func())
 }
 
 // NewFabric builds the switches for kind across the plan's event loops,
@@ -293,7 +303,7 @@ func (f *Fabric) NumRoutes() int {
 }
 
 // VCsSetUp returns how many flow paths have ever been installed: those
-// standing plus those torn down.
+// standing plus those removed.
 func (f *Fabric) VCsSetUp() int64 { return int64(f.NumRoutes()) + f.VCsTornDown }
 
 // TotalVCs sums the VC table entries across every switch in the fabric.
@@ -319,24 +329,17 @@ func (f *Fabric) Reset(model *cost.Model) {
 }
 
 // setup installs (or finds) the VC path from host src to the host owning
-// dstAddr and returns the VCI src transmits on. Host-facing links keep
-// the legacy source-naming convention — src transmits on DefaultVCI+dst,
-// the destination receives on DefaultVCI+src — so a hub fabric's wire
-// bytes are byte-identical to the old eager mesh. Trunk hops use
-// per-link allocated VCIs, invisible to hosts.
+// dstAddr and returns the VCI src transmits on, or false when no other
+// host owns dstAddr. Host-facing links keep the legacy source-naming
+// convention — src transmits on DefaultVCI+dst, the destination receives
+// on DefaultVCI+src — so a hub fabric's wire bytes are byte-identical to
+// the old eager mesh. Trunk hops use per-link allocated VCIs, invisible
+// to hosts.
 //
-// Hops on switches inside the caller's shard install immediately; the
-// remainder of the path is staged for the coordinator to install at the
-// next round barrier. The staged install always lands before the flow's
-// first data cell can reach those switches: that cell must itself cross
-// a cut, which delays it past the barrier. On a one-env plan every
-// switch is in the caller's shard, so nothing is ever staged.
-//
-// Trunk VCIs allocated by the coordinator are deterministic — barrier
-// apply order is (shard, staging order), a pure function of the
-// simulation — but not necessarily the numbers a serial run would pick.
-// That is invisible: VCI values appear in no result, trace, or counter;
-// only the path shape and timing do, and those are identical.
+// The path is one walk (see walk): hops on the caller's event loop
+// install now, and at the first hop behind a cut the route waits in the
+// caller's route table for the barrier. On a one-env plan every switch is
+// on the caller's loop, so every route completes here.
 func (f *Fabric) setup(src int, dstAddr uint32) (uint16, bool) {
 	dst, ok := f.byAddr[dstAddr]
 	if !ok || dst == src {
@@ -348,109 +351,92 @@ func (f *Fabric) setup(src int, dstAddr uint32) (uint16, bool) {
 	if rt, ok := rm.m[key]; ok {
 		return rt.txVCI, true
 	}
-	hs, hd := &f.hosts[src], &f.hosts[dst]
 	rt := rm.add(key)
 	rt.txVCI, rt.rxVCI = DefaultVCI+uint16(dst), DefaultVCI+uint16(src)
-	env := f.plan.Envs[s]
-	if hs.sw == hd.sw {
-		// Same switch (hub, or two hosts on one leaf): a single entry,
-		// staged only when that switch lives in another shard.
-		if hs.sw.env == env {
-			hs.sw.AddVC(hs.port, rt.txVCI, hd.port, rt.rxVCI)
-		} else {
-			sw, in, inVCI, out, outVCI := hs.sw, hs.port, rt.txVCI, hd.port, rt.rxVCI
-			f.plan.StageCtl(s, func() { sw.AddVC(in, inVCI, out, outVCI) })
-		}
-		rt.add(hop{sw: hs.sw, port: int32(hs.port), vci: rt.txVCI})
-	} else {
-		// Cross-leaf: leaf(src) → spine → leaf(dst), one allocated VCI
-		// per trunk hop (the reassembler demultiplexes on VCI alone, so
-		// flows sharing a trunk cannot share one). The source leaf always
-		// lives in the caller's shard (leaf-aligned partition), so the
-		// first hop — and the up-trunk VCI the first data cell must carry
-		// — installs immediately; the staged installs below add theirs to
-		// the route's array at the barrier.
-		up, down := f.leafUp[hs.leaf], f.coreDown[hd.leaf]
-		upAlloc := hs.sw.ports[up].vci
-		downAlloc := f.Core.ports[down].vci
-		v1 := upAlloc.get()
-		hs.sw.AddVC(hs.port, rt.txVCI, up, v1)
-		rt.add(hop{sw: hs.sw, port: int32(hs.port), vci: rt.txVCI})
-		coreIn, leafIn := f.coreDown[hs.leaf], f.leafUp[hd.leaf]
-		// A hop may wait for the barrier only when its switch sits behind
-		// a cut from the caller — then the flow's first data cell, which
-		// must cross that same cut, cannot beat the install. A hop inside
-		// the caller's shard is reachable within the current window, so it
-		// must install now; deferring it drops the first cells as unrouted.
-		if f.Core.env == env {
-			// Shard-0 source: the spine is in this shard, install it now.
-			v2 := downAlloc.get()
-			f.Core.AddVC(coreIn, v1, down, v2)
-			rt.add(hop{sw: f.Core, port: int32(coreIn), vci: v1, alloc: upAlloc})
-			if hd.sw.env == env {
-				hd.sw.AddVC(leafIn, v2, hd.port, rt.rxVCI)
-				rt.add(hop{sw: hd.sw, port: int32(leafIn), vci: v2, alloc: downAlloc})
-			} else {
-				dleaf, dport, rx := hd.sw, hd.port, rt.rxVCI
-				f.plan.StageCtl(s, func() {
-					dleaf.AddVC(leafIn, v2, dport, rx)
-					rt.add(hop{sw: dleaf, port: int32(leafIn), vci: v2, alloc: downAlloc})
-				})
-			}
-		} else {
-			// The spine is behind the caller's trunk cut, and every cell
-			// toward the destination leaf passes through it first — so the
-			// whole remainder can wait for the barrier, even when the
-			// destination leaf shares the caller's shard.
-			core, dleaf, dport, rx := f.Core, hd.sw, hd.port, rt.rxVCI
-			f.plan.StageCtl(s, func() {
-				v2 := downAlloc.get()
-				core.AddVC(coreIn, v1, down, v2)
-				dleaf.AddVC(leafIn, v2, dport, rx)
-				rt.add(hop{sw: core, port: int32(coreIn), vci: v1, alloc: upAlloc})
-				rt.add(hop{sw: dleaf, port: int32(leafIn), vci: v2, alloc: downAlloc})
-			})
-		}
+	if vci, done := f.walk(f.plan.Envs[s], key, rt, rt.txVCI); !done {
+		rm.queued = append(rm.queued, queuedRoute{key, rt, vci})
 	}
 	return rt.txVCI, true
 }
 
-// oneEnv guards the operations that remove routes: tearing a path down
-// at a barrier boundary would unroute cells the serial run delivered,
-// breaking bit-identity, so above one env they fail loudly instead.
-// (Teardown only fires under Driver.TxVCLimit, which no sharded workload
-// sets, and sharded runs reject port-failure faults at scheduling.)
-func (f *Fabric) oneEnv(op string, host int) *routeTable {
-	if n := len(f.plan.Envs); n > 1 {
-		panic(fmt.Sprintf("atm: %s for host %d on a fabric sharded %d ways; routes are only removed on one event loop (TxVCLimit must stay 0 and port failures are refused under sharding)", op, host, n))
+// FinishRoutes completes every queued route with the same walk, in
+// (source shard, queue order), and returns how many it finished. The
+// cluster coordinator calls it at each round barrier, before it injects
+// any staged cell: a route waits only at a switch behind a cut from its
+// source, which the flow's first data cell must cross too, so the route
+// is always whole before that cell arrives. The order makes the trunk
+// VCIs a pure function of the simulation, though not necessarily the
+// numbers a serial run picks — which is invisible: VCI values appear in
+// no result, trace or counter; only the path shape and timing do.
+func (f *Fabric) FinishRoutes() int {
+	n := 0
+	for s := range f.routes {
+		rm := &f.routes[s]
+		for _, q := range rm.queued {
+			f.walk(nil, q.key, q.rt, q.vci)
+		}
+		n += len(rm.queued)
+		rm.queued = rm.queued[:0]
 	}
-	return &f.routes[0]
+	return n
 }
 
-// teardown removes the flow path from host src to the host owning
-// dstAddr: every switch entry goes away, trunk VCIs return to their
-// links' pools, and the destination's reassembly context is reclaimed
-// (unless a datagram is mid-flight on it, in which case the context
-// stays until the channel is next reclaimed). Cells still crossing the
-// fabric on the torn-down path are discarded as unrouted — reclamation
-// under TxVCLimit is deliberately the behaviour of a real switched
-// network reprovisioning a channel, and transports recover by
-// retransmitting (which re-installs the path).
-func (f *Fabric) teardown(src int, dstAddr uint32) {
-	rm := f.oneEnv("VC teardown", src)
-	dst, ok := f.byAddr[dstAddr]
-	if !ok {
-		return
-	}
-	key := flowKey{src, dst}
-	if rt, ok := rm.m[key]; ok {
-		f.removeRoute(rm, key, rt)
-	}
+// pathHop is one switch on a flow's path: the ports the flow enters and
+// leaves by, and the allocator of the link it leaves on (nil toward the
+// destination host, whose VCI names the source instead).
+type pathHop struct {
+	sw      *Switch
+	in, out int
+	alloc   *vciAlloc
 }
 
-// removeRoute is teardown's working half, shared with port-failure
-// reclamation: remove every switch entry, refund trunk VCIs, reclaim the
-// destination's reassembly context, forget the route.
+// walk installs key's route rt from hop rt.n on, the flow entering that
+// hop on vci, and reports whether the route is whole. A hub or same-leaf
+// route is one hop; a cross-leaf route is three — source leaf, spine,
+// destination leaf — with one allocated VCI per trunk (the reassembler
+// demultiplexes on VCI alone, so flows sharing a trunk cannot share one).
+// With env set, the walk stops at the first switch not on env — one
+// behind a cut from the caller — and returns the VCI to resume with; a
+// hop on the caller's loop is reachable within the current window, so it
+// cannot wait. The source leaf shares its hosts' loop (the partition is
+// leaf-aligned), so the up-trunk VCI the first cell carries is always
+// chosen at once. A nil env is the barrier: every remaining hop installs.
+func (f *Fabric) walk(env *sim.Env, key flowKey, rt *route, vci uint16) (uint16, bool) {
+	hs, hd := &f.hosts[key.src], &f.hosts[key.dst]
+	var path [3]pathHop
+	n := 1
+	if hs.sw == hd.sw {
+		path[0] = pathHop{sw: hs.sw, in: hs.port, out: hd.port}
+	} else {
+		up, down := f.leafUp[hs.leaf], f.coreDown[hd.leaf]
+		path[0] = pathHop{sw: hs.sw, in: hs.port, out: up, alloc: hs.sw.ports[up].vci}
+		path[1] = pathHop{sw: f.Core, in: f.coreDown[hs.leaf], out: down, alloc: f.Core.ports[down].vci}
+		path[2] = pathHop{sw: hd.sw, in: f.leafUp[hd.leaf], out: hd.port}
+		n = 3
+	}
+	var in *vciAlloc // the allocator vci came from
+	if rt.n > 0 {
+		in = path[rt.n-1].alloc
+	}
+	for _, h := range path[rt.n:n] {
+		if env != nil && h.sw.env != env {
+			return vci, false
+		}
+		out := rt.rxVCI
+		if h.alloc != nil {
+			out = h.alloc.get()
+		}
+		h.sw.AddVC(h.in, vci, h.out, out)
+		rt.add(hop{sw: h.sw, port: int32(h.in), vci: vci, alloc: in})
+		vci, in = out, h.alloc
+	}
+	return vci, true
+}
+
+// removeRoute removes key's route rt: every switch entry goes away, trunk
+// VCIs return to their links' pools, and the destination's reassembly
+// context is reclaimed (unless a datagram is mid-flight on it, in which
+// case the context stays until the channel is next reclaimed).
 func (f *Fabric) removeRoute(rm *routeTable, key flowKey, rt *route) {
 	for _, h := range rt.hops[:rt.n] {
 		h.sw.RemoveVC(int(h.port), h.vci)
@@ -472,13 +458,21 @@ func (f *Fabric) HostPort(i int) *Port {
 
 // FailHostPort fails host i's switch access port (fault injection): the
 // port goes down, and every installed VC path with i as source or
-// destination is torn down — switch entries removed, trunk VCIs
-// refunded — exactly as idle-VC reclamation would. Peers recover through
-// the same on-demand machinery: their next retransmission re-requests
-// the path on a VC miss and gets a fresh install once the port is
-// restored.
+// destination is removed — switch entries, trunk VCIs, the destination's
+// idle reassembler. Cells still crossing the fabric on a removed path are
+// discarded as unrouted. Peers recover through the same on-demand
+// machinery: their next retransmission re-requests the path on a VC miss
+// and gets a fresh install once the port is restored.
+//
+// It is refused, with a panic, on a plan with more than one env: removing
+// a path at a barrier boundary would unroute cells the serial run
+// delivered, breaking bit-identity, and sharded runs reject port-failure
+// faults when they are scheduled.
 func (f *Fabric) FailHostPort(i int) {
-	rm := f.oneEnv("FailHostPort", i)
+	if n := len(f.plan.Envs); n > 1 {
+		panic(fmt.Sprintf("atm: FailHostPort for host %d on a fabric sharded %d ways; routes are only removed on one event loop", i, n))
+	}
+	rm := &f.routes[0]
 	f.HostPort(i).SetDown(true)
 	keys := make([]flowKey, 0, 8)
 	for k := range rm.m {
@@ -486,7 +480,7 @@ func (f *Fabric) FailHostPort(i int) {
 			keys = append(keys, k)
 		}
 	}
-	// Map iteration order is random; reclaim in canonical order so VCI
+	// Map iteration order is random; remove in canonical order so VCI
 	// pool refunds (and thus later allocations) stay deterministic.
 	sort.Slice(keys, func(a, b int) bool {
 		if keys[a].src != keys[b].src {
@@ -499,7 +493,7 @@ func (f *Fabric) FailHostPort(i int) {
 	}
 }
 
-// RestoreHostPort brings a failed access port back; torn-down paths
+// RestoreHostPort brings a failed access port back; removed paths
 // reinstall on demand when traffic next flows.
 func (f *Fabric) RestoreHostPort(i int) {
 	f.HostPort(i).SetDown(false)

@@ -176,10 +176,10 @@ func reasmVCIs(d *Driver) []uint16 {
 	return out
 }
 
-// TestFabricTeardownRecyclesTrunkVCIs pins idle-VC reclamation: tearing
-// a cross-leaf route down must empty every switch table it touched,
-// return its trunk VCIs to the links' pools (so the next setup reuses
-// them), and drop the destination's reassembly context.
+// TestFabricTeardownRecyclesTrunkVCIs pins route removal, which a port
+// failure makes: removing a cross-leaf route must empty every switch
+// table it touched, return its trunk VCIs to the links' pools (so the
+// next setup reuses them), and drop the destination's reassembly context.
 func TestFabricTeardownRecyclesTrunkVCIs(t *testing.T) {
 	env := sim.NewEnv()
 	f, _, _, drvs, _ := buildFabric(t, env, FabricFatTree, 2, 4)
@@ -197,17 +197,18 @@ func TestFabricTeardownRecyclesTrunkVCIs(t *testing.T) {
 	}
 	trunk1, trunk2 := first.hops[1].vci, first.hops[2].vci
 
-	// Simulate receive-side state so teardown has something to drop.
+	// Simulate receive-side state so the removal has something to drop.
 	drvs[3].rxFor(first.rxVCI)
 
-	f.teardown(0, 4)
+	f.FailHostPort(3)
 	if f.NumRoutes() != 0 || f.TotalVCs() != 0 {
-		t.Fatalf("teardown left %d routes, %d VC entries", f.NumRoutes(), f.TotalVCs())
+		t.Fatalf("failing the port left %d routes, %d VC entries", f.NumRoutes(), f.TotalVCs())
 	}
 	if drvs[3].NumReassemblers() != 0 {
-		t.Fatal("teardown did not reclaim the destination reassembler")
+		t.Fatal("removing the route did not reclaim the destination reassembler")
 	}
 
+	f.RestoreHostPort(3)
 	if _, ok := f.setup(0, 4); !ok {
 		t.Fatal("re-setup failed")
 	}
@@ -218,71 +219,71 @@ func TestFabricTeardownRecyclesTrunkVCIs(t *testing.T) {
 	}
 }
 
-// TestFabricRouteRemovalNeedsOneEnv pins the guard on the two operations
-// that remove routes: on a plan with more than one event loop, VC
-// teardown and FailHostPort must panic rather than unroute cells the
-// serial run would have delivered.
+// TestFabricRouteRemovalNeedsOneEnv pins the guard on route removal: on a
+// plan with more than one event loop, FailHostPort must panic rather than
+// unroute cells the serial run would have delivered.
 func TestFabricRouteRemovalNeedsOneEnv(t *testing.T) {
 	plan := &ShardPlan{
 		Envs:      []*sim.Env{sim.NewEnv(), sim.NewEnv()},
 		HostShard: []int{0, 1, 1},
-		StageCtl:  func(int, func()) {},
 	}
 	f, _, _, _, _ := buildFabricOn(t, plan, FabricHub, 0)
-	if _, ok := f.setup(1, 3); !ok { // host 1 -> host 2, staged to the hub in shard 0
+	if _, ok := f.setup(1, 3); !ok { // host 1 -> host 2, queued for the hub in shard 0
 		t.Fatal("setup failed on a two-env plan")
 	}
-	for name, op := range map[string]func(){
-		"teardown":     func() { f.teardown(1, 3) },
-		"FailHostPort": func() { f.FailHostPort(1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic on a two-env plan", name)
-				}
-			}()
-			op()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("FailHostPort did not panic on a two-env plan")
+			}
 		}()
-	}
+		f.FailHostPort(1)
+	}()
 	if f.NumRoutes() != 1 || f.HostPort(1).Down() {
 		t.Errorf("a refused removal still changed the fabric: %d routes, port down %v", f.NumRoutes(), f.HostPort(1).Down())
 	}
 }
 
-// TestDriverTxVCLimitEvictsLRU pins bounded-peer-state reclamation: with
-// TxVCLimit set, installing a VC past the limit evicts the
-// least-recently-used entry and tears its fabric path down, so a host
-// that cycles through many peers holds O(limit) transmit state.
-func TestDriverTxVCLimitEvictsLRU(t *testing.T) {
-	env := sim.NewEnv()
-	f, _, _, drvs, _ := buildFabric(t, env, FabricHub, 0, 5)
-	d := drvs[0]
-	d.TxVCLimit = 2
+// TestNoRouteIsACountedDrop sends a datagram no host can take — to an
+// address no host owns, or to the sender itself — through a driver on a
+// 3-host hub: it is counted in NoRoute and dropped, handing back its PDU
+// checkout, its mbuf chain and the transmit lock, and the next datagram to
+// a real host still goes out. A forged source address answered by TCP is
+// such a datagram.
+func TestNoRouteIsACountedDrop(t *testing.T) {
+	for name, bad := range map[string]uint32{"unowned": 99, "self": 1} {
+		t.Run(name, func(t *testing.T) {
+			env := sim.NewEnv()
+			f, kerns, ips, drvs, sinks := buildFabric(t, env, FabricHub, 0, 3)
+			payload := []byte("after the drop")
+			env.Spawn("tx", sim.Steps(func(p *sim.Proc) {
+				m := kerns[0].Pool.AllocCluster()
+				m.Append([]byte("nowhere"))
+				ips[0].Output(p, bad, 99, m)
+			}, func(p *sim.Proc) {
+				m := kerns[0].Pool.AllocCluster()
+				m.Append(payload)
+				ips[0].Output(p, 3, 99, m)
+			}))
+			env.Run()
 
-	d.segFor(10, 2) // dst host 1
-	d.segFor(20, 3) // dst host 2
-	d.segFor(30, 2) // touch host 1: host 2 is now LRU
-	d.segFor(40, 4) // dst host 3: must evict host 2
-
-	if got := d.NumTxVCs(); got != 2 {
-		t.Fatalf("driver holds %d tx VCs, want TxVCLimit=2", got)
-	}
-	if d.tx.get(3) != nil {
-		t.Fatal("LRU entry (dst 3) survived eviction")
-	}
-	if d.tx.get(2) == nil {
-		t.Fatal("recently used entry (dst 2) was evicted")
-	}
-	// The fabric path went with it: routes for hosts 1 and 3 remain.
-	if f.NumRoutes() != 2 || f.Core.NumVCs() != 2 {
-		t.Fatalf("fabric holds %d routes, %d switch VCs after eviction; want 2, 2",
-			f.NumRoutes(), f.Core.NumVCs())
-	}
-
-	// Re-sending to the evicted peer reinstalls transparently.
-	if s := d.segFor(50, 3); s.VCI != DefaultVCI+2 {
-		t.Fatalf("reinstalled VC carries VCI %d, want %d", s.VCI, DefaultVCI+2)
+			d := drvs[0]
+			if d.NoRoute != 1 || d.FramesOut != 1 {
+				t.Fatalf("NoRoute = %d, FramesOut = %d; want 1 and 1", d.NoRoute, d.FramesOut)
+			}
+			if st := kerns[0].Pool.PoolStats; st.LiveHeaders != 0 || st.LivePages != 0 {
+				t.Fatalf("the drop left %d mbuf headers and %d pages live", st.LiveHeaders, st.LivePages)
+			}
+			if n := env.Arena().Outstanding(); n != 0 {
+				t.Fatalf("the drop left %d arena checkouts outstanding", n)
+			}
+			if len(sinks[2].got) != 1 || !bytes.Equal(sinks[2].got[0], payload) {
+				t.Fatal("the datagram after the drop was not delivered")
+			}
+			if d.NumTxVCs() != 1 || f.NumRoutes() != 1 {
+				t.Fatalf("the drop installed state: %d tx VCs, %d routes; want 1 and 1", d.NumTxVCs(), f.NumRoutes())
+			}
+		})
 	}
 }
 

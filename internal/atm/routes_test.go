@@ -12,59 +12,56 @@ import (
 // VCI out belongs to exactly one installed route, and a route exists for
 // every flow installed and not since removed. refFabric is the flow map
 // that law is checked against — routes as (src, dst) pairs, each driver's
-// on-demand transmit cache with its LRU stamps — and FuzzFabricRoutes
-// drives the real fabric and the reference through the same arbitrary
-// sequence of installs (through Driver.segFor), TxVCLimit evictions,
-// teardowns, port failures and restores.
+// on-demand transmit cache — and FuzzFabricRoutes drives the real fabric
+// and the reference through the same arbitrary sequence of installs
+// (through Driver.segFor), port failures and restores. On a two-env plan
+// an install whose path reaches a switch across the cut stays queued
+// until a simulated barrier (Fabric.FinishRoutes), and the switch tables
+// are checked after each barrier.
 
 // refFabric is the reference: which flows have a route, what each
-// driver's transmit cache holds, and how many routes were ever installed.
+// driver's transmit cache holds, how many routes were ever installed, and
+// how many wait for the barrier.
 type refFabric struct {
 	leafOf   []int // a host's leaf; all zero on a hub
+	shardOf  []int // a host's shard
+	hub      bool
 	routes   map[flowKey]bool
-	tx       []map[int]sim.Time // per source: destination -> last use
-	limit    []int
+	tx       []map[int]bool // per source: the destinations it caches
 	installs int64
+	queued   int
 }
 
-func newRefFabric(f *Fabric) *refFabric {
+func newRefFabric(f *Fabric, plan *ShardPlan) *refFabric {
 	n := f.NumHosts()
-	r := &refFabric{leafOf: make([]int, n), routes: map[flowKey]bool{}, tx: make([]map[int]sim.Time, n), limit: make([]int, n)}
+	r := &refFabric{leafOf: make([]int, n), shardOf: plan.HostShard, hub: f.Leaves == nil,
+		routes: map[flowKey]bool{}, tx: make([]map[int]bool, n)}
 	for i := range r.tx {
-		r.tx[i] = map[int]sim.Time{}
+		r.tx[i] = map[int]bool{}
 		r.leafOf[i] = max(f.hosts[i].leaf, 0)
 	}
 	return r
 }
 
 // install is Driver.segFor as the reference sees it: a cached VC is
-// touched; a miss asks the fabric (a new route unless one stands) and
-// then evicts the least recently used other entry, lowest destination on
-// a tie, past the limit.
-func (r *refFabric) install(now sim.Time, src, dst int) {
-	if _, ok := r.tx[src][dst]; ok {
-		r.tx[src][dst] = now
+// used as it is; a miss asks the fabric, which installs a route unless
+// one stands. The route waits for the barrier when its path reaches a
+// switch off the source's loop: the hub or the spine (shard 0's) from
+// another shard, or a destination leaf in another shard.
+func (r *refFabric) install(src, dst int) {
+	if r.tx[src][dst] {
 		return
 	}
+	r.tx[src][dst] = true
 	if k := (flowKey{src, dst}); !r.routes[k] {
 		r.routes[k] = true
 		r.installs++
-	}
-	r.tx[src][dst] = now
-	if r.limit[src] == 0 || len(r.tx[src]) <= r.limit[src] {
-		return
-	}
-	victim, found := 0, false
-	for d, at := range r.tx[src] {
-		if d == dst {
-			continue
-		}
-		if !found || at < r.tx[src][victim] || (at == r.tx[src][victim] && d < victim) {
-			victim, found = d, true
+		crossLeaf := !r.hub && r.leafOf[src] != r.leafOf[dst]
+		viaCore := r.hub || crossLeaf
+		if viaCore && r.shardOf[src] != 0 || crossLeaf && r.shardOf[dst] != 0 {
+			r.queued++
 		}
 	}
-	delete(r.tx[src], victim)
-	delete(r.routes, flowKey{src, victim})
 }
 
 // fail removes every route to or from host i; the drivers keep their
@@ -77,7 +74,19 @@ func (r *refFabric) fail(i int) {
 	}
 }
 
-// check holds the fabric to the reference.
+// barrier is the coordinator's: the fabric must finish exactly the routes
+// the reference expects queued.
+func (r *refFabric) barrier(t *testing.T, step int, f *Fabric) {
+	t.Helper()
+	if got := f.FinishRoutes(); got != r.queued {
+		t.Fatalf("step %d: the barrier finished %d routes, reference queued %d", step, got, r.queued)
+	}
+	r.queued = 0
+}
+
+// check holds the fabric to the reference: the route and cache counts
+// always, the switch tables and trunk VCIs when no route waits for the
+// barrier.
 func (r *refFabric) check(t *testing.T, step int, f *Fabric, drvs []*Driver) {
 	t.Helper()
 	if got := f.NumRoutes(); got != len(r.routes) {
@@ -91,13 +100,16 @@ func (r *refFabric) check(t *testing.T, step int, f *Fabric, drvs []*Driver) {
 			t.Fatalf("step %d: host %d caches %d tx VCs, reference %d", step, i, got, len(r.tx[i]))
 		}
 	}
+	if r.queued > 0 {
+		return
+	}
 	// Hops a switch carries, and VCIs out on each trunk direction.
 	hops := map[*Switch]int{}
 	up, down := map[int]int{}, map[int]int{}
 	for k := range r.routes {
 		ls, ld := r.leafOf[k.src], r.leafOf[k.dst]
 		switch {
-		case f.Leaves == nil:
+		case r.hub:
 			hops[f.Core]++
 		case ls == ld:
 			hops[f.Leaves[ls]]++
@@ -112,6 +124,24 @@ func (r *refFabric) check(t *testing.T, step int, f *Fabric, drvs []*Driver) {
 	for _, sw := range append([]*Switch{f.Core}, f.Leaves...) {
 		if got := sw.NumVCs(); got != hops[sw] {
 			t.Fatalf("step %d: a switch holds %d VC entries, its routes' hops are %d", step, got, hops[sw])
+		}
+	}
+	// Each route's hops, and the link each hop's VCI is refunded to when
+	// the route is removed: none for the host link, then the trunks.
+	for s := range f.routes {
+		for k, rt := range f.routes[s].m {
+			refund := []*vciAlloc{nil}
+			if ls, ld := r.leafOf[k.src], r.leafOf[k.dst]; !r.hub && ls != ld {
+				refund = append(refund, f.Leaves[ls].ports[f.leafUp[ls]].vci, f.Core.ports[f.coreDown[ld]].vci)
+			}
+			if int(rt.n) != len(refund) {
+				t.Fatalf("step %d: route %v has %d hops, want %d", step, k, rt.n, len(refund))
+			}
+			for i, a := range refund {
+				if rt.hops[i].alloc != a {
+					t.Fatalf("step %d: route %v's hop %d refunds its VCI to the wrong link", step, k, i)
+				}
+			}
 		}
 	}
 	for li, leaf := range f.Leaves {
@@ -135,51 +165,76 @@ func (a *vciAlloc) out() int {
 
 // Route operations, one per three script bytes: an op, then two operands.
 const (
-	routeInstall  = iota // host a sends to host b
-	routeLimit           // host a's TxVCLimit becomes b%4 (0: unlimited)
-	routeTeardown        // the fabric tears a's route to b down
-	routeFail            // host a's access port fails
-	routeRestore         // and comes back
+	routeInstall = iota // host a sends to host b (b = n: an address no host owns)
+	routeFail           // host a's access port fails (one env only)
+	routeRestore        // and comes back
 	routeOps
+
+	barrierEvery = 4 // operations between simulated barriers
 )
 
-// runRoutes builds the fabric — a hub of 6 hosts, or a fat tree of 8 at
-// 3 a leaf — and drives it and the reference through script, checking
-// after every operation; at the end it removes every route and checks the
-// fabric holds no VC entry and no trunk VCI.
-func runRoutes(t *testing.T, fatTree bool, script []byte) {
-	kind, leafPorts, n := FabricHub, 0, 6
+// routePlan returns the shape runRoutes drives — a hub of 6 hosts, or a
+// fat tree of 8 at 3 a leaf — on one env, or on two split as a cluster
+// splits them: the first unit (host, or leaf of 3) in shard 0 with the
+// core switch, the rest in shard 1.
+func routePlan(fatTree, sharded bool) (*ShardPlan, FabricKind, int) {
+	kind, leafPorts, n, unit := FabricHub, 0, 6, 3
 	if fatTree {
 		kind, leafPorts, n = FabricFatTree, 3, 8
 	}
-	f, _, _, drvs, _ := buildFabric(t, sim.NewEnv(), kind, leafPorts, n)
-	r := newRefFabric(f)
-	addr := func(i int) uint32 { return uint32(i + 1) } // buildFabric's addressing
-	var now sim.Time
+	plan := &ShardPlan{Envs: []*sim.Env{sim.NewEnv()}, HostShard: make([]int, n)}
+	if sharded {
+		plan.Envs = append(plan.Envs, sim.NewEnv())
+		for i := unit; i < n; i++ {
+			plan.HostShard[i] = 1
+		}
+	}
+	return plan, kind, leafPorts
+}
+
+// runRoutes builds the fabric on its plan and drives it and the reference
+// through script, with a barrier every barrierEvery operations and at the
+// end, checking after every operation. On one env it ends by failing every
+// host's port and checks the fabric holds no VC entry and no trunk VCI.
+func runRoutes(t *testing.T, fatTree, sharded bool, script []byte) {
+	plan, kind, leafPorts := routePlan(fatTree, sharded)
+	f, _, _, drvs, _ := buildFabricOn(t, plan, kind, leafPorts)
+	n := len(drvs)
+	r := newRefFabric(f, plan)
+	addr := func(i int) uint32 { return uint32(i + 1) } // buildFabricOn's addressing
 	for step := 0; step+2 < len(script); step += 3 {
 		op, a, b := int(script[step])%routeOps, int(script[step+1])%n, int(script[step+2])
 		switch op {
 		case routeInstall:
-			dst := b % n
-			if dst == a {
-				continue
+			dst := b % (n + 1)
+			seg := drvs[a].segFor(addr(dst))
+			if dst == a || dst == n {
+				if seg != nil {
+					t.Fatalf("step %d: host %d has a VC to %#x, which no other host owns", step/3, a, addr(dst))
+				}
+				break
 			}
-			now += sim.Time(script[step] / routeOps % 2) // ties, sometimes
-			drvs[a].segFor(now, addr(dst))
-			r.install(now, a, dst)
-		case routeLimit:
-			drvs[a].TxVCLimit = b % 4
-			r.limit[a] = b % 4
-		case routeTeardown:
-			f.teardown(a, addr(b%n))
-			delete(r.routes, flowKey{a, b % n})
+			if seg == nil || seg.VCI != DefaultVCI+uint16(dst) {
+				t.Fatalf("step %d: host %d's VC to host %d is %v, want VCI %d", step/3, a, dst, seg, DefaultVCI+dst)
+			}
+			r.install(a, dst)
 		case routeFail:
-			f.FailHostPort(a)
-			r.fail(a)
+			if !sharded {
+				f.FailHostPort(a)
+				r.fail(a)
+			}
 		case routeRestore:
 			f.RestoreHostPort(a)
 		}
+		if step/3%barrierEvery == barrierEvery-1 {
+			r.barrier(t, step/3, f)
+		}
 		r.check(t, step/3, f, drvs)
+	}
+	r.barrier(t, len(script)/3, f)
+	r.check(t, len(script)/3, f, drvs)
+	if sharded {
+		return
 	}
 	for i := range drvs {
 		f.FailHostPort(i)
@@ -229,6 +284,59 @@ func TestVCInstallAllocations(t *testing.T) {
 	}
 }
 
+// TestQueuedRouteAllocations pins what a route finished at the barrier
+// costs the heap: nothing a flow. On a two-env fat tree every flow between
+// the leaves waits for the barrier — from leaf 0, at the destination leaf;
+// toward it, at the spine — and once the flow map, route slab and queue
+// have grown past a first batch of installs, an install and its barrier
+// allocate only their share of that growth (AllocsPerRun's integer
+// average rounds it away). A closure staged per install cost one
+// allocation each.
+func TestQueuedRouteAllocations(t *testing.T) {
+	const leafPorts = 16
+	plan := &ShardPlan{Envs: []*sim.Env{sim.NewEnv(), sim.NewEnv()}, HostShard: make([]int, 2*leafPorts)}
+	for i := leafPorts; i < 2*leafPorts; i++ {
+		plan.HostShard[i] = 1
+	}
+	f, _, _, _, _ := buildFabricOn(t, plan, FabricFatTree, leafPorts)
+	var flows []flowKey
+	for a := 0; a < leafPorts; a++ {
+		for b := leafPorts; b < 2*leafPorts; b++ {
+			flows = append(flows, flowKey{a, b}, flowKey{b, a})
+		}
+	}
+	// Each port's VC table spans every VCI the flows use, as one that has
+	// carried them would: lengthening a table is its growth, not a flow's
+	// (and allocates at every install under -race, which keeps append's
+	// temporary).
+	for _, sw := range append([]*Switch{f.Core}, f.Leaves...) {
+		for p := range sw.ports {
+			sw.AddVC(p, DefaultVCI+uint16(len(flows)), p, DefaultVCI)
+			sw.RemoveVC(p, DefaultVCI+uint16(len(flows)))
+		}
+	}
+	next := 0
+	install := func() {
+		k := flows[next]
+		next++
+		if _, ok := f.setup(k.src, uint32(k.dst+1)); !ok {
+			t.Fatalf("no route from host %d to host %d", k.src, k.dst)
+		}
+		if n := f.FinishRoutes(); n != 1 {
+			t.Fatalf("the barrier finished %d routes, want the 1 queued", n)
+		}
+	}
+	for next < len(flows)/2 {
+		install()
+	}
+	if n := testing.AllocsPerRun(len(flows)/2-1, install); n != 0 {
+		t.Errorf("a route finished at the barrier allocates %v, want 0", n)
+	}
+	if got := f.TotalVCs(); got != 3*len(flows) {
+		t.Errorf("%d cross-leaf routes hold %d VC entries, want 3 each", len(flows), got)
+	}
+}
+
 // randomRoutes returns an n-operation script from seed.
 func randomRoutes(seed int64, n int) []byte {
 	rng := rand.New(rand.NewSource(seed))
@@ -238,28 +346,29 @@ func randomRoutes(seed int64, n int) []byte {
 }
 
 func FuzzFabricRoutes(f *testing.F) {
-	// Every host to every other and back; then a limit, evictions, a
-	// failure with its flows reinstalled after the restore, a teardown.
+	// Every host to every other, itself and an unowned address; then a
+	// failure with its flows reinstalled after the restore.
 	var mesh, churn []byte
 	for a := byte(0); a < 8; a++ {
-		for b := byte(0); b < 8; b++ {
+		for b := byte(0); b <= 8; b++ {
 			mesh = append(mesh, routeInstall, a, b)
 		}
 	}
-	churn = append(churn, routeLimit, 0, 2)
 	for b := byte(1); b < 8; b++ {
-		churn = append(churn, routeInstall, 0, b, routeInstall+routeOps, 0, 1)
+		churn = append(churn, routeInstall, 0, b, routeInstall, b, 0)
 	}
-	churn = append(churn, routeFail, 4, 0, routeInstall, 3, 4, routeRestore, 4, 0, routeInstall, 3, 4, routeTeardown, 3, 4)
-	for _, fat := range []bool{false, true} {
-		f.Add(fat, mesh)
-		f.Add(fat, churn)
-		f.Add(fat, randomRoutes(29, 400))
+	churn = append(churn, routeFail, 4, 0, routeInstall, 3, 4, routeRestore, 4, 0, routeInstall, 3, 4, routeInstall, 4, 3)
+	for _, sharded := range []bool{false, true} {
+		for _, fat := range []bool{false, true} {
+			f.Add(fat, sharded, mesh)
+			f.Add(fat, sharded, churn)
+			f.Add(fat, sharded, randomRoutes(29, 400))
+		}
 	}
-	f.Fuzz(func(t *testing.T, fatTree bool, script []byte) {
+	f.Fuzz(func(t *testing.T, fatTree, sharded bool, script []byte) {
 		if len(script) > 3*1000 {
 			script = script[:3*1000]
 		}
-		runRoutes(t, fatTree, script)
+		runRoutes(t, fatTree, sharded, script)
 	})
 }

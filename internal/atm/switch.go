@@ -362,8 +362,8 @@ func (sw *Switch) AddVC(inPort int, inVCI uint16, outPort int, outVCI uint16) {
 	p.vc[i] = vcRoute{port: int32(outPort), vci: outVCI, set: true}
 }
 
-// RemoveVC tears one VC table entry down (idle-VC reclamation); removing
-// a missing entry is a no-op.
+// RemoveVC tears one VC table entry down (a route removed by a port
+// failure); removing a missing entry is a no-op.
 func (sw *Switch) RemoveVC(inPort int, inVCI uint16) {
 	if r := sw.ports[inPort].route(inVCI); r != nil {
 		*r = vcRoute{}
@@ -455,7 +455,7 @@ func (a *vciAlloc) get() uint16 {
 	}
 	v := a.next
 	if v == 0xffff {
-		panic("atm: trunk link out of VCIs (65503 simultaneous flows); reclaim idle VCs")
+		panic("atm: trunk link out of VCIs (65503 simultaneous flows)")
 	}
 	a.next++
 	return v

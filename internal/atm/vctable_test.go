@@ -38,7 +38,7 @@ const (
 )
 
 // txMark and rxMark read the mark an entry was added with.
-func txMark(vc *txVC) int { return int(vc.lastUse) }
+func txMark(vc *txVC) int { return int(vc.seg.MID) }
 func rxMark(vc *rxVC) int { return int(vc.start) }
 
 // runVCTables drives both tables and their references through script.
@@ -53,11 +53,11 @@ func runVCTables(t *testing.T, script []byte) {
 	for step := 0; step+1 < len(script); step += 2 {
 		op, k := int(script[step])%vcOps, uint16(script[step+1])%vcKeys
 		dst, vci := uint32(k), DefaultVCI+k
-		mark := step + 1
+		mark := int(uint16(step + 1)) // a segmenter's MID holds a tx mark
 		switch op {
 		case vcTxAdd:
 			if _, ok := txRef.mark[k]; !ok {
-				txRef.add(k, mark, tx.add(dst, txVC{seg: Segmenter{VCI: vci}, lastUse: sim.Time(mark)}))
+				txRef.add(k, mark, tx.add(dst, txVC{seg: Segmenter{VCI: vci, MID: uint16(mark)}}))
 			}
 		case vcTxDel:
 			tx.del(dst)

@@ -30,14 +30,15 @@
 // on completion too (one propagation delay everywhere), and the serial
 // run fires first the one committed first — the one that queued behind a
 // backlog, not the one that found its link idle. Only a qdisc port still
-// creates the arrival at service completion. Second, VC-table
-// installs that touch switches outside the calling shard are staged as
-// control mutations applied at the next barrier, which is always before
-// the flow's first data cell can arrive there (that cell itself must
-// cross a cut, which delays it past the barrier). Third, each shard's
-// env refuses to advance its clock past the horizon (sim.Env.SetHorizon
-// bounds both RunWindow and SleepUntil's in-place fast path), so no
-// shard ever runs ahead of what its peers might still deliver.
+// creates the arrival at service completion. Second, a VC path that
+// reaches a switch outside the calling shard waits in the fabric's route
+// table for the coordinator to finish it at the next barrier, which is
+// always before the flow's first data cell can arrive there (that cell
+// itself must cross a cut, which delays it past the barrier). Third,
+// each shard's env refuses to advance its clock past the horizon
+// (sim.Env.SetHorizon bounds both RunWindow and SleepUntil's in-place
+// fast path), so no shard ever runs ahead of what its peers might still
+// deliver.
 package lab
 
 import (
@@ -125,8 +126,9 @@ type RoundStats struct {
 	// send, two goroutine switches, and a channel receive.
 	Inline   int64
 	Handoffs int64
-	// CellsStaged and CtlStaged count the cells and the control mutations
-	// (cross-cut VC installs) that crossed a shard boundary.
+	// CellsStaged counts the cells that crossed a shard boundary, and
+	// CtlStaged the routes the barrier finished: VC paths that reach a
+	// switch across one (atm.Fabric.FinishRoutes).
 	CellsStaged int64
 	CtlStaged   int64
 }
@@ -158,15 +160,14 @@ type Cluster struct {
 	// down — and what each released.
 	stats RoundStats
 
-	// outbox and ctl are the per-source-shard staging areas written from
-	// inside each shard's window during a round and drained by the
-	// coordinator at the barrier. pending holds drained cells per
-	// DESTINATION shard in canonical order until the round whose horizon
-	// needs them: deferring injection is what lets equal-time arrivals
-	// staged in different rounds meet in one buffer and sort canonically
-	// (see applyStaged).
+	// outbox is the per-source-shard staging area written from inside
+	// each shard's window during a round and drained by the coordinator
+	// at the barrier. pending holds drained cells per DESTINATION shard
+	// in canonical order until the round whose horizon needs them:
+	// deferring injection is what lets equal-time arrivals staged in
+	// different rounds meet in one buffer and sort canonically (see
+	// applyStaged).
 	outbox  [][]stagedCell
-	ctl     [][]func()
 	pending [][]stagedCell
 	// pendStart is applyStaged's per-destination scratch: the pending
 	// length before this round's appends, i.e. where re-sorting starts.
@@ -219,7 +220,6 @@ func build(cfg Config, shape Shape) *Cluster {
 		Shards:    make([]*Shard, shards),
 		hostShard: hostShard,
 		outbox:    make([][]stagedCell, shards),
-		ctl:       make([][]func(), shards),
 		pending:   make([][]stagedCell, shards),
 		pendStart: make([]int, shards),
 		inbox:     make([]inbox, shards),
@@ -254,7 +254,6 @@ func build(cfg Config, shape Shape) *Cluster {
 			Envs:      envs,
 			HostShard: hostShard,
 			StageCell: c.stageCell,
-			StageCtl:  c.stageCtl,
 		}, cfg.Fabric, model, cfg.LeafPorts, drvs)
 		l.Switch = l.Fabric.Core
 	case LinkEther:
@@ -432,15 +431,10 @@ func (c *Cluster) stageCell(srcShard, dstShard int, scheduleAt, at sim.Time, to 
 	})
 }
 
-// stageCtl implements atm.ShardPlan.StageCtl.
-func (c *Cluster) stageCtl(srcShard int, apply func()) {
-	c.ctl[srcShard] = append(c.ctl[srcShard], apply)
-}
-
-// applyStaged drains the staging areas at a round barrier: control
-// mutations first (VC installs must precede any cell that needs them),
-// then the staged cells into per-destination pending buffers kept in
-// canonical order — ascending arrival time, ties broken by schedule
+// applyStaged drains the staging areas at a round barrier: the fabric's
+// queued routes first (VC installs must precede any cell that needs
+// them), then the staged cells into per-destination pending buffers kept
+// in canonical order — ascending arrival time, ties broken by schedule
 // time, source shard, and emission order, which is exactly the order
 // the serial run's event queue assigned sequence numbers to the same
 // arrivals. Injection into the destination heap is deferred to
@@ -453,12 +447,8 @@ func (c *Cluster) stageCtl(srcShard int, apply func()) {
 // future round stages arrives at or after H. Only the coordinator runs
 // here, so it may touch any shard's switches and event heap freely.
 func (c *Cluster) applyStaged() {
-	for s := range c.ctl {
-		c.stats.CtlStaged += int64(len(c.ctl[s]))
-		for _, fn := range c.ctl[s] {
-			fn()
-		}
-		c.ctl[s] = c.ctl[s][:0]
+	if f := c.Lab.Fabric; f != nil {
+		c.stats.CtlStaged += int64(f.FinishRoutes())
 	}
 	for d := range c.pendStart {
 		c.pendStart[d] = len(c.pending[d])
@@ -636,11 +626,12 @@ func (w *workers) stop() {
 }
 
 // Run drives every shard's event loop to completion, round by round.
-// The coordinator (the calling goroutine) owns every barrier: it applies
-// staged control, injects staged cells, computes the horizons, and then
-// runs the round — the last shard it releases on its own stack, any
-// others on worker goroutines (see workers), at most O(shards) of them,
-// which the footprint tests pin, all gone before Run returns.
+// The coordinator (the calling goroutine) owns every barrier: it
+// finishes the fabric's queued routes, injects staged cells, computes the
+// horizons, and then runs the round — the last shard it releases on its
+// own stack, any others on worker goroutines (see workers), at most
+// O(shards) of them, which the footprint tests pin, all gone before Run
+// returns.
 func (c *Cluster) Run() {
 	if len(c.Shards) == 1 {
 		c.Lab.Env.Run()
@@ -782,8 +773,7 @@ func (c *Cluster) Reset(cfg Config, seed uint64) error {
 		}
 		sh.Env.Reset()
 	}
-	for s := range c.ctl {
-		c.ctl[s] = c.ctl[s][:0]
+	for s := range c.outbox {
 		c.outbox[s] = c.outbox[s][:0]
 		c.pending[s] = c.pending[s][:0]
 	}

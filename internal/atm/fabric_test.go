@@ -354,3 +354,85 @@ func TestDropRxKeepsActiveReassembly(t *testing.T) {
 		t.Fatal("Reset kept the remembered context")
 	}
 }
+
+// TestRemovedRouteKeepsItsParkedOutput pins the slot hazard of route
+// removal: an Output parked on a full transmit FIFO holds its flow's
+// channel, and removing that flow's route frees the route's slot for the
+// next install. Host 0 is part-way through an 8000-byte datagram to host
+// 1, parked on its full FIFO, when host 1's port fails; host 3 then opens
+// a flow to host 2, which takes the freed slot. Every cell host 0 still
+// emits must carry the removed flow's VCI — never the new flow's, whose
+// counters and header now fill that slot — and host 3's datagrams, the
+// first sent while host 0 is parked and the second after its Output is
+// done with the channel, must arrive intact.
+func TestRemovedRouteKeepsItsParkedOutput(t *testing.T) {
+	env := sim.NewEnv()
+	f, kerns, ips, drvs, sinks := buildFabric(t, env, FabricHub, 0, 4)
+	payload := make([]byte, 1200)
+	env.RNG().Fill(payload)
+	var freed *route
+	fail := func() {
+		if !drvs[0].txBusy || drvs[0].Adapter.TxSpace() != 0 {
+			t.Fatal("host 0's Output is not parked on a full FIFO when the port fails")
+		}
+		freed = f.routes[0].m[flowKey{0, 1}]
+		f.FailHostPort(1)
+		send3 := func(p *sim.Proc) {
+			m := kerns[3].Pool.AllocCluster()
+			m.Append(payload)
+			ips[3].Output(p, 3, 99, m) // host 3 -> host 2, a new flow
+		}
+		env.Spawn("tx3", sim.Steps(send3))
+		env.SpawnAt(2*sim.Millisecond, "tx3again", sim.Steps(send3))
+	}
+	// Tap host 0's fiber: record each cell's VCI, and whether the new flow
+	// had taken the slot when it left, then deliver it on time. The first
+	// cell that fills the FIFO fails the port, once the Output has parked.
+	port := f.HostPort(0)
+	var vcis []uint16
+	afterReuse := 0
+	drvs[0].Adapter.SetCut(func(_, at sim.Time, c Cell) {
+		h, err := ParseHeader(&c)
+		if err != nil {
+			t.Fatalf("host 0 emitted a cell with a bad header: %v", err)
+		}
+		vcis = append(vcis, h.VCI)
+		if f.routes[0].m[flowKey{3, 2}] != nil {
+			afterReuse++
+		}
+		if freed == nil && drvs[0].Adapter.TxSpace() == 0 {
+			freed = new(route) // fail once
+			env.At(env.Now(), "fail", fail)
+		}
+		env.At(at, "tap", func() { port.InjectCell(c) })
+	})
+
+	big := make([]byte, 8000)
+	env.RNG().Fill(big)
+	env.Spawn("tx0", sim.Steps(func(p *sim.Proc) {
+		m := kerns[0].Pool.AllocCluster()
+		m.Append(big[:4000])
+		m.SetNext(kerns[0].Pool.AllocCluster())
+		m.Next().Append(big[4000:])
+		ips[0].Output(p, 2, 99, m) // host 0 -> host 1
+	}))
+	env.Run()
+
+	if got := f.routes[0].m[flowKey{3, 2}]; got == nil || got != freed {
+		t.Fatal("the new flow did not take the removed route's slot; the test no longer sets up the hazard")
+	}
+	if afterReuse == 0 {
+		t.Fatal("host 0 emitted no cell after the slot was reused; the test no longer sets up the hazard")
+	}
+	for i, vci := range vcis {
+		if vci != DefaultVCI+1 {
+			t.Fatalf("host 0's cell %d of %d left on VCI %d, want the removed flow's %d", i, len(vcis), vci, DefaultVCI+1)
+		}
+	}
+	if len(sinks[2].got) != 2 || !bytes.Equal(sinks[2].got[0], payload) || !bytes.Equal(sinks[2].got[1], payload) {
+		t.Fatalf("host 2 received %d datagrams; the new flow's frames did not both arrive intact", len(sinks[2].got))
+	}
+	if len(sinks[1].got) != 0 {
+		t.Fatal("host 1 received the datagram its failed port cut off")
+	}
+}

@@ -1,8 +1,6 @@
 package atm
 
 import (
-	"fmt"
-
 	"repro/internal/checksum"
 	"repro/internal/cost"
 	"repro/internal/ip"
@@ -19,6 +17,8 @@ const MTU = MaxDatagram
 // Driver is the ATM network driver: it implements ip.NetIf on the
 // transmit side and runs a receive interrupt service process that drains
 // the adapter FIFO, reassembles AAL3/4 frames, and hands datagrams to IP.
+// It keeps no route table: on a routed fabric a flow's transmit channel
+// is its route's, looked up through the fabric.
 type Driver struct {
 	K       *kern.Kernel
 	Adapter *Adapter
@@ -31,22 +31,24 @@ type Driver struct {
 	// device memory to kernel memory").
 	Mode cost.ChecksumMode
 
-	// seg carries traffic on the default PVC (the single VC of the
-	// paper's switchless fiber); tx maps destination IP addresses to
-	// per-VC transmit state, installed either eagerly by a test harness
-	// (AddVC) or on demand through the fabric when the first datagram to a
-	// destination is segmented.
+	// seg carries traffic on the default PVC, the single VC of the
+	// paper's switchless fiber, when there is no fabric.
 	seg Segmenter
-	tx  txTable
 
 	// fabric, when set, is the routed fabric this driver is host number
-	// host of (NewFabric sets both). A transmit-side VC miss asks it to
-	// install the switch path for (this host → dst) and to name the VCI
-	// the host transmits on. Signaling is modeled as instantaneous — it
+	// host of (NewFabric sets both). Each datagram's channel is the route
+	// for (this host → dst), which the fabric installs on the first
+	// datagram of the flow. Signaling is modeled as instantaneous — it
 	// charges no simulated time — so an on-demand topology is
-	// timing-identical to one with every VC pre-installed.
-	fabric *Fabric
-	host   int
+	// timing-identical to one with every VC pre-installed. last is the
+	// channel the previous datagram used, to lastDst, found while the
+	// fabric's route generation was lastGen: a client of a fan-in has one
+	// peer, and while no route is removed its lookups end here.
+	fabric  *Fabric
+	host    int
+	last    *Segmenter
+	lastDst uint32
+	lastGen int64
 
 	// rx holds one receive context per incoming VCI. Cells from
 	// different sources arrive interleaved on distinct VCIs in switched
@@ -71,9 +73,19 @@ type Driver struct {
 
 	// txBusy serializes Output, as splimp does around the real driver:
 	// CPU charges yield to the event loop, so without the lock a user
-	// send and a protocol-timer send could interleave cell pushes.
+	// send and a protocol-timer send could interleave cell pushes. The
+	// Output holding the lock cuts its frame's cells with tx, its own copy
+	// of the channel that lives at txHome (nil: no route), and writes it
+	// back when the last cell is out — unless a route was removed since
+	// segFor found txHome (the route generation moved past lastGen). A
+	// port failure can remove the flow's route while the Output is parked
+	// on a full FIFO, and the next install can take the route's slot: the
+	// parked Output finishes its frame on the removed flow's VCI, as the
+	// removed channel would have, and leaves the slot alone.
 	txBusy bool
 	txWait sim.WaitQueue
+	tx     Segmenter
+	txHome *Segmenter
 
 	// outOp is the free list of transmit frames, linked through next, as
 	// ip.Stack keeps its output frames: txBusy serializes Output, so the
@@ -127,34 +139,6 @@ func (d *Driver) Init(k *kern.Kernel, a *Adapter, ipStack *ip.Stack) *Driver {
 	return d
 }
 
-// txTable maps destination addresses to transmit channels and rxTable
-// incoming VCIs to receive channels, each with room for its first entry
-// in the table itself: a client of a fan-in has one peer, so one channel
-// each way, and its tables never allocate. A server's further entries
-// spill into a map over a slab (txSpill, rxSpill), where a deleted
-// entry's slot goes to the next add. Entries are handed out by pointer
-// and stay where they are until deleted: an Output parked on a full FIFO
-// holds its segmenter, and lastRx the previous cell's receive channel.
-// (Two concrete types, not one generic: a generic type's methods carry
-// their type arguments' import paths in their symbol names, which the
-// benchmark's profile buckets cannot place.)
-type txTable struct {
-	dst0 uint32
-	has0 bool
-	vc0  txVC
-	more *txSpill // made by the first spill
-}
-
-// txSpill holds a table's entries past the first: the map, the slab its
-// entries live in (see slabChunk), and the slots of deleted entries,
-// zeroed. It sits behind a pointer so that a table that never spills
-// costs a word for it.
-type txSpill struct {
-	m    map[uint32]*txVC
-	slab []txVC
-	free []*txVC
-}
-
 // slabChunk is the length of a slab's next chunk when the current one,
 // of length n, is full. A slab hands out pointers to its entries, so it
 // is never grown by append, which would copy them to a new array while
@@ -164,87 +148,25 @@ type txSpill struct {
 // up to 256 so that a huge one wastes at most one chunk.
 func slabChunk(n int) int { return min(max(2*n, 4), 256) }
 
-func (t *txTable) len() int {
-	n := 0
-	if t.has0 {
-		n++
-	}
-	if t.more != nil {
-		n += len(t.more.m)
-	}
-	return n
-}
-
-func (t *txTable) get(dst uint32) *txVC {
-	if t.has0 && t.dst0 == dst {
-		return &t.vc0
-	}
-	if t.more == nil {
-		return nil
-	}
-	return t.more.m[dst]
-}
-
-// add installs vc for dst, which must not be present, and returns where
-// it lives.
-func (t *txTable) add(dst uint32, vc txVC) *txVC {
-	if !t.has0 {
-		t.dst0, t.has0, t.vc0 = dst, true, vc
-		return &t.vc0
-	}
-	if t.more == nil {
-		t.more = &txSpill{m: make(map[uint32]*txVC)}
-	}
-	s := t.more
-	var p *txVC
-	if n := len(s.free); n > 0 {
-		p, s.free = s.free[n-1], s.free[:n-1]
-	} else {
-		if len(s.slab) == cap(s.slab) {
-			s.slab = make([]txVC, 0, slabChunk(cap(s.slab)))
-		}
-		s.slab = s.slab[:len(s.slab)+1]
-		p = &s.slab[len(s.slab)-1]
-	}
-	*p = vc
-	s.m[dst] = p
-	return p
-}
-
-func (t *txTable) del(dst uint32) {
-	if t.has0 && t.dst0 == dst {
-		t.has0, t.vc0 = false, txVC{}
-		return
-	}
-	if s := t.more; s != nil {
-		if p := s.m[dst]; p != nil {
-			delete(s.m, dst)
-			*p = txVC{}
-			s.free = append(s.free, p)
-		}
-	}
-}
-
-// each calls fn for every entry, in no particular order; fn may delete
-// the entry it is handed.
-func (t *txTable) each(fn func(dst uint32, vc *txVC)) {
-	if t.has0 {
-		fn(t.dst0, &t.vc0)
-	}
-	if t.more != nil {
-		for dst, vc := range t.more.m {
-			fn(dst, vc)
-		}
-	}
-}
-
+// rxTable maps incoming VCIs to receive channels, with room for its first
+// entry in the table itself: a client of a fan-in has one peer, so one
+// channel, and its table never allocates. A server's further entries
+// spill into a map over a slab (rxSpill), where a deleted entry's slot
+// goes to the next add. Entries are handed out by pointer and stay where
+// they are until deleted: lastRx holds the previous cell's channel.
+// (Concrete, not generic: a generic type's methods carry their type
+// arguments' import paths in their symbol names, which the benchmark's
+// profile buckets cannot place.)
 type rxTable struct {
 	has0 bool
 	vc0  rxVC
 	more *rxSpill
 }
 
-// rxSpill is txSpill for receive channels.
+// rxSpill holds a table's entries past the first: the map, the slab its
+// entries live in (see slabChunk), and the slots of deleted entries,
+// zeroed. It sits behind a pointer so that a table that never spills
+// costs a word for it.
 type rxSpill struct {
 	m    map[uint16]*rxVC
 	slab []rxVC
@@ -324,32 +246,21 @@ func (t *rxTable) each(fn func(vc *rxVC)) {
 }
 
 // Reset returns the driver to its just-constructed state for testbed
-// reuse: every virtual channel's segmenter and reassembler rewinds
-// (retaining the VC table itself — routing is topology, not trial state
-// — while a frame stranded mid-reassembly gives its buffer back to the
-// loop's arena, which is why the lab resets drivers before it rewinds the
-// environment), open receive spans and the transmit lock clear,
-// configuration knobs return to defaults for the lab to re-apply, and
-// counters zero. The receive service process stays parked on the
-// adapter's RxReady queue.
+// reuse: the default PVC's segmenter and every receive channel's
+// reassembler rewind (a route's segmenter is the fabric's, which its own
+// Reset rewinds; a frame stranded mid-reassembly gives its buffer back to
+// the loop's arena, which is why the lab resets drivers before it rewinds
+// the environment), the remembered channel, open receive spans and the
+// transmit lock clear, configuration knobs return to defaults for the lab
+// to re-apply, and counters zero. The receive service process stays
+// parked on the adapter's RxReady queue.
 func (d *Driver) Reset() {
 	d.Mode = cost.ChecksumStandard
 	d.MTUOverride = 0
 	d.HostCorruptRate = 0
-	d.txBusy = false
+	d.txBusy, d.txHome = false, nil
 	d.seg.Reset()
-	d.tx.each(func(dst uint32, vc *txVC) {
-		if vc.demand {
-			// On-demand entries are trial state, not topology: dropping
-			// them restores the exact fresh-build contract (the next
-			// datagram re-installs through the fabric, which returns
-			// the already-routed path, so the wire bytes and timing
-			// match a brand-new lab).
-			d.tx.del(dst)
-			return
-		}
-		vc.seg.Reset()
-	})
+	d.last = nil
 	d.rx.each(func(vc *rxVC) {
 		vc.reasm.Reset()
 		vc.open = false
@@ -359,29 +270,6 @@ func (d *Driver) Reset() {
 	d.ReassemblyErrors, d.HECErrors, d.HostCorruptions, d.NoRoute = 0, 0, 0, 0
 	d.reassembled = 0
 }
-
-// txVC is the transmit side of one virtual channel: its segmenter, and
-// whether it was installed on demand (trial state) or eagerly (topology).
-type txVC struct {
-	seg    Segmenter
-	demand bool
-}
-
-// AddVC installs a transmit-side virtual channel eagerly: datagrams
-// addressed to dst leave on their own segmenter carrying vci. Test
-// harnesses call it per reachable host; without any VCs and without a
-// fabric every datagram rides the default PVC, preserving the two-host
-// fiber behaviour. Routed fabrics do not call it — they install VCs
-// lazily, from segFor.
-func (d *Driver) AddVC(dst uint32, vci uint16) {
-	d.tx.del(dst)
-	d.tx.add(dst, txVC{seg: Segmenter{VCI: vci}})
-}
-
-// NumTxVCs returns how many transmit VCs are installed — O(peers this
-// host has sent to) under on-demand setup, the quantity the
-// state-sparsity tests pin.
-func (d *Driver) NumTxVCs() int { return d.tx.len() }
 
 // NumReassemblers returns how many receive-side reassembly contexts
 // exist — O(peers that have sent to this host).
@@ -401,27 +289,26 @@ func (d *Driver) Reassembling() int {
 	return n
 }
 
-// segFor picks the segmenter for a datagram's destination address,
-// installing the VC on demand when a routed fabric is attached, and
-// returns nil when that fabric has no route to dst: no other host owns the
-// address. The miss path charges no simulated time (signaling is
+// segFor returns the channel for a datagram's destination address: the
+// default PVC off a fabric; on one, the segmenter of the flow's route,
+// installed on demand by the flow's first datagram, or nil when no other
+// host owns dst. The miss path charges no simulated time (signaling is
 // instantaneous), so lazily built topologies behave bit-identically to
 // eagerly meshed ones.
 func (d *Driver) segFor(dst uint32) *Segmenter {
-	if d.tx.len() == 0 && d.fabric == nil {
+	f := d.fabric
+	if f == nil {
 		return &d.seg
 	}
-	if vc := d.tx.get(dst); vc != nil {
-		return &vc.seg
+	if d.last != nil && d.lastDst == dst && d.lastGen == f.gen {
+		return d.last
 	}
-	if d.fabric == nil {
-		panic(fmt.Sprintf("atm: no VC to destination %#x", dst))
-	}
-	vci, ok := d.fabric.setup(d.host, dst)
-	if !ok {
+	rt := f.setup(d.host, dst)
+	if rt == nil {
 		return nil
 	}
-	return &d.tx.add(dst, txVC{seg: Segmenter{VCI: vci}, demand: true}).seg
+	d.last, d.lastDst, d.lastGen = &rt.seg, dst, f.gen
+	return d.last
 }
 
 // DropRx reclaims the reassembly context for an incoming VCI, returning
@@ -510,10 +397,9 @@ type outputOp struct {
 	m         *mbuf.Mbuf
 	txStart   sim.Time
 	waitStart sim.Time
-	seg       *Segmenter // the destination's channel; nil: no route
-	pdu       []byte     // its CPCS-PDU, from the arena
-	n         int        // datagram bytes in it
-	cells, i  int        // cells it makes; next cell to push
+	pdu       []byte // its CPCS-PDU, from the arena
+	n         int    // datagram bytes in it
+	cells, i  int    // cells it makes; next cell to push
 }
 
 // Step drives the transmit state machine.
@@ -539,11 +425,12 @@ func (f *outputOp) Step(p *sim.Proc) {
 			f.pdu = k.Env.Arena().Checkout(need)[:need]
 			data := f.pdu[cpcsHeader : cpcsHeader+f.n]
 			mbuf.CopyBytesTo(f.m, 0, f.n, data)
-			if f.seg = d.segFor(ip.Dst(data)); f.seg == nil {
+			if d.txHome = d.segFor(ip.Dst(data)); d.txHome == nil {
 				f.pc = 5 // no route: drop it
 				continue
 			}
-			f.cells, f.i = f.seg.frame(f.pdu, f.n), 0
+			d.tx = *d.txHome
+			f.cells, f.i = d.tx.frame(f.pdu, f.n), 0
 			f.pc = 2
 		case 2: // cell-loop head: stall on a full FIFO or charge the push
 			if f.i >= f.cells {
@@ -568,14 +455,17 @@ func (f *outputOp) Step(p *sim.Proc) {
 			f.pc = 2
 		case 4: // cut the charged cell where the transmit engine reads it
 			c := d.Adapter.TxCell()
-			f.seg.cell(c, f.pdu, f.i, f.cells)
+			d.tx.cell(c, f.pdu, f.i, f.cells)
 			d.Adapter.LaunchTx(c)
 			f.i++
 			f.pc = 2
 		case 5: // count the frame and trace it (or count the drop), then charge the chain free
-			if f.seg == nil {
+			if d.txHome == nil {
 				d.NoRoute++
 			} else {
+				if d.fabric == nil || d.fabric.gen == d.lastGen {
+					*d.txHome = d.tx
+				}
 				d.FramesOut++
 				if k.Trace.PacketsEnabled() {
 					id := k.PacketContext(p)
@@ -592,7 +482,7 @@ func (f *outputOp) Step(p *sim.Proc) {
 				}
 			}
 			k.Env.Arena().Return(f.pdu)
-			f.pdu, f.seg = nil, nil
+			f.pdu, d.txHome = nil, nil
 			f.pc = 6
 			if c := k.FreeChainCost(f.m); c > 0 {
 				if !k.Use(p, trace.LayerMbuf, c) {

@@ -17,7 +17,10 @@ import (
 // only a routing view of the topology (which switch and port each host
 // sits on) and installs a flow's VC path through the switches the first
 // time a datagram heads to that destination, asked by the driver, which
-// keeps a pointer back to its fabric and its host number there.
+// keeps a pointer back to its fabric and its host number there. The route
+// it installs is also the flow's transmit channel: the driver cuts the
+// flow's cells with the route's segmenter, so a removed route takes its
+// channel with it, at both ends, as an ATM RELEASE clears a call.
 // Signaling is modeled as instantaneous, so the lazily built
 // fabric is event-for-event identical to an eagerly meshed one; what
 // changes is that memory follows *active* communication pairs.
@@ -67,15 +70,18 @@ type hop struct {
 	vci   uint16
 }
 
-// route is an installed flow path: the VCI the source host transmits on,
-// the VCI the destination host receives on (naming the source, as the
-// legacy mesh did), and the switch entries in path order — one on a
-// single switch, three across a fat tree — in hops[:n], so that a route
-// is one allocation.
+// route is an installed flow path and the flow's transmit channel: seg,
+// the segmenter the source host's driver cuts the flow's cells with (its
+// VCI the one the source transmits on; its Btag and SAR sequence numbers
+// on the wire), the VCI the destination host receives on (naming the
+// source, as the legacy mesh did), and the switch entries in path order —
+// one on a single switch, three across a fat tree — in hops[:n], so that
+// a route is one allocation.
 type route struct {
-	hops         [3]hop
-	n            uint8
-	txVCI, rxVCI uint16
+	seg   Segmenter
+	hops  [3]hop
+	n     uint8
+	rxVCI uint16
 }
 
 // add appends h to the path.
@@ -87,9 +93,12 @@ func (rt *route) add(h hop) {
 // routeTable is one shard's installed flow paths: the flow map, and the
 // routes it points to in a slab, where a removed route's slot goes to the
 // next install. A route never moves while installed — a queued route is
-// held by pointer until the barrier finishes it — so a full slab is
-// replaced, not grown (see slabChunk). Only the shard that owns the table
-// writes it inside a round; the coordinator drains queued at the barrier.
+// held by pointer until the barrier finishes it, and a driver its
+// segmenter — so a full slab is replaced, not grown (see slabChunk). A
+// removed route's slot may be handed out again while a driver still
+// remembers it; Fabric.gen tells the two apart. Only the shard that owns
+// the table writes it inside a round; the coordinator drains queued at the
+// barrier.
 type routeTable struct {
 	m    map[flowKey]*route
 	slab []route
@@ -139,10 +148,11 @@ type fabricHost struct {
 }
 
 // Fabric is a routed multi-switch topology over a set of host drivers.
-// It owns the switches, knows where every host attaches, and serves its
-// drivers' VC misses (setup): VC paths through the switches exist only
-// for flows that have actually carried traffic. A path, once installed,
-// stands until a fault fails one of its hosts' ports (FailHostPort).
+// It owns the switches, knows where every host attaches, and holds every
+// flow's transmit channel in the flow's route (setup): VC paths through
+// the switches exist only for flows that have actually carried traffic.
+// A path, once installed, stands until a fault fails one of its hosts'
+// ports (FailHostPort).
 type Fabric struct {
 	Kind FabricKind
 	// Core is the single switch of a hub fabric or the spine of a
@@ -161,17 +171,20 @@ type Fabric struct {
 	// plan is the shard wiring the fabric was built across (one env for a
 	// serial fabric). routes remembers every installed flow path, and
 	// queues those waiting for the barrier, partitioned by the *source*
-	// host's shard so that concurrent shards never touch one table. It
-	// survives testbed Reset — routing is topology once installed — which
-	// makes setup idempotent: a driver whose on-demand transmit state was
-	// dropped by Reset re-requests the path and gets the existing one
-	// back, with no switch-table or VCI-allocator churn.
+	// host's shard so that concurrent shards never touch one table: the
+	// source's driver is the one writer of a route's segmenter. Routes
+	// survive testbed Reset — routing is topology once installed — with
+	// their segmenters rewound.
 	plan   *ShardPlan
 	routes []routeTable
 
-	// VCsTornDown counts paths removed by FailHostPort over the route
-	// memory's life (which spans Resets).
-	VCsTornDown int64
+	// gen counts the paths FailHostPort has removed over the route
+	// memory's life (which spans Resets), and so is the route generation:
+	// a route a driver looked up, or whose channel an Output copied, is
+	// still the same flow's while gen has not moved; after a removal its
+	// slot may hold another flow's. Only FailHostPort moves it, on a
+	// one-env plan, so shards only read it.
+	gen int64
 }
 
 // CellDest is a shard-boundary delivery target — the far end of a cut
@@ -302,9 +315,21 @@ func (f *Fabric) NumRoutes() int {
 	return n
 }
 
+// NumRoutesFrom returns how many flow paths host i sources: its transmit
+// channels, O(peers it has sent to) under on-demand setup.
+func (f *Fabric) NumRoutesFrom(i int) int {
+	n := 0
+	for k := range f.routes[f.plan.HostShard[i]].m {
+		if k.src == i {
+			n++
+		}
+	}
+	return n
+}
+
 // VCsSetUp returns how many flow paths have ever been installed: those
 // standing plus those removed.
-func (f *Fabric) VCsSetUp() int64 { return int64(f.NumRoutes()) + f.VCsTornDown }
+func (f *Fabric) VCsSetUp() int64 { return int64(f.NumRoutes()) + f.gen }
 
 // TotalVCs sums the VC table entries across every switch in the fabric.
 func (f *Fabric) TotalVCs() int {
@@ -318,7 +343,9 @@ func (f *Fabric) TotalVCs() int {
 // Reset rewinds every switch for testbed reuse and prices every link —
 // host ports and trunks alike — from the next trial's model, as NewFabric
 // priced them from the first. Installed routes survive (see the routes
-// field).
+// field), and each route's segmenter rewinds: its Btag and sequence
+// numbers are on the wire, and a reused testbed's first cells must match
+// a fresh one's.
 func (f *Fabric) Reset(model *cost.Model) {
 	f.Core.Reset()
 	f.Core.price(model)
@@ -326,37 +353,50 @@ func (f *Fabric) Reset(model *cost.Model) {
 		leaf.Reset()
 		leaf.price(model)
 	}
+	for s := range f.routes {
+		for _, rt := range f.routes[s].m {
+			rt.seg.Reset()
+		}
+	}
 }
 
-// setup installs (or finds) the VC path from host src to the host owning
-// dstAddr and returns the VCI src transmits on, or false when no other
-// host owns dstAddr. Host-facing links keep the legacy source-naming
-// convention — src transmits on DefaultVCI+dst, the destination receives
-// on DefaultVCI+src — so a hub fabric's wire bytes are byte-identical to
-// the old eager mesh. Trunk hops use per-link allocated VCIs, invisible
-// to hosts.
+// setup installs (or finds) the route from host src to the host owning
+// dstAddr and returns it — its segmenter is the flow's transmit channel —
+// or nil when no other host owns dstAddr. Host-facing links keep the
+// legacy source-naming convention — src transmits on DefaultVCI+dst, the
+// destination receives on DefaultVCI+src — so a hub fabric's wire bytes
+// are byte-identical to the old eager mesh. Trunk hops use per-link
+// allocated VCIs, invisible to hosts.
 //
 // The path is one walk (see walk): hops on the caller's event loop
 // install now, and at the first hop behind a cut the route waits in the
 // caller's route table for the barrier. On a one-env plan every switch is
 // on the caller's loop, so every route completes here.
-func (f *Fabric) setup(src int, dstAddr uint32) (uint16, bool) {
+func (f *Fabric) setup(src int, dstAddr uint32) *route {
 	dst, ok := f.byAddr[dstAddr]
 	if !ok || dst == src {
-		return 0, false
+		return nil
 	}
 	s := f.plan.HostShard[src]
 	rm := &f.routes[s]
 	key := flowKey{src, dst}
 	if rt, ok := rm.m[key]; ok {
-		return rt.txVCI, true
+		return rt
 	}
 	rt := rm.add(key)
-	rt.txVCI, rt.rxVCI = DefaultVCI+uint16(dst), DefaultVCI+uint16(src)
-	if vci, done := f.walk(f.plan.Envs[s], key, rt, rt.txVCI); !done {
+	rt.seg.VCI, rt.rxVCI = DefaultVCI+uint16(dst), DefaultVCI+uint16(src)
+	if vci, done := f.walk(f.plan.Envs[s], key, rt, rt.seg.VCI); !done {
 		rm.queued = append(rm.queued, queuedRoute{key, rt, vci})
 	}
-	return rt.txVCI, true
+	return rt
+}
+
+// Connect installs the route from host src to host dst, as the first
+// datagram between them would, and reports whether there is one. A
+// testbed pre-meshed with it is event-for-event the on-demand one: setup
+// charges no simulated time.
+func (f *Fabric) Connect(src, dst int) bool {
+	return f.setup(src, f.hosts[dst].drv.IP.Addr) != nil
 }
 
 // FinishRoutes completes every queued route with the same walk, in
@@ -434,9 +474,11 @@ func (f *Fabric) walk(env *sim.Env, key flowKey, rt *route, vci uint16) (uint16,
 }
 
 // removeRoute removes key's route rt: every switch entry goes away, trunk
-// VCIs return to their links' pools, and the destination's reassembly
-// context is reclaimed (unless a datagram is mid-flight on it, in which
-// case the context stays until the channel is next reclaimed).
+// VCIs return to their links' pools, the source's transmit channel goes
+// with the route (gen moves, so no driver uses the slot as this flow's
+// again), and the destination's reassembly context is reclaimed (unless a
+// datagram is mid-flight on it, in which case the context stays until the
+// channel is next reclaimed).
 func (f *Fabric) removeRoute(rm *routeTable, key flowKey, rt *route) {
 	for _, h := range rt.hops[:rt.n] {
 		h.sw.RemoveVC(int(h.port), h.vci)
@@ -446,7 +488,7 @@ func (f *Fabric) removeRoute(rm *routeTable, key flowKey, rt *route) {
 	}
 	f.hosts[key.dst].drv.DropRx(rt.rxVCI)
 	rm.del(key, rt)
-	f.VCsTornDown++
+	f.gen++
 }
 
 // HostPort returns host i's access port on its switch (the hub core or
@@ -458,11 +500,12 @@ func (f *Fabric) HostPort(i int) *Port {
 
 // FailHostPort fails host i's switch access port (fault injection): the
 // port goes down, and every installed VC path with i as source or
-// destination is removed — switch entries, trunk VCIs, the destination's
-// idle reassembler. Cells still crossing the fabric on a removed path are
-// discarded as unrouted. Peers recover through the same on-demand
-// machinery: their next retransmission re-requests the path on a VC miss
-// and gets a fresh install once the port is restored.
+// destination is removed — switch entries, trunk VCIs, the source's
+// transmit channel, the destination's idle reassembler. Cells still
+// crossing the fabric on a removed path are discarded as unrouted. Peers
+// recover through the same on-demand machinery: their next datagram to or
+// from i installs the path afresh, with fresh sequence numbers, and it
+// carries traffic once the port is restored.
 //
 // It is refused, with a panic, on a plan with more than one env: removing
 // a path at a barrier boundary would unroute cells the serial run

@@ -99,9 +99,9 @@ func TestFabricOnDemandSparsity(t *testing.T) {
 		t.Fatalf("fresh fabric holds %d switch VCs, %d routes; want 0", f.Core.NumVCs(), f.NumRoutes())
 	}
 	for i, d := range drvs {
-		if d.NumTxVCs() != 0 || d.NumReassemblers() != 0 {
-			t.Fatalf("fresh host %d holds %d tx VCs, %d reassemblers; want 0",
-				i, d.NumTxVCs(), d.NumReassemblers())
+		if f.NumRoutesFrom(i) != 0 || d.NumReassemblers() != 0 {
+			t.Fatalf("fresh host %d sources %d routes, holds %d reassemblers; want 0",
+				i, f.NumRoutesFrom(i), d.NumReassemblers())
 		}
 	}
 
@@ -123,13 +123,13 @@ func TestFabricOnDemandSparsity(t *testing.T) {
 	if got := f.NumRoutes(); got != 1 {
 		t.Fatalf("fabric holds %d routes after one flow, want 1", got)
 	}
-	if drvs[0].NumTxVCs() != 1 || drvs[2].NumReassemblers() != 1 {
-		t.Fatalf("flow endpoints hold %d tx VCs / %d reassemblers, want 1/1",
-			drvs[0].NumTxVCs(), drvs[2].NumReassemblers())
+	if f.NumRoutesFrom(0) != 1 || drvs[2].NumReassemblers() != 1 {
+		t.Fatalf("flow endpoints source %d routes / hold %d reassemblers, want 1/1",
+			f.NumRoutesFrom(0), drvs[2].NumReassemblers())
 	}
 	for _, i := range []int{1, 3, 4, 5, 6, 7} {
-		if drvs[i].NumTxVCs() != 0 {
-			t.Fatalf("idle host %d grew %d tx VCs", i, drvs[i].NumTxVCs())
+		if f.NumRoutesFrom(i) != 0 {
+			t.Fatalf("idle host %d sources %d routes", i, f.NumRoutesFrom(i))
 		}
 	}
 }
@@ -184,14 +184,13 @@ func TestFabricTeardownRecyclesTrunkVCIs(t *testing.T) {
 	env := sim.NewEnv()
 	f, _, _, drvs, _ := buildFabric(t, env, FabricFatTree, 2, 4)
 
-	vci, ok := f.setup(0, 4) // host 0 (leaf 0) -> host 3 (leaf 1)
-	if !ok {
+	first := f.setup(0, 4) // host 0 (leaf 0) -> host 3 (leaf 1)
+	if first == nil {
 		t.Fatal("setup failed")
 	}
-	if vci != DefaultVCI+3 {
+	if vci := first.seg.VCI; vci != DefaultVCI+3 {
 		t.Fatalf("host-link tx VCI = %d, want %d", vci, DefaultVCI+3)
 	}
-	first := f.routes[0].m[flowKey{0, 3}]
 	if first.n != 3 {
 		t.Fatalf("cross-leaf route has %d hops, want 3", first.n)
 	}
@@ -209,10 +208,10 @@ func TestFabricTeardownRecyclesTrunkVCIs(t *testing.T) {
 	}
 
 	f.RestoreHostPort(3)
-	if _, ok := f.setup(0, 4); !ok {
+	second := f.setup(0, 4)
+	if second == nil {
 		t.Fatal("re-setup failed")
 	}
-	second := f.routes[0].m[flowKey{0, 3}]
 	if second.hops[1].vci != trunk1 || second.hops[2].vci != trunk2 {
 		t.Fatalf("trunk VCIs not recycled: first (%d,%d), second (%d,%d)",
 			trunk1, trunk2, second.hops[1].vci, second.hops[2].vci)
@@ -228,7 +227,7 @@ func TestFabricRouteRemovalNeedsOneEnv(t *testing.T) {
 		HostShard: []int{0, 1, 1},
 	}
 	f, _, _, _, _ := buildFabricOn(t, plan, FabricHub, 0)
-	if _, ok := f.setup(1, 3); !ok { // host 1 -> host 2, queued for the hub in shard 0
+	if f.setup(1, 3) == nil { // host 1 -> host 2, queued for the hub in shard 0
 		t.Fatal("setup failed on a two-env plan")
 	}
 	func() {
@@ -280,8 +279,8 @@ func TestNoRouteIsACountedDrop(t *testing.T) {
 			if len(sinks[2].got) != 1 || !bytes.Equal(sinks[2].got[0], payload) {
 				t.Fatal("the datagram after the drop was not delivered")
 			}
-			if d.NumTxVCs() != 1 || f.NumRoutes() != 1 {
-				t.Fatalf("the drop installed state: %d tx VCs, %d routes; want 1 and 1", d.NumTxVCs(), f.NumRoutes())
+			if f.NumRoutesFrom(0) != 1 || f.NumRoutes() != 1 {
+				t.Fatalf("the drop installed state: host 0 sources %d routes, the fabric holds %d; want 1 and 1", f.NumRoutesFrom(0), f.NumRoutes())
 			}
 		})
 	}

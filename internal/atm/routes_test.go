@@ -9,25 +9,23 @@ import (
 )
 
 // The fabric's conservation law: every VC table entry and every trunk
-// VCI out belongs to exactly one installed route, and a route exists for
-// every flow installed and not since removed. refFabric is the flow map
-// that law is checked against — routes as (src, dst) pairs, each driver's
-// on-demand transmit cache — and FuzzFabricRoutes drives the real fabric
-// and the reference through the same arbitrary sequence of installs
-// (through Driver.segFor), port failures and restores. On a two-env plan
+// VCI out belongs to exactly one installed route, and a route — the
+// flow's transmit channel — exists for every flow installed and not since
+// removed. refFabric is the flow map that law is checked against — routes
+// as (src, dst) pairs — and FuzzFabricRoutes drives the real fabric and
+// the reference through the same arbitrary sequence of installs (through
+// Driver.segFor), port failures and restores. On a two-env plan
 // an install whose path reaches a switch across the cut stays queued
 // until a simulated barrier (Fabric.FinishRoutes), and the switch tables
 // are checked after each barrier.
 
-// refFabric is the reference: which flows have a route, what each
-// driver's transmit cache holds, how many routes were ever installed, and
-// how many wait for the barrier.
+// refFabric is the reference: which flows have a route, how many routes
+// were ever installed, and how many wait for the barrier.
 type refFabric struct {
 	leafOf   []int // a host's leaf; all zero on a hub
 	shardOf  []int // a host's shard
 	hub      bool
 	routes   map[flowKey]bool
-	tx       []map[int]bool // per source: the destinations it caches
 	installs int64
 	queued   int
 }
@@ -35,24 +33,19 @@ type refFabric struct {
 func newRefFabric(f *Fabric, plan *ShardPlan) *refFabric {
 	n := f.NumHosts()
 	r := &refFabric{leafOf: make([]int, n), shardOf: plan.HostShard, hub: f.Leaves == nil,
-		routes: map[flowKey]bool{}, tx: make([]map[int]bool, n)}
-	for i := range r.tx {
-		r.tx[i] = map[int]bool{}
+		routes: map[flowKey]bool{}}
+	for i := range r.leafOf {
 		r.leafOf[i] = max(f.hosts[i].leaf, 0)
 	}
 	return r
 }
 
-// install is Driver.segFor as the reference sees it: a cached VC is
-// used as it is; a miss asks the fabric, which installs a route unless
-// one stands. The route waits for the barrier when its path reaches a
-// switch off the source's loop: the hub or the spine (shard 0's) from
-// another shard, or a destination leaf in another shard.
+// install is Driver.segFor as the reference sees it: the flow's route is
+// its channel, installed unless one stands. The route waits for the
+// barrier when its path reaches a switch off the source's loop: the hub or
+// the spine (shard 0's) from another shard, or a destination leaf in
+// another shard.
 func (r *refFabric) install(src, dst int) {
-	if r.tx[src][dst] {
-		return
-	}
-	r.tx[src][dst] = true
 	if k := (flowKey{src, dst}); !r.routes[k] {
 		r.routes[k] = true
 		r.installs++
@@ -64,8 +57,8 @@ func (r *refFabric) install(src, dst int) {
 	}
 }
 
-// fail removes every route to or from host i; the drivers keep their
-// transmit caches, as the real ones do.
+// fail removes every route to or from host i, and with them the sources'
+// transmit channels: the next datagram on such a flow installs it again.
 func (r *refFabric) fail(i int) {
 	for k := range r.routes {
 		if k.src == i || k.dst == i {
@@ -84,10 +77,10 @@ func (r *refFabric) barrier(t *testing.T, step int, f *Fabric) {
 	r.queued = 0
 }
 
-// check holds the fabric to the reference: the route and cache counts
-// always, the switch tables and trunk VCIs when no route waits for the
-// barrier.
-func (r *refFabric) check(t *testing.T, step int, f *Fabric, drvs []*Driver) {
+// check holds the fabric to the reference: the route counts, fabric-wide
+// and per source, always; the switch tables and trunk VCIs when no route
+// waits for the barrier.
+func (r *refFabric) check(t *testing.T, step int, f *Fabric) {
 	t.Helper()
 	if got := f.NumRoutes(); got != len(r.routes) {
 		t.Fatalf("step %d: fabric holds %d routes, reference %d", step, got, len(r.routes))
@@ -95,9 +88,13 @@ func (r *refFabric) check(t *testing.T, step int, f *Fabric, drvs []*Driver) {
 	if got := f.VCsSetUp(); got != r.installs {
 		t.Fatalf("step %d: VCsSetUp = %d, reference installed %d", step, got, r.installs)
 	}
-	for i, d := range drvs {
-		if got := d.NumTxVCs(); got != len(r.tx[i]) {
-			t.Fatalf("step %d: host %d caches %d tx VCs, reference %d", step, i, got, len(r.tx[i]))
+	from := make([]int, f.NumHosts())
+	for k := range r.routes {
+		from[k.src]++
+	}
+	for i, want := range from {
+		if got := f.NumRoutesFrom(i); got != want {
+			t.Fatalf("step %d: host %d sources %d routes, reference %d", step, i, got, want)
 		}
 	}
 	if r.queued > 0 {
@@ -214,10 +211,10 @@ func runRoutes(t *testing.T, fatTree, sharded bool, script []byte) {
 				}
 				break
 			}
-			if seg == nil || seg.VCI != DefaultVCI+uint16(dst) {
-				t.Fatalf("step %d: host %d's VC to host %d is %v, want VCI %d", step/3, a, dst, seg, DefaultVCI+dst)
-			}
 			r.install(a, dst)
+			if rt := f.routes[plan.HostShard[a]].m[flowKey{a, dst}]; seg == nil || rt == nil || seg != &rt.seg || seg.VCI != DefaultVCI+uint16(dst) {
+				t.Fatalf("step %d: host %d's channel to host %d is %v, want its route's, on VCI %d", step/3, a, dst, seg, DefaultVCI+dst)
+			}
 		case routeFail:
 			if !sharded {
 				f.FailHostPort(a)
@@ -229,10 +226,10 @@ func runRoutes(t *testing.T, fatTree, sharded bool, script []byte) {
 		if step/3%barrierEvery == barrierEvery-1 {
 			r.barrier(t, step/3, f)
 		}
-		r.check(t, step/3, f, drvs)
+		r.check(t, step/3, f)
 	}
 	r.barrier(t, len(script)/3, f)
-	r.check(t, len(script)/3, f, drvs)
+	r.check(t, len(script)/3, f)
 	if sharded {
 		return
 	}
@@ -240,43 +237,37 @@ func runRoutes(t *testing.T, fatTree, sharded bool, script []byte) {
 		f.FailHostPort(i)
 		r.fail(i)
 	}
-	r.check(t, len(script)/3, f, drvs)
+	r.check(t, len(script)/3, f)
 	if f.TotalVCs() != 0 || f.NumRoutes() != 0 {
 		t.Fatalf("a full teardown left %d VC entries, %d routes", f.TotalVCs(), f.NumRoutes())
 	}
 }
 
-// TestVCInstallAllocations pins what installing a driver's VC state costs
-// the heap: a transmit or receive channel in its table's first slot
-// nothing — a client's only channel each way — one past it a share of a
-// slab chunk and of the map's growth, not a box of its own, and one that
-// takes a deleted entry's slot nothing (a server's on-demand transmit
-// channels are deleted and reinstalled at every testbed reset).
+// TestVCInstallAllocations pins what installing a driver's receive
+// channel costs the heap: one in its table's first slot nothing — a
+// client's only channel — one past it a share of a slab chunk and of the
+// map's growth, not a box of its own, and one that takes a deleted
+// entry's slot nothing. (A transmit channel is its flow's route:
+// TestQueuedRouteAllocations.)
 func TestVCInstallAllocations(t *testing.T) {
-	var tx txTable
 	var rx rxTable
 	if n := testing.AllocsPerRun(100, func() {
-		tx.del(7)
-		tx.add(7, txVC{seg: Segmenter{VCI: DefaultVCI}})
 		rx.del(DefaultVCI)
 		rx.add(rxVC{vci: DefaultVCI})
 	}); n != 0 {
-		t.Errorf("first-slot installs allocate %v, want 0", n)
+		t.Errorf("a first-slot install allocates %v, want 0", n)
 	}
 	const spills = 1024
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	for i := 1; i <= spills; i++ {
-		tx.add(uint32(7+i), txVC{})
 		rx.add(rxVC{vci: DefaultVCI + uint16(i)})
 	}
 	runtime.ReadMemStats(&m1)
-	if n := float64(m1.Mallocs-m0.Mallocs) / (2 * spills); n > 0.05 {
+	if n := float64(m1.Mallocs-m0.Mallocs) / spills; n > 0.05 {
 		t.Errorf("spilled installs allocate %.3f an entry, want a share of a chunk (at most 0.05)", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		tx.del(8)
-		tx.add(8, txVC{})
 		rx.del(DefaultVCI + 1)
 		rx.add(rxVC{vci: DefaultVCI + 1})
 	}); n != 0 {
@@ -319,7 +310,7 @@ func TestQueuedRouteAllocations(t *testing.T) {
 	install := func() {
 		k := flows[next]
 		next++
-		if _, ok := f.setup(k.src, uint32(k.dst+1)); !ok {
+		if f.setup(k.src, uint32(k.dst+1)) == nil {
 			t.Fatalf("no route from host %d to host %d", k.src, k.dst)
 		}
 		if n := f.FinishRoutes(); n != 1 {

@@ -26,36 +26,21 @@ func (s *swSink) Input(p *sim.Proc, h ip.Header, m *mbuf.Mbuf) {
 	s.srcs = append(s.srcs, h.Src)
 }
 
-// buildStar assembles n hosts attached to one switch with a full VC
-// mesh: host i reaches host j on VCI 32+j, rewritten to 32+i at the
-// egress so the arriving VCI names the source.
+// buildStar assembles n hosts on a hub fabric with a full VC mesh
+// installed before any traffic, through the fabric's own install path:
+// host i reaches host j on VCI 32+j, rewritten to 32+i at the egress so
+// the arriving VCI names the source.
 func buildStar(t *testing.T, env *sim.Env, n int) (*Switch, []*kern.Kernel, []*ip.Stack, []*Driver, []*swSink) {
 	t.Helper()
-	model := cost.DECstation5000()
-	sw := NewSwitch(env)
-	kerns := make([]*kern.Kernel, n)
-	ips := make([]*ip.Stack, n)
-	drvs := make([]*Driver, n)
-	sinks := make([]*swSink, n)
-	for i := 0; i < n; i++ {
-		kerns[i] = kern.New(env, model, fmt.Sprintf("h%d", i))
-		ips[i] = ip.NewStack(kerns[i], uint32(i+1))
-		a := NewAdapter(kerns[i])
-		drvs[i] = NewDriver(kerns[i], a, ips[i])
-		sw.AttachPort(a)
-		sinks[i] = &swSink{env: env}
-		ips[i].Register(99, sinks[i])
-	}
+	f, kerns, ips, drvs, sinks := buildFabric(t, env, FabricHub, 0, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			if i == j {
-				continue
+			if i != j && !f.Connect(i, j) {
+				t.Fatalf("no route from host %d to host %d", i, j)
 			}
-			drvs[i].AddVC(uint32(j+1), DefaultVCI+uint16(j))
-			sw.AddVC(i, DefaultVCI+uint16(j), j, DefaultVCI+uint16(i))
 		}
 	}
-	return sw, kerns, ips, drvs, sinks
+	return f.Core, kerns, ips, drvs, sinks
 }
 
 func TestSwitchDeliversOnlyToAddressedHost(t *testing.T) {

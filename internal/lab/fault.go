@@ -2,10 +2,10 @@
 // the deterministic fault tier. A sim.FaultSchedule is plain data; this
 // file turns it into scheduled events against an assembled topology —
 // link flips as down flags on the entities whose receive paths enforce
-// them, port failures as VC teardown plus a down port, host crashes as
-// mid-run transport-stack resets reusing the Reset machinery — and arms
-// the watchdog that converts a recovery that never happens into a
-// failing run with a diagnostic instead of a hang.
+// them, port failures as VC teardown (transmit channels included) plus a
+// down port, host crashes as mid-run transport-stack resets reusing the
+// Reset machinery — and arms the watchdog that converts a recovery that
+// never happens into a failing run with a diagnostic instead of a hang.
 package lab
 
 import (
@@ -76,9 +76,9 @@ func (l *Lab) applyFault(ev sim.FaultEvent) {
 		l.flipAdapter(ev.Host, true)
 		l.flipPort(ev.Host, true)
 		if l.Fabric != nil {
-			// Tear down every VC path through the failed port so that
-			// recovery re-routes through on-demand VC setup instead of
-			// resuming stale routes.
+			// Release every VC path through the failed port, transmit
+			// channels included: the next datagram on such a flow sets
+			// its path up afresh, which carries once the port is back.
 			l.Fabric.FailHostPort(ev.Host)
 		}
 	case sim.FaultHostCrash:

@@ -11,10 +11,10 @@ import (
 )
 
 // TestIdleHostFootprint is the topology's sparsity contract: nothing
-// pairwise exists before traffic — no switch VC entry, fabric route,
-// driver transmit VC or reassembler — so an idle host costs the same at
-// any topology size. What the idle hosts do cost, site by site, is
-// cmd/alloccensus's idle golden.
+// pairwise exists before traffic — no switch VC entry, fabric route (a
+// route is its source's transmit channel) or reassembler — so an idle
+// host costs the same at any topology size. What the idle hosts do cost,
+// site by site, is cmd/alloccensus's idle golden.
 func TestIdleHostFootprint(t *testing.T) {
 	l := NewTopology(Config{Link: LinkATM, Fabric: FabricFatTree}, 1024)
 	if got := l.Fabric.TotalVCs(); got != 0 {
@@ -24,9 +24,9 @@ func TestIdleHostFootprint(t *testing.T) {
 		t.Errorf("idle fabric holds %d routes, want 0", got)
 	}
 	for i, h := range l.Hosts {
-		if h.ATMDriver.NumTxVCs() != 0 || h.ATMDriver.NumReassemblers() != 0 {
-			t.Fatalf("idle host %d holds %d tx VCs, %d reassemblers; want 0",
-				i, h.ATMDriver.NumTxVCs(), h.ATMDriver.NumReassemblers())
+		if n := l.Fabric.NumRoutesFrom(i); n != 0 || h.ATMDriver.NumReassemblers() != 0 {
+			t.Fatalf("idle host %d sources %d routes, holds %d reassemblers; want 0",
+				i, n, h.ATMDriver.NumReassemblers())
 		}
 	}
 }

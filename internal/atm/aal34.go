@@ -109,13 +109,12 @@ func CellsForDatagram(n int) int {
 	return (total + SARPayload - 1) / SARPayload
 }
 
-// Segmenter turns datagrams into cells on one virtual channel. The
-// CPCS-PDU it cuts cells from is the caller's: SegmentAppend builds it in
-// a private scratch buffer that is overwritten on every call, so
-// steady-state segmentation does not allocate; the driver, which holds a
+// Segmenter turns datagrams into cells on one virtual channel. It holds
+// the channel's on-wire state only and owns no memory: the CPCS-PDU it
+// cuts cells from is the caller's. SegmentAppend builds it on its own
+// stack, so segmentation does not allocate; the driver, which holds a
 // PDU across the FIFO stalls of one Output, checks its own out of the
-// event loop's arena and drives frame and cell directly, so its
-// segmenters own no memory at all.
+// event loop's arena and drives frame and cell directly.
 type Segmenter struct {
 	VCI  uint16
 	MID  uint16
@@ -125,10 +124,6 @@ type Segmenter struct {
 	// hdr is the cell header every cell of the current PDU carries,
 	// marshaled (HEC included) once by frame.
 	hdr [CellSize - PayloadSize]byte
-
-	// pdu is SegmentAppend's CPCS-PDU scratch. Its bytes never escape:
-	// each cell payload is copied out of it.
-	pdu []byte
 }
 
 // Reset rewinds the segmenter's Btag and sequence counters to their
@@ -153,11 +148,9 @@ func (s *Segmenter) Segment(data []byte) []Cell {
 // extended slice. Passing a recycled dst (length zero, retained
 // capacity) makes steady-state segmentation allocation-free.
 func (s *Segmenter) SegmentAppend(dst []Cell, data []byte) []Cell {
-	need := pduLen(len(data))
-	if cap(s.pdu) < need {
-		s.pdu = make([]byte, need)
-	}
-	pdu := s.pdu[:need]
+	// The PDU's bytes never escape: each cell payload is copied out.
+	var buf [maxPDU]byte
+	pdu := buf[:pduLen(len(data))]
 	copy(pdu[cpcsHeader:], data)
 	n := s.frame(pdu, len(data))
 	base := len(dst)

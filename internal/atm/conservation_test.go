@@ -102,12 +102,16 @@ func TestCellsAreConserved(t *testing.T) {
 	fanIn := workload.FanIn{Requests: 3, Size: 1400, Warmup: 1}
 	// Faults end cells too: a dark access link at the adapter and at the
 	// switch port behind it, a failed port's torn-down routes as unrouted —
-	// the rest of a frame already under way on a route when it goes. The
-	// server's port fails while one is.
-	flaps, portFail := fanIn, fanIn
-	flaps.Requests, portFail.Requests = 20, 20
+	// the rest of a frame already under way on a route when it goes. A
+	// client's port fails, and the server's while a frame is under way.
+	flaps, portFail, serverFail := fanIn, fanIn, fanIn
+	flaps.Requests, portFail.Requests, serverFail.Requests = 20, 20, 20
 	flaps.Faults = sim.LinkFlaps(7, []int{0, 2}, 8, 20*sim.Millisecond, 300*sim.Microsecond)
 	portFail.Faults = sim.FaultSchedule{
+		{At: 4 * sim.Millisecond, Kind: sim.FaultPortFail, Host: 3},
+		{At: 9 * sim.Millisecond, Kind: sim.FaultLinkUp, Host: 3},
+	}
+	serverFail.Faults = sim.FaultSchedule{
 		{At: 3 * sim.Millisecond, Kind: sim.FaultPortFail, Host: 0},
 		{At: 9 * sim.Millisecond, Kind: sim.FaultLinkUp, Host: 0},
 	}
@@ -128,6 +132,7 @@ func TestCellsAreConserved(t *testing.T) {
 		{name: "hub, link flaps", hosts: 5, shards: 1, g: flaps},
 		{name: "hub, link flaps, 4 shards", hosts: 5, shards: 4, g: flaps},
 		{name: "hub, port failure", hosts: 5, shards: 1, g: portFail},
+		{name: "hub, server port failure", hosts: 5, shards: 1, g: serverFail},
 	}
 	var overflows, worstOverflows, qdiscDrops, reordered, corrupted, dark, unrouted int64
 	for _, tp := range topologies {

@@ -32,7 +32,10 @@ type Driver struct {
 	Mode cost.ChecksumMode
 
 	// seg carries traffic on the default PVC, the single VC of the
-	// paper's switchless fiber, when there is no fabric.
+	// paper's switchless fiber, when there is no fabric. On a fabric,
+	// which has no PVC, it holds instead the channel of a route removed
+	// under the Output cutting from it, for the rest of that frame (see
+	// tx).
 	seg Segmenter
 
 	// fabric, when set, is the routed fabric this driver is host number
@@ -40,15 +43,9 @@ type Driver struct {
 	// for (this host → dst), which the fabric installs on the first
 	// datagram of the flow. Signaling is modeled as instantaneous — it
 	// charges no simulated time — so an on-demand topology is
-	// timing-identical to one with every VC pre-installed. last is the
-	// channel the previous datagram used, to lastDst, found while the
-	// fabric's route generation was lastGen: a client of a fan-in has one
-	// peer, and while no route is removed its lookups end here.
-	fabric  *Fabric
-	host    int
-	last    *Segmenter
-	lastDst uint32
-	lastGen int64
+	// timing-identical to one with every VC pre-installed.
+	fabric *Fabric
+	host   int
 
 	// rx holds one receive context per incoming VCI. Cells from
 	// different sources arrive interleaved on distinct VCIs in switched
@@ -73,19 +70,16 @@ type Driver struct {
 
 	// txBusy serializes Output, as splimp does around the real driver:
 	// CPU charges yield to the event loop, so without the lock a user
-	// send and a protocol-timer send could interleave cell pushes. The
-	// Output holding the lock cuts its frame's cells with tx, its own copy
-	// of the channel that lives at txHome (nil: no route), and writes it
-	// back when the last cell is out — unless a route was removed since
-	// segFor found txHome (the route generation moved past lastGen). A
-	// port failure can remove the flow's route while the Output is parked
-	// on a full FIFO, and the next install can take the route's slot: the
-	// parked Output finishes its frame on the removed flow's VCI, as the
-	// removed channel would have, and leaves the slot alone.
+	// send and a protocol-timer send could interleave cell pushes. tx is
+	// the channel the Output holding the lock cuts its frame's cells with
+	// (nil: none, or no route). A port failure can remove the flow's
+	// route while the Output is parked on a full FIFO, and the next
+	// install can take the route's slot: the removal moves the channel
+	// into seg and repoints tx there, so the parked Output finishes its
+	// frame on the removed flow's VCI and leaves the slot alone.
 	txBusy bool
 	txWait sim.WaitQueue
-	tx     Segmenter
-	txHome *Segmenter
+	tx     *Segmenter
 
 	// outOp is the free list of transmit frames, linked through next, as
 	// ip.Stack keeps its output frames: txBusy serializes Output, so the
@@ -250,17 +244,16 @@ func (t *rxTable) each(fn func(vc *rxVC)) {
 // reassembler rewind (a route's segmenter is the fabric's, which its own
 // Reset rewinds; a frame stranded mid-reassembly gives its buffer back to
 // the loop's arena, which is why the lab resets drivers before it rewinds
-// the environment), the remembered channel, open receive spans and the
-// transmit lock clear, configuration knobs return to defaults for the lab
-// to re-apply, and counters zero. The receive service process stays
-// parked on the adapter's RxReady queue.
+// the environment), open receive spans and the transmit lock clear,
+// configuration knobs return to defaults for the lab to re-apply, and
+// counters zero. The receive service process stays parked on the
+// adapter's RxReady queue.
 func (d *Driver) Reset() {
 	d.Mode = cost.ChecksumStandard
 	d.MTUOverride = 0
 	d.HostCorruptRate = 0
-	d.txBusy, d.txHome = false, nil
+	d.txBusy, d.tx = false, nil
 	d.seg.Reset()
-	d.last = nil
 	d.rx.each(func(vc *rxVC) {
 		vc.reasm.Reset()
 		vc.open = false
@@ -300,15 +293,11 @@ func (d *Driver) segFor(dst uint32) *Segmenter {
 	if f == nil {
 		return &d.seg
 	}
-	if d.last != nil && d.lastDst == dst && d.lastGen == f.gen {
-		return d.last
-	}
 	rt := f.setup(d.host, dst)
 	if rt == nil {
 		return nil
 	}
-	d.last, d.lastDst, d.lastGen = &rt.seg, dst, f.gen
-	return d.last
+	return &rt.seg
 }
 
 // DropRx reclaims the reassembly context for an incoming VCI, returning
@@ -425,11 +414,10 @@ func (f *outputOp) Step(p *sim.Proc) {
 			f.pdu = k.Env.Arena().Checkout(need)[:need]
 			data := f.pdu[cpcsHeader : cpcsHeader+f.n]
 			mbuf.CopyBytesTo(f.m, 0, f.n, data)
-			if d.txHome = d.segFor(ip.Dst(data)); d.txHome == nil {
+			if d.tx = d.segFor(ip.Dst(data)); d.tx == nil {
 				f.pc = 5 // no route: drop it
 				continue
 			}
-			d.tx = *d.txHome
 			f.cells, f.i = d.tx.frame(f.pdu, f.n), 0
 			f.pc = 2
 		case 2: // cell-loop head: stall on a full FIFO or charge the push
@@ -460,12 +448,9 @@ func (f *outputOp) Step(p *sim.Proc) {
 			f.i++
 			f.pc = 2
 		case 5: // count the frame and trace it (or count the drop), then charge the chain free
-			if d.txHome == nil {
+			if d.tx == nil {
 				d.NoRoute++
 			} else {
-				if d.fabric == nil || d.fabric.gen == d.lastGen {
-					*d.txHome = d.tx
-				}
 				d.FramesOut++
 				if k.Trace.PacketsEnabled() {
 					id := k.PacketContext(p)
@@ -482,7 +467,7 @@ func (f *outputOp) Step(p *sim.Proc) {
 				}
 			}
 			k.Env.Arena().Return(f.pdu)
-			f.pdu, d.txHome = nil, nil
+			f.pdu, d.tx = nil, nil
 			f.pc = 6
 			if c := k.FreeChainCost(f.m); c > 0 {
 				if !k.Use(p, trace.LayerMbuf, c) {

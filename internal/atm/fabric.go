@@ -78,8 +78,8 @@ type hop struct {
 // one on a single switch, three across a fat tree — in hops[:n], so that
 // a route is one allocation.
 type route struct {
-	seg   Segmenter
 	hops  [3]hop
+	seg   Segmenter
 	n     uint8
 	rxVCI uint16
 }
@@ -95,10 +95,10 @@ func (rt *route) add(h hop) {
 // next install. A route never moves while installed — a queued route is
 // held by pointer until the barrier finishes it, and a driver its
 // segmenter — so a full slab is replaced, not grown (see slabChunk). A
-// removed route's slot may be handed out again while a driver still
-// remembers it; Fabric.gen tells the two apart. Only the shard that owns
-// the table writes it inside a round; the coordinator drains queued at the
-// barrier.
+// removed route's slot may be handed out again at once: removal first
+// takes the channel out of its source driver's hands (Fabric.removeRoute).
+// Only the shard that owns the table writes it inside a round; the
+// coordinator drains queued at the barrier.
 type routeTable struct {
 	m    map[flowKey]*route
 	slab []route
@@ -178,13 +178,9 @@ type Fabric struct {
 	plan   *ShardPlan
 	routes []routeTable
 
-	// gen counts the paths FailHostPort has removed over the route
-	// memory's life (which spans Resets), and so is the route generation:
-	// a route a driver looked up, or whose channel an Output copied, is
-	// still the same flow's while gen has not moved; after a removal its
-	// slot may hold another flow's. Only FailHostPort moves it, on a
-	// one-env plan, so shards only read it.
-	gen int64
+	// VCsTornDown counts paths removed by FailHostPort over the route
+	// memory's life (which spans Resets).
+	VCsTornDown int64
 }
 
 // CellDest is a shard-boundary delivery target — the far end of a cut
@@ -329,7 +325,7 @@ func (f *Fabric) NumRoutesFrom(i int) int {
 
 // VCsSetUp returns how many flow paths have ever been installed: those
 // standing plus those removed.
-func (f *Fabric) VCsSetUp() int64 { return int64(f.NumRoutes()) + f.gen }
+func (f *Fabric) VCsSetUp() int64 { return int64(f.NumRoutes()) + f.VCsTornDown }
 
 // TotalVCs sums the VC table entries across every switch in the fabric.
 func (f *Fabric) TotalVCs() int {
@@ -473,12 +469,15 @@ func (f *Fabric) walk(env *sim.Env, key flowKey, rt *route, vci uint16) (uint16,
 	return vci, true
 }
 
-// removeRoute removes key's route rt: every switch entry goes away, trunk
-// VCIs return to their links' pools, the source's transmit channel goes
-// with the route (gen moves, so no driver uses the slot as this flow's
-// again), and the destination's reassembly context is reclaimed (unless a
-// datagram is mid-flight on it, in which case the context stays until the
-// channel is next reclaimed).
+// removeRoute removes key's route rt, releasing the call at both ends:
+// every switch entry goes away, trunk VCIs return to their links' pools,
+// the source's driver lets go of the transmit channel, and the
+// destination's reassembly context is reclaimed (unless a datagram is
+// mid-flight on it, in which case the context stays until the channel is
+// next reclaimed). An Output the source has parked mid-frame on the
+// channel keeps a copy of it in the driver's seg, so it finishes the
+// frame on the removed VCI while the route's slot goes to the next
+// install.
 func (f *Fabric) removeRoute(rm *routeTable, key flowKey, rt *route) {
 	for _, h := range rt.hops[:rt.n] {
 		h.sw.RemoveVC(int(h.port), h.vci)
@@ -486,9 +485,14 @@ func (f *Fabric) removeRoute(rm *routeTable, key flowKey, rt *route) {
 			h.alloc.put(h.vci)
 		}
 	}
+	src := f.hosts[key.src].drv
+	if src.tx == &rt.seg {
+		src.seg = rt.seg
+		src.tx = &src.seg
+	}
 	f.hosts[key.dst].drv.DropRx(rt.rxVCI)
 	rm.del(key, rt)
-	f.gen++
+	f.VCsTornDown++
 }
 
 // HostPort returns host i's access port on its switch (the hub core or

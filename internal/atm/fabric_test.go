@@ -435,3 +435,60 @@ func TestRemovedRouteKeepsItsParkedOutput(t *testing.T) {
 		t.Fatal("host 1 received the datagram its failed port cut off")
 	}
 }
+
+// TestUnrelatedRemovalKeepsParkedChannel is the other side of the slot
+// hazard: removing a route must leave every other flow's channel alone,
+// an Output parked on it included. Host 0 is part-way through an
+// 8000-byte datagram to host 1, parked on its full FIFO, when host 3's
+// port fails and takes host 3's route to host 2 with it. Host 0's channel
+// must come out of the frame with its SAR sequence number and Btag
+// advanced, so that its next datagram to host 1 reassembles: both must
+// arrive, and host 1 must reject no cell.
+func TestUnrelatedRemovalKeepsParkedChannel(t *testing.T) {
+	env := sim.NewEnv()
+	f, kerns, ips, drvs, sinks := buildFabric(t, env, FabricHub, 0, 4)
+	send := func(from int, dst uint32, data []byte) func(*sim.Proc) {
+		return func(p *sim.Proc) {
+			m := kerns[from].Pool.AllocCluster()
+			m.Append(data[:min(len(data), 4000)])
+			if len(data) > 4000 {
+				m.SetNext(kerns[from].Pool.AllocCluster())
+				m.Next().Append(data[4000:])
+			}
+			ips[from].Output(p, dst, 99, m)
+		}
+	}
+	env.Spawn("tx3", sim.Steps(send(3, 3, make([]byte, 100)))) // host 3 -> host 2
+
+	// The first cell host 0 launches onto a full FIFO fails host 3's
+	// port, once the Output has parked.
+	port := f.HostPort(0)
+	failed := false
+	drvs[0].Adapter.SetCut(func(_, at sim.Time, c Cell) {
+		if !failed && drvs[0].Adapter.TxSpace() == 0 {
+			failed = true
+			env.At(env.Now(), "fail", func() {
+				if !drvs[0].txBusy {
+					t.Fatal("host 0's Output is not parked when the port fails")
+				}
+				f.FailHostPort(3)
+			})
+		}
+		env.At(at, "tap", func() { port.InjectCell(c) })
+	})
+	big := make([]byte, 8000) // 182 cells: not a whole turn of the 4-bit SAR sequence
+	env.RNG().Fill(big)
+	env.Spawn("tx0", sim.Steps(send(0, 2, big)))
+	env.SpawnAt(2*sim.Millisecond, "tx0again", sim.Steps(send(0, 2, big)))
+	env.Run()
+
+	if !failed || f.VCsTornDown == 0 {
+		t.Fatal("no route was removed while host 0 was parked; the test no longer sets up the hazard")
+	}
+	if len(sinks[1].got) != 2 || !bytes.Equal(sinks[1].got[0], big) || !bytes.Equal(sinks[1].got[1], big) {
+		t.Fatalf("host 1 received %d of host 0's 2 datagrams intact", len(sinks[1].got))
+	}
+	if drvs[1].ReassemblyErrors != 0 {
+		t.Fatalf("host 1 rejected %d cells of host 0's flow", drvs[1].ReassemblyErrors)
+	}
+}

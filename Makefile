@@ -6,7 +6,7 @@ GO ?= go
 # per-package default or hang a -race smoke until the job is killed.
 SMOKE_DEADLINE ?= 600
 
-.PHONY: all fmt fmt-check vet loc build test race bench bench-smoke bench-check benchdiff baseline bench-wallclock baseline-wallclock alloc-census tables load-smoke load-scale-smoke shard-smoke loaded-smoke docs-check
+.PHONY: all fmt fmt-check vet loc build test race bench bench-smoke bench-check benchdiff baseline bench-wallclock baseline-wallclock alloc-census tables load-smoke load-scale-smoke shard-smoke loaded-smoke docs-check fuzz-flags
 
 all: build test
 
@@ -145,6 +145,13 @@ shard-smoke:
 loaded-smoke:
 	timeout $(SMOKE_DEADLINE) $(GO) run -race ./cmd/load -workload loaded -hosts 6 -reqs 4 \
 		-qdisc red -burstloss 0.002 -crosstraffic 2 -seed 1994 -json > /dev/null
+
+## fuzz-flags: every command's FuzzFlags for 10 s: arbitrary argument
+## vectors end in a run or a refusal naming a flag that was set (what CI runs)
+FLAG_COMMANDS = alloccensus benchdiff breakdown cksum docscheck load pkttrace tables tcplat
+fuzz-flags:
+	for c in $(FLAG_COMMANDS); do \
+		$(GO) test -run='^$$' -fuzz=FuzzFlags -fuzztime=10s -timeout 300s ./cmd/$$c/ || exit 1; done
 
 ## docs-check: execute every command quoted in README.md and docs/ (smoke mode)
 docs-check:

@@ -28,15 +28,14 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"sort"
 	"strings"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/lab"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -44,24 +43,22 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "alloccensus:", err)
-		os.Exit(1)
-	}
-}
+func main() { flags.Main(run) }
+
+var shapeWords = cli.Modes{"fanin", "loaded", "echo", "idle"}
+
+var flags = cli.Table{Name: "alloccensus", Rows: []cli.Row{
+	{Name: "shape", Def: "fanin", Usage: "fanin: the served fan-in; loaded: one replica of loaded-grid's transport x qdisc trials; echo: two replicas of echo-small's grid; idle: the fan-in's fat tree, built and left idle", Words: shapeWords},
+	{Name: "hosts", Def: 0, Usage: "fanin, loaded and idle: host 0 serves, every other makes requests (0: 1001 for fanin and idle, 33 for loaded); echo runs on the two-host pair",
+		Min: 3, Max: 1<<16 - 32, Zero: true, Why: "each shape it sizes needs a switch, and host i is reached on VCI 32+i, 16 bits", On: shapeWords.On("fanin", "loaded", "idle")},
+}, Mode: shapeWords.Of("shape")}
 
 func run(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("alloccensus", flag.ContinueOnError)
-	shape := fs.String("shape", "fanin", "fanin: the served fan-in; loaded: one replica of loaded-grid's transport x qdisc trials; echo: two replicas of echo-small's grid; idle: the fan-in's fat tree, built and left idle")
-	hosts := fs.Int("hosts", 0, "fanin, loaded and idle: host 0 serves, every other makes requests (0: 1001 for fanin and idle, 33 for loaded); echo runs on the two-host pair")
-	if err := fs.Parse(args); err != nil {
-		if err == flag.ErrHelp {
-			return nil
-		}
+	f, err := flags.Parse(args, w)
+	if f == nil {
 		return err
 	}
-	c, err := take(*shape, *hosts)
+	c, err := take(f.String("shape"), f.Int("hosts"))
 	if err != nil {
 		return err
 	}
@@ -95,15 +92,9 @@ var shapes = map[string]struct {
 // take runs shape on hosts hosts (0: the shape's default) and returns its
 // census.
 func take(shape string, hosts int) (census, error) {
-	s, ok := shapes[shape]
-	if !ok {
-		return census{}, fmt.Errorf("unknown -shape %q (fanin, loaded, echo, idle)", shape)
-	}
-	if hosts == 0 || shape == "echo" {
+	s := shapes[shape]
+	if hosts == 0 {
 		hosts = s.hosts
-	}
-	if hosts < 2 {
-		return census{}, fmt.Errorf("-hosts must be at least 2, have %d", hosts)
 	}
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1

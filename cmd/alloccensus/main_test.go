@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/cmd/internal/cli/clitest"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/<shape>.golden from this run, keeping each line's stated bound")
@@ -324,3 +326,18 @@ func TestFanInCensus(t *testing.T) {
 	}
 	t.Logf("%.3f a request building the fabric, %.3f warming the run's tables and scratch", build, rest)
 }
+
+// TestFlags: -hosts beside -shape echo, which always runs on the two-host
+// pair, is refused rather than ignored, and so is a testbed without a
+// switch: -hosts 2 failed on the fat tree naming no flag.
+func TestFlags(t *testing.T) {
+	clitest.Check(t, run, []clitest.Case{
+		{Args: []string{"-shape", "echo", "-hosts", "65"}, Flag: "-hosts"},
+		{Args: []string{"-hosts", "1"}, Flag: "-hosts"},
+		{Args: []string{"-hosts", "2"}, Flag: "-hosts"},
+		{Args: []string{"-shape", "loaded", "-hosts", "2"}, Flag: "-hosts"},
+		{Args: []string{"-shape", "mesh"}, Flag: "-shape"},
+	})
+}
+
+func FuzzFlags(f *testing.F) { clitest.Fuzz(f, &flags, run, map[string]float64{"hosts": 5}) }

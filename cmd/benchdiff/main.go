@@ -8,16 +8,12 @@
 // reproducible on any machine, unlike ns/op, and the default tolerance
 // is correspondingly strict (0.1%).
 //
-// The -wallclock mode guards what the SIMULATOR allocates and retains: it
-// extracts B/op, the custom allocs/rtt and allocs/run metrics, the sharded
-// fan-in's barrier counts and the scale benchmark's peak heap from the
-// Wallclock benchmark tier and compares them against BENCH_wallclock.json
-// with a tolerance band — medium for B/op (GC timing and map growth add
-// noise allocation counts do not have), tight for the counts
-// (near-deterministic). Neither ns/op nor allocs/op is read: wall-clock
-// claims belong to bench/ (see docs/PERFORMANCE.md), and where a workload
-// allocates is cmd/alloccensus's goldens' to pin — allocs/run comes only
-// from the benchmarks whose configuration no golden runs.
+// The -wallclock mode guards what the SIMULATOR allocates and retains:
+// the Wallclock tier's tripwires (parseWallclock) against
+// BENCH_wallclock.json, B/op in a medium band and the counts in a tight
+// one. Neither ns/op nor allocs/op is read: wall-clock claims belong to
+// bench/ (see docs/PERFORMANCE.md), and where a workload allocates is
+// cmd/alloccensus's goldens' to pin.
 //
 // Usage:
 //
@@ -30,7 +26,6 @@ package main
 import (
 	"bufio"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"math"
@@ -38,33 +33,44 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/cmd/internal/cli"
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(1)
-	}
+	flags.Main(func(args []string, w io.Writer) error { return run(args, os.Stdin, w) })
 }
 
+// modes: comparing or writing (-write) the paper metrics or the
+// wall-clock tier's tripwires (-wallclock).
+var modes = cli.Modes{"paper", "paper -write", "wallclock", "wallclock -write"}
+
+var flags = cli.Table{Name: "benchdiff", Rows: []cli.Row{
+	{Name: "baseline", Def: "BENCH_baseline.json", Usage: "baseline file to compare against", On: modes.On("paper", "wallclock")},
+	{Name: "write", Def: "", Usage: "write a new baseline to this file instead of comparing"},
+	{Name: "tol", Def: 0.001, Usage: "relative tolerance before a difference is a failure", Max: 1, On: modes.On("paper")},
+	{Name: "wallclock", Def: false, Usage: "compare the wall-clock tier's allocation tripwires instead of paper metrics"},
+	{Name: "tol-alloc", Def: 0.15, Usage: "wallclock: relative tolerance for allocs/rtt, allocs/run and the barrier counts", Max: 1, On: modes.On("wallclock")},
+	{Name: "tol-bytes", Def: 0.35, Usage: "wallclock: relative tolerance for B/op and peak heap (GC timing and map growth add noise)", Max: 1, On: modes.On("wallclock")},
+}, Mode: func(v *cli.Values) (uint, string) {
+	m, phrase := "paper", "the paper metrics"
+	if v.Bool("wallclock") {
+		m, phrase = "wallclock", "-wallclock"
+	}
+	if v.String("write") != "" {
+		return modes.On(m + " -write"), phrase + " -write"
+	}
+	return modes.On(m), phrase
+}}
+
 func run(args []string, in io.Reader, w io.Writer) error {
-	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
-	var (
-		baseline  = fs.String("baseline", "BENCH_baseline.json", "baseline file to compare against")
-		write     = fs.String("write", "", "write a new baseline to this file instead of comparing")
-		tol       = fs.Float64("tol", 0.001, "relative tolerance before a difference is a failure")
-		wallclock = fs.Bool("wallclock", false, "compare the wall-clock tier's allocation tripwires instead of paper metrics")
-		tolAlloc  = fs.Float64("tol-alloc", 0.15, "wallclock: relative tolerance for allocs/rtt, allocs/run and the barrier counts")
-		tolBytes  = fs.Float64("tol-bytes", 0.35, "wallclock: relative tolerance for B/op and peak heap (GC timing and map growth add noise)")
-	)
-	if err := fs.Parse(args); err != nil {
-		if err == flag.ErrHelp {
-			return nil
-		}
+	f, err := flags.Parse(args, w)
+	if f == nil {
 		return err
 	}
+	wallclock, write := f.Bool("wallclock"), f.String("write")
 	parse := parseBench
-	if *wallclock {
+	if wallclock {
 		parse = parseWallclock
 	}
 	got, err := parse(in)
@@ -75,8 +81,8 @@ func run(args []string, in io.Reader, w io.Writer) error {
 		return fmt.Errorf("no metrics found in the bench output")
 	}
 
-	if *write != "" {
-		if _, ok := got[allocsPerRTTKey]; *wallclock && !ok {
+	if write != "" {
+		if _, ok := got[allocsPerRTTKey]; wallclock && !ok {
 			// A baseline without the steady-state allocation count would
 			// make its gate pass vacuously forever. The usual cause is
 			// running only part of the tier.
@@ -86,24 +92,24 @@ func run(args []string, in io.Reader, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(*write, append(b, '\n'), 0o644); err != nil {
-			return err
+		if err := os.WriteFile(write, append(b, '\n'), 0o644); err != nil {
+			return fmt.Errorf("-write: %w", err)
 		}
-		fmt.Fprintf(w, "benchdiff: wrote %d metrics to %s\n", len(got), *write)
+		fmt.Fprintf(w, "benchdiff: wrote %d metrics to %s\n", len(got), write)
 		return nil
 	}
 
-	base, err := readBaseline(*baseline)
+	base, err := readBaseline(f.String("baseline"))
 	if err != nil {
-		return err
+		return fmt.Errorf("-baseline: %w", err)
 	}
-	tolFor := func(string) float64 { return *tol }
-	if *wallclock {
+	tolFor := func(string) float64 { return f.Float("tol") }
+	if wallclock {
 		tolFor = func(key string) float64 {
 			if strings.HasSuffix(key, "/B/op") || key == peakHeapKey {
-				return *tolBytes
+				return f.Float("tol-bytes")
 			}
-			return *tolAlloc
+			return f.Float("tol-alloc")
 		}
 	}
 	return compare(w, base, got, tolFor)
@@ -138,8 +144,9 @@ func parseBench(in io.Reader) (map[string]float64, error) {
 }
 
 // parseWallclock extracts the Wallclock benchmark tier's tripwires: the
-// standard B/op column, the custom allocs/rtt and allocs/run metrics, the
-// sharded fan-in's "rounds" and "handoffs" (barrier rounds per run and
+// standard B/op column, the custom allocs/rtt and allocs/run metrics (the
+// latter only from benchmarks whose configuration no census golden
+// runs), the sharded fan-in's "rounds" and "handoffs" (barrier rounds per run and
 // the windows among them handed to a worker goroutine — deterministic
 // properties of the simulation, gated like allocation counts: they move
 // only when the horizon algorithm or the barrier's execution model

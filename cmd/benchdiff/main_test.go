@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/cmd/internal/cli/clitest"
 )
 
 const sampleBench = `goos: linux
@@ -333,4 +336,37 @@ func TestWallclockBytesBandAndPeakHeapMeta(t *testing.T) {
 			t.Errorf("peak heap %s MB %v: want a note and no drift:\n%s", tc.mb, tc.args, out.String())
 		}
 	}
+}
+
+// TestFlags: a tolerance the mode does not read, a baseline a -write does
+// not compare against, a negative or NaN tolerance, and a baseline or
+// output path that cannot be used are refused naming the flag.
+func TestFlags(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing", "base.json")
+	run := func(args []string, w io.Writer) error { return run(args, strings.NewReader(sampleBench), w) }
+	clitest.Check(t, run, []clitest.Case{
+		{Args: []string{"-wallclock", "-tol", "0.01"}, Flag: "-tol"},
+		{Args: []string{"-tol-bytes", "0.5"}, Flag: "-tol-bytes"},
+		{Args: []string{"-write", missing, "-baseline", "BENCH_baseline.json"}, Flag: "-baseline"},
+		{Args: []string{"-tol", "-0.1"}, Flag: "-tol"},
+		{Args: []string{"-tol", "NaN"}, Flag: "-tol"},
+		{Args: []string{"-baseline", missing}, Flag: "-baseline"},
+		{Args: []string{"-write", missing}, Flag: "-write"},
+	})
+}
+
+// FuzzFlags reads both tiers' sample output and compares against an empty
+// baseline, which every run passes: what is left to fail is the flags.
+// The baseline is set only where a -write does not make it moot.
+func FuzzFlags(f *testing.F) {
+	base := filepath.Join(f.TempDir(), "base.json")
+	if err := os.WriteFile(base, []byte("{}"), 0o644); err != nil {
+		f.Fatal(err)
+	}
+	clitest.Fuzz(f, &flags, func(args []string, w io.Writer) error {
+		if !strings.Contains(strings.Join(args, " "), "-write=") {
+			args = append([]string{"-baseline", base}, args...)
+		}
+		return run(args, strings.NewReader(sampleBench+sampleWallclock), w)
+	}, nil, "wallclock", "write")
 }

@@ -8,51 +8,34 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
-	"os"
+	"strings"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/core"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "breakdown:", err)
-		os.Exit(1)
-	}
-}
+func main() { flags.Main(run) }
+
+var flags = cli.Table{Name: "breakdown", Rows: []cli.Row{
+	{Name: "side", Def: "both", Usage: "which table: tx, rx, or both", Words: []string{"tx", "rx", "both"}},
+	{Name: "iters", Def: 100, Usage: "measured iterations per size", Min: 1, Max: cli.MaxIters, Why: cli.ItersWhy},
+	{Name: "parallel", Def: 0, Usage: "sweep workers (0 = GOMAXPROCS, 1 = serial)", Max: cli.Inf},
+	{Name: "seed", Def: uint64(0), Usage: "base seed for per-trial RNG derivation (0 = defaults)", Max: cli.Inf},
+	{Name: "json", Def: false, Usage: "emit results as JSON instead of text"},
+}}
 
 func run(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("breakdown", flag.ContinueOnError)
-	var (
-		side     = fs.String("side", "both", "which table: tx, rx, or both")
-		iters    = fs.Int("iters", 100, "measured iterations per size")
-		parallel = fs.Int("parallel", 0, "sweep workers (0 = GOMAXPROCS, 1 = serial)")
-		seed     = fs.Uint64("seed", 0, "base seed for per-trial RNG derivation (0 = defaults)")
-		jsonOut  = fs.Bool("json", false, "emit results as JSON instead of text")
-	)
-	if err := fs.Parse(args); err != nil {
-		if err == flag.ErrHelp {
-			return nil
-		}
+	f, err := flags.Parse(args, w)
+	if f == nil {
 		return err
 	}
-	if *side != "tx" && *side != "rx" && *side != "both" {
-		return fmt.Errorf("unknown -side %q (want tx, rx, or both)", *side)
-	}
-	if *iters < 1 {
-		return fmt.Errorf("-iters %d: must be at least 1", *iters)
-	}
-	if *parallel < 0 {
-		return fmt.Errorf("-parallel %d: must not be negative (0 = GOMAXPROCS)", *parallel)
-	}
 	opts := core.Options{
-		Iterations: *iters,
+		Iterations: f.Int("iters"),
 		Warmup:     8,
-		Parallel:   *parallel,
-		BaseSeed:   *seed,
+		Parallel:   f.Int("parallel"),
+		BaseSeed:   f.Uint64("seed"),
 	}
 
 	// One measurement yields both tables; -side chooses what to print.
@@ -61,23 +44,18 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	var results []*core.BreakdownResult
-	if *side != "rx" {
+	if f.String("side") != "rx" {
 		results = append(results, tx)
 	}
-	if *side != "tx" {
+	if f.String("side") != "tx" {
 		results = append(results, rx)
 	}
 
-	if *jsonOut {
-		b, err := json.MarshalIndent(results, "", "  ")
-		if err != nil {
-			return err
+	return cli.Emit(w, f.Bool("json"), results, func() string {
+		var b strings.Builder
+		for _, r := range results {
+			fmt.Fprintln(&b, r.Render())
 		}
-		fmt.Fprintln(w, string(b))
-		return nil
-	}
-	for _, r := range results {
-		fmt.Fprintln(w, r.Render())
-	}
-	return nil
+		return b.String()
+	})
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/cmd/internal/cli/clitest"
 )
 
 func TestRunBothSides(t *testing.T) {
@@ -50,32 +52,18 @@ func TestRunJSON(t *testing.T) {
 }
 
 func TestRunBadSide(t *testing.T) {
-	if err := run([]string{"-side", "sideways"}, &bytes.Buffer{}); err == nil {
-		t.Fatal("bad side accepted")
-	}
+	clitest.Check(t, run, []clitest.Case{{Args: []string{"-side", "sideways"}, Flag: "-side"}})
 }
 
-// TestCountFlagsRefused: a count the command would silently replace —
-// -iters below 1 (read as the default 100) or a negative
-// -parallel (read as GOMAXPROCS) — is refused, naming its flag.
-func TestCountFlagsRefused(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		flag string // named in the refusal; "" = accepted
-	}{
-		{[]string{"-iters", "0"}, "-iters"},
-		{[]string{"-iters", "-3"}, "-iters"},
-		{[]string{"-parallel", "-2"}, "-parallel"},
-	} {
-		var buf bytes.Buffer
-		err := run(tc.args, &buf)
-		switch {
-		case tc.flag == "" && err != nil:
-			t.Errorf("args %v refused: %v", tc.args, err)
-		case tc.flag != "" && err == nil:
-			t.Errorf("args %v accepted", tc.args)
-		case tc.flag != "" && !strings.HasPrefix(err.Error(), tc.flag+" "):
-			t.Errorf("args %v: error %q does not name %s", tc.args, err, tc.flag)
-		}
-	}
+// TestFlags: a count the command would silently replace — -iters below 1
+// (read as the default 100) or a negative -parallel (read as GOMAXPROCS)
+// — is refused, naming the flag.
+func TestFlags(t *testing.T) {
+	clitest.Check(t, run, []clitest.Case{
+		{Args: []string{"-iters", "0"}, Flag: "-iters"},
+		{Args: []string{"-iters", "-3"}, Flag: "-iters"},
+		{Args: []string{"-parallel", "-2"}, Flag: "-parallel"},
+	})
 }
+
+func FuzzFlags(f *testing.F) { clitest.Fuzz(f, &flags, run, map[string]float64{"iters": 2}) }

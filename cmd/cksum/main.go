@@ -9,66 +9,41 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"flag"
-	"fmt"
 	"io"
-	"os"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/core"
 	"repro/internal/runner"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "cksum:", err)
-		os.Exit(1)
-	}
-}
+func main() { flags.Main(run) }
+
+var flags = cli.Table{Name: "cksum", Rows: []cli.Row{
+	{Name: "pcb", Def: true, Usage: "include the PCB lookup experiment"},
+	{Name: "sun3", Def: true, Usage: "include the §4.1 Sun-3 comparison"},
+	{Name: "parallel", Def: 0, Usage: "sweep workers (0 = GOMAXPROCS, 1 = serial)", Max: cli.Inf},
+	{Name: "seed", Def: uint64(0), Usage: "seed for the checksum validation buffers (0 = default)", Max: cli.Inf},
+	{Name: "json", Def: false, Usage: "emit results as JSON instead of text"},
+}}
 
 func run(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("cksum", flag.ContinueOnError)
-	var (
-		pcb      = fs.Bool("pcb", true, "include the PCB lookup experiment")
-		sun      = fs.Bool("sun3", true, "include the §4.1 Sun-3 comparison")
-		parallel = fs.Int("parallel", 0, "sweep workers (0 = GOMAXPROCS, 1 = serial)")
-		seed     = fs.Uint64("seed", 0, "seed for the checksum validation buffers (0 = default)")
-		jsonOut  = fs.Bool("json", false, "emit results as JSON instead of text")
-	)
-	if err := fs.Parse(args); err != nil {
-		if err == flag.ErrHelp {
-			return nil
-		}
+	f, err := flags.Parse(args, w)
+	if f == nil {
 		return err
 	}
-	if *parallel < 0 {
-		return fmt.Errorf("-parallel %d: must not be negative (0 = GOMAXPROCS)", *parallel)
-	}
-
 	// The three studies are independent; run them through the sweep
 	// engine so -parallel applies here too.
-	jobs := []runner.Job{
-		{Label: "table5", RunOn: func(context.Context, *runner.Testbeds, uint64) (any, error) {
-			return core.RunTable5Seeded(*seed)
-		}},
+	job := func(label string, run func() (any, error)) runner.Job {
+		return runner.Job{Label: label, RunOn: func(context.Context, *runner.Testbeds, uint64) (any, error) { return run() }}
 	}
-	if *pcb {
-		jobs = append(jobs, runner.Job{
-			Label: "pcb",
-			RunOn: func(context.Context, *runner.Testbeds, uint64) (any, error) {
-				return core.RunPCBExperiment(), nil
-			},
-		})
+	jobs := []runner.Job{job("table5", func() (any, error) { return core.RunTable5Seeded(f.Uint64("seed")) })}
+	if f.Bool("pcb") {
+		jobs = append(jobs, job("pcb", func() (any, error) { return core.RunPCBExperiment(), nil }))
 	}
-	if *sun {
-		jobs = append(jobs, runner.Job{
-			Label: "sun3",
-			RunOn: func(context.Context, *runner.Testbeds, uint64) (any, error) {
-				return core.RunSun3Comparison(), nil
-			},
-		})
+	if f.Bool("sun3") {
+		jobs = append(jobs, job("sun3", func() (any, error) { return core.RunSun3Comparison(), nil }))
 	}
-	outs, err := runner.Run(context.Background(), jobs, runner.Options{Workers: *parallel})
+	outs, err := runner.Run(context.Background(), jobs, runner.Options{Workers: f.Int("parallel")})
 	if err != nil {
 		return err
 	}
@@ -76,27 +51,10 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	if *jsonOut {
-		payload := map[string]any{}
-		for _, out := range outs {
-			payload[out.Label] = out.Value
-		}
-		b, err := json.MarshalIndent(payload, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, string(b))
-		return nil
-	}
+	payload, text := map[string]any{}, ""
 	for _, out := range outs {
-		switch v := out.Value.(type) {
-		case *core.CksumResult:
-			fmt.Fprintln(w, v.Render())
-		case *core.PCBResult:
-			fmt.Fprintln(w, v.Render())
-		case core.Sun3Result:
-			fmt.Fprintln(w, v.Render())
-		}
+		payload[out.Label] = out.Value
+		text += out.Value.(interface{ Render() string }).Render() + "\n"
 	}
-	return nil
+	return cli.Emit(w, f.Bool("json"), payload, func() string { return text })
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/cmd/internal/cli/clitest"
 )
 
 func TestRunText(t *testing.T) {
@@ -55,25 +57,13 @@ func TestRunJSON(t *testing.T) {
 	}
 }
 
-// TestCountFlagsRefused: a count the command would silently replace —
-// a negative -parallel, read as GOMAXPROCS — is refused, naming its flag.
-func TestCountFlagsRefused(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		flag string // named in the refusal; "" = accepted
-	}{
-		{[]string{"-parallel", "-1"}, "-parallel"},
-		{[]string{"-parallel", "0", "-pcb=false", "-sun3=false"}, ""},
-	} {
-		var buf bytes.Buffer
-		err := run(tc.args, &buf)
-		switch {
-		case tc.flag == "" && err != nil:
-			t.Errorf("args %v refused: %v", tc.args, err)
-		case tc.flag != "" && err == nil:
-			t.Errorf("args %v accepted", tc.args)
-		case tc.flag != "" && !strings.HasPrefix(err.Error(), tc.flag+" "):
-			t.Errorf("args %v: error %q does not name %s", tc.args, err, tc.flag)
-		}
-	}
+// TestFlags: a count the command would silently replace — a negative
+// -parallel, read as GOMAXPROCS — is refused, naming its flag.
+func TestFlags(t *testing.T) {
+	clitest.Check(t, run, []clitest.Case{
+		{Args: []string{"-parallel", "-1"}, Flag: "-parallel"},
+		{Args: []string{"-parallel", "0", "-pcb=false", "-sun3=false"}},
+	})
 }
+
+func FuzzFlags(f *testing.F) { clitest.Fuzz(f, &flags, run, nil) }

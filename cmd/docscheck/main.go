@@ -15,24 +15,15 @@
 // that quotes the trajectory table (trajectory.go) must quote what the
 // ledgers and BENCH_wallclock.json say today.
 //
-// `go test` lines get their own smoke treatment, sized for the
-// benchmark and profiling commands docs/PERFORMANCE.md quotes: a
-// command that selects benchmarks (-bench) is reduced to one iteration
-// of each (-benchtime=1x) with unit tests skipped (-run ^$), and any
-// -cpuprofile/-memprofile output path is redirected into the system
-// temp directory so a docs run never litters the working tree. Plain
-// `go test` lines (a specific -run selection quoted in a doc) execute
-// as written — and FAIL if the selection matches nothing (`go test`
-// exits 0 with "[no tests to run]" when a documented test name has
-// drifted, so docscheck scans for the marker). Drift in documented
-// *benchmark* names is caught by the other gate: a renamed benchmark
-// turns up as a MISSING metric in `make bench-wallclock` or `make
-// benchdiff`. `go tool pprof` lines are not extracted: they are
-// interactive.
+// `go test` lines get their own smoke treatment (smokeTestArgs): one
+// iteration of each selected benchmark, profiles in the temp directory.
+// A plain `go test` line runs as written and fails if its -run selection
+// matches no test (isPlainGoTest); a renamed benchmark turns up as a
+// MISSING metric in `make bench-wallclock` or `make benchdiff` instead.
+// `go tool pprof` lines are interactive and not extracted.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -43,41 +34,36 @@ import (
 	"strings"
 	"syscall"
 	"time"
+
+	"repro/cmd/internal/cli"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "docscheck:", err)
-		os.Exit(1)
-	}
-}
+func main() { flags.Main(run) }
 
 // smokeFlags maps a tool's package path to the flags appended in smoke
 // mode. Appending wins: the flag package takes the last occurrence.
-// cmd/load gets none: it rejects a flag its workload does not read, so no
-// one set fits every quoted line, and its quoted runs take a second or two.
+// cmd/load and cmd/alloccensus get none: each refuses a flag its workload
+// or shape does not read, so no one set fits every quoted line, and their
+// quoted runs take a second or two.
 var smokeFlags = map[string][]string{
-	"./cmd/tables":      {"-iters", "2", "-parallel", "2"},
-	"./cmd/breakdown":   {"-iters", "2", "-parallel", "2"},
-	"./cmd/tcplat":      {"-iters", "2", "-warmup", "1"},
-	"./cmd/pkttrace":    {"-iters", "2"},
-	"./cmd/alloccensus": {"-hosts", "65"},
+	"./cmd/tables":    {"-iters", "2", "-parallel", "2"},
+	"./cmd/breakdown": {"-iters", "2", "-parallel", "2"},
+	"./cmd/tcplat":    {"-iters", "2", "-warmup", "1"},
+	"./cmd/pkttrace":  {"-iters", "2"},
 }
 
+var flags = cli.Table{Name: "docscheck", Args: true, Rows: []cli.Row{
+	{Name: "list", Def: false, Usage: "print the extracted commands without running them"},
+	{Name: "smoke", Def: true, Usage: "append per-tool iteration-reducing flags"},
+	{Name: "timeout", Def: 3 * time.Minute, Usage: "per-command time limit", Min: float64(time.Second), Max: float64(time.Hour)},
+}}
+
 func run(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("docscheck", flag.ContinueOnError)
-	var (
-		list    = fs.Bool("list", false, "print the extracted commands without running them")
-		smoke   = fs.Bool("smoke", true, "append per-tool iteration-reducing flags")
-		timeout = fs.Duration("timeout", 3*time.Minute, "per-command time limit")
-	)
-	if err := fs.Parse(args); err != nil {
-		if err == flag.ErrHelp {
-			return nil
-		}
+	f, err := flags.Parse(args, w)
+	if f == nil {
 		return err
 	}
-	paths := fs.Args()
+	paths, list := f.Args(), f.Bool("list")
 	if len(paths) == 0 {
 		paths = []string{"README.md", "docs"}
 	}
@@ -99,7 +85,7 @@ func run(args []string, w io.Writer) error {
 				cmds = append(cmds, c)
 			}
 		}
-		if err := checkTrajectory(string(blob), "."); err != nil && !*list {
+		if err := checkTrajectory(string(blob), "."); err != nil && !list {
 			return fmt.Errorf("%s: %w", f, err)
 		}
 	}
@@ -109,13 +95,13 @@ func run(args []string, w io.Writer) error {
 
 	failures := 0
 	for _, c := range cmds {
-		argv := commandArgs(c, *smoke)
-		if *list {
+		argv := commandArgs(c, f.Bool("smoke"))
+		if list {
 			fmt.Fprintln(w, strings.Join(argv, " "))
 			continue
 		}
 		fmt.Fprintf(w, "docscheck: %s\n", c)
-		if err := execute(argv, *timeout, isPlainGoTest(argv)); err != nil {
+		if err := execute(argv, f.Duration("timeout"), isPlainGoTest(argv)); err != nil {
 			failures++
 			fmt.Fprintf(w, "docscheck: FAIL %s\n%v\n", c, err)
 		}
@@ -123,7 +109,7 @@ func run(args []string, w io.Writer) error {
 	if failures > 0 {
 		return fmt.Errorf("%d of %d documented commands failed", failures, len(cmds))
 	}
-	if !*list {
+	if !list {
 		fmt.Fprintf(w, "docscheck: %d documented commands OK (%d files)\n", len(cmds), len(files))
 	}
 	return nil

@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/cmd/internal/cli/clitest"
 )
 
 const sampleDoc = "# Title\n" +
@@ -210,4 +213,20 @@ func TestTrajectoryTable(t *testing.T) {
 	if err := checkTrajectory("no marks here", filepath.Join(root, "nowhere")); err != nil {
 		t.Errorf("a document without the marks: %v", err)
 	}
+}
+
+// TestFlags: a per-command limit that would time every command out at
+// once, or hold a hung one for days, is refused naming -timeout.
+func TestFlags(t *testing.T) {
+	clitest.Check(t, run, []clitest.Case{
+		{Args: []string{"-timeout", "0s"}, Flag: "-timeout"},
+		{Args: []string{"-timeout", "-1m"}, Flag: "-timeout"},
+		{Args: []string{"-timeout", "48h"}, Flag: "-timeout"},
+	})
+}
+
+// FuzzFlags holds -list on: without it docscheck runs every command it
+// finds, a build and a run each.
+func FuzzFlags(f *testing.F) {
+	clitest.Fuzz(f, &flags, func(args []string, w io.Writer) error { return run(append(args, "-list", "../../README.md"), w) }, nil)
 }

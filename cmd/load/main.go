@@ -21,14 +21,10 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
-	"flag"
 	"fmt"
 	"io"
-	"os"
-	"strings"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/core"
 	"repro/internal/lab"
 	"repro/internal/runner"
@@ -62,273 +58,159 @@ func autoStaggerFor(reqs int) sim.Time {
 	return sim.Time(1000+1500*(reqs+fanInWarmup)) * sim.Microsecond
 }
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "load:", err)
-		os.Exit(1)
-	}
-}
+func main() { flags.Main(run) }
 
-// Workload sets: one bit per -workload value.
-const (
-	wFanIn = 1 << iota
-	wChurn
-	wBulk
-	wEcho
-	wLoaded
-	wFaults
-	wSweep = wFanIn | wChurn | wBulk | wEcho // trials through the sweep engine
-	wAll   = wSweep | wLoaded | wFaults
+// workloads are the -workload values, the command's modes; sweep reads
+// its trials through the sweep engine.
+var (
+	workloads = cli.Modes{"fanin", "churn", "bulk", "echo", "loaded", "faults"}
+	sweep     = workloads.On("fanin", "churn", "bulk", "echo")
 )
 
-var workloads = map[string]int{"fanin": wFanIn, "churn": wChurn, "bulk": wBulk,
-	"echo": wEcho, "loaded": wLoaded, "faults": wFaults}
+// maxHosts is the most hosts a fabric names: host i is reached on VCI
+// 32+i, a 16-bit field.
+const maxHosts = 1<<16 - 32
 
-// flagRule says which workloads read one flag. A flag set on the command
-// line where it has no effect is rejected, naming the flag, never
-// dropped. What the flag's lab.Config field applies to — the link, a
-// switch, one shard — is lab.Config.Validate's to say (see cfgFlag).
-type flagRule struct {
-	on  int     // the workloads that read it
-	min float64 // numeric flags: the least value accepted
-}
+// flags has a row per flag: which workloads read it and its domain. What
+// its lab.Config field applies to — the link, a switch, one shard — is
+// lab.Config.Validate's to say. The bounds on counts keep a run's memory
+// and time finite; those on durations keep sim.Time from wrapping.
+var flags = cli.Table{Name: "load", Rows: []cli.Row{
+	{Name: "workload", Def: "fanin", Usage: "workload: fanin, churn, bulk, echo, loaded, or faults", Words: workloads},
+	{Name: "hosts", Def: 5, Usage: "topology size: one server plus hosts-1 clients", Min: 2, Max: maxHosts, Why: "host i is reached on VCI 32+i, 16 bits, and a served host holds about 4 KB", Field: "nHosts"},
+	{Name: "conns", Def: 10, Usage: "churn: connection cycles per client", Min: 1, Max: 100_000, Why: timeWhy, On: workloads.On("churn")},
+	{Name: "reqs", Def: 20, Usage: "fanin: requests per client; echo: iterations", Min: 1, Max: 100_000, Why: "exact statistics keep every latency", On: workloads.On("fanin", "echo", "loaded", "faults")},
+	{Name: "size", Def: 0, Usage: "payload bytes per operation (0 = workload default)", Max: 1 << 20, Why: "each end holds a message whole", On: workloads.On("fanin", "churn", "echo", "loaded", "faults")},
+	{Name: "bytes", Def: 65536, Usage: "bulk: bytes streamed per client", Min: 1, Max: 1 << 30, Why: timeWhy, On: workloads.On("bulk")},
+	{Name: "link", Def: "atm", Usage: "link type: atm or ether", Words: []string{"atm", "ether"}, On: sweep, Field: "Link"},
+	{Name: "loss", Def: 0.0, Usage: "ATM cell loss probability (what makes -trials vary)", Max: 1, On: sweep, Field: "CellLossRate"},
+	{Name: "hashpcb", Def: false, Usage: "use the hash-table PCB organization", On: sweep, Field: "HashPCBs"},
+	{Name: "compare", Def: false, Usage: "run every trial under both PCB organizations", On: sweep},
+	{Name: "trials", Def: 1, Usage: "seeded repetitions of the workload", Min: 1, Max: 1000, Why: "every trial's outcome is kept for the report", On: sweep},
+	{Name: "parallel", Def: 0, Usage: "sweep workers (0 = GOMAXPROCS, 1 = serial)", Max: cli.Inf},
+	{Name: "seed", Def: uint64(0), Usage: "base seed for per-trial RNG derivation (0 with -trials > 1 uses base 1)", Max: cli.Inf},
+	{Name: "json", Def: false, Usage: "emit results as JSON instead of text"},
+	{Name: "stream", Def: "auto", Usage: "fanin/churn latency statistics: on (constant-memory P²+reservoir), off (exact), or auto (on past -hosts 1024)", Words: []string{"on", "off", "auto"}, On: workloads.On("fanin", "churn")},
+	{Name: "stagger", Def: -1, Usage: "fanin: per-client start stagger in microseconds (-1 = auto: the per-client service estimate past -hosts 1024, else 0)", Min: -1, Max: 10_000_000, Why: "client i starts i staggers in, which must fit sim.Time", On: workloads.On("fanin")},
+	{Name: "fabric", Def: "hub", Usage: "ATM switch fabric: hub (one switch) or fattree (leaf switches trunked to a spine)", Words: []string{"hub", "fattree"}, On: sweep, Field: "Fabric"},
+	{Name: "leafports", Def: 0, Usage: "fattree: hosts per leaf switch (0 = default 64)", Max: maxHosts, Why: "a leaf holds at most every host", On: sweep, Field: "LeafPorts"},
+	{Name: "shards", Def: 0, Usage: "host-sharded trial execution: run each trial's event loop across N worker shards, bit-identical to serial (0 or 1 = serial)", Max: cli.Inf, On: workloads.On("fanin", "churn", "bulk", "echo", "loaded"), Field: "shards"},
+	{Name: "transport", Def: workload.TransportTCP, Usage: "fanin: transport under test, tcp or rudp (reliable UDP)", Words: []string{workload.TransportTCP, workload.TransportRUDP}, On: workloads.On("fanin")},
+	{Name: "qdisc", Def: "none", Usage: "ATM egress queue discipline: none, droptail, red, or drr", Words: []string{"none", "droptail", "red", "drr"}, On: sweep | workloads.On("loaded"), Field: "Qdisc"},
+	{Name: "burstloss", Def: 0.0, Usage: "Gilbert-Elliott burst loss: probability of entering the bad state per cell (0 = off)", Max: 1, On: sweep | workloads.On("loaded"), Field: "BurstLoss"},
+	{Name: "crosstraffic", Def: 0, Usage: "fanin/loaded: background bounded-Pareto transfer flows contending with the workload", Max: 1000, Why: timeWhy, On: workloads.On("fanin", "loaded")},
+	{Name: "faults", Def: 0, Usage: "fanin: seeded link flaps per client host during the run (shard-safe; 0 = none)", Max: 1000, Why: timeWhy, On: workloads.On("fanin")},
+	{Name: "crashat", Def: 0, Usage: "faults: server crash time in milliseconds (0 = default 500)", Max: 3_600_000, Why: "an hour of simulated time, far inside sim.Time", On: workloads.On("faults")},
+	{Name: "downtime", Def: 0, Usage: "faults: crash-to-restart gap in milliseconds (0 = default 1000)", Max: 5000, Why: "a client gives up after 16 failed reconnects, about 6 s", On: workloads.On("faults")},
+}, Mode: workloads.Of("workload")}
 
-// flagRules has a row per flag, in the order run defines them. A flag
-// without a row applies to no workload.
-var flagRules = map[string]flagRule{
-	"workload":     {on: wAll},
-	"hosts":        {on: wAll, min: 2},
-	"conns":        {on: wChurn, min: 1},
-	"reqs":         {on: wFanIn | wEcho | wLoaded | wFaults, min: 1},
-	"size":         {on: wAll &^ wBulk},
-	"bytes":        {on: wBulk, min: 1},
-	"link":         {on: wSweep},
-	"loss":         {on: wSweep},
-	"hashpcb":      {on: wSweep},
-	"compare":      {on: wSweep},
-	"trials":       {on: wSweep, min: 1},
-	"parallel":     {on: wAll},
-	"seed":         {on: wAll},
-	"json":         {on: wAll},
-	"stream":       {on: wFanIn | wChurn},
-	"stagger":      {on: wFanIn, min: -1},
-	"fabric":       {on: wSweep},
-	"leafports":    {on: wSweep},
-	"shards":       {on: wAll &^ wFaults},
-	"transport":    {on: wFanIn},
-	"qdisc":        {on: wSweep | wLoaded},
-	"burstloss":    {on: wSweep | wLoaded},
-	"crosstraffic": {on: wFanIn | wLoaded},
-	"faults":       {on: wFanIn},
-	"crashat":      {on: wFaults},
-	"downtime":     {on: wFaults},
-}
-
-// cfgFlag names the flag that wrote the lab.Config field (or Validate
-// argument) a lab.ConfigError refuses, so the rejection names what the
-// user typed.
-func cfgFlag(field string) string {
-	group, _, _ := strings.Cut(field, ".") // "Qdisc.Kind" is -qdisc's
-	return map[string]string{"Link": "link", "HashPCBs": "hashpcb", "CellLossRate": "loss",
-		"BurstLoss": "burstloss", "Qdisc": "qdisc", "Fabric": "fabric", "LeafPorts": "leafports",
-		"nHosts": "hosts", "shards": "shards"}[group]
-}
-
-// checkFlags walks the flags set on the command line against flagRules
-// and returns the first rejection.
-func checkFlags(fs *flag.FlagSet, wl string) error {
-	on, ok := workloads[wl]
-	if !ok {
-		return fmt.Errorf("unknown -workload %q (want fanin, churn, bulk, echo, loaded, or faults)", wl)
-	}
-	var err error
-	fs.Visit(func(f *flag.Flag) {
-		if err != nil {
-			return
-		}
-		r := flagRules[f.Name]
-		var v float64
-		switch x := f.Value.(flag.Getter).Get().(type) {
-		case int:
-			v = float64(x)
-		case int64:
-			v = float64(x)
-		case float64:
-			v = x
-		default: // not numeric: any value is in range
-			v = r.min
-		}
-		switch {
-		case !(v >= r.min): // written so that NaN fails
-			err = fmt.Errorf("-%s %v out of range (want >= %v)", f.Name, v, r.min)
-		case r.on&on == 0:
-			err = fmt.Errorf("-%s does not apply to -workload %s", f.Name, wl)
-		}
-	})
-	return err
-}
+const timeWhy = "run time grows with it"
 
 func run(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("load", flag.ContinueOnError)
+	f, err := flags.Parse(args, w)
+	if f == nil {
+		return err
+	}
 	var (
-		wl       = fs.String("workload", "fanin", "workload: fanin, churn, bulk, echo, loaded, or faults")
-		hosts    = fs.Int("hosts", 5, "topology size: one server plus hosts-1 clients")
-		conns    = fs.Int("conns", 10, "churn: connection cycles per client")
-		reqs     = fs.Int("reqs", 20, "fanin: requests per client; echo: iterations")
-		size     = fs.Int("size", 0, "payload bytes per operation (0 = workload default)")
-		bytesN   = fs.Int("bytes", 65536, "bulk: bytes streamed per client")
-		link     = fs.String("link", "atm", "link type: atm or ether")
-		loss     = fs.Float64("loss", 0, "ATM cell loss probability (what makes -trials vary)")
-		hash     = fs.Bool("hashpcb", false, "use the hash-table PCB organization")
-		compare  = fs.Bool("compare", false, "run every trial under both PCB organizations")
-		trials   = fs.Int("trials", 1, "seeded repetitions of the workload")
-		parallel = fs.Int("parallel", 0, "sweep workers (0 = GOMAXPROCS, 1 = serial)")
-		seed     = fs.Uint64("seed", 0, "base seed for per-trial RNG derivation (0 with -trials > 1 uses base 1)")
-		jsonOut  = fs.Bool("json", false, "emit results as JSON instead of text")
-		stream   = fs.String("stream", "auto", "fanin/churn latency statistics: on (constant-memory P²+reservoir), off (exact), or auto (on past -hosts 1024)")
-		stagger  = fs.Int64("stagger", -1, "fanin: per-client start stagger in microseconds (-1 = auto: the per-client service estimate past -hosts 1024, else 0)")
-		fabric   = fs.String("fabric", "hub", "ATM switch fabric: hub (one switch) or fattree (leaf switches trunked to a spine)")
-		leaf     = fs.Int("leafports", 0, "fattree: hosts per leaf switch (0 = default 64)")
-		shards   = fs.Int("shards", 0, "host-sharded trial execution: run each trial's event loop across N worker shards, bit-identical to serial (0 or 1 = serial)")
-		transp   = fs.String("transport", "tcp", "fanin: transport under test, tcp or rudp (reliable UDP)")
-		qdisc    = fs.String("qdisc", "none", "ATM egress queue discipline: none, droptail, red, or drr")
-		burst    = fs.Float64("burstloss", 0, "Gilbert-Elliott burst loss: probability of entering the bad state per cell (0 = off)")
-		crossN   = fs.Int("crosstraffic", 0, "fanin/loaded: background bounded-Pareto transfer flows contending with the workload")
-		faultsN  = fs.Int("faults", 0, "fanin: seeded link flaps per client host during the run (shard-safe; 0 = none)")
-		crashAt  = fs.Int64("crashat", 0, "faults: server crash time in milliseconds (0 = default 500)")
-		downtime = fs.Int64("downtime", 0, "faults: crash-to-restart gap in milliseconds (0 = default 1000)")
+		wl, transp               = f.String("workload"), f.String("transport")
+		hosts, reqs, size        = f.Int("hosts"), f.Int("reqs"), f.Int("size")
+		shards, parallel, trials = f.Int("shards"), f.Int("parallel"), f.Int("trials")
+		crossN, faultsN          = f.Int("crosstraffic"), f.Int("faults")
+		seed, jsonOut            = f.Uint64("seed"), f.Bool("json")
 	)
-	if err := fs.Parse(args); err != nil {
-		if err == flag.ErrHelp {
-			return nil
-		}
-		return err
-	}
-
-	lk, err := lab.ParseLinkKind(*link)
-	if err != nil {
-		return fmt.Errorf("-link: %w", err)
-	}
-	if err := checkFlags(fs, *wl); err != nil {
-		return err
-	}
-	if *parallel < 0 {
-		return fmt.Errorf("-parallel %d: must not be negative (0 = GOMAXPROCS)", *parallel)
-	}
-	qk, err := lab.ParseQdiscKind(*qdisc)
-	if err != nil {
-		return fmt.Errorf("-qdisc: %w", err)
-	}
-	if *transp != workload.TransportTCP && *transp != workload.TransportRUDP {
-		return fmt.Errorf("unknown -transport %q (want tcp or rudp)", *transp)
-	}
-	cfg := lab.Config{Link: lk, HashPCBs: *hash, CellLossRate: *loss, LeafPorts: *leaf,
-		Qdisc: lab.QdiscConfig{Kind: qk}, BurstLoss: burstGE(*burst)}
-	switch *fabric {
-	case "hub":
-	case "fattree":
+	lk, _ := lab.ParseLinkKind(f.String("link"))
+	qk, _ := lab.ParseQdiscKind(f.String("qdisc")) // the rows admit only their words
+	cfg := lab.Config{Link: lk, HashPCBs: f.Bool("hashpcb"), CellLossRate: f.Float("loss"), LeafPorts: f.Int("leafports"),
+		Qdisc: lab.QdiscConfig{Kind: qk}, BurstLoss: burstGE(f.Float("burstloss"))}
+	if f.String("fabric") == "fattree" {
 		cfg.Fabric = lab.FabricFatTree
-	default:
-		return fmt.Errorf("unknown -fabric %q (want hub or fattree)", *fabric)
 	}
-	if err := cfg.Validate(*hosts, max(*shards, 1)); err != nil {
-		var ce *lab.ConfigError
-		if errors.As(err, &ce) {
-			return fmt.Errorf("-%s: %w", cfgFlag(ce.Field), err)
-		}
+	if err := flags.Config(cfg.Validate(hosts, max(shards, 1))); err != nil {
 		return err
 	}
 	// A reliable-UDP message rides one datagram: the loaded and fault
 	// studies run rudp beside tcp, a fan-in when -transport says so.
-	if *wl == "loaded" || *wl == "faults" || *transp == workload.TransportRUDP {
-		if limit := workload.RUDPMaxMessage(lab.MaxMTU(lk)); *size > limit {
-			return fmt.Errorf("-size %d: rudp carries at most %d bytes a message on %v", *size, limit, lk)
+	if wl == "loaded" || wl == "faults" || transp == workload.TransportRUDP {
+		if limit := workload.RUDPMaxMessage(lab.MaxMTU(lk)); size > limit {
+			return fmt.Errorf("-size %d: rudp carries at most %d bytes a message on %v", size, limit, lk)
 		}
 	}
-	var stCfg stats.Config
-	switch *stream {
-	case "on":
-		stCfg.Streaming = true
-	case "off":
-	case "auto":
-		stCfg.Streaming = *hosts > scaleHosts
-	default:
-		return fmt.Errorf("unknown -stream %q (want on, off, or auto)", *stream)
-	}
+	stream := f.String("stream")
+	stCfg := stats.Config{Streaming: stream == "on" || stream == "auto" && hosts > scaleHosts}
 
 	// The loaded and fault studies are self-contained: fan-in under the
 	// load knobs, or with a mid-run server crash, once per rival transport
 	// on the hub ATM fabric, rendered as a comparison.
-	switch *wl {
+	switch wl {
 	case "loaded":
 		res, err := core.RunLoadedStudy(core.LoadedOptions{
-			Hosts: *hosts, Requests: *reqs, Size: *size,
+			Hosts: hosts, Requests: reqs, Size: size,
 			Qdisc:      cfg.Qdisc,
 			BurstLoss:  cfg.BurstLoss,
-			CrossFlows: *crossN,
-			Shards:     *shards,
-			Parallel:   *parallel,
-			BaseSeed:   *seed,
+			CrossFlows: crossN,
+			Shards:     shards,
+			Parallel:   parallel,
+			BaseSeed:   seed,
 		})
 		if err != nil {
 			return err
 		}
-		return emit(w, *jsonOut, res, res.Render)
+		return cli.Emit(w, jsonOut, res, res.Render)
 	case "faults":
 		res, err := core.RunFaultStudy(core.FaultOptions{
-			Hosts: *hosts, Requests: *reqs, Size: *size,
-			CrashAt:  sim.Time(*crashAt) * sim.Millisecond,
-			Downtime: sim.Time(*downtime) * sim.Millisecond,
-			Parallel: *parallel,
-			BaseSeed: *seed,
+			Hosts: hosts, Requests: reqs, Size: size,
+			CrashAt:  sim.Time(f.Int("crashat")) * sim.Millisecond,
+			Downtime: sim.Time(f.Int("downtime")) * sim.Millisecond,
+			Parallel: parallel,
+			BaseSeed: seed,
 		})
 		if err != nil {
 			return err
 		}
-		return emit(w, *jsonOut, res, res.Render)
+		return cli.Emit(w, jsonOut, res, res.Render)
 	}
 
-	stag := autoStaggerFor(*reqs)
+	stag := autoStaggerFor(reqs)
 	switch {
-	case *stagger >= 0:
-		stag = sim.Time(*stagger) * sim.Microsecond
-	case *hosts <= scaleHosts:
+	case f.Int("stagger") >= 0:
+		stag = sim.Time(f.Int("stagger")) * sim.Microsecond
+	case hosts <= scaleHosts:
 		stag = 0
 	}
 
 	var gen workload.Generator
-	switch *wl {
+	switch wl {
 	case "fanin":
-		g := workload.FanIn{Size: *size, Requests: *reqs, Warmup: fanInWarmup,
-			Stats: stCfg, Stagger: stag, Transport: *transp}
-		if *crossN > 0 {
-			g.Cross = &workload.CrossTraffic{Flows: *crossN}
+		g := workload.FanIn{Size: size, Requests: reqs, Warmup: fanInWarmup,
+			Stats: stCfg, Stagger: stag, Transport: transp}
+		if crossN > 0 {
+			g.Cross = &workload.CrossTraffic{Flows: crossN}
 		}
-		if *faultsN > 0 {
+		if faultsN > 0 {
 			// The flap schedule derives from the base seed and host
 			// indices alone (per-entity splitmix64 streams), so it is
 			// identical serially and at any -shards level.
-			clients := make([]int, 0, *hosts-1)
-			for i := 1; i < *hosts; i++ {
+			clients := make([]int, 0, hosts-1)
+			for i := 1; i < hosts; i++ {
 				clients = append(clients, i)
 			}
-			g.Faults = sim.LinkFlaps(*seed, clients, *faultsN, flapWindow, flapDowntime)
+			g.Faults = sim.LinkFlaps(seed, clients, faultsN, flapWindow, flapDowntime)
 		}
 		gen = g
 	case "churn":
-		gen = workload.Churn{Conns: *conns, Size: *size, Stats: stCfg}
+		gen = workload.Churn{Conns: f.Int("conns"), Size: size, Stats: stCfg}
 	case "bulk":
-		gen = workload.Bulk{Bytes: *bytesN}
+		gen = workload.Bulk{Bytes: f.Int("bytes")}
 	case "echo":
-		gen = workload.Echo{Size: *size, Iterations: *reqs}
+		gen = workload.Echo{Size: size, Iterations: reqs}
 	}
 
-	orgs := []bool{*hash}
-	if *compare {
+	orgs := []bool{f.Bool("hashpcb")}
+	if f.Bool("compare") {
 		orgs = []bool{false, true}
 	}
 	var ts []runner.WorkloadTrial
-	for t := 0; t < *trials; t++ {
+	for t := 0; t < trials; t++ {
 		for _, h := range orgs {
 			c := cfg
 			c.HashPCBs = h
@@ -336,11 +218,11 @@ func run(args []string, w io.Writer) error {
 			if h {
 				org = "hash"
 			}
-			label := fmt.Sprintf("%s/%dc/%s", *wl, *hosts-1, org)
-			if *trials > 1 {
+			label := fmt.Sprintf("%s/%dc/%s", wl, hosts-1, org)
+			if trials > 1 {
 				label += fmt.Sprintf("/t%d", t)
 			}
-			ts = append(ts, runner.WorkloadTrial{Label: label, Cfg: c, Hosts: *hosts, Gen: gen, Shards: *shards})
+			ts = append(ts, runner.WorkloadTrial{Label: label, Cfg: c, Hosts: hosts, Gen: gen, Shards: shards})
 		}
 	}
 
@@ -348,12 +230,12 @@ func run(args []string, w io.Writer) error {
 	// default seed and -trials would produce identical repetitions;
 	// derive from base 1 so repetitions actually vary (still fully
 	// deterministic).
-	base := *seed
-	if base == 0 && *trials > 1 {
+	base := seed
+	if base == 0 && trials > 1 {
 		base = 1
 	}
 	outs, err := runner.RunWorkloadSweep(context.Background(), ts,
-		runner.Options{Workers: *parallel, BaseSeed: base})
+		runner.Options{Workers: parallel, BaseSeed: base})
 	if err != nil {
 		return err
 	}
@@ -362,24 +244,10 @@ func run(args []string, w io.Writer) error {
 			return fmt.Errorf("trial %s: %s", o.Label, o.Error)
 		}
 	}
-	return emit(w, *jsonOut, outs, func() string {
-		title := fmt.Sprintf("Workload %s: %d host(s), %d trial(s)", *wl, *hosts, len(ts))
+	return cli.Emit(w, jsonOut, outs, func() string {
+		title := fmt.Sprintf("Workload %s: %d host(s), %d trial(s)", wl, hosts, len(ts))
 		return runner.RenderWorkloadOutcomes(title, outs)
 	})
-}
-
-// emit prints a result: v as indented JSON, or the rendered text.
-func emit(w io.Writer, asJSON bool, v any, render func() string) error {
-	if !asJSON {
-		fmt.Fprint(w, render())
-		return nil
-	}
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, string(b))
-	return nil
 }
 
 // burstGE expands the one-knob burst-loss flag into the Gilbert–Elliott

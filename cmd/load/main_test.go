@@ -5,12 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/cmd/internal/cli/clitest"
 	"repro/internal/lab"
 	"repro/internal/workload"
 )
@@ -90,75 +89,6 @@ func TestRunBulkAndEcho(t *testing.T) {
 		}
 		if len(outs) != 1 || outs[0].Workload != wl || outs[0].Requests == 0 {
 			t.Fatalf("%s: unexpected outcome %+v", wl, outs)
-		}
-	}
-}
-
-func TestRunRejectsBadFlags(t *testing.T) {
-	for _, args := range [][]string{
-		{"-workload", "warp"},
-		{"-hosts", "1"},
-		{"-link", "token-ring"},
-		{"-trials", "0"},
-		{"-loss", "1.5"},
-		{"-link", "ether", "-loss", "0.001"},
-		{"-shards", "-1"},
-		{"-shards", "4", "-link", "ether"},
-		{"-shards", "4", "-loss", "0.001"},
-		{"-shards", "4", "-burstloss", "0.001"},
-		{"-burstloss", "1.5"},
-		{"-crosstraffic", "-1"},
-		{"-qdisc", "codel"},
-		{"-link", "ether", "-qdisc", "red"},
-		{"-transport", "sctp"},
-		{"-workload", "churn", "-transport", "rudp"},
-		{"-workload", "bulk", "-crosstraffic", "2"},
-		{"-workload", "loaded", "-link", "ether"},
-		{"-workload", "loaded", "-fabric", "fattree"},
-		{"-workload", "loaded", "-transport", "rudp"},
-		{"-workload", "loaded", "-loss", "0.001"},
-		{"-workload", "loaded", "-stream", "on"},
-		{"-workload", "loaded", "-stagger", "100"},
-		{"-workload", "loaded", "-compare"},
-		{"-workload", "loaded", "-hashpcb"},
-		{"-workload", "loaded", "-trials", "2"},
-		// Fault flags in incompatible workloads, same convention: rejected
-		// rather than silently dropped.
-		{"-faults", "-1"},
-		{"-crashat", "-1"},
-		{"-downtime", "-1"},
-		{"-workload", "fanin", "-crashat", "100"},
-		{"-workload", "fanin", "-downtime", "100"},
-		{"-workload", "loaded", "-faults", "2"},
-		{"-workload", "bulk", "-faults", "1"},
-		{"-workload", "churn", "-faults", "1"},
-		{"-workload", "faults", "-link", "ether"},
-		{"-workload", "faults", "-fabric", "fattree"},
-		{"-workload", "faults", "-transport", "rudp"},
-		{"-workload", "faults", "-loss", "0.001"},
-		{"-workload", "faults", "-burstloss", "0.001"},
-		{"-workload", "faults", "-qdisc", "red"},
-		{"-workload", "faults", "-crosstraffic", "1"},
-		{"-workload", "faults", "-faults", "2"},
-		{"-workload", "faults", "-stream", "on"},
-		{"-workload", "faults", "-stagger", "100"},
-		{"-workload", "faults", "-compare"},
-		{"-workload", "faults", "-hashpcb"},
-		{"-workload", "faults", "-trials", "2"},
-		{"-workload", "faults", "-shards", "2"},
-		// Flags the workload never reads, and values no workload accepts.
-		{"-workload", "churn", "-stagger", "50"},
-		{"-workload", "bulk", "-stream", "on"},
-		{"-workload", "fanin", "-bytes", "5"},
-		{"-workload", "fanin", "-conns", "7"},
-		{"-workload", "bulk", "-bytes", "-5"},
-		{"-workload", "churn", "-conns", "-1"},
-		{"-fabric", "fattree", "-leafports", "-3"},
-		{"-hosts", "2", "-qdisc", "red"},
-		{"-loss", "NaN"},
-	} {
-		if err := run(args, &bytes.Buffer{}); err == nil {
-			t.Fatalf("args %v accepted", args)
 		}
 	}
 }
@@ -375,105 +305,6 @@ func TestStreamParityByteIdentical(t *testing.T) {
 	}
 }
 
-// flagValues lists, for every flag but -workload, values worth setting:
-// ones some workload runs with and ones no workload accepts.
-var flagValues = map[string][]string{
-	"hosts":        {"2", "4", "1"},
-	"conns":        {"2", "0"},
-	"reqs":         {"2", "-3"},
-	"size":         {"0", "64", "-1"},
-	"bytes":        {"4096", "-5"},
-	"link":         {"atm", "ether", "fddi"},
-	"loss":         {"0", "0.0005", "1.5", "NaN"},
-	"hashpcb":      {"true"},
-	"compare":      {"true"},
-	"trials":       {"2", "0"},
-	"parallel":     {"1", "2", "-1"},
-	"seed":         {"7"},
-	"json":         {"true"},
-	"stream":       {"on", "off", "auto", "maybe"},
-	"stagger":      {"50", "-1", "-2"},
-	"fabric":       {"hub", "fattree", "mesh"},
-	"leafports":    {"2", "-3"},
-	"shards":       {"0", "2", "-1"},
-	"transport":    {"tcp", "rudp", "sctp"},
-	"qdisc":        {"none", "red", "drr", "codel"},
-	"burstloss":    {"0.002", "1.5"},
-	"crosstraffic": {"1", "-1"},
-	"faults":       {"1", "-1"},
-	"crashat":      {"100", "-1"},
-	"downtime":     {"200", "-1"},
-}
-
-// TestEveryFlagRunsOrIsRejectedByName is the flag table's property: with
-// any one flag set (and for a seeded sample of pairs), under every
-// workload, run either succeeds or fails naming a flag that was set — it
-// never panics, and never fails on a flag it had silently accepted.
-func TestEveryFlagRunsOrIsRejectedByName(t *testing.T) {
-	var names, wls []string
-	for name := range flagRules {
-		if name != "workload" {
-			names = append(names, name)
-			if len(flagValues[name]) == 0 {
-				t.Errorf("flag -%s has a rule but no test values", name)
-			}
-		}
-	}
-	for wl := range workloads {
-		wls = append(wls, wl)
-	}
-	sort.Strings(names)
-	sort.Strings(wls)
-	// check runs one workload with name, value pairs of flags set.
-	check := func(wl string, set ...string) {
-		args := []string{"-workload", wl}
-		for i := 0; i < len(set); i += 2 {
-			args = append(args, "-"+set[i]+"="+set[i+1])
-		}
-		defer func() {
-			if r := recover(); r != nil {
-				t.Errorf("args %v: panic: %v", args, r)
-			}
-		}()
-		err := run(args, &bytes.Buffer{})
-		if err == nil {
-			return
-		}
-		for i := 0; i < len(set); i += 2 {
-			if strings.Contains(err.Error(), "-"+set[i]) {
-				return
-			}
-		}
-		t.Errorf("args %v: error names none of the flags set: %v", args, err)
-	}
-	for _, wl := range wls {
-		for _, name := range names {
-			for _, v := range flagValues[name] {
-				check(wl, name, v)
-			}
-		}
-	}
-	rng := rand.New(rand.NewSource(1994))
-	pick := func() (name, value string) {
-		name = names[rng.Intn(len(names))]
-		return name, flagValues[name][rng.Intn(len(flagValues[name]))]
-	}
-	for i := 0; i < 400; i++ {
-		a, av := pick()
-		b, bv := pick()
-		if a != b {
-			check(wls[rng.Intn(len(wls))], a, av, b, bv)
-		}
-	}
-	// A flag that is fine alone can be wrong beside another: an rudp
-	// message rides one datagram, and 4000 bytes fit ATM's MTU but not
-	// Ethernet's. The run panicked in ip_output before -size was checked.
-	check("fanin", "transport", "rudp", "link", "ether", "size", "4000")
-	if err := run([]string{"-workload", "fanin", "-transport", "rudp", "-link", "ether", "-size", "4000"}, &bytes.Buffer{}); err == nil {
-		t.Error("a 4000-byte rudp message on Ethernet ran")
-	}
-}
-
 // TestRUDPSizeLimitPerLink: on each link the largest rudp message one
 // datagram carries runs, and one byte more is refused naming -size.
 func TestRUDPSizeLimitPerLink(t *testing.T) {
@@ -493,25 +324,121 @@ func TestRUDPSizeLimitPerLink(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadFlags: a flag set where its workload does not read
+// it, or to a value outside its domain or lab.Config.Validate's, is
+// refused naming the flag — never dropped, and never replaced by a
+// default.
+func TestRunRejectsBadFlags(t *testing.T) {
+	clitest.Check(t, run, []clitest.Case{
+		{Args: []string{"-workload", "warp"}, Flag: "-workload"},
+		{Args: []string{"-hosts", "1"}, Flag: "-hosts"},
+		{Args: []string{"-link", "token-ring"}, Flag: "-link"},
+		{Args: []string{"-trials", "0"}, Flag: "-trials"},
+		{Args: []string{"-loss", "1.5"}, Flag: "-loss"},
+		{Args: []string{"-link", "ether", "-loss", "0.001"}, Flag: "-loss"},
+		{Args: []string{"-shards", "-1"}, Flag: "-shards"},
+		{Args: []string{"-shards", "4", "-link", "ether"}, Flag: "-shards"},
+		{Args: []string{"-shards", "4", "-loss", "0.001"}, Flag: "-loss"},
+		{Args: []string{"-shards", "4", "-burstloss", "0.001"}, Flag: "-burstloss"},
+		{Args: []string{"-burstloss", "1.5"}, Flag: "-burstloss"},
+		{Args: []string{"-crosstraffic", "-1"}, Flag: "-crosstraffic"},
+		{Args: []string{"-qdisc", "codel"}, Flag: "-qdisc"},
+		{Args: []string{"-link", "ether", "-qdisc", "red"}, Flag: "-qdisc"},
+		{Args: []string{"-transport", "sctp"}, Flag: "-transport"},
+		{Args: []string{"-workload", "churn", "-transport", "rudp"}, Flag: "-transport"},
+		{Args: []string{"-workload", "bulk", "-crosstraffic", "2"}, Flag: "-crosstraffic"},
+		{Args: []string{"-workload", "loaded", "-link", "ether"}, Flag: "-link"},
+		{Args: []string{"-workload", "loaded", "-fabric", "fattree"}, Flag: "-fabric"},
+		{Args: []string{"-workload", "loaded", "-transport", "rudp"}, Flag: "-transport"},
+		{Args: []string{"-workload", "loaded", "-loss", "0.001"}, Flag: "-loss"},
+		{Args: []string{"-workload", "loaded", "-stream", "on"}, Flag: "-stream"},
+		{Args: []string{"-workload", "loaded", "-stagger", "100"}, Flag: "-stagger"},
+		{Args: []string{"-workload", "loaded", "-compare"}, Flag: "-compare"},
+		{Args: []string{"-workload", "loaded", "-hashpcb"}, Flag: "-hashpcb"},
+		{Args: []string{"-workload", "loaded", "-trials", "2"}, Flag: "-trials"},
+		// Fault flags in incompatible workloads, same convention: rejected
+		// rather than silently dropped.
+		{Args: []string{"-faults", "-1"}, Flag: "-faults"},
+		{Args: []string{"-crashat", "-1"}, Flag: "-crashat"},
+		{Args: []string{"-downtime", "-1"}, Flag: "-downtime"},
+		{Args: []string{"-workload", "fanin", "-crashat", "100"}, Flag: "-crashat"},
+		{Args: []string{"-workload", "fanin", "-downtime", "100"}, Flag: "-downtime"},
+		{Args: []string{"-workload", "loaded", "-faults", "2"}, Flag: "-faults"},
+		{Args: []string{"-workload", "bulk", "-faults", "1"}, Flag: "-faults"},
+		{Args: []string{"-workload", "churn", "-faults", "1"}, Flag: "-faults"},
+		{Args: []string{"-workload", "faults", "-link", "ether"}, Flag: "-link"},
+		{Args: []string{"-workload", "faults", "-fabric", "fattree"}, Flag: "-fabric"},
+		{Args: []string{"-workload", "faults", "-transport", "rudp"}, Flag: "-transport"},
+		{Args: []string{"-workload", "faults", "-loss", "0.001"}, Flag: "-loss"},
+		{Args: []string{"-workload", "faults", "-burstloss", "0.001"}, Flag: "-burstloss"},
+		{Args: []string{"-workload", "faults", "-qdisc", "red"}, Flag: "-qdisc"},
+		{Args: []string{"-workload", "faults", "-crosstraffic", "1"}, Flag: "-crosstraffic"},
+		{Args: []string{"-workload", "faults", "-faults", "2"}, Flag: "-faults"},
+		{Args: []string{"-workload", "faults", "-stream", "on"}, Flag: "-stream"},
+		{Args: []string{"-workload", "faults", "-stagger", "100"}, Flag: "-stagger"},
+		{Args: []string{"-workload", "faults", "-compare"}, Flag: "-compare"},
+		{Args: []string{"-workload", "faults", "-hashpcb"}, Flag: "-hashpcb"},
+		{Args: []string{"-workload", "faults", "-trials", "2"}, Flag: "-trials"},
+		{Args: []string{"-workload", "faults", "-shards", "2"}, Flag: "-shards"},
+		// Flags the workload never reads, and values no workload accepts.
+		{Args: []string{"-workload", "churn", "-stagger", "50"}, Flag: "-stagger"},
+		{Args: []string{"-workload", "bulk", "-stream", "on"}, Flag: "-stream"},
+		{Args: []string{"-workload", "fanin", "-bytes", "5"}, Flag: "-bytes"},
+		{Args: []string{"-workload", "fanin", "-conns", "7"}, Flag: "-conns"},
+		{Args: []string{"-workload", "bulk", "-bytes", "-5"}, Flag: "-bytes"},
+		{Args: []string{"-workload", "churn", "-conns", "-1"}, Flag: "-conns"},
+		{Args: []string{"-fabric", "fattree", "-leafports", "-3"}, Flag: "-leafports"},
+		{Args: []string{"-hosts", "2", "-qdisc", "red"}, Flag: "-qdisc"},
+		{Args: []string{"-loss", "NaN"}, Flag: "-loss"},
+	})
+}
+
 // TestCountFlagsRefused: a count the command would silently replace —
 // a negative -parallel, read as GOMAXPROCS — is refused, naming its flag.
 func TestCountFlagsRefused(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		flag string // named in the refusal; "" = accepted
-	}{
-		{[]string{"-workload", "fanin", "-hosts", "3", "-reqs", "1", "-parallel", "-1"}, "-parallel"},
-		{[]string{"-workload", "fanin", "-hosts", "3", "-reqs", "1", "-parallel", "0"}, ""},
-	} {
-		var buf bytes.Buffer
-		err := run(tc.args, &buf)
-		switch {
-		case tc.flag == "" && err != nil:
-			t.Errorf("args %v refused: %v", tc.args, err)
-		case tc.flag != "" && err == nil:
-			t.Errorf("args %v accepted", tc.args)
-		case tc.flag != "" && !strings.HasPrefix(err.Error(), tc.flag+" "):
-			t.Errorf("args %v: error %q does not name %s", tc.args, err, tc.flag)
-		}
-	}
+	clitest.Check(t, run, []clitest.Case{
+		{Args: []string{"-workload", "fanin", "-hosts", "3", "-reqs", "1", "-parallel", "-1"}, Flag: "-parallel"},
+		{Args: []string{"-workload", "fanin", "-hosts", "3", "-reqs", "1", "-parallel", "0"}},
+	})
 }
+
+// TestFlags: a word outside a flag's domain, a number below its floor or
+// past its ceiling, and a flag fine alone but wrong beside another, are
+// refused naming the flag.
+func TestFlags(t *testing.T) {
+	clitest.Check(t, run, []clitest.Case{
+		{Args: []string{"-fabric", "mesh"}, Flag: "-fabric"},
+		{Args: []string{"-leafports", "4"}, Flag: "-leafports"},
+		{Args: []string{"-stream", "maybe"}, Flag: "-stream"},
+		{Args: []string{"-stagger", "-2"}, Flag: "-stagger"},
+		{Args: []string{"-parallel", "-1"}, Flag: "-parallel"},
+		// Durations that wrapped sim.Time: the first ran as -stagger 0,
+		// the second reported a crash at 500 ms; a downtime past the
+		// clients' reconnect budget failed naming no flag.
+		{Args: []string{"-stagger", "9223372036854775807"}, Flag: "-stagger"},
+		{Args: []string{"-workload", "faults", "-crashat", "9223372036854775807"}, Flag: "-crashat"},
+		{Args: []string{"-workload", "faults", "-downtime", "7000"}, Flag: "-downtime"},
+		{Args: []string{"-workload", "faults", "-hosts", "3", "-reqs", "2", "-crashat", "3600000", "-downtime", "5000"}},
+		// Counts whose memory grows with them.
+		{Args: []string{"-hosts", "70000"}, Flag: "-hosts"},
+		{Args: []string{"-reqs", "1000000000"}, Flag: "-reqs"},
+		{Args: []string{"-workload", "churn", "-conns", "1000000000"}, Flag: "-conns"},
+		{Args: []string{"-workload", "bulk", "-bytes", "9223372036854775807"}, Flag: "-bytes"},
+		{Args: []string{"-trials", "1000000000"}, Flag: "-trials"},
+		// A flag that is fine alone can be wrong beside another: an rudp
+		// message rides one datagram, and 4000 bytes fit ATM's MTU but not
+		// Ethernet's. The run panicked in ip_output before -size was checked.
+		{Args: []string{"-workload", "fanin", "-transport", "rudp", "-link", "ether", "-size", "4000"}, Flag: "-size"},
+	})
+}
+
+// fuzzCaps keeps one fuzzed run short. The -size clamp also stays below
+// two known defects, recorded with their reproducers in ROADMAP item 1
+// and not refused by the -size row: a fan-in request past about 52 KB
+// never completes, and from 3,700 B four or more rudp clients lose their
+// stream ("0-byte response").
+var fuzzCaps = map[string]float64{"hosts": 5, "conns": 2, "reqs": 3, "size": 2000, "bytes": 8192,
+	"trials": 2, "leafports": 4, "shards": 4, "crosstraffic": 2, "faults": 2, "stagger": 1000,
+	"crashat": 1000, "downtime": 2000}
+
+func FuzzFlags(f *testing.F) { clitest.Fuzz(f, &flags, run, fuzzCaps, "workload") }

@@ -26,106 +26,72 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/lab"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "pkttrace:", err)
-		os.Exit(1)
-	}
-}
+func main() { flags.Main(run) }
+
+var workloads = cli.Modes{"echo", "fanin", "churn", "bulk"}
+
+// The generators read a count below 1 (a size below 0) as "use my
+// default", so the rows refuse such a value rather than run something
+// else. Every packet of the run is kept in memory, hence the bounds.
+var flags = cli.Table{Name: "pkttrace", Rows: []cli.Row{
+	{Name: "workload", Def: "echo", Usage: "workload: echo, fanin, churn, or bulk", Words: workloads},
+	{Name: "hosts", Def: 0, Usage: "topology size (0 = 2 for echo, 5 otherwise)", Min: 2, Max: 1024, Zero: true, Why: traceWhy},
+	{Name: "size", Def: 0, Usage: "payload bytes per operation (0 = workload default)", Max: 1 << 20, Why: traceWhy, On: workloads.On("echo", "fanin", "churn")},
+	{Name: "iters", Def: 4, Usage: "echo: measured iterations; fanin: requests per client", Min: 1, Max: 1000, Why: traceWhy, On: workloads.On("echo", "fanin")},
+	{Name: "warmup", Def: 2, Usage: "echo: warm-up iterations, left out of the reported window", Min: 1, Max: 1000, Why: traceWhy, On: workloads.On("echo")},
+	{Name: "conns", Def: 3, Usage: "churn: connection cycles per client", Min: 1, Max: 1000, Why: traceWhy, On: workloads.On("churn")},
+	{Name: "bytes", Def: 32768, Usage: "bulk: bytes streamed per client", Min: 1, Max: 1 << 20, Why: traceWhy, On: workloads.On("bulk")},
+	{Name: "link", Def: "atm", Usage: "link type: atm or ether", Words: []string{"atm", "ether"}},
+	{Name: "seed", Def: uint64(0), Usage: "simulation RNG seed (0 = default)", Max: cli.Inf},
+	{Name: "format", Def: "spans", Usage: "output format: spans or chrome", Words: []string{"spans", "chrome"}},
+	{Name: "o", Def: "", Usage: "write the trace to this file instead of stdout"},
+}, Mode: workloads.Of("workload")}
+
+const traceWhy = "the trace holds every packet in memory"
 
 func run(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("pkttrace", flag.ContinueOnError)
-	var (
-		wl     = fs.String("workload", "echo", "workload: echo, fanin, churn, or bulk")
-		hosts  = fs.Int("hosts", 0, "topology size (0 = 2 for echo, 5 otherwise)")
-		size   = fs.Int("size", 0, "payload bytes per operation (0 = workload default)")
-		iters  = fs.Int("iters", 4, "echo: measured iterations; fanin: requests per client")
-		warmup = fs.Int("warmup", 2, "echo: warm-up iterations, left out of the reported window")
-		conns  = fs.Int("conns", 3, "churn: connection cycles per client")
-		bytesN = fs.Int("bytes", 32768, "bulk: bytes streamed per client")
-		link   = fs.String("link", "atm", "link type: atm or ether")
-		seed   = fs.Uint64("seed", 0, "simulation RNG seed (0 = default)")
-		format = fs.String("format", "spans", "output format: spans or chrome")
-		out    = fs.String("o", "", "write the trace to this file instead of stdout")
-	)
-	if err := fs.Parse(args); err != nil {
-		if err == flag.ErrHelp {
-			return nil
-		}
+	f, err := flags.Parse(args, w)
+	if f == nil {
 		return err
 	}
-
-	// The generators read a count below 1 (a size below 0) as "use my
-	// default", so such a value would silently run something else.
-	for _, c := range []struct {
-		flag string
-		v    int
-	}{{"iters", *iters}, {"warmup", *warmup}, {"conns", *conns}, {"bytes", *bytesN}} {
-		if c.v < 1 {
-			return fmt.Errorf("-%s %d: must be at least 1", c.flag, c.v)
-		}
-	}
-	if *size < 0 {
-		return fmt.Errorf("-size %d: must not be negative (0 = workload default)", *size)
-	}
-
-	lk, err := lab.ParseLinkKind(*link)
-	if err != nil {
-		return fmt.Errorf("-link: %w", err)
-	}
-	cfg := lab.Config{Link: lk, PacketTrace: true, Seed: *seed}
-	if *format != "spans" && *format != "chrome" {
-		return fmt.Errorf("unknown format %q (want spans or chrome)", *format)
-	}
-
+	lk, _ := lab.ParseLinkKind(f.String("link")) // the row admits only its words
+	cfg := lab.Config{Link: lk, PacketTrace: true, Seed: f.Uint64("seed")}
+	size, iters := f.Int("size"), f.Int("iters")
 	var gen workload.Generator
-	n := *hosts
-	switch *wl {
+	n := f.Int("hosts")
+	switch f.String("workload") {
 	case "echo":
-		gen = workload.Echo{Size: *size, Iterations: *iters, Warmup: *warmup}
+		gen = workload.Echo{Size: size, Iterations: iters, Warmup: f.Int("warmup")}
 		if n == 0 {
 			n = 2
 		}
 	case "fanin":
-		gen = workload.FanIn{Size: *size, Requests: *iters, Warmup: 1}
-		if n == 0 {
-			n = 5
-		}
+		gen = workload.FanIn{Size: size, Requests: iters, Warmup: 1}
 	case "churn":
-		gen = workload.Churn{Conns: *conns, Size: *size}
-		if n == 0 {
-			n = 5
-		}
+		gen = workload.Churn{Conns: f.Int("conns"), Size: size}
 	case "bulk":
-		gen = workload.Bulk{Bytes: *bytesN}
-		if n == 0 {
-			n = 5
-		}
-	default:
-		return fmt.Errorf("unknown workload %q (want echo, fanin, churn, or bulk)", *wl)
+		gen = workload.Bulk{Bytes: f.Int("bytes")}
 	}
-	if n < 2 {
-		return fmt.Errorf("-hosts %d too small (need a server and at least one client)", n)
+	if n == 0 {
+		n = 5
 	}
-
-	l := lab.NewTopology(cfg, n)
-	res, err := gen.Run(l)
+	res, err := gen.Run(lab.NewTopology(cfg, n))
 	if err != nil {
 		return err
 	}
 
 	var blob []byte
-	switch *format {
+	switch f.String("format") {
 	case "spans":
 		blob, err = json.MarshalIndent(trace.BuildTimelines(res.Events), "", " ")
 	case "chrome":
@@ -134,8 +100,11 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *out != "" {
-		return os.WriteFile(*out, append(blob, '\n'), 0o644)
+	if out := f.String("o"); out != "" {
+		if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
+			return fmt.Errorf("-o: %w", err)
+		}
+		return nil
 	}
 	_, err = fmt.Fprintln(w, string(blob))
 	return err

@@ -8,6 +8,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/cmd/internal/cli/clitest"
 )
 
 // chromeFile mirrors the trace_event shape the Chrome/Perfetto loaders
@@ -173,17 +175,12 @@ func TestDeterministicOutput(t *testing.T) {
 }
 
 func TestBadFlagValues(t *testing.T) {
-	for _, args := range [][]string{
-		{"-workload", "nope"},
-		{"-link", "token-ring"},
-		{"-format", "pcap"},
-		{"-hosts", "1"},
-	} {
-		var buf bytes.Buffer
-		if err := run(args, &buf); err == nil {
-			t.Fatalf("args %v accepted", args)
-		}
-	}
+	clitest.Check(t, run, []clitest.Case{
+		{Args: []string{"-workload", "nope"}, Flag: "-workload"},
+		{Args: []string{"-link", "token-ring"}, Flag: "-link"},
+		{Args: []string{"-format", "pcap"}, Flag: "-format"},
+		{Args: []string{"-hosts", "1"}, Flag: "-hosts"},
+	})
 }
 
 // TestCountsBelowOneRefused: a workload generator reads a zero or
@@ -191,33 +188,35 @@ func TestBadFlagValues(t *testing.T) {
 // round trips), so each such value is refused by its flag's name; the
 // documented zero defaults, -size 0 and -hosts 0, still run.
 func TestCountsBelowOneRefused(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		flag string // named in the refusal; "" = accepted
-	}{
-		{[]string{"-iters", "0"}, "-iters"},
-		{[]string{"-iters", "-3"}, "-iters"},
-		{[]string{"-warmup", "0"}, "-warmup"},
-		{[]string{"-warmup", "-1"}, "-warmup"},
-		{[]string{"-workload", "churn", "-conns", "0"}, "-conns"},
-		{[]string{"-workload", "bulk", "-bytes", "0"}, "-bytes"},
-		{[]string{"-workload", "bulk", "-bytes", "-5"}, "-bytes"},
-		{[]string{"-size", "-1"}, "-size"},
-		{[]string{"-size", "0", "-iters", "1", "-warmup", "1"}, ""},
-		{[]string{"-hosts", "0", "-iters", "1", "-warmup", "1"}, ""},
-	} {
-		var buf bytes.Buffer
-		err := run(tc.args, &buf)
-		switch {
-		case tc.flag == "" && err != nil:
-			t.Errorf("args %v refused: %v", tc.args, err)
-		case tc.flag != "" && err == nil:
-			t.Errorf("args %v accepted", tc.args)
-		case tc.flag != "" && !strings.HasPrefix(err.Error(), tc.flag+" "):
-			t.Errorf("args %v: error %q does not name %s", tc.args, err, tc.flag)
-		}
-	}
+	clitest.Check(t, run, []clitest.Case{
+		{Args: []string{"-iters", "0"}, Flag: "-iters"},
+		{Args: []string{"-iters", "-3"}, Flag: "-iters"},
+		{Args: []string{"-warmup", "0"}, Flag: "-warmup"},
+		{Args: []string{"-warmup", "-1"}, Flag: "-warmup"},
+		{Args: []string{"-workload", "churn", "-conns", "0"}, Flag: "-conns"},
+		{Args: []string{"-workload", "bulk", "-bytes", "0"}, Flag: "-bytes"},
+		{Args: []string{"-workload", "bulk", "-bytes", "-5"}, Flag: "-bytes"},
+		{Args: []string{"-size", "-1"}, Flag: "-size"},
+		{Args: []string{"-size", "0", "-iters", "1", "-warmup", "1"}},
+		{Args: []string{"-hosts", "0", "-iters", "1", "-warmup", "1"}},
+	})
 }
+
+// TestFlags: a flag the workload does not read, and an unwritable -o, are
+// refused by the flag's name.
+func TestFlags(t *testing.T) {
+	clitest.Check(t, run, []clitest.Case{
+		{Args: []string{"-workload", "echo", "-conns", "5"}, Flag: "-conns"},
+		{Args: []string{"-workload", "echo", "-bytes", "7"}, Flag: "-bytes"},
+		{Args: []string{"-workload", "fanin", "-warmup", "3"}, Flag: "-warmup"},
+		{Args: []string{"-workload", "bulk", "-size", "100"}, Flag: "-size"},
+		{Args: []string{"-o", t.TempDir() + "/missing/trace.json"}, Flag: "-o"},
+	})
+}
+
+var fuzzCaps = map[string]float64{"hosts": 4, "size": 2000, "iters": 2, "warmup": 2, "conns": 2, "bytes": 8192}
+
+func FuzzFlags(f *testing.F) { clitest.Fuzz(f, &flags, run, fuzzCaps, "workload") }
 
 func TestWriteToFile(t *testing.T) {
 	path := t.TempDir() + "/trace.json"

@@ -10,73 +10,58 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/core"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "tables:", err)
-		os.Exit(1)
-	}
-}
+func main() { flags.Main(run) }
+
+// output is the command's modes: -json's values, text or JSON.
+var output = cli.Modes{"false", "true"}
+
+var flags = cli.Table{Name: "tables", Rows: []cli.Row{
+	{Name: "iters", Def: 100, Usage: "measured iterations per configuration", Min: 1, Max: cli.MaxIters, Why: cli.ItersWhy},
+	{Name: "o", Def: "", Usage: "also write the report to this file"},
+	{Name: "figures", Def: true, Usage: "render ASCII figures 1 and 2", On: output.On("false")},
+	{Name: "parallel", Def: 0, Usage: "sweep workers (0 = GOMAXPROCS, 1 = serial)", Max: cli.Inf},
+	{Name: "seed", Def: uint64(0), Usage: "base seed for per-trial RNG derivation (0 = defaults)", Max: cli.Inf},
+	{Name: "json", Def: false, Usage: "emit the report as JSON instead of text"},
+}, Mode: output.Of("json")}
 
 func run(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("tables", flag.ContinueOnError)
-	var (
-		iters    = fs.Int("iters", 100, "measured iterations per configuration")
-		out      = fs.String("o", "", "also write the report to this file")
-		figures  = fs.Bool("figures", true, "render ASCII figures 1 and 2")
-		parallel = fs.Int("parallel", 0, "sweep workers (0 = GOMAXPROCS, 1 = serial)")
-		seed     = fs.Uint64("seed", 0, "base seed for per-trial RNG derivation (0 = defaults)")
-		jsonOut  = fs.Bool("json", false, "emit the report as JSON instead of text")
-	)
-	if err := fs.Parse(args); err != nil {
-		if err == flag.ErrHelp {
-			return nil
-		}
+	f, err := flags.Parse(args, w)
+	if f == nil {
 		return err
 	}
-	if *iters < 1 {
-		return fmt.Errorf("-iters %d: must be at least 1", *iters)
-	}
-	if *parallel < 0 {
-		return fmt.Errorf("-parallel %d: must not be negative (0 = GOMAXPROCS)", *parallel)
-	}
-
 	opts := core.Options{
-		Iterations: *iters,
+		Iterations: f.Int("iters"),
 		Warmup:     8,
-		Parallel:   *parallel,
-		BaseSeed:   *seed,
+		Parallel:   f.Int("parallel"),
+		BaseSeed:   f.Uint64("seed"),
 	}
 	rep, err := core.RunAll(opts)
 	if err != nil {
 		return err
 	}
 
-	var text string
-	if *jsonOut {
-		b, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
+	var text strings.Builder
+	if err := cli.Emit(&text, f.Bool("json"), rep, func() string {
+		if !f.Bool("figures") {
+			return rep.Render()
 		}
-		text = string(b) + "\n"
-	} else {
-		text = rep.Render()
-		if *figures {
-			text += "\n" + core.RenderFigure1(rep.Table4) + "\n" + core.RenderFigure2(rep.Table5)
-		}
+		return rep.Render() + "\n" + core.RenderFigure1(rep.Table4) + "\n" + core.RenderFigure2(rep.Table5)
+	}); err != nil {
+		return err
 	}
-	fmt.Fprint(w, text)
-	if *out != "" {
-		if err := os.WriteFile(*out, []byte(text), 0o644); err != nil {
-			return err
+	fmt.Fprint(w, text.String())
+	if out := f.String("o"); out != "" {
+		if err := os.WriteFile(out, []byte(text.String()), 0o644); err != nil {
+			return fmt.Errorf("-o: %w", err)
 		}
 	}
 	return nil

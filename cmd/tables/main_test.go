@@ -7,6 +7,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/cmd/internal/cli/clitest"
 )
 
 func TestRunText(t *testing.T) {
@@ -48,12 +50,6 @@ func TestRunJSON(t *testing.T) {
 	}
 }
 
-func TestRunBadFlag(t *testing.T) {
-	if err := run([]string{"-definitely-not-a-flag"}, &bytes.Buffer{}); err == nil {
-		t.Fatal("bad flag accepted")
-	}
-}
-
 // goldenTablesSHA256 is the SHA-256 of `tables -json -iters 3 -seed 7`,
 // captured on the pre-overhaul (PR 3) tree. The wall-clock hot-path
 // overhaul (ISSUE 4) promised byte-identical simulated results; this
@@ -79,26 +75,30 @@ func TestGoldenJSONByteIdentical(t *testing.T) {
 }
 
 // TestCountFlagsRefused: a count the command would silently replace —
-// -iters below 1 (read as the default 100) or a negative -parallel
-// (read as GOMAXPROCS) — is refused, naming its flag.
+// -iters below 1 (read as the default 100) or a negative -parallel (read
+// as GOMAXPROCS) — is refused, naming its flag.
 func TestCountFlagsRefused(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		flag string // named in the refusal; "" = accepted
-	}{
-		{[]string{"-iters", "0"}, "-iters"},
-		{[]string{"-iters", "-3"}, "-iters"},
-		{[]string{"-parallel", "-1"}, "-parallel"},
-	} {
-		var buf bytes.Buffer
-		err := run(tc.args, &buf)
-		switch {
-		case tc.flag == "" && err != nil:
-			t.Errorf("args %v refused: %v", tc.args, err)
-		case tc.flag != "" && err == nil:
-			t.Errorf("args %v accepted", tc.args)
-		case tc.flag != "" && !strings.HasPrefix(err.Error(), tc.flag+" "):
-			t.Errorf("args %v: error %q does not name %s", tc.args, err, tc.flag)
-		}
-	}
+	clitest.Check(t, run, []clitest.Case{
+		{Args: []string{"-iters", "0"}, Flag: "-iters"},
+		{Args: []string{"-iters", "-3"}, Flag: "-iters"},
+		{Args: []string{"-parallel", "-1"}, Flag: "-parallel"},
+	})
 }
+
+func TestRunBadFlag(t *testing.T) {
+	clitest.Check(t, run, []clitest.Case{
+		{Args: []string{"-definitely-not-a-flag"}, Flag: "flag provided but not defined: -definitely-not-a-flag"},
+	})
+}
+
+// TestFlags: an -iters past its ceiling, -figures beside -json, which
+// prints no figure, and an unwritable -o are refused naming the flag.
+func TestFlags(t *testing.T) {
+	clitest.Check(t, run, []clitest.Case{
+		{Args: []string{"-iters", "1000000000"}, Flag: "-iters"},
+		{Args: []string{"-json", "-figures=false"}, Flag: "-figures"},
+		{Args: []string{"-o", t.TempDir() + "/missing/report.txt", "-iters", "1"}, Flag: "-o"},
+	})
+}
+
+func FuzzFlags(f *testing.F) { clitest.Fuzz(f, &flags, run, map[string]float64{"iters": 2}) }

@@ -16,139 +16,87 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
-	"flag"
 	"fmt"
 	"io"
-	"os"
-	"strings"
 
+	"repro/cmd/internal/cli"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/lab"
 	"repro/internal/runner"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "tcplat:", err)
-		os.Exit(1)
-	}
-}
+func main() { flags.Main(run) }
 
-// cfgFlags maps each flag that writes a lab.Config field to the field:
-// what a -grid run refuses (it fixes the cell configuration itself), and
-// how a lab.ConfigError finds the flag to name. -seed is absent on
-// purpose: a grid reads it as the derivation base.
-var cfgFlags = map[string]string{
-	"link": "Link", "mode": "Mode", "nopred": "DisablePrediction", "hashpcb": "HashPCBs",
-	"pcbs": "LivePCBs", "loss": "CellLossRate", "mtu": "MTU", "sockbuf": "SockBuf",
-}
+// modes: one cell, the paper's sizes (-sweep), or a predefined -grid,
+// which fixes every cell's configuration itself.
+var (
+	modes = cli.Modes{"cell", "sweep", "grid"}
+	cells = modes.On("cell", "sweep")
+)
+
+var flags = cli.Table{Name: "tcplat", Rows: []cli.Row{
+	{Name: "size", Def: 4, Usage: "transfer size in bytes", Min: 1, Max: 1 << 20, Why: "a round trip echoes at least one byte, and each end holds the payload whole", On: modes.On("cell")},
+	{Name: "link", Def: "atm", Usage: "link type: atm or ether", Words: []string{"atm", "ether"}, On: cells, Field: "Link"},
+	{Name: "mode", Def: "standard", Usage: "checksum mode: standard, integrated, or none", Words: []string{"standard", "integrated", "none"}, On: cells, Field: "Mode"},
+	{Name: "nopred", Def: false, Usage: "disable header prediction (PCB cache + fast path)", On: cells, Field: "DisablePrediction"},
+	{Name: "hashpcb", Def: false, Usage: "use the hash-table PCB organization", On: cells, Field: "HashPCBs"},
+	{Name: "pcbs", Def: 0, Usage: "established connections opened ahead of the benchmark connection", Max: 100_000, Why: "each is a connection pair held for the run", On: cells, Field: "LivePCBs"},
+	{Name: "loss", Def: 0.0, Usage: "ATM cell loss probability", Max: 1, On: cells, Field: "CellLossRate"},
+	{Name: "mtu", Def: 0, Usage: "MTU override (0 = link default)", Max: cli.Inf, On: cells, Field: "MTU"},
+	{Name: "sockbuf", Def: 0, Usage: "socket buffer high-water mark (0 = default)", Max: cli.Inf, On: cells, Field: "SockBuf"},
+	{Name: "iters", Def: 100, Usage: "measured iterations", Min: 1, Max: cli.MaxIters, Why: cli.ItersWhy},
+	{Name: "warmup", Def: 8, Usage: "warm-up iterations", Max: cli.MaxIters, Why: "run time grows with it"},
+	{Name: "seed", Def: uint64(0), Usage: "base RNG seed (single run: the simulation seed; grids: per-cell derivation base)", Max: cli.Inf},
+	{Name: "sweep", Def: false, Usage: "run every paper transfer size", On: cells},
+	{Name: "grid", Def: "", Usage: "run a predefined grid: paper or ext", Words: []string{"", "paper", "ext"}},
+	{Name: "parallel", Def: 0, Usage: "sweep workers (0 = GOMAXPROCS, 1 = serial)", Max: cli.Inf},
+	{Name: "json", Def: false, Usage: "emit results as JSON instead of text"},
+}, Mode: func(v *cli.Values) (uint, string) {
+	switch g := v.String("grid"); {
+	case g != "":
+		return modes.On("grid"), "-grid " + g
+	case v.Bool("sweep"):
+		return modes.On("sweep"), "-sweep"
+	}
+	return modes.On("cell"), "a single cell"
+}}
 
 func run(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("tcplat", flag.ContinueOnError)
-	var (
-		size     = fs.Int("size", 4, "transfer size in bytes")
-		link     = fs.String("link", "atm", "link type: atm or ether")
-		mode     = fs.String("mode", "standard", "checksum mode: standard, integrated, or none")
-		noPred   = fs.Bool("nopred", false, "disable header prediction (PCB cache + fast path)")
-		hash     = fs.Bool("hashpcb", false, "use the hash-table PCB organization")
-		pcbs     = fs.Int("pcbs", 0, "established connections opened ahead of the benchmark connection")
-		loss     = fs.Float64("loss", 0, "ATM cell loss probability")
-		mtu      = fs.Int("mtu", 0, "MTU override (0 = link default)")
-		sockbuf  = fs.Int("sockbuf", 0, "socket buffer high-water mark (0 = default)")
-		iters    = fs.Int("iters", 100, "measured iterations")
-		warmup   = fs.Int("warmup", 8, "warm-up iterations")
-		seed     = fs.Uint64("seed", 0, "base RNG seed (single run: the simulation seed; grids: per-cell derivation base)")
-		sweep    = fs.Bool("sweep", false, "run every paper transfer size")
-		grid     = fs.String("grid", "", "run a predefined grid: paper or ext")
-		parallel = fs.Int("parallel", 0, "sweep workers (0 = GOMAXPROCS, 1 = serial)")
-		jsonOut  = fs.Bool("json", false, "emit results as JSON instead of text")
-	)
-	if err := fs.Parse(args); err != nil {
-		if err == flag.ErrHelp {
-			return nil
-		}
+	f, err := flags.Parse(args, w)
+	if f == nil {
 		return err
 	}
-
-	// Predefined grids fix every configuration dimension themselves;
-	// reject per-cell flags that would otherwise be silently ignored.
-	if *grid != "" {
-		var conflict []string
-		fs.Visit(func(f *flag.Flag) {
-			if cfgFlags[f.Name] != "" || f.Name == "size" || f.Name == "sweep" {
-				conflict = append(conflict, "-"+f.Name)
-			}
-		})
-		if len(conflict) > 0 {
-			return fmt.Errorf("-grid %s fixes the cell configuration; remove %s",
-				*grid, strings.Join(conflict, ", "))
-		}
-	}
-
-	if *size < 0 {
-		return fmt.Errorf("-size must be >= 0")
-	}
-	if *iters < 1 {
-		return fmt.Errorf("-iters %d: must be at least 1", *iters)
-	}
-	if *warmup < 0 {
-		return fmt.Errorf("-warmup %d: must not be negative", *warmup)
-	}
-	if *parallel < 0 {
-		return fmt.Errorf("-parallel %d: must not be negative (0 = GOMAXPROCS)", *parallel)
-	}
-	lk, err := lab.ParseLinkKind(*link)
-	if err != nil {
-		return fmt.Errorf("-link: %w", err)
-	}
+	lk, _ := lab.ParseLinkKind(f.String("link")) // the row admits only its words
 	cfg := lab.Config{
 		Link:              lk,
-		DisablePrediction: *noPred,
-		HashPCBs:          *hash,
-		LivePCBs:          *pcbs,
-		CellLossRate:      *loss,
-		MTU:               *mtu,
-		SockBuf:           *sockbuf,
-		Seed:              *seed,
-	}
-	switch *mode {
-	case "standard":
-		cfg.Mode = cost.ChecksumStandard
-	case "integrated":
-		cfg.Mode = cost.ChecksumIntegrated
-	case "none":
-		cfg.Mode = cost.ChecksumNone
-	default:
-		return fmt.Errorf("unknown checksum mode %q", *mode)
+		Mode:              map[string]cost.ChecksumMode{"standard": cost.ChecksumStandard, "integrated": cost.ChecksumIntegrated, "none": cost.ChecksumNone}[f.String("mode")],
+		DisablePrediction: f.Bool("nopred"),
+		HashPCBs:          f.Bool("hashpcb"),
+		LivePCBs:          f.Int("pcbs"),
+		CellLossRate:      f.Float("loss"),
+		MTU:               f.Int("mtu"),
+		SockBuf:           f.Int("sockbuf"),
+		Seed:              f.Uint64("seed"),
 	}
 	// lab.Config.Validate is the rulebook of what each knob applies to;
 	// its refusal names the field, and the flag that wrote it.
-	if err := cfg.Validate(2, 1); err != nil {
-		var ce *lab.ConfigError
-		if errors.As(err, &ce) {
-			for name, field := range cfgFlags {
-				if field == ce.Field {
-					return fmt.Errorf("-%s: %w", name, err)
-				}
-			}
-		}
+	if err := flags.Config(cfg.Validate(2, 1)); err != nil {
 		return err
 	}
+	iters, warmup := f.Int("iters"), f.Int("warmup")
 
 	// Build the trial list: a predefined grid, the paper's size sweep of
 	// the flag-selected configuration, or a single cell.
 	var trials []runner.EchoTrial
-	switch *grid {
+	switch f.String("grid") {
 	case "paper":
-		trials = runner.PaperGrid(core.Sizes, *iters, *warmup).Trials()
+		trials = runner.PaperGrid(core.Sizes, iters, warmup).Trials()
 	case "ext":
-		trials = runner.ExtendedGrid(*iters, *warmup).Trials()
+		trials = runner.ExtendedGrid(iters, warmup).Trials()
 	case "":
-		sizes := []int{*size}
-		if *sweep {
+		sizes := []int{f.Int("size")}
+		if f.Bool("sweep") {
 			sizes = core.Sizes
 		}
 		for _, s := range sizes {
@@ -156,19 +104,17 @@ func run(args []string, w io.Writer) error {
 				Label:      runner.TrialLabel(cfg, s),
 				Cfg:        cfg,
 				Size:       s,
-				Iterations: *iters,
-				Warmup:     *warmup,
+				Iterations: iters,
+				Warmup:     warmup,
 			})
 		}
-	default:
-		return fmt.Errorf("unknown grid %q (want paper or ext)", *grid)
 	}
 
-	ropts := runner.Options{Workers: *parallel}
-	if *grid != "" {
+	ropts := runner.Options{Workers: f.Int("parallel")}
+	if f.String("grid") != "" {
 		// For grids the seed is a derivation base, not a shared
 		// simulation seed.
-		ropts.BaseSeed = *seed
+		ropts.BaseSeed = f.Uint64("seed")
 	}
 	outs, err := runner.RunEchoSweep(context.Background(), trials, ropts)
 	if err != nil {
@@ -180,16 +126,7 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 
-	if *jsonOut {
-		b, err := json.MarshalIndent(outs, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, string(b))
-		return nil
-	}
-	title := fmt.Sprintf("Round-trip latency (%d cells, %d iterations each)",
-		len(outs), *iters)
-	fmt.Fprint(w, runner.RenderEchoOutcomes(title, outs))
-	return nil
+	return cli.Emit(w, f.Bool("json"), outs, func() string {
+		return runner.RenderEchoOutcomes(fmt.Sprintf("Round-trip latency (%d cells, %d iterations each)", len(outs), iters), outs)
+	})
 }

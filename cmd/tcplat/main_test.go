@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/cmd/internal/cli/clitest"
 )
 
 func TestRunSingle(t *testing.T) {
@@ -56,45 +58,40 @@ func TestRunExtGridJSON(t *testing.T) {
 }
 
 func TestRunBadArgs(t *testing.T) {
-	for _, args := range [][]string{
-		{"-link", "tokenring"},
-		{"-mode", "double"},
-		{"-grid", "bogus"},
-		{"-loss", "1.5"},
-		{"-loss", "NaN"},
-		{"-link", "ether", "-loss", "0.5"},
-		{"-size", "-1"},
-		{"-pcbs", "-5"},
-	} {
-		if err := run(args, &bytes.Buffer{}); err == nil {
-			t.Errorf("args %v accepted", args)
-		}
-	}
+	clitest.Check(t, run, []clitest.Case{
+		{Args: []string{"-link", "tokenring"}, Flag: "-link"},
+		{Args: []string{"-mode", "double"}, Flag: "-mode"},
+		{Args: []string{"-grid", "bogus"}, Flag: "-grid"},
+		{Args: []string{"-loss", "1.5"}, Flag: "-loss"},
+		{Args: []string{"-loss", "NaN"}, Flag: "-loss"},
+		{Args: []string{"-link", "ether", "-loss", "0.5"}, Flag: "-loss"},
+		{Args: []string{"-size", "-1"}, Flag: "-size"},
+		{Args: []string{"-pcbs", "-5"}, Flag: "-pcbs"},
+	})
 }
 
-// TestCountFlagsRefused: a count the command would silently replace —
-// -iters below 1 (read as the default 100), a negative -warmup
-// (run as 0) or a negative -parallel (read as GOMAXPROCS) — is refused, naming its flag.
-func TestCountFlagsRefused(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		flag string // named in the refusal; "" = accepted
-	}{
-		{[]string{"-iters", "0"}, "-iters"},
-		{[]string{"-iters", "-1"}, "-iters"},
-		{[]string{"-warmup", "-1"}, "-warmup"},
-		{[]string{"-parallel", "-1"}, "-parallel"},
-		{[]string{"-size", "4", "-iters", "1", "-warmup", "0", "-parallel", "0"}, ""},
-	} {
-		var buf bytes.Buffer
-		err := run(tc.args, &buf)
-		switch {
-		case tc.flag == "" && err != nil:
-			t.Errorf("args %v refused: %v", tc.args, err)
-		case tc.flag != "" && err == nil:
-			t.Errorf("args %v accepted", tc.args)
-		case tc.flag != "" && !strings.HasPrefix(err.Error(), tc.flag+" "):
-			t.Errorf("args %v: error %q does not name %s", tc.args, err, tc.flag)
-		}
-	}
+// TestFlags: a flag the selected mode does not read, and a count the
+// command would silently replace — -iters below 1 (read as the default
+// 100), a negative -warmup (run as 0) or a negative -parallel (read as
+// GOMAXPROCS) — are refused, naming the flag. -iters 1000000000 asked the
+// runtime for 24 GB up front and died out of memory; -size 0 echoed
+// nothing and waited forever.
+func TestFlags(t *testing.T) {
+	clitest.Check(t, run, []clitest.Case{
+		{Args: []string{"-size", "0"}, Flag: "-size"},
+		{Args: []string{"-iters", "0"}, Flag: "-iters"},
+		{Args: []string{"-iters", "-1"}, Flag: "-iters"},
+		{Args: []string{"-iters", "1000000000", "-warmup", "0"}, Flag: "-iters"},
+		{Args: []string{"-warmup", "-1"}, Flag: "-warmup"},
+		{Args: []string{"-parallel", "-1"}, Flag: "-parallel"},
+		{Args: []string{"-sweep", "-size", "200"}, Flag: "-size"},
+		{Args: []string{"-grid", "paper", "-size", "200"}, Flag: "-size"},
+		{Args: []string{"-grid", "ext", "-sweep"}, Flag: "-sweep"},
+		{Args: []string{"-grid", "paper", "-link", "ether"}, Flag: "-link"},
+		{Args: []string{"-size", "4", "-iters", "1", "-warmup", "0", "-parallel", "0"}},
+	})
 }
+
+var fuzzCaps = map[string]float64{"iters": 2, "warmup": 1, "size": 2000, "pcbs": 20}
+
+func FuzzFlags(f *testing.F) { clitest.Fuzz(f, &flags, run, fuzzCaps, "grid", "sweep") }

@@ -91,11 +91,14 @@ func ParseHeader(c *Cell) (CellHeader, error) {
 	var h CellHeader
 	h.GFC = c[0] >> 4
 	h.VPI = c[0]<<4 | c[1]>>4
-	h.VCI = uint16(c[1]&0x0f)<<12 | uint16(c[2])<<4 | uint16(c[3])>>4
+	h.VCI = c.vci()
 	h.PT = c[3] >> 1 & 0x7
 	h.CLP = c[3]&1 != 0
 	return h, nil
 }
+
+// vci decodes the header's VCI without checking the HEC.
+func (c *Cell) vci() uint16 { return uint16(c[1]&0x0f)<<12 | uint16(c[2])<<4 | uint16(c[3])>>4 }
 
 // Payload returns the cell's 48-byte payload region.
 func (c *Cell) Payload() []byte { return c[5:] }

@@ -227,3 +227,33 @@ func TestSwitchVCTableIndexed(t *testing.T) {
 		sw.AddVC(0, DefaultVCI-1, 1, DefaultVCI)
 	}()
 }
+
+// TestQdiscPortCountsHECOnce: a cell whose header is corrupted on the
+// ingress fiber is discarded by the switch's HEC check once, in forward,
+// even when its route leads to a qdisc-managed port; the discipline never
+// sees it. A clean cell on the same VC is switched through the discipline.
+func TestQdiscPortCountsHECOnce(t *testing.T) {
+	env := sim.NewEnv()
+	sw, _, _, drvs, _ := buildStar(t, env, 3)
+	out := sw.Port(2)
+	out.SetQdisc(NewDropTail(64))
+	send := func(corrupt bool) {
+		var c Cell
+		CellHeader{VCI: DefaultVCI + 2}.Marshal(&c) // host 0 -> host 2
+		if corrupt {
+			c[1] ^= 0x10
+		}
+		sw.Port(0).deliverCell(&c)
+		env.Run()
+	}
+	send(true)
+	if sw.HECErrors != 1 || sw.CellsSwitched != 0 || sw.CellsDropped != 0 || out.Qdisc().Len() != 0 {
+		t.Fatalf("corrupted cell: HECErrors %d, switched %d, dropped %d, queued %d; want 1, 0, 0, 0",
+			sw.HECErrors, sw.CellsSwitched, sw.CellsDropped, out.Qdisc().Len())
+	}
+	send(false)
+	if sw.HECErrors != 1 || sw.CellsSwitched != 1 || drvs[2].Adapter.CellsRecv != 1 {
+		t.Fatalf("clean cell: HECErrors %d, switched %d, host 2 received %d; want 1, 1, 1",
+			sw.HECErrors, sw.CellsSwitched, drvs[2].Adapter.CellsRecv)
+	}
+}

@@ -1,7 +1,6 @@
 package atm
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -38,22 +37,28 @@ const cpcsOverhead = 8
 // TCA-100's MTU is just over 9 KB ("also close to our ATM MTU of 9K").
 const MaxDatagram = 9188
 
-// crc10Tables drives the slicing-by-8 CRC-10: entry [k][v] is the bitwise
-// CRC of the byte v followed by k zero bytes, so the CRC of an 8-byte
-// block is eight independent lookups XORed together instead of eight
-// dependent ones. [0] alone is the classic byte-at-a-time table, which
-// the tail uses. All eight are filled once at init from the bitwise
-// reference (crc10Bitwise), which the tests also compare against — the
-// sliced form computes identical values, it only takes the per-bit and
-// per-byte dependency chains out of the twice-per-cell hot path.
-var crc10Tables [8][256]uint16
+// crc10Pos drives the CRC-10 of a SAR-PDU, the only length either end
+// computes one over: entry [i][v] is the CRC of the 48-byte PDU that holds
+// byte v at position i and zeros elsewhere. The CRC (from a zero state) is
+// linear over GF(2), so a PDU's is the XOR of its 48 bytes' entries —
+// independent lookups, with no state carried from one byte to the next.
+// The table is filled once at init, by the same linearity, from the
+// bitwise reference (crc10Bitwise) on the 384 single-bit PDUs; the tests
+// hold every entry, and arbitrary PDUs, to that reference.
+var crc10Pos [PayloadSize][256]uint16
 
 func init() {
-	var msg [8]byte
-	for k := range crc10Tables {
-		for v := 0; v < 256; v++ {
-			msg[0] = byte(v)
-			crc10Tables[k][v] = crc10Bitwise(0, msg[:k+1])
+	var pdu [PayloadSize]byte
+	for i := range crc10Pos {
+		for bit := 0; bit < 8; bit++ {
+			pdu[i] = 1 << bit
+			r := crc10Bitwise(0, pdu[:])
+			pdu[i] = 0
+			for v := 0; v < 256; v++ {
+				if v&(1<<bit) != 0 {
+					crc10Pos[i][v] ^= r
+				}
+			}
 		}
 	}
 }
@@ -75,29 +80,32 @@ func crc10Bitwise(crc uint16, b []byte) uint16 {
 	return crc
 }
 
-// crc10Word advances crc over the eight bytes of the big-endian word w.
-// The CRC is linear, so continuing from a state is the same as starting
-// from zero with the state XORed into the message's first ten bits — the
-// first byte and the top two bits of the second.
-func crc10Word(crc uint16, w uint64) uint16 {
-	w ^= uint64(crc) << 54
-	return crc10Tables[7][w>>56] ^ crc10Tables[6][w>>48&0xff] ^
-		crc10Tables[5][w>>40&0xff] ^ crc10Tables[4][w>>32&0xff] ^
-		crc10Tables[3][w>>24&0xff] ^ crc10Tables[2][w>>16&0xff] ^
-		crc10Tables[1][w>>8&0xff] ^ crc10Tables[0][w&0xff]
+// crc10PDU computes the AAL3/4 CRC-10 of a 48-byte SAR-PDU: one lookup a
+// byte, written out so that every index is a constant and nothing is
+// bounds-checked, in two XOR chains (the even eight-byte words and the
+// odd).
+func crc10PDU(p *[PayloadSize]byte) uint16 {
+	t := &crc10Pos
+	even := t[0][p[0]] ^ t[1][p[1]] ^ t[2][p[2]] ^ t[3][p[3]] ^
+		t[4][p[4]] ^ t[5][p[5]] ^ t[6][p[6]] ^ t[7][p[7]] ^
+		t[16][p[16]] ^ t[17][p[17]] ^ t[18][p[18]] ^ t[19][p[19]] ^
+		t[20][p[20]] ^ t[21][p[21]] ^ t[22][p[22]] ^ t[23][p[23]] ^
+		t[32][p[32]] ^ t[33][p[33]] ^ t[34][p[34]] ^ t[35][p[35]] ^
+		t[36][p[36]] ^ t[37][p[37]] ^ t[38][p[38]] ^ t[39][p[39]]
+	odd := t[8][p[8]] ^ t[9][p[9]] ^ t[10][p[10]] ^ t[11][p[11]] ^
+		t[12][p[12]] ^ t[13][p[13]] ^ t[14][p[14]] ^ t[15][p[15]] ^
+		t[24][p[24]] ^ t[25][p[25]] ^ t[26][p[26]] ^ t[27][p[27]] ^
+		t[28][p[28]] ^ t[29][p[29]] ^ t[30][p[30]] ^ t[31][p[31]] ^
+		t[40][p[40]] ^ t[41][p[41]] ^ t[42][p[42]] ^ t[43][p[43]] ^
+		t[44][p[44]] ^ t[45][p[45]] ^ t[46][p[46]] ^ t[47][p[47]]
+	return even ^ odd
 }
 
-// crc10 computes the AAL3/4 CRC-10 over b: eight bytes a step, then a
-// byte-at-a-time tail. A 48-byte SAR-PDU is six steps and no tail.
-func crc10(b []byte) uint16 {
-	var crc uint16
-	for ; len(b) >= 8; b = b[8:] {
-		crc = crc10Word(crc, binary.BigEndian.Uint64(b))
-	}
-	for _, v := range b {
-		crc = (crc&0x3)<<8 ^ crc10Tables[0][(crc>>2)^uint16(v)]
-	}
-	return crc
+// crc10Masked is crc10PDU of p with its ten CRC bits — the low two of
+// byte 46 and all of byte 47 — taken as zero: the CRC a receiver checks
+// the stored one against.
+func crc10Masked(p *[PayloadSize]byte) uint16 {
+	return crc10PDU(p) ^ crc10Pos[46][p[46]&0x3] ^ crc10Pos[47][p[47]]
 }
 
 // CellsForDatagram returns how many cells a datagram of n bytes occupies
@@ -242,7 +250,7 @@ func (s *Segmenter) cell(c *Cell, pdu []byte, i, n int) {
 	// with the CRC field zeroed.
 	p[46] = byte(li) << 2
 	p[47] = 0
-	crc := crc10(p)
+	crc := crc10PDU((*[PayloadSize]byte)(p))
 	p[46] |= byte(crc >> 8)
 	p[47] = byte(crc)
 }
@@ -336,8 +344,9 @@ func (r *Reassembler) Idle() bool { return !r.active }
 func (r *Reassembler) Push(c *Cell) ([]byte, error) {
 	p := c.Payload()
 	// Validate the CRC-10: recompute over the payload with the CRC bits
-	// zeroed — the last word's low ten bits masked in a register, the
-	// cell itself untouched — and compare against the stored value.
+	// zeroed — by linearity, the CRC of the payload as it stands XORed
+	// with that of its two trailer bytes' CRC bits alone, the cell itself
+	// untouched — and compare against the stored value.
 	//
 	// The usual shortcut, "run the CRC over all 48 bytes and expect a
 	// zero residue", does not apply to this codec: its CRC is
@@ -345,7 +354,7 @@ func (r *Reassembler) Push(c *Cell) ([]byte, error) {
 	// ten-bit field, so the stored CRC sits inside M rather than after
 	// it and a valid cell does not divide evenly.
 	stored := uint16(p[46]&0x3)<<8 | uint16(p[47])
-	if crc10Word(crc10(p[:40]), binary.BigEndian.Uint64(p[40:])&^0x3ff) != stored {
+	if crc10Masked((*[PayloadSize]byte)(p)) != stored {
 		r.drop()
 		return nil, errCRC10
 	}

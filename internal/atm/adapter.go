@@ -82,8 +82,15 @@ func (q *fifo) popInto(dst *Cell) {
 }
 
 // recSize is the stride of a cellQueue record: a time (little-endian,
-// eight bytes), the cell, and padding to a power of two.
-const recSize = 64
+// seven bytes, so below 2^56 ns — two years), a stamp from sim.Env.Stamp
+// (four bytes; only a switchless pair's transmitter writes one, see
+// Adapter.LaunchTx), then the cell — 64 bytes, a power of two.
+const (
+	recSize  = 64
+	recStamp = 7  // offset of the stamp
+	recCell  = 11 // offset of the cell
+	timeMask = 1<<56 - 1
+)
 
 // cellQueue is a FIFO of cells, each stamped with a time — when its last
 // bit leaves a transmitter, when it arrived in a receive FIFO. Unlike
@@ -101,7 +108,17 @@ func (q *cellQueue) len() int { return (len(q.buf) - q.head) / recSize }
 
 // timeAt returns the time stamped on the i-th oldest record.
 func (q *cellQueue) timeAt(i int) sim.Time {
-	return sim.Time(binary.LittleEndian.Uint64(q.buf[q.head+i*recSize:]))
+	return sim.Time(binary.LittleEndian.Uint64(q.buf[q.head+i*recSize:]) & timeMask)
+}
+
+// frontStamp returns the stamp on the oldest record.
+func (q *cellQueue) frontStamp() uint32 {
+	return binary.LittleEndian.Uint32(q.buf[q.head+recStamp:])
+}
+
+// stampNewest writes s on the newest record.
+func (q *cellQueue) stampNewest(s uint32) {
+	binary.LittleEndian.PutUint32(q.buf[len(q.buf)-recSize+recStamp:], s)
 }
 
 // append adds a record stamped t and returns its cell, which holds
@@ -113,10 +130,13 @@ func (q *cellQueue) append(a *sim.Arena, t sim.Time) *Cell {
 		q.makeRoom(a)
 		n = len(q.buf)
 	}
+	if uint64(t) > timeMask {
+		panic("atm: cell stamped past 2^56 ns")
+	}
 	q.buf = q.buf[:n+recSize]
 	r := (*[recSize]byte)(q.buf[n:])
 	binary.LittleEndian.PutUint64(r[:8], uint64(t))
-	return (*Cell)(r[8 : 8+CellSize])
+	return (*Cell)(r[recCell:recSize])
 }
 
 // push appends a copy of c, stamped t.
@@ -141,7 +161,7 @@ func (q *cellQueue) makeRoom(a *sim.Arena) {
 // record is the queue's until it is dropped; whoever is lent the pointer
 // (see cellSink) has it until then and no longer.
 func (q *cellQueue) front() *Cell {
-	return (*Cell)(q.buf[q.head+8 : q.head+8+CellSize])
+	return (*Cell)(q.buf[q.head+recCell : q.head+recSize])
 }
 
 // drop removes the oldest record. Under the arena's Poison flag the bytes
@@ -181,6 +201,12 @@ func (q *cellQueue) reset(a *sim.Arena) {
 // record there — and launch sends it on its way. From then the record is
 // the transmitter's alone, until its arrival fires and deliver lends it to
 // the far end for the length of one call and drops it.
+//
+// On a switchless pair's fibre a cell's arrival is an event only when the
+// receiving host could notice it then (see Adapter.LaunchTx). Every record
+// there carries the stamp of its arrival's key, and the rest wait in q
+// until the receiver looks or a later arrival fires: deliverDue hands over,
+// oldest first, each one whose key has passed.
 type transmitter struct {
 	busy sim.Time // when the engine finishes the last cell committed
 	// q holds every committed cell still short of the far end, oldest
@@ -248,6 +274,26 @@ func (t *transmitter) launch(env *sim.Env, c *Cell, prop sim.Time, name string) 
 // where it lies in the queue, and drops the record when the sink returns.
 func (t *transmitter) deliver(env *sim.Env, to cellSink) {
 	to.deliverCell(t.q.front())
+	t.pop(env)
+}
+
+// deliverDue hands a switchless pair's far end, in order and where each
+// lies, every cell whose arrival key — its last bit's time plus prop, and
+// its stamp — precedes the running activity's, through the receive path
+// an arrival event runs, and drops each record when it returns.
+func (t *transmitter) deliverDue(env *sim.Env, to *Adapter, prop sim.Time) {
+	for t.q.len() > 0 {
+		at := t.q.timeAt(0) + prop
+		if !env.Precedes(at, t.q.frontStamp()) {
+			return
+		}
+		to.receive(t.q.front(), at)
+		t.pop(env)
+	}
+}
+
+// pop drops the oldest record, once its cell has been delivered.
+func (t *transmitter) pop(env *sim.Env) {
 	if t.left > 0 {
 		t.left--
 	}
@@ -285,12 +331,15 @@ type Adapter struct {
 	// injection; the paper notes "the ATM network does not guarantee
 	// freedom from cell loss").
 	LossRate float64
-	// DropNext forces the next wire cell to be lost, for deterministic
-	// loss tests.
-	DropNext bool
+	// dropNext forces the next wire cell to be lost (see DropNext).
+	dropNext bool
 	// CorruptRate flips one random bit of each arriving cell with this
 	// probability — link noise for the §4.2.1 error study. Header bits
 	// are caught by the HEC, payload bits by the AAL3/4 CRC-10.
+	//
+	// LossRate, CorruptRate and SetImpairments are configuration: set
+	// them while the fibre is idle. A switchless pair decides at launch
+	// whether a cell's arrival is an event by reading them (LaunchTx).
 	CorruptRate float64
 
 	// Link impairment layer, configured via SetImpairments: a
@@ -349,7 +398,7 @@ func (a *Adapter) Reset() {
 	a.tx.reset(a.K.Env)
 	a.rxFIFO.reset(a.K.Env.Arena())
 	a.frames, a.frameAt = 0, 0
-	a.LossRate, a.DropNext, a.CorruptRate = 0, false, 0
+	a.LossRate, a.dropNext, a.CorruptRate = 0, false, 0
 	a.ge = sim.GEChain{}
 	a.reorderRate, a.reorderDepth = 0, 0
 	a.heldValid, a.heldLeft = false, 0
@@ -361,8 +410,20 @@ func (a *Adapter) Reset() {
 // SetDown flips the access link's fault state: while down, every cell
 // arriving over the fiber is dropped before the impairment layer. Both
 // ends of a link go down together (the lab flips the peer adapter or
-// switch port), so the outage is symmetric.
-func (a *Adapter) SetDown(down bool) { a.down = down }
+// switch port), so the outage is symmetric. Cells that arrived before the
+// flip are received first, under the state they arrived in.
+func (a *Adapter) SetDown(down bool) {
+	a.drain()
+	a.down = down
+}
+
+// DropNext forces the next cell to arrive over the fibre to be lost, for
+// deterministic loss tests: the next after every cell already arrived,
+// which drain receives first.
+func (a *Adapter) DropNext() {
+	a.drain()
+	a.dropNext = true
+}
 
 // Down reports the link's fault state.
 func (a *Adapter) Down() bool { return a.down }
@@ -395,12 +456,41 @@ func (a *Adapter) SetCut(stage func(scheduleAt, at sim.Time, c Cell)) { a.tx.cut
 // InjectCell delivers a cell that crossed a shard boundary into this
 // adapter as if it had just arrived over the fiber. What crosses a cut
 // crosses by value: the copy is this call's own.
-func (a *Adapter) InjectCell(c Cell) { a.receive(&c) }
+func (a *Adapter) InjectCell(c Cell) {
+	a.drain()
+	a.receive(&c, a.K.Env.Now())
+}
 
 // LaneFired implements sim.LaneOwner for the adapter's one lane, the
 // transmit fiber's: a cell's propagation delay has elapsed, so deliver it
-// to the far end.
-func (a *Adapter) LaneFired(*sim.Lane) { a.tx.deliver(a.K.Env, a.link) }
+// to the far end — on a switchless pair, with the quiet cells ahead of it.
+func (a *Adapter) LaneFired(*sim.Lane) {
+	if peer := a.pair(); peer != nil {
+		a.tx.deliverDue(a.K.Env, peer, a.K.Cost.ATMPropagation)
+		return
+	}
+	a.tx.deliver(a.K.Env, a.link)
+}
+
+// pair returns the adapter at the far end of a's transmit fibre when
+// Connect joined the two and no shard boundary cuts it: the one fibre
+// whose arrivals need not all be events.
+func (a *Adapter) pair() *Adapter {
+	if p, ok := a.link.(*Adapter); ok && a.tx.cut == nil {
+		return p
+	}
+	return nil
+}
+
+// drain receives the cells that have arrived from a switchless peer
+// without an event of their own: everything a reader of the receive side
+// may see, or a writer of it affect, is first brought up to the running
+// activity's key.
+func (a *Adapter) drain() {
+	if p, ok := a.link.(*Adapter); ok && p.tx.cut == nil {
+		p.tx.deliverDue(a.K.Env, a, p.K.Cost.ATMPropagation)
+	}
+}
 
 // Connect joins two adapters with a duplex fiber — the switchless
 // configuration of the paper's lab. Topologies with more than two hosts
@@ -411,7 +501,7 @@ func Connect(a, b *Adapter) {
 }
 
 // deliverCell implements cellSink: a cell arriving over the fiber.
-func (a *Adapter) deliverCell(c *Cell) { a.receive(c) }
+func (a *Adapter) deliverCell(c *Cell) { a.receive(c, a.K.Env.Now()) }
 
 // CellTime returns the wire occupancy of one cell at the model's TAXI
 // link rate.
@@ -445,15 +535,40 @@ func (a *Adapter) TxCell() *Cell {
 // event, the far-end arrival, rides the adapter's lane, and its bytes stay
 // where the driver put them until that arrival has been delivered:
 // transmission neither allocates nor copies per cell.
+//
+// On a switchless pair (Connect) the arrival is an event only when the
+// receiving host could notice it at that instant: when the cell ends a
+// frame, when it could bring the receive FIFO to RxDrainThreshold (the
+// FIFO now, plus every cell on the fibre, this one included), or when the
+// receiver's LossRate, CorruptRate or reordering is armed — those draw the
+// environment's RNG or set a timer on arrival. Any other cell is quiet: it
+// waits in the transmit queue with its arrival's stamp until the receiver
+// looks (drain) or a later arrival fires, and is then received at its own
+// key by the same path. Every record on the pair's fibre is stamped, an
+// evented one just ahead of its lane entry's number, so one comparison
+// tells either kind due.
 func (a *Adapter) LaunchTx(c *Cell) {
-	a.tx.launch(a.K.Env, c, a.K.Cost.ATMPropagation, "atm.cellin")
+	env, prop := a.K.Env, a.K.Cost.ATMPropagation
+	peer := a.pair()
+	if peer == nil {
+		a.tx.launch(env, c, prop, "atm.cellin")
+		return
+	}
+	a.tx.q.stampNewest(env.Stamp())
+	if IsFrameEnd(c) || peer.LossRate > 0 || peer.CorruptRate > 0 || peer.reorderRate > 0 ||
+		peer.rxFIFO.len()+a.tx.q.len() >= RxDrainThreshold {
+		a.tx.inLane.At(env, a.tx.busy+prop, "atm.cellin")
+	}
 }
 
-// receive handles a cell arriving from the wire: the impairment layer
-// (burst loss, then bounded reordering) runs first, then accept hands
-// surviving cells to the FIFO. With no impairments configured the path
-// is a direct call to accept — byte-identical to an unimpaired adapter.
-func (a *Adapter) receive(c *Cell) {
+// receive handles a cell arriving from the wire at time at: the
+// impairment layer (burst loss, then bounded reordering) runs first, then
+// accept hands surviving cells to the FIFO. With no impairments configured
+// the path is a direct call to accept — byte-identical to an unimpaired
+// adapter. A quiet arrival on a switchless pair is received here after
+// its time, from drain; it reaches neither the reordering, which is an
+// event's, nor a wake.
+func (a *Adapter) receive(c *Cell, at sim.Time) {
 	if a.down {
 		a.CellsDropped++
 		a.DownDrops++
@@ -471,8 +586,8 @@ func (a *Adapter) receive(c *Cell) {
 			a.heldLeft--
 			if a.heldLeft <= 0 {
 				a.heldValid = false
-				a.accept(c)
-				a.accept(&a.held)
+				a.accept(c, at)
+				a.accept(&a.held, at)
 				return
 			}
 		} else if a.impRNG.Bool(a.reorderRate) {
@@ -491,7 +606,7 @@ func (a *Adapter) receive(c *Cell) {
 			return
 		}
 	}
-	a.accept(c)
+	a.accept(c, at)
 }
 
 // TimerFired implements sim.TimerOwner for heldFlush, the held cell's
@@ -502,15 +617,16 @@ func (a *Adapter) TimerFired(*sim.Timer) {
 		return // later arrivals completed the countdown first
 	}
 	a.heldValid = false
-	a.accept(&a.held)
+	a.accept(&a.held, a.K.Env.Now())
 }
 
 // accept runs the adapter's legacy receive path: the deterministic and
 // Bernoulli fault knobs, then FIFO admission — the receive FIFO's record
-// is the host's copy of the cell — and the frame-end interrupt.
-func (a *Adapter) accept(c *Cell) {
-	if a.DropNext {
-		a.DropNext = false
+// is the host's copy of the cell, stamped with at, its arrival — and the
+// frame-end interrupt.
+func (a *Adapter) accept(c *Cell, at sim.Time) {
+	if a.dropNext {
+		a.dropNext = false
 		a.CellsDropped++
 		return
 	}
@@ -528,7 +644,7 @@ func (a *Adapter) accept(c *Cell) {
 		a.CellsDropped++
 		return
 	}
-	a.rxFIFO.push(a.K.Env.Arena(), a.K.Env.Now(), c)
+	a.rxFIFO.push(a.K.Env.Arena(), at, c)
 	a.CellsRecv++
 	if IsFrameEnd(c) {
 		// Frame-ending cell: raise the interrupt. The arrival time queued
@@ -553,7 +669,10 @@ func IsFrameEnd(c *Cell) bool {
 
 // FramesPending returns the number of complete frames whose cells are
 // waiting in the receive FIFO.
-func (a *Adapter) FramesPending() int { return a.frames }
+func (a *Adapter) FramesPending() int {
+	a.drain()
+	return a.frames
+}
 
 // ConsumeFrameEnd is called by the driver when the cell it last popped
 // ends a frame, balancing the count incremented on arrival. It returns
@@ -573,11 +692,15 @@ func (a *Adapter) ConsumeFrameEnd() sim.Time {
 func (a *Adapter) TxIdleAt() sim.Time { return a.tx.busy }
 
 // RxAvail returns the number of cells waiting in the receive FIFO.
-func (a *Adapter) RxAvail() int { return a.rxFIFO.len() }
+func (a *Adapter) RxAvail() int {
+	a.drain()
+	return a.rxFIFO.len()
+}
 
 // PopRxInto moves the oldest cell of the receive FIFO to dst, reporting
 // false (dst untouched) when the FIFO is empty.
 func (a *Adapter) PopRxInto(dst *Cell) bool {
+	a.drain()
 	if a.rxFIFO.len() == 0 {
 		return false
 	}

@@ -15,7 +15,7 @@ func recrc(c *Cell) {
 	p := c.Payload()
 	p[46] &^= 0x3
 	p[47] = 0
-	crc := crc10(p)
+	crc := crc10PDU((*[PayloadSize]byte)(p))
 	p[46] |= byte(crc >> 8)
 	p[47] = byte(crc)
 }

@@ -177,16 +177,17 @@ func TestReassemblerDetectsSplicedFrames(t *testing.T) {
 }
 
 func TestCRC10KnownProperties(t *testing.T) {
-	if crc10(nil) != 0 {
-		t.Fatal("crc10(nil) != 0")
+	var zero, a, b [PayloadSize]byte
+	if crc10PDU(&zero) != 0 {
+		t.Fatal("CRC-10 of the zero PDU != 0")
 	}
-	a := crc10([]byte{1, 2, 3})
-	b := crc10([]byte{1, 2, 4})
-	if a == b {
-		t.Fatal("crc10 collision on adjacent inputs")
+	a[0], a[1], a[2] = 1, 2, 3
+	b[0], b[1], b[2] = 1, 2, 4
+	if crc10PDU(&a) == crc10PDU(&b) {
+		t.Fatal("CRC-10 collision on adjacent inputs")
 	}
-	if a > 0x3ff || b > 0x3ff {
-		t.Fatal("crc10 wider than 10 bits")
+	if crc10PDU(&a) > 0x3ff || crc10PDU(&b) > 0x3ff {
+		t.Fatal("CRC-10 wider than 10 bits")
 	}
 }
 
@@ -293,7 +294,7 @@ func TestReorderHeldCellFlushed(t *testing.T) {
 
 func TestAdapterDropNext(t *testing.T) {
 	env, _, _, a, b := twoAdapters(t)
-	b.DropNext = true
+	b.DropNext()
 	var c Cell
 	CellHeader{VCI: 32}.Marshal(&c)
 	pushTx(a, c)
@@ -411,7 +412,7 @@ func TestDriverRecoversAfterCellLoss(t *testing.T) {
 	sink := &sinkHandler{}
 	ipb.Register(99, sink)
 
-	ab.DropNext = true // lose the first cell of datagram 1
+	ab.DropNext() // lose the first cell of datagram 1
 	// Alternating steps: even iterations transmit, odd ones space the two
 	// datagrams apart (each blocking action must end its own step).
 	env.Spawn("sender", sim.LoopN(4, func(p *sim.Proc, i int) {
@@ -464,7 +465,7 @@ func TestHECErrorOnFrameEndConsumesPending(t *testing.T) {
 		t.Fatalf("expected one frame-end cell, got %d", len(cells))
 	}
 	cells[0][0] ^= 0x01 // header bit flip: caught by the HEC
-	ab.receive(&cells[0])
+	ab.receive(&cells[0], env.Now())
 	env.Run()
 	if db.HECErrors != 1 {
 		t.Fatalf("HECErrors = %d, want 1", db.HECErrors)
@@ -487,7 +488,7 @@ func TestHECErrorOnFrameEndConsumesPending(t *testing.T) {
 	const arrival = sim.Millisecond
 	env.At(arrival, "inject", func() {
 		for i := range clean {
-			ab.receive(&clean[i])
+			ab.receive(&clean[i], env.Now())
 		}
 	})
 	env.Run()
@@ -514,15 +515,13 @@ func TestHECErrorOnFrameEndConsumesPending(t *testing.T) {
 // would stop reassembling and corruption detection would drift.
 func TestCRCTablesMatchBitwiseReference(t *testing.T) {
 	rng := sim.NewRNG(11)
-	buf := make([]byte, 256)
+	var b [PayloadSize]byte
 	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(len(buf))
-		b := buf[:n]
-		rng.Fill(b)
-		if got, want := crc10(b), crc10Bitwise(0, b); got != want {
-			t.Fatalf("crc10(%d bytes) = %#x, bitwise reference %#x", n, got, want)
+		rng.Fill(b[:])
+		if got, want := crc10PDU(&b), crc10Bitwise(0, b[:]); got != want {
+			t.Fatalf("crc10PDU = %#x, bitwise reference %#x", got, want)
 		}
-		if got, want := hec(b[:4:4]), hecBitwise(b[:4:4]); n >= 4 && got != want {
+		if got, want := hec(b[:4:4]), hecBitwise(b[:4:4]); got != want {
 			t.Fatalf("hec = %#x, bitwise reference %#x", got, want)
 		}
 	}

@@ -17,9 +17,12 @@ import (
 // down, DropNext, FIFO overflow: all CellsDropped), dropped in a switch
 // (no route, egress queue or discipline full, bad HEC, ingress port down),
 // or still queued in a discipline. Switch hops cancel out: a forwarded
-// cell is neither created nor ended by the switch that forwards it. And
-// per driver, every cell that left the receive FIFO was either discarded
-// for a bad HEC or handed to a reassembler, once.
+// cell is neither created nor ended by the switch that forwards it. Per
+// driver, every cell that left the receive FIFO was either discarded for
+// a bad HEC or handed to a reassembler, once. And no transmitter, an
+// adapter's or a switch port's, still holds a cell short of its far end:
+// a switchless pair's quiet arrivals (Adapter.LaunchTx) have all been
+// received by the time the loop runs dry.
 type cellLedger struct {
 	injected int64
 	drivers  []*atm.Driver
@@ -43,6 +46,12 @@ func (g cellLedger) check(t testing.TB, name string) {
 	t.Helper()
 	sent, ended := g.injected, int64(0)
 	for i, d := range g.drivers {
+		// Before any reader below receives what a peer's fibre holds.
+		if n := d.Adapter.TxUndelivered(); n != 0 {
+			t.Errorf("%s, adapter %d: %d cells still on the fibre at quiescence", name, i, n)
+		}
+	}
+	for i, d := range g.drivers {
 		a := d.Adapter
 		sent += a.CellsSent
 		ended += a.CellsRecv + a.CellsDropped
@@ -57,6 +66,9 @@ func (g cellLedger) check(t testing.TB, name string) {
 		for p := 0; p < sw.NumPorts(); p++ {
 			port := sw.Port(p)
 			ended += port.DownDrops
+			if n := port.TxUndelivered(); n != 0 {
+				t.Errorf("%s, switch port %d: %d cells still on the fibre at quiescence", name, p, n)
+			}
 			if qd := port.Qdisc(); qd != nil {
 				ended += int64(qd.Len())
 			}

@@ -3,35 +3,52 @@ package atm
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/sim"
 )
 
-// TestCRC10SlicedMatchesBitwise walks every length that crosses the
-// 8-byte block boundaries (0…130: no block, one block, many blocks, every
-// tail length) at every start alignment within a word, and requires the
-// sliced CRC-10 to equal the bit-at-a-time reference.
+// TestCRC10SlicedMatchesBitwise holds the CRC-10 kernel — one table
+// lookup a byte position (crc10PDU) — and its receive form (crc10Masked,
+// the CRC bits taken as zero) to the bit-at-a-time reference: on every
+// single-bit PDU, which is what the table is built from, then on random
+// and all-ones PDUs.
 func TestCRC10SlicedMatchesBitwise(t *testing.T) {
-	rng := sim.NewRNG(15)
-	buf := make([]byte, 130+8)
-	for round := 0; round < 8; round++ {
-		rng.Fill(buf)
-		if round == 0 {
-			for i := range buf {
-				buf[i] = 0xff
-			}
+	check := func(what string, p *[PayloadSize]byte) {
+		t.Helper()
+		if got, want := crc10PDU(p), crc10Bitwise(0, p[:]); got != want {
+			t.Fatalf("%s: crc10PDU = %#x, bitwise reference %#x", what, got, want)
 		}
-		for align := 0; align < 8; align++ {
-			for n := 0; n <= 130; n++ {
-				b := buf[align : align+n]
-				if got, want := crc10(b), crc10Bitwise(0, b); got != want {
-					t.Fatalf("round %d align %d: crc10(%d bytes) = %#x, bitwise reference %#x",
-						round, align, n, got, want)
-				}
-			}
+		if got, want := crc10Masked(p), maskedBitwise(p); got != want {
+			t.Fatalf("%s: crc10Masked = %#x, bitwise reference %#x", what, got, want)
 		}
 	}
+	var p [PayloadSize]byte
+	for bit := 0; bit < PayloadSize*8; bit++ {
+		p[bit/8] = 0x80 >> (bit % 8)
+		check(fmt.Sprintf("single bit %d", bit), &p)
+		p[bit/8] = 0
+	}
+	rng := sim.NewRNG(15)
+	for round := 0; round < 64; round++ {
+		rng.Fill(p[:])
+		if round == 0 {
+			for i := range p {
+				p[i] = 0xff
+			}
+		}
+		check(fmt.Sprintf("round %d", round), &p)
+	}
+}
+
+// maskedBitwise is the receive form on the reference: the bitwise CRC
+// of the PDU with its ten CRC bits zeroed.
+func maskedBitwise(p *[PayloadSize]byte) uint16 {
+	tmp := *p
+	tmp[46] &^= 0x3
+	tmp[47] = 0
+	return crc10Bitwise(0, tmp[:])
 }
 
 // validCell returns the first cell of a multi-cell datagram of random
@@ -46,13 +63,9 @@ func validCell(seed uint64) Cell {
 // crcVerdictBitwise is Push's CRC check restated on the reference: the
 // stored CRC equals the bitwise CRC of the payload with the field zeroed.
 func crcVerdictBitwise(c *Cell) bool {
-	p := c.Payload()
+	p := (*[PayloadSize]byte)(c.Payload())
 	stored := uint16(p[46]&0x3)<<8 | uint16(p[47])
-	var tmp [PayloadSize]byte
-	copy(tmp[:], p)
-	tmp[46] &^= 0x3
-	tmp[47] = 0
-	return crc10Bitwise(0, tmp[:]) == stored
+	return maskedBitwise(p) == stored
 }
 
 // pushRejectsCRC pushes c into a fresh reassembler and reports whether
@@ -87,9 +100,9 @@ func TestPushRejectsEverySingleBitCorruption(t *testing.T) {
 	}
 }
 
-// FuzzCRC10Sliced holds the sliced CRC-10 to the bitwise reference on
-// arbitrary bytes at two alignments, and holds Push's in-place CRC
-// verdict on the first 48 of them to the same reference.
+// FuzzCRC10Sliced holds the CRC-10 kernel and its receive form to the
+// bitwise reference on arbitrary PDUs — the input's first 48 bytes, zero
+// padded — and Push's in-place CRC verdict on the same PDU as a cell.
 func FuzzCRC10Sliced(f *testing.F) {
 	valid := validCell(17)
 	f.Add(valid.Payload())
@@ -103,16 +116,15 @@ func FuzzCRC10Sliced(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		for off := 0; off <= 1 && off <= len(b); off++ {
-			if got, want := crc10(b[off:]), crc10Bitwise(0, b[off:]); got != want {
-				t.Fatalf("crc10(%d bytes at +%d) = %#x, bitwise reference %#x", len(b)-off, off, got, want)
-			}
-		}
-		if len(b) < PayloadSize {
-			return
-		}
 		var c Cell
 		copy(c.Payload(), b)
+		p := (*[PayloadSize]byte)(c.Payload())
+		if got, want := crc10PDU(p), crc10Bitwise(0, p[:]); got != want {
+			t.Fatalf("crc10PDU = %#x, bitwise reference %#x", got, want)
+		}
+		if got, want := crc10Masked(p), maskedBitwise(p); got != want {
+			t.Fatalf("crc10Masked = %#x, bitwise reference %#x", got, want)
+		}
 		if got, want := pushRejectsCRC(t, &c), !crcVerdictBitwise(&c); got != want {
 			t.Fatalf("Push rejected for CRC = %v, bitwise reference says %v", got, want)
 		}

@@ -80,11 +80,12 @@ func TestUDPEchoSteadyStateAllocs(t *testing.T) {
 // across 250 steady 8000-byte ATM echoes — ~180 cells each way, a
 // retransmit timer re-armed per segment and a delayed-ACK timer per
 // arrival — a probe samples the queue every simulated millisecond, and
-// nothing it sees may exceed 64 pending events. With one event per cell
-// and a dead event per timer re-arm the same run averages ~390 and
-// peaks far higher, which is what made the heap the simulator's largest
-// cost; a pile-up reintroduced anywhere fails here, not only in the
-// benchmark.
+// nothing it sees may exceed 16 pending events. With one event per cell
+// and a dead event per timer re-arm the same run averaged ~390 and
+// peaked far higher, which is what made the heap the simulator's largest
+// cost; with an event per arriving cell it peaked at 34, and with one
+// per frame end it peaks at 9. A pile-up reintroduced anywhere fails
+// here, not only in the benchmark.
 func TestEchoQueueStaysShallow(t *testing.T) {
 	l := New(Config{Link: LinkATM, Seed: 1994})
 	env := l.Env
@@ -113,17 +114,21 @@ func TestEchoQueueStaysShallow(t *testing.T) {
 	if samples < 1000 {
 		t.Fatalf("only %d samples: the probe stopped before the echoes did", samples)
 	}
-	if peak > 64 {
-		t.Fatalf("peak queue depth %d, want <= 64", peak)
+	if peak > 16 {
+		t.Fatalf("peak queue depth %d, want <= 16", peak)
 	}
 }
 
 // TestOneEventPerCellPerHop is the event-count tripwire beside the depth
 // one: 252 round trips of 8000 bytes on the switchless ATM pair are
-// ~47,000 cells each way, and a cell costs the event loop its far-end
-// arrival and nothing else — "transmit complete" is arithmetic on the
-// transmitter's cursor (atm's transmitter), not an event. With a
-// completion event per cell as well the same run fired 322,706.
+// ~47,000 cells each way, and a cell costs the event loop nothing unless
+// the receiving host could notice it arrive — in this run, only the cell
+// that ends a frame, so one arrival event per frame end. "Transmit
+// complete" is arithmetic on the transmitter's cursor, and a quiet cell
+// waits in the transmit queue until the receiver reads or its frame's
+// end arrives (atm's Adapter.LaunchTx). The same run fired 322,706 events
+// with a completion event per cell as well, and 204,760 with an arrival
+// event per cell; it fires 49,522 now.
 func TestOneEventPerCellPerHop(t *testing.T) {
 	l := New(Config{Link: LinkATM, Seed: 1994})
 	if _, err := l.RunEcho(8000, 250, 2); err != nil {
@@ -131,7 +136,7 @@ func TestOneEventPerCellPerHop(t *testing.T) {
 	}
 	cells := l.Hosts[0].ATMAdapter.CellsSent + l.Hosts[1].ATMAdapter.CellsSent
 	t.Logf("%d events for %d cells", l.Env.Fired(), cells)
-	if n := l.Env.Fired(); n > 210000 {
-		t.Fatalf("%d events, want <= 210000", n)
+	if n := l.Env.Fired(); n > 52000 {
+		t.Fatalf("%d events, want <= 52000", n)
 	}
 }

@@ -171,6 +171,14 @@ type Env struct {
 	fired   uint64  // events run since Reset
 	rng     *RNG
 
+	// keyAt and keySeq are the running activity's place in the total
+	// order, what Precedes compares against: the key of the event Step is
+	// running, the key the wake a SleepUntil advanced in place would have
+	// had, the deadline RunUntil stopped at (past every number taken by
+	// then) or, once Step has found the queue empty, past every key.
+	keyAt  Time
+	keySeq uint64
+
 	// starts steps the processes SpawnIn queued in startQ (used as a
 	// plain FIFO: nothing wakes it).
 	starts Lane
@@ -232,6 +240,7 @@ func (e *Env) Reset() {
 	}
 	e.now = 0
 	e.seq = 0
+	e.keyAt, e.keySeq = 0, 0
 	e.fired = 0
 	e.rng = NewRNG(1)
 	e.horizon = MaxTime
@@ -256,6 +265,32 @@ func (e *Env) schedule(t Time, name string, do any, arg uint64) {
 	}
 	e.seq++
 	e.scheduleTier(t).push(event{at: t, seq: e.seq, name: name, do: do, arg: arg})
+}
+
+// Stamp takes the next sequence number, as scheduling would, and
+// schedules nothing: the key (t, Stamp()) is the one an event scheduled
+// now for t would fire at. Work that needs no event until someone looks
+// at it — a cell no host notices on arrival (atm's quiet arrivals) —
+// keeps the key instead, and whoever looks first asks Precedes whether
+// its moment has passed. A number taken and never scheduled shifts every
+// later one by one, which, like a wake SleepUntil skips, keeps every
+// tie-break. Stamp returns the number's low 32 bits, all a key needs
+// while Precedes compares it within 2^32 numbers of its stamping.
+func (e *Env) Stamp() uint32 {
+	e.seq++
+	return uint32(e.seq)
+}
+
+// Precedes reports whether the key (at, s), s from Stamp, comes before
+// the running activity's: whether an event with that key would have
+// fired by now. A key on another instant compares by time alone; one on
+// the running instant recovers the stamp's full number from the counter,
+// which must not have moved 2^32 numbers past it.
+func (e *Env) Precedes(at Time, s uint32) bool {
+	if at != e.keyAt {
+		return at < e.keyAt
+	}
+	return e.seq-uint64(uint32(e.seq)-s) < e.keySeq
 }
 
 // scheduleTier returns the heap an entry due at t is pushed to. No caller
@@ -297,6 +332,9 @@ func (e *Env) AtArg(t Time, name string, fn func(uint64), arg uint64) {
 func (e *Env) Step() bool {
 	h := e.events.sooner(&e.far)
 	if h == nil {
+		// Nothing left to fire: whatever was stamped and never scheduled
+		// has, for anyone who looks now, happened.
+		e.keyAt, e.keySeq = MaxTime, ^uint64(0)
 		return false
 	}
 	root := &(*h)[0]
@@ -307,6 +345,7 @@ func (e *Env) Step() bool {
 		e.wdNext = root.at + e.wd.pollEvery()
 	}
 	e.now = root.at
+	e.keyAt, e.keySeq = root.at, root.seq
 	e.fired++
 	switch do := root.do.(type) {
 	case thunk:
@@ -350,8 +389,10 @@ func (e *Env) RunUntil(deadline Time) {
 			return // watchdog fired: leave the clock where it stopped
 		}
 	}
-	if e.now < deadline {
+	if e.now <= deadline {
+		// Every key at or before the deadline would have fired.
 		e.now = deadline
+		e.keyAt, e.keySeq = deadline, ^uint64(0)
 	}
 }
 

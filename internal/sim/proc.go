@@ -256,7 +256,10 @@ func (p *Proc) SleepUntil(t Time) bool {
 	// every tie-break, and therefore simulated time, is unchanged.
 	if e.current == p && t < e.horizon {
 		if at, ok := e.NextEventAt(); !ok || at > t {
+			// The process runs on as its wake would have: at t, under
+			// the number that wake would have taken.
 			e.now = t
+			e.keyAt, e.keySeq = t, e.seq+1
 			return true
 		}
 	}

@@ -650,3 +650,55 @@ func TestSpawnInAllocatesNothing(t *testing.T) {
 	}()
 	e.SpawnIn(&f.proc, e.Now(), "", &f)
 }
+
+// TestPrecedesRunningKey pins what Precedes compares a stamped key
+// against: the running event's key, the key a sleep that advanced in
+// place would have woken with, RunUntil's deadline, and — once the queue
+// is empty — nothing at all. On the running instant a key stamped before
+// the activity was scheduled precedes it and one stamped after does not.
+func TestPrecedesRunningKey(t *testing.T) {
+	e := NewEnv()
+	early := e.Stamp()
+	if e.Precedes(0, early) {
+		t.Error("a key stamped now precedes the instant it was stamped on before anything ran")
+	}
+	var late uint32
+	e.At(10, "reader", func() {
+		switch {
+		case !e.Precedes(10, early):
+			t.Error("at 10: a key stamped before the event was scheduled does not precede it")
+		case e.Precedes(10, late):
+			t.Error("at 10: a key stamped after the event was scheduled precedes it")
+		case !e.Precedes(9, late) || e.Precedes(11, early):
+			t.Error("at 10: another instant does not compare by time alone")
+		}
+	})
+	late = e.Stamp()
+	var before, after uint32
+	e.Spawn("sleeper", Steps(
+		func(p *Proc) {
+			p.SleepUntil(20) // parks: the reader at 10 is queued
+		},
+		func(p *Proc) {
+			before = e.Stamp()
+			if !p.SleepUntil(30) {
+				t.Error("the sleep to 30 parked: nothing queued should have stopped it")
+				return
+			}
+			if !e.Precedes(30, before) {
+				t.Error("after a sleep advanced in place: a key stamped before the sleep does not precede its would-be wake")
+			}
+			after = e.Stamp()
+			if e.Precedes(30, after) {
+				t.Error("after a sleep advanced in place: a key stamped after it precedes the would-be wake")
+			}
+		}))
+	e.RunUntil(30)
+	if !e.Precedes(30, after) || e.Precedes(31, after) {
+		t.Error("after RunUntil(30): the deadline is not the running key")
+	}
+	e.Run()
+	if !e.Precedes(1<<40, e.Stamp()) {
+		t.Error("after Run: a drained loop is not past every key")
+	}
+}

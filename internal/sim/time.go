@@ -71,6 +71,12 @@
 //     While the deadline only moves later the timer keeps one heap
 //     entry, which walks to the live deadline instead of leaving a dead
 //     event behind at every superseded one.
+//   - A stamp for work nobody notices until they look — a cell that
+//     lands in a receive FIFO without interrupting the host: Env.Stamp
+//     takes the number an event would have had, the owner keeps the
+//     key with the work, and whoever looks first asks Env.Precedes
+//     whether it is behind the running activity's key and, if so, does
+//     the work then, in key order. No heap entry at all.
 //
 // Behind all three the queue is two heaps, and a caller never chooses
 // between them: an entry due a millisecond or more past the clock when it
@@ -89,7 +95,10 @@
 // any correct priority queue produces the identical simulation; and
 // Lane.At and Timer.Set take the next sequence number at the moment of
 // the call, just as At does, so every callback keeps the key — and the
-// place in that order — an event per call would have had. A lane only
+// place in that order — an event per call would have had. Stamp takes
+// one the same way for an event never scheduled, and Precedes compares
+// against the firing event's key or, after a sleep advanced in place,
+// the key its wake would have had. A lane only
 // defers *inserting* keys that are already in order among themselves; a
 // timer only drops entries that would have popped as no-ops, and still
 // lets its last deadline pop so a drained clock stops where it did. Any

@@ -482,7 +482,7 @@ func TestChecksumDetectsCorruptionAALOff(t *testing.T) {
 	// Corrupt by dropping one cell mid-stream.
 	p.env.At(2*sim.Millisecond, "sabotage", func() {
 		if !dropped {
-			p.ab.DropNext = true
+			p.ab.DropNext()
 			dropped = true
 		}
 	})
@@ -677,7 +677,7 @@ func TestCloseHandshakeStates(t *testing.T) {
 	// 2MSL release became a timer on the connection.
 	stats := fmt.Sprintf("%+v %+v", p.sa.Stats, p.sb.Stats)
 	sum := sha256.Sum256([]byte(stats))
-	if got, want := fmt.Sprintf("%d %d %x", p.env.Fired(), p.env.Now(), sum[:8]), "86 3000586580 dbe4468e8dd74928"; got != want {
+	if got, want := fmt.Sprintf("%d %d %x", p.env.Fired(), p.env.Now(), sum[:8]), "78 3000586580 dbe4468e8dd74928"; got != want {
 		t.Errorf("fired, clock, stats digest = %s, want %s (%s)", got, want, stats)
 	}
 }

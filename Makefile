@@ -147,10 +147,13 @@ loaded-smoke:
 		-qdisc red -burstloss 0.002 -crosstraffic 2 -seed 1994 -json > /dev/null
 
 ## fuzz-flags: every command's FuzzFlags for 10 s: arbitrary argument
-## vectors end in a run or a refusal naming a flag that was set (what CI runs)
-FLAG_COMMANDS = alloccensus benchdiff breakdown cksum docscheck load pkttrace tables tcplat
+## vectors end in a run or a refusal naming a flag that was set (what CI
+## runs). The commands are the cmd/*/main_test.go files; one without a
+## FuzzFlags fails, since go test -fuzz passes a package with no target.
+FLAG_COMMANDS = $(patsubst cmd/%/main_test.go,%,$(wildcard cmd/*/main_test.go))
 fuzz-flags:
 	for c in $(FLAG_COMMANDS); do \
+		grep -q '^func FuzzFlags(' cmd/$$c/main_test.go || { echo "cmd/$$c: no FuzzFlags in main_test.go"; exit 1; }; \
 		$(GO) test -run='^$$' -fuzz=FuzzFlags -fuzztime=10s -timeout 300s ./cmd/$$c/ || exit 1; done
 
 ## docs-check: execute every command quoted in README.md and docs/ (smoke mode)

@@ -29,15 +29,23 @@ import (
 // so small counts are exact.
 var benchOpts = core.Options{Iterations: 10, Warmup: 2}
 
+// benchReport runs the whole evaluation. Tables 1–4, 6 and 7 are views of
+// its one grid measurement, so each table benchmark reads its table here.
+func benchReport(b *testing.B) *core.Report {
+	b.Helper()
+	r, err := core.RunAll(benchOpts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r
+}
+
 // BenchmarkTable1_ATMvsEthernet regenerates Table 1 and reports the
 // 4-byte round-trip times for both links.
 func BenchmarkTable1_ATMvsEthernet(b *testing.B) {
 	var atm4, eth4 float64
 	for i := 0; i < b.N; i++ {
-		r, err := core.RunTable1(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := benchReport(b).Table1
 		for _, row := range r.Rows {
 			if row.Size == 4 {
 				eth4, atm4 = row.A, row.B
@@ -53,10 +61,7 @@ func BenchmarkTable1_ATMvsEthernet(b *testing.B) {
 func BenchmarkTable2_TransmitBreakdown(b *testing.B) {
 	var ck float64
 	for i := 0; i < b.N; i++ {
-		r, err := core.RunTable2(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := benchReport(b).Table2
 		ck = r.PerSize[8000].Rows[core.TxLayers[1]]
 	}
 	b.ReportMetric(ck, "sim-µs/cksum8000B")
@@ -67,10 +72,7 @@ func BenchmarkTable2_TransmitBreakdown(b *testing.B) {
 func BenchmarkTable3_ReceiveBreakdown(b *testing.B) {
 	var atm float64
 	for i := 0; i < b.N; i++ {
-		r, err := core.RunTable3(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := benchReport(b).Table3
 		atm = r.PerSize[4000].Rows[core.RxLayers[0]]
 	}
 	b.ReportMetric(atm, "sim-µs/atmrx4000B")
@@ -81,10 +83,7 @@ func BenchmarkTable3_ReceiveBreakdown(b *testing.B) {
 func BenchmarkTable4_HeaderPrediction(b *testing.B) {
 	var pct float64
 	for i := 0; i < b.N; i++ {
-		r, err := core.RunTable4(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := benchReport(b).Table4
 		pct = r.Rows[0].DecreasePercent
 	}
 	b.ReportMetric(pct, "%improvement-4B")
@@ -119,10 +118,7 @@ func BenchmarkTable5_CopyChecksum(b *testing.B) {
 func BenchmarkTable6_IntegratedKernel(b *testing.B) {
 	var pct float64
 	for i := 0; i < b.N; i++ {
-		r, err := core.RunTable6(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := benchReport(b).Table6
 		pct = r.Rows[len(r.Rows)-1].DecreasePercent
 	}
 	b.ReportMetric(pct, "%improvement-8000B")
@@ -133,10 +129,7 @@ func BenchmarkTable6_IntegratedKernel(b *testing.B) {
 func BenchmarkTable7_NoChecksum(b *testing.B) {
 	var pct float64
 	for i := 0; i < b.N; i++ {
-		r, err := core.RunTable7(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := benchReport(b).Table7
 		pct = r.Rows[len(r.Rows)-1].DecreasePercent
 	}
 	b.ReportMetric(pct, "%savings-8000B")

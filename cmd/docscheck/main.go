@@ -46,10 +46,9 @@ func main() { flags.Main(run) }
 // or shape does not read, so no one set fits every quoted line, and their
 // quoted runs take a second or two.
 var smokeFlags = map[string][]string{
-	"./cmd/tables":    {"-iters", "2", "-parallel", "2"},
-	"./cmd/breakdown": {"-iters", "2", "-parallel", "2"},
-	"./cmd/tcplat":    {"-iters", "2", "-warmup", "1"},
-	"./cmd/pkttrace":  {"-iters", "2"},
+	"./cmd/tables":   {"-iters", "2", "-parallel", "2"},
+	"./cmd/tcplat":   {"-iters", "2", "-warmup", "1"},
+	"./cmd/pkttrace": {"-iters", "2"},
 }
 
 var flags = cli.Table{Name: "docscheck", Args: true, Rows: []cli.Row{

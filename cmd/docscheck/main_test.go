@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"go/build"
 	"io"
 	"os"
 	"path/filepath"
@@ -14,7 +15,7 @@ import (
 )
 
 const sampleDoc = "# Title\n" +
-	"Inline: `go run ./cmd/tcplat -sweep` and also `go run ./cmd/cksum`.\n" +
+	"Inline: `go run ./cmd/tcplat -sweep` and also `go run ./cmd/pkttrace`.\n" +
 	"Not a command: `-link ether` or `make tables`.\n" +
 	"```sh\n" +
 	"go run ./cmd/tables -iters 100 -parallel 8   # full report\n" +
@@ -30,12 +31,58 @@ func TestExtractCommands(t *testing.T) {
 	got := extractCommands(sampleDoc)
 	want := []string{
 		"go run ./cmd/tcplat -sweep",
-		"go run ./cmd/cksum",
+		"go run ./cmd/pkttrace",
 		"go run ./cmd/tables -iters 100 -parallel 8",
 		"go run ./cmd/load -workload fanin -hosts 17 -json > /dev/null",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("extractCommands:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestQuotedCommandsExist: every `go run` target the docs quote — piped
+// ones included — and every smokeFlags key is a main package, so a stale
+// quote of a removed command fails here rather than only in docs-check,
+// which runs every quote.
+func TestQuotedCommandsExist(t *testing.T) {
+	const root = "../.."
+	files, err := markdownFiles([]string{root + "/README.md", root + "/docs"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]string{}
+	for path := range smokeFlags {
+		targets[path] = "smokeFlags"
+	}
+	for _, f := range files {
+		blob, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range extractCommands(string(blob)) {
+			fields := strings.Fields(c)
+			for i := 0; i+1 < len(fields); i++ {
+				if fields[i] != "go" || fields[i+1] != "run" {
+					continue
+				}
+				j := i + 2 // the target follows go run's own flags
+				for j < len(fields) && strings.HasPrefix(fields[j], "-") {
+					j++
+				}
+				if j < len(fields) {
+					targets[fields[j]] = f
+				}
+			}
+		}
+	}
+	if len(targets) <= len(smokeFlags) {
+		t.Fatalf("no `go run` targets found in %d files", len(files))
+	}
+	for path, where := range targets {
+		pkg, err := build.ImportDir(filepath.Join(root, path), 0)
+		if err != nil || pkg.Name != "main" {
+			t.Errorf("%s quotes `go run %s`, which is not a command (%v)", where, path, err)
+		}
 	}
 }
 

@@ -29,10 +29,17 @@ func TestRunText(t *testing.T) {
 	}
 }
 
+// TestRunJSON decodes the report's tables: both breakdowns (Tables 2 and
+// 3) with an 8000-byte total, all eight Table 5 rows, the §3 slope and the
+// §4.1 comparison.
 func TestRunJSON(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-iters", "3", "-json"}, &buf); err != nil {
 		t.Fatal(err)
+	}
+	type breakdown struct {
+		Side    string
+		PerSize map[string]struct{ Total float64 }
 	}
 	var rep struct {
 		Table1 struct {
@@ -41,12 +48,33 @@ func TestRunJSON(t *testing.T) {
 				A, B float64
 			}
 		}
+		Table2, Table3 breakdown
+		Table5         struct{ Rows []struct{ Size int } }
+		PCB            struct{ PerEntryMicros float64 }
+		Sun3           map[string]float64
 	}
 	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
 	}
 	if len(rep.Table1.Rows) == 0 || rep.Table1.Rows[0].A <= 0 {
 		t.Fatalf("JSON report empty: %+v", rep)
+	}
+	for side, b := range map[string]breakdown{"transmit": rep.Table2, "receive": rep.Table3} {
+		if b.Side != side {
+			t.Errorf("breakdown side %q, want %q", b.Side, side)
+		}
+		if b.PerSize["8000"].Total <= 0 {
+			t.Errorf("%s breakdown: 8000B total missing from JSON", side)
+		}
+	}
+	if len(rep.Table5.Rows) != 8 {
+		t.Errorf("Table 5 has %d rows, want 8", len(rep.Table5.Rows))
+	}
+	if rep.PCB.PerEntryMicros <= 0 {
+		t.Errorf("PCB per-entry slope %v, want > 0", rep.PCB.PerEntryMicros)
+	}
+	if len(rep.Sun3) == 0 {
+		t.Error("Sun-3 comparison missing from JSON")
 	}
 }
 

@@ -32,20 +32,12 @@ type CksumResult struct {
 
 // RunTable5 regenerates Table 5: the user-level copy and checksum study.
 // The simulated times come from the calibrated cost curves; the checksums
-// themselves are computed for real, and the result is cross-checked so a
-// broken implementation cannot silently produce the table.
-func RunTable5() (*CksumResult, error) { return RunTable5Seeded(0) }
-
-// RunTable5Seeded is RunTable5 with a caller-chosen seed for the
-// validation buffers (0 uses the default). The reported times come from
-// the cost model, so the seed changes only which random bytes the real
-// checksum routines are validated against.
-func RunTable5Seeded(seed uint64) (*CksumResult, error) {
+// themselves are computed for real over random buffers, and the result is
+// cross-checked so a broken implementation cannot silently produce the
+// table.
+func RunTable5() (*CksumResult, error) {
 	model := cost.DECstation5000()
-	if seed == 0 {
-		seed = 0x7a51e5
-	}
-	rng := sim.NewRNG(seed)
+	rng := sim.NewRNG(0x7a51e5)
 	res := &CksumResult{}
 	for _, size := range Sizes {
 		buf := make([]byte, size)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/cost"
@@ -14,11 +15,21 @@ import (
 // so small iteration counts are stable.
 func fastOpts() Options { return Options{Iterations: 6, Warmup: 2} }
 
-func TestTable1Shape(t *testing.T) {
-	r, err := RunTable1(fastOpts())
+// fastReport is RunAll(fastOpts()), measured once per test binary; the
+// table tests each read their table from it.
+var fastReport = sync.OnceValues(func() (*Report, error) { return RunAll(fastOpts()) })
+
+func report(t *testing.T) *Report {
+	t.Helper()
+	r, err := fastReport()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return r
+}
+
+func TestTable1Shape(t *testing.T) {
+	r := report(t).Table1
 	t.Log("\n" + r.Render())
 	for _, row := range r.Rows {
 		// ATM must beat Ethernet at every size (the paper's 45-55%).
@@ -34,10 +45,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	r, err := RunTable2(fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := report(t).Table2
 	t.Log("\n" + r.Render())
 	// Checksum dominates TCP processing at large sizes.
 	b8000 := r.PerSize[8000]
@@ -61,10 +69,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestTable3Shape(t *testing.T) {
-	r, err := RunTable3(fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := report(t).Table3
 	t.Log("\n" + r.Render())
 	// At 8000 bytes both segments' processing lands after the final
 	// arrival: the checksum row must cover two segments (the paper
@@ -110,10 +115,7 @@ func TestTable3Shape(t *testing.T) {
 }
 
 func TestTable4Shape(t *testing.T) {
-	r, err := RunTable4(fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := report(t).Table4
 	t.Log("\n" + r.Render())
 	for _, row := range r.Rows {
 		// Prediction must never lose, and the improvement must be small
@@ -157,10 +159,7 @@ func TestTable5Values(t *testing.T) {
 }
 
 func TestTable6Crossover(t *testing.T) {
-	r, err := RunTable6(fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := report(t).Table6
 	t.Log("\n" + r.Render())
 	bys := map[int]CompareRow{}
 	for _, row := range r.Rows {
@@ -184,10 +183,7 @@ func TestTable6Crossover(t *testing.T) {
 }
 
 func TestTable7Shape(t *testing.T) {
-	r, err := RunTable7(fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := report(t).Table7
 	t.Log("\n" + r.Render())
 	var prev float64 = -1
 	for _, row := range r.Rows {
@@ -341,69 +337,35 @@ func TestTransportComparison(t *testing.T) {
 }
 
 func TestFiguresRender(t *testing.T) {
-	t4, err := RunTable4(fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f1 := RenderFigure1(t4)
+	rep := report(t)
+	f1 := RenderFigure1(rep.Table4)
 	if len(f1) < 100 || !containsAll(f1, "Figure 1", "With Prediction", "#") {
 		t.Fatalf("figure 1 render suspect:\n%s", f1)
 	}
-	t5, err := RunTable5()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2 := RenderFigure2(t5)
+	f2 := RenderFigure2(rep.Table5)
 	if len(f2) < 100 || !containsAll(f2, "Figure 2", "Integrated", "#") {
 		t.Fatalf("figure 2 render suspect:\n%s", f2)
 	}
 }
 
 // TestParallelBitIdentical is the sweep engine's acceptance check at the
-// table level: for the same base seed, the parallel path must render
-// byte-for-byte the same tables as the serial reference, for both the
-// compare-style tables and the per-layer breakdowns.
+// report level: for the same base seed, 8 workers must produce the same
+// report as the serial reference — every table, study and sweep cell.
 func TestParallelBitIdentical(t *testing.T) {
 	serial := Options{Iterations: 5, Warmup: 1, Parallel: 1, BaseSeed: 0x5eed}
 	parallel := serial
 	parallel.Parallel = 8
 
-	s1, err := RunTable1(serial)
+	s, err := RunAll(serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, err := RunTable1(parallel)
+	p, err := RunAll(parallel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1.Render() != p1.Render() {
-		t.Errorf("Table 1 diverged between serial and 8 workers:\n--- serial\n%s\n--- parallel\n%s",
-			s1.Render(), p1.Render())
-	}
-
-	s3, err := RunTable3(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p3, err := RunTable3(parallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s3.Render() != p3.Render() {
-		t.Errorf("Table 3 diverged between serial and 8 workers:\n--- serial\n%s\n--- parallel\n%s",
-			s3.Render(), p3.Render())
-	}
-
-	se, err := RunExtendedSweep(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pe, err := RunExtendedSweep(parallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(se, pe) {
-		t.Error("extended sweep diverged between serial and 8 workers")
+	if sr, pr := s.Render(), p.Render(); sr != pr || !reflect.DeepEqual(s, p) {
+		t.Errorf("the report diverged between serial and 8 workers:\n--- serial\n%s\n--- parallel\n%s", sr, pr)
 	}
 }
 
@@ -411,8 +373,8 @@ func TestParallelBitIdentical(t *testing.T) {
 // 47 distinct echoes — baseline, Ethernet, no-prediction, integrated and
 // no-checksum at every size, UDP at the seven it carries — the baseline
 // column of Tables 1, 4, 6 and 7 and the transport comparison's TCP column
-// read one number per size, and every table run alone is its view of the
-// whole report.
+// read one number per size, and the transport comparison run alone is its
+// view of the whole report.
 func TestPaperGridMeasuredOnce(t *testing.T) {
 	if n := len(distinct(paperGrid())); n != 47 {
 		t.Fatalf("the paper grid has %d distinct echoes, want 47", n)
@@ -437,26 +399,12 @@ func TestPaperGridMeasuredOnce(t *testing.T) {
 		}
 	}
 
-	for _, v := range []struct {
-		name  string
-		run   func() (any, error)
-		inAll any
-	}{
-		{"Table 1", func() (any, error) { return RunTable1(o) }, all.Table1},
-		{"Table 2", func() (any, error) { return RunTable2(o) }, all.Table2},
-		{"Table 3", func() (any, error) { return RunTable3(o) }, all.Table3},
-		{"Table 4", func() (any, error) { return RunTable4(o) }, all.Table4},
-		{"Table 6", func() (any, error) { return RunTable6(o) }, all.Table6},
-		{"Table 7", func() (any, error) { return RunTable7(o) }, all.Table7},
-		{"transport", func() (any, error) { return RunTransportComparison(cost.ChecksumStandard, o) }, all.Transport},
-	} {
-		alone, err := v.run()
-		if err != nil {
-			t.Fatalf("%s: %v", v.name, err)
-		}
-		if !reflect.DeepEqual(alone, v.inAll) {
-			t.Errorf("%s run alone differs from RunAll's view of it", v.name)
-		}
+	alone, err := RunTransportComparison(cost.ChecksumStandard, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(alone, all.Transport) {
+		t.Error("the transport comparison run alone differs from RunAll's view of it")
 	}
 }
 

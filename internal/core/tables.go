@@ -88,31 +88,6 @@ func (r *CompareResult) read(m map[echo]measurement) *CompareResult {
 	return r
 }
 
-// runCompare measures Table n's own cells and reads it out of them.
-func runCompare(n int, o Options) (*CompareResult, error) {
-	r := compareTable(n)
-	m, err := measure(r.cells(), o)
-	if err != nil {
-		return nil, err
-	}
-	return r.read(m), nil
-}
-
-// RunTable1 regenerates Table 1: ATM versus Ethernet round-trip latency.
-func RunTable1(o Options) (*CompareResult, error) { return runCompare(1, o) }
-
-// RunTable4 regenerates Table 4 (and Figure 1's series): round trips with
-// header prediction disabled versus enabled.
-func RunTable4(o Options) (*CompareResult, error) { return runCompare(4, o) }
-
-// RunTable6 regenerates Table 6: the standard checksum versus the
-// combined copy-and-checksum kernel.
-func RunTable6(o Options) (*CompareResult, error) { return runCompare(6, o) }
-
-// RunTable7 regenerates Table 7: round trips with and without the TCP
-// checksum.
-func RunTable7(o Options) (*CompareResult, error) { return runCompare(7, o) }
-
 // BreakdownResult is a regenerated Table 2 or Table 3.
 type BreakdownResult struct {
 	Title  string
@@ -176,28 +151,4 @@ func breakdownTables(m map[echo]measurement) (tx, rx *BreakdownResult) {
 		tx.PerSize[c.size], rx.PerSize[c.size] = m[c.echo].tx, m[c.echo].rx
 	}
 	return tx, rx
-}
-
-// RunBreakdowns regenerates Tables 2 and 3, the transmit- and
-// receive-side latency breakdowns, from one measurement: each size's echo
-// yields both.
-func RunBreakdowns(o Options) (tx, rx *BreakdownResult, err error) {
-	m, err := measure(breakdownCells(), o)
-	if err != nil {
-		return nil, nil, err
-	}
-	tx, rx = breakdownTables(m)
-	return tx, rx, nil
-}
-
-// RunTable2 regenerates Table 2: the transmit-side latency breakdown.
-func RunTable2(o Options) (*BreakdownResult, error) {
-	tx, _, err := RunBreakdowns(o)
-	return tx, err
-}
-
-// RunTable3 regenerates Table 3: the receive-side latency breakdown.
-func RunTable3(o Options) (*BreakdownResult, error) {
-	_, rx, err := RunBreakdowns(o)
-	return rx, err
 }

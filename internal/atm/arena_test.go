@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cost"
+	"repro/internal/ip"
 	"repro/internal/kern"
 	"repro/internal/sim"
 )
@@ -184,7 +185,7 @@ func TestAbortedFramesReturnTheirBuffer(t *testing.T) {
 // and reclaims an idle one holding nothing.
 func TestDriverReleasesReassemblyOnResetAndDrop(t *testing.T) {
 	env := sim.NewEnv()
-	d := &Driver{K: kern.New(env, cost.DECstation5000(), "d")}
+	d := &Driver{Link: ip.Link{K: kern.New(env, cost.DECstation5000(), "d")}}
 	seg := Segmenter{VCI: 40}
 	c := seg.Segment(make([]byte, 300))
 	for _, vci := range []uint16{40, 41, 42} {

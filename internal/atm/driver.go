@@ -1,7 +1,6 @@
 package atm
 
 import (
-	"repro/internal/checksum"
 	"repro/internal/cost"
 	"repro/internal/ip"
 	"repro/internal/kern"
@@ -18,11 +17,11 @@ const MTU = MaxDatagram
 // transmit side and runs a receive interrupt service process that drains
 // the adapter FIFO, reassembles AAL3/4 frames, and hands datagrams to IP.
 // It keeps no route table: on a routed fabric a flow's transmit channel
-// is its route's, looked up through the fabric.
+// is its route's, looked up through the fabric. Its interface fields,
+// transmit lock and mbuf delivery are the embedded ip.Link's.
 type Driver struct {
-	K       *kern.Kernel
+	ip.Link
 	Adapter *Adapter
-	IP      *ip.Stack
 
 	// Mode selects the receive-side checksum strategy. In
 	// ChecksumIntegrated the driver fuses a partial TCP checksum into
@@ -56,11 +55,6 @@ type Driver struct {
 	rx     rxTable
 	lastRx *rxVC
 
-	// MTUOverride, when positive, lowers the MTU the driver advertises to
-	// IP below the AAL3/4 maximum. TCP derives its MSS from it, so it is
-	// the knob for sweeping segment size on the ATM link.
-	MTUOverride int
-
 	// HostCorruptRate flips one random bit of each reassembled datagram
 	// during the device-to-host transfer — the paper's second error
 	// source ("errors introduced by the network controllers in moving
@@ -68,23 +62,19 @@ type Driver struct {
 	// AAL CRC cannot see and only the TCP checksum can catch.
 	HostCorruptRate float64
 
-	// txBusy serializes Output, as splimp does around the real driver:
-	// CPU charges yield to the event loop, so without the lock a user
-	// send and a protocol-timer send could interleave cell pushes. tx is
-	// the channel the Output holding the lock cuts its frame's cells with
-	// (nil: none, or no route). A port failure can remove the flow's
-	// route while the Output is parked on a full FIFO, and the next
-	// install can take the route's slot: the removal moves the channel
-	// into seg and repoints tx there, so the parked Output finishes its
-	// frame on the removed flow's VCI and leaves the slot alone.
-	txBusy bool
-	txWait sim.WaitQueue
-	tx     *Segmenter
+	// tx is the channel the Output holding the transmit lock cuts its
+	// frame's cells with (nil: none, or no route). A port failure can
+	// remove the flow's route while the Output is parked on a full FIFO,
+	// and the next install can take the route's slot: the removal moves
+	// the channel into seg and repoints tx there, so the parked Output
+	// finishes its frame on the removed flow's VCI and leaves the slot
+	// alone.
+	tx *Segmenter
 
 	// outOp is the free list of transmit frames, linked through next, as
-	// ip.Stack keeps its output frames: txBusy serializes Output, so the
+	// ip.Stack keeps its output frames: the lock serializes Output, so the
 	// first, outFrame, covers the steady state, and callers that overlap
-	// it park on txWait in frames the list keeps once made. proc is the
+	// it park on the lock in frames the list keeps once made. proc is the
 	// receive service process with rxproc its root, held here so that a
 	// driver is one allocation.
 	outOp    *outputOp
@@ -92,19 +82,12 @@ type Driver struct {
 	proc     sim.Proc
 	rxproc   rxprocFrame
 
-	// FramesIn and FramesOut count successfully reassembled and
-	// transmitted datagrams.
-	FramesIn  int64
-	FramesOut int64
 	// ReassemblyErrors counts cells the AAL reassembler rejected.
 	ReassemblyErrors int64
 	// HECErrors counts cells discarded for a bad header checksum.
 	HECErrors int64
 	// HostCorruptions counts datagram bits flipped by HostCorruptRate.
 	HostCorruptions int64
-	// NoRoute counts datagrams dropped because their IP destination is
-	// no other host on the driver's fabric.
-	NoRoute int64
 	// reassembled counts cells handed to a reassembler: with HECErrors,
 	// every cell the driver popped. The conservation tests read it.
 	reassembled int64
@@ -122,13 +105,14 @@ func NewDriver(k *kern.Kernel, a *Adapter, ipStack *ip.Stack) *Driver {
 
 // Init readies a zero Driver in place, as NewDriver does, and returns it.
 func (d *Driver) Init(k *kern.Kernel, a *Adapter, ipStack *ip.Stack) *Driver {
-	d.K, d.Adapter, d.IP = k, a, ipStack
-	d.txWait.Init("atm.txlock")
+	d.Link.Init(k, ipStack, MTU, "atm.txlock")
+	d.Adapter = a
 	d.seg.VCI = DefaultVCI
 	d.outFrame.d = d
 	d.outOp = &d.outFrame
 	ipStack.Attach(d)
 	d.rxproc.d = d
+	d.rxproc.del.Init(&d.Link, trace.LayerATMRx)
 	k.Env.SpawnIn(&d.proc, k.Env.Now(), "", &d.rxproc)
 	return d
 }
@@ -249,19 +233,17 @@ func (t *rxTable) each(fn func(vc *rxVC)) {
 // counters zero. The receive service process stays parked on the
 // adapter's RxReady queue.
 func (d *Driver) Reset() {
+	d.Link.Reset()
 	d.Mode = cost.ChecksumStandard
-	d.MTUOverride = 0
 	d.HostCorruptRate = 0
-	d.txBusy, d.tx = false, nil
+	d.tx = nil
 	d.seg.Reset()
 	d.rx.each(func(vc *rxVC) {
 		vc.reasm.Reset()
 		vc.open = false
 	})
 	d.lastRx = nil
-	d.FramesIn, d.FramesOut = 0, 0
-	d.ReassemblyErrors, d.HECErrors, d.HostCorruptions, d.NoRoute = 0, 0, 0, 0
-	d.reassembled = 0
+	d.ReassemblyErrors, d.HECErrors, d.HostCorruptions, d.reassembled = 0, 0, 0, 0
 }
 
 // NumReassemblers returns how many receive-side reassembly contexts
@@ -344,14 +326,6 @@ func (d *Driver) rxFor(vci uint16) *rxVC {
 // Name implements ip.NetIf.
 func (d *Driver) Name() string { return d.K.Name() + ".atm0" }
 
-// MTU implements ip.NetIf.
-func (d *Driver) MTU() int {
-	if d.MTUOverride > 0 && d.MTUOverride < MTU {
-		return d.MTUOverride
-	}
-	return MTU
-}
-
 // Output implements ip.NetIf as a frame call (tail position): it segments
 // the datagram into AAL3/4 cells and copies them into the transmit FIFO,
 // blocking when the FIFO is full. Costs: a per-frame setup charge plus a
@@ -398,11 +372,9 @@ func (f *outputOp) Step(p *sim.Proc) {
 	for {
 		switch f.pc {
 		case 0: // acquire the transmit lock, charge per-frame setup
-			if d.txBusy {
-				d.txWait.Wait(p)
+			if !d.Lock(p) {
 				return
 			}
-			d.txBusy = true
 			f.txStart = k.Now()
 			f.pc = 1
 			if !k.Use(p, trace.LayerATMTx, k.Cost.ATMTxFrameFixed) {
@@ -451,36 +423,19 @@ func (f *outputOp) Step(p *sim.Proc) {
 			if d.tx == nil {
 				d.NoRoute++
 			} else {
-				d.FramesOut++
-				if k.Trace.PacketsEnabled() {
-					id := k.PacketContext(p)
-					k.Trace.Event(trace.Event{
-						Kind: trace.EvDriverTx, At: f.txStart, Dur: k.Now() - f.txStart,
-						ID: id, Len: f.n,
-					})
-					// The final cell is on its way to the wire; it clears
-					// the transmit engine at TxIdleAt.
-					k.Trace.Event(trace.Event{
-						Kind: trace.EvWireDepart, At: d.Adapter.TxIdleAt(),
-						ID: id, Len: f.n,
-					})
-				}
+				// The final cell is on its way to the wire; it clears the
+				// transmit engine at TxIdleAt.
+				d.Sent(p, f.txStart, d.Adapter.TxIdleAt(), f.n)
 			}
 			k.Env.Arena().Return(f.pdu)
 			f.pdu, d.tx = nil, nil
 			f.pc = 6
-			if c := k.FreeChainCost(f.m); c > 0 {
-				if !k.Use(p, trace.LayerMbuf, c) {
-					return
-				}
+			if !d.ChargeFree(p, f.m) {
+				return
 			}
 		case 6: // release the chain and the lock
-			if f.m != nil {
-				k.Pool.Free(f.m)
-				f.m = nil
-			}
-			d.txBusy = false
-			d.txWait.WakeAll()
+			d.Unlock(f.m)
+			f.m = nil
 			f.next, d.outOp = d.outOp, f
 			p.Return()
 			return
@@ -490,9 +445,9 @@ func (f *outputOp) Step(p *sim.Proc) {
 
 // rxprocFrame is the receive interrupt service process. It wakes on the
 // adapter's end-of-frame interrupt, drains the receive FIFO charging the
-// per-cell receive cost, pushes cells through the reassembler, and — via
-// its inlined deliver states — builds the mbuf chain for each completed
-// datagram and enqueues it on the IP input queue.
+// per-cell receive cost, pushes cells through the reassembler, and hands
+// each completed datagram to del, the link's copy into mbufs and onto
+// the IP input queue.
 type rxprocFrame struct {
 	d  *Driver
 	pc int
@@ -504,15 +459,11 @@ type rxprocFrame struct {
 	frameEnd     bool
 	arrivedAt    sim.Time
 
-	// Deliver state (one datagram at a time). dg lies in buf, the
+	// Deliver state (one datagram at a time). del.DG lies in buf, the
 	// reassembly buffer detached from its channel, which goes back to the
 	// arena when the datagram has been copied into mbufs.
-	dg, buf     []byte
-	start       sim.Time
-	pktID       trace.PacketID
-	tagged      bool
-	rest        []byte
-	chain, tail *mbuf.Mbuf
+	buf []byte
+	del ip.Delivery
 }
 
 // Name implements sim.Namer: the process is named when something asks.
@@ -552,14 +503,10 @@ func (f *rxprocFrame) Step(p *sim.Proc) {
 				return
 			}
 		case 2: // integrated mode fuses a checksum into the cell copy
-			if d.Mode == cost.ChecksumIntegrated {
-				f.pc = 3
-				if !k.Use(p, trace.LayerATMRx,
-					sim.Time(k.Cost.IntegratedRxPerByte*SARPayload)) {
-					return
-				}
-			} else {
-				f.pc = 3
+			f.pc = 3
+			if d.Mode == cost.ChecksumIntegrated &&
+				!k.Use(p, trace.LayerATMRx, sim.Time(k.Cost.IntegratedRxPerByte*SARPayload)) {
+				return
 			}
 		case 3: // parse, reassemble, and detect a completed datagram
 			h, err := ParseHeader(&f.c)
@@ -596,38 +543,27 @@ func (f *rxprocFrame) Step(p *sim.Proc) {
 			if err != nil {
 				d.ReassemblyErrors++
 				vc.open = false
-				f.pc = 9
+				f.pc = 7
 				continue
 			}
 			if dg == nil {
-				f.pc = 9
+				f.pc = 7
 				continue
 			}
-			f.dg, f.buf = dg, vc.reasm.Detach()
-			f.start = vc.start
+			f.del.DG, f.buf = dg, vc.reasm.Detach()
+			f.del.Start = vc.start
 			vc.open = false
 			f.pc = 4
 		case 4: // deliver: stamp the on-wire identity, charge per-frame RX
-			if len(f.dg) < ip.HeaderLen {
+			if len(f.del.DG) < ip.HeaderLen {
 				d.ReassemblyErrors++
-				f.dg = nil
-				f.pc = 9
+				f.del.DG = nil
+				f.pc = 7
 				continue
 			}
 			// The on-wire identity, read before any host-side corruption
 			// is injected below: the trace records what the wire carried.
-			// Untraced runs skip the tag push (it boxes the identity —
-			// one allocation per datagram on the hot path) along with
-			// the event.
-			f.pktID, f.tagged = trace.PacketID{}, false
-			if k.Trace.PacketsEnabled() {
-				f.pktID = ip.PacketIDOf(f.dg)
-				p.PushTag(f.pktID)
-				f.tagged = true
-				k.Trace.Event(trace.Event{
-					Kind: trace.EvWireArrive, At: f.arrivedAt, ID: f.pktID, Len: len(f.dg),
-				})
-			}
+			f.del.Arrive(p, f.arrivedAt)
 			// Per-frame interrupt and reassembly-completion overhead.
 			f.pc = 5
 			if !k.Use(p, trace.LayerATMRx, k.Cost.ATMRxFrameFixed) {
@@ -635,86 +571,28 @@ func (f *rxprocFrame) Step(p *sim.Proc) {
 			}
 		case 5: // host-side corruption draw, then integrated fixed charge
 			if d.HostCorruptRate > 0 && k.Env.RNG().Bool(d.HostCorruptRate) {
-				bit := k.Env.RNG().Intn(len(f.dg) * 8)
-				f.dg[bit/8] ^= 1 << (bit % 8)
+				dg := f.del.DG
+				bit := k.Env.RNG().Intn(len(dg) * 8)
+				dg[bit/8] ^= 1 << (bit % 8)
 				d.HostCorruptions++
 			}
-			if d.Mode == cost.ChecksumIntegrated {
-				f.pc = 6
-				if !k.Use(p, trace.LayerATMRx, k.Cost.IntegratedRxFixed) {
-					return
-				}
-			} else {
-				f.pc = 6
-			}
-		case 6: // charge the IP-header mbuf allocation
-			f.pc = 7
-			if !k.Use(p, trace.LayerATMRx, k.Cost.MbufAlloc) {
+			// In integrated mode the device-to-kernel copy computes the
+			// payload's partial sums as a side effect; the mbufs carry them.
+			f.del.Sum = d.Mode == cost.ChecksumIntegrated
+			f.pc = 6
+			if f.del.Sum && !k.Use(p, trace.LayerATMRx, k.Cost.IntegratedRxFixed) {
 				return
 			}
-		case 7: // build the header mbuf; charge the first payload mbuf.
-			// Layout: the IP header in its own normal mbuf, the rest in
-			// cluster mbufs (or normal mbufs for small frames), so that
-			// stripping the IP header cannot invalidate partial checksums
-			// stashed for the payload.
-			hm := k.Pool.Alloc()
-			hm.Append(f.dg[:ip.HeaderLen])
-			f.rest = f.dg[ip.HeaderLen:]
-			f.chain, f.tail = hm, hm
-			if len(f.rest) > 0 {
-				f.pc = 8
-				if !k.Use(p, trace.LayerATMRx, f.payloadAllocCost()) {
-					return
-				}
-			} else {
-				f.pc = 9
-				continue
-			}
-		case 8: // fill one payload mbuf; charge the next or finish
-			var m *mbuf.Mbuf
-			if len(f.dg) > mbuf.ClusterThreshold {
-				m = k.Pool.AllocCluster()
-			} else {
-				m = k.Pool.Alloc()
-			}
-			n := m.Append(f.rest)
-			if d.Mode == cost.ChecksumIntegrated {
-				// The device-to-kernel copy computed this sum as a side
-				// effect; stash it for tcp_input to fold.
-				var cs checksum.Partial
-				cs.Add(f.rest[:n])
-				m.Csum, m.CsumValid = cs, true
-			}
-			f.rest = f.rest[n:]
-			f.tail.SetNext(m)
-			f.tail = m
-			if len(f.rest) > 0 {
-				f.pc = 8
-				if !k.Use(p, trace.LayerATMRx, f.payloadAllocCost()) {
-					return
-				}
-			} else {
-				f.pc = 9
-			}
-		case 9: // finish the cell: enqueue any delivered datagram, then
-			// either drain the next cell or go back to sleep.
-			if f.chain != nil {
-				d.FramesIn++
-				k.Trace.Event(trace.Event{
-					Kind: trace.EvDriverRx, At: f.start, Dur: k.Now() - f.start,
-					ID: f.pktID, Len: len(f.dg),
-				})
-				d.IP.Enqueue(f.chain)
-				f.chain, f.tail = nil, nil
-			}
-			if f.tagged {
-				p.PopTag()
-				f.tagged = false
-			}
+		case 6: // copy into mbufs and enqueue for IP
+			f.pc = 7
+			p.Call(&f.del)
+			return
+		case 7: // finish the cell: give back any delivered datagram's
+			// buffer, then either drain the next cell or go back to sleep.
 			if f.buf != nil {
 				k.Env.Arena().Return(f.buf)
+				f.buf = nil
 			}
-			f.dg, f.buf, f.rest = nil, nil, nil
 			if f.frameEnd && f.framePending {
 				f.pc = 0
 			} else {
@@ -722,13 +600,4 @@ func (f *rxprocFrame) Step(p *sim.Proc) {
 			}
 		}
 	}
-}
-
-// payloadAllocCost returns the charge for the next payload mbuf of the
-// datagram being delivered.
-func (f *rxprocFrame) payloadAllocCost() sim.Time {
-	if len(f.dg) > mbuf.ClusterThreshold {
-		return f.d.K.Cost.ClusterAlloc
-	}
-	return f.d.K.Cost.MbufAlloc
 }

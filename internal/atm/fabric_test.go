@@ -293,7 +293,7 @@ func TestNoRouteIsACountedDrop(t *testing.T) {
 // a fresh context (the old one's sequence expectation would reject its
 // first cell), and the surviving VCI must keep its partial datagram.
 func TestDropRxKeepsActiveReassembly(t *testing.T) {
-	d := &Driver{K: kern.New(sim.NewEnv(), cost.DECstation5000(), "d")}
+	d := &Driver{Link: ip.Link{K: kern.New(sim.NewEnv(), cost.DECstation5000(), "d")}}
 	segA, segB := Segmenter{VCI: 40}, Segmenter{VCI: 41}
 	a := segA.Segment(make([]byte, 200)) // multi-cell datagrams
 	b := segB.Segment(make([]byte, 200))
@@ -371,7 +371,7 @@ func TestRemovedRouteKeepsItsParkedOutput(t *testing.T) {
 	env.RNG().Fill(payload)
 	var freed *route
 	fail := func() {
-		if !drvs[0].txBusy || drvs[0].Adapter.TxSpace() != 0 {
+		if !drvs[0].Locked() || drvs[0].Adapter.TxSpace() != 0 {
 			t.Fatal("host 0's Output is not parked on a full FIFO when the port fails")
 		}
 		freed = f.routes[0].m[flowKey{0, 1}]
@@ -468,7 +468,7 @@ func TestUnrelatedRemovalKeepsParkedChannel(t *testing.T) {
 		if !failed && drvs[0].Adapter.TxSpace() == 0 {
 			failed = true
 			env.At(env.Now(), "fail", func() {
-				if !drvs[0].txBusy {
+				if !drvs[0].Locked() {
 					t.Fatal("host 0's Output is not parked when the port fails")
 				}
 				f.FailHostPort(3)

@@ -446,21 +446,14 @@ func (a *Adapter) PopRx() (Frame, sim.Time, bool) {
 }
 
 // Driver is the Ethernet network driver (ip.NetIf plus the receive
-// interrupt service process).
+// interrupt service process). Its interface fields, transmit lock and
+// mbuf delivery are the embedded ip.Link's; its NoRoute counts datagrams
+// whose destination resolves to no station on a segment with ARP bindings.
 type Driver struct {
-	K       *kern.Kernel
+	ip.Link
 	Adapter *Adapter
-	IP      *ip.Stack
 
-	// MTUOverride, when positive, lowers the MTU the driver advertises
-	// to IP below the Ethernet payload limit.
-	MTUOverride int
-
-	// txBusy serializes Output (the splimp-protected driver section).
-	txBusy bool
-	txWait sim.WaitQueue
-
-	// outOp caches the transmit frame; txBusy serializes Output, so one
+	// outOp caches the transmit frame; the lock serializes Output, so one
 	// cached frame covers the steady state. outFrame is that frame, and
 	// proc the receive service process with rxproc its root, held here so
 	// that a driver is one allocation.
@@ -469,12 +462,9 @@ type Driver struct {
 	proc     sim.Proc
 	rxproc   rxprocFrame
 
-	FramesIn  int64
-	FramesOut int64
+	// FCSErrors counts received frames the driver discarded: a runt, a
+	// bad FCS, or a type other than IPv4.
 	FCSErrors int64
-	// NoRoute counts datagrams dropped because their IP destination
-	// resolved to no station on a segment with ARP bindings.
-	NoRoute int64
 }
 
 // NewDriver wires a driver to its adapter and IP stack and starts the
@@ -485,12 +475,13 @@ func NewDriver(k *kern.Kernel, a *Adapter, ipStack *ip.Stack) *Driver {
 
 // Init readies a zero Driver in place, as NewDriver does, and returns it.
 func (d *Driver) Init(k *kern.Kernel, a *Adapter, ipStack *ip.Stack) *Driver {
-	d.K, d.Adapter, d.IP = k, a, ipStack
-	d.txWait.Init("le.txlock")
+	d.Link.Init(k, ipStack, MTU, "le.txlock")
+	d.Adapter = a
 	d.outFrame.d = d
 	d.outOp = &d.outFrame
 	ipStack.Attach(d)
 	d.rxproc.d = d
+	d.rxproc.del.Init(&d.Link, trace.LayerEtherRx)
 	k.Env.SpawnIn(&d.proc, k.Env.Now(), "", &d.rxproc)
 	return d
 }
@@ -501,21 +492,12 @@ func (d *Driver) Init(k *kern.Kernel, a *Adapter, ipStack *ip.Stack) *Driver {
 // of its own between frames; the receive service process stays parked on
 // RxReady.
 func (d *Driver) Reset() {
-	d.MTUOverride = 0
-	d.txBusy = false
-	d.FramesIn, d.FramesOut, d.FCSErrors, d.NoRoute = 0, 0, 0, 0
+	d.Link.Reset()
+	d.FCSErrors = 0
 }
 
 // Name implements ip.NetIf.
 func (d *Driver) Name() string { return d.K.Name() + ".le0" }
-
-// MTU implements ip.NetIf.
-func (d *Driver) MTU() int {
-	if d.MTUOverride > 0 && d.MTUOverride < MTU {
-		return d.MTUOverride
-	}
-	return MTU
-}
 
 // Output implements ip.NetIf: linearize the chain into a frame checked
 // out of the loop's arena — the one copy on this path — seal it in place
@@ -558,11 +540,9 @@ func (f *outputOp) Step(p *sim.Proc) {
 	for {
 		switch f.pc {
 		case 0: // acquire the lock, linearize, charge the per-frame cost
-			if d.txBusy {
-				d.txWait.Wait(p)
+			if !d.Lock(p) {
 				return
 			}
-			d.txBusy = true
 			f.txStart = k.Now()
 			f.n = mbuf.ChainLen(f.m)
 			size := frameLen(f.n)
@@ -575,36 +555,19 @@ func (f *outputOp) Step(p *sim.Proc) {
 		case 1: // seal and hand to the adapter, then charge the chain free
 			if dst, ok := d.resolve(f.fr[HeaderLen : HeaderLen+f.n]); ok {
 				f.fr.seal(dst, d.Adapter.Addr, EtherTypeIPv4, f.n)
-				wireEnd := d.Adapter.Transmit(f.fr)
-				if k.Trace.PacketsEnabled() {
-					id := k.PacketContext(p)
-					k.Trace.Event(trace.Event{
-						Kind: trace.EvDriverTx, At: f.txStart, Dur: k.Now() - f.txStart,
-						ID: id, Len: f.n,
-					})
-					k.Trace.Event(trace.Event{
-						Kind: trace.EvWireDepart, At: wireEnd, ID: id, Len: f.n,
-					})
-				}
-				d.FramesOut++
+				d.Sent(p, f.txStart, d.Adapter.Transmit(f.fr), f.n)
 			} else {
 				d.NoRoute++
 				k.Env.Arena().Return(f.fr)
 			}
 			f.fr = nil
 			f.pc = 2
-			if c := k.FreeChainCost(f.m); c > 0 {
-				if !k.Use(p, trace.LayerMbuf, c) {
-					return
-				}
+			if !d.ChargeFree(p, f.m) {
+				return
 			}
 		case 2: // release the chain and the lock
-			if f.m != nil {
-				k.Pool.Free(f.m)
-				f.m = nil
-			}
-			d.txBusy = false
-			d.txWait.WakeAll()
+			d.Unlock(f.m)
+			f.m = nil
 			if d.outOp == nil {
 				d.outOp = f
 			}
@@ -630,25 +593,18 @@ func (d *Driver) resolve(dg []byte) ([6]byte, bool) {
 }
 
 // rxprocFrame is the receive interrupt service process: it drains
-// received frames, validates the FCS, and — via its inlined deliver
-// states — builds the mbuf chain (IP header mbuf + payload mbufs) and
-// enqueues it for IP. IP trims Ethernet minimum-frame padding via the
-// header's total length.
+// received frames, validates the FCS, and hands each datagram to del, the
+// link's copy into mbufs and onto the IP input queue. IP trims Ethernet
+// minimum-frame padding via the header's total length. The LANCE copy
+// computes no checksum, so del.Sum stays false in every checksum mode.
 type rxprocFrame struct {
 	d  *Driver
 	pc int
 
-	rxStart   sim.Time
 	arrivedAt sim.Time
-	fr        Frame  // held until the datagram is in mbufs, or rejected
-	dg        []byte // the datagram, inside fr
-	etherType uint16
-	ok        bool
-
-	pktID       trace.PacketID
-	tagged      bool
-	rest        []byte
-	chain, tail *mbuf.Mbuf
+	fr        Frame // held until del.DG, inside it, is in mbufs or rejected
+	ok        bool  // fr holds an IP datagram
+	del       ip.Delivery
 }
 
 // Name implements sim.Namer: the process is named when something asks.
@@ -665,92 +621,30 @@ func (f *rxprocFrame) Step(p *sim.Proc) {
 				d.Adapter.RxReady.Wait(p)
 				return
 			}
-			f.rxStart = k.Now()
+			f.del.Start = k.Now()
 			f.fr, f.arrivedAt, _ = d.Adapter.PopRx()
-			f.dg, f.etherType, f.ok = Decapsulate(f.fr)
+			dg, typ, ok := Decapsulate(f.fr)
+			f.del.DG, f.ok = dg, ok && typ == EtherTypeIPv4 && len(dg) >= ip.HeaderLen
 			f.pc = 1
-			if !k.Use(p, trace.LayerEtherRx, k.Cost.EtherRx.Cost(len(f.dg))) {
+			if !k.Use(p, trace.LayerEtherRx, k.Cost.EtherRx.Cost(len(f.del.DG))) {
 				return
 			}
-		case 1: // validate; stamp the on-wire identity; charge header mbuf
-			if !f.ok || f.etherType != EtherTypeIPv4 || len(f.dg) < ip.HeaderLen {
+		case 1: // validate, then copy into mbufs and enqueue for IP
+			if !f.ok {
 				d.FCSErrors++
 				k.Env.Arena().Return(f.fr)
-				f.fr, f.dg = nil, nil
+				f.fr, f.del.DG = nil, nil
 				f.pc = 0
 				continue
 			}
-			// Untraced runs skip the tag push: it boxes the identity —
-			// one heap allocation per frame on the hot path — and exists
-			// only so trace events attribute to this packet.
-			f.pktID, f.tagged = trace.PacketID{}, false
-			if k.Trace.PacketsEnabled() {
-				f.pktID = ip.PacketIDOf(f.dg)
-				p.PushTag(f.pktID)
-				f.tagged = true
-				k.Trace.Event(trace.Event{
-					Kind: trace.EvWireArrive, At: f.arrivedAt, ID: f.pktID, Len: len(f.dg),
-				})
-			}
+			f.del.Arrive(p, f.arrivedAt)
 			f.pc = 2
-			if !k.Use(p, trace.LayerEtherRx, k.Cost.MbufAlloc) {
-				return
-			}
-		case 2: // build the header mbuf; charge the first payload mbuf
-			hm := k.Pool.Alloc()
-			hm.Append(f.dg[:ip.HeaderLen])
-			f.rest = f.dg[ip.HeaderLen:]
-			f.chain, f.tail = hm, hm
-			if len(f.rest) > 0 {
-				f.pc = 3
-				if !k.Use(p, trace.LayerEtherRx, f.payloadAllocCost()) {
-					return
-				}
-			} else {
-				f.pc = 4
-			}
-		case 3: // fill one payload mbuf; charge the next or finish
-			var m *mbuf.Mbuf
-			if len(f.dg) > mbuf.ClusterThreshold {
-				m = k.Pool.AllocCluster()
-			} else {
-				m = k.Pool.Alloc()
-			}
-			n := m.Append(f.rest)
-			f.rest = f.rest[n:]
-			f.tail.SetNext(m)
-			f.tail = m
-			if len(f.rest) > 0 {
-				f.pc = 3
-				if !k.Use(p, trace.LayerEtherRx, f.payloadAllocCost()) {
-					return
-				}
-			} else {
-				f.pc = 4
-			}
-		case 4: // enqueue for IP and go back to the wait loop
-			d.FramesIn++
-			k.Trace.Event(trace.Event{
-				Kind: trace.EvDriverRx, At: f.rxStart, Dur: k.Now() - f.rxStart,
-				ID: f.pktID, Len: len(f.dg),
-			})
-			d.IP.Enqueue(f.chain)
-			if f.tagged {
-				p.PopTag()
-				f.tagged = false
-			}
+			p.Call(&f.del)
+			return
+		case 2: // give the frame back and go back to the wait loop
 			k.Env.Arena().Return(f.fr)
-			f.fr, f.dg, f.rest, f.chain, f.tail = nil, nil, nil, nil, nil
+			f.fr = nil
 			f.pc = 0
 		}
 	}
-}
-
-// payloadAllocCost returns the charge for the next payload mbuf of the
-// frame being delivered.
-func (f *rxprocFrame) payloadAllocCost() sim.Time {
-	if len(f.dg) > mbuf.ClusterThreshold {
-		return f.d.K.Cost.ClusterAlloc
-	}
-	return f.d.K.Cost.MbufAlloc
 }

@@ -62,7 +62,8 @@ func (h *Header) Marshal(b []byte) {
 }
 
 // Parse reads and validates a header from b. It returns an error for a bad
-// version, short buffer, or checksum mismatch.
+// version, short buffer, checksum mismatch, or a total length shorter than
+// the header itself (ip_input's ip_len < hlen drop).
 func Parse(b []byte) (Header, error) {
 	var h Header
 	if len(b) < HeaderLen {
@@ -75,6 +76,9 @@ func Parse(b []byte) (Header, error) {
 		return h, fmt.Errorf("ip: header checksum mismatch")
 	}
 	h.TotalLen = int(b[2])<<8 | int(b[3])
+	if h.TotalLen < HeaderLen {
+		return h, fmt.Errorf("ip: total length %d shorter than the header", h.TotalLen)
+	}
 	h.ID = uint16(b[4])<<8 | uint16(b[5])
 	h.TTL = b[8]
 	h.Proto = b[9]
@@ -115,20 +119,6 @@ func PacketIDOf(dg []byte) trace.PacketID {
 		id.Seq = uint32(t[4])<<24 | uint32(t[5])<<16 | uint32(t[6])<<8 | uint32(t[7])
 	}
 	return id
-}
-
-// NetIf is a network interface as IP sees it: something that can transmit
-// a complete IP datagram. The ATM and Ethernet drivers implement it.
-type NetIf interface {
-	// Output transmits the datagram in process context, charging its own
-	// driver costs. The chain includes the IP header. It is a frame call:
-	// it may push a frame onto p, so it must be the caller's last action
-	// before its Step returns.
-	Output(p *sim.Proc, m *mbuf.Mbuf)
-	// MTU returns the maximum datagram size the interface accepts.
-	MTU() int
-	// Name identifies the interface in diagnostics.
-	Name() string
 }
 
 // Handler receives demultiplexed datagram payloads (header stripped).

@@ -54,6 +54,10 @@ func TestParseErrors(t *testing.T) {
 	if _, err := Parse(b); err == nil {
 		t.Error("options header accepted")
 	}
+	(&Header{TotalLen: HeaderLen - 1}).Marshal(b)
+	if _, err := Parse(b); err == nil {
+		t.Error("a total length shorter than the header accepted")
+	}
 }
 
 // fakeIf is a loopback interface delivering to another stack.

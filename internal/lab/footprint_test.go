@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"unsafe"
 
 	"repro/internal/atm"
 	"repro/internal/cost"
@@ -64,6 +65,30 @@ func TestHostAllocations(t *testing.T) {
 		t.Logf("%v: %.3f allocations a host", tc.link, perHost)
 		if perHost < tc.want || perHost >= tc.want+0.1 {
 			t.Errorf("%v host costs %.3f allocations, want %v (and under a tenth of growth)", tc.link, perHost, tc.want)
+		}
+	}
+}
+
+// TestHostBlockSizeClasses pins a host's two blocks inside the Go size
+// classes they fill today, so that a field added to a stack, a driver or
+// an adapter that would spill one into the next class (128 B a host for
+// the ATM link block) fails on every Go release and under -race; the
+// census goldens that also see it run only on the release their first
+// line names, without -race. Since Go 1.22 a block over 512 B that holds
+// pointers carries an 8-byte malloc header, so it fits its class only up
+// to the class size less 8.
+func TestHostBlockSizeClasses(t *testing.T) {
+	const mallocHeader = 8
+	for _, b := range []struct {
+		name        string
+		size, class uintptr
+	}{
+		{"lab.Host", unsafe.Sizeof(Host{}), 1536},
+		{"atmLink", unsafe.Sizeof(atmLink{}), 1280},
+		{"etherLink", unsafe.Sizeof(etherLink{}), 896},
+	} {
+		if b.size+mallocHeader > b.class {
+			t.Errorf("%s is %d B: with its malloc header it spills the %d B size class", b.name, b.size, b.class)
 		}
 	}
 }

@@ -70,6 +70,25 @@ func Fuzz(f *testing.F, tab *cli.Table, run func([]string, io.Writer) error, cap
 	})
 }
 
+// Add adds an argument vector to FuzzFlags' seed corpus ahead of Fuzz's
+// own seeds: each token is -name=value, a value Fuzz draws for the row —
+// a word, a bound, a hostile number, or s.
+func Add(f *testing.F, tab *cli.Table, s string, tokens ...string) {
+	var data []byte
+	for _, tok := range tokens {
+		name, v, _ := strings.Cut(tok[1:], "=")
+		i, j := slices.IndexFunc(tab.Rows, func(r cli.Row) bool { return r.Name == name }), -1
+		if i >= 0 {
+			j = slices.Index(values(tab.Rows[i], s, ""), v)
+		}
+		if j < 0 {
+			f.Fatalf("%s: no flag of the table draws that value", tok)
+		}
+		data = append(data, byte(i), byte(j))
+	}
+	f.Add(data, s)
+}
+
 // vector turns fuzz input into an argument vector (see Fuzz). It starts at
 // the cap of every row all modes read whose default is above its cap.
 func vector(tab *cli.Table, data []byte, s, dir string, caps map[string]float64) []string {

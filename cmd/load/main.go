@@ -83,7 +83,7 @@ var flags = cli.Table{Name: "load", Rows: []cli.Row{
 	{Name: "size", Def: 0, Usage: "payload bytes per operation (0 = workload default)", Max: 1 << 20, Why: "each end holds a message whole", On: workloads.On("fanin", "churn", "echo", "loaded", "faults")},
 	{Name: "bytes", Def: 65536, Usage: "bulk: bytes streamed per client", Min: 1, Max: 1 << 30, Why: timeWhy, On: workloads.On("bulk")},
 	{Name: "link", Def: "atm", Usage: "link type: atm or ether", Words: []string{"atm", "ether"}, On: sweep, Field: "Link"},
-	{Name: "loss", Def: 0.0, Usage: "ATM cell loss probability (what makes -trials vary)", Max: 1, On: sweep, Field: "CellLossRate"},
+	{Name: "loss", Def: 0.0, Usage: "independent loss probability of each ATM cell or Ethernet frame (what makes -trials vary)", Max: 1, On: sweep, Field: "BurstLoss.LossGood"},
 	{Name: "hashpcb", Def: false, Usage: "use the hash-table PCB organization", On: sweep, Field: "HashPCBs"},
 	{Name: "compare", Def: false, Usage: "run every trial under both PCB organizations", On: sweep},
 	{Name: "trials", Def: 1, Usage: "seeded repetitions of the workload", Min: 1, Max: 1000, Why: "every trial's outcome is kept for the report", On: sweep},
@@ -118,13 +118,8 @@ func run(args []string, w io.Writer) error {
 		crossN, faultsN          = f.Int("crosstraffic"), f.Int("faults")
 		seed, jsonOut            = f.Uint64("seed"), f.Bool("json")
 	)
-	lk, _ := lab.ParseLinkKind(f.String("link"))
-	qk, _ := lab.ParseQdiscKind(f.String("qdisc")) // the rows admit only their words
-	cfg := lab.Config{Link: lk, HashPCBs: f.Bool("hashpcb"), CellLossRate: f.Float("loss"), LeafPorts: f.Int("leafports"),
-		Qdisc: lab.QdiscConfig{Kind: qk}, BurstLoss: burstGE(f.Float("burstloss"))}
-	if f.String("fabric") == "fattree" {
-		cfg.Fabric = lab.FabricFatTree
-	}
+	cfg := labConfig(f)
+	lk := cfg.Link
 	if err := flags.Config(cfg.Validate(hosts, max(shards, 1))); err != nil {
 		return err
 	}
@@ -259,6 +254,20 @@ func burstGE(pGoodBad float64) sim.GEParams {
 		return sim.GEParams{}
 	}
 	return sim.GEParams{PGoodBad: pGoodBad, PBadGood: 0.2, LossBad: 0.5}
+}
+
+// labConfig is the testbed configuration the flags write: -loss is the
+// loss chain's Good-state rate, -burstloss its way into the Bad state.
+func labConfig(f *cli.Values) lab.Config {
+	lk, _ := lab.ParseLinkKind(f.String("link"))
+	qk, _ := lab.ParseQdiscKind(f.String("qdisc")) // the rows admit only their words
+	cfg := lab.Config{Link: lk, HashPCBs: f.Bool("hashpcb"), LeafPorts: f.Int("leafports"),
+		Qdisc: lab.QdiscConfig{Kind: qk}, BurstLoss: burstGE(f.Float("burstloss"))}
+	cfg.BurstLoss.LossGood = f.Float("loss")
+	if f.String("fabric") == "fattree" {
+		cfg.Fabric = lab.FabricFatTree
+	}
+	return cfg
 }
 
 // flapWindow and flapDowntime shape the -faults link flaps: each flap's

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"io"
 	"strconv"
 	"strings"
 	"testing"
@@ -335,7 +336,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{Args: []string{"-link", "token-ring"}, Flag: "-link"},
 		{Args: []string{"-trials", "0"}, Flag: "-trials"},
 		{Args: []string{"-loss", "1.5"}, Flag: "-loss"},
-		{Args: []string{"-link", "ether", "-loss", "0.001"}, Flag: "-loss"},
 		{Args: []string{"-shards", "-1"}, Flag: "-shards"},
 		{Args: []string{"-shards", "4", "-link", "ether"}, Flag: "-shards"},
 		{Args: []string{"-shards", "4", "-loss", "0.001"}, Flag: "-loss"},
@@ -441,4 +441,29 @@ var fuzzCaps = map[string]float64{"hosts": 5, "conns": 2, "reqs": 3, "size": 200
 	"trials": 2, "leafports": 4, "shards": 4, "crosstraffic": 2, "faults": 2, "stagger": 1000,
 	"crashat": 1000, "downtime": 2000}
 
-func FuzzFlags(f *testing.F) { clitest.Fuzz(f, &flags, run, fuzzCaps, "workload") }
+func FuzzFlags(f *testing.F) {
+	clitest.Add(f, &flags, "0.05", "-link=ether", "-loss=0.05")
+	clitest.Fuzz(f, &flags, run, fuzzCaps, "workload")
+}
+
+// TestLossOnEthernet: -loss is the loss chain's rate on either link, so
+// on Ethernet it runs and drops frames.
+func TestLossOnEthernet(t *testing.T) {
+	args := []string{"-link", "ether", "-loss", "0.05", "-hosts", "3", "-reqs", "10"}
+	clitest.Check(t, run, []clitest.Case{{Args: args}})
+	f, err := flags.Parse(args, io.Discard)
+	if f == nil {
+		t.Fatal(err)
+	}
+	l := lab.NewTopology(labConfig(f), f.Int("hosts"))
+	if _, err := (workload.FanIn{Requests: f.Int("reqs")}).Run(l); err != nil {
+		t.Fatal(err)
+	}
+	var drops int64
+	for _, h := range l.Hosts {
+		drops += h.EthAdapter.GEDrops
+	}
+	if drops == 0 {
+		t.Error("no frame dropped")
+	}
+}

@@ -24,6 +24,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/lab"
 	"repro/internal/runner"
+	"repro/internal/sim"
 )
 
 func main() { flags.Main(run) }
@@ -42,7 +43,7 @@ var flags = cli.Table{Name: "tcplat", Rows: []cli.Row{
 	{Name: "nopred", Def: false, Usage: "disable header prediction (PCB cache + fast path)", On: cells, Field: "DisablePrediction"},
 	{Name: "hashpcb", Def: false, Usage: "use the hash-table PCB organization", On: cells, Field: "HashPCBs"},
 	{Name: "pcbs", Def: 0, Usage: "established connections opened ahead of the benchmark connection", Max: 100_000, Why: "each is a connection pair held for the run", On: cells, Field: "LivePCBs"},
-	{Name: "loss", Def: 0.0, Usage: "ATM cell loss probability", Max: 1, On: cells, Field: "CellLossRate"},
+	{Name: "loss", Def: 0.0, Usage: "independent loss probability of each ATM cell or Ethernet frame", Max: 1, On: cells, Field: "BurstLoss.LossGood"},
 	{Name: "mtu", Def: 0, Usage: "MTU override (0 = link default)", Max: cli.Inf, On: cells, Field: "MTU"},
 	{Name: "sockbuf", Def: 0, Usage: "socket buffer high-water mark (0 = default)", Max: cli.Inf, On: cells, Field: "SockBuf"},
 	{Name: "iters", Def: 100, Usage: "measured iterations", Min: 1, Max: cli.MaxIters, Why: cli.ItersWhy},
@@ -67,18 +68,7 @@ func run(args []string, w io.Writer) error {
 	if f == nil {
 		return err
 	}
-	lk, _ := lab.ParseLinkKind(f.String("link")) // the row admits only its words
-	cfg := lab.Config{
-		Link:              lk,
-		Mode:              map[string]cost.ChecksumMode{"standard": cost.ChecksumStandard, "integrated": cost.ChecksumIntegrated, "none": cost.ChecksumNone}[f.String("mode")],
-		DisablePrediction: f.Bool("nopred"),
-		HashPCBs:          f.Bool("hashpcb"),
-		LivePCBs:          f.Int("pcbs"),
-		CellLossRate:      f.Float("loss"),
-		MTU:               f.Int("mtu"),
-		SockBuf:           f.Int("sockbuf"),
-		Seed:              f.Uint64("seed"),
-	}
+	cfg := labConfig(f)
 	// lab.Config.Validate is the rulebook of what each knob applies to;
 	// its refusal names the field, and the flag that wrote it.
 	if err := flags.Config(cfg.Validate(2, 1)); err != nil {
@@ -129,4 +119,20 @@ func run(args []string, w io.Writer) error {
 	return cli.Emit(w, f.Bool("json"), outs, func() string {
 		return runner.RenderEchoOutcomes(fmt.Sprintf("Round-trip latency (%d cells, %d iterations each)", len(outs), iters), outs)
 	})
+}
+
+// labConfig is the testbed configuration the flags write.
+func labConfig(f *cli.Values) lab.Config {
+	lk, _ := lab.ParseLinkKind(f.String("link")) // the row admits only its words
+	return lab.Config{
+		Link:              lk,
+		Mode:              map[string]cost.ChecksumMode{"standard": cost.ChecksumStandard, "integrated": cost.ChecksumIntegrated, "none": cost.ChecksumNone}[f.String("mode")],
+		DisablePrediction: f.Bool("nopred"),
+		HashPCBs:          f.Bool("hashpcb"),
+		LivePCBs:          f.Int("pcbs"),
+		BurstLoss:         sim.GEParams{LossGood: f.Float("loss")},
+		MTU:               f.Int("mtu"),
+		SockBuf:           f.Int("sockbuf"),
+		Seed:              f.Uint64("seed"),
+	}
 }

@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 
 	"repro/cmd/internal/cli/clitest"
+	"repro/internal/lab"
 )
 
 func TestRunSingle(t *testing.T) {
@@ -64,7 +66,6 @@ func TestRunBadArgs(t *testing.T) {
 		{Args: []string{"-grid", "bogus"}, Flag: "-grid"},
 		{Args: []string{"-loss", "1.5"}, Flag: "-loss"},
 		{Args: []string{"-loss", "NaN"}, Flag: "-loss"},
-		{Args: []string{"-link", "ether", "-loss", "0.5"}, Flag: "-loss"},
 		{Args: []string{"-size", "-1"}, Flag: "-size"},
 		{Args: []string{"-pcbs", "-5"}, Flag: "-pcbs"},
 	})
@@ -92,6 +93,27 @@ func TestFlags(t *testing.T) {
 	})
 }
 
+// TestLossOnEthernet: -loss is the loss chain's rate on either link, so
+// on Ethernet it runs and drops frames.
+func TestLossOnEthernet(t *testing.T) {
+	args := []string{"-link", "ether", "-loss", "0.05", "-size", "1400", "-iters", "20", "-warmup", "1"}
+	clitest.Check(t, run, []clitest.Case{{Args: args}})
+	f, err := flags.Parse(args, io.Discard)
+	if f == nil {
+		t.Fatal(err)
+	}
+	l := lab.New(labConfig(f))
+	if _, err := l.RunEcho(f.Int("size"), f.Int("iters"), f.Int("warmup")); err != nil {
+		t.Fatal(err)
+	}
+	if l.Client.EthAdapter.GEDrops+l.Server.EthAdapter.GEDrops == 0 {
+		t.Error("no frame dropped")
+	}
+}
+
 var fuzzCaps = map[string]float64{"iters": 2, "warmup": 1, "size": 2000, "pcbs": 20}
 
-func FuzzFlags(f *testing.F) { clitest.Fuzz(f, &flags, run, fuzzCaps, "grid", "sweep") }
+func FuzzFlags(f *testing.F) {
+	clitest.Add(f, &flags, "0.05", "-link=ether", "-loss=0.05")
+	clitest.Fuzz(f, &flags, run, fuzzCaps, "grid", "sweep")
+}

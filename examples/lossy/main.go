@@ -18,14 +18,16 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/lab"
+	"repro/internal/sim"
 )
 
 func run(mode cost.ChecksumMode, lossRate float64) (median, mean float64, drops, reasmErrs, rexmt int64) {
 	cfg := lab.Config{
-		Link:         lab.LinkATM,
-		Mode:         mode,
-		CellLossRate: lossRate,
-		Seed:         1994,
+		Link: lab.LinkATM,
+		Mode: mode,
+		// Independent cell loss: the loss chain's Good state, never left.
+		BurstLoss: sim.GEParams{LossGood: lossRate},
+		Seed:      1994,
 	}
 	l := lab.New(cfg)
 	res, err := l.RunEcho(1400, 200, 5)

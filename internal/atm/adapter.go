@@ -327,31 +327,27 @@ type Adapter struct {
 	// FIFO: the adapter's receive interrupt.
 	RxReady sim.WaitQueue
 
-	// LossRate drops each wire cell with this probability (fault
-	// injection; the paper notes "the ATM network does not guarantee
-	// freedom from cell loss").
-	LossRate float64
 	// dropNext forces the next wire cell to be lost (see DropNext).
 	dropNext bool
-	// CorruptRate flips one random bit of each arriving cell with this
-	// probability — link noise for the §4.2.1 error study. Header bits
-	// are caught by the HEC, payload bits by the AAL3/4 CRC-10.
-	//
-	// LossRate, CorruptRate and SetImpairments are configuration: set
-	// them while the fibre is idle. A switchless pair decides at launch
-	// whether a cell's arrival is an event by reading them (LaunchTx).
-	CorruptRate float64
 
-	// Link impairment layer, configured via SetImpairments: a
-	// Gilbert–Elliott burst-loss chain and bounded cell reordering,
-	// layered ahead of the Bernoulli LossRate knob. Both draw from
-	// per-link RNGs seeded at configuration, never the environment's
-	// stream, so enabling them perturbs no other random draw.
+	// Link impairment layer, configured via SetImpairments while the
+	// fibre is idle: a Gilbert–Elliott loss chain (cell loss — the paper
+	// notes "the ATM network does not guarantee freedom from cell loss" —
+	// independent in its Good state, bursty in its Bad one), bit
+	// corruption (each arriving cell has one random bit flipped with
+	// probability corruptRate — link noise for the §4.2.1 error study;
+	// header bits are caught by the HEC, payload bits by the AAL3/4
+	// CRC-10) and bounded cell reordering. Every draw comes from a
+	// per-link RNG seeded at configuration, never the environment's
+	// stream, so enabling one perturbs no other random draw. A switchless
+	// pair decides at launch whether a cell's arrival is an event by
+	// reading them (LaunchTx).
 	ge           sim.GEChain
+	corruptRate  float64
 	reorderRate  float64
 	reorderDepth int
-	impRNG       sim.RNG
-	held         Cell // cell held back for reordering
+	impRNG       sim.RNG // corruption and reordering draws
+	held         Cell    // cell held back for reordering
 	heldValid    bool
 	heldLeft     int // deliveries remaining before the held cell is released
 	// heldFlush releases a held cell the wire went quiet on. SetImpairments
@@ -398,9 +394,9 @@ func (a *Adapter) Reset() {
 	a.tx.reset(a.K.Env)
 	a.rxFIFO.reset(a.K.Env.Arena())
 	a.frames, a.frameAt = 0, 0
-	a.LossRate, a.dropNext, a.CorruptRate = 0, false, 0
+	a.dropNext = false
 	a.ge = sim.GEChain{}
-	a.reorderRate, a.reorderDepth = 0, 0
+	a.corruptRate, a.reorderRate, a.reorderDepth = 0, 0, 0
 	a.heldValid, a.heldLeft = false, 0
 	a.down = false
 	a.CellsSent, a.CellsRecv, a.CellsDropped, a.CellsCorrupted, a.RxOverflows = 0, 0, 0, 0, 0
@@ -429,13 +425,15 @@ func (a *Adapter) DropNext() {
 func (a *Adapter) Down() bool { return a.down }
 
 // SetImpairments configures the link impairment layer: a Gilbert–Elliott
-// burst-loss chain (p) and bounded reordering (each arriving cell is
-// held back past the next depth deliveries with probability rate). Both
-// are seeded per link from seed; a zero GEParams and zero rate disable
-// the layer entirely, leaving the receive path byte-identical to an
-// unimpaired adapter.
-func (a *Adapter) SetImpairments(p sim.GEParams, rate float64, depth int, seed uint64) {
+// loss chain (p), bit corruption (one random bit of each arriving cell
+// flipped with probability corrupt) and bounded reordering (each arriving
+// cell held back past the next depth deliveries with probability rate).
+// All are seeded per link from seed; zero parameters disable the layer
+// entirely, leaving the receive path byte-identical to an unimpaired
+// adapter.
+func (a *Adapter) SetImpairments(p sim.GEParams, corrupt, rate float64, depth int, seed uint64) {
 	a.ge.Init(p, seed)
+	a.corruptRate = corrupt
 	a.reorderRate = rate
 	if rate > 0 && a.heldFlush == nil {
 		a.heldFlush = new(sim.Timer)
@@ -540,13 +538,15 @@ func (a *Adapter) TxCell() *Cell {
 // receiving host could notice it at that instant: when the cell ends a
 // frame, when it could bring the receive FIFO to RxDrainThreshold (the
 // FIFO now, plus every cell on the fibre, this one included), or when the
-// receiver's LossRate, CorruptRate or reordering is armed — those draw the
-// environment's RNG or set a timer on arrival. Any other cell is quiet: it
-// waits in the transmit queue with its arrival's stamp until the receiver
-// looks (drain) or a later arrival fires, and is then received at its own
-// key by the same path. Every record on the pair's fibre is stamped, an
-// evented one just ahead of its lane entry's number, so one comparison
-// tells either kind due.
+// receiver corrupts or reorders: a flipped bit can make any cell
+// frame-ending, and a quiet receive must not wake the host; reordering
+// sets a timer on arrival. Loss does not force an event: the loss chain
+// draws its own per-link stream in arrival order, whenever the cell is
+// received. Any other cell is quiet: it waits in the transmit queue with
+// its arrival's stamp until the receiver looks (drain) or a later arrival
+// fires, and is then received at its own key by the same path. Every
+// record on the pair's fibre is stamped, an evented one just ahead of its
+// lane entry's number, so one comparison tells either kind due.
 func (a *Adapter) LaunchTx(c *Cell) {
 	env, prop := a.K.Env, a.K.Cost.ATMPropagation
 	peer := a.pair()
@@ -555,19 +555,19 @@ func (a *Adapter) LaunchTx(c *Cell) {
 		return
 	}
 	a.tx.q.stampNewest(env.Stamp())
-	if IsFrameEnd(c) || peer.LossRate > 0 || peer.CorruptRate > 0 || peer.reorderRate > 0 ||
+	if IsFrameEnd(c) || peer.corruptRate > 0 || peer.reorderRate > 0 ||
 		peer.rxFIFO.len()+a.tx.q.len() >= RxDrainThreshold {
 		a.tx.inLane.At(env, a.tx.busy+prop, "atm.cellin")
 	}
 }
 
 // receive handles a cell arriving from the wire at time at: the
-// impairment layer (burst loss, then bounded reordering) runs first, then
-// accept hands surviving cells to the FIFO. With no impairments configured
-// the path is a direct call to accept — byte-identical to an unimpaired
-// adapter. A quiet arrival on a switchless pair is received here after
-// its time, from drain; it reaches neither the reordering, which is an
-// event's, nor a wake.
+// impairment layer (the loss chain, then bounded reordering) runs first,
+// then accept hands surviving cells to the FIFO. With no impairments
+// configured the path is a direct call to accept — byte-identical to an
+// unimpaired adapter. A quiet arrival on a switchless pair is received
+// here after its time, from drain; it reaches neither the reordering,
+// which is an event's, nor a wake.
 func (a *Adapter) receive(c *Cell, at sim.Time) {
 	if a.down {
 		a.CellsDropped++
@@ -620,8 +620,8 @@ func (a *Adapter) TimerFired(*sim.Timer) {
 	a.accept(&a.held, a.K.Env.Now())
 }
 
-// accept runs the adapter's legacy receive path: the deterministic and
-// Bernoulli fault knobs, then FIFO admission — the receive FIFO's record
+// accept runs the adapter's receive path past reordering: the forced
+// drop, bit corruption, then FIFO admission — the receive FIFO's record
 // is the host's copy of the cell, stamped with at, its arrival — and the
 // frame-end interrupt.
 func (a *Adapter) accept(c *Cell, at sim.Time) {
@@ -630,12 +630,8 @@ func (a *Adapter) accept(c *Cell, at sim.Time) {
 		a.CellsDropped++
 		return
 	}
-	if a.LossRate > 0 && a.K.Env.RNG().Bool(a.LossRate) {
-		a.CellsDropped++
-		return
-	}
-	if a.CorruptRate > 0 && a.K.Env.RNG().Bool(a.CorruptRate) {
-		bit := a.K.Env.RNG().Intn(CellSize * 8)
+	if a.corruptRate > 0 && a.impRNG.Bool(a.corruptRate) {
+		bit := a.impRNG.Intn(CellSize * 8)
 		c[bit/8] ^= 1 << (bit % 8)
 		a.CellsCorrupted++
 	}

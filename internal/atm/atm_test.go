@@ -279,7 +279,7 @@ func TestAdapterRxOverflowDropsCells(t *testing.T) {
 // final cell of a teardown segment, with no retransmission to flush it).
 func TestReorderHeldCellFlushed(t *testing.T) {
 	env, _, _, a, b := twoAdapters(t)
-	b.SetImpairments(sim.GEParams{}, 1.0, 4, 7) // hold every arrival
+	b.SetImpairments(sim.GEParams{}, 0, 1.0, 4, 7) // hold every arrival
 	var c Cell
 	CellHeader{VCI: 32}.Marshal(&c)
 	pushTx(a, c) // the link's only traffic
@@ -289,6 +289,53 @@ func TestReorderHeldCellFlushed(t *testing.T) {
 	}
 	if b.CellsReordered != 1 {
 		t.Fatalf("CellsReordered = %d, want 1", b.CellsReordered)
+	}
+}
+
+// TestCorruptionDrawsTheLinkStream pins the impairment layer's one RNG
+// discipline for bit corruption: which bits a link flips is a function of
+// the link's seed alone — other draws on the environment's stream between
+// arrivals leave them where they were, and another seed moves them.
+func TestCorruptionDrawsTheLinkStream(t *testing.T) {
+	const cells = 64
+	flips := func(seed uint64, envDraws int) [cells]Cell {
+		env, _, _, a, b := twoAdapters(t)
+		env.Seed(99)
+		b.SetImpairments(sim.GEParams{}, 0.3, 0, 0, seed)
+		var sent [cells]Cell
+		for i := range sent {
+			i := i
+			CellHeader{VCI: 32}.Marshal(&sent[i])
+			sent[i].Payload()[1] = byte(i)
+			env.At(sim.Time(i)*10*sim.Microsecond, "send", func() {
+				for j := 0; j < envDraws; j++ {
+					env.RNG().Uint64()
+				}
+				pushTx(a, sent[i])
+			})
+		}
+		env.Run()
+		var diff [cells]Cell
+		for i := range diff {
+			c, ok := b.PopRx()
+			if !ok {
+				t.Fatalf("cell %d of %d never arrived", i, cells)
+			}
+			for j := range c {
+				diff[i][j] = c[j] ^ sent[i][j]
+			}
+		}
+		return diff
+	}
+	base := flips(7, 0)
+	if base == ([cells]Cell{}) {
+		t.Fatal("no bit flipped: the test is vacuous")
+	}
+	if flips(7, 3) != base {
+		t.Error("draws on the environment's stream moved the flipped bits")
+	}
+	if flips(8, 0) == base {
+		t.Error("another link seed flipped the same bits")
 	}
 }
 

@@ -92,7 +92,7 @@ var linkRegimes = []struct {
 	apply func(cfg *lab.Config) // nil: an unimpaired link, the only kind that shards
 }{
 	{name: "ideal"},
-	{name: "common loss", apply: func(cfg *lab.Config) { cfg.CellLossRate = 0.002 }},
+	{name: "common loss", apply: func(cfg *lab.Config) { cfg.BurstLoss = sim.GEParams{LossGood: 0.002} }},
 	{name: "rare heavy burst", apply: func(cfg *lab.Config) {
 		cfg.BurstLoss = sim.GEParams{PGoodBad: 0.0005, PBadGood: 0.05, LossBad: 0.9}
 	}},

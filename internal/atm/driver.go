@@ -55,12 +55,16 @@ type Driver struct {
 	rx     rxTable
 	lastRx *rxVC
 
-	// HostCorruptRate flips one random bit of each reassembled datagram
+	// hostCorrupt flips one random bit of each reassembled datagram
 	// during the device-to-host transfer — the paper's second error
 	// source ("errors introduced by the network controllers in moving
 	// data between host and controller memories", §4.2.1), which the
-	// AAL CRC cannot see and only the TCP checksum can catch.
-	HostCorruptRate float64
+	// AAL CRC cannot see and only the TCP checksum can catch. Its draws
+	// come from hostRNG, the host's own stream (SetHostCorruption), not
+	// the adapter's, so cell receipt and reassembly never interleave on
+	// one stream.
+	hostCorrupt float64
+	hostRNG     sim.RNG
 
 	// tx is the channel the Output holding the transmit lock cuts its
 	// frame's cells with (nil: none, or no route). A port failure can
@@ -86,7 +90,7 @@ type Driver struct {
 	ReassemblyErrors int64
 	// HECErrors counts cells discarded for a bad header checksum.
 	HECErrors int64
-	// HostCorruptions counts datagram bits flipped by HostCorruptRate.
+	// HostCorruptions counts datagram bits flipped by host corruption.
 	HostCorruptions int64
 	// reassembled counts cells handed to a reassembler: with HECErrors,
 	// every cell the driver popped. The conservation tests read it.
@@ -235,7 +239,7 @@ func (t *rxTable) each(fn func(vc *rxVC)) {
 func (d *Driver) Reset() {
 	d.Link.Reset()
 	d.Mode = cost.ChecksumStandard
-	d.HostCorruptRate = 0
+	d.hostCorrupt = 0
 	d.tx = nil
 	d.seg.Reset()
 	d.rx.each(func(vc *rxVC) {
@@ -244,6 +248,14 @@ func (d *Driver) Reset() {
 	})
 	d.lastRx = nil
 	d.ReassemblyErrors, d.HECErrors, d.HostCorruptions, d.reassembled = 0, 0, 0, 0
+}
+
+// SetHostCorruption flips one random bit of each reassembled datagram
+// with probability rate (zero: off), drawing from a stream seeded with
+// seed.
+func (d *Driver) SetHostCorruption(rate float64, seed uint64) {
+	d.hostCorrupt = rate
+	d.hostRNG = *sim.NewRNG(seed)
 }
 
 // NumReassemblers returns how many receive-side reassembly contexts
@@ -570,9 +582,9 @@ func (f *rxprocFrame) Step(p *sim.Proc) {
 				return
 			}
 		case 5: // host-side corruption draw, then integrated fixed charge
-			if d.HostCorruptRate > 0 && k.Env.RNG().Bool(d.HostCorruptRate) {
+			if d.hostCorrupt > 0 && d.hostRNG.Bool(d.hostCorrupt) {
 				dg := f.del.DG
-				bit := k.Env.RNG().Intn(len(dg) * 8)
+				bit := d.hostRNG.Intn(len(dg) * 8)
 				dg[bit/8] ^= 1 << (bit % 8)
 				d.HostCorruptions++
 			}

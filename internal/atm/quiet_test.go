@@ -30,10 +30,11 @@ type quietWorld struct {
 	host [2]quietHost
 	log  []string
 
-	quiet      int // launches that scheduled no arrival
-	parks      int // sleepers that had to park: a wake event each
-	tieBefore  int // reads at a cell's arrival instant, scheduled before its launch
-	tieAfter   int // and after it
+	quiet      int    // launches that scheduled no arrival
+	quietInto  [2]int // and of those, the ones into host i
+	parks      int    // sleepers that had to park: a wake event each
+	tieBefore  int    // reads at a cell's arrival instant, scheduled before its launch
+	tieAfter   int    // and after it
 	prop, cell sim.Time
 }
 
@@ -92,13 +93,13 @@ func newQuietWorld(evented bool, imps [2]int) *quietWorld {
 		a := w.ad[i]
 		switch imp {
 		case impGE:
-			a.SetImpairments(sim.GEParams{PGoodBad: 0.02, PBadGood: 0.2, LossBad: 0.7}, 0, 0, uint64(11+i))
+			a.SetImpairments(sim.GEParams{PGoodBad: 0.02, PBadGood: 0.2, LossBad: 0.7}, 0, 0, 0, uint64(11+i))
 		case impReorder:
-			a.SetImpairments(sim.GEParams{}, 0.05, 3, uint64(21+i))
+			a.SetImpairments(sim.GEParams{}, 0, 0.05, 3, uint64(21+i))
 		case impLoss:
-			a.LossRate = 0.01
+			a.SetImpairments(sim.GEParams{LossGood: 0.01}, 0, 0, 0, uint64(31+i))
 		case impCorrupt:
-			a.CorruptRate = 0.01
+			a.SetImpairments(sim.GEParams{}, 0.01, 0, 0, uint64(41+i))
 		}
 	}
 	env.Seed(5)
@@ -149,6 +150,7 @@ func (w *quietWorld) pump(d int) {
 		a.LaunchTx(c)
 		if w.env.Pending() == before {
 			w.quiet++
+			w.quietInto[1-d]++
 		}
 		if i := slices.Index(s.readAfter, s.id); i >= 0 {
 			s.readAfter = slices.Delete(s.readAfter, i, i+1)
@@ -411,6 +413,14 @@ func TestQuietArrivalsMatchEvented(t *testing.T) {
 		real, err := runQuiet(tc.script)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
+		}
+		imps := [2]int{int(tc.script[0]) % impKinds, int(tc.script[0]/impKinds) % impKinds}
+		for i, imp := range imps {
+			if imp == impLoss && real.quietInto[i] == 0 {
+				// The loss chain draws its own stream whenever a cell
+				// is received, so a lossy receiver leaves arrivals quiet.
+				t.Errorf("%s: no quiet cell into the lossy host %d", tc.name, i)
+			}
 		}
 		quiet += real.quiet
 		before += real.tieBefore

@@ -270,8 +270,11 @@ func TestMeasureBreakdownsConsistency(t *testing.T) {
 	}
 }
 
+// TestErrorStudy runs the study at the report's 150 echoes: at 120 the
+// one controller flip its seed draws lands in a warm-up echo, which no
+// measured echo can carry to the application.
 func TestErrorStudy(t *testing.T) {
-	r, err := RunErrorStudy(120, fastOpts())
+	r, err := RunErrorStudy(150, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

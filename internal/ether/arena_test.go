@@ -20,7 +20,7 @@ func checkLedger(t *testing.T, seg *Segment, adapters []*Adapter, drivers []*Dri
 	var sent, ended int64
 	for _, a := range adapters {
 		sent += a.FramesSent
-		ended += a.FramesRecv + a.Filtered + a.GEDrops + a.LossDrops + a.DownDrops
+		ended += a.FramesRecv + a.Filtered + a.GEDrops + a.DownDrops
 	}
 	if ended += seg.UnknownUnicasts; sent != ended {
 		t.Errorf("%d frames sent, %d received or dropped for a counted cause", sent, ended)
@@ -101,8 +101,6 @@ func TestEveryFrameComesBack(t *testing.T) {
 		{name: "burst loss", arrange: func(s *stations) {
 			s.adapters[1].SetImpairments(sim.GEParams{LossGood: 1}, 7)
 		}, act: send(2), counted: func(s *stations) int64 { return s.adapters[1].GEDrops }},
-		{name: "LossRate", arrange: func(s *stations) { s.adapters[1].LossRate = 1 }, act: send(2),
-			counted: func(s *stations) int64 { return s.adapters[1].LossDrops }},
 		{name: "sender down", arrange: func(s *stations) { s.adapters[0].SetDown(true) }, act: send(2),
 			counted: func(s *stations) int64 { return s.adapters[0].DownDrops }},
 		{name: "unknown unicast", act: put(func(s *stations) Frame {

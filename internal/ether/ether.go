@@ -241,13 +241,9 @@ type Adapter struct {
 	FramesRecv int64
 	// Filtered counts frames dropped by destination-address filtering.
 	Filtered int64
-	// LossRate drops frames on the wire for fault injection.
-	LossRate float64
-	// LossDrops counts frames LossRate killed.
-	LossDrops int64
-	// ge is the Gilbert–Elliott burst-loss chain (SetImpairments) —
-	// the frame-level analogue of the ATM adapter's cell impairments,
-	// drawing from a per-link RNG rather than the environment's stream.
+	// ge is the Gilbert–Elliott loss chain (SetImpairments) — the
+	// frame-level analogue of the ATM adapter's cell loss, drawing from a
+	// per-link RNG rather than the environment's stream.
 	ge sim.GEChain
 	// GEDrops counts frames the chain killed.
 	GEDrops int64
@@ -259,7 +255,7 @@ type Adapter struct {
 	DownDrops int64
 }
 
-// SetImpairments configures the Gilbert–Elliott burst-loss chain on this
+// SetImpairments configures the Gilbert–Elliott loss chain on this
 // adapter's receive side, seeded per link. A zero GEParams disables it,
 // leaving the receive path byte-identical to an unimpaired adapter.
 func (a *Adapter) SetImpairments(p sim.GEParams, seed uint64) {
@@ -288,11 +284,10 @@ func (a *Adapter) Reset() {
 	a.wireBusy = 0
 	a.flight.drain(a.K.Env.Arena())
 	a.rxQ.drain(a.K.Env.Arena())
-	a.LossRate = 0
 	a.ge = sim.GEChain{}
 	a.down = false
 	a.FramesSent, a.FramesRecv, a.Filtered = 0, 0, 0
-	a.GEDrops, a.LossDrops, a.DownDrops = 0, 0, 0
+	a.GEDrops, a.DownDrops = 0, 0
 }
 
 // SetDown flips the station's fault state: while down, frames the
@@ -425,9 +420,6 @@ func (a *Adapter) discard(f Frame) *int64 {
 	}
 	if a.ge.Enabled() && a.ge.Drop() {
 		return &a.GEDrops
-	}
-	if a.LossRate > 0 && a.K.Env.RNG().Bool(a.LossRate) {
-		return &a.LossDrops
 	}
 	return nil
 }
@@ -601,10 +593,9 @@ type rxprocFrame struct {
 	d  *Driver
 	pc int
 
-	arrivedAt sim.Time
-	fr        Frame // held until del.DG, inside it, is in mbufs or rejected
-	ok        bool  // fr holds an IP datagram
-	del       ip.Delivery
+	fr  Frame // held until del.DG, inside it, is in mbufs or rejected
+	ok  bool  // fr holds an IP datagram
+	del ip.Delivery
 }
 
 // Name implements sim.Namer: the process is named when something asks.
@@ -622,9 +613,15 @@ func (f *rxprocFrame) Step(p *sim.Proc) {
 				return
 			}
 			f.del.Start = k.Now()
-			f.fr, f.arrivedAt, _ = d.Adapter.PopRx()
+			var at sim.Time
+			f.fr, at, _ = d.Adapter.PopRx()
 			dg, typ, ok := Decapsulate(f.fr)
 			f.del.DG, f.ok = dg, ok && typ == EtherTypeIPv4 && len(dg) >= ip.HeaderLen
+			if f.ok {
+				// The receive charge is the datagram's: its identity
+				// comes first.
+				f.del.Arrive(p, at)
+			}
 			f.pc = 1
 			if !k.Use(p, trace.LayerEtherRx, k.Cost.EtherRx.Cost(len(f.del.DG))) {
 				return
@@ -637,7 +634,6 @@ func (f *rxprocFrame) Step(p *sim.Proc) {
 				f.pc = 0
 				continue
 			}
-			f.del.Arrive(p, f.arrivedAt)
 			f.pc = 2
 			p.Call(&f.del)
 			return

@@ -179,7 +179,7 @@ func TestFrameLossDrops(t *testing.T) {
 	env, ka, _, ipa, ipb, _, ab := buildPair(t)
 	s := &sink{}
 	ipb.Register(99, s)
-	ab.LossRate = 1.0 // drop everything
+	ab.SetImpairments(sim.GEParams{LossGood: 1}, 7) // drop everything
 	env.Spawn("tx", sim.Steps(func(p *sim.Proc) {
 		m := ka.Pool.Alloc()
 		m.Append(make([]byte, 50))
@@ -247,5 +247,36 @@ func TestFCSMatchesBitwiseReference(t *testing.T) {
 		if got, want := fcs(b), fcsBitwise(b); got != want {
 			t.Fatalf("fcs(%d bytes) = %#x, bitwise reference %#x", n, got, want)
 		}
+	}
+}
+
+// TestEtherRxChargesCarryTheirPacket: the receive interrupt's charge for
+// a frame is the datagram's — Delivery.Arrive precedes it — so every
+// Ether(rx) CPU event of a 1,200-byte datagram's receive names its
+// packet.
+func TestEtherRxChargesCarryTheirPacket(t *testing.T) {
+	env, ka, kb, ipa, ipb, _, _ := buildPair(t)
+	kb.Trace.EnablePackets()
+	ipb.Register(99, &sink{})
+	env.Spawn("tx", sim.Steps(func(p *sim.Proc) {
+		m := ka.Pool.Alloc()
+		m.Append(make([]byte, 1200))
+		ipa.Output(p, 2, 99, m)
+	}))
+	env.Run()
+	var anon, total sim.Time
+	for _, e := range kb.Trace.Events() {
+		if e.Kind == trace.EvCPU && e.Layer == trace.LayerEtherRx {
+			total += e.Dur
+			if e.ID.IsZero() {
+				anon += e.Dur
+			}
+		}
+	}
+	if total == 0 {
+		t.Fatal("no Ether(rx) charge recorded: the test is vacuous")
+	}
+	if anon != 0 {
+		t.Errorf("%v of %v Ether(rx) CPU carries no packet identity", anon, total)
 	}
 }

@@ -39,7 +39,7 @@ type Kernel struct {
 	Trace trace.Recorder
 	Pool  mbuf.Pool
 
-	// name is the host name given to New; a kernel from NewHost has none
+	// name is the host name given to New; a kernel from InitHost has none
 	// and is named, when something asks, after its index.
 	name string
 	host int
@@ -61,14 +61,9 @@ func (k *Kernel) Init(env *sim.Env, model *cost.Model, name string) *Kernel {
 	return k
 }
 
-// NewHost is New for host i of a testbed, named HostName(i) — but only
+// InitHost is Init for host i of a testbed, named HostName(i) — but only
 // when a diagnostic or a trace asks: a ten-thousand-host topology does
 // not format ten thousand names to build.
-func NewHost(env *sim.Env, model *cost.Model, i int) *Kernel {
-	return new(Kernel).InitHost(env, model, i)
-}
-
-// InitHost is Init for host i of a testbed, named as NewHost names it.
 func (k *Kernel) InitHost(env *sim.Env, model *cost.Model, i int) *Kernel {
 	k.Init(env, model, "")
 	k.host = i

@@ -46,7 +46,7 @@ func checkEtherLedger(t *testing.T, l *Lab) {
 	for i, h := range l.Hosts {
 		a, d := h.EthAdapter, h.EthDriver
 		sent += a.FramesSent
-		ended += a.FramesRecv + a.Filtered + a.GEDrops + a.LossDrops + a.DownDrops
+		ended += a.FramesRecv + a.Filtered + a.GEDrops + a.DownDrops
 		if d.FramesIn+d.FCSErrors != a.FramesRecv {
 			t.Errorf("%s: adapter received %d frames, driver passed up %d and rejected %d",
 				HostName(i), a.FramesRecv, d.FramesIn, d.FCSErrors)
@@ -101,7 +101,6 @@ func TestArenaDrainsToZero(t *testing.T) {
 		cfg           Config
 		hosts, shards int
 		faults        sim.FaultSchedule
-		prepare       func(l *Lab) // what no Config field reaches
 		lossFree      bool
 	}{
 		{name: "echo pair", cfg: Config{Link: LinkATM}, hosts: 2, shards: 1, lossFree: true},
@@ -109,7 +108,7 @@ func TestArenaDrainsToZero(t *testing.T) {
 		{name: "echo through a hub", cfg: Config{Link: LinkATM}, hosts: 3, shards: 1, lossFree: true},
 		{name: "echo across 3 shards", cfg: Config{Link: LinkATM}, hosts: 3, shards: 3, lossFree: true},
 		{name: "echo across a cut fat tree", cfg: Config{Link: LinkATM, Fabric: FabricFatTree, LeafPorts: 1}, hosts: 4, shards: 4, lossFree: true},
-		{name: "cell loss (sequence gaps, lost ends)", cfg: Config{Link: LinkATM, CellLossRate: 0.003}, hosts: 2, shards: 1},
+		{name: "cell loss (sequence gaps, lost ends)", cfg: Config{Link: LinkATM, BurstLoss: sim.GEParams{LossGood: 0.003}}, hosts: 2, shards: 1},
 		{name: "cell corruption (CRC-10, HEC)", cfg: Config{Link: LinkATM, CellCorruptRate: 0.003}, hosts: 2, shards: 1},
 		{name: "host corruption", cfg: Config{Link: LinkATM, HostCorruptRate: 0.05}, hosts: 2, shards: 1},
 		{name: "burst loss and reordering", cfg: Config{Link: LinkATM,
@@ -122,8 +121,7 @@ func TestArenaDrainsToZero(t *testing.T) {
 		{name: "ether, 5-host segment", cfg: Config{Link: LinkEther}, hosts: 5, shards: 1, lossFree: true},
 		{name: "ether, burst loss", cfg: Config{Link: LinkEther,
 			BurstLoss: sim.GEParams{PGoodBad: 0.02, PBadGood: 0.3, LossBad: 0.7}}, hosts: 3, shards: 1},
-		{name: "ether, frame loss", cfg: Config{Link: LinkEther}, hosts: 2, shards: 1,
-			prepare: func(l *Lab) { l.Server.EthAdapter.LossRate = 0.02; l.Client.EthAdapter.LossRate = 0.02 }},
+		{name: "ether, frame loss", cfg: Config{Link: LinkEther, BurstLoss: sim.GEParams{LossGood: 0.02}}, hosts: 2, shards: 1},
 		{name: "ether, link flaps", cfg: Config{Link: LinkEther}, hosts: 3, shards: 1, faults: flap(1)},
 	}
 	for _, tc := range cases {
@@ -135,9 +133,6 @@ func TestArenaDrainsToZero(t *testing.T) {
 			}
 			l := c.Lab
 			poisonScratch(l)
-			if tc.prepare != nil {
-				tc.prepare(l)
-			}
 			if tc.faults != nil {
 				if err := l.ScheduleFaults(tc.faults); err != nil {
 					t.Fatal(err)
@@ -162,7 +157,7 @@ func TestArenaDrainsToZero(t *testing.T) {
 				var hurt int64
 				for _, h := range l.Hosts {
 					if a := h.EthAdapter; a != nil {
-						hurt += a.GEDrops + a.LossDrops + a.DownDrops
+						hurt += a.GEDrops + a.DownDrops
 						continue
 					}
 					hurt += h.ATMAdapter.CellsDropped + h.ATMAdapter.CellsCorrupted + h.ATMDriver.HostCorruptions

@@ -298,19 +298,18 @@ func (c *Cluster) configure(cfg Config) {
 		} else {
 			h.Kern.Trace.DisablePackets()
 		}
-		// Each host's impairment layer — the Gilbert–Elliott burst-loss
-		// chain and (ATM only) bounded cell reordering — draws a private
-		// stream derived from Config.Seed. Adapters clear impairment state
-		// on Reset; a zero BurstLoss and zero ReorderRate leave the receive
-		// path byte-identical to an unimpaired adapter.
+		// Each host's impairment layer — the Gilbert–Elliott loss chain
+		// and (ATM only) cell corruption and bounded reordering — draws a
+		// private stream derived from Config.Seed, and so does the ATM
+		// driver's host-side corruption. Adapters clear impairment state
+		// on Reset; zero impairment fields leave the receive path
+		// byte-identical to an unimpaired adapter.
 		seed := deriveSeed(cfg.Seed, 0x1000_0000+uint64(i))
 		if h.ATMAdapter != nil {
 			h.ATMDriver.Mode = cfg.Mode
 			h.ATMDriver.MTUOverride = cfg.MTU
-			h.ATMDriver.HostCorruptRate = cfg.HostCorruptRate
-			h.ATMAdapter.LossRate = cfg.CellLossRate
-			h.ATMAdapter.CorruptRate = cfg.CellCorruptRate
-			h.ATMAdapter.SetImpairments(cfg.BurstLoss, cfg.ReorderRate, cfg.ReorderDepth, seed)
+			h.ATMDriver.SetHostCorruption(cfg.HostCorruptRate, deriveSeed(cfg.Seed, 0x2000_0000+uint64(i)))
+			h.ATMAdapter.SetImpairments(cfg.BurstLoss, cfg.CellCorruptRate, cfg.ReorderRate, cfg.ReorderDepth, seed)
 		}
 		if h.EthAdapter != nil {
 			h.EthDriver.MTUOverride = cfg.MTU

@@ -32,21 +32,27 @@ func clusterEcho(t *testing.T, c *Cluster, size int) *EchoResult {
 	return res
 }
 
-// TestClusterGates pins the configurations sharded execution refuses:
-// everything whose serial behavior consumes a shared RNG stream or
-// mutates peer-host state directly, which per-shard loops cannot
-// replicate bit-identically.
+// TestClusterGates pins the configurations sharded execution refuses —
+// Ethernet, a loss chain, and peer-host state mutated directly — and the
+// corruption knobs it accepts, whose draws come from per-link and
+// per-host streams.
 func TestClusterGates(t *testing.T) {
 	bad := []Config{
 		{Link: LinkEther},
-		{Link: LinkATM, CellLossRate: 0.01},
-		{Link: LinkATM, CellCorruptRate: 0.01},
-		{Link: LinkATM, HostCorruptRate: 0.01},
+		{Link: LinkATM, BurstLoss: sim.GEParams{LossGood: 0.01}},
 		{Link: LinkATM, LivePCBs: 5},
 	}
 	for i, cfg := range bad {
 		if _, err := NewCluster(cfg, 4, 2); err == nil {
 			t.Errorf("case %d: NewCluster accepted gated config %+v", i, cfg)
+		}
+	}
+	for _, cfg := range []Config{
+		{Link: LinkATM, CellCorruptRate: 0.01},
+		{Link: LinkATM, HostCorruptRate: 0.01},
+	} {
+		if _, err := NewCluster(cfg, 4, 2); err != nil {
+			t.Errorf("NewCluster refused %+v: %v", cfg, err)
 		}
 	}
 	if _, err := NewCluster(Config{Link: LinkATM}, 4, 0); err == nil {

@@ -77,8 +77,6 @@ type Config struct {
 	// so both ends' demultiplexing must walk past that many entries — the
 	// §3 PCB-population study's variable.
 	LivePCBs int
-	// CellLossRate injects random ATM cell loss.
-	CellLossRate float64
 	// CellCorruptRate flips random bits in cells on the wire (caught by
 	// HEC / AAL CRC-10).
 	CellCorruptRate float64
@@ -86,11 +84,13 @@ type Config struct {
 	// the device-to-host transfer (invisible to the AAL; only the TCP
 	// checksum can catch it — the §4.2.1 buggy-controller scenario).
 	HostCorruptRate float64
-	// BurstLoss layers a Gilbert–Elliott two-state burst-loss chain on
-	// every host's receive path — correlated losses that kill several
-	// cells of one AAL frame at once, unlike the independent drops of
-	// CellLossRate. Each host's chain has a private RNG derived from
-	// Seed, so enabling it perturbs no other random draw.
+	// BurstLoss is the loss model: a Gilbert–Elliott two-state chain on
+	// every host's receive path, drawn once per ATM cell or Ethernet
+	// frame. LossGood alone is independent (Bernoulli) loss at that rate;
+	// entering the Bad state adds correlated losses that kill several
+	// cells of one AAL frame at once. Each host's chain, like every
+	// impairment draw, has a private RNG derived from Seed, so enabling
+	// it perturbs no other random draw.
 	BurstLoss sim.GEParams
 	// ReorderRate holds each arriving ATM cell back past the next
 	// ReorderDepth deliveries with this probability — bounded cell

@@ -108,7 +108,7 @@ func TestEchoChecksumModes(t *testing.T) {
 }
 
 func TestEchoCellLossRecovery(t *testing.T) {
-	l := New(Config{Link: LinkATM, Seed: 7, CellLossRate: 0.001})
+	l := New(Config{Link: LinkATM, Seed: 7, BurstLoss: sim.GEParams{LossGood: 0.001}})
 	res, err := l.RunEcho(4000, 30, 0)
 	if err != nil {
 		t.Fatal(err)

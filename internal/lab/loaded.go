@@ -61,15 +61,12 @@ type QdiscConfig struct {
 	// LimitCells bounds the discipline's queue (cells); zero means
 	// atm.DefaultPortQueueCells.
 	LimitCells int
-	// REDMinCells / REDMaxCells / REDMaxP / REDWeight parameterize RED;
-	// zeros take the atm package defaults.
+	// REDMinCells / REDMaxCells / REDMaxP parameterize RED; zeros take
+	// the atm package defaults. RED's averaging weight is always
+	// atm.DefaultREDWeight, and DRR's quantum always one cell.
 	REDMinCells int
 	REDMaxCells int
 	REDMaxP     float64
-	REDWeight   float64
-	// DRRQuantumBytes is DRR's per-flow byte credit per round; zero (or
-	// anything below one cell) means one cell.
-	DRRQuantumBytes int
 }
 
 // Enabled reports whether the configuration installs a discipline.
@@ -82,10 +79,9 @@ func (q QdiscConfig) build(seed uint64) atm.Qdisc {
 	case QdiscDropTail:
 		return atm.NewDropTail(q.LimitCells)
 	case QdiscRED:
-		return atm.NewRED(q.REDMinCells, q.REDMaxCells, q.REDMaxP, q.REDWeight,
-			q.LimitCells, seed)
+		return atm.NewRED(q.REDMinCells, q.REDMaxCells, q.REDMaxP, 0, q.LimitCells, seed)
 	case QdiscDRR:
-		return atm.NewDRR(q.DRRQuantumBytes, q.LimitCells)
+		return atm.NewDRR(0, q.LimitCells)
 	}
 	return nil
 }

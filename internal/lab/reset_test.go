@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cost"
+	"repro/internal/sim"
 )
 
 // runEchoOn runs the echo benchmark and returns the full result; any
@@ -89,7 +90,7 @@ func TestResetRepeatedReuse(t *testing.T) {
 		{Config{Link: LinkATM, DisablePrediction: true, LivePCBs: 50, Seed: 3}, 200},
 		{Config{Link: LinkATM, SockBuf: 4096, Seed: 4}, 8000},
 		{Config{Link: LinkATM, MTU: 1500, Seed: 5}, 4000},
-		{Config{Link: LinkATM, CellLossRate: 0.001, Seed: 6}, 1400},
+		{Config{Link: LinkATM, BurstLoss: sim.GEParams{LossGood: 0.001}, Seed: 6}, 1400},
 		{Config{Link: LinkATM, HashPCBs: true, LivePCBs: 8, Seed: 7}, 200},
 	}
 	var warm *Lab
@@ -150,7 +151,7 @@ func TestPoolLeakGate(t *testing.T) {
 	}{
 		{"atm-small", Config{Link: LinkATM, CheckLeaks: true, Seed: 1}, 2, 80, false},
 		{"atm-cluster", Config{Link: LinkATM, CheckLeaks: true, Seed: 2}, 2, 8000, false},
-		{"atm-loss", Config{Link: LinkATM, CheckLeaks: true, CellLossRate: 0.002, Seed: 3}, 2, 1400, false},
+		{"atm-loss", Config{Link: LinkATM, CheckLeaks: true, BurstLoss: sim.GEParams{LossGood: 0.002}, Seed: 3}, 2, 1400, false},
 		{"atm-corrupt", Config{Link: LinkATM, CheckLeaks: true, CellCorruptRate: 0.002, Seed: 4}, 2, 1400, false},
 		{"ether", Config{Link: LinkEther, CheckLeaks: true, Seed: 5}, 2, 1400, false},
 		{"udp", Config{Link: LinkATM, CheckLeaks: true, Seed: 6}, 2, 512, true},

@@ -84,9 +84,9 @@ type rule struct {
 	open     bool
 	values   string
 	needs    need
-	// serial marks a field whose effect depends on one globally ordered
-	// RNG stream or on one host reaching into another's state: refused
-	// above one shard.
+	// serial marks a field refused above one shard: one host reaching
+	// into another's state (LivePCBs), or a loss or reordering chain,
+	// which sharded runs are not held bit-identical under.
 	serial bool
 	// also is a condition across fields, with the sentence that
 	// documents it; it returns the refusal or "". It runs once every
@@ -103,9 +103,8 @@ var rules = [...]rule{
 	{field: "Link", max: float64(LinkEther), values: "LinkATM, LinkEther"},
 	{field: "Mode", max: float64(cost.ChecksumNone), values: "a cost.ChecksumMode"},
 	{field: "LivePCBs", max: inf, serial: true},
-	{field: "CellLossRate", max: 1, open: true, needs: needATM, serial: true},
-	{field: "CellCorruptRate", max: 1, open: true, needs: needATM, serial: true},
-	{field: "HostCorruptRate", max: 1, open: true, needs: needATM, serial: true},
+	{field: "CellCorruptRate", max: 1, open: true, needs: needATM},
+	{field: "HostCorruptRate", max: 1, open: true, needs: needATM},
 	{field: "BurstLoss.PGoodBad", max: 1, open: true, serial: true},
 	{field: "BurstLoss.PBadGood", max: 1, serial: true},
 	{field: "BurstLoss.LossGood", max: 1, open: true, serial: true},
@@ -118,8 +117,6 @@ var rules = [...]rule{
 	{field: "Qdisc.REDMinCells", max: inf, needs: needSwitch, also: qdiscParam, alsoDoc: qdiscParamDoc},
 	{field: "Qdisc.REDMaxCells", max: inf, needs: needSwitch, also: qdiscParam, alsoDoc: qdiscParamDoc},
 	{field: "Qdisc.REDMaxP", max: 1, needs: needSwitch, also: qdiscParam, alsoDoc: qdiscParamDoc},
-	{field: "Qdisc.REDWeight", max: 1, needs: needSwitch, also: qdiscParam, alsoDoc: qdiscParamDoc},
-	{field: "Qdisc.DRRQuantumBytes", max: inf, needs: needSwitch, also: qdiscParam, alsoDoc: qdiscParamDoc},
 	{field: "MTU", max: inf, values: "0, or within [MinMTU, MaxMTU(Link)]", also: func(c Config) string {
 		if c.MTU < MinMTU || c.MTU > MaxMTU(c.Link) {
 			return fmt.Sprintf("outside [%d, %d]: the floor holds the IP and TCP headers plus data, the ceiling is %v's native MTU", MinMTU, MaxMTU(c.Link), c.Link)
@@ -143,11 +140,11 @@ var rules = [...]rule{
 func (cfg Config) ruledValues() [len(rules)]float64 {
 	q, ge := cfg.Qdisc, cfg.BurstLoss
 	return [...]float64{float64(cfg.Link), float64(cfg.Mode), float64(cfg.LivePCBs),
-		cfg.CellLossRate, cfg.CellCorruptRate, cfg.HostCorruptRate,
+		cfg.CellCorruptRate, cfg.HostCorruptRate,
 		ge.PGoodBad, ge.PBadGood, ge.LossGood, ge.LossBad,
 		cfg.ReorderRate, float64(cfg.ReorderDepth),
 		float64(q.Kind), float64(q.LimitCells), float64(q.REDMinCells), float64(q.REDMaxCells),
-		q.REDMaxP, q.REDWeight, float64(q.DRRQuantumBytes),
+		q.REDMaxP,
 		float64(cfg.MTU), float64(cfg.SockBuf), float64(cfg.Fabric), float64(cfg.LeafPorts)}
 }
 
@@ -220,7 +217,7 @@ func (cfg Config) Validate(nHosts, shards int) error {
 		case r.needs == needSwitch && nHosts == 2:
 			return refuse(i, "needs a switch, and two hosts share the switchless fibre")
 		case r.serial && shards > 1:
-			return refuse(i, fmt.Sprintf("cannot run on %d shards: it draws on the serial RNG stream or on a peer host's state, which shards do not share", shards))
+			return refuse(i, fmt.Sprintf("cannot run on %d shards: sharded runs are held bit-identical to serial only without it", shards))
 		}
 		if r.also != nil {
 			if why := r.also(cfg); why != "" {

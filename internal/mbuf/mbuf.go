@@ -149,14 +149,6 @@ func (m *Mbuf) TrimHead(n int) {
 	m.length -= n
 }
 
-// TrimTail removes n bytes from the end of this single mbuf.
-func (m *Mbuf) TrimTail(n int) {
-	if n > m.length {
-		panic("mbuf: TrimTail beyond length")
-	}
-	m.length -= n
-}
-
 // Stats counts allocator and copy activity so callers can charge the cost
 // model and so tests can assert on buffer management behaviour. The
 // counts are SIMULATED allocator operations: a Pool free-list hit still
@@ -514,19 +506,6 @@ func (p *Pool) Drop(m *Mbuf, n int) *Mbuf {
 		panic("mbuf: Drop past end of chain")
 	}
 	return m
-}
-
-// Concat appends chain b after chain a and returns the head.
-func Concat(a, b *Mbuf) *Mbuf {
-	if a == nil {
-		return b
-	}
-	t := a
-	for t.next != nil {
-		t = t.next
-	}
-	t.next = b
-	return a
 }
 
 // Split cuts the chain after n bytes and returns the two halves. The split

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/lab"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -140,7 +141,7 @@ type Grid struct {
 	Sizes     []int
 	MTUs      []int     // 0 means the link default
 	SockBufs  []int     // 0 means sock.DefaultHiwat
-	LossRates []float64 // ATM cell-loss probabilities
+	LossRates []float64 // independent cell-loss probabilities (BurstLoss.LossGood)
 
 	Iterations int
 	Warmup     int
@@ -199,7 +200,7 @@ func (g Grid) Trials() []EchoTrial {
 									DisablePrediction: noPred,
 									MTU:               mtu,
 									SockBuf:           buf,
-									CellLossRate:      loss,
+									BurstLoss:         sim.GEParams{LossGood: loss},
 								}
 								out = append(out, EchoTrial{
 									Label:      TrialLabel(cfg, size),
@@ -237,8 +238,8 @@ func TrialLabel(cfg lab.Config, size int) string {
 	if cfg.SockBuf > 0 {
 		l += fmt.Sprintf("/buf=%d", cfg.SockBuf)
 	}
-	if cfg.CellLossRate > 0 {
-		l += fmt.Sprintf("/loss=%g", cfg.CellLossRate)
+	if cfg.BurstLoss.LossGood > 0 {
+		l += fmt.Sprintf("/loss=%g", cfg.BurstLoss.LossGood)
 	}
 	return fmt.Sprintf("%s/%dB", l, size)
 }

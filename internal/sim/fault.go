@@ -148,14 +148,16 @@ func LinkFlaps(base uint64, hosts []int, flaps int, window, downtime Time) Fault
 	return s
 }
 
-// GEParams configures a Gilbert–Elliott two-state burst-loss chain: a
-// link alternates between a Good and a Bad state with per-step
-// transition probabilities, and each transmission unit (cell, frame) is
-// lost with the current state's loss probability. Unlike a Bernoulli
-// CellLossRate, losses cluster — the Bad state's sojourn is geometric
-// with mean 1/PBadGood units — which is what kills several cells of one
-// AAL frame at once and so converts cell-level impairment into whole
-// segment loss far more often than independent drops of the same rate.
+// GEParams configures a Gilbert–Elliott two-state loss chain: a link
+// alternates between a Good and a Bad state with per-step transition
+// probabilities, and each transmission unit (cell, frame) is lost with
+// the current state's loss probability. It is the testbed's one loss
+// model. LossGood alone, with PGoodBad zero, is independent (Bernoulli)
+// loss at that rate. With a Bad state, losses cluster — its sojourn is
+// geometric with mean 1/PBadGood units — which is what kills several
+// cells of one AAL frame at once and so converts cell-level impairment
+// into whole segment loss far more often than independent drops of the
+// same rate.
 //
 // The zero value disables the chain.
 type GEParams struct {
@@ -190,10 +192,11 @@ func (p GEParams) StationaryLoss() float64 {
 
 // GEChain is the running state of one link's Gilbert–Elliott chain. It
 // draws from its own RNG — seeded per link, never the simulation
-// environment's stream — so enabling burst loss on one link perturbs no
-// other random draw and runs stay bit-reproducible. (Sharded execution
-// still rejects burst-loss configurations at construction, like the
-// other fault knobs, so fault studies compare serial runs only.)
+// environment's stream, like every impairment draw — so enabling loss on
+// one link perturbs no other random draw, and a receiver may draw it
+// whenever it receives a cell, in arrival order. (Sharded execution
+// still rejects loss configurations at construction, so loss studies
+// compare serial runs only.)
 type GEChain struct {
 	P    GEParams
 	seed uint64

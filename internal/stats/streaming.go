@@ -23,10 +23,11 @@ import (
 // to be irrelevant next to the topology.
 const DefaultReservoirSize = 1024
 
-// defaultReservoirSeed seeds the reservoir's replacement RNG when the
-// caller does not: an arbitrary odd constant, fixed so that two runs over
-// the same observation stream keep identical reservoirs.
-const defaultReservoirSeed = 0x9e3779b97f4a7c15
+// reservoirSeed seeds the reservoir's replacement RNG: an arbitrary odd
+// constant, fixed so that two runs over the same observation stream keep
+// identical reservoirs. The simulation's own RNG is never touched:
+// aggregation must not perturb simulated behaviour.
+const reservoirSeed = 0x9e3779b97f4a7c15
 
 // Config selects how a Sample aggregates.
 type Config struct {
@@ -40,10 +41,6 @@ type Config struct {
 	// DefaultReservoirSize). Only Percentile reads the reservoir;
 	// Quantiles uses the P² estimators.
 	ReservoirSize int
-	// Seed seeds the reservoir's deterministic replacement RNG (zero
-	// means a fixed default). The simulation's own RNG is never touched:
-	// aggregation must not perturb simulated behaviour.
-	Seed uint64
 }
 
 // NewSample returns a Sample aggregating per cfg. NewSample(Config{}) is
@@ -55,15 +52,11 @@ func NewSample(cfg Config) *Sample {
 		if size <= 0 {
 			size = DefaultReservoirSize
 		}
-		seed := cfg.Seed
-		if seed == 0 {
-			seed = defaultReservoirSeed
-		}
 		s.stream = &streamState{
 			min: math.Inf(1),
 			max: math.Inf(-1),
 			res: make([]float64, 0, size),
-			rng: seed,
+			rng: reservoirSeed,
 		}
 		s.stream.q50.init(0.50)
 		s.stream.q95.init(0.95)

@@ -112,7 +112,7 @@ func TestSizesProperty(t *testing.T) {
 
 func TestChecksumDetectsHostCorruption(t *testing.T) {
 	p := newPair(t)
-	p.db.HostCorruptRate = 1.0 // corrupt every datagram
+	p.db.SetHostCorruption(1.0, 1) // corrupt every datagram
 	eb, _ := p.sb.Bind(7)
 	received := false
 	p.env.Spawn("rx", sim.Steps(
@@ -139,7 +139,7 @@ func TestChecksumOffDeliversCorruption(t *testing.T) {
 	// elimination is an application decision).
 	p := newPair(t)
 	p.sa.ChecksumOff = true
-	p.db.HostCorruptRate = 1.0
+	p.db.SetHostCorruption(1.0, 1)
 	eb, _ := p.sb.Bind(7)
 	payload := make([]byte, 500)
 	p.env.RNG().Fill(payload)

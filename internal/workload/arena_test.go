@@ -38,7 +38,7 @@ func checkEtherLedger(t *testing.T, name string, l *lab.Lab) {
 	for i, h := range l.Hosts {
 		a, d := h.EthAdapter, h.EthDriver
 		sent += a.FramesSent
-		ended += a.FramesRecv + a.Filtered + a.GEDrops + a.LossDrops + a.DownDrops
+		ended += a.FramesRecv + a.Filtered + a.GEDrops + a.DownDrops
 		if d.FramesIn+d.FCSErrors != a.FramesRecv {
 			t.Errorf("%s, %s: adapter received %d frames, driver passed up %d and rejected %d",
 				name, lab.HostName(i), a.FramesRecv, d.FramesIn, d.FCSErrors)

@@ -6,8 +6,8 @@
 // Transfer sizes are heavy-tailed (bounded Pareto), the classic shape of
 // observed flow-size distributions: most transfers are mice, a few are
 // elephants that stand on a switch queue for many cell times. Every
-// size is a pure function of (Seed, flow, transfer) through a splitmix
-// hash — no draw touches any environment RNG stream — and each flow
+// size is a pure function of (flow, transfer) through a splitmix hash —
+// no draw touches any environment RNG stream — and each flow
 // runs a fixed number of transfers, so cross traffic neither perturbs
 // the measured workload's random draws nor needs a stop flag shards
 // couldn't share.
@@ -24,6 +24,15 @@ import (
 // beside the measured workload's Port.
 const CrossPort = 9008
 
+// The fixed shape of the background load: the bounded-Pareto tail index
+// (smaller is heavier), the idle time between one flow's transfers, and
+// the seed of the size-draw hash stream.
+const (
+	crossAlpha = 1.3
+	crossGap   = 2 * sim.Millisecond
+	crossSeed  = 1
+)
+
 // CrossTraffic configures background load. The zero value of each field
 // takes a default; a nil *CrossTraffic on a workload means no load.
 type CrossTraffic struct {
@@ -37,12 +46,6 @@ type CrossTraffic struct {
 	// 262144): the bounded-Pareto support [L, H].
 	MinBytes int
 	MaxBytes int
-	// Alpha is the Pareto tail index (default 1.3; smaller = heavier).
-	Alpha float64
-	// Gap is the idle time between one flow's transfers (default 2ms).
-	Gap sim.Time
-	// Seed seeds the size-draw hash stream (default 1).
-	Seed uint64
 }
 
 // withDefaults returns the configuration with zero fields defaulted.
@@ -53,15 +56,6 @@ func (ct CrossTraffic) withDefaults() CrossTraffic {
 	ct.MaxBytes = defInt(ct.MaxBytes, 262144)
 	if ct.MaxBytes < ct.MinBytes {
 		ct.MaxBytes = ct.MinBytes
-	}
-	if ct.Alpha <= 0 {
-		ct.Alpha = 1.3
-	}
-	if ct.Gap <= 0 {
-		ct.Gap = 2 * sim.Millisecond
-	}
-	if ct.Seed == 0 {
-		ct.Seed = 1
 	}
 	return ct
 }
@@ -82,12 +76,12 @@ func crossHash(seed, flow, k uint64) uint64 {
 // CDF x = L / (1 - u·(1-(L/H)^α))^(1/α) at a hash-derived uniform u.
 func (ct CrossTraffic) SizeOf(f, k int) int {
 	c := ct.withDefaults()
-	u := float64(crossHash(c.Seed, uint64(f), uint64(k))>>11) / float64(1<<53)
+	u := float64(crossHash(crossSeed, uint64(f), uint64(k))>>11) / float64(1<<53)
 	l, h := float64(c.MinBytes), float64(c.MaxBytes)
 	if l == h {
 		return c.MinBytes
 	}
-	x := l / math.Pow(1-u*(1-math.Pow(l/h, c.Alpha)), 1/c.Alpha)
+	x := l / math.Pow(1-u*(1-math.Pow(l/h, crossAlpha)), 1/crossAlpha)
 	if n := int(x); n < c.MaxBytes {
 		return n
 	}
@@ -166,7 +160,7 @@ func (f *crossLoopFrame) Step(p *sim.Proc) {
 		switch f.pc {
 		case 0: // desynchronize flow starts
 			f.pc = 1
-			if at := sim.Time(f.f) * f.ct.Gap; at > 0 && !p.SleepUntil(at) {
+			if at := sim.Time(f.f) * crossGap; at > 0 && !p.SleepUntil(at) {
 				return
 			}
 		case 1: // transfer loop head: stream this transfer's bytes
@@ -186,7 +180,7 @@ func (f *crossLoopFrame) Step(p *sim.Proc) {
 			}
 			f.k++
 			f.pc = 1
-			if !p.Sleep(f.ct.Gap) {
+			if !p.Sleep(crossGap) {
 				return
 			}
 		}

@@ -24,6 +24,17 @@ import (
 // listener dies (crash) or the run drains with the acceptor parked.
 const faultAcceptMax = 1 << 30
 
+// The clients' recovery policy: each connect attempt and each
+// request/response exchange has a deadline, on whose expiry the client
+// aborts the connection and treats the operation as failed; each
+// reconnect attempt waits a backoff first; and a client that fails that
+// many reconnects in a row gives up and fails the run.
+const (
+	faultDeadline = 250 * sim.Millisecond
+	faultBackoff  = 100 * sim.Millisecond
+	faultRetries  = 16
+)
+
 // FaultRecovery is the crash-study generator. Every client paces
 // requests at Interval so the configured crash lands mid-stream, then
 // rides out the outage: deadline-abort, backoff, reconnect, retry the
@@ -36,15 +47,6 @@ type FaultRecovery struct {
 	Interval sim.Time // per-client request pacing (default 50ms)
 	CrashAt  sim.Time // server crash time (default 500ms)
 	Downtime sim.Time // crash-to-restart gap (default 1s)
-	// Deadline bounds each connect attempt and each request/response
-	// exchange; on expiry the client aborts the connection and treats
-	// the operation as failed (default 250ms).
-	Deadline sim.Time
-	// Retries bounds consecutive failed reconnect attempts before the
-	// client gives up and fails the run (default 16).
-	Retries int
-	// Backoff is the pause before each reconnect attempt (default 100ms).
-	Backoff sim.Time
 	// Transport selects "tcp" (default) or "rudp"; both ride the same
 	// fault schedule, seeds, and recovery policy.
 	Transport string
@@ -60,9 +62,6 @@ func (g FaultRecovery) withDefaults() FaultRecovery {
 	g.Interval = defDur(g.Interval, 50*sim.Millisecond)
 	g.CrashAt = defDur(g.CrashAt, 500*sim.Millisecond)
 	g.Downtime = defDur(g.Downtime, sim.Second)
-	g.Deadline = defDur(g.Deadline, 250*sim.Millisecond)
-	g.Retries = defInt(g.Retries, 16)
-	g.Backoff = defDur(g.Backoff, 100*sim.Millisecond)
 	return g
 }
 
@@ -150,7 +149,7 @@ type faultClientFrame struct {
 
 // arm starts the deadline on the operation about to block.
 func (f *faultClientFrame) arm() {
-	f.deadline.Set(f.env, f.env.Now()+f.g.Deadline, "faults.deadline")
+	f.deadline.Set(f.env, f.env.Now()+faultDeadline, "faults.deadline")
 }
 
 // TimerFired implements sim.TimerOwner: the deadline passed, so the
@@ -181,7 +180,7 @@ func (f *faultClientFrame) Step(p *sim.Proc) {
 			f.deadline.Stop()
 			if _, err := f.c.done(); err != nil {
 				f.attempts++
-				if f.attempts > f.g.Retries {
+				if f.attempts > faultRetries {
 					me.fail(f.env, fmt.Errorf("client %d: gave up after %d reconnect attempts: %w",
 						f.ci, f.attempts, err))
 					f.bufs.put(f.env)
@@ -189,7 +188,7 @@ func (f *faultClientFrame) Step(p *sim.Proc) {
 					return
 				}
 				f.pc = 1
-				if !p.Sleep(f.g.Backoff) {
+				if !p.Sleep(faultBackoff) {
 					return
 				}
 				continue
@@ -225,7 +224,7 @@ func (f *faultClientFrame) Step(p *sim.Proc) {
 				}
 				f.c.reap()
 				f.pc = 1
-				if !p.Sleep(f.g.Backoff) {
+				if !p.Sleep(faultBackoff) {
 					return
 				}
 				continue

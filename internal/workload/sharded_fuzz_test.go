@@ -10,13 +10,21 @@ import (
 
 // fuzzTrial derives a topology/workload/shard configuration from raw
 // fuzz bytes, clamped to shapes a trial can finish quickly, and returns
-// the generator plus the lab config and host count.
+// the generator plus the lab config and host count. The fabric byte also
+// arms bit flips on the wire or in the controller: both draw per-link
+// and per-host streams, so they shard.
 func fuzzTrial(fabric, leafPorts, hosts, wl uint8, seed uint16) (workload.Generator, lab.Config, int) {
 	cfg := lab.Config{Link: lab.LinkATM, PacketTrace: true, Seed: uint64(seed) + 1}
 	n := 3 + int(hosts%7) // 3..9 hosts
 	if fabric%2 == 1 {
 		cfg.Fabric = lab.FabricFatTree
 		cfg.LeafPorts = 1 + int(leafPorts%4)
+	}
+	switch fabric / 2 % 3 {
+	case 1:
+		cfg.CellCorruptRate = 0.01
+	case 2:
+		cfg.HostCorruptRate = 0.05
 	}
 	var g workload.Generator
 	switch wl % 5 {
@@ -39,8 +47,9 @@ func fuzzTrial(fabric, leafPorts, hosts, wl uint8, seed uint16) (workload.Genera
 
 // shardedFuzzSeeds is the fuzzer's seed corpus: each workload and
 // transport on both fabrics, at awkward shard counts (1 = degenerate,
-// clamped, prime, and power-of-two splits). TestReleasedScratchIsPoisoned
-// runs it too.
+// clamped, prime, and power-of-two splits), then each corruption knob on
+// both fabrics at 2 and 4 shards. TestReleasedScratchIsPoisoned runs it
+// too.
 var shardedFuzzSeeds = []struct {
 	fabric, leafPorts, hosts, wl, shards uint8
 	seed                                 uint16
@@ -55,6 +64,10 @@ var shardedFuzzSeeds = []struct {
 	{1, 3, 6, 3, 2, 5},
 	{0, 0, 5, 4, 3, 11},
 	{1, 1, 6, 4, 4, 8},
+	{2, 0, 6, 1, 1, 1994},
+	{3, 1, 6, 3, 3, 4},
+	{4, 0, 4, 2, 3, 17},
+	{5, 2, 6, 4, 1, 6},
 }
 
 // FuzzShardedBitIdentity throws randomized topology, workload, and

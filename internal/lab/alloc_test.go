@@ -83,8 +83,9 @@ func TestUDPEchoSteadyStateAllocs(t *testing.T) {
 // nothing it sees may exceed 16 pending events. With one event per cell
 // and a dead event per timer re-arm the same run averaged ~390 and
 // peaked far higher, which is what made the heap the simulator's largest
-// cost; with an event per arriving cell it peaked at 34, and with one
-// per frame end it peaks at 9. A pile-up reintroduced anywhere fails
+// cost; with an event per arriving cell it peaked at 34, with one per
+// frame end at 9, and with contended sleeps served in place, their wakes
+// no longer queued, it peaks at 8. A pile-up reintroduced anywhere fails
 // here, not only in the benchmark.
 func TestEchoQueueStaysShallow(t *testing.T) {
 	l := New(Config{Link: LinkATM, Seed: 1994})
@@ -127,8 +128,10 @@ func TestEchoQueueStaysShallow(t *testing.T) {
 // complete" is arithmetic on the transmitter's cursor, and a quiet cell
 // waits in the transmit queue until the receiver reads or its frame's
 // end arrives (atm's Adapter.LaunchTx). The same run fired 322,706 events
-// with a completion event per cell as well, and 204,760 with an arrival
-// event per cell; it fires 49,522 now.
+// with a completion event per cell as well, 204,760 with an arrival
+// event per cell, and 49,522 with a wake event for every sleep that had
+// to wait; it fires 27,299 now that such a sleep serves the events ahead
+// of its wake on its own stack.
 func TestOneEventPerCellPerHop(t *testing.T) {
 	l := New(Config{Link: LinkATM, Seed: 1994})
 	if _, err := l.RunEcho(8000, 250, 2); err != nil {

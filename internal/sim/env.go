@@ -179,6 +179,14 @@ type Env struct {
 	keyAt  Time
 	keySeq uint64
 
+	// ceilAt and ceilSeq are the ceiling key: nothing may run at or past
+	// it before the activity that set it resumes. A sleep serving the
+	// events ahead of its wake (Proc.SleepUntil) lowers it to that wake's
+	// key while it serves, RunUntil to just past its deadline; outside
+	// both it lies past every key.
+	ceilAt  Time
+	ceilSeq uint64
+
 	// starts steps the processes SpawnIn queued in startQ (used as a
 	// plain FIFO: nothing wakes it).
 	starts Lane
@@ -205,7 +213,7 @@ type Env struct {
 // and a deterministic default random seed.
 func NewEnv() *Env {
 	e := &Env{
-		rng: NewRNG(1), horizon: MaxTime,
+		rng: NewRNG(1), horizon: MaxTime, ceilAt: MaxTime, ceilSeq: ^uint64(0),
 		// Room a two-host testbed never outgrows, made once: growing a
 		// heap from nothing is five allocations to get this far, and now
 		// there are two heaps.
@@ -241,6 +249,7 @@ func (e *Env) Reset() {
 	e.now = 0
 	e.seq = 0
 	e.keyAt, e.keySeq = 0, 0
+	e.ceilAt, e.ceilSeq = MaxTime, ^uint64(0)
 	e.fired = 0
 	e.rng = NewRNG(1)
 	e.horizon = MaxTime
@@ -325,10 +334,13 @@ func (e *Env) AtArg(t Time, name string, fn func(uint64), arg uint64) {
 }
 
 // Step runs the next pending event, advancing the clock to its timestamp.
-// It reports whether an event was run. With a watchdog armed, Step
-// refuses to run further events once the watchdog fires, so every run
-// loop built on Step (Run, RunUntil, RunWindow) stops instead of
-// executing a livelocked simulation forever.
+// It reports whether an event was run. One step may run more than one:
+// a process the event resumes whose sleep has to wait serves the events
+// ahead of its wake on its own stack (Proc.SleepUntil), in the order the
+// loop would have, and the clock ends where the last of them left it.
+// With a watchdog armed, Step refuses to run further events once the
+// watchdog fires, so every run loop built on Step (Run, RunUntil,
+// RunWindow) stops instead of executing a livelocked simulation forever.
 func (e *Env) Step() bool {
 	h := e.events.sooner(&e.far)
 	if h == nil {
@@ -382,8 +394,17 @@ func (e *Env) Run() {
 }
 
 // RunUntil processes events with timestamps at or before deadline and then
-// advances the clock to the deadline. Later events remain pending.
+// advances the clock to the deadline. Later events remain pending, and so
+// does a process whose sleep ends past the deadline: the deadline is the
+// ceiling (see Env.ceilAt) of every sleep the run serves, so no process
+// advances in place beyond it, and the events a sleep serves on its
+// stack are the ones at or before it.
 func (e *Env) RunUntil(deadline Time) {
+	ceilAt, ceilSeq := e.ceilAt, e.ceilSeq
+	if deadline < ceilAt {
+		e.ceilAt, e.ceilSeq = deadline, ^uint64(0)
+	}
+	defer func() { e.ceilAt, e.ceilSeq = ceilAt, ceilSeq }()
 	for at, ok := e.NextEventAt(); ok && at <= deadline; at, ok = e.NextEventAt() {
 		if !e.Step() {
 			return // watchdog fired: leave the clock where it stopped
@@ -397,8 +418,10 @@ func (e *Env) RunUntil(deadline Time) {
 }
 
 // Fired returns the number of events run since the environment was made
-// or last Reset — every Step that ran one, timer entries that only walk
-// or expire included.
+// or last Reset — every one a Step ran, those a sleeping process served
+// on its own stack included (see Proc.SleepUntil), timer entries that
+// only walk or expire too. A sleep that advanced in place, served events
+// or none, is not an event: its wake never entered the queue.
 func (e *Env) Fired() uint64 { return e.fired }
 
 // Pending returns the number of scheduled events not yet run: the

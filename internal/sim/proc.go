@@ -7,8 +7,9 @@ import "fmt"
 // or on a WaitQueue; blocking parks the frame stack — a small struct, not
 // a goroutine — and the event loop runs other events until a scheduled
 // wake-up re-enters the stack. Exactly one frame is ever executing at a
-// time, so simulations are deterministic, and a CPU charge that does not
-// need to wait is an ordinary function call with no scheduling at all.
+// time, so simulations are deterministic, and a CPU charge is an ordinary
+// function call with no scheduling at all: the events queued ahead of its
+// end, if any, run on the charging process's stack (see SleepUntil).
 //
 // Procs model both user processes (the echo client and server) and
 // persistent kernel service loops (the ATM receive interrupt handler and
@@ -25,7 +26,9 @@ import "fmt"
 // frame resumed after a sub-call naturally re-enters Step to continue
 // from its recorded state. Frames that interleave CPU charges with
 // mutations keep an explicit program counter: set the resume state
-// *before* a potentially-parking call, and return if it parked.
+// *before* a potentially-parking call, return if it parked, and keep no
+// Go local live across it — a sleep that returns true may have served
+// other processes' events, exactly as one that parked would have.
 type Proc struct {
 	env  *Env
 	name string
@@ -230,42 +233,80 @@ func (p *Proc) OnWake(h WakeHook) { p.hook = h }
 // SleepUntil advances the process to virtual time t and reports whether
 // it completed without parking. Sleeping into the past is a no-op.
 //
-// Fast path: when no queued event fires before t, nothing can run in the
-// interval — events are only created by running code, and all of it is
-// suspended until this process resumes. The clock advances to t directly
-// and SleepUntil returns true: the charge was an ordinary function call.
-// An event queued exactly at t still forces the slow path: it was
-// scheduled earlier, so the total order says it runs first. Skipping the
-// wake event shifts later sequence numbers uniformly, which preserves
-// every tie-break — the queue's total order, and therefore simulated
-// time, is unchanged.
+// The wake takes its sequence number first, exactly as scheduling it
+// would: (t, that number) is the key the process resumes at. Every event
+// queued before that key would run ahead of the wake, and nothing else
+// can: events are only created by running code, and the events the wake
+// waits behind are all there is to run. So the process serves them
+// itself, on its own stack, one Step each, in the order the loop would
+// have — a process among them that sleeps in turn serves its own, nested
+// one level deeper — until the next event is at or past the key. Then
+// the clock advances to t in place and SleepUntil returns true: to the
+// frame the charge was an ordinary function call, and the wake was never
+// an event. An uncontended sleep is the case with nothing to serve. An
+// event queued exactly at t was scheduled earlier, so it is served
+// first. Taking the number and never scheduling it shifts later
+// sequence numbers uniformly, which preserves every tie-break — the
+// queue's total order, and therefore simulated time, is unchanged.
 //
-// Slow path: a wake event is scheduled at t and the process parks;
-// SleepUntil returns false and the frame must immediately return from
-// Step, having recorded the state to resume at.
+// A true return therefore does not mean that nothing ran: whatever the
+// served events did has happened, just as if the process had parked and
+// been woken. A frame must record the state it resumes at before the
+// call and must not keep a Go local that other code may change live
+// across it — continuing after true must be what re-entering Step at the
+// recorded state would do.
+//
+// The process parks instead — a wake event under the number it took, and
+// SleepUntil returns false; the frame must immediately return from Step
+// — when it cannot serve up to its wake: the wake lies at or past the
+// ceiling key (an enclosing sleeper's wake, or RunUntil's deadline, see
+// Env.ceilAt), which it must not overtake; an event ahead of it lies at
+// or past the horizon, which RunWindow would not run either; the wake
+// itself lies at or past the horizon, checked again after serving since
+// a callback may lower it (in a sharded run a cross-shard message may
+// still land anywhere in [now, horizon)); or an event ahead of it is due
+// for the armed watchdog's poll, which then sees every wake in the queue.
 func (p *Proc) SleepUntil(t Time) bool {
 	e := p.env
 	if t <= e.now {
 		return true
 	}
-	// The fast path additionally requires t to lie inside the safe-time
-	// horizon: in a sharded run, a cross-shard message may still be
-	// delivered anywhere in [now, horizon∞), so advancing the clock past
-	// the horizon in place could jump over an arrival. Parking instead
-	// adds one wake event, which shifts later sequence numbers uniformly —
-	// every tie-break, and therefore simulated time, is unchanged.
-	if e.current == p && t < e.horizon {
-		if at, ok := e.NextEventAt(); !ok || at > t {
-			// The process runs on as its wake would have: at t, under
-			// the number that wake would have taken.
+	e.seq++
+	s := e.seq
+	if e.current == p && t < e.horizon && (t < e.ceilAt || t == e.ceilAt && s < e.ceilSeq) {
+		if h := e.events.sooner(&e.far); h == nil || !(*h)[0].ahead(t, s) || e.serve(t, s) {
 			e.now = t
-			e.keyAt, e.keySeq = t, e.seq+1
+			e.keyAt, e.keySeq = t, s
 			return true
 		}
 	}
-	e.schedule(t, "", p, uint64(wakeSleep))
+	e.scheduleTier(t).push(event{at: t, seq: s, do: p, arg: uint64(wakeSleep)})
 	p.park()
 	return false
+}
+
+// ahead reports whether ev fires before the key (t, s).
+func (ev *event) ahead(t Time, s uint64) bool {
+	return ev.at < t || ev.at == t && ev.seq < s
+}
+
+// serve is SleepUntil's service: it runs the events queued ahead of the
+// key (t, s), one Step each, with the key as the ceiling and no process
+// current, and reports whether the sleeper may advance to the key
+// afterwards (see the method comment for what stops it).
+func (e *Env) serve(t Time, s uint64) bool {
+	ceilAt, ceilSeq, cur := e.ceilAt, e.ceilSeq, e.current
+	e.ceilAt, e.ceilSeq = t, s
+	e.current = nil // a served event that is no process runs with none
+	served := true
+	for h := e.events.sooner(&e.far); h != nil && (*h)[0].ahead(t, s); h = e.events.sooner(&e.far) {
+		if at := (*h)[0].at; at >= e.horizon || e.wd != nil && at >= e.wdNext || !e.Step() {
+			served = false
+			break
+		}
+	}
+	e.ceilAt, e.ceilSeq, e.current = ceilAt, ceilSeq, cur
+	return served && t < e.horizon
 }
 
 // Sleep advances the process by duration d of virtual time, reporting

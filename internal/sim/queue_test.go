@@ -8,12 +8,14 @@ import (
 )
 
 // The order-equivalence oracle. refQueue is the event engine as it stood
-// before lanes, timers and tiers: one plain 4-ary heap, one event per lane
-// record, a generation-stamped event per timer re-arm whose stale copies
-// pop as no-ops, a wake event per sleep that has to wait. A script of
-// scheduling and run operations drives it and the real Env side by side;
-// the two must log the identical sequence of (clock, callback) firings
-// and stop at the identical clock, whichever run loop drives the Env.
+// before lanes, timers, tiers and nested service: one plain 4-ary heap,
+// one event per lane record, a generation-stamped event per timer re-arm
+// whose stale copies pop as no-ops, and a wake event parked for every
+// sleep that has to wait, where the real Env serves the events ahead of
+// the wake on the sleeper's own stack. A script of scheduling and run
+// operations drives it and the real Env side by side; the two must log
+// the identical sequence of (clock, callback) firings and stop at the
+// identical clock, whichever run loop drives the Env.
 
 type refEvent struct {
 	at  Time
@@ -26,9 +28,11 @@ type refQueue struct {
 	seq     uint64
 	heap    []refEvent
 	horizon Time
-	inProc  bool
-	gens    [scriptTimers]int
-	parked  []func() // processes waiting on the script's wait queue, oldest first
+	// deadline is runUntil's: no sleep advances in place past it.
+	deadline Time
+	inProc   bool
+	gens     [scriptTimers]int
+	parked   []func() // processes waiting on the script's wait queue, oldest first
 }
 
 func (a *refEvent) before(b *refEvent) bool {
@@ -91,9 +95,11 @@ func (r *refQueue) step() {
 }
 
 func (r *refQueue) runUntil(deadline Time) {
+	r.deadline = deadline
 	for len(r.heap) > 0 && r.heap[0].at <= deadline {
 		r.step()
 	}
+	r.deadline = MaxTime
 	if r.now < deadline {
 		r.now = deadline
 	}
@@ -105,13 +111,14 @@ func (r *refQueue) runWindow() {
 	}
 }
 
-// sleepUntil is Proc.SleepUntil: advance in place when nothing can fire
-// first, else park behind a wake event that runs resume.
+// sleepUntil is Proc.SleepUntil as it was before nested service: advance
+// in place when nothing can fire first, else park behind a wake event
+// that runs resume.
 func (r *refQueue) sleepUntil(t Time, resume func()) bool {
 	if t <= r.now {
 		return true
 	}
-	if r.inProc && t < r.horizon && (len(r.heap) == 0 || r.heap[0].at > t) {
+	if r.inProc && t < r.horizon && t <= r.deadline && (len(r.heap) == 0 || r.heap[0].at > t) {
 		r.now = t
 		return true
 	}
@@ -177,7 +184,7 @@ const (
 
 	scriptLanes  = 3
 	scriptTimers = 3
-	scriptProcs  = 2
+	scriptProcs  = 3
 )
 
 // Callback identities in the log.
@@ -217,6 +224,34 @@ type driver struct {
 	log     []string
 	base    Time // the top level's clock: the last run bound
 	spawned [scriptProcs]bool
+
+	// What the real queue's sleepers reached, for the seeds that must
+	// reach a case of nested service (see queueOrderCases): the wake of
+	// every sleep in progress, innermost last, and the bound of the
+	// running RunUntil.
+	sleeps   []Time
+	deadline Time
+	reached  [nestCases]bool
+}
+
+// The cases of nested service a script can reach on the real queue.
+const (
+	nestTwoDeep       = iota // an event served by a sleep served by a sleep
+	nestPastEnclosing        // a served sleeper's wake at or past the one serving it
+	nestPastDeadline         // a sleep ending past the running RunUntil's deadline
+	nestLowered              // the horizon lowered by an event a sleep serves
+	nestCases
+)
+
+// sleeping notes a real sleeper's sleep to t about to start.
+func (d *driver) sleeping(t Time) {
+	if n := len(d.sleeps); n > 0 && t >= d.sleeps[n-1] {
+		d.reached[nestPastEnclosing] = true
+	}
+	if t > d.deadline {
+		d.reached[nestPastDeadline] = true
+	}
+	d.sleeps = append(d.sleeps, t)
 }
 
 func (d *driver) next() (scriptOp, bool) {
@@ -251,6 +286,9 @@ func scriptDelay(b byte) Time {
 
 // fired logs one callback firing and applies its reaction.
 func (d *driver) fired(id int) {
+	if len(d.sleeps) >= 2 {
+		d.reached[nestTwoDeep] = true
+	}
 	d.log = append(d.log, fmt.Sprintf("%d@%d", id, d.q.clock()))
 	if op, ok := d.next(); ok {
 		d.schedule(op, d.q.clock())
@@ -275,6 +313,9 @@ func (d *driver) schedule(op scriptOp, now Time) {
 	case opWake:
 		d.q.wakeAt(t)
 	case opLower:
+		if len(d.sleeps) > 0 {
+			d.reached[nestLowered] = true
+		}
 		d.q.lower(t)
 	}
 }
@@ -299,12 +340,15 @@ func (d *driver) run() {
 				d.q.spawn(i, d.base)
 			}
 		case opRunUntil:
-			// Both run forms bound the horizon: a process that slept in
-			// place past the bound would run ahead of the top level's next
-			// operation in whichever queue let it, and dead events decide
-			// that — the cluster's reason for the horizon, too.
+			// Both run forms bound how far a process may sleep in place:
+			// one that ran past the bound would run ahead of the top
+			// level's next operation in whichever queue let it, and dead
+			// events decide that. RunUntil's deadline bounds it by itself
+			// (the Env's ceiling key), the reference's by its deadline.
 			d.base += op.delay
+			d.deadline = d.base
 			d.q.runUntil(d.base)
+			d.deadline = MaxTime
 		case opRunWindow:
 			// After a window the two clocks may legitimately differ (a
 			// dead event the reference popped, the real queue never
@@ -399,7 +443,7 @@ func (r *realTarget) lower(t Time) {
 		r.e.SetHorizon(t)
 	}
 }
-func (r *realTarget) runUntil(t Time) { r.e.SetHorizon(t + 1); r.e.RunUntil(t) }
+func (r *realTarget) runUntil(t Time) { r.e.SetHorizon(MaxTime); r.e.RunUntil(t) }
 func (r *realTarget) runWindow(h Time) {
 	r.e.SetHorizon(h)
 	if r.by != driveStep {
@@ -450,7 +494,10 @@ func (s *realSleeper) Step(p *Proc) {
 			s.wq.Wait(p)
 			return
 		}
-		if !p.SleepUntil(now + op.delay) {
+		s.d.sleeping(now + op.delay)
+		woke := p.SleepUntil(now + op.delay)
+		s.d.sleeps = s.d.sleeps[:len(s.d.sleeps)-1]
+		if !woke {
 			return
 		}
 	}
@@ -505,7 +552,7 @@ func (r *refTarget) sleeper(id int) {
 }
 func (r *refTarget) wakeAt(t Time)    { r.r.wakeAt(t) }
 func (r *refTarget) lower(t Time)     { r.r.lower(t) }
-func (r *refTarget) runUntil(t Time)  { r.r.horizon = t + 1; r.r.runUntil(t) }
+func (r *refTarget) runUntil(t Time)  { r.r.horizon = MaxTime; r.r.runUntil(t) }
 func (r *refTarget) runWindow(h Time) { r.r.horizon = h; r.r.runWindow() }
 func (r *refTarget) drain() {
 	r.r.horizon = MaxTime
@@ -515,15 +562,17 @@ func (r *refTarget) drain() {
 }
 
 // checkQueueOrder runs script on the reference and, once per drive, on the
-// real queue, and reports the first divergence in what fired, when.
-func checkQueueOrder(t testing.TB, script []byte) {
+// real queue, and reports the first divergence in what fired, when. It
+// returns the cases of nested service the real queue reached under any
+// drive.
+func checkQueueOrder(t testing.TB, script []byte) (reached [nestCases]bool) {
 	t.Helper()
-	ref := &driver{ops: script}
-	ref.q = &refTarget{d: ref, r: refQueue{horizon: MaxTime}}
+	ref := &driver{ops: script, deadline: MaxTime}
+	ref.q = &refTarget{d: ref, r: refQueue{horizon: MaxTime, deadline: MaxTime}}
 	ref.run()
 
 	for by := drive(0); by < drives; by++ {
-		real := &driver{ops: script}
+		real := &driver{ops: script, deadline: MaxTime}
 		rt := newRealTarget(real, by)
 		real.q = rt
 		real.run()
@@ -550,7 +599,11 @@ func checkQueueOrder(t testing.TB, script []byte) {
 			}
 		}
 		rt.e.Reset() // panics on anything left in a lane or either tier
+		for i, ok := range real.reached {
+			reached[i] = reached[i] || ok
+		}
 	}
+	return reached
 }
 
 // Hand-written scripts for the cases the design turns on; they seed the
@@ -582,6 +635,40 @@ var queueOrderSeeds = [][]byte{
 		opAt, 1, 3, opWake, 0, 3, opWake, 0, 9, opWake, 0, 9, opRunUntil, 0, 30},
 }
 
+// Scripts for nested service — a sleep that has to wait serving the
+// events ahead of its wake where the reference parks it — each with the
+// case it must reach on the real queue: checked, so a seed that drifts
+// off its case fails instead of passing vacuously. They seed the fuzzer
+// after queueOrderSeeds.
+var queueOrderCases = []struct {
+	name   string
+	reach  int
+	script []byte
+}{
+	// Process 0 sleeps to 10 past a plain event at 10; serving, it starts
+	// process 1, which sleeps to 5 past a plain event at 5 and serves
+	// that one two deep. The event's reaction lands at 5, behind process
+	// 1's wake, which therefore advances first; process 0 then serves it
+	// and the event at 10 before its own wake.
+	{"two deep", nestTwoDeep, []byte{opSpawn, 0, 0, opSpawn, 1, 0, opRunUntil, 0, 30,
+		opAt, 0, 10, opAt, 1, 5, opAt, 2, 0}},
+	// Process 0 sleeps to 10 past a plain event at 10 and, serving,
+	// starts process 1, whose sleep to 20 ends past process 0's wake: it
+	// parks, and the event at 10 and process 0 go first.
+	{"past the enclosing wake", nestPastEnclosing, []byte{opSpawn, 0, 0, opSpawn, 1, 0, opRunUntil, 0, 30,
+		opAt, 0, 10, opAt, 1, 20}},
+	// Inside RunUntil(10) a lone process sleeps to 20 with nothing queued
+	// ahead of it: it parks at the deadline, and the top level's next
+	// event, at 13, fires before it wakes.
+	{"past the deadline", nestPastDeadline, []byte{opSpawn, 0, 0, opRunUntil, 0, 10,
+		opTimerStop, 0, 20, opAt, 1, 3}},
+	// Inside a window to 30, process 0 sleeps to 10 and serves a plain
+	// event at 5, which lowers the horizon to 8: the wake now lies past
+	// it, so the process parks and wakes in the drain.
+	{"horizon lowered while serving", nestLowered, []byte{opSpawn, 0, 0, opRunWindow, 0, 30,
+		opAt, 0, 10, opLower, 0, 3, opAt, 1, 0}},
+}
+
 // TestQueueOrderMatchesReference is the property test: the seeds, then
 // random scripts dense in ties (five delays in eight are 0–31 ticks, the
 // rest reach into the far tier) and long enough for lanes to queue and
@@ -589,6 +676,11 @@ var queueOrderSeeds = [][]byte{
 func TestQueueOrderMatchesReference(t *testing.T) {
 	for _, s := range queueOrderSeeds {
 		checkQueueOrder(t, s)
+	}
+	for _, c := range queueOrderCases {
+		if reached := checkQueueOrder(t, c.script); !reached[c.reach] {
+			t.Errorf("seed %q: never reached its case on the real queue", c.name)
+		}
 	}
 	rng := rand.New(rand.NewSource(1994))
 	for i := 0; i < 3000; i++ {
@@ -604,12 +696,85 @@ func FuzzQueueOrder(f *testing.F) {
 	for _, s := range queueOrderSeeds {
 		f.Add(s)
 	}
+	for _, c := range queueOrderCases {
+		f.Add(c.script)
+	}
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 3*400 {
 			script = script[:3*400]
 		}
 		checkQueueOrder(t, script)
 	})
+}
+
+// chainSleeper is one link of TestNestedChainMatchesReference: it starts,
+// sleeps to wake, and logs both.
+type chainSleeper struct {
+	id, wake Time
+	log      *[]string
+	depth    *int // sleeps in progress when a link starts
+	deepest  *int
+	started  bool
+}
+
+func (c *chainSleeper) Step(p *Proc) {
+	e := p.Env()
+	if !c.started {
+		c.started = true
+		*c.log = append(*c.log, fmt.Sprintf("start%d@%d", c.id, e.Now()))
+		*c.deepest = max(*c.deepest, *c.depth)
+		*c.depth++
+		woke := p.SleepUntil(c.wake)
+		*c.depth--
+		if !woke {
+			return
+		}
+	}
+	*c.log = append(*c.log, fmt.Sprintf("wake%d@%d", c.id, e.Now()))
+	p.Return()
+}
+
+// TestNestedChainMatchesReference starts a thousand processes one
+// tick apart, each sleeping to a wake earlier than the one before: every
+// sleep waits behind the next process's start, so the sleeps nest one
+// inside the next, 999 deep, and the wakes unwind innermost first. The
+// firings must be the parking reference's.
+func TestNestedChainMatchesReference(t *testing.T) {
+	const n, last = 1000, 3000
+	var want []string
+	r := &refQueue{horizon: MaxTime, deadline: MaxTime}
+	for i := Time(0); i < n; i++ {
+		i := i
+		wake := func() { want = append(want, fmt.Sprintf("wake%d@%d", i, r.now)) }
+		r.at(i, func() {
+			r.inProc = true
+			want = append(want, fmt.Sprintf("start%d@%d", i, r.now))
+			if r.sleepUntil(last-i, wake) {
+				wake()
+			}
+			r.inProc = false
+		})
+	}
+	for len(r.heap) > 0 {
+		r.step()
+	}
+
+	var got []string
+	depth, deepest := 0, 0
+	e := NewEnv()
+	for i := Time(0); i < n; i++ {
+		e.SpawnAt(i, "chain", &chainSleeper{id: i, wake: last - i, log: &got, depth: &depth, deepest: &deepest})
+	}
+	e.Run()
+	if w, g := strings.Join(want, " "), strings.Join(got, " "); g != w {
+		t.Fatalf("firings differ from the parking reference\n real: %.400s\n  ref: %.400s", g, w)
+	}
+	if deepest != n-1 {
+		t.Fatalf("sleeps nested %d deep, want %d", deepest, n-1)
+	}
+	if e.Now() != last || e.Pending() != 0 {
+		t.Fatalf("clock %v with %d pending, want %v and none", e.Now(), e.Pending(), Time(last))
+	}
 }
 
 // TestTimerOwnsOneHeapEntry pins the point of Timer: re-arming later,

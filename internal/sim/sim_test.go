@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -177,24 +178,60 @@ func TestSleepFastPathInline(t *testing.T) {
 	}
 }
 
-func TestSleepParksWhenEventIntervenes(t *testing.T) {
-	// An event queued inside the sleep interval — or exactly at its end —
-	// forces the slow path: the earlier-scheduled event must run first.
-	e := NewEnv()
-	var order []string
-	e.At(50, "mid", func() { order = append(order, "mid") })
-	e.Spawn("p", Steps(
-		func(p *Proc) {
-			if p.Sleep(100) {
-				t.Error("contended Sleep did not park")
+// TestContendedSleep pins the two outcomes of a sleep with an event
+// queued ahead of its wake. Served in place: the sleeper runs the event
+// on its own stack and advances to its wake without parking, so the
+// order and the clock are those of a park and a wake, and nothing is
+// left pending. Parked: a sleeper started from inside another's service
+// whose wake lies past the enclosing sleeper's must not overtake it.
+func TestContendedSleep(t *testing.T) {
+	t.Run("served in place", func(t *testing.T) {
+		e := NewEnv()
+		var order []string
+		e.At(50, "mid", func() { order = append(order, fmt.Sprintf("mid@%d", e.Now())) })
+		e.Spawn("p", Steps(func(p *Proc) {
+			if !p.Sleep(100) {
+				t.Error("a sleep with one plain event ahead of it parked")
 			}
-		},
-		func(p *Proc) { order = append(order, "woke") },
-	))
-	e.Run()
-	if len(order) != 2 || order[0] != "mid" || order[1] != "woke" {
-		t.Fatalf("order = %v, want [mid woke]", order)
-	}
+			order = append(order, fmt.Sprintf("woke@%d", e.Now()))
+			if n := e.Pending(); n != 0 {
+				t.Errorf("%d events pending after the served sleep, want 0", n)
+			}
+		}))
+		e.Run()
+		if got, want := strings.Join(order, " "), "mid@50 woke@100"; got != want {
+			t.Fatalf("order = %q, want %q", got, want)
+		}
+		if e.Now() != 100 {
+			t.Fatalf("Now = %v, want 100", e.Now())
+		}
+		// The spawn and the event at 50 ran; the wake never was an event.
+		if e.Fired() != 2 {
+			t.Fatalf("Fired = %d, want 2", e.Fired())
+		}
+	})
+	t.Run("past the enclosing wake parks", func(t *testing.T) {
+		e := NewEnv()
+		var order []string
+		mark := func(s string) { order = append(order, fmt.Sprintf("%s@%d", s, e.Now())) }
+		e.SpawnAt(10, "b", Steps(func(p *Proc) {
+			mark("b")
+			if p.SleepUntil(150) {
+				t.Error("a sleep ending past the enclosing sleeper's wake did not park")
+			}
+		}, func(p *Proc) { mark("b") }))
+		e.Spawn("a", Steps(func(p *Proc) {
+			mark("a")
+			if !p.SleepUntil(100) {
+				t.Error("the enclosing sleep parked")
+			}
+			mark("a")
+		}))
+		e.Run()
+		if got, want := strings.Join(order, " "), "a@0 b@10 a@100 b@150"; got != want {
+			t.Fatalf("order = %q, want %q", got, want)
+		}
+	})
 }
 
 func TestTwoProcsInterleave(t *testing.T) {

@@ -26,14 +26,19 @@
 // single hottest path in the simulator, allocation-free; a process is one
 // allocation, or none when SpawnIn starts it in its owner's storage, and a
 // wait queue none (it embeds by value in its owner).
-// When no queued event fires before a sleeping process's wake time,
-// SleepUntil advances the clock in place instead of parking the process
-// at all: the CPU charge was an ordinary function call, with neither a
-// push nor a pop (and the total order provably unchanged — see the method
-// comment). An environment is also reusable: Env.Reset rewinds the clock,
-// sequence counter, and RNG while keeping the heaps' backing storage and
-// any processes parked on wait queues, the foundation of testbed reuse
-// (lab.Lab.Reset).
+// A sleeping process's wake need not be an event either: SleepUntil takes
+// the wake's sequence number, runs the events queued ahead of that key on
+// the sleeper's own stack — one Step each, so one step of the loop may
+// serve nested events, and Fired counts every one — and then advances the
+// clock in place: the CPU charge was an ordinary function call, with
+// neither a push nor a pop for the wake (and the total order provably
+// unchanged — see the method comment). A process only parks when it may
+// not serve up to its wake: past an enclosing sleeper's wake or
+// RunUntil's deadline (the ceiling key), past the horizon, or at the
+// watchdog's next poll. An environment is also reusable: Env.Reset
+// rewinds the clock, sequence counter, and RNG while keeping the heaps'
+// backing storage and any processes parked on wait queues, the
+// foundation of testbed reuse (lab.Lab.Reset).
 //
 // # Who owns scratch memory
 //
@@ -60,7 +65,10 @@
 //   - A plain event — At/After, or AtArg when one bound callback needs a
 //     word of context (no closure per call) — for anything that happens
 //     once at a time of its own: a process wake, a fault, a cross-shard
-//     arrival.
+//     arrival. A sleep's wake is one only when the sleep has to park;
+//     otherwise the sleeper serves the events ahead of it, so one Step
+//     may run many events (nested ones, each counted by Fired) and a
+//     sleep that had to wait costs neither a push nor a pop.
 //   - A Lane for one owner fired over and over at times that
 //     never decrease — a link's cells, a transmitter's frames. However
 //     many are in flight the lane keeps one heap entry; the rest queue
@@ -98,20 +106,21 @@
 // place in that order — an event per call would have had. Stamp takes
 // one the same way for an event never scheduled, and Precedes compares
 // against the firing event's key or, after a sleep advanced in place,
-// the key its wake would have had. A lane only
+// the key its wake would have had — served events or none. A lane only
 // defers *inserting* keys that are already in order among themselves; a
 // timer only drops entries that would have popped as no-ops, and still
 // lets its last deadline pop so a drained clock stops where it did. Any
 // partition of the entries keeps the order too: every key is stamped
 // before a tier is chosen, and the minimum of two heaps is the minimum of
 // their union. What can differ is which no-ops a sleeping process sees
-// ahead of it, and skipping or adding a wake shifts later sequence
-// numbers uniformly (see Proc.SleepUntil). That contract is what lets the
+// ahead of it, and whether it serves them or parks behind them changes
+// no key (see Proc.SleepUntil). That contract is what lets the
 // wall-clock work promise byte-identical paper tables (enforced by the
 // golden-output tests in cmd/tables, cmd/load, and cmd/pkttrace) and is
-// checked against a plain-heap reference — under Run, under a bare Step
-// loop and under windows whose horizon a callback lowers — by the
-// property test and fuzzer in queue_test.go.
+// checked against a plain-heap reference that parks every sleep that has
+// to wait — under Run, under a bare Step loop and under windows whose
+// horizon a callback lowers — by the property test and fuzzer in
+// queue_test.go.
 package sim
 
 import "fmt"

@@ -58,6 +58,43 @@ func TestWatchdogFiresOnStall(t *testing.T) {
 	}
 }
 
+// TestWatchdogStopsServiceAheadOfAWake: a self-rescheduling event that
+// stays ahead of a sleeper's wake is served on the sleeper's own stack,
+// and the watchdog still stops it. Service ends at the first event due
+// for a poll and the sleeper parks under the number its wake took, so the
+// poll — and the diagnostic it builds — sees the wake in the queue, as
+// it would had the sleep parked from the start. (A loop of zero-delay
+// events never moves the clock, so no simulated-time watchdog can see
+// it; the spin's ticks are 10 ms apart.)
+func TestWatchdogStopsServiceAheadOfAWake(t *testing.T) {
+	e := NewEnv()
+	w := NewWatchdog(100 * Millisecond)
+	w.OnFire(func(fe *Env) string { return "\n  DIAG: " + fe.PendingSummary(4) })
+	e.SetWatchdog(w)
+	e.Spawn("sleeper", Steps(func(p *Proc) {
+		spin(e, 10*Millisecond, 1000, nil) // to 10 s, all of it ahead of the wake
+		if p.SleepUntil(20 * Second) {
+			t.Error("the sleep served the spin to its wake: the watchdog never stopped it")
+		}
+	}, func(p *Proc) {}))
+	e.Run()
+
+	if !w.Fired() {
+		t.Fatal("watchdog did not fire on a spin served ahead of a sleeper's wake")
+	}
+	for _, want := range []string{"no workload progress", "spin.tick", "wake:sleeper"} {
+		if err := e.WatchdogErr(); !strings.Contains(err.Error(), want) {
+			t.Errorf("diagnostic %q missing %q", err, want)
+		}
+	}
+	if got := e.PendingSummary(4); !strings.Contains(" "+got+" ", " wake:sleeper×1 ") {
+		t.Errorf("PendingSummary = %q, missing the sleeper's wake", got)
+	}
+	if e.Now() >= Second {
+		t.Fatalf("clock %v: the spin ran far past the 100 ms horizon", e.Now())
+	}
+}
+
 // TestWatchdogProgressDefersFiring pins the other half: a run that
 // keeps reporting progress never fires, no matter how long it gets.
 func TestWatchdogProgressDefersFiring(t *testing.T) {

@@ -674,10 +674,13 @@ func TestCloseHandshakeStates(t *testing.T) {
 	}
 	// Event identity (see workload.TestEventIdentity): the events fired,
 	// the drained clock and both stacks' counters, captured before the
-	// 2MSL release became a timer on the connection.
+	// 2MSL release became a timer on the connection. The count was
+	// re-captured (78 → 59) when a sleep that has to wait began serving
+	// the events ahead of its wake instead of parking behind them: 19
+	// wakes stopped being events; the clock and the digest did not move.
 	stats := fmt.Sprintf("%+v %+v", p.sa.Stats, p.sb.Stats)
 	sum := sha256.Sum256([]byte(stats))
-	if got, want := fmt.Sprintf("%d %d %x", p.env.Fired(), p.env.Now(), sum[:8]), "78 3000586580 dbe4468e8dd74928"; got != want {
+	if got, want := fmt.Sprintf("%d %d %x", p.env.Fired(), p.env.Now(), sum[:8]), "59 3000586580 dbe4468e8dd74928"; got != want {
 		t.Errorf("fired, clock, stats digest = %s, want %s (%s)", got, want, stats)
 	}
 }

@@ -29,7 +29,9 @@ func deadTimers(env *sim.Env) int {
 // tree, starts 5 ms apart, one 200-byte request each over three switch
 // hops. A cell costs one event a hop — its arrival — so a whole
 // exchange, handshake and teardown included, fits in 500 events (690
-// when every hop also fired a transmit-complete event). The probe bounds
+// when every hop also fired a transmit-complete event, about 480 while
+// every sleep that had to wait parked behind a wake event, about 350
+// since it serves the events ahead of its wake). The probe bounds
 // the live work pending: not the starts still queued, which ride one
 // lane, and not the ~1,600 stopped retransmit timers a closed connection
 // leaves behind for an RTO (sweeping those was measured and bought

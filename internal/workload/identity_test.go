@@ -23,7 +23,10 @@ import (
 // drained clock were re-captured once, when tcp_output began advancing
 // the send sequence with its send decision: the RTT sample starts there,
 // which moves the timers left running after the last request. Their
-// digests did not move.
+// digests did not move. Every fired count was re-captured once more when
+// a sleep that has to wait began serving the events ahead of its wake on
+// its own stack (docs/PERFORMANCE.md item 26): its wake is no longer an
+// event, and no clock or digest moved.
 func TestEventIdentity(t *testing.T) {
 	loaded := lab.Config{Link: lab.LinkATM, Seed: 1994,
 		Qdisc:       lab.QdiscConfig{Kind: lab.QdiscRED, REDMinCells: 2, REDMaxCells: 256, REDMaxP: 0.5},
@@ -49,17 +52,17 @@ func TestEventIdentity(t *testing.T) {
 			hosts: 1001,
 			cfg:   lab.Config{Link: lab.LinkATM, Fabric: lab.FabricFatTree, Seed: 1994, HashPCBs: true},
 			gen:   FanIn{Size: 200, Requests: 1, Stagger: 5000 * sim.Microsecond, Stats: stats.Config{Streaming: true}},
-			fired: 478759, clock: 7995685864,
+			fired: 351997, clock: 7995685864,
 			digest: "7b4c3ffd71a447de70e645c190c385dddc0216d7296b069d341ea53c3857a9c4",
 		},
 		{
 			name: "loaded-grid-tcp-red", hosts: 33, cfg: loaded, gen: loadedGen(TransportTCP), timers: true,
-			fired: 265684, clock: 41235804273,
+			fired: 205908, clock: 41235804273,
 			digest: "6812b67060950b34b15e40a69874d68af54a9ca999dd3586216a27936c772b49",
 		},
 		{
 			name: "loaded-grid-rudp-red", hosts: 33, cfg: loaded, gen: loadedGen(TransportRUDP),
-			fired: 345962, clock: 47257311562,
+			fired: 265082, clock: 47257311562,
 			digest: "dfcbd586211d8b17c7a454b7bedf73c916fb9d9438c5d5cb767d7e738bfd65f0",
 		},
 	}

@@ -427,7 +427,9 @@ func (e *Env) Fired() uint64 { return e.fired }
 // Pending returns the number of scheduled events not yet run: the
 // entries of both tiers plus the records lanes hold behind theirs. A
 // stopped or superseded timer's entry counts until it expires, exactly as
-// the dead event it replaces did.
+// the dead event it replaces did. A process serving the events ahead of
+// its wake (Proc.SleepUntil) has no entry while it serves: its wake is
+// not scheduled unless it has to park.
 func (e *Env) Pending() int { return len(e.events) + len(e.far) + e.backlog.n }
 
 // SetHorizon sets the safe-time bound for windowed execution: RunWindow

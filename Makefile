@@ -6,7 +6,7 @@ GO ?= go
 # per-package default or hang a -race smoke until the job is killed.
 SMOKE_DEADLINE ?= 600
 
-.PHONY: all fmt fmt-check vet loc build test race bench bench-smoke bench-check benchdiff baseline bench-wallclock baseline-wallclock alloc-census tables load-smoke load-scale-smoke shard-smoke loaded-smoke docs-check fuzz-flags
+.PHONY: all fmt fmt-check vet loc build test race bench bench-smoke bench-check benchdiff baseline bench-wallclock baseline-wallclock alloc-census tables load-smoke load-scale-smoke shard-smoke loaded-smoke docs-check fuzz-flags explore
 
 all: build test
 
@@ -155,6 +155,13 @@ fuzz-flags:
 	for c in $(FLAG_COMMANDS); do \
 		grep -q '^func FuzzFlags(' cmd/$$c/main_test.go || { echo "cmd/$$c: no FuzzFlags in main_test.go"; exit 1; }; \
 		$(GO) test -run='^$$' -fuzz=FuzzFlags -fuzztime=10s -timeout 300s ./cmd/$$c/ || exit 1; done
+
+## explore: the long half of the §4.2.1 error study, the multi-bit flips
+## (bursts in a SAR-PDU, pairs of bits in the TCP segment), one echo a
+## case; prints the counts README quotes. Minutes on two cores; CI does
+## not run it.
+explore:
+	$(GO) test -tags explore -run '^TestExplore$$' -v -timeout 60m ./internal/core/
 
 ## docs-check: execute every command quoted in README.md and docs/ (smoke mode)
 docs-check:

@@ -44,15 +44,23 @@ const MaxDatagram = 9188
 // independent lookups, with no state carried from one byte to the next.
 // The table is filled once at init, by the same linearity, from the
 // bitwise reference (crc10Bitwise) on the 384 single-bit PDUs; the tests
-// hold every entry, and arbitrary PDUs, to that reference.
+// hold every entry, and arbitrary PDUs, to that reference. The CRC covers
+// the crcBits ahead of its own field, so the field's entries are zero and
+// a PDU's CRC does not depend on what its field holds.
 var crc10Pos [PayloadSize][256]uint16
+
+// crcBits is how many bits of a SAR-PDU its CRC-10 covers: the SAR
+// header, the payload and the length indicator — all but the CRC field,
+// its last ten (ITU-T I.363: the remainder of x^10 times those bits,
+// divided by the generator).
+const crcBits = PayloadSize*8 - 10
 
 func init() {
 	var pdu [PayloadSize]byte
 	for i := range crc10Pos {
 		for bit := 0; bit < 8; bit++ {
 			pdu[i] = 1 << bit
-			r := crc10Bitwise(0, pdu[:])
+			r := crc10Bitwise(pdu[:], crcBits)
 			pdu[i] = 0
 			for v := 0; v < 256; v++ {
 				if v&(1<<bit) != 0 {
@@ -64,26 +72,25 @@ func init() {
 }
 
 // crc10Bitwise is the reference AAL3/4 CRC-10 (polynomial
-// x^10+x^9+x^5+x^4+x+1, 0x633), one bit at a time, continuing from crc.
-func crc10Bitwise(crc uint16, b []byte) uint16 {
-	for _, v := range b {
-		crc ^= uint16(v) << 2
-		for i := 0; i < 8; i++ {
-			if crc&0x200 != 0 {
-				crc = crc<<1 ^ 0x233
-			} else {
-				crc <<= 1
-			}
+// x^10+x^9+x^5+x^4+x+1, 0x633) of the first n bits of b, one bit at a
+// time, the most significant bit of each byte first.
+func crc10Bitwise(b []byte, n int) uint16 {
+	var crc uint16
+	for i := 0; i < n; i++ {
+		in := uint16(b[i/8]>>(7-i%8)) & 1
+		crc <<= 1
+		if crc>>10^in != 0 {
+			crc ^= 0x233
 		}
 		crc &= 0x3ff
 	}
 	return crc
 }
 
-// crc10PDU computes the AAL3/4 CRC-10 of a 48-byte SAR-PDU: one lookup a
-// byte, written out so that every index is a constant and nothing is
-// bounds-checked, in two XOR chains (the even eight-byte words and the
-// odd).
+// crc10PDU computes the AAL3/4 CRC-10 of a 48-byte SAR-PDU, whatever its
+// CRC field holds: one lookup a byte, written out so that every index is
+// a constant and nothing is bounds-checked, in two XOR chains (the even
+// eight-byte words and the odd).
 func crc10PDU(p *[PayloadSize]byte) uint16 {
 	t := &crc10Pos
 	even := t[0][p[0]] ^ t[1][p[1]] ^ t[2][p[2]] ^ t[3][p[3]] ^
@@ -99,13 +106,6 @@ func crc10PDU(p *[PayloadSize]byte) uint16 {
 		t[40][p[40]] ^ t[41][p[41]] ^ t[42][p[42]] ^ t[43][p[43]] ^
 		t[44][p[44]] ^ t[45][p[45]] ^ t[46][p[46]] ^ t[47][p[47]]
 	return even ^ odd
-}
-
-// crc10Masked is crc10PDU of p with its ten CRC bits — the low two of
-// byte 46 and all of byte 47 — taken as zero: the CRC a receiver checks
-// the stored one against.
-func crc10Masked(p *[PayloadSize]byte) uint16 {
-	return crc10PDU(p) ^ crc10Pos[46][p[46]&0x3] ^ crc10Pos[47][p[47]]
 }
 
 // CellsForDatagram returns how many cells a datagram of n bytes occupies
@@ -246,10 +246,9 @@ func (s *Segmenter) cell(c *Cell, pdu []byte, i, n int) {
 	for j := 2 + li; j < 2+SARPayload; j++ {
 		p[j] = 0
 	}
-	// SAR trailer: LI(6) CRC10(10), CRC computed over the payload
-	// with the CRC field zeroed.
+	// SAR trailer: LI(6) CRC10(10), the CRC covering every bit ahead
+	// of it.
 	p[46] = byte(li) << 2
-	p[47] = 0
 	crc := crc10PDU((*[PayloadSize]byte)(p))
 	p[46] |= byte(crc >> 8)
 	p[47] = byte(crc)
@@ -343,18 +342,10 @@ func (r *Reassembler) Idle() bool { return !r.active }
 // reclaimed; a caller that consumes the datagram at once need not.
 func (r *Reassembler) Push(c *Cell) ([]byte, error) {
 	p := c.Payload()
-	// Validate the CRC-10: recompute over the payload with the CRC bits
-	// zeroed — by linearity, the CRC of the payload as it stands XORed
-	// with that of its two trailer bytes' CRC bits alone, the cell itself
-	// untouched — and compare against the stored value.
-	//
-	// The usual shortcut, "run the CRC over all 48 bytes and expect a
-	// zero residue", does not apply to this codec: its CRC is
-	// M(x)·x¹⁰ mod G over a payload M that already contains the zeroed
-	// ten-bit field, so the stored CRC sits inside M rather than after
-	// it and a valid cell does not divide evenly.
+	// Validate the CRC-10: recompute it over the bits it covers, the
+	// cell untouched, and compare against the stored value.
 	stored := uint16(p[46]&0x3)<<8 | uint16(p[47])
-	if crc10Masked((*[PayloadSize]byte)(p)) != stored {
+	if crc10PDU((*[PayloadSize]byte)(p)) != stored {
 		r.drop()
 		return nil, errCRC10
 	}

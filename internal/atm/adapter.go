@@ -333,26 +333,27 @@ type Adapter struct {
 	// Link impairment layer, configured via SetImpairments while the
 	// fibre is idle: a Gilbert–Elliott loss chain (cell loss — the paper
 	// notes "the ATM network does not guarantee freedom from cell loss" —
-	// independent in its Good state, bursty in its Bad one), bit
-	// corruption (each arriving cell has one random bit flipped with
-	// probability corruptRate — link noise for the §4.2.1 error study;
-	// header bits are caught by the HEC, payload bits by the AAL3/4
-	// CRC-10) and bounded cell reordering. Every draw comes from a
-	// per-link RNG seeded at configuration, never the environment's
-	// stream, so enabling one perturbs no other random draw. A switchless
-	// pair decides at launch whether a cell's arrival is an event by
-	// reading them (LaunchTx).
+	// independent in its Good state, bursty in its Bad one) and bounded
+	// cell reordering. Every draw comes from a per-link RNG seeded at
+	// configuration, never the environment's stream, so enabling one
+	// perturbs no other random draw. A switchless pair decides at launch
+	// whether a cell's arrival is an event by reading them (LaunchTx).
 	ge           sim.GEChain
-	corruptRate  float64
 	reorderRate  float64
 	reorderDepth int
-	impRNG       sim.RNG // corruption and reordering draws
+	impRNG       sim.RNG // reordering draws
 	held         Cell    // cell held back for reordering
 	heldValid    bool
 	heldLeft     int // deliveries remaining before the held cell is released
 	// heldFlush releases a held cell the wire went quiet on. SetImpairments
 	// makes it, so only links that reorder carry a timer.
 	heldFlush *sim.Timer
+
+	// flips are the scheduled bit flips not yet applied: wire flips
+	// (FlipLaunched), each a bit of the cell CellsSent will number, and
+	// controller flips (Driver.FlipNext), each a bit of the next datagram
+	// the driver reassembles.
+	flips []bitFlip
 
 	// down marks the host's access link failed (fault injection): every
 	// arriving cell is dropped at the adapter until the link recovers.
@@ -365,7 +366,7 @@ type Adapter struct {
 	CellsSent      int64
 	CellsRecv      int64 // admitted to the receive FIFO
 	CellsDropped   int64 // lost on the wire or to a full receive FIFO
-	CellsCorrupted int64
+	CellsCorrupted int64 // launched with a scheduled wire flip
 	RxOverflows    int64
 	GEDrops        int64 // subset of CellsDropped killed by the burst-loss chain
 	CellsReordered int64
@@ -396,8 +397,9 @@ func (a *Adapter) Reset() {
 	a.frames, a.frameAt = 0, 0
 	a.dropNext = false
 	a.ge = sim.GEChain{}
-	a.corruptRate, a.reorderRate, a.reorderDepth = 0, 0, 0
+	a.reorderRate, a.reorderDepth = 0, 0
 	a.heldValid, a.heldLeft = false, 0
+	a.flips = a.flips[:0]
 	a.down = false
 	a.CellsSent, a.CellsRecv, a.CellsDropped, a.CellsCorrupted, a.RxOverflows = 0, 0, 0, 0, 0
 	a.GEDrops, a.CellsReordered, a.DownDrops = 0, 0, 0
@@ -425,15 +427,12 @@ func (a *Adapter) DropNext() {
 func (a *Adapter) Down() bool { return a.down }
 
 // SetImpairments configures the link impairment layer: a Gilbert–Elliott
-// loss chain (p), bit corruption (one random bit of each arriving cell
-// flipped with probability corrupt) and bounded reordering (each arriving
-// cell held back past the next depth deliveries with probability rate).
-// All are seeded per link from seed; zero parameters disable the layer
-// entirely, leaving the receive path byte-identical to an unimpaired
-// adapter.
-func (a *Adapter) SetImpairments(p sim.GEParams, corrupt, rate float64, depth int, seed uint64) {
+// loss chain (p) and bounded reordering (each arriving cell held back
+// past the next depth deliveries with probability rate). Both are seeded
+// per link from seed; zero parameters disable the layer entirely,
+// leaving the receive path byte-identical to an unimpaired adapter.
+func (a *Adapter) SetImpairments(p sim.GEParams, rate float64, depth int, seed uint64) {
 	a.ge.Init(p, seed)
-	a.corruptRate = corrupt
 	a.reorderRate = rate
 	if rate > 0 && a.heldFlush == nil {
 		a.heldFlush = new(sim.Timer)
@@ -445,6 +444,46 @@ func (a *Adapter) SetImpairments(p sim.GEParams, corrupt, rate float64, depth in
 	a.reorderDepth = depth
 	a.impRNG = *sim.NewRNG(seed ^ 0x5bf03635aca3c1ed)
 	a.heldValid, a.heldLeft = false, 0
+}
+
+// bitFlip is one scheduled flip: bit bit of the cell numbered cell in
+// the adapter's launch count, or, when cell is nextDatagram, of the next
+// datagram the driver reassembles. Bits are numbered in the order the
+// fibre carries them, the most significant of the first byte first.
+type bitFlip struct {
+	cell int64
+	bit  int
+}
+
+const nextDatagram = -1
+
+// FlipLaunched schedules a wire flip (sim.FaultWireFlip): bit bit of the
+// cell stream this adapter launches from now on — bit bit%424 of the
+// cell bit/424 after those already launched — is flipped on the fibre.
+func (a *Adapter) FlipLaunched(bit int) {
+	n := int64(bit / (CellSize * 8))
+	a.flips = append(a.flips, bitFlip{cell: a.CellsSent + n, bit: bit % (CellSize * 8)})
+}
+
+// flip applies to b the scheduled flips of cell — the number of the cell
+// TxCell last returned, or nextDatagram for a datagram on its way to host
+// memory — and reports whether there were any. A bit past b's end flips
+// nothing.
+func (a *Adapter) flip(cell int64, b []byte) bool {
+	hit := false
+	kept := a.flips[:0]
+	for _, f := range a.flips {
+		if f.cell != cell {
+			kept = append(kept, f)
+			continue
+		}
+		if f.bit < len(b)*8 {
+			b[f.bit/8] ^= 0x80 >> (f.bit % 8)
+		}
+		hit = true
+	}
+	a.flips = kept
+	return hit
 }
 
 // SetCut diverts this adapter's transmit fiber across a shard boundary
@@ -534,14 +573,16 @@ func (a *Adapter) TxCell() *Cell {
 // where the driver put them until that arrival has been delivered:
 // transmission neither allocates nor copies per cell.
 //
+// A scheduled wire flip (FlipLaunched) that names the cell is applied
+// here, to the fibre's copy.
+//
 // On a switchless pair (Connect) the arrival is an event only when the
 // receiving host could notice it at that instant: when the cell ends a
 // frame, when it could bring the receive FIFO to RxDrainThreshold (the
-// FIFO now, plus every cell on the fibre, this one included), or when the
-// receiver corrupts or reorders: a flipped bit can make any cell
-// frame-ending, and a quiet receive must not wake the host; reordering
-// sets a timer on arrival. Loss does not force an event: the loss chain
-// draws its own per-link stream in arrival order, whenever the cell is
+// FIFO now, plus every cell on the fibre, this one included), when a
+// scheduled flip hit it, or when the receiver reorders, which sets a
+// timer on arrival. Loss does not force an event: the loss chain draws
+// its own per-link stream in arrival order, whenever the cell is
 // received. Any other cell is quiet: it waits in the transmit queue with
 // its arrival's stamp until the receiver looks (drain) or a later arrival
 // fires, and is then received at its own key by the same path. Every
@@ -549,13 +590,17 @@ func (a *Adapter) TxCell() *Cell {
 // lane entry's number, so one comparison tells either kind due.
 func (a *Adapter) LaunchTx(c *Cell) {
 	env, prop := a.K.Env, a.K.Cost.ATMPropagation
+	flipped := len(a.flips) > 0 && a.flip(a.CellsSent-1, c[:])
+	if flipped {
+		a.CellsCorrupted++
+	}
 	peer := a.pair()
 	if peer == nil {
 		a.tx.launch(env, c, prop, "atm.cellin")
 		return
 	}
 	a.tx.q.stampNewest(env.Stamp())
-	if IsFrameEnd(c) || peer.corruptRate > 0 || peer.reorderRate > 0 ||
+	if IsFrameEnd(c) || flipped || peer.reorderRate > 0 ||
 		peer.rxFIFO.len()+a.tx.q.len() >= RxDrainThreshold {
 		a.tx.inLane.At(env, a.tx.busy+prop, "atm.cellin")
 	}
@@ -621,19 +666,14 @@ func (a *Adapter) TimerFired(*sim.Timer) {
 }
 
 // accept runs the adapter's receive path past reordering: the forced
-// drop, bit corruption, then FIFO admission — the receive FIFO's record
-// is the host's copy of the cell, stamped with at, its arrival — and the
-// frame-end interrupt.
+// drop, then FIFO admission — the receive FIFO's record is the host's
+// copy of the cell, stamped with at, its arrival — and the frame-end
+// interrupt.
 func (a *Adapter) accept(c *Cell, at sim.Time) {
 	if a.dropNext {
 		a.dropNext = false
 		a.CellsDropped++
 		return
-	}
-	if a.corruptRate > 0 && a.impRNG.Bool(a.corruptRate) {
-		bit := a.impRNG.Intn(CellSize * 8)
-		c[bit/8] ^= 1 << (bit % 8)
-		a.CellsCorrupted++
 	}
 	if a.rxFIFO.len() >= RxFIFOCells {
 		a.RxOverflows++

@@ -279,7 +279,7 @@ func TestAdapterRxOverflowDropsCells(t *testing.T) {
 // final cell of a teardown segment, with no retransmission to flush it).
 func TestReorderHeldCellFlushed(t *testing.T) {
 	env, _, _, a, b := twoAdapters(t)
-	b.SetImpairments(sim.GEParams{}, 0, 1.0, 4, 7) // hold every arrival
+	b.SetImpairments(sim.GEParams{}, 1.0, 4, 7) // hold every arrival
 	var c Cell
 	CellHeader{VCI: 32}.Marshal(&c)
 	pushTx(a, c) // the link's only traffic
@@ -292,50 +292,44 @@ func TestReorderHeldCellFlushed(t *testing.T) {
 	}
 }
 
-// TestCorruptionDrawsTheLinkStream pins the impairment layer's one RNG
-// discipline for bit corruption: which bits a link flips is a function of
-// the link's seed alone — other draws on the environment's stream between
-// arrivals leave them where they were, and another seed moves them.
-func TestCorruptionDrawsTheLinkStream(t *testing.T) {
-	const cells = 64
-	flips := func(seed uint64, envDraws int) [cells]Cell {
-		env, _, _, a, b := twoAdapters(t)
-		env.Seed(99)
-		b.SetImpairments(sim.GEParams{}, 0.3, 0, 0, seed)
-		var sent [cells]Cell
-		for i := range sent {
-			i := i
-			CellHeader{VCI: 32}.Marshal(&sent[i])
-			sent[i].Payload()[1] = byte(i)
-			env.At(sim.Time(i)*10*sim.Microsecond, "send", func() {
-				for j := 0; j < envDraws; j++ {
-					env.RNG().Uint64()
-				}
-				pushTx(a, sent[i])
-			})
+// TestWireFlipNamesItsCell pins what a scheduled wire flip does: bit b of
+// the stream launched from the moment it is armed is bit b%424 of the
+// cell b/424 after those already launched, counted from the most
+// significant bit of the first byte, and nothing else moves. Two flips
+// may name one cell; the flipped cells alone are counted.
+func TestWireFlipNamesItsCell(t *testing.T) {
+	const cells = 8
+	env, _, _, a, b := twoAdapters(t)
+	var sent [cells]Cell
+	for i := range sent {
+		CellHeader{VCI: 32}.Marshal(&sent[i])
+		sent[i].Payload()[1] = byte(i)
+	}
+	pushTx(a, sent[0])
+	a.FlipLaunched(0)             // cell 1's first bit
+	a.FlipLaunched(2*424 + 47)    // cell 3, its first payload byte's last bit
+	a.FlipLaunched(2*424 + 423)   // cell 3's last bit
+	a.FlipLaunched(5*424 + 40)    // cell 6's first payload bit
+	a.FlipLaunched(cells*424 + 1) // past the stream: never launched
+	for _, c := range sent[1:] {
+		pushTx(a, c)
+	}
+	env.Run()
+	want := map[[2]int]bool{{1, 0}: true, {3, 47}: true, {3, 423}: true, {6, 40}: true}
+	for i := range sent {
+		c, ok := b.PopRx()
+		if !ok {
+			t.Fatalf("cell %d of %d never arrived", i, cells)
 		}
-		env.Run()
-		var diff [cells]Cell
-		for i := range diff {
-			c, ok := b.PopRx()
-			if !ok {
-				t.Fatalf("cell %d of %d never arrived", i, cells)
-			}
-			for j := range c {
-				diff[i][j] = c[j] ^ sent[i][j]
+		for bit := 0; bit < CellSize*8; bit++ {
+			flipped := (c[bit/8]^sent[i][bit/8])&(0x80>>(bit%8)) != 0
+			if flipped != want[[2]int{i, bit}] {
+				t.Errorf("cell %d bit %d: flipped %v, want %v", i, bit, flipped, !flipped)
 			}
 		}
-		return diff
 	}
-	base := flips(7, 0)
-	if base == ([cells]Cell{}) {
-		t.Fatal("no bit flipped: the test is vacuous")
-	}
-	if flips(7, 3) != base {
-		t.Error("draws on the environment's stream moved the flipped bits")
-	}
-	if flips(8, 0) == base {
-		t.Error("another link seed flipped the same bits")
+	if a.CellsCorrupted != 3 {
+		t.Errorf("CellsCorrupted = %d, want 3", a.CellsCorrupted)
 	}
 }
 
@@ -565,7 +559,7 @@ func TestCRCTablesMatchBitwiseReference(t *testing.T) {
 	var b [PayloadSize]byte
 	for trial := 0; trial < 200; trial++ {
 		rng.Fill(b[:])
-		if got, want := crc10PDU(&b), crc10Bitwise(0, b[:]); got != want {
+		if got, want := crc10PDU(&b), crc10Bitwise(b[:], crcBits); got != want {
 			t.Fatalf("crc10PDU = %#x, bitwise reference %#x", got, want)
 		}
 		if got, want := hec(b[:4:4]), hecBitwise(b[:4:4]); got != want {

@@ -99,7 +99,6 @@ var linkRegimes = []struct {
 	{name: "worst case", worst: true, apply: func(cfg *lab.Config) {
 		cfg.BurstLoss = sim.GEParams{PGoodBad: 0.003, PBadGood: 0.1, LossBad: 0.5}
 		cfg.ReorderRate, cfg.ReorderDepth = 0.004, 3
-		cfg.CellCorruptRate = 0.001
 		cfg.MTU = 1500
 	}},
 }
@@ -116,8 +115,10 @@ func TestCellsAreConserved(t *testing.T) {
 	// switch port behind it, a failed port's torn-down routes as unrouted —
 	// the rest of a frame already under way on a route when it goes. A
 	// client's port fails, and the server's while a frame is under way.
-	flaps, portFail, serverFail := fanIn, fanIn, fanIn
-	flaps.Requests, portFail.Requests, serverFail.Requests = 20, 20, 20
+	// So do bit flips: the HEC at the switch and at the host, the CRC-10
+	// at the host.
+	flaps, portFail, serverFail, flipped := fanIn, fanIn, fanIn, fanIn
+	flaps.Requests, portFail.Requests, serverFail.Requests, flipped.Requests = 20, 20, 20, 20
 	flaps.Faults = sim.LinkFlaps(7, []int{0, 2}, 8, 20*sim.Millisecond, 300*sim.Microsecond)
 	portFail.Faults = sim.FaultSchedule{
 		{At: 4 * sim.Millisecond, Kind: sim.FaultPortFail, Host: 3},
@@ -126,6 +127,10 @@ func TestCellsAreConserved(t *testing.T) {
 	serverFail.Faults = sim.FaultSchedule{
 		{At: 3 * sim.Millisecond, Kind: sim.FaultPortFail, Host: 0},
 		{At: 9 * sim.Millisecond, Kind: sim.FaultLinkUp, Host: 0},
+	}
+	for i := 0; i < 8; i++ {
+		flipped.Faults = append(flipped.Faults, sim.FaultEvent{
+			At: sim.Time(i+1) * sim.Millisecond, Kind: sim.FaultWireFlip, Host: i % 4, Bit: i * 211})
 	}
 	topologies := []struct {
 		name          string
@@ -145,6 +150,7 @@ func TestCellsAreConserved(t *testing.T) {
 		{name: "hub, link flaps, 4 shards", hosts: 5, shards: 4, g: flaps},
 		{name: "hub, port failure", hosts: 5, shards: 1, g: portFail},
 		{name: "hub, server port failure", hosts: 5, shards: 1, g: serverFail},
+		{name: "hub, wire flips", hosts: 5, shards: 1, g: flipped},
 	}
 	var overflows, worstOverflows, qdiscDrops, reordered, corrupted, dark, unrouted int64
 	for _, tp := range topologies {

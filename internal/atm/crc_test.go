@@ -10,18 +10,14 @@ import (
 )
 
 // TestCRC10SlicedMatchesBitwise holds the CRC-10 kernel — one table
-// lookup a byte position (crc10PDU) — and its receive form (crc10Masked,
-// the CRC bits taken as zero) to the bit-at-a-time reference: on every
-// single-bit PDU, which is what the table is built from, then on random
-// and all-ones PDUs.
+// lookup a byte position (crc10PDU) — to the bit-at-a-time reference over
+// the bits the CRC covers: on every single-bit PDU, which is what the
+// table is built from, then on random and all-ones PDUs.
 func TestCRC10SlicedMatchesBitwise(t *testing.T) {
 	check := func(what string, p *[PayloadSize]byte) {
 		t.Helper()
-		if got, want := crc10PDU(p), crc10Bitwise(0, p[:]); got != want {
+		if got, want := crc10PDU(p), crc10Bitwise(p[:], crcBits); got != want {
 			t.Fatalf("%s: crc10PDU = %#x, bitwise reference %#x", what, got, want)
-		}
-		if got, want := crc10Masked(p), maskedBitwise(p); got != want {
-			t.Fatalf("%s: crc10Masked = %#x, bitwise reference %#x", what, got, want)
 		}
 	}
 	var p [PayloadSize]byte
@@ -42,15 +38,6 @@ func TestCRC10SlicedMatchesBitwise(t *testing.T) {
 	}
 }
 
-// maskedBitwise is the receive form on the reference: the bitwise CRC
-// of the PDU with its ten CRC bits zeroed.
-func maskedBitwise(p *[PayloadSize]byte) uint16 {
-	tmp := *p
-	tmp[46] &^= 0x3
-	tmp[47] = 0
-	return crc10Bitwise(0, tmp[:])
-}
-
 // validCell returns the first cell of a multi-cell datagram of random
 // bytes: a BOM whose payload, length indicator and CRC-10 are all valid.
 func validCell(seed uint64) Cell {
@@ -61,11 +48,11 @@ func validCell(seed uint64) Cell {
 }
 
 // crcVerdictBitwise is Push's CRC check restated on the reference: the
-// stored CRC equals the bitwise CRC of the payload with the field zeroed.
+// stored CRC equals the bitwise CRC of the bits ahead of it.
 func crcVerdictBitwise(c *Cell) bool {
 	p := (*[PayloadSize]byte)(c.Payload())
 	stored := uint16(p[46]&0x3)<<8 | uint16(p[47])
-	return maskedBitwise(p) == stored
+	return crc10Bitwise(p[:], crcBits) == stored
 }
 
 // pushRejectsCRC pushes c into a fresh reassembler and reports whether
@@ -100,9 +87,9 @@ func TestPushRejectsEverySingleBitCorruption(t *testing.T) {
 	}
 }
 
-// FuzzCRC10Sliced holds the CRC-10 kernel and its receive form to the
-// bitwise reference on arbitrary PDUs — the input's first 48 bytes, zero
-// padded — and Push's in-place CRC verdict on the same PDU as a cell.
+// FuzzCRC10Sliced holds the CRC-10 kernel to the bitwise reference on
+// arbitrary PDUs — the input's first 48 bytes, zero padded — and Push's
+// in-place CRC verdict on the same PDU as a cell.
 func FuzzCRC10Sliced(f *testing.F) {
 	valid := validCell(17)
 	f.Add(valid.Payload())
@@ -119,11 +106,8 @@ func FuzzCRC10Sliced(f *testing.F) {
 		var c Cell
 		copy(c.Payload(), b)
 		p := (*[PayloadSize]byte)(c.Payload())
-		if got, want := crc10PDU(p), crc10Bitwise(0, p[:]); got != want {
+		if got, want := crc10PDU(p), crc10Bitwise(p[:], crcBits); got != want {
 			t.Fatalf("crc10PDU = %#x, bitwise reference %#x", got, want)
-		}
-		if got, want := crc10Masked(p), maskedBitwise(p); got != want {
-			t.Fatalf("crc10Masked = %#x, bitwise reference %#x", got, want)
 		}
 		if got, want := pushRejectsCRC(t, &c), !crcVerdictBitwise(&c); got != want {
 			t.Fatalf("Push rejected for CRC = %v, bitwise reference says %v", got, want)
@@ -160,6 +144,63 @@ func TestPushRejectsWithoutAllocating(t *testing.T) {
 		}
 		if allocs != 0 {
 			t.Errorf("a %q reject allocates %v times, want 0", tc.reason, allocs)
+		}
+	}
+}
+
+// TestCRC10FlagsEveryShortBurst holds the receive check a reassembler
+// makes — crc10PDU against the ten CRC bits the SAR-PDU carries — to
+// the detection a CRC of degree 10 guarantees, on valid PDUs of several
+// frames: it flags every single-bit flip of the 384, and every burst of 2
+// to 10 bits inside the PDU, each of whose end bits is flipped, in every
+// pattern of the bits between.
+func TestCRC10FlagsEveryShortBurst(t *testing.T) {
+	flagged := func(p *[PayloadSize]byte) bool {
+		return crc10PDU(p) != uint16(p[46]&0x3)<<8|uint16(p[47])
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		c := validCell(seed)
+		p := (*[PayloadSize]byte)(c.Payload())
+		if flagged(p) {
+			t.Fatalf("seed %d: a valid PDU is flagged", seed)
+		}
+		for length := 1; length <= 10; length++ {
+			for start := 0; start+length <= PayloadSize*8; start++ {
+				// Bits between the burst's two ends take every pattern.
+				for mid := 0; mid < 1<<max(length-2, 0); mid++ {
+					burst := 1 | 1<<(length-1) | mid<<1
+					q := *p
+					for i := 0; i < length; i++ {
+						if burst>>i&1 == 1 {
+							bit := start + i
+							q[bit/8] ^= 0x80 >> (bit % 8)
+						}
+					}
+					if !flagged(&q) {
+						t.Fatalf("seed %d: a %d-bit burst from bit %d (pattern %b) passes the CRC-10", seed, length, start, burst)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestHECFlagsEverySingleBitFlip holds the header check a driver or a
+// switch makes to flag every single-bit flip of the five header bytes,
+// the HEC byte's own included, on headers across the VCI range.
+func TestHECFlagsEverySingleBitFlip(t *testing.T) {
+	for _, h := range []CellHeader{{VCI: DefaultVCI}, {VCI: 0xffff, VPI: 0xff, GFC: 0xf, PT: 7, CLP: true}, {VCI: 1234, VPI: 5}} {
+		var c Cell
+		h.Marshal(&c)
+		if _, err := ParseHeader(&c); err != nil {
+			t.Fatalf("%+v: a valid header is refused: %v", h, err)
+		}
+		for bit := 0; bit < 5*8; bit++ {
+			q := c
+			q[bit/8] ^= 0x80 >> (bit % 8)
+			if _, err := ParseHeader(&q); err == nil {
+				t.Errorf("%+v: a flip of header bit %d passes the HEC", h, bit)
+			}
 		}
 	}
 }

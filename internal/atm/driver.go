@@ -55,17 +55,6 @@ type Driver struct {
 	rx     rxTable
 	lastRx *rxVC
 
-	// hostCorrupt flips one random bit of each reassembled datagram
-	// during the device-to-host transfer — the paper's second error
-	// source ("errors introduced by the network controllers in moving
-	// data between host and controller memories", §4.2.1), which the
-	// AAL CRC cannot see and only the TCP checksum can catch. Its draws
-	// come from hostRNG, the host's own stream (SetHostCorruption), not
-	// the adapter's, so cell receipt and reassembly never interleave on
-	// one stream.
-	hostCorrupt float64
-	hostRNG     sim.RNG
-
 	// tx is the channel the Output holding the transmit lock cuts its
 	// frame's cells with (nil: none, or no route). A port failure can
 	// remove the flow's route while the Output is parked on a full FIFO,
@@ -86,12 +75,13 @@ type Driver struct {
 	proc     sim.Proc
 	rxproc   rxprocFrame
 
-	// ReassemblyErrors counts cells the AAL reassembler rejected.
+	// ReassemblyErrors counts cells the AAL reassembler rejected, and
+	// CRC10Errors those of them whose CRC-10 failed; the rest failed a
+	// sequence, length or tag check.
 	ReassemblyErrors int64
+	CRC10Errors      int64
 	// HECErrors counts cells discarded for a bad header checksum.
 	HECErrors int64
-	// HostCorruptions counts datagram bits flipped by host corruption.
-	HostCorruptions int64
 	// reassembled counts cells handed to a reassembler: with HECErrors,
 	// every cell the driver popped. The conservation tests read it.
 	reassembled int64
@@ -239,7 +229,6 @@ func (t *rxTable) each(fn func(vc *rxVC)) {
 func (d *Driver) Reset() {
 	d.Link.Reset()
 	d.Mode = cost.ChecksumStandard
-	d.hostCorrupt = 0
 	d.tx = nil
 	d.seg.Reset()
 	d.rx.each(func(vc *rxVC) {
@@ -247,15 +236,15 @@ func (d *Driver) Reset() {
 		vc.open = false
 	})
 	d.lastRx = nil
-	d.ReassemblyErrors, d.HECErrors, d.HostCorruptions, d.reassembled = 0, 0, 0, 0
+	d.ReassemblyErrors, d.CRC10Errors, d.HECErrors, d.reassembled = 0, 0, 0, 0
 }
 
-// SetHostCorruption flips one random bit of each reassembled datagram
-// with probability rate (zero: off), drawing from a stream seeded with
-// seed.
-func (d *Driver) SetHostCorruption(rate float64, seed uint64) {
-	d.hostCorrupt = rate
-	d.hostRNG = *sim.NewRNG(seed)
+// FlipNext schedules a controller flip (sim.FaultControllerFlip): bit bit
+// of the next datagram this driver reassembles is flipped on its way to
+// host memory, where the AAL cannot see it. The adapter keeps the flip
+// with its wire flips; its Reset clears both.
+func (d *Driver) FlipNext(bit int) {
+	d.Adapter.flips = append(d.Adapter.flips, bitFlip{cell: nextDatagram, bit: bit})
 }
 
 // NumReassemblers returns how many receive-side reassembly contexts
@@ -554,6 +543,9 @@ func (f *rxprocFrame) Step(p *sim.Proc) {
 			dg, err := vc.reasm.Push(&f.c)
 			if err != nil {
 				d.ReassemblyErrors++
+				if err == errCRC10 {
+					d.CRC10Errors++
+				}
 				vc.open = false
 				f.pc = 7
 				continue
@@ -573,20 +565,17 @@ func (f *rxprocFrame) Step(p *sim.Proc) {
 				f.pc = 7
 				continue
 			}
-			// The on-wire identity, read before any host-side corruption
-			// is injected below: the trace records what the wire carried.
+			// The on-wire identity, read before any controller flip is
+			// applied below: the trace records what the wire carried.
 			f.del.Arrive(p, f.arrivedAt)
 			// Per-frame interrupt and reassembly-completion overhead.
 			f.pc = 5
 			if !k.Use(p, trace.LayerATMRx, k.Cost.ATMRxFrameFixed) {
 				return
 			}
-		case 5: // host-side corruption draw, then integrated fixed charge
-			if d.hostCorrupt > 0 && d.hostRNG.Bool(d.hostCorrupt) {
-				dg := f.del.DG
-				bit := d.hostRNG.Intn(len(dg) * 8)
-				dg[bit/8] ^= 1 << (bit % 8)
-				d.HostCorruptions++
+		case 5: // scheduled controller flips, then integrated fixed charge
+			if len(d.Adapter.flips) > 0 {
+				d.Adapter.flip(nextDatagram, f.del.DG)
 			}
 			// In integrated mode the device-to-kernel copy computes the
 			// payload's partial sums as a side effect; the mbufs carry them.

@@ -64,13 +64,14 @@ func (h *quietHost) Step(p *sim.Proc) {
 	h.w.read(h.i, "intr")
 }
 
-// Impairments a script can arm on an adapter's receive side.
+// Impairments a script can arm on an adapter: on its receive side, or
+// (impFlip) wire flips of four cells it launches.
 const (
 	impNone = iota
 	impGE
 	impReorder
 	impLoss
-	impCorrupt
+	impFlip
 	impKinds
 )
 
@@ -93,13 +94,15 @@ func newQuietWorld(evented bool, imps [2]int) *quietWorld {
 		a := w.ad[i]
 		switch imp {
 		case impGE:
-			a.SetImpairments(sim.GEParams{PGoodBad: 0.02, PBadGood: 0.2, LossBad: 0.7}, 0, 0, 0, uint64(11+i))
+			a.SetImpairments(sim.GEParams{PGoodBad: 0.02, PBadGood: 0.2, LossBad: 0.7}, 0, 0, uint64(11+i))
 		case impReorder:
-			a.SetImpairments(sim.GEParams{}, 0, 0.05, 3, uint64(21+i))
+			a.SetImpairments(sim.GEParams{}, 0.05, 3, uint64(21+i))
 		case impLoss:
-			a.SetImpairments(sim.GEParams{LossGood: 0.01}, 0, 0, 0, uint64(31+i))
-		case impCorrupt:
-			a.SetImpairments(sim.GEParams{}, 0.01, 0, 0, uint64(41+i))
+			a.SetImpairments(sim.GEParams{LossGood: 0.01}, 0, 0, uint64(31+i))
+		case impFlip: // a header bit, a segment-type bit, a payload bit, the last bit
+			for _, bit := range []int{3*424 + 9, 7*424 + 41, 20*424 + 100, 50*424 + 423} {
+				a.FlipLaunched(bit)
+			}
 		}
 	}
 	env.Seed(5)
@@ -399,7 +402,7 @@ var quietScripts = []struct {
 		opFrame(0, 182), opFrame(0, 182), opFrame(1, 60), opReadAt(0, 10), opReadAfter(0, 11))},
 	{"cell loss armed", quietScript(impLoss, impNone,
 		opFrame(1, 182), opFrame(1, 182), opFrame(0, 60), opReadAt(1, 10), opReadAfter(1, 11))},
-	{"corruption armed one way", quietScript(impNone, impCorrupt,
+	{"wire flips armed one way", quietScript(impNone, impFlip,
 		opFrame(0, 182), opFrame(1, 182), opFrame(0, 90))},
 }
 
@@ -420,6 +423,9 @@ func TestQuietArrivalsMatchEvented(t *testing.T) {
 				// The loss chain draws its own stream whenever a cell
 				// is received, so a lossy receiver leaves arrivals quiet.
 				t.Errorf("%s: no quiet cell into the lossy host %d", tc.name, i)
+			}
+			if imp == impFlip && real.ad[i].CellsCorrupted != 4 {
+				t.Errorf("%s: host %d launched %d flipped cells, want 4", tc.name, i, real.ad[i].CellsCorrupted)
 			}
 		}
 		quiet += real.quiet

@@ -270,57 +270,6 @@ func TestMeasureBreakdownsConsistency(t *testing.T) {
 	}
 }
 
-// TestErrorStudy runs the study at the report's 150 echoes: at 120 the
-// one controller flip its seed draws lands in a warm-up echo, which no
-// measured echo can carry to the application.
-func TestErrorStudy(t *testing.T) {
-	r, err := RunErrorStudy(150, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + r.Render())
-	rows := map[string]ErrorStudyRow{}
-	for _, row := range r.Rows {
-		rows[row.Label] = row
-	}
-
-	wireOn := rows["wire noise, checksum on"]
-	if wireOn.WireCorrupted == 0 {
-		t.Fatal("no wire corruption injected; study vacuous")
-	}
-	if wireOn.HECDrops+wireOn.AALDrops == 0 {
-		t.Error("wire noise not caught below TCP")
-	}
-	if wireOn.TCPCksumDrops != 0 {
-		t.Errorf("TCP checksum caught %d wire errors the AAL should have caught",
-			wireOn.TCPCksumDrops)
-	}
-	if wireOn.CorruptEchoes != 0 {
-		t.Error("wire noise reached the application with the checksum on")
-	}
-
-	wireOff := rows["wire noise, checksum off"]
-	if wireOff.CorruptEchoes != 0 {
-		t.Error("wire noise reached the application with the checksum off: AAL insufficient")
-	}
-
-	ctlOn := rows["buggy controller, checksum on"]
-	if ctlOn.HostCorrupted == 0 {
-		t.Fatal("no host corruption injected; study vacuous")
-	}
-	if ctlOn.TCPCksumDrops == 0 {
-		t.Error("TCP checksum missed host-side corruption")
-	}
-	if ctlOn.CorruptEchoes != 0 {
-		t.Error("host corruption reached the application despite the checksum")
-	}
-
-	ctlOff := rows["buggy controller, checksum off"]
-	if ctlOff.CorruptEchoes == 0 {
-		t.Error("expected corruption to reach the application with checksum off and a buggy controller")
-	}
-}
-
 func TestTransportComparison(t *testing.T) {
 	r, err := RunTransportComparison(cost.ChecksumStandard, fastOpts())
 	if err != nil {

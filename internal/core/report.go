@@ -70,7 +70,7 @@ func RunAll(o Options) (*Report, error) {
 	}
 	r.PCB = RunPCBExperiment()
 	r.Sun3 = RunSun3Comparison()
-	if r.Errors, err = RunErrorStudy(150, o); err != nil {
+	if r.Errors, err = RunErrorStudy(); err != nil {
 		return nil, fmt.Errorf("error study: %w", err)
 	}
 	if r.FanIn, err = RunFanInStudy(FanInClientCounts, 12, o); err != nil {

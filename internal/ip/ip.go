@@ -61,19 +61,20 @@ func (h *Header) Marshal(b []byte) {
 	b[11] = byte(ck)
 }
 
-// Parse reads and validates a header from b. It returns an error for a bad
-// version, short buffer, checksum mismatch, or a total length shorter than
-// the header itself (ip_input's ip_len < hlen drop).
+// Parse reads and validates a header from b. It returns an error for a
+// short buffer, checksum mismatch, bad version, or a total length shorter
+// than the header itself (ip_input's ip_len < hlen drop). The checksum is
+// verified first, so no field of a corrupt header is read.
 func Parse(b []byte) (Header, error) {
 	var h Header
 	if len(b) < HeaderLen {
 		return h, fmt.Errorf("ip: short header (%d bytes)", len(b))
 	}
-	if b[0] != 0x45 {
-		return h, fmt.Errorf("ip: unsupported version/IHL %#x", b[0])
-	}
 	if !checksum.Verify(b[:HeaderLen]) {
 		return h, fmt.Errorf("ip: header checksum mismatch")
+	}
+	if b[0] != 0x45 {
+		return h, fmt.Errorf("ip: unsupported version/IHL %#x", b[0])
 	}
 	h.TotalLen = int(b[2])<<8 | int(b[3])
 	if h.TotalLen < HeaderLen {

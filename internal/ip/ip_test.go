@@ -2,9 +2,11 @@ package ip
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/checksum"
 	"repro/internal/cost"
 	"repro/internal/kern"
 	"repro/internal/mbuf"
@@ -33,12 +35,9 @@ func TestHeaderChecksumDetectsCorruption(t *testing.T) {
 	b := make([]byte, HeaderLen)
 	h.Marshal(b)
 	for i := 0; i < HeaderLen; i++ {
-		if i == 0 {
-			continue // version corruption caught by the version check
-		}
 		b[i] ^= 0xff
-		if _, err := Parse(b); err == nil {
-			t.Fatalf("corruption at byte %d accepted", i)
+		if _, err := Parse(b); err == nil || !strings.Contains(err.Error(), "checksum") {
+			t.Fatalf("corruption at byte %d: err %v, want a checksum mismatch", i, err)
 		}
 		b[i] ^= 0xff
 	}
@@ -50,9 +49,12 @@ func TestParseErrors(t *testing.T) {
 	}
 	b := make([]byte, HeaderLen)
 	(&Header{TotalLen: 20}).Marshal(b)
-	b[0] = 0x46 // IHL 6: options unsupported
-	if _, err := Parse(b); err == nil {
-		t.Error("options header accepted")
+	b[0] = 0x46 // IHL 6: options unsupported, under a good checksum
+	b[10], b[11] = 0, 0
+	ck := checksum.Checksum(b)
+	b[10], b[11] = byte(ck>>8), byte(ck)
+	if _, err := Parse(b); err == nil || !strings.Contains(err.Error(), "version") {
+		t.Errorf("options header: err %v, want a version refusal", err)
 	}
 	(&Header{TotalLen: HeaderLen - 1}).Marshal(b)
 	if _, err := Parse(b); err == nil {

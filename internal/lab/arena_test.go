@@ -69,6 +69,18 @@ func flap(host int) sim.FaultSchedule {
 	return s
 }
 
+// flips schedules n bit flips of kind, alternating between the pair's
+// hosts, one every 5 ms from 2 ms on, at bits spread over [0, bits): a
+// fixed stand-in for noise on an echo run.
+func flips(kind sim.FaultKind, n, bits int) sim.FaultSchedule {
+	var s sim.FaultSchedule
+	for i := 0; i < n; i++ {
+		at := sim.Time(i)*5*sim.Millisecond + 2*sim.Millisecond
+		s = append(s, sim.FaultEvent{At: at, Kind: kind, Host: i % 2, Bit: i * 7919 % bits})
+	}
+	return s
+}
+
 // poisonScratch arms every loop's use-after-return tripwire.
 func poisonScratch(l *Lab) {
 	for _, sh := range l.Cluster().Shards {
@@ -109,8 +121,8 @@ func TestArenaDrainsToZero(t *testing.T) {
 		{name: "echo across 3 shards", cfg: Config{Link: LinkATM}, hosts: 3, shards: 3, lossFree: true},
 		{name: "echo across a cut fat tree", cfg: Config{Link: LinkATM, Fabric: FabricFatTree, LeafPorts: 1}, hosts: 4, shards: 4, lossFree: true},
 		{name: "cell loss (sequence gaps, lost ends)", cfg: Config{Link: LinkATM, BurstLoss: sim.GEParams{LossGood: 0.003}}, hosts: 2, shards: 1},
-		{name: "cell corruption (CRC-10, HEC)", cfg: Config{Link: LinkATM, CellCorruptRate: 0.003}, hosts: 2, shards: 1},
-		{name: "host corruption", cfg: Config{Link: LinkATM, HostCorruptRate: 0.05}, hosts: 2, shards: 1},
+		{name: "cell corruption (CRC-10, HEC)", cfg: Config{Link: LinkATM}, hosts: 2, shards: 1, faults: flips(sim.FaultWireFlip, 12, 20*424)},
+		{name: "host corruption", cfg: Config{Link: LinkATM}, hosts: 2, shards: 1, faults: flips(sim.FaultControllerFlip, 12, 8000*8)},
 		{name: "burst loss and reordering", cfg: Config{Link: LinkATM,
 			BurstLoss:   sim.GEParams{PGoodBad: 0.004, PBadGood: 0.2, LossBad: 0.6},
 			ReorderRate: 0.002, ReorderDepth: 2}, hosts: 3, shards: 1},
@@ -142,7 +154,7 @@ func TestArenaDrainsToZero(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.CorruptEchoes != 0 && tc.cfg.HostCorruptRate == 0 {
+			if res.CorruptEchoes != 0 {
 				t.Errorf("%d corrupt echoes", res.CorruptEchoes)
 			}
 			if tc.lossFree && tc.shards == 1 {
@@ -160,7 +172,7 @@ func TestArenaDrainsToZero(t *testing.T) {
 						hurt += a.GEDrops + a.DownDrops
 						continue
 					}
-					hurt += h.ATMAdapter.CellsDropped + h.ATMAdapter.CellsCorrupted + h.ATMDriver.HostCorruptions
+					hurt += h.ATMAdapter.CellsDropped + h.ATMAdapter.CellsCorrupted + h.TCP.Stats.ChecksumErrors + h.IP.Drops
 				}
 				if hurt == 0 {
 					t.Fatal("the run lost and damaged nothing: the case no longer reaches an abort path")
@@ -315,7 +327,9 @@ func echoFingerprint(l *Lab, res *EchoResult) string {
 // send decision: the RTT sample starts there, so a few timeout-bound
 // round trips moved by milliseconds and no counter moved. The two bit-flip
 // rows were re-captured when cell corruption moved from the environment's
-// RNG to the link's own stream: other bits flip.
+// RNG to the link's own stream: other bits flip. They were written anew,
+// with their fingerprints, when a fixed schedule of flips replaced the
+// corruption rate: a flip lands in the sender's record at launch.
 func TestLentCellsAreNotKept(t *testing.T) {
 	rows := []struct {
 		name          string
@@ -331,12 +345,12 @@ func TestLentCellsAreNotKept(t *testing.T) {
 		{name: "held five arrivals, or until the flush timer, behind a hub", cfg: Config{ReorderRate: 0.003, ReorderDepth: 5}, hosts: 3, shards: 1,
 			reaches: func(l *Lab) int64 { return l.Server.ATMAdapter.CellsReordered },
 			parent:  "730bc7ce4ae4fa9f8033cad37008a251f2a0352254a2ed1840f18e59919eea97"},
-		{name: "bit flips on the pair", cfg: Config{CellCorruptRate: 0.002}, hosts: 2, shards: 1,
-			reaches: func(l *Lab) int64 { return l.Server.ATMAdapter.CellsCorrupted },
-			parent:  "cf7e6d3c6213980d502af85ddaccfac5a94cb3abaa6123c767e7f4973853e82c"},
-		{name: "bit flips behind a hub", cfg: Config{CellCorruptRate: 0.002}, hosts: 3, shards: 1,
-			reaches: func(l *Lab) int64 { return l.Server.ATMAdapter.CellsCorrupted + l.Switch.HECErrors },
-			parent:  "b1b979731f3a2660438f58b9d67db3e414914da767668486f7a18f24cdffcdb6"},
+		{name: "bit flips on the pair", cfg: Config{}, hosts: 2, shards: 1, faults: flips(sim.FaultWireFlip, 12, 20*424),
+			reaches: func(l *Lab) int64 { return l.Client.ATMAdapter.CellsCorrupted },
+			parent:  "42cc1384d476c8908c9478549872b80255b5611b250258a4dc222a3adfb66b80"},
+		{name: "bit flips behind a hub", cfg: Config{}, hosts: 3, shards: 1, faults: flips(sim.FaultWireFlip, 12, 20*424),
+			reaches: func(l *Lab) int64 { return l.Client.ATMAdapter.CellsCorrupted + l.Switch.HECErrors },
+			parent:  "70e853e032b4446f198ed471c06428c38d271ff672144356cb08166e34c4c8e4"},
 		{name: "link flaps", cfg: Config{}, hosts: 3, shards: 1, faults: flap(1),
 			reaches: func(l *Lab) int64 { return l.Server.ATMAdapter.DownDrops },
 			parent:  "43c1eabd87003259c73ef26849682f0d3507a7ca131b4017dbdc3668495e39a1"},

@@ -278,8 +278,8 @@ func (cfg Config) model() *cost.Model {
 
 // configure applies a trial configuration to a wired testbed: the last
 // step of build and of Reset, and the only place anything is derived
-// from a Config — RNG seeds, every per-host knob, the adapters' fault
-// rates and impairment chains, the switch ports' queue disciplines, and
+// from a Config — RNG seeds, every per-host knob, the adapters'
+// impairment chains, the switch ports' queue disciplines, and
 // (above one shard) the cluster's lookahead and boomerang bounds. A
 // quantity computed here cannot go stale across a Reset.
 func (c *Cluster) configure(cfg Config) {
@@ -299,17 +299,15 @@ func (c *Cluster) configure(cfg Config) {
 			h.Kern.Trace.DisablePackets()
 		}
 		// Each host's impairment layer — the Gilbert–Elliott loss chain
-		// and (ATM only) cell corruption and bounded reordering — draws a
-		// private stream derived from Config.Seed, and so does the ATM
-		// driver's host-side corruption. Adapters clear impairment state
-		// on Reset; zero impairment fields leave the receive path
+		// and (ATM only) bounded reordering — draws a private stream
+		// derived from Config.Seed. Adapters clear impairment state on
+		// Reset; zero impairment fields leave the receive path
 		// byte-identical to an unimpaired adapter.
 		seed := deriveSeed(cfg.Seed, 0x1000_0000+uint64(i))
 		if h.ATMAdapter != nil {
 			h.ATMDriver.Mode = cfg.Mode
 			h.ATMDriver.MTUOverride = cfg.MTU
-			h.ATMDriver.SetHostCorruption(cfg.HostCorruptRate, deriveSeed(cfg.Seed, 0x2000_0000+uint64(i)))
-			h.ATMAdapter.SetImpairments(cfg.BurstLoss, cfg.CellCorruptRate, cfg.ReorderRate, cfg.ReorderDepth, seed)
+			h.ATMAdapter.SetImpairments(cfg.BurstLoss, cfg.ReorderRate, cfg.ReorderDepth, seed)
 		}
 		if h.EthAdapter != nil {
 			h.EthDriver.MTUOverride = cfg.MTU

@@ -3,6 +3,7 @@ package lab
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -429,5 +430,41 @@ func TestClusterInjectPathAllocatesNothing(t *testing.T) {
 	}
 	if st := c.RoundStats(); st.CellsStaged != 102 {
 		t.Errorf("CellsStaged = %d, want the 102 staged here", st.CellsStaged)
+	}
+}
+
+// TestScheduleFaultsRefuses pins what ScheduleFaults turns away before
+// anything is scheduled: an event sim's Validate refuses (an unknown kind,
+// a negative bit), a bit flip on a host with no ATM link, and a bit flip
+// above one shard.
+func TestScheduleFaultsRefuses(t *testing.T) {
+	rows := []struct {
+		name          string
+		link          LinkKind
+		hosts, shards int
+		ev            sim.FaultEvent
+		refusal       string // "" accepts
+	}{
+		{"unknown kind", LinkATM, 2, 1, sim.FaultEvent{Kind: sim.FaultControllerFlip + 1}, "unknown fault kind"},
+		{"negative bit", LinkATM, 2, 1, sim.FaultEvent{Kind: sim.FaultWireFlip, Bit: -1}, "negative bit"},
+		{"wire flip on Ethernet", LinkEther, 2, 1, sim.FaultEvent{Kind: sim.FaultWireFlip}, "no ATM link"},
+		{"controller flip on Ethernet", LinkEther, 2, 1, sim.FaultEvent{Kind: sim.FaultControllerFlip}, "no ATM link"},
+		{"wire flip, sharded", LinkATM, 4, 2, sim.FaultEvent{Kind: sim.FaultWireFlip}, "sharded execution accepts only link-flip faults"},
+		{"controller flip, sharded", LinkATM, 4, 2, sim.FaultEvent{Kind: sim.FaultControllerFlip}, "sharded execution accepts only link-flip faults"},
+		{"wire flip", LinkATM, 2, 1, sim.FaultEvent{Kind: sim.FaultWireFlip, Bit: 1 << 20}, ""},
+		{"controller flip behind a hub", LinkATM, 4, 1, sim.FaultEvent{Kind: sim.FaultControllerFlip, Host: 3}, ""},
+	}
+	for _, r := range rows {
+		c, err := NewCluster(Config{Link: r.link}, r.hosts, r.shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = c.ScheduleFaults(sim.FaultSchedule{r.ev})
+		switch {
+		case r.refusal == "" && err != nil:
+			t.Errorf("%s: refused: %v", r.name, err)
+		case r.refusal != "" && (err == nil || !strings.Contains(err.Error(), r.refusal)):
+			t.Errorf("%s: got %v, want a refusal naming %q", r.name, err, r.refusal)
+		}
 	}
 }

@@ -4,8 +4,10 @@
 // link flips as down flags on the entities whose receive paths enforce
 // them, port failures as VC teardown (transmit channels included) plus a
 // down port, host crashes as mid-run transport-stack resets reusing the
-// Reset machinery — and arms the watchdog that converts a recovery that
-// never happens into a failing run with a diagnostic instead of a hang.
+// Reset machinery, bit flips as flips armed on an ATM adapter's launches
+// or an ATM driver's next reassembled datagram — and arms the watchdog
+// that converts a recovery that never happens into a failing run with a
+// diagnostic instead of a hang.
 package lab
 
 import (
@@ -98,6 +100,10 @@ func (l *Lab) applyFault(ev sim.FaultEvent) {
 		for _, fn := range l.faults().restart[ev.Host] {
 			fn()
 		}
+	case sim.FaultWireFlip:
+		h.ATMAdapter.FlipLaunched(ev.Bit)
+	case sim.FaultControllerFlip:
+		h.ATMDriver.FlipNext(ev.Bit)
 	}
 }
 
@@ -209,10 +215,11 @@ func (l *Lab) Watchdog() *sim.Watchdog { return l.wd }
 
 // ScheduleFaults validates the schedule against the topology and
 // schedules every event. One shard accepts every fault kind, each event
-// applied whole on the one loop. Above one shard only the shard-safe
-// kinds (link flips) are accepted — port failures and host crashes
-// mutate routed-fabric and stack state across shard boundaries — and
-// each flip is split between the loops that own its two ends: the host's
+// applied whole on the one loop; a bit flip needs an ATM host. Above one
+// shard only the shard-safe kinds (link flips) are accepted — port
+// failures, host crashes and bit flips mutate routed-fabric, stack and
+// cell state across shard boundaries — and each link flip is split
+// between the loops that own its two ends: the host's
 // adapter on the host's loop, the matching switch port on the port's
 // (the core's shard for a hub, the host's own shard for a fat-tree
 // leaf), so every mutation happens on the goroutine that already owns
@@ -221,10 +228,15 @@ func (c *Cluster) ScheduleFaults(s sim.FaultSchedule) error {
 	l := c.Lab
 	sharded := len(c.Shards) > 1
 	if sharded && !s.ShardSafe() {
-		return fmt.Errorf("lab: sharded execution accepts only link-flip faults; port failures and host crashes mutate cross-shard state")
+		return fmt.Errorf("lab: sharded execution accepts only link-flip faults; port failures, host crashes and bit flips mutate cross-shard state")
 	}
 	if err := s.Validate(len(l.Hosts)); err != nil {
 		return err
+	}
+	for _, ev := range s {
+		if (ev.Kind == sim.FaultWireFlip || ev.Kind == sim.FaultControllerFlip) && l.Hosts[ev.Host].ATMAdapter == nil {
+			return fmt.Errorf("lab: fault %s targets %s, which has no ATM link", ev.Kind, HostName(ev.Host))
+		}
 	}
 	l.faults() // allocate the refcounts before the run
 	for _, ev := range s {

@@ -77,13 +77,6 @@ type Config struct {
 	// so both ends' demultiplexing must walk past that many entries — the
 	// §3 PCB-population study's variable.
 	LivePCBs int
-	// CellCorruptRate flips random bits in cells on the wire (caught by
-	// HEC / AAL CRC-10).
-	CellCorruptRate float64
-	// HostCorruptRate flips random bits in reassembled datagrams during
-	// the device-to-host transfer (invisible to the AAL; only the TCP
-	// checksum can catch it — the §4.2.1 buggy-controller scenario).
-	HostCorruptRate float64
 	// BurstLoss is the loss model: a Gilbert–Elliott two-state chain on
 	// every host's receive path, drawn once per ATM cell or Ethernet
 	// frame. LossGood alone is independent (Bernoulli) loss at that rate;
@@ -360,7 +353,7 @@ type EchoResult struct {
 	// CorruptEchoes counts measured iterations whose echoed bytes did
 	// not match what was sent — end-to-end data corruption that every
 	// lower-layer check missed. Zero in every experiment except the
-	// §4.2.1 study's no-checksum-plus-host-corruption configuration.
+	// §4.2.1 study's controller flips with the checksum off.
 	CorruptEchoes int
 	RTTs          []sim.Time
 	// Windows give, for each measured iteration, the client-side

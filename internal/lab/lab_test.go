@@ -221,11 +221,16 @@ func TestUDPEchoSizeLimit(t *testing.T) {
 }
 
 func TestEchoVerifiesPayload(t *testing.T) {
-	// Host-side corruption with the checksum eliminated must be counted
-	// by the harness (and only then). The rate stays below 1.0 because
-	// SYN segments are always checksummed: with every datagram corrupted
-	// the handshake could never complete.
-	l := New(Config{Link: LinkATM, Mode: cost.ChecksumNone, HostCorruptRate: 0.2, Seed: 3})
+	// Controller flips with the checksum eliminated must be counted by
+	// the harness (and only then).
+	l := New(Config{Link: LinkATM, Mode: cost.ChecksumNone, Seed: 3})
+	var s sim.FaultSchedule
+	for i := 0; i < 4; i++ { // payload bits of the datagrams each host receives next
+		s = append(s, sim.FaultEvent{At: sim.Time(i+2) * sim.Millisecond, Kind: sim.FaultControllerFlip, Host: i % 2, Bit: 8 * (40 + 100*i)})
+	}
+	if err := l.ScheduleFaults(s); err != nil {
+		t.Fatal(err)
+	}
 	res, err := l.RunEcho(500, 20, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -244,16 +249,22 @@ func TestEchoVerifiesPayload(t *testing.T) {
 }
 
 func TestWireCorruptionRecovered(t *testing.T) {
-	// Wire noise: AAL CRC drops frames, TCP retransmits, zero corrupt
-	// echoes regardless of checksum mode.
+	// Wire noise: the HEC and the AAL CRC drop cells, TCP retransmits,
+	// zero corrupt echoes regardless of checksum mode.
 	for _, mode := range []cost.ChecksumMode{cost.ChecksumStandard, cost.ChecksumNone} {
-		l := New(Config{Link: LinkATM, Mode: mode, CellCorruptRate: 0.001, Seed: 5})
+		l := New(Config{Link: LinkATM, Mode: mode, Seed: 5})
+		if err := l.ScheduleFaults(flips(sim.FaultWireFlip, 8, 33*424)); err != nil {
+			t.Fatal(err)
+		}
 		res, err := l.RunEcho(1400, 40, 0)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
 		if res.CorruptEchoes != 0 {
 			t.Fatalf("%v: corruption reached the application", mode)
+		}
+		if n := l.Client.ATMAdapter.CellsCorrupted + l.Server.ATMAdapter.CellsCorrupted; n != 8 {
+			t.Fatalf("%v: %d cells flipped, want 8", mode, n)
 		}
 	}
 }

@@ -143,24 +143,29 @@ func TestResetRejectsLinkChange(t *testing.T) {
 // cluster pages, and a CheckLeaks reset must succeed.
 func TestPoolLeakGate(t *testing.T) {
 	cases := []struct {
-		name string
-		cfg  Config
-		n    int
-		size int
-		udp  bool
+		name   string
+		cfg    Config
+		n      int
+		size   int
+		udp    bool
+		faults sim.FaultSchedule
 	}{
-		{"atm-small", Config{Link: LinkATM, CheckLeaks: true, Seed: 1}, 2, 80, false},
-		{"atm-cluster", Config{Link: LinkATM, CheckLeaks: true, Seed: 2}, 2, 8000, false},
-		{"atm-loss", Config{Link: LinkATM, CheckLeaks: true, BurstLoss: sim.GEParams{LossGood: 0.002}, Seed: 3}, 2, 1400, false},
-		{"atm-corrupt", Config{Link: LinkATM, CheckLeaks: true, CellCorruptRate: 0.002, Seed: 4}, 2, 1400, false},
-		{"ether", Config{Link: LinkEther, CheckLeaks: true, Seed: 5}, 2, 1400, false},
-		{"udp", Config{Link: LinkATM, CheckLeaks: true, Seed: 6}, 2, 512, true},
-		{"atm-mesh", Config{Link: LinkATM, CheckLeaks: true, Seed: 7}, 4, 200, false},
-		{"live-pcbs", Config{Link: LinkATM, CheckLeaks: true, LivePCBs: 6, Seed: 8}, 2, 200, false},
+		{"atm-small", Config{Link: LinkATM, CheckLeaks: true, Seed: 1}, 2, 80, false, nil},
+		{"atm-cluster", Config{Link: LinkATM, CheckLeaks: true, Seed: 2}, 2, 8000, false, nil},
+		{"atm-loss", Config{Link: LinkATM, CheckLeaks: true, BurstLoss: sim.GEParams{LossGood: 0.002}, Seed: 3}, 2, 1400, false, nil},
+		{"atm-corrupt", Config{Link: LinkATM, CheckLeaks: true, Seed: 4}, 2, 1400, false,
+			append(flips(sim.FaultWireFlip, 3, 33*424), flips(sim.FaultControllerFlip, 3, 1440*8)...)},
+		{"ether", Config{Link: LinkEther, CheckLeaks: true, Seed: 5}, 2, 1400, false, nil},
+		{"udp", Config{Link: LinkATM, CheckLeaks: true, Seed: 6}, 2, 512, true, nil},
+		{"atm-mesh", Config{Link: LinkATM, CheckLeaks: true, Seed: 7}, 4, 200, false, nil},
+		{"live-pcbs", Config{Link: LinkATM, CheckLeaks: true, LivePCBs: 6, Seed: 8}, 2, 200, false, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			l := NewTopology(tc.cfg, tc.n)
+			if err := l.ScheduleFaults(tc.faults); err != nil {
+				t.Fatal(err)
+			}
 			var err error
 			if tc.udp {
 				_, err = l.RunUDPEcho(tc.size, 10, 2)

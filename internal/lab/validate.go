@@ -103,8 +103,6 @@ var rules = [...]rule{
 	{field: "Link", max: float64(LinkEther), values: "LinkATM, LinkEther"},
 	{field: "Mode", max: float64(cost.ChecksumNone), values: "a cost.ChecksumMode"},
 	{field: "LivePCBs", max: inf, serial: true},
-	{field: "CellCorruptRate", max: 1, open: true, needs: needATM},
-	{field: "HostCorruptRate", max: 1, open: true, needs: needATM},
 	{field: "BurstLoss.PGoodBad", max: 1, open: true, serial: true},
 	{field: "BurstLoss.PBadGood", max: 1, serial: true},
 	{field: "BurstLoss.LossGood", max: 1, open: true, serial: true},
@@ -140,7 +138,6 @@ var rules = [...]rule{
 func (cfg Config) ruledValues() [len(rules)]float64 {
 	q, ge := cfg.Qdisc, cfg.BurstLoss
 	return [...]float64{float64(cfg.Link), float64(cfg.Mode), float64(cfg.LivePCBs),
-		cfg.CellCorruptRate, cfg.HostCorruptRate,
 		ge.PGoodBad, ge.PBadGood, ge.LossGood, ge.LossBad,
 		cfg.ReorderRate, float64(cfg.ReorderDepth),
 		float64(q.Kind), float64(q.LimitCells), float64(q.REDMinCells), float64(q.REDMaxCells),

@@ -60,16 +60,6 @@ func TestShardedBitIdentityMatrix(t *testing.T) {
 				Qdisc: lab.QdiscConfig{Kind: lab.QdiscRED}},
 			hosts: 9,
 		},
-		{
-			// Bit flips on the wire and in the controller: each host's
-			// adapter and driver draw their own streams, in the order of
-			// their own arrivals and reassemblies, whichever shard runs
-			// them.
-			name: "hub-corrupt",
-			cfg: lab.Config{Link: lab.LinkATM, PacketTrace: true, Seed: 1994,
-				CellCorruptRate: 0.002, HostCorruptRate: 0.02},
-			hosts: 9,
-		},
 	}
 	gens := []workload.Generator{
 		workload.Echo{Iterations: 8, Warmup: 2},

@@ -8,8 +8,9 @@ import (
 // FaultKind names one deterministic fault-injection action. Link flips
 // are the shard-safe subset: they flip per-entity down flags read only
 // by the entity's owning shard, so a schedule of flips runs bit-identical
-// serial and host-sharded. Port failures and host crashes mutate shared
-// fabric and stack state and are applied to serial runs only.
+// serial and host-sharded. Port failures, host crashes and bit flips
+// mutate shared fabric, stack or cell state and are applied to serial
+// runs only.
 type FaultKind uint8
 
 const (
@@ -31,6 +32,17 @@ const (
 	// FaultHostRestart brings a crashed host's link back up; the stack
 	// restarts empty and applications must re-listen and reconnect.
 	FaultHostRestart
+	// FaultWireFlip flips bit Bit of the cell stream the target host's
+	// ATM adapter launches from the event's time on — bit Bit%424 of cell
+	// Bit/424 — as noise on the fibre, which the HEC or the AAL3/4 CRC-10
+	// of the receiving end can catch.
+	FaultWireFlip
+	// FaultControllerFlip flips bit Bit of the first datagram the target
+	// host's ATM driver reassembles at or after the event's time, during
+	// the device-to-host transfer — the paper's buggy controller
+	// (§4.2.1), invisible to the AAL. A bit past the datagram's end flips
+	// nothing.
+	FaultControllerFlip
 )
 
 // String names the kind for diagnostics.
@@ -46,6 +58,10 @@ func (k FaultKind) String() string {
 		return "host-crash"
 	case FaultHostRestart:
 		return "host-restart"
+	case FaultWireFlip:
+		return "wire-flip"
+	case FaultControllerFlip:
+		return "controller-flip"
 	}
 	return fmt.Sprintf("fault(%d)", uint8(k))
 }
@@ -57,11 +73,13 @@ func (k FaultKind) ShardSafe() bool {
 }
 
 // FaultEvent is one scheduled one-shot fault: at virtual time At, apply
-// Kind to Host's entity (its access link, switch port, or stack).
+// Kind to Host's entity (its access link, switch port, stack, cell stream
+// or receive path). Bit is the bit a flip kind flips.
 type FaultEvent struct {
 	At   Time
 	Kind FaultKind
 	Host int
+	Bit  int
 }
 
 // FaultSchedule is a deterministic fault-injection plan: a set of timed
@@ -71,10 +89,16 @@ type FaultEvent struct {
 // count (for the shard-safe kinds) and perturbs no other random draw.
 type FaultSchedule []FaultEvent
 
-// Validate checks every event targets a host in [0, hosts) at a
-// non-negative time.
+// Validate checks every event is of a known kind and targets a host in
+// [0, hosts) at a non-negative time and, for a flip, a non-negative bit.
 func (s FaultSchedule) Validate(hosts int) error {
 	for _, ev := range s {
+		if ev.Kind > FaultControllerFlip {
+			return fmt.Errorf("sim: unknown fault kind %s", ev.Kind)
+		}
+		if ev.Bit < 0 {
+			return fmt.Errorf("sim: fault %s flips negative bit %d", ev.Kind, ev.Bit)
+		}
 		if ev.Host < 0 || ev.Host >= hosts {
 			return fmt.Errorf("sim: fault %s targets host %d of %d", ev.Kind, ev.Host, hosts)
 		}

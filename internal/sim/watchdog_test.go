@@ -215,6 +215,15 @@ func TestLinkFlapsDeterministic(t *testing.T) {
 	if err := (FaultSchedule{{At: -1, Kind: FaultLinkDown, Host: 0}}).Validate(1); err == nil {
 		t.Fatal("Validate accepted a negative-time event")
 	}
+	if err := (FaultSchedule{{Kind: FaultControllerFlip + 1, Host: 0}}).Validate(1); err == nil {
+		t.Fatal("Validate accepted an unknown fault kind")
+	}
+	if err := (FaultSchedule{{Kind: FaultWireFlip, Host: 0, Bit: -1}}).Validate(1); err == nil {
+		t.Fatal("Validate accepted a negative bit")
+	}
+	if err := (FaultSchedule{{Kind: FaultControllerFlip, Host: 0, Bit: 11519}}).Validate(1); err != nil {
+		t.Fatalf("Validate refused a controller flip: %v", err)
+	}
 }
 
 // namedFrame is a root frame that names its own process (Namer) and

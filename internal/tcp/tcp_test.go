@@ -454,7 +454,7 @@ func TestTransferAllChecksumModes(t *testing.T) {
 func TestRecoveryFromCellLoss(t *testing.T) {
 	for _, mode := range []cost.ChecksumMode{cost.ChecksumStandard, cost.ChecksumNone} {
 		p := newPair(t, mode)
-		p.ab.SetImpairments(sim.GEParams{LossGood: 0.002}, 0, 0, 0, 11)
+		p.ab.SetImpairments(sim.GEParams{LossGood: 0.002}, 0, 0, 11)
 		p.env.Seed(11)
 		payload := make([]byte, 60000)
 		p.env.RNG().Fill(payload)

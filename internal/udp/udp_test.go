@@ -112,7 +112,7 @@ func TestSizesProperty(t *testing.T) {
 
 func TestChecksumDetectsHostCorruption(t *testing.T) {
 	p := newPair(t)
-	p.db.SetHostCorruption(1.0, 1) // corrupt every datagram
+	p.db.FlipNext(100 * 8) // a payload bit of the next datagram received
 	eb, _ := p.sb.Bind(7)
 	received := false
 	p.env.Spawn("rx", sim.Steps(
@@ -134,12 +134,12 @@ func TestChecksumDetectsHostCorruption(t *testing.T) {
 }
 
 func TestChecksumOffDeliversCorruption(t *testing.T) {
-	// The NFS-style configuration: no UDP checksum. Host-side corruption
+	// The NFS-style configuration: no UDP checksum. A controller flip
 	// is invisible (there is no recovery in UDP — the paper's point that
 	// elimination is an application decision).
 	p := newPair(t)
 	p.sa.ChecksumOff = true
-	p.db.SetHostCorruption(1.0, 1)
+	p.db.FlipNext(100 * 8)
 	eb, _ := p.sb.Bind(7)
 	payload := make([]byte, 500)
 	p.env.RNG().Fill(payload)

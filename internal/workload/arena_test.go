@@ -119,8 +119,12 @@ var arenaTrials = []struct {
 		CrashAt: 250 * sim.Millisecond, Downtime: sim.Second}, lab.Config{Link: lab.LinkEther, CheckLeaks: true}, 5, false, false},
 	{name: "bulk, reordering", g: workload.Bulk{Bytes: 65536}, hosts: 3,
 		cfg: lab.Config{Link: lab.LinkATM, MTU: 1500, ReorderRate: 0.01, ReorderDepth: 4}},
-	{name: "bulk, cell corruption", g: workload.Bulk{Bytes: 65536}, hosts: 3,
-		cfg: lab.Config{Link: lab.LinkATM, MTU: 1500, CellCorruptRate: 0.006}},
+	{name: "fan-in, wire flips", hosts: 3, cfg: lab.Config{Link: lab.LinkATM, MTU: 1500},
+		g: workload.FanIn{Requests: 20, Size: 1400, Faults: sim.FaultSchedule{
+			{At: 2 * sim.Millisecond, Kind: sim.FaultWireFlip, Host: 1, Bit: 7},
+			{At: 3 * sim.Millisecond, Kind: sim.FaultWireFlip, Host: 0, Bit: 3*424 + 200},
+			{At: 5 * sim.Millisecond, Kind: sim.FaultWireFlip, Host: 2, Bit: 31*424 + 423},
+		}}},
 	{name: "bulk, RED hub under overflow", g: workload.Bulk{Bytes: 49152}, hosts: 5, cut: true,
 		cfg: lab.Config{Link: lab.LinkATM, Qdisc: lab.QdiscConfig{Kind: lab.QdiscRED, LimitCells: 96}}},
 	{name: "bulk, DRR hub under overflow", g: workload.Bulk{Bytes: 49152}, hosts: 5, cut: true,

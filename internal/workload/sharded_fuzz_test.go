@@ -10,21 +10,13 @@ import (
 
 // fuzzTrial derives a topology/workload/shard configuration from raw
 // fuzz bytes, clamped to shapes a trial can finish quickly, and returns
-// the generator plus the lab config and host count. The fabric byte also
-// arms bit flips on the wire or in the controller: both draw per-link
-// and per-host streams, so they shard.
+// the generator plus the lab config and host count.
 func fuzzTrial(fabric, leafPorts, hosts, wl uint8, seed uint16) (workload.Generator, lab.Config, int) {
 	cfg := lab.Config{Link: lab.LinkATM, PacketTrace: true, Seed: uint64(seed) + 1}
 	n := 3 + int(hosts%7) // 3..9 hosts
 	if fabric%2 == 1 {
 		cfg.Fabric = lab.FabricFatTree
 		cfg.LeafPorts = 1 + int(leafPorts%4)
-	}
-	switch fabric / 2 % 3 {
-	case 1:
-		cfg.CellCorruptRate = 0.01
-	case 2:
-		cfg.HostCorruptRate = 0.05
 	}
 	var g workload.Generator
 	switch wl % 5 {
@@ -47,9 +39,8 @@ func fuzzTrial(fabric, leafPorts, hosts, wl uint8, seed uint16) (workload.Genera
 
 // shardedFuzzSeeds is the fuzzer's seed corpus: each workload and
 // transport on both fabrics, at awkward shard counts (1 = degenerate,
-// clamped, prime, and power-of-two splits), then each corruption knob on
-// both fabrics at 2 and 4 shards. TestReleasedScratchIsPoisoned runs it
-// too.
+// clamped, prime, and power-of-two splits), then four more corners of
+// both fabrics. TestReleasedScratchIsPoisoned runs it too.
 var shardedFuzzSeeds = []struct {
 	fabric, leafPorts, hosts, wl, shards uint8
 	seed                                 uint16

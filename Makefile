@@ -6,7 +6,7 @@ GO ?= go
 # per-package default or hang a -race smoke until the job is killed.
 SMOKE_DEADLINE ?= 600
 
-.PHONY: all fmt fmt-check vet loc build test race bench bench-smoke bench-check benchdiff baseline bench-wallclock baseline-wallclock alloc-census tables load-smoke load-scale-smoke shard-smoke loaded-smoke docs-check fuzz-flags explore
+.PHONY: all fmt fmt-check vet loc build test race bench bench-smoke bench-check benchdiff baseline bench-wallclock baseline-wallclock alloc-census tables load-smoke load-scale-smoke loaded-smoke docs-check fuzz-flags explore
 
 all: build test
 
@@ -68,7 +68,7 @@ baseline:
 
 ## bench-wallclock: run the wall-clock tier and gate its allocation
 ## tripwires — B/op, allocs/rtt, allocs/run (the benchmarks no census
-## golden runs), barrier rounds and hand-offs, and peak heap (upward only,
+## golden runs), barrier rounds, and peak heap (upward only,
 ## on the B/op band) — against BENCH_wallclock.json. ns/op and allocs/op
 ## are printed, not gated: wall-clock claims are bench/'s, allocation
 ## sites cmd/alloccensus's goldens' (what CI runs).
@@ -112,31 +112,6 @@ load-smoke:
 load-scale-smoke:
 	timeout $(SMOKE_DEADLINE) $(GO) run -race ./cmd/load -workload fanin -hosts 1024 -reqs 1 -hashpcb \
 		-fabric fattree -stream on -stagger 5500 -json > /dev/null
-
-## shard-smoke: a 1024-host fat-tree fan-in split across 4 shards under
-## the race detector (what CI runs). Rounds that release several shards
-## run their windows concurrently, on workers and the coordinator, and a
-## shard's window moves between the two from round to round, so this
-## exercises every cross-shard path — staged cell injection, barrier
-## control transfers, VC setup across cuts — with the race detector
-## watching, and the run's digest still matches the serial golden (the
-## sharded golden tests pin that separately). Then the other generators
-## and the other transport on a small fat tree at 4 shards: every
-## generator records into one set of slot-indexed arrays that several
-## shards write at once, and the race detector is what proves each slot
-## has one writer. The fifth run adds RED: fat tree + qdisc + shards is
-## the one regime whose lookahead depends on the trial configuration. The
-## last adds cross flows: their source runs on each flow's own shard and
-## their sinks on the server's, through the frames bulk shares.
-SHARD_SMOKE_SMALL = $(GO) run -race ./cmd/load -hosts 33 -fabric fattree -leafports 4 -shards 4 -json
-shard-smoke:
-	timeout $(SMOKE_DEADLINE) $(GO) run -race ./cmd/load -workload fanin -hosts 1024 -reqs 1 -hashpcb \
-		-fabric fattree -stream on -stagger 5500 -shards 4 -json > /dev/null
-	timeout $(SMOKE_DEADLINE) $(SHARD_SMOKE_SMALL) -workload churn -conns 3 > /dev/null
-	timeout $(SMOKE_DEADLINE) $(SHARD_SMOKE_SMALL) -workload bulk -bytes 16384 > /dev/null
-	timeout $(SMOKE_DEADLINE) $(SHARD_SMOKE_SMALL) -workload fanin -reqs 4 -transport rudp > /dev/null
-	timeout $(SMOKE_DEADLINE) $(SHARD_SMOKE_SMALL) -workload fanin -reqs 4 -qdisc red > /dev/null
-	timeout $(SMOKE_DEADLINE) $(SHARD_SMOKE_SMALL) -workload fanin -reqs 4 -crosstraffic 3 > /dev/null
 
 ## loaded-smoke: the congested-regime tier end to end under the race
 ## detector (what CI runs): both transports (TCP and reliable UDP)

@@ -103,14 +103,12 @@ func BenchmarkWallclockFanIn10k(b *testing.B) { benchFanIn10k(b, 1) }
 
 // BenchmarkWallclockFanIn10kSharded is the 10,000-client fan-in driven
 // through the 4-shard cluster executor: identical simulated results
-// (the sharded golden tests pin this) from four per-partition event
-// loops synchronized under conservative lookahead. Its ns/op against
-// BenchmarkWallclockFanIn10k prices the barrier, not a speedup: with
-// client starts staggered 5 ms apart, more than 99 % of the rounds have
-// work in one shard only, so there is nothing to run concurrently at
-// any -cpu. "rounds" and "handoffs" (windows given to a worker
-// goroutine rather than run by the coordinator) are deterministic and
-// say so on every run; see docs/PERFORMANCE.md §11.
+// (the sharded bit-identity tests pin this) from four per-partition
+// event loops synchronized under conservative lookahead, their windows
+// run in turn on one goroutine. Its ns/op against
+// BenchmarkWallclockFanIn10k prices the barrier. "rounds" (barrier
+// rounds a run) is deterministic and says so on every run; see
+// docs/PERFORMANCE.md §11.
 func BenchmarkWallclockFanIn10kSharded(b *testing.B) { benchFanIn10k(b, 4) }
 
 // benchFanIn10k is the one body of both 10k benchmarks: the serial run is
@@ -147,9 +145,8 @@ func benchFanIn10k(b *testing.B, shards int) {
 		if m.HeapAlloc > peak {
 			peak = m.HeapAlloc
 		}
-		if st := c.RoundStats(); st.Rounds > 0 { // one shard has no barrier
-			b.ReportMetric(float64(st.Rounds), "rounds")
-			b.ReportMetric(float64(st.Handoffs), "handoffs")
+		if r := c.Rounds(); r > 0 { // one shard has no barrier
+			b.ReportMetric(float64(r), "rounds")
 		}
 		runtime.KeepAlive(c)
 	}

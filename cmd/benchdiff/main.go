@@ -146,11 +146,10 @@ func parseBench(in io.Reader) (map[string]float64, error) {
 // parseWallclock extracts the Wallclock benchmark tier's tripwires: the
 // standard B/op column, the custom allocs/rtt and allocs/run metrics (the
 // latter only from benchmarks whose configuration no census golden
-// runs), the sharded fan-in's "rounds" and "handoffs" (barrier rounds per run and
-// the windows among them handed to a worker goroutine — deterministic
-// properties of the simulation, gated like allocation counts: they move
-// only when the horizon algorithm or the barrier's execution model
-// changes), and the scale benchmark's peak-heap-MB under peakHeapKey.
+// runs), the sharded fan-in's "rounds" (barrier rounds per run — a
+// deterministic property of the simulation, gated like allocation
+// counts: it moves only when the horizon algorithm changes), and the
+// scale benchmark's peak-heap-MB under peakHeapKey.
 // B/op gets its own wider tolerance (-tol-bytes): byte counts swing with
 // GC timing and map growth in ways allocation counts do not, but they
 // are the metric that catches per-host state regressions — an eager VC
@@ -161,7 +160,7 @@ func parseWallclock(in io.Reader) (map[string]float64, error) {
 		switch unit {
 		case "peak-heap-MB":
 			return peakHeapKey
-		case "B/op", "allocs/rtt", "allocs/run", "rounds", "handoffs":
+		case "B/op", "allocs/rtt", "allocs/run", "rounds":
 			return name + "/" + unit
 		}
 		return ""

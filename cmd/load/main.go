@@ -12,11 +12,10 @@
 //	load -workload churn -hosts 9 -conns 25       # open/close storms
 //	load -workload bulk -hosts 5 -bytes 262144    # concurrent bulk fan-in
 //	load -workload fanin -trials 8 -loss 0.0005 -parallel 4  # repetitions under loss
-//	load -workload fanin -hosts 17 -reqs 4 -shards 4     # host-sharded event loops
 //	load -workload fanin -transport rudp -qdisc red      # reliable-UDP rival transport
 //	load -workload loaded -burstloss 0.002 -crosstraffic 2   # TCP vs rUDP under load
 //	load -workload faults -hosts 65 -crashat 500 -downtime 1000  # crash-recovery study
-//	load -workload fanin -faults 2 -shards 4             # seeded link flaps, shard-safe
+//	load -workload fanin -faults 2                       # seeded link flaps
 package main
 
 import (
@@ -72,7 +71,7 @@ var (
 const maxHosts = 1<<16 - 32
 
 // flags has a row per flag: which workloads read it and its domain. What
-// its lab.Config field applies to — the link, a switch, one shard — is
+// its lab.Config field applies to — the link, a switch — is
 // lab.Config.Validate's to say. The bounds on counts keep a run's memory
 // and time finite; those on durations keep sim.Time from wrapping.
 var flags = cli.Table{Name: "load", Rows: []cli.Row{
@@ -94,12 +93,11 @@ var flags = cli.Table{Name: "load", Rows: []cli.Row{
 	{Name: "stagger", Def: -1, Usage: "fanin: per-client start stagger in microseconds (-1 = auto: the per-client service estimate past -hosts 1024, else 0)", Min: -1, Max: 10_000_000, Why: "client i starts i staggers in, which must fit sim.Time", On: workloads.On("fanin")},
 	{Name: "fabric", Def: "hub", Usage: "ATM switch fabric: hub (one switch) or fattree (leaf switches trunked to a spine)", Words: []string{"hub", "fattree"}, On: sweep, Field: "Fabric"},
 	{Name: "leafports", Def: 0, Usage: "fattree: hosts per leaf switch (0 = default 64)", Max: maxHosts, Why: "a leaf holds at most every host", On: sweep, Field: "LeafPorts"},
-	{Name: "shards", Def: 0, Usage: "host-sharded trial execution: run each trial's event loop across N worker shards, bit-identical to serial (0 or 1 = serial)", Max: cli.Inf, On: workloads.On("fanin", "churn", "bulk", "echo", "loaded"), Field: "shards"},
 	{Name: "transport", Def: workload.TransportTCP, Usage: "fanin: transport under test, tcp or rudp (reliable UDP)", Words: []string{workload.TransportTCP, workload.TransportRUDP}, On: workloads.On("fanin")},
 	{Name: "qdisc", Def: "none", Usage: "ATM egress queue discipline: none, droptail, red, or drr", Words: []string{"none", "droptail", "red", "drr"}, On: sweep | workloads.On("loaded"), Field: "Qdisc"},
 	{Name: "burstloss", Def: 0.0, Usage: "Gilbert-Elliott burst loss: probability of entering the bad state per cell (0 = off)", Max: 1, On: sweep | workloads.On("loaded"), Field: "BurstLoss"},
 	{Name: "crosstraffic", Def: 0, Usage: "fanin/loaded: background bounded-Pareto transfer flows contending with the workload", Max: 1000, Why: timeWhy, On: workloads.On("fanin", "loaded")},
-	{Name: "faults", Def: 0, Usage: "fanin: seeded link flaps per client host during the run (shard-safe; 0 = none)", Max: 1000, Why: timeWhy, On: workloads.On("fanin")},
+	{Name: "faults", Def: 0, Usage: "fanin: seeded link flaps per client host during the run (0 = none)", Max: 1000, Why: timeWhy, On: workloads.On("fanin")},
 	{Name: "crashat", Def: 0, Usage: "faults: server crash time in milliseconds (0 = default 500)", Max: 3_600_000, Why: "an hour of simulated time, far inside sim.Time", On: workloads.On("faults")},
 	{Name: "downtime", Def: 0, Usage: "faults: crash-to-restart gap in milliseconds (0 = default 1000)", Max: 5000, Why: "a client gives up after 16 failed reconnects, about 6 s", On: workloads.On("faults")},
 }, Mode: workloads.Of("workload")}
@@ -112,15 +110,15 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	var (
-		wl, transp               = f.String("workload"), f.String("transport")
-		hosts, reqs, size        = f.Int("hosts"), f.Int("reqs"), f.Int("size")
-		shards, parallel, trials = f.Int("shards"), f.Int("parallel"), f.Int("trials")
-		crossN, faultsN          = f.Int("crosstraffic"), f.Int("faults")
-		seed, jsonOut            = f.Uint64("seed"), f.Bool("json")
+		wl, transp        = f.String("workload"), f.String("transport")
+		hosts, reqs, size = f.Int("hosts"), f.Int("reqs"), f.Int("size")
+		parallel, trials  = f.Int("parallel"), f.Int("trials")
+		crossN, faultsN   = f.Int("crosstraffic"), f.Int("faults")
+		seed, jsonOut     = f.Uint64("seed"), f.Bool("json")
 	)
 	cfg := labConfig(f)
 	lk := cfg.Link
-	if err := flags.Config(cfg.Validate(hosts, max(shards, 1))); err != nil {
+	if err := flags.Config(cfg.Validate(hosts, 1)); err != nil {
 		return err
 	}
 	// A reliable-UDP message rides one datagram: the loaded and fault
@@ -143,7 +141,6 @@ func run(args []string, w io.Writer) error {
 			Qdisc:      cfg.Qdisc,
 			BurstLoss:  cfg.BurstLoss,
 			CrossFlows: crossN,
-			Shards:     shards,
 			Parallel:   parallel,
 			BaseSeed:   seed,
 		})
@@ -183,8 +180,7 @@ func run(args []string, w io.Writer) error {
 		}
 		if faultsN > 0 {
 			// The flap schedule derives from the base seed and host
-			// indices alone (per-entity splitmix64 streams), so it is
-			// identical serially and at any -shards level.
+			// indices alone (per-entity splitmix64 streams).
 			clients := make([]int, 0, hosts-1)
 			for i := 1; i < hosts; i++ {
 				clients = append(clients, i)
@@ -217,7 +213,7 @@ func run(args []string, w io.Writer) error {
 			if trials > 1 {
 				label += fmt.Sprintf("/t%d", t)
 			}
-			ts = append(ts, runner.WorkloadTrial{Label: label, Cfg: c, Hosts: hosts, Gen: gen, Shards: shards})
+			ts = append(ts, runner.WorkloadTrial{Label: label, Cfg: c, Hosts: hosts, Gen: gen})
 		}
 	}
 

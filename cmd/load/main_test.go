@@ -171,28 +171,6 @@ func TestFaultsParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFanInLinkFlapsShardedBitIdentical pins the shard-safe fault
-// subset: a fan-in under seeded link flaps produces byte-identical JSON
-// serial and host-sharded, because each flap flips per-entity state on
-// the entity's owning shard from the host's own splitmix64 stream.
-func TestFanInLinkFlapsShardedBitIdentical(t *testing.T) {
-	jsonAt := func(shards string) string {
-		var buf bytes.Buffer
-		err := run([]string{"-workload", "fanin", "-hosts", "9", "-reqs", "3",
-			"-faults", "2", "-seed", "5", "-json", "-shards", shards}, &buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	serial := jsonAt("0")
-	for _, shards := range []string{"2", "4"} {
-		if sharded := jsonAt(shards); sharded != serial {
-			t.Fatalf("-shards %s: link-flap fan-in JSON diverged from serial", shards)
-		}
-	}
-}
-
 // goldenLoadSHA256 is the SHA-256 of the 8-client fan-in JSON at seed
 // 1994, captured on the pre-overhaul (PR 3) tree; see the matching
 // golden tests in cmd/tables and cmd/pkttrace.
@@ -214,47 +192,24 @@ func TestGoldenJSONByteIdentical(t *testing.T) {
 	}
 }
 
-// TestGoldenJSONShardedByteIdentical gates sharded execution against the
-// same golden hash as the serial path: -shards changes how the event
-// loop is driven, never what it computes, so the sharded run must
-// reproduce the PR 3 golden output to the byte.
-func TestGoldenJSONShardedByteIdentical(t *testing.T) {
-	for _, shards := range []string{"2", "4", "7"} {
-		var buf bytes.Buffer
-		args := []string{"-workload", "fanin", "-hosts", "9", "-reqs", "4",
-			"-seed", "1994", "-json", "-shards", shards}
-		if err := run(args, &buf); err != nil {
-			t.Fatal(err)
-		}
-		sum := sha256.Sum256(buf.Bytes())
-		if got := hex.EncodeToString(sum[:]); got != goldenLoadSHA256 {
-			t.Errorf("-shards %s: output hash %s, want golden %s (sharded run diverged from serial)",
-				shards, got, goldenLoadSHA256)
-		}
-	}
-}
-
 // goldenRUDPSHA256 is the SHA-256 of the same 8-client fan-in JSON over
 // the reliable-UDP transport, captured when the transport landed and
 // re-captured when the header gained the AckNone flag (packets sent
 // before the first reception shrank to 3-byte headers).
 const goldenRUDPSHA256 = "33907662ee75ec430eff746f8f583ce8d9e0c7ebc84639fddcdc85403aff6976"
 
-// TestGoldenRUDPByteIdentical pins the rudp fan-in output byte for byte,
-// serial and host-sharded: the rival transport is as deterministic as
-// TCP, and sharding must not perturb it.
+// TestGoldenRUDPByteIdentical pins the rudp fan-in output byte for byte:
+// the rival transport is as deterministic as TCP.
 func TestGoldenRUDPByteIdentical(t *testing.T) {
-	for _, shards := range []string{"0", "2", "3"} {
-		var buf bytes.Buffer
-		args := []string{"-workload", "fanin", "-transport", "rudp",
-			"-hosts", "9", "-reqs", "4", "-seed", "1994", "-json", "-shards", shards}
-		if err := run(args, &buf); err != nil {
-			t.Fatal(err)
-		}
-		sum := sha256.Sum256(buf.Bytes())
-		if got := hex.EncodeToString(sum[:]); got != goldenRUDPSHA256 {
-			t.Errorf("-shards %s: rudp output hash %s, want golden %s", shards, got, goldenRUDPSHA256)
-		}
+	var buf bytes.Buffer
+	args := []string{"-workload", "fanin", "-transport", "rudp",
+		"-hosts", "9", "-reqs", "4", "-seed", "1994", "-json"}
+	if err := run(args, &buf); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != goldenRUDPSHA256 {
+		t.Errorf("rudp output hash %s, want golden %s", got, goldenRUDPSHA256)
 	}
 }
 
@@ -262,49 +217,40 @@ func TestGoldenRUDPByteIdentical(t *testing.T) {
 // drain frames (internal/workload: bulk, and the cross flows beside a
 // fan-in and inside the loaded study), recorded before those frames moved
 // behind the transport seam: SHA-256 of stdout, identical at any
-// -parallel and, where the form is shardable, at any -shards. Two were
+// -parallel. Two were
 // re-captured when -loss became the loss chain's Good-state rate:
 // bulk-loss, whose losses are drawn from another stream, and loaded,
 // whose echoed configuration lost RED's weight and DRR's quantum (its
 // measurements did not move).
 var parityGoldens = []struct {
-	name    string
-	args    []string
-	sharded bool
-	sha256  string
+	name   string
+	args   []string
+	sha256 string
 }{
-	{"bulk", []string{"-workload", "bulk", "-hosts", "5", "-bytes", "65536"}, false,
+	{"bulk", []string{"-workload", "bulk", "-hosts", "5", "-bytes", "65536"},
 		"c9be23c5e4455bf0c1bceab3771a271a77cf9c60a6dfa0d4dd0cfa2f23a97bae"},
-	{"bulk-loss", []string{"-workload", "bulk", "-hosts", "5", "-bytes", "65536", "-loss", "0.0005"}, false,
+	{"bulk-loss", []string{"-workload", "bulk", "-hosts", "5", "-bytes", "65536", "-loss", "0.0005"},
 		"7f50ffe87c0d11d3690957383105879bfc9d0b1b3965a1ce42033d399f061a8f"},
-	{"bulk-9", []string{"-workload", "bulk", "-hosts", "9", "-bytes", "32768"}, true,
+	{"bulk-9", []string{"-workload", "bulk", "-hosts", "9", "-bytes", "32768"},
 		"1eec66cabf2d8d25fa6dbea55470ce13c96ee3707653cba4af4a875cf9c74af6"},
-	{"fanin-cross", []string{"-workload", "fanin", "-hosts", "9", "-reqs", "4", "-crosstraffic", "3"}, true,
+	{"fanin-cross", []string{"-workload", "fanin", "-hosts", "9", "-reqs", "4", "-crosstraffic", "3"},
 		"232dd41e3e3e87e3bdf19d346de497f3e1a783f505a8a3723f7ed629daf713d9"},
 	{"loaded", []string{"-workload", "loaded", "-hosts", "6", "-reqs", "4", "-qdisc", "red",
-		"-burstloss", "0.002", "-crosstraffic", "2"}, false,
+		"-burstloss", "0.002", "-crosstraffic", "2"},
 		"f9d58535a75fb7f66fe5f2c18f3d258b0193b3c298d7f927f53345768a2a316a"},
 }
 
 func TestStreamParityByteIdentical(t *testing.T) {
 	for _, g := range parityGoldens {
-		shards := []string{"1"}
-		if g.sharded {
-			shards = append(shards, "4")
-		}
 		for _, parallel := range []string{"1", "2"} {
-			for _, sh := range shards {
-				var buf bytes.Buffer
-				args := append(append([]string{}, g.args...),
-					"-seed", "1994", "-json", "-parallel", parallel, "-shards", sh)
-				if err := run(args, &buf); err != nil {
-					t.Fatalf("%s: %v", g.name, err)
-				}
-				sum := sha256.Sum256(buf.Bytes())
-				if got := hex.EncodeToString(sum[:]); got != g.sha256 {
-					t.Errorf("%s -parallel %s -shards %s: output hash %s, want %s",
-						g.name, parallel, sh, got, g.sha256)
-				}
+			var buf bytes.Buffer
+			args := append(append([]string{}, g.args...), "-seed", "1994", "-json", "-parallel", parallel)
+			if err := run(args, &buf); err != nil {
+				t.Fatalf("%s: %v", g.name, err)
+			}
+			sum := sha256.Sum256(buf.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != g.sha256 {
+				t.Errorf("%s -parallel %s: output hash %s, want %s", g.name, parallel, got, g.sha256)
 			}
 		}
 	}
@@ -340,10 +286,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{Args: []string{"-link", "token-ring"}, Flag: "-link"},
 		{Args: []string{"-trials", "0"}, Flag: "-trials"},
 		{Args: []string{"-loss", "1.5"}, Flag: "-loss"},
-		{Args: []string{"-shards", "-1"}, Flag: "-shards"},
-		{Args: []string{"-shards", "4", "-link", "ether"}, Flag: "-shards"},
-		{Args: []string{"-shards", "4", "-loss", "0.001"}, Flag: "-loss"},
-		{Args: []string{"-shards", "4", "-burstloss", "0.001"}, Flag: "-burstloss"},
+		// Sharded execution is no command's option.
+		{Args: []string{"-shards", "2"}, Flag: "flag provided but not defined: -shards"},
 		{Args: []string{"-burstloss", "1.5"}, Flag: "-burstloss"},
 		{Args: []string{"-crosstraffic", "-1"}, Flag: "-crosstraffic"},
 		{Args: []string{"-qdisc", "codel"}, Flag: "-qdisc"},
@@ -383,7 +327,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{Args: []string{"-workload", "faults", "-compare"}, Flag: "-compare"},
 		{Args: []string{"-workload", "faults", "-hashpcb"}, Flag: "-hashpcb"},
 		{Args: []string{"-workload", "faults", "-trials", "2"}, Flag: "-trials"},
-		{Args: []string{"-workload", "faults", "-shards", "2"}, Flag: "-shards"},
 		// Flags the workload never reads, and values no workload accepts.
 		{Args: []string{"-workload", "churn", "-stagger", "50"}, Flag: "-stagger"},
 		{Args: []string{"-workload", "bulk", "-stream", "on"}, Flag: "-stream"},
@@ -447,7 +390,9 @@ var fuzzCaps = map[string]float64{"hosts": 5, "conns": 2, "reqs": 3, "size": 200
 
 func FuzzFlags(f *testing.F) {
 	clitest.Add(f, &flags, "0.05", "-link=ether", "-loss=0.05")
-	clitest.Fuzz(f, &flags, run, fuzzCaps, "workload")
+	// Every row alone after each -workload value, and after each -link
+	// value: the link decides which fields lab.Config.Validate refuses.
+	clitest.Fuzz(f, &flags, run, fuzzCaps, "workload", "link")
 }
 
 // TestLossOnEthernet: -loss is the loss chain's rate on either link, so

@@ -217,7 +217,7 @@ type transmitter struct {
 	inLane sim.Lane
 
 	// cut, when set, marks the far end of the fibre as living in another
-	// shard: launch stages the cell with the cluster coordinator (see
+	// shard: launch stages the cell with the cluster's barrier (see
 	// Port.SetCut), by value, instead of scheduling its arrival here.
 	cut func(scheduleAt, at sim.Time, c Cell)
 }

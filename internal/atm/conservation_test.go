@@ -147,7 +147,6 @@ func TestCellsAreConserved(t *testing.T) {
 		{name: "fat tree, 4 shards", cfg: lab.Config{Fabric: lab.FabricFatTree, LeafPorts: 4}, hosts: 17, shards: 4, g: fanIn},
 		{name: "hub, RED, 4 shards", cfg: lab.Config{Qdisc: lab.QdiscConfig{Kind: lab.QdiscRED, LimitCells: 96}}, hosts: 5, shards: 4, g: bulk},
 		{name: "hub, link flaps", hosts: 5, shards: 1, g: flaps},
-		{name: "hub, link flaps, 4 shards", hosts: 5, shards: 4, g: flaps},
 		{name: "hub, port failure", hosts: 5, shards: 1, g: portFail},
 		{name: "hub, server port failure", hosts: 5, shards: 1, g: serverFail},
 		{name: "hub, wire flips", hosts: 5, shards: 1, g: flipped},

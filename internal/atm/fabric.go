@@ -98,7 +98,7 @@ func (rt *route) add(h hop) {
 // removed route's slot may be handed out again at once: removal first
 // takes the channel out of its source driver's hands (Fabric.removeRoute).
 // Only the shard that owns the table writes it inside a round; the
-// coordinator drains queued at the barrier.
+// barrier drains queued.
 type routeTable struct {
 	m    map[flowKey]*route
 	slab []route
@@ -171,8 +171,10 @@ type Fabric struct {
 	// plan is the shard wiring the fabric was built across (one env for a
 	// serial fabric). routes remembers every installed flow path, and
 	// queues those waiting for the barrier, partitioned by the *source*
-	// host's shard so that concurrent shards never touch one table: the
-	// source's driver is the one writer of a route's segmenter. Routes
+	// host's shard: the source's driver is the one writer of a route's
+	// segmenter, and a hop behind a cut waits in the queue until the
+	// barrier, so it is installed against the far shard's clock, never
+	// ahead of it. Routes
 	// survive testbed Reset — routing is topology once installed — with
 	// their segmenters rewound.
 	plan   *ShardPlan

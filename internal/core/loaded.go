@@ -31,8 +31,7 @@ type LoadedOptions struct {
 	// Qdisc is installed on every switch egress port (zero = the
 	// built-in drop-tail depth).
 	Qdisc lab.QdiscConfig
-	// BurstLoss layers a Gilbert–Elliott chain on every link. Nonzero
-	// forces serial execution (Shards is rejected by the lab).
+	// BurstLoss layers a Gilbert–Elliott chain on every link.
 	BurstLoss sim.GEParams
 	// ReorderRate / ReorderDepth bound cell reordering (see lab.Config).
 	ReorderRate  float64
@@ -40,10 +39,6 @@ type LoadedOptions struct {
 	// CrossFlows adds that many background bounded-Pareto transfer
 	// flows contending with the measured fan-in (0 = none).
 	CrossFlows int
-	// Shards runs each trial host-sharded (bit-identical to serial);
-	// 0 or 1 is serial. Like Parallel it is execution machinery and is
-	// excluded from the marshaled result.
-	Shards int `json:"-"`
 	// Parallel is the sweep worker-pool size (the two transports run as
 	// independent jobs); BaseSeed derives per-job seeds as elsewhere.
 	// Parallel is execution machinery, not experiment configuration, so
@@ -114,7 +109,7 @@ func RunLoadedStudy(o LoadedOptions) (*LoadedResult, error) {
 				if o.CrossFlows > 0 {
 					g.Cross = &workload.CrossTraffic{Flows: o.CrossFlows}
 				}
-				c, err := tb.Cluster(cfg, o.Hosts, o.Shards)
+				c, err := tb.Cluster(cfg, o.Hosts)
 				if err != nil {
 					return nil, err
 				}

@@ -76,29 +76,6 @@ func TestRunLoadedStudyDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunLoadedStudySharded runs the shardable slice of the study
-// host-sharded and requires byte-identical render against serial.
-func TestRunLoadedStudySharded(t *testing.T) {
-	o := LoadedOptions{
-		Hosts: 5, Requests: 2,
-		Qdisc:      lab.QdiscConfig{Kind: lab.QdiscRED},
-		CrossFlows: 1,
-		Parallel:   1,
-	}
-	serialRes, err := RunLoadedStudy(o)
-	if err != nil {
-		t.Fatalf("serial: %v", err)
-	}
-	o.Shards = 2
-	shardRes, err := RunLoadedStudy(o)
-	if err != nil {
-		t.Fatalf("sharded: %v", err)
-	}
-	if serialRes.Render() != shardRes.Render() {
-		t.Error("sharded loaded study diverged from serial")
-	}
-}
-
 // TestRunLoadedStudyDrainsOrphanedTeardown is the regression pin for a
 // livelock: under burst loss a cross-traffic flow's closing FIN can be
 // lost after its peer's PCB has already expired out of TIME_WAIT, so

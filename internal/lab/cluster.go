@@ -1,27 +1,25 @@
-// Sharded execution: conservative-lookahead parallel discrete-event
-// simulation of one big scenario. A Cluster partitions a topology's
-// hosts across shards, each with its own sim.Env event loop, and
-// synchronizes them in barrier rounds: every round the coordinator reads
-// each shard's earliest pending event, gives each shard its own safe
-// horizon (see horizonFor), and releases every shard holding an event
-// below its horizon to execute up to it. The coordinator runs one
-// released shard's window itself and hands any others to worker
-// goroutines, so a round that releases a single shard — all but a
-// handful of a staggered fan-in's, see docs/PERFORMANCE.md §11 — costs a
-// function call, and only rounds with work in several shards at once
-// pay for goroutine hand-offs. The horizons derive from the lookahead —
-// the minimum latency a cell needs to cross a cut fiber (first-cell
+// Sharded execution: conservative-lookahead discrete-event simulation
+// of one big scenario on several event loops. A Cluster partitions a
+// topology's hosts across shards, each with its own sim.Env event loop,
+// and synchronizes them in barrier rounds: every round Run reads each
+// shard's earliest pending event, gives each shard its own safe horizon
+// (see horizonFor), and runs every shard holding an event below its
+// horizon up to it, one window after another in shard order, on the
+// calling goroutine. The horizons derive from the lookahead — the
+// minimum latency a cell needs to cross a cut fiber (first-cell
 // serialization plus propagation, plus the switch latency when only
 // trunks are cut) — so nothing a shard does inside a round can affect
 // another shard within that same round — the classic conservative-PDES
 // argument, with the cut links of the ATM fabric as the only channels.
+// The windows of one round are therefore independent, and running them
+// in turn is one of the interleavings the contract below allows.
 //
 // The contract is bit-identity, not approximate equivalence: a sharded
 // run must be event-for-event and byte-for-byte identical to the serial
 // run at every shard count. Three mechanisms carry it. First, cut
 // fibers stage each crossing cell with the arrival time the serial run
 // would have used and the instant it would have created the arrival's
-// event, and the coordinator injects them between rounds in canonical
+// event, and the barrier injects them between rounds in canonical
 // order — ascending arrival, ties by that instant, then source shard
 // and emission order: the order the serial event queue would have
 // assigned sequence numbers. A FIFO transmitter creates the arrival
@@ -32,18 +30,21 @@
 // backlog, not the one that found its link idle. Only a qdisc port still
 // creates the arrival at service completion. Second, a VC path that
 // reaches a switch outside the calling shard waits in the fabric's route
-// table for the coordinator to finish it at the next barrier, which is
-// always before the flow's first data cell can arrive there (that cell
-// itself must cross a cut, which delays it past the barrier). Third,
-// each shard's env refuses to advance its clock past the horizon
-// (sim.Env.SetHorizon bounds both RunWindow and SleepUntil's in-place
-// fast path), so no shard ever runs ahead of what its peers might still
-// deliver.
+// table to be finished at the next barrier, which is always before the
+// flow's first data cell can arrive there (that cell itself must cross a
+// cut, which delays it past the barrier). Third, each shard's env
+// refuses to advance its clock past the horizon (sim.Env.SetHorizon
+// bounds both RunWindow and SleepUntil's in-place fast path), so no
+// shard ever runs ahead of what its peers might still deliver.
+//
+// Sharding is never faster than the serial loop (docs/PERFORMANCE.md
+// item 11) and no command offers it; the benchmark harness under bench/
+// and the bit-identity tests are what build clusters of more than one
+// shard.
 package lab
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/atm"
 	"repro/internal/cost"
@@ -75,9 +76,8 @@ type stagedCell struct {
 // scheduled their arrival events and the events firing: each arrival
 // parks in a slot and its event carries only the slot index, through a
 // callback bound once per shard, so injecting allocates nothing once the
-// slab has grown to the shard's peak of cells in flight. The coordinator
-// parks at the barrier and the owning shard delivers inside its window;
-// the two never overlap, so neither side locks.
+// slab has grown to the shard's peak of cells in flight. The barrier
+// parks arrivals and the owning shard delivers them inside its window.
 type inbox struct {
 	slots []inboxSlot
 	free  []uint32     // vacant slot indices
@@ -109,36 +109,13 @@ func (b *inbox) deliver(slot uint64) {
 	m.to.InjectCell(m.cell)
 }
 
-// RoundStats counts what the barrier loop did, accumulated over the
-// cluster's lifetime by the coordinator alone (plain increments, no
-// atomics). It answers "what does a round cost here" before anyone opens
-// a profile: a run whose rounds almost all release one shard has no
-// cross-shard parallelism to win, however many cores it is given.
-type RoundStats struct {
-	// Rounds is the number of barrier rounds — what Rounds() returns.
-	Rounds int64
-	// Released[k] is the number of rounds that released k shards, with
-	// Released[3] standing for three or more. Released[0] stays zero:
-	// every round retires at least one event (see horizonFor).
-	Released [4]int64
-	// Inline counts windows the coordinator ran itself (one per round),
-	// Handoffs those it handed to a worker goroutine — each a channel
-	// send, two goroutine switches, and a channel receive.
-	Inline   int64
-	Handoffs int64
-	// CellsStaged counts the cells that crossed a shard boundary, and
-	// CtlStaged the routes the barrier finished: VC paths that reach a
-	// switch across one (atm.Fabric.FinishRoutes).
-	CellsStaged int64
-	CtlStaged   int64
-}
-
 // Cluster is a testbed's executor: one Lab whose hosts are spread across
 // per-shard event loops. A serial lab is the one-shard cluster — every
 // Lab has one (Lab.Cluster), and everything that drives a topology is
 // written against it once: EnvOf names the loop a host's processes run
-// on, Run drains every loop, ScheduleFaults and ArmWatchdog reach every
-// loop. Build a sharded one with NewCluster, drive it with Run (or
+// on, Run drains every loop, and Lab.ArmWatchdog arms every loop (a
+// fault schedule runs on one shard only, see ScheduleFaults). Build a
+// sharded one with NewCluster, drive it with Run (or
 // Lab.RunEcho for the paper's benchmark), and rewind it between trials
 // with Reset (Lab.Reset is the same call).
 type Cluster struct {
@@ -155,18 +132,16 @@ type Cluster struct {
 	boomerang sim.Time
 	hostShard []int
 
-	// stats counts barrier rounds across the cluster's lifetime — the
-	// number of coordinator wake-ups, the cost per-shard horizons drive
-	// down — and what each released.
-	stats RoundStats
+	// rounds counts barrier rounds across the cluster's lifetime, and
+	// cellsStaged the cells that crossed a shard boundary.
+	rounds, cellsStaged int64
 
 	// outbox is the per-source-shard staging area written from inside
-	// each shard's window during a round and drained by the coordinator
-	// at the barrier. pending holds drained cells per DESTINATION shard
-	// in canonical order until the round whose horizon needs them:
-	// deferring injection is what lets equal-time arrivals staged in
-	// different rounds meet in one buffer and sort canonically (see
-	// applyStaged).
+	// each shard's window during a round and drained at the barrier.
+	// pending holds drained cells per DESTINATION shard in canonical
+	// order until the round whose horizon needs them: deferring
+	// injection is what lets equal-time arrivals staged in different
+	// rounds meet in one buffer and sort canonically (see applyStaged).
 	outbox  [][]stagedCell
 	pending [][]stagedCell
 	// pendStart is applyStaged's per-destination scratch: the pending
@@ -393,11 +368,7 @@ func (c *Cluster) NumShards() int { return len(c.Shards) }
 func (c *Cluster) Lookahead() sim.Time { return c.lookahead }
 
 // Rounds returns how many barrier rounds this cluster has executed.
-func (c *Cluster) Rounds() int64 { return c.stats.Rounds }
-
-// RoundStats returns the barrier loop's counters so far. Call it between
-// runs, not from inside a shard's events.
-func (c *Cluster) RoundStats() RoundStats { return c.stats }
+func (c *Cluster) Rounds() int64 { return c.rounds }
 
 // HostShard returns the shard index of host i.
 func (c *Cluster) HostShard(i int) int { return c.hostShard[i] }
@@ -407,9 +378,9 @@ func (c *Cluster) HostShard(i int) int { return c.hostShard[i] }
 // code reading p.Env() sees the clock the host lives on.
 func (c *Cluster) EnvOf(i int) *sim.Env { return c.Shards[c.hostShard[i]].Env }
 
-// stageCell implements atm.ShardPlan.StageCell: whichever goroutine is
-// running the sending shard's window parks the crossing cell in that
-// shard's outbox (nothing else touches that slice until the barrier).
+// stageCell implements atm.ShardPlan.StageCell: the sending shard's
+// window parks the crossing cell in that shard's outbox, which only the
+// next barrier drains.
 func (c *Cluster) stageCell(srcShard, dstShard int, scheduleAt, at sim.Time, to atm.CellDest, cell atm.Cell) {
 	// Dynamic horizon tightening (see horizonFor): this emission can
 	// draw a causal response back into this shard no earlier than its
@@ -441,17 +412,17 @@ func (c *Cluster) stageCell(srcShard, dstShard int, scheduleAt, at sim.Time, to 
 // one buffer until the round that needs them, where they sort
 // canonically. Deferral never reorders against later rounds: a cell
 // injected below horizon H arrived strictly before H, and every cell a
-// future round stages arrives at or after H. Only the coordinator runs
-// here, so it may touch any shard's switches and event heap freely.
+// future round stages arrives at or after H. No window is running here,
+// so the barrier may touch any shard's switches and event heap freely.
 func (c *Cluster) applyStaged() {
 	if f := c.Lab.Fabric; f != nil {
-		c.stats.CtlStaged += int64(f.FinishRoutes())
+		f.FinishRoutes()
 	}
 	for d := range c.pendStart {
 		c.pendStart[d] = len(c.pending[d])
 	}
 	for s := range c.outbox {
-		c.stats.CellsStaged += int64(len(c.outbox[s]))
+		c.cellsStaged += int64(len(c.outbox[s]))
 		for _, m := range c.outbox[s] {
 			c.pending[m.dstShard] = append(c.pending[m.dstShard], m)
 		}
@@ -573,68 +544,16 @@ func (c *Cluster) horizonFor(i int, lo sim.Time, loAt int, lo2 sim.Time) sim.Tim
 	return minOther + c.lookahead
 }
 
-// workers are the goroutines a round's extra windows run on when it
-// releases more than one shard: one per shard, started by that shard's
-// first hand-off, so a run that never has work in two shards at once
-// starts none. All cross-goroutine visibility flows through the start
-// and done channels, which is the happens-before chain the race
-// detector checks — a shard's window may run on its worker in one round
-// and on the coordinator in the next.
-type workers struct {
-	start []chan struct{} // per shard; nil until its first hand-off
-	done  chan struct{}
-	wg    sync.WaitGroup
-}
-
-func newWorkers(nShards int) *workers {
-	return &workers{
-		start: make([]chan struct{}, nShards),
-		done:  make(chan struct{}, nShards), // sized to the sends of one round
-	}
-}
-
-// run hands shard s's window to its worker; the caller collects one
-// receive from done per hand-off before the next barrier.
-func (w *workers) run(s int, env *sim.Env) {
-	ch := w.start[s]
-	if ch == nil {
-		ch = make(chan struct{}, 1)
-		w.start[s] = ch
-		w.wg.Add(1)
-		go func() {
-			defer w.wg.Done()
-			for range ch {
-				env.RunWindow()
-				w.done <- struct{}{}
-			}
-		}()
-	}
-	ch <- struct{}{}
-}
-
-// stop ends every worker and waits for it to exit.
-func (w *workers) stop() {
-	for _, ch := range w.start {
-		if ch != nil {
-			close(ch)
-		}
-	}
-	w.wg.Wait()
-}
-
-// Run drives every shard's event loop to completion, round by round.
-// The coordinator (the calling goroutine) owns every barrier: it
-// finishes the fabric's queued routes, injects staged cells, computes the
-// horizons, and then runs the round — the last shard it releases on its
-// own stack, any others on worker goroutines (see workers), at most
-// O(shards) of them, which the footprint tests pin, all gone before Run
-// returns.
+// Run drives every shard's event loop to completion, round by round, on
+// the calling goroutine. Each barrier finishes the fabric's queued
+// routes and drains the staged cells; then every shard's horizon is set,
+// its pending arrivals below it injected, and its window run if it holds
+// an event below it, in shard order.
 func (c *Cluster) Run() {
 	if len(c.Shards) == 1 {
 		c.Lab.Env.Run()
 		return
 	}
-	var w *workers
 	for {
 		c.applyStaged()
 		if c.Lab.wd != nil && c.Lab.wd.Fired() {
@@ -652,43 +571,20 @@ func (c *Cluster) Run() {
 		// strictly before H_i = min over k≠i of next_k, plus L. Any cell
 		// shard k emits this round is emitted at a time >= next_k (its own
 		// first event) and arrives at >= next_k + L >= H_i for every other
-		// shard i — never inside a window a peer is executing, so the
-		// barrier always injects it into the peer's future.
-		// Release only shards holding an event below their horizon: an
-		// idle shard's RunWindow would return without executing anything.
-		// The coordinator keeps the last released shard for itself, so the
-		// common round — one flow ping-ponging between two shards while
-		// the rest sit at far-future timestamps — hands nothing off.
-		c.stats.Rounds++
-		released, mine := 0, -1
+		// shard i — never inside a window a peer runs this round, so the
+		// barrier always injects it into the peer's future. A shard with
+		// no event below its horizon is skipped: its window would retire
+		// nothing. The shard holding lo always runs (its horizon is
+		// lo2 + L, past lo), so every round retires at least one event.
+		c.rounds++
 		for s, sh := range c.Shards {
 			h := c.horizonFor(s, lo, loAt, lo2)
 			c.injectPending(s, h)
 			sh.Env.SetHorizon(h)
-			if c.next[s] >= h {
-				continue
+			if c.next[s] < h {
+				sh.Env.RunWindow()
 			}
-			if mine >= 0 {
-				if w == nil {
-					w = newWorkers(len(c.Shards))
-				}
-				w.run(mine, c.Shards[mine].Env)
-			}
-			mine = s
-			released++
 		}
-		// The shard holding lo is always released (its horizon is lo2 + L,
-		// past lo), so mine is a shard here.
-		c.Shards[mine].Env.RunWindow()
-		for i := 1; i < released; i++ {
-			<-w.done
-		}
-		c.stats.Inline++
-		c.stats.Handoffs += int64(released - 1)
-		c.stats.Released[min(released, len(c.stats.Released)-1)]++
-	}
-	if w != nil {
-		w.stop()
 	}
 	for _, sh := range c.Shards {
 		sh.Env.SetHorizon(sim.MaxTime)
@@ -717,11 +613,6 @@ func (c *Cluster) Run() {
 // re-derive theirs from the model their own Reset takes. Nothing is
 // computed from cfg at construction only, so nothing can go stale here.
 //
-// When the finished trial ran with Config.CheckLeaks, Reset first
-// verifies every host's mbuf pool has zero live headers and cluster
-// pages, failing loudly rather than letting a leaked chain ride into
-// later trials.
-//
 // The loops' scratch arenas follow the same retain-what-is-warm rule,
 // moved from the host to the loop: buffers stay pooled across the rewind.
 // A trial that ended with a frame stuck mid-reassembly (its last cell
@@ -746,12 +637,6 @@ func (c *Cluster) Reset(cfg Config, seed uint64) error {
 			// The previous trial never drained its event loop (it errored or
 			// was abandoned mid-run); resetting would strand scheduled work.
 			return fmt.Errorf("lab: cannot reset with %d events pending in shard %d", n, s)
-		}
-	}
-	if l.Config.CheckLeaks {
-		if hdrs, pages := l.PoolLive(); hdrs != 0 || pages != 0 {
-			return fmt.Errorf("lab: trial leaked %d mbuf headers and %d cluster pages: %w",
-				hdrs, pages, ErrPoolLeak)
 		}
 	}
 	model := cfg.model()

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/atm"
 	"repro/internal/cost"
@@ -231,86 +230,16 @@ func TestLabResetRewindsEveryShard(t *testing.T) {
 	}
 }
 
-// TestClusterGoroutineFootprint pins worker cost at O(shards): a run
-// holds at most one worker goroutine per shard and has stopped them all
-// when Run returns — no per-host or per-connection goroutines, and no
-// leak across runs.
-func TestClusterGoroutineFootprint(t *testing.T) {
-	before := runtime.NumGoroutine()
-	c := mustCluster(t, Config{Link: LinkATM, Seed: 1}, 9, 4)
-	during := 0
-	// Sample mid-run from inside a shard's event loop. The extra event is
-	// simulation-inert (it only reads the goroutine count).
-	c.Shards[1].Env.At(sim.Millisecond, "sample", func() {
-		during = runtime.NumGoroutine()
-	})
-	clusterEcho(t, c, 1400)
-	after := settledGoroutines(before + 2)
-
-	if during == 0 {
-		t.Fatal("mid-run sample never fired")
-	}
-	if during > before+c.NumShards()+2 {
-		t.Errorf("goroutines during run: %d, want <= %d (before %d + %d shards + 2)",
-			during, before+c.NumShards()+2, before, c.NumShards())
-	}
-	if after > before+2 {
-		t.Errorf("goroutines after run: %d, want <= %d — workers leaked", after, before+2)
-	}
-}
-
 // settledCluster builds a hub cluster and runs it once, retiring the
-// service processes' spawn events — which sit at time zero in every
-// shard, so that first run does hand windows off — and waits for its
-// workers to leave the goroutine count.
-func settledCluster(t *testing.T, nHosts, shards int) (c *Cluster, goroutines int) {
+// service processes' spawn events, which sit at time zero in every shard.
+func settledCluster(t *testing.T, nHosts, shards int) *Cluster {
 	t.Helper()
-	goroutines = quietGoroutines()
-	c = mustCluster(t, Config{Link: LinkATM, Seed: 1}, nHosts, shards)
+	c := mustCluster(t, Config{Link: LinkATM, Seed: 1}, nHosts, shards)
 	if c.NumShards() != shards {
 		t.Fatalf("cluster has %d shards, want %d", c.NumShards(), shards)
 	}
 	c.Run()
-	if n := settledGoroutines(goroutines); n != goroutines {
-		t.Fatalf("%d goroutines after the warm-up run, %d before it", n, goroutines)
-	}
-	return c, goroutines
-}
-
-// settledGoroutines returns the goroutine count once it is at or below
-// limit, or whatever it still is after several seconds. Run waits for its
-// workers (workers.stop), but a goroutine that has signalled its
-// WaitGroup is counted until the scheduler has finished retiring it, and
-// on a loaded machine under the race detector that has been seen to take
-// longer than 100 ms. The first good reading returns at once, so a pass
-// costs nothing; a real leak never produces one and still fails, late.
-func settledGoroutines(limit int) int {
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		n := runtime.NumGoroutine()
-		if n <= limit || time.Now().After(deadline) {
-			return n
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// quietGoroutines returns the goroutine count once it has held still for
-// 50 ms. A count read on entry may still include a worker of the test
-// before this one (see settledGoroutines); when it does, and the warm-up
-// run's own worker is as slow to retire, the warm-up reads "settled" one
-// too high and every exact comparison after it fails by one.
-func quietGoroutines() int {
-	n := runtime.NumGoroutine()
-	for still := 0; still < 50; {
-		time.Sleep(time.Millisecond)
-		if m := runtime.NumGoroutine(); m != n {
-			n, still = m, 0
-		} else {
-			still++
-		}
-	}
-	return n
+	return c
 }
 
 // latestNow is the furthest any shard's clock has advanced.
@@ -324,14 +253,45 @@ func latestNow(c *Cluster) sim.Time {
 	return at
 }
 
-// TestClusterSingleReleaseRunsInline pins the cheap side of Run's
-// released-count selection: events alternating between two shards, two
-// lookaheads apart, release exactly one shard a round, and the
-// coordinator runs every such window itself — no hand-off, and not one
-// goroutine more than before Run was called.
+// TestClusterGoroutineFootprint pins where a round runs: on Run's
+// caller's goroutine. Simultaneous events in both shards of a 2-shard
+// cluster release both windows in one round, and both fire with the
+// goroutine count what it was before Run — no window is handed to
+// another goroutine.
+func TestClusterGoroutineFootprint(t *testing.T) {
+	c := settledCluster(t, 3, 2)
+	at := latestNow(c) + 2*c.Lookahead()
+	var ran [2]int
+	var during [2]int
+	for s := range c.Shards {
+		s := s
+		c.Shards[s].Env.At(at, "both", func() {
+			ran[s]++
+			during[s] = runtime.NumGoroutine()
+		})
+	}
+	rounds := c.Rounds()
+	before := runtime.NumGoroutine()
+	c.Run()
+
+	if ran != [2]int{1, 1} {
+		t.Fatalf("events run per shard: %v, want [1 1]", ran)
+	}
+	if d := c.Rounds() - rounds; d != 1 {
+		t.Errorf("%d rounds for one instant in both shards, want 1", d)
+	}
+	if during != [2]int{before, before} {
+		t.Errorf("goroutines inside the windows: %v, want %d in each (as before Run)", during, before)
+	}
+}
+
+// TestClusterSingleReleaseRunsInline pins the cheap side of a round:
+// events alternating between two shards, two lookaheads apart, make one
+// round each, and not one goroutine more than before Run was called.
 func TestClusterSingleReleaseRunsInline(t *testing.T) {
-	c, goroutines := settledCluster(t, 3, 2)
+	c := settledCluster(t, 3, 2)
 	const n = 200
+	goroutines := runtime.NumGoroutine()
 	extra := 0
 	sample := func() {
 		if g := runtime.NumGoroutine(); g != goroutines {
@@ -343,58 +303,14 @@ func TestClusterSingleReleaseRunsInline(t *testing.T) {
 		at += 2 * c.Lookahead()
 		c.Shards[i%2].Env.At(at, "pingpong", sample)
 	}
-	before := c.RoundStats()
+	before := c.Rounds()
 	c.Run()
-	got := c.RoundStats()
 
-	if d := got.Rounds - before.Rounds; d != n {
+	if d := c.Rounds() - before; d != n {
 		t.Errorf("%d rounds for %d alternating events, want one each", d, n)
-	}
-	if d := got.Released[1] - before.Released[1]; d != n {
-		t.Errorf("%d rounds released one shard, want %d", d, n)
-	}
-	if d := got.Inline - before.Inline; d != n {
-		t.Errorf("coordinator ran %d windows, want %d", d, n)
-	}
-	if d := got.Handoffs - before.Handoffs; d != 0 {
-		t.Errorf("%d hand-offs in a run that never released two shards, want 0", d)
 	}
 	if extra != 0 {
 		t.Errorf("%d of %d events saw extra goroutines during Run", extra, n)
-	}
-}
-
-// TestClusterMultiReleaseHandsOff pins the other side: simultaneous
-// events in two non-server shards release both every round, so one
-// window goes to a worker and one stays with the coordinator — and the
-// idle server shard is never woken.
-func TestClusterMultiReleaseHandsOff(t *testing.T) {
-	c, _ := settledCluster(t, 3, 3)
-	const n = 50
-	ran := [3]int{}
-	at := latestNow(c)
-	for i := 0; i < n; i++ {
-		at += 2 * c.Lookahead()
-		for _, s := range []int{1, 2} {
-			s := s
-			c.Shards[s].Env.At(at, "both", func() { ran[s]++ })
-		}
-	}
-	before := c.RoundStats()
-	c.Run()
-	got := c.RoundStats()
-
-	if ran != [3]int{0, n, n} {
-		t.Fatalf("events run per shard: %v, want [0 %d %d]", ran, n, n)
-	}
-	if d := got.Released[2] - before.Released[2]; d != n {
-		t.Errorf("%d rounds released two shards, want %d", d, n)
-	}
-	if d := got.Handoffs - before.Handoffs; d != n {
-		t.Errorf("%d hand-offs, want %d (one of each round's two windows)", d, n)
-	}
-	if d := got.Inline - before.Inline; d != n {
-		t.Errorf("coordinator ran %d windows, want %d", d, n)
 	}
 }
 
@@ -408,7 +324,7 @@ func (d *countingDest) InjectCell(atm.Cell) { d.cells++ }
 // allocations: the arrival event carries an inbox slot index through a
 // callback bound once per shard, not a closure per cell.
 func TestClusterInjectPathAllocatesNothing(t *testing.T) {
-	c, _ := settledCluster(t, 3, 2)
+	c := settledCluster(t, 3, 2)
 	dest := &countingDest{}
 	at := latestNow(c)
 	cross := func() {
@@ -428,15 +344,15 @@ func TestClusterInjectPathAllocatesNothing(t *testing.T) {
 		t.Errorf("inbox after the run: %d slots, %d free, want the one slot reused and free",
 			len(in.slots), len(in.free))
 	}
-	if st := c.RoundStats(); st.CellsStaged != 102 {
-		t.Errorf("CellsStaged = %d, want the 102 staged here", st.CellsStaged)
+	if c.cellsStaged != 102 {
+		t.Errorf("%d cells staged, want the 102 staged here", c.cellsStaged)
 	}
 }
 
 // TestScheduleFaultsRefuses pins what ScheduleFaults turns away before
 // anything is scheduled: an event sim's Validate refuses (an unknown kind,
-// a negative bit), a bit flip on a host with no ATM link, and a bit flip
-// above one shard.
+// a negative bit), a bit flip on a host with no ATM link, and any fault
+// above one shard, where only an empty schedule is accepted.
 func TestScheduleFaultsRefuses(t *testing.T) {
 	rows := []struct {
 		name          string
@@ -449,8 +365,11 @@ func TestScheduleFaultsRefuses(t *testing.T) {
 		{"negative bit", LinkATM, 2, 1, sim.FaultEvent{Kind: sim.FaultWireFlip, Bit: -1}, "negative bit"},
 		{"wire flip on Ethernet", LinkEther, 2, 1, sim.FaultEvent{Kind: sim.FaultWireFlip}, "no ATM link"},
 		{"controller flip on Ethernet", LinkEther, 2, 1, sim.FaultEvent{Kind: sim.FaultControllerFlip}, "no ATM link"},
-		{"wire flip, sharded", LinkATM, 4, 2, sim.FaultEvent{Kind: sim.FaultWireFlip}, "sharded execution accepts only link-flip faults"},
-		{"controller flip, sharded", LinkATM, 4, 2, sim.FaultEvent{Kind: sim.FaultControllerFlip}, "sharded execution accepts only link-flip faults"},
+		{"wire flip, sharded", LinkATM, 4, 2, sim.FaultEvent{Kind: sim.FaultWireFlip}, "runs no faults"},
+		{"controller flip, sharded", LinkATM, 4, 2, sim.FaultEvent{Kind: sim.FaultControllerFlip}, "runs no faults"},
+		{"link down, sharded", LinkATM, 4, 2, sim.FaultEvent{Kind: sim.FaultLinkDown, Host: 1}, "runs no faults"},
+		{"link up, sharded", LinkATM, 4, 2, sim.FaultEvent{Kind: sim.FaultLinkUp, Host: 1}, "runs no faults"},
+		{"link down", LinkATM, 4, 1, sim.FaultEvent{Kind: sim.FaultLinkDown, Host: 1}, ""},
 		{"wire flip", LinkATM, 2, 1, sim.FaultEvent{Kind: sim.FaultWireFlip, Bit: 1 << 20}, ""},
 		{"controller flip behind a hub", LinkATM, 4, 1, sim.FaultEvent{Kind: sim.FaultControllerFlip, Host: 3}, ""},
 	}
@@ -466,5 +385,8 @@ func TestScheduleFaultsRefuses(t *testing.T) {
 		case r.refusal != "" && (err == nil || !strings.Contains(err.Error(), r.refusal)):
 			t.Errorf("%s: got %v, want a refusal naming %q", r.name, err, r.refusal)
 		}
+	}
+	if err := mustCluster(t, Config{Link: LinkATM}, 4, 2).ScheduleFaults(nil); err != nil {
+		t.Errorf("an empty schedule on 2 shards: %v", err)
 	}
 }

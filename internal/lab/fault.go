@@ -21,9 +21,7 @@ import (
 // faultState is the lab's per-entity outage bookkeeping. Down flags are
 // reference-counted so overlapping outages of one entity (two flap
 // windows that intersect) restore the link only when the LAST outage
-// lifts. The adapter counts are only ever touched from the owning
-// host's event loop and the port counts from the port-owning switch's
-// loop, so sharded link flips stay race-free without locks.
+// lifts.
 type faultState struct {
 	adapterRefs []int
 	portRefs    []int
@@ -152,7 +150,7 @@ func (l *Lab) flipPort(i int, down bool) {
 	l.Fabric.HostPort(i).SetDown(fs.portRefs[i] > 0)
 }
 
-// ArmWatchdog installs a no-progress watchdog on every event loop the
+// ArmWatchdog installs one no-progress watchdog on every event loop the
 // lab's hosts run on (one loop serial, one per shard under a cluster)
 // and returns it so the workload can report progress. A zero horizon
 // selects sim.DefaultWatchdogHorizon. The diagnostic built at fire time
@@ -173,8 +171,7 @@ func (l *Lab) ArmWatchdog(horizon sim.Time) *sim.Watchdog {
 // of copies of the same timer) plus every non-closed TCP connection on
 // the hosts that loop owns, with its state and retransmission backoff —
 // the "who is stuck" a hang never reports. Only hosts on the firing
-// loop are walked: under sharded execution other shards' state is still
-// being mutated by their own goroutines.
+// loop are walked.
 func (l *Lab) watchdogDiag(e *sim.Env) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "\n  pending events: %s", e.PendingSummary(8))
@@ -214,21 +211,14 @@ func (l *Lab) watchdogDiag(e *sim.Env) string {
 func (l *Lab) Watchdog() *sim.Watchdog { return l.wd }
 
 // ScheduleFaults validates the schedule against the topology and
-// schedules every event. One shard accepts every fault kind, each event
-// applied whole on the one loop; a bit flip needs an ATM host. Above one
-// shard only the shard-safe kinds (link flips) are accepted — port
-// failures, host crashes and bit flips mutate routed-fabric, stack and
-// cell state across shard boundaries — and each link flip is split
-// between the loops that own its two ends: the host's
-// adapter on the host's loop, the matching switch port on the port's
-// (the core's shard for a hub, the host's own shard for a fat-tree
-// leaf), so every mutation happens on the goroutine that already owns
-// the entity.
+// schedules every event, each applied whole on the one loop; a bit flip
+// needs an ATM host. A cluster of several shards refuses any non-empty
+// schedule: a fault mutates state — a host and its switch port, the
+// fabric's routes, a stack — that shards own separately.
 func (c *Cluster) ScheduleFaults(s sim.FaultSchedule) error {
 	l := c.Lab
-	sharded := len(c.Shards) > 1
-	if sharded && !s.ShardSafe() {
-		return fmt.Errorf("lab: sharded execution accepts only link-flip faults; port failures, host crashes and bit flips mutate cross-shard state")
+	if len(s) > 0 && len(c.Shards) > 1 {
+		return fmt.Errorf("lab: a cluster of %d shards runs no faults; schedule them on a one-shard lab", len(c.Shards))
 	}
 	if err := s.Validate(len(l.Hosts)); err != nil {
 		return err
@@ -241,30 +231,7 @@ func (c *Cluster) ScheduleFaults(s sim.FaultSchedule) error {
 	l.faults() // allocate the refcounts before the run
 	for _, ev := range s {
 		ev := ev
-		name := "fault." + ev.Kind.String()
-		if !sharded {
-			l.Env.At(ev.At, name, func() { l.applyFault(ev) })
-			continue
-		}
-		down := ev.Kind == sim.FaultLinkDown
-		c.EnvOf(ev.Host).At(ev.At, name, func() { l.flipAdapter(ev.Host, down) })
-		c.portEnv(ev.Host).At(ev.At, "fault.port."+ev.Kind.String(),
-			func() { l.flipPort(ev.Host, down) })
+		l.Env.At(ev.At, "fault."+ev.Kind.String(), func() { l.applyFault(ev) })
 	}
 	return nil
-}
-
-// portEnv returns the event loop owning host i's switch access port: a
-// fat-tree host's port is on its leaf (the host's own shard); a hub
-// host's port is on the core, which always lives in shard 0.
-func (c *Cluster) portEnv(i int) *sim.Env {
-	if c.Lab.Config.Fabric == FabricFatTree {
-		return c.EnvOf(i)
-	}
-	return c.Shards[0].Env
-}
-
-// ArmWatchdog arms one shared watchdog across every shard's event loop.
-func (c *Cluster) ArmWatchdog(horizon sim.Time) *sim.Watchdog {
-	return c.Lab.ArmWatchdog(horizon)
 }

@@ -113,12 +113,11 @@ type Config struct {
 	// traced run is bit-identical in timing to an untraced one at the
 	// same seed.
 	PacketTrace bool
-	// CheckLeaks arms the pool-leak gate for testbed reuse: when the lab
-	// is Reset for its next trial, the reset fails if any host's mbuf
-	// pool still reports live headers or cluster pages — a chain the
-	// finished trial never freed, which would otherwise ride silently
-	// into every later trial on this testbed. Debug-only: it never
-	// changes simulated behaviour, only whether Reset tolerates a leak.
+	// CheckLeaks arms the pool-leak gate: a run whose loops drain without
+	// error fails if any host's mbuf pool still reports live headers or
+	// cluster pages — a chain the trial never freed (Lab.Leaked). It
+	// never changes simulated behaviour, only whether a leak fails the
+	// run.
 	CheckLeaks bool
 	// Fabric selects the switch arrangement of a multi-host ATM topology:
 	// FabricHub (the default) is one switch with every host attached;
@@ -274,13 +273,6 @@ func NewTopology(cfg Config, nHosts int) *Lab {
 // cluster the lab runs under, which rewinds every shard.
 func (l *Lab) Reset(cfg Config, seed uint64) error { return l.cluster.Reset(cfg, seed) }
 
-// ErrPoolLeak marks a Reset refused by the Config.CheckLeaks gate: the
-// finished trial left live mbuf chains behind. Callers that fall back
-// to a fresh lab on other Reset failures (an undrained event loop, a
-// shape mismatch) must NOT swallow this one — it reports a bug in the
-// stack, not an unusable testbed.
-var ErrPoolLeak = errors.New("mbuf pool leak")
-
 // PoolLive sums the live mbuf headers and cluster pages across every
 // host's pool — both zero between trials unless a chain leaked.
 func (l *Lab) PoolLive() (hdrs, pages int64) {
@@ -289,6 +281,21 @@ func (l *Lab) PoolLive() (hdrs, pages int64) {
 		pages += h.Kern.Pool.PoolStats.LivePages
 	}
 	return hdrs, pages
+}
+
+// Leaked is the Config.CheckLeaks gate, checked where a trial's loops
+// have drained after a run that returned no error: nil unless the gate
+// is armed and a host's pool still holds a chain. Pools keep their live
+// gauges across Reset, so a leaked chain also fails every later gated
+// run on the testbed.
+func (l *Lab) Leaked() error {
+	if !l.Config.CheckLeaks {
+		return nil
+	}
+	if hdrs, pages := l.PoolLive(); hdrs != 0 || pages != 0 {
+		return fmt.Errorf("lab: trial leaked %d mbuf headers and %d cluster pages", hdrs, pages)
+	}
+	return nil
 }
 
 // rewindHost returns one workstation's per-trial state — CPU, pools,
@@ -667,6 +674,9 @@ func (l *Lab) RunEcho(size, iterations, warmup int) (*EchoResult, error) {
 	if len(res.RTTs) != iterations {
 		return nil, fmt.Errorf("lab: measured %d of %d iterations", len(res.RTTs), iterations)
 	}
+	if err := l.Leaked(); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
@@ -813,6 +823,9 @@ func (l *Lab) RunUDPEcho(size, iterations, warmup int) (*EchoResult, error) {
 	if len(res.RTTs) != iterations {
 		return nil, fmt.Errorf("lab: udp echo measured %d of %d iterations",
 			len(res.RTTs), iterations)
+	}
+	if err := l.Leaked(); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

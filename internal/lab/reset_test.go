@@ -2,6 +2,7 @@ package lab
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cost"
@@ -137,10 +138,10 @@ func TestResetRejectsLinkChange(t *testing.T) {
 	}
 }
 
-// TestPoolLeakGate is the reuse leak gate: after every echo trial —
-// TCP at sizes straddling the cluster threshold, UDP, with loss, across
-// topologies — every host's pool must report zero live headers and
-// cluster pages, and a CheckLeaks reset must succeed.
+// TestPoolLeakGate is the leak gate on clean runs: after every echo
+// trial — TCP at sizes straddling the cluster threshold, UDP, with loss,
+// across topologies — the gated run succeeds, every host's pool reports
+// zero live headers and cluster pages, and the reset succeeds.
 func TestPoolLeakGate(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -183,5 +184,33 @@ func TestPoolLeakGate(t *testing.T) {
 				t.Fatalf("CheckLeaks reset failed: %v", err)
 			}
 		})
+	}
+}
+
+// TestLeakGateFailsTheLeakingRun pins where the gate is checked: at the
+// end of the run that leaked, so a single trial — or the last one on a
+// warm testbed — is checked too. One header allocated inside the run and
+// never freed fails the TCP and the UDP echo; without CheckLeaks the
+// same run succeeds.
+func TestLeakGateFailsTheLeakingRun(t *testing.T) {
+	runs := []struct {
+		name string
+		run  func(*Lab) (*EchoResult, error)
+	}{
+		{"tcp", func(l *Lab) (*EchoResult, error) { return l.RunEcho(4, 2, 0) }},
+		{"udp", func(l *Lab) (*EchoResult, error) { return l.RunUDPEcho(4, 2, 0) }},
+	}
+	for _, r := range runs {
+		for _, gated := range []bool{true, false} {
+			l := New(Config{Link: LinkATM, Seed: 1, CheckLeaks: gated})
+			l.Env.At(sim.Microsecond, "leak", func() { l.Hosts[0].Kern.Pool.Alloc() })
+			_, err := r.run(l)
+			switch {
+			case gated && (err == nil || !strings.Contains(err.Error(), "leaked 1 mbuf headers")):
+				t.Errorf("%s: gated run with a leaked header returned %v, want the leak named", r.name, err)
+			case !gated && err != nil:
+				t.Errorf("%s: ungated run: %v", r.name, err)
+			}
+		}
 	}
 }

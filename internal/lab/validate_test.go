@@ -302,7 +302,7 @@ func FuzzConfigValidate(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Validate accepted %+v (%d hosts, %d shards), NewCluster refused: %v", cfg, hosts, shards, err)
 		}
-		wd := c.ArmWatchdog(0)
+		wd := c.Lab.ArmWatchdog(0)
 		if _, err := c.Lab.RunEcho(64, 2, 0); err != nil || wd.Fired() {
 			// A configuration that loses and reorders nothing has no
 			// excuse: its echo completes and its connections go quiet.

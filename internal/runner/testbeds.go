@@ -1,10 +1,6 @@
 package runner
 
-import (
-	"errors"
-
-	"repro/internal/lab"
-)
+import "repro/internal/lab"
 
 // maxWarmLabs bounds how many warm testbeds one worker keeps. Real
 // sweeps use one to three shapes (two-host ATM, two-host Ethernet, one
@@ -19,7 +15,7 @@ const maxWarmLabs = 4
 // of rebuilding kernels, pools, and event heaps from scratch.
 //
 // Reuse cannot perturb results: the reset rewinds every piece of
-// per-trial state — every shard's event loop, RNG and host state — to
+// per-trial state — the event loop, RNG and host state — to
 // what a fresh construction would hold (the bit-identity contract the
 // lab's tests pin against the golden outputs), and each trial's seed
 // still derives from its grid position alone — so the outcome of a cell
@@ -38,63 +34,46 @@ type Testbeds struct {
 	Reused int
 }
 
-// Lab returns a serial testbed for cfg: the one-shard Cluster's lab. A
+// Lab returns a testbed for cfg: the one-shard Cluster's lab. A
 // configuration lab.Config.Validate refuses panics with its error, which
 // runOne turns into a labelled job error.
 func (tb *Testbeds) Lab(cfg lab.Config, nHosts int) *lab.Lab {
-	c, err := tb.Cluster(cfg, nHosts, 1)
+	c, err := tb.Cluster(cfg, nHosts)
 	if err != nil {
 		panic(err)
 	}
 	return c.Lab
 }
 
-// Cluster returns a testbed for cfg with nHosts hosts (values below 2
-// are raised to 2, the lab minimum) on the requested number of shards
-// (values below 1 are raised to 1, serial): a warm one reset to cfg when
-// the worker holds one of the right shape, otherwise a freshly built one
-// that joins the cache. A nil *Testbeds always builds fresh, so code
-// paths that opt out of reuse need no second call form. Construction
-// errors propagate — the caller fails the trial rather than silently
-// degrading to serial.
-func (tb *Testbeds) Cluster(cfg lab.Config, nHosts, shards int) (*lab.Cluster, error) {
+// Cluster returns a one-shard testbed for cfg with nHosts hosts (values
+// below 2 are raised to 2, the lab minimum): a warm one reset to cfg
+// when the worker holds one of the right shape, otherwise a freshly
+// built one that joins the cache. A nil *Testbeds always builds fresh,
+// so code paths that opt out of reuse need no second call form.
+// Construction errors propagate — the caller fails the trial.
+func (tb *Testbeds) Cluster(cfg lab.Config, nHosts int) (*lab.Cluster, error) {
 	if nHosts < 2 {
 		nHosts = 2
 	}
-	if shards < 1 {
-		shards = 1
-	}
 	if tb == nil {
-		return lab.NewCluster(cfg, nHosts, shards)
+		return lab.NewCluster(cfg, nHosts, 1)
 	}
-	// Validated against the shard count asked for, before the cache is
-	// consulted: the key carries the effective count, and what a warm
-	// testbed would accept must not differ from what a fresh build would.
-	if err := cfg.Validate(nHosts, shards); err != nil {
+	// Validated before the cache is consulted: what a warm testbed would
+	// accept must not differ from what a fresh build would.
+	if err := cfg.Validate(nHosts, 1); err != nil {
 		return nil, err
 	}
-	key := cfg.Shape(nHosts, shards)
+	key := cfg.Shape(nHosts, 1)
 	if c := tb.warm[key]; c != nil {
-		err := c.Reset(cfg, 0)
-		if err == nil {
+		if err := c.Reset(cfg, 0); err == nil {
 			tb.Reused++
 			return c, nil
 		}
-		// A failed reset makes the warm testbed unusable whatever the
-		// cause — an undrained event loop from an errored trial, or a
-		// leak that every later reset of it would trip over again — so
-		// drop it; the next acquisition of this shape builds fresh.
+		// A failed reset — an undrained event loop from an errored trial —
+		// makes the warm testbed unusable, so drop it and build fresh.
 		delete(tb.warm, key)
-		if errors.Is(err, lab.ErrPoolLeak) {
-			// The CheckLeaks gate tripped: the previous trial on this
-			// worker leaked mbuf chains. That is a stack bug the gate
-			// exists to surface — fail this trial loudly (runOne converts
-			// the panic into a labeled job error) instead of quietly
-			// building a fresh testbed over it.
-			panic(err)
-		}
 	}
-	c, err := lab.NewCluster(cfg, nHosts, shards)
+	c, err := lab.NewCluster(cfg, nHosts, 1)
 	if err != nil {
 		return nil, err
 	}

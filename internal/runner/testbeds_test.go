@@ -3,10 +3,12 @@ package runner
 import (
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/cost"
 	"repro/internal/lab"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -58,34 +60,24 @@ func TestTestbedsReuse(t *testing.T) {
 }
 
 // TestTestbedsLeakGateFailsLoudly pins the CheckLeaks contract on the
-// reuse path: a leaked mbuf chain must fail the next same-shape
-// acquisition (a panic runOne converts into a labeled job error), not
-// silently degrade into a cache miss — and must fail only that one: the
-// leaked testbed is evicted, so the acquisition after it builds fresh
-// instead of tripping over the same leak for the rest of the worker's
-// life.
+// reuse path: a run that leaks an mbuf chain fails itself, with an error
+// naming the leak, and the acquisition after it is an ordinary reuse —
+// no panic, no eviction. The chain stays live (a pool keeps its gauges
+// across Reset), so the next gated run on that testbed reports it too.
 func TestTestbedsLeakGateFailsLoudly(t *testing.T) {
 	tb := &Testbeds{}
 	cfg := lab.Config{Link: lab.LinkATM, CheckLeaks: true, Seed: 1}
 	l := tb.Lab(cfg, 2)
-	if _, err := l.RunEcho(4, 2, 0); err != nil {
-		t.Fatal(err)
+	// Manufacture, inside the run, the leak the gate exists to catch.
+	l.Env.At(sim.Microsecond, "leak", func() { l.Hosts[0].Kern.Pool.Alloc() })
+	if _, err := l.RunEcho(4, 2, 0); err == nil || !strings.Contains(err.Error(), "leaked 1 mbuf headers") {
+		t.Fatalf("leaking run returned %v, want the leak gate's error", err)
 	}
-	// Manufacture the leak the gate exists to catch.
-	l.Hosts[0].Kern.Pool.Alloc()
-	func() {
-		defer func() {
-			if r := recover(); r == nil {
-				t.Fatal("leaked chain did not fail the next acquisition")
-			}
-		}()
-		tb.Lab(cfg, 2)
-	}()
-	if next := tb.Lab(cfg, 2); next == l {
-		t.Error("the acquisition after the leak got the leaked testbed back")
+	if next := tb.Lab(cfg, 2); next != l || tb.Built != 1 || tb.Reused != 1 {
+		t.Fatalf("acquisition after the leak: same testbed %v, built=%d reused=%d, want a reuse", next == l, tb.Built, tb.Reused)
 	}
-	if tb.Built != 2 {
-		t.Errorf("built=%d after the leak was evicted, want 2 (the original and its replacement)", tb.Built)
+	if _, err := l.RunEcho(4, 2, 0); err == nil {
+		t.Error("the next gated run on the leaked testbed did not report the live chain")
 	}
 }
 

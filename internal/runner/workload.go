@@ -18,11 +18,6 @@ type WorkloadTrial struct {
 	// raised to 2.
 	Hosts int
 	Gen   workload.Generator
-	// Shards selects deterministic host-sharded execution: values above 1
-	// run the trial on a lab.Cluster with that many worker shards, which
-	// is bit-identical to the serial run by contract. Zero or one runs
-	// serially.
-	Shards int
 }
 
 // WorkloadOutcome is the aggregated result of one workload trial, with
@@ -99,10 +94,9 @@ func (t WorkloadTrial) hosts() int {
 }
 
 // runWorkloadTrial acquires the trial's testbed — warm from the worker's
-// cache when the shape matches — and runs the generator on it, across
-// as many event loops as the trial asks for.
+// cache when the shape matches — and runs the generator on it.
 func runWorkloadTrial(tb *Testbeds, t WorkloadTrial, seed uint64) (any, error) {
-	c, err := tb.Cluster(ApplySeed(t.Cfg, seed), t.hosts(), t.Shards)
+	c, err := tb.Cluster(ApplySeed(t.Cfg, seed), t.hosts())
 	if err != nil {
 		return nil, err
 	}
@@ -110,11 +104,16 @@ func runWorkloadTrial(tb *Testbeds, t WorkloadTrial, seed uint64) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	return outcomeOf(r, t.hosts()), nil
+}
+
+// outcomeOf aggregates one workload run on hosts hosts into its outcome.
+func outcomeOf(r *workload.Result, hosts int) WorkloadOutcome {
 	s := r.Sample()
 	q := s.Quantiles()
 	wo := WorkloadOutcome{
 		Workload:      r.Workload,
-		Hosts:         t.hosts(),
+		Hosts:         hosts,
 		Requests:      r.Requests,
 		Errors:        r.Errors,
 		Bytes:         r.Bytes,
@@ -129,7 +128,7 @@ func runWorkloadTrial(tb *Testbeds, t WorkloadTrial, seed uint64) (any, error) {
 	if len(r.Events) > 0 {
 		wo.Trace = trace.BuildTimelines(r.Events)
 	}
-	return wo, nil
+	return wo
 }
 
 // RenderWorkloadOutcomes formats workload outcomes as a fixed-width

@@ -12,8 +12,8 @@ import "math/bits"
 // instead of each growing and keeping its own.
 //
 // There is one per Env (Env.Arena), therefore one per shard, and it takes
-// no lock: a buffer goes back to the arena it came from, always on that
-// loop's goroutine. What crosses a shard boundary crosses by value.
+// no lock: a buffer goes back to the arena it came from. What crosses a
+// shard boundary crosses by value.
 //
 // Two kinds of hold, one pool underneath:
 //
@@ -113,7 +113,7 @@ func (e *Env) Arena() *Arena { return &e.arena }
 // Local returns the one *T this loop keeps, making it on first use: how a
 // package keeps state per event loop rather than per host — kern shares
 // one set of mbuf free-lists among all the hosts of a loop this way. Like
-// the arena, what it returns belongs to the loop's goroutine.
+// the arena, what it returns belongs to the loop.
 func Local[T any](e *Env) *T {
 	for _, v := range e.locals {
 		if p, ok := v.(*T); ok {

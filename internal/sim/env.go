@@ -460,14 +460,13 @@ func (e *Env) NextEventAt() (Time, bool) {
 func (e *Env) RunWindow() {
 	for at, ok := e.NextEventAt(); ok && at < e.horizon; at, ok = e.NextEventAt() {
 		if !e.Step() {
-			return // watchdog fired: the coordinator surfaces the abort
+			return // watchdog fired: the barrier loop surfaces the abort
 		}
 	}
 }
 
 // SetWatchdog arms the no-progress watchdog (nil disarms). Sharded
-// execution arms every shard's environment with the same Watchdog, whose
-// internal lock makes the shared state safe across worker goroutines.
+// execution arms every shard's environment with the same Watchdog.
 func (e *Env) SetWatchdog(w *Watchdog) {
 	e.wd = w
 	e.wdNext = 0

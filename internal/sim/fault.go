@@ -5,12 +5,9 @@ import (
 	"sort"
 )
 
-// FaultKind names one deterministic fault-injection action. Link flips
-// are the shard-safe subset: they flip per-entity down flags read only
-// by the entity's owning shard, so a schedule of flips runs bit-identical
-// serial and host-sharded. Port failures, host crashes and bit flips
-// mutate shared fabric, stack or cell state and are applied to serial
-// runs only.
+// FaultKind names one deterministic fault-injection action. Faults run
+// on one event loop only: a cluster of several shards refuses any
+// schedule (lab.Cluster.ScheduleFaults).
 type FaultKind uint8
 
 const (
@@ -66,12 +63,6 @@ func (k FaultKind) String() string {
 	return fmt.Sprintf("fault(%d)", uint8(k))
 }
 
-// ShardSafe reports whether the kind may run under host-sharded
-// execution.
-func (k FaultKind) ShardSafe() bool {
-	return k == FaultLinkDown || k == FaultLinkUp
-}
-
 // FaultEvent is one scheduled one-shot fault: at virtual time At, apply
 // Kind to Host's entity (its access link, switch port, stack, cell stream
 // or receive path). Bit is the bit a flip kind flips.
@@ -84,9 +75,9 @@ type FaultEvent struct {
 
 // FaultSchedule is a deterministic fault-injection plan: a set of timed
 // one-shot events applied to a topology at the start of a run. The
-// schedule is plain data — it draws nothing from the simulation's serial
-// RNG stream, so an identical schedule replays identically at any shard
-// count (for the shard-safe kinds) and perturbs no other random draw.
+// schedule is plain data — it draws nothing from the simulation's RNG
+// stream, so an identical schedule replays identically and perturbs no
+// other random draw.
 type FaultSchedule []FaultEvent
 
 // Validate checks every event is of a known kind and targets a host in
@@ -109,17 +100,6 @@ func (s FaultSchedule) Validate(hosts int) error {
 	return nil
 }
 
-// ShardSafe reports whether every event in the schedule may run
-// host-sharded.
-func (s FaultSchedule) ShardSafe() bool {
-	for _, ev := range s {
-		if !ev.Kind.ShardSafe() {
-			return false
-		}
-	}
-	return true
-}
-
 // CrashSchedule is the canonical recovery-study plan: host crashes at
 // `at` and restarts after `downtime`.
 func CrashSchedule(host int, at, downtime Time) FaultSchedule {
@@ -133,8 +113,8 @@ func CrashSchedule(host int, at, downtime Time) FaultSchedule {
 // seed with a splitmix64 finalizer — the same per-entity stream
 // construction the qdisc and impairment layers use, and for the same
 // reason: draws for one entity never consume another entity's stream or
-// the shared serial stream, so the schedule is shard-compatible and
-// adding an entity leaves every other entity's draws unchanged.
+// the shared serial stream, so adding an entity leaves every other
+// entity's draws unchanged.
 func faultStreamSeed(base uint64, h int) uint64 {
 	z := base + 0x9E3779B97F4A7C15*(uint64(h)+0x5EED_FA01)
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
@@ -142,11 +122,10 @@ func faultStreamSeed(base uint64, h int) uint64 {
 	return z ^ (z >> 31)
 }
 
-// LinkFlaps builds a shard-safe schedule of random link flaps: each
-// listed host flaps `flaps` times, with down times drawn uniformly over
-// [0, window) from the host's own splitmix64-derived stream and each
-// outage lasting `downtime`. Same base seed, same hosts ⇒ same schedule,
-// at any shard count.
+// LinkFlaps builds a schedule of random link flaps: each listed host
+// flaps `flaps` times, with down times drawn uniformly over [0, window)
+// from the host's own splitmix64-derived stream and each outage lasting
+// `downtime`. Same base seed, same hosts ⇒ same schedule.
 func LinkFlaps(base uint64, hosts []int, flaps int, window, downtime Time) FaultSchedule {
 	var s FaultSchedule
 	for _, h := range hosts {
@@ -219,8 +198,8 @@ func (p GEParams) StationaryLoss() float64 {
 // environment's stream, like every impairment draw — so enabling loss on
 // one link perturbs no other random draw, and a receiver may draw it
 // whenever it receives a cell, in arrival order. (Sharded execution
-// still rejects loss configurations at construction, so loss studies
-// compare serial runs only.)
+// rejects loss configurations at construction, so loss studies run
+// serial only.)
 type GEChain struct {
 	P    GEParams
 	seed uint64

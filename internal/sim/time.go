@@ -49,9 +49,9 @@
 // non-empty, and go back when the work drains. An idle host, channel or
 // port then holds none, however many of them a topology has. Local
 // extends the same ownership to typed per-loop state other packages keep
-// (the mbuf free-lists). Neither takes a lock: sharded execution gives
-// every shard its own Env, and nothing checked out of one loop's arena is
-// ever returned to another's.
+// (the mbuf free-lists). Neither takes a lock: every loop runs on one
+// goroutine, sharded execution gives every shard its own Env, and
+// nothing checked out of one loop's arena is ever returned to another's.
 //
 // # Ways to schedule, and one not to
 //

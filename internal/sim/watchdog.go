@@ -9,10 +9,7 @@
 // naming the stuck state.
 package sim
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Watchdog aborts a simulation that advances through virtual time
 // without making workload progress. Workloads report progress (one call
@@ -28,10 +25,9 @@ import (
 // drain that transport give-up guarantees) pass untouched as long as the
 // horizon exceeds them.
 //
-// One Watchdog may be shared by several environments (sharded
-// execution); all state is guarded by an internal lock.
+// One Watchdog may be shared by the environments of a sharded run, which
+// all step on one goroutine.
 type Watchdog struct {
-	mu       sync.Mutex
 	horizon  Time
 	progress uint64 // completions reported via Progress
 	lastSeen uint64 // progress count at the last stamp
@@ -65,26 +61,14 @@ func (w *Watchdog) OnFire(fn func(*Env) string) { w.onFire = fn }
 
 // Progress records one unit of workload progress, pushing the
 // no-progress deadline out by the horizon.
-func (w *Watchdog) Progress() {
-	w.mu.Lock()
-	w.progress++
-	w.mu.Unlock()
-}
+func (w *Watchdog) Progress() { w.progress++ }
 
 // Fired reports whether the watchdog has aborted the run.
-func (w *Watchdog) Fired() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.fired
-}
+func (w *Watchdog) Fired() bool { return w.fired }
 
 // Err returns the abort diagnostic, or nil if the watchdog has not
 // fired.
-func (w *Watchdog) Err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
-}
+func (w *Watchdog) Err() error { return w.err }
 
 // pollEvery is the clock interval between watchdog polls: coarse enough
 // to keep the armed per-event cost at one Time comparison, fine enough
@@ -96,33 +80,24 @@ func (w *Watchdog) pollEvery() Time { return w.horizon / 8 }
 // next event's timestamp has moved more than the horizon past the last
 // stamp. It returns true once fired, permanently.
 func (w *Watchdog) check(e *Env, next Time) bool {
-	w.mu.Lock()
 	if w.fired {
-		w.mu.Unlock()
 		return true
 	}
 	if w.progress != w.lastSeen {
 		w.lastSeen = w.progress
 		w.lastAt = next
-		w.mu.Unlock()
 		return false
 	}
 	if next-w.lastAt <= w.horizon {
-		w.mu.Unlock()
 		return false
 	}
 	w.fired = true
 	stalled, done := next-w.lastAt, w.lastSeen
-	w.mu.Unlock()
-	// Build the diagnostic outside the lock: it walks simulation state
-	// and may consult the watchdog.
 	diag := ""
 	if w.onFire != nil {
 		diag = w.onFire(e)
 	}
-	w.mu.Lock()
 	w.err = fmt.Errorf("sim: watchdog: no workload progress for %v of simulated time (clock %v, %d completions); aborting instead of hanging%s",
 		stalled, next, done, diag)
-	w.mu.Unlock()
 	return true
 }

@@ -143,7 +143,7 @@ func TestWatchdogDefaultHorizon(t *testing.T) {
 }
 
 // TestCrashScheduleShape pins the canonical recovery plan: crash then
-// restart, not shard-safe.
+// restart.
 func TestCrashScheduleShape(t *testing.T) {
 	s := CrashSchedule(3, 500*Millisecond, Second)
 	want := FaultSchedule{
@@ -157,9 +157,6 @@ func TestCrashScheduleShape(t *testing.T) {
 		if s[i] != want[i] {
 			t.Fatalf("event %d = %v, want %v", i, s[i], want[i])
 		}
-	}
-	if s.ShardSafe() {
-		t.Fatal("host crashes must not be shard-safe")
 	}
 	if err := s.Validate(4); err != nil {
 		t.Fatalf("Validate(4) = %v", err)
@@ -205,9 +202,6 @@ func TestLinkFlapsDeterministic(t *testing.T) {
 			(p.At == q.At && p.Host == q.Host && p.Kind > q.Kind) {
 			t.Fatalf("schedule not in canonical order at %d: %v then %v", i, p, q)
 		}
-	}
-	if !a.ShardSafe() {
-		t.Fatal("link flaps must be shard-safe")
 	}
 	if err := a.Validate(4); err != nil {
 		t.Fatalf("Validate = %v", err)

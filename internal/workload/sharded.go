@@ -2,10 +2,9 @@
 // event loops of a lab.Cluster (each on the loop that owns its host, so
 // every clock a frame reads is its host's own) and records into one set
 // of slot-indexed arrays, a slot per participant. Each slot has exactly
-// one writing shard, so nothing needs a lock at any shard count, and the
-// coordinator folds the slots in canonical order after every loop has
-// drained. A serial lab is the one-shard cluster: the same code, one
-// loop.
+// one writing shard, and the run folds the slots in canonical order
+// after every loop has drained. A serial lab is the one-shard cluster:
+// the same code, one loop.
 package workload
 
 import (
@@ -75,11 +74,12 @@ type run struct {
 	// Result.Latencies' order, so exact mode hands the array over as it is.
 	// Streaming statistics fold each latency into agg as it completes when
 	// one loop runs everything (completion order is then the event order,
-	// and nothing per operation is retained); with several shards
-	// completions interleave nondeterministically in wall time, so the
-	// sink retains each latency with its completion stamp in ats and
-	// replays the stream in virtual-time order afterwards. The shard count
-	// decides, not a knob: c.NumShards() is all this looks at.
+	// and nothing per operation is retained); with several shards a round
+	// runs one window after another, so completions arrive out of
+	// virtual-time order, and the sink retains each latency with its
+	// completion stamp in ats and replays the stream in virtual-time order
+	// afterwards. The shard count decides, not a knob: c.NumShards() is
+	// all this looks at.
 	want int
 	cfg  stats.Config
 	agg  *stats.Sample
@@ -102,7 +102,7 @@ func newRun(c *lab.Cluster, cross, want int, cfg stats.Config) *run {
 		parts: make([]participant, 1+cross+clients)}
 	r.clients = r.parts[1+cross:]
 	if r.wd == nil {
-		r.wd = c.ArmWatchdog(0)
+		r.wd = c.Lab.ArmWatchdog(0)
 	}
 	if cfg.Streaming && c.NumShards() == 1 {
 		r.agg = stats.NewSample(cfg)
@@ -142,13 +142,16 @@ func (r *run) record(ci int, start, now sim.Time, intact bool) {
 }
 
 // wait runs every loop to completion and returns the run's failure, if
-// any: a participant's, else the watchdog's.
+// any: a participant's, else the watchdog's, else the pool-leak gate's.
 func (r *run) wait() error {
 	r.c.Run()
 	if err := firstError(r.parts); err != nil {
 		return err
 	}
-	return r.wd.Err()
+	if err := r.wd.Err(); err != nil {
+		return err
+	}
+	return r.c.Lab.Leaked()
 }
 
 // finish waits for the run and folds the clients' slots into the named

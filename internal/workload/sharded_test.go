@@ -43,8 +43,8 @@ func TestFirstErrorOrder(t *testing.T) {
 }
 
 // TestFaultRecoveryRefusedWhenSharded pins who refuses a generator that
-// cannot shard: not a list of generator types, but the lab's shard-safety
-// check on the crash schedule the generator tries to install.
+// cannot shard: not a list of generator types, but the lab's refusal of
+// the crash schedule the generator tries to install on several shards.
 func TestFaultRecoveryRefusedWhenSharded(t *testing.T) {
 	c, err := lab.NewCluster(lab.Config{Link: lab.LinkATM, Seed: 1}, 5, 2)
 	if err != nil {
@@ -54,8 +54,8 @@ func TestFaultRecoveryRefusedWhenSharded(t *testing.T) {
 		t.Fatalf("cluster has %d shards, want 2", c.NumShards())
 	}
 	_, err = FaultRecovery{Requests: 2}.Run(c.Lab)
-	if err == nil || !strings.Contains(err.Error(), "sharded execution accepts only link-flip faults") {
-		t.Fatalf("FaultRecovery.Run on 2 shards = %v, want the lab's shard-safety refusal", err)
+	if err == nil || !strings.Contains(err.Error(), "runs no faults") {
+		t.Fatalf("FaultRecovery.Run on 2 shards = %v, want the lab's refusal of faults above one shard", err)
 	}
 }
 
@@ -90,5 +90,28 @@ func TestStreamingSinkFoldsAtOneShard(t *testing.T) {
 	}
 	if n := res.Sample().N(); n != 16 {
 		t.Errorf("streaming aggregate holds %d operations, want 16", n)
+	}
+}
+
+// TestRunFailsOnLeak pins the pool-leak gate at a generator run's end: a
+// fan-in whose run leaves one mbuf header live fails under
+// Config.CheckLeaks, on one shard and on two, and succeeds without it.
+func TestRunFailsOnLeak(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		for _, gated := range []bool{true, false} {
+			c, err := lab.NewCluster(lab.Config{Link: lab.LinkATM, Seed: 1, CheckLeaks: gated}, 3, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			host := c.Lab.Hosts[2]
+			c.EnvOf(2).At(sim.Microsecond, "leak", func() { host.Kern.Pool.Alloc() })
+			_, err = FanIn{Requests: 2}.Run(c.Lab)
+			switch {
+			case gated && (err == nil || !strings.Contains(err.Error(), "leaked 1 mbuf headers")):
+				t.Errorf("%d shards: gated fan-in with a leaked header returned %v, want the leak named", shards, err)
+			case !gated && err != nil:
+				t.Errorf("%d shards: ungated fan-in: %v", shards, err)
+			}
+		}
 	}
 }

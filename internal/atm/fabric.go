@@ -194,7 +194,7 @@ type CellDest interface{ InjectCell(c Cell) }
 // serial fabric is the plan with one env and an all-zero HostShard:
 // nothing is cut, so StageCell is never called and may stay nil. With
 // more envs the plan wires the fabric across shard boundaries for
-// deterministic parallel execution (lab.Cluster). Fibers whose two ends
+// sharded execution (lab.Cluster). Fibers whose two ends
 // land in different shards are cut: the sending side stages each cell
 // with the coordinator instead of delivering it. A route whose path
 // reaches a switch outside the calling host's shard waits in that shard's

@@ -342,10 +342,10 @@ func partitionHosts(nHosts, unitHosts, eff int) []int {
 		return hostShard
 	}
 	unitShard := make([]int, (nHosts+unitHosts-1)/unitHosts)
-	rest, workers := len(unitShard)-1, eff-1
-	base, rem := rest/workers, rest%workers
+	rest, peers := len(unitShard)-1, eff-1
+	base, rem := rest/peers, rest%peers
 	u := 1
-	for w := 0; w < workers; w++ {
+	for w := 0; w < peers; w++ {
 		n := base
 		if w < rem {
 			n++
@@ -369,9 +369,6 @@ func (c *Cluster) Lookahead() sim.Time { return c.lookahead }
 
 // Rounds returns how many barrier rounds this cluster has executed.
 func (c *Cluster) Rounds() int64 { return c.rounds }
-
-// HostShard returns the shard index of host i.
-func (c *Cluster) HostShard(i int) int { return c.hostShard[i] }
 
 // EnvOf returns the event loop that owns host i. Workload generators
 // spawn each host's processes on its owning shard's loop so that frame

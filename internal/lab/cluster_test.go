@@ -65,11 +65,11 @@ func TestClusterClamps(t *testing.T) {
 	}
 	// Host 0 always lives alone on shard 0.
 	c := mustCluster(t, Config{Link: LinkATM}, 5, 3)
-	if got := c.HostShard(0); got != 0 {
+	if got := c.hostShard[0]; got != 0 {
 		t.Errorf("host 0 on shard %d, want 0", got)
 	}
 	for i := 1; i < 5; i++ {
-		if c.HostShard(i) == 0 {
+		if c.hostShard[i] == 0 {
 			t.Errorf("client host %d shares shard 0 with the server", i)
 		}
 	}

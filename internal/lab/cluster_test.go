@@ -285,6 +285,41 @@ func TestClusterGoroutineFootprint(t *testing.T) {
 	}
 }
 
+// TestClusterMultiReleaseHandsOff pins a round that releases several
+// shards: simultaneous events in the two client shards of a 3-shard
+// cluster release both every round, one window handed to each shard in
+// turn, and the idle server shard is never woken.
+func TestClusterMultiReleaseHandsOff(t *testing.T) {
+	c := settledCluster(t, 3, 3)
+	const n = 50
+	ran := [3]int{}
+	at := latestNow(c)
+	for i := 0; i < n; i++ {
+		at += 2 * c.Lookahead()
+		for _, s := range []int{1, 2} {
+			s := s
+			c.Shards[s].Env.At(at, "both", func() { ran[s]++ })
+		}
+	}
+	server := c.Shards[0].Env
+	fired, now := server.Fired(), server.Now()
+	rounds := c.Rounds()
+	c.Run()
+
+	if ran != [3]int{0, n, n} {
+		t.Fatalf("events run per shard: %v, want [0 %d %d]", ran, n, n)
+	}
+	if d := c.Rounds() - rounds; d != n {
+		t.Errorf("%d rounds for %d instants in both client shards, want one each", d, n)
+	}
+	if d := server.Fired() - fired; d != 0 {
+		t.Errorf("idle server shard fired %d events, want 0", d)
+	}
+	if server.Now() != now {
+		t.Errorf("idle server shard's clock moved from %v to %v", now, server.Now())
+	}
+}
+
 // TestClusterSingleReleaseRunsInline pins the cheap side of a round:
 // events alternating between two shards, two lookaheads apart, make one
 // round each, and not one goroutine more than before Run was called.

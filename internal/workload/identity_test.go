@@ -26,7 +26,8 @@ import (
 // digests did not move. Every fired count was re-captured once more when
 // a sleep that has to wait began serving the events ahead of its wake on
 // its own stack (docs/PERFORMANCE.md item 26): its wake is no longer an
-// event, and no clock or digest moved.
+// event, and no clock or digest moved. The DropTail and DRR rows pin the
+// other two disciplines the loaded grid runs.
 func TestEventIdentity(t *testing.T) {
 	loaded := lab.Config{Link: lab.LinkATM, Seed: 1994,
 		Qdisc:       lab.QdiscConfig{Kind: lab.QdiscRED, REDMinCells: 2, REDMaxCells: 256, REDMaxP: 0.5},
@@ -65,6 +66,18 @@ func TestEventIdentity(t *testing.T) {
 			fired: 265082, clock: 47257311562,
 			digest: "dfcbd586211d8b17c7a454b7bedf73c916fb9d9438c5d5cb767d7e738bfd65f0",
 		},
+		{
+			// A 32-cell limit, so that admission drops cells: at the
+			// default 1,024 this workload's queue never fills.
+			name: "loaded-grid-tcp-droptail", hosts: 33, cfg: withQdisc(loaded, lab.QdiscDropTail, 32), gen: loadedGen(TransportTCP), timers: true,
+			fired: 202791, clock: 349001257372,
+			digest: "2ebb22631994028c910abbd58aac5acf5e068eb417121b010aad484277d5dc39",
+		},
+		{
+			name: "loaded-grid-rudp-drr", hosts: 33, cfg: withQdisc(loaded, lab.QdiscDRR, 0), gen: loadedGen(TransportRUDP),
+			fired: 264978, clock: 51254866816,
+			digest: "8a2d1774fd38c545ba9ac50a22c74ec143895068ecbe5c1ebc4a00a17088be8a",
+		},
 	}
 	for _, r := range runs {
 		t.Run(r.name, func(t *testing.T) {
@@ -96,4 +109,11 @@ func TestEventIdentity(t *testing.T) {
 			}
 		})
 	}
+}
+
+// withQdisc returns cfg with the discipline switched to kind and its
+// limit set (zero: the default).
+func withQdisc(cfg lab.Config, kind lab.QdiscKind, limit int) lab.Config {
+	cfg.Qdisc.Kind, cfg.Qdisc.LimitCells = kind, limit
+	return cfg
 }

@@ -69,8 +69,8 @@ func (g cellLedger) check(t testing.TB, name string) {
 			if n := port.TxUndelivered(); n != 0 {
 				t.Errorf("%s, switch port %d: %d cells still on the fibre at quiescence", name, p, n)
 			}
-			if qd := port.Qdisc(); qd != nil {
-				ended += int64(qd.Len())
+			if s, ok := port.Qdisc().(atm.Scheduler); ok {
+				ended += int64(s.Len())
 			}
 		}
 	}

@@ -6,18 +6,41 @@ import (
 	"repro/internal/sim"
 )
 
-// Qdisc is a pluggable queue discipline for one switch egress port. The
-// switch consults it instead of its built-in drop-tail depth when one is
-// installed (Port.SetQdisc): every cell the VC table routes to the port
-// is offered to Enqueue — which may refuse it, the discipline's drop
-// decision — and the egress link asks Dequeue for the next cell each
-// time it goes idle, which is where non-FIFO disciplines reorder.
+// Qdisc is a pluggable queue discipline for one switch egress port,
+// installed with Port.SetQdisc in place of the built-in drop-tail depth.
+// Every discipline decides admission: each cell the VC table routes to
+// the port is offered to Admit with the number of cells it finds waiting
+// for the link — admitted, service not yet begun — and is dropped when
+// Admit refuses it. A discipline that serves in arrival order (DropTail,
+// RED) is nothing more: the port commits an admitted cell to its FIFO
+// transmitter at once, as the built-in path does, and reads the waiting
+// count off the transmitter. Only a discipline that reorders keeps its
+// own cells and events; it implements Scheduler.
 //
 // Disciplines must be deterministic: any randomness (RED's drop lottery)
 // comes from a private RNG seeded at construction, never from the
 // simulation environment's stream, so installing a qdisc perturbs no
 // other random draw and sharded runs stay bit-identical to serial.
 type Qdisc interface {
+	// Admit decides the admission of a cell that finds waiting cells
+	// queued for the link ahead of it; it returns false to drop the cell.
+	// Cells are offered in the order they reach the discipline, one call
+	// each, so a discipline's state (RED's average and lottery) advances
+	// once per arrival.
+	Admit(waiting int) bool
+	// Reset returns the discipline to its just-constructed state —
+	// including reseeding any private RNG — for testbed reuse.
+	Reset()
+}
+
+// Scheduler is a discipline that picks the service order itself (DRR):
+// it queues its own copy of every cell it admits, and the egress link asks
+// it for the next cell each time it goes idle. A port under one keeps the
+// two events a cell costs there — its arrival at the discipline, one
+// fabric latency after forwarding, and the link finishing it — because
+// which cell goes next is decided only at service time.
+type Scheduler interface {
+	Qdisc
 	// Enqueue offers a cell routed to this port; flow is the cell's
 	// egress VCI, the flow key of VC-switched traffic. It returns false
 	// to drop the cell. The cell is the caller's, good for the length of
@@ -29,17 +52,14 @@ type Qdisc interface {
 	Dequeue(dst *Cell) bool
 	// Len returns the cells currently queued.
 	Len() int
-	// Reset returns the discipline to its just-constructed state —
-	// including reseeding any private RNG — for testbed reuse.
-	Reset()
 }
 
 // DropTail is the classic FIFO with a hard depth bound: the qdisc-shaped
 // twin of the switch's built-in egress depth, useful as the explicit
-// baseline in qdisc comparisons.
+// baseline in qdisc comparisons. It counts only cells waiting for the
+// link, not the one being sent, as a discipline's queue holds them.
 type DropTail struct {
 	limit int
-	q     fifo
 }
 
 // NewDropTail returns a FIFO dropping arrivals beyond limit cells.
@@ -50,29 +70,11 @@ func NewDropTail(limit int) *DropTail {
 	return &DropTail{limit: limit}
 }
 
-// Enqueue implements Qdisc.
-func (d *DropTail) Enqueue(c *Cell, _ uint16) bool {
-	if d.q.len() >= d.limit {
-		return false
-	}
-	d.q.push(c)
-	return true
-}
+// Admit implements Qdisc.
+func (d *DropTail) Admit(waiting int) bool { return waiting < d.limit }
 
-// Dequeue implements Qdisc.
-func (d *DropTail) Dequeue(dst *Cell) bool {
-	if d.q.len() == 0 {
-		return false
-	}
-	d.q.popInto(dst)
-	return true
-}
-
-// Len implements Qdisc.
-func (d *DropTail) Len() int { return d.q.len() }
-
-// Reset implements Qdisc.
-func (d *DropTail) Reset() { d.q.reset() }
+// Reset implements Qdisc; a drop-tail bound has no state.
+func (d *DropTail) Reset() {}
 
 // RED is random early detection (Floyd & Jacobson 1993) on a cell FIFO:
 // an EWMA of the queue depth is updated on every arrival, and arrivals
@@ -91,7 +93,6 @@ type RED struct {
 	rng   sim.RNG
 	avg   float64
 	count int // arrivals since the last early drop, for drop spreading
-	q     fifo
 }
 
 // Default RED parameters: thresholds bracketing a fraction of the
@@ -130,11 +131,12 @@ func NewRED(minTh, maxTh int, maxP, weight float64, limit int, seed uint64) *RED
 	return r
 }
 
-// Enqueue implements Qdisc: update the average, then gate the arrival.
-func (r *RED) Enqueue(c *Cell, _ uint16) bool {
-	r.avg = (1-r.Weight)*r.avg + r.Weight*float64(r.q.len())
+// Admit implements Qdisc: update the average with the queue the arrival
+// finds, then gate it.
+func (r *RED) Admit(waiting int) bool {
+	r.avg = (1-r.Weight)*r.avg + r.Weight*float64(waiting)
 	switch {
-	case r.q.len() >= r.Limit || r.avg >= float64(r.MaxTh):
+	case waiting >= r.Limit || r.avg >= float64(r.MaxTh):
 		// Forced drop: physically full, or the average says sustained
 		// congestion.
 		r.count = 0
@@ -158,28 +160,14 @@ func (r *RED) Enqueue(c *Cell, _ uint16) bool {
 			return false
 		}
 	}
-	r.q.push(c)
 	return true
 }
-
-// Dequeue implements Qdisc.
-func (r *RED) Dequeue(dst *Cell) bool {
-	if r.q.len() == 0 {
-		return false
-	}
-	r.q.popInto(dst)
-	return true
-}
-
-// Len implements Qdisc.
-func (r *RED) Len() int { return r.q.len() }
 
 // AvgQueue exposes the EWMA for tests.
 func (r *RED) AvgQueue() float64 { return r.avg }
 
-// Reset implements Qdisc: empty the queue, zero the average, reseed.
+// Reset implements Qdisc: zero the average, reseed.
 func (r *RED) Reset() {
-	r.q.reset()
 	r.avg = 0
 	r.count = -1
 	r.rng = *sim.NewRNG(r.seed)
@@ -194,7 +182,10 @@ type DRR struct {
 	Quantum int // bytes of credit per flow per round (>= CellSize)
 	Limit   int // aggregate bound across all flow queues (cells)
 
-	flows map[uint16]*drrFlow
+	// flows[v-DefaultVCI] is flow v's queue, nil until its first cell:
+	// VCIs in use are dense from DefaultVCI up (see Port.vc), so a lookup
+	// is an index, not a hash. A reserved VCI wraps past every routed one.
+	flows []*drrFlow
 	// active[head:] are the backlogged flows in round-robin order. A
 	// rotation appends the head flow and advances head, so the slice is
 	// compacted to the front, in place, when it runs out of room: a
@@ -221,21 +212,28 @@ func NewDRR(quantum, limit int) *DRR {
 	if limit <= 0 {
 		limit = DefaultPortQueueCells
 	}
-	return &DRR{Quantum: quantum, Limit: limit, flows: make(map[uint16]*drrFlow)}
+	return &DRR{Quantum: quantum, Limit: limit}
 }
 
-// Enqueue implements Qdisc: append to the flow's queue, activating the
+// Admit implements Qdisc: the aggregate bound.
+func (d *DRR) Admit(waiting int) bool { return waiting < d.Limit }
+
+// Enqueue implements Scheduler: append to the flow's queue, activating the
 // flow at the back of the round if it was idle. Arrivals beyond the
 // aggregate limit drop (drop-from-tail of the offered cell, the simplest
 // bound; per-flow accounting still isolates service order).
 func (d *DRR) Enqueue(c *Cell, flow uint16) bool {
-	if d.total >= d.Limit {
+	if !d.Admit(d.total) {
 		return false
 	}
-	f := d.flows[flow]
+	i := int(flow - DefaultVCI)
+	if i >= len(d.flows) {
+		d.flows = append(d.flows, make([]*drrFlow, i+1-len(d.flows))...)
+	}
+	f := d.flows[i]
 	if f == nil {
 		f = &drrFlow{}
-		d.flows[flow] = f
+		d.flows[i] = f
 	}
 	if !f.active {
 		f.active = true
@@ -258,7 +256,7 @@ func (d *DRR) activate(f *drrFlow) {
 	d.active = append(d.active, f)
 }
 
-// Dequeue implements Qdisc: serve the head of the active list, renewing
+// Dequeue implements Scheduler: serve the head of the active list, renewing
 // its deficit by one quantum when exhausted and rotating it to the back
 // of the round.
 func (d *DRR) Dequeue(dst *Cell) bool {
@@ -293,7 +291,7 @@ func (d *DRR) popHead() {
 	}
 }
 
-// Len implements Qdisc.
+// Len implements Scheduler.
 func (d *DRR) Len() int { return d.total }
 
 // Reset implements Qdisc.

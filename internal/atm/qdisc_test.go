@@ -12,16 +12,12 @@ import (
 // FIFO, whatever the lottery RNG says.
 func TestREDNeverDropsBelowMinTh(t *testing.T) {
 	r := NewRED(4, 12, 0.5, 0.5, 32, 99)
-	var c Cell
 	for i := 0; i < 10000; i++ {
-		if !r.Enqueue(&c, 0) {
+		if !r.Admit(i % 2) {
 			t.Fatalf("arrival %d dropped with avg %.3f < MinTh %d", i, r.AvgQueue(), r.MinTh)
 		}
 		if avg := r.AvgQueue(); avg >= float64(r.MinTh) {
 			t.Fatalf("EWMA %.3f crossed MinTh with an empty-ish queue", avg)
-		}
-		if !r.Dequeue(&c) {
-			t.Fatal("Dequeue empty after accepted Enqueue")
 		}
 	}
 }
@@ -32,16 +28,18 @@ func TestREDNeverDropsBelowMinTh(t *testing.T) {
 func TestREDAlwaysDropsAtMaxTh(t *testing.T) {
 	// Heavy weight so the EWMA tracks the standing queue quickly.
 	r := NewRED(4, 8, 0.02, 0.5, 64, 7)
-	var c Cell
-	// Never dequeue: the standing queue grows until the average pins.
+	// Nothing leaves: each admitted cell waits for every later arrival.
+	waiting := 0
 	for i := 0; i < 200 && r.AvgQueue() < float64(r.MaxTh); i++ {
-		r.Enqueue(&c, 0)
+		if r.Admit(waiting) {
+			waiting++
+		}
 	}
 	if r.AvgQueue() < float64(r.MaxTh) {
 		t.Fatalf("EWMA %.3f never reached MaxTh %d under a standing queue", r.AvgQueue(), r.MaxTh)
 	}
 	for i := 0; i < 1000; i++ {
-		if r.Enqueue(&c, 0) {
+		if r.Admit(waiting) {
 			t.Fatalf("arrival %d accepted with avg %.3f >= MaxTh %d", i, r.AvgQueue(), r.MaxTh)
 		}
 	}
@@ -52,17 +50,13 @@ func TestREDAlwaysDropsAtMaxTh(t *testing.T) {
 // refuse arrivals even though the average would admit them.
 func TestREDHardLimit(t *testing.T) {
 	r := NewRED(100, 200, 0.02, 0.001, 8, 3)
-	var c Cell
-	for i := 0; i < 8; i++ {
-		if !r.Enqueue(&c, 0) {
-			t.Fatalf("arrival %d dropped below the physical limit", i)
+	for waiting := 0; waiting < 8; waiting++ {
+		if !r.Admit(waiting) {
+			t.Fatalf("arrival finding %d waiting dropped below the physical limit", waiting)
 		}
 	}
-	if r.Enqueue(&c, 0) {
+	if r.Admit(8) {
 		t.Error("arrival beyond Limit accepted")
-	}
-	if r.Len() != 8 {
-		t.Errorf("Len %d, want 8", r.Len())
 	}
 }
 
@@ -72,18 +66,19 @@ func TestREDHardLimit(t *testing.T) {
 // RNG.
 func TestREDDeterministicLottery(t *testing.T) {
 	pattern := func(r *RED) string {
-		var c Cell
 		out := make([]byte, 0, 4000)
+		waiting := 0
 		for i := 0; i < 4000; i++ {
-			if r.Enqueue(&c, 0) {
+			if r.Admit(waiting) {
+				waiting++
 				out = append(out, '1')
 			} else {
 				out = append(out, '0')
 			}
 			// Drain slowly: 3 arrivals per departure keeps the average
 			// wandering through the early-drop band.
-			if i%3 == 0 {
-				r.Dequeue(&c)
+			if i%3 == 0 && waiting > 0 {
+				waiting--
 			}
 		}
 		return string(out)
@@ -120,13 +115,13 @@ func TestDRRFairness(t *testing.T) {
 		return &c
 	}
 	for i := 0; i < perFlow; i++ {
-		if !d.Enqueue(tagged('a'), 100) {
-			t.Fatalf("flow 100 arrival %d dropped below the limit", i)
+		if !d.Enqueue(tagged('a'), DefaultVCI+100) {
+			t.Fatalf("flow A arrival %d dropped below the limit", i)
 		}
 	}
 	for i := 0; i < perFlow; i++ {
-		if !d.Enqueue(tagged('b'), 200) {
-			t.Fatalf("flow 200 arrival %d dropped below the limit", i)
+		if !d.Enqueue(tagged('b'), DefaultVCI+200) {
+			t.Fatalf("flow B arrival %d dropped below the limit", i)
 		}
 	}
 	served := map[byte]int{}
@@ -156,15 +151,15 @@ func TestDRRAggregateLimit(t *testing.T) {
 	d := NewDRR(CellSize, 10)
 	var c Cell
 	for i := 0; i < 10; i++ {
-		if !d.Enqueue(&c, uint16(i%3)) {
+		if !d.Enqueue(&c, DefaultVCI+uint16(i%3)) {
 			t.Fatalf("arrival %d dropped below the aggregate limit", i)
 		}
 	}
-	if d.Enqueue(&c, 0) {
+	if d.Enqueue(&c, DefaultVCI) {
 		t.Error("arrival beyond the aggregate limit accepted")
 	}
 	d.Dequeue(&c)
-	if !d.Enqueue(&c, 0) {
+	if !d.Enqueue(&c, DefaultVCI) {
 		t.Error("arrival refused after a departure freed a slot")
 	}
 }
@@ -224,7 +219,7 @@ func TestDRRMatchesKeyedRotation(t *testing.T) {
 		var in, got, want Cell
 		for i := 0; i < 20000; i++ {
 			if rng.Intn(100) < 52 {
-				flow := uint16(rng.Intn(1 + i/2000))
+				flow := DefaultVCI + uint16(rng.Intn(1+i/2000))
 				in.Payload()[0], in.Payload()[1] = byte(i), byte(i>>8)
 				d.Enqueue(&in, flow)
 				ref.enqueue(&in, flow)
@@ -247,7 +242,7 @@ func TestDRRRotationAllocatesNothing(t *testing.T) {
 	var c Cell
 	cycle := func() {
 		for v := uint16(0); v < 16; v++ {
-			d.Enqueue(&c, v%4)
+			d.Enqueue(&c, DefaultVCI+v%4)
 		}
 		for d.Dequeue(&c) {
 		}

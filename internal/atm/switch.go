@@ -139,18 +139,21 @@ type Port struct {
 	vc []vcRoute
 
 	// tx is the egress queue, its pacing and the fiber: forward commits a
-	// cell once and reads the drop-tail depth off it. A qdisc-managed port
-	// uses only its cursor and, for cells on the fiber, its queue and
-	// lane: the discipline, not the commit order, picks what goes next.
+	// cell once and reads the drop-tail depth — or, under a discipline
+	// that serves in arrival order, the cells waiting for the link — off
+	// it. A port under a Scheduler uses only its cursor and, for cells on
+	// the fiber, its queue and lane: the discipline, not the commit order,
+	// picks what goes next.
 	tx transmitter
 
 	// qd, when installed, replaces the built-in drop-tail depth with a
-	// pluggable queue discipline. The qdisc path (qdp, made by the first
-	// SetQdisc) separates the fabric pipeline (fixed Latency) from link
-	// service (one cell at a time, picked by qd.Dequeue), so disciplines
-	// that reorder — DRR — actually control transmission order, which
-	// the legacy precomputed-busy-time path cannot allow. A nil qd
-	// leaves the legacy path byte-identical.
+	// pluggable queue discipline. One that serves in arrival order only
+	// decides admission, and the port commits as the built-in path does.
+	// One that reorders (a Scheduler: DRR) runs on the service path, qdp,
+	// made by the first SetQdisc that installs one: it separates the
+	// fabric pipeline (fixed Latency) from link service (one cell at a
+	// time, picked by Dequeue), which the precomputed-busy-time commit
+	// cannot allow. A nil qd leaves the legacy path byte-identical.
 	qd  Qdisc
 	qdp *qdPath
 
@@ -165,9 +168,12 @@ type Port struct {
 	DownDrops int64
 }
 
-// qdPath is the state only a qdisc-managed port needs, kept off the
+// qdPath is the state only a port under a Scheduler needs, kept off the
 // Port so that a large fabric's thousands of plain ports do not carry it.
+// It outlives a Scheduler replaced by a FIFO discipline, unused (s nil),
+// so that a testbed whose trials alternate disciplines makes it once.
 type qdPath struct {
+	s       Scheduler
 	pre     fifo     // cells crossing the fabric toward the qdisc
 	in      sim.Lane // their arrival at the discipline
 	serving bool     // link currently clocking a cell out:
@@ -186,20 +192,25 @@ func (p *Port) SetDown(down bool) { p.down = down }
 func (p *Port) Down() bool { return p.down }
 
 // SetQdisc installs a queue discipline on the port's egress, replacing
-// the built-in drop-tail depth. Install before traffic flows; nil
-// restores the legacy path.
+// the built-in drop-tail depth; whether it is a Scheduler is settled
+// here, once, not per cell. Install before traffic flows; nil restores
+// the legacy path.
 func (p *Port) SetQdisc(q Qdisc) {
 	p.qd = q
-	if q != nil && p.qdp == nil {
+	s, _ := q.(Scheduler)
+	if s != nil && p.qdp == nil {
 		p.qdp = new(qdPath)
 		p.qdp.in.Bind(p)
 		p.qdp.out.Bind(p)
 	}
+	if p.qdp != nil {
+		p.qdp.s = s
+	}
 }
 
 // LaneFired implements sim.LaneOwner for the port's lanes, told apart by
-// address: the fiber's arrivals, and on a qdisc-managed port the cells
-// reaching the discipline and the link finishing one.
+// address: the fiber's arrivals, and on a port under a Scheduler the
+// cells reaching the discipline and the link finishing one.
 func (p *Port) LaneFired(l *sim.Lane) {
 	switch {
 	case l == &p.tx.inLane:
@@ -218,14 +229,14 @@ func (p *Port) Qdisc() Qdisc { return p.qd }
 // Port returns the port at index i.
 func (sw *Switch) Port(i int) *Port { return sw.ports[i] }
 
-// qdIn fires when a cell finishes crossing the fabric toward a
-// qdisc-managed egress port: offer it to the discipline and start link
+// qdIn fires when a cell finishes crossing the fabric toward an egress
+// port under a Scheduler: offer it to the discipline and start link
 // service if the link is idle. forward checked the cell's HEC and wrote
 // its header one Latency ago, and nothing writes a queued record, so the
 // VCI is read straight from the header bytes.
 func (p *Port) qdIn() {
 	c := p.qdp.pre.front()
-	queued := p.qd.Enqueue(c, c.vci())
+	queued := p.qdp.s.Enqueue(c, c.vci())
 	p.qdp.pre.drop()
 	if !queued {
 		p.sw.CellsDropped++
@@ -245,7 +256,7 @@ func (p *Port) qdKick() {
 	if p.qdp.serving {
 		return
 	}
-	if !p.qd.Dequeue(&p.qdp.cur) {
+	if !p.qdp.s.Dequeue(&p.qdp.cur) {
 		return
 	}
 	p.qdp.serving = true
@@ -257,9 +268,9 @@ func (p *Port) qdKick() {
 	p.qdp.out.At(env, end, "atmsw.cellout")
 }
 
-// qdCellOut fires when the link finishes clocking a qdisc-scheduled cell
-// onto the fiber — the one transmit-complete event left, because only
-// now can the discipline be asked for the next cell: start this one's
+// qdCellOut fires when the link finishes clocking a Scheduler's cell onto
+// the fiber — the one transmit-complete event left, because only now can
+// the discipline be asked for the next cell: start this one's
 // propagation (cut ports already staged at commit time), then kick.
 func (p *Port) qdCellOut() {
 	p.qdp.serving = false
@@ -318,7 +329,8 @@ func ConnectTrunk(a, b *Switch, model *cost.Model) (aPort, bPort int) {
 // untouched. Staged with each cell are at, the far-end arrival a serial
 // run would schedule, and scheduleAt, the instant the serial run would
 // create that arrival's event, which orders arrivals tied on at: the
-// commit for a FIFO transmitter, service completion for a qdisc port.
+// commit for a FIFO transmitter — the built-in depth or a discipline that
+// serves in arrival order — and service completion under a Scheduler.
 func (p *Port) SetCut(stage func(scheduleAt, at sim.Time, c Cell)) { p.tx.cut = stage }
 
 // InjectCell delivers a cell that crossed a shard boundary into this
@@ -409,19 +421,27 @@ func (sw *Switch) forward(from *Port, c *Cell) {
 		return
 	}
 	out := sw.ports[route.port]
-	if out.qd != nil {
-		// Qdisc path: the cell crosses the fabric pipeline (fixed
-		// Latency), is offered to the discipline — whose Enqueue makes
-		// the drop decision — and waits for the egress link to pick it
-		// in the discipline's service order.
-		h.VCI = route.vci
-		h.Marshal(c)
-		out.qdp.pre.push(c)
-		out.qdp.in.At(sw.env, sw.env.Now()+sw.Latency, "atmsw.qdin")
-		return
-	}
 	now := sw.env.Now()
-	if out.tx.occupied(now) >= sw.PortQueueCells {
+	if out.qd != nil {
+		if out.qdp != nil && out.qdp.s != nil {
+			// Service path: the cell crosses the fabric pipeline (fixed
+			// Latency), is offered to the discipline — whose Enqueue
+			// makes the drop decision — and waits for the egress link to
+			// pick it in the discipline's service order.
+			h.VCI = route.vci
+			h.Marshal(c)
+			out.qdp.pre.push(c)
+			out.qdp.in.At(sw.env, now+sw.Latency, "atmsw.qdin")
+			return
+		}
+		// A discipline that serves in arrival order decides now what it
+		// would decide when the cell reaches it, and the cell is
+		// committed like any other.
+		if !out.qd.Admit(out.tx.waiting(now, sw.Latency, cost.WireTime(CellSize, out.bits))) {
+			sw.CellsDropped++
+			return
+		}
+	} else if out.tx.occupied(now) >= sw.PortQueueCells {
 		sw.CellsDropped++
 		return
 	}
@@ -431,6 +451,51 @@ func (sw *Switch) forward(from *Port, c *Cell) {
 	dst := out.tx.slot(sw.env, now+sw.Latency, cost.WireTime(CellSize, out.bits))
 	*dst = *c
 	out.tx.launch(sw.env, dst, out.prop, "atmsw.cellin")
+}
+
+// waiting returns how many of the cells committed to this engine would be
+// waiting for it — admitted, service not yet begun — when a cell forwarded
+// now reaches the egress discipline, lat later: the queue a discipline
+// that serves in arrival order would hold at that instant. A cell's
+// service begins one cell time before its last bit leaves. Every cell
+// still waiting then arrived before it and so queued behind its
+// predecessor: the waiting cells are the newest, back to back up to busy,
+// and their count is arithmetic.
+//
+// A cell whose service begins at that very instant is a tie, broken as
+// the evented order breaks it. If it found the link idle, its service
+// began when it reached the discipline, ahead of the arriving cell: it
+// has left the queue. If it queued, it begins when its predecessor's
+// completion fires, an event scheduled when that predecessor's service
+// began, one cell time earlier — while the arrival is scheduled now, lat
+// earlier. With lat above a cell time the arrival was scheduled first,
+// fires first and finds the cell still waiting; below, the cell has begun.
+// At exactly one cell time the predecessor's service begins at this
+// instant, in an event (its own arrival at the discipline, or its
+// predecessor's completion) scheduled a cell time ago; the event
+// forwarding this cell was scheduled earlier than that — a fiber
+// schedules a cell's arrival when it commits the cell, a cell time and
+// the propagation delay ahead — so it fires first, the completion is
+// scheduled after the arrival, and the cell is still waiting.
+//
+// It advances the cursor occupied keeps, as the built-in path's probe
+// does, so that a cut fiber's slot can release the records that left.
+func (t *transmitter) waiting(now, lat, cellTime sim.Time) int {
+	t.occupied(now)
+	at := now + lat
+	d := t.busy - at
+	if d <= 0 {
+		return 0
+	}
+	n := int((d - 1) / cellTime)
+	if d%cellTime == 0 && lat >= cellTime {
+		// The tie is the (d/cellTime)-th newest cell; it queued if its
+		// predecessor's last bit leaves at the instant its service begins.
+		if i := t.q.len() - int(d/cellTime) - 1; i >= 0 && t.q.timeAt(i) == at {
+			n++
+		}
+	}
+	return n
 }
 
 // vciAlloc hands out per-flow VCIs on one egress direction of a trunk

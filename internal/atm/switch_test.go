@@ -230,30 +230,34 @@ func TestSwitchVCTableIndexed(t *testing.T) {
 
 // TestQdiscPortCountsHECOnce: a cell whose header is corrupted on the
 // ingress fiber is discarded by the switch's HEC check once, in forward,
-// even when its route leads to a qdisc-managed port; the discipline never
-// sees it. A clean cell on the same VC is switched through the discipline.
+// even when its route leads to a qdisc-managed port — one that decides
+// admission at forward time, and one whose Scheduler sees cells a fabric
+// latency later; the discipline never sees it. A clean cell on the same
+// VC is switched through the discipline.
 func TestQdiscPortCountsHECOnce(t *testing.T) {
-	env := sim.NewEnv()
-	sw, _, _, drvs, _ := buildStar(t, env, 3)
-	out := sw.Port(2)
-	out.SetQdisc(NewDropTail(64))
-	send := func(corrupt bool) {
-		var c Cell
-		CellHeader{VCI: DefaultVCI + 2}.Marshal(&c) // host 0 -> host 2
-		if corrupt {
-			c[1] ^= 0x10
+	for _, qd := range []Qdisc{NewDropTail(64), NewDRR(0, 64)} {
+		env := sim.NewEnv()
+		sw, _, _, drvs, _ := buildStar(t, env, 3)
+		out := sw.Port(2)
+		out.SetQdisc(qd)
+		send := func(corrupt bool) {
+			var c Cell
+			CellHeader{VCI: DefaultVCI + 2}.Marshal(&c) // host 0 -> host 2
+			if corrupt {
+				c[1] ^= 0x10
+			}
+			sw.Port(0).deliverCell(&c)
+			env.Run()
 		}
-		sw.Port(0).deliverCell(&c)
-		env.Run()
-	}
-	send(true)
-	if sw.HECErrors != 1 || sw.CellsSwitched != 0 || sw.CellsDropped != 0 || out.Qdisc().Len() != 0 {
-		t.Fatalf("corrupted cell: HECErrors %d, switched %d, dropped %d, queued %d; want 1, 0, 0, 0",
-			sw.HECErrors, sw.CellsSwitched, sw.CellsDropped, out.Qdisc().Len())
-	}
-	send(false)
-	if sw.HECErrors != 1 || sw.CellsSwitched != 1 || drvs[2].Adapter.CellsRecv != 1 {
-		t.Fatalf("clean cell: HECErrors %d, switched %d, host 2 received %d; want 1, 1, 1",
-			sw.HECErrors, sw.CellsSwitched, drvs[2].Adapter.CellsRecv)
+		send(true)
+		if sw.HECErrors != 1 || sw.CellsSwitched != 0 || sw.CellsDropped != 0 || drvs[2].Adapter.CellsRecv != 0 {
+			t.Fatalf("%T, corrupted cell: HECErrors %d, switched %d, dropped %d, host 2 received %d; want 1, 0, 0, 0",
+				qd, sw.HECErrors, sw.CellsSwitched, sw.CellsDropped, drvs[2].Adapter.CellsRecv)
+		}
+		send(false)
+		if sw.HECErrors != 1 || sw.CellsSwitched != 1 || drvs[2].Adapter.CellsRecv != 1 {
+			t.Fatalf("%T, clean cell: HECErrors %d, switched %d, host 2 received %d; want 1, 1, 1",
+				qd, sw.HECErrors, sw.CellsSwitched, drvs[2].Adapter.CellsRecv)
+		}
 	}
 }

@@ -27,8 +27,10 @@
 // has none), so its instant is the commit: cells that tie on arrival tie
 // on completion too (one propagation delay everywhere), and the serial
 // run fires first the one committed first — the one that queued behind a
-// backlog, not the one that found its link idle. Only a qdisc port still
-// creates the arrival at service completion. Second, a VC path that
+// backlog, not the one that found its link idle. A port under a
+// discipline that serves in arrival order (DropTail, RED) commits the same
+// way; only one under a reordering discipline (DRR) still creates the
+// arrival at service completion. Second, a VC path that
 // reaches a switch outside the calling shard waits in the fabric's route
 // table to be finished at the next barrier, which is always before the
 // flow's first data cell can arrive there (that cell itself must cross a
@@ -310,10 +312,13 @@ func (c *Cluster) configure(cfg Config) {
 	if cfg.Fabric == FabricFatTree && !cfg.Qdisc.Enabled() {
 		// Only trunk fibers are cut, and the legacy forward path stages a
 		// trunk crossing before paying the switch latency — so the
-		// latency widens the guaranteed gap. Under a qdisc the latency is
-		// spent BEFORE the cell reaches the egress queue; the stage
-		// happens at dequeue commit, leaving only serialization plus
-		// propagation of provable gap.
+		// latency widens the guaranteed gap. Under a reordering
+		// discipline (DRR) the latency is spent BEFORE the cell reaches
+		// the egress queue; the stage happens at dequeue commit, leaving
+		// only serialization plus propagation of provable gap. A
+		// discipline that serves in arrival order stages at forward
+		// time, as the legacy path does; the narrower gap holds for it
+		// too, and keeps the lookahead one rule for every discipline.
 		c.lookahead += l.Switch.Latency
 	}
 	// The earliest a staged cell's causal consequence can re-enter the

@@ -54,11 +54,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Shard is one partition of a cluster: an event loop and the hosts
-// living in it, in ascending host order.
+// Shard is one partition of a cluster: the event loop its hosts live in.
 type Shard struct {
-	Env   *sim.Env
-	Hosts []int
+	Env *sim.Env
 }
 
 // stagedCell is one cell in flight across a shard boundary, with the
@@ -213,7 +211,6 @@ func build(cfg Config, shape Shape) *Cluster {
 	model := cfg.model()
 	for i, s := range hostShard {
 		l.Hosts[i] = buildHost(envs[s], model, cfg.Link, i)
-		c.Shards[s].Hosts = append(c.Shards[s].Hosts, i)
 	}
 	l.Client, l.Server = l.Hosts[0], l.Hosts[1]
 

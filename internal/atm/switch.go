@@ -453,33 +453,26 @@ func (sw *Switch) forward(from *Port, c *Cell) {
 	out.tx.launch(sw.env, dst, out.prop, "atmsw.cellin")
 }
 
-// waiting returns how many of the cells committed to this engine would be
-// waiting for it — admitted, service not yet begun — when a cell forwarded
-// now reaches the egress discipline, lat later: the queue a discipline
-// that serves in arrival order would hold at that instant. A cell's
-// service begins one cell time before its last bit leaves. Every cell
-// still waiting then arrived before it and so queued behind its
-// predecessor: the waiting cells are the newest, back to back up to busy,
-// and their count is arithmetic.
+// waiting returns how many committed cells would be waiting for the
+// engine — admitted, service not yet begun — when a cell forwarded now
+// reaches the discipline, lat later. Service begins one cell time before
+// the last bit leaves, and every cell still waiting then queued behind its
+// predecessor, so the waiting cells are the newest, back to back up to
+// busy: their count is arithmetic.
 //
-// A cell whose service begins at that very instant is a tie, broken as
-// the evented order breaks it. If it found the link idle, its service
-// began when it reached the discipline, ahead of the arriving cell: it
-// has left the queue. If it queued, it begins when its predecessor's
-// completion fires, an event scheduled when that predecessor's service
-// began, one cell time earlier — while the arrival is scheduled now, lat
-// earlier. With lat above a cell time the arrival was scheduled first,
-// fires first and finds the cell still waiting; below, the cell has begun.
-// At exactly one cell time the predecessor's service begins at this
-// instant, in an event (its own arrival at the discipline, or its
-// predecessor's completion) scheduled a cell time ago; the event
-// forwarding this cell was scheduled earlier than that — a fiber
-// schedules a cell's arrival when it commits the cell, a cell time and
-// the propagation delay ahead — so it fires first, the completion is
-// scheduled after the arrival, and the cell is still waiting.
+// A cell whose service begins at that very instant counts as the evented
+// order counts it. One that found the link idle began on its own arrival,
+// ahead of this one. One that queued begins when its predecessor's
+// completion fires — an event scheduled a cell time earlier, when that
+// service began, while this arrival's is scheduled now, lat earlier:
+// above a cell time the arrival fires first and the cell still waits;
+// below, it has begun. At exactly one cell time both are scheduled at this
+// instant, the completion by an event itself scheduled a cell time ago,
+// after the forwarding event was (a fiber books an arrival at commit, a
+// cell time and the propagation delay ahead), so the cell still waits.
 //
-// It advances the cursor occupied keeps, as the built-in path's probe
-// does, so that a cut fiber's slot can release the records that left.
+// Like the built-in depth's probe, it advances occupied's cursor, which a
+// cut fiber's slot needs to release the records that left.
 func (t *transmitter) waiting(now, lat, cellTime sim.Time) int {
 	t.occupied(now)
 	at := now + lat

@@ -6,7 +6,7 @@ GO ?= go
 # per-package default or hang a -race smoke until the job is killed.
 SMOKE_DEADLINE ?= 600
 
-.PHONY: all fmt fmt-check vet loc build test race bench bench-smoke bench-check benchdiff baseline bench-wallclock baseline-wallclock alloc-census tables load-smoke load-scale-smoke loaded-smoke docs-check fuzz-flags explore
+.PHONY: all fmt fmt-check vet loc build test race bench-check alloc-census tables load-smoke load-scale-smoke loaded-smoke docs-check fuzz-flags explore
 
 all: build test
 
@@ -41,47 +41,12 @@ test:
 race:
 	$(GO) test -race -timeout 600s ./...
 
-## bench: the full benchmark suite with memory stats
-bench:
-	$(GO) test -run='^$$' -bench=. -benchmem -timeout 1800s .
-
-## bench-smoke: one iteration of every benchmark (deterministic metrics)
-bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x -timeout 300s .
-
 ## bench-check: build and test the benchmark harness (what CI runs).
 ## bench/ is its own module, so the root ./... never compiles it: an API
 ## drift in what it calls (lab.Cluster, the workload generators) would
 ## otherwise surface only when the benchmark itself is run.
 bench-check:
 	$(GO) test -C bench -timeout 300s ./...
-
-## benchdiff: compare the smoke run's paper metrics against the baseline
-benchdiff:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x -timeout 300s . | \
-		$(GO) run ./cmd/benchdiff -baseline BENCH_baseline.json
-
-## baseline: regenerate BENCH_baseline.json from a smoke run
-baseline:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x -timeout 300s . | \
-		$(GO) run ./cmd/benchdiff -write BENCH_baseline.json
-
-## bench-wallclock: run the wall-clock tier and gate its allocation
-## tripwires — B/op, allocs/rtt, allocs/run (the benchmarks no census
-## golden runs), barrier rounds, and peak heap (upward only,
-## on the B/op band) — against BENCH_wallclock.json. ns/op and allocs/op
-## are printed, not gated: wall-clock claims are bench/'s, allocation
-## sites cmd/alloccensus's goldens' (what CI runs).
-WALLCLOCK_TOL_BYTES ?= 0.35
-bench-wallclock:
-	$(GO) test -run='^$$' -bench=Wallclock -benchmem -benchtime=2x -timeout 600s . | \
-		$(GO) run ./cmd/benchdiff -wallclock -tol-bytes $(WALLCLOCK_TOL_BYTES) \
-			-baseline BENCH_wallclock.json
-
-## baseline-wallclock: regenerate BENCH_wallclock.json on this machine
-baseline-wallclock:
-	$(GO) test -run='^$$' -bench=Wallclock -benchmem -benchtime=2x -timeout 600s . | \
-		$(GO) run ./cmd/benchdiff -wallclock -write BENCH_wallclock.json
 
 ## alloc-census: where the served fan-in, the loaded grid and the small
 ## echoes allocate, site by site, in heap objects and bytes — the 1,001-host

@@ -4,7 +4,7 @@
 // inlined frames expanded, as pprof's flat column names it) with the heap
 // objects and bytes it allocated, under the run's MemStats.Mallocs total.
 //
-//   - -shape fanin is BenchmarkWallclockFanIn10k's configuration — a fat
+//   - -shape fanin is the fanin-10k benchmark's configuration — a fat
 //     tree, one staggered 200-byte request per client, streaming
 //     statistics, construction included — on -hosts hosts (default 1,001).
 //   - -shape loaded is one replica of the loaded-grid benchmark's trials:
@@ -156,7 +156,7 @@ func (c census) names() []string {
 	return names
 }
 
-// faninConfig is the fan-in's testbed, BenchmarkWallclockFanIn10k's.
+// faninConfig is the fan-in's testbed, the fanin-10k benchmark's.
 var faninConfig = lab.Config{Link: lab.LinkATM, Fabric: lab.FabricFatTree, Seed: 1994, HashPCBs: true}
 
 // fanIn runs the served fan-in on hosts hosts.

@@ -13,14 +13,12 @@
 //
 // It also keeps the one table of standing numbers honest: a document
 // that quotes the trajectory table (trajectory.go) must quote what the
-// ledgers and BENCH_wallclock.json say today.
+// ledgers say today. And every docs/data/ file the documents or the root
+// CHANGES.md name must exist (links.go).
 //
-// `go test` lines get their own smoke treatment (smokeTestArgs): one
-// iteration of each selected benchmark, profiles in the temp directory.
-// A plain `go test` line runs as written and fails if its -run selection
-// matches no test (isPlainGoTest); a renamed benchmark turns up as a
-// MISSING metric in `make bench-wallclock` or `make benchdiff` instead.
-// `go tool pprof` lines are interactive and not extracted.
+// A `go test` line runs as written, profiles redirected to the temp
+// directory (smokeTestArgs), and fails if its -run selection matches no
+// test. `go tool pprof` lines are interactive and not extracted.
 package main
 
 import (
@@ -84,12 +82,29 @@ func run(args []string, w io.Writer) error {
 				cmds = append(cmds, c)
 			}
 		}
-		if err := checkTrajectory(string(blob), "."); err != nil && !list {
+		if list {
+			continue
+		}
+		if err := checkTrajectory(string(blob), "."); err != nil {
+			return fmt.Errorf("%s: %w", f, err)
+		}
+		if err := checkDataLinks(string(blob), f, "."); err != nil {
 			return fmt.Errorf("%s: %w", f, err)
 		}
 	}
 	if len(cmds) == 0 {
 		return fmt.Errorf("no `go run` commands found in %s", strings.Join(files, ", "))
+	}
+	if !list {
+		// CHANGES.md quotes no command to run, but each entry's long
+		// form is a docs/data/ file.
+		blob, err := os.ReadFile("CHANGES.md")
+		if err == nil {
+			err = checkDataLinks(string(blob), "CHANGES.md", ".")
+		}
+		if err != nil {
+			return fmt.Errorf("CHANGES.md: %w", err)
+		}
 	}
 
 	failures := 0
@@ -100,7 +115,7 @@ func run(args []string, w io.Writer) error {
 			continue
 		}
 		fmt.Fprintf(w, "docscheck: %s\n", c)
-		if err := execute(argv, f.Duration("timeout"), isPlainGoTest(argv)); err != nil {
+		if err := execute(argv, f.Duration("timeout"), strings.HasPrefix(c, "go test ")); err != nil {
 			failures++
 			fmt.Fprintf(w, "docscheck: FAIL %s\n%v\n", c, err)
 		}
@@ -204,22 +219,11 @@ func commandArgs(c string, smoke bool) []string {
 	return argv
 }
 
-// isBenchFlag reports whether one argv token selects benchmarks, in
-// any of the flag spellings `go test` accepts.
-func isBenchFlag(f string) bool {
-	return f == "-bench" || f == "--bench" ||
-		strings.HasPrefix(f, "-bench=") || strings.HasPrefix(f, "--bench=")
-}
-
-// smokeTestArgs reduces a documented `go test` line: benchmark
-// selections run one iteration with unit tests skipped, and profile
-// outputs land in the temp directory instead of the working tree.
+// smokeTestArgs points a documented `go test` line's profile outputs at
+// the temp directory instead of the working tree.
 func smokeTestArgs(argv []string) []string {
-	hasBench := false
 	for i, f := range argv {
 		switch {
-		case isBenchFlag(f):
-			hasBench = true
 		case f == "-cpuprofile" || f == "-memprofile":
 			if i+1 < len(argv) {
 				argv[i+1] = filepath.Join(os.TempDir(), filepath.Base(argv[i+1]))
@@ -229,32 +233,14 @@ func smokeTestArgs(argv []string) []string {
 			argv[i] = flag + "=" + filepath.Join(os.TempDir(), filepath.Base(val))
 		}
 	}
-	if hasBench {
-		argv = append(argv, "-run", "^$", "-benchtime", "1x")
-	}
 	return argv
 }
 
-// isPlainGoTest reports whether argv is a `go test` invocation with no
-// benchmark selection — the case whose output must be scanned for the
-// "[no tests to run]" marker, because a drifted test name exits 0.
-func isPlainGoTest(argv []string) bool {
-	if len(argv) < 2 || argv[1] != "test" {
-		return false
-	}
-	for _, f := range argv {
-		if isBenchFlag(f) {
-			return false
-		}
-	}
-	return true
-}
-
-// execute runs one command with stdout discarded (or, for plain `go
-// test` lines, scanned for the zero-tests marker), returning an error
-// carrying stderr on failure. The command runs in its own process
-// group so a timeout kills the documented tool itself, not just the
-// `go run` wrapper in front of it.
+// execute runs one command with stdout discarded (or, for a `go test`
+// line, scanned for the zero-tests marker: a drifted test name exits 0),
+// returning an error carrying stderr on failure. The command runs in its
+// own process group so a timeout kills the documented tool itself, not
+// just the `go run` wrapper in front of it.
 func execute(argv []string, timeout time.Duration, scanNoTests bool) error {
 	cmd := exec.Command(argv[0], argv[1:]...)
 	var stdout strings.Builder

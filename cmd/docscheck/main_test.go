@@ -142,19 +142,17 @@ func TestNoCommandsIsAnError(t *testing.T) {
 	}
 }
 
-const sampleBenchDoc = "# Profiling\n" +
+const sampleProfileDoc = "# Profiling\n" +
 	"```sh\n" +
-	"go test -run='^$' -bench=Sweep -benchtime=2x -cpuprofile cpu.out .\n" +
-	"go test -run='^$' -bench=Wallclock -benchmem -benchtime=2x . | go run ./cmd/benchdiff -wallclock -baseline BENCH_wallclock.json\n" +
+	"go test -run TestPaperGridMeasuredOnce -cpuprofile cpu.out -memprofile=mem.out ./internal/core\n" +
 	"go tool pprof -top cpu.out\n" +
 	"```\n" +
 	"Inline: `go test ./internal/core -run TimelineStudy -v`.\n"
 
 func TestExtractGoTestCommands(t *testing.T) {
-	got := extractCommands(sampleBenchDoc)
+	got := extractCommands(sampleProfileDoc)
 	want := []string{
-		"go test -run='^$' -bench=Sweep -benchtime=2x -cpuprofile cpu.out .",
-		"go test -run='^$' -bench=Wallclock -benchmem -benchtime=2x . | go run ./cmd/benchdiff -wallclock -baseline BENCH_wallclock.json",
+		"go test -run TestPaperGridMeasuredOnce -cpuprofile cpu.out -memprofile=mem.out ./internal/core",
 		"go test ./internal/core -run TimelineStudy -v",
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -163,38 +161,19 @@ func TestExtractGoTestCommands(t *testing.T) {
 }
 
 func TestSmokeTestArgs(t *testing.T) {
-	// Bench command: profiles land in the temp dir, unit tests are
-	// skipped, and the benchtime reduction is appended last so it wins.
-	got := commandArgs("go test -run='^$' -bench=Sweep -benchtime=2x -cpuprofile cpu.out .", true)
-	want := []string{"go", "test", "-run='^$'", "-bench=Sweep", "-benchtime=2x",
-		"-cpuprofile", filepath.Join(os.TempDir(), "cpu.out"), ".",
-		"-run", "^$", "-benchtime", "1x"}
+	// Profiles, in either flag spelling, land in the temp dir.
+	got := commandArgs("go test -run TestPaperGridMeasuredOnce -cpuprofile cpu.out -memprofile=mem.out ./internal/core", true)
+	want := []string{"go", "test", "-run", "TestPaperGridMeasuredOnce",
+		"-cpuprofile", filepath.Join(os.TempDir(), "cpu.out"),
+		"-memprofile=" + filepath.Join(os.TempDir(), "mem.out"), "./internal/core"}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("bench smoke args:\n got %q\nwant %q", got, want)
-	}
-	// The pipe into benchdiff is stripped with the rest of the shell.
-	got = commandArgs("go test -bench=Wallclock . | go run ./cmd/benchdiff -wallclock", true)
-	want = []string{"go", "test", "-bench=Wallclock", ".", "-run", "^$", "-benchtime", "1x"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("piped bench args:\n got %q\nwant %q", got, want)
+		t.Fatalf("profile smoke args:\n got %q\nwant %q", got, want)
 	}
 	// A plain -run selection executes as written.
 	got = commandArgs("go test ./internal/core -run TimelineStudy -v", true)
 	want = []string{"go", "test", "./internal/core", "-run", "TimelineStudy", "-v"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("plain test args:\n got %q\nwant %q", got, want)
-	}
-}
-
-func TestPlainGoTestDetection(t *testing.T) {
-	if !isPlainGoTest([]string{"go", "test", "./internal/lab", "-run", "X", "-v"}) {
-		t.Fatal("plain -run selection not detected")
-	}
-	if isPlainGoTest([]string{"go", "test", "-run=^$", "-bench=Wallclock", "."}) {
-		t.Fatal("bench command misclassified as plain go test")
-	}
-	if isPlainGoTest([]string{"go", "run", "./cmd/tables"}) {
-		t.Fatal("go run misclassified as go test")
 	}
 }
 
@@ -224,7 +203,6 @@ func TestTrajectoryTable(t *testing.T) {
 	root := t.TempDir()
 	files := map[string]string{
 		"BENCHMARK.json":                   `{"workloads":[{"name":"w"}],"end_to_end":[{"name":"wall_s"}]}`,
-		"BENCH_wallclock.json":             `{"BenchmarkWallclockX/allocs/op": 7, "meta/peak_heap_mb": 41.5}`,
 		"bench/samples/ledger-first.json":  `{"meta":{"git_commit":"aaaaaaaaaa","seed":1},"workloads":{"w":{"samples":{"wall_s":[3,1,2]}}}}`,
 		"bench/samples/ledger-b.json":      `{"meta":{"git_commit":"bbbbbbbbbb","seed":1},"workloads":{"w":{"samples":{"wall_s":[1,1]}}}}`,
 		"bench/samples/ledger-seed7.json":  `{"meta":{"git_commit":"cccccccccc","seed":7},"workloads":{"w":{"samples":{"wall_s":[9]}}}}`,
@@ -244,7 +222,7 @@ func TestTrajectoryTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"`ledger-first.json` (aaaaaaa)", "`ledger-b.json` (bbbbbbb)",
-		"| `w` | `wall_s` | 2 | 1 | 0.50 |", "| `X/allocs/op` | 7 |", "| `meta/peak_heap_mb` | 41.5 |"} {
+		"| `w` | `wall_s` | 2 | 1 | 0.50 |"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("table lacks %q:\n%s", want, table)
 		}
@@ -259,6 +237,40 @@ func TestTrajectoryTable(t *testing.T) {
 	}
 	if err := checkTrajectory("no marks here", filepath.Join(root, "nowhere")); err != nil {
 		t.Errorf("a document without the marks: %v", err)
+	}
+}
+
+// TestDataLinks: a docs/data/ file named by a Markdown link (resolved
+// against the document's directory) or by a bare path (against the root)
+// must exist, and each one that does not is named; links elsewhere are
+// not the check's business.
+func TestDataLinks(t *testing.T) {
+	root := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(root, "docs", "data"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "docs", "data", "a.md"), []byte("raw runs\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	doc, changes := filepath.Join(root, "docs", "DOC.md"), filepath.Join(root, "CHANGES.md")
+	good := "[runs](data/a.md), see docs/data/a.md, [elsewhere](../MISSING.md), pattern docs/data/changes-pr<N>.md.\n"
+	if err := checkDataLinks(good, doc, root); err != nil {
+		t.Errorf("resolving links refused: %v", err)
+	}
+	if err := checkDataLinks("Long form: docs/data/a.md.\n", changes, root); err != nil {
+		t.Errorf("a bare path from the root refused: %v", err)
+	}
+	err := checkDataLinks(good+"[gone](data/b.md) and docs/data/c.md\n", doc, root)
+	if err == nil {
+		t.Fatal("broken docs/data/ links accepted")
+	}
+	for _, want := range []string{filepath.Join("data", "b.md"), filepath.Join("data", "c.md")} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+	if strings.Contains(err.Error(), "a.md") || strings.Contains(err.Error(), "MISSING") {
+		t.Errorf("error %q names a link that is fine or not under docs/data/", err)
 	}
 }
 

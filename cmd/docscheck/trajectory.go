@@ -11,9 +11,9 @@ import (
 
 // The trajectory table is the one table of standing numbers the docs
 // keep, and nobody keeps it by hand: docscheck renders it from the files
-// that own the numbers — bench/samples' first ledger against its newest,
-// and BENCH_wallclock.json's tripwires — and fails when a document that
-// quotes it (between these marks) has fallen behind them.
+// that own the numbers — bench/samples' first ledger against its newest —
+// and fails when a document that quotes it (between these marks) has
+// fallen behind them.
 const (
 	trajectoryBegin = "<!-- docscheck:trajectory -->"
 	trajectoryEnd   = "<!-- /docscheck:trajectory -->"
@@ -58,12 +58,11 @@ func trajectoryTable(root string) (string, error) {
 		EndToEnd  []struct{ Name string } `json:"end_to_end"`
 	}
 	var first, last ledger
-	var tripwires map[string]float64
 	firstPath, lastPath := filepath.Join(root, "bench/samples/ledger-first.json"), ""
 	for _, f := range []struct {
 		path string
 		into any
-	}{{filepath.Join(root, "BENCHMARK.json"), &decl}, {firstPath, &first}, {filepath.Join(root, "BENCH_wallclock.json"), &tripwires}} {
+	}{{filepath.Join(root, "BENCHMARK.json"), &decl}, {firstPath, &first}} {
 		if err := readJSON(f.path, f.into); err != nil {
 			return "", err
 		}
@@ -90,15 +89,6 @@ func trajectoryTable(root string) (string, error) {
 			a, z := median(first.Workloads[w.Name].Samples[m.Name]), median(last.Workloads[w.Name].Samples[m.Name])
 			fmt.Fprintf(&b, "| `%s` | `%s` | %.5g | %.5g | %.2f |\n", w.Name, m.Name, a, z, z/a)
 		}
-	}
-	b.WriteString("\n| `BENCH_wallclock.json` tripwire | gated at |\n|---|---|\n")
-	keys := make([]string, 0, len(tripwires))
-	for k := range tripwires {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(&b, "| `%s` | %.8g |\n", strings.TrimPrefix(k, "BenchmarkWallclock"), tripwires[k])
 	}
 	return b.String(), nil
 }

@@ -13,10 +13,9 @@
 // per-packet trace pipeline, with a diagram of a packet's life — and
 // docs/METHODOLOGY.md for the measurement methodology: the exact
 // command reproducing each published table, the §2.2 measurement
-// windows, and the fixed-seed determinism contract. The benchmarks
-// in bench_test.go regenerate every table and figure in the paper's
-// evaluation, and internal/runner shards the experiment grid across a
-// worker pool with bit-identical results at any worker count.
+// windows, and the fixed-seed determinism contract. internal/runner
+// shards the experiment grid across a worker pool with bit-identical
+// results at any worker count.
 //
 // The simulator itself is engineered for wall-clock speed without
 // moving a single simulated result: a value-based 4-ary event heap in
@@ -29,10 +28,9 @@
 // recycling its own cache of warm labs (runner.Testbeds) through its
 // share of the grid. docs/PERFORMANCE.md is the playbook — profiling
 // commands, the hot-path map with measured numbers, the testbed-reuse
-// contract, and the BENCH_wallclock.json regression gate behind
-// bench_wallclock_test.go and cmd/benchdiff's -wallclock mode; golden
-// SHA-256 tests in cmd/tables, cmd/load, and cmd/pkttrace pin the
-// simulated outputs byte for byte across such changes.
+// contract, and which gate holds each quantity; golden SHA-256 tests in
+// cmd/tables, cmd/load, and cmd/pkttrace pin the simulated outputs byte
+// for byte across such changes, and the bench/ module times them.
 //
 // Beyond the paper's two-host pair, internal/lab builds N-host
 // topologies (a shared Ethernet segment or an output-queued ATM cell

@@ -40,13 +40,6 @@ func (o Options) runnerOpts() runner.Options {
 	return runner.Options{Workers: o.Parallel, BaseSeed: o.BaseSeed}
 }
 
-// MeasureRTT runs the echo benchmark under one configuration on a fresh
-// testbed and returns the mean round-trip time in microseconds.
-func MeasureRTT(cfg lab.Config, size int, o Options) (float64, error) {
-	m, err := cell{echo: echo{cfg: cfg, size: size}}.run(nil, 0, o.normalize())
-	return m.rtt, err
-}
-
 // Sizes is the transfer-size set shared by every round-trip experiment
 // (§1.2: 500 bytes and smaller from RPC/TCP traffic studies, plus 1400,
 // 4000 and 8000).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/lab"
 	"repro/internal/paperdata"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -225,14 +227,83 @@ func TestPCBExperiment(t *testing.T) {
 	}
 }
 
+// TestPCBPopulationEffect is the §3 identity end to end, with header
+// prediction off so every segment searches the PCB table: n established
+// connections (lab.Config.LivePCBs) ahead of the benchmark connection
+// cost a list-organized table exactly 1.3 µs an entry on each of a round
+// trip's two lookups, and a hash-organized one nothing — the paper's "a
+// simple hash table implementation could eliminate the lookup problem
+// entirely". Both hold at 4 and at 1400 bytes, and at every population
+// from one connection to a thousand.
 func TestPCBPopulationEffect(t *testing.T) {
-	rtts, err := PCBPopulationEffect([]int{0, 250, 1000}, fastOpts())
+	populations := []int{0, 1, 100, 250, 500, 1000}
+	key := func(hash bool, size, n int) echo {
+		return echo{cfg: lab.Config{Link: lab.LinkATM, DisablePrediction: true, LivePCBs: n, HashPCBs: hash}, size: size}
+	}
+	var cells []cell
+	for _, hash := range []bool{false, true} {
+		for _, size := range []int{4, 1400} {
+			for _, n := range populations {
+				cells = append(cells, cell{echo: key(hash, size, n)})
+			}
+		}
+	}
+	m, err := measure(cells, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("population→RTT: %v", rtts)
-	if !(rtts[0] < rtts[250] && rtts[250] < rtts[1000]) {
-		t.Error("RTT should grow with PCB population when prediction is off")
+	ns := func(us float64) sim.Time { return sim.Time(math.Round(us * float64(sim.Microsecond))) }
+	rtt := func(hash bool, size, n int) sim.Time { return ns(m[key(hash, size, n)].rtt) }
+	perEntry := ns(paperdata.PCBSearch.PerEntry)
+	for _, size := range []int{4, 1400} {
+		for _, n := range populations {
+			list, hash := rtt(false, size, n)-rtt(false, size, 0), rtt(true, size, n)-rtt(true, size, 0)
+			t.Logf("%d B, %d PCBs: list %.3f µs, hash %.3f µs", size, n, rtt(false, size, n).Micros(), rtt(true, size, n).Micros())
+			if want := 2 * sim.Time(n) * perEntry; list != want {
+				t.Errorf("%d B, %d PCBs: the list adds %v to the round trip, want 2 × %v × %d = %v", size, n, list, perEntry, n, want)
+			}
+			if hash != 0 {
+				t.Errorf("%d B, %d PCBs: the hash table adds %v to the round trip, want 0", size, n, hash)
+			}
+		}
+	}
+}
+
+// TestNagleSingleSegmentIdentity: Nagle's algorithm holds a write only
+// while earlier data is unacknowledged, so an echo that fits one segment
+// has the same round trip with it on as off — every size up to 4000
+// bytes on ATM and 1400 on Ethernet, the harness default (off) changing
+// nothing there. The first size that takes two segments, 8000 bytes on
+// ATM and 4000 on Ethernet, is where Nagle shows: its sub-MSS tail waits
+// for the peer's delayed ACK (10,723.488 → 412,472.742 µs on ATM,
+// 10,043.456 → 13,712.864 µs on Ethernet), which is why the harness
+// turns it off.
+func TestNagleSingleSegmentIdentity(t *testing.T) {
+	firstMultiSegment := map[lab.LinkKind]int{lab.LinkATM: 8000, lab.LinkEther: 4000}
+	key := func(link lab.LinkKind, nagle bool, size int) echo {
+		return echo{cfg: lab.Config{Link: link, Nagle: nagle}, size: size}
+	}
+	var cells []cell
+	for link := range firstMultiSegment {
+		for _, size := range Sizes {
+			cells = append(cells, cell{echo: key(link, false, size)}, cell{echo: key(link, true, size)})
+		}
+	}
+	m, err := measure(cells, fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for link, multi := range firstMultiSegment {
+		for _, size := range Sizes {
+			off, on := m[key(link, false, size)].rtt, m[key(link, true, size)].rtt
+			t.Logf("%v %d B: Nagle off %.3f µs, on %.3f µs", link, size, off, on)
+			switch {
+			case size < multi && on != off:
+				t.Errorf("%v %d B, one segment: Nagle on %.3f µs, off %.3f µs, want identical", link, size, on, off)
+			case size >= multi && on <= off:
+				t.Errorf("%v %d B, two segments or more: Nagle on %.3f µs, off %.3f µs, want the tail held", link, size, on, off)
+			}
+		}
 	}
 }
 

@@ -6,21 +6,6 @@ import (
 	"testing"
 )
 
-// TestPCBPopulationEffectLive is the small-population end of
-// TestPCBPopulationEffect: the populations are real established
-// connections (lab.Config.LivePCBs is the one population knob), and even
-// a hundred of them must show.
-func TestPCBPopulationEffectLive(t *testing.T) {
-	rtts, err := PCBPopulationEffect([]int{0, 100, 400}, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("live population→RTT: %v", rtts)
-	if !(rtts[0] < rtts[100] && rtts[100] < rtts[400]) {
-		t.Error("RTT should grow with live PCB population when prediction is off")
-	}
-}
-
 // TestFanInStudyParallelBitIdentical checks the study's JSON is
 // identical at any worker count for the same base seed, and that the
 // hash organization beats the list at the largest live population.

@@ -133,28 +133,3 @@ func (r *PCBResult) Render() string {
 		paperdata.PCBSearch.Len20, paperdata.PCBSearch.Len1000)
 	return b.String()
 }
-
-// PCBPopulationEffect measures the end-to-end RTT effect of PCB list
-// population with prediction disabled — the situation the paper argues a
-// hash table would fix. It returns mean RTTs for a 4-byte echo with the
-// given numbers of established connections (lab.Config.LivePCBs) opened
-// ahead of the benchmark connection, each population one echo of a grid
-// measurement.
-func PCBPopulationEffect(populations []int, o Options) (map[int]float64, error) {
-	population := func(n int) echo {
-		return echo{cfg: lab.Config{Link: lab.LinkATM, DisablePrediction: true, LivePCBs: n}, size: 4}
-	}
-	cells := make([]cell, len(populations))
-	for i, n := range populations {
-		cells[i] = cell{echo: population(n)}
-	}
-	m, err := measure(cells, o)
-	if err != nil {
-		return nil, err
-	}
-	out := map[int]float64{}
-	for _, n := range populations {
-		out[n] = m[population(n)].rtt
-	}
-	return out, nil
-}

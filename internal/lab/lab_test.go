@@ -281,27 +281,6 @@ func TestMedianRTT(t *testing.T) {
 	}
 }
 
-func TestHashPCBConfig(t *testing.T) {
-	// End to end: with many PCBs and no prediction, the hash-table
-	// organization must erase the list-search penalty.
-	rtt := func(hash bool) float64 {
-		l := New(Config{Link: LinkATM, DisablePrediction: true, LivePCBs: 800, HashPCBs: hash})
-		res, err := l.RunEcho(4, 10, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.MeanRTTMicros()
-	}
-	list, hash := rtt(false), rtt(true)
-	t.Logf("800 PCBs, no prediction: list %.0f µs, hash %.0f µs", list, hash)
-	if hash >= list {
-		t.Fatal("hash PCBs did not beat the list")
-	}
-	if list-hash < 1000 {
-		t.Fatalf("expected ~2µs/entry/packet × 800 entries of savings, got %.0f µs", list-hash)
-	}
-}
-
 func TestEtherEchoDeterminism(t *testing.T) {
 	run := func() sim.Time {
 		l := New(Config{Link: LinkEther, Seed: 9})
@@ -369,24 +348,6 @@ func TestTopologyEtherSharedSegment(t *testing.T) {
 	// frames.
 	if got := l.Hosts[2].EthAdapter.FramesRecv; got != 0 {
 		t.Fatalf("bystander station received %d frames", got)
-	}
-}
-
-func TestLivePCBPopulationSlowsLookup(t *testing.T) {
-	// More entries ahead of the benchmark connection, slower
-	// demultiplexing with prediction off.
-	rtt := func(live int) float64 {
-		l := New(Config{Link: LinkATM, DisablePrediction: true, LivePCBs: live})
-		res, err := l.RunEcho(4, 8, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.MeanRTTMicros()
-	}
-	base, populated := rtt(0), rtt(400)
-	t.Logf("live population 0: %.0f µs, 400: %.0f µs", base, populated)
-	if populated <= base {
-		t.Fatal("live PCB population did not slow demultiplexing")
 	}
 }
 

@@ -233,10 +233,25 @@ func TestPCBExperiment(t *testing.T) {
 // cost a list-organized table exactly 1.3 µs an entry on each of a round
 // trip's two lookups, and a hash-organized one nothing — the paper's "a
 // simple hash table implementation could eliminate the lookup problem
-// entirely". Both hold at 4 and at 1400 bytes, and at every population
-// from one connection to a thousand.
+// entirely". Both hold at 4 and at 1400 bytes, here up to a thousand
+// connections.
 func TestPCBPopulationEffect(t *testing.T) {
-	populations := []int{0, 1, 100, 250, 500, 1000}
+	checkPCBIdentity(t, []int{0, 250, 500, 1000})
+}
+
+// TestPCBPopulationEffectLive is the small-population end of
+// TestPCBPopulationEffect: even a single live connection ahead of the
+// benchmark one costs the list its 2 × 1.3 µs and the hash table nothing.
+func TestPCBPopulationEffectLive(t *testing.T) {
+	checkPCBIdentity(t, []int{0, 1, 100, 400})
+}
+
+// checkPCBIdentity measures 4- and 1400-byte ATM echoes with prediction
+// off at each population (the first must be 0), list and hash, and
+// requires the list to add exactly 2 × 1.3 µs a connection and the hash
+// table exactly nothing.
+func checkPCBIdentity(t *testing.T, populations []int) {
+	t.Helper()
 	key := func(hash bool, size, n int) echo {
 		return echo{cfg: lab.Config{Link: lab.LinkATM, DisablePrediction: true, LivePCBs: n, HashPCBs: hash}, size: size}
 	}

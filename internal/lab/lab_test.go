@@ -281,6 +281,30 @@ func TestMedianRTT(t *testing.T) {
 	}
 }
 
+func TestHashPCBConfig(t *testing.T) {
+	// End to end: with 800 PCBs and no prediction, the hash-table
+	// organization erases the list-search penalty exactly. Each of a
+	// round trip's 2 lookups walks past the 800 entries to the benchmark
+	// connection's own, 801 × 1.3 µs past the list's fixed cost, where
+	// the hash table pays its fixed cost alone.
+	rtts := func(hash bool) []sim.Time {
+		l := New(Config{Link: LinkATM, DisablePrediction: true, LivePCBs: 800, HashPCBs: hash})
+		res, err := l.RunEcho(4, 10, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.RTTs
+	}
+	list, hash := rtts(false), rtts(true)
+	m := cost.DECstation5000()
+	want := 2 * (m.PCBLookupFixed + 801*m.PCBLookupPerEntry - m.PCBHashLookup)
+	for i := range list {
+		if d := list[i] - hash[i]; d != want {
+			t.Errorf("round trip %d: list %v, hash %v: the hash saves %v, want %v", i, list[i], hash[i], d, want)
+		}
+	}
+}
+
 func TestEtherEchoDeterminism(t *testing.T) {
 	run := func() sim.Time {
 		l := New(Config{Link: LinkEther, Seed: 9})
@@ -348,6 +372,27 @@ func TestTopologyEtherSharedSegment(t *testing.T) {
 	// frames.
 	if got := l.Hosts[2].EthAdapter.FramesRecv; got != 0 {
 		t.Fatalf("bystander station received %d frames", got)
+	}
+}
+
+func TestLivePCBPopulationSlowsLookup(t *testing.T) {
+	// Each live entry ahead of the benchmark connection slows
+	// demultiplexing with prediction off: 400 of them add 2 lookups ×
+	// 400 entries × 1.3 µs to every round trip.
+	rtts := func(live int) []sim.Time {
+		l := New(Config{Link: LinkATM, DisablePrediction: true, LivePCBs: live})
+		res, err := l.RunEcho(4, 8, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.RTTs
+	}
+	base, populated := rtts(0), rtts(400)
+	want := 2 * 400 * cost.DECstation5000().PCBLookupPerEntry
+	for i := range base {
+		if d := populated[i] - base[i]; d != want {
+			t.Errorf("round trip %d: 0 PCBs %v, 400 PCBs %v: the population adds %v, want %v", i, base[i], populated[i], d, want)
+		}
 	}
 }
 

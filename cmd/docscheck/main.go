@@ -192,19 +192,12 @@ func extractCommands(md string) []string {
 	return out
 }
 
-// commandArgs turns one extracted command line into an argv: shell
-// redirections and pipes are dropped (output is discarded anyway), and
-// smoke flags for the tool are appended so long-running invocations
-// shrink to a flag-validity check.
+// commandArgs turns one extracted command line into an argv, split as a
+// shell splits it (shellWords): shell redirections and pipes are dropped
+// (output is discarded anyway), and smoke flags for the tool are appended
+// so long-running invocations shrink to a flag-validity check.
 func commandArgs(c string, smoke bool) []string {
-	fields := strings.Fields(c)
-	var argv []string
-	for _, f := range fields {
-		if f == "|" || strings.HasPrefix(f, ">") {
-			break
-		}
-		argv = append(argv, f)
-	}
+	argv := shellWords(c)
 	if !smoke || len(argv) < 2 {
 		return argv
 	}
@@ -215,6 +208,43 @@ func commandArgs(c string, smoke bool) []string {
 		if extra, ok := smokeFlags[argv[2]]; ok {
 			argv = append(argv, extra...)
 		}
+	}
+	return argv
+}
+
+// shellWords splits a command line into words the way a shell does for
+// the lines the docs quote: blanks separate words, and a pair of single or
+// double quotes keeps what it holds, blanks and | included, inside the
+// word, the quotes themselves removed. A word that starts with an unquoted
+// | or > ends the command: a pipe or a redirection.
+func shellWords(c string) []string {
+	var argv []string
+	var w strings.Builder
+	inWord := false
+	var quote rune
+	for _, r := range c {
+		switch {
+		case quote != 0 && r == quote:
+			quote = 0
+		case quote != 0:
+			w.WriteRune(r)
+		case r == '\'' || r == '"':
+			quote, inWord = r, true
+		case r == ' ' || r == '\t':
+			if inWord {
+				argv = append(argv, w.String())
+				w.Reset()
+				inWord = false
+			}
+		case !inWord && (r == '|' || r == '>'):
+			return argv
+		default:
+			w.WriteRune(r)
+			inWord = true
+		}
+	}
+	if inWord {
+		argv = append(argv, w.String())
 	}
 	return argv
 }

@@ -195,6 +195,38 @@ func TestDriftedTestNameFails(t *testing.T) {
 	}
 }
 
+// TestQuotedSelectionRuns runs a documented `go test` line whose -run
+// selection is a quoted alternation, as a shell runs it: the quotes go,
+// and the | inside them belongs to the argument instead of ending the
+// command at a pipe.
+func TestQuotedSelectionRuns(t *testing.T) {
+	const line = "go test ./internal/pcb -run 'TestLookupExact|TestHashLookupConstant'"
+	cmds := extractCommands("Both lookups: `" + line + "`.\n")
+	if len(cmds) != 1 || cmds[0] != line {
+		t.Fatalf("extractCommands = %q, want [%q]", cmds, line)
+	}
+	argv := commandArgs(cmds[0], true)
+	want := []string{"go", "test", "./internal/pcb", "-run", "TestLookupExact|TestHashLookupConstant"}
+	if !reflect.DeepEqual(argv, want) {
+		t.Fatalf("argv = %q, want %q", argv, want)
+	}
+	if got := commandArgs(`go run ./examples/sweep -note "a | b" | head`, false); !reflect.DeepEqual(got,
+		[]string{"go", "run", "./examples/sweep", "-note", "a | b"}) {
+		t.Fatalf("double quotes: argv = %q", got)
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir("../.."); err != nil { // the repository root, where docscheck runs
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	if err := execute(argv, 2*time.Minute, true); err != nil {
+		t.Fatalf("documented quoted selection failed: %v", err)
+	}
+}
+
 // TestTrajectoryTable renders the table from a miniature repository: the
 // second column is the last ledger by name at the first one's seed, a
 // fresh quote passes, a stale one fails with the table it should be, and

@@ -82,9 +82,11 @@ func (q *fifo) popInto(dst *Cell) {
 }
 
 // recSize is the stride of a cellQueue record: a time (little-endian,
-// seven bytes, so below 2^56 ns — two years), a stamp from sim.Env.Stamp
-// (four bytes; only a switchless pair's transmitter writes one, see
-// Adapter.LaunchTx), then the cell — 64 bytes, a power of two.
+// seven bytes, so below 2^56 ns — two years), a stamp (four bytes: on a
+// switchless pair's transmitter one from sim.Env.Stamp, see
+// Adapter.LaunchTx; on a switch port under a Scheduler the cell's wait,
+// see Switch.forward; unwritten elsewhere), then the cell — 64 bytes, a
+// power of two.
 const (
 	recSize  = 64
 	recStamp = 7  // offset of the stamp
@@ -111,9 +113,9 @@ func (q *cellQueue) timeAt(i int) sim.Time {
 	return sim.Time(binary.LittleEndian.Uint64(q.buf[q.head+i*recSize:]) & timeMask)
 }
 
-// frontStamp returns the stamp on the oldest record.
-func (q *cellQueue) frontStamp() uint32 {
-	return binary.LittleEndian.Uint32(q.buf[q.head+recStamp:])
+// stampAt returns the stamp on the i-th oldest record.
+func (q *cellQueue) stampAt(i int) uint32 {
+	return binary.LittleEndian.Uint32(q.buf[q.head+i*recSize+recStamp:])
 }
 
 // stampNewest writes s on the newest record.
@@ -157,12 +159,16 @@ func (q *cellQueue) makeRoom(a *sim.Arena) {
 	q.head = 0
 }
 
-// front returns the oldest record's cell where it lies in the queue. The
-// record is the queue's until it is dropped; whoever is lent the pointer
-// (see cellSink) has it until then and no longer.
-func (q *cellQueue) front() *Cell {
-	return (*Cell)(q.buf[q.head+recCell : q.head+recSize])
+// cellAt returns the i-th oldest record's cell where it lies in the
+// queue. The record is the queue's until it is dropped; whoever is lent
+// the pointer (see cellSink) has it until then and no longer.
+func (q *cellQueue) cellAt(i int) *Cell {
+	r := q.head + i*recSize
+	return (*Cell)(q.buf[r+recCell : r+recSize])
 }
+
+// front returns the oldest record's cell (see cellAt).
+func (q *cellQueue) front() *Cell { return q.cellAt(0) }
 
 // drop removes the oldest record. Under the arena's Poison flag the bytes
 // it releases are overwritten at once, as a returned buffer's are, so that
@@ -284,7 +290,7 @@ func (t *transmitter) deliver(env *sim.Env, to cellSink) {
 func (t *transmitter) deliverDue(env *sim.Env, to *Adapter, prop sim.Time) {
 	for t.q.len() > 0 {
 		at := t.q.timeAt(0) + prop
-		if !env.Precedes(at, t.q.frontStamp()) {
+		if !env.Precedes(at, t.q.stampAt(0)) {
 			return
 		}
 		to.receive(t.q.front(), at)

@@ -11,11 +11,12 @@ import (
 // Every discipline decides admission: each cell the VC table routes to
 // the port is offered to Admit with the number of cells it finds waiting
 // for the link — admitted, service not yet begun — and is dropped when
-// Admit refuses it. A discipline that serves in arrival order (DropTail,
-// RED) is nothing more: the port commits an admitted cell to its FIFO
-// transmitter at once, as the built-in path does, and reads the waiting
-// count off the transmitter. Only a discipline that reorders keeps its
-// own cells and events; it implements Scheduler.
+// Admit refuses it. The port decides at forward time, a fabric latency
+// before the cell reaches the discipline, reading the waiting count off
+// its FIFO transmitter, and commits an admitted cell there at once, as
+// the built-in path does. A discipline that serves in arrival order
+// (DropTail, RED) is nothing more; one that reorders implements
+// Scheduler.
 //
 // Disciplines must be deterministic: any randomness (RED's drop lottery)
 // comes from a private RNG seeded at construction, never from the
@@ -33,19 +34,20 @@ type Qdisc interface {
 	Reset()
 }
 
-// Scheduler is a discipline that picks the service order itself (DRR):
-// it queues its own copy of every cell it admits, and the egress link asks
-// it for the next cell each time it goes idle. A port under one keeps the
-// two events a cell costs there — its arrival at the discipline, one
-// fabric latency after forwarding, and the link finishing it — because
-// which cell goes next is decided only at service time.
+// Scheduler is a discipline that picks the service order itself (DRR).
+// Cells are equal in size, so reordering moves no slot time and no
+// waiting count: the port commits each admitted cell to a slot of its
+// FIFO transmitter as any discipline's, and only which cell fills a slot
+// is the Scheduler's. The port settles that when the slot's arrival at
+// the far end fires, offering the discipline the cells that had reached
+// it by the time the slot's service began and asking it for one (see
+// Port.serve); it costs no event of its own.
 type Scheduler interface {
 	Qdisc
-	// Enqueue offers a cell routed to this port; flow is the cell's
-	// egress VCI, the flow key of VC-switched traffic. It returns false
-	// to drop the cell. The cell is the caller's, good for the length of
-	// the call: a discipline that accepts it queues its own copy.
-	Enqueue(c *Cell, flow uint16) bool
+	// Enqueue queues a cell Admit admitted; flow is the cell's egress VCI,
+	// the flow key of VC-switched traffic. The cell is the caller's, good
+	// for the length of the call: the discipline queues its own copy.
+	Enqueue(c *Cell, flow uint16)
 	// Dequeue moves the next cell to transmit, in the discipline's
 	// service order, out of the queue into dst, which is the caller's. It
 	// returns false, dst untouched, when the queue is empty.
@@ -215,17 +217,14 @@ func NewDRR(quantum, limit int) *DRR {
 	return &DRR{Quantum: quantum, Limit: limit}
 }
 
-// Admit implements Qdisc: the aggregate bound.
+// Admit implements Qdisc: the aggregate bound, across all flow queues
+// (drop-from-tail of the offered cell, the simplest bound; per-flow
+// accounting still isolates service order).
 func (d *DRR) Admit(waiting int) bool { return waiting < d.Limit }
 
 // Enqueue implements Scheduler: append to the flow's queue, activating the
-// flow at the back of the round if it was idle. Arrivals beyond the
-// aggregate limit drop (drop-from-tail of the offered cell, the simplest
-// bound; per-flow accounting still isolates service order).
-func (d *DRR) Enqueue(c *Cell, flow uint16) bool {
-	if !d.Admit(d.total) {
-		return false
-	}
+// flow at the back of the round if it was idle.
+func (d *DRR) Enqueue(c *Cell, flow uint16) {
 	i := int(flow - DefaultVCI)
 	if i >= len(d.flows) {
 		d.flows = append(d.flows, make([]*drrFlow, i+1-len(d.flows))...)
@@ -242,7 +241,6 @@ func (d *DRR) Enqueue(c *Cell, flow uint16) bool {
 	}
 	f.q.push(c)
 	d.total++
-	return true
 }
 
 // activate puts f at the back of the round, first moving the live flows

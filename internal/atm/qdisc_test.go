@@ -1,8 +1,10 @@
 package atm
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/cost"
 	"repro/internal/sim"
 )
 
@@ -115,14 +117,10 @@ func TestDRRFairness(t *testing.T) {
 		return &c
 	}
 	for i := 0; i < perFlow; i++ {
-		if !d.Enqueue(tagged('a'), DefaultVCI+100) {
-			t.Fatalf("flow A arrival %d dropped below the limit", i)
-		}
+		d.Enqueue(tagged('a'), DefaultVCI+100)
 	}
 	for i := 0; i < perFlow; i++ {
-		if !d.Enqueue(tagged('b'), DefaultVCI+200) {
-			t.Fatalf("flow B arrival %d dropped below the limit", i)
-		}
+		d.Enqueue(tagged('b'), DefaultVCI+200)
 	}
 	served := map[byte]int{}
 	bound := d.Quantum + CellSize
@@ -145,22 +143,20 @@ func TestDRRFairness(t *testing.T) {
 	}
 }
 
-// TestDRRAggregateLimit checks the aggregate bound drops arrivals once
-// the queues hold Limit cells in total.
+// TestDRRAggregateLimit checks the aggregate bound on a port: of a burst
+// that reaches the discipline at one instant, the cell that finds Limit
+// cells waiting, across every flow's queue, is dropped, and one that
+// arrives after a departure freed a place is admitted.
 func TestDRRAggregateLimit(t *testing.T) {
-	d := NewDRR(CellSize, 10)
-	var c Cell
-	for i := 0; i < 10; i++ {
-		if !d.Enqueue(&c, DefaultVCI+uint16(i%3)) {
-			t.Fatalf("arrival %d dropped below the aggregate limit", i)
-		}
+	s := newAdmissionSide(3, DefaultSwitchLatency, NewDRR(CellSize, 10))
+	for i := 0; i < 12; i++ {
+		i := i
+		s.env.At(0, "burst", func() { s.forward(i%3, i) })
 	}
-	if d.Enqueue(&c, DefaultVCI) {
-		t.Error("arrival beyond the aggregate limit accepted")
-	}
-	d.Dequeue(&c)
-	if !d.Enqueue(&c, DefaultVCI) {
-		t.Error("arrival refused after a departure freed a slot")
+	s.env.At(cost.WireTime(CellSize, s.out.bits)+1, "late", func() { s.forward(0, 12) })
+	s.env.Run()
+	if !slices.Equal(s.drops, []int{11}) || s.sw.CellsSwitched != 12 || len(s.sink.log) != 12 {
+		t.Errorf("dropped %v, switched %d, delivered %d; want [11], 12, 12", s.drops, s.sw.CellsSwitched, len(s.sink.log))
 	}
 }
 

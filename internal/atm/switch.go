@@ -2,6 +2,7 @@ package atm
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cost"
 	"repro/internal/sim"
@@ -89,13 +90,10 @@ func newSwitch(env *sim.Env, ports int) *Switch {
 func (sw *Switch) Reset() {
 	for _, p := range sw.ports {
 		p.tx.reset(sw.env)
-		if p.qdp != nil {
-			p.qdp.pre.reset()
-			p.qdp.serving = false
-		}
 		if p.qd != nil {
 			p.qd.Reset()
 		}
+		p.lastOut = 0
 		p.down = false
 		p.DownDrops = 0
 	}
@@ -139,46 +137,32 @@ type Port struct {
 	vc []vcRoute
 
 	// tx is the egress queue, its pacing and the fiber: forward commits a
-	// cell once and reads the drop-tail depth — or, under a discipline
-	// that serves in arrival order, the cells waiting for the link — off
-	// it. A port under a Scheduler uses only its cursor and, for cells on
-	// the fiber, its queue and lane: the discipline, not the commit order,
-	// picks what goes next.
+	// cell once and reads the drop-tail depth — or, under a discipline,
+	// the cells waiting for the link — off it.
 	tx transmitter
 
 	// qd, when installed, replaces the built-in drop-tail depth with a
-	// pluggable queue discipline. One that serves in arrival order only
-	// decides admission, and the port commits as the built-in path does.
-	// One that reorders (a Scheduler: DRR) runs on the service path, qdp,
-	// made by the first SetQdisc that installs one: it separates the
-	// fabric pipeline (fixed Latency) from link service (one cell at a
-	// time, picked by Dequeue), which the precomputed-busy-time commit
-	// cannot allow. A nil qd leaves the legacy path byte-identical.
-	qd  Qdisc
-	qdp *qdPath
+	// pluggable queue discipline: it decides admission, and the port
+	// commits an admitted cell as the built-in path does. Under one that
+	// reorders (reorders: a Scheduler, DRR) a committed record is a slot,
+	// the link's next cell time, and the discipline picks the cell that
+	// fills it when its arrival at the far end fires (see serve). A nil qd
+	// leaves the legacy path byte-identical.
+	qd Qdisc
+	// lastOut is, under a Scheduler, when the last slot served ends: a
+	// slot that begins then found the link busy up to its start.
+	lastOut sim.Time
 
 	// down marks the port failed (fault injection): cells arriving over
 	// its fiber are dropped before the VC lookup until recovery. Cells
 	// already committed to the egress queue stay parked and transmit
 	// after recovery — a port failure loses wire traffic, not queue
 	// memory. The disarmed cost is one boolean test per forwarded cell.
-	down bool
+	down     bool
+	reorders bool
 
 	// DownDrops counts cells the down-state discarded.
 	DownDrops int64
-}
-
-// qdPath is the state only a port under a Scheduler needs, kept off the
-// Port so that a large fabric's thousands of plain ports do not carry it.
-// It outlives a Scheduler replaced by a FIFO discipline, unused (s nil),
-// so that a testbed whose trials alternate disciplines makes it once.
-type qdPath struct {
-	s       Scheduler
-	pre     fifo     // cells crossing the fabric toward the qdisc
-	in      sim.Lane // their arrival at the discipline
-	serving bool     // link currently clocking a cell out:
-	cur     Cell     // this one, the path's copy out of the discipline
-	out     sim.Lane // its completion
 }
 
 // Index returns the port's number on the switch.
@@ -194,33 +178,25 @@ func (p *Port) Down() bool { return p.down }
 // SetQdisc installs a queue discipline on the port's egress, replacing
 // the built-in drop-tail depth; whether it is a Scheduler is settled
 // here, once, not per cell. Install before traffic flows; nil restores
-// the legacy path.
+// the legacy path. A cut port cannot take a Scheduler (see SetCut).
 func (p *Port) SetQdisc(q Qdisc) {
 	p.qd = q
-	s, _ := q.(Scheduler)
-	if s != nil && p.qdp == nil {
-		p.qdp = new(qdPath)
-		p.qdp.in.Bind(p)
-		p.qdp.out.Bind(p)
-	}
-	if p.qdp != nil {
-		p.qdp.s = s
+	_, p.reorders = q.(Scheduler)
+	p.refuseCutScheduler()
+}
+
+// refuseCutScheduler panics on a port that is both cut and under a
+// Scheduler: a cut fiber stages its cell by value at commit, and the
+// discipline picks the cell only when the slot's arrival fires.
+func (p *Port) refuseCutScheduler() {
+	if p.reorders && p.tx.cut != nil {
+		panic("atm: a Scheduler cannot run on a cut port: the cell crosses at commit, before the discipline picks it")
 	}
 }
 
-// LaneFired implements sim.LaneOwner for the port's lanes, told apart by
-// address: the fiber's arrivals, and on a port under a Scheduler the
-// cells reaching the discipline and the link finishing one.
-func (p *Port) LaneFired(l *sim.Lane) {
-	switch {
-	case l == &p.tx.inLane:
-		p.cellIn()
-	case l == &p.qdp.in:
-		p.qdIn()
-	default:
-		p.qdCellOut()
-	}
-}
+// LaneFired implements sim.LaneOwner for the port's one lane, the fiber's
+// arrivals.
+func (p *Port) LaneFired(*sim.Lane) { p.cellIn() }
 
 // Qdisc returns the installed discipline (nil for the legacy drop-tail
 // depth).
@@ -229,59 +205,36 @@ func (p *Port) Qdisc() Qdisc { return p.qd }
 // Port returns the port at index i.
 func (sw *Switch) Port(i int) *Port { return sw.ports[i] }
 
-// qdIn fires when a cell finishes crossing the fabric toward an egress
-// port under a Scheduler: offer it to the discipline and start link
-// service if the link is idle. forward checked the cell's HEC and wrote
-// its header one Latency ago, and nothing writes a queued record, so the
-// VCI is read straight from the header bytes.
-func (p *Port) qdIn() {
-	c := p.qdp.pre.front()
-	queued := p.qdp.s.Enqueue(c, c.vci())
-	p.qdp.pre.drop()
-	if !queued {
-		p.sw.CellsDropped++
-		return
+// serve fills the oldest slot, whose arrival at the far end is firing,
+// with the cell the Scheduler serves in it. Cells are equal in size, so a
+// work-conserving discipline keeps the FIFO's slot times: the slot's
+// service began one cell time before its last bit left. Every slot from
+// the discipline's backlog on still holds the cell committed to it, with
+// its arrival at the discipline stamped on the record (see forward); the
+// port offers the discipline, in arrival order, each one that had reached
+// it when that service began, and dequeues into the slot. When none had,
+// the link had gone idle, and the slot keeps its own cell: the arrival
+// that started the service.
+//
+// An arrival at the very instant the service began reached the discipline
+// first if the link was busy up to then and the fabric latency is a cell
+// time or more, the tie transmitter.waiting breaks the same way.
+func (p *Port) serve(s Scheduler) {
+	q := &p.tx.q
+	cellTime := cost.WireTime(CellSize, p.bits)
+	end := q.timeAt(0)
+	start := end - cellTime
+	ties := start == p.lastOut && p.sw.Latency >= cellTime
+	for i, n := s.Len(), q.len(); i < n; i++ {
+		at := q.timeAt(i) - sim.Time(q.stampAt(i))
+		if at > start || at == start && !ties {
+			break
+		}
+		c := q.cellAt(i)
+		s.Enqueue(c, c.vci())
 	}
-	p.sw.CellsSwitched++
-	p.qdKick()
-}
-
-// qdKick starts transmitting the discipline's next cell if the link is
-// idle and the queue non-empty. On a cut port the delivery is staged
-// with the coordinator here, at commit time — arrival is one cell
-// serialization plus propagation away, exactly the cluster's lookahead
-// floor, so deferring the stage to transmission completion (as the
-// local path may) would under-run the conservative horizon.
-func (p *Port) qdKick() {
-	if p.qdp.serving {
-		return
-	}
-	if !p.qdp.s.Dequeue(&p.qdp.cur) {
-		return
-	}
-	p.qdp.serving = true
-	env := p.sw.env
-	end := p.tx.reserve(env.Now(), cost.WireTime(CellSize, p.bits))
-	if p.tx.cut != nil {
-		p.tx.cut(end, end+p.prop, p.qdp.cur)
-	}
-	p.qdp.out.At(env, end, "atmsw.cellout")
-}
-
-// qdCellOut fires when the link finishes clocking a Scheduler's cell onto
-// the fiber — the one transmit-complete event left, because only now can
-// the discipline be asked for the next cell: start this one's
-// propagation (cut ports already staged at commit time), then kick.
-func (p *Port) qdCellOut() {
-	p.qdp.serving = false
-	if p.tx.cut == nil {
-		// Queued for the fibre only now, so the queue drains between cells
-		// however long the link stays busy.
-		env := p.sw.env
-		p.tx.q.push(env.Arena(), env.Now(), &p.qdp.cur)
-		p.tx.inLane.At(env, env.Now()+p.prop, "atmsw.cellin")
-	}
-	p.qdKick()
+	s.Dequeue(q.front())
+	p.lastOut = end
 }
 
 // newPort adds one port, its fiber's lane bound to it.
@@ -329,9 +282,12 @@ func ConnectTrunk(a, b *Switch, model *cost.Model) (aPort, bPort int) {
 // untouched. Staged with each cell are at, the far-end arrival a serial
 // run would schedule, and scheduleAt, the instant the serial run would
 // create that arrival's event, which orders arrivals tied on at: the
-// commit for a FIFO transmitter — the built-in depth or a discipline that
-// serves in arrival order — and service completion under a Scheduler.
-func (p *Port) SetCut(stage func(scheduleAt, at sim.Time, c Cell)) { p.tx.cut = stage }
+// commit. A port under a Scheduler cannot be cut (see serve): its slot
+// is filled only when the arrival fires.
+func (p *Port) SetCut(stage func(scheduleAt, at sim.Time, c Cell)) {
+	p.tx.cut = stage
+	p.refuseCutScheduler()
+}
 
 // InjectCell delivers a cell that crossed a shard boundary into this
 // port as if it had just arrived over the fiber. The cluster coordinator
@@ -340,8 +296,14 @@ func (p *Port) SetCut(stage func(scheduleAt, at sim.Time, c Cell)) { p.tx.cut = 
 // by value: the copy is this call's own.
 func (p *Port) InjectCell(c Cell) { p.sw.forward(p, &c) }
 
-// cellIn fires when the cell reaches the far end of the fiber.
-func (p *Port) cellIn() { p.tx.deliver(p.sw.env, p.out) }
+// cellIn fires when the cell reaches the far end of the fiber; under a
+// Scheduler, the discipline picks it first.
+func (p *Port) cellIn() {
+	if p.reorders {
+		p.serve(p.qd.(Scheduler))
+	}
+	p.tx.deliver(p.sw.env, p.out)
+}
 
 // NumPorts returns the number of attached ports.
 func (sw *Switch) NumPorts() int { return len(sw.ports) }
@@ -421,23 +383,12 @@ func (sw *Switch) forward(from *Port, c *Cell) {
 		return
 	}
 	out := sw.ports[route.port]
-	now := sw.env.Now()
+	now, cellTime := sw.env.Now(), cost.WireTime(CellSize, out.bits)
+	at := now + sw.Latency // when the cell reaches the egress queue
 	if out.qd != nil {
-		if out.qdp != nil && out.qdp.s != nil {
-			// Service path: the cell crosses the fabric pipeline (fixed
-			// Latency), is offered to the discipline — whose Enqueue
-			// makes the drop decision — and waits for the egress link to
-			// pick it in the discipline's service order.
-			h.VCI = route.vci
-			h.Marshal(c)
-			out.qdp.pre.push(c)
-			out.qdp.in.At(sw.env, now+sw.Latency, "atmsw.qdin")
-			return
-		}
-		// A discipline that serves in arrival order decides now what it
-		// would decide when the cell reaches it, and the cell is
-		// committed like any other.
-		if !out.qd.Admit(out.tx.waiting(now, sw.Latency, cost.WireTime(CellSize, out.bits))) {
+		// A discipline decides now what it would decide when the cell
+		// reaches it, and the cell is committed like any other.
+		if !out.qd.Admit(out.tx.waiting(now, sw.Latency, cellTime)) {
 			sw.CellsDropped++
 			return
 		}
@@ -448,8 +399,17 @@ func (sw *Switch) forward(from *Port, c *Cell) {
 	h.VCI = route.vci
 	h.Marshal(c) // rewrites the VCI and recomputes the HEC
 	sw.CellsSwitched++
-	dst := out.tx.slot(sw.env, now+sw.Latency, cost.WireTime(CellSize, out.bits))
+	dst := out.tx.slot(sw.env, at, cellTime)
 	*dst = *c
+	if out.reorders {
+		// serve reads the cell's arrival at the discipline back from how
+		// long before its slot ends it came.
+		wait := out.tx.busy - at
+		if wait > math.MaxUint32 {
+			panic("atm: a cell waits past 2^32 ns at a Scheduler")
+		}
+		out.tx.q.stampNewest(uint32(wait))
+	}
 	out.tx.launch(sw.env, dst, out.prop, "atmsw.cellin")
 }
 

@@ -261,3 +261,26 @@ func TestQdiscPortCountsHECOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestCutPortRefusesScheduler: a cut fibre stages its cell at commit,
+// before a Scheduler picks the cell that fills the slot, so a port is
+// never both — whichever of SetQdisc and SetCut comes second refuses.
+func TestCutPortRefusesScheduler(t *testing.T) {
+	stage := func(scheduleAt, at sim.Time, c Cell) {}
+	for name, setup := range map[string]func(p *Port){
+		"cut, then DRR": func(p *Port) { p.SetCut(stage); p.SetQdisc(NewDRR(0, 0)) },
+		"DRR, then cut": func(p *Port) { p.SetQdisc(NewDRR(0, 0)); p.SetCut(stage) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: accepted", name)
+				}
+			}()
+			setup(NewSwitch(sim.NewEnv()).newPort(nil, 1e8, 0))
+		}()
+	}
+	p := NewSwitch(sim.NewEnv()).newPort(nil, 1e8, 0)
+	p.SetCut(stage)
+	p.SetQdisc(NewRED(0, 0, 0, 0, 0, 1)) // a discipline that serves in arrival order may be cut
+}

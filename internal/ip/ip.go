@@ -346,7 +346,7 @@ func (f *netisrFrame) Step(p *sim.Proc) {
 			// the push (it boxes the identity, one allocation per datagram).
 			f.tagged = s.K.Trace.PacketsEnabled()
 			if f.tagged {
-				p.PushTag(s.q[0].id)
+				p.PushTag(s.q[0].id.Tag())
 			}
 			f.pc = 1
 			if !s.K.Use(p, trace.LayerIPQ, s.K.Cost.SoftintDispatch) {

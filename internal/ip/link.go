@@ -174,7 +174,7 @@ func (d *Delivery) Arrive(p *sim.Proc, arrived sim.Time) {
 		return
 	}
 	d.id = PacketIDOf(d.DG)
-	p.PushTag(d.id)
+	p.PushTag(d.id.Tag())
 	d.tagged = true
 	k.Trace.Event(trace.Event{Kind: trace.EvWireArrive, At: arrived, ID: d.id, Len: len(d.DG)})
 }

@@ -57,7 +57,7 @@ func checkDelivery(t *testing.T, n int, sum, traced bool) {
 	var queued *mbuf.Mbuf
 	env.Spawn("rx", sim.Steps(
 		func(p *sim.Proc) {
-			p.PushTag("outer")
+			p.PushTag(sim.Tag{1, 2})
 			start = env.Now()
 			del.DG, del.Start, del.Sum = dg, start, sum
 			del.Arrive(p, arrived)
@@ -65,11 +65,11 @@ func checkDelivery(t *testing.T, n int, sum, traced bool) {
 		},
 		func(p *sim.Proc) {
 			took = env.Now() - start
-			if got := p.Tag(); got != "outer" {
+			if got := p.Tag(); got != (sim.Tag{1, 2}) {
 				t.Errorf("tag after the copy is %v, want the caller's", got)
 			}
 			p.PopTag()
-			if p.Tag() != nil {
+			if p.Tag() != (sim.Tag{}) {
 				t.Error("the copy left a tag behind")
 			}
 			if l.FramesIn != 1 || s.QueueLen() != 1 {

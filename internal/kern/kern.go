@@ -160,10 +160,7 @@ func (k *Kernel) PacketContext(p *sim.Proc) trace.PacketID {
 	if p == nil {
 		return trace.PacketID{}
 	}
-	if id, ok := p.Tag().(trace.PacketID); ok {
-		return id
-	}
-	return trace.PacketID{}
+	return trace.PacketIDOfTag(p.Tag())
 }
 
 // SleepOn parks p on wq and arms the wakeup charge: once woken, p is

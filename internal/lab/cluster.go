@@ -27,10 +27,10 @@
 // has none), so its instant is the commit: cells that tie on arrival tie
 // on completion too (one propagation delay everywhere), and the serial
 // run fires first the one committed first — the one that queued behind a
-// backlog, not the one that found its link idle. A port under a
-// discipline that serves in arrival order (DropTail, RED) commits the same
-// way; only one under a reordering discipline (DRR) still creates the
-// arrival at service completion. Second, a VC path that
+// backlog, not the one that found its link idle. A port under a queue
+// discipline commits the same way. DRR, which reorders, picks a slot's
+// cell only when the slot's arrival fires, after a cut fibre has staged
+// it, so Validate keeps it to one shard. Second, a VC path that
 // reaches a switch outside the calling shard waits in the fabric's route
 // table to be finished at the next barrier, which is always before the
 // flow's first data cell can arrive there (that cell itself must cross a
@@ -301,21 +301,13 @@ func (c *Cluster) configure(cfg Config) {
 	// Lookahead: the latency floor of a cut fiber. On a hub the cuts are
 	// host links, whose cheapest direction is adapter egress — one cell
 	// time of serialization plus propagation. On a fat tree only trunk
-	// fibers are cut, and every trunk crossing first pays the switch's
-	// forwarding latency.
+	// fibers are cut, and a switch stages a trunk crossing when it
+	// forwards the cell, under every discipline: the crossing first pays
+	// the switch's forwarding latency.
 	model := cfg.model()
 	cell := cost.WireTime(atm.CellSize, model.ATMLinkBitsPS)
 	c.lookahead = cell + model.ATMPropagation
-	if cfg.Fabric == FabricFatTree && !cfg.Qdisc.Enabled() {
-		// Only trunk fibers are cut, and the legacy forward path stages a
-		// trunk crossing before paying the switch latency — so the
-		// latency widens the guaranteed gap. Under a reordering
-		// discipline (DRR) the latency is spent BEFORE the cell reaches
-		// the egress queue; the stage happens at dequeue commit, leaving
-		// only serialization plus propagation of provable gap. A
-		// discipline that serves in arrival order stages at forward
-		// time, as the legacy path does; the narrower gap holds for it
-		// too, and keeps the lookahead one rule for every discipline.
+	if cfg.Fabric == FabricFatTree {
 		c.lookahead += l.Switch.Latency
 	}
 	// The earliest a staged cell's causal consequence can re-enter the

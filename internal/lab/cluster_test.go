@@ -1,6 +1,7 @@
 package lab
 
 import (
+	"errors"
 	"reflect"
 	"runtime"
 	"strings"
@@ -142,10 +143,11 @@ func TestClusterUDPEchoBitIdentity(t *testing.T) {
 // must reproduce a freshly built cluster AND the serial lab byte for byte
 // — same RTTs, same trace — just like TestResetBitIdentical pins for
 // serial labs. The fat-tree cells are the regime whose lookahead depends
-// on the configuration (a qdisc moves the switch latency ahead of the
-// stage point; the cost model sets the cell time and propagation): a
-// Reset that kept the warm trial's lookahead runs a shard past a cell
-// still in flight toward it.
+// on the configuration (the cost model sets the cell time and
+// propagation): a Reset that kept the warm trial's lookahead runs a shard
+// past a cell still in flight toward it; the qdisc cells hold that a
+// discipline moves nothing. DRR runs on one shard only: a reset to it is
+// refused, and so is a fresh build.
 func TestClusterResetBitIdentity(t *testing.T) {
 	slowFiber := *cost.DECstation5000()
 	slowFiber.ATMPropagation *= 3
@@ -172,6 +174,18 @@ func TestClusterResetBitIdentity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.cfg.Qdisc.Kind == QdiscDRR {
+				var ce *ConfigError
+				if _, err := NewCluster(tc.cfg, tc.hosts, tc.shards); !errors.As(err, &ce) || ce.Field != "Qdisc.Kind" {
+					t.Errorf("NewCluster under DRR on %d shards: %v, want a refusal naming Qdisc.Kind", tc.shards, err)
+				}
+				c := mustCluster(t, tc.warmCfg, tc.hosts, tc.shards)
+				clusterEcho(t, c, 200)
+				if err := c.Reset(tc.cfg, 0); !errors.As(err, &ce) || ce.Field != "Qdisc.Kind" {
+					t.Errorf("Cluster.Reset to DRR on %d shards: %v, want a refusal naming Qdisc.Kind", tc.shards, err)
+				}
+				return
+			}
 			serialLab := NewTopology(tc.cfg, tc.hosts)
 			serial := runEchoOn(t, serialLab, 1400)
 			serialEvents := serialLab.PacketEvents()
@@ -200,6 +214,32 @@ func TestClusterResetBitIdentity(t *testing.T) {
 					len(ev), len(serialEvents))
 			}
 		})
+	}
+}
+
+// TestFatTreeLookaheadIsOneRule: a sharded fat tree's lookahead is the
+// switch's forwarding latency plus one cell serialization plus
+// propagation under every discipline that shards — a cut trunk stages its
+// cell at forward time under each — and a hub's, whose cut host links
+// pay no switch latency first, is the cell and propagation alone.
+func TestFatTreeLookaheadIsOneRule(t *testing.T) {
+	model := cost.DECstation5000()
+	cell := cost.WireTime(atm.CellSize, model.ATMLinkBitsPS) + model.ATMPropagation
+	for _, q := range []QdiscKind{QdiscNone, QdiscDropTail, QdiscRED} {
+		for _, fabric := range []FabricKind{FabricHub, FabricFatTree} {
+			cfg := Config{Link: LinkATM, Fabric: fabric, Qdisc: QdiscConfig{Kind: q}}
+			if fabric == FabricFatTree {
+				cfg.LeafPorts = 2
+			}
+			c := mustCluster(t, cfg, 9, 3)
+			want := cell
+			if fabric == FabricFatTree {
+				want += c.Lab.Switch.Latency
+			}
+			if got := c.Lookahead(); got != want {
+				t.Errorf("%v, %v: lookahead %v, want %v", fabric, q, got, want)
+			}
+		}
 	}
 }
 

@@ -88,10 +88,10 @@ type rule struct {
 	// into another's state (LivePCBs), or a loss or reordering chain,
 	// which sharded runs are not held bit-identical under.
 	serial bool
-	// also is a condition across fields, with the sentence that
-	// documents it; it returns the refusal or "". It runs once every
-	// field is known to be in range.
-	also    func(Config) string
+	// also is a condition across fields or on the shard count, with the
+	// sentence that documents it; it returns the refusal or "". It runs
+	// once every field is known to be in range.
+	also    func(c Config, shards int) string
 	alsoDoc string
 }
 
@@ -110,12 +110,12 @@ var rules = [...]rule{
 	{field: "ReorderRate", max: 1, open: true, needs: needATM, serial: true},
 	{field: "ReorderDepth", max: inf, needs: needATM, serial: true},
 	{field: "Qdisc.Kind", max: float64(QdiscDRR), values: "a QdiscKind", needs: needSwitch,
-		also: redThresholds, alsoDoc: "under RED the resolved min threshold is below the max"},
+		also: qdiscKind, alsoDoc: "under RED the resolved min threshold is below the max; DRR on one shard only"},
 	{field: "Qdisc.LimitCells", max: inf, needs: needSwitch, also: qdiscParam, alsoDoc: qdiscParamDoc},
 	{field: "Qdisc.REDMinCells", max: inf, needs: needSwitch, also: qdiscParam, alsoDoc: qdiscParamDoc},
 	{field: "Qdisc.REDMaxCells", max: inf, needs: needSwitch, also: qdiscParam, alsoDoc: qdiscParamDoc},
 	{field: "Qdisc.REDMaxP", max: 1, needs: needSwitch, also: qdiscParam, alsoDoc: qdiscParamDoc},
-	{field: "MTU", max: inf, values: "0, or within [MinMTU, MaxMTU(Link)]", also: func(c Config) string {
+	{field: "MTU", max: inf, values: "0, or within [MinMTU, MaxMTU(Link)]", also: func(c Config, _ int) string {
 		if c.MTU < MinMTU || c.MTU > MaxMTU(c.Link) {
 			return fmt.Sprintf("outside [%d, %d]: the floor holds the IP and TCP headers plus data, the ceiling is %v's native MTU", MinMTU, MaxMTU(c.Link), c.Link)
 		}
@@ -123,7 +123,7 @@ var rules = [...]rule{
 	}},
 	{field: "SockBuf", max: inf},
 	{field: "Fabric", max: float64(FabricFatTree), values: "FabricHub, FabricFatTree", needs: needSwitch},
-	{field: "LeafPorts", max: inf, needs: needSwitch, alsoDoc: "with FabricFatTree", also: func(c Config) string {
+	{field: "LeafPorts", max: inf, needs: needSwitch, alsoDoc: "with FabricFatTree", also: func(c Config, _ int) string {
 		if c.Fabric != FabricFatTree {
 			return "needs Fabric: FabricFatTree; a hub has no leaves"
 		}
@@ -152,7 +152,7 @@ var unruled = []string{"DisablePrediction", "HashPCBs", "PacketTrace", "CheckLea
 // qdiscParam is the cross-field condition of a discipline's parameters:
 // they wait on a discipline. Which one is not checked — a grid varies
 // Kind over one parameter set (bench's loaded-grid does).
-func qdiscParam(c Config) string {
+func qdiscParam(c Config, _ int) string {
 	if !c.Qdisc.Enabled() {
 		return "needs a Qdisc.Kind to parameterize"
 	}
@@ -161,10 +161,15 @@ func qdiscParam(c Config) string {
 
 const qdiscParamDoc = "with a Qdisc.Kind"
 
-// redThresholds refuses the thresholds atm.NewRED would panic on,
-// resolving the defaults as it does.
-func redThresholds(c Config) string {
+// qdiscKind refuses DRR above one shard — a cut fibre stages its cell at
+// commit, and DRR picks which cell fills a slot only when the slot's
+// arrival fires (atm.Port.serve) — and the RED thresholds atm.NewRED
+// would panic on, resolving the defaults as it does.
+func qdiscKind(c Config, shards int) string {
 	q := c.Qdisc
+	if q.Kind == QdiscDRR && shards > 1 {
+		return fmt.Sprintf("cannot run on %d shards: DRR picks a slot's cell when its arrival fires, after a cut fibre has staged it", shards)
+	}
 	limit, lo, hi := q.LimitCells, q.REDMinCells, q.REDMaxCells
 	if limit == 0 {
 		limit = atm.DefaultPortQueueCells
@@ -217,7 +222,7 @@ func (cfg Config) Validate(nHosts, shards int) error {
 			return refuse(i, fmt.Sprintf("cannot run on %d shards: sharded runs are held bit-identical to serial only without it", shards))
 		}
 		if r.also != nil {
-			if why := r.also(cfg); why != "" {
+			if why := r.also(cfg, shards); why != "" {
 				return refuse(i, why)
 			}
 		}

@@ -63,6 +63,8 @@ func TestValidate(t *testing.T) {
 		{"qdisc on Ethernet", Config{Link: LinkEther, Qdisc: red}, 4, 1, "Qdisc.Kind"},
 		{"qdisc on the fibre", Config{Qdisc: red}, 2, 1, "Qdisc.Kind"},
 		{"qdisc behind a switch, sharded", Config{Qdisc: red}, 3, 3, ""},
+		{"DRR, sharded", Config{Qdisc: QdiscConfig{Kind: QdiscDRR}}, 9, 2, "Qdisc.Kind"},
+		{"DRR on one shard", Config{Qdisc: QdiscConfig{Kind: QdiscDRR}}, 9, 1, ""},
 		{"RED min at its default max", Config{Qdisc: QdiscConfig{Kind: QdiscRED, REDMinCells: 768}}, 4, 1, "Qdisc.Kind"},
 		{"RED min just below its default max", Config{Qdisc: QdiscConfig{Kind: QdiscRED, REDMinCells: 767}}, 4, 1, ""},
 		{"RED max at its min", Config{Qdisc: QdiscConfig{Kind: QdiscRED, REDMinCells: 8, REDMaxCells: 8}}, 4, 1, "Qdisc.Kind"},

@@ -57,17 +57,18 @@ func TestShardedBitIdentityMatrix(t *testing.T) {
 		},
 		{
 			// The loaded tier's shardable slice: every egress port behind
-			// a RED discipline, whose lazy dequeue path stages cut cells
-			// at commit time rather than transmit completion.
+			// a RED discipline, which decides admission at forward time
+			// and stages a cut cell there, as the built-in depth does.
 			name: "hub-red",
 			cfg: lab.Config{Link: lab.LinkATM, PacketTrace: true, Seed: 1994,
 				Qdisc: lab.QdiscConfig{Kind: lab.QdiscRED}},
 			hosts: 9,
 		},
 		{
-			// Fat tree plus a qdisc: the one regime whose lookahead depends
-			// on the trial configuration (Cluster.configure drops the switch
-			// latency from it, since a qdisc stages a cut cell at dequeue).
+			// Fat tree plus a qdisc: a cut trunk stages its cell at forward
+			// time under RED as without a discipline, so the lookahead keeps
+			// the switch latency (TestFatTreeLookaheadIsOneRule); DRR,
+			// which would not, runs on one shard only.
 			name: "fattree-red",
 			cfg: lab.Config{Link: lab.LinkATM, PacketTrace: true, Seed: 1994,
 				Fabric: lab.FabricFatTree, LeafPorts: 2, Qdisc: lab.QdiscConfig{Kind: lab.QdiscRED}},

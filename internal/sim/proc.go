@@ -32,7 +32,7 @@ import "fmt"
 type Proc struct {
 	env  *Env
 	name string
-	tags []any
+	tags []Tag
 
 	// stack starts out inside inline and moves to the heap only if the
 	// process ever nests deeper: a Proc is one allocation. inline[0] keeps
@@ -313,6 +313,11 @@ func (e *Env) serve(t Time, s uint64) bool {
 // whether it completed without parking (see SleepUntil).
 func (p *Proc) Sleep(d Time) bool { return p.SleepUntil(p.env.now + d) }
 
+// Tag is an annotation on a process's tag stack: two words a layer above
+// packs its identity into (trace.PacketID.Tag), kept by value so that
+// pushing one allocates nothing once the stack has its room.
+type Tag [2]uint64
+
 // PushTag pushes an annotation onto the process's tag stack. Tags mark
 // the logical unit of work the process is currently performing — the
 // trace instrumentation pushes a packet identity around each segment's
@@ -325,7 +330,7 @@ func (p *Proc) Sleep(d Time) bool { return p.SleepUntil(p.env.now + d) }
 // (the echo client inside tcp_output and the netisr inside tcp_input,
 // say) interleave in virtual time, and a host-global context would
 // bleed one packet's identity into the other's charges.
-func (p *Proc) PushTag(v any) { p.tags = append(p.tags, v) }
+func (p *Proc) PushTag(t Tag) { p.tags = append(p.tags, t) }
 
 // PopTag removes the top tag. Popping an empty stack is a no-op so
 // instrumentation may enable mid-run without unbalancing anything.
@@ -335,12 +340,12 @@ func (p *Proc) PopTag() {
 	}
 }
 
-// Tag returns the top of the tag stack, or nil when empty.
-func (p *Proc) Tag() any {
+// Tag returns the top of the tag stack, or the zero Tag when empty.
+func (p *Proc) Tag() Tag {
 	if n := len(p.tags); n > 0 {
 		return p.tags[n-1]
 	}
-	return nil
+	return Tag{}
 }
 
 // Current returns the process currently executing, or nil when called from

@@ -208,7 +208,7 @@ func (f *outputOp) Step(p *sim.Proc) {
 					DstPort: key.RemotePort,
 					Seq:     uint32(th.Seq),
 				}
-				p.PushTag(pktID)
+				p.PushTag(pktID.Tag())
 				k.Trace.Event(trace.Event{
 					Kind: trace.EvTCPOutput, At: k.Now(), ID: pktID,
 					Len: length, Aux: int64(th.Flags),

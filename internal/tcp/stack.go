@@ -486,7 +486,7 @@ func (f *inputOp) Step(p *sim.Proc) {
 					Seq:     uint32(th.Seq),
 				}
 				f.tagged = true
-				p.PushTag(f.pktID)
+				p.PushTag(f.pktID.Tag())
 				k.Trace.Event(trace.Event{
 					Kind: trace.EvTCPInput, At: k.Now(), ID: f.pktID,
 					Len: f.segLen, Aux: int64(th.Flags),

@@ -31,6 +31,19 @@ type PacketID struct {
 // IsZero reports whether the identity is entirely unknown.
 func (id PacketID) IsZero() bool { return id == PacketID{} }
 
+// Tag packs the identity into a process tag (sim.Proc.PushTag), by value.
+func (id PacketID) Tag() sim.Tag {
+	return sim.Tag{uint64(id.Src)<<32 | uint64(id.Dst),
+		uint64(id.SrcPort)<<48 | uint64(id.DstPort)<<32 | uint64(id.Seq)}
+}
+
+// PacketIDOfTag unpacks the identity Tag packed; the zero Tag is the
+// zero identity.
+func PacketIDOfTag(t sim.Tag) PacketID {
+	return PacketID{Src: uint32(t[0] >> 32), Dst: uint32(t[0]),
+		SrcPort: uint16(t[1] >> 48), DstPort: uint16(t[1] >> 32), Seq: uint32(t[1])}
+}
+
 // String renders the identity the way tcpdump would:
 // "192.168.1.1:1025>192.168.1.2:7#64001".
 func (id PacketID) String() string {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -358,4 +359,25 @@ func FuzzEventsFrom(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestPacketIDTagRoundTrip packs identities into process tags and back:
+// every field survives at its extremes, and the zero Tag — an empty tag
+// stack — is the zero identity.
+func TestPacketIDTagRoundTrip(t *testing.T) {
+	for _, id := range []PacketID{
+		{},
+		{Src: 0x0a000001, Dst: 0x0a000002, SrcPort: 1025, DstPort: 7, Seq: 64001},
+		{Src: math.MaxUint32, Dst: math.MaxUint32, SrcPort: math.MaxUint16, DstPort: math.MaxUint16, Seq: math.MaxUint32},
+		{Src: 1, Seq: 1},
+		{Dst: 1, SrcPort: 1},
+		{DstPort: 1},
+	} {
+		if got := PacketIDOfTag(id.Tag()); got != id {
+			t.Errorf("%v came back as %v", id, got)
+		}
+	}
+	if got := PacketIDOfTag(sim.Tag{}); !got.IsZero() {
+		t.Errorf("the zero Tag is %v, want the zero identity", got)
+	}
 }

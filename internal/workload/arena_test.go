@@ -80,8 +80,9 @@ func scratchTrial(t *testing.T, g workload.Generator, cfg lab.Config, hosts, sha
 // delivered it — a pointer into the sender's transmit queue, overwritten
 // under Poison the moment that call returns: cells held back for
 // reordering, link-noise bit flips (which land in the sender's record),
-// RED and DRR queues under overflow, serial and behind a cut, and links
-// that go dark mid-frame.
+// RED queues under overflow, serial and behind a cut, DRR queues under
+// overflow, serial only (DRR runs on one shard), and links that go dark
+// mid-frame.
 var arenaTrials = []struct {
 	name     string
 	g        workload.Generator
@@ -127,7 +128,7 @@ var arenaTrials = []struct {
 		}}},
 	{name: "bulk, RED hub under overflow", g: workload.Bulk{Bytes: 49152}, hosts: 5, cut: true,
 		cfg: lab.Config{Link: lab.LinkATM, Qdisc: lab.QdiscConfig{Kind: lab.QdiscRED, LimitCells: 96}}},
-	{name: "bulk, DRR hub under overflow", g: workload.Bulk{Bytes: 49152}, hosts: 5, cut: true,
+	{name: "bulk, DRR hub under overflow", g: workload.Bulk{Bytes: 49152}, hosts: 5,
 		cfg: lab.Config{Link: lab.LinkATM, Qdisc: lab.QdiscConfig{Kind: lab.QdiscDRR, LimitCells: 96}}},
 	{name: "fan-in, link flaps", hosts: 5, cfg: lab.Config{Link: lab.LinkATM},
 		g: workload.FanIn{Requests: 20, Size: 1400, Faults: sim.LinkFlaps(7, []int{0, 2}, 8, 20*sim.Millisecond, 300*sim.Microsecond)}},

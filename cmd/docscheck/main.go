@@ -212,39 +212,32 @@ func commandArgs(c string, smoke bool) []string {
 	return argv
 }
 
-// shellWords splits a command line into words the way a shell does for
-// the lines the docs quote: blanks separate words, and a pair of single or
-// double quotes keeps what it holds, blanks and | included, inside the
-// word, the quotes themselves removed. A word that starts with an unquoted
-// | or > ends the command: a pipe or a redirection.
-func shellWords(c string) []string {
-	var argv []string
-	var w strings.Builder
-	inWord := false
+// shellWords splits a command line into words as a shell does for the
+// lines the docs quote: blanks separate words, and a pair of single or
+// double quotes keeps what it holds, blanks and | included, in the word,
+// without the quotes. A word that starts with an unquoted | or > — a pipe
+// or a redirection — ends the command.
+func shellWords(c string) (argv []string) {
+	var w []rune
 	var quote rune
-	for _, r := range c {
+	inWord := false
+	for _, r := range c + " " {
 		switch {
-		case quote != 0 && r == quote:
+		case r == quote:
 			quote = 0
 		case quote != 0:
-			w.WriteRune(r)
+			w = append(w, r)
 		case r == '\'' || r == '"':
 			quote, inWord = r, true
 		case r == ' ' || r == '\t':
 			if inWord {
-				argv = append(argv, w.String())
-				w.Reset()
-				inWord = false
+				argv, w, inWord = append(argv, string(w)), w[:0], false
 			}
 		case !inWord && (r == '|' || r == '>'):
 			return argv
 		default:
-			w.WriteRune(r)
-			inWord = true
+			w, inWord = append(w, r), true
 		}
-	}
-	if inWord {
-		argv = append(argv, w.String())
 	}
 	return argv
 }

@@ -46,8 +46,7 @@ type cellSink interface {
 // It keeps its array while empty, which suits the queue disciplines — a
 // few per fabric, busy for a whole trial; the per-host and per-port
 // queues are cellQueues, which do not. It owns its cells: push copies the
-// caller's in, popInto copies the oldest out to where the caller wants it,
-// and front lends it only until the next push or drop.
+// caller's in, popInto copies the oldest out to where the caller wants it.
 type fifo struct {
 	buf  []Cell
 	head int
@@ -55,16 +54,11 @@ type fifo struct {
 
 func (q *fifo) push(c *Cell) { q.buf = append(q.buf, *c) }
 
-// reset empties the queue, retaining the backing array.
-func (q *fifo) reset() { q.buf, q.head = q.buf[:0], 0 }
-
 func (q *fifo) len() int { return len(q.buf) - q.head }
 
-// front returns the oldest cell where it lies in the queue.
-func (q *fifo) front() *Cell { return &q.buf[q.head] }
-
-// drop removes the oldest cell.
-func (q *fifo) drop() {
+// popInto moves the oldest cell to dst.
+func (q *fifo) popInto(dst *Cell) {
+	*dst = q.buf[q.head]
 	q.head++
 	switch {
 	case q.head == len(q.buf):
@@ -73,12 +67,6 @@ func (q *fifo) drop() {
 		n := copy(q.buf, q.buf[q.head:])
 		q.buf, q.head = q.buf[:n], 0
 	}
-}
-
-// popInto moves the oldest cell to dst.
-func (q *fifo) popInto(dst *Cell) {
-	*dst = *q.front()
-	q.drop()
 }
 
 // recSize is the stride of a cellQueue record: a time (little-endian,
@@ -241,21 +229,12 @@ func (t *transmitter) occupied(now sim.Time) int {
 // freeAt returns when the oldest cell occupied counted leaves the engine.
 func (t *transmitter) freeAt() sim.Time { return t.q.timeAt(t.left) }
 
-// reserve books the engine for one cell, behind what it is already
-// sending and no earlier than ready, and returns when its last bit leaves.
-func (t *transmitter) reserve(ready, cellTime sim.Time) sim.Time {
-	if t.busy > ready {
-		ready = t.busy
-	}
-	t.busy = ready + cellTime
-	return t.busy
-}
-
-// slot reserves the engine for one more cell, ready no earlier than ready,
-// and returns its record's cell, stamped with when its last bit leaves, for
-// the caller to write and then launch.
+// slot books the engine for one more cell, behind what it is already
+// sending and no earlier than ready, and returns its record's cell,
+// stamped with when its last bit leaves, for the caller to write and then
+// launch.
 func (t *transmitter) slot(env *sim.Env, ready, cellTime sim.Time) *Cell {
-	end := t.reserve(ready, cellTime)
+	t.busy = max(t.busy, ready) + cellTime
 	if t.cut != nil {
 		// No arrival fires here to drop a record: it stays only while it
 		// occupies the engine.
@@ -263,7 +242,7 @@ func (t *transmitter) slot(env *sim.Env, ready, cellTime sim.Time) *Cell {
 			t.q.drop(env.Arena())
 		}
 	}
-	return t.q.append(env.Arena(), end)
+	return t.q.append(env.Arena(), t.busy)
 }
 
 // launch books the arrival of c, the cell slot just returned and the

@@ -2,7 +2,6 @@ package atm
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/cost"
 	"repro/internal/sim"
@@ -207,27 +206,27 @@ func (sw *Switch) Port(i int) *Port { return sw.ports[i] }
 
 // serve fills the oldest slot, whose arrival at the far end is firing,
 // with the cell the Scheduler serves in it. Cells are equal in size, so a
-// work-conserving discipline keeps the FIFO's slot times: the slot's
-// service began one cell time before its last bit left. Every slot from
-// the discipline's backlog on still holds the cell committed to it, with
-// its arrival at the discipline stamped on the record (see forward); the
-// port offers the discipline, in arrival order, each one that had reached
-// it when that service began, and dequeues into the slot. When none had,
+// work-conserving discipline keeps the FIFO's slot times; every slot from
+// the discipline's backlog on still holds the cell committed to it, its
+// wait for the link stamped on the record (see forward). The port offers
+// the discipline, in arrival order, each one that had reached it when
+// this slot's service began, and dequeues into the slot. When none had,
 // the link had gone idle, and the slot keeps its own cell: the arrival
 // that started the service.
 //
-// An arrival at the very instant the service began reached the discipline
-// first if the link was busy up to then and the fabric latency is a cell
-// time or more, the tie transmitter.waiting breaks the same way.
+// The i-th slot from here, if the link stays busy up to it, begins i cell
+// times after this one, so its cell had arrived before this service began
+// when it waited more than i cell times, at the very instant when exactly
+// i. Such a tie was offered first if the link was busy up to the start and
+// the fabric latency is a cell time or more: the tie transmitter.waiting
+// breaks. A slot after an idle gap waited less than i cell times.
 func (p *Port) serve(s Scheduler) {
 	q := &p.tx.q
-	cellTime := cost.WireTime(CellSize, p.bits)
 	end := q.timeAt(0)
-	start := end - cellTime
-	ties := start == p.lastOut && p.sw.Latency >= cellTime
+	cellTime := cost.WireTime(CellSize, p.bits)
+	ties := end-cellTime == p.lastOut && p.sw.Latency >= cellTime
 	for i, n := s.Len(), q.len(); i < n; i++ {
-		at := q.timeAt(i) - sim.Time(q.stampAt(i))
-		if at > start || at == start && !ties {
+		if halves := int(q.stampAt(i)); halves < 2*i || halves == 2*i && !ties {
 			break
 		}
 		c := q.cellAt(i)
@@ -402,13 +401,16 @@ func (sw *Switch) forward(from *Port, c *Cell) {
 	dst := out.tx.slot(sw.env, at, cellTime)
 	*dst = *c
 	if out.reorders {
-		// serve reads the cell's arrival at the discipline back from how
-		// long before its slot ends it came.
-		wait := out.tx.busy - at
-		if wait > math.MaxUint32 {
-			panic("atm: a cell waits past 2^32 ns at a Scheduler")
+		// The cell's wait for the link, from reaching the discipline to its
+		// slot's service, as serve reads it: twice the whole cell times,
+		// plus one for part of another. Each waiting cell is a record ahead
+		// of this one, so the count fits.
+		wait := out.tx.busy - cellTime - at
+		halves := 2 * (wait / cellTime)
+		if wait%cellTime != 0 {
+			halves++
 		}
-		out.tx.q.stampNewest(uint32(wait))
+		out.tx.q.stampNewest(uint32(halves))
 	}
 	out.tx.launch(sw.env, dst, out.prop, "atmsw.cellin")
 }

@@ -86,10 +86,9 @@ func TestEchoSteadyStateAllocs(t *testing.T) {
 		{name: "tcp/8000/ether", cfg: lab.Config{Link: lab.LinkEther, Seed: 1994}, size: 8000},
 		{name: "udp/1400", cfg: atm, size: 1400, udp: true},
 		// Nothing a packet: a packet ID rides on its sim.Proc tag by
-		// value (8.04 when each one was boxed into an interface). The
-		// 0.04 is the recorder's event buffer, which keeps every event
-		// and so grows with the run: the long run doubles it four more
-		// times than the short one.
+		// value. The 0.04 is the recorder's event buffer, which keeps
+		// every event and so grows with the run: the long run grows it
+		// four more times than the short one.
 		{name: "tcp/1400/traced", cfg: lab.Config{Link: lab.LinkATM, Seed: 1994, PacketTrace: true}, size: 1400, max: 0.04},
 	} {
 		t.Run(row.name, func(t *testing.T) {
